@@ -53,7 +53,7 @@ use crate::record::{BinKind, FrameBin, Record};
 use crate::reduce_state::{FireShard, PartialState, ReduceState, SkewAbsorber};
 use crate::resident::CachePlan;
 use crate::sched::{Pool, Source};
-use crate::skew::SkewRuntime;
+use crate::skew::{KeySketch, SkewRuntime};
 use crate::NodeId;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -241,6 +241,10 @@ struct TaskDone {
 /// State shared with worker threads.
 struct WorkerShared {
     graph: Arc<JobGraph>,
+    /// Per-flowlet output ports and name, resolved from the graph once
+    /// so that a task's set-up is two refcount bumps.
+    ports: Vec<Arc<[PortSpec]>>,
+    names: Vec<Arc<str>>,
     ctx: TaskContext,
     bin_capacity: usize,
     partial: Vec<Option<Arc<PartialState>>>,
@@ -262,27 +266,25 @@ struct WorkerShared {
 }
 
 impl WorkerShared {
-    fn make_output(&self, flowlet: FlowletId, lane: u32) -> TaskOutput {
-        let def = &self.graph.flowlets[flowlet];
-        let ports = self
-            .graph
-            .out_ports(flowlet)
-            .into_iter()
-            .map(|(edge, exchange)| PortSpec { edge, exchange })
-            .collect();
+    fn make_output(
+        &self,
+        flowlet: FlowletId,
+        lane: u32,
+        sketches: &mut Vec<KeySketch>,
+    ) -> TaskOutput {
         let mut out = TaskOutput::new(
-            ports,
+            Arc::clone(&self.ports[flowlet]),
             self.ctx.node,
             self.ctx.nodes,
             self.bin_capacity,
-            def.capture,
-            def.name.clone(),
+            self.graph.flowlets[flowlet].capture,
+            Arc::clone(&self.names[flowlet]),
             flowlet as u32,
             lane,
             self.tracer.clone(),
             self.audit.clone(),
         )
-        .with_skew(&self.skew)
+        .with_skew(&self.skew, sketches)
         .with_stats(&self.stats);
         if let Some(sink) = &self.fill {
             out = out.with_fill(sink);
@@ -324,7 +326,15 @@ impl WorkerShared {
     }
 }
 
-fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) -> TaskDone {
+/// Run one task to completion. `sketches` is the calling worker's
+/// stock of hot-key sketches, lent to the task's output and returned
+/// cleared, so that a task allocates no sketch tables of its own.
+fn execute_task(
+    shared: &WorkerShared,
+    worker_id: usize,
+    sketches: &mut Vec<KeySketch>,
+    task: Task,
+) -> TaskDone {
     let start = Instant::now();
     let flowlet = task.flowlet();
     let trace_kind = task.trace_kind();
@@ -357,7 +367,7 @@ fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) -> TaskDone
         panic: None,
     };
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut out = shared.make_output(flowlet, worker_id as u32);
+        let mut out = shared.make_output(flowlet, worker_id as u32, sketches);
         let kind = &shared.graph.flowlets[flowlet].kind;
         let mut records_in = 0u64;
         let mut ack_to = None;
@@ -462,7 +472,7 @@ fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) -> TaskDone
                 ack_to = ack;
             }
         }
-        let (bins, captured, stats) = out.into_parts_stats();
+        let (bins, captured, stats) = out.into_parts_stats(sketches);
         (bins, captured, records_in, ack_to, stream, stats, absorbed)
     }));
     match result {
@@ -507,8 +517,9 @@ fn worker_loop(
     rx: Receiver<Task>,
     done_tx: Sender<TaskDone>,
 ) {
+    let mut sketches = Vec::new();
     while let Ok(task) = rx.recv() {
-        let done = execute_task(&shared, worker_id, task);
+        let done = execute_task(&shared, worker_id, &mut sketches, task);
         if done_tx.send(done).is_err() {
             return;
         }
@@ -546,6 +557,7 @@ fn ws_worker_loop(
 ) {
     let node = shared.ctx.node as u32;
     let lane = worker as u32;
+    let mut sketches = Vec::new();
     loop {
         match pool.try_fetch(worker) {
             Some((task, src)) => {
@@ -560,7 +572,7 @@ fn ws_worker_loop(
                         },
                     );
                 }
-                let mut done = execute_task(&shared, worker, task);
+                let mut done = execute_task(&shared, worker, &mut sketches, task);
                 ship_done(&flow, &endpoint, lane, &mut done);
                 if done_tx.send(done).is_err() {
                     return;
@@ -688,6 +700,8 @@ enum Exec {
         ready: Vec<Task>,
         rng: u64,
         next_worker: usize,
+        /// The one executing thread's hot-key sketches.
+        sketches: Vec<KeySketch>,
     },
 }
 
@@ -787,6 +801,20 @@ impl NodeRuntime {
         let fill =
             (!plan.fill.is_empty()).then(|| Arc::new(FillSink::new(plan.fill_edges.clone())));
         let shared = Arc::new(WorkerShared {
+            ports: (0..graph.flowlets.len())
+                .map(|f| {
+                    graph
+                        .out_ports(f)
+                        .into_iter()
+                        .map(|(edge, exchange)| PortSpec { edge, exchange })
+                        .collect()
+                })
+                .collect(),
+            names: graph
+                .flowlets
+                .iter()
+                .map(|d| d.name.as_str().into())
+                .collect(),
             graph: Arc::clone(&graph),
             ctx: ctx.clone(),
             bin_capacity: cfg.bin_capacity,
@@ -862,6 +890,7 @@ impl NodeRuntime {
                     | 1,
                 ready: Vec::new(),
                 next_worker: 0,
+                sketches: Vec::new(),
             },
         };
         // Build per-flowlet instances.
@@ -966,9 +995,7 @@ impl NodeRuntime {
                             bin.payload_bytes() as u64,
                         );
                     }
-                    if self.tracer.enabled() {
-                        bin.span = hamr_trace::next_span_id();
-                    }
+                    bin.span = self.tracer.mint_span();
                     self.nmetrics.bins_in += 1;
                     self.nmetrics.records_in += bin.len() as u64;
                     self.tracer.emit(
@@ -1050,6 +1077,7 @@ impl NodeRuntime {
                 ready: Vec::new(),
                 rng: 0,
                 next_worker: 0,
+                sketches: Vec::new(),
             },
         );
         match exec {
@@ -1102,11 +1130,12 @@ impl NodeRuntime {
     /// threaded modes.
     fn deterministic_step(&mut self) -> bool {
         let threads = self.threads;
-        let (task, worker) = match &mut self.exec {
+        let (task, worker, sketches) = match &mut self.exec {
             Exec::Deterministic {
                 ready,
                 rng,
                 next_worker,
+                sketches,
             } if !ready.is_empty() => {
                 *rng = rng
                     .wrapping_mul(6364136223846793005)
@@ -1115,11 +1144,11 @@ impl NodeRuntime {
                 let task = ready.swap_remove(idx);
                 let worker = *next_worker;
                 *next_worker = (*next_worker + 1) % threads;
-                (task, worker)
+                (task, worker, sketches)
             }
             _ => return false,
         };
-        let mut done = execute_task(&self.shared, worker, task);
+        let mut done = execute_task(&self.shared, worker, sketches, task);
         ship_done(&self.flow, &self.endpoint, WORKER_RUNTIME, &mut done);
         self.handle_done(done);
         true
@@ -1823,9 +1852,7 @@ impl NodeRuntime {
                 bin.payload_bytes() as u64,
             );
         }
-        if self.tracer.enabled() {
-            bin.span = hamr_trace::next_span_id();
-        }
+        bin.span = self.tracer.mint_span();
         let _ = self.endpoint.send(home, NetMsg::Bin(bin));
     }
 

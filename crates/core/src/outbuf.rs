@@ -418,7 +418,9 @@ pub(crate) struct SkewStats {
 
 /// Buffers one task's emissions.
 pub(crate) struct TaskOutput {
-    ports: Vec<PortSpec>,
+    /// The flowlet's output ports, resolved once per job and shared by
+    /// all of its tasks.
+    ports: Arc<[PortSpec]>,
     node: NodeId,
     nodes: usize,
     bin_capacity: usize,
@@ -433,7 +435,7 @@ pub(crate) struct TaskOutput {
     capture_enabled: bool,
     /// Reusable encode buffer for typed emits (see `emit_encoded`).
     scratch: Vec<u8>,
-    flowlet_name: String,
+    flowlet_name: Arc<str>,
     /// Producing flowlet id + trace lane of the executing thread: the
     /// provenance stamped on every minted bin span.
     flowlet_id: u32,
@@ -455,12 +457,12 @@ pub(crate) struct TaskOutput {
 impl TaskOutput {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        ports: Vec<PortSpec>,
+        ports: Arc<[PortSpec]>,
         node: NodeId,
         nodes: usize,
         bin_capacity: usize,
         capture_enabled: bool,
-        flowlet_name: String,
+        flowlet_name: Arc<str>,
         flowlet_id: u32,
         lane: u32,
         tracer: Tracer,
@@ -511,21 +513,31 @@ impl TaskOutput {
     }
 
     /// Attach skew-mitigation state (builder style). A no-op when no
-    /// mechanism touches any of this task's output edges.
-    pub(crate) fn with_skew(mut self, rt: &Arc<SkewRuntime>) -> Self {
+    /// mechanism touches any of this task's output edges. Hot-key
+    /// sketches come out of the executing worker's `sketches` and go
+    /// back, cleared, in [`Self::into_parts_stats`].
+    pub(crate) fn with_skew(
+        mut self,
+        rt: &Arc<SkewRuntime>,
+        sketches: &mut Vec<KeySketch>,
+    ) -> Self {
         if !rt.active_for(self.ports.iter().map(|p| p.edge)) {
             return self;
         }
         let mut combine = Vec::with_capacity(self.ports.len());
         let mut sketch = Vec::with_capacity(self.ports.len());
-        for p in &self.ports {
+        for p in self.ports.iter() {
             combine.push(if rt.combine_on(p.edge) {
                 rt.combiner(p.edge).map(|c| CombineBuf::new(c.clone()))
             } else {
                 None
             });
             sketch.push(if rt.scatter_on(p.edge) && rt.cfg.split {
-                Some(KeySketch::new(rt.cfg.split_threshold))
+                Some(
+                    sketches
+                        .pop()
+                        .unwrap_or_else(|| KeySketch::new(rt.cfg.split_threshold)),
+                )
             } else {
                 None
             });
@@ -594,7 +606,7 @@ impl TaskOutput {
             bin.payload_bytes() as u64,
         );
         if self.tracer.enabled() {
-            bin.span = hamr_trace::next_span_id();
+            bin.span = self.tracer.mint_span();
             self.tracer.emit(
                 self.node as u32,
                 self.lane,
@@ -859,14 +871,17 @@ impl TaskOutput {
     /// Finish the task: flush partial frames and hand everything over.
     #[cfg(test)]
     pub(crate) fn into_parts(self) -> (Vec<(NodeId, FrameBin)>, Vec<Record>) {
-        let (bins, captured, _) = self.into_parts_stats();
+        let (bins, captured, _) = self.into_parts_stats(&mut Vec::new());
         (bins, captured)
     }
 
     /// Finish the task: flush combine buffers, partial frames, and
     /// scatter frames, flush the planner tallies, and hand everything
     /// over with the task's mitigation counters.
-    pub(crate) fn into_parts_stats(mut self) -> (Vec<(NodeId, FrameBin)>, Vec<Record>, SkewStats) {
+    pub(crate) fn into_parts_stats(
+        mut self,
+        sketches: &mut Vec<KeySketch>,
+    ) -> (Vec<(NodeId, FrameBin)>, Vec<Record>, SkewStats) {
         // Combine buffers feed the normal/scatter frames, so they
         // flush first.
         if self.skew.is_some() {
@@ -915,6 +930,10 @@ impl TaskOutput {
                 combined: st.combined,
                 splits: st.splits,
             };
+            for mut sketch in st.sketch.into_iter().flatten() {
+                sketch.clear();
+                sketches.push(sketch);
+            }
         }
         (self.finished, self.captured, stats)
     }
@@ -927,7 +946,7 @@ mod tests {
 
     fn out(ports: Vec<PortSpec>, node: NodeId, nodes: usize, cap: usize) -> TaskOutput {
         TaskOutput::new(
-            ports,
+            ports.into(),
             node,
             nodes,
             cap,
@@ -1140,7 +1159,7 @@ mod tests {
     fn capture_ignored_when_disabled() {
         let b = |s: &str| Bytes::copy_from_slice(s.as_bytes());
         let mut o = TaskOutput::new(
-            vec![],
+            Vec::new().into(),
             0,
             1,
             10,

@@ -284,13 +284,17 @@ impl SkewRuntime {
 }
 
 /// A cheap per-task top-key sketch, backed by the shared
-/// [`SpaceSaving`] heavy-hitter summary from `hamr_trace::stats`. A
-/// key becomes *hot* the moment its guaranteed in-task count — the
-/// portion of its SpaceSaving count observed since insertion, which
-/// never over-counts — crosses `threshold`. While a task sees at most
-/// `CAP` distinct hashes the sketch is exact and behaves identically
-/// to a plain counter table; past that, evictions can only delay a
-/// hot flag (under-split), never fabricate one.
+/// [`SpaceSaving`](hamr_trace::SpaceSaving) heavy-hitter summary from
+/// `hamr_trace::stats`. A key becomes *hot* the moment its guaranteed
+/// in-task count — the portion of its SpaceSaving count observed since
+/// insertion, which never over-counts — crosses `threshold`. While a
+/// task sees at most `CAP` distinct hashes the sketch is exact and
+/// behaves identically to a plain counter table; past that, evictions
+/// can only delay a hot flag (under-split), never fabricate one.
+///
+/// One emit costs one index probe and one add; an emit that evicts
+/// also pays a heap sift of O(log `CAP`). Nothing allocates: a worker
+/// keeps its sketches and [`clear`](Self::clear)s them between tasks.
 #[derive(Debug)]
 pub struct KeySketch {
     sketch: hamr_trace::SpaceSaving,
@@ -299,7 +303,7 @@ pub struct KeySketch {
 }
 
 impl KeySketch {
-    const CAP: usize = 1024;
+    pub const CAP: usize = 1024;
 
     pub fn new(threshold: u32) -> Self {
         KeySketch {
@@ -313,8 +317,8 @@ impl KeySketch {
     /// hash, when its guaranteed count crosses the hot threshold.
     #[inline]
     pub fn observe(&mut self, hash: u64) -> bool {
-        self.sketch.observe(hash, None, 1);
-        if self.sketch.guaranteed(hash) >= self.threshold as u64 && !self.hot.contains(&hash) {
+        let guaranteed = self.sketch.observe(hash, None, 1);
+        if guaranteed >= self.threshold as u64 && !self.hot.contains(&hash) {
             self.hot.push(hash);
             return true;
         }
@@ -330,6 +334,13 @@ impl KeySketch {
 
     pub fn hot_count(&self) -> usize {
         self.hot.len()
+    }
+
+    /// Forget the finished task's stream; the next task starts from an
+    /// empty sketch, as a fresh one would.
+    pub fn clear(&mut self) {
+        self.sketch.clear();
+        self.hot.clear();
     }
 }
 

@@ -222,25 +222,44 @@ fn critical_path_is_bounded_by_wall_and_nonempty() {
     );
 }
 
+/// Span minting is counted on the job's own tracer, so this holds
+/// whatever sibling tests are tracing in the same process: a traced
+/// run mints exactly one span per emitted bin, and the same job under
+/// a disabled tracer mints none.
 #[test]
 fn untraced_run_mints_no_spans() {
-    use hamr_core::JobResult;
     let cluster = Cluster::new(config_with(SchedMode::WorkStealing));
-    let mut job = JobBuilder::new("untraced");
-    let loader = job.add_loader(
-        "nums",
-        typed::pairs_loader((0..100u64).map(|i| (i, i)).collect()),
-    );
-    let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
-    job.connect(loader, sum, Exchange::Hash);
-    job.capture_output(sum);
-    let before = hamr_trace::next_span_id();
-    let result: JobResult = cluster.run(job.build().unwrap()).unwrap();
+    let job = || {
+        let mut job = JobBuilder::new("untraced");
+        let loader = job.add_loader(
+            "nums",
+            typed::pairs_loader((0..100u64).map(|i| (i, i)).collect()),
+        );
+        let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
+        job.connect(loader, sum, Exchange::Hash);
+        job.capture_output(sum);
+        job.build().unwrap()
+    };
+
+    let sink = Arc::new(RingSink::new(16, 1 << 16));
+    let traced = Tracer::new(sink.clone());
+    let result = cluster.run_traced(job(), traced.clone()).unwrap();
     assert!(!result.output(1).is_empty());
-    let after = hamr_trace::next_span_id();
+    let emitted = sink
+        .drain()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::BinEmitted { .. }))
+        .count() as u64;
+    assert!(emitted > 0);
+    assert_eq!(traced.spans_minted(), emitted);
+
+    let untraced = Tracer::disabled();
+    let result = cluster.run_traced(job(), untraced.clone()).unwrap();
+    assert!(!result.output(1).is_empty());
     assert_eq!(
-        after,
-        before + 1,
+        untraced.spans_minted(),
+        0,
         "untraced runs must not touch the span counter"
     );
+    assert_eq!(untraced.mint_span(), hamr_trace::NO_SPAN);
 }

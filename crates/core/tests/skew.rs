@@ -2,6 +2,7 @@
 //! shard rebalancing must each preserve engine output exactly while
 //! their counters prove the mechanism actually engaged.
 
+use hamr_core::skew::KeySketch;
 use hamr_core::{
     typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobResult, SchedMode, SkewConfig,
 };
@@ -260,5 +261,87 @@ fn single_node_and_single_worker_stay_correct() {
             "degenerate",
         );
         assert_eq!(sorted_output(&result), expected(300, 10));
+    }
+}
+
+/// The splitter's sketch as it was first built: a linear search for the
+/// hash, a linear scan for the least `(count, hash)` on eviction, a key
+/// flagged once when `count − err` reaches the threshold.
+struct LinearScanSketch {
+    entries: Vec<(u64, u64, u64)>,
+    hot: Vec<u64>,
+    threshold: u64,
+}
+
+impl LinearScanSketch {
+    fn observe(&mut self, hash: u64) -> bool {
+        let i = match self.entries.iter().position(|e| e.0 == hash) {
+            Some(i) => i,
+            None if self.entries.len() < KeySketch::CAP => {
+                self.entries.push((hash, 0, 0));
+                self.entries.len() - 1
+            }
+            None => {
+                let i = (0..self.entries.len())
+                    .min_by_key(|&i| (self.entries[i].1, self.entries[i].0))
+                    .expect("CAP > 0");
+                let least = self.entries[i].1;
+                self.entries[i] = (hash, least, least);
+                i
+            }
+        };
+        self.entries[i].1 += 1;
+        let (_, count, err) = self.entries[i];
+        let flag = count - err >= self.threshold && !self.hot.contains(&hash);
+        if flag {
+            self.hot.push(hash);
+        }
+        flag
+    }
+}
+
+/// A Zipf-like stream over three times as many hashes as the sketch
+/// holds: the head crosses the threshold, the tail keeps it evicting.
+fn zipf_hashes(len: usize, seed: u64) -> Vec<u64> {
+    let space = (3 * KeySketch::CAP) as f64;
+    let mut rng = seed;
+    (0..len)
+        .map(|_| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let u = (rng >> 11) as f64 / (1u64 << 53) as f64;
+            let key = (u * u * u * space) as u64;
+            hamr_codec::stable_hash(&key.to_le_bytes())
+        })
+        .collect()
+}
+
+#[test]
+fn key_sketch_flags_what_the_linear_scan_sketch_flags() {
+    let threshold = 24;
+    let mut reused = KeySketch::new(threshold);
+    for seed in [2015u64, 7] {
+        let stream = zipf_hashes(40_000, seed);
+        let distinct: std::collections::HashSet<u64> = stream.iter().copied().collect();
+        assert!(distinct.len() > KeySketch::CAP, "the stream must evict");
+        let mut fresh = KeySketch::new(threshold);
+        let mut model = LinearScanSketch {
+            entries: Vec::new(),
+            hot: Vec::new(),
+            threshold: threshold as u64,
+        };
+        for (at, &h) in stream.iter().enumerate() {
+            let want = model.observe(h);
+            assert_eq!(fresh.observe(h), want, "seed {seed} position {at}");
+            // A cleared sketch is indistinguishable from a new one.
+            assert_eq!(reused.observe(h), want, "reused, seed {seed} position {at}");
+            assert_eq!(fresh.is_hot(h), model.hot.contains(&h));
+        }
+        assert!(model.hot.len() > 3, "the head must cross the threshold");
+        assert_eq!(fresh.hot_count(), model.hot.len());
+        assert_eq!(reused.hot_count(), model.hot.len());
+        reused.clear();
+        assert_eq!(reused.hot_count(), 0);
     }
 }

@@ -65,13 +65,9 @@ use std::time::Instant;
 /// carry when tracing is disabled, so the hot path never touches the
 /// global counter. Real spans start at 1 and are unique process-wide,
 /// which keeps IDs unique across nodes (every simulated node lives in
-/// this process) without any coordination at ship time.
+/// this process) without any coordination at ship time. Minted only
+/// through [`Tracer::mint_span`].
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Mint a fresh non-zero span id for a bin.
-pub fn next_span_id() -> u64 {
-    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// The "no span" sentinel carried by bins when tracing is off.
 pub const NO_SPAN: u64 = 0;
@@ -416,15 +412,25 @@ impl TraceSink for RingSink {
 /// axis.
 #[derive(Clone)]
 pub struct Tracer {
-    sink: Option<Arc<dyn TraceSink>>,
+    live: Option<Arc<LiveTracer>>,
     epoch: Instant,
+}
+
+/// What an enabled tracer's clones share.
+struct LiveTracer {
+    sink: Arc<dyn TraceSink>,
+    /// Spans minted through this tracer and its clones.
+    spans_minted: AtomicU64,
 }
 
 impl Tracer {
     /// A tracer that records into `sink`.
     pub fn new(sink: Arc<dyn TraceSink>) -> Self {
         Tracer {
-            sink: Some(sink),
+            live: Some(Arc::new(LiveTracer {
+                sink,
+                spans_minted: AtomicU64::new(0),
+            })),
             epoch: Instant::now(),
         }
     }
@@ -432,13 +438,35 @@ impl Tracer {
     /// A tracer whose `emit` is a no-op (a single `None` check).
     pub fn disabled() -> Self {
         Tracer {
-            sink: None,
+            live: None,
             epoch: Instant::now(),
         }
     }
 
     pub fn enabled(&self) -> bool {
-        self.sink.is_some()
+        self.live.is_some()
+    }
+
+    /// Mint a bin-lineage span: a fresh process-unique id when tracing
+    /// is on, [`NO_SPAN`] when it is off — an untraced run costs one
+    /// branch and never touches the span counter.
+    #[inline]
+    pub fn mint_span(&self) -> u64 {
+        match &self.live {
+            Some(live) => {
+                live.spans_minted.fetch_add(1, Ordering::Relaxed);
+                NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
+            }
+            None => NO_SPAN,
+        }
+    }
+
+    /// Spans minted through this tracer and its clones — this job's
+    /// own count, whatever else the process is tracing.
+    pub fn spans_minted(&self) -> u64 {
+        self.live
+            .as_ref()
+            .map_or(0, |live| live.spans_minted.load(Ordering::Relaxed))
     }
 
     /// Microseconds since this tracer's epoch.
@@ -449,8 +477,8 @@ impl Tracer {
     /// Record one event (no-op when disabled).
     #[inline]
     pub fn emit(&self, node: u32, worker: u32, kind: EventKind) {
-        if let Some(sink) = &self.sink {
-            sink.record(TraceEvent {
+        if let Some(live) = &self.live {
+            live.sink.record(TraceEvent {
                 t_us: self.now_us(),
                 node,
                 worker,

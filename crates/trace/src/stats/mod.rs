@@ -10,7 +10,9 @@
 //!   with the guaranteed-count invariant `count − err ≤ true ≤ count`,
 //!   parameterized by capacity so the same code serves the stats plane
 //!   (K = 32, with key-byte samples for naming) and the skew splitter's
-//!   per-task hot-key sketch (capacity 1024, hashes only);
+//!   per-task hot-key sketch (capacity 1024, hashes only). A record
+//!   costs one index probe and one add, an eviction one O(log K) heap
+//!   sift, and neither allocates;
 //! * [`SizeHist`] — a log2 histogram of record value sizes answering
 //!   quantile queries to within a power of two.
 //!
@@ -200,7 +202,7 @@ impl std::fmt::Debug for Hll {
 /// Longest key-byte prefix a sketch entry or lineage sample retains.
 pub const KEY_SAMPLE_BYTES: usize = 48;
 
-/// One tracked heavy-hitter slot.
+/// One tracked heavy hitter, as [`SpaceSaving::top`] reports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SsEntry {
     pub hash: u64,
@@ -212,25 +214,127 @@ pub struct SsEntry {
     pub key: Option<Box<[u8]>>,
 }
 
+/// The counters of one tracked hash. Key samples live apart, so a
+/// hashes-only sketch packs its slots at 24 bytes each.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    hash: u64,
+    count: u64,
+    err: u64,
+}
+
+/// A key-byte prefix stored inline, so that claiming or evicting a
+/// slot allocates nothing.
+#[derive(Debug, Clone, Copy)]
+struct KeySample {
+    /// `NO_KEY` when the slot's hash never came with key bytes.
+    len: u8,
+    bytes: [u8; KEY_SAMPLE_BYTES],
+}
+
+const NO_KEY: u8 = u8::MAX;
+const _: () = assert!(KEY_SAMPLE_BYTES < NO_KEY as usize);
+
+impl KeySample {
+    const NONE: KeySample = KeySample {
+        len: NO_KEY,
+        bytes: [0; KEY_SAMPLE_BYTES],
+    };
+
+    /// Overwrite in place; bytes past the new length are left as they
+    /// were and never read.
+    fn set(&mut self, key: Option<&[u8]>) {
+        match key {
+            Some(key) => {
+                let len = key.len().min(KEY_SAMPLE_BYTES);
+                self.len = len as u8;
+                self.bytes[..len].copy_from_slice(&key[..len]);
+            }
+            None => self.len = NO_KEY,
+        }
+    }
+
+    fn get(&self) -> Option<&[u8]> {
+        (self.len != NO_KEY).then(|| &self.bytes[..self.len as usize])
+    }
+}
+
+/// A node of the eviction heap: the `(count, hash)` a slot had when the
+/// node was last sifted. A slot's count only grows, so this is a lower
+/// bound on the slot's present order key.
+#[derive(Debug, Clone, Copy)]
+struct HeapNode {
+    count: u64,
+    hash: u64,
+    slot: u32,
+}
+
+impl HeapNode {
+    /// `(count, hash)` as one integer, so that comparing two nodes is
+    /// branch-free.
+    #[inline]
+    fn order(&self) -> u128 {
+        (self.count as u128) << 64 | self.hash as u128
+    }
+}
+
+/// The high half of a hash's Fibonacci scramble. The stream's hashes
+/// can share their low bits (an (edge, dst) slot sees one residue of
+/// `hash % nodes`); the scramble's high bits do not.
+#[inline]
+fn tag(hash: u64) -> u32 {
+    (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
+}
+
 /// SpaceSaving top-K sketch over pre-hashed keys, with the classic
 /// guarantee `count − err ≤ true-count ≤ count` for every tracked key,
 /// and every key of true weight > total/capacity guaranteed present.
+/// A full sketch evicts the slot with the least `(count, hash)`.
+///
+/// Cost of one [`observe`](Self::observe): a tracked hash is one probe
+/// of an open-addressed index (linear probing, load ≤ 1/4, a 32-bit
+/// tag per bucket so that a mismatch rarely reads a slot) and one add;
+/// nothing else is touched. An untracked hash into a full sketch also
+/// replaces the root of a binary min-heap on `(count, hash)` and sifts
+/// it down, O(log capacity), and moves one index entry. The heap is
+/// lazy: an add leaves its node stale, and a stale node is refreshed
+/// only when it surfaces at the root, so each add pays for at most one
+/// later sift; the heap is not built before the first eviction. No
+/// path allocates once the sketch exists (key samples are inline;
+/// their array is sized when the first key arrives).
 #[derive(Debug, Clone)]
 pub struct SpaceSaving {
     cap: usize,
-    entries: Vec<SsEntry>,
-    index: BTreeMap<u64, usize>,
+    slots: Vec<Slot>,
+    /// Key samples, parallel to `slots`; empty until a key is supplied,
+    /// so a hashes-only sketch carries none.
+    keys: Vec<KeySample>,
+    /// Open-addressed index, a power of two of at least `4 * cap`
+    /// buckets: probe runs are short enough that their length is
+    /// predictable. A bucket is 0 when empty, else the hash's [`tag`] in
+    /// the high half and `slot + 1` in the low half. The tag's top
+    /// bits are the bucket the hash probes from.
+    index: Vec<u64>,
+    /// Right shift that takes a tag to its home bucket.
+    shift: u32,
+    /// Lazy min-heap over all slots; empty until the first eviction
+    /// and after `merge`/`clear`.
+    heap: Vec<HeapNode>,
     /// Total observed weight (for share-of-traffic queries).
     total: u64,
 }
 
 impl SpaceSaving {
     pub fn new(cap: usize) -> Self {
-        assert!(cap > 0);
+        assert!(cap > 0 && cap <= (u32::MAX / 4) as usize);
+        let buckets = (4 * cap).next_power_of_two();
         SpaceSaving {
             cap,
-            entries: Vec::with_capacity(cap),
-            index: BTreeMap::new(),
+            slots: Vec::with_capacity(cap),
+            keys: Vec::new(),
+            index: vec![0; buckets],
+            shift: 32 - buckets.trailing_zeros(),
+            heap: Vec::new(),
             total: 0,
         }
     }
@@ -244,77 +348,226 @@ impl SpaceSaving {
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// Forget everything observed, keeping the tables for reuse.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.index.fill(0);
+        self.heap.clear();
+        self.total = 0;
+    }
+
+    #[inline]
+    fn home(&self, tag: u32) -> usize {
+        (tag >> self.shift) as usize
+    }
+
+    /// The slot tracking `hash` (`Ok`), or the empty bucket that ends
+    /// its probe sequence (`Err`).
+    #[inline]
+    fn probe(&self, hash: u64) -> Result<usize, usize> {
+        let tag = tag(hash);
+        let mask = self.index.len() - 1;
+        let mut b = self.home(tag);
+        loop {
+            let entry = self.index[b];
+            if entry == 0 {
+                return Err(b);
+            }
+            let slot = (entry as u32 as usize).wrapping_sub(1);
+            if (entry >> 32) as u32 == tag && self.slots[slot].hash == hash {
+                return Ok(slot);
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Take `slot` out of the index, moving later members of its probe
+    /// run back so that every remaining hash is still reachable from
+    /// its home. Returns the one bucket this leaves newly empty.
+    fn unindex(&mut self, slot: usize) -> usize {
+        let mask = self.index.len() - 1;
+        let mut b = self.home(tag(self.slots[slot].hash));
+        while self.index[b] as u32 as usize != slot + 1 {
+            b = (b + 1) & mask;
+        }
+        let mut next = (b + 1) & mask;
+        while self.index[next] != 0 {
+            let home = self.home((self.index[next] >> 32) as u32);
+            // `next`'s occupant may move back to `b` unless its home
+            // lies cyclically in (b, next].
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(b) & mask) {
+                self.index[b] = self.index[next];
+                b = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.index[b] = 0;
+        b
+    }
+
+    /// Point `bucket`, the empty bucket that ends the probe run of
+    /// `slot`'s hash, at `slot`.
+    fn index_slot(&mut self, bucket: usize, slot: usize) {
+        self.index[bucket] = (tag(self.slots[slot].hash) as u64) << 32 | (slot as u64 + 1);
+    }
+
+    /// Replace `slot`'s key sample. The sample array is sized when the
+    /// first key arrives; until then there is nothing to replace.
+    fn set_key(&mut self, slot: usize, key: Option<&[u8]>) {
+        if key.is_some() && self.keys.is_empty() {
+            self.keys = vec![KeySample::NONE; self.cap];
+        }
+        if let Some(k) = self.keys.get_mut(slot) {
+            k.set(key);
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let heap = &mut self.heap[..];
+        let node = heap[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= heap.len() {
+                break;
+            }
+            if child + 1 < heap.len() {
+                child += (heap[child + 1].order() < heap[child].order()) as usize;
+            }
+            if node.order() <= heap[child].order() {
+                break;
+            }
+            heap[i] = heap[child];
+            i = child;
+        }
+        heap[i] = node;
+    }
+
+    /// The slot with the least `(count, hash)`, left at the heap root.
+    /// Only called on a full sketch.
+    fn min_slot(&mut self) -> usize {
+        if self.heap.is_empty() {
+            self.heap
+                .extend(self.slots.iter().enumerate().map(|(i, s)| HeapNode {
+                    count: s.count,
+                    hash: s.hash,
+                    slot: i as u32,
+                }));
+            for i in (0..self.heap.len() / 2).rev() {
+                self.sift_down(i);
+            }
+        }
+        loop {
+            let root = self.heap[0];
+            let count = self.slots[root.slot as usize].count;
+            // A fresh root is the true minimum: every other node is a
+            // lower bound on its slot and is no smaller than the root.
+            if count == root.count {
+                return root.slot as usize;
+            }
+            self.heap[0].count = count;
+            self.sift_down(0);
+        }
     }
 
     /// Observe `hash` with weight `w`; `key` (if given) is sampled into
-    /// the slot the first time the hash claims it.
-    pub fn observe(&mut self, hash: u64, key: Option<&[u8]>, w: u64) {
+    /// the slot the first time the hash claims it. Returns the hash's
+    /// guaranteed count (`count − err`) after the update.
+    #[inline]
+    pub fn observe(&mut self, hash: u64, key: Option<&[u8]>, w: u64) -> u64 {
         self.total += w;
-        if let Some(&i) = self.index.get(&hash) {
-            self.entries[i].count += w;
-            if self.entries[i].key.is_none() {
-                if let Some(k) = key {
-                    self.entries[i].key = Some(truncate_key(k));
+        let mut bucket = match self.probe(hash) {
+            Ok(i) => {
+                self.slots[i].count += w;
+                if key.is_some() && self.keys.get(i).is_none_or(|k| k.len == NO_KEY) {
+                    self.set_key(i, key);
                 }
+                return self.slots[i].count - self.slots[i].err;
             }
-            return;
-        }
-        if self.entries.len() < self.cap {
-            self.index.insert(hash, self.entries.len());
-            self.entries.push(SsEntry {
+            Err(b) => b,
+        };
+        let slot = self.slots.len();
+        let slot = if slot < self.cap {
+            self.slots.push(Slot {
                 hash,
                 count: w,
                 err: 0,
-                key: key.map(truncate_key),
             });
-            return;
-        }
-        // Evict the minimum-count slot (ties broken by hash for
-        // determinism); the newcomer inherits its count as error.
-        let mut vi = 0;
-        for (i, e) in self.entries.iter().enumerate() {
-            let v = &self.entries[vi];
-            if (e.count, e.hash) < (v.count, v.hash) {
-                vi = i;
+            slot
+        } else {
+            // Evict the minimum-count slot (ties broken by hash for
+            // determinism); the newcomer inherits its count as error.
+            let slot = self.min_slot();
+            let least = self.slots[slot].count;
+            // If the eviction opened a bucket on this hash's probe run,
+            // that bucket now ends the run.
+            let opened = self.unindex(slot);
+            let (mask, home) = (self.index.len() - 1, self.home(tag(hash)));
+            if (opened.wrapping_sub(home) & mask) < (bucket.wrapping_sub(home) & mask) {
+                bucket = opened;
             }
-        }
-        let old = self.entries[vi].clone();
-        self.index.remove(&old.hash);
-        self.index.insert(hash, vi);
-        self.entries[vi] = SsEntry {
-            hash,
-            count: old.count + w,
-            err: old.count,
-            key: key.map(truncate_key),
+            self.slots[slot] = Slot {
+                hash,
+                count: least + w,
+                err: least,
+            };
+            self.heap[0] = HeapNode {
+                count: least + w,
+                hash,
+                slot: slot as u32,
+            };
+            self.sift_down(0);
+            slot
         };
+        self.index_slot(bucket, slot);
+        self.set_key(slot, key);
+        w
     }
 
     /// `(count, err)` for a tracked hash.
     pub fn get(&self, hash: u64) -> Option<(u64, u64)> {
-        self.index
-            .get(&hash)
-            .map(|&i| (self.entries[i].count, self.entries[i].err))
+        let i = self.probe(hash).ok()?;
+        Some((self.slots[i].count, self.slots[i].err))
     }
 
     /// Guaranteed lower bound on a tracked hash's true weight (0 when
     /// untracked).
     pub fn guaranteed(&self, hash: u64) -> u64 {
         self.get(hash)
-            .map(|(c, e)| c.saturating_sub(e))
-            .unwrap_or(0)
+            .map_or(0, |(count, err)| count.saturating_sub(err))
+    }
+
+    fn entry(&self, slot: usize) -> SsEntry {
+        let s = self.slots[slot];
+        SsEntry {
+            hash: s.hash,
+            count: s.count,
+            err: s.err,
+            key: self.keys.get(slot).and_then(|k| k.get()).map(Box::from),
+        }
     }
 
     /// Entries sorted by count descending (ties by hash ascending):
     /// the canonical top-K view.
     pub fn top(&self) -> Vec<SsEntry> {
-        let mut v = self.entries.clone();
+        let mut v: Vec<SsEntry> = (0..self.slots.len()).map(|i| self.entry(i)).collect();
         v.sort_by(|a, b| b.count.cmp(&a.count).then(a.hash.cmp(&b.hash)));
         v
+    }
+
+    /// What an untracked hash may have weighed: the least count of a
+    /// full sketch, 0 while nothing has been evicted.
+    fn slack(&self) -> u64 {
+        if self.slots.len() < self.cap {
+            return 0;
+        }
+        self.slots.iter().map(|s| s.count).min().unwrap_or(0)
     }
 
     /// Merge another sketch in. For hashes present in both, counts and
@@ -324,64 +577,46 @@ impl SpaceSaving {
     /// guaranteed-count invariant survives the merge. Commutative
     /// always; associative (and exact) whenever no eviction occurred.
     pub fn merge(&mut self, other: &SpaceSaving) {
-        let min_self = if self.entries.len() >= self.cap {
-            self.entries.iter().map(|e| e.count).min().unwrap_or(0)
-        } else {
-            0
-        };
-        let min_other = if other.entries.len() >= other.cap {
-            other.entries.iter().map(|e| e.count).min().unwrap_or(0)
-        } else {
-            0
-        };
-        let mut merged: BTreeMap<u64, SsEntry> = BTreeMap::new();
-        for e in &self.entries {
-            merged.insert(e.hash, e.clone());
-        }
-        for e in other.entries.iter() {
-            match merged.get_mut(&e.hash) {
-                Some(m) => {
-                    m.count += e.count;
-                    m.err += e.err;
-                    if m.key.is_none() {
-                        m.key = e.key.clone();
+        let (slack_self, slack_other) = (self.slack(), other.slack());
+        let key_of = |s: &SpaceSaving, i: usize| s.keys.get(i).copied().unwrap_or(KeySample::NONE);
+        let mut all: Vec<(Slot, KeySample)> = Vec::with_capacity(self.len() + other.len());
+        for (i, s) in self.slots.iter().enumerate() {
+            let (mut s, mut key) = (*s, key_of(self, i));
+            match other.probe(s.hash) {
+                Ok(j) => {
+                    s.count += other.slots[j].count;
+                    s.err += other.slots[j].err;
+                    if key.len == NO_KEY {
+                        key = key_of(other, j);
                     }
                 }
-                None => {
-                    let mut n = e.clone();
-                    n.count += min_self;
-                    n.err += min_self;
-                    merged.insert(e.hash, n);
+                Err(_) => {
+                    s.count += slack_other;
+                    s.err += slack_other;
                 }
             }
+            all.push((s, key));
         }
-        // Keys the other sketch never saw (or evicted) get its minimum
-        // as slack.
-        for e in &self.entries {
-            if !other.index.contains_key(&e.hash) {
-                let m = merged.get_mut(&e.hash).expect("seeded above");
-                m.count += min_other;
-                m.err += min_other;
+        for (j, s) in other.slots.iter().enumerate() {
+            if self.probe(s.hash).is_err() {
+                let mut s = *s;
+                s.count += slack_self;
+                s.err += slack_self;
+                all.push((s, key_of(other, j)));
             }
         }
-        let mut all: Vec<SsEntry> = merged.into_values().collect();
-        all.sort_by(|a, b| b.count.cmp(&a.count).then(a.hash.cmp(&b.hash)));
+        all.sort_by(|(a, _), (b, _)| b.count.cmp(&a.count).then(a.hash.cmp(&b.hash)));
         all.truncate(self.cap);
-        self.entries = all;
-        self.index = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.hash, i))
-            .collect();
-        self.total += other.total;
+        let total = self.total + other.total;
+        self.clear();
+        self.total = total;
+        for (i, (s, key)) in all.into_iter().enumerate() {
+            let bucket = self.probe(s.hash).expect_err("merged hashes are distinct");
+            self.slots.push(s);
+            self.index_slot(bucket, i);
+            self.set_key(i, key.get());
+        }
     }
-}
-
-fn truncate_key(k: &[u8]) -> Box<[u8]> {
-    k[..k.len().min(KEY_SAMPLE_BYTES)]
-        .to_vec()
-        .into_boxed_slice()
 }
 
 // --------------------------------------------------------------------------

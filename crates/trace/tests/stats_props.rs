@@ -20,7 +20,7 @@
 //! (production feeds them `stable_hash` output), so adversarial here
 //! means adversarial key patterns and orderings, not broken hashes.
 
-use hamr_trace::stats::{Hll, SizeHist};
+use hamr_trace::stats::{Hll, SizeHist, SsEntry, KEY_SAMPLE_BYTES};
 use hamr_trace::{SketchSet, SpaceSaving};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -219,5 +219,176 @@ proptest! {
         let b_ac = fingerprint(&fold(&[&b, &a, &c]));
         prop_assert_eq!(&ab_c, &c_ba);
         prop_assert_eq!(&ab_c, &b_ac);
+    }
+}
+
+// --------------------------------------------------------------------------
+// Differential test against the algorithm `SpaceSaving` used to be
+// --------------------------------------------------------------------------
+
+/// The reference model: SpaceSaving as a plain vector, a linear search
+/// for the hash and a linear scan for the least `(count, hash)` on
+/// every eviction. The production sketch must agree with it exactly.
+struct RefSpaceSaving {
+    cap: usize,
+    entries: Vec<SsEntry>,
+}
+
+fn sample(key: Option<&[u8]>) -> Option<Box<[u8]>> {
+    key.map(|k| k[..k.len().min(KEY_SAMPLE_BYTES)].into())
+}
+
+impl RefSpaceSaving {
+    fn new(cap: usize) -> Self {
+        RefSpaceSaving {
+            cap,
+            entries: Vec::new(),
+        }
+    }
+
+    fn position(&self, hash: u64) -> Option<usize> {
+        self.entries.iter().position(|e| e.hash == hash)
+    }
+
+    fn observe(&mut self, hash: u64, key: Option<&[u8]>, w: u64) {
+        if let Some(i) = self.position(hash) {
+            self.entries[i].count += w;
+            if self.entries[i].key.is_none() {
+                self.entries[i].key = sample(key);
+            }
+        } else if self.entries.len() < self.cap {
+            self.entries.push(SsEntry {
+                hash,
+                count: w,
+                err: 0,
+                key: sample(key),
+            });
+        } else {
+            let victim = self
+                .entries
+                .iter_mut()
+                .min_by_key(|e| (e.count, e.hash))
+                .expect("cap > 0");
+            *victim = SsEntry {
+                hash,
+                count: victim.count + w,
+                err: victim.count,
+                key: sample(key),
+            };
+        }
+    }
+
+    fn get(&self, hash: u64) -> Option<(u64, u64)> {
+        self.position(hash)
+            .map(|i| (self.entries[i].count, self.entries[i].err))
+    }
+
+    fn top(&self) -> Vec<SsEntry> {
+        let mut v = self.entries.clone();
+        v.sort_by(|a, b| b.count.cmp(&a.count).then(a.hash.cmp(&b.hash)));
+        v
+    }
+
+    fn slack(&self) -> u64 {
+        if self.entries.len() < self.cap {
+            return 0;
+        }
+        self.entries.iter().map(|e| e.count).min().unwrap_or(0)
+    }
+
+    fn merge(&mut self, other: &RefSpaceSaving) {
+        let (slack_self, slack_other) = (self.slack(), other.slack());
+        for e in &mut self.entries {
+            match other.position(e.hash) {
+                Some(j) => {
+                    e.count += other.entries[j].count;
+                    e.err += other.entries[j].err;
+                    if e.key.is_none() {
+                        e.key = other.entries[j].key.clone();
+                    }
+                }
+                None => {
+                    e.count += slack_other;
+                    e.err += slack_other;
+                }
+            }
+        }
+        let own = self.entries.len();
+        for e in &other.entries {
+            if self.entries[..own].iter().all(|m| m.hash != e.hash) {
+                let mut n = e.clone();
+                n.count += slack_self;
+                n.err += slack_self;
+                self.entries.push(n);
+            }
+        }
+        self.entries = self.top();
+        self.entries.truncate(self.cap);
+    }
+}
+
+/// One step of a skewed stream: squaring a uniform draw piles the mass
+/// on the low keys while the tail keeps the sketch evicting. A third of
+/// the observations carry no key bytes and some keys outgrow the sample.
+fn skewed_step(rng: &mut u64, space: u64) -> (u64, Option<Vec<u8>>, u64) {
+    *rng = mix(*rng);
+    let u = (*rng >> 11) as f64 / (1u64 << 53) as f64;
+    let key = (u * u * space as f64) as u64;
+    let w = 1 + (*rng >> 3) % 15;
+    let bytes = (!rng.is_multiple_of(3)).then(|| {
+        let mut b = key.to_le_bytes().to_vec();
+        b.resize(8 + (key % 7) as usize * 9, key as u8);
+        b
+    });
+    (mix(key), bytes, w)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The heap-and-index sketch and the linear-scan model agree on
+    /// every answer after every step, and after a merge of two evicting
+    /// sketches, at capacities from degenerate to the splitter's.
+    #[test]
+    fn space_saving_matches_linear_scan_model(seed in any::<u64>()) {
+        for cap in [1usize, 2, 16, 32, 1024] {
+            let space = 3 * cap as u64 + 5;
+            let steps = (6 * cap).clamp(200, 4_000);
+            let mut rng = seed ^ cap as u64;
+            let mut halves = Vec::new();
+            for _ in 0..2 {
+                let mut ss = SpaceSaving::new(cap);
+                let mut model = RefSpaceSaving::new(cap);
+                for step in 0..steps {
+                    let (h, key, w) = skewed_step(&mut rng, space);
+                    let guaranteed = ss.observe(h, key.as_deref(), w);
+                    model.observe(h, key.as_deref(), w);
+                    let (count, err) = model.get(h).expect("just observed");
+                    prop_assert_eq!(ss.get(h), Some((count, err)));
+                    prop_assert_eq!(guaranteed, count - err);
+                    prop_assert_eq!(ss.guaranteed(h), count - err);
+                    let (other, _, _) = skewed_step(&mut rng, space);
+                    prop_assert_eq!(ss.get(other), model.get(other));
+                    if cap <= 32 || step % 128 == 0 || step + 1 == steps {
+                        prop_assert_eq!(ss.top(), model.top(), "cap {} step {}", cap, step);
+                    }
+                }
+                prop_assert_eq!(ss.len(), model.entries.len());
+                halves.push((ss, model));
+            }
+            let (b, model_b) = halves.pop().unwrap();
+            let (mut a, mut model_a) = halves.pop().unwrap();
+            a.merge(&b);
+            model_a.merge(&model_b);
+            prop_assert_eq!(a.top(), model_a.top(), "cap {} after merge", cap);
+            // A merged sketch keeps evicting like the model does.
+            for _ in 0..steps {
+                let (h, key, w) = skewed_step(&mut rng, space);
+                a.observe(h, key.as_deref(), w);
+                model_a.observe(h, key.as_deref(), w);
+                prop_assert_eq!(a.get(h), model_a.get(h));
+            }
+            prop_assert_eq!(a.top(), model_a.top(), "cap {} after merge and refill", cap);
+        }
     }
 }

@@ -228,3 +228,29 @@ fn both_engines_agree_on_rating_cardinality() {
         mr.hot_key_share
     );
 }
+
+/// The splitter's decisions are a function of each task's emit stream
+/// alone, so under the deterministic scheduler the job-wide count of
+/// flagged keys repeats exactly. These are the counts of the
+/// linear-scan `SpaceSaving` the splitter's sketch was first built on:
+/// WordCount's tasks see more distinct words than the sketch holds
+/// (flags ride on evictions), HistogramRatings' five keys never evict.
+#[test]
+fn split_decisions_match_the_linear_scan_sketch() {
+    use hamr_workloads::wordcount::WordCount;
+    let params = SimParams {
+        scale: 0.5,
+        ..SimParams::test(2, 1)
+    };
+    let sched = hamr_core::SchedMode::Deterministic { seed: 2015 };
+    let cases: [(&dyn Benchmark, u64); 2] = [
+        (&WordCount::default(), 59),
+        (&HistogramRatings::default(), 292),
+    ];
+    for (bench, want) in cases {
+        let env = Env::with_hamr_sched(params.clone(), sched);
+        bench.seed(&env).expect("seed");
+        let out = bench.run_hamr(&env).expect("hamr run");
+        assert_eq!(out.splits_triggered, want, "{}", bench.name());
+    }
+}
