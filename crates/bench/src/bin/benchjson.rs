@@ -5,13 +5,11 @@
 //! concentrate the work on a few hot keys — on the HAMR and MapReduce
 //! engines at fixed seeds and sizes, and writes a machine-readable
 //! `BENCH_pr8.json` (schema `hamr-benchjson/6`, documented in
-//! EXPERIMENTS.md). HAMR runs twice: under the default work-stealing
-//! scheduler (`hamr`) and under the centralized scheduler it replaced
-//! (`hamr-central`), so every snapshot carries its own scheduler
-//! ablation. Every HAMR row also reports the skew-mitigation counters
-//! (`combined_records` / `splits_triggered` / `shards_migrated`) — the
-//! default runtime runs with combining and hot-key splitting on, so
-//! the headline rows measure the mitigated engine.
+//! EXPERIMENTS.md). Every HAMR row also reports the skew-mitigation
+//! counters (`combined_records` / `splits_triggered` /
+//! `shards_migrated`) — the default runtime runs with combining and
+//! hot-key splitting on, so the headline rows measure the mitigated
+//! engine.
 //!
 //! Schema 5 adds per-iteration columns: every row carries an `iters`
 //! array (`iter_shuffled_bytes`, `iter_records_s`, `cache_hits`,
@@ -33,22 +31,19 @@
 //!
 //! The timing reps run untraced. Afterwards each (benchmark, engine)
 //! pair gets ONE extra run with the causal profiler attached (via the
-//! clusters' ambient-profiler hook, so the `Benchmark` trait stays
+//! clusters' `set_run_options`, so the `Benchmark` trait stays
 //! engine-agnostic); `analyze` over that run's event log fills the
 //! `critical_path_ms` / `stall_share` / `net_share` columns on every
 //! row. The profiled walls never enter the timing columns.
 //!
-//! Alongside the JSON it writes a `--raw-out` TSV that a later run can
-//! consume via `--baseline` to report speedup ratios — that is how PRs
-//! prove data-plane wins against the parent commit. `--profile-dir D`
-//! additionally writes each profiled run's full causal report to
+//! `--profile-dir D` writes each profiled run's full causal report to
 //! `D/causal_{benchmark}_{engine}.json`; `--fail-on-overhead PCT`
 //! exits nonzero when any profiled run exceeds its untraced wall by
 //! more than PCT% (+50ms slack) — the CI sampler-overhead gate.
 //!
 //! `--audited` additionally runs every (benchmark, engine) pair once
-//! under the self-verification layer (`run_audited` semantics via the
-//! clusters' ambient supervisor/audit hooks): the bin-custody ledger
+//! under the self-verification layer (default `Supervision` on HAMR,
+//! the shuffle ledger on MapReduce): the bin-custody ledger
 //! must balance and the watchdog must stay silent, and the audited
 //! wall joins the `--fail-on-overhead` gate as `<engine>-audited` so
 //! CI proves the ledger's cost stays inside the same budget.
@@ -59,12 +54,14 @@
 //! When the baseline was taken at the same shape (same `quick`/scale)
 //! rows gate on absolute records/s; otherwise absolute rates are
 //! meaningless across shapes, so each benchmark gates on its
-//! hamr/mapred throughput *ratio* — machine- and scale-invariant. The
-//! gate additionally fails outright (independent of the baseline) when
-//! the skewed HistogramRatings row inverts: with the mitigations on by
-//! default, HAMR losing to the MapReduce baseline on its own headline
-//! skew case is a regression no threshold excuses. It also fails when
-//! the chain cache stops collapsing the iterative shuffle: on every
+//! hamr/mapred throughput *ratio* — machine- and scale-invariant.
+//!
+//! Two gates need no baseline — their reference rides in the same run
+//! — and so run on every invocation, exiting 5 like `--compare`. The
+//! skewed HistogramRatings row must not invert: with the mitigations
+//! on by default, HAMR losing to the MapReduce baseline on its own
+//! headline skew case is a regression no threshold excuses. And the
+//! chain cache must keep collapsing the iterative shuffle: on every
 //! PageRank iteration >= 2 the cache-on chain must ship at most 20% of
 //! the `PageRank-nocache` full-shuffle bytes for that same iteration.
 //!
@@ -85,7 +82,6 @@
 //!
 //! ```text
 //! benchjson [--quick] [--reps N] [--out BENCH_pr8.json]
-//!           [--raw-out FILE.tsv] [--baseline FILE.tsv]
 //!           [--profile-dir DIR] [--fail-on-overhead PCT] [--audited]
 //!           [--compare BENCH.json] [--compare-threshold PCT]
 //!           [--metrics-out FILE] [--skew-ablation] [--journal DIR]
@@ -97,7 +93,8 @@
 //! read back into a timeline (a completed `wordcount` job must be
 //! reconstructable) before the gate passes.
 
-use hamr_core::{RuntimeConfig, SchedMode, SkewConfig, Supervision};
+use hamr_core::{RunOptions, RuntimeConfig, SchedMode, SkewConfig, Supervision};
+use hamr_mapred::MrRunOptions;
 use hamr_trace::{analyze, http_get, parse_prometheus, RingSink, Telemetry, Tracer};
 use hamr_workloads::histogram_ratings::HistogramRatings;
 use hamr_workloads::pagerank::PageRank;
@@ -309,65 +306,6 @@ impl Row {
             self.iters_json(),
         )
     }
-
-    fn tsv(&self) -> String {
-        format!(
-            "{}\t{}\t{:.1}\t{:.6}\t{}\t{:.3}\t{}\t{:.6}\t{:.4}\t{:.3}\t{:.4}\t{:.4}\t{}\t{}\t{}\t{}\t{:.4}",
-            self.benchmark,
-            self.engine,
-            self.records_per_sec,
-            self.wall_seconds,
-            self.shuffled_bytes,
-            self.allocations_per_record,
-            self.steals,
-            self.park_seconds,
-            self.occupancy_imbalance,
-            self.critical_path_ms,
-            self.stall_share,
-            self.net_share,
-            self.combined_records,
-            self.splits_triggered,
-            self.shards_migrated,
-            self.distinct_keys,
-            self.hot_key_share,
-        )
-    }
-}
-
-/// A baseline row parsed back from a `--raw-out` TSV.
-#[derive(Debug, Clone)]
-struct BaselineRow {
-    records_per_sec: f64,
-    wall_seconds: f64,
-    shuffled_bytes: u64,
-    allocations_per_record: f64,
-}
-
-/// Parses the 6-column TSVs written before the scheduler columns
-/// existed, the 9-column form, the 12-column form, the 15-column
-/// form, and the current 17-column form (extra columns carry steal /
-/// park / occupancy, causal-profile, skew-mitigation, and data-plane
-/// sketch figures the ratio report does not need).
-fn parse_baseline(path: &str) -> Result<BTreeMap<(String, String), BaselineRow>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut rows = BTreeMap::new();
-    for line in text.lines() {
-        let cols: Vec<&str> = line.split('\t').collect();
-        if ![6, 9, 12, 15, 17].contains(&cols.len()) {
-            return Err(format!("{path}: malformed line {line:?}"));
-        }
-        let parse = |s: &str| s.parse::<f64>().map_err(|e| format!("{path}: {e}"));
-        rows.insert(
-            (cols[0].to_string(), cols[1].to_string()),
-            BaselineRow {
-                records_per_sec: parse(cols[2])?,
-                wall_seconds: parse(cols[3])?,
-                shuffled_bytes: cols[4].parse().map_err(|e| format!("{path}: {e}"))?,
-                allocations_per_record: parse(cols[5])?,
-            },
-        );
-    }
-    Ok(rows)
 }
 
 /// A committed benchjson snapshot parsed back for the `--compare`
@@ -414,8 +352,7 @@ fn parse_json_baseline(path: &str) -> Result<JsonBaseline, String> {
             in_results = true;
         } else if in_results {
             if line.trim_start().starts_with(']') {
-                // Stop before any "baseline" echo section that a
-                // `--baseline` run appended to the snapshot.
+                // Stop before the `skew_ablation` section.
                 in_results = false;
             } else if let (Some(b), Some(e), Some(rps)) = (
                 json_str_field(line, "benchmark"),
@@ -438,13 +375,9 @@ fn parse_json_baseline(path: &str) -> Result<JsonBaseline, String> {
 /// percent was found. Same shape (quick + scale) as the baseline —
 /// gate absolute records/s per row; different shape — gate each
 /// benchmark's hamr/mapred throughput ratio, which survives both
-/// machine-speed and input-scale changes. Independently of the
-/// baseline, the skewed HistogramRatings row must not invert: HAMR
-/// with its default mitigations ships fewer, pre-folded records, and
-/// falling behind mapred there means skew handling broke.
+/// machine-speed and input-scale changes.
 fn compare_gate(base: &JsonBaseline, rows: &[Row], quick: bool, scale: f64, pct: f64) -> bool {
-    let mut failed = skew_inversion_gate(rows);
-    failed |= chain_cache_gate(rows);
+    let mut failed = false;
     let same_shape = base.quick == quick && (base.scale - scale).abs() < 1e-9;
     if same_shape {
         for row in rows {
@@ -526,9 +459,9 @@ fn compare_gate(base: &JsonBaseline, rows: &[Row], quick: bool, scale: f64, pct:
 }
 
 /// Absolute floor on the headline skew case: the `HistogramRatings-skew`
-/// hamr/mapred throughput ratio must stay >= 1.0. Returns true on
-/// inversion. Needs no baseline fields, so it tolerates snapshots
-/// written before the mitigation counters existed.
+/// hamr/mapred throughput ratio must stay >= 1.0: HAMR with its default
+/// mitigations ships fewer, pre-folded records, and falling behind
+/// mapred there means skew handling broke. Returns true on inversion.
 fn skew_inversion_gate(rows: &[Row]) -> bool {
     let rps = |engine: &str| {
         rows.iter()
@@ -559,8 +492,6 @@ fn skew_inversion_gate(rows: &[Row]) -> bool {
 /// shuffle at most 20% of what the cache-off chain
 /// (`PageRank-nocache`) shuffled on the same iteration, and must have
 /// served at least one resident partition. Returns true on failure.
-/// Needs no baseline fields — the full-shuffle reference rides in the
-/// same snapshot — so it tolerates pre-chain baselines.
 fn chain_cache_gate(rows: &[Row]) -> bool {
     let iters = |benchmark: &str| {
         rows.iter()
@@ -744,8 +675,6 @@ struct Args {
     quick: bool,
     reps: usize,
     out: String,
-    raw_out: Option<String>,
-    baseline: Option<String>,
     profile_dir: Option<String>,
     fail_on_overhead: Option<f64>,
     audited: bool,
@@ -761,8 +690,6 @@ fn parse_args() -> Result<Args, String> {
         quick: false,
         reps: 3,
         out: "BENCH_pr8.json".to_string(),
-        raw_out: None,
-        baseline: None,
         profile_dir: None,
         fail_on_overhead: None,
         audited: false,
@@ -779,8 +706,6 @@ fn parse_args() -> Result<Args, String> {
             "--quick" => args.quick = true,
             "--reps" => args.reps = value("--reps")?.parse().map_err(|e| format!("{e}"))?,
             "--out" => args.out = value("--out")?,
-            "--raw-out" => args.raw_out = Some(value("--raw-out")?),
-            "--baseline" => args.baseline = Some(value("--baseline")?),
             "--profile-dir" => args.profile_dir = Some(value("--profile-dir")?),
             "--fail-on-overhead" => {
                 args.fail_on_overhead = Some(
@@ -827,7 +752,7 @@ fn benchmarks() -> Vec<(&'static str, Box<dyn Benchmark>)> {
         // Same chain, resident cache off: every iteration re-scans and
         // re-ships the reverse adjacency. The PageRank/PageRank-nocache
         // pair is the snapshot's cross-iteration-reuse ablation and
-        // feeds the chain-cache `--compare` gate.
+        // feeds the chain-cache gate.
         (
             "PageRank-nocache",
             Box::new(PageRank {
@@ -858,8 +783,8 @@ fn benchmarks() -> Vec<(&'static str, Box<dyn Benchmark>)> {
 }
 
 /// One profiled run of `bench` on `engine`: fresh environment, ring
-/// sink, event tracing and telemetry sampling all on, attached through
-/// the clusters' ambient-profiler hook so the `Benchmark` trait stays
+/// sink, event tracing and telemetry sampling all on, set as the
+/// clusters' run options so the `Benchmark` trait stays
 /// engine-agnostic. Returns the causal columns for the row; with
 /// `profile_dir` also writes the full causal report as JSON.
 fn profile_run(
@@ -867,22 +792,27 @@ fn profile_run(
     label: &str,
     engine: &str,
     params: &SimParams,
-    sched: SchedMode,
     profile_dir: Option<&str>,
 ) -> Result<ProfileCols, String> {
-    let env = Env::with_hamr_sched(params.clone(), sched);
+    let env = Env::with_hamr_sched(params.clone(), SchedMode::WorkStealing);
     bench.seed(&env)?;
     let sink = Arc::new(RingSink::new(64, 1 << 18));
     let tracer = Tracer::new(sink.clone());
     let telemetry = Telemetry::with_default_interval();
-    env.hamr.attach_profiler(tracer.clone(), telemetry.clone());
-    env.mr.attach_profiler(tracer, telemetry);
+    env.hamr.set_run_options(RunOptions {
+        tracer: tracer.clone(),
+        telemetry: telemetry.clone(),
+        supervision: None,
+    });
+    env.mr.set_run_options(MrRunOptions {
+        tracer,
+        telemetry,
+        audit: false,
+    });
     let out = match engine {
         "mapred" => bench.run_mapred(&env),
         _ => bench.run_hamr(&env),
     }?;
-    env.hamr.detach_profiler();
-    env.mr.detach_profiler();
     let dropped = sink.dropped();
     if dropped > 0 {
         eprintln!(
@@ -905,8 +835,8 @@ fn profile_run(
     })
 }
 
-/// One audited run of `bench` on `engine`: the ambient supervisor
-/// (HAMR) / ambient audit (MapReduce) tally every bin through the
+/// One audited run of `bench` on `engine`: default supervision (HAMR)
+/// / the shuffle ledger (MapReduce) tally every bin through the
 /// emit → ship → deliver → consume custody ledger while the watchdog
 /// monitors liveness. Returns the audited wall seconds for the
 /// overhead gate; a conservation violation or a hang/backpressure
@@ -916,12 +846,17 @@ fn audited_run(
     label: &str,
     engine: &str,
     params: &SimParams,
-    sched: SchedMode,
 ) -> Result<f64, String> {
-    let env = Env::with_hamr_sched(params.clone(), sched);
+    let env = Env::with_hamr_sched(params.clone(), SchedMode::WorkStealing);
     bench.seed(&env)?;
-    env.hamr.attach_supervisor(Supervision::default());
-    env.mr.attach_audit();
+    env.hamr.set_run_options(RunOptions {
+        supervision: Some(Supervision::default()),
+        ..Default::default()
+    });
+    env.mr.set_run_options(MrRunOptions {
+        audit: true,
+        ..Default::default()
+    });
     let out = match engine {
         "mapred" => bench.run_mapred(&env),
         _ => bench.run_hamr(&env),
@@ -948,8 +883,6 @@ fn audited_run(
             }
         }
     }
-    env.hamr.detach_supervisor();
-    env.mr.detach_audit();
     Ok(out.elapsed.as_secs_f64())
 }
 
@@ -970,9 +903,11 @@ fn journal_run(params: &SimParams, dir: &str) -> Result<(f64, f64), String> {
     env.hamr
         .enable_journal(dir)
         .map_err(|e| format!("enable journal: {e}"))?;
-    env.hamr.attach_supervisor(Supervision::default());
+    env.hamr.set_run_options(RunOptions {
+        supervision: Some(Supervision::default()),
+        ..Default::default()
+    });
     let journaled = bench.run_hamr(&env)?.elapsed.as_secs_f64();
-    env.hamr.detach_supervisor();
     let timeline = hamr_trace::Timeline::load(std::path::Path::new(dir))
         .map_err(|e| format!("re-read journal: {e}"))?;
     if !timeline
@@ -1120,32 +1055,22 @@ fn main() {
     let mut overheads: Vec<(String, &'static str, f64, f64)> = Vec::new();
     for (label, bench) in benchmarks() {
         let mut hamr_runs: Vec<(BenchOutput, u64)> = Vec::new();
-        let mut central_runs: Vec<(BenchOutput, u64)> = Vec::new();
         let mut mr_runs: Vec<(BenchOutput, u64)> = Vec::new();
         for _rep in 0..args.reps {
             // Fresh environments per rep keep runs identical: same
             // seeds, empty DFS, cold KV store. The scheduler mode is
             // pinned per environment so `HAMR_SCHED` cannot skew the
             // comparison.
-            let env_ws = Env::with_hamr_sched(params.clone(), SchedMode::WorkStealing);
-            let env_central = Env::with_hamr_sched(params.clone(), SchedMode::Centralized);
-            for env in [&env_ws, &env_central] {
-                bench.seed(env).unwrap_or_else(|e| {
-                    eprintln!("benchjson: seed {label}: {e}");
-                    std::process::exit(1);
-                });
-            }
-            type EngineRuns<'a> = (&'a str, &'a Env, &'a mut Vec<(BenchOutput, u64)>);
-            let trio: [EngineRuns; 3] = [
-                ("hamr", &env_ws, &mut hamr_runs),
-                ("hamr-central", &env_central, &mut central_runs),
-                ("mapred", &env_ws, &mut mr_runs),
-            ];
-            for (engine, env, runs) in trio {
+            let env = Env::with_hamr_sched(params.clone(), SchedMode::WorkStealing);
+            bench.seed(&env).unwrap_or_else(|e| {
+                eprintln!("benchjson: seed {label}: {e}");
+                std::process::exit(1);
+            });
+            for (engine, runs) in [("hamr", &mut hamr_runs), ("mapred", &mut mr_runs)] {
                 let before = ALLOCS.load(Ordering::Relaxed);
                 let out = match engine {
-                    "mapred" => bench.run_mapred(env),
-                    _ => bench.run_hamr(env),
+                    "mapred" => bench.run_mapred(&env),
+                    _ => bench.run_hamr(&env),
                 }
                 .unwrap_or_else(|e| {
                     eprintln!("benchjson: {label} ({engine}): {e}");
@@ -1156,21 +1081,15 @@ fn main() {
             }
         }
         let mut hamr = Row::from_runs(label, "hamr", &hamr_runs);
-        let mut central = Row::from_runs(label, "hamr-central", &central_runs);
         let mut mr = Row::from_runs(label, "mapred", &mr_runs);
         // One extra profiled run per row fills the causal columns; its
         // wall never enters the timing columns above.
-        for (row, sched) in [
-            (&mut hamr, SchedMode::WorkStealing),
-            (&mut central, SchedMode::Centralized),
-            (&mut mr, SchedMode::WorkStealing),
-        ] {
+        for row in [&mut hamr, &mut mr] {
             let cols = profile_run(
                 bench.as_ref(),
                 label,
                 row.engine,
                 &params,
-                sched,
                 args.profile_dir.as_deref(),
             )
             .unwrap_or_else(|e| {
@@ -1189,13 +1108,9 @@ fn main() {
         // watchdog must stay silent, and the wall joins the overhead
         // gate under an `-audited` engine label.
         if args.audited {
-            for (row, sched, gate_label) in [
-                (&hamr, SchedMode::WorkStealing, "hamr-audited"),
-                (&central, SchedMode::Centralized, "hamr-central-audited"),
-                (&mr, SchedMode::WorkStealing, "mapred-audited"),
-            ] {
-                let wall = audited_run(bench.as_ref(), label, row.engine, &params, sched)
-                    .unwrap_or_else(|e| {
+            for (row, gate_label) in [(&hamr, "hamr-audited"), (&mr, "mapred-audited")] {
+                let wall =
+                    audited_run(bench.as_ref(), label, row.engine, &params).unwrap_or_else(|e| {
                         eprintln!("benchjson: audited {label} ({}): {e}", row.engine);
                         std::process::exit(4);
                     });
@@ -1204,31 +1119,17 @@ fn main() {
         }
         eprintln!(
             "{:<22} hamr {:>12.0} rec/s ({:.3}s, {} steals)   \
-             hamr-central {:>12.0} rec/s ({:.3}s)   mapred {:>12.0} rec/s ({:.3}s)",
+             mapred {:>12.0} rec/s ({:.3}s)",
             label,
             hamr.records_per_sec,
             hamr.wall_seconds,
             hamr.steals,
-            central.records_per_sec,
-            central.wall_seconds,
             mr.records_per_sec,
             mr.wall_seconds,
         );
         rows.push(hamr);
-        rows.push(central);
         rows.push(mr);
     }
-
-    let baseline = match &args.baseline {
-        Some(path) => match parse_baseline(path) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("benchjson: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
 
     // The skew-ablation sweep runs before the snapshot is written so a
     // checksum divergence aborts without leaving a half-true artifact.
@@ -1265,43 +1166,6 @@ fn main() {
         }
         json.push_str("  ]");
     }
-    if let Some(base) = &baseline {
-        json.push_str(",\n  \"baseline\": [\n");
-        let mut first = true;
-        for ((bench, engine), b) in base {
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            json.push_str(&format!(
-                "    {{\"benchmark\":\"{bench}\",\"engine\":\"{engine}\",\
-                 \"records_per_sec\":{:.1},\"wall_seconds\":{:.6},\
-                 \"shuffled_bytes\":{},\"allocations_per_record\":{:.3}}}",
-                b.records_per_sec, b.wall_seconds, b.shuffled_bytes, b.allocations_per_record
-            ));
-        }
-        json.push_str("\n  ],\n  \"speedup_vs_baseline\": [\n");
-        let mut first = true;
-        for row in &rows {
-            let key = (row.benchmark.clone(), row.engine.to_string());
-            if let Some(b) = base.get(&key) {
-                if b.records_per_sec > 0.0 {
-                    if !first {
-                        json.push_str(",\n");
-                    }
-                    first = false;
-                    json.push_str(&format!(
-                        "    {{\"benchmark\":\"{}\",\"engine\":\"{}\",\
-                         \"records_per_sec_ratio\":{:.3}}}",
-                        row.benchmark,
-                        row.engine,
-                        row.records_per_sec / b.records_per_sec
-                    ));
-                }
-            }
-        }
-        json.push_str("\n  ]");
-    }
     json.push_str("\n}\n");
 
     if let Err(e) = std::fs::write(&args.out, &json) {
@@ -1309,14 +1173,6 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("wrote {}", args.out);
-    if let Some(raw) = &args.raw_out {
-        let tsv: String = rows.iter().map(|r| r.tsv() + "\n").collect();
-        if let Err(e) = std::fs::write(raw, tsv) {
-            eprintln!("benchjson: write {raw}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {raw}");
-    }
 
     if let Some(path) = &args.metrics_out {
         match metrics_snapshot_run(&params) {
@@ -1392,7 +1248,13 @@ fn main() {
         std::process::exit(6);
     }
 
-    // Perf-regression gate, last so all diagnostics above still print.
+    // Perf-regression gates, last so all diagnostics above still print.
+    // The two baseline-free ones hold on every invocation.
+    let mut regressed = skew_inversion_gate(&rows);
+    regressed |= chain_cache_gate(&rows);
+    if regressed {
+        std::process::exit(5);
+    }
     if let Some(base) = &compare_base {
         if compare_gate(base, &rows, args.quick, scale, args.compare_threshold) {
             std::process::exit(5);

@@ -46,7 +46,7 @@
 //!
 //! Exit codes: 0 ok, 1 endpoint/scrape failure, 2 bad arguments.
 
-use hamr_core::SchedMode;
+use hamr_core::{RunOptions, SchedMode};
 use hamr_trace::json::{self, Json};
 use hamr_trace::{http_get, parse_prometheus, PromSample, RingSink, Telemetry, Timeline, Tracer};
 use hamr_workloads::histogram_ratings::HistogramRatings;
@@ -371,8 +371,11 @@ fn run_demo(interval: Duration, ticks: u64) -> Result<(), String> {
     // Telemetry keeps the occupancy gauges live between scrapes; the
     // small ring bounds trace memory across demo iterations.
     let sink = Arc::new(RingSink::new(8, 1 << 14));
-    env.hamr
-        .attach_profiler(Tracer::new(sink), Telemetry::with_default_interval());
+    env.hamr.set_run_options(RunOptions {
+        tracer: Tracer::new(sink),
+        telemetry: Telemetry::with_default_interval(),
+        supervision: None,
+    });
     let addr = env
         .hamr
         .serve_introspection(0)
@@ -396,7 +399,6 @@ fn run_demo(interval: Duration, ticks: u64) -> Result<(), String> {
             result
         })
     };
-    env.hamr.detach_profiler();
     env.hamr.stop_introspection();
     runner
 }

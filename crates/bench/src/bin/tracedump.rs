@@ -25,8 +25,8 @@
 //! the trace visibly shows `flow-control-stall` / resume pairs on the
 //! loader→map→reduce path; the balanced WordCount run shows none.
 
-use hamr_core::{typed, Emitter, Exchange, JobBuilder, JobResult, RuntimeConfig};
-use hamr_mapred::{line_map_fn, reduce_fn, JobConf, ReduceOutput};
+use hamr_core::{typed, Emitter, Exchange, JobBuilder, JobResult, RunOptions, RuntimeConfig};
+use hamr_mapred::{line_map_fn, reduce_fn, JobConf, MrRunOptions, ReduceOutput};
 use hamr_trace::{
     analyze, chrome_trace_json, chrome_trace_json_with_counters, render_attribution,
     render_critical_path, render_occupancy, render_stall_edges, render_summary, worker_occupancy,
@@ -58,8 +58,12 @@ fn run_hamr_wordcount(env: &Env, tracer: Tracer) -> JobResult {
     job.connect(loader, split, Exchange::Local);
     job.connect(split, count, Exchange::Hash);
     job.capture_output(count);
+    let opts = RunOptions {
+        tracer,
+        ..Default::default()
+    };
     env.hamr
-        .run_traced(job.build().expect("wordcount graph"), tracer)
+        .run_with(job.build().expect("wordcount graph"), &opts)
         .expect("wordcount run")
 }
 
@@ -80,8 +84,13 @@ fn run_hamr_histratings(env: &Env, tracer: Tracer, telemetry: Telemetry) -> JobR
     job.connect(loader, rating_map, Exchange::Local);
     job.connect(rating_map, sum, Exchange::Hash);
     job.capture_output(sum);
+    let opts = RunOptions {
+        tracer,
+        telemetry,
+        supervision: None,
+    };
     env.hamr
-        .run_profiled(job.build().expect("histratings graph"), tracer, telemetry)
+        .run_with(job.build().expect("histratings graph"), &opts)
         .expect("histratings run")
 }
 
@@ -302,7 +311,7 @@ fn main() {
     // Per-worker scheduler view: task counts, busy time, steals, and
     // park time per lane across both runs. The work-stealing scheduler
     // (the default) shows nonzero steal/park columns; under
-    // HAMR_SCHED=centralized they are all dashes.
+    // HAMR_SCHED=det they are all dashes.
     println!("== HAMR worker occupancy (both runs) ==");
     println!("{}", render_occupancy(&worker_occupancy(&events)));
     println!(
@@ -340,17 +349,20 @@ fn main() {
 
     // ---- MapReduce baseline ------------------------------------------
     let sink_mr = Arc::new(RingSink::new(64, 1 << 16));
-    let tracer_mr = Tracer::new(sink_mr.clone());
+    let opts_mr = MrRunOptions {
+        tracer: Tracer::new(sink_mr.clone()),
+        ..Default::default()
+    };
 
     env.mr
-        .run_traced(&wordcount_conf("tracedump/wc-out"), tracer_mr.clone())
+        .run_with(&wordcount_conf("tracedump/wc-out"), &opts_mr)
         .expect("mapred wordcount");
     // Reuse the skewed environment's DFS so the input already exists;
     // MapReduce has no flow-control window, so the same skew shows up
     // as long reduce tasks instead of stalls.
     env_skew
         .mr
-        .run_traced(&histratings_conf("tracedump/hr-out"), tracer_mr.clone())
+        .run_with(&histratings_conf("tracedump/hr-out"), &opts_mr)
         .expect("mapred histratings");
 
     let events_mr = sink_mr.drain();

@@ -12,7 +12,7 @@ use crate::flowlet::TaskContext;
 use crate::graph::{FlowletId, JobGraph};
 use crate::introspect::{Health, Introspect, LiveRun};
 use crate::metrics::JobMetrics;
-use crate::node::{run_node, NetMsg};
+use crate::node::{NetMsg, NodeRuntime};
 use crate::record::Record;
 use crate::resident::{CacheMode, CachePlan, ResidentStore};
 use crate::skew::SkewRuntime;
@@ -23,8 +23,8 @@ use hamr_kvstore::KvStore;
 use hamr_simdisk::Disk;
 use hamr_simnet::{Fabric, NetRegistry};
 use hamr_trace::{
-    AlertEvent, AlertRule, AlertState, Audit, AuditReport, FlightRecord, GaugeValue, Journal,
-    JournalConfig, JournalRecord, Labels, MetricsRegistry, RecordedEvent, RingSink, StatsPlane,
+    AlertEvent, AlertRule, AlertState, Audit, AuditReport, FlightRecord, Journal, JournalConfig,
+    JournalRecord, Labels, MetricsRegistry, Observe, RecordedEvent, RingSink, StatsPlane,
     Telemetry, Tracer, WatchdogClass, WatchdogTrip,
 };
 use std::collections::HashMap;
@@ -33,6 +33,32 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// How one job is run: which sinks observe it and whether the
+/// self-verification layer supervises it. The default is an
+/// unobserved, unsupervised run in which every emit site is a single
+/// branch on a `None`.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions {
+    /// Where trace events go.
+    pub tracer: Tracer,
+    /// Where gauges register. When enabled, its sampler thread runs for
+    /// the duration of the job and is stopped (with one final sample)
+    /// before the run returns.
+    pub telemetry: Telemetry,
+    /// `Some` runs the job under the self-verification layer: every bin
+    /// is tallied through the emit → ship → deliver → consume custody
+    /// chain, a watchdog monitors liveness, and a trip or failure dumps
+    /// a `doctor_<job>.json` flight record. The conservation proof is
+    /// read back with [`Cluster::last_audit`] — call
+    /// [`AuditReport::check`] on it — and the incidents with
+    /// [`Cluster::watchdog_events`].
+    ///
+    /// A disabled `tracer` is replaced by the flight recorder's bounded
+    /// ring and a disabled `telemetry` by private gauges, so the
+    /// watchdog always reads live gauges whatever the caller profiles.
+    pub supervision: Option<Supervision>,
+}
 
 /// Settings for a supervised run: the watchdog, and the flight
 /// recorder that turns a trip or failure into a `doctor_<job>.json`
@@ -112,19 +138,11 @@ pub struct Cluster {
     disks: Vec<Disk>,
     dfs: Dfs,
     kv: KvStore,
-    /// Ambient profiler: when set, plain [`run`](Cluster::run) calls
-    /// behave as [`run_profiled`](Cluster::run_profiled) with these
-    /// sinks. Lets harnesses profile code paths that only hand them a
-    /// `&Cluster` (the `Benchmark` trait) without threading a tracer
+    /// What plain [`run`](Cluster::run) calls run with. Lets harnesses
+    /// profile or self-verify code paths that only hand them a
+    /// `&Cluster` (the `Benchmark` trait) without threading options
     /// through every workload signature.
-    profiler: Mutex<Option<(Tracer, Telemetry)>>,
-    /// Ambient supervisor: when set, plain [`run`](Cluster::run) calls
-    /// behave as [`run_supervised`](Cluster::run_supervised), recording
-    /// the audit report and watchdog events for inspection via
-    /// [`last_audit`](Cluster::last_audit) and
-    /// [`watchdog_events`](Cluster::watchdog_events). Lets harnesses
-    /// self-verify code paths that only hand them a `&Cluster`.
-    supervisor: Mutex<Option<Supervision>>,
+    options: Mutex<RunOptions>,
     /// Audit report of the most recent supervised run.
     last_audit: Mutex<Option<AuditReport>>,
     /// Watchdog incidents of the most recent supervised run.
@@ -212,8 +230,7 @@ impl Cluster {
             disks,
             dfs,
             kv,
-            profiler: Mutex::new(None),
-            supervisor: Mutex::new(None),
+            options: Mutex::new(RunOptions::default()),
             last_audit: Mutex::new(None),
             wd_events: Mutex::new(Vec::new()),
             introspect,
@@ -324,55 +341,22 @@ impl Cluster {
         &self.disks[node]
     }
 
-    /// Run one job to completion. Tracing is disabled unless an
-    /// ambient profiler is attached via
-    /// [`attach_profiler`](Cluster::attach_profiler).
+    /// Run one job to completion under the options last given to
+    /// [`set_run_options`](Cluster::set_run_options) (initially the
+    /// default: unobserved, unsupervised).
     pub fn run(&self, graph: JobGraph) -> Result<JobResult, RunError> {
-        let sup = self
-            .supervisor
+        let opts = self
+            .options
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .clone();
-        if let Some(sup) = sup {
-            return self.run_supervised(graph, sup).map(|(result, _)| result);
-        }
-        let ambient = self
-            .profiler
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
-        match ambient {
-            Some((tracer, telemetry)) => self.run_profiled(graph, tracer, telemetry),
-            None => self.run_traced(graph, Tracer::disabled()),
-        }
+        self.run_with(graph, &opts)
     }
 
-    /// Attach an ambient profiler: until
-    /// [`detach_profiler`](Cluster::detach_profiler), every plain
-    /// [`run`](Cluster::run) emits trace events through `tracer` and
-    /// samples gauges through `telemetry`, exactly as if the caller had
-    /// used [`run_profiled`](Cluster::run_profiled) directly.
-    pub fn attach_profiler(&self, tracer: Tracer, telemetry: Telemetry) {
-        *self.profiler.lock().unwrap_or_else(|p| p.into_inner()) = Some((tracer, telemetry));
-    }
-
-    /// Remove the ambient profiler; subsequent [`run`](Cluster::run)
-    /// calls execute untraced again.
-    pub fn detach_profiler(&self) {
-        *self.profiler.lock().unwrap_or_else(|p| p.into_inner()) = None;
-    }
-
-    /// Attach an ambient supervisor: until
-    /// [`detach_supervisor`](Cluster::detach_supervisor), every plain
-    /// [`run`](Cluster::run) executes as
-    /// [`run_supervised`](Cluster::run_supervised) with these settings.
-    pub fn attach_supervisor(&self, sup: Supervision) {
-        *self.supervisor.lock().unwrap_or_else(|p| p.into_inner()) = Some(sup);
-    }
-
-    /// Remove the ambient supervisor.
-    pub fn detach_supervisor(&self) {
-        *self.supervisor.lock().unwrap_or_else(|p| p.into_inner()) = None;
+    /// Replace the options every plain [`run`](Cluster::run) uses from
+    /// now on; `RunOptions::default()` detaches everything.
+    pub fn set_run_options(&self, opts: RunOptions) {
+        *self.options.lock().unwrap_or_else(|p| p.into_inner()) = opts;
     }
 
     /// Audit report of the most recent supervised run, if any.
@@ -392,187 +376,68 @@ impl Cluster {
             .clone()
     }
 
-    /// Run one job with the full self-verification layer at default
-    /// settings: every bin is tallied through the
-    /// emit → ship → deliver → consume custody chain, a watchdog
-    /// monitors liveness, and a trip or failure dumps a
-    /// `doctor_<job>.json` flight record. Returns the job result
-    /// together with the conservation [`AuditReport`] — call
-    /// [`AuditReport::check`] to prove no bin was dropped, duplicated,
-    /// or left behind.
-    pub fn run_audited(&self, graph: JobGraph) -> Result<(JobResult, AuditReport), RunError> {
-        self.run_supervised(graph, Supervision::default())
-    }
-
-    /// [`run_audited`](Cluster::run_audited) with explicit settings.
-    pub fn run_supervised(
-        &self,
-        graph: JobGraph,
-        sup: Supervision,
-    ) -> Result<(JobResult, AuditReport), RunError> {
-        let n = self.config.nodes;
-        let job_name = graph.name.clone();
-        let audit = Audit::new(graph.edges.len() as u32, n as u32);
-        // Reuse ambient profiler sinks when attached; otherwise record
-        // the last-K events into a bounded ring (the flight recorder)
-        // and let the watchdog drive a private telemetry clock.
-        let ambient = self
-            .profiler
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
-        let own_sinks = ambient.is_none();
-        let mut ring = None;
-        let (tracer, telemetry) = match ambient {
-            Some((tracer, telemetry)) => (tracer, telemetry),
-            None => {
-                let tracer = if sup.flight_events > 0 {
-                    let sink = Arc::new(RingSink::new(n.max(1), sup.flight_events));
-                    ring = Some(Arc::clone(&sink));
-                    Tracer::new(sink)
-                } else {
-                    Tracer::disabled()
-                };
-                (tracer, Telemetry::new(sup.watchdog.epoch))
-            }
-        };
-        // Overflowed flight-ring drops are visible in `/metrics` while
-        // the run is still going, not only in the post-mortem dump.
-        if let Some(ring) = &ring {
-            ring.mirror_drops(
-                self.introspect
-                    .registry
-                    .counter("trace_dropped_events_total", Labels::new().engine("hamr")),
-            );
-        }
-        let watchdog =
-            (sup.watchdog.action != WatchdogAction::Off).then(|| (sup.watchdog.clone(), own_sinks));
-        let (result, events, trip) = self.run_inner(
-            graph,
-            tracer,
-            telemetry.clone(),
-            audit.clone(),
-            !own_sinks,
-            watchdog,
-            ring.clone(),
-        );
-        let report = audit.report();
-        *self.last_audit.lock().unwrap_or_else(|p| p.into_inner()) = Some(report.clone());
-        *self.wd_events.lock().unwrap_or_else(|p| p.into_inner()) = events;
-        if trip.is_some() || result.is_err() {
-            if let Some(dir) = &sup.doctor_dir {
-                let dropped_events = ring.as_ref().map(|r| r.dropped()).unwrap_or(0);
-                let ring_events = ring.map(|r| r.drain()).unwrap_or_default();
-                let record = FlightRecord::capture(
-                    &job_name,
-                    "hamr",
-                    trip.clone().map(|e| WatchdogTrip {
-                        class: e.class,
-                        epoch: e.epoch,
-                        detail: e.detail,
-                    }),
-                    result.as_ref().err().map(|e| e.to_string()),
-                    &ring_events,
-                    sup.keep_last,
-                    dropped_events,
-                    report.clone(),
-                    telemetry
-                        .gauge_values()
-                        .into_iter()
-                        .map(|(name, node, value)| GaugeValue { name, node, value })
-                        .collect(),
-                );
-                let path = dir.join(format!("doctor_{}.json", file_slug(&job_name)));
-                let _ = std::fs::write(&path, record.to_json());
-            }
-        }
-        match result {
-            Ok(job) => Ok((job, report)),
-            // An abort-action trip caused the failure: surface the
-            // watchdog's diagnosis, not the secondary abort error.
-            Err(_) if trip.is_some() => {
-                let t = trip.expect("checked");
-                Err(RunError::Watchdog {
-                    class: t.class,
-                    epoch: t.epoch,
-                    detail: t.detail,
-                })
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Run one job to completion, emitting trace events through
-    /// `tracer`. With `Tracer::disabled()` this is exactly [`run`]:
-    /// every emit site is a single branch on a `None`.
-    ///
-    /// [`run`]: Cluster::run
-    pub fn run_traced(&self, graph: JobGraph, tracer: Tracer) -> Result<JobResult, RunError> {
-        self.run_profiled(graph, tracer, Telemetry::disabled())
-    }
-
-    /// Run one job with both event tracing and periodic telemetry
-    /// sampling. The sampler thread starts only when `telemetry` is
-    /// enabled, runs for the duration of the job, and is stopped (with
-    /// one final sample) before this returns.
-    pub fn run_profiled(
-        &self,
-        graph: JobGraph,
-        tracer: Tracer,
-        telemetry: Telemetry,
-    ) -> Result<JobResult, RunError> {
-        self.run_inner(
-            graph,
-            tracer,
-            telemetry,
-            Audit::disabled(),
-            true,
-            None,
-            None,
-        )
-        .0
-    }
-
-    /// The shared run body. `start_sampler` starts/stops the telemetry
-    /// sampler thread around the job (supervised runs that own their
-    /// telemetry skip it — the watchdog drives `tick_at` instead).
-    /// `watchdog` is `(config, drive_ticks)` for supervised runs.
-    /// `ring` is the flight-recorder sink, exposed to the live
-    /// `/doctor` endpoint for the duration of the run.
-    /// Returns the raw result plus everything the watchdog classified.
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
-        &self,
-        graph: JobGraph,
-        tracer: Tracer,
-        telemetry: Telemetry,
-        audit: Audit,
-        start_sampler: bool,
-        watchdog: Option<(WatchdogConfig, bool)>,
-        ring: Option<Arc<RingSink>>,
-    ) -> (
-        Result<JobResult, RunError>,
-        Vec<WatchdogEvent>,
-        Option<WatchdogEvent>,
-    ) {
+    /// Run one job to completion under `opts`. The one run path:
+    /// [`run`](Cluster::run) is this with the cluster's stored options.
+    pub fn run_with(&self, graph: JobGraph, opts: &RunOptions) -> Result<JobResult, RunError> {
         let graph = Arc::new(graph);
         let n = self.config.nodes;
         let registry = &self.introspect.registry;
         let health = Arc::clone(&self.introspect.health);
-        {
-            let mut live = self
-                .introspect
-                .live
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            *live = LiveRun {
-                job: graph.name.clone(),
-                engine: "hamr",
-                ring: ring.clone(),
-                telemetry: Some(telemetry.clone()),
-                audit: Some(audit.clone()),
-            };
+        // Per-job data-plane statistics: one sketch set per (edge,
+        // destination node), folded by every node as bins close and
+        // merged into one snapshot at teardown. Lineage sampling is
+        // confined to hash-exchange edges so loader keys (synthetic
+        // line offsets) cannot crowd out shuffle keys.
+        let shuffle_edges: Vec<bool> = graph
+            .edges
+            .iter()
+            .map(|e| matches!(e.exchange, crate::graph::Exchange::Hash))
+            .collect();
+        let mut obs = Observe {
+            tracer: opts.tracer.clone(),
+            telemetry: opts.telemetry.clone(),
+            audit: Audit::disabled(),
+            stats: self.config.runtime.stats.enabled().then(|| {
+                Arc::new(
+                    StatsPlane::new(graph.edges.len(), n, self.config.runtime.stats)
+                        .with_sampled_edges(&shuffle_edges),
+                )
+            }),
+        };
+        // Supervision decides here, once, what the watchdog and the
+        // flight recorder read: the caller's sinks where they are live,
+        // otherwise a bounded ring of the last-K events and private
+        // gauges. `ring` is that flight-recorder sink, exposed to the
+        // live `/doctor` endpoint for the duration of the run.
+        let mut ring = None;
+        if let Some(sup) = &opts.supervision {
+            obs.audit = Audit::new(graph.edges.len() as u32, n as u32);
+            if !obs.tracer.enabled() && sup.flight_events > 0 {
+                let sink = Arc::new(RingSink::new(n, sup.flight_events));
+                // Overflowed flight-ring drops are visible in `/metrics`
+                // while the run is still going, not only in the
+                // post-mortem dump.
+                sink.mirror_drops(
+                    registry.counter("trace_dropped_events_total", Labels::new().engine("hamr")),
+                );
+                obs.tracer = Tracer::new(sink.clone());
+                ring = Some(sink);
+            }
+            if !obs.telemetry.enabled() {
+                obs.telemetry = Telemetry::new(sup.watchdog.epoch);
+            }
         }
+        let obs = obs;
+        *self
+            .introspect
+            .live
+            .lock()
+            .unwrap_or_else(|p| p.into_inner()) = LiveRun {
+            job: graph.name.clone(),
+            engine: "hamr",
+            ring: ring.clone(),
+            obs: obs.clone(),
+        };
         health
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -596,35 +461,27 @@ impl Cluster {
         }
         // Live gauge series: every telemetry gauge this run registers
         // also shows up in /metrics, sharing the same atomic cells.
-        telemetry.bind_registry(registry, "hamr");
-        let fabric = Fabric::<NetMsg>::new_instrumented(
+        obs.telemetry.bind_registry(registry, "hamr");
+        let fabric = Fabric::<NetMsg>::new_observed(
             n,
             self.config.net.clone(),
-            tracer.clone(),
-            &telemetry,
-            audit.clone(),
+            &obs,
             Some(NetRegistry::new(registry, "hamr", n)),
         );
         // The disks are long-lived substrates shared across jobs; bind
-        // them to this run's tracer only for its duration. Registry
-        // counters attach for every run — they are a handful of relaxed
+        // them to this run's sinks only for its duration. Registry
+        // counters bind for every run — they are a handful of relaxed
         // atomics per IO, and the series are cumulative.
         for (node, disk) in self.disks.iter().enumerate() {
-            disk.attach_registry(registry, "hamr", node as u32);
-        }
-        if tracer.enabled() {
-            for (node, disk) in self.disks.iter().enumerate() {
-                disk.attach_tracer(tracer.clone(), node as u32);
-            }
-        }
-        if telemetry.enabled() {
-            for (node, disk) in self.disks.iter().enumerate() {
-                disk.attach_gauge(&telemetry, node as u32);
-            }
+            disk.observe(&obs, Some((registry, "hamr")), node as u32);
         }
         // Supervision: the watchdog aborts a wedged job by broadcasting
         // through a spare endpoint (control traffic, not audited).
-        let watchdog = watchdog.map(|(cfg, drive_ticks)| {
+        let watching = opts
+            .supervision
+            .as_ref()
+            .filter(|sup| sup.watchdog.action != WatchdogAction::Off);
+        let watchdog = watching.map(|sup| {
             let abort_ep = fabric.endpoint(0).expect("fresh fabric has node 0");
             let abort = Box::new(move |event: &WatchdogEvent| {
                 let reason = Arc::new(format!(
@@ -677,16 +534,13 @@ impl Cluster {
             // Alert rules see fresh gauges every monitoring epoch, so
             // an SLO burn or a stuck queue fires *during* the run.
             let epoch_intro = Arc::clone(&self.introspect);
-            let on_epoch: Option<Box<dyn Fn(u64) + Send>> = Some(Box::new(move |_| {
+            let on_epoch = Box::new(move |_| {
                 epoch_intro.eval_alerts();
-            }));
+            });
             Watchdog::spawn(
-                cfg,
-                audit.clone(),
-                telemetry.clone(),
-                tracer.clone(),
+                sup.watchdog.clone(),
+                obs.clone(),
                 n,
-                drive_ticks,
                 on_epoch,
                 notify,
                 abort,
@@ -700,22 +554,6 @@ impl Cluster {
             self.config.runtime.skew.clone(),
             n,
         ));
-        // Per-job data-plane statistics: one sketch set per (edge,
-        // destination node), folded by every node as bins close and
-        // merged into one snapshot at teardown. Lineage sampling is
-        // confined to hash-exchange edges so loader keys (synthetic
-        // line offsets) cannot crowd out shuffle keys.
-        let shuffle_edges: Vec<bool> = graph
-            .edges
-            .iter()
-            .map(|e| matches!(e.exchange, crate::graph::Exchange::Hash))
-            .collect();
-        let stats_plane = self.config.runtime.stats.enabled().then(|| {
-            Arc::new(
-                StatsPlane::new(graph.edges.len(), n, self.config.runtime.stats)
-                    .with_sampled_edges(&shuffle_edges),
-            )
-        });
         // Resolve residency annotations once, centrally, before any
         // node spawns: every node must agree on what is served from
         // the cache and what fills it (partition-stable ownership).
@@ -746,9 +584,7 @@ impl Cluster {
             let graph = Arc::clone(&graph);
             let cfg = self.config.runtime.clone();
             let threads = self.config.threads_per_node;
-            let tracer = tracer.clone();
-            let telemetry = telemetry.clone();
-            let audit = audit.clone();
+            let obs = obs.clone();
             let ctx = TaskContext {
                 node,
                 nodes: n,
@@ -759,14 +595,11 @@ impl Cluster {
             };
             let skew = Arc::clone(&skew);
             let plan = Arc::clone(&plan);
-            let stats = stats_plane.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("hamr-node-{node}"))
                 .spawn(move || {
-                    run_node(
-                        node, graph, cfg, threads, ctx, endpoint, inbox, tracer, telemetry, audit,
-                        skew, plan, stats,
-                    )
+                    NodeRuntime::new(graph, cfg, threads, ctx, endpoint, inbox, &obs, skew, plan)
+                        .run()
                 })
                 .expect("spawn node runtime");
             handles.push(handle);
@@ -794,9 +627,7 @@ impl Cluster {
         // Start the sampler (no-op when telemetry is disabled). Node
         // runtimes may still be registering gauges on their own threads;
         // late registrations are back-filled with zeros in the series.
-        if start_sampler {
-            telemetry.start();
-        }
+        opts.telemetry.start();
         let mut outputs: HashMap<FlowletId, Vec<Record>> = HashMap::new();
         let mut metrics = JobMetrics::default();
         let mut first_error: Option<RunError> = None;
@@ -898,7 +729,7 @@ impl Cluster {
         // snapshot. Hash-exchange edges are flagged as shuffle edges:
         // their cardinality is comparable across engines (Local loader
         // edges carry synthetic keys like line offsets).
-        if let Some(plane) = &stats_plane {
+        if let Some(plane) = &obs.stats {
             let snap = plane.snapshot(&graph.name, "hamr", &shuffle_edges);
             // Per-destination gauges for the live console: node N's
             // series describe the keys routed *to* N on each shuffle
@@ -935,22 +766,10 @@ impl Cluster {
                 .unwrap_or_else(|p| p.into_inner()) = Some(snap.clone());
             metrics.stats = Some(snap);
         }
-        if start_sampler {
-            telemetry.stop();
-        }
+        opts.telemetry.stop();
         fabric.shutdown();
-        if tracer.enabled() {
-            for disk in &self.disks {
-                disk.detach_tracer();
-            }
-        }
-        if telemetry.enabled() {
-            for disk in &self.disks {
-                disk.detach_gauge();
-            }
-        }
         for disk in &self.disks {
-            disk.detach_registry();
+            disk.unobserve();
         }
         // Publish job totals and record one epoch per completed job —
         // iterative workloads (one job per iteration) thereby get
@@ -962,10 +781,10 @@ impl Cluster {
             // deltas (shuffled bytes, cache hits, latency histograms);
             // the audit ledger names any still-stuck edge.
             j.append(&JournalRecord::Epoch(epoch_snap));
-            if audit.enabled() {
+            if obs.audit.enabled() {
                 j.append(&JournalRecord::AuditEpoch {
                     job: graph.name.clone(),
-                    report_json: audit.report().to_json(),
+                    report_json: obs.audit.report().to_json(),
                 });
             }
             if let Some(snap) = &metrics.stats {
@@ -1023,7 +842,40 @@ impl Cluster {
                 elapsed: start.elapsed(),
             }),
         };
-        (result, wd_events, wd_trip)
+        let Some(sup) = &opts.supervision else {
+            return result;
+        };
+        *self.last_audit.lock().unwrap_or_else(|p| p.into_inner()) = Some(obs.audit.report());
+        *self.wd_events.lock().unwrap_or_else(|p| p.into_inner()) = wd_events;
+        if wd_trip.is_some() || result.is_err() {
+            if let Some(dir) = &sup.doctor_dir {
+                let record = FlightRecord::capture(
+                    &graph.name,
+                    "hamr",
+                    wd_trip.clone().map(|e| WatchdogTrip {
+                        class: e.class,
+                        epoch: e.epoch,
+                        detail: e.detail,
+                    }),
+                    result.as_ref().err().map(|e| e.to_string()),
+                    ring.as_deref(),
+                    sup.keep_last,
+                    &obs,
+                );
+                let path = dir.join(format!("doctor_{}.json", file_slug(&graph.name)));
+                let _ = std::fs::write(&path, record.to_json());
+            }
+        }
+        match (result, wd_trip) {
+            // An abort-action trip caused the failure: surface the
+            // watchdog's diagnosis, not the secondary abort error.
+            (Err(_), Some(t)) => Err(RunError::Watchdog {
+                class: t.class,
+                epoch: t.epoch,
+                detail: t.detail,
+            }),
+            (result, _) => result,
+        }
     }
 }
 
@@ -1049,8 +901,8 @@ impl<'a> Session<'a> {
         self.cluster
     }
 
-    /// Run one job in this session (respects any ambient profiler or
-    /// supervisor, exactly like [`Cluster::run`]).
+    /// Run one job in this session (under the cluster's stored
+    /// [`RunOptions`], exactly like [`Cluster::run`]).
     pub fn run(&self, graph: JobGraph) -> Result<JobResult, RunError> {
         self.cluster.run(graph)
     }

@@ -26,25 +26,19 @@ pub enum SchedMode {
     /// bounded timeout only when the node is drained. The runtime
     /// thread shrinks to an ingress/egress pump.
     WorkStealing,
-    /// The pre-refactor control plane: one runtime thread owns all
-    /// scheduling state and hands tasks to workers over a shared
-    /// channel. Kept as an A/B baseline and differential-test oracle.
-    Centralized,
     /// Single-threaded, seeded replay: no worker threads at all; a
     /// seeded PRNG picks the next ready task and runs it inline on the
-    /// runtime thread. Deterministic interleaving for differential
-    /// tests.
+    /// runtime thread. Deterministic interleaving: the oracle of the
+    /// differential tests.
     Deterministic { seed: u64 },
 }
 
 impl SchedMode {
-    /// Parse the `HAMR_SCHED` environment override used by the CI
-    /// matrix: `ws`/`work-stealing`, `centralized`/`central`, or
-    /// `det[:seed]`.
+    /// Parse the `HAMR_SCHED` environment override: `ws`/`work-stealing`
+    /// or `det[:seed]`.
     pub fn from_env_str(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
             "ws" | "work-stealing" | "worksteal" | "workstealing" => Some(SchedMode::WorkStealing),
-            "centralized" | "central" => Some(SchedMode::Centralized),
             other => {
                 let rest = other.strip_prefix("det")?;
                 let seed = match rest.strip_prefix(':') {
@@ -55,6 +49,13 @@ impl SchedMode {
                 Some(SchedMode::Deterministic { seed })
             }
         }
+    }
+
+    /// A set `HAMR_SCHED` that does not parse is a typo, not a request
+    /// for the default.
+    fn from_env_or_panic(s: &str) -> Self {
+        SchedMode::from_env_str(s)
+            .unwrap_or_else(|| panic!("HAMR_SCHED must be ws|det[:seed], got '{s}'"))
     }
 }
 
@@ -225,13 +226,11 @@ impl Default for RuntimeConfig {
             barrier_mode: false,
             contention: ContentionMode::SharedLocked,
             fire_shards: 0, // 0 = use worker count
-            // The CI matrix exercises both control planes by exporting
-            // HAMR_SCHED; explicit `sched` assignments in code (e.g.
-            // the differential tests) are unaffected by the env var.
-            sched: std::env::var("HAMR_SCHED")
-                .ok()
-                .and_then(|s| SchedMode::from_env_str(&s))
-                .unwrap_or(SchedMode::WorkStealing),
+            // Explicit `sched` assignments in code (e.g. the
+            // differential tests) are unaffected by the env var.
+            sched: std::env::var("HAMR_SCHED").map_or(SchedMode::WorkStealing, |s| {
+                SchedMode::from_env_or_panic(&s)
+            }),
             fault: FaultInjection::None,
             // Like HAMR_SCHED, HAMR_SKEW lets the CI matrix ablate
             // without touching code; explicit assignments override.
@@ -442,10 +441,7 @@ mod tests {
             SchedMode::from_env_str("work-stealing"),
             Some(SchedMode::WorkStealing)
         );
-        assert_eq!(
-            SchedMode::from_env_str("centralized"),
-            Some(SchedMode::Centralized)
-        );
+        assert_eq!(SchedMode::from_env_str("centralized"), None);
         assert_eq!(
             SchedMode::from_env_str("det"),
             Some(SchedMode::Deterministic { seed: 0 })
@@ -456,6 +452,12 @@ mod tests {
         );
         assert_eq!(SchedMode::from_env_str("bogus"), None);
         assert_eq!(SchedMode::from_env_str("det:notanumber"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "HAMR_SCHED must be ws|det[:seed], got 'centralized'")]
+    fn unparsable_sched_env_panics() {
+        SchedMode::from_env_or_panic("centralized");
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! `HAMR_HTTP=<port>`, or [`Cluster::serve_introspection`].
 
 use hamr_trace::{
-    AlertEngine, AlertEvent, AlertRule, AlertState, Audit, FlightRecord, GaugeValue, HttpResponse,
-    HttpServer, Journal, JournalRecord, MetricsRegistry, RingSink, RouteHandler, Snapshot,
-    StatsSnapshot, Telemetry,
+    AlertEngine, AlertEvent, AlertRule, AlertState, FlightRecord, HttpResponse, HttpServer,
+    Journal, JournalRecord, MetricsRegistry, Observe, RingSink, RouteHandler, Snapshot,
+    StatsSnapshot,
 };
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
@@ -246,8 +246,7 @@ pub(crate) struct LiveRun {
     pub job: String,
     pub engine: &'static str,
     pub ring: Option<Arc<RingSink>>,
-    pub telemetry: Option<Telemetry>,
-    pub audit: Option<Audit>,
+    pub obs: Observe,
 }
 
 /// Newest events kept in a live `/doctor` response.
@@ -364,37 +363,19 @@ impl Introspect {
             }
             "/doctor" | "/doctor/" => {
                 let live = live.lock().unwrap_or_else(|p| p.into_inner());
-                let events = live.ring.as_ref().map(|r| r.peek()).unwrap_or_default();
-                let dropped = live.ring.as_ref().map(|r| r.dropped()).unwrap_or(0);
-                let report = live
-                    .audit
-                    .as_ref()
-                    .map(|a| a.report())
-                    .unwrap_or_else(|| Audit::disabled().report());
-                let gauges = live
-                    .telemetry
-                    .as_ref()
-                    .map(|t| {
-                        t.gauge_values()
-                            .into_iter()
-                            .map(|(name, node, value)| GaugeValue { name, node, value })
-                            .collect()
-                    })
-                    .unwrap_or_default();
+                let engine = if live.engine.is_empty() {
+                    "hamr"
+                } else {
+                    live.engine
+                };
                 let record = FlightRecord::capture(
                     live.job.clone(),
-                    if live.engine.is_empty() {
-                        "hamr"
-                    } else {
-                        live.engine
-                    },
+                    engine,
                     None,
                     None,
-                    &events,
+                    live.ring.as_deref(),
                     DOCTOR_KEEP_LAST,
-                    dropped,
-                    report,
-                    gauges,
+                    &live.obs,
                 );
                 HttpResponse::json(record.to_json())
             }

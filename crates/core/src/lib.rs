@@ -67,7 +67,7 @@ pub mod stream;
 pub mod typed;
 mod watchdog;
 
-pub use cluster::{Cluster, JobResult, Session, Supervision};
+pub use cluster::{Cluster, JobResult, RunOptions, Session, Supervision};
 pub use config::{
     ClusterConfig, ContentionMode, FaultInjection, RuntimeConfig, SchedMode, SimClusterSpec,
     SkewConfig, PAPER_CLUSTER, SCALED_CLUSTER,

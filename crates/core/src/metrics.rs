@@ -46,7 +46,7 @@ pub struct NodeMetrics {
     /// Records received from the fabric.
     pub records_in: u64,
     /// Work-stealing: steal operations that fetched at least one task
-    /// (zero under the centralized/deterministic schedulers).
+    /// (zero under the deterministic scheduler).
     pub steals: u64,
     /// Work-stealing: total tasks relocated by steals.
     pub stolen_tasks: u64,

@@ -14,12 +14,9 @@
 //!   and ship finished bins *directly* through the shared
 //!   [`FlowControl`] — a flow-control defer/resume never round-trips
 //!   the runtime thread.
-//! * **Centralized** — the pre-refactor control plane: one shared
-//!   channel, workers only execute and report back; the runtime thread
-//!   ships every bin itself. Kept as an A/B baseline and differential
-//!   oracle.
 //! * **Deterministic** — no worker threads; a seeded PRNG replays one
-//!   task interleaving inline on the runtime thread.
+//!   task interleaving inline on the runtime thread. The differential
+//!   oracle for the threaded mode.
 //!
 //! ## Scheduling (paper §2, Fig. 2)
 //! * A flowlet **task** is the finest unit: one loader split, one bin
@@ -60,8 +57,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use hamr_codec::FrameBuilder;
 use hamr_simnet::{Endpoint, Envelope, Payload};
 use hamr_trace::{
-    Audit, AuditBin, AuditStage, EventKind, Gauge, HopKind, StatsPlane, TaskKind, Telemetry,
-    Tracer, NO_SPAN, WORKER_RUNTIME,
+    AuditBin, AuditStage, EventKind, Gauge, HopKind, Observe, TaskKind, NO_SPAN, WORKER_RUNTIME,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -254,15 +250,13 @@ struct WorkerShared {
     /// Per-*edge* absorbers for scattered hot-key records; `Some` only
     /// on scatter-eligible edges.
     absorbers: Vec<Option<Arc<SkewAbsorber>>>,
-    tracer: Tracer,
-    audit: Audit,
+    /// The job's tracer, ledger, telemetry and statistics plane.
+    obs: Observe,
     /// Telemetry gauge: workers currently executing a task on this node.
     busy_gauge: Gauge,
     /// Resident-cache fill sink; `Some` only when this job fills one or
     /// more cache tags (see [`CachePlan`]).
     fill: Option<Arc<FillSink>>,
-    /// Data-plane statistics plane; `None` when `HAMR_STATS=off`.
-    stats: Option<Arc<StatsPlane>>,
 }
 
 impl WorkerShared {
@@ -281,11 +275,9 @@ impl WorkerShared {
             Arc::clone(&self.names[flowlet]),
             flowlet as u32,
             lane,
-            self.tracer.clone(),
-            self.audit.clone(),
+            &self.obs,
         )
-        .with_skew(&self.skew, sketches)
-        .with_stats(&self.stats);
+        .with_skew(&self.skew, sketches);
         if let Some(sink) = &self.fill {
             out = out.with_fill(sink);
         }
@@ -297,7 +289,7 @@ impl WorkerShared {
     /// this is free for unsampled traffic and entirely off outside
     /// `HAMR_STATS=full`.
     fn stats_consume(&self, bin: &FrameBin, flowlet: FlowletId, kind: HopKind) {
-        if let Some(plane) = &self.stats {
+        if let Some(plane) = &self.obs.stats {
             if plane.lineage_on() {
                 plane.consume_bin(
                     bin.edge as u32,
@@ -316,7 +308,7 @@ impl WorkerShared {
     /// checkpoint of the ledger's emit -> ship -> deliver -> consume
     /// conservation chain.
     fn audit_consume(&self, bin: &FrameBin) {
-        self.audit.record(
+        self.obs.audit.record(
             AuditStage::Consume,
             bin.edge as u32,
             self.ctx.node as u32,
@@ -339,7 +331,7 @@ fn execute_task(
     let flowlet = task.flowlet();
     let trace_kind = task.trace_kind();
     shared.busy_gauge.add(1);
-    shared.tracer.emit(
+    shared.obs.tracer.emit(
         shared.ctx.node as u32,
         worker_id as u32,
         EventKind::TaskStart {
@@ -498,7 +490,7 @@ fn execute_task(
     }
     done.duration = start.elapsed();
     shared.busy_gauge.sub(1);
-    shared.tracer.emit(
+    shared.obs.tracer.emit(
         shared.ctx.node as u32,
         worker_id as u32,
         EventKind::TaskEnd {
@@ -511,26 +503,11 @@ fn execute_task(
     done
 }
 
-fn worker_loop(
-    worker_id: usize,
-    shared: Arc<WorkerShared>,
-    rx: Receiver<Task>,
-    done_tx: Sender<TaskDone>,
-) {
-    let mut sketches = Vec::new();
-    while let Ok(task) = rx.recv() {
-        let done = execute_task(&shared, worker_id, &mut sketches, task);
-        if done_tx.send(done).is_err() {
-            return;
-        }
-    }
-}
-
 /// Send the acknowledgement and ship (or defer) the bins of a finished
 /// task, draining `done` of both so the runtime thread only does state
 /// bookkeeping. Called by the executing thread itself: under work
 /// stealing that is the worker, so egress never waits on the runtime
-/// loop; under centralized/deterministic it is the runtime thread.
+/// loop; under the deterministic replay it is the runtime thread.
 fn ship_done(flow: &FlowControl, endpoint: &Endpoint<NetMsg>, lane: u32, done: &mut TaskDone) {
     if done.panic.is_some() {
         // Keep the ack and bins unshipped; the runtime aborts the job.
@@ -562,7 +539,7 @@ fn ws_worker_loop(
         match pool.try_fetch(worker) {
             Some((task, src)) => {
                 if let Source::Stolen { victim } = src {
-                    shared.tracer.emit(
+                    shared.obs.tracer.emit(
                         node,
                         lane,
                         EventKind::TaskStolen {
@@ -582,9 +559,9 @@ fn ws_worker_loop(
                 if pool.is_shutdown() {
                     return;
                 }
-                shared.tracer.emit(node, lane, EventKind::WorkerParked);
+                shared.obs.tracer.emit(node, lane, EventKind::WorkerParked);
                 let parked = pool.park(worker);
-                shared.tracer.emit(
+                shared.obs.tracer.emit(
                     node,
                     lane,
                     EventKind::WorkerUnparked {
@@ -658,37 +635,8 @@ pub(crate) struct NodeOutcome {
     pub fill: Vec<(EdgeId, NodeId, hamr_codec::Frame)>,
 }
 
-/// Runs one node's runtime to completion. Called on its own thread.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_node(
-    node: NodeId,
-    graph: Arc<JobGraph>,
-    cfg: RuntimeConfig,
-    threads: usize,
-    ctx: TaskContext,
-    endpoint: Endpoint<NetMsg>,
-    inbox: Receiver<Envelope<NetMsg>>,
-    tracer: Tracer,
-    telemetry: Telemetry,
-    audit: Audit,
-    skew: Arc<SkewRuntime>,
-    plan: Arc<CachePlan>,
-    stats: Option<Arc<StatsPlane>>,
-) -> NodeOutcome {
-    NodeRuntime::new(
-        node, graph, cfg, threads, ctx, endpoint, inbox, tracer, telemetry, audit, skew, plan,
-        stats,
-    )
-    .run()
-}
-
 /// The task execution backend, selected by [`SchedMode`].
 enum Exec {
-    /// One shared channel; workers only execute, the runtime ships.
-    Centralized {
-        task_tx: Option<Sender<Task>>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    },
     /// Per-worker deques + injector; workers ship their own results.
     WorkStealing {
         pool: Arc<Pool<Task>>,
@@ -705,7 +653,9 @@ enum Exec {
     },
 }
 
-struct NodeRuntime {
+/// One node's runtime: built and [`run`](NodeRuntime::run) to
+/// completion on the node's own thread.
+pub(crate) struct NodeRuntime {
     node: NodeId,
     nodes: usize,
     graph: Arc<JobGraph>,
@@ -727,7 +677,6 @@ struct NodeRuntime {
     busy: Duration,
     start: Instant,
     error: Option<String>,
-    tracer: Tracer,
     /// Telemetry gauges: per-flowlet bin-queue depth, indexed by flowlet.
     queue_gauges: Vec<Gauge>,
     /// Telemetry gauge: bytes resident in queued (pending + held) bins.
@@ -739,22 +688,20 @@ struct NodeRuntime {
 
 impl NodeRuntime {
     #[allow(clippy::too_many_arguments)]
-    fn new(
-        node: NodeId,
+    pub(crate) fn new(
         graph: Arc<JobGraph>,
         cfg: RuntimeConfig,
         threads: usize,
         ctx: TaskContext,
         endpoint: Endpoint<NetMsg>,
         inbox: Receiver<Envelope<NetMsg>>,
-        tracer: Tracer,
-        telemetry: Telemetry,
-        audit: Audit,
+        obs: &Observe,
         skew: Arc<SkewRuntime>,
         plan: Arc<CachePlan>,
-        stats: Option<Arc<StatsPlane>>,
     ) -> Self {
+        let node = ctx.node;
         let nodes = ctx.nodes;
+        let telemetry = &obs.telemetry;
         let fire_shards = if cfg.fire_shards == 0 {
             threads
         } else {
@@ -775,14 +722,9 @@ impl NodeRuntime {
                     fire_shards,
                     cfg.memory_budget,
                     ctx.disk.clone(),
-                    format!("hamr.spill.f{id}"),
-                    tracer.clone(),
+                    obs,
                     node as u32,
                     id as u32,
-                    telemetry.register(
-                        node as u32,
-                        format!("node{node}/f{id}/reduce_resident_bytes"),
-                    ),
                 ))),
                 _ => None,
             }));
@@ -820,13 +762,11 @@ impl NodeRuntime {
             bin_capacity: cfg.bin_capacity,
             partial,
             reduce,
-            tracer: tracer.clone(),
-            audit: audit.clone(),
+            obs: obs.clone(),
             busy_gauge: telemetry.register(node as u32, format!("node{node}/workers_busy")),
             skew: Arc::clone(&skew),
             absorbers,
             fill,
-            stats,
         });
         let flow = Arc::new(FlowControl::new(
             node,
@@ -835,9 +775,7 @@ impl NodeRuntime {
             graph.edges.len(),
             graph.flowlets.len(),
             endpoint.clone(),
-            tracer.clone(),
-            audit,
-            &telemetry,
+            obs,
         ));
         let queue_gauges = (0..graph.flowlets.len())
             .map(|f| telemetry.register(node as u32, format!("node{node}/f{f}/queue_depth")))
@@ -846,24 +784,6 @@ impl NodeRuntime {
             telemetry.register(node as u32, format!("node{node}/pending_bin_bytes"));
         let (done_tx, done_rx) = unbounded::<TaskDone>();
         let exec = match cfg.sched {
-            SchedMode::Centralized => {
-                let (task_tx, task_rx) = unbounded::<Task>();
-                let workers = (0..threads)
-                    .map(|w| {
-                        let shared = Arc::clone(&shared);
-                        let rx = task_rx.clone();
-                        let tx = done_tx.clone();
-                        std::thread::Builder::new()
-                            .name(format!("hamr-n{node}-w{w}"))
-                            .spawn(move || worker_loop(w, shared, rx, tx))
-                            .expect("spawn worker")
-                    })
-                    .collect();
-                Exec::Centralized {
-                    task_tx: Some(task_tx),
-                    workers,
-                }
-            }
             SchedMode::WorkStealing => {
                 let pool = Arc::new(Pool::new(threads));
                 let workers = (0..threads)
@@ -964,7 +884,6 @@ impl NodeRuntime {
             busy: Duration::ZERO,
             start: Instant::now(),
             error: None,
-            tracer,
             queue_gauges,
             pending_bytes_gauge,
             plan,
@@ -987,7 +906,7 @@ impl NodeRuntime {
                 for frame in &hit.ports[port][self.node] {
                     let mut bin = FrameBin::new(edge, frame.clone());
                     for stage in [AuditStage::Emit, AuditStage::Ship, AuditStage::Deliver] {
-                        self.shared.audit.record(
+                        self.shared.obs.audit.record(
                             stage,
                             edge as u32,
                             self.node as u32,
@@ -995,10 +914,10 @@ impl NodeRuntime {
                             bin.payload_bytes() as u64,
                         );
                     }
-                    bin.span = self.tracer.mint_span();
+                    bin.span = self.shared.obs.tracer.mint_span();
                     self.nmetrics.bins_in += 1;
                     self.nmetrics.records_in += bin.len() as u64;
-                    self.tracer.emit(
+                    self.shared.obs.tracer.emit(
                         self.node as u32,
                         WORKER_RUNTIME,
                         EventKind::BinIngress {
@@ -1022,7 +941,7 @@ impl NodeRuntime {
         }
     }
 
-    fn run(mut self) -> NodeOutcome {
+    pub(crate) fn run(mut self) -> NodeOutcome {
         self.inject_served();
         let done_rx = self.done_rx.clone();
         let inbox = self.inbox.clone();
@@ -1081,15 +1000,6 @@ impl NodeRuntime {
             },
         );
         match exec {
-            Exec::Centralized {
-                mut task_tx,
-                mut workers,
-            } => {
-                task_tx.take();
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-            }
             Exec::WorkStealing { pool, mut workers } => {
                 pool.shutdown();
                 for w in workers.drain(..) {
@@ -1126,8 +1036,8 @@ impl NodeRuntime {
     }
 
     /// Deterministic mode: run one seeded-random ready task inline on
-    /// the runtime thread. Returns true if a task ran. No-op in the
-    /// threaded modes.
+    /// the runtime thread. Returns true if a task ran. No-op under
+    /// work stealing.
     fn deterministic_step(&mut self) -> bool {
         let threads = self.threads;
         let (task, worker, sketches) = match &mut self.exec {
@@ -1198,7 +1108,7 @@ impl NodeRuntime {
                 let dst = self.graph.edges[bin.edge].dst;
                 self.nmetrics.bins_in += 1;
                 self.nmetrics.records_in += bin.len() as u64;
-                self.tracer.emit(
+                self.shared.obs.tracer.emit(
                     self.node as u32,
                     WORKER_RUNTIME,
                     EventKind::BinIngress {
@@ -1307,15 +1217,6 @@ impl NodeRuntime {
         if !done.captured.is_empty() {
             self.captured.entry(f).or_default().extend(done.captured);
         }
-        if let Some((origin, edge)) = done.ack_to {
-            let _ = self.endpoint.send(origin, NetMsg::Ack { edge });
-        }
-        // Centralized/deterministic: the runtime ships. Under work
-        // stealing the worker already drained these (ship_done), so the
-        // loop body never runs.
-        for (dst, bin) in done.bins {
-            self.flow.ship_or_defer(WORKER_RUNTIME, f, dst, bin);
-        }
     }
 
     fn dispatch(&mut self, task: Task) {
@@ -1323,11 +1224,6 @@ impl NodeRuntime {
         self.instances[f].running += 1;
         self.outstanding += 1;
         match &mut self.exec {
-            Exec::Centralized { task_tx, .. } => {
-                if let Some(tx) = task_tx {
-                    let _ = tx.send(task);
-                }
-            }
             Exec::WorkStealing { pool, .. } => pool.submit(task),
             Exec::Deterministic { ready, .. } => ready.push(task),
         }
@@ -1345,23 +1241,17 @@ impl NodeRuntime {
             self.outstanding += 1;
         }
         match &mut self.exec {
-            Exec::Centralized { task_tx, .. } => {
-                if let Some(tx) = task_tx {
-                    for t in tasks {
-                        let _ = tx.send(t);
-                    }
-                }
-            }
             Exec::WorkStealing { pool, .. } => pool.submit_batch(tasks),
             Exec::Deterministic { ready, .. } => ready.extend(tasks),
         }
     }
 
-    /// Capacity for admitting more tasks right now. Centralized keeps a
-    /// shallow backlog (twice the workers) since one thread makes every
-    /// decision anyway; work stealing admits deeper (four per worker)
-    /// because queued tasks sit in per-worker deques where idle peers
-    /// can steal them, and `defer_high_water` still bounds memory.
+    /// Capacity for admitting more tasks right now. The deterministic
+    /// replay keeps a shallow backlog (twice the workers) since one
+    /// thread runs everything anyway; work stealing admits deeper (four
+    /// per worker) because queued tasks sit in per-worker deques where
+    /// idle peers can steal them, and `defer_high_water` still bounds
+    /// memory.
     fn has_capacity(&self) -> bool {
         let cap = match &self.exec {
             Exec::WorkStealing { .. } => self.threads * 4,
@@ -1741,7 +1631,7 @@ impl NodeRuntime {
                     .map(|shard| Task::FireReduce { flowlet: f, shard })
                     .collect();
                 let n = tasks.len();
-                self.tracer.emit(
+                self.shared.obs.tracer.emit(
                     self.node as u32,
                     WORKER_RUNTIME,
                     EventKind::ReduceFire {
@@ -1830,7 +1720,7 @@ impl NodeRuntime {
         let frame = builder.freeze();
         // Merged bins bypass TaskOutput, so the stats plane folds them
         // here — the re-emit leg is a distinct lineage hop.
-        if let Some(plane) = &self.shared.stats {
+        if let Some(plane) = &self.shared.obs.stats {
             let src_flowlet = self.graph.edges[edge].src;
             plane.fold_bin(
                 edge as u32,
@@ -1844,7 +1734,7 @@ impl NodeRuntime {
         }
         let mut bin = FrameBin::new(edge, frame).with_kind(BinKind::Merged);
         for stage in [AuditStage::Emit, AuditStage::Ship] {
-            self.shared.audit.record(
+            self.shared.obs.audit.record(
                 stage,
                 edge as u32,
                 home as u32,
@@ -1852,7 +1742,7 @@ impl NodeRuntime {
                 bin.payload_bytes() as u64,
             );
         }
-        bin.span = self.tracer.mint_span();
+        bin.span = self.shared.obs.tracer.mint_span();
         let _ = self.endpoint.send(home, NetMsg::Bin(bin));
     }
 

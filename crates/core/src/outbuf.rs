@@ -24,7 +24,7 @@ use crate::NodeId;
 use bytes::Bytes;
 use hamr_codec::{stable_hash, FrameBuilder};
 use hamr_simnet::Endpoint;
-use hamr_trace::{Audit, AuditStage, EventKind, Gauge, HopKind, StatsPlane, Telemetry, Tracer};
+use hamr_trace::{AuditStage, EventKind, Gauge, HopKind, Observe};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -74,8 +74,7 @@ pub(crate) struct FlowControl {
     node: NodeId,
     window: usize,
     endpoint: Endpoint<NetMsg>,
-    tracer: Tracer,
-    audit: Audit,
+    obs: Observe,
     /// In-flight (unacked) bins per (edge, destination node) slot.
     inflight: Vec<AtomicUsize>,
     deferred: Mutex<VecDeque<Deferred>>,
@@ -93,7 +92,6 @@ pub(crate) struct FlowControl {
 }
 
 impl FlowControl {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         node: NodeId,
         nodes: usize,
@@ -101,17 +99,15 @@ impl FlowControl {
         edges: usize,
         flowlets: usize,
         endpoint: Endpoint<NetMsg>,
-        tracer: Tracer,
-        audit: Audit,
-        telemetry: &Telemetry,
+        obs: &Observe,
     ) -> Self {
+        let telemetry = &obs.telemetry;
         FlowControl {
             nodes,
             node,
             window,
             endpoint,
-            tracer,
-            audit,
+            obs: obs.clone(),
             inflight: (0..edges * nodes).map(|_| AtomicUsize::new(0)).collect(),
             deferred: Mutex::new(VecDeque::new()),
             total_deferred: AtomicUsize::new(0),
@@ -153,7 +149,7 @@ impl FlowControl {
         if self.try_reserve(slot) {
             self.window_gauge.add(1);
             self.per_flowlet[f].bins_out.fetch_add(1, Ordering::Relaxed);
-            self.tracer.emit(
+            self.obs.tracer.emit(
                 self.node as u32,
                 lane,
                 EventKind::BinShipped {
@@ -165,7 +161,7 @@ impl FlowControl {
                     span: bin.span,
                 },
             );
-            self.audit.record(
+            self.obs.audit.record(
                 AuditStage::Ship,
                 bin.edge as u32,
                 dst as u32,
@@ -178,7 +174,7 @@ impl FlowControl {
         self.per_flowlet[f].stalls.fetch_add(1, Ordering::Relaxed);
         self.per_flowlet[f].deferred.fetch_add(1, Ordering::AcqRel);
         self.deferred_gauge.add(1);
-        self.tracer.emit(
+        self.obs.tracer.emit(
             self.node as u32,
             lane,
             EventKind::FlowControlStall {
@@ -236,7 +232,7 @@ impl FlowControl {
             self.stall_gauge.add(stalled.as_micros() as i64);
             self.window_gauge.add(1);
             self.deferred_gauge.sub(1);
-            self.tracer.emit(
+            self.obs.tracer.emit(
                 self.node as u32,
                 lane,
                 EventKind::FlowControlResume {
@@ -247,7 +243,7 @@ impl FlowControl {
                     span: d.bin.span,
                 },
             );
-            self.tracer.emit(
+            self.obs.tracer.emit(
                 self.node as u32,
                 lane,
                 EventKind::BinShipped {
@@ -259,7 +255,7 @@ impl FlowControl {
                     span: d.bin.span,
                 },
             );
-            self.audit.record(
+            self.obs.audit.record(
                 AuditStage::Ship,
                 d.bin.edge as u32,
                 d.dst as u32,
@@ -440,18 +436,15 @@ pub(crate) struct TaskOutput {
     /// provenance stamped on every minted bin span.
     flowlet_id: u32,
     lane: u32,
-    tracer: Tracer,
-    audit: Audit,
+    /// The job's sinks. Its statistics plane folds closed frames using
+    /// the hashes already in them — pure observation, never routing.
+    obs: Observe,
     /// Skew-mitigation state; `None` for unaffected flowlets, so the
     /// common emit path pays one branch.
     skew: Option<SkewState>,
     /// Resident-cache fill sink; `None` unless some output edge is
     /// annotated `cache_as`/`resident` and missed the store this run.
     fill: Option<Arc<FillSink>>,
-    /// Data-plane statistics; `None` when `HAMR_STATS=off`. Sketches
-    /// fold closed frames using the hashes already in them — pure
-    /// observation, never routing.
-    stats: Option<Arc<StatsPlane>>,
 }
 
 impl TaskOutput {
@@ -465,8 +458,7 @@ impl TaskOutput {
         flowlet_name: Arc<str>,
         flowlet_id: u32,
         lane: u32,
-        tracer: Tracer,
-        audit: Audit,
+        obs: &Observe,
     ) -> Self {
         let slots = ports.len() * nodes;
         TaskOutput {
@@ -482,21 +474,10 @@ impl TaskOutput {
             flowlet_name,
             flowlet_id,
             lane,
-            tracer,
-            audit,
+            obs: obs.clone(),
             skew: None,
             fill: None,
-            stats: None,
         }
-    }
-
-    /// Attach the job's statistics plane (builder style). A no-op when
-    /// stats are off.
-    pub(crate) fn with_stats(mut self, plane: &Option<Arc<StatsPlane>>) -> Self {
-        if let Some(p) = plane {
-            self.stats = Some(Arc::clone(p));
-        }
-        self
     }
 
     /// Attach the node's fill sink (builder style). A no-op when none
@@ -579,7 +560,7 @@ impl TaskOutput {
                 }
             }
         }
-        if let Some(plane) = &self.stats {
+        if let Some(plane) = &self.obs.stats {
             let hop = match kind {
                 BinKind::Normal => HopKind::Emit,
                 BinKind::Scatter => HopKind::Scatter,
@@ -598,16 +579,16 @@ impl TaskOutput {
         let mut bin = FrameBin::new(edge, frame).with_kind(kind);
         // Emit custody is tallied regardless of tracing: the audit
         // ledger must balance even when the trace stream is off.
-        self.audit.record(
+        self.obs.audit.record(
             AuditStage::Emit,
             edge as u32,
             dst as u32,
             bin.len() as u64,
             bin.payload_bytes() as u64,
         );
-        if self.tracer.enabled() {
-            bin.span = self.tracer.mint_span();
-            self.tracer.emit(
+        if self.obs.tracer.enabled() {
+            bin.span = self.obs.tracer.mint_span();
+            self.obs.tracer.emit(
                 self.node as u32,
                 self.lane,
                 EventKind::BinEmitted {
@@ -815,7 +796,7 @@ impl TaskOutput {
                 _ => return,
             }
         };
-        self.audit.combined(
+        self.obs.audit.combined(
             self.ports[port].edge as u32,
             records_in,
             entries.len() as u64,
@@ -954,8 +935,7 @@ mod tests {
             "test".into(),
             0,
             0,
-            Tracer::disabled(),
-            Audit::disabled(),
+            &Observe::default(),
         )
     }
 
@@ -1167,8 +1147,7 @@ mod tests {
             "test".into(),
             0,
             0,
-            Tracer::disabled(),
-            Audit::disabled(),
+            &Observe::default(),
         );
         o.capture(b("k"), b("v"));
         let (_, captured) = o.into_parts();

@@ -28,7 +28,7 @@ use crate::skew::Combiner;
 use crate::spill::{write_run, GroupedMerge, RunReader, SortedStream};
 use bytes::Bytes;
 use hamr_simdisk::{Disk, DiskError};
-use hamr_trace::{EventKind, Gauge, Tracer};
+use hamr_trace::{EventKind, Gauge, Observe, Tracer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -70,16 +70,15 @@ pub(crate) struct ReduceState {
 }
 
 impl ReduceState {
-    #[allow(clippy::too_many_arguments)]
+    /// State for flowlet `flowlet` on `node`; registers its own
+    /// `reduce_resident_bytes` gauge with `obs.telemetry`.
     pub(crate) fn new(
         shards: usize,
         budget: usize,
         disk: Disk,
-        spill_prefix: String,
-        tracer: Tracer,
+        obs: &Observe,
         node: u32,
         flowlet: u32,
-        resident_gauge: Gauge,
     ) -> Self {
         assert!(shards > 0);
         ReduceState {
@@ -94,12 +93,14 @@ impl ReduceState {
                 .collect(),
             disk,
             budget,
-            spill_prefix,
+            spill_prefix: format!("hamr.spill.f{flowlet}"),
             spilled_bytes: std::sync::atomic::AtomicU64::new(0),
-            tracer,
+            tracer: obs.tracer.clone(),
             node,
             flowlet,
-            resident_gauge,
+            resident_gauge: obs
+                .telemetry
+                .register(node, format!("node{node}/f{flowlet}/reduce_resident_bytes")),
         }
     }
 
@@ -450,16 +451,7 @@ mod tests {
     }
 
     fn test_state(shards: usize, budget: usize, disk: Disk) -> ReduceState {
-        ReduceState::new(
-            shards,
-            budget,
-            disk,
-            "t".into(),
-            Tracer::disabled(),
-            0,
-            0,
-            Gauge::disabled(),
-        )
+        ReduceState::new(shards, budget, disk, &Observe::default(), 0, 0)
     }
 
     fn drain_all(mut shards: Vec<FireShard>) -> Vec<(Bytes, Vec<Bytes>)> {

@@ -21,7 +21,7 @@
 //! [`EpochSnapshot`]s so the classification rules are unit-testable
 //! without threads, clocks, or a cluster.
 
-use hamr_trace::{Audit, AuditStage, EventKind, Telemetry, Tracer, WatchdogClass, WORKER_RUNTIME};
+use hamr_trace::{AuditStage, EventKind, Observe, WatchdogClass, WORKER_RUNTIME};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -113,15 +113,15 @@ pub(crate) struct EpochSnapshot {
 }
 
 impl EpochSnapshot {
-    fn capture(audit: &Audit, telemetry: &Telemetry, nodes: usize) -> Self {
+    fn capture(obs: &Observe, nodes: usize) -> Self {
         let mut snap = EpochSnapshot {
-            delivered: audit.stage_bins(AuditStage::Deliver),
-            consumed: audit.stage_bins(AuditStage::Consume),
-            consumed_by_node: audit.consumed_bins_by_node(),
+            delivered: obs.audit.stage_bins(AuditStage::Deliver),
+            consumed: obs.audit.stage_bins(AuditStage::Consume),
+            consumed_by_node: obs.audit.consumed_bins_by_node(),
             queued_by_node: vec![0; nodes],
             ..Default::default()
         };
-        for (name, node, value) in telemetry.gauge_values() {
+        for (name, node, value) in obs.telemetry.gauge_values() {
             if name.ends_with("/deferred_bins") {
                 snap.deferred += value;
             } else if name.ends_with("/workers_busy") {
@@ -286,27 +286,23 @@ pub(crate) struct Watchdog {
 }
 
 impl Watchdog {
-    /// Start monitoring. When `drive_ticks` is set the watchdog also
-    /// advances `telemetry`'s deterministic clock (`tick_at`) once per
-    /// epoch — used when the supervised run owns the telemetry and no
-    /// sampler thread is running. `on_epoch` (when set) fires once per
-    /// monitoring epoch before classification — the cluster hangs
-    /// alert-rule evaluation off it. `notify` fires on *every*
-    /// classified incident (the cluster posts it into `/healthz`
-    /// state); `abort` is invoked (once) when an abort-worthy incident
-    /// fires under [`WatchdogAction::Abort`].
-    #[allow(clippy::too_many_arguments)]
+    /// Start monitoring the run behind `obs`: its ledger and its
+    /// telemetry gauges, which must be live — a watchdog reading a
+    /// disabled `Telemetry` sees no busy workers and calls every long
+    /// task a hang. `on_epoch` fires once per monitoring epoch before
+    /// classification — the cluster hangs alert-rule evaluation off it.
+    /// `notify` fires on *every* classified incident (the cluster posts
+    /// it into `/healthz` state); `abort` is invoked (once) when an
+    /// abort-worthy incident fires under [`WatchdogAction::Abort`].
     pub(crate) fn spawn(
         cfg: WatchdogConfig,
-        audit: Audit,
-        telemetry: Telemetry,
-        tracer: Tracer,
+        obs: Observe,
         nodes: usize,
-        drive_ticks: bool,
-        on_epoch: Option<Box<dyn Fn(u64) + Send>>,
+        on_epoch: Box<dyn Fn(u64) + Send>,
         notify: Box<dyn Fn(&WatchdogEvent) + Send>,
         abort: Box<dyn Fn(&WatchdogEvent) + Send>,
     ) -> Self {
+        debug_assert!(obs.telemetry.enabled(), "watchdog needs live gauges");
         let shared = Arc::new(WdShared {
             stop: Mutex::new(false),
             cv: Condvar::new(),
@@ -316,20 +312,7 @@ impl Watchdog {
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("hamr-watchdog".into())
-            .spawn(move || {
-                run_watchdog(
-                    thread_shared,
-                    cfg,
-                    audit,
-                    telemetry,
-                    tracer,
-                    nodes,
-                    drive_ticks,
-                    on_epoch,
-                    notify,
-                    abort,
-                )
-            })
+            .spawn(move || run_watchdog(thread_shared, cfg, obs, nodes, on_epoch, notify, abort))
             .expect("spawn watchdog thread");
         Watchdog {
             shared,
@@ -354,20 +337,15 @@ impl Watchdog {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_watchdog(
     shared: Arc<WdShared>,
     cfg: WatchdogConfig,
-    audit: Audit,
-    telemetry: Telemetry,
-    tracer: Tracer,
+    obs: Observe,
     nodes: usize,
-    drive_ticks: bool,
-    on_epoch: Option<Box<dyn Fn(u64) + Send>>,
+    on_epoch: Box<dyn Fn(u64) + Send>,
     notify: Box<dyn Fn(&WatchdogEvent) + Send>,
     abort: Box<dyn Fn(&WatchdogEvent) + Send>,
 ) {
-    let epoch_us = cfg.epoch.as_micros() as u64;
     let abort_on_trip = cfg.action == WatchdogAction::Abort;
     let mut monitor = Monitor::new(cfg.clone());
     let mut epoch_idx: u64 = 0;
@@ -383,18 +361,13 @@ fn run_watchdog(
             }
         }
         epoch_idx += 1;
-        if drive_ticks {
-            telemetry.tick_at(epoch_idx * epoch_us);
-        }
-        if let Some(on_epoch) = &on_epoch {
-            on_epoch(epoch_idx);
-        }
-        let snap = EpochSnapshot::capture(&audit, &telemetry, nodes);
+        on_epoch(epoch_idx);
+        let snap = EpochSnapshot::capture(&obs, nodes);
         if let Some(mut event) = monitor.observe(snap) {
             // Localize the diagnosis: the widest emit->consume gap in
             // the ledger names the stuck edge and destination.
             if event.class != WatchdogClass::Straggler {
-                let report = audit.report();
+                let report = obs.audit.report();
                 if let Some((row, gap)) = report.stuck_rows().into_iter().next() {
                     event.detail.push_str(&format!(
                         "; most-stuck: edge {} -> node {} ({gap} bin(s) emitted but \
@@ -403,7 +376,7 @@ fn run_watchdog(
                     ));
                 }
             }
-            tracer.emit(
+            obs.tracer.emit(
                 u32::MAX,
                 WORKER_RUNTIME,
                 EventKind::Watchdog {

@@ -4,10 +4,18 @@
 //! the edge that actually backpressured a skewed run.
 
 use hamr_core::{
-    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, RuntimeConfig, SchedMode,
+    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, RunOptions, RuntimeConfig,
+    SchedMode,
 };
 use hamr_trace::{analyze, CausalReport, EventKind, RingSink, TraceEvent, Tracer};
 use std::sync::Arc;
+
+fn traced(tracer: Tracer) -> RunOptions {
+    RunOptions {
+        tracer,
+        ..Default::default()
+    }
+}
 
 fn config_with(sched: SchedMode) -> ClusterConfig {
     let mut config = ClusterConfig::local(3, 2);
@@ -35,7 +43,7 @@ fn run_wordcount(cluster: &Cluster) -> (Vec<TraceEvent>, u64) {
     job.connect(map, sum, Exchange::Hash);
     job.capture_output(sum);
     cluster
-        .run_traced(job.build().unwrap(), Tracer::new(sink.clone()))
+        .run_with(job.build().unwrap(), &traced(Tracer::new(sink.clone())))
         .unwrap();
     let dropped = sink.dropped();
     (sink.drain(), dropped)
@@ -62,7 +70,7 @@ fn run_skewed(cluster: &Cluster) -> (Vec<TraceEvent>, u64) {
     job.connect(tag, sum, Exchange::Hash);
     job.capture_output(sum);
     cluster
-        .run_traced(job.build().unwrap(), Tracer::new(sink.clone()))
+        .run_with(job.build().unwrap(), &traced(Tracer::new(sink.clone())))
         .unwrap();
     let dropped = sink.dropped();
     (sink.drain(), dropped)
@@ -97,7 +105,6 @@ fn assert_conserved(report: &CausalReport) {
 fn all_modes() -> Vec<SchedMode> {
     vec![
         SchedMode::WorkStealing,
-        SchedMode::Centralized,
         SchedMode::Deterministic { seed: 7 },
     ]
 }
@@ -242,8 +249,8 @@ fn untraced_run_mints_no_spans() {
     };
 
     let sink = Arc::new(RingSink::new(16, 1 << 16));
-    let traced = Tracer::new(sink.clone());
-    let result = cluster.run_traced(job(), traced.clone()).unwrap();
+    let live = Tracer::new(sink.clone());
+    let result = cluster.run_with(job(), &traced(live.clone())).unwrap();
     assert!(!result.output(1).is_empty());
     let emitted = sink
         .drain()
@@ -251,10 +258,10 @@ fn untraced_run_mints_no_spans() {
         .filter(|e| matches!(e.kind, EventKind::BinEmitted { .. }))
         .count() as u64;
     assert!(emitted > 0);
-    assert_eq!(traced.spans_minted(), emitted);
+    assert_eq!(live.spans_minted(), emitted);
 
     let untraced = Tracer::disabled();
-    let result = cluster.run_traced(job(), untraced.clone()).unwrap();
+    let result = cluster.run_with(job(), &traced(untraced.clone())).unwrap();
     assert!(!result.output(1).is_empty());
     assert_eq!(
         untraced.spans_minted(),

@@ -2,7 +2,9 @@
 //! scrapeable while a supervised job runs, and the scrape is valid
 //! Prometheus text carrying the engine's series.
 
-use hamr_core::{typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, Supervision};
+use hamr_core::{
+    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, RunOptions, Supervision,
+};
 use hamr_trace::{http_get, parse_prometheus};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -53,9 +55,11 @@ fn metrics_endpoint_live_during_supervised_run() {
         });
         for round in 0..2 {
             let job = wordcount_job(&format!("wc-live-{round}"), 20_000);
-            cluster
-                .run_supervised(job, Supervision::default())
-                .expect("supervised run");
+            let supervised = RunOptions {
+                supervision: Some(Supervision::default()),
+                ..Default::default()
+            };
+            cluster.run_with(job, &supervised).expect("supervised run");
         }
         stop.store(true, Ordering::Relaxed);
         poller.join().expect("poller")

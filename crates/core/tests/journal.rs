@@ -7,11 +7,20 @@
 
 use hamr_core::{
     typed, Cluster, ClusterConfig, Emitter, Exchange, FaultInjection, JobBuilder, JobGraph,
-    RunError, Supervision, WatchdogAction, WatchdogConfig,
+    RunError, RunOptions, Supervision, WatchdogAction, WatchdogConfig,
 };
 use hamr_trace::{AlertRule, Journal, JournalConfig, JournalRecord, Timeline, WatchdogClass};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// Options for a supervised run: no caller sinks, so the flight
+/// recorder's ring and private gauges stand in.
+fn supervised(sup: Supervision) -> RunOptions {
+    RunOptions {
+        supervision: Some(sup),
+        ..Default::default()
+    }
+}
 
 fn wordcount(name: &str, lines: usize) -> JobGraph {
     let corpus: Vec<String> = (0..lines)
@@ -66,16 +75,17 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
         let cluster = Cluster::new(ClusterConfig::local(3, 2));
         cluster.enable_journal(&dir).expect("enable journal");
         cluster.alert_rules(vec![deferred_rule()]);
-        let (result, report) = cluster
-            .run_supervised(
+        let result = cluster
+            .run_with(
                 wordcount("wc-clean", 200),
-                Supervision {
+                &supervised(Supervision {
                     watchdog: fast_watchdog(),
                     doctor_dir: None,
                     ..Default::default()
-                },
+                }),
             )
             .expect("healthy run");
+        let report = cluster.last_audit().expect("supervised runs are audited");
         report.check().expect("custody holds");
         assert!(
             result.metrics.shuffled_bytes > 0,
@@ -100,13 +110,13 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
         cluster.enable_journal(&dir).expect("reopen journal");
         cluster.alert_rules(vec![deferred_rule()]);
         let err = cluster
-            .run_supervised(
+            .run_with(
                 wordcount("wc-deadlock", 400),
-                Supervision {
+                &supervised(Supervision {
                     watchdog: fast_watchdog(),
                     doctor_dir: None,
                     ..Default::default()
-                },
+                }),
             )
             .expect_err("dropped acks must wedge the shuffle");
         let RunError::Watchdog { class, .. } = err else {
@@ -209,7 +219,10 @@ fn env_var_enables_the_journal_for_a_cluster() {
         "cluster picked the journal up from the environment"
     );
     cluster
-        .run_audited(wordcount("wc-env", 100))
+        .run_with(
+            wordcount("wc-env", 100),
+            &supervised(Supervision::default()),
+        )
         .expect("healthy run");
     drop(cluster);
     let timeline = Timeline::load(&dir).expect("load timeline");

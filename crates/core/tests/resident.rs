@@ -3,7 +3,8 @@
 //! audit custody balance, invalidation, and scheduler-mode agreement.
 
 use hamr_core::{
-    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobGraph, SchedMode,
+    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobGraph, RunOptions, SchedMode,
+    Supervision,
 };
 
 fn pairs(n: u64, salt: u64) -> Vec<(u64, u64)> {
@@ -78,9 +79,15 @@ fn chain_custody_balances_on_fill_and_serve() {
     let data = pairs(1500, 9);
     let (job1, f1) = cached_sum_job("audit-a", data.clone(), "t/audit", 7);
     let (job2, f2) = cached_sum_job("audit-b", data, "t/audit", 7);
-    let (r1, report1) = cluster.run_audited(job1).unwrap();
+    let audited = RunOptions {
+        supervision: Some(Supervision::default()),
+        ..Default::default()
+    };
+    let r1 = cluster.run_with(job1, &audited).unwrap();
+    let report1 = cluster.last_audit().expect("supervised runs are audited");
     report1.check().expect("fill run custody balances");
-    let (r2, report2) = cluster.run_audited(job2).unwrap();
+    let r2 = cluster.run_with(job2, &audited).unwrap();
+    let report2 = cluster.last_audit().expect("supervised runs are audited");
     report2
         .check()
         .expect("served run custody balances: emit==ship==deliver==consume locally");
@@ -125,8 +132,8 @@ fn serve_agrees_across_all_scheduler_modes() {
     let mut baseline: Option<Vec<(u64, u64)>> = None;
     for sched in [
         SchedMode::WorkStealing,
-        SchedMode::Centralized,
         SchedMode::Deterministic { seed: 7 },
+        SchedMode::Deterministic { seed: 2015 },
     ] {
         let cluster = cluster_with(sched);
         let data = pairs(1200, 4);

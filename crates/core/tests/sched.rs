@@ -83,8 +83,8 @@ fn work_stealing_steals_under_skew() {
 }
 
 #[test]
-fn centralized_mode_reports_no_steals() {
-    let cluster = Cluster::new(skew_config(SchedMode::Centralized));
+fn deterministic_mode_reports_no_steals() {
+    let cluster = Cluster::new(skew_config(SchedMode::Deterministic { seed: 7 }));
     let (job, sum) = skewed_job();
     let result = cluster.run(job).unwrap();
     let mut out = result.typed_output::<u64, u64>(sum);
@@ -99,8 +99,8 @@ fn all_sched_modes_agree() {
     let mut answers = Vec::new();
     for sched in [
         SchedMode::WorkStealing,
-        SchedMode::Centralized,
         SchedMode::Deterministic { seed: 7 },
+        SchedMode::Deterministic { seed: 2015 },
     ] {
         let cluster = Cluster::new(skew_config(sched));
         let (job, sum) = skewed_job();
@@ -108,8 +108,8 @@ fn all_sched_modes_agree() {
         let mut out = result.typed_output::<u64, u64>(sum);
         answers.push(checksum(&mut out));
     }
-    assert_eq!(answers[0], answers[1], "ws vs centralized");
-    assert_eq!(answers[0], answers[2], "ws vs deterministic");
+    assert_eq!(answers[0], answers[1], "ws vs deterministic, seed 7");
+    assert_eq!(answers[0], answers[2], "ws vs deterministic, seed 2015");
     assert_eq!(answers[0].len(), 16);
 }
 

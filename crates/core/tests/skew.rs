@@ -4,7 +4,8 @@
 
 use hamr_core::skew::KeySketch;
 use hamr_core::{
-    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobResult, SchedMode, SkewConfig,
+    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobResult, RunOptions, SchedMode,
+    SkewConfig, Supervision,
 };
 
 /// A cluster with an explicit skew configuration and the deterministic
@@ -228,7 +229,12 @@ fn audit_custody_balances_under_full_mitigation() {
     job.connect(loader, map, Exchange::Local);
     job.connect_combined(map, sum, Exchange::Hash, typed::sum_combiner());
     job.capture_output(sum);
-    let (result, report) = cluster.run_audited(job.build().unwrap()).unwrap();
+    let audited = RunOptions {
+        supervision: Some(Supervision::default()),
+        ..Default::default()
+    };
+    let result = cluster.run_with(job.build().unwrap(), &audited).unwrap();
+    let report = cluster.last_audit().expect("supervised runs are audited");
     report
         .check()
         .expect("custody must balance through scatter and re-emit");

@@ -3,15 +3,41 @@
 //! swallows its completion broadcasts, a node that drops flow-control
 //! acks — must trip the watchdog with the right classification, abort
 //! the run instead of hanging, and leave a parsable flight-recorder
-//! dump behind for `tracedump --doctor`.
+//! dump behind for `tracedump --doctor`. Supervision is one field of the
+//! one run path, so this file also pins that path: stored options and
+//! `run_with` agree, every sink combines with supervision on one run,
+//! and the default options observe nothing.
 
 use hamr_core::{
     typed, Cluster, ClusterConfig, Emitter, Exchange, FaultInjection, JobBuilder, JobGraph,
-    RunError, Supervision, WatchdogAction, WatchdogConfig,
+    RunError, RunOptions, SchedMode, Supervision, WatchdogAction, WatchdogConfig,
 };
-use hamr_trace::{AuditStage, FlightRecord, WatchdogClass};
+use hamr_trace::{
+    AuditStage, EventKind, FlightRecord, RecordedEvent, RingSink, Telemetry, Tracer, WatchdogClass,
+};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// Options for a supervised run: no caller sinks, so the flight
+/// recorder's ring and private gauges stand in.
+fn supervised(sup: Supervision) -> RunOptions {
+    RunOptions {
+        supervision: Some(sup),
+        ..Default::default()
+    }
+}
+
+/// Supervision over a caller-owned tracer and no telemetry: the run
+/// is profiled for its events only, so the watchdog's gauges must come
+/// from supervision itself.
+fn supervised_tracer_only(sup: Supervision) -> RunOptions {
+    RunOptions {
+        tracer: Tracer::new(Arc::new(RingSink::new(8, 1 << 14))),
+        ..supervised(sup)
+    }
+}
 
 /// WordCount over `lines` copies of a fixed corpus: loader -> map
 /// (split words) -> partial reduce (sum), hash-shuffled across nodes.
@@ -58,9 +84,13 @@ fn dump_dir(test: &str) -> PathBuf {
 #[test]
 fn audited_run_proves_conservation_on_a_healthy_job() {
     let cluster = Cluster::new(ClusterConfig::local(3, 2));
-    let (result, report) = cluster
-        .run_audited(wordcount("wc-clean", 200))
+    let result = cluster
+        .run_with(
+            wordcount("wc-clean", 200),
+            &supervised(Supervision::default()),
+        )
         .expect("healthy run");
+    let report = cluster.last_audit().expect("supervised runs are audited");
     report
         .check()
         .unwrap_or_else(|v| panic!("custody violated on a healthy job: {v:?}"));
@@ -84,42 +114,44 @@ fn swallowed_completion_trips_the_watchdog_as_hang() {
     config.runtime.fault = FaultInjection::SwallowEdgeComplete { node: 1 };
     let cluster = Cluster::new(config);
     let dir = dump_dir("hang");
-    let err = cluster
-        .run_supervised(
-            wordcount("wc-hang", 200),
-            Supervision {
-                watchdog: fast_watchdog(),
-                doctor_dir: Some(dir.clone()),
-                ..Default::default()
-            },
-        )
-        .expect_err("a swallowed EdgeComplete must not complete");
-    let RunError::Watchdog {
-        class,
-        epoch,
-        detail,
-    } = err
-    else {
-        panic!("expected a watchdog abort, got: {err}");
+    let sup = Supervision {
+        watchdog: fast_watchdog(),
+        doctor_dir: Some(dir.clone()),
+        ..Default::default()
     };
-    assert_eq!(class, WatchdogClass::Hang, "detail: {detail}");
-    // patience(5) idle epochs plus a handful of startup epochs: the
-    // trip must come within a bounded number of epochs, not "eventually".
-    assert!(epoch <= 60, "hang detected late, epoch {epoch}: {detail}");
+    for opts in [supervised(sup.clone()), supervised_tracer_only(sup)] {
+        let err = cluster
+            .run_with(wordcount("wc-hang", 200), &opts)
+            .expect_err("a swallowed EdgeComplete must not complete");
+        let RunError::Watchdog {
+            class,
+            epoch,
+            detail,
+        } = err
+        else {
+            panic!("expected a watchdog abort, got: {err}");
+        };
+        assert_eq!(class, WatchdogClass::Hang, "detail: {detail}");
+        // patience(5) idle epochs plus a handful of startup epochs: the
+        // trip must come within a bounded number of epochs, not
+        // "eventually".
+        assert!(epoch <= 60, "hang detected late, epoch {epoch}: {detail}");
 
-    // The flight recorder dumped a parsable post-mortem.
-    let path = dir.join("doctor_wc-hang.json");
-    let raw = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing doctor dump {path:?}: {e}"));
-    let record = FlightRecord::parse(&raw).expect("parsable flight record");
-    let trip = record.trip.as_ref().expect("trip recorded");
-    assert_eq!(trip.class, WatchdogClass::Hang);
-    assert_eq!(record.job, "wc-hang");
-    let findings = record.diagnose();
-    assert!(
-        findings[0].contains("hang"),
-        "diagnosis leads with the trip: {findings:?}"
-    );
+        // The flight recorder dumped a parsable post-mortem.
+        let path = dir.join("doctor_wc-hang.json");
+        let raw = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing doctor dump {path:?}: {e}"));
+        let record = FlightRecord::parse(&raw).expect("parsable flight record");
+        let trip = record.trip.as_ref().expect("trip recorded");
+        assert_eq!(trip.class, WatchdogClass::Hang);
+        assert_eq!(record.job, "wc-hang");
+        let findings = record.diagnose();
+        assert!(
+            findings[0].contains("hang"),
+            "diagnosis leads with the trip: {findings:?}"
+        );
+        std::fs::remove_file(&path).expect("remove the dump");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -134,52 +166,92 @@ fn dropped_acks_trip_the_watchdog_as_backpressure_deadlock() {
     config.runtime.fault = FaultInjection::DropAcks { node: 1 };
     let cluster = Cluster::new(config);
     let dir = dump_dir("backpressure");
-    let err = cluster
-        .run_supervised(
-            wordcount("wc-deadlock", 400),
-            Supervision {
-                watchdog: fast_watchdog(),
-                doctor_dir: Some(dir.clone()),
-                ..Default::default()
-            },
-        )
-        .expect_err("dropped acks must wedge the shuffle");
-    let RunError::Watchdog {
-        class,
-        epoch,
-        detail,
-    } = err
-    else {
-        panic!("expected a watchdog abort, got: {err}");
+    let sup = Supervision {
+        watchdog: fast_watchdog(),
+        doctor_dir: Some(dir.clone()),
+        ..Default::default()
     };
-    assert_eq!(class, WatchdogClass::Backpressure, "detail: {detail}");
-    assert!(
-        epoch <= 60,
-        "deadlock detected late, epoch {epoch}: {detail}"
-    );
-    assert!(
-        detail.contains("deferred"),
-        "diagnostic names the deferred bins: {detail}"
-    );
+    for opts in [supervised(sup.clone()), supervised_tracer_only(sup)] {
+        let err = cluster
+            .run_with(wordcount("wc-deadlock", 400), &opts)
+            .expect_err("dropped acks must wedge the shuffle");
+        let RunError::Watchdog {
+            class,
+            epoch,
+            detail,
+        } = err
+        else {
+            panic!("expected a watchdog abort, got: {err}");
+        };
+        assert_eq!(class, WatchdogClass::Backpressure, "detail: {detail}");
+        assert!(
+            epoch <= 60,
+            "deadlock detected late, epoch {epoch}: {detail}"
+        );
+        assert!(
+            detail.contains("deferred"),
+            "diagnostic names the deferred bins: {detail}"
+        );
 
-    // The post-mortem names a stuck edge toward the ack-dropping node.
-    let raw = std::fs::read_to_string(dir.join("doctor_wc-deadlock.json")).expect("doctor dump");
-    let record = FlightRecord::parse(&raw).expect("parsable flight record");
-    assert_eq!(
-        record.trip.as_ref().expect("trip recorded").class,
-        WatchdogClass::Backpressure
-    );
-    let gaps = record.audit.stuck_rows();
-    assert!(
-        gaps.iter().any(|(row, _)| row.dst == 1),
-        "stuck rows name node 1: {gaps:?}"
-    );
-    let findings = record.diagnose();
-    assert!(
-        findings.iter().any(|f| f.contains("node 1")),
-        "diagnosis names the stuck node: {findings:?}"
-    );
+        // The post-mortem names a stuck edge toward the ack-dropping node.
+        let path = dir.join("doctor_wc-deadlock.json");
+        let raw = std::fs::read_to_string(&path).expect("doctor dump");
+        let record = FlightRecord::parse(&raw).expect("parsable flight record");
+        assert_eq!(
+            record.trip.as_ref().expect("trip recorded").class,
+            WatchdogClass::Backpressure
+        );
+        let gaps = record.audit.stuck_rows();
+        assert!(
+            gaps.iter().any(|(row, _)| row.dst == 1),
+            "stuck rows name node 1: {gaps:?}"
+        );
+        let findings = record.diagnose();
+        assert!(
+            findings.iter().any(|f| f.contains("node 1")),
+            "diagnosis names the stuck node: {findings:?}"
+        );
+        std::fs::remove_file(&path).expect("remove the dump");
+    }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A profile that brings a tracer but no telemetry must not blind the
+/// watchdog: one map task sleeping through thirty epochs is a busy
+/// worker, not a hang. (When the watchdog read the caller's disabled
+/// telemetry it saw `busy = 0` forever and aborted this job.)
+#[test]
+fn supervised_run_with_a_tracer_only_profile_sees_busy_workers() {
+    let mut job = JobBuilder::new("slow-map");
+    let loader = job.add_loader("one", typed::pairs_loader(vec![(1u64, 1u64)]));
+    let nap = job.add_map(
+        "nap",
+        typed::map_fn(|k: u64, v: u64, out: &mut Emitter| {
+            std::thread::sleep(Duration::from_millis(600));
+            out.emit_t(0, &k, &v);
+        }),
+    );
+    let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
+    job.connect(loader, nap, Exchange::Local);
+    job.connect(nap, sum, Exchange::Hash);
+    job.capture_output(sum);
+    let cluster = Cluster::new(ClusterConfig::local(2, 2));
+    let result = cluster
+        .run_with(
+            job.build().expect("graph"),
+            &supervised_tracer_only(Supervision {
+                watchdog: fast_watchdog(),
+                doctor_dir: None,
+                ..Default::default()
+            }),
+        )
+        .expect("a long task is not a hang");
+    assert!(
+        cluster.watchdog_events().is_empty(),
+        "healthy job raised watchdog events: {:?}",
+        cluster.watchdog_events()
+    );
+    assert_eq!(result.typed_output::<u64, u64>(sum), vec![(1, 1)]);
 }
 
 #[test]
@@ -189,10 +261,10 @@ fn warn_mode_records_the_incident_without_aborting_a_live_job() {
     // mid-stall, warn mode must never turn a completing job into an
     // error.
     let cluster = Cluster::new(ClusterConfig::local(2, 2));
-    let (result, report) = cluster
-        .run_supervised(
+    let result = cluster
+        .run_with(
             wordcount("wc-warn", 100),
-            Supervision {
+            &supervised(Supervision {
                 watchdog: WatchdogConfig {
                     epoch: Duration::from_millis(1),
                     patience: 2,
@@ -201,9 +273,10 @@ fn warn_mode_records_the_incident_without_aborting_a_live_job() {
                 },
                 doctor_dir: None,
                 ..Default::default()
-            },
+            }),
         )
         .expect("warn mode never aborts");
+    let report = cluster.last_audit().expect("supervised runs are audited");
     report.check().expect("conservation still proven");
     assert!(result.typed_output::<String, u64>(2).len() > 4);
 }
@@ -213,19 +286,140 @@ fn watchdog_off_disables_monitoring_but_not_the_ledger() {
     let mut config = ClusterConfig::local(2, 2);
     config.runtime.bin_capacity = 8;
     let cluster = Cluster::new(config);
-    let (_, report) = cluster
-        .run_supervised(
+    cluster
+        .run_with(
             wordcount("wc-off", 50),
-            Supervision {
+            &supervised(Supervision {
                 watchdog: WatchdogConfig {
                     action: WatchdogAction::Off,
                     ..Default::default()
                 },
                 doctor_dir: None,
                 ..Default::default()
-            },
+            }),
         )
         .expect("run");
+    let report = cluster.last_audit().expect("supervised runs are audited");
     report.check().expect("audit independent of the watchdog");
     assert!(cluster.watchdog_events().is_empty());
+}
+
+/// Pinned watchdog config (an ambient `HAMR_WATCHDOG` cannot change
+/// the test) and no doctor dumps.
+fn quiet_supervision() -> Supervision {
+    Supervision {
+        watchdog: WatchdogConfig::default(),
+        doctor_dir: None,
+        ..Default::default()
+    }
+}
+
+fn sorted_counts(result: &hamr_core::JobResult) -> Vec<(String, u64)> {
+    let mut out = result.typed_output::<String, u64>(2);
+    out.sort();
+    out
+}
+
+#[test]
+fn stored_options_and_run_with_are_one_path() {
+    let mut config = ClusterConfig::local(2, 2);
+    config.runtime.sched = SchedMode::Deterministic { seed: 2015 };
+    let cluster = Cluster::new(config);
+    let sink = Arc::new(RingSink::new(8, 1 << 15));
+    let opts = RunOptions {
+        tracer: Tracer::new(sink.clone()),
+        ..supervised(quiet_supervision())
+    };
+    // Drain the sink into per-kind event counts.
+    let kind_counts = || {
+        assert_eq!(sink.dropped(), 0, "sized ring must not drop");
+        let mut counts = BTreeMap::new();
+        for ev in sink.drain() {
+            *counts
+                .entry(RecordedEvent::from_event(&ev).name)
+                .or_insert(0) += 1;
+        }
+        counts
+    };
+
+    cluster.set_run_options(opts.clone());
+    let stored = cluster.run(wordcount("wc-stored", 300)).expect("run");
+    let stored_report = cluster.last_audit().expect("stored options supervise");
+    let stored_kinds = kind_counts();
+    cluster.set_run_options(RunOptions::default());
+
+    let direct = cluster
+        .run_with(wordcount("wc-direct", 300), &opts)
+        .expect("run");
+    let direct_report = cluster.last_audit().expect("run_with supervises");
+    let direct_kinds = kind_counts();
+
+    assert_eq!(sorted_counts(&stored), sorted_counts(&direct));
+    assert_eq!(stored_report.check(), Ok(()));
+    assert_eq!(direct_report.check(), Ok(()));
+    assert_eq!(stored_report.rows, direct_report.rows);
+    assert!(stored_kinds["task-start"] > 0 && stored_kinds["bin-shipped"] > 0);
+    assert_eq!(stored_kinds, direct_kinds);
+}
+
+#[test]
+fn tracer_telemetry_and_supervision_combine_on_one_run() {
+    let cluster = Cluster::new(ClusterConfig::local(2, 2));
+    let sink = Arc::new(RingSink::new(16, 1 << 15));
+    let telemetry = Telemetry::with_default_interval();
+    let opts = RunOptions {
+        tracer: Tracer::new(sink.clone()),
+        telemetry: telemetry.clone(),
+        supervision: Some(quiet_supervision()),
+    };
+    let result = cluster
+        .run_with(wordcount("wc-all", 300), &opts)
+        .expect("run");
+    assert!(sorted_counts(&result).len() > 4);
+
+    let report = cluster.last_audit().expect("supervised runs are audited");
+    assert_eq!(report.check(), Ok(()));
+    assert!(report.total(AuditStage::Consume).bins > 0);
+    assert!(cluster.watchdog_events().is_empty());
+
+    let series = telemetry.series();
+    assert!(!series.is_empty(), "the caller's telemetry was sampled");
+    assert!(
+        series.names.iter().any(|n| n.ends_with("/workers_busy")),
+        "the engine registered its gauges with the caller's telemetry: {:?}",
+        series.names
+    );
+    // The caller's sink, not a private flight ring, holds the events.
+    let events = sink.drain();
+    let saw = |f: fn(&EventKind) -> bool| events.iter().any(|e| f(&e.kind));
+    assert!(saw(|k| matches!(k, EventKind::TaskStart { .. })));
+    assert!(saw(|k| matches!(k, EventKind::BinEmitted { .. })));
+}
+
+#[test]
+fn default_options_observe_nothing() {
+    let cluster = Cluster::new(ClusterConfig::local(2, 2));
+    let opts = RunOptions::default();
+    let result = cluster
+        .run_with(wordcount("wc-plain", 300), &opts)
+        .expect("run");
+    assert!(sorted_counts(&result).len() > 4);
+    assert_eq!(opts.tracer.spans_minted(), 0);
+    assert!(opts.telemetry.series().is_empty());
+    assert!(cluster.last_audit().is_none(), "no supervision, no ledger");
+
+    // A supervised run's report survives later unsupervised runs.
+    cluster
+        .run_with(
+            wordcount("wc-audited", 300),
+            &supervised(quiet_supervision()),
+        )
+        .expect("run");
+    let report = cluster.last_audit().expect("supervised runs are audited");
+    cluster.run(wordcount("wc-plain-again", 100)).expect("run");
+    assert_eq!(
+        cluster.last_audit().expect("report kept").rows,
+        report.rows,
+        "an unsupervised run must not touch last_audit"
+    );
 }

@@ -3,10 +3,18 @@
 //! (flow-control stalls, spills, shuffles) must actually show up.
 
 use hamr_core::{
-    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobResult, RuntimeConfig,
+    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobResult, RunOptions,
+    RuntimeConfig,
 };
 use hamr_trace::{chrome_trace_json, json, EventKind, NoopSink, RingSink, TraceEvent, Tracer};
 use std::sync::Arc;
+
+fn traced(tracer: Tracer) -> RunOptions {
+    RunOptions {
+        tracer,
+        ..Default::default()
+    }
+}
 
 fn wordcount_lines() -> Vec<String> {
     (0..200)
@@ -31,7 +39,7 @@ fn run_wordcount(cluster: &Cluster, tracer: Option<Tracer>) -> JobResult {
     job.capture_output(sum);
     let graph = job.build().unwrap();
     match tracer {
-        Some(t) => cluster.run_traced(graph, t).unwrap(),
+        Some(t) => cluster.run_with(graph, &traced(t)).unwrap(),
         None => cluster.run(graph).unwrap(),
     }
 }
@@ -53,7 +61,9 @@ fn run_skewed(cluster: &Cluster, tracer: Tracer) -> JobResult {
     job.connect(loader, tag, Exchange::Local);
     job.connect(tag, sum, Exchange::Hash);
     job.capture_output(sum);
-    cluster.run_traced(job.build().unwrap(), tracer).unwrap()
+    cluster
+        .run_with(job.build().unwrap(), &traced(tracer))
+        .unwrap()
 }
 
 fn count_kind(events: &[TraceEvent], f: impl Fn(&EventKind) -> bool) -> usize {
@@ -169,7 +179,7 @@ fn spills_emit_disk_and_spill_events() {
     job.connect(loader, red, Exchange::Hash);
     job.capture_output(red);
     cluster
-        .run_traced(job.build().unwrap(), Tracer::new(sink.clone()))
+        .run_with(job.build().unwrap(), &traced(Tracer::new(sink.clone())))
         .unwrap();
     let events = sink.drain();
     let spill_starts = count_kind(&events, |k| matches!(k, EventKind::SpillStart { .. }));

@@ -8,8 +8,8 @@ use hamr_dfs::{Dfs, DfsError, Split};
 use hamr_simdisk::{Disk, DiskError};
 use hamr_simnet::{Envelope, Fabric, NetConfig, NetError, NetRegistry, Payload};
 use hamr_trace::{
-    Audit, AuditBin, AuditReport, AuditStage, EventKind, Labels, MetricsRegistry, TaskKind,
-    Telemetry, Tracer, NO_SPAN, WORKER_RUNTIME,
+    Audit, AuditBin, AuditReport, AuditStage, EventKind, Labels, MetricsRegistry, Observe,
+    TaskKind, Telemetry, Tracer, NO_SPAN, WORKER_RUNTIME,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -263,23 +263,38 @@ impl Scheduler {
     }
 }
 
+/// How one MapReduce job is run — the baseline's counterpart of
+/// `hamr_core::RunOptions`. The default is an unobserved run.
+#[derive(Debug, Clone, Default)]
+pub struct MrRunOptions {
+    /// Where trace events go. Map and reduce tasks appear as
+    /// `MrMap`/`MrReduce` spans keyed by the executing node and slot
+    /// (flowlet 0 is the map phase, flowlet 1 the reduce phase);
+    /// shuffle traffic shows up as `NetSend`/`NetDeliver` through the
+    /// fabric and task-local disk activity through each node's disk.
+    pub tracer: Tracer,
+    /// Where gauges register; when enabled its sampler covers both
+    /// phases and is stopped before the run returns.
+    pub telemetry: Telemetry,
+    /// Tally every shuffle chunk at four custody points — emitted by
+    /// the map task, shipped onto the fabric, delivered by the
+    /// simulated network, consumed by the reducer-side collector — and
+    /// keep the report for [`MrCluster::last_audit`], whose
+    /// [`AuditReport::check`] proves conservation.
+    pub audit: bool,
+}
+
 /// The MapReduce engine bound to a cluster's substrates.
 pub struct MrCluster {
     config: MrConfig,
     disks: Vec<Disk>,
     dfs: Dfs,
     next_job: AtomicU64,
-    /// Ambient profiler: when set, plain [`run`](MrCluster::run) calls
-    /// behave as [`run_profiled`](MrCluster::run_profiled) with these
-    /// sinks — mirrors `hamr_core::Cluster` so benchmark harnesses can
-    /// profile both engines through the engine-agnostic `Benchmark`
+    /// What plain [`run`](MrCluster::run) calls run with — mirrors
+    /// `hamr_core::Cluster` so benchmark harnesses can profile and
+    /// audit both engines through the engine-agnostic `Benchmark`
     /// trait.
-    profiler: Mutex<Option<(Tracer, Telemetry)>>,
-    /// Ambient audit: when set, plain [`run`](MrCluster::run) calls
-    /// tally shuffle custody into a fresh ledger and store the report
-    /// in [`last_audit`](MrCluster::last_audit) — the engine-agnostic
-    /// counterpart of `hamr_core::Cluster::attach_supervisor`.
-    auditing: Mutex<bool>,
+    options: Mutex<MrRunOptions>,
     last_audit: Mutex<Option<AuditReport>>,
     /// Unified metrics registry (usually the HAMR cluster's, shared by
     /// the benchmark env so `/metrics` covers both engines): when set,
@@ -299,23 +314,16 @@ impl MrCluster {
             disks,
             dfs,
             next_job: AtomicU64::new(1),
-            profiler: Mutex::new(None),
-            auditing: Mutex::new(false),
+            options: Mutex::new(MrRunOptions::default()),
             last_audit: Mutex::new(None),
             registry: Mutex::new(None),
         }
     }
 
     /// Publish this engine's metrics into `registry` (typically the
-    /// HAMR cluster's, so one `/metrics` endpoint covers both engines)
-    /// until [`clear_registry`](MrCluster::clear_registry).
+    /// HAMR cluster's, so one `/metrics` endpoint covers both engines).
     pub fn set_registry(&self, registry: MetricsRegistry) {
         *self.registry.lock() = Some(registry);
-    }
-
-    /// Stop publishing into a shared registry.
-    pub fn clear_registry(&self) {
-        *self.registry.lock() = None;
     }
 
     /// Standalone in-memory cluster (tests).
@@ -333,56 +341,18 @@ impl MrCluster {
         &self.config
     }
 
-    /// Run one job to completion. Tracing is disabled unless an
-    /// ambient profiler is attached via
-    /// [`attach_profiler`](MrCluster::attach_profiler).
+    /// Run one job to completion under the options last given to
+    /// [`set_run_options`](MrCluster::set_run_options) (initially the
+    /// default: unobserved).
     pub fn run(&self, conf: &JobConf) -> Result<JobStats, MrError> {
-        let (tracer, telemetry) = self.ambient_sinks();
-        let audit = if *self.auditing.lock() {
-            Audit::new(1, self.config.nodes as u32)
-        } else {
-            Audit::disabled()
-        };
-        let result = self.run_inner(conf, tracer, telemetry, audit.clone());
-        if audit.enabled() {
-            *self.last_audit.lock() = Some(audit.report());
-        }
-        result
+        let opts = self.options.lock().clone();
+        self.run_with(conf, &opts)
     }
 
-    fn ambient_sinks(&self) -> (Tracer, Telemetry) {
-        self.profiler
-            .lock()
-            .clone()
-            .unwrap_or_else(|| (Tracer::disabled(), Telemetry::disabled()))
-    }
-
-    /// Attach an ambient profiler: until
-    /// [`detach_profiler`](MrCluster::detach_profiler), every plain
-    /// [`run`](MrCluster::run) emits trace events through `tracer` and
-    /// samples gauges through `telemetry`.
-    pub fn attach_profiler(&self, tracer: Tracer, telemetry: Telemetry) {
-        *self.profiler.lock() = Some((tracer, telemetry));
-    }
-
-    /// Remove the ambient profiler; subsequent [`run`](MrCluster::run)
-    /// calls execute untraced again.
-    pub fn detach_profiler(&self) {
-        *self.profiler.lock() = None;
-    }
-
-    /// Attach ambient auditing: until
-    /// [`detach_audit`](MrCluster::detach_audit), every plain
-    /// [`run`](MrCluster::run) tallies shuffle custody and stores the
-    /// resulting [`AuditReport`] for [`last_audit`](MrCluster::last_audit).
-    pub fn attach_audit(&self) {
-        *self.auditing.lock() = true;
-    }
-
-    /// Stop ambient auditing; subsequent [`run`](MrCluster::run) calls
-    /// skip the ledger again.
-    pub fn detach_audit(&self) {
-        *self.auditing.lock() = false;
+    /// Replace the options every plain [`run`](MrCluster::run) uses
+    /// from now on; `MrRunOptions::default()` detaches everything.
+    pub fn set_run_options(&self, opts: MrRunOptions) {
+        *self.options.lock() = opts;
     }
 
     /// The audit report of the most recent audited run, if any.
@@ -390,51 +360,28 @@ impl MrCluster {
         self.last_audit.lock().clone()
     }
 
-    /// Run one job with a shuffle custody ledger and return the proof
-    /// alongside the stats. Every shuffle chunk is tallied at four
-    /// custody points — emitted by the map task, shipped onto the
-    /// fabric, delivered by the simulated network, consumed by the
-    /// reducer-side collector — and the returned
-    /// [`AuditReport::check`] proves conservation.
-    pub fn run_audited(&self, conf: &JobConf) -> Result<(JobStats, AuditReport), MrError> {
-        let (tracer, telemetry) = self.ambient_sinks();
-        let audit = Audit::new(1, self.config.nodes as u32);
-        let stats = self.run_inner(conf, tracer, telemetry, audit.clone())?;
-        let report = audit.report();
-        *self.last_audit.lock() = Some(report.clone());
-        Ok((stats, report))
+    /// Run one job to completion under `opts`. The one run path:
+    /// [`run`](MrCluster::run) is this with the cluster's stored options.
+    pub fn run_with(&self, conf: &JobConf, opts: &MrRunOptions) -> Result<JobStats, MrError> {
+        let obs = Observe {
+            tracer: opts.tracer.clone(),
+            telemetry: opts.telemetry.clone(),
+            audit: if opts.audit {
+                Audit::new(1, self.config.nodes as u32)
+            } else {
+                Audit::disabled()
+            },
+            stats: None,
+        };
+        let result = self.run_observed(conf, &obs);
+        if opts.audit {
+            *self.last_audit.lock() = Some(obs.audit.report());
+        }
+        result
     }
 
-    /// Run one job to completion, emitting trace events through `tracer`.
-    ///
-    /// Map and reduce tasks appear as `MrMap`/`MrReduce` spans keyed by
-    /// the executing node and slot; flowlet 0 is the map phase and
-    /// flowlet 1 the reduce phase. Shuffle traffic shows up as
-    /// `NetSend`/`NetDeliver` through the fabric, and task-local disk
-    /// activity via each node's disk tracer when attached by the
-    /// caller.
-    pub fn run_traced(&self, conf: &JobConf, tracer: Tracer) -> Result<JobStats, MrError> {
-        self.run_profiled(conf, tracer, Telemetry::disabled())
-    }
-
-    /// Run one job with tracing and periodic telemetry sampling. The
-    /// sampler covers both phases and is stopped before this returns.
-    pub fn run_profiled(
-        &self,
-        conf: &JobConf,
-        tracer: Tracer,
-        telemetry: Telemetry,
-    ) -> Result<JobStats, MrError> {
-        self.run_inner(conf, tracer, telemetry, Audit::disabled())
-    }
-
-    fn run_inner(
-        &self,
-        conf: &JobConf,
-        tracer: Tracer,
-        telemetry: Telemetry,
-        audit: Audit,
-    ) -> Result<JobStats, MrError> {
+    fn run_observed(&self, conf: &JobConf, obs: &Observe) -> Result<JobStats, MrError> {
+        let telemetry = &obs.telemetry;
         let start = Instant::now();
         let job_id = self.next_job.fetch_add(1, Ordering::Relaxed);
         if !self.config.startup.job.is_zero() {
@@ -456,12 +403,10 @@ impl MrCluster {
         if let Some(reg) = &registry {
             telemetry.bind_registry(reg, "mapred");
         }
-        let fabric = Fabric::<ShuffleMsg>::new_instrumented(
+        let fabric = Fabric::<ShuffleMsg>::new_observed(
             nodes,
             self.config.net.clone(),
-            tracer.clone(),
-            &telemetry,
-            audit.clone(),
+            obs,
             registry
                 .as_ref()
                 .map(|reg| NetRegistry::new(reg, "mapred", nodes)),
@@ -470,20 +415,12 @@ impl MrCluster {
             .map(|n| telemetry.register(n as u32, format!("node{n}/mr_active_tasks")))
             .collect();
         telemetry.start();
-        if tracer.enabled() {
-            for (node, disk) in self.disks.iter().enumerate() {
-                disk.attach_tracer(tracer.clone(), node as u32);
-            }
-        }
-        if telemetry.enabled() {
-            for (node, disk) in self.disks.iter().enumerate() {
-                disk.attach_gauge(&telemetry, node as u32);
-            }
-        }
-        if let Some(reg) = &registry {
-            for (node, disk) in self.disks.iter().enumerate() {
-                disk.attach_registry(reg, "mapred", node as u32);
-            }
+        for (node, disk) in self.disks.iter().enumerate() {
+            disk.observe(
+                obs,
+                registry.as_ref().map(|reg| (reg, "mapred")),
+                node as u32,
+            );
         }
         let stats = Arc::new(Mutex::new(JobStats {
             name: conf.name.clone(),
@@ -499,10 +436,9 @@ impl MrCluster {
             let local_reducers: Vec<usize> = (0..reducers).filter(|r| r % nodes == node).collect();
             let expected = map_task_count * local_reducers.len();
             let rx = fabric.receiver(node)?;
-            let tracer = tracer.clone();
-            let audit = audit.clone();
+            let obs = obs.clone();
             recv_handles.push(std::thread::spawn(move || {
-                collect_chunks(rx, &local_reducers, expected, node, &tracer, &audit)
+                collect_chunks(rx, &local_reducers, expected, node, &obs)
             }));
         }
 
@@ -525,8 +461,7 @@ impl MrCluster {
                 let first_error = Arc::clone(&first_error);
                 let startup = self.config.startup;
                 let sort_buffer = self.config.sort_buffer;
-                let tracer = tracer.clone();
-                let audit = audit.clone();
+                let obs = obs.clone();
                 let active = active_gauges[node].clone();
                 map_handles.push(std::thread::spawn(move || {
                     loop {
@@ -540,7 +475,7 @@ impl MrCluster {
                             std::thread::sleep(startup.task);
                         }
                         active.add(1);
-                        tracer.emit(
+                        obs.tracer.emit(
                             node as u32,
                             slot as u32,
                             EventKind::TaskStart {
@@ -576,7 +511,7 @@ impl MrCluster {
                             }
                         };
                         active.sub(1);
-                        tracer.emit(
+                        obs.tracer.emit(
                             node as u32,
                             slot as u32,
                             EventKind::TaskEnd {
@@ -605,15 +540,15 @@ impl MrCluster {
                             // custody points: shuffle chunks go straight
                             // from the task to the fabric, with no
                             // flow-control window in between.
-                            audit.record(AuditStage::Emit, 0, dst as u32, 0, bytes);
-                            audit.record(AuditStage::Ship, 0, dst as u32, 0, bytes);
+                            obs.audit.record(AuditStage::Emit, 0, dst as u32, 0, bytes);
+                            obs.audit.record(AuditStage::Ship, 0, dst as u32, 0, bytes);
                             let mut span = NO_SPAN;
-                            if tracer.enabled() {
+                            if obs.tracer.enabled() {
                                 // Shuffle chunks get lineage spans just
                                 // like HAMR bins: emitted and shipped in
                                 // one step (no flow-control window here).
-                                span = tracer.mint_span();
-                                tracer.emit(
+                                span = obs.tracer.mint_span();
+                                obs.tracer.emit(
                                     node as u32,
                                     slot as u32,
                                     EventKind::BinEmitted {
@@ -624,7 +559,7 @@ impl MrCluster {
                                         records: 0,
                                     },
                                 );
-                                tracer.emit(
+                                obs.tracer.emit(
                                     node as u32,
                                     slot as u32,
                                     EventKind::BinShipped {
@@ -666,20 +601,8 @@ impl MrCluster {
         }
         stats.lock().map_phase = map_start.elapsed();
         let detach_disks = || {
-            if tracer.enabled() {
-                for disk in &self.disks {
-                    disk.detach_tracer();
-                }
-            }
-            if telemetry.enabled() {
-                for disk in &self.disks {
-                    disk.detach_gauge();
-                }
-            }
-            if registry.is_some() {
-                for disk in &self.disks {
-                    disk.detach_registry();
-                }
+            for disk in &self.disks {
+                disk.unobserve();
             }
         };
         if let Some(e) = first_error.lock().take() {
@@ -715,7 +638,7 @@ impl MrCluster {
                 let stats = Arc::clone(&stats);
                 let first_error = Arc::clone(&first_error);
                 let startup = self.config.startup;
-                let tracer = tracer.clone();
+                let tracer = obs.tracer.clone();
                 let active = active_gauges[node].clone();
                 let merged_sketch = Arc::clone(&merged_sketch);
                 reduce_handles.push(std::thread::spawn(move || loop {
@@ -809,8 +732,7 @@ fn collect_chunks(
     local_reducers: &[usize],
     expected: usize,
     node: usize,
-    tracer: &Tracer,
-    audit: &Audit,
+    obs: &Observe,
 ) -> VecDeque<(usize, Vec<Arc<Vec<u8>>>)> {
     let mut buckets: std::collections::HashMap<usize, Vec<Arc<Vec<u8>>>> =
         local_reducers.iter().map(|&r| (r, Vec::new())).collect();
@@ -819,7 +741,7 @@ fn collect_chunks(
         let Ok(env) = rx.recv() else {
             break; // fabric shut down early (error path)
         };
-        tracer.emit(
+        obs.tracer.emit(
             node as u32,
             WORKER_RUNTIME,
             EventKind::BinIngress {
@@ -830,7 +752,7 @@ fn collect_chunks(
             },
         );
         if let Some(bucket) = buckets.get_mut(&env.msg.reducer) {
-            audit.record(
+            obs.audit.record(
                 AuditStage::Consume,
                 0,
                 node as u32,

@@ -35,7 +35,7 @@ pub use api::{
     TypedMapper, TypedReducer,
 };
 pub use chain::JobChain;
-pub use job::{JobStats, MrCluster, MrConfig, MrError, StartupModel};
+pub use job::{JobStats, MrCluster, MrConfig, MrError, MrRunOptions, StartupModel};
 
 use std::sync::Arc;
 

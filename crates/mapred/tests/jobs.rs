@@ -4,8 +4,9 @@
 use hamr_codec::Codec;
 use hamr_mapred::{
     decode_kv, line_map_fn, map_fn, reduce_fn, InputFormat, JobChain, JobConf, MrCluster, MrError,
-    ReduceOutput,
+    MrRunOptions, ReduceOutput,
 };
+use hamr_trace::{RecordedEvent, RingSink, Tracer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -294,9 +295,14 @@ fn audited_run_proves_shuffle_conservation() {
         "in.txt",
         &["the quick brown fox", "the lazy dog", "the quick dog"],
     );
-    let (stats, report) = cluster
-        .run_audited(&wordcount_job("in.txt", "out"))
+    let audited = MrRunOptions {
+        audit: true,
+        ..Default::default()
+    };
+    let stats = cluster
+        .run_with(&wordcount_job("in.txt", "out"), &audited)
         .unwrap();
+    let report = cluster.last_audit().expect("report stored");
     report.check().unwrap_or_else(|v| {
         panic!("shuffle custody leaked: {v:?}");
     });
@@ -309,23 +315,64 @@ fn audited_run_proves_shuffle_conservation() {
         "one shuffle chunk per (map task, reducer)"
     );
     assert_eq!(shipped.bytes, stats.shuffled_bytes);
-    assert_eq!(
-        cluster.last_audit().expect("report stored").rows,
-        report.rows
-    );
     let counts = read_outputs(&cluster, "out");
     assert_eq!(counts["the"], 3);
 }
 
+/// There is one run path: `set_run_options(o)` + `run` and
+/// `run_with(.., &o)` give the same output, the same audit verdict and
+/// the same per-kind trace-event counts, with the ledger and the tracer
+/// on the same run. A default-options run leaves `last_audit` alone.
 #[test]
-fn ambient_audit_covers_plain_runs() {
+fn stored_options_and_run_with_are_one_path() {
     let cluster = MrCluster::in_memory(2, 1);
-    write_corpus(&cluster, "in.txt", &["a b a", "b a"]);
-    assert!(cluster.last_audit().is_none());
-    cluster.attach_audit();
-    cluster.run(&wordcount_job("in.txt", "out")).unwrap();
-    let report = cluster.last_audit().expect("ambient audit ran");
-    report.check().expect("conservation holds");
-    assert!(report.total(hamr_trace::AuditStage::Consume).bins > 0);
-    cluster.detach_audit();
+    write_corpus(&cluster, "in.txt", &["a b a", "b a", "c a b"]);
+    cluster.run(&wordcount_job("in.txt", "plain")).unwrap();
+    assert!(
+        cluster.last_audit().is_none(),
+        "default options audit nothing"
+    );
+
+    let sink = Arc::new(RingSink::new(8, 1 << 12));
+    let opts = MrRunOptions {
+        tracer: Tracer::new(sink.clone()),
+        audit: true,
+        ..Default::default()
+    };
+    let kinds = |sink: &RingSink| {
+        let mut counts = BTreeMap::new();
+        for ev in sink.drain() {
+            *counts
+                .entry(RecordedEvent::from_event(&ev).name)
+                .or_insert(0u64) += 1;
+        }
+        counts
+    };
+
+    cluster.set_run_options(opts.clone());
+    let stored = cluster.run(&wordcount_job("in.txt", "stored")).unwrap();
+    let stored_report = cluster.last_audit().expect("stored options audit");
+    let stored_kinds = kinds(&sink);
+    cluster.set_run_options(MrRunOptions::default());
+
+    let direct = cluster
+        .run_with(&wordcount_job("in.txt", "direct"), &opts)
+        .unwrap();
+    let direct_report = cluster.last_audit().expect("run_with audits");
+    let direct_kinds = kinds(&sink);
+
+    stored_report.check().expect("conservation holds");
+    direct_report.check().expect("conservation holds");
+    assert_eq!(stored_report.rows, direct_report.rows);
+    assert!(stored_kinds["bin-shipped"] > 0 && stored_kinds["task-start"] > 0);
+    assert_eq!(stored_kinds, direct_kinds);
+    assert_eq!(stored.shuffled_bytes, direct.shuffled_bytes);
+    assert_eq!(
+        read_outputs(&cluster, "stored"),
+        read_outputs(&cluster, "direct")
+    );
+    assert_eq!(
+        read_outputs(&cluster, "plain"),
+        read_outputs(&cluster, "direct")
+    );
 }

@@ -25,7 +25,7 @@ mod throttle;
 pub use throttle::Throttle;
 
 use hamr_trace::{
-    Counter, EventKind, Gauge, Labels, MetricsRegistry, Telemetry, Tracer, WORKER_DISK,
+    Counter, EventKind, Gauge, Labels, MetricsRegistry, Observe, Tracer, WORKER_DISK,
 };
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -115,10 +115,15 @@ struct MetricsInner {
     read_ops: AtomicU64,
 }
 
-/// Live registry series for one disk: byte and op counters per
-/// direction. Disabled (all no-op) until [`Disk::attach_registry`].
+/// What [`Disk::observe`] bound for the current run; every part is a
+/// no-op by default.
 #[derive(Default)]
-struct DiskCounters {
+struct DiskObs {
+    tracer: Tracer,
+    node: u32,
+    /// Telemetry gauge mirroring bytes resident on this disk.
+    used: Gauge,
+    /// Live registry series: byte and op counters per direction.
     read_bytes: Counter,
     write_bytes: Counter,
     read_ops: Counter,
@@ -131,16 +136,10 @@ struct DiskInner {
     throttle: Throttle,
     metrics: MetricsInner,
     temp_counter: AtomicU64,
-    /// Fast-path flag mirroring `tracer.is_some()`, so untraced IO pays
-    /// one relaxed load instead of an RwLock acquisition.
-    trace_on: AtomicBool,
-    tracer: RwLock<Option<(Tracer, u32)>>,
-    /// Telemetry gauge mirroring bytes resident on this disk; disabled
-    /// (a no-op) outside profiled runs.
-    used_gauge: RwLock<Gauge>,
-    /// Fast-path flag mirroring "registry counters attached".
-    reg_on: AtomicBool,
-    counters: RwLock<DiskCounters>,
+    /// Fast-path flag mirroring "a run is observing this disk", so
+    /// unobserved IO pays one load instead of an RwLock acquisition.
+    observed: AtomicBool,
+    obs: RwLock<DiskObs>,
 }
 
 /// One node's local disk. Cheap to clone (shared handle).
@@ -158,97 +157,72 @@ impl Disk {
                 files: RwLock::new(HashMap::new()),
                 metrics: MetricsInner::default(),
                 temp_counter: AtomicU64::new(0),
-                trace_on: AtomicBool::new(false),
-                tracer: RwLock::new(None),
-                used_gauge: RwLock::new(Gauge::disabled()),
-                reg_on: AtomicBool::new(false),
-                counters: RwLock::new(DiskCounters::default()),
+                observed: AtomicBool::new(false),
+                obs: RwLock::new(DiskObs::default()),
             }),
         }
     }
 
-    /// Bind this disk to a tracer for the duration of a run; every read
-    /// and write emits a `DiskRead`/`DiskWrite` event attributed to
-    /// cluster node `node`. Disks are long-lived substrates, so the
-    /// driver attaches before a traced run and detaches after.
-    pub fn attach_tracer(&self, tracer: Tracer, node: u32) {
-        *self.inner.tracer.write() = Some((tracer, node));
-        self.inner.trace_on.store(true, Ordering::Release);
-    }
-
-    /// Stop emitting trace events.
-    pub fn detach_tracer(&self) {
-        self.inner.trace_on.store(false, Ordering::Release);
-        *self.inner.tracer.write() = None;
-    }
-
-    /// Bind a telemetry gauge tracking bytes resident on this disk
-    /// (`node{n}/disk_used_bytes`). The gauge is seeded with the
-    /// current usage so subsequent seal/delete deltas stay exact; like
-    /// the tracer, attach before a profiled run and detach after.
-    pub fn attach_gauge(&self, telemetry: &Telemetry, node: u32) {
-        let gauge = telemetry.register(node, format!("node{node}/disk_used_bytes"));
-        gauge.set(self.used_bytes() as i64);
-        *self.inner.used_gauge.write() = gauge;
-    }
-
-    /// Stop mirroring usage into telemetry.
-    pub fn detach_gauge(&self) {
-        *self.inner.used_gauge.write() = Gauge::disabled();
-    }
-
-    /// Bind this disk's IO to the unified registry: every read/write
-    /// bumps `disk_{read,write}_bytes_total` and
-    /// `disk_{read,write}_ops_total` counters labeled with `engine` and
-    /// `node`. Counters are registered once and shared across attaches
-    /// (registry counters are cumulative), so the series covers all IO
-    /// performed while any run had the registry attached.
-    pub fn attach_registry(&self, registry: &MetricsRegistry, engine: &str, node: u32) {
-        let labels = Labels::new().engine(engine).node(node);
-        *self.inner.counters.write() = DiskCounters {
-            read_bytes: registry.counter("disk_read_bytes_total", labels.clone()),
-            write_bytes: registry.counter("disk_write_bytes_total", labels.clone()),
-            read_ops: registry.counter("disk_read_ops_total", labels.clone()),
-            write_ops: registry.counter("disk_write_ops_total", labels),
+    /// Bind this disk to one run's sinks, attributed to cluster node
+    /// `node`. Disks are long-lived substrates, so the driver binds
+    /// before a run and calls [`unobserve`](Disk::unobserve) after.
+    ///
+    /// * an enabled `obs.tracer` gets a `DiskRead`/`DiskWrite` event per
+    ///   read and write;
+    /// * `obs.telemetry` gets a `node{n}/disk_used_bytes` gauge, seeded
+    ///   with the current usage so seal/delete deltas stay exact;
+    /// * `registry` (with its engine label) gets
+    ///   `disk_{read,write}_{bytes,ops}_total` counters. Registry
+    ///   counters are cumulative and shared across binds, so the series
+    ///   covers all IO performed while any run had the registry bound.
+    pub fn observe(&self, obs: &Observe, registry: Option<(&MetricsRegistry, &str)>, node: u32) {
+        let used = obs
+            .telemetry
+            .register(node, format!("node{node}/disk_used_bytes"));
+        if obs.telemetry.enabled() {
+            used.set(self.used_bytes() as i64);
+        }
+        let counter = |name| match registry {
+            Some((registry, engine)) => {
+                registry.counter(name, Labels::new().engine(engine).node(node))
+            }
+            None => Counter::default(),
         };
-        self.inner.reg_on.store(true, Ordering::Release);
+        *self.inner.obs.write() = DiskObs {
+            tracer: obs.tracer.clone(),
+            node,
+            used,
+            read_bytes: counter("disk_read_bytes_total"),
+            write_bytes: counter("disk_write_bytes_total"),
+            read_ops: counter("disk_read_ops_total"),
+            write_ops: counter("disk_write_ops_total"),
+        };
+        self.inner.observed.store(true, Ordering::Release);
     }
 
-    /// Stop counting IO into the registry.
-    pub fn detach_registry(&self) {
-        self.inner.reg_on.store(false, Ordering::Release);
-        *self.inner.counters.write() = DiskCounters::default();
+    /// Drop every binding [`observe`](Disk::observe) made.
+    pub fn unobserve(&self) {
+        self.inner.observed.store(false, Ordering::Release);
+        *self.inner.obs.write() = DiskObs::default();
     }
 
-    fn registry_io(&self, read: bool, bytes: usize) {
-        if !self.inner.reg_on.load(Ordering::Acquire) {
+    /// Report one IO to the run observing this disk, if any.
+    fn observe_io(&self, read: bool, bytes: usize) {
+        if !self.inner.observed.load(Ordering::Acquire) {
             return;
         }
-        let counters = self.inner.counters.read();
+        let obs = self.inner.obs.read();
+        let bytes = bytes as u64;
         if read {
-            counters.read_bytes.add(bytes as u64);
-            counters.read_ops.inc();
+            obs.tracer
+                .emit(obs.node, WORKER_DISK, EventKind::DiskRead { bytes });
+            obs.read_bytes.add(bytes);
+            obs.read_ops.inc();
         } else {
-            counters.write_bytes.add(bytes as u64);
-            counters.write_ops.inc();
-        }
-    }
-
-    fn trace_io(&self, read: bool, bytes: usize) {
-        if !self.inner.trace_on.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some((tracer, node)) = self.inner.tracer.read().as_ref() {
-            let kind = if read {
-                EventKind::DiskRead {
-                    bytes: bytes as u64,
-                }
-            } else {
-                EventKind::DiskWrite {
-                    bytes: bytes as u64,
-                }
-            };
-            tracer.emit(*node, WORKER_DISK, kind);
+            obs.tracer
+                .emit(obs.node, WORKER_DISK, EventKind::DiskWrite { bytes });
+            obs.write_bytes.add(bytes);
+            obs.write_ops.inc();
         }
     }
 
@@ -312,8 +286,7 @@ impl Disk {
             .bytes_read
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.inner.metrics.read_ops.fetch_add(1, Ordering::Relaxed);
-        self.trace_io(true, data.len());
-        self.registry_io(true, data.len());
+        self.observe_io(true, data.len());
         Ok(data)
     }
 
@@ -328,7 +301,7 @@ impl Disk {
     /// Remove a file; succeeds silently if absent (like `rm -f`).
     pub fn delete(&self, name: &str) {
         if let Some(old) = self.inner.files.write().remove(name) {
-            self.inner.used_gauge.read().sub(old.len() as i64);
+            self.inner.obs.read().used.sub(old.len() as i64);
         }
     }
 
@@ -429,8 +402,7 @@ impl FileWriter {
             .metrics
             .write_ops
             .fetch_add(1, Ordering::Relaxed);
-        self.disk.trace_io(false, bytes);
-        self.disk.registry_io(false, bytes);
+        self.disk.observe_io(false, bytes);
     }
 
     /// Flush remaining bytes, publish the file, and return its size.
@@ -459,8 +431,9 @@ impl FileWriter {
         let old_len = old.map(|d| d.len()).unwrap_or(0);
         self.disk
             .inner
-            .used_gauge
+            .obs
             .read()
+            .used
             .add(len as i64 - old_len as i64);
         len
     }
@@ -499,8 +472,7 @@ impl FileReader {
             .metrics
             .read_ops
             .fetch_add(1, Ordering::Relaxed);
-        self.disk.trace_io(true, n);
-        self.disk.registry_io(true, n);
+        self.disk.observe_io(true, n);
         n
     }
 
@@ -519,8 +491,7 @@ impl FileReader {
                 .metrics
                 .read_ops
                 .fetch_add(1, Ordering::Relaxed);
-            self.disk.trace_io(true, rest.len());
-            self.disk.registry_io(true, rest.len());
+            self.disk.observe_io(true, rest.len());
         }
         self.pos = self.data.len();
         rest
@@ -612,12 +583,13 @@ mod tests {
     }
 
     #[test]
-    fn attached_registry_counts_io() {
+    fn observed_registry_counts_io() {
         use hamr_trace::SampleValue;
         let disk = Disk::new(DiskConfig::instant());
         disk.write_all("before", &[0u8; 64]).unwrap(); // uncounted
         let registry = MetricsRegistry::new();
-        disk.attach_registry(&registry, "hamr", 2);
+        let bind = || disk.observe(&Observe::default(), Some((&registry, "hamr")), 2);
+        bind();
         disk.write_all("a", &[0u8; 100]).unwrap();
         let _ = disk.read_all("a").unwrap();
         let labels = Labels::new().engine("hamr").node(2);
@@ -634,15 +606,15 @@ mod tests {
             snap.get("disk_read_ops_total", &labels),
             Some(SampleValue::Counter(1))
         ));
-        disk.detach_registry();
+        disk.unobserve();
         disk.write_all("after", &[0u8; 32]).unwrap();
         assert_eq!(
             registry.snapshot().counter_total("disk_write_bytes_total"),
             100,
-            "detached IO is not counted"
+            "unobserved IO is not counted"
         );
-        // Re-attach resumes the same cumulative series.
-        disk.attach_registry(&registry, "hamr", 2);
+        // Re-binding resumes the same cumulative series.
+        bind();
         disk.write_all("again", &[0u8; 10]).unwrap();
         assert_eq!(
             registry.snapshot().counter_total("disk_write_bytes_total"),

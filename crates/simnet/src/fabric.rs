@@ -4,7 +4,7 @@ use crate::metrics::{MetricsInner, NetMetrics, NetRegistry};
 use crate::timer::TimerThread;
 use crate::{NetConfig, NodeId, Payload};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hamr_trace::{Audit, AuditStage, EventKind, Gauge, Telemetry, Tracer, WORKER_NET};
+use hamr_trace::{AuditStage, EventKind, Gauge, Observe, WORKER_NET};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
@@ -50,11 +50,11 @@ pub(crate) struct FabricInner<M: Payload> {
     endpoints: Vec<EndpointInner<M>>,
     pub(crate) metrics: MetricsInner,
     timer: Option<TimerThread<M>>,
-    tracer: Tracer,
+    /// The run's sinks: `NetSend`/`NetDeliver` go to the tracer, and
+    /// the fabric owns the ledger's *deliver* tally.
+    obs: Observe,
     /// Telemetry gauge: bytes sent but not yet delivered, cluster-wide.
     inflight_gauge: Gauge,
-    /// Bin custody ledger; the fabric owns the *deliver* tally.
-    audit: Audit,
     /// Live per-node traffic series in the unified registry, when the
     /// cluster runs with an introspection plane attached.
     net_registry: Option<NetRegistry>,
@@ -76,51 +76,23 @@ impl<M: Payload> Clone for Fabric<M> {
 }
 
 impl<M: Payload> Fabric<M> {
-    /// Create a fabric with `n` endpoints under the given delivery model.
+    /// Create an unobserved fabric with `n` endpoints under the given
+    /// delivery model.
     pub fn new(n: usize, config: NetConfig) -> Self {
-        Fabric::new_traced(n, config, Tracer::disabled())
+        Fabric::new_observed(n, config, &Observe::default(), None)
     }
 
-    /// Like [`new`](Fabric::new), but sends and deliveries emit
-    /// `NetSend`/`NetDeliver` trace events through `tracer`.
-    pub fn new_traced(n: usize, config: NetConfig, tracer: Tracer) -> Self {
-        Fabric::new_profiled(n, config, tracer, &Telemetry::disabled())
-    }
-
-    /// Like [`new_traced`](Fabric::new_traced), and additionally
-    /// registers a cluster-wide `net/inflight_bytes` gauge with
-    /// `telemetry` tracking bytes sent but not yet delivered.
-    pub fn new_profiled(
+    /// Like [`new`](Fabric::new), wired to one run's sinks: sends and
+    /// deliveries emit `NetSend`/`NetDeliver` through `obs.tracer`, a
+    /// cluster-wide `net/inflight_bytes` gauge registers with
+    /// `obs.telemetry`, the *deliver* custody point of every
+    /// bin-carrying message (per [`Payload::audit_bin`]) is tallied into
+    /// `obs.audit`, and per-node sent/recv counters plus a message-size
+    /// histogram stream into `net_registry` on every send.
+    pub fn new_observed(
         n: usize,
         config: NetConfig,
-        tracer: Tracer,
-        telemetry: &Telemetry,
-    ) -> Self {
-        Fabric::new_audited(n, config, tracer, telemetry, Audit::disabled())
-    }
-
-    /// Like [`new_profiled`](Fabric::new_profiled), and additionally
-    /// tallies the *deliver* custody point of every bin-carrying
-    /// message (per [`Payload::audit_bin`]) into `audit`.
-    pub fn new_audited(
-        n: usize,
-        config: NetConfig,
-        tracer: Tracer,
-        telemetry: &Telemetry,
-        audit: Audit,
-    ) -> Self {
-        Fabric::new_instrumented(n, config, tracer, telemetry, audit, None)
-    }
-
-    /// Like [`new_audited`](Fabric::new_audited), and additionally
-    /// streams per-node sent/recv byte and message counters plus a
-    /// message-size histogram into `net_registry` on every send.
-    pub fn new_instrumented(
-        n: usize,
-        config: NetConfig,
-        tracer: Tracer,
-        telemetry: &Telemetry,
-        audit: Audit,
+        obs: &Observe,
         net_registry: Option<NetRegistry>,
     ) -> Self {
         assert!(n > 0, "fabric needs at least one node");
@@ -133,17 +105,12 @@ impl<M: Payload> Fabric<M> {
                 }
             })
             .collect();
-        let inflight_gauge = telemetry.register(u32::MAX, "net/inflight_bytes");
+        let inflight_gauge = obs.telemetry.register(u32::MAX, "net/inflight_bytes");
         let timer = if config.is_instant() {
             None
         } else {
             let sinks = endpoints.iter().map(|ep| ep.tx.clone()).collect();
-            Some(TimerThread::spawn(
-                sinks,
-                tracer.clone(),
-                inflight_gauge.clone(),
-                audit.clone(),
-            ))
+            Some(TimerThread::spawn(sinks, obs, inflight_gauge.clone()))
         };
         Fabric {
             inner: Arc::new(FabricInner {
@@ -151,9 +118,8 @@ impl<M: Payload> Fabric<M> {
                 endpoints,
                 metrics: MetricsInner::new(n),
                 timer,
-                tracer,
+                obs: obs.clone(),
                 inflight_gauge,
-                audit,
                 net_registry,
             }),
         }
@@ -204,7 +170,7 @@ impl<M: Payload> Fabric<M> {
         if let Some(reg) = &self.inner.net_registry {
             reg.record(from, to, size);
         }
-        self.inner.tracer.emit(
+        self.inner.obs.tracer.emit(
             from as u32,
             WORKER_NET,
             EventKind::NetSend {
@@ -229,30 +195,9 @@ impl<M: Payload> Fabric<M> {
     }
 
     fn deliver_now(&self, env: Envelope<M>, size: usize) -> Result<(), NetError> {
-        self.inner.inflight_gauge.sub(size as i64);
-        if self.inner.audit.enabled() {
-            if let Some(b) = env.msg.audit_bin() {
-                self.inner.audit.record(
-                    AuditStage::Deliver,
-                    b.edge,
-                    env.to as u32,
-                    b.records,
-                    b.bytes,
-                );
-            }
-        }
-        self.inner.tracer.emit(
-            env.to as u32,
-            WORKER_NET,
-            EventKind::NetDeliver {
-                from: env.from as u32,
-                bytes: size as u64,
-            },
-        );
-        self.inner.endpoints[env.to]
-            .tx
-            .send(env)
-            .map_err(|_| NetError::Closed)
+        let inner = &self.inner;
+        let tx = &inner.endpoints[env.to].tx;
+        deliver(&inner.obs, &inner.inflight_gauge, tx, env, size)
     }
 
     /// Send one message built per destination to every node (including
@@ -287,6 +232,39 @@ impl<M: Payload> Drop for FabricInner<M> {
             timer.stop();
         }
     }
+}
+
+/// Hand `env` to its destination's inbox: the delivery tail shared by
+/// the instant path and the timer thread. Tallies the ledger's
+/// *deliver* custody point and emits `NetDeliver`.
+pub(crate) fn deliver<M: Payload>(
+    obs: &Observe,
+    inflight_gauge: &Gauge,
+    tx: &Sender<Envelope<M>>,
+    env: Envelope<M>,
+    size: usize,
+) -> Result<(), NetError> {
+    inflight_gauge.sub(size as i64);
+    if obs.audit.enabled() {
+        if let Some(b) = env.msg.audit_bin() {
+            obs.audit.record(
+                AuditStage::Deliver,
+                b.edge,
+                env.to as u32,
+                b.records,
+                b.bytes,
+            );
+        }
+    }
+    obs.tracer.emit(
+        env.to as u32,
+        WORKER_NET,
+        EventKind::NetDeliver {
+            from: env.from as u32,
+            bytes: size as u64,
+        },
+    );
+    tx.send(env).map_err(|_| NetError::Closed)
 }
 
 /// Sender handle bound to one source node.

@@ -15,10 +15,10 @@
 //! parallel — a reasonable stand-in for per-NIC serialization on a
 //! full-bisection fabric like the paper's FDR InfiniBand.
 
-use crate::fabric::Envelope;
+use crate::fabric::{deliver, Envelope};
 use crate::{NetConfig, Payload};
 use crossbeam::channel::Sender;
-use hamr_trace::{Audit, AuditStage, EventKind, Gauge, Tracer, WORKER_NET};
+use hamr_trace::{Gauge, Observe};
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -68,9 +68,8 @@ struct Shared<M: Payload> {
     cond: Condvar,
     sinks: Vec<Sender<Envelope<M>>>,
     nodes: usize,
-    tracer: Tracer,
+    obs: Observe,
     inflight_gauge: Gauge,
-    audit: Audit,
 }
 
 pub(crate) struct TimerThread<M: Payload> {
@@ -81,9 +80,8 @@ pub(crate) struct TimerThread<M: Payload> {
 impl<M: Payload> TimerThread<M> {
     pub(crate) fn spawn(
         sinks: Vec<Sender<Envelope<M>>>,
-        tracer: Tracer,
+        obs: &Observe,
         inflight_gauge: Gauge,
-        audit: Audit,
     ) -> Self {
         let nodes = sinks.len();
         let shared = Arc::new(Shared {
@@ -97,9 +95,8 @@ impl<M: Payload> TimerThread<M> {
             cond: Condvar::new(),
             sinks,
             nodes,
-            tracer,
+            obs: obs.clone(),
             inflight_gauge,
-            audit,
         });
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -188,27 +185,13 @@ fn run_timer<M: Payload>(shared: Arc<Shared<M>>) {
             // Release the lock while pushing into a possibly-contended
             // channel, then retake it.
             drop(state);
-            shared.inflight_gauge.sub(flight.size as i64);
-            if shared.audit.enabled() {
-                if let Some(b) = flight.env.msg.audit_bin() {
-                    shared.audit.record(
-                        AuditStage::Deliver,
-                        b.edge,
-                        flight.env.to as u32,
-                        b.records,
-                        b.bytes,
-                    );
-                }
-            }
-            shared.tracer.emit(
-                flight.env.to as u32,
-                WORKER_NET,
-                EventKind::NetDeliver {
-                    from: flight.env.from as u32,
-                    bytes: flight.size as u64,
-                },
+            let _ = deliver(
+                &shared.obs,
+                &shared.inflight_gauge,
+                &sink,
+                flight.env,
+                flight.size,
             );
-            let _ = sink.send(flight.env);
             state = shared.state.lock();
             if state.stopped {
                 return;

@@ -8,7 +8,7 @@
 
 use super::{AuditReport, AuditStage};
 use crate::json::{self, escape, Json};
-use crate::{EventKind, TraceEvent, WatchdogClass};
+use crate::{EventKind, Observe, RingSink, WatchdogClass};
 
 /// One sampled gauge at dump time: the raw registered name (e.g.
 /// `node0/f2/queue_depth`), the owning node, and the value.
@@ -210,20 +210,19 @@ pub fn event_fields(kind: &EventKind) -> (&'static str, Vec<(&'static str, u64)>
 }
 
 impl FlightRecord {
-    /// Build a record from live run state, keeping only the newest
-    /// `keep_last` trace events.
-    #[allow(clippy::too_many_arguments)]
+    /// Build a record from live run state: the newest `keep_last`
+    /// events in the flight `ring` (left in place; a run without one
+    /// records none), and the ledger and current gauge values of `obs`.
     pub fn capture(
         job: impl Into<String>,
         engine: impl Into<String>,
         trip: Option<WatchdogTrip>,
         error: Option<String>,
-        events: &[TraceEvent],
+        ring: Option<&RingSink>,
         keep_last: usize,
-        dropped_events: u64,
-        audit: AuditReport,
-        gauges: Vec<GaugeValue>,
+        obs: &Observe,
     ) -> Self {
+        let events = ring.map(|r| r.peek()).unwrap_or_default();
         let skip = events.len().saturating_sub(keep_last);
         FlightRecord {
             job: job.into(),
@@ -234,9 +233,14 @@ impl FlightRecord {
                 .iter()
                 .map(RecordedEvent::from_event)
                 .collect(),
-            dropped_events,
-            audit,
-            gauges,
+            dropped_events: ring.map_or(0, |r| r.dropped()),
+            audit: obs.audit.report(),
+            gauges: obs
+                .telemetry
+                .gauge_values()
+                .into_iter()
+                .map(|(name, node, value)| GaugeValue { name, node, value })
+                .collect(),
         }
     }
 
@@ -547,6 +551,14 @@ fn worker_label(worker: u32) -> String {
 mod tests {
     use super::super::{Audit, AuditStage};
     use super::*;
+    use crate::{Telemetry, TraceEvent, TraceSink};
+
+    fn observed(audit: Audit) -> Observe {
+        Observe {
+            audit,
+            ..Default::default()
+        }
+    }
 
     fn sample_record() -> FlightRecord {
         let audit = Audit::new(2, 2);
@@ -557,7 +569,16 @@ mod tests {
         audit.record(AuditStage::Emit, 1, 1, 4, 128);
         audit.record(AuditStage::Ship, 1, 1, 4, 128);
         audit.record(AuditStage::Deliver, 1, 1, 4, 128);
-        let events = vec![
+        // A two-slot ring: the three fillers overflow it, so the record
+        // reports 3 dropped events and keeps the two that matter.
+        let ring = RingSink::new(1, 2);
+        let filler = (0..3).map(|t_us| TraceEvent {
+            t_us,
+            node: 0,
+            worker: 0,
+            kind: EventKind::DiskRead { bytes: 1 },
+        });
+        let events = [
             TraceEvent {
                 t_us: 10,
                 node: 0,
@@ -581,6 +602,13 @@ mod tests {
                 },
             },
         ];
+        filler.chain(events).for_each(|ev| ring.record(ev));
+        let telemetry = Telemetry::with_default_interval();
+        telemetry.register(1, "node1/f2/queue_depth").set(1);
+        let obs = Observe {
+            telemetry,
+            ..observed(audit)
+        };
         FlightRecord::capture(
             "wordcount",
             "hamr",
@@ -590,16 +618,20 @@ mod tests {
                 detail: "no progress for 6 epochs".into(),
             }),
             Some("aborted by watchdog".into()),
-            &events,
+            Some(&ring),
             64,
-            3,
-            audit.report(),
-            vec![GaugeValue {
-                name: "node1/f2/queue_depth".into(),
-                node: 1,
-                value: 1,
-            }],
+            &obs,
         )
+    }
+
+    #[test]
+    fn capture_reads_the_ring_and_the_observed_sinks() {
+        let record = sample_record();
+        assert_eq!((record.events.len(), record.dropped_events), (2, 3));
+        assert_eq!(record.gauges.len(), 1);
+        assert_eq!(record.gauges[0].name, "node1/f2/queue_depth");
+        assert_eq!((record.gauges[0].node, record.gauges[0].value), (1, 1));
+        assert!(!record.audit.stuck_rows().is_empty());
     }
 
     #[test]
@@ -625,24 +657,23 @@ mod tests {
 
     #[test]
     fn capture_keeps_only_the_newest_events() {
-        let events: Vec<TraceEvent> = (0..100)
-            .map(|i| TraceEvent {
+        let ring = RingSink::new(1, 128);
+        for i in 0..100 {
+            ring.record(TraceEvent {
                 t_us: i,
                 node: 0,
                 worker: 0,
                 kind: EventKind::DiskRead { bytes: i },
-            })
-            .collect();
+            });
+        }
         let record = FlightRecord::capture(
             "j",
             "hamr",
             None,
             None,
-            &events,
+            Some(&ring),
             16,
-            0,
-            Audit::disabled().report(),
-            Vec::new(),
+            &Observe::default(),
         );
         assert_eq!(record.events.len(), 16);
         assert_eq!(record.events[0].t_us, 84, "oldest kept event");
@@ -658,17 +689,8 @@ mod tests {
 
     #[test]
     fn clean_record_diagnosis_points_at_completion_signalling() {
-        let record = FlightRecord::capture(
-            "clean",
-            "hamr",
-            None,
-            None,
-            &[],
-            8,
-            0,
-            Audit::new(1, 1).report(),
-            Vec::new(),
-        );
+        let obs = observed(Audit::new(1, 1));
+        let record = FlightRecord::capture("clean", "hamr", None, None, None, 8, &obs);
         let findings = record.diagnose();
         assert_eq!(findings.len(), 1);
         assert!(

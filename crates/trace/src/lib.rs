@@ -502,6 +502,20 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
+/// One job's observability sinks, built once per run and handed as one
+/// parameter to everything on the data path: the engines' runtimes,
+/// the fabric, the disks. A plain bundle — each sink is used directly
+/// (`obs.tracer.emit(..)`, `obs.audit.record(..)`), and each is a
+/// no-op when off, so `Observe::default()` is an unobserved run.
+#[derive(Clone, Default)]
+pub struct Observe {
+    pub tracer: Tracer,
+    pub telemetry: Telemetry,
+    pub audit: Audit,
+    /// Data-plane statistics plane; `None` when `HAMR_STATS=off`.
+    pub stats: Option<Arc<StatsPlane>>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -234,8 +234,8 @@ pub struct BenchOutput {
     /// reported.
     pub shuffled_bytes: u64,
     /// Successful work-steal operations across all nodes. 0 for the
-    /// MapReduce engine and for HAMR under the centralized or
-    /// deterministic schedulers.
+    /// MapReduce engine and for HAMR under the deterministic
+    /// scheduler.
     pub steals: u64,
     /// Total tasks relocated by steals.
     pub stolen_tasks: u64,

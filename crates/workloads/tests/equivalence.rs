@@ -3,7 +3,8 @@
 //! input. This is the correctness backbone of the whole evaluation —
 //! speedups are meaningless if the engines disagree.
 
-use hamr_core::{Supervision, WatchdogConfig};
+use hamr_core::{RunOptions, Supervision, WatchdogConfig};
+use hamr_mapred::MrRunOptions;
 use hamr_workloads::{all_benchmarks, Benchmark, Env, SimParams};
 
 /// Every equivalence run doubles as a self-verification run: both
@@ -11,14 +12,20 @@ use hamr_workloads::{all_benchmarks, Benchmark, Env, SimParams};
 /// watchdog), and a clean workload must balance its custody ledger and
 /// produce zero watchdog events.
 fn audited(env: &Env) {
-    env.hamr.attach_supervisor(Supervision {
-        // Pinned config so an ambient HAMR_WATCHDOG=off cannot hollow
-        // out the assertion; no doctor dumps from tests.
-        watchdog: WatchdogConfig::default(),
-        doctor_dir: None,
+    env.hamr.set_run_options(RunOptions {
+        supervision: Some(Supervision {
+            // Pinned config so an ambient HAMR_WATCHDOG=off cannot
+            // hollow out the assertion; no doctor dumps from tests.
+            watchdog: WatchdogConfig::default(),
+            doctor_dir: None,
+            ..Default::default()
+        }),
         ..Default::default()
     });
-    env.mr.attach_audit();
+    env.mr.set_run_options(MrRunOptions {
+        audit: true,
+        ..Default::default()
+    });
 }
 
 fn assert_clean(env: &Env, name: &str) {

@@ -1,24 +1,25 @@
 //! Cross-scheduler differential: every workload must compute the same
-//! answer under all three scheduler modes. The work-stealing scheduler
-//! moves tasks between workers mid-flight and the deterministic
-//! scheduler replays them in a seed-fixed order — neither is allowed
-//! to change a single output bit relative to the centralized baseline.
+//! answer under work stealing, which moves tasks between workers
+//! mid-flight, as under the deterministic scheduler — the oracle —
+//! which replays them in a seed-fixed order, for two seeds, and as the
+//! MapReduce baseline on the same input.
 //!
 //! Each mode is pinned through `Env::with_hamr_sched`, so these tests
 //! hold regardless of any `HAMR_SCHED` environment override.
 
-use hamr_core::{SchedMode, Supervision, WatchdogConfig};
+use hamr_core::{RunOptions, SchedMode, Supervision, WatchdogConfig};
 use hamr_workloads::{all_benchmarks, skewed_variants, Benchmark, Env, SimParams};
 
 const MODES: [SchedMode; 3] = [
-    SchedMode::Centralized,
-    SchedMode::WorkStealing,
     SchedMode::Deterministic { seed: 7 },
+    SchedMode::WorkStealing,
+    SchedMode::Deterministic { seed: 2015 },
 ];
 
 /// Run one benchmark under every scheduler mode (fresh environment per
 /// mode; the generators are seed-deterministic, so each environment
-/// holds a bit-identical input) and demand identical results.
+/// holds a bit-identical input) and demand the MapReduce baseline's
+/// result from each.
 fn check(bench: &dyn Benchmark) {
     let mut baseline: Option<(u64, u64)> = None;
     for mode in MODES {
@@ -27,9 +28,12 @@ fn check(bench: &dyn Benchmark) {
         // Every mode runs supervised: the custody ledger must balance
         // and the watchdog must stay silent regardless of how the
         // scheduler shuffles tasks between workers.
-        env.hamr.attach_supervisor(Supervision {
-            watchdog: WatchdogConfig::default(),
-            doctor_dir: None,
+        env.hamr.set_run_options(RunOptions {
+            supervision: Some(Supervision {
+                watchdog: WatchdogConfig::default(),
+                doctor_dir: None,
+                ..Default::default()
+            }),
             ..Default::default()
         });
         let out = bench.run_hamr(&env).expect("hamr run");
@@ -49,18 +53,16 @@ fn check(bench: &dyn Benchmark) {
             "{} produced no output under {mode:?}",
             bench.name()
         );
-        match baseline {
-            None => baseline = Some((out.checksum, out.records)),
-            Some((checksum, records)) => {
-                assert_eq!(
-                    (out.checksum, out.records),
-                    (checksum, records),
-                    "{}: {mode:?} disagrees with {:?}",
-                    bench.name(),
-                    MODES[0]
-                );
-            }
-        }
+        let want = *baseline.get_or_insert_with(|| {
+            let mr = bench.run_mapred(&env).expect("mapred run");
+            (mr.checksum, mr.records)
+        });
+        assert_eq!(
+            (out.checksum, out.records),
+            want,
+            "{}: {mode:?} disagrees with mapred",
+            bench.name()
+        );
     }
 }
 
