@@ -6,10 +6,9 @@
 //! engines at fixed seeds and sizes, and writes a machine-readable
 //! `BENCH_pr8.json` (schema `hamr-benchjson/6`, documented in
 //! EXPERIMENTS.md). Every HAMR row also reports the skew-mitigation
-//! counters (`combined_records` / `splits_triggered` /
-//! `shards_migrated`) — the default runtime runs with combining and
-//! hot-key splitting on, so the headline rows measure the mitigated
-//! engine.
+//! counters (`combined_records` / `splits_triggered`) — the default
+//! runtime runs with combining and hot-key splitting on, so the
+//! headline rows measure the mitigated engine.
 //!
 //! Schema 5 adds per-iteration columns: every row carries an `iters`
 //! array (`iter_shuffled_bytes`, `iter_records_s`, `cache_hits`,
@@ -48,16 +47,9 @@
 //! wall joins the `--fail-on-overhead` gate as `<engine>-audited` so
 //! CI proves the ledger's cost stays inside the same budget.
 //!
-//! `--compare BENCH.json` is the perf-regression gate: it reads a
-//! previously committed benchjson snapshot and exits 5 when throughput
-//! regressed more than `--compare-threshold` percent (default 10).
-//! When the baseline was taken at the same shape (same `quick`/scale)
-//! rows gate on absolute records/s; otherwise absolute rates are
-//! meaningless across shapes, so each benchmark gates on its
-//! hamr/mapred throughput *ratio* — machine- and scale-invariant.
-//!
-//! Two gates need no baseline — their reference rides in the same run
-//! — and so run on every invocation, exiting 5 like `--compare`. The
+//! Two perf gates need no baseline — their reference rides in the same
+//! run — and so run on every invocation, exiting 5 (regression gating
+//! against another commit is `benchmark/run.sh compare`). The
 //! skewed HistogramRatings row must not invert: with the mitigations
 //! on by default, HAMR losing to the MapReduce baseline on its own
 //! headline skew case is a regression no threshold excuses. And the
@@ -66,8 +58,8 @@
 //! the `PageRank-nocache` full-shuffle bytes for that same iteration.
 //!
 //! `--skew-ablation` runs the skewed HistogramRatings workload once
-//! per mitigation combination (off / combine / split / rebalance /
-//! all) plus a MapReduce reference, demands bit-identical checksums
+//! per mitigation combination (off / combine / split /
+//! combine,split) plus a MapReduce reference, demands bit-identical checksums
 //! across every combination, and writes the per-combo walls and
 //! mitigation counters to a `skew_ablation` section of the snapshot.
 //!
@@ -83,7 +75,6 @@
 //! ```text
 //! benchjson [--quick] [--reps N] [--out BENCH_pr8.json]
 //!           [--profile-dir DIR] [--fail-on-overhead PCT] [--audited]
-//!           [--compare BENCH.json] [--compare-threshold PCT]
 //!           [--metrics-out FILE] [--skew-ablation] [--journal DIR]
 //! ```
 //!
@@ -155,11 +146,10 @@ struct Row {
     stall_share: f64,
     net_share: f64,
     /// Skew-mitigation counters: records folded away by combiners and
-    /// absorbers, hot reduce partitions split across nodes, and shards
-    /// migrated by the rebalance planner. All zero for mapred.
+    /// absorbers, and hot reduce partitions split across nodes. Both
+    /// zero for mapred.
     combined_records: u64,
     splits_triggered: u64,
-    shards_migrated: u64,
     /// Data-plane sketch figures (schema 6): estimated distinct
     /// shuffle keys and the hottest key's record share. Zero when
     /// `HAMR_STATS=off`.
@@ -222,7 +212,6 @@ impl Row {
             net_share: 0.0,
             combined_records: out.combined_records,
             splits_triggered: out.splits_triggered,
-            shards_migrated: out.shards_migrated,
             distinct_keys: out.distinct_keys,
             hot_key_share: out.hot_key_share,
             exact_distinct: out.exact_distinct_keys,
@@ -278,7 +267,6 @@ impl Row {
                 "\"critical_path_ms\":{:.3},\"stall_share\":{:.4},",
                 "\"net_share\":{:.4},",
                 "\"combined_records\":{},\"splits_triggered\":{},",
-                "\"shards_migrated\":{},",
                 "\"distinct_keys\":{},\"hot_key_share\":{:.4},",
                 "\"iters\":{}}}"
             ),
@@ -300,162 +288,11 @@ impl Row {
             self.net_share,
             self.combined_records,
             self.splits_triggered,
-            self.shards_migrated,
             self.distinct_keys,
             self.hot_key_share,
             self.iters_json(),
         )
     }
-}
-
-/// A committed benchjson snapshot parsed back for the `--compare`
-/// regression gate: the shape it was taken at plus per-(benchmark,
-/// engine) records/s.
-#[derive(Debug)]
-struct JsonBaseline {
-    quick: bool,
-    scale: f64,
-    rows: BTreeMap<(String, String), f64>,
-}
-
-/// Extract `"name":"value"` from a single JSON line (the snapshot
-/// writer emits one object per line, so line-local scanning suffices).
-fn json_str_field(line: &str, name: &str) -> Option<String> {
-    let tag = format!("\"{name}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extract `"name": <number>` from a single JSON line.
-fn json_num_field(line: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"{name}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = line[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn parse_json_baseline(path: &str) -> Result<JsonBaseline, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut quick = None;
-    let mut scale = None;
-    let mut rows = BTreeMap::new();
-    let mut in_results = false;
-    for line in text.lines() {
-        if line.contains("\"params\":") {
-            quick = Some(line.contains("\"quick\": true") || line.contains("\"quick\":true"));
-            scale = json_num_field(line, "scale");
-        } else if line.contains("\"results\":") {
-            in_results = true;
-        } else if in_results {
-            if line.trim_start().starts_with(']') {
-                // Stop before the `skew_ablation` section.
-                in_results = false;
-            } else if let (Some(b), Some(e), Some(rps)) = (
-                json_str_field(line, "benchmark"),
-                json_str_field(line, "engine"),
-                json_num_field(line, "records_per_sec"),
-            ) {
-                rows.insert((b, e), rps);
-            }
-        }
-    }
-    let quick = quick.ok_or(format!("{path}: no params.quick field"))?;
-    let scale = scale.ok_or(format!("{path}: no params.scale field"))?;
-    if rows.is_empty() {
-        return Err(format!("{path}: no result rows"));
-    }
-    Ok(JsonBaseline { quick, scale, rows })
-}
-
-/// The `--compare` gate. Returns true when a regression beyond `pct`
-/// percent was found. Same shape (quick + scale) as the baseline —
-/// gate absolute records/s per row; different shape — gate each
-/// benchmark's hamr/mapred throughput ratio, which survives both
-/// machine-speed and input-scale changes.
-fn compare_gate(base: &JsonBaseline, rows: &[Row], quick: bool, scale: f64, pct: f64) -> bool {
-    let mut failed = false;
-    let same_shape = base.quick == quick && (base.scale - scale).abs() < 1e-9;
-    if same_shape {
-        for row in rows {
-            let key = (row.benchmark.clone(), row.engine.to_string());
-            let Some(&b) = base.rows.get(&key) else {
-                eprintln!(
-                    "benchjson: compare: {} ({}) not in baseline, skipped",
-                    row.benchmark, row.engine
-                );
-                continue;
-            };
-            if b <= 0.0 {
-                continue;
-            }
-            let delta = 100.0 * (row.records_per_sec - b) / b;
-            if row.records_per_sec < b * (1.0 - pct / 100.0) {
-                eprintln!(
-                    "benchjson: REGRESSION: {} ({}): {:.0} rec/s vs baseline {:.0} \
-                     ({delta:+.1}%, allowed -{pct}%)",
-                    row.benchmark, row.engine, row.records_per_sec, b
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "benchjson: compare ok: {} ({}): {:.0} rec/s vs baseline {:.0} ({delta:+.1}%)",
-                    row.benchmark, row.engine, row.records_per_sec, b
-                );
-            }
-        }
-    } else {
-        eprintln!(
-            "benchjson: compare: baseline shape differs (quick={} scale={} vs quick={quick} \
-             scale={scale}); gating hamr/mapred throughput ratios instead",
-            base.quick, base.scale
-        );
-        for hamr_row in rows.iter().filter(|r| r.engine == "hamr") {
-            let Some(mr_row) = rows
-                .iter()
-                .find(|r| r.engine == "mapred" && r.benchmark == hamr_row.benchmark)
-            else {
-                continue;
-            };
-            let bh = base
-                .rows
-                .get(&(hamr_row.benchmark.clone(), "hamr".to_string()));
-            let bm = base
-                .rows
-                .get(&(hamr_row.benchmark.clone(), "mapred".to_string()));
-            let (Some(&bh), Some(&bm)) = (bh, bm) else {
-                eprintln!(
-                    "benchjson: compare: {} not in baseline, skipped",
-                    hamr_row.benchmark
-                );
-                continue;
-            };
-            if mr_row.records_per_sec <= 0.0 || bm <= 0.0 || bh <= 0.0 {
-                continue;
-            }
-            let cur = hamr_row.records_per_sec / mr_row.records_per_sec;
-            let old = bh / bm;
-            let delta = 100.0 * (cur - old) / old;
-            if cur < old * (1.0 - pct / 100.0) {
-                eprintln!(
-                    "benchjson: REGRESSION: {}: hamr/mapred ratio {cur:.3} vs baseline {old:.3} \
-                     ({delta:+.1}%, allowed -{pct}%)",
-                    hamr_row.benchmark
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "benchjson: compare ok: {}: hamr/mapred ratio {cur:.3} vs baseline {old:.3} \
-                     ({delta:+.1}%)",
-                    hamr_row.benchmark
-                );
-            }
-        }
-    }
-    failed
 }
 
 /// Absolute floor on the headline skew case: the `HistogramRatings-skew`
@@ -547,9 +384,7 @@ fn skew_combos() -> Vec<(&'static str, SkewConfig)> {
         (
             "combine",
             SkewConfig {
-                combine: true,
                 split: false,
-                rebalance: false,
                 ..SkewConfig::default()
             },
         ),
@@ -557,22 +392,10 @@ fn skew_combos() -> Vec<(&'static str, SkewConfig)> {
             "split",
             SkewConfig {
                 combine: false,
-                split: true,
-                rebalance: false,
                 ..SkewConfig::default()
             },
         ),
-        (
-            "rebalance",
-            SkewConfig {
-                combine: false,
-                split: false,
-                rebalance: true,
-                rebalance_min_records: 64,
-                ..SkewConfig::default()
-            },
-        ),
-        ("all", SkewConfig::all()),
+        ("combine,split", SkewConfig::default()),
     ]
 }
 
@@ -587,7 +410,6 @@ struct AblationRow {
     checksum: u64,
     combined_records: u64,
     splits_triggered: u64,
-    shards_migrated: u64,
 }
 
 impl AblationRow {
@@ -597,7 +419,7 @@ impl AblationRow {
                 "{{\"combo\":\"{}\",\"engine\":\"{}\",",
                 "\"wall_seconds\":{:.6},\"records_per_sec\":{:.1},",
                 "\"checksum\":\"{:016x}\",\"combined_records\":{},",
-                "\"splits_triggered\":{},\"shards_migrated\":{}}}"
+                "\"splits_triggered\":{}}}"
             ),
             self.combo,
             self.engine,
@@ -606,7 +428,6 @@ impl AblationRow {
             self.checksum,
             self.combined_records,
             self.splits_triggered,
-            self.shards_migrated,
         )
     }
 }
@@ -638,7 +459,6 @@ fn skew_ablation(params: &SimParams) -> Result<Vec<AblationRow>, String> {
         checksum: out.checksum,
         combined_records: out.combined_records,
         splits_triggered: out.splits_triggered,
-        shards_migrated: out.shards_migrated,
     };
     rows.push(row("reference", "mapred", &mr));
     for (combo, skew) in skew_combos() {
@@ -658,13 +478,12 @@ fn skew_ablation(params: &SimParams) -> Result<Vec<AblationRow>, String> {
             ));
         }
         eprintln!(
-            "benchjson: skew-ablation {combo:<9} {:>12.0} rec/s ({:.3}s) \
-             combined={} splits={} migrated={}",
+            "benchjson: skew-ablation {combo:<13} {:>12.0} rec/s ({:.3}s) \
+             combined={} splits={}",
             out.shuffle_records as f64 / out.elapsed.as_secs_f64().max(1e-9),
             out.elapsed.as_secs_f64(),
             out.combined_records,
             out.splits_triggered,
-            out.shards_migrated,
         );
         rows.push(row(combo, "hamr", &out));
     }
@@ -678,8 +497,6 @@ struct Args {
     profile_dir: Option<String>,
     fail_on_overhead: Option<f64>,
     audited: bool,
-    compare: Option<String>,
-    compare_threshold: f64,
     metrics_out: Option<String>,
     skew_ablation: bool,
     journal: Option<String>,
@@ -693,8 +510,6 @@ fn parse_args() -> Result<Args, String> {
         profile_dir: None,
         fail_on_overhead: None,
         audited: false,
-        compare: None,
-        compare_threshold: 10.0,
         metrics_out: None,
         skew_ablation: false,
         journal: None,
@@ -715,12 +530,6 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--audited" => args.audited = true,
-            "--compare" => args.compare = Some(value("--compare")?),
-            "--compare-threshold" => {
-                args.compare_threshold = value("--compare-threshold")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
             "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
             "--skew-ablation" => args.skew_ablation = true,
             "--journal" => args.journal = Some(value("--journal")?),
@@ -1036,20 +845,6 @@ fn main() {
         }
     }
 
-    // Parse the regression baseline up front, before `--out` can
-    // overwrite it — CI compares against the committed snapshot while
-    // writing the fresh one to the same path.
-    let compare_base = match &args.compare {
-        Some(path) => match parse_json_baseline(path) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("benchjson: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-
     let mut rows: Vec<Row> = Vec::new();
     // (label, engine, untraced wall, profiled wall) for the overhead gate.
     let mut overheads: Vec<(String, &'static str, f64, f64)> = Vec::new();
@@ -1249,19 +1044,9 @@ fn main() {
     }
 
     // Perf-regression gates, last so all diagnostics above still print.
-    // The two baseline-free ones hold on every invocation.
     let mut regressed = skew_inversion_gate(&rows);
     regressed |= chain_cache_gate(&rows);
     if regressed {
         std::process::exit(5);
-    }
-    if let Some(base) = &compare_base {
-        if compare_gate(base, &rows, args.quick, scale, args.compare_threshold) {
-            std::process::exit(5);
-        }
-        eprintln!(
-            "benchjson: compare gate passed (threshold {}%)",
-            args.compare_threshold
-        );
     }
 }

@@ -5,8 +5,7 @@
 //! per-node table each tick: worker occupancy, aggregate flowlet
 //! queue depth, deferred bins, flow-control window occupancy, stall
 //! share, network transmit rate, and the skew-mitigation column
-//! (cumulative hot-partition splits / shard migrations per node) —
-//! the live counterpart of `tracedump`'s post-mortem occupancy table.
+//! (cumulative hot-partition `splits` per node) — the live counterpart of `tracedump`'s post-mortem occupancy table.
 //! The header line carries the cluster-wide partition-resident frame
 //! cache as `cache(hit/res MB)`: cumulative resident hits and the
 //! megabytes currently pinned.
@@ -73,9 +72,6 @@ struct NodeStat {
     net_tx_bytes: f64,
     /// Cumulative hot-partition splits flagged by this node's emitters.
     splits: f64,
-    /// Cumulative reduce shards the rebalance planner moved onto this
-    /// node's scatter set.
-    migrated: f64,
     /// Estimated distinct keys routed to this node over shuffle edges
     /// (data-plane sketches, latest job; summed across edges).
     distinct: f64,
@@ -124,7 +120,6 @@ fn collect(samples: &[PromSample], engine: &str) -> (BTreeMap<u32, NodeStat>, To
             "hamr_stall_us_total" => stat.stall_us += s.value,
             "hamr_net_sent_bytes_total" => stat.net_tx_bytes = s.value,
             "hamr_node_splits_triggered_total" => stat.splits = s.value,
-            "hamr_node_shards_migrated_total" => stat.migrated = s.value,
             "hamr_stats_node_distinct_keys" => stat.distinct += s.value,
             "hamr_stats_node_hot_key_permille" => {
                 stat.hot_permille = stat.hot_permille.max(s.value)
@@ -273,7 +268,7 @@ fn render_tick(
         )),
     }
     out.push_str(
-        "node  workers  busy   occ%  queue  defer  window  stall%  skew(spl/mig)  \
+        "node  workers  busy   occ%  queue  defer  window  stall%  splits  \
          keys(distinct/hot%)  net-tx\n",
     );
     for (node, s) in nodes {
@@ -302,13 +297,13 @@ fn render_tick(
             "-".to_string()
         };
         out.push_str(&format!(
-            "{node:<4}  {:<7.0}  {:<4.0}  {occ:>5.1}  {:<5.0}  {:<5.0}  {:<6.0}  {stall_pct:>6.1}  {:>13}  {keys:>19}  {}\n",
+            "{node:<4}  {:<7.0}  {:<4.0}  {occ:>5.1}  {:<5.0}  {:<5.0}  {:<6.0}  {stall_pct:>6.1}  {:>6.0}  {keys:>19}  {}\n",
             s.workers,
             s.busy,
             s.queue,
             s.deferred,
             s.window,
-            format!("{:.0}/{:.0}", s.splits, s.migrated),
+            s.splits,
             fmt_rate(rate),
         ));
     }

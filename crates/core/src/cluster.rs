@@ -10,12 +10,12 @@ use crate::config::ClusterConfig;
 use crate::error::{ConfigError, RunError};
 use crate::flowlet::TaskContext;
 use crate::graph::{FlowletId, JobGraph};
-use crate::introspect::{Health, Introspect, LiveRun};
+use crate::introspect::{Health, Introspect, LiveRun, DOCTOR_KEEP_LAST};
 use crate::metrics::JobMetrics;
 use crate::node::{NetMsg, NodeRuntime};
+use crate::plan::ExecPlan;
 use crate::record::Record;
-use crate::resident::{CacheMode, CachePlan, ResidentStore};
-use crate::skew::SkewRuntime;
+use crate::resident::ResidentStore;
 use crate::watchdog::{Watchdog, WatchdogAction, WatchdogConfig, WatchdogEvent};
 use hamr_codec::Codec;
 use hamr_dfs::Dfs;
@@ -30,7 +30,6 @@ use hamr_trace::{
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -66,12 +65,6 @@ pub struct RunOptions {
 #[derive(Debug, Clone)]
 pub struct Supervision {
     pub watchdog: WatchdogConfig,
-    /// Per-lane capacity of the flight-recorder event ring (one lane
-    /// per node). 0 disables event capture; the audit ledger and
-    /// gauges are still dumped.
-    pub flight_events: usize,
-    /// Newest events kept in a doctor dump.
-    pub keep_last: usize,
     /// Where `doctor_<job>.json` is written on a watchdog trip or job
     /// failure. `None` disables dumping.
     pub doctor_dir: Option<PathBuf>,
@@ -81,12 +74,14 @@ impl Default for Supervision {
     fn default() -> Self {
         Supervision {
             watchdog: WatchdogConfig::from_env(),
-            flight_events: 128,
-            keep_last: 200,
             doctor_dir: Some(PathBuf::from(".")),
         }
     }
 }
+
+/// Per-lane capacity of a supervised run's flight-recorder event ring
+/// (one lane per node).
+const FLIGHT_RING_EVENTS: usize = 128;
 
 /// Hang an opened journal off the introspection plane: byte/record
 /// counters into the registry, sealed segments mirrored into node 0's
@@ -383,25 +378,20 @@ impl Cluster {
         let n = self.config.nodes;
         let registry = &self.introspect.registry;
         let health = Arc::clone(&self.introspect.health);
+        // Every per-edge and per-flowlet fact of this job, decided here,
+        // once, before any node spawns: every node must agree on what
+        // is served from the cache, what fills it, and what scatters.
+        let plan = ExecPlan::compile(&graph, &self.config.runtime, n, &self.resident);
         // Per-job data-plane statistics: one sketch set per (edge,
         // destination node), folded by every node as bins close and
-        // merged into one snapshot at teardown. Lineage sampling is
-        // confined to hash-exchange edges so loader keys (synthetic
-        // line offsets) cannot crowd out shuffle keys.
-        let shuffle_edges: Vec<bool> = graph
-            .edges
-            .iter()
-            .map(|e| matches!(e.exchange, crate::graph::Exchange::Hash))
-            .collect();
+        // merged into one snapshot at teardown.
         let mut obs = Observe {
             tracer: opts.tracer.clone(),
             telemetry: opts.telemetry.clone(),
             audit: Audit::disabled(),
             stats: self.config.runtime.stats.enabled().then(|| {
-                Arc::new(
-                    StatsPlane::new(graph.edges.len(), n, self.config.runtime.stats)
-                        .with_sampled_edges(&shuffle_edges),
-                )
+                let shuffle_edges = plan.edges.iter().map(|e| e.sampled).collect();
+                Arc::new(StatsPlane::new(shuffle_edges, n, self.config.runtime.stats))
             }),
         };
         // Supervision decides here, once, what the watchdog and the
@@ -412,8 +402,8 @@ impl Cluster {
         let mut ring = None;
         if let Some(sup) = &opts.supervision {
             obs.audit = Audit::new(graph.edges.len() as u32, n as u32);
-            if !obs.tracer.enabled() && sup.flight_events > 0 {
-                let sink = Arc::new(RingSink::new(n, sup.flight_events));
+            if !obs.tracer.enabled() {
+                let sink = Arc::new(RingSink::new(n, FLIGHT_RING_EVENTS));
                 // Overflowed flight-ring drops are visible in `/metrics`
                 // while the run is still going, not only in the
                 // post-mortem dump.
@@ -547,41 +537,11 @@ impl Cluster {
             )
         });
         let start = Instant::now();
-        // Per-job skew mitigation state, shared by every node runtime
-        // and (when rebalancing is on) the planner thread.
-        let skew = Arc::new(SkewRuntime::new(
-            &graph,
-            self.config.runtime.skew.clone(),
-            n,
-        ));
-        // Resolve residency annotations once, centrally, before any
-        // node spawns: every node must agree on what is served from
-        // the cache and what fills it (partition-stable ownership).
-        let mut plan = CachePlan::empty(graph.edges.len());
-        if self.resident.enabled() {
-            for (f, def) in graph.flowlets.iter().enumerate() {
-                let Some(spec) = &def.cache else { continue };
-                if spec.mode == CacheMode::Serve {
-                    if let Some(hit) =
-                        self.resident
-                            .lookup(&spec.tag, spec.fingerprint, n, def.out_edges.len())
-                    {
-                        plan.serve.insert(f, hit);
-                        continue;
-                    }
-                }
-                plan.fill.insert(f, spec.clone());
-                for &e in &def.out_edges {
-                    plan.fill_edges[e] = true;
-                }
-            }
-        }
-        let plan = Arc::new(plan);
         let mut handles = Vec::with_capacity(n);
         for node in 0..n {
             let inbox = fabric.receiver(node).expect("one receiver per node");
             let endpoint = fabric.endpoint(node).expect("node id in range");
-            let graph = Arc::clone(&graph);
+            let plan = Arc::clone(&plan);
             let cfg = self.config.runtime.clone();
             let threads = self.config.threads_per_node;
             let obs = obs.clone();
@@ -593,37 +553,14 @@ impl Cluster {
                 kv: self.kv.shard(node),
                 kv_store: self.kv.clone(),
             };
-            let skew = Arc::clone(&skew);
-            let plan = Arc::clone(&plan);
             let handle = std::thread::Builder::new()
                 .name(format!("hamr-node-{node}"))
                 .spawn(move || {
-                    NodeRuntime::new(graph, cfg, threads, ctx, endpoint, inbox, &obs, skew, plan)
-                        .run()
+                    NodeRuntime::new(plan, cfg, threads, ctx, endpoint, inbox, &obs).run()
                 })
                 .expect("spawn node runtime");
             handles.push(handle);
         }
-        // OS4M-style shard rebalancing: a planner thread watches the
-        // live emit tallies and migrates the heaviest reduce partition
-        // off an overloaded node (one-shot per edge). Producers pick
-        // the decision up at their next bin flush.
-        let planner = skew.planner_enabled().then(|| {
-            let skew = Arc::clone(&skew);
-            let stop = Arc::new(AtomicBool::new(false));
-            let flag = Arc::clone(&stop);
-            let interval = self.config.runtime.skew.planner_interval;
-            let handle = std::thread::Builder::new()
-                .name("hamr-skew-planner".into())
-                .spawn(move || {
-                    while !flag.load(Ordering::Relaxed) {
-                        skew.plan_step();
-                        std::thread::sleep(interval);
-                    }
-                })
-                .expect("spawn skew planner");
-            (stop, handle)
-        });
         // Start the sampler (no-op when telemetry is disabled). Node
         // runtimes may still be registering gauges on their own threads;
         // late registrations are back-filled with zeros in the series.
@@ -677,18 +614,6 @@ impl Cluster {
                 }
             }
         }
-        if let Some((stop, handle)) = planner {
-            stop.store(true, Ordering::Relaxed);
-            let _ = handle.join();
-        }
-        // Shard migrations are tallied in the shared runtime (the
-        // decision isn't owned by any single node); fold them into the
-        // per-node rollups now that every node has joined.
-        for (i, nm) in metrics.nodes.iter_mut().enumerate() {
-            if let Some(c) = skew.counters.get(i) {
-                nm.shards_migrated += c.shards_migrated.load(Ordering::Relaxed);
-            }
-        }
         // Every node has joined: stop the watchdog before tearing the
         // sinks down so it never reads a dead fabric's state.
         let (wd_events, wd_trip) = match watchdog {
@@ -697,18 +622,13 @@ impl Cluster {
         };
         // Pin captured fill frames under their tags — only for a clean
         // run (a failed job may have emitted a partial partition set).
-        if first_error.is_none() && !plan.fill.is_empty() {
+        if first_error.is_none() {
             let mut per_flowlet: HashMap<usize, Vec<Vec<Vec<hamr_codec::Frame>>>> = plan
-                .fill
-                .keys()
-                .map(|&f| {
-                    let ports = graph.flowlets[f]
-                        .out_edges
-                        .iter()
-                        .map(|_| vec![Vec::new(); n])
-                        .collect();
-                    (f, ports)
-                })
+                .flowlets
+                .iter()
+                .enumerate()
+                .filter(|(_, fp)| fp.fill)
+                .map(|(f, fp)| (f, vec![vec![Vec::new(); n]; fp.ports.len()]))
                 .collect();
             for (edge, dst, frame) in fill_frames {
                 let src = graph.edges[edge].src;
@@ -718,7 +638,7 @@ impl Cluster {
                 }
             }
             for (f, ports) in per_flowlet {
-                let spec = &plan.fill[&f];
+                let spec = graph.flowlets[f].cache.as_ref().expect("fills have a spec");
                 self.resident.insert(&spec.tag, spec.fingerprint, n, ports);
             }
         }
@@ -726,16 +646,14 @@ impl Cluster {
         metrics.shuffled_bytes = net.remote_bytes();
         metrics.shuffled_messages = net.remote_messages();
         // Merge every node's per-destination sketches into one job
-        // snapshot. Hash-exchange edges are flagged as shuffle edges:
-        // their cardinality is comparable across engines (Local loader
-        // edges carry synthetic keys like line offsets).
+        // snapshot.
         if let Some(plane) = &obs.stats {
-            let snap = plane.snapshot(&graph.name, "hamr", &shuffle_edges);
+            let snap = plane.snapshot(&graph.name, "hamr");
             // Per-destination gauges for the live console: node N's
             // series describe the keys routed *to* N on each shuffle
             // edge (`hamr top`'s keys column).
-            for (e, &is_shuffle) in shuffle_edges.iter().enumerate() {
-                if !is_shuffle {
+            for (e, edge) in plan.edges.iter().enumerate() {
+                if !edge.sampled {
                     continue;
                 }
                 for dst in 0..n {
@@ -859,7 +777,7 @@ impl Cluster {
                     }),
                     result.as_ref().err().map(|e| e.to_string()),
                     ring.as_deref(),
-                    sup.keep_last,
+                    DOCTOR_KEEP_LAST,
                     &obs,
                 );
                 let path = dir.join(format!("doctor_{}.json", file_slug(&graph.name)));

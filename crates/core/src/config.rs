@@ -3,6 +3,7 @@
 
 use hamr_simdisk::DiskConfig;
 use hamr_simnet::NetConfig;
+use hamr_trace::{env_or_panic, StatsMode};
 use std::time::Duration;
 
 /// How partial-reduce accumulator state is shared among a node's
@@ -35,27 +36,21 @@ pub enum SchedMode {
 
 impl SchedMode {
     /// Parse the `HAMR_SCHED` environment override: `ws`/`work-stealing`
-    /// or `det[:seed]`.
-    pub fn from_env_str(s: &str) -> Option<Self> {
+    /// or `det[:seed]`. The error names the accepted forms.
+    pub fn from_env_str(s: &str) -> Result<Self, String> {
+        let forms = || "ws|det[:seed]".to_string();
         match s.trim().to_ascii_lowercase().as_str() {
-            "ws" | "work-stealing" | "worksteal" | "workstealing" => Some(SchedMode::WorkStealing),
+            "ws" | "work-stealing" | "worksteal" | "workstealing" => Ok(SchedMode::WorkStealing),
             other => {
-                let rest = other.strip_prefix("det")?;
+                let rest = other.strip_prefix("det").ok_or_else(forms)?;
                 let seed = match rest.strip_prefix(':') {
-                    Some(n) => n.parse().ok()?,
+                    Some(n) => n.parse().map_err(|_| forms())?,
                     None if rest.is_empty() => 0,
-                    None => return None,
+                    None => return Err(forms()),
                 };
-                Some(SchedMode::Deterministic { seed })
+                Ok(SchedMode::Deterministic { seed })
             }
         }
-    }
-
-    /// A set `HAMR_SCHED` that does not parse is a typo, not a request
-    /// for the default.
-    fn from_env_or_panic(s: &str) -> Self {
-        SchedMode::from_env_str(s)
-            .unwrap_or_else(|| panic!("HAMR_SCHED must be ws|det[:seed], got '{s}'"))
     }
 }
 
@@ -79,12 +74,12 @@ pub enum FaultInjection {
 }
 
 /// Skew-mitigation switches and thresholds (see `crate::skew`). The
-/// three mechanisms are independently toggleable so benchjson's
-/// `--skew-ablation` can attribute wins to each; all of them only ever
+/// two mechanisms are independently toggleable so benchjson's
+/// `--skew-ablation` can attribute wins to each; both only ever
 /// engage on edges that registered a combiner via
 /// `JobBuilder::connect_combined`, so jobs without combiners are
 /// byte-for-byte unaffected by any setting.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkewConfig {
     /// In-node combining: pre-aggregate duplicate keys inside
     /// `TaskOutput` before bins ship.
@@ -93,22 +88,8 @@ pub struct SkewConfig {
     /// `split_threshold` within one task across all nodes, merge the
     /// absorbed partials at edge completion.
     pub split: bool,
-    /// Operation-level shard rebalancing: a planner thread migrates the
-    /// most-loaded reduce partition off its home node mid-job.
-    pub rebalance: bool,
     /// Per-task emit count at which a key is declared hot.
     pub split_threshold: u32,
-    /// Rebalance when the heaviest home exceeds this multiple of the
-    /// mean per-home load.
-    pub rebalance_factor: f64,
-    /// Ignore edges until they have shuffled at least this many records
-    /// (prevents migrating on startup noise).
-    pub rebalance_min_records: u64,
-    /// Planner poll interval.
-    pub planner_interval: Duration,
-    /// Test hook: `(edge, home)` partitions to migrate before any task
-    /// runs, making rebalance paths deterministic.
-    pub forced_migrations: Vec<(usize, usize)>,
 }
 
 impl SkewConfig {
@@ -117,42 +98,28 @@ impl SkewConfig {
         SkewConfig {
             combine: false,
             split: false,
-            rebalance: false,
             ..SkewConfig::default()
         }
     }
 
-    /// Every mechanism on (the benchjson "all" ablation row).
-    pub fn all() -> Self {
-        SkewConfig {
-            combine: true,
-            split: true,
-            rebalance: true,
-            ..SkewConfig::default()
-        }
-    }
-
-    /// Parse the `HAMR_SKEW` environment override: `off`/`none`, `all`,
-    /// or a comma list of `combine`, `split`, `rebalance`. Unset or
-    /// unparsable falls back to the default (combine + split on).
-    pub fn from_env_str(s: &str) -> Option<Self> {
+    /// Parse the `HAMR_SKEW` environment override: `off`/`none`, or a
+    /// comma list of `combine` and `split`. The error names the
+    /// accepted forms.
+    pub fn from_env_str(s: &str) -> Result<Self, String> {
         let mut cfg = SkewConfig::off();
         match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" => return Some(cfg),
-            "all" => return Some(SkewConfig::all()),
-            "" => return None,
+            "off" | "none" => {}
             list => {
                 for part in list.split(',') {
                     match part.trim() {
                         "combine" => cfg.combine = true,
                         "split" => cfg.split = true,
-                        "rebalance" => cfg.rebalance = true,
-                        _ => return None,
+                        _ => return Err("off|combine|split|combine,split".to_string()),
                     }
                 }
             }
         }
-        Some(cfg)
+        Ok(cfg)
     }
 }
 
@@ -161,16 +128,10 @@ impl Default for SkewConfig {
         SkewConfig {
             // Combining and splitting are deterministic in effect
             // (checksums are unchanged; see crate::skew) and strictly
-            // help on skewed inputs, so they default on. Rebalancing
-            // reacts to live load and stays opt-in.
+            // help on skewed inputs, so they default on.
             combine: true,
             split: true,
-            rebalance: false,
             split_threshold: 256,
-            rebalance_factor: 2.0,
-            rebalance_min_records: 8192,
-            planner_interval: Duration::from_millis(1),
-            forced_migrations: Vec::new(),
         }
     }
 }
@@ -183,24 +144,15 @@ pub struct RuntimeConfig {
     /// Flow-control window: max bins in flight from one node to one
     /// destination node before producers are suspended.
     pub out_window_bins: usize,
-    /// Max deferred (backpressured) bins per node before the scheduler
-    /// stops admitting new work for producing flowlets.
-    pub defer_high_water: usize,
     /// Per-node memory budget for reduce group state; beyond it, state
     /// spills to the local disk as sorted runs.
     pub memory_budget: usize,
-    /// Max concurrent loader split tasks per node (the paper throttles
-    /// loader concurrency as part of flow control).
-    pub loader_concurrency: usize,
     /// Ablation: when true, every flowlet waits for all its inputs to
     /// complete before processing any bin — coarse-grain stage barriers,
     /// i.e. "Hadoop-style" scheduling on the HAMR engine.
     pub barrier_mode: bool,
     /// Partial-reduce state sharing (see [`ContentionMode`]).
     pub contention: ContentionMode,
-    /// Number of parallel shards used when firing reduce/partial-reduce
-    /// completion work. Defaults to the worker count.
-    pub fire_shards: usize,
     /// Task scheduling strategy (see [`SchedMode`]).
     pub sched: SchedMode,
     /// Deliberate sabotage for self-verification tests (see
@@ -212,7 +164,7 @@ pub struct RuntimeConfig {
     /// per-edge streaming sketches and, in `Full`, sampled record
     /// lineage. Sketches observe frames as bins close; they never
     /// influence routing or scheduling.
-    pub stats: hamr_trace::StatsMode,
+    pub stats: StatsMode,
 }
 
 impl Default for RuntimeConfig {
@@ -220,28 +172,24 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             bin_capacity: 1024,
             out_window_bins: 32,
-            defer_high_water: 64,
             memory_budget: 64 << 20,
-            loader_concurrency: 2,
             barrier_mode: false,
             contention: ContentionMode::SharedLocked,
-            fire_shards: 0, // 0 = use worker count
             // Explicit `sched` assignments in code (e.g. the
             // differential tests) are unaffected by the env var.
-            sched: std::env::var("HAMR_SCHED").map_or(SchedMode::WorkStealing, |s| {
-                SchedMode::from_env_or_panic(&s)
-            }),
+            sched: env_or_panic(
+                "HAMR_SCHED",
+                SchedMode::WorkStealing,
+                SchedMode::from_env_str,
+            ),
             fault: FaultInjection::None,
             // Like HAMR_SCHED, HAMR_SKEW lets the CI matrix ablate
             // without touching code; explicit assignments override.
-            skew: std::env::var("HAMR_SKEW")
-                .ok()
-                .and_then(|s| SkewConfig::from_env_str(&s))
-                .unwrap_or_default(),
+            skew: env_or_panic("HAMR_SKEW", SkewConfig::default(), SkewConfig::from_env_str),
             // HAMR_STATS=off|edges|full[:N] — same env-gate idiom as
             // HAMR_SCHED/HAMR_SKEW. Defaults to `edges` (sketches on,
             // lineage sampling off).
-            stats: hamr_trace::StatsMode::from_env_str(std::env::var("HAMR_STATS").ok().as_deref()),
+            stats: env_or_panic("HAMR_STATS", StatsMode::default(), StatsMode::from_env_str),
         }
     }
 }
@@ -430,51 +378,65 @@ mod tests {
         let r = RuntimeConfig::default();
         assert!(r.bin_capacity > 0);
         assert!(r.out_window_bins > 0);
-        assert!(r.defer_high_water >= r.out_window_bins);
+        assert!(r.memory_budget > 0);
         assert_eq!(r.contention, ContentionMode::SharedLocked);
     }
 
     #[test]
     fn sched_mode_env_strings_parse() {
-        assert_eq!(SchedMode::from_env_str("ws"), Some(SchedMode::WorkStealing));
+        assert_eq!(SchedMode::from_env_str("ws"), Ok(SchedMode::WorkStealing));
         assert_eq!(
             SchedMode::from_env_str("work-stealing"),
-            Some(SchedMode::WorkStealing)
+            Ok(SchedMode::WorkStealing)
         );
-        assert_eq!(SchedMode::from_env_str("centralized"), None);
         assert_eq!(
             SchedMode::from_env_str("det"),
-            Some(SchedMode::Deterministic { seed: 0 })
+            Ok(SchedMode::Deterministic { seed: 0 })
         );
         assert_eq!(
             SchedMode::from_env_str("det:42"),
-            Some(SchedMode::Deterministic { seed: 42 })
+            Ok(SchedMode::Deterministic { seed: 42 })
         );
-        assert_eq!(SchedMode::from_env_str("bogus"), None);
-        assert_eq!(SchedMode::from_env_str("det:notanumber"), None);
+        for typo in ["centralized", "bogus", "det:notanumber", "detx"] {
+            assert_eq!(
+                SchedMode::from_env_str(typo),
+                Err("ws|det[:seed]".to_string())
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "HAMR_SCHED must be ws|det[:seed], got 'centralized'")]
     fn unparsable_sched_env_panics() {
-        SchedMode::from_env_or_panic("centralized");
+        hamr_trace::value_or_panic("HAMR_SCHED", "centralized", SchedMode::from_env_str);
     }
 
     #[test]
     fn skew_env_strings_parse() {
-        assert_eq!(SkewConfig::from_env_str("off"), Some(SkewConfig::off()));
-        assert_eq!(SkewConfig::from_env_str("none"), Some(SkewConfig::off()));
-        assert_eq!(SkewConfig::from_env_str("all"), Some(SkewConfig::all()));
-        let c = SkewConfig::from_env_str("combine,rebalance").unwrap();
-        assert!(c.combine && !c.split && c.rebalance);
+        assert_eq!(SkewConfig::from_env_str("off"), Ok(SkewConfig::off()));
+        assert_eq!(SkewConfig::from_env_str("none"), Ok(SkewConfig::off()));
+        assert_eq!(
+            SkewConfig::from_env_str("combine,split"),
+            Ok(SkewConfig::default())
+        );
         let c = SkewConfig::from_env_str(" split ").unwrap();
-        assert!(!c.combine && c.split && !c.rebalance);
-        assert_eq!(SkewConfig::from_env_str("bogus"), None);
-        assert_eq!(SkewConfig::from_env_str(""), None);
-        // Defaults: deterministic mechanisms on, reactive one off.
+        assert!(!c.combine && c.split);
+        // The removed third mechanism is a typo like any other.
+        for typo in ["bogus", "rebalance", "all", "combine,rebalance", ""] {
+            assert_eq!(
+                SkewConfig::from_env_str(typo),
+                Err("off|combine|split|combine,split".to_string())
+            );
+        }
         let d = SkewConfig::default();
-        assert!(d.combine && d.split && !d.rebalance);
+        assert!(d.combine && d.split);
         assert!(d.split_threshold > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HAMR_SKEW must be off|combine|split|combine,split, got 'rebalance'")]
+    fn removed_skew_mechanism_panics() {
+        hamr_trace::value_or_panic("HAMR_SKEW", "rebalance", SkewConfig::from_env_str);
     }
 
     #[test]

@@ -57,14 +57,14 @@ pub enum HttpMode {
 impl HttpMode {
     /// Parse `HAMR_HTTP=off|auto|<port>` (unset means `Off`).
     pub fn from_env() -> Self {
-        match std::env::var("HAMR_HTTP").as_deref() {
-            Err(_) | Ok("off") | Ok("") => HttpMode::Off,
-            Ok("auto") => HttpMode::Auto,
-            Ok(other) => match other.parse::<u16>() {
-                Ok(port) => HttpMode::Port(port),
-                Err(_) => panic!("HAMR_HTTP must be off|auto|<port>, got '{other}'"),
-            },
-        }
+        hamr_trace::env_or_panic("HAMR_HTTP", HttpMode::Off, |s| match s {
+            "off" => Ok(HttpMode::Off),
+            "auto" => Ok(HttpMode::Auto),
+            port => port
+                .parse()
+                .map(HttpMode::Port)
+                .map_err(|_| "off|auto|<port>".to_string()),
+        })
     }
 }
 
@@ -249,8 +249,9 @@ pub(crate) struct LiveRun {
     pub obs: Observe,
 }
 
-/// Newest events kept in a live `/doctor` response.
-const DOCTOR_KEEP_LAST: usize = 200;
+/// Newest events kept in a doctor dump, live (`/doctor`) or post-mortem
+/// (`doctor_<job>.json`).
+pub(crate) const DOCTOR_KEEP_LAST: usize = 200;
 
 /// The introspection plane one cluster owns: registry + health +
 /// live-run handles + the (optional) embedded HTTP server.

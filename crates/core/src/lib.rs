@@ -57,6 +57,7 @@ mod introspect;
 mod metrics;
 mod node;
 mod outbuf;
+mod plan;
 mod record;
 mod reduce_state;
 pub mod resident;

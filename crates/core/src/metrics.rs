@@ -57,8 +57,6 @@ pub struct NodeMetrics {
     /// Hot reduce partitions this node's emitters started scattering
     /// (one per key crossing the sketch threshold per task).
     pub splits_triggered: u64,
-    /// Reduce shards the skew planner migrated off this node.
-    pub shards_migrated: u64,
 }
 
 impl NodeMetrics {
@@ -139,11 +137,6 @@ impl JobMetrics {
     /// Sum of hot-key splits triggered over all nodes.
     pub fn total_splits(&self) -> u64 {
         self.nodes.iter().map(|n| n.splits_triggered).sum()
-    }
-
-    /// Sum of planner shard migrations over all nodes.
-    pub fn total_migrated(&self) -> u64 {
-        self.nodes.iter().map(|n| n.shards_migrated).sum()
     }
 
     /// Sum of successful steal operations over all nodes.
@@ -272,9 +265,6 @@ impl JobMetrics {
             registry
                 .counter("node_splits_triggered_total", labels())
                 .add(nm.splits_triggered);
-            registry
-                .counter("node_shards_migrated_total", labels())
-                .add(nm.shards_migrated);
         }
         if let Some(snap) = &self.stats {
             // Per-edge sketch results as gauges (latest run of this job

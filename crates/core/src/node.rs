@@ -43,14 +43,14 @@
 
 use crate::config::{FaultInjection, RuntimeConfig, SchedMode};
 use crate::flowlet::{AccBox, TaskContext};
-use crate::graph::{EdgeId, FlowletId, FlowletKind, JobGraph};
+use crate::graph::{EdgeId, FlowletId, FlowletKind};
 use crate::metrics::{FlowletMetrics, NodeMetrics};
-use crate::outbuf::{FillSink, FlowControl, PortSpec, TaskOutput};
+use crate::outbuf::{FlowControl, TaskOutput};
+use crate::plan::ExecPlan;
 use crate::record::{BinKind, FrameBin, Record};
 use crate::reduce_state::{FireShard, PartialState, ReduceState, SkewAbsorber};
-use crate::resident::CachePlan;
 use crate::sched::{Pool, Source};
-use crate::skew::{KeySketch, SkewRuntime};
+use crate::skew::KeySketch;
 use crate::NodeId;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -160,7 +160,7 @@ enum Task {
         flowlet: FlowletId,
         entries: Vec<(Bytes, AccBox)>,
     },
-    /// Fold one scattered hot-key / migrated-shard bin into the edge's
+    /// Fold one scattered hot-key bin into the edge's
     /// [`SkewAbsorber`] instead of the destination's reduce state.
     SkewAbsorb {
         flowlet: FlowletId,
@@ -214,6 +214,8 @@ struct TaskDone {
     flowlet: FlowletId,
     bins: Vec<(NodeId, FrameBin)>,
     captured: Vec<Record>,
+    /// Frames pinned for the resident store (see `TaskParts::fill`).
+    fill: Vec<(EdgeId, NodeId, hamr_codec::Frame)>,
     ack_to: Option<(NodeId, EdgeId)>,
     /// For stream tasks: (epoch, more-epochs-follow).
     stream: Option<(u64, bool)>,
@@ -236,17 +238,12 @@ struct TaskDone {
 
 /// State shared with worker threads.
 struct WorkerShared {
-    graph: Arc<JobGraph>,
-    /// Per-flowlet output ports and name, resolved from the graph once
-    /// so that a task's set-up is two refcount bumps.
-    ports: Vec<Arc<[PortSpec]>>,
-    names: Vec<Arc<str>>,
+    /// The compiled job: graph, ports, names, combiners, and every
+    /// per-edge decision a task reads.
+    plan: Arc<ExecPlan>,
     ctx: TaskContext,
-    bin_capacity: usize,
     partial: Vec<Option<Arc<PartialState>>>,
     reduce: Vec<Mutex<Option<Arc<ReduceState>>>>,
-    /// Per-job skew mitigation state (combiners, plan, sketch config).
-    skew: Arc<SkewRuntime>,
     /// Per-*edge* absorbers for scattered hot-key records; `Some` only
     /// on scatter-eligible edges.
     absorbers: Vec<Option<Arc<SkewAbsorber>>>,
@@ -254,36 +251,9 @@ struct WorkerShared {
     obs: Observe,
     /// Telemetry gauge: workers currently executing a task on this node.
     busy_gauge: Gauge,
-    /// Resident-cache fill sink; `Some` only when this job fills one or
-    /// more cache tags (see [`CachePlan`]).
-    fill: Option<Arc<FillSink>>,
 }
 
 impl WorkerShared {
-    fn make_output(
-        &self,
-        flowlet: FlowletId,
-        lane: u32,
-        sketches: &mut Vec<KeySketch>,
-    ) -> TaskOutput {
-        let mut out = TaskOutput::new(
-            Arc::clone(&self.ports[flowlet]),
-            self.ctx.node,
-            self.ctx.nodes,
-            self.bin_capacity,
-            self.graph.flowlets[flowlet].capture,
-            Arc::clone(&self.names[flowlet]),
-            flowlet as u32,
-            lane,
-            &self.obs,
-        )
-        .with_skew(&self.skew, sketches);
-        if let Some(sink) = &self.fill {
-            out = out.with_fill(sink);
-        }
-        out
-    }
-
     /// Record a terminal lineage hop for a consumed bin (reduce ingest
     /// or skew absorb). Only samples already in flight are touched, so
     /// this is free for unsampled traffic and entirely off outside
@@ -296,7 +266,7 @@ impl WorkerShared {
                     self.ctx.node as u32,
                     kind,
                     flowlet as u32,
-                    &self.graph.flowlets[flowlet].name,
+                    &self.plan.flowlets[flowlet].name,
                     self.ctx.node as u32,
                     bin.frame.iter().map(|(h, _, _)| h),
                 );
@@ -346,6 +316,7 @@ fn execute_task(
         flowlet,
         bins: Vec::new(),
         captured: Vec::new(),
+        fill: Vec::new(),
         ack_to: None,
         stream: None,
         is_loader_split,
@@ -359,8 +330,15 @@ fn execute_task(
         panic: None,
     };
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut out = shared.make_output(flowlet, worker_id as u32, sketches);
-        let kind = &shared.graph.flowlets[flowlet].kind;
+        let mut out = TaskOutput::new(
+            &shared.plan,
+            flowlet,
+            shared.ctx.node,
+            worker_id as u32,
+            &shared.obs,
+            sketches,
+        );
+        let kind = &shared.plan.graph.flowlets[flowlet].kind;
         let mut records_in = 0u64;
         let mut ack_to = None;
         let mut stream = None;
@@ -404,10 +382,7 @@ fn execute_task(
                 // consume hop so sampled lineage ends at a reducer.
                 // Local-edge folds (pre-shuffle combines) are not a
                 // reduce ingest and stay hop-free.
-                if matches!(
-                    shared.graph.edges[bin.edge].exchange,
-                    crate::graph::Exchange::Hash
-                ) {
+                if shared.plan.edges[bin.edge].sampled {
                     shared.stats_consume(&bin, flowlet, HopKind::Reduce);
                 }
                 let state = shared.partial[flowlet]
@@ -456,28 +431,34 @@ fn execute_task(
                 let abs = shared.absorbers[bin.edge]
                     .as_ref()
                     .expect("absorber exists for scatter edge");
-                let combiner = shared
-                    .skew
-                    .combiner(bin.edge)
+                let combiner = shared.plan.edges[bin.edge]
+                    .combiner
+                    .as_ref()
                     .expect("scatter edge has a combiner");
                 absorbed = abs.fold(worker_id, &bin, combiner.as_ref());
                 ack_to = ack;
             }
         }
-        let (bins, captured, stats) = out.into_parts_stats(sketches);
-        (bins, captured, records_in, ack_to, stream, stats, absorbed)
+        (
+            out.into_parts(sketches),
+            records_in,
+            ack_to,
+            stream,
+            absorbed,
+        )
     }));
     match result {
-        Ok((bins, captured, records_in, ack_to, stream, stats, absorbed)) => {
-            done.records_out = bins.iter().map(|(_, b)| b.len() as u64).sum();
-            done.bins = bins;
-            done.captured = captured;
+        Ok((parts, records_in, ack_to, stream, absorbed)) => {
+            done.records_out = parts.bins.iter().map(|(_, b)| b.len() as u64).sum();
+            done.bins = parts.bins;
+            done.captured = parts.captured;
+            done.fill = parts.fill;
             done.records_in = records_in;
             done.ack_to = ack_to;
             done.stream = stream;
-            done.combined = stats.combined;
+            done.combined = parts.combined;
             done.absorbed = absorbed;
-            done.splits = stats.splits;
+            done.splits = parts.splits;
         }
         Err(payload) => {
             let msg = payload
@@ -658,7 +639,7 @@ enum Exec {
 pub(crate) struct NodeRuntime {
     node: NodeId,
     nodes: usize,
-    graph: Arc<JobGraph>,
+    plan: Arc<ExecPlan>,
     cfg: RuntimeConfig,
     threads: usize,
     endpoint: Endpoint<NetMsg>,
@@ -681,32 +662,32 @@ pub(crate) struct NodeRuntime {
     queue_gauges: Vec<Gauge>,
     /// Telemetry gauge: bytes resident in queued (pending + held) bins.
     pending_bytes_gauge: Gauge,
-    /// Resident-cache plan for this job: which flowlets serve from the
-    /// store and which edges fill it.
-    plan: Arc<CachePlan>,
+    /// Frames this node's tasks pinned for the resident store.
+    fill: Vec<(EdgeId, NodeId, hamr_codec::Frame)>,
 }
 
+/// Max concurrent loader split tasks per node (the paper throttles
+/// loader concurrency as part of flow control).
+const LOADER_CONCURRENCY: usize = 2;
+
+/// Max deferred (backpressured) bins per node before loaders stop
+/// admitting new splits.
+const DEFER_HIGH_WATER: usize = 64;
+
 impl NodeRuntime {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        graph: Arc<JobGraph>,
+        plan: Arc<ExecPlan>,
         cfg: RuntimeConfig,
         threads: usize,
         ctx: TaskContext,
         endpoint: Endpoint<NetMsg>,
         inbox: Receiver<Envelope<NetMsg>>,
         obs: &Observe,
-        skew: Arc<SkewRuntime>,
-        plan: Arc<CachePlan>,
     ) -> Self {
         let node = ctx.node;
         let nodes = ctx.nodes;
         let telemetry = &obs.telemetry;
-        let fire_shards = if cfg.fire_shards == 0 {
-            threads
-        } else {
-            cfg.fire_shards
-        };
+        let graph = &plan.graph;
         // Per-flowlet worker-visible state.
         let mut partial = Vec::with_capacity(graph.flowlets.len());
         let mut reduce = Vec::with_capacity(graph.flowlets.len());
@@ -718,8 +699,9 @@ impl NodeRuntime {
                 _ => None,
             });
             reduce.push(Mutex::new(match def.kind {
+                // One fire shard per worker.
                 FlowletKind::Reduce(_) => Some(Arc::new(ReduceState::new(
-                    fire_shards,
+                    threads,
                     cfg.memory_budget,
                     ctx.disk.clone(),
                     obs,
@@ -734,39 +716,19 @@ impl NodeRuntime {
         telemetry
             .register(node as u32, format!("node{node}/workers"))
             .set(threads as i64);
-        let absorbers = (0..graph.edges.len())
-            .map(|e| {
-                skew.scatter_on(e)
-                    .then(|| Arc::new(SkewAbsorber::new(threads)))
-            })
+        let absorbers = plan
+            .edges
+            .iter()
+            .map(|e| e.scatter.then(|| Arc::new(SkewAbsorber::new(threads))))
             .collect();
-        let fill =
-            (!plan.fill.is_empty()).then(|| Arc::new(FillSink::new(plan.fill_edges.clone())));
         let shared = Arc::new(WorkerShared {
-            ports: (0..graph.flowlets.len())
-                .map(|f| {
-                    graph
-                        .out_ports(f)
-                        .into_iter()
-                        .map(|(edge, exchange)| PortSpec { edge, exchange })
-                        .collect()
-                })
-                .collect(),
-            names: graph
-                .flowlets
-                .iter()
-                .map(|d| d.name.as_str().into())
-                .collect(),
-            graph: Arc::clone(&graph),
+            plan: Arc::clone(&plan),
             ctx: ctx.clone(),
-            bin_capacity: cfg.bin_capacity,
             partial,
             reduce,
             obs: obs.clone(),
             busy_gauge: telemetry.register(node as u32, format!("node{node}/workers_busy")),
-            skew: Arc::clone(&skew),
             absorbers,
-            fill,
         });
         let flow = Arc::new(FlowControl::new(
             node,
@@ -824,15 +786,13 @@ impl NodeRuntime {
                 // the local consumer queues before the loop starts, and
                 // the 0-split loader completes (broadcasting
                 // EdgeComplete) on the first pump pass.
-                let splits_total = if plan.serves(f) {
-                    0
-                } else {
-                    match &def.kind {
-                        FlowletKind::Loader(l) => l.split_count(&ctx),
-                        _ => 0,
+                let splits_total = match &def.kind {
+                    FlowletKind::Loader(l) if plan.flowlets[f].serve.is_none() => {
+                        l.split_count(&ctx)
                     }
+                    _ => 0,
                 };
-                let skew_expected = skew.scatter_in_edges(&graph, f).len() * nodes;
+                let skew_expected = plan.flowlets[f].scatter_in.len() * nodes;
                 Instance {
                     pending: VecDeque::new(),
                     held: Vec::new(),
@@ -867,7 +827,7 @@ impl NodeRuntime {
         NodeRuntime {
             node,
             nodes,
-            graph,
+            plan,
             cfg,
             threads,
             endpoint,
@@ -886,7 +846,7 @@ impl NodeRuntime {
             error: None,
             queue_gauges,
             pending_bytes_gauge,
-            plan,
+            fill: Vec::new(),
         }
     }
 
@@ -898,11 +858,12 @@ impl NodeRuntime {
     /// balances. No fabric send happens, so `shuffled_bytes` (remote
     /// fabric traffic) drops to zero for these edges.
     fn inject_served(&mut self) {
-        let graph = Arc::clone(&self.graph);
         let plan = Arc::clone(&self.plan);
-        for (&f, hit) in &plan.serve {
-            for (port, &edge) in graph.flowlets[f].out_edges.iter().enumerate() {
-                let dst = graph.edges[edge].dst;
+        for fp in &plan.flowlets {
+            let Some(hit) = &fp.serve else { continue };
+            for (port, spec) in fp.ports.iter().enumerate() {
+                let edge = spec.edge;
+                let dst = plan.graph.edges[edge].dst;
                 for frame in &hit.ports[port][self.node] {
                     let mut bin = FrameBin::new(edge, frame.clone());
                     for stage in [AuditStage::Emit, AuditStage::Ship, AuditStage::Deliver] {
@@ -1018,20 +979,13 @@ impl NodeRuntime {
         self.flow.fold_into(&mut self.fmetrics);
         self.nmetrics.busy = self.busy;
         self.nmetrics.elapsed = self.start.elapsed();
-        // Workers are joined; the fill sink is no longer contended.
-        let fill = self
-            .shared
-            .fill
-            .as_ref()
-            .map(|s| s.drain())
-            .unwrap_or_default();
         NodeOutcome {
             node: self.node,
             captured: std::mem::take(&mut self.captured),
             flowlets: std::mem::take(&mut self.fmetrics),
             node_metrics: std::mem::take(&mut self.nmetrics),
             error: self.error.take(),
-            fill,
+            fill: std::mem::take(&mut self.fill),
         }
     }
 
@@ -1070,7 +1024,7 @@ impl NodeRuntime {
             if inst.phase != Phase::Complete {
                 parts.push(format!(
                     "f{id}({}) phase={:?} pending={} running={} deferred={} complete_seen={}/{}",
-                    self.graph.flowlets[id].name,
+                    self.plan.graph.flowlets[id].name,
                     inst.phase,
                     inst.pending.len(),
                     inst.running,
@@ -1081,7 +1035,7 @@ impl NodeRuntime {
             }
         }
         let mut inflight_nonzero = Vec::new();
-        for edge in 0..self.graph.edges.len() {
+        for edge in 0..self.plan.graph.edges.len() {
             for dst in 0..self.nodes {
                 let v = self.flow.inflight(edge, dst);
                 if v > 0 {
@@ -1105,7 +1059,7 @@ impl NodeRuntime {
     fn handle_msg(&mut self, env: Envelope<NetMsg>) {
         match env.msg {
             NetMsg::Bin(bin) => {
-                let dst = self.graph.edges[bin.edge].dst;
+                let dst = self.plan.graph.edges[bin.edge].dst;
                 self.nmetrics.bins_in += 1;
                 self.nmetrics.records_in += bin.len() as u64;
                 self.shared.obs.tracer.emit(
@@ -1132,15 +1086,15 @@ impl NodeRuntime {
                 });
             }
             NetMsg::SkewDone { edge } => {
-                let dst = self.graph.edges[edge].dst;
+                let dst = self.plan.graph.edges[edge].dst;
                 self.instances[dst].pending.push_back(Work::SkewDone);
             }
             NetMsg::EdgeComplete { edge } => {
-                let dst = self.graph.edges[edge].dst;
+                let dst = self.plan.graph.edges[edge].dst;
                 self.instances[dst].pending.push_back(Work::Complete);
             }
             NetMsg::Marker { edge, epoch } => {
-                let dst = self.graph.edges[edge].dst;
+                let dst = self.plan.graph.edges[edge].dst;
                 self.instances[dst]
                     .pending
                     .push_back(Work::Marker { epoch });
@@ -1167,7 +1121,7 @@ impl NodeRuntime {
         if let Some(msg) = done.panic {
             let reason = Arc::new(format!(
                 "flowlet '{}' on node {}: {}",
-                self.graph.flowlets[done.flowlet].name, self.node, msg
+                self.plan.graph.flowlets[done.flowlet].name, self.node, msg
             ));
             // Tell everyone. Our own loopback Abort is harmless — we
             // already stop via `error` below.
@@ -1217,6 +1171,7 @@ impl NodeRuntime {
         if !done.captured.is_empty() {
             self.captured.entry(f).or_default().extend(done.captured);
         }
+        self.fill.extend(done.fill);
     }
 
     fn dispatch(&mut self, task: Task) {
@@ -1250,7 +1205,7 @@ impl NodeRuntime {
     /// replay keeps a shallow backlog (twice the workers) since one
     /// thread runs everything anyway; work stealing admits deeper (four
     /// per worker) because queued tasks sit in per-worker deques where
-    /// idle peers can steal them, and `defer_high_water` still bounds
+    /// idle peers can steal them, and [`DEFER_HIGH_WATER`] still bounds
     /// memory.
     fn has_capacity(&self) -> bool {
         let cap = match &self.exec {
@@ -1263,12 +1218,12 @@ impl NodeRuntime {
     fn pump(&mut self) {
         // Walk flowlets in topological order so upstream work is
         // admitted first within one pass.
-        for i in 0..self.graph.topo.len() {
-            let f = self.graph.topo[i];
+        for i in 0..self.plan.graph.topo.len() {
+            let f = self.plan.graph.topo[i];
             if self.instances[f].phase == Phase::Complete {
                 continue;
             }
-            let graph = Arc::clone(&self.graph);
+            let graph = Arc::clone(&self.plan.graph);
             match graph.flowlets[f].kind {
                 FlowletKind::Loader(_) => self.pump_loader(f),
                 FlowletKind::Stream(_) => self.pump_stream(f),
@@ -1283,9 +1238,9 @@ impl NodeRuntime {
             let inst = &self.instances[f];
             if inst.phase != Phase::Active
                 || inst.splits_next >= inst.splits_total
-                || inst.loader_running >= self.cfg.loader_concurrency
+                || inst.loader_running >= LOADER_CONCURRENCY
                 || self.flow.deferred_for(f) > 0
-                || self.flow.total_deferred() >= self.cfg.defer_high_water
+                || self.flow.total_deferred() >= DEFER_HIGH_WATER
                 || !self.has_capacity()
             {
                 return;
@@ -1471,7 +1426,7 @@ impl NodeRuntime {
     }
 
     fn flowlet_tag(&self, f: FlowletId) -> Tag {
-        match self.graph.flowlets[f].kind {
+        match self.plan.graph.flowlets[f].kind {
             FlowletKind::Map(_) => Tag::Map,
             FlowletKind::PartialReduce(_) => Tag::Partial,
             FlowletKind::Reduce(_) => Tag::Reduce,
@@ -1482,7 +1437,7 @@ impl NodeRuntime {
     /// Flush a partial reduce's window at an epoch boundary, or simply
     /// forward the marker for stateless flowlets.
     fn begin_epoch_flush(&mut self, f: FlowletId, epoch: u64) {
-        let reducer = match &self.graph.flowlets[f].kind {
+        let reducer = match &self.plan.graph.flowlets[f].kind {
             FlowletKind::PartialReduce(r) => Some(Arc::clone(r)),
             _ => None,
         };
@@ -1512,7 +1467,7 @@ impl NodeRuntime {
     }
 
     fn broadcast_markers(&mut self, f: FlowletId, epoch: u64) {
-        let graph = Arc::clone(&self.graph);
+        let graph = Arc::clone(&self.plan.graph);
         for &edge in &graph.flowlets[f].out_edges {
             for dst in 0..self.nodes {
                 let _ = self.endpoint.send(dst, NetMsg::Marker { edge, epoch });
@@ -1526,12 +1481,8 @@ impl NodeRuntime {
         if entries.is_empty() {
             return 0;
         }
-        let shards = if self.cfg.fire_shards == 0 {
-            self.threads
-        } else {
-            self.cfg.fire_shards
-        };
-        let chunk = entries.len().div_ceil(shards);
+        // One finish task per worker.
+        let chunk = entries.len().div_ceil(self.threads);
         let mut tasks = Vec::new();
         while !entries.is_empty() {
             let rest = entries.split_off(chunk.min(entries.len()));
@@ -1562,7 +1513,7 @@ impl NodeRuntime {
                 let ready = {
                     let inst = &self.instances[f];
                     match self.flowlet_tag(f) {
-                        Tag::Source => match self.graph.flowlets[f].kind {
+                        Tag::Source => match self.plan.graph.flowlets[f].kind {
                             FlowletKind::Loader(_) => inst.splits_done == inst.splits_total && idle,
                             _ => inst.stream_finished && inst.marker_owed.is_none() && idle,
                         },
@@ -1621,7 +1572,7 @@ impl NodeRuntime {
         let state = Arc::try_unwrap(state_arc)
             .unwrap_or_else(|_| panic!("reduce state still shared at fire"));
         self.fmetrics[f].spilled_bytes += state.spilled_bytes();
-        match state.into_fire_shards() {
+        match state.into_shards() {
             Ok(shards) => {
                 // Empty shards would only inflate task/steal counts;
                 // skip them before dispatch.
@@ -1653,7 +1604,7 @@ impl NodeRuntime {
     }
 
     fn fire_partial(&mut self, f: FlowletId) {
-        let FlowletKind::PartialReduce(ref r) = self.graph.flowlets[f].kind else {
+        let FlowletKind::PartialReduce(ref r) = self.plan.graph.flowlets[f].kind else {
             unreachable!()
         };
         let reducer = Arc::clone(r);
@@ -1674,15 +1625,14 @@ impl NodeRuntime {
     /// sees our merged bins before our `SkewDone`.
     fn begin_redistribute(&mut self, f: FlowletId) {
         self.instances[f].phase = Phase::Redistributing;
-        let graph = Arc::clone(&self.graph);
-        let shared = Arc::clone(&self.shared);
-        for &edge in &shared.skew.scatter_in_edges(&graph, f) {
-            let abs = shared.absorbers[edge]
+        let plan = Arc::clone(&self.plan);
+        for &edge in &plan.flowlets[f].scatter_in {
+            let abs = self.shared.absorbers[edge]
                 .as_ref()
                 .expect("absorber on scatter edge");
-            let combiner = shared
-                .skew
-                .combiner(edge)
+            let combiner = plan.edges[edge]
+                .combiner
+                .as_ref()
                 .expect("combiner on scatter edge");
             let (entries, folds) = abs.drain(combiner.as_ref());
             self.fmetrics[f].combined_records += folds;
@@ -1694,7 +1644,7 @@ impl NodeRuntime {
                 let home = (hash % self.nodes as u64) as usize;
                 let b = builders[home].get_or_insert_with(FrameBuilder::new);
                 b.push(hash, &key, &value);
-                if b.len() >= self.cfg.bin_capacity {
+                if b.len() >= plan.bin_capacity {
                     let full = builders[home].take().expect("builder present");
                     self.ship_merged(edge, home, full);
                 }
@@ -1721,13 +1671,13 @@ impl NodeRuntime {
         // Merged bins bypass TaskOutput, so the stats plane folds them
         // here — the re-emit leg is a distinct lineage hop.
         if let Some(plane) = &self.shared.obs.stats {
-            let src_flowlet = self.graph.edges[edge].src;
+            let src_flowlet = self.plan.graph.edges[edge].src;
             plane.fold_bin(
                 edge as u32,
                 home as u32,
                 HopKind::Merged,
                 src_flowlet as u32,
-                &self.graph.flowlets[src_flowlet].name,
+                &self.plan.flowlets[src_flowlet].name,
                 self.node as u32,
                 frame.iter().map(|(h, k, v)| (h, k, v.len())),
             );
@@ -1752,7 +1702,7 @@ impl NodeRuntime {
         // downstream consumer waits forever on this node's EdgeComplete
         // — a pure hang with all workers idle.
         let swallow = matches!(self.cfg.fault, FaultInjection::SwallowEdgeComplete { node } if node == self.node);
-        let graph = Arc::clone(&self.graph);
+        let graph = Arc::clone(&self.plan.graph);
         if !swallow {
             for &edge in &graph.flowlets[f].out_edges {
                 for dst in 0..self.nodes {

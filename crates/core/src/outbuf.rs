@@ -18,8 +18,9 @@
 use crate::graph::{EdgeId, Exchange, FlowletId};
 use crate::metrics::FlowletMetrics;
 use crate::node::NetMsg;
+use crate::plan::{ExecPlan, PortSpec};
 use crate::record::{BinKind, FrameBin, Record};
-use crate::skew::{Combiner, KeySketch, SkewRuntime};
+use crate::skew::{Combiner, KeySketch};
 use crate::NodeId;
 use bytes::Bytes;
 use hamr_codec::{stable_hash, FrameBuilder};
@@ -302,44 +303,6 @@ impl FlowControl {
     }
 }
 
-/// One output port as seen by a task.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PortSpec {
-    pub edge: EdgeId,
-    pub exchange: Exchange,
-}
-
-/// Shared sink collecting pinned clones of every `Normal`-kind frame
-/// closed on a cache-filling edge. The clone is a refcount bump on the
-/// frame's `Bytes`, taken *after* combining but *before* the bin ships,
-/// so a later serve replays byte-identical post-combine frames. Drained
-/// once per node at runtime teardown into [`NodeOutcome::fill`].
-pub(crate) struct FillSink {
-    /// Edge-indexed capture mask (true = edge fills the resident store).
-    pub mask: Vec<bool>,
-    pub frames: Mutex<Vec<(EdgeId, NodeId, hamr_codec::Frame)>>,
-}
-
-impl FillSink {
-    pub(crate) fn new(mask: Vec<bool>) -> Self {
-        FillSink {
-            mask,
-            frames: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn capture(&self, edge: EdgeId, dst: NodeId, frame: &hamr_codec::Frame) {
-        self.frames
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push((edge, dst, frame.clone()));
-    }
-
-    pub(crate) fn drain(&self) -> Vec<(EdgeId, NodeId, hamr_codec::Frame)> {
-        std::mem::take(&mut *self.frames.lock().unwrap_or_else(|p| p.into_inner()))
-    }
-}
-
 /// Per-port in-node combiner buffer: one partial per distinct key,
 /// folded in place as duplicates arrive. Flushed through normal
 /// routing once `bin_capacity` distinct keys accumulate (bounding
@@ -380,14 +343,13 @@ impl CombineBuf {
 }
 
 /// Per-task skew-mitigation state, attached only when some output
-/// edge has a mechanism enabled (see [`SkewRuntime::active_for`]).
+/// port combines or may scatter.
 struct SkewState {
-    rt: Arc<SkewRuntime>,
-    /// Per-port combine buffer (combine enabled on the port's edge).
+    /// Per-port combine buffer (`PortSpec::combine`).
     combine: Vec<Option<CombineBuf>>,
-    /// Per-port hot-key sketch (splitting enabled on the port's edge).
-    /// Observes *pre-combine* emissions — post-combine each key would
-    /// appear once per task and never cross the threshold.
+    /// Per-port hot-key sketch (`PortSpec::scatter`). Observes
+    /// *pre-combine* emissions — post-combine each key would appear
+    /// once per task and never cross the threshold.
     sketch: Vec<Option<KeySketch>>,
     /// Open scatter frames per (port, destination), kept apart from the
     /// normal slots because their bins ship as [`BinKind::Scatter`].
@@ -395,16 +357,23 @@ struct SkewState {
     /// Round-robin cursor for scatter destinations, seeded with the
     /// node id so different producers interleave their targets.
     rr: usize,
-    /// Pre-combine records per (port, home) — flushed to the planner's
-    /// per-(edge, home) load signal at task finish.
-    tallies: Vec<u64>,
     combined: u64,
     splits: u64,
 }
 
-/// Mitigation counters handed back alongside a finished task's bins.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SkewStats {
+/// Everything a finished task hands over.
+#[derive(Default)]
+pub(crate) struct TaskParts {
+    /// Packed bins ready to ship, with their destination.
+    pub bins: Vec<(NodeId, FrameBin)>,
+    /// Records captured as job output.
+    pub captured: Vec<Record>,
+    /// Pinned clones of every `Normal`-kind frame closed on a
+    /// cache-filling port, keyed by (edge, destination node). The clone
+    /// is a refcount bump on the frame's `Bytes`, taken *after*
+    /// combining but *before* the bin ships, so a later serve replays
+    /// byte-identical post-combine frames.
+    pub fill: Vec<(EdgeId, NodeId, hamr_codec::Frame)>,
     /// Records absorbed by in-node combining (each fold merges two
     /// partials into one, absorbing one record).
     pub combined: u64,
@@ -424,10 +393,9 @@ pub(crate) struct TaskOutput {
     /// Broadcast ports use only their first slot: one frame is built
     /// and cloned to every destination when it closes.
     open: Vec<Option<FrameBuilder>>,
-    /// Packed bins ready to ship, with their destination.
-    finished: Vec<(NodeId, FrameBin)>,
-    /// Records captured as job output.
-    captured: Vec<Record>,
+    /// Finished bins, captured output and pinned fill frames; the
+    /// mitigation counters are filled in at the end.
+    done: TaskParts,
     capture_enabled: bool,
     /// Reusable encode buffer for typed emits (see `emit_encoded`).
     scratch: Vec<u8>,
@@ -439,126 +407,90 @@ pub(crate) struct TaskOutput {
     /// The job's sinks. Its statistics plane folds closed frames using
     /// the hashes already in them — pure observation, never routing.
     obs: Observe,
-    /// Skew-mitigation state; `None` for unaffected flowlets, so the
-    /// common emit path pays one branch.
+    /// Skew-mitigation state; `None` for unaffected flowlets.
     skew: Option<SkewState>,
-    /// Resident-cache fill sink; `None` unless some output edge is
-    /// annotated `cache_as`/`resident` and missed the store this run.
-    fill: Option<Arc<FillSink>>,
 }
 
 impl TaskOutput {
-    #[allow(clippy::too_many_arguments)]
+    /// The output buffer of one task of `flowlet`, run by `lane` on
+    /// `node`. Hot-key sketches come out of the executing worker's
+    /// `sketches` and go back, cleared, in [`Self::into_parts`].
     pub(crate) fn new(
-        ports: Arc<[PortSpec]>,
+        plan: &ExecPlan,
+        flowlet: FlowletId,
         node: NodeId,
-        nodes: usize,
-        bin_capacity: usize,
-        capture_enabled: bool,
-        flowlet_name: Arc<str>,
-        flowlet_id: u32,
         lane: u32,
         obs: &Observe,
-    ) -> Self {
-        let slots = ports.len() * nodes;
-        TaskOutput {
-            ports,
-            node,
-            nodes,
-            bin_capacity,
-            open: (0..slots).map(|_| None).collect(),
-            finished: Vec::new(),
-            captured: Vec::new(),
-            capture_enabled,
-            scratch: Vec::new(),
-            flowlet_name,
-            flowlet_id,
-            lane,
-            obs: obs.clone(),
-            skew: None,
-            fill: None,
-        }
-    }
-
-    /// Attach the node's fill sink (builder style). A no-op when none
-    /// of this task's output edges fills the resident store.
-    pub(crate) fn with_fill(mut self, sink: &Arc<FillSink>) -> Self {
-        if self
-            .ports
-            .iter()
-            .any(|p| sink.mask.get(p.edge).copied().unwrap_or(false))
-        {
-            self.fill = Some(Arc::clone(sink));
-        }
-        self
-    }
-
-    /// Attach skew-mitigation state (builder style). A no-op when no
-    /// mechanism touches any of this task's output edges. Hot-key
-    /// sketches come out of the executing worker's `sketches` and go
-    /// back, cleared, in [`Self::into_parts_stats`].
-    pub(crate) fn with_skew(
-        mut self,
-        rt: &Arc<SkewRuntime>,
         sketches: &mut Vec<KeySketch>,
     ) -> Self {
-        if !rt.active_for(self.ports.iter().map(|p| p.edge)) {
-            return self;
-        }
-        let mut combine = Vec::with_capacity(self.ports.len());
-        let mut sketch = Vec::with_capacity(self.ports.len());
-        for p in self.ports.iter() {
-            combine.push(if rt.combine_on(p.edge) {
-                rt.combiner(p.edge).map(|c| CombineBuf::new(c.clone()))
-            } else {
-                None
+        let fp = &plan.flowlets[flowlet];
+        let slots = fp.ports.len() * plan.nodes;
+        let skew = fp
+            .ports
+            .iter()
+            .any(|p| p.combine || p.scatter)
+            .then(|| SkewState {
+                combine: fp
+                    .ports
+                    .iter()
+                    .map(|p| {
+                        let combiner = plan.edges[p.edge].combiner.as_ref();
+                        combiner.filter(|_| p.combine).cloned().map(CombineBuf::new)
+                    })
+                    .collect(),
+                sketch: fp
+                    .ports
+                    .iter()
+                    .map(|p| {
+                        p.scatter.then(|| {
+                            sketches
+                                .pop()
+                                .unwrap_or_else(|| KeySketch::new(plan.split_threshold))
+                        })
+                    })
+                    .collect(),
+                scatter_open: (0..slots).map(|_| None).collect(),
+                rr: node,
+                combined: 0,
+                splits: 0,
             });
-            sketch.push(if rt.scatter_on(p.edge) && rt.cfg.split {
-                Some(
-                    sketches
-                        .pop()
-                        .unwrap_or_else(|| KeySketch::new(rt.cfg.split_threshold)),
-                )
-            } else {
-                None
-            });
+        TaskOutput {
+            ports: Arc::clone(&fp.ports),
+            node,
+            nodes: plan.nodes,
+            bin_capacity: plan.bin_capacity,
+            open: (0..slots).map(|_| None).collect(),
+            done: TaskParts::default(),
+            capture_enabled: fp.capture,
+            scratch: Vec::new(),
+            flowlet_name: Arc::clone(&fp.name),
+            flowlet_id: flowlet as u32,
+            lane,
+            obs: obs.clone(),
+            skew,
         }
-        self.skew = Some(SkewState {
-            rt: rt.clone(),
-            combine,
-            sketch,
-            scatter_open: (0..self.ports.len() * self.nodes).map(|_| None).collect(),
-            rr: self.node,
-            tallies: vec![0; self.ports.len() * self.nodes],
-            combined: 0,
-            splits: 0,
-        });
-        self
     }
 
     /// Close a finished frame into a bin, minting its lineage span and
     /// emitting `BinEmitted` when tracing is on. Disabled tracing costs
     /// one branch: the bin keeps span 0 and no id is allocated.
-    fn close_bin(&mut self, dst: NodeId, edge: EdgeId, frame: hamr_codec::Frame) {
-        self.close_bin_kind(dst, edge, frame, BinKind::Normal);
+    fn close_bin(&mut self, dst: NodeId, port: usize, frame: hamr_codec::Frame) {
+        self.close_bin_kind(dst, port, frame, BinKind::Normal);
     }
 
     fn close_bin_kind(
         &mut self,
         dst: NodeId,
-        edge: EdgeId,
+        port: usize,
         frame: hamr_codec::Frame,
         kind: BinKind,
     ) {
+        let PortSpec { edge, fill, .. } = self.ports[port];
         // Pin a clone for the resident store before the frame moves
         // into the bin. Only Normal bins are cached: scatter/merged
         // skew traffic is nondeterministic routing, not dataflow.
-        if kind == BinKind::Normal {
-            if let Some(sink) = &self.fill {
-                if sink.mask.get(edge).copied().unwrap_or(false) {
-                    sink.capture(edge, dst, &frame);
-                }
-            }
+        if fill && kind == BinKind::Normal {
+            self.done.fill.push((edge, dst, frame.clone()));
         }
         if let Some(plane) = &self.obs.stats {
             let hop = match kind {
@@ -600,7 +532,7 @@ impl TaskOutput {
                 },
             );
         }
-        self.finished.push((dst, bin));
+        self.done.bins.push((dst, bin));
     }
 
     pub(crate) fn ports(&self) -> usize {
@@ -623,7 +555,7 @@ impl TaskOutput {
         builder.push(hash, key, value);
         if builder.len() >= self.bin_capacity {
             let full = self.open[slot].take().expect("builder present");
-            self.close_bin(dst, self.ports[port].edge, full.freeze());
+            self.close_bin(dst, port, full.freeze());
         }
     }
 
@@ -641,10 +573,10 @@ impl TaskOutput {
         };
         let hash = stable_hash(key);
         match spec.exchange {
+            Exchange::Hash if spec.combine || spec.scatter => {
+                self.emit_skew(port, hash, key, value);
+            }
             Exchange::Hash => {
-                if self.skew.is_some() && self.emit_skew(port, spec.edge, hash, key, value) {
-                    return;
-                }
                 let dst = (hash % self.nodes as u64) as usize;
                 self.append(port, dst, hash, key, value);
             }
@@ -662,7 +594,7 @@ impl TaskOutput {
                 builder.push(hash, key, value);
                 if builder.len() >= self.bin_capacity {
                     let full = self.open[slot].take().expect("builder present");
-                    self.broadcast_frame(spec.edge, full);
+                    self.broadcast_frame(port, full);
                 }
             }
             Exchange::KeyNode => {
@@ -679,85 +611,48 @@ impl TaskOutput {
     /// Ship one broadcast frame to every node as refcounted clones.
     /// Each destination's clone gets its own lineage span: the copies
     /// travel (and may stall) independently.
-    fn broadcast_frame(&mut self, edge: EdgeId, builder: FrameBuilder) {
+    fn broadcast_frame(&mut self, port: usize, builder: FrameBuilder) {
         let frame = builder.freeze();
         for dst in 0..self.nodes {
-            self.close_bin(dst, edge, frame.clone());
+            self.close_bin(dst, port, frame.clone());
         }
     }
 
-    /// Skew-aware emit on a Hash port. Returns true when the record
-    /// was consumed here (combined or routed); false hands it back to
-    /// the plain hash path.
-    fn emit_skew(
-        &mut self,
-        port: usize,
-        edge: EdgeId,
-        hash: u64,
-        key: &[u8],
-        value: &[u8],
-    ) -> bool {
-        let nodes = self.nodes;
-        let needs_flush = {
-            let st = self.skew.as_mut().expect("skew state present");
-            let combine = st.rt.combine_on(edge);
-            let scatter = st.rt.scatter_on(edge);
-            if !combine && !scatter {
-                return false;
+    /// Emit on a Hash port that combines or may scatter: sketch the
+    /// key, then fold it into the port's combine buffer or route it.
+    fn emit_skew(&mut self, port: usize, hash: u64, key: &[u8], value: &[u8]) {
+        let st = self.skew.as_mut().expect("skew state present");
+        // The hot-key sketch observes the *pre-combine* stream: the raw
+        // record pressure is what makes a key hot.
+        if let Some(sk) = st.sketch[port].as_mut() {
+            if sk.observe(hash) {
+                st.splits += 1;
             }
-            // Planner signal and hot-key sketch both observe the
-            // *pre-combine* stream: the raw per-home record pressure is
-            // what makes a partition hot.
-            let home = (hash % nodes as u64) as usize;
-            st.tallies[port * nodes + home] += 1;
-            if let Some(sk) = st.sketch[port].as_mut() {
-                if sk.observe(hash) {
-                    st.splits += 1;
-                }
-            }
-            match st.combine[port].as_mut() {
-                Some(buf) => {
-                    if buf.fold(hash, key, value) {
-                        st.combined += 1;
-                    }
-                    buf.map.len() >= self.bin_capacity
-                }
-                None => {
-                    // Split/rebalance without combining: route now.
-                    let _ = st;
-                    self.route_one(port, hash, key, value);
-                    return true;
-                }
-            }
+        }
+        let Some(buf) = st.combine[port].as_mut() else {
+            // Splitting without combining: route now.
+            return self.route_one(port, hash, key, value);
         };
-        if needs_flush {
+        if buf.fold(hash, key, value) {
+            st.combined += 1;
+        }
+        if buf.map.len() >= self.bin_capacity {
             self.flush_combine(port);
         }
-        true
     }
 
     /// Route one (possibly pre-combined) record on a Hash port: to its
-    /// hash home, unless the key is flagged hot or the home partition
-    /// is migrated — then scatter it round-robin across all nodes.
+    /// hash home, unless the port's sketch (present only where the edge
+    /// may scatter) has flagged the key hot — then scatter it
+    /// round-robin across all nodes.
     fn route_one(&mut self, port: usize, hash: u64, key: &[u8], value: &[u8]) {
-        let edge = self.ports[port].edge;
-        let home = (hash % self.nodes as u64) as usize;
-        let scatter = {
-            let st = self.skew.as_ref().expect("skew state present");
-            st.rt.scatter_on(edge)
-                && (st.rt.plan.is_migrated(edge, home)
-                    || st.sketch[port].as_ref().is_some_and(|s| s.is_hot(hash)))
-        };
-        if !scatter {
-            self.append(port, home, hash, key, value);
-            return;
+        let st = self.skew.as_mut().expect("skew state present");
+        if !st.sketch[port].as_ref().is_some_and(|s| s.is_hot(hash)) {
+            let home = (hash % self.nodes as u64) as usize;
+            return self.append(port, home, hash, key, value);
         }
-        let dst = {
-            let st = self.skew.as_mut().expect("skew state present");
-            let d = st.rr % self.nodes;
-            st.rr += 1;
-            d
-        };
+        let dst = st.rr % self.nodes;
+        st.rr += 1;
         self.append_scatter(port, dst, hash, key, value);
     }
 
@@ -779,7 +674,7 @@ impl TaskOutput {
             }
         };
         if let Some(b) = full {
-            self.close_bin_kind(dst, self.ports[port].edge, b.freeze(), BinKind::Scatter);
+            self.close_bin_kind(dst, port, b.freeze(), BinKind::Scatter);
         }
     }
 
@@ -845,24 +740,14 @@ impl TaskOutput {
     /// Record a captured job-output pair.
     pub(crate) fn capture(&mut self, key: Bytes, value: Bytes) {
         if self.capture_enabled {
-            self.captured.push(Record::new(key, value));
+            self.done.captured.push(Record::new(key, value));
         }
     }
 
-    /// Finish the task: flush partial frames and hand everything over.
-    #[cfg(test)]
-    pub(crate) fn into_parts(self) -> (Vec<(NodeId, FrameBin)>, Vec<Record>) {
-        let (bins, captured, _) = self.into_parts_stats(&mut Vec::new());
-        (bins, captured)
-    }
-
     /// Finish the task: flush combine buffers, partial frames, and
-    /// scatter frames, flush the planner tallies, and hand everything
-    /// over with the task's mitigation counters.
-    pub(crate) fn into_parts_stats(
-        mut self,
-        sketches: &mut Vec<KeySketch>,
-    ) -> (Vec<(NodeId, FrameBin)>, Vec<Record>, SkewStats) {
+    /// scatter frames, and hand everything over with the task's
+    /// mitigation counters.
+    pub(crate) fn into_parts(mut self, sketches: &mut Vec<KeySketch>) -> TaskParts {
         // Combine buffers feed the normal/scatter frames, so they
         // flush first.
         if self.skew.is_some() {
@@ -876,47 +761,29 @@ impl TaskOutput {
                     continue;
                 }
                 let port = slot / self.nodes;
-                let spec = self.ports[port];
-                if matches!(spec.exchange, Exchange::Broadcast) {
-                    self.broadcast_frame(spec.edge, builder);
+                if matches!(self.ports[port].exchange, Exchange::Broadcast) {
+                    self.broadcast_frame(port, builder);
                 } else {
-                    let dst = slot % self.nodes;
-                    self.close_bin(dst, spec.edge, builder.freeze());
+                    self.close_bin(slot % self.nodes, port, builder.freeze());
                 }
             }
         }
-        let mut stats = SkewStats::default();
         if let Some(mut st) = self.skew.take() {
             let scatter = std::mem::take(&mut st.scatter_open);
             for (slot, builder) in scatter.into_iter().enumerate() {
-                if let Some(b) = builder {
-                    if b.is_empty() {
-                        continue;
-                    }
-                    let port = slot / self.nodes;
-                    let dst = slot % self.nodes;
-                    self.close_bin_kind(dst, self.ports[port].edge, b.freeze(), BinKind::Scatter);
+                if let Some(b) = builder.filter(|b| !b.is_empty()) {
+                    let (port, dst) = (slot / self.nodes, slot % self.nodes);
+                    self.close_bin_kind(dst, port, b.freeze(), BinKind::Scatter);
                 }
             }
-            for port in 0..self.ports.len() {
-                for home in 0..self.nodes {
-                    st.rt.tally_emitted(
-                        self.ports[port].edge,
-                        home,
-                        st.tallies[port * self.nodes + home],
-                    );
-                }
-            }
-            stats = SkewStats {
-                combined: st.combined,
-                splits: st.splits,
-            };
+            self.done.combined = st.combined;
+            self.done.splits = st.splits;
             for mut sketch in st.sketch.into_iter().flatten() {
                 sketch.clear();
                 sketches.push(sketch);
             }
         }
-        (self.finished, self.captured, stats)
+        self.done
     }
 }
 
@@ -925,55 +792,65 @@ mod tests {
     use super::*;
     use hamr_codec::partition;
 
-    fn out(ports: Vec<PortSpec>, node: NodeId, nodes: usize, cap: usize) -> TaskOutput {
-        TaskOutput::new(
-            ports.into(),
-            node,
-            nodes,
-            cap,
-            true,
-            "test".into(),
-            0,
-            0,
-            &Observe::default(),
-        )
+    /// The output of one task of a loader named "test" with one port
+    /// per entry of `exchanges` (edge id == port), compiled the way a
+    /// job's would be.
+    fn out_with(
+        exchanges: &[Exchange],
+        node: NodeId,
+        nodes: usize,
+        cap: usize,
+        capture: bool,
+    ) -> TaskOutput {
+        let mut b = crate::JobBuilder::new("outbuf");
+        let l = b.add_loader("test", crate::typed::pairs_loader(Vec::<(u64, u64)>::new()));
+        for (i, &exchange) in exchanges.iter().enumerate() {
+            let m = b.add_map(
+                format!("m{i}"),
+                crate::typed::map_fn(|_: u64, _: u64, _: &mut crate::Emitter| {}),
+            );
+            b.connect(l, m, exchange);
+        }
+        if capture {
+            b.capture_output(l);
+        }
+        let cfg = crate::RuntimeConfig {
+            bin_capacity: cap,
+            ..Default::default()
+        };
+        let store = crate::ResidentStore::new();
+        let plan = ExecPlan::compile(&Arc::new(b.build().unwrap()), &cfg, nodes, &store);
+        TaskOutput::new(&plan, l, node, 0, &Observe::default(), &mut Vec::new())
+    }
+
+    fn out(exchanges: &[Exchange], node: NodeId, nodes: usize, cap: usize) -> TaskOutput {
+        out_with(exchanges, node, nodes, cap, true)
+    }
+
+    fn finish(o: TaskOutput) -> (Vec<(NodeId, FrameBin)>, Vec<Record>) {
+        let parts = o.into_parts(&mut Vec::new());
+        (parts.bins, parts.captured)
     }
 
     #[test]
     fn local_exchange_stays_on_node() {
-        let mut o = out(
-            vec![PortSpec {
-                edge: 7,
-                exchange: Exchange::Local,
-            }],
-            2,
-            4,
-            100,
-        );
+        let mut o = out(&[Exchange::Local], 2, 4, 100);
         o.emit(0, b"k", b"v");
-        let (bins, _) = o.into_parts();
+        let (bins, _) = finish(o);
         assert_eq!(bins.len(), 1);
         assert_eq!(bins[0].0, 2);
-        assert_eq!(bins[0].1.edge, 7);
+        assert_eq!(bins[0].1.edge, 0);
         assert_eq!(bins[0].1.len(), 1);
     }
 
     #[test]
     fn hash_exchange_routes_by_key() {
         let nodes = 4;
-        let mut o = out(
-            vec![PortSpec {
-                edge: 0,
-                exchange: Exchange::Hash,
-            }],
-            0,
-            nodes,
-            1000,
-        );
+        let mut o = out(&[Exchange::Hash], 0, nodes, 1000);
         for i in 0..100u64 {
             o.emit(0, format!("key{i}").as_bytes(), b"v");
         }
-        let (bins, _) = o.into_parts();
+        let (bins, _) = finish(o);
         // Each key must be in the bin for its partition, and the
         // in-frame hash must agree with re-hashing the key.
         for (dst, bin) in &bins {
@@ -990,19 +867,11 @@ mod tests {
     #[test]
     fn key_node_routes_to_named_node() {
         let nodes = 4;
-        let mut o = out(
-            vec![PortSpec {
-                edge: 0,
-                exchange: Exchange::KeyNode,
-            }],
-            0,
-            nodes,
-            100,
-        );
+        let mut o = out(&[Exchange::KeyNode], 0, nodes, 100);
         for node in 0..6u64 {
             o.emit(0, &hamr_codec::Codec::to_bytes(&node), b"v");
         }
-        let (bins, _) = o.into_parts();
+        let (bins, _) = finish(o);
         for (dst, bin) in &bins {
             for (_, key, _) in bin.frame.iter() {
                 let mut input = key;
@@ -1016,17 +885,9 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_every_node() {
-        let mut o = out(
-            vec![PortSpec {
-                edge: 1,
-                exchange: Exchange::Broadcast,
-            }],
-            0,
-            3,
-            10,
-        );
+        let mut o = out(&[Exchange::Broadcast], 0, 3, 10);
         o.emit(0, b"k", b"v");
-        let (bins, _) = o.into_parts();
+        let (bins, _) = finish(o);
         let mut dsts: Vec<_> = bins.iter().map(|(d, _)| *d).collect();
         dsts.sort_unstable();
         assert_eq!(dsts, vec![0, 1, 2]);
@@ -1034,18 +895,10 @@ mod tests {
 
     #[test]
     fn broadcast_encodes_once_and_clones() {
-        let mut o = out(
-            vec![PortSpec {
-                edge: 1,
-                exchange: Exchange::Broadcast,
-            }],
-            0,
-            3,
-            10,
-        );
+        let mut o = out(&[Exchange::Broadcast], 0, 3, 10);
         o.emit(0, b"key", b"value");
         o.emit(0, b"key2", b"value2");
-        let (bins, _) = o.into_parts();
+        let (bins, _) = finish(o);
         assert_eq!(bins.len(), 3);
         // All three destinations share one payload allocation.
         let first = bins[0].1.frame.data().as_ptr();
@@ -1058,19 +911,11 @@ mod tests {
     #[test]
     fn broadcast_closes_full_frames_per_capacity() {
         let nodes = 2;
-        let mut o = out(
-            vec![PortSpec {
-                edge: 0,
-                exchange: Exchange::Broadcast,
-            }],
-            0,
-            nodes,
-            3,
-        );
+        let mut o = out(&[Exchange::Broadcast], 0, nodes, 3);
         for i in 0..7u64 {
             o.emit(0, &i.to_le_bytes(), b"v");
         }
-        let (bins, _) = o.into_parts();
+        let (bins, _) = finish(o);
         // 7 records at capacity 3 -> frames of 3, 3, 1, each cloned to
         // both nodes.
         assert_eq!(bins.len(), 3 * nodes);
@@ -1086,19 +931,11 @@ mod tests {
 
     #[test]
     fn full_bins_close_at_capacity() {
-        let mut o = out(
-            vec![PortSpec {
-                edge: 0,
-                exchange: Exchange::Local,
-            }],
-            0,
-            1,
-            3,
-        );
+        let mut o = out(&[Exchange::Local], 0, 1, 3);
         for i in 0..7u64 {
             o.emit(0, &i.to_le_bytes(), b"v");
         }
-        let (bins, _) = o.into_parts();
+        let (bins, _) = finish(o);
         // 7 records at capacity 3 -> bins of 3, 3, 1.
         let sizes: Vec<_> = bins.iter().map(|(_, b)| b.len()).collect();
         assert_eq!(sizes, vec![3, 3, 1]);
@@ -1106,17 +943,9 @@ mod tests {
 
     #[test]
     fn emit_encoded_round_trips_typed_pairs() {
-        let mut o = out(
-            vec![PortSpec {
-                edge: 0,
-                exchange: Exchange::Local,
-            }],
-            0,
-            1,
-            10,
-        );
+        let mut o = out(&[Exchange::Local], 0, 1, 10);
         o.emit_encoded(0, &"word".to_string(), &7u64);
-        let (bins, _) = o.into_parts();
+        let (bins, _) = finish(o);
         let (hash, key, value) = bins[0].1.frame.iter().next().unwrap();
         assert_eq!(hash, stable_hash(key));
         let k: String = hamr_codec::Codec::from_bytes(key).unwrap();
@@ -1127,9 +956,9 @@ mod tests {
     #[test]
     fn capture_collects_when_enabled() {
         let b = |s: &str| Bytes::copy_from_slice(s.as_bytes());
-        let mut o = out(vec![], 0, 1, 10);
+        let mut o = out(&[], 0, 1, 10);
         o.capture(b("k"), b("v"));
-        let (bins, captured) = o.into_parts();
+        let (bins, captured) = finish(o);
         assert!(bins.is_empty());
         assert_eq!(captured.len(), 1);
         assert_eq!(captured[0].key, b("k"));
@@ -1138,62 +967,30 @@ mod tests {
     #[test]
     fn capture_ignored_when_disabled() {
         let b = |s: &str| Bytes::copy_from_slice(s.as_bytes());
-        let mut o = TaskOutput::new(
-            Vec::new().into(),
-            0,
-            1,
-            10,
-            false,
-            "test".into(),
-            0,
-            0,
-            &Observe::default(),
-        );
+        let mut o = out_with(&[], 0, 1, 10, false);
         o.capture(b("k"), b("v"));
-        let (_, captured) = o.into_parts();
+        let (_, captured) = finish(o);
         assert!(captured.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "port 1")]
     fn emitting_on_unconnected_port_panics() {
-        let mut o = out(
-            vec![PortSpec {
-                edge: 0,
-                exchange: Exchange::Local,
-            }],
-            0,
-            1,
-            10,
-        );
+        let mut o = out(&[Exchange::Local], 0, 1, 10);
         o.emit(1, b"k", b"v");
     }
 
     #[test]
     fn multiple_ports_route_independently() {
-        let mut o = out(
-            vec![
-                PortSpec {
-                    edge: 10,
-                    exchange: Exchange::Local,
-                },
-                PortSpec {
-                    edge: 11,
-                    exchange: Exchange::Broadcast,
-                },
-            ],
-            1,
-            2,
-            100,
-        );
+        let mut o = out(&[Exchange::Local, Exchange::Broadcast], 1, 2, 100);
         o.emit(0, b"a", b"1");
         o.emit(1, b"b", b"2");
-        let (bins, _) = o.into_parts();
+        let (bins, _) = finish(o);
         let edges: std::collections::BTreeSet<_> = bins.iter().map(|(_, b)| b.edge).collect();
-        assert_eq!(edges.into_iter().collect::<Vec<_>>(), vec![10, 11]);
+        assert_eq!(edges.into_iter().collect::<Vec<_>>(), vec![0, 1]);
         let port1_count: usize = bins
             .iter()
-            .filter(|(_, b)| b.edge == 11)
+            .filter(|(_, b)| b.edge == 1)
             .map(|(_, b)| b.len())
             .sum();
         assert_eq!(port1_count, 2, "broadcast to both nodes");

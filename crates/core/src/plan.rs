@@ -1,0 +1,309 @@
+//! The execution plan: every per-job fact about an edge or a flowlet,
+//! decided once.
+//!
+//! [`Cluster::run_with`](crate::Cluster::run_with) compiles the
+//! validated [`JobGraph`] against the runtime configuration, the node
+//! count and the resident store into one immutable [`ExecPlan`], shared
+//! by every node runtime of the job. What is resolved when:
+//!
+//! * **per job** (here): an edge's combiner, whether it combines
+//!   in-node, may scatter hot keys, fills the resident store, and is a
+//!   shuffle edge for the statistics plane; a flowlet's name, output
+//!   ports, capture flag, resident hit and scatter-eligible in-edges;
+//! * **per task** (`TaskOutput::new`): two refcount bumps for the
+//!   flowlet's name and ports, plus combine buffers and hot-key
+//!   sketches for the ports whose flags ask for them;
+//! * **per record** (`TaskOutput::emit`): the key hash, and the flag
+//!   bits of the [`PortSpec`] the task already holds.
+//!
+//! Every node must agree on these facts — which partitions are served
+//! from the cache, which edges scatter — so nothing here may be decided
+//! per node, and nothing changes while the job runs.
+
+use crate::config::RuntimeConfig;
+use crate::graph::{EdgeId, Exchange, FlowletKind, JobGraph};
+use crate::resident::{CacheMode, ResidentHit, ResidentStore};
+use crate::skew::Combiner;
+use std::sync::Arc;
+
+/// One output port as seen by a task: its edge, and the edge's
+/// decisions the emit path reads on every record or bin close.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PortSpec {
+    pub edge: EdgeId,
+    pub exchange: Exchange,
+    /// See [`EdgePlan::combine`], [`EdgePlan::scatter`], [`EdgePlan::fill`].
+    pub combine: bool,
+    pub scatter: bool,
+    pub fill: bool,
+}
+
+/// One edge's per-job decisions.
+#[derive(Debug)]
+pub(crate) struct EdgePlan {
+    /// The edge's associative combiner — kept only on a `Hash` exchange
+    /// into a `Reduce`/`PartialReduce`, the one place pre-merging values
+    /// cannot change the result.
+    pub combiner: Option<Arc<dyn Combiner>>,
+    /// In-node combining: producers fold duplicate keys before bins
+    /// ship.
+    pub combine: bool,
+    /// Hot-key splitting: producers may scatter a hot key's records
+    /// across all nodes, and the consumer absorbs and re-emits them.
+    /// Needs the completion barrier (batch jobs only), more than one
+    /// node, and a source that is not cached: the resident store
+    /// replays pinned frames to their recorded home partitions, so
+    /// ownership of a cached edge must stay partition-stable. (In-node
+    /// combining is fine there: fills capture post-combine frames and
+    /// replay identically.)
+    pub scatter: bool,
+    /// Frames closed on this edge are pinned for the resident store.
+    pub fill: bool,
+    /// A hash-exchange (shuffle) edge: lineage sampling is confined to
+    /// these so loader keys (synthetic line offsets) cannot crowd out
+    /// shuffle keys, and only their cardinality is comparable across
+    /// engines.
+    pub sampled: bool,
+}
+
+/// One flowlet's per-job decisions.
+#[derive(Debug)]
+pub(crate) struct FlowletPlan {
+    pub name: Arc<str>,
+    pub ports: Arc<[PortSpec]>,
+    pub capture: bool,
+    /// Served from the resident store this run: its loader splits are
+    /// suppressed and `ports[port][node]` frame clones are injected
+    /// straight into the local consumer queues.
+    pub serve: Option<ResidentHit>,
+    /// Its emitted frames are captured this run and pinned under its
+    /// cache tag when the job succeeds.
+    pub fill: bool,
+    /// In-edges this flowlet must absorb scattered records on.
+    pub scatter_in: Vec<EdgeId>,
+}
+
+/// A compiled job: the graph plus everything derived from it once.
+#[derive(Debug)]
+pub(crate) struct ExecPlan {
+    pub graph: Arc<JobGraph>,
+    pub nodes: usize,
+    /// Records per bin before the output buffer packs and ships one.
+    pub bin_capacity: usize,
+    /// Per-task emit count at which a key is declared hot.
+    pub split_threshold: u32,
+    pub edges: Vec<EdgePlan>,
+    pub flowlets: Vec<FlowletPlan>,
+}
+
+impl ExecPlan {
+    pub(crate) fn compile(
+        graph: &Arc<JobGraph>,
+        cfg: &RuntimeConfig,
+        nodes: usize,
+        resident: &ResidentStore,
+    ) -> Arc<ExecPlan> {
+        // Residency first: an annotated flowlet either serves from the
+        // store or fills it, and its out-edges inherit the answer.
+        let caching = resident.enabled();
+        let residency: Vec<(Option<ResidentHit>, bool)> = graph
+            .flowlets
+            .iter()
+            .map(|def| {
+                let Some(spec) = def.cache.as_ref().filter(|_| caching) else {
+                    return (None, false);
+                };
+                let hit = (spec.mode == CacheMode::Serve)
+                    .then(|| {
+                        resident.lookup(&spec.tag, spec.fingerprint, nodes, def.out_edges.len())
+                    })
+                    .flatten();
+                let fill = hit.is_none();
+                (hit, fill)
+            })
+            .collect();
+        let edges: Vec<EdgePlan> = graph
+            .edges
+            .iter()
+            .enumerate()
+            .map(|(e, def)| {
+                let aggregating = matches!(
+                    graph.flowlets[def.dst].kind,
+                    FlowletKind::Reduce(_) | FlowletKind::PartialReduce(_)
+                );
+                let combiner = graph
+                    .edge_combiners
+                    .get(e)
+                    .cloned()
+                    .flatten()
+                    .filter(|_| def.exchange == Exchange::Hash && aggregating);
+                let mitigable = combiner.is_some();
+                EdgePlan {
+                    combiner,
+                    combine: mitigable && cfg.skew.combine,
+                    scatter: mitigable
+                        && cfg.skew.split
+                        && nodes > 1
+                        && !graph.has_stream
+                        && graph.flowlets[def.src].cache.is_none(),
+                    fill: residency[def.src].1,
+                    sampled: def.exchange == Exchange::Hash,
+                }
+            })
+            .collect();
+        let flowlets = graph
+            .flowlets
+            .iter()
+            .zip(residency)
+            .enumerate()
+            .map(|(f, (def, (serve, fill)))| FlowletPlan {
+                name: def.name.as_str().into(),
+                ports: graph
+                    .out_ports(f)
+                    .into_iter()
+                    .map(|(edge, exchange)| PortSpec {
+                        edge,
+                        exchange,
+                        combine: edges[edge].combine,
+                        scatter: edges[edge].scatter,
+                        fill: edges[edge].fill,
+                    })
+                    .collect(),
+                capture: def.capture,
+                serve,
+                fill,
+                scatter_in: def
+                    .in_edges
+                    .iter()
+                    .copied()
+                    .filter(|&e| edges[e].scatter)
+                    .collect(),
+            })
+            .collect();
+        Arc::new(ExecPlan {
+            graph: Arc::clone(graph),
+            nodes,
+            bin_capacity: cfg.bin_capacity,
+            split_threshold: cfg.skew.split_threshold,
+            edges,
+            flowlets,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SkewConfig;
+    use crate::typed::{map_fn, pairs_loader, reduce_fn, sum_combiner};
+    use crate::{Cluster, ClusterConfig, Emitter, JobBuilder};
+
+    /// loader -Local-> map -Hash+combiner-> reduce, with a hook to
+    /// annotate the builder before it freezes.
+    fn combined_graph(annotate: impl FnOnce(&mut JobBuilder)) -> Arc<JobGraph> {
+        let mut b = JobBuilder::new("plantest");
+        let l = b.add_loader("L", pairs_loader(vec![(1u64, 1u64), (2, 1), (1, 1)]));
+        let m = b.add_map(
+            "M",
+            map_fn(|k: u64, v: u64, out: &mut Emitter| out.emit_t(0, &k, &v)),
+        );
+        let r = b.add_reduce(
+            "R",
+            reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
+                out.output_t(&k, &vs.iter().sum::<u64>());
+            }),
+        );
+        b.connect(l, m, Exchange::Local);
+        b.connect_combined(m, r, Exchange::Hash, sum_combiner());
+        b.capture_output(r);
+        annotate(&mut b);
+        Arc::new(b.build().unwrap())
+    }
+
+    fn compile(graph: &Arc<JobGraph>, skew: SkewConfig, nodes: usize) -> Arc<ExecPlan> {
+        let cfg = RuntimeConfig {
+            skew,
+            ..Default::default()
+        };
+        ExecPlan::compile(graph, &cfg, nodes, &ResidentStore::new())
+    }
+
+    #[test]
+    fn eligibility_requires_hash_into_reduce() {
+        let plan = compile(&combined_graph(|_| {}), SkewConfig::default(), 4);
+        // Edge 0 is Local (no combiner), edge 1 is Hash into Reduce.
+        let (local, hash) = (&plan.edges[0], &plan.edges[1]);
+        assert!(!local.combine && !local.scatter && !local.sampled);
+        assert!(local.combiner.is_none());
+        assert!(hash.combine && hash.scatter && hash.sampled);
+        assert!(hash.combiner.is_some());
+        // Flowlets carry the same answers: the map's one port, the
+        // reduce's scatter-eligible in-edge, names and capture flags.
+        let port = plan.flowlets[1].ports[0];
+        assert_eq!((port.edge, port.exchange), (1, Exchange::Hash));
+        assert!(port.combine && port.scatter && !port.fill);
+        assert_eq!(plan.flowlets[2].scatter_in, vec![1]);
+        assert!(plan.flowlets[0].scatter_in.is_empty());
+        assert_eq!(&*plan.flowlets[1].name, "M");
+        assert!(plan.flowlets[2].capture && !plan.flowlets[1].capture);
+    }
+
+    #[test]
+    fn single_node_never_scatters() {
+        let plan = compile(&combined_graph(|_| {}), SkewConfig::default(), 1);
+        assert!(plan.edges[1].combine);
+        assert!(
+            !plan.edges[1].scatter,
+            "nothing to scatter across on one node"
+        );
+        assert!(plan.flowlets[2].scatter_in.is_empty());
+    }
+
+    #[test]
+    fn off_config_is_inert() {
+        let plan = compile(&combined_graph(|_| {}), SkewConfig::off(), 4);
+        assert!(plan.edges.iter().all(|e| !e.combine && !e.scatter));
+        assert!(plan.flowlets.iter().all(|f| f.scatter_in.is_empty()));
+    }
+
+    #[test]
+    fn cached_source_combines_but_never_scatters() {
+        // `cache_as` on the map: its Hash edge fills the store, keeps
+        // combining, and loses scatter eligibility.
+        let graph = combined_graph(|b| b.cache_as(1, "plantest/m", 7));
+        let plan = compile(&graph, SkewConfig::default(), 4);
+        assert!(plan.edges[1].combine && plan.edges[1].fill);
+        assert!(!plan.edges[1].scatter);
+        assert!(plan.flowlets[1].fill && plan.flowlets[1].ports[0].fill);
+        assert!(plan.flowlets[2].scatter_in.is_empty());
+        // The unannotated loader edge is untouched.
+        assert!(!plan.edges[0].fill && !plan.flowlets[0].fill);
+    }
+
+    #[test]
+    fn resident_hit_serves_and_runs_no_loader_splits() {
+        let cluster = Cluster::new(ClusterConfig::local(2, 2));
+        let graph = || combined_graph(|b| b.resident(0, "plantest/l", 7));
+        let cfg = &cluster.config().runtime;
+        // Cold store: the loader runs and fills.
+        let cold = ExecPlan::compile(&graph(), cfg, 2, cluster.resident());
+        assert!(cold.flowlets[0].serve.is_none() && cold.flowlets[0].fill);
+        let owned = |g: Arc<JobGraph>| Arc::try_unwrap(g).expect("sole owner");
+        let first = cluster.run(owned(graph())).unwrap();
+        assert!(first.metrics.flowlets[&0].tasks > 0);
+        // Warm store: served, nothing left to fill, zero splits — and
+        // the same answer.
+        let warm = ExecPlan::compile(&graph(), cfg, 2, cluster.resident());
+        assert!(warm.flowlets[0].serve.is_some() && !warm.flowlets[0].fill);
+        assert!(!warm.edges[0].fill);
+        let second = cluster.run(owned(graph())).unwrap();
+        assert_eq!(second.metrics.flowlets[&0].tasks, 0);
+        let sorted = |r: &crate::JobResult| {
+            let mut out = r.typed_output::<u64, u64>(2);
+            out.sort();
+            out
+        };
+        assert_eq!(sorted(&second), vec![(1, 2), (2, 1)]);
+        assert_eq!(sorted(&second), sorted(&first));
+    }
+}

@@ -177,7 +177,7 @@ impl ReduceState {
     }
 
     /// Split into independent per-shard group iterators for firing.
-    pub(crate) fn into_fire_shards(self) -> Result<Vec<FireShard>, DiskError> {
+    pub(crate) fn into_shards(self) -> Result<Vec<FireShard>, DiskError> {
         let disk = self.disk;
         // The grouped state hands its bytes to the fire iterators;
         // from telemetry's perspective it no longer holds them.
@@ -240,7 +240,7 @@ impl FireShard {
     }
 }
 
-/// Holds scattered hot-key / migrated-shard records for one edge of a
+/// Holds scattered hot-key records for one edge of a
 /// reduce (or partial-reduce) instance, folded into one partial per
 /// key with the edge's [`Combiner`]. Workers fold into private maps
 /// (scatter traffic is hot by construction — a shared map would just
@@ -471,7 +471,7 @@ mod tests {
         let st = test_state(4, 1 << 20, disk);
         st.ingest(0, &bin(&[(b"a", b"1"), (b"b", b"2"), (b"a", b"3")]))
             .unwrap();
-        let groups = drain_all(st.into_fire_shards().unwrap());
+        let groups = drain_all(st.into_shards().unwrap());
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].0, b("a"));
         let mut vs = groups[0].1.clone();
@@ -488,7 +488,7 @@ mod tests {
         let base = bin.frame.data().as_ptr() as usize;
         let end = base + bin.frame.payload_bytes();
         st.ingest(0, &bin).unwrap();
-        let groups = drain_all(st.into_fire_shards().unwrap());
+        let groups = drain_all(st.into_shards().unwrap());
         let p = groups[0].1[0].as_ptr() as usize;
         assert!(
             p >= base && p < end,
@@ -509,7 +509,7 @@ mod tests {
         }
         assert!(st.spilled_bytes() > 0, "expected spills");
         assert!(!disk.is_empty(), "spill files on disk");
-        let groups = drain_all(st.into_fire_shards().unwrap());
+        let groups = drain_all(st.into_shards().unwrap());
         assert_eq!(groups.len(), 10);
         let total: usize = groups.iter().map(|(_, vs)| vs.len()).sum();
         assert_eq!(total, 50);

@@ -12,11 +12,12 @@
 //!
 //! Ownership is partition-stable: an entry remembers the node count it
 //! was captured under and only serves an identical topology, and the
-//! skew runtime refuses to scatter or migrate cached edges (see
-//! `SkewRuntime::new`). Invalidation is keyed by an input
-//! **fingerprint** — callers hash whatever identifies the input (DFS
-//! block layout, a parameter epoch) and a mismatch silently bypasses
-//! the cache and recomputes.
+//! execution plan never scatters a cached edge (see
+//! `ExecPlan::compile`, which also decides — once per job, for every
+//! node — what is served and what fills). Invalidation is keyed by an
+//! input **fingerprint** — callers hash whatever identifies the input
+//! (DFS block layout, a parameter epoch) and a mismatch silently
+//! bypasses the cache and recomputes.
 //!
 //! A byte budget (`HAMR_RESIDENT_BUDGET`, or [`ResidentStore::set_budget`])
 //! bounds memory: least-recently-used entries spill to `simdisk` and
@@ -25,7 +26,7 @@
 
 use hamr_codec::Frame;
 use hamr_simdisk::Disk;
-use hamr_trace::{Counter, Gauge, Labels, MetricsRegistry};
+use hamr_trace::{env_or_panic, Counter, Gauge, Labels, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -88,45 +89,6 @@ pub struct ResidentHit {
     pub ports: Vec<Vec<Vec<Frame>>>,
     pub bytes: u64,
     pub records: u64,
-}
-
-/// Per-run cache decisions, computed once by the driver *before* node
-/// runtimes spawn so every node agrees on what is served and what is
-/// filled (partition-stable, no cross-node divergence).
-#[derive(Debug, Default)]
-pub struct CachePlan {
-    /// Flowlets served from the store this run: their loader splits
-    /// are suppressed and `ports[port][node]` frame clones are
-    /// injected straight into the local consumer queues.
-    pub serve: HashMap<usize, ResidentHit>,
-    /// Flowlets whose emitted frames are captured this run and pinned
-    /// under their spec's tag when the job succeeds.
-    pub fill: HashMap<usize, CacheSpec>,
-    /// Per-edge capture mask derived from `fill` (edge id indexed).
-    pub fill_edges: Vec<bool>,
-}
-
-impl CachePlan {
-    /// A plan that serves and fills nothing (cache off / unannotated).
-    pub fn empty(edge_count: usize) -> Self {
-        CachePlan {
-            serve: HashMap::new(),
-            fill: HashMap::new(),
-            fill_edges: vec![false; edge_count],
-        }
-    }
-
-    pub fn serves(&self, flowlet: usize) -> bool {
-        self.serve.contains_key(&flowlet)
-    }
-
-    pub fn fills_edge(&self, edge: usize) -> bool {
-        self.fill_edges.get(edge).copied().unwrap_or(false)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.serve.is_empty() && self.fill.is_empty()
-    }
 }
 
 /// Counter snapshot for introspection (`hamr top`, tests).
@@ -194,14 +156,8 @@ impl ResidentStore {
     /// A store configured from the environment: `HAMR_RESIDENT=off`
     /// disables it, `HAMR_RESIDENT_BUDGET=<bytes>` bounds it.
     pub fn new() -> Self {
-        let enabled = !matches!(
-            std::env::var("HAMR_RESIDENT").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        );
-        let budget = std::env::var("HAMR_RESIDENT_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0);
+        let enabled = env_or_panic("HAMR_RESIDENT", true, parse_enabled);
+        let budget = env_or_panic("HAMR_RESIDENT_BUDGET", 0, parse_budget);
         ResidentStore {
             inner: Mutex::new(Inner::default()),
             enabled: AtomicBool::new(enabled),
@@ -529,6 +485,23 @@ impl ResidentStore {
     }
 }
 
+/// `HAMR_RESIDENT=on|off` (also `1`/`true`, `0`/`false`).
+fn parse_enabled(s: &str) -> Result<bool, String> {
+    match s {
+        "on" | "1" | "true" => Ok(true),
+        "off" | "0" | "false" => Ok(false),
+        _ => Err("on|off".to_string()),
+    }
+}
+
+/// `HAMR_RESIDENT_BUDGET=<bytes>`, a plain integer; 0 = unlimited. A
+/// value like `64MB` must not read as 0.
+fn parse_budget(s: &str) -> Result<u64, String> {
+    s.trim()
+        .parse()
+        .map_err(|_| "<bytes> (an integer, 0 = unlimited)".to_string())
+}
+
 /// Decode the spill format written by `spill_entry`:
 /// `[nports][nports × [ndst][ndst × [nframes][nframes × [len][bytes]]]]`.
 fn parse_spilled(buf: &[u8]) -> Option<Vec<Vec<Vec<Frame>>>> {
@@ -579,6 +552,25 @@ mod tests {
 
     fn test_disk() -> Disk {
         Disk::new(DiskConfig::instant())
+    }
+
+    #[test]
+    fn resident_env_strings_parse() {
+        assert_eq!(parse_enabled("off"), Ok(false));
+        assert_eq!(parse_enabled("0"), Ok(false));
+        assert_eq!(parse_enabled("on"), Ok(true));
+        assert_eq!(parse_enabled("of"), Err("on|off".to_string()));
+        assert_eq!(parse_budget(" 67108864 "), Ok(64 << 20));
+        assert_eq!(parse_budget("0"), Ok(0));
+        assert!(parse_budget("64MB").is_err(), "must not mean unbounded");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "HAMR_RESIDENT_BUDGET must be <bytes> (an integer, 0 = unlimited), got '64MB'"
+    )]
+    fn mistyped_budget_panics() {
+        hamr_trace::value_or_panic("HAMR_RESIDENT_BUDGET", "64MB", parse_budget);
     }
 
     #[test]

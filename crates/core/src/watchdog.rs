@@ -72,13 +72,12 @@ impl WatchdogConfig {
     /// Defaults overridden by `HAMR_WATCHDOG=off|warn|abort`.
     pub fn from_env() -> Self {
         let mut cfg = WatchdogConfig::default();
-        match std::env::var("HAMR_WATCHDOG").as_deref() {
-            Ok("off") => cfg.action = WatchdogAction::Off,
-            Ok("warn") => cfg.action = WatchdogAction::Warn,
-            Ok("abort") => cfg.action = WatchdogAction::Abort,
-            Ok(other) => panic!("HAMR_WATCHDOG must be off|warn|abort, got '{other}'"),
-            Err(_) => {}
-        }
+        cfg.action = hamr_trace::env_or_panic("HAMR_WATCHDOG", cfg.action, |s| match s {
+            "off" => Ok(WatchdogAction::Off),
+            "warn" => Ok(WatchdogAction::Warn),
+            "abort" => Ok(WatchdogAction::Abort),
+            _ => Err("off|warn|abort".to_string()),
+        });
         cfg
     }
 }

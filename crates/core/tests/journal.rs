@@ -81,7 +81,6 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
                 &supervised(Supervision {
                     watchdog: fast_watchdog(),
                     doctor_dir: None,
-                    ..Default::default()
                 }),
             )
             .expect("healthy run");
@@ -115,7 +114,6 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
                 &supervised(Supervision {
                     watchdog: fast_watchdog(),
                     doctor_dir: None,
-                    ..Default::default()
                 }),
             )
             .expect_err("dropped acks must wedge the shuffle");

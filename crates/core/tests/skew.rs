@@ -1,6 +1,6 @@
-//! End-to-end skew-mitigation tests: combiners, hot-key splitting, and
-//! shard rebalancing must each preserve engine output exactly while
-//! their counters prove the mechanism actually engaged.
+//! End-to-end skew-mitigation tests: combiners and hot-key splitting
+//! must each preserve engine output exactly while their counters prove
+//! the mechanism actually engaged.
 
 use hamr_core::skew::KeySketch;
 use hamr_core::{
@@ -63,9 +63,7 @@ fn hot_key_split_triggers_and_merges_to_unsplit_result() {
     let split_cfg = SkewConfig {
         combine: false,
         split: true,
-        rebalance: false,
         split_threshold: 64,
-        ..SkewConfig::default()
     };
     let split = run_sum_job(
         &skew_cluster(4, 2, split_cfg),
@@ -94,9 +92,7 @@ fn hot_key_split_triggers_and_merges_to_unsplit_result() {
 fn combiner_folds_duplicates_and_preserves_output() {
     let (hot, cold) = (1000, 30);
     let combine_cfg = SkewConfig {
-        combine: true,
         split: false,
-        rebalance: false,
         ..SkewConfig::default()
     };
     let combined = run_sum_job(
@@ -114,42 +110,6 @@ fn combiner_folds_duplicates_and_preserves_output() {
 }
 
 #[test]
-fn forced_migration_scatters_the_partition_deterministically() {
-    let (hot, cold) = (500, 40);
-    // Key 1 hashes somewhere; migrate every possible home of edge 1 so
-    // the test doesn't depend on the hash placement. First valid entry
-    // wins, and any of them forces scatter routing for that home.
-    let home = {
-        // Find key 1's home under 4 nodes the same way the router does.
-        use hamr_codec::Codec;
-        (hamr_codec::stable_hash(&1u64.to_bytes()) % 4) as usize
-    };
-    let rebalance_cfg = SkewConfig {
-        combine: false,
-        split: false,
-        rebalance: true,
-        forced_migrations: vec![(1, home)],
-        ..SkewConfig::default()
-    };
-    let migrated = run_sum_job(
-        &skew_cluster(4, 2, rebalance_cfg),
-        skewed_pairs(hot, cold),
-        "rebalance",
-    );
-    let baseline = run_sum_job(
-        &skew_cluster(4, 2, SkewConfig::off()),
-        skewed_pairs(hot, cold),
-        "off2",
-    );
-    assert_eq!(sorted_output(&migrated), expected(hot, cold));
-    assert_eq!(sorted_output(&migrated), sorted_output(&baseline));
-    assert!(
-        migrated.metrics.total_migrated() >= 1,
-        "forced migration must be counted"
-    );
-}
-
-#[test]
 fn every_mitigation_combination_produces_identical_output() {
     let (hot, cold) = (800, 25);
     let combos: Vec<(&str, SkewConfig)> = vec![
@@ -157,9 +117,7 @@ fn every_mitigation_combination_produces_identical_output() {
         (
             "combine",
             SkewConfig {
-                combine: true,
                 split: false,
-                rebalance: false,
                 ..SkewConfig::default()
             },
         ),
@@ -168,27 +126,14 @@ fn every_mitigation_combination_produces_identical_output() {
             SkewConfig {
                 combine: false,
                 split: true,
-                rebalance: false,
                 split_threshold: 64,
-                ..SkewConfig::default()
             },
         ),
         (
-            "rebalance",
-            SkewConfig {
-                combine: false,
-                split: false,
-                rebalance: true,
-                rebalance_min_records: 64,
-                ..SkewConfig::default()
-            },
-        ),
-        (
-            "all",
+            "combine,split",
             SkewConfig {
                 split_threshold: 64,
-                rebalance_min_records: 64,
-                ..SkewConfig::all()
+                ..SkewConfig::default()
             },
         ),
     ];
@@ -211,7 +156,7 @@ fn audit_custody_balances_under_full_mitigation() {
         2,
         SkewConfig {
             split_threshold: 64,
-            ..SkewConfig::all()
+            ..SkewConfig::default()
         },
     );
     let mut job = JobBuilder::new("skew-audit");
@@ -260,7 +205,7 @@ fn single_node_and_single_worker_stay_correct() {
                 threads,
                 SkewConfig {
                     split_threshold: 16,
-                    ..SkewConfig::all()
+                    ..SkewConfig::default()
                 },
             ),
             skewed_pairs(300, 10),

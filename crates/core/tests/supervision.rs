@@ -117,7 +117,6 @@ fn swallowed_completion_trips_the_watchdog_as_hang() {
     let sup = Supervision {
         watchdog: fast_watchdog(),
         doctor_dir: Some(dir.clone()),
-        ..Default::default()
     };
     for opts in [supervised(sup.clone()), supervised_tracer_only(sup)] {
         let err = cluster
@@ -169,7 +168,6 @@ fn dropped_acks_trip_the_watchdog_as_backpressure_deadlock() {
     let sup = Supervision {
         watchdog: fast_watchdog(),
         doctor_dir: Some(dir.clone()),
-        ..Default::default()
     };
     for opts in [supervised(sup.clone()), supervised_tracer_only(sup)] {
         let err = cluster
@@ -242,7 +240,6 @@ fn supervised_run_with_a_tracer_only_profile_sees_busy_workers() {
             &supervised_tracer_only(Supervision {
                 watchdog: fast_watchdog(),
                 doctor_dir: None,
-                ..Default::default()
             }),
         )
         .expect("a long task is not a hang");
@@ -272,7 +269,6 @@ fn warn_mode_records_the_incident_without_aborting_a_live_job() {
                     ..Default::default()
                 },
                 doctor_dir: None,
-                ..Default::default()
             }),
         )
         .expect("warn mode never aborts");
@@ -295,7 +291,6 @@ fn watchdog_off_disables_monitoring_but_not_the_ledger() {
                     ..Default::default()
                 },
                 doctor_dir: None,
-                ..Default::default()
             }),
         )
         .expect("run");
@@ -310,7 +305,6 @@ fn quiet_supervision() -> Supervision {
     Supervision {
         watchdog: WatchdogConfig::default(),
         doctor_dir: None,
-        ..Default::default()
     }
 }
 

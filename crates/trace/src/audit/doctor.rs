@@ -210,7 +210,7 @@ pub fn event_fields(kind: &EventKind) -> (&'static str, Vec<(&'static str, u64)>
 }
 
 impl FlightRecord {
-    /// Build a record from live run state: the newest `keep_last`
+    /// Build a record from live run state: the newest `tail`
     /// events in the flight `ring` (left in place; a run without one
     /// records none), and the ledger and current gauge values of `obs`.
     pub fn capture(
@@ -219,11 +219,11 @@ impl FlightRecord {
         trip: Option<WatchdogTrip>,
         error: Option<String>,
         ring: Option<&RingSink>,
-        keep_last: usize,
+        tail: usize,
         obs: &Observe,
     ) -> Self {
         let events = ring.map(|r| r.peek()).unwrap_or_default();
-        let skip = events.len().saturating_sub(keep_last);
+        let skip = events.len().saturating_sub(tail);
         FlightRecord {
             job: job.into(),
             engine: engine.into(),

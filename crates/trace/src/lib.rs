@@ -97,7 +97,7 @@ pub enum TaskKind {
     FireReduce,
     /// One partial-reduce finish batch.
     FirePartial,
-    /// One scattered hot-key / migrated-shard bin folded into a skew
+    /// One scattered hot-key bin folded into a skew
     /// absorber's per-key partials.
     SkewAbsorb,
     /// A MapReduce (baseline engine) map task.
@@ -514,6 +514,25 @@ pub struct Observe {
     pub audit: Audit,
     /// Data-plane statistics plane; `None` when `HAMR_STATS=off`.
     pub stats: Option<Arc<StatsPlane>>,
+}
+
+/// The shared tail of every `HAMR_*` reader: unset (or empty) keeps
+/// `default`, anything else must get past `parse`.
+pub fn env_or_panic<T>(var: &str, default: T, parse: impl FnOnce(&str) -> Result<T, String>) -> T {
+    match std::env::var(var) {
+        Ok(value) if !value.is_empty() => value_or_panic(var, &value, parse),
+        _ => default,
+    }
+}
+
+/// A set `HAMR_*` value that does not parse is a typo, not a request
+/// for the default. `parse`'s error names the accepted forms.
+pub fn value_or_panic<T>(
+    var: &str,
+    value: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> T {
+    parse(value).unwrap_or_else(|forms| panic!("{var} must be {forms}, got '{value}'"))
 }
 
 #[cfg(test)]

@@ -50,23 +50,21 @@ pub enum StatsMode {
 }
 
 impl StatsMode {
-    /// Parse `HAMR_STATS=off|edges|full|full:<N>`. Unset or
-    /// unrecognized values fall back to the default (`edges`).
-    pub fn from_env_str(s: Option<&str>) -> Self {
+    /// Parse `HAMR_STATS=off|edges|full|full:<N>`. The error names the
+    /// accepted forms.
+    pub fn from_env_str(s: &str) -> Result<Self, String> {
+        let full = |n: u64| StatsMode::Full {
+            sample_one_in: n.max(1),
+        };
         match s {
-            Some("off") | Some("0") | Some("none") => StatsMode::Off,
-            Some("full") => StatsMode::Full {
-                sample_one_in: DEFAULT_SAMPLE_ONE_IN,
-            },
-            Some(v) if v.starts_with("full:") => {
-                let n = v["full:".len()..]
-                    .parse::<u64>()
-                    .unwrap_or(DEFAULT_SAMPLE_ONE_IN);
-                StatsMode::Full {
-                    sample_one_in: n.max(1),
-                }
-            }
-            _ => StatsMode::Edges,
+            "off" | "0" | "none" => Ok(StatsMode::Off),
+            "edges" => Ok(StatsMode::Edges),
+            "full" => Ok(full(DEFAULT_SAMPLE_ONE_IN)),
+            _ => s
+                .strip_prefix("full:")
+                .and_then(|n| n.parse().ok())
+                .map(full)
+                .ok_or_else(|| "off|edges|full[:N]".to_string()),
         }
     }
 
@@ -1190,39 +1188,32 @@ pub struct StatsPlane {
     mode: StatsMode,
     parts: usize,
     slots: Vec<Mutex<SketchSet>>,
-    /// Edges whose keys are eligible for lineage sampling. Loader
-    /// edges carry synthetic line-offset keys that would otherwise
-    /// fill the sample budget before any shuffle key arrives.
-    sampled_edges: Vec<bool>,
+    /// Per edge: is it a hash-exchange (shuffle) edge? Only those are
+    /// eligible for lineage sampling — loader edges carry synthetic
+    /// line-offset keys that would otherwise fill the sample budget
+    /// before any shuffle key arrives — and only their cardinality is
+    /// comparable across engines.
+    shuffle_edges: Vec<bool>,
     lineage: Mutex<BTreeMap<u64, LineageSample>>,
 }
 
 impl StatsPlane {
-    pub fn new(edges: usize, parts: usize, mode: StatsMode) -> Self {
+    /// One sketch set per (edge, destination partition) of a job with
+    /// `shuffle_edges.len()` edges.
+    pub fn new(shuffle_edges: Vec<bool>, parts: usize, mode: StatsMode) -> Self {
         let parts = parts.max(1);
-        let n = edges.max(1) * parts;
+        let n = shuffle_edges.len().max(1) * parts;
         StatsPlane {
             mode,
             parts,
             slots: (0..n).map(|_| Mutex::new(SketchSet::default())).collect(),
-            sampled_edges: Vec::new(),
+            shuffle_edges,
             lineage: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Restrict lineage sampling to the flagged edges (the cluster
-    /// passes its hash-exchange map). Edges beyond the slice — and
-    /// every edge when this is never called — stay eligible.
-    pub fn with_sampled_edges(mut self, flags: &[bool]) -> Self {
-        self.sampled_edges = flags.to_vec();
-        self
-    }
-
-    fn edge_sampled(&self, edge: u32) -> bool {
-        self.sampled_edges
-            .get(edge as usize)
-            .copied()
-            .unwrap_or(true)
+    fn is_shuffle(&self, edge: usize) -> bool {
+        self.shuffle_edges.get(edge).copied().unwrap_or(false)
     }
 
     pub fn mode(&self) -> StatsMode {
@@ -1256,7 +1247,7 @@ impl StatsPlane {
         let one_in = self
             .mode
             .lineage_one_in()
-            .filter(|_| self.edge_sampled(edge));
+            .filter(|_| self.is_shuffle(edge as usize));
         // (hash, key, occurrences) for sampled keys in this bin.
         let mut sampled: Vec<(u64, Vec<u8>, u32)> = Vec::new();
         {
@@ -1374,9 +1365,8 @@ impl StatsPlane {
     }
 
     /// Merge every destination's sketches per edge and build the
-    /// serializable snapshot. `shuffle_edges[e]` marks hash-exchange
-    /// edges (comparable across engines).
-    pub fn snapshot(&self, job: &str, engine: &str, shuffle_edges: &[bool]) -> StatsSnapshot {
+    /// serializable snapshot.
+    pub fn snapshot(&self, job: &str, engine: &str) -> StatsSnapshot {
         let edges_n = self.slots.len() / self.parts;
         let mut edges = Vec::new();
         for e in 0..edges_n {
@@ -1392,8 +1382,7 @@ impl StatsPlane {
             if merged.records == 0 {
                 continue;
             }
-            let shuffle = shuffle_edges.get(e).copied().unwrap_or(false);
-            edges.push(merged.summary(e as u32, shuffle));
+            edges.push(merged.summary(e as u32, self.is_shuffle(e)));
         }
         let samples = self
             .lineage
@@ -1528,6 +1517,28 @@ mod tests {
     }
 
     #[test]
+    fn stats_env_strings_parse() {
+        assert_eq!(StatsMode::from_env_str("off"), Ok(StatsMode::Off));
+        assert_eq!(StatsMode::from_env_str("edges"), Ok(StatsMode::Edges));
+        assert_eq!(
+            StatsMode::from_env_str("full"),
+            Ok(StatsMode::Full {
+                sample_one_in: DEFAULT_SAMPLE_ONE_IN
+            })
+        );
+        assert_eq!(
+            StatsMode::from_env_str("full:0"),
+            Ok(StatsMode::Full { sample_one_in: 1 })
+        );
+        for typo in ["ful", "full:abc", "full:", "edge"] {
+            assert_eq!(
+                StatsMode::from_env_str(typo),
+                Err("off|edges|full[:N]".to_string())
+            );
+        }
+    }
+
+    #[test]
     fn sample_gate_is_deterministic() {
         for h in 0..1000u64 {
             assert_eq!(sample_hit(h, 7), sample_hit(h, 7));
@@ -1537,7 +1548,7 @@ mod tests {
 
     #[test]
     fn plane_folds_bins_and_records_lineage() {
-        let plane = StatsPlane::new(2, 4, StatsMode::Full { sample_one_in: 1 });
+        let plane = StatsPlane::new(vec![false, true], 4, StatsMode::Full { sample_one_in: 1 });
         let key = b"k1".to_vec();
         let h = mix(1);
         plane.fold_bin(
@@ -1550,7 +1561,7 @@ mod tests {
             vec![(h, &key[..], 10), (h, &key[..], 12)].into_iter(),
         );
         plane.consume_bin(1, 2, HopKind::Reduce, 1, "reducer", 0, vec![h].into_iter());
-        let snap = plane.snapshot("job", "hamr", &[false, true]);
+        let snap = plane.snapshot("job", "hamr");
         assert_eq!(snap.edges.len(), 1);
         assert_eq!(snap.edges[0].edge, 1);
         assert!(snap.edges[0].shuffle);

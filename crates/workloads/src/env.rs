@@ -250,9 +250,6 @@ pub struct BenchOutput {
     /// Hot reduce partitions flagged for scattering by the emit-side
     /// key sketch. 0 for mapred.
     pub splits_triggered: u64,
-    /// Reduce shards the skew planner migrated off overloaded nodes.
-    /// 0 for mapred.
-    pub shards_migrated: u64,
     /// Per-iteration telemetry (empty for single-job workloads and
     /// for the MapReduce engine).
     pub iters: Vec<IterStats>,
@@ -281,7 +278,6 @@ impl BenchOutput {
         self.park_seconds += m.total_park_time().as_secs_f64();
         self.combined_records += m.total_combined();
         self.splits_triggered += m.total_splits();
-        self.shards_migrated += m.total_migrated();
         let n = jobs_so_far as f64;
         self.occupancy_imbalance =
             (self.occupancy_imbalance * n + m.mean_occupancy_imbalance()) / (n + 1.0);

@@ -18,7 +18,6 @@ fn audited(env: &Env) {
             // hollow out the assertion; no doctor dumps from tests.
             watchdog: WatchdogConfig::default(),
             doctor_dir: None,
-            ..Default::default()
         }),
         ..Default::default()
     });
@@ -168,28 +167,25 @@ fn kcliques_engines_agree_skewed() {
 }
 
 // ---------------------------------------------------------------
-// Skew-mitigation ablation: every combination of combine / split /
-// rebalance must leave the answer untouched on every skewed workload.
-// The thresholds are lowered so splitting and rebalancing genuinely
-// engage at test scale instead of passing vacuously.
+// Skew-mitigation ablation: every combination of combine / split
+// must leave the answer untouched on every skewed workload. The
+// threshold is lowered so splitting genuinely engages at test scale
+// instead of passing vacuously.
 // ---------------------------------------------------------------
 
 fn mitigation_combos() -> Vec<(&'static str, hamr_core::SkewConfig)> {
     use hamr_core::SkewConfig;
     let tuned = SkewConfig {
+        combine: true,
+        split: true,
         split_threshold: 16,
-        rebalance_factor: 1.2,
-        rebalance_min_records: 64,
-        ..SkewConfig::default()
     };
     vec![
         ("off", SkewConfig::off()),
         (
             "combine",
             SkewConfig {
-                combine: true,
                 split: false,
-                rebalance: false,
                 ..tuned.clone()
             },
         ),
@@ -197,29 +193,10 @@ fn mitigation_combos() -> Vec<(&'static str, hamr_core::SkewConfig)> {
             "split",
             SkewConfig {
                 combine: false,
-                split: true,
-                rebalance: false,
                 ..tuned.clone()
             },
         ),
-        (
-            "rebalance",
-            SkewConfig {
-                combine: false,
-                split: false,
-                rebalance: true,
-                ..tuned.clone()
-            },
-        ),
-        (
-            "all",
-            SkewConfig {
-                combine: true,
-                split: true,
-                rebalance: true,
-                ..tuned
-            },
-        ),
+        ("combine,split", tuned),
     ]
 }
 

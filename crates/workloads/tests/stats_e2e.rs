@@ -70,9 +70,7 @@ fn skewed_histogram_sketch_names_the_split_hot_key() {
         skew: SkewConfig {
             combine: false,
             split: true,
-            rebalance: false,
             split_threshold: 16,
-            ..SkewConfig::default()
         },
         stats: StatsMode::Full { sample_one_in: 1 },
         ..Default::default()
