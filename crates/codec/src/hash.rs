@@ -5,13 +5,22 @@
 //! This is the FxHash word-at-a-time multiply-xor construction — very
 //! fast on short keys (word counts, vertex ids), quality good enough
 //! for load-spreading, and identical everywhere.
+//!
+//! The same construction, as a [`std::hash::Hasher`], keys the data
+//! plane's in-memory maps ([`StableMap`]): a record's key is hashed
+//! with one cheap function on both sides of the wire instead of with
+//! this one and then `SipHash` again on every map probe.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Debug-only instrumentation: counts [`stable_hash`] invocations so
-/// tests can assert the hash-once invariant of the frame data plane
-/// (the key is hashed at `emit` and the value rides in-frame; nothing
-/// downstream may hash it again). Compiled out of release builds.
+/// tests can pin the data plane's hash budget (once per emission for
+/// routing, once more per record at a consumer that shards by key;
+/// nothing else). [`StableHasher`] map probes are not counted.
+/// Compiled out of release builds.
 #[cfg(debug_assertions)]
 pub mod hash_counter {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,30 +43,88 @@ fn mix(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
 }
 
-/// Deterministic 64-bit hash of a byte string.
-pub fn stable_hash(bytes: &[u8]) -> u64 {
-    #[cfg(debug_assertions)]
-    hash_counter::bump();
-    let mut hash = 0u64;
+/// The 1–7 bytes of `tail` as a little-endian word, zero-padded. Three
+/// fixed-width loads: a `copy_from_slice` of run-time length is a
+/// `memcpy` call, which cost four times the rest of the hash on the
+/// short keys (words, vertex ids) this engine mostly sees.
+#[inline]
+fn load_tail(tail: &[u8]) -> u64 {
+    let n = tail.len();
+    let (mut word, mut at) = (0u64, 0);
+    if n >= 4 {
+        word = u64::from(u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]));
+        at = 4;
+    }
+    if n - at >= 2 {
+        word |= u64::from(u16::from_le_bytes([tail[at], tail[at + 1]])) << (8 * at);
+        at += 2;
+    }
+    if at < n {
+        word |= u64::from(tail[at]) << (8 * at);
+    }
+    word
+}
+
+/// Fold `bytes` into `hash`, a word at a time.
+#[inline]
+fn mix_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(chunk);
-        hash = mix(hash, u64::from_le_bytes(arr));
+        let word: [u8; 8] = chunk.try_into().expect("chunks_exact(8) yields 8 bytes");
+        hash = mix(hash, u64::from_le_bytes(word));
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut arr = [0u8; 8];
-        arr[..rem.len()].copy_from_slice(rem);
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
         // Fold the length in so "a" and "a\0" differ.
-        hash = mix(hash, u64::from_le_bytes(arr) ^ ((rem.len() as u64) << 56));
+        hash = mix(hash, load_tail(tail) ^ ((tail.len() as u64) << 56));
     }
-    // Final avalanche so low bits (used for `% partitions`) are well mixed.
+    hash
+}
+
+/// Final avalanche so low bits (used for `% partitions`) are well mixed.
+#[inline]
+fn avalanche(mut hash: u64) -> u64 {
     hash ^= hash >> 33;
     hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
     hash ^= hash >> 33;
     hash
 }
+
+/// Deterministic 64-bit hash of a byte string.
+pub fn stable_hash(bytes: &[u8]) -> u64 {
+    #[cfg(debug_assertions)]
+    hash_counter::bump();
+    avalanche(mix_bytes(0, bytes))
+}
+
+/// [`stable_hash`]'s mix and avalanche as a [`Hasher`], for maps whose
+/// keys the engine produced itself. Byte-slice keys hash their length
+/// first (`impl Hash for [u8]`), so a map's bucket bits are not the
+/// routing bits that sent the key to this node and sub-shard. Like
+/// [`stable_hash`] it is unkeyed: crafted keys can collide in a map
+/// exactly as they can already pile onto one partition.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct StableHasher(u64);
+
+impl Hasher for StableHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = mix_bytes(self.0, bytes);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.0 = mix(self.0, word as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        avalanche(self.0)
+    }
+}
+
+/// A `HashMap` probed with [`StableHasher`] instead of `SipHash`.
+pub type StableMap<K, V> = HashMap<K, V, BuildHasherDefault<StableHasher>>;
 
 /// Partition a key into `n` buckets.
 #[inline]
@@ -85,6 +152,25 @@ mod tests {
     }
 
     #[test]
+    fn tail_loads_match_a_zero_padded_copy() {
+        let bytes: Vec<u8> = (1..=7).collect();
+        for n in 1..=7 {
+            let mut padded = [0u8; 8];
+            padded[..n].copy_from_slice(&bytes[..n]);
+            assert_eq!(load_tail(&bytes[..n]), u64::from_le_bytes(padded), "{n}");
+        }
+    }
+
+    #[test]
+    fn hash_values_are_pinned() {
+        // Routing, sub-sharding and the sketches all key on these
+        // values; a faster implementation must not move them.
+        assert_eq!(stable_hash(b""), 0);
+        assert_eq!(stable_hash(b"w17"), 0xb67e_23e2_9119_21ce);
+        assert_eq!(stable_hash(b"the quick brown fox"), 0xa0f0_0183_5f4e_963d);
+    }
+
+    #[test]
     fn partition_in_range() {
         for n in 1..10 {
             for key in [&b"x"[..], b"yy", b"zzzzzzzzzz", b""] {
@@ -105,6 +191,42 @@ mod tests {
             assert!(
                 (700..=1300).contains(&c),
                 "partition {p} got {c} of 8000 keys: {counts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn stable_map_finds_owned_keys_by_slice() {
+        let mut m: StableMap<Vec<u8>, u32> = StableMap::default();
+        m.insert(b"alpha".to_vec(), 1);
+        m.insert(b"".to_vec(), 2);
+        assert_eq!(m.get(&b"alpha"[..]), Some(&1));
+        assert_eq!(m.get(&b""[..]), Some(&2));
+        assert_eq!(m.get(&b"alph"[..]), None);
+    }
+
+    #[test]
+    fn map_bits_are_not_the_routing_bits() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        // Keys that all route to node 1 of 4 and sub-shard 2 of 4 (the
+        // population of one reduce shard's map) must still spread over
+        // a map's low bucket bits.
+        let build = BuildHasherDefault::<StableHasher>::default();
+        let mut buckets = [0usize; 16];
+        let mut found = 0;
+        for i in 0..200_000u64 {
+            let key = format!("w{i}");
+            let h = stable_hash(key.as_bytes());
+            if h % 4 == 1 && (h >> 32) % 4 == 2 {
+                buckets[(build.hash_one(key.as_bytes()) % 16) as usize] += 1;
+                found += 1;
+            }
+        }
+        let expect = found / 16;
+        for (b, &c) in buckets.iter().enumerate() {
+            assert!(
+                c > expect / 2 && c < expect * 2,
+                "bucket {b} got {c} of {found}: {buckets:?}"
             );
         }
     }

@@ -20,7 +20,7 @@ pub mod hash;
 mod varint;
 
 pub use frame::{Frame, FrameBuilder, FrameIter, SharedFrameIter};
-pub use hash::{partition, stable_hash};
+pub use hash::{partition, stable_hash, StableMap};
 pub use varint::{read_varint, write_varint, zigzag_decode, zigzag_encode};
 
 use bytes::Bytes;

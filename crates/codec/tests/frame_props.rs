@@ -1,71 +1,87 @@
-//! Property tests for the frame wire format: arbitrary key/value
-//! bytes must round-trip through `FrameBuilder` → `Frame` unchanged,
-//! in order, with the pushed hash intact — for both the borrowed
-//! iterator and the zero-copy shared iterator — and the raw buffer
-//! must survive a `Frame::parse` re-validation.
+//! Property tests for the frame wire format, `entry := klen key vlen
+//! value`: arbitrary key/value bytes round-trip through `FrameBuilder`
+//! → `Frame` unchanged and in order — for both the borrowed and the
+//! zero-copy shared iterator — with the builder's hash column beside
+//! the payload, never in it; the payload is exactly the sum of its
+//! entries; and `Frame::parse` survives arbitrary bytes.
 
 use hamr_codec::frame::{Frame, FrameBuilder};
 use hamr_codec::stable_hash;
 use proptest::prelude::*;
 
-fn build(pairs: &[(Vec<u8>, Vec<u8>)]) -> Frame {
+type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+fn builder(pairs: &[(Vec<u8>, Vec<u8>)]) -> FrameBuilder {
     let mut b = FrameBuilder::new();
     for (k, v) in pairs {
         b.push(stable_hash(k), k, v);
     }
-    b.freeze()
+    b
+}
+
+fn build(pairs: &[(Vec<u8>, Vec<u8>)]) -> Frame {
+    builder(pairs).freeze()
+}
+
+fn owned(frame: &Frame) -> Pairs {
+    frame
+        .iter()
+        .map(|(k, v)| (k.to_vec(), v.to_vec()))
+        .collect()
+}
+
+/// Bytes of the LEB128 varint of `n`.
+fn varint_len(n: usize) -> usize {
+    (1..).find(|&b| n < 1 << (7 * b)).unwrap()
 }
 
 fn assert_frame_matches(frame: &Frame, pairs: &[(Vec<u8>, Vec<u8>)]) {
     assert_eq!(frame.entries(), pairs.len());
     // Borrowed iteration.
-    let got: Vec<(u64, Vec<u8>, Vec<u8>)> = frame
-        .iter()
-        .map(|(h, k, v)| (h, k.to_vec(), v.to_vec()))
-        .collect();
-    let want: Vec<(u64, Vec<u8>, Vec<u8>)> = pairs
-        .iter()
-        .map(|(k, v)| (stable_hash(k), k.clone(), v.clone()))
-        .collect();
-    assert_eq!(got, want);
+    assert_eq!(owned(frame), pairs);
     // Zero-copy shared iteration sees the same entries, and its views
     // alias the frame's buffer rather than copies of it.
     let buf_range = {
         let b = &frame.data()[..];
         (b.as_ptr() as usize, b.as_ptr() as usize + b.len())
     };
-    for ((h, k, v), (wh, wk, wv)) in frame.iter_shared().zip(want.iter()) {
-        assert_eq!(h, *wh);
+    assert_eq!(frame.iter_shared().count(), pairs.len());
+    for ((k, v), (wk, wv)) in frame.iter_shared().zip(pairs.iter()) {
         assert_eq!(&k[..], &wk[..]);
         assert_eq!(&v[..], &wv[..]);
-        if !k.is_empty() {
-            let p = k.as_ptr() as usize;
-            assert!(p >= buf_range.0 && p + k.len() <= buf_range.1);
-        }
-        if !v.is_empty() {
-            let p = v.as_ptr() as usize;
-            assert!(p >= buf_range.0 && p + v.len() <= buf_range.1);
+        for part in [&k, &v] {
+            if !part.is_empty() {
+                let p = part.as_ptr() as usize;
+                assert!(p >= buf_range.0 && p + part.len() <= buf_range.1);
+            }
         }
     }
 }
 
 proptest! {
     /// Arbitrary small pairs (including empty keys and empty values)
-    /// round-trip in order with their hashes.
+    /// round-trip in order; the hash column comes back in push order;
+    /// the payload carries lengths, keys and values and nothing else.
     #[test]
     fn roundtrip_arbitrary_pairs(
         pairs in prop::collection::vec(
-            (prop::collection::vec(any::<u8>(), 0..48),
+            (prop::collection::vec(any::<u8>(), 0..200),
              prop::collection::vec(any::<u8>(), 0..96)),
             0..24,
         )
     ) {
-        let frame = build(&pairs);
+        let b = builder(&pairs);
+        let wire: usize = pairs
+            .iter()
+            .map(|(k, v)| varint_len(k.len()) + k.len() + varint_len(v.len()) + v.len())
+            .sum();
+        prop_assert_eq!(b.payload_bytes(), wire);
+        let (frame, hashes) = b.finish();
         assert_frame_matches(&frame, &pairs);
-        prop_assert_eq!(
-            frame.payload_bytes(),
-            frame.data().len()
-        );
+        prop_assert_eq!(frame.payload_bytes(), wire);
+        prop_assert_eq!(frame.data().len(), wire);
+        let want: Vec<u64> = pairs.iter().map(|(k, _)| stable_hash(k)).collect();
+        prop_assert_eq!(hashes, want);
     }
 
     /// A frame's raw bytes re-validate via `Frame::parse`, and the
@@ -84,10 +100,8 @@ proptest! {
         assert_frame_matches(&reparsed, &pairs);
     }
 
-    /// Truncating the buffer mid-entry must be rejected, not read out
-    /// of bounds. (Cutting at an exact entry boundary is legitimately
-    /// a shorter valid frame, so only strictly-interior cuts and cuts
-    /// inside the 8-byte hash are exercised.)
+    /// Truncating a one-entry buffer anywhere inside the entry must be
+    /// rejected, not read out of bounds.
     #[test]
     fn parse_rejects_truncation(
         key in prop::collection::vec(any::<u8>(), 1..32),
@@ -113,8 +127,38 @@ proptest! {
         let pairs = vec![(key, value)];
         let frame = build(&pairs);
         assert_frame_matches(&frame, &pairs);
-        // klen/vlen varints are no longer single bytes here.
-        prop_assert!(frame.data().len() > 65_536 + 8);
+        // 1 byte of klen, 3 of vlen.
+        prop_assert_eq!(frame.data().len(), 1 + pairs[0].0.len() + 3 + 65_536 + extra);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `Frame::parse` never panics on arbitrary bytes. What it accepts
+    /// iterates to exactly `entries()` records, and pushing those
+    /// records again reproduces the input — byte for byte unless the
+    /// input spelled a length as an over-long varint, in which case the
+    /// re-encoding is strictly shorter and still parses to the same
+    /// records. Small bytes are over-represented and the case count is
+    /// raised so that hundreds of the inputs are well-formed frames.
+    #[test]
+    fn parse_survives_arbitrary_bytes(
+        input in prop::collection::vec(prop_oneof![0u8..4, 0u8..4, 0u8..4, any::<u8>()], 0..24)
+    ) {
+        let Ok(frame) = Frame::parse(bytes::Bytes::from(input.clone())) else {
+            return Ok(());
+        };
+        let pairs = owned(&frame);
+        prop_assert_eq!(pairs.len(), frame.entries());
+        prop_assert_eq!(frame.iter_shared().count(), frame.entries());
+        let again = build(&pairs);
+        if again.payload_bytes() == input.len() {
+            prop_assert_eq!(&again.data()[..], &input[..]);
+        } else {
+            prop_assert!(again.payload_bytes() < input.len());
+            prop_assert_eq!(owned(&again), pairs);
+        }
     }
 }
 

@@ -45,7 +45,7 @@ use crate::config::{FaultInjection, RuntimeConfig, SchedMode};
 use crate::flowlet::{AccBox, TaskContext};
 use crate::graph::{EdgeId, FlowletId, FlowletKind};
 use crate::metrics::{FlowletMetrics, NodeMetrics};
-use crate::outbuf::{FlowControl, TaskOutput};
+use crate::outbuf::{hashed_entries, FlowControl, TaskOutput};
 use crate::plan::ExecPlan;
 use crate::record::{BinKind, FrameBin, Record};
 use crate::reduce_state::{FireShard, PartialState, ReduceState, SkewAbsorber};
@@ -54,7 +54,7 @@ use crate::skew::KeySketch;
 use crate::NodeId;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hamr_codec::FrameBuilder;
+use hamr_codec::{stable_hash, FrameBuilder};
 use hamr_simnet::{Endpoint, Envelope, Payload};
 use hamr_trace::{
     AuditBin, AuditStage, EventKind, Gauge, HopKind, Observe, TaskKind, NO_SPAN, WORKER_RUNTIME,
@@ -255,9 +255,9 @@ struct WorkerShared {
 
 impl WorkerShared {
     /// Record a terminal lineage hop for a consumed bin (reduce ingest
-    /// or skew absorb). Only samples already in flight are touched, so
-    /// this is free for unsampled traffic and entirely off outside
-    /// `HAMR_STATS=full`.
+    /// or skew absorb). Samples are keyed by hash and frames carry
+    /// none, so this hashes every key of the bin — and is entirely off
+    /// outside `HAMR_STATS=full`.
     fn stats_consume(&self, bin: &FrameBin, flowlet: FlowletId, kind: HopKind) {
         if let Some(plane) = &self.obs.stats {
             if plane.lineage_on() {
@@ -268,7 +268,7 @@ impl WorkerShared {
                     flowlet as u32,
                     &self.plan.flowlets[flowlet].name,
                     self.ctx.node as u32,
-                    bin.frame.iter().map(|(h, _, _)| h),
+                    bin.frame.iter().map(|(k, _)| stable_hash(k)),
                 );
             }
         }
@@ -366,7 +366,7 @@ fn execute_task(
                 records_in = bin.len() as u64;
                 shared.audit_consume(&bin);
                 let mut em = crate::flowlet::Emitter::new(&mut out);
-                for (_hash, key, value) in bin.frame.iter() {
+                for (key, value) in bin.frame.iter() {
                     m.map(&shared.ctx, key, value, &mut em);
                 }
                 ack_to = ack;
@@ -1640,7 +1640,10 @@ impl NodeRuntime {
             // other frame. Builders only exist once a record lands in
             // them, so leftovers are never empty.
             let mut builders: Vec<Option<FrameBuilder>> = (0..self.nodes).map(|_| None).collect();
-            for (hash, key, value) in entries {
+            for (key, value) in entries {
+                // The scatter frames brought no hashes; this is the one
+                // hash per distinct hot key that sends it home.
+                let hash = stable_hash(&key);
                 let home = (hash % self.nodes as u64) as usize;
                 let b = builders[home].get_or_insert_with(FrameBuilder::new);
                 b.push(hash, &key, &value);
@@ -1667,7 +1670,7 @@ impl NodeRuntime {
     /// fresh Emit+Ship leg on (edge, home) — the fabric adds Deliver
     /// and the home node's ingest adds Consume.
     fn ship_merged(&mut self, edge: EdgeId, home: NodeId, builder: FrameBuilder) {
-        let frame = builder.freeze();
+        let (frame, hashes) = builder.finish();
         // Merged bins bypass TaskOutput, so the stats plane folds them
         // here — the re-emit leg is a distinct lineage hop.
         if let Some(plane) = &self.shared.obs.stats {
@@ -1679,7 +1682,7 @@ impl NodeRuntime {
                 src_flowlet as u32,
                 &self.plan.flowlets[src_flowlet].name,
                 self.node as u32,
-                frame.iter().map(|(h, k, v)| (h, k, v.len())),
+                hashed_entries(&frame, &hashes),
             );
         }
         let mut bin = FrameBin::new(edge, frame).with_kind(BinKind::Merged);

@@ -9,9 +9,11 @@
 //! Buffering per task keeps workers lock-free while they run — the
 //! paper's "inside a flowlet task, instructions execute sequentially".
 //!
-//! The key is hashed exactly once here, at emission; the 64-bit hash
-//! rides in front of the entry so downstream consumers (reduce
-//! sub-sharding, partial-reduce striping) never hash it again.
+//! The key is hashed once here, at emission, and that hash serves every
+//! producer-side use: routing, the hot-key sketch, the combine buffer,
+//! and — from the builder's hash column — the statistics fold when the
+//! frame closes. It does not ship: the frame carries lengths, keys and
+//! values only, and a consumer that shards by key hashes it again.
 //! Broadcast ports build one frame and ship cheap clones of it to every
 //! node — encode once, refcount per destination.
 
@@ -23,10 +25,10 @@ use crate::record::{BinKind, FrameBin, Record};
 use crate::skew::{Combiner, KeySketch};
 use crate::NodeId;
 use bytes::Bytes;
-use hamr_codec::{stable_hash, FrameBuilder};
+use hamr_codec::{stable_hash, Frame, FrameBuilder, StableMap};
 use hamr_simnet::Endpoint;
 use hamr_trace::{AuditStage, EventKind, Gauge, HopKind, Observe};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -309,7 +311,7 @@ impl FlowControl {
 /// memory to the same order as an uncombined bin) and at task finish.
 struct CombineBuf {
     combiner: Arc<dyn Combiner>,
-    map: HashMap<Vec<u8>, (u64, Vec<u8>)>,
+    map: StableMap<Vec<u8>, (u64, Vec<u8>)>,
     /// Records folded into the map (pre-combine input count) — feeds
     /// the audit ledger's combine side-table.
     records_in: u64,
@@ -320,7 +322,7 @@ impl CombineBuf {
     fn new(combiner: Arc<dyn Combiner>) -> Self {
         CombineBuf {
             combiner,
-            map: HashMap::new(),
+            map: StableMap::default(),
             records_in: 0,
             scratch: Vec::new(),
         }
@@ -361,6 +363,19 @@ struct SkewState {
     splits: u64,
 }
 
+/// A closed frame's entries beside the producer's hashes for them (the
+/// builder's column), as the statistics plane folds them:
+/// `(hash, key, value length)`.
+pub(crate) fn hashed_entries<'a>(
+    frame: &'a Frame,
+    hashes: &'a [u64],
+) -> impl Iterator<Item = (u64, &'a [u8], usize)> {
+    hashes
+        .iter()
+        .zip(frame.iter())
+        .map(|(&h, (k, v))| (h, k, v.len()))
+}
+
 /// Everything a finished task hands over.
 #[derive(Default)]
 pub(crate) struct TaskParts {
@@ -373,7 +388,7 @@ pub(crate) struct TaskParts {
     /// is a refcount bump on the frame's `Bytes`, taken *after*
     /// combining but *before* the bin ships, so a later serve replays
     /// byte-identical post-combine frames.
-    pub fill: Vec<(EdgeId, NodeId, hamr_codec::Frame)>,
+    pub fill: Vec<(EdgeId, NodeId, Frame)>,
     /// Records absorbed by in-node combining (each fold merges two
     /// partials into one, absorbing one record).
     pub combined: u64,
@@ -405,7 +420,7 @@ pub(crate) struct TaskOutput {
     flowlet_id: u32,
     lane: u32,
     /// The job's sinks. Its statistics plane folds closed frames using
-    /// the hashes already in them — pure observation, never routing.
+    /// the builder's hash column — pure observation, never routing.
     obs: Observe,
     /// Skew-mitigation state; `None` for unaffected flowlets.
     skew: Option<SkewState>,
@@ -471,18 +486,22 @@ impl TaskOutput {
         }
     }
 
-    /// Close a finished frame into a bin, minting its lineage span and
-    /// emitting `BinEmitted` when tracing is on. Disabled tracing costs
-    /// one branch: the bin keeps span 0 and no id is allocated.
-    fn close_bin(&mut self, dst: NodeId, port: usize, frame: hamr_codec::Frame) {
-        self.close_bin_kind(dst, port, frame, BinKind::Normal);
+    /// Freeze a finished builder into a bin for `dst`.
+    fn close_bin(&mut self, dst: NodeId, port: usize, builder: FrameBuilder, kind: BinKind) {
+        let (frame, hashes) = builder.finish();
+        self.close_frame(dst, port, frame, &hashes, kind);
     }
 
-    fn close_bin_kind(
+    /// Close a frozen frame into a bin, minting its lineage span and
+    /// emitting `BinEmitted` when tracing is on. Disabled tracing costs
+    /// one branch: the bin keeps span 0 and no id is allocated.
+    /// `hashes` is the frame's builder column, entry for entry.
+    fn close_frame(
         &mut self,
         dst: NodeId,
         port: usize,
-        frame: hamr_codec::Frame,
+        frame: Frame,
+        hashes: &[u64],
         kind: BinKind,
     ) {
         let PortSpec { edge, fill, .. } = self.ports[port];
@@ -505,7 +524,7 @@ impl TaskOutput {
                 self.flowlet_id,
                 &self.flowlet_name,
                 self.node as u32,
-                frame.iter().map(|(h, k, v)| (h, k, v.len())),
+                hashed_entries(&frame, hashes),
             );
         }
         let mut bin = FrameBin::new(edge, frame).with_kind(kind);
@@ -539,28 +558,30 @@ impl TaskOutput {
         self.ports.len()
     }
 
-    /// Sizing hint for a fresh frame buffer: enough for `bin_capacity`
-    /// small records without growing, capped so huge capacities don't
-    /// pre-commit memory.
+    /// A fresh builder sized for `bin_capacity` small records (24
+    /// payload bytes each: two length bytes and a short key and value;
+    /// the hash is in the builder's column) without growing, capped so
+    /// huge capacities don't pre-commit memory.
     #[inline]
-    fn frame_capacity_hint(&self) -> usize {
-        (self.bin_capacity.min(1024)) * 32
+    fn new_builder(bin_capacity: usize) -> FrameBuilder {
+        let records = bin_capacity.min(1024);
+        FrameBuilder::with_capacity(records, records * 24)
     }
 
     #[inline]
     fn append(&mut self, port: usize, dst: NodeId, hash: u64, key: &[u8], value: &[u8]) {
         let slot = port * self.nodes + dst;
-        let hint = self.frame_capacity_hint();
-        let builder = self.open[slot].get_or_insert_with(|| FrameBuilder::with_capacity(hint));
+        let cap = self.bin_capacity;
+        let builder = self.open[slot].get_or_insert_with(|| Self::new_builder(cap));
         builder.push(hash, key, value);
         if builder.len() >= self.bin_capacity {
             let full = self.open[slot].take().expect("builder present");
-            self.close_bin(dst, port, full.freeze());
+            self.close_bin(dst, port, full, BinKind::Normal);
         }
     }
 
     /// Route one record out of `port`. The key is hashed here, once;
-    /// every downstream use of the hash reads it from the frame.
+    /// every producer-side use of the hash takes it from here.
     #[inline]
     pub(crate) fn emit(&mut self, port: usize, key: &[u8], value: &[u8]) {
         let spec = match self.ports.get(port) {
@@ -588,9 +609,8 @@ impl TaskOutput {
                 // Encode once into the port's shared builder; clones go
                 // out per destination when the frame closes.
                 let slot = port * self.nodes;
-                let hint = self.frame_capacity_hint();
-                let builder =
-                    self.open[slot].get_or_insert_with(|| FrameBuilder::with_capacity(hint));
+                let cap = self.bin_capacity;
+                let builder = self.open[slot].get_or_insert_with(|| Self::new_builder(cap));
                 builder.push(hash, key, value);
                 if builder.len() >= self.bin_capacity {
                     let full = self.open[slot].take().expect("builder present");
@@ -612,9 +632,9 @@ impl TaskOutput {
     /// Each destination's clone gets its own lineage span: the copies
     /// travel (and may stall) independently.
     fn broadcast_frame(&mut self, port: usize, builder: FrameBuilder) {
-        let frame = builder.freeze();
+        let (frame, hashes) = builder.finish();
         for dst in 0..self.nodes {
-            self.close_bin(dst, port, frame.clone());
+            self.close_frame(dst, port, frame.clone(), &hashes, BinKind::Normal);
         }
     }
 
@@ -660,12 +680,11 @@ impl TaskOutput {
     /// frames close as [`BinKind::Scatter`] so the receiver absorbs
     /// them instead of feeding its reduce directly.
     fn append_scatter(&mut self, port: usize, dst: NodeId, hash: u64, key: &[u8], value: &[u8]) {
-        let hint = self.frame_capacity_hint();
+        let cap = self.bin_capacity;
         let slot = port * self.nodes + dst;
         let full = {
             let st = self.skew.as_mut().expect("skew state present");
-            let builder =
-                st.scatter_open[slot].get_or_insert_with(|| FrameBuilder::with_capacity(hint));
+            let builder = st.scatter_open[slot].get_or_insert_with(|| Self::new_builder(cap));
             builder.push(hash, key, value);
             if builder.len() >= self.bin_capacity {
                 st.scatter_open[slot].take()
@@ -674,7 +693,7 @@ impl TaskOutput {
             }
         };
         if let Some(b) = full {
-            self.close_bin_kind(dst, port, b.freeze(), BinKind::Scatter);
+            self.close_bin(dst, port, b, BinKind::Scatter);
         }
     }
 
@@ -764,7 +783,7 @@ impl TaskOutput {
                 if matches!(self.ports[port].exchange, Exchange::Broadcast) {
                     self.broadcast_frame(port, builder);
                 } else {
-                    self.close_bin(slot % self.nodes, port, builder.freeze());
+                    self.close_bin(slot % self.nodes, port, builder, BinKind::Normal);
                 }
             }
         }
@@ -773,7 +792,7 @@ impl TaskOutput {
             for (slot, builder) in scatter.into_iter().enumerate() {
                 if let Some(b) = builder.filter(|b| !b.is_empty()) {
                     let (port, dst) = (slot / self.nodes, slot % self.nodes);
-                    self.close_bin_kind(dst, port, b.freeze(), BinKind::Scatter);
+                    self.close_bin(dst, port, b, BinKind::Scatter);
                 }
             }
             self.done.combined = st.combined;
@@ -851,11 +870,9 @@ mod tests {
             o.emit(0, format!("key{i}").as_bytes(), b"v");
         }
         let (bins, _) = finish(o);
-        // Each key must be in the bin for its partition, and the
-        // in-frame hash must agree with re-hashing the key.
+        // Each key must be in the bin for its partition.
         for (dst, bin) in &bins {
-            for (hash, key, _) in bin.frame.iter() {
-                assert_eq!(hash, stable_hash(key));
+            for (key, _) in bin.frame.iter() {
                 assert_eq!(partition(key, nodes), *dst);
             }
         }
@@ -873,7 +890,7 @@ mod tests {
         }
         let (bins, _) = finish(o);
         for (dst, bin) in &bins {
-            for (_, key, _) in bin.frame.iter() {
+            for (key, _) in bin.frame.iter() {
                 let mut input = key;
                 let node = hamr_codec::read_varint(&mut input).unwrap() as usize;
                 assert_eq!(node % nodes, *dst);
@@ -946,8 +963,7 @@ mod tests {
         let mut o = out(&[Exchange::Local], 0, 1, 10);
         o.emit_encoded(0, &"word".to_string(), &7u64);
         let (bins, _) = finish(o);
-        let (hash, key, value) = bins[0].1.frame.iter().next().unwrap();
-        assert_eq!(hash, stable_hash(key));
+        let (key, value) = bins[0].1.frame.iter().next().unwrap();
         let k: String = hamr_codec::Codec::from_bytes(key).unwrap();
         let v: u64 = hamr_codec::Codec::from_bytes(value).unwrap();
         assert_eq!((k.as_str(), v), ("word", 7));

@@ -1,11 +1,12 @@
 //! Records and frame bins: the engine's data units.
 //!
-//! A [`FrameBin`] is a contiguous batch of `(hash, key, value)` entries
+//! A [`FrameBin`] is a contiguous batch of `(key, value)` entries
 //! addressed to one edge of the flowlet graph — the paper's "minimum
 //! data required to enable a flowlet" and the unit the scheduler fires
 //! tasks against. The payload is a single shared buffer ([`Frame`]),
 //! so cloning a bin (broadcast) is a refcount bump and consumers slice
-//! keys and values out of it without copying.
+//! keys and values out of it without copying. Key hashes are not in
+//! it: what a link is charged for is lengths, keys and values.
 //!
 //! [`Record`] survives as the erased key-value pair handed back to the
 //! driver as captured job output; it is no longer on the shuffle path.
@@ -47,7 +48,7 @@ pub enum BinKind {
 pub struct FrameBin {
     /// Which edge of the job graph this bin travels on.
     pub edge: usize,
-    /// The packed `(hash, key, value)` payload.
+    /// The packed `(key, value)` payload.
     pub frame: Frame,
     /// Lineage span id for causal profiling; `0` (= `NO_SPAN`) when
     /// tracing is off, so the untraced hot path pays one `u64` copy.
@@ -78,8 +79,8 @@ impl FrameBin {
         self
     }
 
-    /// Build a bin from key-value pairs, hashing each key — a test and
-    /// bench convenience; the hot path goes through `TaskOutput`.
+    /// Build a bin from key-value pairs — a test and bench
+    /// convenience; the hot path goes through `TaskOutput`.
     pub fn from_pairs(edge: usize, pairs: &[(&[u8], &[u8])]) -> Self {
         let mut b = FrameBuilder::new();
         for (k, v) in pairs {
@@ -123,21 +124,15 @@ mod tests {
         assert_eq!(bin.edge, 3);
         assert_eq!(bin.len(), 2);
         assert!(!bin.is_empty());
-        // Each entry: 8 (hash) + 1 (klen) + key + 1 (vlen) + value.
-        assert_eq!(
-            bin.payload_bytes(),
-            (8 + 1 + 2 + 1 + 2) + (8 + 1 + 2 + 1 + 6)
-        );
+        // Each entry: 1 (klen) + key + 1 (vlen) + value.
+        assert_eq!(bin.payload_bytes(), (1 + 2 + 1 + 2) + (1 + 2 + 1 + 6));
         assert_eq!(bin.wire_size(), bin.payload_bytes() + 16);
     }
 
     #[test]
-    fn from_pairs_hashes_each_key() {
+    fn from_pairs_packs_each_pair() {
         let bin = FrameBin::from_pairs(0, &[(b"alpha", b"1")]);
-        let (h, k, v) = bin.frame.iter().next().unwrap();
-        assert_eq!(h, stable_hash(b"alpha"));
-        assert_eq!(k, b"alpha");
-        assert_eq!(v, b"1");
+        assert_eq!(bin.frame.iter().next(), Some((&b"alpha"[..], &b"1"[..])));
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //!   HistogramRatings slowdown) or keep per-worker maps merged at
 //!   flush time (the paper's proposed fix).
 //!
-//! Both consume [`FrameBin`]s and reuse the 64-bit hash that rides in
-//! front of every frame entry — the key was hashed once at emission and
-//! is never hashed again here. Reduce ingestion slices keys and values
-//! zero-copy out of the frame ([`hamr_codec::Frame::iter_shared`]),
-//! since the grouped state retains most of the frame's bytes anyway.
+//! Both consume [`FrameBin`]s, which carry keys and values but not the
+//! producer's key hash. The two consumers that shard by key — reduce
+//! ingest (sub-shard) and the shared partial map (stripe) — call
+//! `stable_hash` once per record; nothing else here does. Every map is
+//! a [`StableMap`], probed with the same cheap mix instead of SipHash.
+//! Reduce ingestion slices keys and values zero-copy out of the frame
+//! ([`hamr_codec::Frame::iter_shared`]), since the grouped state
+//! retains most of the frame's bytes anyway.
 //! Partial-reduce folding borrows entries and copies only the key, only
 //! on first sight: accumulators outlive the frame, and pinning a whole
 //! frame allocation per retained key would hoard memory.
@@ -27,10 +30,10 @@ use crate::record::FrameBin;
 use crate::skew::Combiner;
 use crate::spill::{write_run, GroupedMerge, RunReader, SortedStream};
 use bytes::Bytes;
+use hamr_codec::{stable_hash, StableMap};
 use hamr_simdisk::{Disk, DiskError};
 use hamr_trace::{EventKind, Gauge, Observe, Tracer};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 
 /// Rough allocator overhead charged per group / per value when
 /// accounting memory, so budgets reflect real footprint, not just
@@ -38,7 +41,7 @@ use std::collections::HashMap;
 const GROUP_OVERHEAD: usize = 48;
 const VALUE_OVERHEAD: usize = 8;
 
-/// Sub-shard index for a key, from its emission-time hash. Uses the
+/// Sub-shard index for a key, from its `stable_hash`. Uses the
 /// *upper* hash bits: the lower bits already picked the node
 /// (`hash % nodes`), so using them again would collapse every key on a
 /// node into one shard.
@@ -48,7 +51,7 @@ fn sub_shard(hash: u64, shards: usize) -> usize {
 }
 
 struct ReduceShard {
-    groups: HashMap<Bytes, Vec<Bytes>>,
+    groups: StableMap<Bytes, Vec<Bytes>>,
     bytes: usize,
     runs: Vec<String>,
 }
@@ -85,7 +88,7 @@ impl ReduceState {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(ReduceShard {
-                        groups: HashMap::new(),
+                        groups: StableMap::default(),
                         bytes: 0,
                         runs: Vec::new(),
                     })
@@ -106,13 +109,12 @@ impl ReduceState {
 
     /// Fold one bin into the grouped state, spilling the touched shard
     /// if it crosses its budget slice. Keys and values are zero-copy
-    /// sub-views of the bin's frame; sub-shard selection reuses the
-    /// in-frame hash. `worker` labels any spill this triggers in the
-    /// trace.
+    /// sub-views of the bin's frame; sub-shard selection hashes the
+    /// key. `worker` labels any spill this triggers in the trace.
     pub(crate) fn ingest(&self, worker: usize, bin: &FrameBin) -> Result<(), DiskError> {
         let per_shard_budget = (self.budget / self.shards.len()).max(1);
-        for (hash, key, value) in bin.frame.iter_shared() {
-            let s = sub_shard(hash, self.shards.len());
+        for (key, value) in bin.frame.iter_shared() {
+            let s = sub_shard(stable_hash(&key), self.shards.len());
             let mut shard = self.shards[s].lock();
             let added = match shard.groups.get_mut(&key) {
                 Some(values) => {
@@ -251,14 +253,14 @@ pub(crate) struct SkewAbsorber {
     maps: Vec<Mutex<AbsorbMap>>,
 }
 
-/// Per-worker fold state: key → (hash, current partial value).
-type AbsorbMap = HashMap<Bytes, (u64, Vec<u8>)>;
+/// Per-worker fold state: key → current partial value.
+type AbsorbMap = StableMap<Bytes, Vec<u8>>;
 
 impl SkewAbsorber {
     pub(crate) fn new(workers: usize) -> Self {
         SkewAbsorber {
             maps: (0..workers.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(AbsorbMap::default()))
                 .collect(),
         }
     }
@@ -269,47 +271,44 @@ impl SkewAbsorber {
         let mut map = self.maps[worker % self.maps.len()].lock();
         let mut folds = 0;
         let mut scratch = Vec::new();
-        for (hash, key, value) in bin.frame.iter() {
+        for (key, value) in bin.frame.iter() {
             match map.get_mut(key) {
-                Some((_, old)) => {
+                Some(old) => {
                     scratch.clear();
                     combiner.combine(key, old, value, &mut scratch);
                     std::mem::swap(old, &mut scratch);
                     folds += 1;
                 }
                 None => {
-                    map.insert(Bytes::copy_from_slice(key), (hash, value.to_vec()));
+                    map.insert(Bytes::copy_from_slice(key), value.to_vec());
                 }
             }
         }
         folds
     }
 
-    /// Drain and merge the per-worker maps: one `(hash, key, partial)`
-    /// per distinct key, plus the number of cross-worker folds.
-    pub(crate) fn drain(&self, combiner: &dyn Combiner) -> (Vec<(u64, Bytes, Vec<u8>)>, u64) {
-        let mut merged: HashMap<Bytes, (u64, Vec<u8>)> = HashMap::new();
+    /// Drain and merge the per-worker maps: one `(key, partial)` per
+    /// distinct key, plus the number of cross-worker folds.
+    pub(crate) fn drain(&self, combiner: &dyn Combiner) -> (Vec<(Bytes, Vec<u8>)>, u64) {
+        let mut merged = AbsorbMap::default();
         let mut folds = 0;
         let mut scratch = Vec::new();
         for m in &self.maps {
-            for (k, (hash, v)) in m.lock().drain() {
+            for (k, v) in m.lock().drain() {
                 match merged.get_mut(&k) {
-                    Some((_, old)) => {
+                    Some(old) => {
                         scratch.clear();
                         combiner.combine(&k, old, &v, &mut scratch);
                         std::mem::swap(old, &mut scratch);
                         folds += 1;
                     }
                     None => {
-                        merged.insert(k, (hash, v));
+                        merged.insert(k, v);
                     }
                 }
             }
         }
-        (
-            merged.into_iter().map(|(k, (h, v))| (h, k, v)).collect(),
-            folds,
-        )
+        (merged.into_iter().collect(), folds)
     }
 }
 
@@ -321,11 +320,11 @@ pub(crate) enum PartialState {
     /// hit one stripe and serialize — deliberately reproducing the
     /// paper's contention pathology.
     Shared {
-        stripes: Vec<Mutex<HashMap<Bytes, AccBox>>>,
+        stripes: Vec<Mutex<StableMap<Bytes, AccBox>>>,
     },
     /// One map per worker; merged when flushed.
     PerWorker {
-        maps: Vec<Mutex<HashMap<Bytes, AccBox>>>,
+        maps: Vec<Mutex<StableMap<Bytes, AccBox>>>,
     },
 }
 
@@ -336,34 +335,34 @@ impl PartialState {
         match mode {
             ContentionMode::SharedLocked => PartialState::Shared {
                 stripes: (0..SHARED_STRIPES)
-                    .map(|_| Mutex::new(HashMap::new()))
+                    .map(|_| Mutex::new(StableMap::default()))
                     .collect(),
             },
             ContentionMode::Sharded => PartialState::PerWorker {
                 maps: (0..workers.max(1))
-                    .map(|_| Mutex::new(HashMap::new()))
+                    .map(|_| Mutex::new(StableMap::default()))
                     .collect(),
             },
         }
     }
 
     /// Fold a bin into the accumulators. Entries are borrowed from the
-    /// frame; stripe selection reuses the in-frame hash. `worker`
-    /// selects the private map in `PerWorker` mode.
+    /// frame; stripe selection hashes the key. `worker` selects the
+    /// private map in `PerWorker` mode, which hashes nothing.
     pub(crate) fn fold_bin(&self, worker: usize, reducer: &dyn PartialReduceFn, bin: &FrameBin) {
         match self {
             PartialState::Shared { stripes } => {
-                for (hash, key, value) in bin.frame.iter() {
+                for (key, value) in bin.frame.iter() {
                     // Per-record lock acquisition is the point: this is
                     // the shared-variable update the paper describes.
-                    let stripe = sub_shard(hash, stripes.len());
+                    let stripe = sub_shard(stable_hash(key), stripes.len());
                     let mut map = stripes[stripe].lock();
                     Self::fold_into(&mut map, reducer, key, value);
                 }
             }
             PartialState::PerWorker { maps } => {
                 let mut map = maps[worker % maps.len()].lock();
-                for (_, key, value) in bin.frame.iter() {
+                for (key, value) in bin.frame.iter() {
                     Self::fold_into(&mut map, reducer, key, value);
                 }
             }
@@ -371,7 +370,7 @@ impl PartialState {
     }
 
     fn fold_into(
-        map: &mut HashMap<Bytes, AccBox>,
+        map: &mut StableMap<Bytes, AccBox>,
         reducer: &dyn PartialReduceFn,
         key: &[u8],
         value: &[u8],
@@ -399,7 +398,7 @@ impl PartialState {
                 out
             }
             PartialState::PerWorker { maps } => {
-                let mut merged: HashMap<Bytes, AccBox> = HashMap::new();
+                let mut merged: StableMap<Bytes, AccBox> = StableMap::default();
                 for m in maps {
                     for (k, v) in m.lock().drain() {
                         match merged.get_mut(&k) {
@@ -616,8 +615,7 @@ mod tests {
         let (entries, folds) = abs.drain(combiner.as_ref());
         assert_eq!(folds, 2, "three per-worker partials merge with 2 folds");
         assert_eq!(entries.len(), 1);
-        let (hash, key, value) = &entries[0];
-        assert_eq!(*hash, stable_hash(b"hot"));
+        let (key, value) = &entries[0];
         assert_eq!(key, &b("hot"));
         let v: u64 = hamr_codec::Codec::from_bytes(value).unwrap();
         assert_eq!(v, 21);

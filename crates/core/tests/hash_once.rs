@@ -1,7 +1,10 @@
-//! Asserts the frame data plane's hash-once invariant: every key is
-//! hashed exactly once, at emission. Routing, reduce sub-sharding and
-//! partial-reduce striping all reuse the in-frame hash instead of
-//! re-hashing the key.
+//! Pins the data plane's hash budget: a key is hashed once per side.
+//! The producer hashes it at emission (routing, hot-key sketch, combine
+//! buffer and the statistics fold all share that value); frames do not
+//! carry it, so a consumer that shards by key — reduce ingest picking a
+//! sub-shard, the shared partial map picking a stripe — hashes it once
+//! more per record. Nothing else may: not a `Local → Map` hop, not the
+//! per-worker partial maps, not captured output, not a map probe.
 //!
 //! This file deliberately holds a single test: the instrumentation is a
 //! process-global counter (`hamr_codec::hash::hash_counter`), so the
@@ -14,24 +17,26 @@
 #![cfg(debug_assertions)]
 
 use hamr_codec::hash::hash_counter;
-use hamr_core::{typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder};
+use hamr_core::{
+    typed, Cluster, ClusterConfig, ContentionMode, Emitter, Exchange, FlowletId, JobBuilder,
+};
 
-#[test]
-fn keys_hash_exactly_once_per_emission() {
-    let lines: Vec<String> = vec![
-        "the quick brown fox".into(),
-        "the lazy dog".into(),
-        "the quick dog".into(),
-        "fox".into(),
-    ];
-    let n_lines = lines.len() as u64;
-    let n_words: u64 = lines
-        .iter()
-        .map(|l| l.split_whitespace().count() as u64)
-        .sum();
+const LINES: [&str; 4] = [
+    "the quick brown fox",
+    "the lazy dog",
+    "the quick dog",
+    "fox",
+];
+const N_LINES: u64 = 4;
+const N_WORDS: u64 = 11;
+const N_DISTINCT: usize = 6;
 
-    let cluster = Cluster::new(ClusterConfig::local(3, 2));
+/// `lines -Local-> split -Hash-> <consumer>`, consumer output captured.
+fn word_count(
+    add_consumer: impl FnOnce(&mut JobBuilder) -> FlowletId,
+) -> (hamr_core::JobGraph, FlowletId) {
     let mut job = JobBuilder::new("hash-once");
+    let lines = LINES.iter().map(|l| l.to_string()).collect();
     let loader = job.add_loader("lines", typed::vec_loader(lines));
     let map = job.add_map(
         "split",
@@ -41,31 +46,66 @@ fn keys_hash_exactly_once_per_emission() {
             }
         }),
     );
-    let red = job.add_reduce(
-        "count",
-        typed::reduce_fn(|k: String, vs: Vec<u64>, out: &mut Emitter| {
-            // output_t captures job output; captured records are not
-            // routed, so they must not be hashed.
-            out.output_t(&k, &vs.iter().sum::<u64>());
-        }),
-    );
+    let consumer = add_consumer(&mut job);
     job.connect(loader, map, Exchange::Local);
-    job.connect(map, red, Exchange::Hash);
-    job.capture_output(red);
+    job.connect(map, consumer, Exchange::Hash);
+    job.capture_output(consumer);
+    (job.build().unwrap(), consumer)
+}
 
+/// `stable_hash` calls one run of `word_count` makes on `cluster`.
+fn hashes_of(cluster: &Cluster, add_consumer: impl FnOnce(&mut JobBuilder) -> FlowletId) -> u64 {
+    let (graph, consumer) = word_count(add_consumer);
     let before = hash_counter::count();
-    let result = cluster.run(job.build().unwrap()).unwrap();
+    let result = cluster.run(graph).unwrap();
     let hashes = hash_counter::count() - before;
-
     // Sanity: the job actually ran and produced the expected groups.
-    assert_eq!(result.typed_output::<String, u64>(red).len(), 6);
-
-    // One hash per loader emission (line) + one per map emission
-    // (word). Reduce ingest, sub-sharding, and captured output add
-    // zero: they reuse the hash carried in the frame.
-    let emissions = n_lines + n_words;
     assert_eq!(
-        hashes, emissions,
-        "expected exactly {emissions} stable_hash calls (one per emission), got {hashes}"
+        result.typed_output::<String, u64>(consumer).len(),
+        N_DISTINCT
     );
+    hashes
+}
+
+#[test]
+fn keys_hash_once_per_side() {
+    assert_eq!(
+        LINES
+            .iter()
+            .map(|l| l.split_whitespace().count() as u64)
+            .sum::<u64>(),
+        N_WORDS
+    );
+    // One hash per loader emission (line) and one per map emission
+    // (word). The lines cross a Local edge into a map: no consumer hash.
+    let emissions = N_LINES + N_WORDS;
+
+    let add_reduce = |job: &mut JobBuilder| {
+        job.add_reduce(
+            "count",
+            typed::reduce_fn(|k: String, vs: Vec<u64>, out: &mut Emitter| {
+                // Captured output is not routed, so it is not hashed.
+                out.output_t(&k, &vs.iter().sum::<u64>());
+            }),
+        )
+    };
+    let add_partial =
+        |job: &mut JobBuilder| job.add_partial_reduce("count", typed::sum_reducer::<String>());
+
+    // Reduce ingest sub-shards every word it receives.
+    let cluster = Cluster::new(ClusterConfig::local(3, 2));
+    assert_eq!(hashes_of(&cluster, add_reduce), emissions + N_WORDS);
+
+    // The shared partial map (the default) stripes every word it folds.
+    assert_eq!(
+        cluster.config().runtime.contention,
+        ContentionMode::SharedLocked
+    );
+    assert_eq!(hashes_of(&cluster, add_partial), emissions + N_WORDS);
+
+    // Per-worker partial maps shard by worker, not by key: the consumer
+    // side adds nothing.
+    let mut config = ClusterConfig::local(3, 2);
+    config.runtime.contention = ContentionMode::Sharded;
+    assert_eq!(hashes_of(&Cluster::new(config), add_partial), emissions);
 }

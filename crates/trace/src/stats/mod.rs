@@ -732,7 +732,7 @@ impl SketchSet {
         }
     }
 
-    /// Observe one record: its in-frame hash, key bytes (sampled into
+    /// Observe one record: its emit-time hash, key bytes (sampled into
     /// the heavy-hitter slot), and value size.
     #[inline]
     pub fn observe(&mut self, hash: u64, key: &[u8], value_len: usize) {
@@ -1231,8 +1231,9 @@ impl StatsPlane {
 
     /// Fold one finished bin into the (edge, dst) sketch slot and, when
     /// lineage is on, append a hop for every sampled key in the bin.
-    /// `iter` yields `(hash, key-bytes, value-len)` straight from the
-    /// frame — the hash is the one computed at emit, never recomputed.
+    /// `iter` yields `(hash, key-bytes, value-len)`: entries from the
+    /// frame, each with its hash from the builder's column — the one
+    /// computed at emit, never recomputed.
     #[allow(clippy::too_many_arguments)]
     pub fn fold_bin<'a>(
         &self,

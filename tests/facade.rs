@@ -39,6 +39,52 @@ fn hamr_job_via_facade() {
     assert_eq!(total, (0..100u64).map(|i| i % 10).sum());
 }
 
+/// A shuffled record costs its lengths, key and value on the fabric —
+/// not the 8-byte key hash that used to ride in front of each one. The
+/// loader deals item `i` to node `i % 2` and the Hash edge sends it to
+/// `partition(key, 2)`, so the records that cross the fabric are known;
+/// the whole shuffle (bin headers and control messages included) must
+/// come in under what their hashes alone once weighed.
+#[test]
+fn shuffled_records_carry_no_hash_on_the_wire() {
+    use hamr::codec::{partition, Codec};
+    let nodes = 2;
+    let pairs: Vec<(u64, u64)> = (0..4000u64).map(|i| (i, i % 10)).collect();
+    let remote = pairs
+        .iter()
+        .enumerate()
+        .filter(|(i, (k, _))| partition(&k.to_bytes(), nodes) != i % nodes)
+        .count() as u64;
+    assert!(remote > 1000, "the job must really shuffle ({remote})");
+
+    let cluster = Cluster::new(ClusterConfig::local(nodes, 2));
+    let mut job = JobBuilder::new("facade-wire");
+    let loader = job.add_loader("nums", typed::pairs_loader(pairs.clone()));
+    let sum = job.add_reduce(
+        "sum",
+        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.iter().sum::<u64>());
+        }),
+    );
+    job.connect(loader, sum, Exchange::Hash);
+    job.capture_output(sum);
+    let result = cluster.run(job.build().unwrap()).unwrap();
+    let mut out = result.typed_output::<u64, u64>(sum);
+    out.sort();
+    assert_eq!(out, pairs);
+
+    let shuffled = result.metrics.shuffled_bytes;
+    assert!(
+        shuffled > remote * 3,
+        "a record is at least 3 B ({shuffled})"
+    );
+    assert!(
+        shuffled < remote * 8,
+        "{shuffled} B shuffled for {remote} remote records: the hash alone was {} B",
+        remote * 8
+    );
+}
+
 #[test]
 fn mapreduce_job_via_facade() {
     let cluster = hamr::mapred::MrCluster::in_memory(2, 2);
