@@ -688,6 +688,9 @@ impl Cluster {
         fabric.shutdown();
         for disk in &self.disks {
             disk.unobserve();
+            // A split prepared but never loaded (abort, loader panic)
+            // must not serve the next job's read for free.
+            disk.cancel_read_ahead();
         }
         // Publish job totals and record one epoch per completed job —
         // iterative workloads (one job per iteration) thereby get

@@ -114,6 +114,13 @@ pub trait Loader: Send + Sync {
     /// Number of split tasks to run on `ctx.node`.
     fn split_count(&self, ctx: &TaskContext) -> usize;
 
+    /// Split `index` is about to be admitted, or is the one after it:
+    /// start whatever IO `load` will wait for, without blocking. Called
+    /// on the node's runtime thread, once per split and in order, ahead
+    /// of that split's `load`. A loader that reads nothing from a
+    /// device keeps this default.
+    fn prepare(&self, _ctx: &TaskContext, _index: usize) {}
+
     /// Produce the records of split `index` (node-local numbering).
     fn load(&self, ctx: &TaskContext, index: usize, out: &mut Emitter);
 }
@@ -175,6 +182,9 @@ pub trait StreamSource: Send + Sync {
 impl<T: Loader + ?Sized> Loader for Arc<T> {
     fn split_count(&self, ctx: &TaskContext) -> usize {
         (**self).split_count(ctx)
+    }
+    fn prepare(&self, ctx: &TaskContext, index: usize) {
+        (**self).prepare(ctx, index)
     }
     fn load(&self, ctx: &TaskContext, index: usize, out: &mut Emitter) {
         (**self).load(ctx, index, out)

@@ -35,11 +35,14 @@
 //! admitted for it) until acknowledgements drain the backlog — "the
 //! flowlet stops the current execution immediately and will be
 //! scheduled in a later time". Loader concurrency is additionally
-//! throttled. Progress is deadlock-free because the graph is acyclic:
-//! sinks never defer, so windows always eventually drain. The window
-//! and deferred-queue state live in [`FlowControl`] (see `outbuf.rs`),
-//! shared between the runtime thread and (under work stealing) the
-//! workers.
+//! throttled, and admission is also when a split's device read is
+//! issued (`Loader::prepare`, the admitted split and the one after it),
+//! so the same rules bound the reads in flight and no worker sleeps on
+//! a read it could have had waiting. Progress is deadlock-free because
+//! the graph is acyclic: sinks never defer, so windows always
+//! eventually drain. The window and deferred-queue state live in
+//! [`FlowControl`] (see `outbuf.rs`), shared between the runtime thread
+//! and (under work stealing) the workers.
 
 use crate::config::{FaultInjection, RuntimeConfig, SchedMode};
 use crate::flowlet::{AccBox, TaskContext};
@@ -582,6 +585,9 @@ struct Instance {
     // loader
     splits_total: usize,
     splits_next: usize,
+    /// Splits whose `Loader::prepare` has been called: the admitted
+    /// ones plus one.
+    splits_prepared: usize,
     splits_done: usize,
     loader_running: usize,
     // stream
@@ -803,6 +809,7 @@ impl NodeRuntime {
                     phase: Phase::Active,
                     splits_total,
                     splits_next: 0,
+                    splits_prepared: 0,
                     splits_done: 0,
                     loader_running: 0,
                     stream_epoch: 0,
@@ -1245,9 +1252,21 @@ impl NodeRuntime {
             {
                 return;
             }
-            let index = self.instances[f].splits_next;
-            self.instances[f].splits_next += 1;
-            self.instances[f].loader_running += 1;
+            let FlowletKind::Loader(loader) = &self.plan.graph.flowlets[f].kind else {
+                unreachable!("pump_loader on a non-loader")
+            };
+            // A split's device read is issued when the split is
+            // admitted — and the next split's with it, so the device
+            // works while this one computes. Admission bounds it: at
+            // most LOADER_CONCURRENCY + 1 reads are ever outstanding.
+            let inst = &mut self.instances[f];
+            let index = inst.splits_next;
+            for ahead in inst.splits_prepared..(index + 2).min(inst.splits_total) {
+                loader.prepare(&self.shared.ctx, ahead);
+                inst.splits_prepared = ahead + 1;
+            }
+            inst.splits_next += 1;
+            inst.loader_running += 1;
             self.dispatch(Task::LoaderSplit { flowlet: f, index });
         }
     }

@@ -7,8 +7,11 @@
 
 use crate::flowlet::{AccBox, Emitter, Loader, MapFn, PartialReduceFn, ReduceFn, TaskContext};
 use crate::skew::Combiner;
+use crate::NodeId;
 use bytes::Bytes;
 use hamr_codec::Codec;
+use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -417,16 +420,26 @@ pub fn vec_loader(lines: Vec<String>) -> VecLoader<u64, String> {
 /// holds), emitting `(byte offset within file, line)`.
 pub struct DfsLineLoader {
     path: String,
+    /// Each node's blocks, resolved once per job by `split_count` and
+    /// indexed by `prepare` and `load`.
+    local: RwLock<HashMap<NodeId, LocalBlocks>>,
 }
+
+/// One node's blocks of a file: (index in the file, base byte offset).
+type LocalBlocks = Arc<[(usize, u64)]>;
 
 /// Build a [`DfsLineLoader`] for `path`.
 pub fn dfs_line_loader(path: impl Into<String>) -> DfsLineLoader {
-    DfsLineLoader { path: path.into() }
+    DfsLineLoader {
+        path: path.into(),
+        local: RwLock::new(HashMap::new()),
+    }
 }
 
 impl DfsLineLoader {
-    /// Block indexes (with their base byte offsets) this node loads.
-    fn local_blocks(&self, ctx: &TaskContext) -> Vec<(usize, u64)> {
+    /// Resolve and remember the blocks this node loads: those whose
+    /// primary replica it holds.
+    fn resolve(&self, ctx: &TaskContext) -> LocalBlocks {
         let blocks = match ctx.dfs.blocks(&self.path) {
             Ok(b) => b,
             Err(e) => panic!("DfsLineLoader: cannot read {}: {e}", self.path),
@@ -439,17 +452,34 @@ impl DfsLineLoader {
             }
             offset += b.len as u64;
         }
+        let mine: LocalBlocks = mine.into();
+        self.local.write().insert(ctx.node, Arc::clone(&mine));
         mine
+    }
+
+    /// This node's `index`-th block, if it has that many.
+    fn local_block(&self, ctx: &TaskContext, index: usize) -> Option<(usize, u64)> {
+        let resolved = self.local.read().get(&ctx.node).cloned();
+        resolved
+            .unwrap_or_else(|| self.resolve(ctx))
+            .get(index)
+            .copied()
     }
 }
 
 impl Loader for DfsLineLoader {
     fn split_count(&self, ctx: &TaskContext) -> usize {
-        self.local_blocks(ctx).len()
+        self.resolve(ctx).len()
+    }
+
+    fn prepare(&self, ctx: &TaskContext, index: usize) {
+        if let Some((block, _)) = self.local_block(ctx, index) {
+            ctx.dfs.read_ahead(&self.path, block, Some(ctx.node));
+        }
     }
 
     fn load(&self, ctx: &TaskContext, index: usize, out: &mut Emitter) {
-        let (block, base) = self.local_blocks(ctx)[index];
+        let (block, base) = self.local_block(ctx, index).expect("split in range");
         let payload = ctx
             .dfs
             .read_block(&self.path, block, Some(ctx.node))

@@ -9,8 +9,8 @@
 //! and the default options observe nothing.
 
 use hamr_core::{
-    typed, Cluster, ClusterConfig, Emitter, Exchange, FaultInjection, JobBuilder, JobGraph,
-    RunError, RunOptions, SchedMode, Supervision, WatchdogAction, WatchdogConfig,
+    typed, Cluster, ClusterConfig, Emitter, Exchange, FaultInjection, JobBuilder, JobGraph, Loader,
+    RunError, RunOptions, SchedMode, Supervision, TaskContext, WatchdogAction, WatchdogConfig,
 };
 use hamr_trace::{
     AuditStage, EventKind, FlightRecord, RecordedEvent, RingSink, Telemetry, Tracer, WatchdogClass,
@@ -18,7 +18,7 @@ use hamr_trace::{
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Options for a supervised run: no caller sinks, so the flight
 /// recorder's ring and private gauges stand in.
@@ -415,5 +415,108 @@ fn default_options_observe_nothing() {
         cluster.last_audit().expect("report kept").rows,
         report.rows,
         "an unsupervised run must not touch last_audit"
+    );
+}
+
+/// Forwards everything to the DFS line loader except `load`, which
+/// panics: every split this loader was asked to prepare is read ahead
+/// and then never read.
+struct PreparedNeverLoaded(typed::DfsLineLoader);
+
+impl Loader for PreparedNeverLoaded {
+    fn split_count(&self, ctx: &TaskContext) -> usize {
+        self.0.split_count(ctx)
+    }
+    fn prepare(&self, ctx: &TaskContext, index: usize) {
+        self.0.prepare(ctx, index)
+    }
+    fn load(&self, _ctx: &TaskContext, index: usize, _out: &mut Emitter) {
+        panic!("injected: split {index} prepared, never loaded");
+    }
+}
+
+#[test]
+fn a_read_ahead_never_outlives_its_job() {
+    // Two 1 MB/s disks, one worker per node, eight unreplicated 30 KB
+    // blocks: four splits and 4 x 30 ms of device time per node.
+    let block = Duration::from_millis(30);
+    let mut config = ClusterConfig::local(2, 1);
+    config.disk = hamr_simdisk::DiskConfig::modeled(1_000_000, Duration::ZERO);
+    config.dfs = hamr_dfs::DfsConfig {
+        block_size: 30_000,
+        replication: 1,
+    };
+    let cluster = Cluster::new(config);
+    let mut w = cluster.dfs().create("in.txt").unwrap();
+    for i in 0..8 * 30 {
+        w.write_line(&format!("{:0>999}", i % 5));
+    }
+    w.seal().unwrap();
+    let job = |loader: Arc<dyn Loader>| {
+        let mut job = JobBuilder::new("read-ahead-abort");
+        let loader = job.add_loader("text", loader);
+        let key = job.add_map(
+            "key",
+            typed::map_fn(|_offset: u64, line: String, out: &mut Emitter| {
+                out.emit_t(0, &line.trim_start_matches('0').to_string(), &1u64);
+            }),
+        );
+        let sum = job.add_partial_reduce("sum", typed::sum_reducer::<String>());
+        job.connect(loader, key, Exchange::Local);
+        job.connect(key, sum, Exchange::Hash);
+        job.capture_output(sum);
+        job.build().unwrap()
+    };
+
+    // Job 1 dies between `prepare` and `load`: up to three blocks per
+    // node are booked on the device and nobody reads them.
+    let failed = cluster.run(job(Arc::new(PreparedNeverLoaded(typed::dfs_line_loader(
+        "in.txt",
+    )))));
+    assert!(
+        matches!(failed, Err(RunError::NodePanic { .. })),
+        "{failed:?}"
+    );
+    // Long enough for the abandoned reads to have completed: a booking
+    // that survived would now serve job 2 for free.
+    std::thread::sleep(4 * block);
+
+    // Job 2, supervised by a watchdog whose whole patience (15 ms) is
+    // shorter than one block: a worker waiting for its read-ahead is a
+    // busy worker, not a hang.
+    let sup = Supervision {
+        watchdog: WatchdogConfig {
+            epoch: Duration::from_millis(5),
+            patience: 3,
+            action: WatchdogAction::Abort,
+            ..Default::default()
+        },
+        doctor_dir: None,
+    };
+    let reads_before: Vec<u64> = (0..2).map(|n| cluster.disk(n).metrics().read_ops).collect();
+    let start = Instant::now();
+    let result = cluster
+        .run_with(
+            job(Arc::new(typed::dfs_line_loader("in.txt"))),
+            &supervised(sup),
+        )
+        .expect("the second job is healthy");
+    let wall = start.elapsed();
+    let mut expected: Vec<(String, u64)> = ["", "1", "2", "3", "4"]
+        .iter()
+        .map(|k| (k.to_string(), 48))
+        .collect();
+    expected.sort();
+    assert_eq!(sorted_counts(&result), expected);
+    // Every block was charged in full: a node's four reads cannot end
+    // before four blocks of device time have passed.
+    assert!(wall >= 4 * block, "a stale booking served a read: {wall:?}");
+    for (node, before) in reads_before.iter().enumerate() {
+        assert_eq!(cluster.disk(node).metrics().read_ops - before, 4);
+    }
+    assert!(
+        cluster.watchdog_events().is_empty(),
+        "a worker waiting on its read is not an incident: {:?}",
+        cluster.watchdog_events()
     );
 }

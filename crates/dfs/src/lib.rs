@@ -234,6 +234,29 @@ impl Dfs {
             .collect())
     }
 
+    /// The replica node a read of `path`'s block `block_index` goes to —
+    /// `prefer` when it holds one, else the primary — and the block id.
+    fn locate(
+        &self,
+        path: &str,
+        block_index: usize,
+        prefer: Option<NodeId>,
+    ) -> Result<(NodeId, u64), DfsError> {
+        let namespace = self.inner.namespace.read();
+        let file = namespace
+            .get(path)
+            .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
+        let meta = file.blocks.get(block_index).ok_or(DfsError::NoSuchBlock {
+            path: path.to_string(),
+            block: block_index,
+        })?;
+        let node = match prefer {
+            Some(p) if meta.replicas.contains(&p) => p,
+            _ => meta.replicas[0],
+        };
+        Ok((node, meta.id))
+    }
+
     /// Read one block's payload, preferring a replica on `prefer`.
     /// Charges the chosen replica's disk.
     pub fn read_block(
@@ -242,16 +265,19 @@ impl Dfs {
         block_index: usize,
         prefer: Option<NodeId>,
     ) -> Result<Arc<Vec<u8>>, DfsError> {
-        let blocks = self.blocks(path)?;
-        let meta = blocks.get(block_index).ok_or(DfsError::NoSuchBlock {
-            path: path.to_string(),
-            block: block_index,
-        })?;
-        let node = match prefer {
-            Some(p) if meta.replicas.contains(&p) => p,
-            _ => meta.replicas[0],
-        };
-        Ok(self.inner.disks[node].read_all(&BlockMeta::disk_name(meta.id))?)
+        let (node, id) = self.locate(path, block_index, prefer)?;
+        Ok(self.inner.disks[node].read_all(&BlockMeta::disk_name(id))?)
+    }
+
+    /// Submit now the disk read that the same
+    /// [`read_block`](Dfs::read_block) call will wait for, so the
+    /// device works while the caller finishes something else (see
+    /// [`Disk::read_ahead`]). Advisory: a missing file or block is a
+    /// no-op here and an error from the read.
+    pub fn read_ahead(&self, path: &str, block_index: usize, prefer: Option<NodeId>) {
+        if let Ok((node, id)) = self.locate(path, block_index, prefer) {
+            self.inner.disks[node].read_ahead(&BlockMeta::disk_name(id));
+        }
     }
 
     /// Delete a file and all its block replicas.
@@ -475,6 +501,41 @@ mod tests {
             7,
             "preferred replica's disk should serve the read"
         );
+    }
+
+    #[test]
+    fn read_ahead_books_the_replica_read_block_will_use() {
+        use hamr_simdisk::DiskConfig;
+        use std::time::{Duration, Instant};
+        // 30 KB blocks on 1 MB/s disks: 30 ms of device time each.
+        let disks: Vec<Disk> = (0..2)
+            .map(|_| Disk::new(DiskConfig::modeled(1_000_000, Duration::ZERO)))
+            .collect();
+        let dfs = Dfs::new(
+            disks,
+            DfsConfig {
+                block_size: 30_000,
+                replication: 2,
+            },
+        );
+        for path in ["f", "g"] {
+            let mut w = dfs.create_from(path, Some(0)).unwrap();
+            w.write_record(&[7u8; 30_000]);
+            w.seal().unwrap();
+        }
+        let start = Instant::now();
+        dfs.read_ahead("f", 0, Some(1));
+        dfs.read_ahead("f", 9, None); // no such block: a no-op
+        dfs.read_ahead("nope", 0, None);
+        // The booking occupies node 1's spindle: a demand read there
+        // queues behind it; node 0's disk was never asked.
+        dfs.read_block("g", 0, Some(1)).unwrap();
+        assert!(start.elapsed() >= Duration::from_millis(60));
+        // The same call that was booked consumes it and counts once.
+        dfs.read_block("f", 0, Some(1)).unwrap();
+        assert_eq!(dfs.disk(1).metrics().read_ops, 2);
+        assert_eq!(dfs.disk(1).metrics().bytes_read, 60_000);
+        assert_eq!(dfs.disk(0).metrics().read_ops, 0);
     }
 
     #[test]

@@ -253,13 +253,14 @@ impl Scheduler {
     }
 
     /// Take a local task if any, else steal the longest queue's tail.
-    /// Returns (task, was_local).
-    fn take(&mut self, node: usize) -> Option<(usize, bool)> {
+    /// Returns (task, was_local, the local task this node takes next) —
+    /// the last so the slot can start that split's disk read now.
+    fn take(&mut self, node: usize) -> Option<(usize, bool, Option<usize>)> {
         if let Some(t) = self.queues[node].pop_front() {
-            return Some((t, true));
+            return Some((t, true, self.queues[node].front().copied()));
         }
         let victim = (0..self.queues.len()).max_by_key(|&n| self.queues[n].len())?;
-        self.queues[victim].pop_back().map(|t| (t, false))
+        self.queues[victim].pop_back().map(|t| (t, false, None))
     }
 }
 
@@ -468,9 +469,17 @@ impl MrCluster {
                         if first_error.lock().is_some() {
                             return;
                         }
-                        let Some((task, local)) = scheduler.lock().take(node) else {
+                        let Some((task, local, next)) = scheduler.lock().take(node) else {
                             return;
                         };
+                        // HDFS clients read ahead too: the next local
+                        // split's read proceeds while this one runs. This
+                        // split goes first so that it is first on the
+                        // spindle; booked by the previous take, a no-op.
+                        for ahead in [Some(task), next].into_iter().flatten() {
+                            let split = &splits[ahead];
+                            dfs.read_ahead(&split.path, split.block_index, Some(node));
+                        }
                         if !startup.task.is_zero() {
                             std::thread::sleep(startup.task);
                         }
@@ -603,6 +612,9 @@ impl MrCluster {
         let detach_disks = || {
             for disk in &self.disks {
                 disk.unobserve();
+                // A split read ahead for a slot that never ran it
+                // (stolen tail, failed job) serves no later job.
+                disk.cancel_read_ahead();
             }
         };
         if let Some(e) = first_error.lock().take() {

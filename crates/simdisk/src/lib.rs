@@ -8,17 +8,32 @@
 //! This crate substitutes a *modeled* disk: bytes are retained in RAM
 //! (deterministic, no filesystem flakiness, no page-cache distortion at
 //! our scaled-down sizes) but every read and write charges wall-clock
-//! time against a single-spindle serialization model:
+//! time against a single-spindle serialization model. An IO has two
+//! moments, **submission** (the spindle's timeline is booked) and
+//! **completion** (the caller may have the bytes):
 //!
 //! ```text
-//! start      = max(now, disk_busy_until)
-//! busy_until = start + op_latency + bytes / bandwidth
-//! caller sleeps until busy_until
+//! submit:    start      = max(now, disk_busy_until)
+//!            busy_until = start + op_latency + bytes / bandwidth
+//!            ready_at   = busy_until            (Throttle::reserve)
+//! complete:  caller sleeps until ready_at       (Throttle::acquire = both)
 //! ```
 //!
 //! so concurrent tasks on one node contend for their disk exactly as
-//! Hadoop's map spills contend for a real spindle. `DiskConfig::instant()`
-//! disables all charging for correctness tests.
+//! Hadoop's map spills contend for a real spindle. Writes and demand
+//! reads submit and complete in one call. [`Disk::read_ahead`] only
+//! submits, and the [`Disk::read_all`] that follows only completes: it
+//! waits for what is left of `ready_at`, so a caller that had other work
+//! to do meanwhile never sleeps on the device — asynchronous completion
+//! without an IO thread, because the device is a timeline, not a thread.
+//! A booking holds no memory: the "read-ahead buffer" is the `Arc` the
+//! RAM-backed disk already holds, handed out at completion (a real
+//! engine would hold one block per loader per node). Writes stay
+//! synchronous: the engines' writes are spills and map outputs, which
+//! the writer reads back or ships next, and no benchmark workload's
+//! HAMR job writes at all — there is no measured wait to hide.
+//! `DiskConfig::instant()` disables all charging for correctness tests
+//! and never books anything.
 
 mod throttle;
 
@@ -27,12 +42,12 @@ pub use throttle::Throttle;
 use hamr_trace::{
     Counter, EventKind, Gauge, Labels, MetricsRegistry, Observe, Tracer, WORKER_DISK,
 };
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Disk timing model.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,6 +149,10 @@ struct DiskInner {
     config: DiskConfig,
     files: RwLock<HashMap<String, Arc<Vec<u8>>>>,
     throttle: Throttle,
+    /// Reads submitted by [`Disk::read_ahead`] and not yet consumed by
+    /// [`Disk::read_all`]: file name → when the device will have
+    /// finished. Never touched by an instant disk.
+    bookings: Mutex<HashMap<String, Instant>>,
     metrics: MetricsInner,
     temp_counter: AtomicU64,
     /// Fast-path flag mirroring "a run is observing this disk", so
@@ -155,6 +174,7 @@ impl Disk {
                 throttle: Throttle::new(),
                 config,
                 files: RwLock::new(HashMap::new()),
+                bookings: Mutex::new(HashMap::new()),
                 metrics: MetricsInner::default(),
                 temp_counter: AtomicU64::new(0),
                 observed: AtomicBool::new(false),
@@ -167,8 +187,9 @@ impl Disk {
     /// `node`. Disks are long-lived substrates, so the driver binds
     /// before a run and calls [`unobserve`](Disk::unobserve) after.
     ///
-    /// * an enabled `obs.tracer` gets a `DiskRead`/`DiskWrite` event per
-    ///   read and write;
+    /// * an enabled `obs.tracer` gets a `DiskRead` event when a read is
+    ///   submitted to the device (for a read-ahead, before any task
+    ///   waits on it) and a `DiskWrite` event per completed write;
     /// * `obs.telemetry` gets a `node{n}/disk_used_bytes` gauge, seeded
     ///   with the current usage so seal/delete deltas stay exact;
     /// * `registry` (with its engine label) gets
@@ -206,38 +227,68 @@ impl Disk {
         *self.inner.obs.write() = DiskObs::default();
     }
 
-    /// Report one IO to the run observing this disk, if any.
-    fn observe_io(&self, read: bool, bytes: usize) {
+    /// Report one completed write to the run observing this disk, if any.
+    fn observe_write(&self, bytes: usize) {
         if !self.inner.observed.load(Ordering::Acquire) {
             return;
         }
         let obs = self.inner.obs.read();
         let bytes = bytes as u64;
-        if read {
-            obs.tracer
-                .emit(obs.node, WORKER_DISK, EventKind::DiskRead { bytes });
-            obs.read_bytes.add(bytes);
-            obs.read_ops.inc();
-        } else {
-            obs.tracer
-                .emit(obs.node, WORKER_DISK, EventKind::DiskWrite { bytes });
-            obs.write_bytes.add(bytes);
-            obs.write_ops.inc();
-        }
+        obs.tracer
+            .emit(obs.node, WORKER_DISK, EventKind::DiskWrite { bytes });
+        obs.write_bytes.add(bytes);
+        obs.write_ops.inc();
     }
 
-    /// Charge disk time for `bytes` of sequential IO and sleep it off.
-    fn charge(&self, bytes: usize) {
+    /// Device time of `bytes` of sequential IO.
+    fn io_time(&self, bytes: usize) -> Duration {
         let cfg = &self.inner.config;
         if cfg.is_instant() {
-            return;
+            return Duration::ZERO;
         }
         let chunks = bytes.div_ceil(cfg.chunk_size).max(1) as u32;
         let mut dur = cfg.op_latency * chunks;
         if let Some(bw) = cfg.bandwidth {
             dur += Duration::from_secs_f64(bytes as f64 / bw as f64);
         }
-        self.inner.throttle.acquire(dur);
+        dur
+    }
+
+    /// Charge disk time for `bytes` of sequential IO and sleep it off.
+    fn charge(&self, bytes: usize) {
+        self.inner.throttle.acquire(self.io_time(bytes));
+    }
+
+    /// Tell the observing run's tracer, if any, that a read of `bytes`
+    /// was submitted to the device.
+    fn trace_read(&self, bytes: usize) {
+        if self.inner.observed.load(Ordering::Acquire) {
+            let obs = self.inner.obs.read();
+            let bytes = bytes as u64;
+            obs.tracer
+                .emit(obs.node, WORKER_DISK, EventKind::DiskRead { bytes });
+        }
+    }
+
+    /// Submit a read of `bytes`: book the spindle and return when the
+    /// device will have finished.
+    fn submit_read(&self, bytes: usize) -> Instant {
+        self.trace_read(bytes);
+        self.inner.throttle.reserve(self.io_time(bytes))
+    }
+
+    /// Wait for a submitted read to complete and count it — once, here,
+    /// however early it was submitted.
+    fn complete_read(&self, ready_at: Instant, bytes: usize) {
+        throttle::sleep_until(ready_at);
+        let m = &self.inner.metrics;
+        m.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
+        m.read_ops.fetch_add(1, Ordering::Relaxed);
+        if self.inner.observed.load(Ordering::Acquire) {
+            let obs = self.inner.obs.read();
+            obs.read_bytes.add(bytes as u64);
+            obs.read_ops.inc();
+        }
     }
 
     /// Begin writing a new file. Fails if the name exists.
@@ -271,7 +322,10 @@ impl Disk {
         })
     }
 
-    /// Read a whole file, charging for its full size.
+    /// Read a whole file, charging for its full size. A read already
+    /// submitted by [`read_ahead`](Disk::read_ahead) is consumed: the
+    /// caller waits only for what is left of it and nothing is charged
+    /// or counted twice.
     pub fn read_all(&self, name: &str) -> Result<Arc<Vec<u8>>, DiskError> {
         let data = {
             let files = self.inner.files.read();
@@ -280,14 +334,44 @@ impl Disk {
                 .cloned()
                 .ok_or_else(|| DiskError::NotFound(name.to_string()))?
         };
-        self.charge(data.len());
-        self.inner
-            .metrics
-            .bytes_read
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.inner.metrics.read_ops.fetch_add(1, Ordering::Relaxed);
-        self.observe_io(true, data.len());
+        let booked = if self.inner.config.is_instant() {
+            None
+        } else {
+            self.inner.bookings.lock().remove(name)
+        };
+        let ready_at = booked.unwrap_or_else(|| self.submit_read(data.len()));
+        self.complete_read(ready_at, data.len());
         Ok(data)
+    }
+
+    /// Submit the read of a whole file now, for a
+    /// [`read_all`](Disk::read_all) that will come: the device works
+    /// while the caller does something else. Advisory — a file that
+    /// does not exist, one already booked, and an instant disk are all
+    /// no-ops; the read itself reports errors. The bytes stay where
+    /// they are (the disk's own `Arc`), so a booking holds no memory.
+    pub fn read_ahead(&self, name: &str) {
+        if self.inner.config.is_instant() {
+            return;
+        }
+        let Ok(len) = self.len(name) else { return };
+        {
+            let mut bookings = self.inner.bookings.lock();
+            if bookings.contains_key(name) {
+                return;
+            }
+            let ready_at = self.inner.throttle.reserve(self.io_time(len));
+            bookings.insert(name.to_string(), ready_at);
+        }
+        // Outside the lock: a trace sink may itself use this disk.
+        self.trace_read(len);
+    }
+
+    /// Forget every read-ahead nobody consumed. Drivers call this when
+    /// a job ends, however it ends, so that a booking never serves a
+    /// later job's read for free. The device time stays spent.
+    pub fn cancel_read_ahead(&self) {
+        self.inner.bookings.lock().clear();
     }
 
     /// Write a whole file in one operation.
@@ -302,6 +386,9 @@ impl Disk {
     pub fn delete(&self, name: &str) {
         if let Some(old) = self.inner.files.write().remove(name) {
             self.inner.obs.read().used.sub(old.len() as i64);
+        }
+        if !self.inner.config.is_instant() {
+            self.inner.bookings.lock().remove(name);
         }
     }
 
@@ -402,7 +489,7 @@ impl FileWriter {
             .metrics
             .write_ops
             .fetch_add(1, Ordering::Relaxed);
-        self.disk.observe_io(false, bytes);
+        self.disk.observe_write(bytes);
     }
 
     /// Flush remaining bytes, publish the file, and return its size.
@@ -461,18 +548,7 @@ impl FileReader {
         }
         buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
         self.pos += n;
-        self.disk.charge(n);
-        self.disk
-            .inner
-            .metrics
-            .bytes_read
-            .fetch_add(n as u64, Ordering::Relaxed);
-        self.disk
-            .inner
-            .metrics
-            .read_ops
-            .fetch_add(1, Ordering::Relaxed);
-        self.disk.observe_io(true, n);
+        self.disk.complete_read(self.disk.submit_read(n), n);
         n
     }
 
@@ -480,18 +556,8 @@ impl FileReader {
     pub fn read_to_end(&mut self) -> Vec<u8> {
         let rest = self.data[self.pos..].to_vec();
         if !rest.is_empty() {
-            self.disk.charge(rest.len());
             self.disk
-                .inner
-                .metrics
-                .bytes_read
-                .fetch_add(rest.len() as u64, Ordering::Relaxed);
-            self.disk
-                .inner
-                .metrics
-                .read_ops
-                .fetch_add(1, Ordering::Relaxed);
-            self.disk.observe_io(true, rest.len());
+                .complete_read(self.disk.submit_read(rest.len()), rest.len());
         }
         self.pos = self.data.len();
         rest
@@ -672,6 +738,120 @@ mod tests {
             "reads did not serialize: {:?}",
             start.elapsed()
         );
+    }
+
+    /// A 1 MB/s disk holding 30 KB files `a` and `b`: 30 ms per read.
+    fn booked_disk() -> (Disk, Duration) {
+        let disk = Disk::new(DiskConfig::modeled(1_000_000, Duration::ZERO));
+        disk.write_all("a", &[0u8; 30_000]).unwrap();
+        disk.write_all("b", &[0u8; 30_000]).unwrap();
+        (disk, Duration::from_millis(30))
+    }
+
+    fn booking(disk: &Disk, name: &str) -> Option<Instant> {
+        disk.inner.bookings.lock().get(name).copied()
+    }
+
+    fn timeline_end(disk: &Disk) -> Instant {
+        disk.inner
+            .throttle
+            .busy_until()
+            .expect("something was charged")
+    }
+
+    #[test]
+    fn read_ahead_books_without_sleeping_or_counting() {
+        let (disk, block) = booked_disk();
+        let before = Instant::now();
+        disk.read_ahead("a");
+        let ready_at = booking(&disk, "a").expect("booked");
+        assert!(ready_at >= before + block);
+        assert_eq!(timeline_end(&disk), ready_at);
+        assert_eq!(disk.metrics().read_ops, 0, "counted at completion");
+        assert_eq!(disk.metrics().bytes_read, 0);
+    }
+
+    #[test]
+    fn consuming_a_finished_read_ahead_charges_one_block_not_two() {
+        let (disk, _) = booked_disk();
+        disk.read_ahead("a");
+        let ready_at = booking(&disk, "a").unwrap();
+        throttle::sleep_until(ready_at);
+        assert_eq!(disk.read_all("a").unwrap().len(), 30_000);
+        assert_eq!(timeline_end(&disk), ready_at, "nothing charged twice");
+        assert!(booking(&disk, "a").is_none(), "consumed");
+        let m = disk.metrics();
+        assert_eq!((m.read_ops, m.bytes_read), (1, 30_000));
+    }
+
+    #[test]
+    fn consuming_an_unfinished_read_ahead_waits_the_remainder() {
+        let (disk, _) = booked_disk();
+        disk.read_ahead("a");
+        let ready_at = booking(&disk, "a").unwrap();
+        disk.read_all("a").unwrap();
+        assert!(Instant::now() >= ready_at, "returned before the device");
+        assert_eq!(timeline_end(&disk), ready_at, "nothing charged twice");
+    }
+
+    #[test]
+    fn demand_read_queues_behind_a_booking() {
+        let (disk, block) = booked_disk();
+        disk.read_ahead("a");
+        let ready_at = booking(&disk, "a").unwrap();
+        disk.read_all("b").unwrap();
+        assert!(timeline_end(&disk) >= ready_at + block, "one spindle");
+        assert!(Instant::now() >= ready_at + block);
+        assert_eq!(booking(&disk, "a"), Some(ready_at), "still booked");
+    }
+
+    #[test]
+    fn second_read_ahead_of_a_booked_file_is_a_no_op() {
+        let (disk, _) = booked_disk();
+        disk.read_ahead("a");
+        let ready_at = booking(&disk, "a").unwrap();
+        disk.read_ahead("a");
+        disk.read_ahead("missing");
+        assert_eq!(booking(&disk, "a"), Some(ready_at));
+        assert_eq!(timeline_end(&disk), ready_at);
+        assert_eq!(disk.inner.bookings.lock().len(), 1);
+    }
+
+    #[test]
+    fn each_block_is_counted_once_booked_or_not() {
+        let (disk, _) = booked_disk();
+        disk.read_ahead("a");
+        disk.read_all("a").unwrap(); // consumes the booking
+        disk.read_all("a").unwrap(); // demand read
+        disk.read_all("b").unwrap();
+        let m = disk.metrics();
+        assert_eq!((m.read_ops, m.bytes_read), (3, 90_000));
+    }
+
+    #[test]
+    fn cancelled_or_deleted_bookings_serve_nobody() {
+        let (disk, block) = booked_disk();
+        disk.read_ahead("a");
+        disk.read_ahead("b");
+        disk.delete("b");
+        assert!(booking(&disk, "b").is_none(), "deleted with its file");
+        disk.cancel_read_ahead();
+        assert!(disk.inner.bookings.lock().is_empty());
+        // The next read of `a` is a demand read, charged in full.
+        let end = timeline_end(&disk);
+        disk.read_all("a").unwrap();
+        assert!(timeline_end(&disk) >= end + block);
+    }
+
+    #[test]
+    fn instant_disk_never_books() {
+        let disk = Disk::new(DiskConfig::instant());
+        disk.write_all("a", &[0u8; 100]).unwrap();
+        disk.read_ahead("a");
+        disk.read_all("a").unwrap();
+        disk.delete("a");
+        assert_eq!(disk.inner.bookings.lock().capacity(), 0);
+        assert!(disk.inner.throttle.busy_until().is_none());
     }
 
     #[test]

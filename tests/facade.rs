@@ -173,3 +173,72 @@ fn streaming_and_batch_compose_via_facade() {
     // 2 nodes x 2 epochs x 1 record.
     assert_eq!(total, 4);
 }
+
+/// Device time and CPU time overlap: a loader split's disk read is on
+/// the device while the node's one worker computes on the previous
+/// split, so the job's wall is below the two laid end to end. Both
+/// addends are measured separately — the device's from its own byte
+/// counter, the CPU's on an instant disk — and each wall is the fastest
+/// of five interleaved runs, so a burst on the host only widens the
+/// margin it has to cross (serial is 350 ms a node, overlapped 270).
+#[test]
+fn device_time_and_cpu_time_overlap() {
+    use hamr::simdisk::DiskConfig;
+    use std::time::{Duration, Instant};
+    const BANDWIDTH: u64 = 1_000_000;
+    // 20 blocks of 15 lines: 20 ms of device and 15 ms of CPU each.
+    let cluster_on = |disk: DiskConfig| {
+        let mut config = ClusterConfig::local(2, 1);
+        config.disk = disk;
+        config.dfs = hamr::dfs::DfsConfig {
+            block_size: 20_000,
+            replication: 1,
+        };
+        let cluster = Cluster::new(config);
+        let mut w = cluster.dfs().create("in.txt").unwrap();
+        for i in 0..20 * 15 {
+            w.write_line(&format!("{i:0>1332}"));
+        }
+        w.seal().unwrap();
+        cluster
+    };
+    let wall_of = |cluster: &Cluster| {
+        let mut job = JobBuilder::new("overlap");
+        let loader = job.add_loader("text", typed::dfs_line_loader("in.txt"));
+        let burn = job.add_map(
+            "burn",
+            typed::map_fn(|_offset: u64, _line: String, out: &mut Emitter| {
+                let start = Instant::now();
+                while start.elapsed() < Duration::from_millis(1) {
+                    std::hint::spin_loop();
+                }
+                out.emit_t(0, &0u64, &1u64);
+            }),
+        );
+        let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
+        job.connect(loader, burn, Exchange::Local);
+        job.connect(burn, sum, Exchange::Hash);
+        job.capture_output(sum);
+        let start = Instant::now();
+        let result = cluster.run(job.build().unwrap()).unwrap();
+        let wall = start.elapsed();
+        assert_eq!(result.typed_output::<u64, u64>(sum), vec![(0, 300)]);
+        wall
+    };
+    let modeled = cluster_on(DiskConfig::modeled(BANDWIDTH, Duration::ZERO));
+    let instant = cluster_on(DiskConfig::instant());
+    let read_before = modeled.disk(0).metrics().bytes_read;
+    let (mut wall, mut cpu) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        wall = wall.min(wall_of(&modeled));
+        cpu = cpu.min(wall_of(&instant));
+    }
+    let read = modeled.disk(0).metrics().bytes_read - read_before;
+    let device = Duration::from_secs_f64(read as f64 / 5.0 / BANDWIDTH as f64);
+    assert!(device >= Duration::from_millis(190), "{device:?}");
+    assert!(wall >= device, "one spindle: {wall:?} < {device:?}");
+    assert!(
+        wall < device + cpu,
+        "no overlap: wall {wall:?} >= device {device:?} + cpu {cpu:?}"
+    );
+}
