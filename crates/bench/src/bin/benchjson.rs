@@ -86,7 +86,7 @@
 
 use hamr_core::{RunOptions, RuntimeConfig, SchedMode, SkewConfig, Supervision};
 use hamr_mapred::MrRunOptions;
-use hamr_trace::{analyze, http_get, parse_prometheus, RingSink, Telemetry, Tracer};
+use hamr_trace::{analyze, http_get, parse_prometheus, RingSink, Tracer};
 use hamr_workloads::histogram_ratings::HistogramRatings;
 use hamr_workloads::pagerank::PageRank;
 use hamr_workloads::wordcount::WordCount;
@@ -599,9 +599,8 @@ fn benchmarks() -> Vec<(&'static str, Box<dyn Benchmark>)> {
 }
 
 /// One profiled run of `bench` on `engine`: fresh environment, ring
-/// sink, event tracing and telemetry sampling all on, set as the
-/// clusters' run options so the `Benchmark` trait stays
-/// engine-agnostic. Returns the causal columns for the row; with
+/// sink and event tracing on, set as the clusters' run options so the
+/// `Benchmark` trait stays engine-agnostic. Returns the causal columns for the row; with
 /// `profile_dir` also writes the full causal report as JSON.
 fn profile_run(
     bench: &dyn Benchmark,
@@ -614,15 +613,12 @@ fn profile_run(
     bench.seed(&env)?;
     let sink = Arc::new(RingSink::new(64, 1 << 18));
     let tracer = Tracer::new(sink.clone());
-    let telemetry = Telemetry::with_default_interval();
     env.hamr.set_run_options(RunOptions {
         tracer: tracer.clone(),
-        telemetry: telemetry.clone(),
         supervision: None,
     });
     env.mr.set_run_options(MrRunOptions {
         tracer,
-        telemetry,
         audit: false,
     });
     let out = match engine {
@@ -1016,10 +1012,10 @@ fn main() {
         }
     }
 
-    // Sampler-overhead gate: the profiled runs (tracer + 1ms telemetry
-    // sampler) must stay within the budget of their untraced
-    // counterparts. 50ms absolute slack absorbs scheduling noise on the
-    // sub-second --quick walls.
+    // Tracing-overhead gate: the profiled runs (event tracer on) must
+    // stay within the budget of their untraced counterparts. 50ms
+    // absolute slack absorbs scheduling noise on the sub-second --quick
+    // walls.
     if let Some(pct) = args.fail_on_overhead {
         let slack = 0.050;
         let mut failed = false;

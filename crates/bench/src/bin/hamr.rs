@@ -36,25 +36,24 @@
 //! the final state of a run killed mid-flight. `--diff` compares two
 //! journals job by job.
 //!
-//! Occupancy and queue columns come from telemetry gauges, which are
-//! live while the target run has telemetry attached (supervised runs,
-//! profiled runs, `benchjson`); counters (net bytes, job totals) are
-//! always live. `--demo` self-hosts the endpoint: it runs a skewed
-//! HistogramRatings workload in-process on 4 nodes and tops it, so
-//! the walkthrough in EXPERIMENTS.md is a single command.
+//! Every column is live on every run: occupancy and queue depths are
+//! registry gauges the engine moves as it works, net bytes and job
+//! totals are counters. `--demo` self-hosts the endpoint: it runs a
+//! skewed HistogramRatings workload in-process on 4 nodes, under the
+//! default run options, and tops it, so the walkthrough in
+//! EXPERIMENTS.md is a single command.
 //!
 //! Exit codes: 0 ok, 1 endpoint/scrape failure, 2 bad arguments.
 
-use hamr_core::{RunOptions, SchedMode};
+use hamr_core::SchedMode;
 use hamr_trace::json::{self, Json};
-use hamr_trace::{http_get, parse_prometheus, PromSample, RingSink, Telemetry, Timeline, Tracer};
+use hamr_trace::{http_get, parse_prometheus, PromSample, Timeline};
 use hamr_workloads::histogram_ratings::HistogramRatings;
 use hamr_workloads::{Benchmark, Env, SimParams};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One node's slice of a `/metrics` scrape.
@@ -352,7 +351,7 @@ fn top_loop(addr: SocketAddr, engine: &str, interval: Duration, ticks: u64) -> R
 }
 
 /// Self-hosted demo: a skewed HistogramRatings workload looping on a
-/// 4-node cluster with telemetry attached, topped over its own
+/// 4-node cluster under the default run options, topped over its own
 /// endpoint.
 fn run_demo(interval: Duration, ticks: u64) -> Result<(), String> {
     let params = SimParams::test(4, 2).with_scale(1.0);
@@ -363,14 +362,6 @@ fn run_demo(interval: Duration, ticks: u64) -> Result<(), String> {
         max_ratings_per_movie: 100_000,
     };
     bench.seed(&env)?;
-    // Telemetry keeps the occupancy gauges live between scrapes; the
-    // small ring bounds trace memory across demo iterations.
-    let sink = Arc::new(RingSink::new(8, 1 << 14));
-    env.hamr.set_run_options(RunOptions {
-        tracer: Tracer::new(sink),
-        telemetry: Telemetry::with_default_interval(),
-        supervision: None,
-    });
     let addr = env
         .hamr
         .serve_introspection(0)

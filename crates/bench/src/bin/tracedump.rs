@@ -11,10 +11,11 @@
 //!   * `--causal`     — additionally run the causal profiler over each
 //!     run's events: wall-time attribution table, top stall edges, and
 //!     the critical path, plus `causal_*.json` reports.
-//!   * `--timeseries` — sample live telemetry (bin-queue depths, window
-//!     occupancy, in-flight fabric bytes, worker occupancy) during the
-//!     skewed run; writes `timeseries_hamr.csv` / `.prom` and embeds
-//!     counter tracks in `trace_hamr.json`.
+//!   * `--timeseries` — sample the registry's live gauges (bin-queue
+//!     depths, window occupancy, in-flight fabric bytes, worker
+//!     occupancy) every millisecond of the skewed run; writes
+//!     `timeseries_hamr.csv` and embeds counter tracks in
+//!     `trace_hamr.json`.
 //!   * `--doctor <doctor_<job>.json>` — post-mortem mode: read a
 //!     flight-recorder dump written by a supervised run and print the
 //!     ranked diagnosis (stuck edge/node, custody ledger, gauge hot
@@ -30,7 +31,7 @@ use hamr_mapred::{line_map_fn, reduce_fn, JobConf, MrRunOptions, ReduceOutput};
 use hamr_trace::{
     analyze, chrome_trace_json, chrome_trace_json_with_counters, render_attribution,
     render_critical_path, render_occupancy, render_stall_edges, render_summary, worker_occupancy,
-    EventKind, FlowletSummaryRow, LatencyHistogram, RingSink, TaskKind, Telemetry, TraceEvent,
+    EventKind, FlowletSummaryRow, GaugeSampler, LatencyHistogram, RingSink, TaskKind, TraceEvent,
     Tracer,
 };
 use hamr_workloads::gen::movies::parse_movie_line;
@@ -67,7 +68,7 @@ fn run_hamr_wordcount(env: &Env, tracer: Tracer) -> JobResult {
         .expect("wordcount run")
 }
 
-fn run_hamr_histratings(env: &Env, tracer: Tracer, telemetry: Telemetry) -> JobResult {
+fn run_hamr_histratings(env: &Env, tracer: Tracer) -> JobResult {
     let mut job = JobBuilder::new("histogram-ratings");
     let loader = job.add_loader("TextLoader", typed::dfs_line_loader(HR_INPUT));
     let rating_map = job.add_map(
@@ -86,8 +87,7 @@ fn run_hamr_histratings(env: &Env, tracer: Tracer, telemetry: Telemetry) -> JobR
     job.capture_output(sum);
     let opts = RunOptions {
         tracer,
-        telemetry,
-        supervision: None,
+        ..Default::default()
     };
     env.hamr
         .run_with(job.build().expect("histratings graph"), &opts)
@@ -291,12 +291,14 @@ fn main() {
     HistogramRatings::default()
         .seed(&env_skew)
         .expect("seed histratings");
-    let telemetry = if timeseries {
-        Telemetry::with_default_interval()
-    } else {
-        Telemetry::disabled()
-    };
-    let hr = run_hamr_histratings(&env_skew, tracer.clone(), telemetry.clone());
+    // The gauges are live on every run; a time series of them is this
+    // tool's wish, so it owns the sampler for exactly this run.
+    let sampler = timeseries.then(|| {
+        let every = std::time::Duration::from_millis(1);
+        GaugeSampler::start(env_skew.hamr.registry(), "hamr", every, &tracer)
+    });
+    let hr = run_hamr_histratings(&env_skew, tracer.clone());
+    let series = sampler.map(GaugeSampler::stop);
     println!("== HAMR histogram-ratings (skewed, window=1) ==");
     println!("{}", render_summary(&hr.metrics.summary_rows()));
     let events_hr = sink.drain();
@@ -323,19 +325,15 @@ fn main() {
             .filter(|e| matches!(e.kind, EventKind::TaskStolen { .. }))
             .count()
     );
-    if timeseries {
-        let series = telemetry.series();
+    if let Some(series) = series {
         std::fs::write("timeseries_hamr.csv", series.to_csv()).expect("write timeseries csv");
-        std::fs::write("timeseries_hamr.prom", series.to_prometheus())
-            .expect("write timeseries prom");
         println!(
-            "sampled {} telemetry points across {} gauges; wrote timeseries_hamr.csv / .prom",
+            "sampled {} points across {} gauges; wrote timeseries_hamr.csv",
             series.samples.len(),
             series.names.len()
         );
-        // Counter tracks ride along in the chrome export. Their clock is
-        // the skewed run's telemetry epoch, so they cluster at the tail
-        // of the combined timeline.
+        // Counter tracks ride along in the chrome export, stamped on
+        // the tracer's clock: they sit under the skewed run's tasks.
         std::fs::write(
             "trace_hamr.json",
             chrome_trace_json_with_counters(&events, &series),

@@ -21,11 +21,11 @@ use hamr_codec::Codec;
 use hamr_dfs::Dfs;
 use hamr_kvstore::KvStore;
 use hamr_simdisk::Disk;
-use hamr_simnet::{Fabric, NetRegistry};
+use hamr_simnet::Fabric;
 use hamr_trace::{
     AlertEvent, AlertRule, AlertState, Audit, AuditReport, FlightRecord, Journal, JournalConfig,
-    JournalRecord, Labels, MetricsRegistry, Observe, RecordedEvent, RingSink, StatsPlane,
-    Telemetry, Tracer, WatchdogClass, WatchdogTrip,
+    JournalRecord, Labels, MetricsRegistry, Observe, RecordedEvent, RingSink, StatsPlane, Tracer,
+    WatchdogClass, WatchdogTrip,
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -33,18 +33,15 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How one job is run: which sinks observe it and whether the
-/// self-verification layer supervises it. The default is an
-/// unobserved, unsupervised run in which every emit site is a single
-/// branch on a `None`.
+/// How one job is run: where its trace events go and whether the
+/// self-verification layer supervises it. The default is an untraced,
+/// unsupervised run in which every emit site is a single branch on a
+/// `None`. Counters and gauges are not an option: every run publishes
+/// them into the cluster's [`registry`](Cluster::registry).
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Where trace events go.
     pub tracer: Tracer,
-    /// Where gauges register. When enabled, its sampler thread runs for
-    /// the duration of the job and is stopped (with one final sample)
-    /// before the run returns.
-    pub telemetry: Telemetry,
     /// `Some` runs the job under the self-verification layer: every bin
     /// is tallied through the emit → ship → deliver → consume custody
     /// chain, a watchdog monitors liveness, and a trip or failure dumps
@@ -54,8 +51,8 @@ pub struct RunOptions {
     /// [`Cluster::watchdog_events`].
     ///
     /// A disabled `tracer` is replaced by the flight recorder's bounded
-    /// ring and a disabled `telemetry` by private gauges, so the
-    /// watchdog always reads live gauges whatever the caller profiles.
+    /// ring; the watchdog reads the registry's gauges, which are live
+    /// whatever the caller traces.
     pub supervision: Option<Supervision>,
 }
 
@@ -234,10 +231,11 @@ impl Cluster {
     }
 
     /// The cluster's unified metrics registry. Every run publishes
-    /// into it: net/disk counters live on the hot path, telemetry
-    /// gauges bridged while a job runs, job totals at completion, and
-    /// one epoch snapshot per job so iterative workloads get
-    /// per-iteration deltas via [`MetricsRegistry::epoch_deltas`].
+    /// into it: net/disk counters and the engine's gauges (workers,
+    /// queue depths, deferred bins, …) live on the hot path, job totals
+    /// at completion, and one epoch snapshot per job so iterative
+    /// workloads get per-iteration deltas via
+    /// [`MetricsRegistry::epoch_deltas`].
     pub fn registry(&self) -> &MetricsRegistry {
         &self.introspect.registry
     }
@@ -387,20 +385,21 @@ impl Cluster {
         // merged into one snapshot at teardown.
         let mut obs = Observe {
             tracer: opts.tracer.clone(),
-            telemetry: opts.telemetry.clone(),
             audit: Audit::disabled(),
             stats: self.config.runtime.stats.enabled().then(|| {
                 let shuffle_edges = plan.edges.iter().map(|e| e.sampled).collect();
                 Arc::new(StatsPlane::new(shuffle_edges, n, self.config.runtime.stats))
             }),
+            registry: Some(registry.clone()),
+            engine: "hamr",
         };
-        // Supervision decides here, once, what the watchdog and the
-        // flight recorder read: the caller's sinks where they are live,
-        // otherwise a bounded ring of the last-K events and private
-        // gauges. `ring` is that flight-recorder sink, exposed to the
-        // live `/doctor` endpoint for the duration of the run.
+        // Supervision decides here, once, what the flight recorder
+        // reads: the caller's tracer where it is live, otherwise a
+        // bounded ring of the last-K events. `ring` is that sink,
+        // exposed to the live `/doctor` endpoint for the duration of
+        // the run.
         let mut ring = None;
-        if let Some(sup) = &opts.supervision {
+        if opts.supervision.is_some() {
             obs.audit = Audit::new(graph.edges.len() as u32, n as u32);
             if !obs.tracer.enabled() {
                 let sink = Arc::new(RingSink::new(n, FLIGHT_RING_EVENTS));
@@ -413,9 +412,6 @@ impl Cluster {
                 obs.tracer = Tracer::new(sink.clone());
                 ring = Some(sink);
             }
-            if !obs.telemetry.enabled() {
-                obs.telemetry = Telemetry::new(sup.watchdog.epoch);
-            }
         }
         let obs = obs;
         *self
@@ -424,7 +420,6 @@ impl Cluster {
             .lock()
             .unwrap_or_else(|p| p.into_inner()) = LiveRun {
             job: graph.name.clone(),
-            engine: "hamr",
             ring: ring.clone(),
             obs: obs.clone(),
         };
@@ -449,21 +444,44 @@ impl Cluster {
                 })));
             }
         }
-        // Live gauge series: every telemetry gauge this run registers
-        // also shows up in /metrics, sharing the same atomic cells.
-        obs.telemetry.bind_registry(registry, "hamr");
-        let fabric = Fabric::<NetMsg>::new_observed(
-            n,
-            self.config.net.clone(),
-            &obs,
-            Some(NetRegistry::new(registry, "hamr", n)),
-        );
+        let fabric = Fabric::<NetMsg>::new_observed(n, self.config.net.clone(), &obs);
         // The disks are long-lived substrates shared across jobs; bind
-        // them to this run's sinks only for its duration. Registry
-        // counters bind for every run — they are a handful of relaxed
-        // atomics per IO, and the series are cumulative.
+        // them to this run's sinks only for its duration.
         for (node, disk) in self.disks.iter().enumerate() {
-            disk.observe(&obs, Some((registry, "hamr")), node as u32);
+            disk.observe(&obs, node as u32);
+        }
+        let start = Instant::now();
+        let mut handles = Vec::with_capacity(n);
+        // Each runtime registers its gauges — zeroing what an earlier,
+        // aborted job left in them — as it is built, on its own thread.
+        // Nothing is ever sent: the channel closes when the last
+        // runtime has been built (or died trying).
+        let (building, all_built) = std::sync::mpsc::channel::<()>();
+        for node in 0..n {
+            let inbox = fabric.receiver(node).expect("one receiver per node");
+            let endpoint = fabric.endpoint(node).expect("node id in range");
+            let plan = Arc::clone(&plan);
+            let cfg = self.config.runtime.clone();
+            let threads = self.config.threads_per_node;
+            let obs = obs.clone();
+            let building = building.clone();
+            let ctx = TaskContext {
+                node,
+                nodes: n,
+                disk: self.disks[node].clone(),
+                dfs: self.dfs.clone(),
+                kv: self.kv.shard(node),
+                kv_store: self.kv.clone(),
+            };
+            let handle = std::thread::Builder::new()
+                .name(format!("hamr-node-{node}"))
+                .spawn(move || {
+                    let runtime = NodeRuntime::new(plan, cfg, threads, ctx, endpoint, inbox, &obs);
+                    drop(building);
+                    runtime.run()
+                })
+                .expect("spawn node runtime");
+            handles.push(handle);
         }
         // Supervision: the watchdog aborts a wedged job by broadcasting
         // through a spare endpoint (control traffic, not audited).
@@ -472,6 +490,9 @@ impl Cluster {
             .as_ref()
             .filter(|sup| sup.watchdog.action != WatchdogAction::Off);
         let watchdog = watching.map(|sup| {
+            // It starts reading gauges once they are all this job's own.
+            drop(building);
+            let _ = all_built.recv();
             let abort_ep = fabric.endpoint(0).expect("fresh fabric has node 0");
             let abort = Box::new(move |event: &WatchdogEvent| {
                 let reason = Arc::new(format!(
@@ -536,35 +557,6 @@ impl Cluster {
                 abort,
             )
         });
-        let start = Instant::now();
-        let mut handles = Vec::with_capacity(n);
-        for node in 0..n {
-            let inbox = fabric.receiver(node).expect("one receiver per node");
-            let endpoint = fabric.endpoint(node).expect("node id in range");
-            let plan = Arc::clone(&plan);
-            let cfg = self.config.runtime.clone();
-            let threads = self.config.threads_per_node;
-            let obs = obs.clone();
-            let ctx = TaskContext {
-                node,
-                nodes: n,
-                disk: self.disks[node].clone(),
-                dfs: self.dfs.clone(),
-                kv: self.kv.shard(node),
-                kv_store: self.kv.clone(),
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("hamr-node-{node}"))
-                .spawn(move || {
-                    NodeRuntime::new(plan, cfg, threads, ctx, endpoint, inbox, &obs).run()
-                })
-                .expect("spawn node runtime");
-            handles.push(handle);
-        }
-        // Start the sampler (no-op when telemetry is disabled). Node
-        // runtimes may still be registering gauges on their own threads;
-        // late registrations are back-filled with zeros in the series.
-        opts.telemetry.start();
         let mut outputs: HashMap<FlowletId, Vec<Record>> = HashMap::new();
         let mut metrics = JobMetrics::default();
         let mut first_error: Option<RunError> = None;
@@ -684,7 +676,6 @@ impl Cluster {
                 .unwrap_or_else(|p| p.into_inner()) = Some(snap.clone());
             metrics.stats = Some(snap);
         }
-        opts.telemetry.stop();
         fabric.shutdown();
         for disk in &self.disks {
             disk.unobserve();
@@ -772,7 +763,6 @@ impl Cluster {
             if let Some(dir) = &sup.doctor_dir {
                 let record = FlightRecord::capture(
                     &graph.name,
-                    "hamr",
                     wd_trip.clone().map(|e| WatchdogTrip {
                         class: e.class,
                         epoch: e.epoch,

@@ -2,9 +2,9 @@
 //! registry plus the embedded HTTP endpoint that serves it.
 //!
 //! Every [`Cluster`](crate::Cluster) owns one [`Introspect`]. Runs
-//! publish into its [`MetricsRegistry`] (net/disk counters live, job
-//! metrics at completion, telemetry gauges bridged while a job runs)
-//! and, when enabled, a loopback [`HttpServer`] exposes three routes:
+//! publish into its [`MetricsRegistry`] (net/disk counters and gauges
+//! live on every run, job metrics at completion) and, when enabled, a
+//! loopback [`HttpServer`] exposes three routes:
 //!
 //! * `/metrics` — every registered series in Prometheus text format,
 //!   scrapeable mid-run;
@@ -240,11 +240,9 @@ impl AlertCenter {
 }
 
 /// What `/doctor` reads: handles into the most recent (possibly still
-/// running) supervised or profiled run.
-#[derive(Default)]
+/// running) run.
 pub(crate) struct LiveRun {
     pub job: String,
-    pub engine: &'static str,
     pub ring: Option<Arc<RingSink>>,
     pub obs: Observe,
 }
@@ -275,10 +273,22 @@ pub(crate) struct Introspect {
 
 impl Introspect {
     pub fn new() -> Self {
+        let registry = MetricsRegistry::new();
+        // Before the first job `/doctor` still reports the engine and
+        // whatever its gauges hold.
+        let idle = LiveRun {
+            job: String::new(),
+            ring: None,
+            obs: Observe {
+                registry: Some(registry.clone()),
+                engine: "hamr",
+                ..Default::default()
+            },
+        };
         Introspect {
-            registry: MetricsRegistry::new(),
+            registry,
             health: Arc::new(Mutex::new(Health::default())),
-            live: Arc::new(Mutex::new(LiveRun::default())),
+            live: Arc::new(Mutex::new(idle)),
             alerts: Arc::new(AlertCenter::new()),
             stats: Arc::new(Mutex::new(None)),
             journal: Arc::new(Mutex::new(None)),
@@ -364,14 +374,8 @@ impl Introspect {
             }
             "/doctor" | "/doctor/" => {
                 let live = live.lock().unwrap_or_else(|p| p.into_inner());
-                let engine = if live.engine.is_empty() {
-                    "hamr"
-                } else {
-                    live.engine
-                };
                 let record = FlightRecord::capture(
                     live.job.clone(),
-                    engine,
                     None,
                     None,
                     live.ring.as_deref(),
@@ -488,6 +492,7 @@ mod tests {
         let (status, body) = http_get(addr, "/doctor", t).expect("GET /doctor");
         assert_eq!(status, 200);
         assert!(body.contains("\"dropped_events\""), "{body}");
+        assert!(body.contains("\"engine\":\"hamr\""), "{body}");
         // /alerts serves the default rule set, silent on this registry.
         let (status, body) = http_get(addr, "/alerts", t).expect("GET /alerts");
         assert_eq!(status, 200);

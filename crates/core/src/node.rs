@@ -60,7 +60,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use hamr_codec::{stable_hash, FrameBuilder};
 use hamr_simnet::{Endpoint, Envelope, Payload};
 use hamr_trace::{
-    AuditBin, AuditStage, EventKind, Gauge, HopKind, Observe, TaskKind, NO_SPAN, WORKER_RUNTIME,
+    AuditBin, AuditStage, EventKind, Gauge, HopKind, Labels, Observe, TaskKind, NO_SPAN,
+    WORKER_RUNTIME,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -250,9 +251,9 @@ struct WorkerShared {
     /// Per-*edge* absorbers for scattered hot-key records; `Some` only
     /// on scatter-eligible edges.
     absorbers: Vec<Option<Arc<SkewAbsorber>>>,
-    /// The job's tracer, ledger, telemetry and statistics plane.
+    /// The job's tracer, ledger, registry and statistics plane.
     obs: Observe,
-    /// Telemetry gauge: workers currently executing a task on this node.
+    /// Gauge: workers currently executing a task on this node.
     busy_gauge: Gauge,
 }
 
@@ -664,9 +665,9 @@ pub(crate) struct NodeRuntime {
     busy: Duration,
     start: Instant,
     error: Option<String>,
-    /// Telemetry gauges: per-flowlet bin-queue depth, indexed by flowlet.
+    /// Gauges: per-flowlet bin-queue depth, indexed by flowlet.
     queue_gauges: Vec<Gauge>,
-    /// Telemetry gauge: bytes resident in queued (pending + held) bins.
+    /// Gauge: bytes resident in queued (pending + held) bins.
     pending_bytes_gauge: Gauge,
     /// Frames this node's tasks pinned for the resident store.
     fill: Vec<(EdgeId, NodeId, hamr_codec::Frame)>,
@@ -692,8 +693,8 @@ impl NodeRuntime {
     ) -> Self {
         let node = ctx.node;
         let nodes = ctx.nodes;
-        let telemetry = &obs.telemetry;
         let graph = &plan.graph;
+        let on_node = || Labels::new().node(node as u32);
         // Per-flowlet worker-visible state.
         let mut partial = Vec::with_capacity(graph.flowlets.len());
         let mut reduce = Vec::with_capacity(graph.flowlets.len());
@@ -719,9 +720,7 @@ impl NodeRuntime {
         }
         // A constant gauge alongside workers_busy, so occupancy
         // (busy/workers) is computable from a single /metrics scrape.
-        telemetry
-            .register(node as u32, format!("node{node}/workers"))
-            .set(threads as i64);
+        obs.gauge("workers", on_node()).set(threads as i64);
         let absorbers = plan
             .edges
             .iter()
@@ -733,7 +732,7 @@ impl NodeRuntime {
             partial,
             reduce,
             obs: obs.clone(),
-            busy_gauge: telemetry.register(node as u32, format!("node{node}/workers_busy")),
+            busy_gauge: obs.gauge("workers_busy", on_node()),
             absorbers,
         });
         let flow = Arc::new(FlowControl::new(
@@ -746,10 +745,9 @@ impl NodeRuntime {
             obs,
         ));
         let queue_gauges = (0..graph.flowlets.len())
-            .map(|f| telemetry.register(node as u32, format!("node{node}/f{f}/queue_depth")))
+            .map(|f| obs.gauge("queue_depth", on_node().flowlet(f as u32)))
             .collect();
-        let pending_bytes_gauge =
-            telemetry.register(node as u32, format!("node{node}/pending_bin_bytes"));
+        let pending_bytes_gauge = obs.gauge("pending_bin_bytes", on_node());
         let (done_tx, done_rx) = unbounded::<TaskDone>();
         let exec = match cfg.sched {
             SchedMode::WorkStealing => {

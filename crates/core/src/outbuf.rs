@@ -27,7 +27,7 @@ use crate::NodeId;
 use bytes::Bytes;
 use hamr_codec::{stable_hash, Frame, FrameBuilder, StableMap};
 use hamr_simnet::Endpoint;
-use hamr_trace::{AuditStage, EventKind, Gauge, HopKind, Observe};
+use hamr_trace::{AuditStage, EventKind, Gauge, HopKind, Labels, Observe};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -84,11 +84,11 @@ pub(crate) struct FlowControl {
     /// Cached queue length so the hot no-backlog path skips the lock.
     total_deferred: AtomicUsize,
     per_flowlet: Vec<FlowletFlow>,
-    /// Telemetry: bins parked in the deferred queue.
+    /// Gauge: bins parked in the deferred queue.
     deferred_gauge: Gauge,
-    /// Telemetry: total occupied window slots (unacked bins in flight).
+    /// Gauge: total occupied window slots (unacked bins in flight).
     window_gauge: Gauge,
-    /// Telemetry: cumulative microseconds bins spent parked behind
+    /// Gauge: cumulative microseconds bins spent parked behind
     /// full flow-control windows — the live stall-share signal
     /// `hamr top` divides by wall-clock.
     stall_gauge: Gauge,
@@ -104,7 +104,7 @@ impl FlowControl {
         endpoint: Endpoint<NetMsg>,
         obs: &Observe,
     ) -> Self {
-        let telemetry = &obs.telemetry;
+        let gauge = |name| obs.gauge(name, Labels::new().node(node as u32));
         FlowControl {
             nodes,
             node,
@@ -122,9 +122,9 @@ impl FlowControl {
                     stall_us: AtomicU64::new(0),
                 })
                 .collect(),
-            deferred_gauge: telemetry.register(node as u32, format!("node{node}/deferred_bins")),
-            window_gauge: telemetry.register(node as u32, format!("node{node}/window_inflight")),
-            stall_gauge: telemetry.register(node as u32, format!("node{node}/stall_us_total")),
+            deferred_gauge: gauge("deferred_bins"),
+            window_gauge: gauge("window_inflight"),
+            stall_gauge: gauge("stall_us_total"),
         }
     }
 

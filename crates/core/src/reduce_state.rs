@@ -32,7 +32,7 @@ use crate::spill::{write_run, GroupedMerge, RunReader, SortedStream};
 use bytes::Bytes;
 use hamr_codec::{stable_hash, StableMap};
 use hamr_simdisk::{Disk, DiskError};
-use hamr_trace::{EventKind, Gauge, Observe, Tracer};
+use hamr_trace::{EventKind, Gauge, Labels, Observe, Tracer};
 use parking_lot::Mutex;
 
 /// Rough allocator overhead charged per group / per value when
@@ -67,14 +67,14 @@ pub(crate) struct ReduceState {
     tracer: Tracer,
     node: u32,
     flowlet: u32,
-    /// Telemetry gauge mirroring bytes resident across all in-memory
-    /// shards (spilled bytes leave the gauge when the shard drains).
+    /// Gauge mirroring bytes resident across all in-memory shards
+    /// (spilled bytes leave the gauge when the shard drains).
     resident_gauge: Gauge,
 }
 
 impl ReduceState {
     /// State for flowlet `flowlet` on `node`; registers its own
-    /// `reduce_resident_bytes` gauge with `obs.telemetry`.
+    /// `reduce_resident_bytes` gauge with the run's registry.
     pub(crate) fn new(
         shards: usize,
         budget: usize,
@@ -101,9 +101,10 @@ impl ReduceState {
             tracer: obs.tracer.clone(),
             node,
             flowlet,
-            resident_gauge: obs
-                .telemetry
-                .register(node, format!("node{node}/f{flowlet}/reduce_resident_bytes")),
+            resident_gauge: obs.gauge(
+                "reduce_resident_bytes",
+                Labels::new().node(node).flowlet(flowlet),
+            ),
         }
     }
 
@@ -113,6 +114,9 @@ impl ReduceState {
     /// key. `worker` labels any spill this triggers in the trace.
     pub(crate) fn ingest(&self, worker: usize, bin: &FrameBin) -> Result<(), DiskError> {
         let per_shard_budget = (self.budget / self.shards.len()).max(1);
+        // The gauge is a shared cell: net the bin's effect here and
+        // publish it once, not once per record under the shard lock.
+        let mut resident_delta = 0i64;
         for (key, value) in bin.frame.iter_shared() {
             let s = sub_shard(stable_hash(&key), self.shards.len());
             let mut shard = self.shards[s].lock();
@@ -129,11 +133,13 @@ impl ReduceState {
                 }
             };
             shard.bytes += added;
-            self.resident_gauge.add(added as i64);
+            resident_delta += added as i64;
             if shard.bytes > per_shard_budget {
+                self.resident_gauge.add(std::mem::take(&mut resident_delta));
                 self.spill_locked(worker, &mut shard)?;
             }
         }
+        self.resident_gauge.add(resident_delta);
         Ok(())
     }
 
@@ -182,7 +188,7 @@ impl ReduceState {
     pub(crate) fn into_shards(self) -> Result<Vec<FireShard>, DiskError> {
         let disk = self.disk;
         // The grouped state hands its bytes to the fire iterators;
-        // from telemetry's perspective it no longer holds them.
+        // from the gauge's perspective it no longer holds them.
         self.resident_gauge.set(0);
         self.shards
             .into_iter()

@@ -1,7 +1,7 @@
 //! The run-health watchdog: an epoch thread that watches the audit
-//! ledger and telemetry gauges for signs that a job has stopped making
-//! progress, classifies *why*, and (optionally) aborts the job with a
-//! diagnosis instead of letting it hang forever.
+//! ledger and the engine's live gauges for signs that a job has stopped
+//! making progress, classifies *why*, and (optionally) aborts the job
+//! with a diagnosis instead of letting it hang forever.
 //!
 //! Classification vocabulary (shared with the trace stream and the
 //! flight recorder through [`WatchdogClass`]):
@@ -120,16 +120,18 @@ impl EpochSnapshot {
             queued_by_node: vec![0; nodes],
             ..Default::default()
         };
-        for (name, node, value) in obs.telemetry.gauge_values() {
-            if name.ends_with("/deferred_bins") {
-                snap.deferred += value;
-            } else if name.ends_with("/workers_busy") {
-                snap.busy += value;
-            } else if name.ends_with("/queue_depth") {
-                snap.queued += value;
-                if (node as usize) < nodes {
-                    snap.queued_by_node[node as usize] += value;
+        for gauge in obs.live_gauges() {
+            match gauge.name.as_str() {
+                "deferred_bins" => snap.deferred += gauge.value,
+                "workers_busy" => snap.busy += gauge.value,
+                "queue_depth" => {
+                    snap.queued += gauge.value;
+                    let node = gauge.labels.node.map(|n| n as usize);
+                    if let Some(queued) = node.and_then(|n| snap.queued_by_node.get_mut(n)) {
+                        *queued += gauge.value;
+                    }
                 }
+                _ => {}
             }
         }
         snap
@@ -286,10 +288,9 @@ pub(crate) struct Watchdog {
 
 impl Watchdog {
     /// Start monitoring the run behind `obs`: its ledger and its
-    /// telemetry gauges, which must be live — a watchdog reading a
-    /// disabled `Telemetry` sees no busy workers and calls every long
-    /// task a hang. `on_epoch` fires once per monitoring epoch before
-    /// classification — the cluster hangs alert-rule evaluation off it.
+    /// engine's live gauges. `on_epoch` fires once per monitoring epoch
+    /// before classification — the cluster hangs alert-rule evaluation
+    /// off it.
     /// `notify` fires on *every* classified incident (the cluster posts
     /// it into `/healthz` state); `abort` is invoked (once) when an
     /// abort-worthy incident fires under [`WatchdogAction::Abort`].
@@ -301,7 +302,6 @@ impl Watchdog {
         notify: Box<dyn Fn(&WatchdogEvent) + Send>,
         abort: Box<dyn Fn(&WatchdogEvent) + Send>,
     ) -> Self {
-        debug_assert!(obs.telemetry.enabled(), "watchdog needs live gauges");
         let shared = Arc::new(WdShared {
             stop: Mutex::new(false),
             cv: Condvar::new(),
@@ -566,6 +566,44 @@ mod tests {
             };
             assert!(m.observe(snap).is_none(), "under the 64-bin floor");
         }
+    }
+
+    /// Both engines publish into one registry (the benchmark `Env`
+    /// shares it): a snapshot sums its own engine's gauges by metric
+    /// name and attributes queue depth by the `node` label, and neither
+    /// the other engine's levels nor job-labeled facts leak in.
+    #[test]
+    fn capture_counts_only_its_own_engines_gauges() {
+        use hamr_trace::{Labels, MetricsRegistry};
+        let registry = MetricsRegistry::new();
+        let obs = |engine| Observe {
+            registry: Some(registry.clone()),
+            engine,
+            ..Default::default()
+        };
+        let (hamr, mapred) = (obs("hamr"), obs("mapred"));
+        let node = |n| Labels::new().node(n);
+        hamr.gauge("deferred_bins", node(0)).set(2);
+        hamr.gauge("deferred_bins", node(1)).set(3);
+        hamr.gauge("workers_busy", node(1)).set(1);
+        hamr.gauge("queue_depth", node(1).flowlet(0)).set(4);
+        hamr.gauge("queue_depth", node(1).flowlet(2)).set(1);
+        hamr.gauge("queue_depth", node(7)).set(6); // no such node
+        hamr.gauge("window_inflight", node(0)).set(9); // not a watchdog input
+        mapred.gauge("workers_busy", node(0)).set(50);
+        mapred.gauge("deferred_bins", node(0)).set(50);
+        mapred.gauge("queue_depth", node(0)).set(50);
+        registry
+            .gauge("queue_depth", node(0).engine("hamr").job("earlier"))
+            .set(50);
+        let snap = EpochSnapshot::capture(&hamr, 2);
+        assert_eq!((snap.deferred, snap.busy, snap.queued), (5, 1, 11));
+        assert_eq!(snap.queued_by_node, [0, 5]);
+        let snap = EpochSnapshot::capture(&mapred, 2);
+        assert_eq!((snap.deferred, snap.busy, snap.queued), (50, 50, 50));
+        // No registry: nothing to read, nothing counted.
+        let snap = EpochSnapshot::capture(&Observe::default(), 2);
+        assert_eq!((snap.deferred, snap.busy, snap.queued), (0, 0, 0));
     }
 
     #[test]

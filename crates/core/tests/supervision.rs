@@ -6,22 +6,25 @@
 //! dump behind for `tracedump --doctor`. Supervision is one field of the
 //! one run path, so this file also pins that path: stored options and
 //! `run_with` agree, every sink combines with supervision on one run,
-//! and the default options observe nothing.
+//! the default options trace and audit nothing, and what an aborted
+//! job leaves in the registry's gauges never reaches the next job.
 
 use hamr_core::{
     typed, Cluster, ClusterConfig, Emitter, Exchange, FaultInjection, JobBuilder, JobGraph, Loader,
     RunError, RunOptions, SchedMode, Supervision, TaskContext, WatchdogAction, WatchdogConfig,
 };
 use hamr_trace::{
-    AuditStage, EventKind, FlightRecord, RecordedEvent, RingSink, Telemetry, Tracer, WatchdogClass,
+    AuditStage, EventKind, FlightRecord, GaugeSampler, MetricsRegistry, RecordedEvent, RingSink,
+    Tracer, WatchdogClass,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Options for a supervised run: no caller sinks, so the flight
-/// recorder's ring and private gauges stand in.
+/// Options for a supervised run: no caller tracer, so the flight
+/// recorder's ring stands in.
 fn supervised(sup: Supervision) -> RunOptions {
     RunOptions {
         supervision: Some(sup),
@@ -29,9 +32,8 @@ fn supervised(sup: Supervision) -> RunOptions {
     }
 }
 
-/// Supervision over a caller-owned tracer and no telemetry: the run
-/// is profiled for its events only, so the watchdog's gauges must come
-/// from supervision itself.
+/// Supervision over a caller-owned tracer: the flight recorder reads
+/// the caller's events, the watchdog the registry's gauges.
 fn supervised_tracer_only(sup: Supervision) -> RunOptions {
     RunOptions {
         tracer: Tracer::new(Arc::new(RingSink::new(8, 1 << 14))),
@@ -214,10 +216,10 @@ fn dropped_acks_trip_the_watchdog_as_backpressure_deadlock() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A profile that brings a tracer but no telemetry must not blind the
-/// watchdog: one map task sleeping through thirty epochs is a busy
-/// worker, not a hang. (When the watchdog read the caller's disabled
-/// telemetry it saw `busy = 0` forever and aborted this job.)
+/// Whatever the caller traces, the watchdog reads live gauges: one map
+/// task sleeping through thirty epochs is a busy worker, not a hang.
+/// (When gauges were an option the caller could leave off, the watchdog
+/// saw `busy = 0` forever and aborted this job.)
 #[test]
 fn supervised_run_with_a_tracer_only_profile_sees_busy_workers() {
     let mut job = JobBuilder::new("slow-map");
@@ -356,19 +358,33 @@ fn stored_options_and_run_with_are_one_path() {
     assert_eq!(stored_kinds, direct_kinds);
 }
 
+/// Sum of one live `hamr` gauge over its flowlets and, with `node`
+/// `None`, over all nodes.
+fn gauge_total(registry: &MetricsRegistry, name: &str, node: Option<u32>) -> i64 {
+    let gauges = registry.live_gauges("hamr");
+    gauges
+        .iter()
+        .filter(|g| g.name == name && (node.is_none() || g.labels.node == node))
+        .map(|g| g.value)
+        .sum()
+}
+
 #[test]
-fn tracer_telemetry_and_supervision_combine_on_one_run() {
+fn tracer_gauge_sampler_and_supervision_combine_on_one_run() {
     let cluster = Cluster::new(ClusterConfig::local(2, 2));
     let sink = Arc::new(RingSink::new(16, 1 << 15));
-    let telemetry = Telemetry::with_default_interval();
     let opts = RunOptions {
         tracer: Tracer::new(sink.clone()),
-        telemetry: telemetry.clone(),
         supervision: Some(quiet_supervision()),
     };
+    // A caller that wants the gauges as a time series samples the
+    // registry around the run; the engine starts no sampler of its own.
+    let every = Duration::from_millis(1);
+    let sampler = GaugeSampler::start(cluster.registry(), "hamr", every, &opts.tracer);
     let result = cluster
         .run_with(wordcount("wc-all", 300), &opts)
         .expect("run");
+    let series = sampler.stop();
     assert!(sorted_counts(&result).len() > 4);
 
     let report = cluster.last_audit().expect("supervised runs are audited");
@@ -376,13 +392,18 @@ fn tracer_telemetry_and_supervision_combine_on_one_run() {
     assert!(report.total(AuditStage::Consume).bins > 0);
     assert!(cluster.watchdog_events().is_empty());
 
-    let series = telemetry.series();
-    assert!(!series.is_empty(), "the caller's telemetry was sampled");
     assert!(
-        series.names.iter().any(|n| n.ends_with("/workers_busy")),
-        "the engine registered its gauges with the caller's telemetry: {:?}",
-        series.names
+        !series.samples.is_empty(),
+        "the caller's sampler saw the run"
     );
+    for node in 0..2 {
+        let name = format!("workers_busy{{engine=\"hamr\",node=\"{node}\"}}");
+        assert!(
+            series.names.contains(&name),
+            "the engine's gauges are in the registry the caller sampled: {:?}",
+            series.names
+        );
+    }
     // The caller's sink, not a private flight ring, holds the events.
     let events = sink.drain();
     let saw = |f: fn(&EventKind) -> bool| events.iter().any(|e| f(&e.kind));
@@ -391,7 +412,7 @@ fn tracer_telemetry_and_supervision_combine_on_one_run() {
 }
 
 #[test]
-fn default_options_observe_nothing() {
+fn default_options_trace_and_audit_nothing() {
     let cluster = Cluster::new(ClusterConfig::local(2, 2));
     let opts = RunOptions::default();
     let result = cluster
@@ -399,8 +420,10 @@ fn default_options_observe_nothing() {
         .expect("run");
     assert!(sorted_counts(&result).len() > 4);
     assert_eq!(opts.tracer.spans_minted(), 0);
-    assert!(opts.telemetry.series().is_empty());
     assert!(cluster.last_audit().is_none(), "no supervision, no ledger");
+    // Gauges are not an option: the plainest run moved them.
+    assert_eq!(gauge_total(cluster.registry(), "workers", None), 4);
+    assert_eq!(gauge_total(cluster.registry(), "workers_busy", None), 0);
 
     // A supervised run's report survives later unsupervised runs.
     cluster
@@ -416,6 +439,93 @@ fn default_options_observe_nothing() {
         report.rows,
         "an unsupervised run must not touch last_audit"
     );
+}
+
+/// Registry cells outlive jobs. A job the watchdog aborts out of a
+/// backpressure deadlock leaves its deferred bins counted in
+/// `deferred_bins`; the next job on the same cluster must start every
+/// gauge it registers from its own true value, or its watchdog reads
+/// the dead job's residue as this job's backpressure.
+#[test]
+fn an_aborted_jobs_gauges_never_reach_the_next_job() {
+    let mut config = ClusterConfig::local(3, 2);
+    config.runtime.bin_capacity = 1;
+    config.runtime.out_window_bins = 1;
+    config.runtime.fault = FaultInjection::DropAcks { node: 1 };
+    let cluster = Cluster::new(config);
+    let sup = Supervision {
+        watchdog: fast_watchdog(),
+        doctor_dir: None,
+    };
+    let err = cluster
+        .run_with(wordcount("wc-deadlock", 400), &supervised(sup.clone()))
+        .expect_err("dropped acks must wedge the shuffle");
+    assert!(
+        matches!(
+            err,
+            RunError::Watchdog {
+                class: WatchdogClass::Backpressure,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    let residue = gauge_total(cluster.registry(), "deferred_bins", Some(1));
+    assert!(
+        residue > 0,
+        "the aborted job left node 1's deferred bins counted"
+    );
+
+    // One record per node is one bin per edge and destination: it fits
+    // the one-bin window, so this job is healthy even on the
+    // ack-dropping node. The loader deals key `k` to node `k`, whose
+    // map task reads, mid-run, the gauge its node's runtime registered
+    // before it ran any task, and naps through more than the watchdog's
+    // whole patience.
+    let seen_deferred = Arc::new(AtomicI64::new(0));
+    let mut job = JobBuilder::new("after-the-abort");
+    let loader = job.add_loader(
+        "one-each",
+        typed::pairs_loader((0..3u64).map(|k| (k, 1u64)).collect::<Vec<_>>()),
+    );
+    let probe = {
+        let (registry, seen) = (cluster.registry().clone(), Arc::clone(&seen_deferred));
+        job.add_map(
+            "probe",
+            typed::map_fn(move |k: u64, v: u64, out: &mut Emitter| {
+                let on_my_node = gauge_total(&registry, "deferred_bins", Some(k as u32));
+                seen.fetch_add(on_my_node, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(150));
+                out.emit_t(0, &k, &v);
+            }),
+        )
+    };
+    let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
+    job.connect(loader, probe, Exchange::Local);
+    job.connect(probe, sum, Exchange::Hash);
+    job.capture_output(sum);
+    let result = cluster
+        .run_with(job.build().expect("graph"), &supervised(sup))
+        .expect("the second job is healthy");
+    assert_eq!(result.typed_output::<u64, u64>(sum).len(), 3);
+    assert!(
+        cluster.watchdog_events().is_empty(),
+        "the healthy job's watchdog stayed silent: {:?}",
+        cluster.watchdog_events()
+    );
+    assert_eq!(
+        seen_deferred.load(Ordering::SeqCst),
+        0,
+        "mid-run, no node of the second job saw the first job's deferred bins"
+    );
+    for gauge in [
+        "deferred_bins",
+        "workers_busy",
+        "queue_depth",
+        "pending_bin_bytes",
+    ] {
+        assert_eq!(gauge_total(cluster.registry(), gauge, None), 0, "{gauge}");
+    }
 }
 
 /// Forwards everything to the DFS line loader except `load`, which

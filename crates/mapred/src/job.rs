@@ -6,10 +6,10 @@ use crate::JobConf;
 use crossbeam::channel::Receiver;
 use hamr_dfs::{Dfs, DfsError, Split};
 use hamr_simdisk::{Disk, DiskError};
-use hamr_simnet::{Envelope, Fabric, NetConfig, NetError, NetRegistry, Payload};
+use hamr_simnet::{Envelope, Fabric, NetConfig, NetError, Payload};
 use hamr_trace::{
     Audit, AuditBin, AuditReport, AuditStage, EventKind, Labels, MetricsRegistry, Observe,
-    TaskKind, Telemetry, Tracer, NO_SPAN, WORKER_RUNTIME,
+    TaskKind, Tracer, NO_SPAN, WORKER_RUNTIME,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -274,9 +274,6 @@ pub struct MrRunOptions {
     /// shuffle traffic shows up as `NetSend`/`NetDeliver` through the
     /// fabric and task-local disk activity through each node's disk.
     pub tracer: Tracer,
-    /// Where gauges register; when enabled its sampler covers both
-    /// phases and is stopped before the run returns.
-    pub telemetry: Telemetry,
     /// Tally every shuffle chunk at four custody points — emitted by
     /// the map task, shipped onto the fabric, delivered by the
     /// simulated network, consumed by the reducer-side collector — and
@@ -299,8 +296,8 @@ pub struct MrCluster {
     last_audit: Mutex<Option<AuditReport>>,
     /// Unified metrics registry (usually the HAMR cluster's, shared by
     /// the benchmark env so `/metrics` covers both engines): when set,
-    /// runs stream net/disk counters live under `engine="mapred"`,
-    /// bridge telemetry gauges, and publish job totals at completion.
+    /// runs stream net/disk counters and gauges live under
+    /// `engine="mapred"` and publish job totals at completion.
     registry: Mutex<Option<MetricsRegistry>>,
 }
 
@@ -366,13 +363,14 @@ impl MrCluster {
     pub fn run_with(&self, conf: &JobConf, opts: &MrRunOptions) -> Result<JobStats, MrError> {
         let obs = Observe {
             tracer: opts.tracer.clone(),
-            telemetry: opts.telemetry.clone(),
             audit: if opts.audit {
                 Audit::new(1, self.config.nodes as u32)
             } else {
                 Audit::disabled()
             },
             stats: None,
+            registry: self.registry.lock().clone(),
+            engine: "mapred",
         };
         let result = self.run_observed(conf, &obs);
         if opts.audit {
@@ -382,7 +380,6 @@ impl MrCluster {
     }
 
     fn run_observed(&self, conf: &JobConf, obs: &Observe) -> Result<JobStats, MrError> {
-        let telemetry = &obs.telemetry;
         let start = Instant::now();
         let job_id = self.next_job.fetch_add(1, Ordering::Relaxed);
         if !self.config.startup.job.is_zero() {
@@ -400,28 +397,12 @@ impl MrCluster {
             splits.extend(self.dfs.splits(path)?);
         }
         let map_task_count = splits.len();
-        let registry = self.registry.lock().clone();
-        if let Some(reg) = &registry {
-            telemetry.bind_registry(reg, "mapred");
-        }
-        let fabric = Fabric::<ShuffleMsg>::new_observed(
-            nodes,
-            self.config.net.clone(),
-            obs,
-            registry
-                .as_ref()
-                .map(|reg| NetRegistry::new(reg, "mapred", nodes)),
-        );
+        let fabric = Fabric::<ShuffleMsg>::new_observed(nodes, self.config.net.clone(), obs);
         let active_gauges: Vec<_> = (0..nodes)
-            .map(|n| telemetry.register(n as u32, format!("node{n}/mr_active_tasks")))
+            .map(|n| obs.gauge("mr_active_tasks", Labels::new().node(n as u32)))
             .collect();
-        telemetry.start();
         for (node, disk) in self.disks.iter().enumerate() {
-            disk.observe(
-                obs,
-                registry.as_ref().map(|reg| (reg, "mapred")),
-                node as u32,
-            );
+            disk.observe(obs, node as u32);
         }
         let stats = Arc::new(Mutex::new(JobStats {
             name: conf.name.clone(),
@@ -618,7 +599,6 @@ impl MrCluster {
             }
         };
         if let Some(e) = first_error.lock().take() {
-            telemetry.stop();
             fabric.shutdown();
             detach_disks();
             return Err(e);
@@ -721,7 +701,6 @@ impl MrCluster {
         for h in reduce_handles {
             let _ = h.join();
         }
-        telemetry.stop();
         detach_disks();
         if let Some(e) = first_error.lock().take() {
             return Err(e);
@@ -733,8 +712,8 @@ impl MrCluster {
             final_stats.distinct_keys = sk.distinct();
             final_stats.hot_key_share = sk.hot_share();
         }
-        if let Some(reg) = &registry {
-            final_stats.publish(reg, "mapred");
+        if let Some(reg) = &obs.registry {
+            final_stats.publish(reg, obs.engine);
             reg.epoch_snapshot(&final_stats.name);
         }
         Ok(final_stats)

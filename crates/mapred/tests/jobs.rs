@@ -337,7 +337,6 @@ fn stored_options_and_run_with_are_one_path() {
     let opts = MrRunOptions {
         tracer: Tracer::new(sink.clone()),
         audit: true,
-        ..Default::default()
     };
     let kinds = |sink: &RingSink| {
         let mut counts = BTreeMap::new();

@@ -39,9 +39,7 @@ mod throttle;
 
 pub use throttle::Throttle;
 
-use hamr_trace::{
-    Counter, EventKind, Gauge, Labels, MetricsRegistry, Observe, Tracer, WORKER_DISK,
-};
+use hamr_trace::{Counter, EventKind, Gauge, Labels, Observe, Tracer, WORKER_DISK};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
@@ -136,7 +134,7 @@ struct MetricsInner {
 struct DiskObs {
     tracer: Tracer,
     node: u32,
-    /// Telemetry gauge mirroring bytes resident on this disk.
+    /// Gauge mirroring bytes resident on this disk.
     used: Gauge,
     /// Live registry series: byte and op counters per direction.
     read_bytes: Counter,
@@ -190,25 +188,15 @@ impl Disk {
     /// * an enabled `obs.tracer` gets a `DiskRead` event when a read is
     ///   submitted to the device (for a read-ahead, before any task
     ///   waits on it) and a `DiskWrite` event per completed write;
-    /// * `obs.telemetry` gets a `node{n}/disk_used_bytes` gauge, seeded
-    ///   with the current usage so seal/delete deltas stay exact;
-    /// * `registry` (with its engine label) gets
-    ///   `disk_{read,write}_{bytes,ops}_total` counters. Registry
-    ///   counters are cumulative and shared across binds, so the series
-    ///   covers all IO performed while any run had the registry bound.
-    pub fn observe(&self, obs: &Observe, registry: Option<(&MetricsRegistry, &str)>, node: u32) {
-        let used = obs
-            .telemetry
-            .register(node, format!("node{node}/disk_used_bytes"));
-        if obs.telemetry.enabled() {
-            used.set(self.used_bytes() as i64);
-        }
-        let counter = |name| match registry {
-            Some((registry, engine)) => {
-                registry.counter(name, Labels::new().engine(engine).node(node))
-            }
-            None => Counter::default(),
-        };
+    /// * the run's registry gets a `disk_used_bytes` gauge, seeded with
+    ///   the current usage so seal/delete deltas stay exact, and
+    ///   `disk_{read,write}_{bytes,ops}_total` counters. Counters are
+    ///   cumulative and shared across binds, so the series covers all
+    ///   IO performed while any run of that engine observed the disk.
+    pub fn observe(&self, obs: &Observe, node: u32) {
+        let used = obs.gauge("disk_used_bytes", Labels::new().node(node));
+        used.set(self.used_bytes() as i64);
+        let counter = |name| obs.counter(name, Labels::new().node(node));
         *self.inner.obs.write() = DiskObs {
             tracer: obs.tracer.clone(),
             node,
@@ -650,15 +638,24 @@ mod tests {
 
     #[test]
     fn observed_registry_counts_io() {
-        use hamr_trace::SampleValue;
+        use hamr_trace::{MetricsRegistry, SampleValue};
         let disk = Disk::new(DiskConfig::instant());
         disk.write_all("before", &[0u8; 64]).unwrap(); // uncounted
         let registry = MetricsRegistry::new();
-        let bind = || disk.observe(&Observe::default(), Some((&registry, "hamr")), 2);
+        let obs = Observe {
+            registry: Some(registry.clone()),
+            engine: "hamr",
+            ..Default::default()
+        };
+        let bind = || disk.observe(&obs, 2);
         bind();
+        let labels = Labels::new().engine("hamr").node(2);
+        let used = registry.gauge("disk_used_bytes", labels.clone());
+        assert_eq!(used.get(), 64, "seeded with what the disk already holds");
         disk.write_all("a", &[0u8; 100]).unwrap();
         let _ = disk.read_all("a").unwrap();
-        let labels = Labels::new().engine("hamr").node(2);
+        disk.delete("before");
+        assert_eq!(used.get(), 100, "seal and delete move the gauge");
         let snap = registry.snapshot();
         assert!(matches!(
             snap.get("disk_write_bytes_total", &labels),
@@ -679,8 +676,10 @@ mod tests {
             100,
             "unobserved IO is not counted"
         );
-        // Re-binding resumes the same cumulative series.
+        // Re-binding resumes the same cumulative series and re-seeds
+        // the gauge with what unobserved IO left behind.
         bind();
+        assert_eq!(used.get(), 132);
         disk.write_all("again", &[0u8; 10]).unwrap();
         assert_eq!(
             registry.snapshot().counter_total("disk_write_bytes_total"),

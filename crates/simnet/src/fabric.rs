@@ -4,7 +4,7 @@ use crate::metrics::{MetricsInner, NetMetrics, NetRegistry};
 use crate::timer::TimerThread;
 use crate::{NetConfig, NodeId, Payload};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hamr_trace::{AuditStage, EventKind, Gauge, Observe, WORKER_NET};
+use hamr_trace::{AuditStage, EventKind, Gauge, Labels, Observe, WORKER_NET};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
@@ -53,11 +53,10 @@ pub(crate) struct FabricInner<M: Payload> {
     /// The run's sinks: `NetSend`/`NetDeliver` go to the tracer, and
     /// the fabric owns the ledger's *deliver* tally.
     obs: Observe,
-    /// Telemetry gauge: bytes sent but not yet delivered, cluster-wide.
+    /// Gauge: bytes sent but not yet delivered, cluster-wide.
     inflight_gauge: Gauge,
-    /// Live per-node traffic series in the unified registry, when the
-    /// cluster runs with an introspection plane attached.
-    net_registry: Option<NetRegistry>,
+    /// Live per-node traffic series in the run's registry.
+    net_registry: NetRegistry,
 }
 
 /// An in-process network connecting `n` nodes.
@@ -79,22 +78,17 @@ impl<M: Payload> Fabric<M> {
     /// Create an unobserved fabric with `n` endpoints under the given
     /// delivery model.
     pub fn new(n: usize, config: NetConfig) -> Self {
-        Fabric::new_observed(n, config, &Observe::default(), None)
+        Fabric::new_observed(n, config, &Observe::default())
     }
 
     /// Like [`new`](Fabric::new), wired to one run's sinks: sends and
-    /// deliveries emit `NetSend`/`NetDeliver` through `obs.tracer`, a
-    /// cluster-wide `net/inflight_bytes` gauge registers with
-    /// `obs.telemetry`, the *deliver* custody point of every
-    /// bin-carrying message (per [`Payload::audit_bin`]) is tallied into
-    /// `obs.audit`, and per-node sent/recv counters plus a message-size
-    /// histogram stream into `net_registry` on every send.
-    pub fn new_observed(
-        n: usize,
-        config: NetConfig,
-        obs: &Observe,
-        net_registry: Option<NetRegistry>,
-    ) -> Self {
+    /// deliveries emit `NetSend`/`NetDeliver` through `obs.tracer`, the
+    /// *deliver* custody point of every bin-carrying message (per
+    /// [`Payload::audit_bin`]) is tallied into `obs.audit`, and the
+    /// run's registry gets a cluster-wide `net_inflight_bytes` gauge
+    /// plus per-node sent/recv counters and a message-size histogram,
+    /// bumped on every send.
+    pub fn new_observed(n: usize, config: NetConfig, obs: &Observe) -> Self {
         assert!(n > 0, "fabric needs at least one node");
         let endpoints: Vec<EndpointInner<M>> = (0..n)
             .map(|_| {
@@ -105,7 +99,7 @@ impl<M: Payload> Fabric<M> {
                 }
             })
             .collect();
-        let inflight_gauge = obs.telemetry.register(u32::MAX, "net/inflight_bytes");
+        let inflight_gauge = obs.gauge("net_inflight_bytes", Labels::new());
         let timer = if config.is_instant() {
             None
         } else {
@@ -120,7 +114,7 @@ impl<M: Payload> Fabric<M> {
                 timer,
                 obs: obs.clone(),
                 inflight_gauge,
-                net_registry,
+                net_registry: NetRegistry::new(obs, n),
             }),
         }
     }
@@ -167,9 +161,7 @@ impl<M: Payload> Fabric<M> {
         }
         let size = msg.wire_size();
         self.inner.metrics.record(from, to, size);
-        if let Some(reg) = &self.inner.net_registry {
-            reg.record(from, to, size);
-        }
+        self.inner.net_registry.record(from, to, size);
         self.inner.obs.tracer.emit(
             from as u32,
             WORKER_NET,

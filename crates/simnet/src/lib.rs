@@ -23,7 +23,7 @@ mod metrics;
 mod timer;
 
 pub use fabric::{Endpoint, Envelope, Fabric, NetError};
-pub use metrics::{LinkMetrics, NetMetrics, NetRegistry};
+pub use metrics::{LinkMetrics, NetMetrics};
 
 use std::time::Duration;
 

@@ -5,19 +5,19 @@
 //! interest has quiesced.
 
 use crate::NodeId;
-use hamr_trace::{Counter, Histogram, Labels, MetricsRegistry};
+use hamr_trace::{Counter, Histogram, Labels, Observe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live per-node traffic series registered against the unified
-/// [`MetricsRegistry`]. Unlike the [`NetMetrics`] snapshot matrix
-/// (n² cells, read after quiescence), these are a handful of per-node
-/// counters plus one message-size histogram, bumped on the send path —
-/// which is per-bin, so a few relaxed atomic adds per message.
+/// Live per-node traffic series in the observing run's registry (inert
+/// without one). Unlike the [`NetMetrics`] snapshot matrix (n² cells,
+/// read after quiescence), these are a handful of per-node counters
+/// plus one message-size histogram, bumped on the send path — which is
+/// per-bin, so a few relaxed atomic adds per message.
 ///
 /// Counters are recorded at send/enqueue time (like the traffic
 /// matrix): `recv` series mean "bytes addressed to this node", which
 /// in the simulated fabric equals bytes delivered once traffic drains.
-pub struct NetRegistry {
+pub(crate) struct NetRegistry {
     sent_bytes: Vec<Counter>,
     recv_bytes: Vec<Counter>,
     sent_messages: Vec<Counter>,
@@ -25,21 +25,18 @@ pub struct NetRegistry {
 }
 
 impl NetRegistry {
-    /// Register the fabric's series for an `n`-node cluster under the
-    /// given engine label.
-    pub fn new(registry: &MetricsRegistry, engine: &str, n: usize) -> Self {
-        let labels = |node: usize| Labels::new().engine(engine).node(node as u32);
+    /// Register the fabric's series for an `n`-node cluster.
+    pub(crate) fn new(obs: &Observe, n: usize) -> Self {
+        let per_node = |name: &str| {
+            (0..n)
+                .map(|node| obs.counter(name, Labels::new().node(node as u32)))
+                .collect()
+        };
         NetRegistry {
-            sent_bytes: (0..n)
-                .map(|i| registry.counter("net_sent_bytes_total", labels(i)))
-                .collect(),
-            recv_bytes: (0..n)
-                .map(|i| registry.counter("net_recv_bytes_total", labels(i)))
-                .collect(),
-            sent_messages: (0..n)
-                .map(|i| registry.counter("net_sent_messages_total", labels(i)))
-                .collect(),
-            message_bytes: registry.histogram("net_message_bytes", Labels::new().engine(engine)),
+            sent_bytes: per_node("net_sent_bytes_total"),
+            recv_bytes: per_node("net_recv_bytes_total"),
+            sent_messages: per_node("net_sent_messages_total"),
+            message_bytes: obs.histogram("net_message_bytes", Labels::new()),
         }
     }
 
@@ -167,28 +164,6 @@ impl NetMetrics {
             })
             .collect()
     }
-
-    /// Render every directed link as CSV (`from,to,messages,bytes`),
-    /// header included, links in `(from, to)` order.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        hamr_trace::push_csv_row(&mut out, ["from", "to", "messages", "bytes"]);
-        for from in 0..self.nodes {
-            for to in 0..self.nodes {
-                let idx = from * self.nodes + to;
-                hamr_trace::push_csv_row(
-                    &mut out,
-                    [
-                        from.to_string(),
-                        to.to_string(),
-                        self.messages[idx].to_string(),
-                        self.bytes[idx].to_string(),
-                    ],
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -226,26 +201,15 @@ mod tests {
     }
 
     #[test]
-    fn csv_lists_every_directed_link() {
-        let m = MetricsInner::new(2);
-        m.record(0, 1, 100);
-        m.record(0, 1, 20);
-        m.record(1, 0, 7);
-        let csv = m.snapshot().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "from,to,messages,bytes");
-        assert_eq!(lines.len(), 1 + 4, "header + nodes^2 rows");
-        assert_eq!(lines[1], "0,0,0,0");
-        assert_eq!(lines[2], "0,1,2,120");
-        assert_eq!(lines[3], "1,0,1,7");
-        assert_eq!(lines[4], "1,1,0,0");
-    }
-
-    #[test]
     fn net_registry_streams_per_node_series() {
-        use hamr_trace::SampleValue;
+        use hamr_trace::{MetricsRegistry, SampleValue};
         let registry = MetricsRegistry::new();
-        let net = NetRegistry::new(&registry, "hamr", 2);
+        let obs = Observe {
+            registry: Some(registry.clone()),
+            engine: "hamr",
+            ..Default::default()
+        };
+        let net = NetRegistry::new(&obs, 2);
         net.record(0, 1, 100);
         net.record(0, 1, 50);
         net.record(1, 0, 7);

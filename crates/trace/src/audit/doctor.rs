@@ -8,16 +8,7 @@
 
 use super::{AuditReport, AuditStage};
 use crate::json::{self, escape, Json};
-use crate::{EventKind, Observe, RingSink, WatchdogClass};
-
-/// One sampled gauge at dump time: the raw registered name (e.g.
-/// `node0/f2/queue_depth`), the owning node, and the value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GaugeValue {
-    pub name: String,
-    pub node: u32,
-    pub value: i64,
-}
+use crate::{EventKind, GaugeSample, Labels, Observe, RingSink, WatchdogClass};
 
 /// A trace event flattened for the black box: the structured
 /// [`EventKind`] becomes a name plus numeric args, which is all the
@@ -73,7 +64,18 @@ pub struct FlightRecord {
     /// diagnosis hinges on an event being absent.
     pub dropped_events: u64,
     pub audit: AuditReport,
-    pub gauges: Vec<GaugeValue>,
+    /// The engine's live gauges at dump time.
+    pub gauges: Vec<GaugeSample>,
+}
+
+/// The numeric label dimensions a live gauge carries, in render order.
+fn dims(labels: &Labels) -> impl Iterator<Item = (&'static str, u32)> {
+    let dims = [
+        ("node", labels.node),
+        ("flowlet", labels.flowlet),
+        ("edge", labels.edge),
+    ];
+    dims.into_iter().filter_map(|(dim, v)| Some((dim, v?)))
 }
 
 /// Flatten an [`EventKind`] into a stable name + numeric args.
@@ -212,10 +214,9 @@ pub fn event_fields(kind: &EventKind) -> (&'static str, Vec<(&'static str, u64)>
 impl FlightRecord {
     /// Build a record from live run state: the newest `tail`
     /// events in the flight `ring` (left in place; a run without one
-    /// records none), and the ledger and current gauge values of `obs`.
+    /// records none), and the engine, ledger and live gauges of `obs`.
     pub fn capture(
         job: impl Into<String>,
-        engine: impl Into<String>,
         trip: Option<WatchdogTrip>,
         error: Option<String>,
         ring: Option<&RingSink>,
@@ -226,7 +227,7 @@ impl FlightRecord {
         let skip = events.len().saturating_sub(tail);
         FlightRecord {
             job: job.into(),
-            engine: engine.into(),
+            engine: obs.engine.to_string(),
             trip,
             error,
             events: events[skip..]
@@ -235,12 +236,7 @@ impl FlightRecord {
                 .collect(),
             dropped_events: ring.map_or(0, |r| r.dropped()),
             audit: obs.audit.report(),
-            gauges: obs
-                .telemetry
-                .gauge_values()
-                .into_iter()
-                .map(|(name, node, value)| GaugeValue { name, node, value })
-                .collect(),
+            gauges: obs.live_gauges(),
         }
     }
 
@@ -289,12 +285,11 @@ impl FlightRecord {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"node\":{},\"value\":{}}}",
-                escape(&g.name),
-                g.node,
-                g.value
-            ));
+            out.push_str(&format!("{{\"name\":\"{}\"", escape(&g.name)));
+            for (dim, v) in dims(&g.labels) {
+                out.push_str(&format!(",\"{dim}\":{v}"));
+            }
+            out.push_str(&format!(",\"value\":{}}}", g.value));
         }
         out.push_str("]}");
         out
@@ -359,18 +354,23 @@ impl FlightRecord {
                 args,
             });
         }
+        let engine = s(v.get("engine"), "engine")?;
         let mut gauges = Vec::new();
         for gj in v
             .get("gauges")
             .and_then(Json::as_arr)
             .ok_or("flight record missing gauges")?
         {
-            gauges.push(GaugeValue {
+            let dim = |d: &str| gj.get(d).and_then(Json::as_u64).map(|v| v as u32);
+            gauges.push(GaugeSample {
                 name: s(gj.get("name"), "gauge name")?,
-                node: gj
-                    .get("node")
-                    .and_then(Json::as_u64)
-                    .ok_or("gauge missing node")? as u32,
+                labels: Labels {
+                    job: None,
+                    engine: Some(engine.clone()),
+                    node: dim("node"),
+                    flowlet: dim("flowlet"),
+                    edge: dim("edge"),
+                },
                 value: gj
                     .get("value")
                     .and_then(Json::as_f64)
@@ -379,7 +379,7 @@ impl FlightRecord {
         }
         Ok(FlightRecord {
             job: s(v.get("job"), "job")?,
-            engine: s(v.get("engine"), "engine")?,
+            engine,
             trip,
             error,
             events,
@@ -439,7 +439,7 @@ impl FlightRecord {
             }
         }
         // Gauge hot spots at dump time.
-        for (suffix, what) in [
+        for (metric, what) in [
             ("deferred_bins", "bins deferred by flow control"),
             ("queue_depth", "bins queued for execution"),
             ("window_inflight", "unacked bins holding the window"),
@@ -447,8 +447,8 @@ impl FlightRecord {
             if let Some((node, value)) = self
                 .gauges
                 .iter()
-                .filter(|g| g.name.ends_with(suffix) && g.value > 0)
-                .map(|g| (g.node, g.value))
+                .filter(|g| g.name == metric && g.value > 0)
+                .filter_map(|g| Some((g.labels.node?, g.value)))
                 .max_by_key(|&(_, v)| v)
             {
                 findings.push(format!("node {node} still holds {value} {what}"));
@@ -491,11 +491,13 @@ impl FlightRecord {
         }
         out.push('\n');
         out.push_str(&self.audit.render());
-        let hot: Vec<&GaugeValue> = self.gauges.iter().filter(|g| g.value != 0).collect();
+        let hot: Vec<&GaugeSample> = self.gauges.iter().filter(|g| g.value != 0).collect();
         if !hot.is_empty() {
             out.push_str("\nnon-zero gauges at dump time:\n");
             for g in hot {
-                out.push_str(&format!("  {:<40} {}\n", g.name, g.value));
+                let series =
+                    dims(&g.labels).fold(g.name.clone(), |s, (dim, v)| format!("{s} {dim} {v}"));
+                out.push_str(&format!("  {series:<40} {}\n", g.value));
             }
         }
         if self.dropped_events > 0 {
@@ -551,7 +553,7 @@ fn worker_label(worker: u32) -> String {
 mod tests {
     use super::super::{Audit, AuditStage};
     use super::*;
-    use crate::{Telemetry, TraceEvent, TraceSink};
+    use crate::{MetricsRegistry, TraceEvent, TraceSink};
 
     fn observed(audit: Audit) -> Observe {
         Observe {
@@ -603,15 +605,16 @@ mod tests {
             },
         ];
         filler.chain(events).for_each(|ev| ring.record(ev));
-        let telemetry = Telemetry::with_default_interval();
-        telemetry.register(1, "node1/f2/queue_depth").set(1);
         let obs = Observe {
-            telemetry,
+            registry: Some(MetricsRegistry::new()),
+            engine: "hamr",
             ..observed(audit)
         };
+        obs.gauge("queue_depth", Labels::new().node(1).flowlet(2))
+            .set(1);
+        obs.gauge("net_inflight_bytes", Labels::new()).set(64);
         FlightRecord::capture(
             "wordcount",
-            "hamr",
             Some(WatchdogTrip {
                 class: WatchdogClass::Hang,
                 epoch: 6,
@@ -628,9 +631,14 @@ mod tests {
     fn capture_reads_the_ring_and_the_observed_sinks() {
         let record = sample_record();
         assert_eq!((record.events.len(), record.dropped_events), (2, 3));
-        assert_eq!(record.gauges.len(), 1);
-        assert_eq!(record.gauges[0].name, "node1/f2/queue_depth");
-        assert_eq!((record.gauges[0].node, record.gauges[0].value), (1, 1));
+        assert_eq!(record.engine, "hamr");
+        assert_eq!(record.gauges.len(), 2);
+        assert_eq!(record.gauges[0].name, "queue_depth");
+        let labels = Labels::new().engine("hamr").node(1).flowlet(2);
+        assert_eq!(
+            (&record.gauges[0].labels, record.gauges[0].value),
+            (&labels, 1)
+        );
         assert!(!record.audit.stuck_rows().is_empty());
     }
 
@@ -650,9 +658,18 @@ mod tests {
             findings[1].contains("edge 1 -> node 1") && findings[1].contains("never consumed"),
             "{findings:?}"
         );
+        assert!(
+            findings.contains(&"node 1 still holds 1 bins queued for execution".to_string()),
+            "{findings:?}"
+        );
         let rendered = record.render();
         assert!(rendered.contains("diagnosis (ranked):"));
         assert!(rendered.contains("watchdog-hang"), "event tail rendered");
+        assert!(
+            rendered.contains("queue_depth node 1 flowlet 2"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("net_inflight_bytes "), "{rendered}");
     }
 
     #[test]
@@ -666,15 +683,7 @@ mod tests {
                 kind: EventKind::DiskRead { bytes: i },
             });
         }
-        let record = FlightRecord::capture(
-            "j",
-            "hamr",
-            None,
-            None,
-            Some(&ring),
-            16,
-            &Observe::default(),
-        );
+        let record = FlightRecord::capture("j", None, None, Some(&ring), 16, &Observe::default());
         assert_eq!(record.events.len(), 16);
         assert_eq!(record.events[0].t_us, 84, "oldest kept event");
         assert_eq!(record.events.last().unwrap().t_us, 99);
@@ -690,7 +699,7 @@ mod tests {
     #[test]
     fn clean_record_diagnosis_points_at_completion_signalling() {
         let obs = observed(Audit::new(1, 1));
-        let record = FlightRecord::capture("clean", "hamr", None, None, None, 8, &obs);
+        let record = FlightRecord::capture("clean", None, None, None, 8, &obs);
         let findings = record.diagnose();
         assert_eq!(findings.len(), 1);
         assert!(

@@ -20,7 +20,7 @@
 
 mod doctor;
 
-pub use doctor::{FlightRecord, GaugeValue, RecordedEvent, WatchdogTrip};
+pub use doctor::{FlightRecord, RecordedEvent, WatchdogTrip};
 
 use crate::json::Json;
 use std::fmt;

@@ -1,10 +1,10 @@
 //! Minimal shared CSV writing, RFC 4180 quoting rules.
 //!
-//! Both the telemetry time-series export and simnet's traffic-matrix
-//! export emit CSV; this helper is the one place that knows when a
-//! field needs quoting (embedded comma, quote, or newline) so ad-hoc
-//! emitters cannot silently produce unparsable rows. Plain fields pass
-//! through unquoted, keeping existing golden outputs byte-stable.
+//! The gauge time-series export emits CSV whose column names are
+//! `name{label="v",...}` series; this helper is the one place that
+//! knows when a field needs quoting (embedded comma, quote, or newline)
+//! so no emitter can silently produce unparsable rows. Plain fields
+//! pass through unquoted.
 
 /// Escape one CSV field: returned verbatim unless it contains a comma,
 /// double quote, CR or LF, in which case it is quoted with inner

@@ -18,25 +18,23 @@
 pub mod audit;
 pub mod causal;
 mod chrome;
-pub mod csv;
+mod csv;
 mod hist;
 pub mod journal;
 pub mod json;
 pub mod registry;
 pub mod stats;
 mod summary;
-mod telemetry;
 
 pub use audit::{
     Audit, AuditBin, AuditReport, AuditRow, AuditStage, AuditViolation, CombineRow, FlightRecord,
-    GaugeValue, RecordedEvent, StageCount, WatchdogTrip,
+    RecordedEvent, StageCount, WatchdogTrip,
 };
 pub use causal::{
     analyze, render_attribution, render_critical_path, render_stall_edges, Buckets, CausalReport,
     CriticalPath, FlowletBuckets, NodeBuckets, StallEdge,
 };
 pub use chrome::{chrome_trace_json, chrome_trace_json_with_counters};
-pub use csv::{csv_escape, push_csv_row};
 pub use hist::LatencyHistogram;
 pub use journal::{
     read_journal, JobSpan, Journal, JournalConfig, JournalMode, JournalRead, JournalRecord,
@@ -44,8 +42,9 @@ pub use journal::{
 };
 pub use registry::{
     http_get, parse_prometheus, AlertEngine, AlertEvent, AlertKind, AlertRule, AlertState, Counter,
-    HistSample, Histogram, HttpResponse, HttpServer, Labels, MetricsRegistry, PromSample,
-    RouteHandler, SampleValue, SeriesSample, Snapshot,
+    Gauge, GaugeSample, GaugeSampler, HistSample, Histogram, HttpResponse, HttpServer, Labels,
+    MetricsRegistry, PromSample, RouteHandler, Sample, SampleValue, SeriesSample, Snapshot,
+    TimeSeries,
 };
 pub use stats::{
     EdgeStatsSummary, HopKind, LineageHop, LineageSample, SketchSet, SpaceSaving, StatsMode,
@@ -54,7 +53,6 @@ pub use stats::{
 pub use summary::{
     render_occupancy, render_summary, worker_occupancy, FlowletSummaryRow, WorkerOccupancyRow,
 };
-pub use telemetry::{Gauge, Sample, Telemetry, TimeSeries};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -322,11 +320,6 @@ impl RingSink {
         }
     }
 
-    /// A comfortable default: 64 lanes of 64k events.
-    pub fn with_default_capacity() -> Self {
-        RingSink::new(64, 64 * 1024)
-    }
-
     /// Events dropped due to lane overflow.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -510,10 +503,55 @@ impl std::fmt::Debug for Tracer {
 #[derive(Clone, Default)]
 pub struct Observe {
     pub tracer: Tracer,
-    pub telemetry: Telemetry,
     pub audit: Audit,
     /// Data-plane statistics plane; `None` when `HAMR_STATS=off`.
     pub stats: Option<Arc<StatsPlane>>,
+    /// Where this run's series live; `None` hands out inert handles.
+    pub registry: Option<MetricsRegistry>,
+    /// The `engine` label of every series this run registers.
+    pub engine: &'static str,
+}
+
+impl Observe {
+    /// `register` a series of this run's engine, or an inert handle.
+    fn series<T: Default>(
+        &self,
+        labels: Labels,
+        register: impl FnOnce(&MetricsRegistry, Labels) -> T,
+    ) -> T {
+        self.registry
+            .as_ref()
+            .map(|registry| register(registry, labels.engine(self.engine)))
+            .unwrap_or_default()
+    }
+
+    /// A counter series of this run's engine (cumulative across runs).
+    pub fn counter(&self, name: &str, labels: Labels) -> Counter {
+        self.series(labels, |registry, labels| registry.counter(name, labels))
+    }
+
+    /// A histogram series of this run's engine.
+    pub fn histogram(&self, name: &str, labels: Labels) -> Histogram {
+        self.series(labels, |registry, labels| registry.histogram(name, labels))
+    }
+
+    /// A gauge of this run's engine, starting the run at 0. Registry
+    /// cells outlive jobs, so whatever an aborted job left in the cell
+    /// must not reach this job's watchdog; the one component that owns
+    /// the series registers it once per run and seeds any other level.
+    pub fn gauge(&self, name: &str, labels: Labels) -> Gauge {
+        let gauge = self.series(labels, |registry, labels| registry.gauge(name, labels));
+        gauge.set(0);
+        gauge
+    }
+
+    /// Current values of this engine's live gauges (none without a
+    /// registry) — see [`MetricsRegistry::live_gauges`].
+    pub fn live_gauges(&self) -> Vec<GaugeSample> {
+        self.registry
+            .as_ref()
+            .map_or_else(Vec::new, |registry| registry.live_gauges(self.engine))
+    }
 }
 
 /// The shared tail of every `HAMR_*` reader: unset (or empty) keeps

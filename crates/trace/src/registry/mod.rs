@@ -1,11 +1,9 @@
 //! The unified metrics registry: one registration API for every
 //! counter, gauge, and histogram either engine produces.
 //!
-//! Before this module, instrumentation was fragmented: `NodeMetrics` /
-//! `JobMetrics` lived in core, `NetMetrics` in simnet, disk counters in
-//! simdisk, and live [`Gauge`](crate::Gauge)s in [`crate::Telemetry`] —
-//! each with its own ad-hoc export and none queryable while a job runs.
-//! A [`MetricsRegistry`] absorbs all of them behind one API:
+//! Engine totals (`JobMetrics`), fabric and disk traffic, and the live
+//! gauges the watchdog, the flight recorder and `hamr top` read all
+//! live here, behind one API, queryable while a job runs:
 //!
 //! * components register **labeled series** — a metric name plus a
 //!   [`Labels`] set drawn from `(job, engine, node, flowlet, edge)` —
@@ -19,10 +17,14 @@
 //!   iterative workloads per-iteration deltas (shuffled bytes, records)
 //!   out of the box: the cluster takes one at every job completion and
 //!   [`MetricsRegistry::epoch_deltas`] subtracts neighbors;
+//! * [`MetricsRegistry::live_gauges`] is the **gauge-only view** of one
+//!   engine's series — what the watchdog reads each epoch, what a
+//!   flight record dumps, and what a [`GaugeSampler`] polls into a time
+//!   series;
 //! * registration is **bounded**: past `max_series` distinct label
 //!   sets, new registrations return inert handles and are tallied in a
 //!   `registry_dropped_series_total` meta-counter instead of growing
-//!   without limit.
+//!   without limit; the epoch log keeps the newest [`MAX_EPOCHS`].
 //!
 //! Registering the same `(name, labels)` twice returns handles sharing
 //! one cell, so concurrent registration from many worker threads is
@@ -30,14 +32,15 @@
 
 pub mod alerts;
 mod http;
+mod sampler;
 mod snapshot;
 
 pub use alerts::{AlertEngine, AlertEvent, AlertKind, AlertRule, AlertState};
 pub use http::{http_get, HttpResponse, HttpServer, RouteHandler};
+pub use sampler::{GaugeSampler, Sample, TimeSeries};
 pub use snapshot::{parse_prometheus, HistSample, PromSample, SampleValue, SeriesSample, Snapshot};
 
 use crate::hist::{bucket_of, HIST_BUCKETS};
-use crate::telemetry::Gauge;
 use crate::LatencyHistogram;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -108,18 +111,13 @@ impl Labels {
 }
 
 /// A monotonically increasing counter handle. Cloning shares the cell;
-/// a disabled handle (registry full, or kind clash) ignores updates.
+/// the default handle (also: registry full, kind clash) ignores updates.
 #[derive(Clone, Default)]
 pub struct Counter {
     cell: Option<Arc<AtomicU64>>,
 }
 
 impl Counter {
-    /// A counter that ignores every update.
-    pub fn disabled() -> Self {
-        Counter { cell: None }
-    }
-
     #[inline]
     pub fn inc(&self) {
         self.add(1);
@@ -150,6 +148,58 @@ impl std::fmt::Debug for Counter {
     }
 }
 
+/// A level that goes up and down: queue depth, busy workers, resident
+/// bytes. Cloning shares the cell; the default handle is inert (one
+/// branch per update). All updates are relaxed atomics — gauges are
+/// statistics, not synchronization.
+#[derive(Clone, Default)]
+pub struct Gauge {
+    cell: Option<Arc<AtomicI64>>,
+}
+
+impl Gauge {
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        if let Some(cell) = &self.cell {
+            cell.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+
+    #[inline]
+    pub fn sub(&self, delta: i64) {
+        self.add(-delta);
+    }
+
+    #[inline]
+    pub fn set(&self, value: i64) {
+        if let Some(cell) = &self.cell {
+            cell.store(value, Ordering::Relaxed);
+        }
+    }
+
+    pub fn get(&self) -> i64 {
+        self.cell
+            .as_ref()
+            .map(|c| c.load(Ordering::Relaxed))
+            .unwrap_or(0)
+    }
+}
+
+impl std::fmt::Debug for Gauge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Gauge({})", self.get())
+    }
+}
+
+/// One gauge series' value at one instant — an element of
+/// [`MetricsRegistry::live_gauges`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GaugeSample {
+    pub name: String,
+    pub labels: Labels,
+    pub value: i64,
+}
+
 /// Shared atomic cells behind a [`Histogram`] handle: the same log2
 /// bucket layout as [`LatencyHistogram`], updatable through `&self`
 /// from many threads.
@@ -176,11 +226,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A histogram that ignores every update.
-    pub fn disabled() -> Self {
-        Histogram { cells: None }
-    }
-
     #[inline]
     pub fn record_us(&self, us: u64) {
         self.record(us);
@@ -272,6 +317,10 @@ pub struct MetricsRegistry {
 /// Default bound on distinct series.
 pub const DEFAULT_MAX_SERIES: usize = 4096;
 
+/// Epoch snapshots the log retains (one per job): a session of any
+/// length holds this many, the newest.
+pub const MAX_EPOCHS: usize = 64;
+
 impl Default for MetricsRegistry {
     fn default() -> Self {
         MetricsRegistry::new()
@@ -350,48 +399,22 @@ impl MetricsRegistry {
         .unwrap_or_default()
     }
 
-    /// Register (or look up) a gauge series. The handle is the same
-    /// [`Gauge`] type [`crate::Telemetry`] hands out, so one cell can
-    /// feed both the time-series sampler and the registry.
+    /// Register (or look up) a gauge series. The cell keeps its value
+    /// across lookups; a run that wants a fresh level registers through
+    /// [`crate::Observe::gauge`].
     pub fn gauge(&self, name: &str, labels: Labels) -> Gauge {
         self.register(
             name,
             labels,
             || Cell::Gauge(Arc::new(AtomicI64::new(0))),
             |cell| match cell {
-                Cell::Gauge(c) => Some(Gauge::from_cell(Arc::clone(c))),
+                Cell::Gauge(c) => Some(Gauge {
+                    cell: Some(Arc::clone(c)),
+                }),
                 _ => None,
             },
         )
         .unwrap_or_default()
-    }
-
-    /// Bind an *existing* gauge cell (e.g. one a [`crate::Telemetry`]
-    /// already samples) into the registry under `name` + `labels`. If
-    /// the series already exists its cell is replaced — a fresh run's
-    /// live gauge supersedes the previous run's dead one.
-    pub fn bind_gauge_cell(&self, name: &str, labels: Labels, cell: Arc<AtomicI64>) {
-        let mut map = self.inner.series.lock().unwrap_or_else(|p| p.into_inner());
-        let key = (name.to_string(), labels.clone());
-        if let Some(&i) = map.index.get(&key) {
-            if let Cell::Gauge(slot) = &mut map.list[i].cell {
-                *slot = cell;
-            } else {
-                self.inner.dropped_series.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-        if map.list.len() >= self.inner.max_series {
-            self.inner.dropped_series.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let slot = map.list.len();
-        map.index.insert(key, slot);
-        map.list.push(Series {
-            name: name.to_string(),
-            labels,
-            cell: Cell::Gauge(cell),
-        });
     }
 
     /// Register (or look up) a histogram series.
@@ -460,17 +483,43 @@ impl MetricsRegistry {
         }
     }
 
-    /// Take a snapshot and append it to the epoch log. The cluster
-    /// calls this at every job completion; iterative workloads thereby
-    /// get one epoch per iteration without doing anything.
+    /// The gauge-only view: the current value of every *live* gauge
+    /// labeled `engine`, in registration order — the levels components
+    /// move while a job runs. Gauges carrying a `job` label are facts
+    /// published at a job's end, not levels, and are left out.
+    pub fn live_gauges(&self, engine: &str) -> Vec<GaugeSample> {
+        let map = self.inner.series.lock().unwrap_or_else(|p| p.into_inner());
+        map.list
+            .iter()
+            .filter(|s| s.labels.engine.as_deref() == Some(engine) && s.labels.job.is_none())
+            .filter_map(|s| match &s.cell {
+                Cell::Gauge(c) => Some(GaugeSample {
+                    name: s.name.clone(),
+                    labels: s.labels.clone(),
+                    value: c.load(Ordering::Relaxed),
+                }),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Take a snapshot and append it to the epoch log, which keeps the
+    /// newest [`MAX_EPOCHS`]. The cluster calls this at every job
+    /// completion; iterative workloads thereby get one epoch per
+    /// iteration without doing anything.
     pub fn epoch_snapshot(&self, label: &str) -> Snapshot {
         let mut epochs = self.inner.epochs.lock().unwrap_or_else(|p| p.into_inner());
-        let snap = self.snapshot_labeled(label, epochs.len() as u64);
+        // `seq` keeps counting when the log drops its oldest entry.
+        let seq = epochs.last().map_or(0, |newest| newest.seq + 1);
+        let snap = self.snapshot_labeled(label, seq);
+        if epochs.len() == MAX_EPOCHS {
+            epochs.remove(0);
+        }
         epochs.push(snap.clone());
         snap
     }
 
-    /// The recorded epoch snapshots, oldest first.
+    /// The retained epoch snapshots, oldest first.
     pub fn epochs(&self) -> Vec<Snapshot> {
         self.inner
             .epochs
@@ -479,29 +528,22 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Per-epoch deltas: epoch `i` minus epoch `i-1` (the first epoch
-    /// is measured against zero). Counter and histogram series
-    /// subtract; gauges keep their epoch-end value.
+    /// Per-epoch deltas: each retained epoch minus the one before it.
+    /// Counter and histogram series subtract; gauges keep their
+    /// epoch-end value. The very first epoch (`seq` 0) is measured
+    /// against zero; once the log has dropped it, the oldest retained
+    /// snapshot is only the baseline of the first delta.
     pub fn epoch_deltas(&self) -> Vec<Snapshot> {
         let epochs = self.epochs();
         let mut out = Vec::with_capacity(epochs.len());
         for (i, snap) in epochs.iter().enumerate() {
-            match i {
-                0 => out.push(snap.clone()),
-                _ => out.push(snap.delta(&epochs[i - 1])),
+            match i.checked_sub(1) {
+                Some(prev) => out.push(snap.delta(&epochs[prev])),
+                None if snap.seq == 0 => out.push(snap.clone()),
+                None => {}
             }
         }
         out
-    }
-
-    /// Drop all recorded epoch snapshots (the series themselves keep
-    /// their values).
-    pub fn clear_epochs(&self) {
-        self.inner
-            .epochs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clear();
     }
 }
 
@@ -613,27 +655,5 @@ mod tests {
             Some(SampleValue::Gauge(2))
         ));
         assert_eq!(deltas[1].label, "iter1");
-        r.clear_epochs();
-        assert!(r.epochs().is_empty());
-    }
-
-    #[test]
-    fn bound_gauge_cell_is_live_and_replaceable() {
-        let r = MetricsRegistry::new();
-        let cell = Arc::new(AtomicI64::new(11));
-        r.bind_gauge_cell("queue_depth", Labels::new().node(0), Arc::clone(&cell));
-        cell.store(13, Ordering::Relaxed);
-        assert!(matches!(
-            r.snapshot().get("queue_depth", &Labels::new().node(0)),
-            Some(SampleValue::Gauge(13))
-        ));
-        // A new run's cell replaces the old one under the same key.
-        let fresh = Arc::new(AtomicI64::new(-2));
-        r.bind_gauge_cell("queue_depth", Labels::new().node(0), fresh);
-        assert!(matches!(
-            r.snapshot().get("queue_depth", &Labels::new().node(0)),
-            Some(SampleValue::Gauge(-2))
-        ));
-        assert_eq!(r.series_count(), 1);
     }
 }

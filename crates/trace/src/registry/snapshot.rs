@@ -3,7 +3,6 @@
 
 use super::Labels;
 use crate::hist::bucket_upper;
-use crate::telemetry::prometheus_label_escape;
 
 /// A sampled histogram: total count, total sum (µs or bytes, per the
 /// series' unit), and raw per-log2-bucket counts.
@@ -186,7 +185,23 @@ fn sanitize_metric_name(name: &str) -> String {
     out
 }
 
-fn render_labels(labels: &Labels, le: Option<&str>) -> String {
+/// Escape a Prometheus label *value*: the exposition format requires
+/// `\`, `"` and newlines inside quoted label values to be escaped.
+fn prometheus_label_escape(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// `{k="v",...}` in the fixed label order, or nothing for no labels.
+pub(super) fn render_labels(labels: &Labels, le: Option<&str>) -> String {
     let mut pairs: Vec<String> = labels
         .pairs()
         .into_iter()
@@ -349,11 +364,20 @@ mod tests {
         .add(1234);
         r.gauge("queue_depth", Labels::new().node(1).flowlet(2))
             .set(-3);
+        // A hostile job name (quote, backslash, newline) in a label
+        // value, and a metric name that needs sanitizing.
+        let hostile = "disk \"a\\b\"\nc";
+        r.gauge("resident bytes", Labels::new().job(hostile)).set(1);
         let h = r.histogram("task_latency_us", Labels::new().flowlet(0));
         h.record_us(5);
         h.record_us(900);
         let text = r.snapshot().to_prometheus();
         let samples = parse_prometheus(&text).expect("valid exposition");
+        let escaped = samples
+            .iter()
+            .find(|s| s.name == "hamr_resident_bytes")
+            .expect("metric name sanitized");
+        assert_eq!(escaped.label("job"), Some(hostile), "{text}");
         let counter = samples
             .iter()
             .find(|s| s.name == "hamr_shuffled_bytes_total")

@@ -2,6 +2,7 @@
 //! generators (an LCG, not a proptest dependency) driving many random
 //! rounds per property.
 
+use hamr_trace::registry::MAX_EPOCHS;
 use hamr_trace::{Labels, MetricsRegistry, SampleValue};
 
 /// Deterministic pseudo-random stream.
@@ -51,18 +52,83 @@ fn concurrent_registration_shares_one_cell() {
     }
 }
 
+/// Racing gauge registrations converge on one cell too, and a level
+/// every thread raises and lowers by the same amounts nets zero: no
+/// update lands on a stale duplicate. The gauge-only view reads the
+/// same cells `snapshot()` does.
+#[test]
+fn concurrent_gauge_updates_net_zero_on_one_cell() {
+    for round in 0..16u32 {
+        let registry = MetricsRegistry::new();
+        let labels = || Labels::new().engine("hamr").node(round);
+        let (threads, per_thread) = (8i64, 500i64);
+        // Everyone has raised the level before anyone lowers it, so the
+        // peak is known; then everyone lowers it back.
+        let raised = std::sync::Barrier::new(threads as usize + 1);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (registry, raised) = (&registry, &raised);
+                scope.spawn(move || {
+                    let g = registry.gauge("race_depth", labels());
+                    for i in 0..per_thread {
+                        g.add(i + t);
+                    }
+                    raised.wait();
+                    raised.wait();
+                    for i in 0..per_thread {
+                        g.sub(i + t);
+                    }
+                });
+            }
+            raised.wait();
+            let peak = threads * per_thread * (per_thread - 1) / 2
+                + per_thread * threads * (threads - 1) / 2;
+            assert_eq!(registry.gauge("race_depth", labels()).get(), peak);
+            raised.wait();
+        });
+        // Not levels of this engine: another engine's gauge, a fact
+        // published under a job label, a counter.
+        registry
+            .gauge("other_engine_depth", Labels::new().engine("mapred"))
+            .set(5);
+        registry.gauge("stats_records", labels().job("wc")).set(7);
+        registry.counter("race_hits_total", labels()).inc();
+        assert_eq!(registry.series_count(), 4);
+        assert_eq!(registry.dropped_series(), 0);
+        let view = registry.live_gauges("hamr");
+        assert_eq!(view.len(), 1, "one cell, one engine's levels: {view:?}");
+        assert_eq!((view[0].name.as_str(), view[0].value), ("race_depth", 0));
+        let snap = registry.snapshot();
+        for g in registry
+            .live_gauges("hamr")
+            .iter()
+            .chain(&registry.live_gauges("mapred"))
+        {
+            assert_eq!(
+                snap.get(&g.name, &g.labels),
+                Some(&SampleValue::Gauge(g.value)),
+                "the view and the snapshot read one store"
+            );
+        }
+    }
+}
+
 /// Epoch deltas must tile the counter's history exactly: each delta
 /// equals what that epoch added, and the deltas sum to the final
 /// total (no loss, no double counting, regardless of the increment
-/// pattern).
+/// pattern). Past the log's cap the oldest epochs are gone, and the
+/// deltas tile exactly what is retained.
 #[test]
 fn epoch_deltas_tile_counter_history() {
     let mut state = 0x9E3779B97F4A7C15u64;
-    for _round in 0..10 {
+    for round in 0..10 {
         let registry = MetricsRegistry::new();
         let c = registry.counter("delta_bytes_total", Labels::new().engine("hamr"));
         let mut per_epoch = Vec::new();
-        let epochs = 3 + (lcg(&mut state) % 10) as usize;
+        let mut epochs = 3 + (lcg(&mut state) % 10) as usize;
+        if round % 2 == 1 {
+            epochs += MAX_EPOCHS;
+        }
         for e in 0..epochs {
             let mut added = 0u64;
             for _ in 0..lcg(&mut state) % 50 {
@@ -73,15 +139,23 @@ fn epoch_deltas_tile_counter_history() {
             per_epoch.push(added);
             registry.epoch_snapshot(&format!("epoch{e}"));
         }
+        // A log that dropped epochs keeps its oldest snapshot only as
+        // the baseline of the first delta it can still state.
+        let dropped = epochs.saturating_sub(MAX_EPOCHS);
+        let first = if dropped > 0 { dropped + 1 } else { 0 };
+        assert_eq!(registry.epochs().len(), epochs - dropped);
         let deltas = registry.epoch_deltas();
-        assert_eq!(deltas.len(), epochs);
+        assert_eq!(deltas.len(), epochs - first);
         let mut sum = 0u64;
-        for (i, delta) in deltas.iter().enumerate() {
+        for (delta, e) in deltas.iter().zip(first..) {
+            assert_eq!(delta.label, format!("epoch{e}"));
+            assert_eq!(delta.seq, e as u64, "seq counts every epoch ever taken");
             let got = delta.counter_total("delta_bytes_total");
-            assert_eq!(got, per_epoch[i], "epoch {i} delta");
+            assert_eq!(got, per_epoch[e], "epoch {e} delta");
             sum += got;
         }
-        assert_eq!(sum, c.get(), "deltas tile the full history");
+        let untold: u64 = per_epoch[..first].iter().sum();
+        assert_eq!(sum + untold, c.get(), "deltas tile the retained history");
     }
 }
 

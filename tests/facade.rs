@@ -242,3 +242,48 @@ fn device_time_and_cpu_time_overlap() {
         "no overlap: wall {wall:?} >= device {device:?} + cpu {cpu:?}"
     );
 }
+
+/// Gauges are not an option of the run: a plain `Cluster::run` leaves
+/// `workers` = threads per node in the registry, and every level the
+/// job raised while it ran (busy workers, queued, deferred and pending
+/// bins, grouped reduce state) is back at 0 when it returns.
+#[test]
+fn plain_run_publishes_live_gauges() {
+    use hamr::trace::{Labels, SampleValue};
+    let (nodes, threads) = (2u32, 3);
+    let cluster = Cluster::new(ClusterConfig::local(nodes as usize, threads));
+    let mut job = JobBuilder::new("facade-gauges");
+    let loader = job.add_loader(
+        "nums",
+        typed::pairs_loader((0..5000u64).map(|i| (i, i % 10)).collect::<Vec<_>>()),
+    );
+    let sum = job.add_reduce(
+        "sum",
+        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.iter().sum::<u64>());
+        }),
+    );
+    job.connect(loader, sum, Exchange::Hash);
+    job.capture_output(sum);
+    let result = cluster.run(job.build().unwrap()).unwrap();
+    assert_eq!(result.typed_output::<u64, u64>(sum).len(), 5000);
+
+    let snap = cluster.registry().snapshot();
+    let gauge = |name: &str, labels: Labels| match snap.get(name, &labels.engine("hamr")) {
+        Some(SampleValue::Gauge(v)) => *v,
+        other => panic!("{name}: expected a gauge, got {other:?}"),
+    };
+    for node in 0..nodes {
+        let on_node = || Labels::new().node(node);
+        assert_eq!(gauge("workers", on_node()), threads as i64);
+        for level in ["workers_busy", "deferred_bins", "pending_bin_bytes"] {
+            assert_eq!(gauge(level, on_node()), 0, "{level} on node {node}");
+        }
+        for flowlet in [loader, sum] {
+            let depth = gauge("queue_depth", on_node().flowlet(flowlet as u32));
+            assert_eq!(depth, 0, "queue_depth of flowlet {flowlet} on node {node}");
+        }
+        let grouped = gauge("reduce_resident_bytes", on_node().flowlet(sum as u32));
+        assert_eq!(grouped, 0, "reduce state on node {node}");
+    }
+}
