@@ -12,6 +12,7 @@ use hamr_dfs::Dfs;
 use hamr_kvstore::{KvStore, Shard};
 use hamr_simdisk::Disk;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Everything a flowlet task may touch besides its records.
 ///
@@ -114,12 +115,20 @@ pub trait Loader: Send + Sync {
     /// Number of split tasks to run on `ctx.node`.
     fn split_count(&self, ctx: &TaskContext) -> usize;
 
-    /// Split `index` is about to be admitted, or is the one after it:
-    /// start whatever IO `load` will wait for, without blocking. Called
-    /// on the node's runtime thread, once per split and in order, ahead
-    /// of that split's `load`. A loader that reads nothing from a
-    /// device keeps this default.
-    fn prepare(&self, _ctx: &TaskContext, _index: usize) {}
+    /// When will split `index`'s input be in memory? Start whatever IO
+    /// `load` will wait for, without blocking, and return the instant
+    /// the device will have finished it; `None` means now. Called on
+    /// the node's runtime thread, once per split and in order, for the
+    /// next split to fire and the one after it. The runtime dispatches
+    /// `load(index)` only once that instant has passed, so no worker
+    /// sleeps on a device: a split fires when its block has arrived,
+    /// like any other flowlet task fires when its bin has. The answer
+    /// is advice, not a contract — a `load` dispatched early (or never
+    /// prepared) just waits inside its own read. A loader that reads
+    /// nothing from a device keeps this default.
+    fn prepare(&self, _ctx: &TaskContext, _index: usize) -> Option<Instant> {
+        None
+    }
 
     /// Produce the records of split `index` (node-local numbering).
     fn load(&self, ctx: &TaskContext, index: usize, out: &mut Emitter);
@@ -183,7 +192,7 @@ impl<T: Loader + ?Sized> Loader for Arc<T> {
     fn split_count(&self, ctx: &TaskContext) -> usize {
         (**self).split_count(ctx)
     }
-    fn prepare(&self, ctx: &TaskContext, index: usize) {
+    fn prepare(&self, ctx: &TaskContext, index: usize) -> Option<Instant> {
         (**self).prepare(ctx, index)
     }
     fn load(&self, ctx: &TaskContext, index: usize, out: &mut Emitter) {

@@ -23,6 +23,12 @@
 //!   through a map/partial-reduce, one reduce ingest, or one fire shard.
 //! * Map and partial-reduce tasks become ready per-bin — downstream
 //!   work starts long before upstream completes (fine-grain async).
+//! * A loader split becomes ready when its *block* has arrived: the
+//!   pump submits the split's device read (`Loader::prepare`, which
+//!   answers when the device will have finished) and dispatches the
+//!   split once that instant has passed, so no worker ever sleeps on a
+//!   device. The runtime thread is the completion queue — its idle wait
+//!   is bounded by the earliest read it awaits.
 //! * Reduce fires only after *all* in-edges complete; completion
 //!   messages propagate from the loaders downstream, one per
 //!   (edge, upstream-node) pair, ordered behind that node's bins by the
@@ -35,10 +41,10 @@
 //! admitted for it) until acknowledgements drain the backlog — "the
 //! flowlet stops the current execution immediately and will be
 //! scheduled in a later time". Loader concurrency is additionally
-//! throttled, and admission is also when a split's device read is
-//! issued (`Loader::prepare`, the admitted split and the one after it),
-//! so the same rules bound the reads in flight and no worker sleeps on
-//! a read it could have had waiting. Progress is deadlock-free because
+//! throttled, and a split's device read is submitted only when the
+//! split passes those admission rules (the split itself and the one
+//! after it), so the same rules bound the reads in flight: at most
+//! `LOADER_CONCURRENCY` + 1 per node. Progress is deadlock-free because
 //! the graph is acyclic: sinks never defer, so windows always
 //! eventually drain. The window and deferred-queue state live in
 //! [`FlowControl`] (see `outbuf.rs`), shared between the runtime thread
@@ -586,9 +592,13 @@ struct Instance {
     // loader
     splits_total: usize,
     splits_next: usize,
-    /// Splits whose `Loader::prepare` has been called: the admitted
-    /// ones plus one.
+    /// Splits whose `Loader::prepare` has been called: the dispatched
+    /// ones, the next to fire and the one after it.
     splits_prepared: usize,
+    /// What `prepare` answered for each prepared split not yet
+    /// dispatched, split `splits_next` first: when its input will have
+    /// arrived (`None` = it is there).
+    splits_ready: VecDeque<Option<Instant>>,
     splits_done: usize,
     loader_running: usize,
     // stream
@@ -669,6 +679,14 @@ pub(crate) struct NodeRuntime {
     queue_gauges: Vec<Gauge>,
     /// Gauge: bytes resident in queued (pending + held) bins.
     pending_bytes_gauge: Gauge,
+    /// When the earliest read this node waits for will be done: the
+    /// `ready_at` of a split that passes every admission rule but
+    /// whose block has not arrived yet. Set by the last
+    /// [`pump`](NodeRuntime::pump); bounds the idle wait.
+    wake_at: Option<Instant>,
+    /// Gauge: 1 while `wake_at` is set — the runtime is waiting for a
+    /// device, which the watchdog must not take for a hang.
+    awaiting_read_gauge: Gauge,
     /// Frames this node's tasks pinned for the resident store.
     fill: Vec<(EdgeId, NodeId, hamr_codec::Frame)>,
 }
@@ -680,6 +698,10 @@ const LOADER_CONCURRENCY: usize = 2;
 /// Max deferred (backpressured) bins per node before loaders stop
 /// admitting new splits.
 const DEFER_HIGH_WATER: usize = 64;
+
+/// Longest the runtime thread blocks with nothing to do before it
+/// looks again.
+const IDLE_TICK: Duration = Duration::from_millis(20);
 
 impl NodeRuntime {
     pub(crate) fn new(
@@ -748,6 +770,7 @@ impl NodeRuntime {
             .map(|f| obs.gauge("queue_depth", on_node().flowlet(f as u32)))
             .collect();
         let pending_bytes_gauge = obs.gauge("pending_bin_bytes", on_node());
+        let awaiting_read_gauge = obs.gauge("splits_awaiting_read", on_node());
         let (done_tx, done_rx) = unbounded::<TaskDone>();
         let exec = match cfg.sched {
             SchedMode::WorkStealing => {
@@ -808,6 +831,7 @@ impl NodeRuntime {
                     splits_total,
                     splits_next: 0,
                     splits_prepared: 0,
+                    splits_ready: VecDeque::new(),
                     splits_done: 0,
                     loader_running: 0,
                     stream_epoch: 0,
@@ -851,6 +875,8 @@ impl NodeRuntime {
             error: None,
             queue_gauges,
             pending_bytes_gauge,
+            wake_at: None,
+            awaiting_read_gauge,
             fill: Vec::new(),
         }
     }
@@ -944,7 +970,13 @@ impl NodeRuntime {
                 ));
                 break;
             }
-            // Nothing to do right now: block for the next event.
+            // Nothing to do right now: block for the next event. A read
+            // this node awaits completes at an instant known since its
+            // submission, so the timeout is the device's completion
+            // queue: the wait ends when the block is there.
+            let idle = self.wake_at.map_or(IDLE_TICK, |at| {
+                at.saturating_duration_since(Instant::now()).min(IDLE_TICK)
+            });
             crossbeam::channel::select! {
                 recv(done_rx) -> d => {
                     if let Ok(done) = d { self.handle_done(done); last_progress = Instant::now(); }
@@ -952,9 +984,11 @@ impl NodeRuntime {
                 recv(inbox) -> m => {
                     if let Ok(env) = m { self.handle_msg(env); last_progress = Instant::now(); }
                 }
-                default(Duration::from_millis(20)) => {}
+                default(idle) => {}
             }
         }
+        // However the loop ended, nobody waits for a device any more.
+        self.awaiting_read_gauge.set(0);
         // Tear down the execution backend and collect scheduler stats.
         let exec = std::mem::replace(
             &mut self.exec,
@@ -1221,6 +1255,7 @@ impl NodeRuntime {
     }
 
     fn pump(&mut self) {
+        self.wake_at = None;
         // Walk flowlets in topological order so upstream work is
         // admitted first within one pass.
         for i in 0..self.plan.graph.topo.len() {
@@ -1236,6 +1271,7 @@ impl NodeRuntime {
             }
             self.check_transition(f);
         }
+        self.awaiting_read_gauge.set(self.wake_at.is_some() as i64);
     }
 
     fn pump_loader(&mut self, f: FlowletId) {
@@ -1253,16 +1289,27 @@ impl NodeRuntime {
             let FlowletKind::Loader(loader) = &self.plan.graph.flowlets[f].kind else {
                 unreachable!("pump_loader on a non-loader")
             };
-            // A split's device read is issued when the split is
-            // admitted — and the next split's with it, so the device
-            // works while this one computes. Admission bounds it: at
+            // A split's device read is submitted when the split could
+            // be admitted — and the next split's with it, so the device
+            // always has its next block queued. Admission bounds it: at
             // most LOADER_CONCURRENCY + 1 reads are ever outstanding.
             let inst = &mut self.instances[f];
             let index = inst.splits_next;
             for ahead in inst.splits_prepared..(index + 2).min(inst.splits_total) {
-                loader.prepare(&self.shared.ctx, ahead);
+                let ready_at = loader.prepare(&self.shared.ctx, ahead);
+                inst.splits_ready.push_back(ready_at);
                 inst.splits_prepared = ahead + 1;
             }
+            // The split fires when its block has arrived, not before: a
+            // worker that took it now would sleep on the device while
+            // the bins of earlier blocks queue behind it.
+            if let Some(&Some(at)) = inst.splits_ready.front() {
+                if at > Instant::now() {
+                    self.wake_at = Some(self.wake_at.map_or(at, |w| w.min(at)));
+                    return;
+                }
+            }
+            inst.splits_ready.pop_front();
             inst.splits_next += 1;
             inst.loader_running += 1;
             self.dispatch(Task::LoaderSplit { flowlet: f, index });

@@ -419,25 +419,6 @@ impl PartialState {
             }
         }
     }
-
-    /// Number of distinct keys currently held (diagnostic).
-    #[allow(dead_code)]
-    pub(crate) fn key_count(&self) -> usize {
-        match self {
-            PartialState::Shared { stripes } => stripes.iter().map(|s| s.lock().len()).sum(),
-            PartialState::PerWorker { maps } => {
-                // Distinct keys across workers require a merge; this is
-                // a diagnostic, so count unique keys properly.
-                let mut keys = std::collections::HashSet::new();
-                for m in maps {
-                    for k in m.lock().keys() {
-                        keys.insert(k.clone());
-                    }
-                }
-                keys.len()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -568,11 +549,10 @@ mod tests {
             &bin(&[(b"x", &u64b(1)), (b"y", &u64b(10)), (b"x", &u64b(2))]),
         );
         st.fold_bin(1, &SumReducer, &bin(&[(b"x", &u64b(4))]));
-        assert_eq!(st.key_count(), 2);
         let sums = partial_sums(&st);
         assert_eq!(sums, vec![(b("x"), 7), (b("y"), 10)]);
         // Drained: empty now.
-        assert_eq!(st.key_count(), 0);
+        assert!(partial_sums(&st).is_empty());
     }
 
     #[test]
@@ -581,7 +561,6 @@ mod tests {
         for worker in 0..3 {
             st.fold_bin(worker, &SumReducer, &bin(&[(b"x", &u64b(5))]));
         }
-        assert_eq!(st.key_count(), 1);
         let sums = partial_sums(&st);
         assert_eq!(sums, vec![(b("x"), 15)]);
     }

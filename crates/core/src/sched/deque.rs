@@ -38,6 +38,7 @@ impl<T> WorkerDeque<T> {
         self.q.lock().unwrap_or_else(|p| p.into_inner()).pop_back()
     }
 
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.q.lock().unwrap_or_else(|p| p.into_inner()).len()
     }

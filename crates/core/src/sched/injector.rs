@@ -58,6 +58,7 @@ impl<T> Injector<T> {
         first
     }
 
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len.load(Ordering::Acquire)
     }

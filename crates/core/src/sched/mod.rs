@@ -110,13 +110,6 @@ impl<T: Send> Pool<T> {
         self.deques[worker].push(t);
     }
 
-    /// Push a task onto the calling worker's own deque (it just made
-    /// the task ready itself, so it is already awake).
-    #[allow(dead_code)]
-    pub(crate) fn push_local(&self, worker: usize, t: T) {
-        self.deques[worker].push(t);
-    }
-
     /// Run the fetch policy for `worker`. Returns the task and where it
     /// came from, or `None` if the whole node is drained.
     pub(crate) fn try_fetch(&self, worker: usize) -> Option<(T, Source)> {
@@ -177,12 +170,6 @@ impl<T: Send> Pool<T> {
 
     pub(crate) fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Ready tasks currently queued anywhere in the pool.
-    #[allow(dead_code)]
-    pub(crate) fn queued(&self) -> usize {
-        self.injector.len() + self.deques.iter().map(|d| d.len()).sum::<usize>()
     }
 
     fn unpark_one(&self) {

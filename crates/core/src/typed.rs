@@ -14,6 +14,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn dec<T: Codec>(what: &str, bytes: &[u8]) -> T {
     T::from_bytes(bytes).unwrap_or_else(|e| {
@@ -472,10 +473,9 @@ impl Loader for DfsLineLoader {
         self.resolve(ctx).len()
     }
 
-    fn prepare(&self, ctx: &TaskContext, index: usize) {
-        if let Some((block, _)) = self.local_block(ctx, index) {
-            ctx.dfs.read_ahead(&self.path, block, Some(ctx.node));
-        }
+    fn prepare(&self, ctx: &TaskContext, index: usize) -> Option<Instant> {
+        let (block, _) = self.local_block(ctx, index)?;
+        ctx.dfs.read_ahead(&self.path, block, Some(ctx.node))
     }
 
     fn load(&self, ctx: &TaskContext, index: usize, out: &mut Emitter) {

@@ -103,7 +103,8 @@ pub(crate) struct EpochSnapshot {
     pub consumed_by_node: Vec<u64>,
     /// Bins parked in flow-control deferred queues, cluster-wide.
     pub deferred: i64,
-    /// Workers currently executing a task, cluster-wide.
+    /// Workers currently executing a task, plus node runtimes waiting
+    /// for a device read they submitted to complete, cluster-wide.
     pub busy: i64,
     /// Bins sitting in ingress queues, cluster-wide.
     pub queued: i64,
@@ -123,7 +124,7 @@ impl EpochSnapshot {
         for gauge in obs.live_gauges() {
             match gauge.name.as_str() {
                 "deferred_bins" => snap.deferred += gauge.value,
-                "workers_busy" => snap.busy += gauge.value,
+                "workers_busy" | "splits_awaiting_read" => snap.busy += gauge.value,
                 "queue_depth" => {
                     snap.queued += gauge.value;
                     let node = gauge.labels.node.map(|n| n as usize);
@@ -162,7 +163,9 @@ impl Monitor {
     pub(crate) fn observe(&mut self, snap: EpochSnapshot) -> Option<WatchdogEvent> {
         self.epoch += 1;
         // Busy workers count as progress: a long-running task moves no
-        // bins through custody points but is not stuck.
+        // bins through custody points but is not stuck. So does a
+        // runtime waiting for a read it submitted (`busy` holds both):
+        // the device is working, and the gauge drops when it is done.
         let moved = match &self.prev {
             Some(p) => snap.delivered + snap.consumed > p.delivered + p.consumed,
             None => snap.delivered + snap.consumed > 0,
@@ -571,7 +574,10 @@ mod tests {
     /// Both engines publish into one registry (the benchmark `Env`
     /// shares it): a snapshot sums its own engine's gauges by metric
     /// name and attributes queue depth by the `node` label, and neither
-    /// the other engine's levels nor job-labeled facts leak in.
+    /// the other engine's levels nor job-labeled facts leak in. A node
+    /// runtime awaiting its device counts with the busy workers — it
+    /// is progress (`busy_workers_count_as_progress`) for its own
+    /// engine only.
     #[test]
     fn capture_counts_only_its_own_engines_gauges() {
         use hamr_trace::{Labels, MetricsRegistry};
@@ -586,6 +592,7 @@ mod tests {
         hamr.gauge("deferred_bins", node(0)).set(2);
         hamr.gauge("deferred_bins", node(1)).set(3);
         hamr.gauge("workers_busy", node(1)).set(1);
+        hamr.gauge("splits_awaiting_read", node(0)).set(1);
         hamr.gauge("queue_depth", node(1).flowlet(0)).set(4);
         hamr.gauge("queue_depth", node(1).flowlet(2)).set(1);
         hamr.gauge("queue_depth", node(7)).set(6); // no such node
@@ -597,7 +604,7 @@ mod tests {
             .gauge("queue_depth", node(0).engine("hamr").job("earlier"))
             .set(50);
         let snap = EpochSnapshot::capture(&hamr, 2);
-        assert_eq!((snap.deferred, snap.busy, snap.queued), (5, 1, 11));
+        assert_eq!((snap.deferred, snap.busy, snap.queued), (5, 2, 11));
         assert_eq!(snap.queued_by_node, [0, 5]);
         let snap = EpochSnapshot::capture(&mapred, 2);
         assert_eq!((snap.deferred, snap.busy, snap.queued), (50, 50, 50));

@@ -1,15 +1,19 @@
-//! Loader read-ahead, seen from outside the engine: a split's disk read
-//! is issued when the split is admitted — the next split's with it — so
-//! the device works while a worker computes. Every assertion is on the
-//! *order* of trace events or on counters, never on wall time, so a
-//! noisy host cannot fail it.
+//! Loader read-ahead and the firing rule for sources, seen from outside
+//! the engine: a split's disk read is submitted when the split could be
+//! admitted — the next split's with it — and the split is dispatched
+//! when that read has completed, so the device works while a worker
+//! computes and no worker ever sleeps on the device. Every assertion is
+//! on the *order* of trace events, on instants the engine itself handed
+//! out, or on counters — never on a wall-time threshold.
 
 use hamr_core::{
-    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, RunOptions, SchedMode,
+    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, Loader, RunOptions, SchedMode,
+    TaskContext,
 };
 use hamr_dfs::{Dfs, DfsConfig};
 use hamr_simdisk::{Disk, DiskConfig, DiskMetrics};
 use hamr_trace::{EventKind, TaskKind, TraceEvent, TraceSink, Tracer};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -20,6 +24,12 @@ const LINE_BYTES: usize = 1000; // with its newline
 const INPUT: &str = "in.txt";
 /// `LOADER_CONCURRENCY` + 1: the admitted splits plus the one ahead.
 const MAX_OUTSTANDING: usize = 3;
+
+/// Both execution backends; the seed picks one replay order.
+const SCHEDS: [SchedMode; 2] = [
+    SchedMode::WorkStealing,
+    SchedMode::Deterministic { seed: 11 },
+];
 
 /// Keeps events in the order `record` was called: one total order
 /// across threads, where the ring sink only has per-lane order.
@@ -32,11 +42,46 @@ impl TraceSink for OrderSink {
     }
 }
 
-/// Two 1 MB/s disks (10 ms per 10 KB block) under a DFS that spreads
-/// sixteen unreplicated blocks round-robin: eight splits per node.
-fn substrates() -> (Vec<Disk>, Dfs) {
+/// The DFS line loader with a clock on both sides of the firing rule:
+/// what `prepare(k)` answered and when `load(k)` began, by (node, split).
+struct Clocked {
+    inner: typed::DfsLineLoader,
+    ready_at: Mutex<HashMap<(usize, usize), Option<Instant>>>,
+    loaded_at: Mutex<HashMap<(usize, usize), Instant>>,
+}
+
+impl Loader for Clocked {
+    fn split_count(&self, ctx: &TaskContext) -> usize {
+        self.inner.split_count(ctx)
+    }
+    fn prepare(&self, ctx: &TaskContext, index: usize) -> Option<Instant> {
+        let ready_at = self.inner.prepare(ctx, index);
+        let earlier = self
+            .ready_at
+            .lock()
+            .unwrap()
+            .insert((ctx.node, index), ready_at);
+        assert!(earlier.is_none(), "split {index} prepared twice");
+        ready_at
+    }
+    fn load(&self, ctx: &TaskContext, index: usize, out: &mut Emitter) {
+        let now = Instant::now();
+        self.loaded_at
+            .lock()
+            .unwrap()
+            .insert((ctx.node, index), now);
+        self.inner.load(ctx, index, out)
+    }
+}
+
+const BANDWIDTH: u64 = 1_000_000;
+
+/// Two disks of `bandwidth` bytes/s (10 ms per 10 KB block at 1 MB/s)
+/// under a DFS that spreads sixteen unreplicated blocks round-robin:
+/// eight splits per node.
+fn substrates(bandwidth: u64) -> (Vec<Disk>, Dfs) {
     let disks: Vec<Disk> = (0..NODES)
-        .map(|_| Disk::new(DiskConfig::modeled(1_000_000, Duration::ZERO)))
+        .map(|_| Disk::new(DiskConfig::modeled(bandwidth, Duration::ZERO)))
         .collect();
     let dfs = Dfs::new(
         disks.clone(),
@@ -60,11 +105,24 @@ fn cluster(disks: &[Disk], dfs: &Dfs, sched: SchedMode) -> Cluster {
     Cluster::with_substrates(config, disks.to_vec(), dfs.clone())
 }
 
+/// What one run of the job left behind.
+struct Run {
+    output: Vec<(u64, u64)>,
+    /// Σ time workers spent inside `LoaderSplit` tasks, both nodes.
+    loader_busy: Duration,
+    clocks: Arc<Clocked>,
+}
+
 /// Line → (line number mod 7, 1), after a fixed 200 µs of CPU per
 /// record (2 ms per block against 10 ms of device time), summed.
-fn run(cluster: &Cluster, tracer: Tracer) -> Vec<(u64, u64)> {
+fn run(cluster: &Cluster, tracer: Tracer) -> Run {
+    let clocks = Arc::new(Clocked {
+        inner: typed::dfs_line_loader(INPUT),
+        ready_at: Mutex::default(),
+        loaded_at: Mutex::default(),
+    });
     let mut job = JobBuilder::new("read-ahead");
-    let loader = job.add_loader("text", typed::dfs_line_loader(INPUT));
+    let loader = job.add_loader("text", Arc::clone(&clocks));
     let map = job.add_map(
         "burn",
         typed::map_fn(|_offset: u64, line: String, out: &mut Emitter| {
@@ -85,9 +143,13 @@ fn run(cluster: &Cluster, tracer: Tracer) -> Vec<(u64, u64)> {
         ..Default::default()
     };
     let result = cluster.run_with(job.build().unwrap(), &opts).unwrap();
-    let mut out = result.typed_output::<u64, u64>(sum);
-    out.sort();
-    out
+    let mut output = result.typed_output::<u64, u64>(sum);
+    output.sort();
+    Run {
+        output,
+        loader_busy: result.metrics.flowlets[&loader].busy,
+        clocks,
+    }
 }
 
 fn read_delta(after: DiskMetrics, before: DiskMetrics) -> (u64, u64) {
@@ -97,17 +159,20 @@ fn read_delta(after: DiskMetrics, before: DiskMetrics) -> (u64, u64) {
     )
 }
 
+/// Exactly the demand-read counts: each of a node's blocks once.
+const READS_PER_NODE: (u64, u64) = (
+    (BLOCKS / NODES) as u64,
+    (BLOCKS / NODES * LINES_PER_BLOCK * LINE_BYTES) as u64,
+);
+
 #[test]
 fn every_split_is_read_ahead_of_the_worker_and_counted_once() {
-    let (disks, dfs) = substrates();
-    for sched in [
-        SchedMode::WorkStealing,
-        SchedMode::Deterministic { seed: 11 },
-    ] {
+    let (disks, dfs) = substrates(BANDWIDTH);
+    for sched in SCHEDS {
         let cluster = cluster(&disks, &dfs, sched);
         let sink = Arc::new(OrderSink::default());
         let before: Vec<DiskMetrics> = disks.iter().map(Disk::metrics).collect();
-        run(&cluster, Tracer::new(sink.clone()));
+        let ran = run(&cluster, Tracer::new(sink.clone()));
         let events = sink.0.lock().unwrap();
         for node in 0..NODES {
             let splits = BLOCKS / NODES;
@@ -139,14 +204,71 @@ fn every_split_is_read_ahead_of_the_worker_and_counted_once() {
                 }
             }
             assert_eq!((submitted, ended), (splits, splits), "{sched:?}");
-            // Exactly the demand-read counts: each block once.
             assert_eq!(
                 read_delta(disks[node].metrics(), before[node]),
-                (
-                    splits as u64,
-                    (splits * LINES_PER_BLOCK * LINE_BYTES) as u64
-                ),
+                READS_PER_NODE,
                 "{sched:?} node {node}"
+            );
+        }
+
+        // The firing rule, exact: no `load` began before the instant
+        // its `prepare` named, so none slept on the device.
+        let ready_at = ran.clocks.ready_at.lock().unwrap();
+        let loaded_at = ran.clocks.loaded_at.lock().unwrap();
+        assert_eq!((ready_at.len(), loaded_at.len()), (BLOCKS, BLOCKS));
+        for (split, loaded) in loaded_at.iter() {
+            let ready = ready_at[split].expect("a modeled disk books every read");
+            assert!(
+                *loaded >= ready,
+                "{sched:?} (node, split) {split:?}: loaded {:?} before its block",
+                ready - *loaded
+            );
+        }
+        // ... and what the loader's tasks cost is their CPU, a small
+        // part of the device time their blocks took (all of it when a
+        // split is dispatched at admission).
+        let read: u64 = (0..NODES)
+            .map(|n| read_delta(disks[n].metrics(), before[n]).1)
+            .sum();
+        let device = Duration::from_secs_f64(read as f64 / BANDWIDTH as f64);
+        assert!(
+            ran.loader_busy < device / 2,
+            "{sched:?}: {:?} inside loader tasks for {device:?} of device time",
+            ran.loader_busy
+        );
+    }
+}
+
+/// On a one-worker node the worker is free while block 1 is on the
+/// device, so it maps block 0's bins: the first map task starts before
+/// the second split does. Dispatched at admission, split 1 would be
+/// ahead of them in the queue and the worker asleep inside it. Blocks
+/// take 40 ms here, so only a runtime thread held up for that long
+/// between two pumps could reorder the two starts.
+#[test]
+fn the_worker_maps_a_block_while_the_next_one_is_read() {
+    let (disks, dfs) = substrates(BANDWIDTH / 4);
+    for sched in SCHEDS {
+        let sink = Arc::new(OrderSink::default());
+        run(&cluster(&disks, &dfs, sched), Tracer::new(sink.clone()));
+        let events = sink.0.lock().unwrap();
+        for node in 0..NODES {
+            let starts: Vec<TaskKind> = events
+                .iter()
+                .filter(|e| e.node as usize == node)
+                .filter_map(|e| match e.kind {
+                    EventKind::TaskStart {
+                        task: task @ (TaskKind::LoaderSplit | TaskKind::MapBin),
+                        ..
+                    } => Some(task),
+                    _ => None,
+                })
+                .take(2)
+                .collect();
+            assert_eq!(
+                starts,
+                [TaskKind::LoaderSplit, TaskKind::MapBin],
+                "{sched:?} node {node}: split 1 started before any map bin"
             );
         }
     }
@@ -154,15 +276,25 @@ fn every_split_is_read_ahead_of_the_worker_and_counted_once() {
 
 #[test]
 fn output_is_the_same_under_every_scheduler() {
-    let (disks, dfs) = substrates();
+    let (disks, dfs) = substrates(BANDWIDTH);
     let reference = run(
         &cluster(&disks, &dfs, SchedMode::WorkStealing),
         Tracer::disabled(),
-    );
+    )
+    .output;
     let total: u64 = reference.iter().map(|(_, n)| n).sum();
     assert_eq!(total as usize, BLOCKS * LINES_PER_BLOCK);
     for seed in [1, 2015, 7] {
         let det = cluster(&disks, &dfs, SchedMode::Deterministic { seed });
-        assert_eq!(run(&det, Tracer::disabled()), reference, "seed {seed}");
+        let before: Vec<DiskMetrics> = disks.iter().map(Disk::metrics).collect();
+        assert_eq!(
+            run(&det, Tracer::disabled()).output,
+            reference,
+            "seed {seed}"
+        );
+        for node in 0..NODES {
+            let reads = read_delta(disks[node].metrics(), before[node]);
+            assert_eq!(reads, READS_PER_NODE, "seed {seed} node {node}");
+        }
     }
 }

@@ -521,6 +521,7 @@ fn an_aborted_jobs_gauges_never_reach_the_next_job() {
     for gauge in [
         "deferred_bins",
         "workers_busy",
+        "splits_awaiting_read",
         "queue_depth",
         "pending_bin_bytes",
     ] {
@@ -537,7 +538,7 @@ impl Loader for PreparedNeverLoaded {
     fn split_count(&self, ctx: &TaskContext) -> usize {
         self.0.split_count(ctx)
     }
-    fn prepare(&self, ctx: &TaskContext, index: usize) {
+    fn prepare(&self, ctx: &TaskContext, index: usize) -> Option<Instant> {
         self.0.prepare(ctx, index)
     }
     fn load(&self, _ctx: &TaskContext, index: usize, _out: &mut Emitter) {
@@ -545,12 +546,14 @@ impl Loader for PreparedNeverLoaded {
     }
 }
 
-#[test]
-fn a_read_ahead_never_outlives_its_job() {
-    // Two 1 MB/s disks, one worker per node, eight unreplicated 30 KB
-    // blocks: four splits and 4 x 30 ms of device time per node.
-    let block = Duration::from_millis(30);
+/// Two 1 MB/s disks, one worker per node, eight unreplicated 30 KB
+/// blocks of `in.txt`: four splits and 4 x 30 ms of device time per
+/// node.
+const BLOCK: Duration = Duration::from_millis(30);
+
+fn cluster_on_modeled_disks(fault: FaultInjection) -> Cluster {
     let mut config = ClusterConfig::local(2, 1);
+    config.runtime.fault = fault;
     config.disk = hamr_simdisk::DiskConfig::modeled(1_000_000, Duration::ZERO);
     config.dfs = hamr_dfs::DfsConfig {
         block_size: 30_000,
@@ -562,39 +565,29 @@ fn a_read_ahead_never_outlives_its_job() {
         w.write_line(&format!("{:0>999}", i % 5));
     }
     w.seal().unwrap();
-    let job = |loader: Arc<dyn Loader>| {
-        let mut job = JobBuilder::new("read-ahead-abort");
-        let loader = job.add_loader("text", loader);
-        let key = job.add_map(
-            "key",
-            typed::map_fn(|_offset: u64, line: String, out: &mut Emitter| {
-                out.emit_t(0, &line.trim_start_matches('0').to_string(), &1u64);
-            }),
-        );
-        let sum = job.add_partial_reduce("sum", typed::sum_reducer::<String>());
-        job.connect(loader, key, Exchange::Local);
-        job.connect(key, sum, Exchange::Hash);
-        job.capture_output(sum);
-        job.build().unwrap()
-    };
+    cluster
+}
 
-    // Job 1 dies between `prepare` and `load`: up to three blocks per
-    // node are booked on the device and nobody reads them.
-    let failed = cluster.run(job(Arc::new(PreparedNeverLoaded(typed::dfs_line_loader(
-        "in.txt",
-    )))));
-    assert!(
-        matches!(failed, Err(RunError::NodePanic { .. })),
-        "{failed:?}"
+/// Count the lines of `in.txt` by their number, read through `loader`.
+fn count_lines(loader: Arc<dyn Loader>) -> JobGraph {
+    let mut job = JobBuilder::new("read-ahead-abort");
+    let loader = job.add_loader("text", loader);
+    let key = job.add_map(
+        "key",
+        typed::map_fn(|_offset: u64, line: String, out: &mut Emitter| {
+            out.emit_t(0, &line.trim_start_matches('0').to_string(), &1u64);
+        }),
     );
-    // Long enough for the abandoned reads to have completed: a booking
-    // that survived would now serve job 2 for free.
-    std::thread::sleep(4 * block);
+    let sum = job.add_partial_reduce("sum", typed::sum_reducer::<String>());
+    job.connect(loader, key, Exchange::Local);
+    job.connect(key, sum, Exchange::Hash);
+    job.capture_output(sum);
+    job.build().unwrap()
+}
 
-    // Job 2, supervised by a watchdog whose whole patience (15 ms) is
-    // shorter than one block: a worker waiting for its read-ahead is a
-    // busy worker, not a hang.
-    let sup = Supervision {
+/// A watchdog whose whole patience (15 ms) is shorter than one block.
+fn impatient() -> Supervision {
+    Supervision {
         watchdog: WatchdogConfig {
             epoch: Duration::from_millis(5),
             patience: 3,
@@ -602,13 +595,36 @@ fn a_read_ahead_never_outlives_its_job() {
             ..Default::default()
         },
         doctor_dir: None,
-    };
+    }
+}
+
+#[test]
+fn a_read_ahead_never_outlives_its_job() {
+    let cluster = cluster_on_modeled_disks(FaultInjection::None);
+
+    // Job 1 dies between `prepare` and `load`: up to three blocks per
+    // node are booked on the device and nobody reads them.
+    let failed = cluster.run(count_lines(Arc::new(PreparedNeverLoaded(
+        typed::dfs_line_loader("in.txt"),
+    ))));
+    assert!(
+        matches!(failed, Err(RunError::NodePanic { .. })),
+        "{failed:?}"
+    );
+    // Long enough for the abandoned reads to have completed: a booking
+    // that survived would now serve job 2 for free.
+    std::thread::sleep(4 * BLOCK);
+
+    // Job 2, under the impatient watchdog. A split is dispatched when
+    // its block has arrived, so for most of the job no worker is busy
+    // and no bin moves — the node's runtime is waiting for its device,
+    // and that is progress, not a hang.
     let reads_before: Vec<u64> = (0..2).map(|n| cluster.disk(n).metrics().read_ops).collect();
     let start = Instant::now();
     let result = cluster
         .run_with(
-            job(Arc::new(typed::dfs_line_loader("in.txt"))),
-            &supervised(sup),
+            count_lines(Arc::new(typed::dfs_line_loader("in.txt"))),
+            &supervised(impatient()),
         )
         .expect("the second job is healthy");
     let wall = start.elapsed();
@@ -620,13 +636,44 @@ fn a_read_ahead_never_outlives_its_job() {
     assert_eq!(sorted_counts(&result), expected);
     // Every block was charged in full: a node's four reads cannot end
     // before four blocks of device time have passed.
-    assert!(wall >= 4 * block, "a stale booking served a read: {wall:?}");
+    assert!(wall >= 4 * BLOCK, "a stale booking served a read: {wall:?}");
     for (node, before) in reads_before.iter().enumerate() {
         assert_eq!(cluster.disk(node).metrics().read_ops - before, 4);
     }
     assert!(
         cluster.watchdog_events().is_empty(),
-        "a worker waiting on its read is not an incident: {:?}",
+        "a runtime awaiting the read it submitted is not an incident: {:?}",
         cluster.watchdog_events()
+    );
+    assert_eq!(
+        gauge_total(cluster.registry(), "splits_awaiting_read", None),
+        0
+    );
+}
+
+/// The other half: awaiting a device counts as progress only while the
+/// device works. Node 1 swallows its completion broadcasts, so the job
+/// wedges once the last block is mapped; the same impatient watchdog
+/// that sat through every 30 ms read must then call the hang.
+#[test]
+fn a_completed_read_does_not_mask_a_lost_completion() {
+    let cluster = cluster_on_modeled_disks(FaultInjection::SwallowEdgeComplete { node: 1 });
+    let err = cluster
+        .run_with(
+            count_lines(Arc::new(typed::dfs_line_loader("in.txt"))),
+            &supervised(impatient()),
+        )
+        .expect_err("a swallowed EdgeComplete must not complete");
+    let RunError::Watchdog { class, detail, .. } = err else {
+        panic!("expected a watchdog abort, got: {err}");
+    };
+    assert_eq!(class, WatchdogClass::Hang, "detail: {detail}");
+    // It tripped after the reads, not during one: every block was read.
+    for node in 0..2 {
+        assert_eq!(cluster.disk(node).metrics().read_ops, 4, "node {node}");
+    }
+    assert_eq!(
+        gauge_total(cluster.registry(), "splits_awaiting_read", None),
+        0
     );
 }

@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Node index within the cluster, matching `hamr_simnet::NodeId`.
 pub type NodeId = usize;
@@ -271,13 +272,19 @@ impl Dfs {
 
     /// Submit now the disk read that the same
     /// [`read_block`](Dfs::read_block) call will wait for, so the
-    /// device works while the caller finishes something else (see
+    /// device works while the caller finishes something else, and
+    /// return when the block will be in memory (see
     /// [`Disk::read_ahead`]). Advisory: a missing file or block is a
-    /// no-op here and an error from the read.
-    pub fn read_ahead(&self, path: &str, block_index: usize, prefer: Option<NodeId>) {
-        if let Ok((node, id)) = self.locate(path, block_index, prefer) {
-            self.inner.disks[node].read_ahead(&BlockMeta::disk_name(id));
-        }
+    /// no-op here (`None`, as on an instant disk) and an error from the
+    /// read.
+    pub fn read_ahead(
+        &self,
+        path: &str,
+        block_index: usize,
+        prefer: Option<NodeId>,
+    ) -> Option<Instant> {
+        let (node, id) = self.locate(path, block_index, prefer).ok()?;
+        self.inner.disks[node].read_ahead(&BlockMeta::disk_name(id))
     }
 
     /// Delete a file and all its block replicas.
@@ -524,9 +531,10 @@ mod tests {
             w.seal().unwrap();
         }
         let start = Instant::now();
-        dfs.read_ahead("f", 0, Some(1));
-        dfs.read_ahead("f", 9, None); // no such block: a no-op
-        dfs.read_ahead("nope", 0, None);
+        let ready_at = dfs.read_ahead("f", 0, Some(1)).expect("booked");
+        assert!(ready_at >= start + Duration::from_millis(30));
+        assert_eq!(dfs.read_ahead("f", 9, None), None, "no such block");
+        assert_eq!(dfs.read_ahead("nope", 0, None), None);
         // The booking occupies node 1's spindle: a demand read there
         // queues behind it; node 0's disk was never asked.
         dfs.read_block("g", 0, Some(1)).unwrap();

@@ -22,10 +22,13 @@
 //! so concurrent tasks on one node contend for their disk exactly as
 //! Hadoop's map spills contend for a real spindle. Writes and demand
 //! reads submit and complete in one call. [`Disk::read_ahead`] only
-//! submits, and the [`Disk::read_all`] that follows only completes: it
-//! waits for what is left of `ready_at`, so a caller that had other work
-//! to do meanwhile never sleeps on the device — asynchronous completion
-//! without an IO thread, because the device is a timeline, not a thread.
+//! submits and returns `ready_at`, and the [`Disk::read_all`] that
+//! follows only completes: it waits for what is left of `ready_at`, so
+//! a caller that had other work to do meanwhile — or a scheduler that
+//! holds the reader back until `ready_at` — never sleeps on the device.
+//! Asynchronous completion without an IO thread or a callback, because
+//! the device is a timeline, not a thread: when a read will be done is
+//! known the moment it is submitted.
 //! A booking holds no memory: the "read-ahead buffer" is the `Arc` the
 //! RAM-backed disk already holds, handed out at completion (a real
 //! engine would hold one block per loader per node). Writes stay
@@ -333,26 +336,32 @@ impl Disk {
     }
 
     /// Submit the read of a whole file now, for a
-    /// [`read_all`](Disk::read_all) that will come: the device works
-    /// while the caller does something else. Advisory — a file that
-    /// does not exist, one already booked, and an instant disk are all
-    /// no-ops; the read itself reports errors. The bytes stay where
-    /// they are (the disk's own `Arc`), so a booking holds no memory.
-    pub fn read_ahead(&self, name: &str) {
+    /// [`read_all`](Disk::read_all) that will come, and say when the
+    /// device will have finished it: the device works while the caller
+    /// does something else, and the caller knows when to come back.
+    /// Advisory — a file that does not exist and an instant disk are
+    /// no-ops that return `None` (nothing to wait for; the read itself
+    /// reports errors), and a file already booked keeps its booking and
+    /// returns that instant. The bytes stay where they are (the disk's
+    /// own `Arc`), so a booking holds no memory, and only `read_all`
+    /// hands them out — after waiting for whatever is left.
+    pub fn read_ahead(&self, name: &str) -> Option<Instant> {
         if self.inner.config.is_instant() {
-            return;
+            return None;
         }
-        let Ok(len) = self.len(name) else { return };
-        {
+        let len = self.len(name).ok()?;
+        let ready_at = {
             let mut bookings = self.inner.bookings.lock();
-            if bookings.contains_key(name) {
-                return;
+            if let Some(&booked) = bookings.get(name) {
+                return Some(booked);
             }
             let ready_at = self.inner.throttle.reserve(self.io_time(len));
             bookings.insert(name.to_string(), ready_at);
-        }
+            ready_at
+        };
         // Outside the lock: a trace sink may itself use this disk.
         self.trace_read(len);
+        Some(ready_at)
     }
 
     /// Forget every read-ahead nobody consumed. Drivers call this when
@@ -762,8 +771,8 @@ mod tests {
     fn read_ahead_books_without_sleeping_or_counting() {
         let (disk, block) = booked_disk();
         let before = Instant::now();
-        disk.read_ahead("a");
-        let ready_at = booking(&disk, "a").expect("booked");
+        let ready_at = disk.read_ahead("a").expect("booked");
+        assert_eq!(booking(&disk, "a"), Some(ready_at));
         assert!(ready_at >= before + block);
         assert_eq!(timeline_end(&disk), ready_at);
         assert_eq!(disk.metrics().read_ops, 0, "counted at completion");
@@ -805,12 +814,11 @@ mod tests {
     }
 
     #[test]
-    fn second_read_ahead_of_a_booked_file_is_a_no_op() {
+    fn second_read_ahead_of_a_booked_file_returns_the_first_booking() {
         let (disk, _) = booked_disk();
-        disk.read_ahead("a");
-        let ready_at = booking(&disk, "a").unwrap();
-        disk.read_ahead("a");
-        disk.read_ahead("missing");
+        let ready_at = disk.read_ahead("a").unwrap();
+        assert_eq!(disk.read_ahead("a"), Some(ready_at));
+        assert_eq!(disk.read_ahead("missing"), None);
         assert_eq!(booking(&disk, "a"), Some(ready_at));
         assert_eq!(timeline_end(&disk), ready_at);
         assert_eq!(disk.inner.bookings.lock().len(), 1);
@@ -846,7 +854,7 @@ mod tests {
     fn instant_disk_never_books() {
         let disk = Disk::new(DiskConfig::instant());
         disk.write_all("a", &[0u8; 100]).unwrap();
-        disk.read_ahead("a");
+        assert_eq!(disk.read_ahead("a"), None);
         disk.read_all("a").unwrap();
         disk.delete("a");
         assert_eq!(disk.inner.bookings.lock().capacity(), 0);

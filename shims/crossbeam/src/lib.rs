@@ -203,6 +203,22 @@ pub mod channel {
     pub use crate::select;
 }
 
+/// Longest [`select!`] sleeps between two polls of its receivers.
+const POLL_INTERVAL: std::time::Duration = std::time::Duration::from_micros(500);
+
+/// How long [`select!`] sleeps before its next poll, `None` once the
+/// deadline has come: a poll interval, cut short where the deadline is
+/// nearer, so the default arm fires at its deadline and not up to an
+/// interval after it.
+#[doc(hidden)]
+pub fn poll_sleep(
+    now: std::time::Instant,
+    deadline: std::time::Instant,
+) -> Option<std::time::Duration> {
+    let left = deadline.saturating_duration_since(now);
+    (!left.is_zero()).then(|| left.min(POLL_INTERVAL))
+}
+
 /// Polling `select!` over two receivers plus a `default(timeout)` arm.
 ///
 /// Matches crossbeam semantics for this shape: a disconnected receiver
@@ -233,11 +249,13 @@ macro_rules! select {
                     break;
                 }
             }
-            if ::std::time::Instant::now() >= __deadline {
-                $hd
-                break;
+            match $crate::poll_sleep(::std::time::Instant::now(), __deadline) {
+                ::std::option::Option::Some(__nap) => ::std::thread::sleep(__nap),
+                ::std::option::Option::None => {
+                    $hd
+                    break;
+                }
             }
-            ::std::thread::sleep(::std::time::Duration::from_micros(500));
         }
     }};
 }
@@ -315,6 +333,20 @@ mod tests {
         thread::sleep(Duration::from_millis(10));
         tx.send(42).unwrap();
         assert_eq!(t.join().unwrap(), Ok(42));
+    }
+
+    #[test]
+    fn a_poll_never_sleeps_past_the_deadline() {
+        use std::time::Instant;
+        let now = Instant::now();
+        let us = Duration::from_micros;
+        assert_eq!(crate::poll_sleep(now, now + us(20_000)), Some(us(500)));
+        assert_eq!(crate::poll_sleep(now, now + us(500)), Some(us(500)));
+        assert_eq!(crate::poll_sleep(now, now + us(100)), Some(us(100)));
+        // At or past the deadline there is nothing to sleep for:
+        // `default(Duration::ZERO)` fires on the first pass.
+        assert_eq!(crate::poll_sleep(now, now), None);
+        assert_eq!(crate::poll_sleep(now + us(1), now), None);
     }
 
     #[test]

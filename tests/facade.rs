@@ -174,6 +174,57 @@ fn streaming_and_batch_compose_via_facade() {
     assert_eq!(total, 4);
 }
 
+/// Bandwidth of the modeled disks in the two device tests below.
+const DISK_BANDWIDTH: u64 = 1_000_000;
+
+/// Two one-worker nodes over `disk`s holding `in.txt`: 20 unreplicated
+/// blocks of 15 lines, 20 ms of a modeled disk's time each.
+fn cluster_with_input_on(disk: hamr::simdisk::DiskConfig) -> Cluster {
+    let mut config = ClusterConfig::local(2, 1);
+    config.disk = disk;
+    config.dfs = hamr::dfs::DfsConfig {
+        block_size: 20_000,
+        replication: 1,
+    };
+    let cluster = Cluster::new(config);
+    let mut w = cluster.dfs().create("in.txt").unwrap();
+    for i in 0..20 * 15 {
+        w.write_line(&format!("{i:0>1332}"));
+    }
+    w.seal().unwrap();
+    cluster
+}
+
+/// Count `in.txt`'s lines after `burn` of CPU on each. Returns the
+/// job's wall and the time workers spent inside loader tasks.
+fn count_lines(
+    cluster: &Cluster,
+    burn: std::time::Duration,
+) -> (std::time::Duration, std::time::Duration) {
+    use std::time::Instant;
+    let mut job = JobBuilder::new("overlap");
+    let loader = job.add_loader("text", typed::dfs_line_loader("in.txt"));
+    let map = job.add_map(
+        "burn",
+        typed::map_fn(move |_offset: u64, _line: String, out: &mut Emitter| {
+            let start = Instant::now();
+            while start.elapsed() < burn {
+                std::hint::spin_loop();
+            }
+            out.emit_t(0, &0u64, &1u64);
+        }),
+    );
+    let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
+    job.connect(loader, map, Exchange::Local);
+    job.connect(map, sum, Exchange::Hash);
+    job.capture_output(sum);
+    let start = Instant::now();
+    let result = cluster.run(job.build().unwrap()).unwrap();
+    let wall = start.elapsed();
+    assert_eq!(result.typed_output::<u64, u64>(sum), vec![(0, 300)]);
+    (wall, result.metrics.flowlets[&loader].busy)
+}
+
 /// Device time and CPU time overlap: a loader split's disk read is on
 /// the device while the node's one worker computes on the previous
 /// split, so the job's wall is below the two laid end to end. Both
@@ -184,62 +235,43 @@ fn streaming_and_batch_compose_via_facade() {
 #[test]
 fn device_time_and_cpu_time_overlap() {
     use hamr::simdisk::DiskConfig;
-    use std::time::{Duration, Instant};
-    const BANDWIDTH: u64 = 1_000_000;
-    // 20 blocks of 15 lines: 20 ms of device and 15 ms of CPU each.
-    let cluster_on = |disk: DiskConfig| {
-        let mut config = ClusterConfig::local(2, 1);
-        config.disk = disk;
-        config.dfs = hamr::dfs::DfsConfig {
-            block_size: 20_000,
-            replication: 1,
-        };
-        let cluster = Cluster::new(config);
-        let mut w = cluster.dfs().create("in.txt").unwrap();
-        for i in 0..20 * 15 {
-            w.write_line(&format!("{i:0>1332}"));
-        }
-        w.seal().unwrap();
-        cluster
-    };
-    let wall_of = |cluster: &Cluster| {
-        let mut job = JobBuilder::new("overlap");
-        let loader = job.add_loader("text", typed::dfs_line_loader("in.txt"));
-        let burn = job.add_map(
-            "burn",
-            typed::map_fn(|_offset: u64, _line: String, out: &mut Emitter| {
-                let start = Instant::now();
-                while start.elapsed() < Duration::from_millis(1) {
-                    std::hint::spin_loop();
-                }
-                out.emit_t(0, &0u64, &1u64);
-            }),
-        );
-        let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
-        job.connect(loader, burn, Exchange::Local);
-        job.connect(burn, sum, Exchange::Hash);
-        job.capture_output(sum);
-        let start = Instant::now();
-        let result = cluster.run(job.build().unwrap()).unwrap();
-        let wall = start.elapsed();
-        assert_eq!(result.typed_output::<u64, u64>(sum), vec![(0, 300)]);
-        wall
-    };
-    let modeled = cluster_on(DiskConfig::modeled(BANDWIDTH, Duration::ZERO));
-    let instant = cluster_on(DiskConfig::instant());
+    use std::time::Duration;
+    // 15 ms of CPU for each block's 20 ms of device.
+    let burn = Duration::from_millis(1);
+    let modeled = cluster_with_input_on(DiskConfig::modeled(DISK_BANDWIDTH, Duration::ZERO));
+    let instant = cluster_with_input_on(DiskConfig::instant());
     let read_before = modeled.disk(0).metrics().bytes_read;
     let (mut wall, mut cpu) = (Duration::MAX, Duration::MAX);
     for _ in 0..5 {
-        wall = wall.min(wall_of(&modeled));
-        cpu = cpu.min(wall_of(&instant));
+        wall = wall.min(count_lines(&modeled, burn).0);
+        cpu = cpu.min(count_lines(&instant, burn).0);
     }
     let read = modeled.disk(0).metrics().bytes_read - read_before;
-    let device = Duration::from_secs_f64(read as f64 / 5.0 / BANDWIDTH as f64);
+    let device = Duration::from_secs_f64(read as f64 / 5.0 / DISK_BANDWIDTH as f64);
     assert!(device >= Duration::from_millis(190), "{device:?}");
     assert!(wall >= device, "one spindle: {wall:?} < {device:?}");
     assert!(
         wall < device + cpu,
         "no overlap: wall {wall:?} >= device {device:?} + cpu {cpu:?}"
+    );
+}
+
+/// A split fires when its block has arrived, so no worker sleeps on the
+/// device: what the loader's tasks cost is the CPU of parsing lines, a
+/// small part of the device time of the blocks they parsed. Dispatched
+/// at admission they would hold each node's only worker for all of it.
+#[test]
+fn no_worker_waits_for_the_device() {
+    use hamr::simdisk::DiskConfig;
+    use std::time::Duration;
+    let cluster = cluster_with_input_on(DiskConfig::modeled(DISK_BANDWIDTH, Duration::ZERO));
+    let (_, loader_busy) = count_lines(&cluster, Duration::ZERO);
+    let read: u64 = (0..2).map(|n| cluster.disk(n).metrics().bytes_read).sum();
+    let device = Duration::from_secs_f64(read as f64 / DISK_BANDWIDTH as f64);
+    assert!(device >= Duration::from_millis(380), "{device:?}");
+    assert!(
+        loader_busy < device / 2,
+        "{loader_busy:?} inside loader tasks for {device:?} of device time"
     );
 }
 
@@ -276,7 +308,12 @@ fn plain_run_publishes_live_gauges() {
     for node in 0..nodes {
         let on_node = || Labels::new().node(node);
         assert_eq!(gauge("workers", on_node()), threads as i64);
-        for level in ["workers_busy", "deferred_bins", "pending_bin_bytes"] {
+        for level in [
+            "workers_busy",
+            "splits_awaiting_read",
+            "deferred_bins",
+            "pending_bin_bytes",
+        ] {
             assert_eq!(gauge(level, on_node()), 0, "{level} on node {node}");
         }
         for flowlet in [loader, sum] {
