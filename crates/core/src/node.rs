@@ -33,6 +33,11 @@
 //!   messages propagate from the loaders downstream, one per
 //!   (edge, upstream-node) pair, ordered behind that node's bins by the
 //!   fabric's per-link FIFO.
+//! * A flowlet whose workers still hold partials in their combine
+//!   buffers when it has run its last producing task gets one more, the
+//!   **flush** task ([`Phase::FlushingCombine`]), which drains every
+//!   worker's buffers; the completion broadcast waits for its bins like
+//!   for any others.
 //!
 //! ## Flow control (paper §2 last ¶)
 //! A sliding window of `out_window_bins` unacknowledged bins per
@@ -49,12 +54,23 @@
 //! eventually drain. The window and deferred-queue state live in
 //! [`FlowControl`] (see `outbuf.rs`), shared between the runtime thread
 //! and (under work stealing) the workers.
+//!
+//! The same windows decide when in-node combine buffers empty. A
+//! buffer belongs to a worker and outlives its tasks; at a task's end
+//! it hands on, per destination, only what fits under
+//! [`COMBINE_LOW_WATER`] unacknowledged bins. While a link is saturated
+//! its producers therefore keep folding duplicates instead of queueing
+//! bins behind it — and never overflow the window, which would park
+//! bins in the deferred queue and suspend the flowlet — and an idle
+//! consumer, whose window is empty, is fed at every task end as if the
+//! buffer were the task's. What a buffer holds is bounded by
+//! [`COMBINE_BUDGET`], not by the window.
 
 use crate::config::{FaultInjection, RuntimeConfig, SchedMode};
 use crate::flowlet::{AccBox, TaskContext};
 use crate::graph::{EdgeId, FlowletId, FlowletKind};
 use crate::metrics::{FlowletMetrics, NodeMetrics};
-use crate::outbuf::{hashed_entries, FlowControl, TaskOutput};
+use crate::outbuf::{hashed_entries, CombineShelf, FlowControl, TaskOutput};
 use crate::plan::ExecPlan;
 use crate::record::{BinKind, FrameBin, Record};
 use crate::reduce_state::{FireShard, PartialState, ReduceState, SkewAbsorber};
@@ -177,6 +193,12 @@ enum Task {
         ack: Option<(NodeId, EdgeId)>,
         bin: FrameBin,
     },
+    /// Drain every worker's combine buffers for `flowlet`, which has
+    /// produced its last record: what they still hold ships ahead of
+    /// the flowlet's `EdgeComplete`.
+    FlushCombine {
+        flowlet: FlowletId,
+    },
 }
 
 impl Task {
@@ -189,7 +211,8 @@ impl Task {
             | Task::ReduceIngest { flowlet, .. }
             | Task::FireReduce { flowlet, .. }
             | Task::FirePartial { flowlet, .. }
-            | Task::SkewAbsorb { flowlet, .. } => *flowlet,
+            | Task::SkewAbsorb { flowlet, .. }
+            | Task::FlushCombine { flowlet } => *flowlet,
         }
     }
 
@@ -203,6 +226,7 @@ impl Task {
             Task::FireReduce { .. } => TaskKind::FireReduce,
             Task::FirePartial { .. } => TaskKind::FirePartial,
             Task::SkewAbsorb { .. } => TaskKind::SkewAbsorb,
+            Task::FlushCombine { .. } => TaskKind::FlushCombine,
         }
     }
 
@@ -257,6 +281,12 @@ struct WorkerShared {
     /// Per-*edge* absorbers for scattered hot-key records; `Some` only
     /// on scatter-eligible edges.
     absorbers: Vec<Option<Arc<SkewAbsorber>>>,
+    /// Outbound windows + deferred queue. Workers ship their own bins
+    /// through it, and a task's end reads its windows to decide how
+    /// much of its combine buffers to drain.
+    flow: Arc<FlowControl>,
+    /// Every worker's combine buffers, lent to the task it executes.
+    combine: CombineShelf,
     /// The job's tracer, ledger, registry and statistics plane.
     obs: Observe,
     /// Gauge: workers currently executing a task on this node.
@@ -300,7 +330,8 @@ impl WorkerShared {
 
 /// Run one task to completion. `sketches` is the calling worker's
 /// stock of hot-key sketches, lent to the task's output and returned
-/// cleared, so that a task allocates no sketch tables of its own.
+/// cleared, so that a task allocates no sketch tables of its own; the
+/// worker's combine buffers are lent the same way, off `shared.combine`.
 fn execute_task(
     shared: &WorkerShared,
     worker_id: usize,
@@ -321,7 +352,12 @@ fn execute_task(
         },
     );
     let is_loader_split = matches!(task, Task::LoaderSplit { .. });
-    let is_fire = matches!(task, Task::FireReduce { .. } | Task::FirePartial { .. });
+    // The flush task is the last of its flowlet's fire: `fire_left`
+    // counts it like a shard.
+    let is_fire = matches!(
+        task,
+        Task::FireReduce { .. } | Task::FirePartial { .. } | Task::FlushCombine { .. }
+    );
     let mut done = TaskDone {
         flowlet,
         bins: Vec::new(),
@@ -347,6 +383,7 @@ fn execute_task(
             worker_id as u32,
             &shared.obs,
             sketches,
+            &shared.combine,
         );
         let kind = &shared.plan.graph.flowlets[flowlet].kind;
         let mut records_in = 0u64;
@@ -448,9 +485,10 @@ fn execute_task(
                 absorbed = abs.fold(worker_id, &bin, combiner.as_ref());
                 ack_to = ack;
             }
+            Task::FlushCombine { .. } => out.flush_held(&shared.combine),
         }
         (
-            out.into_parts(sketches),
+            out.into_parts(sketches, &shared.combine, &shared.flow),
             records_in,
             ack_to,
             stream,
@@ -519,7 +557,6 @@ fn ws_worker_loop(
     worker: usize,
     shared: Arc<WorkerShared>,
     pool: Arc<Pool<Task>>,
-    flow: Arc<FlowControl>,
     endpoint: Endpoint<NetMsg>,
     done_tx: Sender<TaskDone>,
 ) {
@@ -541,7 +578,7 @@ fn ws_worker_loop(
                     );
                 }
                 let mut done = execute_task(&shared, worker, &mut sketches, task);
-                ship_done(&flow, &endpoint, lane, &mut done);
+                ship_done(&shared.flow, &endpoint, lane, &mut done);
                 if done_tx.send(done).is_err() {
                     return;
                 }
@@ -574,6 +611,9 @@ enum Phase {
     Redistributing,
     FiringReduce,
     FiringPartial,
+    /// The flowlet has produced its last record; one flush task is
+    /// draining what its workers' combine buffers still hold.
+    FlushingCombine,
     FlushingEpoch(u64),
     Complete,
 }
@@ -665,9 +705,6 @@ pub(crate) struct NodeRuntime {
     done_rx: Receiver<TaskDone>,
     shared: Arc<WorkerShared>,
     instances: Vec<Instance>,
-    /// Outbound windows + deferred queue, shared with workers under
-    /// work stealing.
-    flow: Arc<FlowControl>,
     outstanding: usize,
     captured: HashMap<FlowletId, Vec<Record>>,
     fmetrics: Vec<FlowletMetrics>,
@@ -698,6 +735,26 @@ const LOADER_CONCURRENCY: usize = 2;
 /// Max deferred (backpressured) bins per node before loaders stop
 /// admitting new splits.
 const DEFER_HIGH_WATER: usize = 64;
+
+/// Unacknowledged bins on an (edge, destination) at or above which a
+/// task's end leaves its combine buffers' partials for that destination
+/// where they are (never more than the window itself). Low, and the
+/// link idles between task ends; high, and every task ships its keys
+/// again instead of folding the next task's into them. The issue's
+/// prototype swept it on `wordcount_shuffle` (fastest / median ms of
+/// eight): 2 → 531 / 606, 4 → 515 / 524, 8 → 460 / 479, 16 → 468 / 476,
+/// 32 → 471 / 487, and on `wordcount_cpu` 8 → 162 / 211, 32 → 244 / 305;
+/// this code's own two passes (EXPERIMENTS.md "Node-level combining")
+/// put 32 last on both workloads and 8 first or within noise of it.
+pub(crate) const COMBINE_LOW_WATER: usize = 8;
+
+/// Bytes of arena and table one combine buffer may hold before a fold
+/// sheds its older half. With the low-water drain, on
+/// `wordcount_shuffle` (fastest / median ms of four): 256 KiB folds too
+/// little (527 / 577), 4 MiB holds a drain the flush then has to push
+/// through the window at once (534 / 542), 1 MiB gave 477–483 /
+/// 508–514.
+pub(crate) const COMBINE_BUDGET: usize = 1 << 20;
 
 /// Longest the runtime thread blocks with nothing to do before it
 /// looks again.
@@ -748,15 +805,6 @@ impl NodeRuntime {
             .iter()
             .map(|e| e.scatter.then(|| Arc::new(SkewAbsorber::new(threads))))
             .collect();
-        let shared = Arc::new(WorkerShared {
-            plan: Arc::clone(&plan),
-            ctx: ctx.clone(),
-            partial,
-            reduce,
-            obs: obs.clone(),
-            busy_gauge: obs.gauge("workers_busy", on_node()),
-            absorbers,
-        });
         let flow = Arc::new(FlowControl::new(
             node,
             nodes,
@@ -766,6 +814,17 @@ impl NodeRuntime {
             endpoint.clone(),
             obs,
         ));
+        let shared = Arc::new(WorkerShared {
+            plan: Arc::clone(&plan),
+            ctx: ctx.clone(),
+            partial,
+            reduce,
+            obs: obs.clone(),
+            busy_gauge: obs.gauge("workers_busy", on_node()),
+            absorbers,
+            flow,
+            combine: CombineShelf::new(node, threads, graph.edges.len(), obs),
+        });
         let queue_gauges = (0..graph.flowlets.len())
             .map(|f| obs.gauge("queue_depth", on_node().flowlet(f as u32)))
             .collect();
@@ -779,12 +838,11 @@ impl NodeRuntime {
                     .map(|w| {
                         let shared = Arc::clone(&shared);
                         let pool = Arc::clone(&pool);
-                        let flow = Arc::clone(&flow);
                         let endpoint = endpoint.clone();
                         let tx = done_tx.clone();
                         std::thread::Builder::new()
                             .name(format!("hamr-n{node}-w{w}"))
-                            .spawn(move || ws_worker_loop(w, shared, pool, flow, endpoint, tx))
+                            .spawn(move || ws_worker_loop(w, shared, pool, endpoint, tx))
                             .expect("spawn worker")
                     })
                     .collect();
@@ -865,7 +923,6 @@ impl NodeRuntime {
             done_rx,
             shared,
             instances,
-            flow,
             outstanding: 0,
             captured: HashMap::new(),
             fmetrics,
@@ -1014,8 +1071,12 @@ impl NodeRuntime {
             }
             Exec::Deterministic { .. } => {}
         }
+        // No task runs any more. A job that completed has drained its
+        // combine buffers; an aborted one drops what they hold with
+        // `shared`, and the ledger's combine row says how much.
+        self.shared.combine.retire();
         // Flow-control counters accumulated off the runtime thread.
-        self.flow.fold_into(&mut self.fmetrics);
+        self.shared.flow.fold_into(&mut self.fmetrics);
         self.nmetrics.busy = self.busy;
         self.nmetrics.elapsed = self.start.elapsed();
         NodeOutcome {
@@ -1052,7 +1113,7 @@ impl NodeRuntime {
             _ => return false,
         };
         let mut done = execute_task(&self.shared, worker, sketches, task);
-        ship_done(&self.flow, &self.endpoint, WORKER_RUNTIME, &mut done);
+        ship_done(&self.shared.flow, &self.endpoint, WORKER_RUNTIME, &mut done);
         self.handle_done(done);
         true
     }
@@ -1062,12 +1123,13 @@ impl NodeRuntime {
         for (id, inst) in self.instances.iter().enumerate() {
             if inst.phase != Phase::Complete {
                 parts.push(format!(
-                    "f{id}({}) phase={:?} pending={} running={} deferred={} complete_seen={}/{}",
+                    "f{id}({}) phase={:?} pending={} running={} deferred={} held={} complete_seen={}/{}",
                     self.plan.graph.flowlets[id].name,
                     inst.phase,
                     inst.pending.len(),
                     inst.running,
-                    self.flow.deferred_for(id),
+                    self.shared.flow.deferred_for(id),
+                    self.held_partials(id),
                     inst.complete_seen,
                     inst.input_expected,
                 ));
@@ -1076,7 +1138,7 @@ impl NodeRuntime {
         let mut inflight_nonzero = Vec::new();
         for edge in 0..self.plan.graph.edges.len() {
             for dst in 0..self.nodes {
-                let v = self.flow.inflight(edge, dst);
+                let v = self.shared.flow.inflight(edge, dst);
                 if v > 0 {
                     inflight_nonzero.push((edge, dst, v));
                 }
@@ -1086,9 +1148,17 @@ impl NodeRuntime {
             "outstanding={} inflight_nonzero={:?} deferred={} [{}]",
             self.outstanding,
             inflight_nonzero,
-            self.flow.total_deferred(),
+            self.shared.flow.total_deferred(),
             parts.join("; ")
         )
+    }
+
+    /// Partials of `f` parked in this node's shelved combine buffers.
+    fn held_partials(&self, f: FlowletId) -> usize {
+        let ports = self.plan.flowlets[f].ports.iter().filter(|p| p.hold);
+        ports
+            .map(|p| self.shared.combine.held_entries(p.edge))
+            .sum()
     }
 
     fn all_complete(&self) -> bool {
@@ -1146,7 +1216,7 @@ impl NodeRuntime {
                 {
                     return;
                 }
-                self.flow.on_ack(edge, env.from, WORKER_RUNTIME);
+                self.shared.flow.on_ack(edge, env.from, WORKER_RUNTIME);
             }
             NetMsg::Abort { reason } => {
                 self.error = Some(format!("aborted: {reason}"));
@@ -1280,8 +1350,8 @@ impl NodeRuntime {
             if inst.phase != Phase::Active
                 || inst.splits_next >= inst.splits_total
                 || inst.loader_running >= LOADER_CONCURRENCY
-                || self.flow.deferred_for(f) > 0
-                || self.flow.total_deferred() >= DEFER_HIGH_WATER
+                || self.shared.flow.deferred_for(f) > 0
+                || self.shared.flow.total_deferred() >= DEFER_HIGH_WATER
                 || !self.has_capacity()
             {
                 return;
@@ -1321,7 +1391,9 @@ impl NodeRuntime {
         let owed = {
             let inst = &self.instances[f];
             match inst.marker_owed {
-                Some(epoch) if inst.running == 0 && self.flow.deferred_for(f) == 0 => Some(epoch),
+                Some(epoch) if inst.running == 0 && self.shared.flow.deferred_for(f) == 0 => {
+                    Some(epoch)
+                }
                 Some(_) => return, // still flushing the epoch
                 None => None,
             }
@@ -1337,7 +1409,7 @@ impl NodeRuntime {
             inst.phase == Phase::Active
                 && !inst.stream_finished
                 && !inst.stream_task_out
-                && self.flow.deferred_for(f) == 0
+                && self.shared.flow.deferred_for(f) == 0
                 && self.has_capacity()
         };
         if can_start {
@@ -1373,7 +1445,7 @@ impl NodeRuntime {
                     Some(Work::Bin { .. }) => {
                         if barrier_hold {
                             Action::HoldBin
-                        } else if self.flow.deferred_for(f) > 0 || !self.has_capacity() {
+                        } else if self.shared.flow.deferred_for(f) > 0 || !self.has_capacity() {
                             // Suspended by flow control, or pool full.
                             Action::Stop
                         } else {
@@ -1383,7 +1455,7 @@ impl NodeRuntime {
                     Some(Work::Marker { .. }) => {
                         // Epoch boundary: every earlier bin must be fully
                         // processed and shipped before it can act.
-                        if inst.running > 0 || self.flow.deferred_for(f) > 0 {
+                        if inst.running > 0 || self.shared.flow.deferred_for(f) > 0 {
                             Action::Stop
                         } else {
                             Action::CountMarker
@@ -1567,7 +1639,7 @@ impl NodeRuntime {
             let inst = &self.instances[f];
             (
                 inst.phase,
-                inst.running == 0 && self.flow.deferred_for(f) == 0,
+                inst.running == 0 && self.shared.flow.deferred_for(f) == 0,
                 inst.fire_left,
             )
         };
@@ -1596,7 +1668,7 @@ impl NodeRuntime {
                     }
                     Tag::Reduce => self.fire_reduce(f),
                     Tag::Partial => self.fire_partial(f),
-                    _ => self.begin_complete(f),
+                    _ => self.finish_producing(f),
                 }
             }
             Phase::Redistributing => {
@@ -1614,6 +1686,13 @@ impl NodeRuntime {
                 }
             }
             Phase::FiringReduce | Phase::FiringPartial => {
+                if fire_left == 0 && idle {
+                    self.finish_producing(f);
+                }
+            }
+            Phase::FlushingCombine => {
+                // `idle`: every bin the flush task closed is past the
+                // deferred queue, in its link's FIFO.
                 if fire_left == 0 && idle {
                     self.begin_complete(f);
                 }
@@ -1658,7 +1737,7 @@ impl NodeRuntime {
                 self.instances[f].phase = Phase::FiringReduce;
                 self.instances[f].fire_left = n;
                 if n == 0 {
-                    self.begin_complete(f);
+                    self.finish_producing(f);
                 }
             }
             Err(e) => {
@@ -1678,7 +1757,7 @@ impl NodeRuntime {
         self.instances[f].phase = Phase::FiringPartial;
         self.instances[f].fire_left = n;
         if n == 0 {
-            self.begin_complete(f);
+            self.finish_producing(f);
         }
     }
 
@@ -1763,8 +1842,29 @@ impl NodeRuntime {
         let _ = self.endpoint.send(home, NetMsg::Bin(bin));
     }
 
+    /// `f` has run its last producing task and shipped its bins. What
+    /// its workers' combine buffers still hold must leave before the
+    /// completion broadcast: one flush task drains them all (no other
+    /// task of `f` runs, so every buffer is on the shelf), and the
+    /// flowlet completes when that task's bins are in their links'
+    /// FIFOs — `EdgeComplete` stays behind every held record by the
+    /// same ordering as behind any bin.
+    fn finish_producing(&mut self, f: FlowletId) {
+        if self.held_partials(f) == 0 {
+            return self.begin_complete(f);
+        }
+        self.instances[f].phase = Phase::FlushingCombine;
+        self.instances[f].fire_left = 1;
+        self.dispatch(Task::FlushCombine { flowlet: f });
+    }
+
     /// Broadcast completion on every out-edge and retire the flowlet.
     fn begin_complete(&mut self, f: FlowletId) {
+        debug_assert_eq!(
+            self.held_partials(f),
+            0,
+            "flowlet {f} completes over undrained combine buffers"
+        );
         // Fault injection: swallow the completion broadcast so every
         // downstream consumer waits forever on this node's EdgeComplete
         // — a pure hang with all workers idle.

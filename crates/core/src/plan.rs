@@ -7,12 +7,14 @@
 //! by every node runtime of the job. What is resolved when:
 //!
 //! * **per job** (here): an edge's combiner, whether it combines
-//!   in-node, may scatter hot keys, fills the resident store, and is a
-//!   shuffle edge for the statistics plane; a flowlet's name, output
-//!   ports, capture flag, resident hit and scatter-eligible in-edges;
+//!   in-node and holds partials across tasks, may scatter hot keys,
+//!   fills the resident store, and is a shuffle edge for the statistics
+//!   plane; a flowlet's name, output ports, capture flag, resident hit
+//!   and scatter-eligible in-edges;
 //! * **per task** (`TaskOutput::new`): two refcount bumps for the
-//!   flowlet's name and ports, plus combine buffers and hot-key
-//!   sketches for the ports whose flags ask for them;
+//!   flowlet's name and ports, and the loan of the executing worker's
+//!   combine buffers and hot-key sketches for the ports whose flags ask
+//!   for them (both outlive the task; the buffers keep their partials);
 //! * **per record** (`TaskOutput::emit`): the key hash, and the flag
 //!   bits of the [`PortSpec`] the task already holds.
 //!
@@ -32,8 +34,10 @@ use std::sync::Arc;
 pub(crate) struct PortSpec {
     pub edge: EdgeId,
     pub exchange: Exchange,
-    /// See [`EdgePlan::combine`], [`EdgePlan::scatter`], [`EdgePlan::fill`].
+    /// See [`EdgePlan::combine`], [`EdgePlan::hold`],
+    /// [`EdgePlan::scatter`], [`EdgePlan::fill`].
     pub combine: bool,
+    pub hold: bool,
     pub scatter: bool,
     pub fill: bool,
 }
@@ -48,6 +52,12 @@ pub(crate) struct EdgePlan {
     /// In-node combining: producers fold duplicate keys before bins
     /// ship.
     pub combine: bool,
+    /// The combine buffers keep their partials past the end of the task
+    /// that folded them, until the destination's window has room or the
+    /// producer completes (a flush task then drains them ahead of
+    /// `EdgeComplete`). Not in a streaming job: an epoch's records must
+    /// leave ahead of its `Marker`, so there every task drains whole.
+    pub hold: bool,
     /// Hot-key splitting: producers may scatter a hot key's records
     /// across all nodes, and the consumer absorbs and re-emits them.
     /// Needs the completion barrier (batch jobs only), more than one
@@ -141,6 +151,7 @@ impl ExecPlan {
                 EdgePlan {
                     combiner,
                     combine: mitigable && cfg.skew.combine,
+                    hold: mitigable && cfg.skew.combine && !graph.has_stream,
                     scatter: mitigable
                         && cfg.skew.split
                         && nodes > 1
@@ -165,6 +176,7 @@ impl ExecPlan {
                         edge,
                         exchange,
                         combine: edges[edge].combine,
+                        hold: edges[edge].hold,
                         scatter: edges[edge].scatter,
                         fill: edges[edge].fill,
                     })
@@ -235,13 +247,13 @@ mod tests {
         let (local, hash) = (&plan.edges[0], &plan.edges[1]);
         assert!(!local.combine && !local.scatter && !local.sampled);
         assert!(local.combiner.is_none());
-        assert!(hash.combine && hash.scatter && hash.sampled);
+        assert!(hash.combine && hash.hold && hash.scatter && hash.sampled);
         assert!(hash.combiner.is_some());
         // Flowlets carry the same answers: the map's one port, the
         // reduce's scatter-eligible in-edge, names and capture flags.
         let port = plan.flowlets[1].ports[0];
         assert_eq!((port.edge, port.exchange), (1, Exchange::Hash));
-        assert!(port.combine && port.scatter && !port.fill);
+        assert!(port.combine && port.hold && port.scatter && !port.fill);
         assert_eq!(plan.flowlets[2].scatter_in, vec![1]);
         assert!(plan.flowlets[0].scatter_in.is_empty());
         assert_eq!(&*plan.flowlets[1].name, "M");
@@ -262,8 +274,27 @@ mod tests {
     #[test]
     fn off_config_is_inert() {
         let plan = compile(&combined_graph(|_| {}), SkewConfig::off(), 4);
-        assert!(plan.edges.iter().all(|e| !e.combine && !e.scatter));
+        assert!(plan
+            .edges
+            .iter()
+            .all(|e| !e.combine && !e.hold && !e.scatter));
         assert!(plan.flowlets.iter().all(|f| f.scatter_in.is_empty()));
+    }
+
+    #[test]
+    fn a_streaming_job_combines_per_task() {
+        // An epoch's records must be out ahead of its marker: the
+        // stream's combining edge folds, but holds nothing past a task.
+        let mut b = JobBuilder::new("plantest-stream");
+        let s = b.add_stream(
+            "S",
+            crate::stream::bounded_stream(2, |_, _, out: &mut Emitter| out.emit_t(0, &1u64, &1u64)),
+        );
+        let p = b.add_partial_reduce("P", crate::typed::sum_reducer::<u64>());
+        b.connect_combined(s, p, Exchange::Hash, sum_combiner());
+        let plan = compile(&Arc::new(b.build().unwrap()), SkewConfig::default(), 2);
+        assert!(plan.edges[0].combine && !plan.edges[0].hold);
+        assert!(plan.flowlets[0].ports[0].combine && !plan.flowlets[0].ports[0].hold);
     }
 
     #[test]

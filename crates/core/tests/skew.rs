@@ -1,12 +1,20 @@
 //! End-to-end skew-mitigation tests: combiners and hot-key splitting
 //! must each preserve engine output exactly while their counters prove
-//! the mechanism actually engaged.
+//! the mechanism actually engaged. Combining is node-level: a worker's
+//! buffer outlives its tasks, so the second half of this file holds the
+//! cross-task custody — what a busy window keeps folding, what the
+//! flush task hands on and when, and that nothing of it reaches a
+//! streaming job or a run with combining off.
 
 use hamr_core::skew::KeySketch;
 use hamr_core::{
-    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobResult, RunOptions, SchedMode,
-    SkewConfig, Supervision,
+    stream, typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobResult, Loader,
+    RunOptions, SchedMode, SkewConfig, Supervision, TaskContext,
 };
+use hamr_simnet::NetConfig;
+use hamr_trace::{AuditStage, EventKind, TaskKind, TraceEvent, TraceSink, Tracer};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// A cluster with an explicit skew configuration and the deterministic
 /// scheduler, so every run of the same job is byte-for-byte repeatable.
@@ -295,4 +303,280 @@ fn key_sketch_flags_what_the_linear_scan_sketch_flags() {
         reused.clear();
         assert_eq!(reused.hot_count(), 0);
     }
+}
+
+// ------------------------------------------- cross-task (node-level) combining
+
+/// Every split emits the same `KEYS` keys once, straight onto the
+/// combining edge: a per-task combiner folds nothing, a node-level one
+/// everything but the first sight of a key.
+struct SameKeys {
+    splits: usize,
+}
+
+const KEYS: u64 = 64;
+
+impl Loader for SameKeys {
+    fn split_count(&self, _ctx: &TaskContext) -> usize {
+        self.splits
+    }
+    fn load(&self, _ctx: &TaskContext, _index: usize, out: &mut Emitter) {
+        for key in 0..KEYS {
+            out.emit_t(0, &key, &1u64);
+        }
+    }
+}
+
+/// SameKeys -Hash+sum-> Reduce, captured.
+fn same_keys_job(name: &str, splits: usize) -> hamr_core::JobGraph {
+    let mut job = JobBuilder::new(name);
+    let loader = job.add_loader("same-keys", SameKeys { splits });
+    let sum = job.add_reduce(
+        "sum",
+        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.iter().sum::<u64>());
+        }),
+    );
+    job.connect_combined(loader, sum, Exchange::Hash, typed::sum_combiner());
+    job.capture_output(sum);
+    job.build().unwrap()
+}
+
+/// A link (loopback included) on which nothing is acknowledged before
+/// `2 * latency`: long after a node has run all of a small job's
+/// producing tasks, so their windows provably stay where the first
+/// bins put them. On an instant fabric the consumer acknowledges as
+/// fast as it is scheduled and a drain at every task end is correct —
+/// nothing can be asserted about folding there.
+fn slow_link(latency: Duration) -> NetConfig {
+    NetConfig {
+        latency,
+        bandwidth: None,
+        loopback_latency: latency,
+    }
+}
+
+fn audited() -> RunOptions {
+    RunOptions {
+        supervision: Some(Supervision::default()),
+        ..Default::default()
+    }
+}
+
+#[test]
+fn a_busy_window_folds_across_the_tasks_of_a_node() {
+    let (nodes, splits) = (2, 100);
+    let mut scheds = vec![
+        (SchedMode::WorkStealing, 1),
+        (SchedMode::WorkStealing, 2),
+        (SchedMode::WorkStealing, 4),
+    ];
+    scheds.extend([3, 7, 2015].map(|seed| (SchedMode::Deterministic { seed }, 2)));
+    for (sched, workers) in scheds {
+        let mut config = ClusterConfig::local(nodes, workers);
+        config.net = slow_link(Duration::from_millis(150));
+        config.runtime.sched = sched;
+        let cluster = Cluster::new(config);
+        let result = cluster
+            .run_with(same_keys_job("same-keys", splits), &audited())
+            .unwrap();
+        let what = format!("{sched:?} x {workers}");
+
+        // The oracle: every key once per split.
+        let mut out = result.typed_output::<u64, u64>(1);
+        out.sort();
+        assert_eq!(
+            out,
+            (0..KEYS)
+                .map(|k| (k, (nodes * splits) as u64))
+                .collect::<Vec<_>>(),
+            "{what}"
+        );
+        // Each node ships a key until its windows hold the low-water
+        // mark of bins (eight task ends, a few more when workers race),
+        // then folds until the flush: once per worker. A per-task
+        // combiner delivers every key of every task.
+        let report = cluster.last_audit().expect("audited");
+        let delivered: u64 = report
+            .rows
+            .iter()
+            .map(|row| row.stage(AuditStage::Deliver).records)
+            .sum();
+        let tasks = result.metrics.flowlets[&0].tasks;
+        assert!(tasks >= (nodes * splits) as u64, "{what}: {tasks} tasks");
+        assert!(
+            delivered < tasks * KEYS / 4,
+            "{what}: {delivered} records delivered by {tasks} tasks of {KEYS} keys"
+        );
+        assert!(delivered >= nodes as u64 * KEYS, "{what}: {delivered}");
+        // Custody: emit == ship == deliver == consume on every row, and
+        // every record offered to a buffer was folded or handed on.
+        report.check().unwrap_or_else(|v| panic!("{what}: {v:?}"));
+        let row = report.combines[0];
+        assert_eq!(row.records_in, (nodes * splits) as u64 * KEYS, "{what}");
+        assert_eq!(row.records_out, delivered, "{what}");
+        assert_eq!(row.folded, row.records_in - delivered, "{what}");
+        // The producer's own count is restored to what it emitted.
+        assert_eq!(
+            result.metrics.flowlets[&0].records_out, row.records_in,
+            "{what}"
+        );
+    }
+}
+
+/// Keeps events in the order `record` was called: one total order
+/// across threads and nodes.
+#[derive(Default)]
+struct OrderSink(Mutex<Vec<TraceEvent>>);
+
+impl TraceSink for OrderSink {
+    fn record(&self, ev: TraceEvent) {
+        self.0.lock().unwrap().push(ev);
+    }
+}
+
+#[test]
+fn the_flush_precedes_completion_on_every_node() {
+    let nodes = 3;
+    for sched in [
+        SchedMode::WorkStealing,
+        SchedMode::Deterministic { seed: 11 },
+    ] {
+        let mut config = ClusterConfig::local(nodes, 2);
+        config.net = slow_link(Duration::from_millis(40));
+        config.runtime.sched = sched;
+        let cluster = Cluster::new(config);
+        let sink = Arc::new(OrderSink::default());
+        let opts = RunOptions {
+            tracer: Tracer::new(sink.clone()),
+            ..Default::default()
+        };
+        cluster
+            .run_with(same_keys_job("flush-order", 40), &opts)
+            .unwrap();
+        let events = sink.0.lock().unwrap();
+        let position = |node: u32, wanted: &dyn Fn(&EventKind) -> bool| {
+            events
+                .iter()
+                .position(|e| e.node == node && wanted(&e.kind))
+        };
+        // The consumer fires somewhere first; by then every node has
+        // flushed, because the fire waits for every node's EdgeComplete
+        // and a node sends it behind its flush task's bins.
+        let first_fire = (0..nodes as u32)
+            .filter_map(|n| {
+                position(n, &|k| {
+                    matches!(
+                        k,
+                        EventKind::TaskStart {
+                            task: TaskKind::FireReduce,
+                            flowlet: 1,
+                            ..
+                        }
+                    )
+                })
+            })
+            .min()
+            .expect("the reduce fired");
+        for node in 0..nodes as u32 {
+            let flushed = position(node, &|k| {
+                matches!(
+                    k,
+                    EventKind::TaskEnd {
+                        task: TaskKind::FlushCombine,
+                        flowlet: 0,
+                        ..
+                    }
+                )
+            })
+            .unwrap_or_else(|| panic!("{sched:?}: node {node} held partials and must flush"));
+            assert!(flushed < first_fire, "{sched:?}: node {node}");
+            // And where a node's reduce has begun to fire, no bin of
+            // the edge arrives any more: nothing was left behind.
+            let fired = position(node, &|k| {
+                matches!(
+                    k,
+                    EventKind::TaskStart {
+                        task: TaskKind::FireReduce,
+                        flowlet: 1,
+                        ..
+                    }
+                )
+            });
+            if let Some(fired) = fired {
+                let late = events[fired..].iter().any(|e| {
+                    e.node == node && matches!(e.kind, EventKind::BinIngress { edge: 0, .. })
+                });
+                assert!(!late, "{sched:?}: a bin reached node {node} after its fire");
+            }
+        }
+    }
+}
+
+/// What the parent commit shipped for `run_sum_job(skewed_pairs(800,
+/// 25))` on four two-worker nodes at deterministic seed 7: with the
+/// combiner off no buffer exists and the emit path is the parent's,
+/// byte for byte.
+const PARENT_BYTES_OFF: u64 = 3436;
+const PARENT_BYTES_SPLIT: u64 = 4255;
+
+#[test]
+fn without_the_combiner_the_wire_carries_what_it_always_did() {
+    let split_only = SkewConfig {
+        combine: false,
+        split: true,
+        split_threshold: 64,
+    };
+    for (name, cfg, want) in [
+        ("off", SkewConfig::off(), PARENT_BYTES_OFF),
+        ("split", split_only, PARENT_BYTES_SPLIT),
+    ] {
+        let result = run_sum_job(&skew_cluster(4, 2, cfg), skewed_pairs(800, 25), name);
+        assert_eq!(sorted_output(&result), expected(800, 25));
+        assert_eq!(result.metrics.shuffled_bytes, want, "HAMR_SKEW={name}");
+    }
+}
+
+#[test]
+fn a_streaming_job_hands_on_every_epochs_records_with_their_epoch() {
+    // One record per bin and a two-bin window on a slow link: were a
+    // stream's partials held for the window, an epoch's counts would
+    // arrive behind its marker and land in a later window. (One node:
+    // with several, a fast node's next epoch may overtake a slow node's
+    // marker whatever the combiner does.)
+    let run = |skew: SkewConfig| {
+        let mut config = ClusterConfig::local(1, 2);
+        config.net = slow_link(Duration::from_millis(15));
+        config.runtime.bin_capacity = 1;
+        config.runtime.out_window_bins = 2;
+        config.runtime.skew = skew;
+        let cluster = Cluster::new(config);
+        let mut job = JobBuilder::new("stream-combined");
+        let src = job.add_stream(
+            "src",
+            stream::bounded_stream(3, |_ctx, _epoch, out: &mut Emitter| {
+                for i in 0..10u64 {
+                    out.emit_t(0, &(i % 4), &1u64);
+                }
+            }),
+        );
+        let win = job.add_partial_reduce("window-sum", typed::sum_reducer::<u64>());
+        job.connect_combined(src, win, Exchange::Hash, typed::sum_combiner());
+        job.capture_output(win);
+        let result = cluster.run(job.build().unwrap()).unwrap();
+        let mut out = result.typed_output::<u64, u64>(win);
+        out.sort();
+        (out, result.metrics.total_combined())
+    };
+    // Per epoch: keys 0 and 1 three times, 2 and 3 twice.
+    let windows: Vec<(u64, u64)> = [(0, 3), (1, 3), (2, 2), (3, 2)]
+        .into_iter()
+        .flat_map(|w| [w; 3])
+        .collect();
+    let (combined, folds) = run(SkewConfig::default());
+    assert_eq!(combined, windows);
+    assert_eq!(folds, 3 * 6, "each epoch task folds its duplicates");
+    let (plain, folds) = run(SkewConfig::off());
+    assert_eq!(plain, windows);
+    assert_eq!(folds, 0);
 }

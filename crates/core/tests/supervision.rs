@@ -44,6 +44,12 @@ fn supervised_tracer_only(sup: Supervision) -> RunOptions {
 /// WordCount over `lines` copies of a fixed corpus: loader -> map
 /// (split words) -> partial reduce (sum), hash-shuffled across nodes.
 fn wordcount(name: &str, lines: usize) -> JobGraph {
+    wordcount_on(name, lines, false)
+}
+
+/// The same job, its shuffle edge combining in-node when `combined`:
+/// the map's workers then hold partials across tasks.
+fn wordcount_on(name: &str, lines: usize, combined: bool) -> JobGraph {
     let corpus: Vec<String> = (0..lines)
         .map(|i| format!("alpha beta gamma delta key{} alpha", i % 7))
         .collect();
@@ -59,7 +65,11 @@ fn wordcount(name: &str, lines: usize) -> JobGraph {
     );
     let counts = job.add_partial_reduce("sum", typed::sum_reducer::<String>());
     job.connect(loader, words, Exchange::Local);
-    job.connect(words, counts, Exchange::Hash);
+    if combined {
+        job.connect_combined(words, counts, Exchange::Hash, typed::sum_combiner());
+    } else {
+        job.connect(words, counts, Exchange::Hash);
+    }
     job.capture_output(counts);
     job.build().expect("wordcount graph")
 }
@@ -524,9 +534,136 @@ fn an_aborted_jobs_gauges_never_reach_the_next_job() {
         "splits_awaiting_read",
         "queue_depth",
         "pending_bin_bytes",
+        "combine_held_bytes",
     ] {
         assert_eq!(gauge_total(cluster.registry(), gauge, None), 0, "{gauge}");
     }
+}
+
+/// Partials parked in combine buffers are data the watchdog cannot see
+/// move. They must not change what a fault looks like: with acks
+/// dropped the flush task hands them to flow control, where they read
+/// as backpressure like any deferred bin; a completion swallowed
+/// upstream of the map leaves them parked (the map never learns its
+/// input is done) and still reads as a hang. However the job ended,
+/// nothing is reported held afterwards.
+#[test]
+fn held_partials_do_not_change_what_a_fault_looks_like() {
+    for (fault, wanted) in [
+        (
+            FaultInjection::DropAcks { node: 1 },
+            WatchdogClass::Backpressure,
+        ),
+        (
+            FaultInjection::SwallowEdgeComplete { node: 1 },
+            WatchdogClass::Hang,
+        ),
+    ] {
+        let mut config = ClusterConfig::local(3, 2);
+        config.runtime.bin_capacity = 1;
+        config.runtime.out_window_bins = 1;
+        config.runtime.fault = fault;
+        let cluster = Cluster::new(config);
+        let sup = Supervision {
+            watchdog: fast_watchdog(),
+            doctor_dir: None,
+        };
+        let err = cluster
+            .run_with(wordcount_on("wc-held", 400, true), &supervised(sup))
+            .expect_err("the fault must wedge the job");
+        let RunError::Watchdog { class, detail, .. } = err else {
+            panic!("{fault:?}: expected a watchdog abort, got: {err}");
+        };
+        assert_eq!(class, wanted, "{fault:?}: {detail}");
+        let report = cluster.last_audit().expect("supervised runs are audited");
+        let row = report.combines[0];
+        assert!(row.folded > 0, "{fault:?}: the edge combined: {row:?}");
+        assert_eq!(
+            gauge_total(cluster.registry(), "combine_held_bytes", None),
+            0,
+            "{fault:?}"
+        );
+    }
+}
+
+/// A job that dies with partials in its buffers says so: the ledger's
+/// combine row is short by exactly the records that were never handed
+/// on, instead of a result that is silently short. Node 0's map panics
+/// on its last line, after a link too slow to acknowledge anything has
+/// kept every earlier task's partials in the buffer.
+#[test]
+fn partials_dropped_with_an_aborted_job_show_in_the_ledger() {
+    let mut config = ClusterConfig::local(2, 1);
+    let latency = Duration::from_millis(100);
+    config.net = hamr_simnet::NetConfig {
+        latency,
+        bandwidth: None,
+        loopback_latency: Duration::ZERO,
+    };
+    config.runtime.bin_capacity = 4;
+    config.runtime.sched = SchedMode::Deterministic { seed: 5 };
+    let cluster = Cluster::new(config);
+    let lines = 120u64;
+    let mut job = JobBuilder::new("dies-holding");
+    let loader = job.add_loader(
+        "lines",
+        typed::pairs_loader((0..lines).map(|i| (i, i)).collect::<Vec<_>>()),
+    );
+    let held_mid_run = Arc::new(AtomicI64::new(0));
+    let words = {
+        let (registry, seen) = (cluster.registry().clone(), Arc::clone(&held_mid_run));
+        job.add_map(
+            "fan-out",
+            typed::map_fn(move |_at: u64, line: u64, out: &mut Emitter| {
+                if line == lines - 2 {
+                    // The last line dealt to node 0.
+                    seen.store(
+                        gauge_total(&registry, "combine_held_bytes", Some(0)),
+                        Ordering::SeqCst,
+                    );
+                    panic!("line {line} is poison");
+                }
+                for word in 0..40u64 {
+                    out.emit_t(0, &word, &1u64);
+                }
+            }),
+        )
+    };
+    let counts = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
+    job.connect(loader, words, Exchange::Local);
+    job.connect_combined(words, counts, Exchange::Hash, typed::sum_combiner());
+    job.capture_output(counts);
+    let sup = Supervision {
+        watchdog: WatchdogConfig {
+            action: WatchdogAction::Off,
+            ..Default::default()
+        },
+        doctor_dir: None,
+    };
+    let err = cluster
+        .run_with(job.build().expect("graph"), &supervised(sup))
+        .expect_err("the map panics");
+    assert!(matches!(err, RunError::NodePanic { .. }), "{err}");
+    assert!(
+        held_mid_run.load(Ordering::SeqCst) > 0,
+        "mid-run, node 0 reported the partials it held"
+    );
+    assert_eq!(
+        gauge_total(cluster.registry(), "combine_held_bytes", None),
+        0,
+        "the job is over: nothing is held"
+    );
+    let report = cluster.last_audit().expect("supervised runs are audited");
+    let violations = report.check().expect_err("records died in a buffer");
+    let v = violations
+        .iter()
+        .find(|v| v.field == "combined")
+        .unwrap_or_else(|| panic!("no combine violation among {violations:?}"));
+    let [offered, folded, drained, _] = v.stages;
+    assert!(
+        offered > folded + drained,
+        "short, not long: in={offered} folded={folded} out={drained}"
+    );
 }
 
 /// Forwards everything to the DFS line loader except `load`, which

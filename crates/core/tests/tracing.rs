@@ -234,3 +234,54 @@ fn summary_rows_have_ordered_quantiles() {
         assert!(row.p50_us <= row.p95_us && row.p95_us <= row.p99_us);
     }
 }
+
+/// The flush task — the drain of a flowlet's combine buffers ahead of
+/// its completion — is a task like any other to the tools: a named
+/// slice in the Chrome export, a task in the worker-occupancy table,
+/// and counted in the producing flowlet's summary row.
+#[test]
+fn the_flush_task_is_a_named_slice_and_a_counted_task() {
+    let mut config = ClusterConfig::local(2, 1);
+    // Nothing is acknowledged before the loaders are done, so their
+    // workers hold partials when they run dry.
+    let latency = std::time::Duration::from_millis(30);
+    config.net = hamr_simnet::NetConfig {
+        latency,
+        bandwidth: None,
+        loopback_latency: latency,
+    };
+    config.runtime.bin_capacity = 2;
+    let cluster = Cluster::new(config);
+    let mut job = JobBuilder::new("flush-traced");
+    let loader = job.add_loader(
+        "pairs",
+        typed::pairs_loader((0..400u64).map(|i| (i % 100, 1u64)).collect()),
+    );
+    let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
+    job.connect_combined(loader, sum, Exchange::Hash, typed::sum_combiner());
+    job.capture_output(sum);
+    let sink = Arc::new(RingSink::new(16, 1 << 14));
+    let result = cluster
+        .run_with(job.build().unwrap(), &traced(Tracer::new(sink.clone())))
+        .unwrap();
+    assert_eq!(result.typed_output::<u64, u64>(sum).len(), 100);
+    let events = sink.drain();
+
+    let doc = json::parse(&chrome_trace_json(&events)).expect("valid JSON");
+    let slices = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+    let named = |name: &str| {
+        let is = |e: &&json::Json| {
+            e.get("ph").and_then(|v| v.as_str()) == Some("X")
+                && e.get("name").and_then(|v| v.as_str()) == Some(name)
+        };
+        slices.iter().filter(is).count()
+    };
+    assert_eq!(named("loader-split"), 2);
+    assert_eq!(named("flush-combine"), 2, "one flush per node");
+
+    let occupancy = hamr_trace::worker_occupancy(&events);
+    let traced_tasks: u64 = occupancy.iter().map(|row| row.tasks).sum();
+    let rows = result.metrics.summary_rows();
+    assert_eq!(rows[0].tasks, 4, "a split and a flush on each node");
+    assert_eq!(traced_tasks, rows.iter().map(|r| r.tasks).sum::<u64>());
+}

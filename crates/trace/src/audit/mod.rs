@@ -80,7 +80,7 @@ pub struct AuditBin {
 }
 
 const FIELDS: usize = 3; // bins, records, bytes
-const COMBINE_FIELDS: usize = 2; // records in, records out
+const COMBINE_FIELDS: usize = 3; // records in, folded, records out
 
 /// The shared counter table behind an enabled [`Audit`] handle.
 struct Ledger {
@@ -89,11 +89,13 @@ struct Ledger {
     /// `[stage][edge][dst][field]` flattened; every cell a relaxed
     /// atomic, so custody tallies never take a lock.
     cells: Vec<AtomicU64>,
-    /// Per-edge combiner side-table: `[edge][records_in, records_out]`.
-    /// In-node combining happens *before* the Emit custody point, so
-    /// the four-stage rows still balance exactly; this table preserves
-    /// the pre-combine count so nothing silently disappears — the only
-    /// legal record loss is `records_out <= records_in` here.
+    /// Per-edge combiner side-table: `[edge][records_in, folded,
+    /// records_out]`. In-node combining happens *before* the Emit
+    /// custody point, so the four-stage rows still balance exactly; a
+    /// record offered to a combine buffer is in no stage until the
+    /// buffer drains it, and buffers outlive the task that filled them.
+    /// This table is that custody: the only legal record loss is a
+    /// fold, so at job end `records_in == folded + records_out`.
     combine_cells: Vec<AtomicU64>,
 }
 
@@ -161,10 +163,12 @@ impl Audit {
         }
     }
 
-    /// Tally one combiner flush on `edge`: `records_in` pre-combine
-    /// records collapsed into `records_out` partials.
+    /// Tally one task's use of `edge`'s combine buffers: `records_in`
+    /// records offered, `folded` of them merged into a partial already
+    /// held, `records_out` partials drained into the emit path (some of
+    /// them, possibly, offered by an earlier task).
     #[inline]
-    pub fn combined(&self, edge: u32, records_in: u64, records_out: u64) {
+    pub fn combined(&self, edge: u32, records_in: u64, folded: u64, records_out: u64) {
         if let Some(l) = &self.inner {
             if edge >= l.edges {
                 debug_assert!(false, "combine tally out of range: edge {edge}/{}", l.edges);
@@ -172,7 +176,8 @@ impl Audit {
             }
             let i = edge as usize * COMBINE_FIELDS;
             l.combine_cells[i].fetch_add(records_in, Ordering::Relaxed);
-            l.combine_cells[i + 1].fetch_add(records_out, Ordering::Relaxed);
+            l.combine_cells[i + 1].fetch_add(folded, Ordering::Relaxed);
+            l.combine_cells[i + 2].fetch_add(records_out, Ordering::Relaxed);
         }
     }
 
@@ -234,12 +239,13 @@ impl Audit {
         let mut combines = Vec::new();
         for edge in 0..l.edges {
             let i = edge as usize * COMBINE_FIELDS;
-            let records_in = l.combine_cells[i].load(Ordering::Relaxed);
-            let records_out = l.combine_cells[i + 1].load(Ordering::Relaxed);
-            if records_in | records_out != 0 {
+            let [records_in, folded, records_out] =
+                [0, 1, 2].map(|field| l.combine_cells[i + field].load(Ordering::Relaxed));
+            if records_in | folded | records_out != 0 {
                 combines.push(CombineRow {
                     edge,
                     records_in,
+                    folded,
                     records_out,
                 });
             }
@@ -293,8 +299,18 @@ pub struct CombineRow {
     pub edge: u32,
     /// Raw records offered to the edge's combine buffers.
     pub records_in: u64,
-    /// Partials the buffers flushed into the emit path.
+    /// Offered records merged into a partial a buffer already held.
+    pub folded: u64,
+    /// Partials the buffers drained into the emit path.
     pub records_out: u64,
+}
+
+impl CombineRow {
+    /// Every offered record was folded away or drained: nothing is
+    /// left in (or was dropped with) a buffer, and nothing was minted.
+    fn balanced(&self) -> bool {
+        self.records_in == self.folded + self.records_out
+    }
 }
 
 /// A conservation failure on one `(edge, dst)` row.
@@ -303,10 +319,12 @@ pub struct AuditViolation {
     pub edge: u32,
     pub dst: u32,
     /// Which quantity leaked: `"bins"`, `"records"`, `"bytes"`, or
-    /// `"combined"` for a combiner that emitted more than it consumed.
+    /// `"combined"` for combine buffers that did not drain exactly
+    /// what they were offered and did not fold.
     pub field: &'static str,
     /// The four stage values for that quantity, emit→consume order.
-    /// For `"combined"` the first two entries are records in/out.
+    /// For `"combined"` the first three entries are records in, folded
+    /// and out.
     pub stages: [u64; 4],
 }
 
@@ -315,8 +333,8 @@ impl fmt::Display for AuditViolation {
         if self.field == "combined" {
             return write!(
                 f,
-                "edge {}: combiner emitted more than it consumed: in={} out={}",
-                self.edge, self.stages[0], self.stages[1]
+                "edge {}: combine buffers out of balance: in={} folded={} out={}",
+                self.edge, self.stages[0], self.stages[1], self.stages[2]
             );
         }
         write!(
@@ -345,7 +363,8 @@ pub struct AuditReport {
 
 impl AuditReport {
     /// Prove conservation: every row must show identical bins, records
-    /// and bytes at all four custody points.
+    /// and bytes at all four custody points, and every record offered
+    /// to an edge's combine buffers must have been folded or drained.
     pub fn check(&self) -> Result<(), Vec<AuditViolation>> {
         let mut violations = Vec::new();
         for row in &self.rows {
@@ -381,14 +400,15 @@ impl AuditReport {
             }
         }
         for c in &self.combines {
-            // A combiner may only shrink its input; growing it means
-            // records were minted out of thin air.
-            if c.records_out > c.records_in {
+            // Short means records died in a buffer (dropped with
+            // entries in it, or never flushed); long means records were
+            // minted out of thin air.
+            if !c.balanced() {
                 violations.push(AuditViolation {
                     edge: c.edge,
                     dst: 0,
                     field: "combined",
-                    stages: [c.records_in, c.records_out, 0, 0],
+                    stages: [c.records_in, c.folded, c.records_out, 0],
                 });
             }
         }
@@ -467,11 +487,7 @@ impl AuditReport {
                     c.edge,
                     c.records_in,
                     c.records_out,
-                    if c.records_out <= c.records_in {
-                        "ok"
-                    } else {
-                        "LEAK"
-                    }
+                    if c.balanced() { "ok" } else { "LEAK" }
                 ));
             }
         }
@@ -507,8 +523,8 @@ impl AuditReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"edge\":{},\"records_in\":{},\"records_out\":{}}}",
-                c.edge, c.records_in, c.records_out
+                "{{\"edge\":{},\"records_in\":{},\"folded\":{},\"records_out\":{}}}",
+                c.edge, c.records_in, c.folded, c.records_out
             ));
         }
         out.push_str("]}");
@@ -549,10 +565,18 @@ impl AuditReport {
         let mut combines = Vec::new();
         if let Some(arr) = v.get("combines").and_then(Json::as_arr) {
             for cj in arr {
+                let records_in = u(cj.get("records_in"), "records_in")?;
+                let records_out = u(cj.get("records_out"), "records_out")?;
                 combines.push(CombineRow {
                     edge: u(cj.get("edge"), "edge")? as u32,
-                    records_in: u(cj.get("records_in"), "records_in")?,
-                    records_out: u(cj.get("records_out"), "records_out")?,
+                    records_in,
+                    // Dumps from before buffers outlived tasks tallied
+                    // each flush whole: what did not come out was folded.
+                    folded: match cj.get("folded") {
+                        Some(folded) => u(Some(folded), "folded")?,
+                        None => records_in.saturating_sub(records_out),
+                    },
+                    records_out,
                 });
             }
         }
@@ -620,10 +644,14 @@ mod tests {
     }
 
     #[test]
-    fn combine_side_table_tracks_in_ge_out() {
+    fn combine_side_table_balances_across_tasks() {
         let a = Audit::new(2, 2);
-        a.combined(1, 1000, 12);
-        a.combined(1, 500, 8);
+        // Two tasks fill a buffer and drain part of it; a third drains
+        // the rest without offering anything.
+        a.combined(1, 1000, 988, 4);
+        a.combined(1, 500, 492, 10);
+        assert_eq!(a.report().check().unwrap_err()[0].field, "combined");
+        a.combined(1, 0, 0, 6);
         let report = a.report();
         assert!(report.check().is_ok());
         assert_eq!(
@@ -631,6 +659,7 @@ mod tests {
             vec![CombineRow {
                 edge: 1,
                 records_in: 1500,
+                folded: 1480,
                 records_out: 20
             }]
         );
@@ -638,14 +667,26 @@ mod tests {
     }
 
     #[test]
-    fn combiner_minting_records_is_a_violation() {
+    fn records_left_in_a_buffer_are_a_violation() {
         let a = Audit::new(1, 1);
-        a.combined(0, 10, 11);
-        let violations = a.report().check().unwrap_err();
+        // Ten offered, three folded, five drained: two never left.
+        a.combined(0, 10, 3, 5);
+        let report = a.report();
+        let violations = report.check().unwrap_err();
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].field, "combined");
         let msg = violations[0].to_string();
-        assert!(msg.contains("in=10 out=11"), "{msg}");
+        assert!(msg.contains("in=10 folded=3 out=5"), "{msg}");
+        assert!(report.render().contains("LEAK"));
+    }
+
+    #[test]
+    fn combiner_minting_records_is_a_violation() {
+        let a = Audit::new(1, 1);
+        a.combined(0, 10, 0, 11);
+        let violations = a.report().check().unwrap_err();
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].field, "combined");
     }
 
     #[test]
@@ -656,12 +697,21 @@ mod tests {
     }
 
     #[test]
+    fn old_combine_rows_without_folded_still_parse_and_balance() {
+        let json = r#"{"edges":2,"nodes":1,"rows":[],
+            "combines":[{"edge":1,"records_in":64,"records_out":4}]}"#;
+        let parsed = AuditReport::from_json(&json::parse(json).unwrap()).unwrap();
+        assert_eq!(parsed.combines[0].folded, 60);
+        assert!(parsed.check().is_ok());
+    }
+
+    #[test]
     fn report_json_round_trips() {
         let a = Audit::new(2, 2);
         move_bin(&a, 0, 0, 11, 1024);
         move_bin(&a, 1, 1, 2, 17);
         a.record(AuditStage::Emit, 1, 0, 1, 1);
-        a.combined(0, 64, 4);
+        a.combined(0, 64, 60, 4);
         let report = a.report();
         let parsed =
             AuditReport::from_json(&json::parse(&report.to_json()).expect("valid json")).unwrap();

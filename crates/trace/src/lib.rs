@@ -98,6 +98,9 @@ pub enum TaskKind {
     /// One scattered hot-key bin folded into a skew
     /// absorber's per-key partials.
     SkewAbsorb,
+    /// The drain of every worker's combine buffers for a flowlet that
+    /// has produced its last record, ahead of its `EdgeComplete`.
+    FlushCombine,
     /// A MapReduce (baseline engine) map task.
     MrMap,
     /// A MapReduce (baseline engine) reduce task.
@@ -115,6 +118,7 @@ impl TaskKind {
             TaskKind::FireReduce => "fire-reduce",
             TaskKind::FirePartial => "fire-partial",
             TaskKind::SkewAbsorb => "skew-absorb",
+            TaskKind::FlushCombine => "flush-combine",
             TaskKind::MrMap => "mr-map",
             TaskKind::MrReduce => "mr-reduce",
         }

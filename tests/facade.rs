@@ -174,6 +174,97 @@ fn streaming_and_batch_compose_via_facade() {
     assert_eq!(total, 4);
 }
 
+/// A text of `pages` pages per node, each one split: the loader reads
+/// a page and emits its words.
+struct Pages {
+    pages: usize,
+    vocabulary: u64,
+}
+
+impl Pages {
+    /// Eight lines, every word of the vocabulary on each.
+    fn page(&self, node: usize, index: usize) -> Vec<String> {
+        let line = |l: u64| {
+            let words = (0..self.vocabulary).map(|w| format!("w{}", (w + l) % self.vocabulary));
+            words.collect::<Vec<_>>().join(" ")
+        };
+        let first = ((node * self.pages + index) * 8) as u64;
+        (first..first + 8).map(line).collect()
+    }
+}
+
+impl hamr::core::Loader for Pages {
+    fn split_count(&self, _ctx: &hamr::core::TaskContext) -> usize {
+        self.pages
+    }
+    fn load(&self, ctx: &hamr::core::TaskContext, index: usize, out: &mut Emitter) {
+        for line in self.page(ctx.node, index) {
+            for w in line.split_whitespace() {
+                out.emit_t(0, &w.to_string(), &1u64);
+            }
+        }
+    }
+}
+
+/// Combining is node-level: a worker's buffer outlives its tasks, and a
+/// window that already holds bins keeps the partials folding instead of
+/// shipping each task's keys again. Two one-worker nodes count a
+/// 40-word vocabulary, every word on every page, over a link that
+/// acknowledges nothing before 100 ms — so the windows stay where a
+/// node's first bins put them while it reads all its pages. The count
+/// must equal a sequential one, from a fraction of the records a
+/// combiner scoped to one task delivers (every word of every task).
+#[test]
+fn duplicates_fold_across_the_tasks_of_a_node() {
+    use std::time::Duration;
+    let (nodes, pages, vocabulary) = (2, 60, 40u64);
+    let mut config = ClusterConfig::local(nodes, 1);
+    config.net = hamr::simnet::NetConfig {
+        latency: Duration::from_millis(50),
+        bandwidth: None,
+        loopback_latency: Duration::from_millis(50),
+    };
+    let cluster = Cluster::new(config);
+    let mut job = JobBuilder::new("facade-combine");
+    let text = job.add_loader("pages", Pages { pages, vocabulary });
+    let count = job.add_reduce(
+        "count",
+        typed::reduce_fn(|k: String, vs: Vec<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.iter().sum::<u64>());
+        }),
+    );
+    job.connect_combined(text, count, Exchange::Hash, typed::sum_combiner());
+    job.capture_output(count);
+    let result = cluster.run(job.build().unwrap()).unwrap();
+
+    let mut sequential = std::collections::BTreeMap::new();
+    let source = Pages { pages, vocabulary };
+    for node in 0..nodes {
+        for line in (0..pages).flat_map(|index| source.page(node, index)) {
+            for w in line.split_whitespace() {
+                *sequential.entry(w.to_string()).or_insert(0u64) += 1;
+            }
+        }
+    }
+    let mut counted = result.typed_output::<String, u64>(count);
+    counted.sort();
+    assert_eq!(counted, sequential.into_iter().collect::<Vec<_>>());
+
+    // One task per page, and a flush task per node.
+    let tasks = result.metrics.flowlets[&text].tasks;
+    assert!(tasks >= (nodes * pages) as u64, "{tasks} tasks");
+    let delivered = result.metrics.flowlets[&count].records_in;
+    assert!(
+        delivered < tasks * vocabulary / 4,
+        "{delivered} records delivered by {tasks} tasks over {vocabulary} words"
+    );
+    // What the loader emitted is still what it reports.
+    assert_eq!(
+        result.metrics.flowlets[&text].records_out,
+        (nodes * pages * 8) as u64 * vocabulary
+    );
+}
+
 /// Bandwidth of the modeled disks in the two device tests below.
 const DISK_BANDWIDTH: u64 = 1_000_000;
 
