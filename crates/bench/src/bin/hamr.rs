@@ -43,7 +43,9 @@
 //! default run options, and tops it, so the walkthrough in
 //! EXPERIMENTS.md is a single command.
 //!
-//! Exit codes: 0 ok, 1 endpoint/scrape failure, 2 bad arguments.
+//! Exit codes: 0 ok, 1 endpoint/scrape failure, 2 bad arguments. A
+//! reader that closes stdout early (`hamr explain … --list | head`)
+//! ends the program quietly with 0.
 
 use hamr_core::SchedMode;
 use hamr_trace::json::{self, Json};
@@ -51,10 +53,24 @@ use hamr_trace::{http_get, parse_prometheus, PromSample, Timeline};
 use hamr_workloads::histogram_ratings::HistogramRatings;
 use hamr_workloads::{Benchmark, Env, SimParams};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+
+/// Write `text` to stdout. `println!` panics when the reader has gone
+/// (`| head`); a closed pipe is the reader saying it has seen enough,
+/// so the program ends there, quietly.
+fn say(text: &str) {
+    if let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("hamr: write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// One node's slice of a `/metrics` scrape.
 #[derive(Debug, Clone, Copy, Default)]
@@ -337,10 +353,10 @@ fn top_loop(addr: SocketAddr, engine: &str, interval: Duration, ticks: u64) -> R
         let (nodes, totals) = collect(&samples, engine);
         let latency = latency_buckets(&samples, engine);
         let prev_view = prev.as_ref().map(|(stats, at)| (stats, at.elapsed()));
-        println!(
-            "{}",
+        say(&format!(
+            "{}\n",
             render_tick(tick, &healthz, &nodes, &totals, &latency, &alerts, prev_view)
-        );
+        ));
         prev = Some((nodes, Instant::now()));
         tick += 1;
         if ticks > 0 && tick >= ticks {
@@ -471,14 +487,14 @@ fn explain_main(args: &[String]) -> ! {
     }
     let code = match query {
         "--list" => {
-            println!("sampled keys in job '{job}':");
+            say(&format!("sampled keys in job '{job}':\n"));
             for s in &snap.samples {
-                println!(
-                    "  {} (hash {:#018x}, {} hops)",
+                say(&format!(
+                    "  {} (hash {:#018x}, {} hops)\n",
                     hamr_trace::stats::format_key(&s.key),
                     s.hash,
                     s.hops.len()
-                );
+                ));
             }
             0
         }
@@ -490,7 +506,7 @@ fn explain_main(args: &[String]) -> ! {
                 .iter()
                 .max_by_key(|s| (s.hops.len(), s.hash))
                 .expect("samples non-empty");
-            print!("{}", hamr_trace::stats::render_explain(job, sample));
+            say(&hamr_trace::stats::render_explain(job, sample));
             0
         }
         key => {
@@ -500,7 +516,7 @@ fn explain_main(args: &[String]) -> ! {
                 .and_then(|h| u64::from_str_radix(h.trim_start_matches("0x"), 16).ok());
             match snap.find_sample(&needles, hash) {
                 Some(sample) => {
-                    print!("{}", hamr_trace::stats::render_explain(job, sample));
+                    say(&hamr_trace::stats::render_explain(job, sample));
                     0
                 }
                 None => {
@@ -526,7 +542,7 @@ fn timeline_main(args: &[String]) -> ! {
         [flag, a, b] if flag == "--diff" => {
             match (Timeline::load(Path::new(a)), Timeline::load(Path::new(b))) {
                 (Ok(ta), Ok(tb)) => {
-                    println!("{}", Timeline::render_diff(&ta, &tb));
+                    say(&format!("{}\n", Timeline::render_diff(&ta, &tb)));
                     0
                 }
                 (Err(e), _) | (_, Err(e)) => {
@@ -537,7 +553,7 @@ fn timeline_main(args: &[String]) -> ! {
         }
         [dir] => match Timeline::load(Path::new(dir)) {
             Ok(t) => {
-                println!("{}", t.render());
+                say(&format!("{}\n", t.render()));
                 0
             }
             Err(e) => {

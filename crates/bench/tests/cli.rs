@@ -1,0 +1,109 @@
+//! The operator binary, spawned as a process: argument errors exit 2,
+//! `explain` reads a journal this test wrote (a listed key explains,
+//! an unsampled key exits 1), and a reader that has closed stdout ends
+//! a listing quietly instead of with a `println!` panic.
+
+use hamr_core::RuntimeConfig;
+use hamr_trace::StatsMode;
+use hamr_workloads::wordcount::WordCount;
+use hamr_workloads::{Benchmark, Env, SimParams};
+use std::path::Path;
+use std::process::{Command, Output, Stdio};
+
+fn hamr_cmd(args: &[&str]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_hamr"));
+    cmd.args(args);
+    cmd
+}
+
+fn hamr(args: &[&str]) -> Output {
+    hamr_cmd(args).output().expect("spawn hamr")
+}
+
+/// Run `hamr <args>` with a stdout whose read end is already closed:
+/// its first write fails with `EPIPE`, as under `| head` once `head`
+/// has left.
+fn hamr_into_closed_pipe(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    hamr_cmd(args)
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn hamr")
+}
+
+/// A small WordCount journaled with 1-in-1 lineage sampling.
+fn write_wordcount_journal(dir: &Path) {
+    let runtime = RuntimeConfig {
+        stats: StatsMode::Full { sample_one_in: 1 },
+        ..Default::default()
+    };
+    let env = Env::with_hamr_runtime(SimParams::test(2, 1), runtime);
+    env.hamr.enable_journal(dir).expect("enable journal");
+    let bench = WordCount {
+        lines: 200,
+        words_per_line: 8,
+        vocab: 50,
+    };
+    bench.seed(&env).expect("seed");
+    bench.run_hamr(&env).expect("hamr run");
+}
+
+#[test]
+fn bad_arguments_exit_2() {
+    for args in [
+        &[][..],
+        &["frobnicate"],
+        &["top", "--no-such-flag"],
+        &["top", "--ticks"],
+        &["timeline"],
+        &["explain", "only-a-dir"],
+    ] {
+        let out = hamr(args);
+        assert_eq!(out.status.code(), Some(2), "hamr {args:?}");
+        assert!(out.stdout.is_empty(), "hamr {args:?} wrote to stdout");
+    }
+}
+
+#[test]
+fn explain_and_timeline_read_a_journal() {
+    let dir = std::env::temp_dir().join(format!("hamr_cli_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_wordcount_journal(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+
+    // A key `--list` names explains, down to its reducer.
+    let list = hamr(&["explain", dir_arg, "wordcount", "--list"]);
+    assert_eq!(list.status.code(), Some(0));
+    let listing = String::from_utf8(list.stdout).expect("utf-8 listing");
+    let key = listing
+        .lines()
+        .nth(1)
+        .and_then(|l| l.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no sampled key listed: {listing}"));
+    let explained = hamr(&["explain", dir_arg, "wordcount", key]);
+    assert_eq!(explained.status.code(), Some(0), "explain {key}");
+    assert!(
+        String::from_utf8_lossy(&explained.stdout).contains("ingested by reduce"),
+        "explain {key} never reached a reducer"
+    );
+
+    // A key nobody sampled, and a job nobody ran, are both exit 1.
+    for (job, key) in [("wordcount", "no-such-key-xyzzy"), ("no-such-job", "--any")] {
+        let out = hamr(&["explain", dir_arg, job, key]);
+        assert_eq!(out.status.code(), Some(1), "explain {job} {key}");
+    }
+
+    // A closed stdout ends each listing quietly.
+    for args in [
+        &["explain", dir_arg, "wordcount", "--list"][..],
+        &["timeline", dir_arg],
+    ] {
+        let out = hamr_into_closed_pipe(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "hamr {args:?}: {stderr}");
+        assert!(stderr.is_empty(), "hamr {args:?} complained: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

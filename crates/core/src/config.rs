@@ -6,19 +6,6 @@ use hamr_simnet::NetConfig;
 use hamr_trace::{env_or_panic, StatsMode};
 use std::time::Duration;
 
-/// How partial-reduce accumulator state is shared among a node's
-/// worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContentionMode {
-    /// One shared accumulator map per node behind lock striping — the
-    /// paper-faithful design whose contention §5.2 blames for the
-    /// HistogramRatings slowdown (32 threads updating 1 variable).
-    SharedLocked,
-    /// Per-worker accumulator maps merged at completion — the fix the
-    /// paper proposes ("enforcing serialization on the variable access").
-    Sharded,
-}
-
 /// How a node schedules ready flowlet tasks onto its worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMode {
@@ -74,8 +61,8 @@ pub enum FaultInjection {
 }
 
 /// Skew-mitigation switches and thresholds (see `crate::skew`). The
-/// two mechanisms are independently toggleable so benchjson's
-/// `--skew-ablation` can attribute wins to each; both only ever
+/// two mechanisms are independently toggleable (`HAMR_SKEW`) so an
+/// ablation can attribute wins to each; both only ever
 /// engage on edges that registered a combiner via
 /// `JobBuilder::connect_combined`, so jobs without combiners are
 /// byte-for-byte unaffected by any setting.
@@ -147,12 +134,6 @@ pub struct RuntimeConfig {
     /// Per-node memory budget for reduce group state; beyond it, state
     /// spills to the local disk as sorted runs.
     pub memory_budget: usize,
-    /// Ablation: when true, every flowlet waits for all its inputs to
-    /// complete before processing any bin — coarse-grain stage barriers,
-    /// i.e. "Hadoop-style" scheduling on the HAMR engine.
-    pub barrier_mode: bool,
-    /// Partial-reduce state sharing (see [`ContentionMode`]).
-    pub contention: ContentionMode,
     /// Task scheduling strategy (see [`SchedMode`]).
     pub sched: SchedMode,
     /// Deliberate sabotage for self-verification tests (see
@@ -173,8 +154,6 @@ impl Default for RuntimeConfig {
             bin_capacity: 1024,
             out_window_bins: 32,
             memory_budget: 64 << 20,
-            barrier_mode: false,
-            contention: ContentionMode::SharedLocked,
             // Explicit `sched` assignments in code (e.g. the
             // differential tests) are unaffected by the env var.
             sched: env_or_panic(
@@ -352,7 +331,6 @@ mod tests {
         assert_eq!(c.threads_per_node, 2);
         assert!(c.net.is_instant());
         assert!(c.disk.is_instant());
-        assert!(!c.runtime.barrier_mode);
     }
 
     #[test]
@@ -379,7 +357,6 @@ mod tests {
         assert!(r.bin_capacity > 0);
         assert!(r.out_window_bins > 0);
         assert!(r.memory_budget > 0);
-        assert_eq!(r.contention, ContentionMode::SharedLocked);
     }
 
     #[test]

@@ -167,10 +167,6 @@ pub trait PartialReduceFn: Send + Sync {
     /// Fold one more value into an accumulator, in place.
     fn fold(&self, key: &[u8], acc: &mut AccBox, value: &[u8]);
 
-    /// Merge another accumulator into `acc` (used by sharded contention
-    /// mode and by map-side combiners). Must agree with repeated `fold`.
-    fn merge(&self, key: &[u8], acc: &mut AccBox, other: AccBox);
-
     /// Emit the final records for a key at completion/epoch flush.
     fn finish(&self, ctx: &TaskContext, key: &[u8], acc: AccBox, out: &mut Emitter);
 }

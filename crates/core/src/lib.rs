@@ -70,8 +70,8 @@ mod watchdog;
 
 pub use cluster::{Cluster, JobResult, RunOptions, Session, Supervision};
 pub use config::{
-    ClusterConfig, ContentionMode, FaultInjection, RuntimeConfig, SchedMode, SimClusterSpec,
-    SkewConfig, PAPER_CLUSTER, SCALED_CLUSTER,
+    ClusterConfig, FaultInjection, RuntimeConfig, SchedMode, SimClusterSpec, SkewConfig,
+    PAPER_CLUSTER, SCALED_CLUSTER,
 };
 pub use error::{ConfigError, GraphError, RunError};
 pub use flowlet::{

@@ -139,8 +139,9 @@ impl Payload for NetMsg {
 enum Work {
     Bin {
         from: NodeId,
-        /// True when the receipt was already acknowledged (barrier-mode
-        /// holds ack on arrival so upstream windows keep moving).
+        /// True when no acknowledgement is owed: the bin took no
+        /// flow-control window slot (a served resident frame, a merged
+        /// skew partial).
         acked: bool,
         bin: FrameBin,
     },
@@ -435,7 +436,7 @@ fn execute_task(
                 let state = shared.partial[flowlet]
                     .as_ref()
                     .expect("partial state exists");
-                state.fold_bin(worker_id, r.as_ref(), &bin);
+                state.fold_bin(r.as_ref(), &bin);
                 ack_to = ack;
             }
             Task::ReduceIngest { ack, bin, .. } => {
@@ -621,9 +622,6 @@ enum Phase {
 /// Per-flowlet scheduling state on this node.
 struct Instance {
     pending: VecDeque<Work>,
-    /// Barrier-mode holding pen for bins that arrived before input
-    /// completion.
-    held: Vec<Work>,
     complete_seen: usize,
     input_expected: usize,
     markers: HashMap<u64, usize>,
@@ -714,7 +712,7 @@ pub(crate) struct NodeRuntime {
     error: Option<String>,
     /// Gauges: per-flowlet bin-queue depth, indexed by flowlet.
     queue_gauges: Vec<Gauge>,
-    /// Gauge: bytes resident in queued (pending + held) bins.
+    /// Gauge: bytes resident in queued (pending) bins.
     pending_bytes_gauge: Gauge,
     /// When the earliest read this node waits for will be done: the
     /// `ready_at` of a split that passes every admission rule but
@@ -779,9 +777,7 @@ impl NodeRuntime {
         let mut reduce = Vec::with_capacity(graph.flowlets.len());
         for (id, def) in graph.flowlets.iter().enumerate() {
             partial.push(match def.kind {
-                FlowletKind::PartialReduce(_) => {
-                    Some(Arc::new(PartialState::new(cfg.contention, threads)))
-                }
+                FlowletKind::PartialReduce(_) => Some(Arc::new(PartialState::new())),
                 _ => None,
             });
             reduce.push(Mutex::new(match def.kind {
@@ -880,7 +876,6 @@ impl NodeRuntime {
                 let skew_expected = plan.flowlets[f].scatter_in.len() * nodes;
                 Instance {
                     pending: VecDeque::new(),
-                    held: Vec::new(),
                     complete_seen: 0,
                     input_expected: def.in_edges.len() * nodes,
                     markers: HashMap::new(),
@@ -1429,7 +1424,6 @@ impl NodeRuntime {
         enum Action {
             Stop,
             PopComplete,
-            HoldBin,
             RunBin,
             CountMarker,
             CountSkewDone,
@@ -1437,15 +1431,12 @@ impl NodeRuntime {
         loop {
             let action = {
                 let inst = &self.instances[f];
-                let barrier_hold = self.cfg.barrier_mode && !inst.input_done();
                 match inst.pending.front() {
                     None => Action::Stop,
                     Some(Work::Complete) => Action::PopComplete,
                     Some(Work::SkewDone) => Action::CountSkewDone,
                     Some(Work::Bin { .. }) => {
-                        if barrier_hold {
-                            Action::HoldBin
-                        } else if self.shared.flow.deferred_for(f) > 0 || !self.has_capacity() {
+                        if self.shared.flow.deferred_for(f) > 0 || !self.has_capacity() {
                             // Suspended by flow control, or pool full.
                             Action::Stop
                         } else {
@@ -1469,33 +1460,6 @@ impl NodeRuntime {
                     let inst = &mut self.instances[f];
                     inst.pending.pop_front();
                     inst.complete_seen += 1;
-                    if inst.input_done() && !inst.held.is_empty() {
-                        // Barrier mode: release the held bins now.
-                        for w in inst.held.drain(..).rev() {
-                            inst.pending.push_front(w);
-                        }
-                    }
-                }
-                Action::HoldBin => {
-                    // Acknowledge on receipt so upstream windows keep
-                    // moving while the barrier holds the data.
-                    let work = self.instances[f].pending.pop_front().expect("peeked");
-                    let work = if let Work::Bin {
-                        from,
-                        acked: false,
-                        bin,
-                    } = work
-                    {
-                        let _ = self.endpoint.send(from, NetMsg::Ack { edge: bin.edge });
-                        Work::Bin {
-                            from,
-                            acked: true,
-                            bin,
-                        }
-                    } else {
-                        work
-                    };
-                    self.instances[f].held.push(work);
                 }
                 Action::RunBin => {
                     let Some(Work::Bin { from, acked, bin }) =
@@ -1573,14 +1537,9 @@ impl NodeRuntime {
     /// Flush a partial reduce's window at an epoch boundary, or simply
     /// forward the marker for stateless flowlets.
     fn begin_epoch_flush(&mut self, f: FlowletId, epoch: u64) {
-        let reducer = match &self.plan.graph.flowlets[f].kind {
-            FlowletKind::PartialReduce(r) => Some(Arc::clone(r)),
-            _ => None,
-        };
-        match reducer {
-            Some(reducer) => {
-                let state = self.shared.partial[f].as_ref().expect("state").clone();
-                let entries = state.drain(reducer.as_ref());
+        match &self.shared.partial[f] {
+            Some(state) => {
+                let entries = state.drain();
                 let n = self.fire_entries(f, entries);
                 self.instances[f].phase = Phase::FlushingEpoch(epoch);
                 self.instances[f].fire_left = n;
@@ -1747,12 +1706,7 @@ impl NodeRuntime {
     }
 
     fn fire_partial(&mut self, f: FlowletId) {
-        let FlowletKind::PartialReduce(ref r) = self.plan.graph.flowlets[f].kind else {
-            unreachable!()
-        };
-        let reducer = Arc::clone(r);
-        let state = self.shared.partial[f].as_ref().expect("state").clone();
-        let entries = state.drain(reducer.as_ref());
+        let entries = self.shared.partial[f].as_ref().expect("state").drain();
         let n = self.fire_entries(f, entries);
         self.instances[f].phase = Phase::FiringPartial;
         self.instances[f].fire_left = n;

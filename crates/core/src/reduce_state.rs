@@ -7,10 +7,9 @@
 //!   iterators so reduce work parallelizes across the thread pool.
 //!
 //! * [`PartialState`] holds the per-key accumulators of a partial
-//!   reduce. Its [`ContentionMode`] decides whether workers share one
-//!   lock-striped map (paper-faithful; §5.2 blames exactly this for the
-//!   HistogramRatings slowdown) or keep per-worker maps merged at
-//!   flush time (the paper's proposed fix).
+//!   reduce in one lock-striped map the node's workers share
+//!   (paper-faithful; §5.2 blames exactly this for the
+//!   HistogramRatings slowdown).
 //!
 //! Both consume [`FrameBin`]s, which carry keys and values but not the
 //! producer's key hash. The two consumers that shard by key — reduce
@@ -24,7 +23,6 @@
 //! on first sight: accumulators outlive the frame, and pinning a whole
 //! frame allocation per retained key would hoard memory.
 
-use crate::config::ContentionMode;
 use crate::flowlet::{AccBox, PartialReduceFn};
 use crate::record::FrameBin;
 use crate::skew::Combiner;
@@ -318,106 +316,55 @@ impl SkewAbsorber {
     }
 }
 
-/// Accumulator state for one partial-reduce flowlet instance.
-/// Accumulators are native Rust values (see [`AccBox`]); no
-/// serialization happens on the fold path.
-pub(crate) enum PartialState {
-    /// Lock-striped shared map. With a skewed key space most updates
-    /// hit one stripe and serialize — deliberately reproducing the
-    /// paper's contention pathology.
-    Shared {
-        stripes: Vec<Mutex<StableMap<Bytes, AccBox>>>,
-    },
-    /// One map per worker; merged when flushed.
-    PerWorker {
-        maps: Vec<Mutex<StableMap<Bytes, AccBox>>>,
-    },
+/// Accumulator state for one partial-reduce flowlet instance: a
+/// lock-striped map shared by the node's workers. With a skewed key
+/// space most updates hit one stripe and serialize — deliberately
+/// reproducing the paper's contention pathology. Accumulators are
+/// native Rust values (see [`AccBox`]); no serialization happens on
+/// the fold path.
+pub(crate) struct PartialState {
+    stripes: Vec<Mutex<StableMap<Bytes, AccBox>>>,
 }
 
 const SHARED_STRIPES: usize = 16;
 
 impl PartialState {
-    pub(crate) fn new(mode: ContentionMode, workers: usize) -> Self {
-        match mode {
-            ContentionMode::SharedLocked => PartialState::Shared {
-                stripes: (0..SHARED_STRIPES)
-                    .map(|_| Mutex::new(StableMap::default()))
-                    .collect(),
-            },
-            ContentionMode::Sharded => PartialState::PerWorker {
-                maps: (0..workers.max(1))
-                    .map(|_| Mutex::new(StableMap::default()))
-                    .collect(),
-            },
+    pub(crate) fn new() -> Self {
+        PartialState {
+            stripes: (0..SHARED_STRIPES)
+                .map(|_| Mutex::new(StableMap::default()))
+                .collect(),
         }
     }
 
     /// Fold a bin into the accumulators. Entries are borrowed from the
-    /// frame; stripe selection hashes the key. `worker` selects the
-    /// private map in `PerWorker` mode, which hashes nothing.
-    pub(crate) fn fold_bin(&self, worker: usize, reducer: &dyn PartialReduceFn, bin: &FrameBin) {
-        match self {
-            PartialState::Shared { stripes } => {
-                for (key, value) in bin.frame.iter() {
-                    // Per-record lock acquisition is the point: this is
-                    // the shared-variable update the paper describes.
-                    let stripe = sub_shard(stable_hash(key), stripes.len());
-                    let mut map = stripes[stripe].lock();
-                    Self::fold_into(&mut map, reducer, key, value);
-                }
-            }
-            PartialState::PerWorker { maps } => {
-                let mut map = maps[worker % maps.len()].lock();
-                for (key, value) in bin.frame.iter() {
-                    Self::fold_into(&mut map, reducer, key, value);
+    /// frame; stripe selection hashes the key.
+    pub(crate) fn fold_bin(&self, reducer: &dyn PartialReduceFn, bin: &FrameBin) {
+        for (key, value) in bin.frame.iter() {
+            // Per-record lock acquisition is the point: this is the
+            // shared-variable update the paper describes.
+            let stripe = sub_shard(stable_hash(key), self.stripes.len());
+            let mut map = self.stripes[stripe].lock();
+            match map.get_mut(key) {
+                Some(acc) => reducer.fold(key, acc, value),
+                None => {
+                    let acc = reducer.init(key, value);
+                    // First sight of the key: copy it out of the frame so
+                    // the accumulator map doesn't pin frame allocations.
+                    map.insert(Bytes::copy_from_slice(key), acc);
                 }
             }
         }
     }
 
-    fn fold_into(
-        map: &mut StableMap<Bytes, AccBox>,
-        reducer: &dyn PartialReduceFn,
-        key: &[u8],
-        value: &[u8],
-    ) {
-        match map.get_mut(key) {
-            Some(acc) => reducer.fold(key, acc, value),
-            None => {
-                let acc = reducer.init(key, value);
-                // First sight of the key: copy it out of the frame so
-                // the accumulator map doesn't pin frame allocations.
-                map.insert(Bytes::copy_from_slice(key), acc);
-            }
+    /// Drain all accumulators, leaving the state empty for the next
+    /// streaming epoch.
+    pub(crate) fn drain(&self) -> Vec<(Bytes, AccBox)> {
+        let mut out = Vec::new();
+        for stripe in &self.stripes {
+            out.extend(stripe.lock().drain());
         }
-    }
-
-    /// Drain all accumulators (merging per-worker maps), leaving the
-    /// state empty for the next streaming epoch.
-    pub(crate) fn drain(&self, reducer: &dyn PartialReduceFn) -> Vec<(Bytes, AccBox)> {
-        match self {
-            PartialState::Shared { stripes } => {
-                let mut out = Vec::new();
-                for stripe in stripes {
-                    out.extend(stripe.lock().drain());
-                }
-                out
-            }
-            PartialState::PerWorker { maps } => {
-                let mut merged: StableMap<Bytes, AccBox> = StableMap::default();
-                for m in maps {
-                    for (k, v) in m.lock().drain() {
-                        match merged.get_mut(&k) {
-                            Some(prev) => reducer.merge(&k, prev, v),
-                            None => {
-                                merged.insert(k, v);
-                            }
-                        }
-                    }
-                }
-                merged.into_iter().collect()
-            }
-        }
+        out
     }
 }
 
@@ -520,9 +467,6 @@ mod tests {
             let v: u64 = hamr_codec::Codec::from_bytes(value).unwrap();
             *acc.downcast_mut::<u64>().unwrap() += v;
         }
-        fn merge(&self, _key: &[u8], acc: &mut AccBox, other: AccBox) {
-            *acc.downcast_mut::<u64>().unwrap() += *other.downcast::<u64>().unwrap();
-        }
         fn finish(&self, _ctx: &TaskContext, _key: &[u8], _acc: AccBox, _out: &mut Emitter) {}
     }
 
@@ -532,7 +476,7 @@ mod tests {
 
     fn partial_sums(state: &PartialState) -> Vec<(Bytes, u64)> {
         let mut out: Vec<(Bytes, u64)> = state
-            .drain(&SumReducer)
+            .drain()
             .into_iter()
             .map(|(k, v)| (k, *v.downcast::<u64>().unwrap()))
             .collect();
@@ -542,13 +486,12 @@ mod tests {
 
     #[test]
     fn shared_partial_state_sums() {
-        let st = PartialState::new(ContentionMode::SharedLocked, 4);
+        let st = PartialState::new();
         st.fold_bin(
-            0,
             &SumReducer,
             &bin(&[(b"x", &u64b(1)), (b"y", &u64b(10)), (b"x", &u64b(2))]),
         );
-        st.fold_bin(1, &SumReducer, &bin(&[(b"x", &u64b(4))]));
+        st.fold_bin(&SumReducer, &bin(&[(b"x", &u64b(4))]));
         let sums = partial_sums(&st);
         assert_eq!(sums, vec![(b("x"), 7), (b("y"), 10)]);
         // Drained: empty now.
@@ -556,36 +499,23 @@ mod tests {
     }
 
     #[test]
-    fn per_worker_partial_state_merges_on_drain() {
-        let st = PartialState::new(ContentionMode::Sharded, 3);
-        for worker in 0..3 {
-            st.fold_bin(worker, &SumReducer, &bin(&[(b"x", &u64b(5))]));
-        }
-        let sums = partial_sums(&st);
-        assert_eq!(sums, vec![(b("x"), 15)]);
-    }
-
-    #[test]
     fn partial_state_concurrent_folds_are_correct() {
         use std::sync::Arc;
-        for mode in [ContentionMode::SharedLocked, ContentionMode::Sharded] {
-            let st = Arc::new(PartialState::new(mode, 8));
-            let threads: Vec<_> = (0..8)
-                .map(|w| {
-                    let st = Arc::clone(&st);
-                    std::thread::spawn(move || {
-                        for _ in 0..200 {
-                            st.fold_bin(w, &SumReducer, &bin(&[(b"hot", &u64b(1))]));
-                        }
-                    })
+        let st = Arc::new(PartialState::new());
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let st = Arc::clone(&st);
+                std::thread::spawn(move || {
+                    for _ in 0..200 {
+                        st.fold_bin(&SumReducer, &bin(&[(b"hot", &u64b(1))]));
+                    }
                 })
-                .collect();
-            for t in threads {
-                t.join().unwrap();
-            }
-            let sums = partial_sums(&st);
-            assert_eq!(sums, vec![(b("hot"), 1600)], "mode {mode:?}");
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
         }
+        assert_eq!(partial_sums(&st), vec![(b("hot"), 1600)]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! mapred's map-side combiner collapses them before they ship. The
 //! causal profiler (PR 4) diagnosed it; two composable mechanisms close
 //! the loop, each independently toggleable via
-//! [`SkewConfig`](crate::SkewConfig) / `HAMR_SKEW` so benchjson can
+//! [`SkewConfig`](crate::SkewConfig) / `HAMR_SKEW` so `table2` can
 //! ablate them:
 //!
 //! 1. **In-node combiners** — a per-edge associative [`Combiner`]

@@ -165,25 +165,23 @@ where
 
 // ------------------------------------------------------ partial reduce
 
-/// A [`PartialReduceFn`] assembled from typed fold/merge/finish
+/// A [`PartialReduceFn`] assembled from typed init/fold/finish
 /// closures over value type `V` and accumulator type `Acc`.
-pub struct TypedPartial<K, V, Acc, FInit, FFold, FMerge, FFinish> {
+pub struct TypedPartial<K, V, Acc, FInit, FFold, FFinish> {
     init: FInit,
     fold: FFold,
-    merge: FMerge,
     finish: FFinish,
     _pd: PhantomData<fn(K, V, Acc)>,
 }
 
-impl<K, V, Acc, FInit, FFold, FMerge, FFinish> PartialReduceFn
-    for TypedPartial<K, V, Acc, FInit, FFold, FMerge, FFinish>
+impl<K, V, Acc, FInit, FFold, FFinish> PartialReduceFn
+    for TypedPartial<K, V, Acc, FInit, FFold, FFinish>
 where
     K: Codec,
     V: Codec,
     Acc: Send + 'static,
     FInit: Fn(&K, V) -> Acc + Send + Sync,
     FFold: Fn(&K, Acc, V) -> Acc + Send + Sync,
-    FMerge: Fn(&K, Acc, Acc) -> Acc + Send + Sync,
     FFinish: Fn(&TaskContext, K, Acc, &mut Emitter) + Send + Sync,
 {
     fn init(&self, key: &[u8], value: &[u8]) -> AccBox {
@@ -203,19 +201,6 @@ where
         *slot = Some((self.fold)(&k, old, dec("partial value", value)));
     }
 
-    fn merge(&self, key: &[u8], acc: &mut AccBox, other: AccBox) {
-        let k: K = dec("partial key", key);
-        let other = other
-            .downcast::<Option<Acc>>()
-            .expect("accumulator type confusion")
-            .expect("accumulator present");
-        let slot = acc
-            .downcast_mut::<Option<Acc>>()
-            .expect("accumulator type confusion");
-        let old = slot.take().expect("accumulator present");
-        *slot = Some((self.merge)(&k, old, other));
-    }
-
     fn finish(&self, ctx: &TaskContext, key: &[u8], acc: AccBox, out: &mut Emitter) {
         let acc = acc
             .downcast::<Option<Acc>>()
@@ -227,25 +212,22 @@ where
 
 /// Build a partial reduce from typed closures. `finish` decides where
 /// results go (a port, captured output, disk, KV store...).
-pub fn partial_fn<K, V, Acc, FInit, FFold, FMerge, FFinish>(
+pub fn partial_fn<K, V, Acc, FInit, FFold, FFinish>(
     init: FInit,
     fold: FFold,
-    merge: FMerge,
     finish: FFinish,
-) -> TypedPartial<K, V, Acc, FInit, FFold, FMerge, FFinish>
+) -> TypedPartial<K, V, Acc, FInit, FFold, FFinish>
 where
     K: Codec,
     V: Codec,
     Acc: Send + 'static,
     FInit: Fn(&K, V) -> Acc + Send + Sync,
     FFold: Fn(&K, Acc, V) -> Acc + Send + Sync,
-    FMerge: Fn(&K, Acc, Acc) -> Acc + Send + Sync,
     FFinish: Fn(&TaskContext, K, Acc, &mut Emitter) + Send + Sync,
 {
     TypedPartial {
         init,
         fold,
-        merge,
         finish,
         _pd: PhantomData,
     }
@@ -255,10 +237,9 @@ where
 /// on port 0 when the flowlet has a downstream connection, otherwise
 /// into the captured job output.
 pub fn sum_reducer<K: Codec>() -> impl PartialReduceFn {
-    partial_fn::<K, u64, u64, _, _, _, _>(
+    partial_fn::<K, u64, u64, _, _, _>(
         |_k, v| v,
         |_k, acc, v| acc + v,
-        |_k, a, b| a + b,
         |_ctx, k: K, acc, out: &mut Emitter| {
             if out.ports() > 0 {
                 out.emit_t(0, &k, &acc);
@@ -272,10 +253,9 @@ pub fn sum_reducer<K: Codec>() -> impl PartialReduceFn {
 /// Count occurrences per key (values ignored). Same output routing as
 /// [`sum_reducer`].
 pub fn count_reducer<K: Codec, V: Codec>() -> impl PartialReduceFn {
-    partial_fn::<K, V, u64, _, _, _, _>(
+    partial_fn::<K, V, u64, _, _, _>(
         |_k, _v| 1,
         |_k, acc, _v| acc + 1,
-        |_k, a, b| a + b,
         |_ctx, k: K, acc, out: &mut Emitter| {
             if out.ports() > 0 {
                 out.emit_t(0, &k, &acc);
@@ -288,10 +268,9 @@ pub fn count_reducer<K: Codec, V: Codec>() -> impl PartialReduceFn {
 
 /// Maximum `u64` value per key. Same output routing as [`sum_reducer`].
 pub fn max_reducer<K: Codec>() -> impl PartialReduceFn {
-    partial_fn::<K, u64, u64, _, _, _, _>(
+    partial_fn::<K, u64, u64, _, _, _>(
         |_k, v| v,
         |_k, acc, v| acc.max(v),
-        |_k, a, b| a.max(b),
         |_ctx, k: K, acc, out: &mut Emitter| {
             if out.ports() > 0 {
                 out.emit_t(0, &k, &acc);
@@ -304,10 +283,9 @@ pub fn max_reducer<K: Codec>() -> impl PartialReduceFn {
 
 /// Minimum `u64` value per key. Same output routing as [`sum_reducer`].
 pub fn min_reducer<K: Codec>() -> impl PartialReduceFn {
-    partial_fn::<K, u64, u64, _, _, _, _>(
+    partial_fn::<K, u64, u64, _, _, _>(
         |_k, v| v,
         |_k, acc, v| acc.min(v),
-        |_k, a, b| a.min(b),
         |_ctx, k: K, acc, out: &mut Emitter| {
             if out.ports() > 0 {
                 out.emit_t(0, &k, &acc);
@@ -320,10 +298,9 @@ pub fn min_reducer<K: Codec>() -> impl PartialReduceFn {
 
 /// Like [`sum_reducer`] but for `f64` values.
 pub fn sum_f64_reducer<K: Codec>() -> impl PartialReduceFn {
-    partial_fn::<K, f64, f64, _, _, _, _>(
+    partial_fn::<K, f64, f64, _, _, _>(
         |_k, v| v,
         |_k, acc, v| acc + v,
-        |_k, a, b| a + b,
         |_ctx, k: K, acc, out: &mut Emitter| {
             if out.ports() > 0 {
                 out.emit_t(0, &k, &acc);

@@ -1,8 +1,6 @@
 //! End-to-end engine tests: full jobs through the multi-node runtime.
 
-use hamr_core::{
-    typed, Cluster, ClusterConfig, ContentionMode, Emitter, Exchange, JobBuilder, RunError,
-};
+use hamr_core::{typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, RunError};
 
 fn local_cluster(nodes: usize, threads: usize) -> Cluster {
     Cluster::new(ClusterConfig::local(nodes, threads))
@@ -278,54 +276,6 @@ fn tight_flow_control_window_still_completes() {
         result.metrics.total_stalls() > 0,
         "window of 1 must cause flow-control stalls"
     );
-}
-
-#[test]
-fn barrier_mode_produces_same_answer() {
-    for barrier in [false, true] {
-        let mut config = ClusterConfig::local(3, 2);
-        config.runtime.barrier_mode = barrier;
-        let cluster = Cluster::new(config);
-        let mut job = JobBuilder::new("barrier");
-        let loader = job.add_loader("lines", typed::vec_loader(wordcount_lines()));
-        let map = job.add_map("split", typed::map_fn(split_words));
-        let sum = job.add_partial_reduce("sum", typed::sum_reducer::<String>());
-        job.connect(loader, map, Exchange::Local);
-        job.connect(map, sum, Exchange::Hash);
-        job.capture_output(sum);
-        let result = cluster.run(job.build().unwrap()).unwrap();
-        let mut out = result.typed_output::<String, u64>(sum);
-        out.sort();
-        assert_eq!(out, expected_counts(), "barrier={barrier}");
-    }
-}
-
-#[test]
-fn contention_modes_agree() {
-    let mut answers = Vec::new();
-    for mode in [ContentionMode::SharedLocked, ContentionMode::Sharded] {
-        let mut config = ClusterConfig::local(2, 4);
-        config.runtime.contention = mode;
-        let cluster = Cluster::new(config);
-        let mut job = JobBuilder::new("contend");
-        let pairs: Vec<(u64, u64)> = (0..4000u64).map(|i| (i % 5, 1)).collect();
-        let loader = job.add_loader("pairs", typed::pairs_loader(pairs));
-        let route = job.add_map(
-            "route",
-            typed::map_fn(|k: u64, v: u64, out: &mut Emitter| out.emit_t(0, &k, &v)),
-        );
-        let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
-        job.connect(loader, route, Exchange::Local);
-        job.connect(route, sum, Exchange::Hash);
-        job.capture_output(sum);
-        let result = cluster.run(job.build().unwrap()).unwrap();
-        let mut out = result.typed_output::<u64, u64>(sum);
-        out.sort();
-        answers.push(out);
-    }
-    assert_eq!(answers[0], answers[1]);
-    assert_eq!(answers[0].len(), 5);
-    assert_eq!(answers[0].iter().map(|(_, v)| v).sum::<u64>(), 4000);
 }
 
 #[test]

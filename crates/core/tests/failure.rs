@@ -85,10 +85,9 @@ fn partial_finish_panic_is_reported() {
     let loader = job.add_loader("nums", typed::pairs_loader(vec![(1u64, 1u64), (2, 2)]));
     let bad = job.add_partial_reduce(
         "bad",
-        typed::partial_fn::<u64, u64, u64, _, _, _, _>(
+        typed::partial_fn::<u64, u64, u64, _, _, _>(
             |_k, v| v,
             |_k, a, v| a + v,
-            |_k, a, b| a + b,
             |_ctx, _k, _acc, _out: &mut Emitter| panic!("finish exploded"),
         ),
     );

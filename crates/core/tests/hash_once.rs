@@ -3,8 +3,8 @@
 //! buffer and the statistics fold all share that value); frames do not
 //! carry it, so a consumer that shards by key — reduce ingest picking a
 //! sub-shard, the shared partial map picking a stripe — hashes it once
-//! more per record. Nothing else may: not a `Local → Map` hop, not the
-//! per-worker partial maps, not captured output, not a map probe.
+//! more per record. Nothing else may: not a `Local → Map` hop, not
+//! captured output, not a map probe.
 //!
 //! This file deliberately holds a single test: the instrumentation is a
 //! process-global counter (`hamr_codec::hash::hash_counter`), so the
@@ -17,9 +17,7 @@
 #![cfg(debug_assertions)]
 
 use hamr_codec::hash::hash_counter;
-use hamr_core::{
-    typed, Cluster, ClusterConfig, ContentionMode, Emitter, Exchange, FlowletId, JobBuilder,
-};
+use hamr_core::{typed, Cluster, ClusterConfig, Emitter, Exchange, FlowletId, JobBuilder};
 
 const LINES: [&str; 4] = [
     "the quick brown fox",
@@ -96,16 +94,6 @@ fn keys_hash_once_per_side() {
     let cluster = Cluster::new(ClusterConfig::local(3, 2));
     assert_eq!(hashes_of(&cluster, add_reduce), emissions + N_WORDS);
 
-    // The shared partial map (the default) stripes every word it folds.
-    assert_eq!(
-        cluster.config().runtime.contention,
-        ContentionMode::SharedLocked
-    );
+    // The shared partial map stripes every word it folds.
     assert_eq!(hashes_of(&cluster, add_partial), emissions + N_WORDS);
-
-    // Per-worker partial maps shard by worker, not by key: the consumer
-    // side adds nothing.
-    let mut config = ClusterConfig::local(3, 2);
-    config.runtime.contention = ContentionMode::Sharded;
-    assert_eq!(hashes_of(&Cluster::new(config), add_partial), emissions);
 }

@@ -53,10 +53,9 @@ fn deep_chain_of_mixed_flowlets() {
     );
     let p = job.add_partial_reduce(
         "psum",
-        typed::partial_fn::<u64, u64, u64, _, _, _, _>(
+        typed::partial_fn::<u64, u64, u64, _, _, _>(
             |_k, v| v,
             |_k, a, v| a + v,
-            |_k, a, b| a + b,
             |_ctx, k, acc, out: &mut Emitter| out.emit_t(0, &(k % 4), &acc),
         ),
     );

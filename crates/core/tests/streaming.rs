@@ -20,10 +20,9 @@ fn windowed_partial_reduce_emits_per_epoch() {
     // Window sum keyed by i%4; finish emits (key, sum) tagged output.
     let win = job.add_partial_reduce(
         "window-sum",
-        typed::partial_fn::<u64, u64, u64, _, _, _, _>(
+        typed::partial_fn::<u64, u64, u64, _, _, _>(
             |_k, v| v,
             |_k, acc, v| acc + v,
-            |_k, a, b| a + b,
             |_ctx, k, acc, out: &mut Emitter| out.output_t(&k, &acc),
         ),
     );
@@ -66,10 +65,9 @@ fn marker_propagates_through_map_stage() {
     );
     let win = job.add_partial_reduce(
         "sum",
-        typed::partial_fn::<u64, u64, u64, _, _, _, _>(
+        typed::partial_fn::<u64, u64, u64, _, _, _>(
             |_k, v| v,
             |_k, acc, v| acc + v,
-            |_k, a, b| a + b,
             |_ctx, k, acc, out: &mut Emitter| out.output_t(&k, &acc),
         ),
     );
@@ -111,10 +109,9 @@ fn gen_stream_ends_when_closure_says_so() {
     );
     let sink = job.add_partial_reduce(
         "collect",
-        typed::partial_fn::<u64, u64, u64, _, _, _, _>(
+        typed::partial_fn::<u64, u64, u64, _, _, _>(
             |_k, _v| 1,
             |_k, acc, _v| acc + 1,
-            |_k, a, b| a + b,
             |_ctx, k, acc, out: &mut Emitter| out.output_t(&k, &acc),
         ),
     );
@@ -133,10 +130,9 @@ fn batch_and_stream_same_programming_model() {
     // job and a streaming job; the batch total equals the sum of the
     // streaming windows.
     let make_reducer = || {
-        typed::partial_fn::<u64, u64, u64, _, _, _, _>(
+        typed::partial_fn::<u64, u64, u64, _, _, _>(
             |_k, v| v,
             |_k, acc, v| acc + v,
-            |_k, a, b| a + b,
             |_ctx, k, acc, out: &mut Emitter| out.output_t(&k, &acc),
         )
     };

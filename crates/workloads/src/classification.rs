@@ -83,15 +83,11 @@ impl Benchmark for Classification {
         // forwards only a count.
         let collect = job.add_partial_reduce(
             "LocalAssignCollect",
-            typed::partial_fn::<u64, u64, Vec<u64>, _, _, _, _>(
+            typed::partial_fn::<u64, u64, Vec<u64>, _, _, _>(
                 |_c, movie| vec![movie],
                 |_c, mut acc, movie| {
                     acc.push(movie);
                     acc
-                },
-                |_c, mut a, b| {
-                    a.extend(b);
-                    a
                 },
                 |ctx, cluster, members, out: &mut Emitter| {
                     // Write this node's slice of the cluster locally.

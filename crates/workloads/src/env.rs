@@ -263,7 +263,7 @@ pub struct BenchOutput {
     /// Exact distinct shuffle keys when the engine can count them
     /// (mapred: reduce-group total — disjoint reducer key ranges make
     /// the sum exact). 0 for HAMR, whose figure is always a sketch;
-    /// benchjson's sketch-accuracy gate anchors on this.
+    /// the sketch-accuracy test (`stats_e2e.rs`) anchors on this.
     pub exact_distinct_keys: u64,
 }
 

@@ -112,10 +112,9 @@ impl Benchmark for NaiveBayes {
         // downstream and per-label totals into the job output.
         let vector_sum = job.add_partial_reduce(
             "VectorSumReducer",
-            typed::partial_fn::<String, SparseVec, SparseVec, _, _, _, _>(
+            typed::partial_fn::<String, SparseVec, SparseVec, _, _, _>(
                 |_label, v| v,
                 |_label, acc, v| merge_sparse(acc, v),
-                |_label, a, b| merge_sparse(a, b),
                 |_ctx, label, acc, out: &mut Emitter| {
                     let total: u64 = acc.iter().map(|(_, c)| c).sum();
                     out.output_t(&format!("L:{label}"), &total);
@@ -127,10 +126,9 @@ impl Benchmark for NaiveBayes {
         );
         let weight_sum = job.add_partial_reduce(
             "WeightSumReducer",
-            typed::partial_fn::<String, u64, u64, _, _, _, _>(
+            typed::partial_fn::<String, u64, u64, _, _, _>(
                 |_w, v| v,
                 |_w, acc, v| acc + v,
-                |_w, a, b| a + b,
                 |_ctx, word, acc, out: &mut Emitter| {
                     out.output_t(&format!("F:{word}"), &acc);
                 },

@@ -132,6 +132,47 @@ fn skewed_workload_triggers_flow_control() {
     assert_eq!(total, 30_000);
 }
 
+/// The skew-inversion floor, as a count: on the skewed
+/// HistogramRatings shape the default mitigations fold at least nine
+/// in ten of the records `RatingMap` emits before they reach the
+/// shuffle (which is what keeps HAMR ahead of the baseline's map-side
+/// combiner on the paper's one inversion), `SkewConfig::off()` folds
+/// none, and the answer is the same either way. The wall-clock side of
+/// the same floor is `histratings_io` in `benchmark/`.
+#[test]
+fn default_mitigations_fold_the_skewed_histogram_shuffle() {
+    use hamr_core::{RuntimeConfig, SkewConfig};
+    let bench = hamr_workloads::skewed_variants()
+        .into_iter()
+        .find(|b| b.name() == "HistogramRatings")
+        .expect("skewed HistogramRatings variant");
+    for threads in [1, 2, 4] {
+        let run = |skew: SkewConfig| {
+            let runtime = RuntimeConfig {
+                skew,
+                ..Default::default()
+            };
+            let env = Env::with_hamr_runtime(SimParams::test(3, threads), runtime);
+            bench.seed(&env).unwrap();
+            bench.run_hamr(&env).unwrap()
+        };
+        let on = run(SkewConfig::default());
+        let off = run(SkewConfig::off());
+        assert_eq!(on.checksum, off.checksum, "{threads} threads");
+        assert_eq!(on.shuffle_records, off.shuffle_records);
+        assert!(
+            on.combined_records * 10 >= on.shuffle_records * 9,
+            "{threads} threads: default mitigations folded only {} of {} shuffle records",
+            on.combined_records,
+            on.shuffle_records
+        );
+        assert_eq!(
+            off.combined_records, 0,
+            "{threads} threads: off must fold nothing"
+        );
+    }
+}
+
 /// NaiveBayes on HAMR is one job; on the baseline it is two chained
 /// jobs. Verify the chain structure is what the DFS sees.
 #[test]

@@ -55,10 +55,9 @@ fn main() {
     // Branch B: number of ratings per user, keeping only heavy raters.
     let activity = job.add_partial_reduce(
         "UserActivity",
-        typed::partial_fn::<u64, u64, u64, _, _, _, _>(
+        typed::partial_fn::<u64, u64, u64, _, _, _>(
             |_user, _rating| 1,
             |_user, n, _rating| n + 1,
-            |_user, a, b| a + b,
             |_ctx, user, n, out: &mut Emitter| {
                 if n >= 10 {
                     out.output_t(&user, &n);

@@ -38,10 +38,9 @@ fn main() {
     // code versus the batch version.
     let windowed = job.add_partial_reduce(
         "window-count",
-        typed::partial_fn::<String, u64, u64, _, _, _, _>(
+        typed::partial_fn::<String, u64, u64, _, _, _>(
             |_w, v| v,
             |_w, acc, v| acc + v,
-            |_w, a, b| a + b,
             |_ctx, word, count, out: &mut Emitter| out.output_t(&word, &count),
         ),
     );
