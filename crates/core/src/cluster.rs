@@ -378,7 +378,7 @@ impl Cluster {
         let health = Arc::clone(&self.introspect.health);
         // Every per-edge and per-flowlet fact of this job, decided here,
         // once, before any node spawns: every node must agree on what
-        // is served from the cache, what fills it, and what scatters.
+        // is served from the cache, what fills it, and what combines.
         let plan = ExecPlan::compile(&graph, &self.config.runtime, n, &self.resident);
         // Per-job data-plane statistics: one sketch set per (edge,
         // destination node), folded by every node as bins close and

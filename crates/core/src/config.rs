@@ -60,66 +60,40 @@ pub enum FaultInjection {
     DropAcks { node: usize },
 }
 
-/// Skew-mitigation switches and thresholds (see `crate::skew`). The
-/// two mechanisms are independently toggleable (`HAMR_SKEW`) so an
-/// ablation can attribute wins to each; both only ever
-/// engage on edges that registered a combiner via
+/// The skew-mitigation switch (see `crate::skew`), toggleable
+/// (`HAMR_SKEW`) so an ablation can measure it. Combining only ever
+/// engages on edges that registered a combiner via
 /// `JobBuilder::connect_combined`, so jobs without combiners are
-/// byte-for-byte unaffected by any setting.
+/// byte-for-byte unaffected by either setting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkewConfig {
-    /// In-node combining: pre-aggregate duplicate keys inside
-    /// `TaskOutput` before bins ship.
+    /// In-node combining: pre-aggregate duplicate keys on the producer
+    /// node before bins ship.
     pub combine: bool,
-    /// Dynamic hot-key splitting: scatter keys that cross
-    /// `split_threshold` within one task across all nodes, merge the
-    /// absorbed partials at edge completion.
-    pub split: bool,
-    /// Per-task emit count at which a key is declared hot.
-    pub split_threshold: u32,
 }
 
 impl SkewConfig {
-    /// Every mechanism off — the pre-mitigation engine, byte for byte.
+    /// Combining off — the pre-mitigation engine, byte for byte.
     pub fn off() -> Self {
-        SkewConfig {
-            combine: false,
-            split: false,
-            ..SkewConfig::default()
-        }
+        SkewConfig { combine: false }
     }
 
-    /// Parse the `HAMR_SKEW` environment override: `off`/`none`, or a
-    /// comma list of `combine` and `split`. The error names the
-    /// accepted forms.
+    /// Parse the `HAMR_SKEW` environment override: `off`/`none` or
+    /// `combine`. The error names the accepted forms.
     pub fn from_env_str(s: &str) -> Result<Self, String> {
-        let mut cfg = SkewConfig::off();
         match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" => {}
-            list => {
-                for part in list.split(',') {
-                    match part.trim() {
-                        "combine" => cfg.combine = true,
-                        "split" => cfg.split = true,
-                        _ => return Err("off|combine|split|combine,split".to_string()),
-                    }
-                }
-            }
+            "off" | "none" => Ok(SkewConfig::off()),
+            "combine" => Ok(SkewConfig::default()),
+            _ => Err("off|combine".to_string()),
         }
-        Ok(cfg)
     }
 }
 
 impl Default for SkewConfig {
     fn default() -> Self {
-        SkewConfig {
-            // Combining and splitting are deterministic in effect
-            // (checksums are unchanged; see crate::skew) and strictly
-            // help on skewed inputs, so they default on.
-            combine: true,
-            split: true,
-            split_threshold: 256,
-        }
+        // Combining leaves checksums unchanged (see crate::skew) and
+        // strictly helps on skewed inputs, so it defaults on.
+        SkewConfig { combine: true }
     }
 }
 
@@ -393,27 +367,33 @@ mod tests {
         assert_eq!(SkewConfig::from_env_str("off"), Ok(SkewConfig::off()));
         assert_eq!(SkewConfig::from_env_str("none"), Ok(SkewConfig::off()));
         assert_eq!(
-            SkewConfig::from_env_str("combine,split"),
+            SkewConfig::from_env_str(" Combine "),
             Ok(SkewConfig::default())
         );
-        let c = SkewConfig::from_env_str(" split ").unwrap();
-        assert!(!c.combine && c.split);
-        // The removed third mechanism is a typo like any other.
-        for typo in ["bogus", "rebalance", "all", "combine,rebalance", ""] {
+        // The removed mechanisms are typos like any other.
+        for typo in ["bogus", "split", "combine,split", "rebalance", "all", ""] {
             assert_eq!(
                 SkewConfig::from_env_str(typo),
-                Err("off|combine|split|combine,split".to_string())
+                Err("off|combine".to_string())
             );
         }
-        let d = SkewConfig::default();
-        assert!(d.combine && d.split);
-        assert!(d.split_threshold > 0);
+        assert!(SkewConfig::default().combine);
+        assert!(!SkewConfig::off().combine);
     }
 
     #[test]
-    #[should_panic(expected = "HAMR_SKEW must be off|combine|split|combine,split, got 'rebalance'")]
     fn removed_skew_mechanism_panics() {
-        hamr_trace::value_or_panic("HAMR_SKEW", "rebalance", SkewConfig::from_env_str);
+        for removed in ["split", "combine,split", "rebalance"] {
+            let panic = std::panic::catch_unwind(|| {
+                hamr_trace::value_or_panic("HAMR_SKEW", removed, SkewConfig::from_env_str)
+            })
+            .expect_err("a removed mechanism must not parse");
+            let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(
+                msg,
+                &format!("HAMR_SKEW must be off|combine, got '{removed}'")
+            );
+        }
     }
 
     #[test]

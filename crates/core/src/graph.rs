@@ -191,9 +191,8 @@ impl JobBuilder {
     }
 
     /// [`connect`](Self::connect), plus an associative [`Combiner`] for
-    /// the edge's values, enabling the skew-mitigation mechanisms on it
-    /// (in-node combining, hot-key splitting — see `crate::skew`). The
-    /// combiner must satisfy the Hadoop combiner contract: its output
+    /// the edge's values, enabling in-node combining on it (see
+    /// `crate::skew`). The combiner must satisfy the Hadoop combiner contract: its output
     /// is valid reducer input, and merging in any grouping/order yields
     /// the same final result. `build` rejects
     /// combiners on edges that are not `Hash` exchanges into a

@@ -23,8 +23,8 @@ pub struct FlowletMetrics {
     pub stall_time: Duration,
     /// Bytes spilled to local disk (reduce overflow).
     pub spilled_bytes: u64,
-    /// Records folded away by skew combiners (in-node pre-aggregation
-    /// plus scatter absorption) before reaching reduce state. These are
+    /// Records folded away by in-node combiners before reaching reduce
+    /// state. These are
     /// also restored into `records_out` on the producer side so output
     /// counts stay comparable with the combiner-free path.
     pub combined_records: u64,
@@ -54,9 +54,6 @@ pub struct NodeMetrics {
     pub tasks_per_worker: Vec<u64>,
     /// Time each worker spent parked waiting for work.
     pub park_per_worker: Vec<Duration>,
-    /// Hot reduce partitions this node's emitters started scattering
-    /// (one per key crossing the sketch threshold per task).
-    pub splits_triggered: u64,
 }
 
 impl NodeMetrics {
@@ -132,11 +129,6 @@ impl JobMetrics {
     /// Sum of combiner-folded records over all flowlets.
     pub fn total_combined(&self) -> u64 {
         self.flowlets.values().map(|f| f.combined_records).sum()
-    }
-
-    /// Sum of hot-key splits triggered over all nodes.
-    pub fn total_splits(&self) -> u64 {
-        self.nodes.iter().map(|n| n.splits_triggered).sum()
     }
 
     /// Sum of successful steal operations over all nodes.
@@ -262,9 +254,6 @@ impl JobMetrics {
             registry
                 .counter("node_busy_us_total", labels())
                 .add(nm.busy.as_micros() as u64);
-            registry
-                .counter("node_splits_triggered_total", labels())
-                .add(nm.splits_triggered);
         }
         if let Some(snap) = &self.stats {
             // Per-edge sketch results as gauges (latest run of this job

@@ -70,20 +70,18 @@ use crate::config::{FaultInjection, RuntimeConfig, SchedMode};
 use crate::flowlet::{AccBox, TaskContext};
 use crate::graph::{EdgeId, FlowletId, FlowletKind};
 use crate::metrics::{FlowletMetrics, NodeMetrics};
-use crate::outbuf::{hashed_entries, CombineShelf, FlowControl, TaskOutput};
+use crate::outbuf::{CombineShelf, FlowControl, TaskOutput};
 use crate::plan::ExecPlan;
-use crate::record::{BinKind, FrameBin, Record};
-use crate::reduce_state::{FireShard, PartialState, ReduceState, SkewAbsorber};
+use crate::record::{FrameBin, Record};
+use crate::reduce_state::{FireShard, PartialState, ReduceState};
 use crate::sched::{Pool, Source};
-use crate::skew::KeySketch;
 use crate::NodeId;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hamr_codec::{stable_hash, FrameBuilder};
+use hamr_codec::stable_hash;
 use hamr_simnet::{Endpoint, Envelope, Payload};
 use hamr_trace::{
-    AuditBin, AuditStage, EventKind, Gauge, HopKind, Labels, Observe, TaskKind, NO_SPAN,
-    WORKER_RUNTIME,
+    AuditBin, AuditStage, EventKind, Gauge, Labels, Observe, TaskKind, NO_SPAN, WORKER_RUNTIME,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -103,11 +101,6 @@ pub(crate) enum NetMsg {
     /// The receiver finished processing one bin the addressee sent on
     /// `edge`.
     Ack { edge: EdgeId },
-    /// The sender has re-emitted every merged skew partial it absorbed
-    /// on `edge` — ordered behind those [`BinKind::Merged`] bins by the
-    /// fabric's per-link FIFO, so when a destination has heard this
-    /// from every node, all partials are in its queue.
-    SkewDone { edge: EdgeId },
     /// A node hit a fatal error; everyone stops.
     Abort { reason: Arc<String> },
 }
@@ -140,8 +133,7 @@ enum Work {
     Bin {
         from: NodeId,
         /// True when no acknowledgement is owed: the bin took no
-        /// flow-control window slot (a served resident frame, a merged
-        /// skew partial).
+        /// flow-control window slot (a served resident frame).
         acked: bool,
         bin: FrameBin,
     },
@@ -149,9 +141,6 @@ enum Work {
     Marker {
         epoch: u64,
     },
-    /// One node finished re-emitting its merged skew partials on a
-    /// scatter edge (queued behind them, like `Complete` behind bins).
-    SkewDone,
 }
 
 /// A task handed to a worker thread.
@@ -187,13 +176,6 @@ enum Task {
         flowlet: FlowletId,
         entries: Vec<(Bytes, AccBox)>,
     },
-    /// Fold one scattered hot-key bin into the edge's
-    /// [`SkewAbsorber`] instead of the destination's reduce state.
-    SkewAbsorb {
-        flowlet: FlowletId,
-        ack: Option<(NodeId, EdgeId)>,
-        bin: FrameBin,
-    },
     /// Drain every worker's combine buffers for `flowlet`, which has
     /// produced its last record: what they still hold ships ahead of
     /// the flowlet's `EdgeComplete`.
@@ -212,7 +194,6 @@ impl Task {
             | Task::ReduceIngest { flowlet, .. }
             | Task::FireReduce { flowlet, .. }
             | Task::FirePartial { flowlet, .. }
-            | Task::SkewAbsorb { flowlet, .. }
             | Task::FlushCombine { flowlet } => *flowlet,
         }
     }
@@ -226,7 +207,6 @@ impl Task {
             Task::ReduceIngest { .. } => TaskKind::ReduceIngest,
             Task::FireReduce { .. } => TaskKind::FireReduce,
             Task::FirePartial { .. } => TaskKind::FirePartial,
-            Task::SkewAbsorb { .. } => TaskKind::SkewAbsorb,
             Task::FlushCombine { .. } => TaskKind::FlushCombine,
         }
     }
@@ -237,8 +217,7 @@ impl Task {
         match self {
             Task::MapBin { bin, .. }
             | Task::PartialFold { bin, .. }
-            | Task::ReduceIngest { bin, .. }
-            | Task::SkewAbsorb { bin, .. } => bin.span,
+            | Task::ReduceIngest { bin, .. } => bin.span,
             _ => NO_SPAN,
         }
     }
@@ -258,15 +237,10 @@ struct TaskDone {
     is_fire: bool,
     records_in: u64,
     records_out: u64,
-    /// Records absorbed by the task's *producer-side* combine buffers.
+    /// Records absorbed by the task's combine buffers.
     /// Restores records_out to its pre-combine value for shuffle-volume
     /// comparability with the mapred baseline.
     combined: u64,
-    /// Records absorbed while folding scattered bins into an absorber
-    /// (consumer side — counts as combining, not as output).
-    absorbed: u64,
-    /// Hot keys this task's sketch flagged for splitting.
-    splits: u64,
     duration: Duration,
     panic: Option<String>,
 }
@@ -279,9 +253,6 @@ struct WorkerShared {
     ctx: TaskContext,
     partial: Vec<Option<Arc<PartialState>>>,
     reduce: Vec<Mutex<Option<Arc<ReduceState>>>>,
-    /// Per-*edge* absorbers for scattered hot-key records; `Some` only
-    /// on scatter-eligible edges.
-    absorbers: Vec<Option<Arc<SkewAbsorber>>>,
     /// Outbound windows + deferred queue. Workers ship their own bins
     /// through it, and a task's end reads its windows to decide how
     /// much of its combine buffers to drain.
@@ -295,17 +266,16 @@ struct WorkerShared {
 }
 
 impl WorkerShared {
-    /// Record a terminal lineage hop for a consumed bin (reduce ingest
-    /// or skew absorb). Samples are keyed by hash and frames carry
-    /// none, so this hashes every key of the bin — and is entirely off
-    /// outside `HAMR_STATS=full`.
-    fn stats_consume(&self, bin: &FrameBin, flowlet: FlowletId, kind: HopKind) {
+    /// Record the terminal lineage hop of a bin a reduce ingests.
+    /// Samples are keyed by hash and frames carry none, so this hashes
+    /// every key of the bin — and is entirely off outside
+    /// `HAMR_STATS=full`.
+    fn stats_consume(&self, bin: &FrameBin, flowlet: FlowletId) {
         if let Some(plane) = &self.obs.stats {
             if plane.lineage_on() {
                 plane.consume_bin(
                     bin.edge as u32,
                     self.ctx.node as u32,
-                    kind,
                     flowlet as u32,
                     &self.plan.flowlets[flowlet].name,
                     self.ctx.node as u32,
@@ -329,16 +299,10 @@ impl WorkerShared {
     }
 }
 
-/// Run one task to completion. `sketches` is the calling worker's
-/// stock of hot-key sketches, lent to the task's output and returned
-/// cleared, so that a task allocates no sketch tables of its own; the
-/// worker's combine buffers are lent the same way, off `shared.combine`.
-fn execute_task(
-    shared: &WorkerShared,
-    worker_id: usize,
-    sketches: &mut Vec<KeySketch>,
-    task: Task,
-) -> TaskDone {
+/// Run one task to completion. The calling worker's combine buffers are
+/// lent to the task's output off `shared.combine` and shelved again at
+/// its end.
+fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) -> TaskDone {
     let start = Instant::now();
     let flowlet = task.flowlet();
     let trace_kind = task.trace_kind();
@@ -371,8 +335,6 @@ fn execute_task(
         records_in: 0,
         records_out: 0,
         combined: 0,
-        absorbed: 0,
-        splits: 0,
         duration: Duration::ZERO,
         panic: None,
     };
@@ -383,14 +345,12 @@ fn execute_task(
             shared.ctx.node,
             worker_id as u32,
             &shared.obs,
-            sketches,
             &shared.combine,
         );
         let kind = &shared.plan.graph.flowlets[flowlet].kind;
         let mut records_in = 0u64;
         let mut ack_to = None;
         let mut stream = None;
-        let mut absorbed = 0u64;
         match task {
             Task::LoaderSplit { index, .. } => {
                 let FlowletKind::Loader(l) = kind else {
@@ -431,7 +391,7 @@ fn execute_task(
                 // Local-edge folds (pre-shuffle combines) are not a
                 // reduce ingest and stay hop-free.
                 if shared.plan.edges[bin.edge].sampled {
-                    shared.stats_consume(&bin, flowlet, HopKind::Reduce);
+                    shared.stats_consume(&bin, flowlet);
                 }
                 let state = shared.partial[flowlet]
                     .as_ref()
@@ -442,7 +402,7 @@ fn execute_task(
             Task::ReduceIngest { ack, bin, .. } => {
                 records_in = bin.len() as u64;
                 shared.audit_consume(&bin);
-                shared.stats_consume(&bin, flowlet, HopKind::Reduce);
+                shared.stats_consume(&bin, flowlet);
                 let state = shared.reduce[flowlet]
                     .lock()
                     .clone()
@@ -472,32 +432,17 @@ fn execute_task(
                     r.finish(&shared.ctx, &key, acc, &mut em);
                 }
             }
-            Task::SkewAbsorb { ack, bin, .. } => {
-                records_in = bin.len() as u64;
-                shared.audit_consume(&bin);
-                shared.stats_consume(&bin, flowlet, HopKind::Absorb);
-                let abs = shared.absorbers[bin.edge]
-                    .as_ref()
-                    .expect("absorber exists for scatter edge");
-                let combiner = shared.plan.edges[bin.edge]
-                    .combiner
-                    .as_ref()
-                    .expect("scatter edge has a combiner");
-                absorbed = abs.fold(worker_id, &bin, combiner.as_ref());
-                ack_to = ack;
-            }
             Task::FlushCombine { .. } => out.flush_held(&shared.combine),
         }
         (
-            out.into_parts(sketches, &shared.combine, &shared.flow),
+            out.into_parts(&shared.combine, &shared.flow),
             records_in,
             ack_to,
             stream,
-            absorbed,
         )
     }));
     match result {
-        Ok((parts, records_in, ack_to, stream, absorbed)) => {
+        Ok((parts, records_in, ack_to, stream)) => {
             done.records_out = parts.bins.iter().map(|(_, b)| b.len() as u64).sum();
             done.bins = parts.bins;
             done.captured = parts.captured;
@@ -506,8 +451,6 @@ fn execute_task(
             done.ack_to = ack_to;
             done.stream = stream;
             done.combined = parts.combined;
-            done.absorbed = absorbed;
-            done.splits = parts.splits;
         }
         Err(payload) => {
             let msg = payload
@@ -563,7 +506,6 @@ fn ws_worker_loop(
 ) {
     let node = shared.ctx.node as u32;
     let lane = worker as u32;
-    let mut sketches = Vec::new();
     loop {
         match pool.try_fetch(worker) {
             Some((task, src)) => {
@@ -578,7 +520,7 @@ fn ws_worker_loop(
                         },
                     );
                 }
-                let mut done = execute_task(&shared, worker, &mut sketches, task);
+                let mut done = execute_task(&shared, worker, task);
                 ship_done(&shared.flow, &endpoint, lane, &mut done);
                 if done_tx.send(done).is_err() {
                     return;
@@ -602,21 +544,46 @@ fn ws_worker_loop(
     }
 }
 
+/// A flowlet instance's lifecycle on one node. Every change goes
+/// through [`NodeRuntime::set_phase`], which holds it to
+/// [`Phase::may_become`]:
+///
+/// | from | to |
+/// |---|---|
+/// | `Active` | `Firing`, `FlushingCombine`, `FlushingEpoch`, `Complete` |
+/// | `Firing` | `FlushingCombine`, `Complete` |
+/// | `FlushingCombine` | `Complete` |
+/// | `FlushingEpoch` | `Active` |
+/// | `Complete` | — |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
+    /// Admitting input (or, for a source, producing it).
     Active,
-    /// Normal input is complete; this instance has re-emitted its
-    /// absorbed skew partials and is waiting for every node's
-    /// `SkewDone` (and the merged bins ordered ahead of them) before
-    /// it may fire.
-    Redistributing,
-    FiringReduce,
-    FiringPartial,
+    /// Input is complete and consumed; the reduce's fire shards or the
+    /// partial reduce's finish tasks are running.
+    Firing,
     /// The flowlet has produced its last record; one flush task is
     /// draining what its workers' combine buffers still hold.
     FlushingCombine,
+    /// A partial reduce is emitting a closed epoch's accumulators.
     FlushingEpoch(u64),
     Complete,
+}
+
+impl Phase {
+    /// Whether an instance in `self` may move to `next`.
+    fn may_become(self, next: Phase) -> bool {
+        use Phase::*;
+        matches!(
+            (self, next),
+            (
+                Active,
+                Firing | FlushingCombine | FlushingEpoch(_) | Complete
+            ) | (Firing, FlushingCombine | Complete)
+                | (FlushingCombine, Complete)
+                | (FlushingEpoch(_), Active)
+        )
+    }
 }
 
 /// Per-flowlet scheduling state on this node.
@@ -645,11 +612,6 @@ struct Instance {
     marker_owed: Option<u64>,
     stream_finished: bool,
     fire_left: usize,
-    // skew redistribution barrier
-    /// `SkewDone` messages to expect before firing: scatter-eligible
-    /// in-edges × nodes (zero when no in-edge can scatter).
-    skew_expected: usize,
-    skew_done_seen: usize,
 }
 
 impl Instance {
@@ -684,8 +646,6 @@ enum Exec {
         ready: Vec<Task>,
         rng: u64,
         next_worker: usize,
-        /// The one executing thread's hot-key sketches.
-        sketches: Vec<KeySketch>,
     },
 }
 
@@ -796,11 +756,6 @@ impl NodeRuntime {
         // A constant gauge alongside workers_busy, so occupancy
         // (busy/workers) is computable from a single /metrics scrape.
         obs.gauge("workers", on_node()).set(threads as i64);
-        let absorbers = plan
-            .edges
-            .iter()
-            .map(|e| e.scatter.then(|| Arc::new(SkewAbsorber::new(threads))))
-            .collect();
         let flow = Arc::new(FlowControl::new(
             node,
             nodes,
@@ -817,7 +772,6 @@ impl NodeRuntime {
             reduce,
             obs: obs.clone(),
             busy_gauge: obs.gauge("workers_busy", on_node()),
-            absorbers,
             flow,
             combine: CombineShelf::new(node, threads, graph.edges.len(), obs),
         });
@@ -853,7 +807,6 @@ impl NodeRuntime {
                     | 1,
                 ready: Vec::new(),
                 next_worker: 0,
-                sketches: Vec::new(),
             },
         };
         // Build per-flowlet instances.
@@ -873,7 +826,6 @@ impl NodeRuntime {
                     }
                     _ => 0,
                 };
-                let skew_expected = plan.flowlets[f].scatter_in.len() * nodes;
                 Instance {
                     pending: VecDeque::new(),
                     complete_seen: 0,
@@ -892,8 +844,6 @@ impl NodeRuntime {
                     marker_owed: None,
                     stream_finished: false,
                     fire_left: 0,
-                    skew_expected,
-                    skew_done_seen: 0,
                 }
             })
             .collect();
@@ -946,7 +896,6 @@ impl NodeRuntime {
             let Some(hit) = &fp.serve else { continue };
             for (port, spec) in fp.ports.iter().enumerate() {
                 let edge = spec.edge;
-                let dst = plan.graph.edges[edge].dst;
                 for frame in &hit.ports[port][self.node] {
                     let mut bin = FrameBin::new(edge, frame.clone());
                     for stage in [AuditStage::Emit, AuditStage::Ship, AuditStage::Deliver] {
@@ -959,30 +908,36 @@ impl NodeRuntime {
                         );
                     }
                     bin.span = self.shared.obs.tracer.mint_span();
-                    self.nmetrics.bins_in += 1;
-                    self.nmetrics.records_in += bin.len() as u64;
-                    self.shared.obs.tracer.emit(
-                        self.node as u32,
-                        WORKER_RUNTIME,
-                        EventKind::BinIngress {
-                            flowlet: dst as u32,
-                            edge: edge as u32,
-                            from: self.node as u32,
-                            span: bin.span,
-                        },
-                    );
-                    self.queue_gauges[dst].add(1);
-                    self.pending_bytes_gauge.add(bin.payload_bytes() as i64);
                     // Pre-acked: nothing was shipped, so there is no
                     // flow-control window slot to release.
-                    self.instances[dst].pending.push_back(Work::Bin {
-                        from: self.node,
-                        acked: true,
-                        bin,
-                    });
+                    self.enqueue_bin(self.node, true, bin);
                 }
             }
         }
+    }
+
+    /// Queue an arrived bin for its destination flowlet: the one
+    /// ingress path, whether the fabric delivered it or the resident
+    /// store served it. `acked` as on [`Work::Bin`].
+    fn enqueue_bin(&mut self, from: NodeId, acked: bool, bin: FrameBin) {
+        let dst = self.plan.graph.edges[bin.edge].dst;
+        self.nmetrics.bins_in += 1;
+        self.nmetrics.records_in += bin.len() as u64;
+        self.shared.obs.tracer.emit(
+            self.node as u32,
+            WORKER_RUNTIME,
+            EventKind::BinIngress {
+                flowlet: dst as u32,
+                edge: bin.edge as u32,
+                from: from as u32,
+                span: bin.span,
+            },
+        );
+        self.queue_gauges[dst].add(1);
+        self.pending_bytes_gauge.add(bin.payload_bytes() as i64);
+        self.instances[dst]
+            .pending
+            .push_back(Work::Bin { from, acked, bin });
     }
 
     pub(crate) fn run(mut self) -> NodeOutcome {
@@ -1048,7 +1003,6 @@ impl NodeRuntime {
                 ready: Vec::new(),
                 rng: 0,
                 next_worker: 0,
-                sketches: Vec::new(),
             },
         );
         match exec {
@@ -1089,12 +1043,11 @@ impl NodeRuntime {
     /// work stealing.
     fn deterministic_step(&mut self) -> bool {
         let threads = self.threads;
-        let (task, worker, sketches) = match &mut self.exec {
+        let (task, worker) = match &mut self.exec {
             Exec::Deterministic {
                 ready,
                 rng,
                 next_worker,
-                sketches,
             } if !ready.is_empty() => {
                 *rng = rng
                     .wrapping_mul(6364136223846793005)
@@ -1103,11 +1056,11 @@ impl NodeRuntime {
                 let task = ready.swap_remove(idx);
                 let worker = *next_worker;
                 *next_worker = (*next_worker + 1) % threads;
-                (task, worker, sketches)
+                (task, worker)
             }
             _ => return false,
         };
-        let mut done = execute_task(&self.shared, worker, sketches, task);
+        let mut done = execute_task(&self.shared, worker, task);
         ship_done(&self.shared.flow, &self.endpoint, WORKER_RUNTIME, &mut done);
         self.handle_done(done);
         true
@@ -1162,37 +1115,7 @@ impl NodeRuntime {
 
     fn handle_msg(&mut self, env: Envelope<NetMsg>) {
         match env.msg {
-            NetMsg::Bin(bin) => {
-                let dst = self.plan.graph.edges[bin.edge].dst;
-                self.nmetrics.bins_in += 1;
-                self.nmetrics.records_in += bin.len() as u64;
-                self.shared.obs.tracer.emit(
-                    self.node as u32,
-                    WORKER_RUNTIME,
-                    EventKind::BinIngress {
-                        flowlet: dst as u32,
-                        edge: bin.edge as u32,
-                        from: env.from as u32,
-                        span: bin.span,
-                    },
-                );
-                self.queue_gauges[dst].add(1);
-                self.pending_bytes_gauge.add(bin.payload_bytes() as i64);
-                // Merged skew bins bypass flow-control windows (they are
-                // bounded by distinct hot keys, not credits), so they must
-                // never be acked — marking them pre-acked keeps the
-                // per-edge in-flight accounting balanced.
-                let acked = bin.kind == BinKind::Merged;
-                self.instances[dst].pending.push_back(Work::Bin {
-                    from: env.from,
-                    acked,
-                    bin,
-                });
-            }
-            NetMsg::SkewDone { edge } => {
-                let dst = self.plan.graph.edges[edge].dst;
-                self.instances[dst].pending.push_back(Work::SkewDone);
-            }
+            NetMsg::Bin(bin) => self.enqueue_bin(env.from, false, bin),
             NetMsg::EdgeComplete { edge } => {
                 let dst = self.plan.graph.edges[edge].dst;
                 self.instances[dst].pending.push_back(Work::Complete);
@@ -1264,12 +1187,9 @@ impl NodeRuntime {
         fm.records_in += done.records_in;
         // Combined records were real map output that the combiner folded
         // away before shipping; restore them so records_out stays
-        // comparable with mapred's pre-combiner shuffle counts. Absorber
-        // folds are NOT restored — those records were already counted by
-        // their producer.
+        // comparable with mapred's pre-combiner shuffle counts.
         fm.records_out += done.records_out + done.combined;
-        fm.combined_records += done.combined + done.absorbed;
-        self.nmetrics.splits_triggered += done.splits;
+        fm.combined_records += done.combined;
         fm.busy += done.duration;
         fm.task_latency.record(done.duration);
         if !done.captured.is_empty() {
@@ -1415,10 +1335,7 @@ impl NodeRuntime {
     }
 
     fn pump_inner(&mut self, f: FlowletId) {
-        if !matches!(
-            self.instances[f].phase,
-            Phase::Active | Phase::Redistributing
-        ) {
+        if self.instances[f].phase != Phase::Active {
             return;
         }
         enum Action {
@@ -1426,7 +1343,6 @@ impl NodeRuntime {
             PopComplete,
             RunBin,
             CountMarker,
-            CountSkewDone,
         }
         loop {
             let action = {
@@ -1434,7 +1350,6 @@ impl NodeRuntime {
                 match inst.pending.front() {
                     None => Action::Stop,
                     Some(Work::Complete) => Action::PopComplete,
-                    Some(Work::SkewDone) => Action::CountSkewDone,
                     Some(Work::Bin { .. }) => {
                         if self.shared.flow.deferred_for(f) > 0 || !self.has_capacity() {
                             // Suspended by flow control, or pool full.
@@ -1476,17 +1391,6 @@ impl NodeRuntime {
                             ack,
                             bin,
                         },
-                        // Scattered hot-key bins fold into the per-edge
-                        // absorber instead of reduce state: their keys
-                        // don't hash-route here, so ingesting them
-                        // directly would break key→node placement.
-                        Tag::Partial | Tag::Reduce if bin.kind == BinKind::Scatter => {
-                            Task::SkewAbsorb {
-                                flowlet: f,
-                                ack,
-                                bin,
-                            }
-                        }
                         Tag::Partial => Task::PartialFold {
                             flowlet: f,
                             ack,
@@ -1500,10 +1404,6 @@ impl NodeRuntime {
                         Tag::Source => unreachable!("sources have no inputs"),
                     };
                     self.dispatch(task);
-                }
-                Action::CountSkewDone => {
-                    self.instances[f].pending.pop_front();
-                    self.instances[f].skew_done_seen += 1;
                 }
                 Action::CountMarker => {
                     let Some(Work::Marker { epoch }) = self.instances[f].pending.pop_front() else {
@@ -1541,7 +1441,7 @@ impl NodeRuntime {
             Some(state) => {
                 let entries = state.drain();
                 let n = self.fire_entries(f, entries);
-                self.instances[f].phase = Phase::FlushingEpoch(epoch);
+                self.set_phase(f, Phase::FlushingEpoch(epoch));
                 self.instances[f].fire_left = n;
                 if n == 0 {
                     // Nothing buffered this epoch; forward immediately.
@@ -1558,7 +1458,7 @@ impl NodeRuntime {
 
     fn finish_epoch_flush(&mut self, f: FlowletId, epoch: u64) {
         self.broadcast_markers(f, epoch);
-        self.instances[f].phase = Phase::Active;
+        self.set_phase(f, Phase::Active);
     }
 
     fn broadcast_markers(&mut self, f: FlowletId, epoch: u64) {
@@ -1592,6 +1492,16 @@ impl NodeRuntime {
         n
     }
 
+    /// The one place an instance's phase changes.
+    fn set_phase(&mut self, f: FlowletId, next: Phase) {
+        let phase = &mut self.instances[f].phase;
+        debug_assert!(
+            phase.may_become(next),
+            "flowlet {f}: illegal phase change {phase:?} -> {next:?}"
+        );
+        *phase = next;
+    }
+
     /// Advance a flowlet's lifecycle when its current phase has run dry.
     fn check_transition(&mut self, f: FlowletId) {
         let (phase, idle, fire_left) = {
@@ -1619,32 +1529,12 @@ impl NodeRuntime {
                     return;
                 }
                 match self.flowlet_tag(f) {
-                    Tag::Reduce | Tag::Partial if self.instances[f].skew_expected > 0 => {
-                        // Scatter-eligible inputs: re-emit our absorbed
-                        // hot-key partials and wait for every node's
-                        // merged bins + SkewDone before firing.
-                        self.begin_redistribute(f);
-                    }
                     Tag::Reduce => self.fire_reduce(f),
                     Tag::Partial => self.fire_partial(f),
                     _ => self.finish_producing(f),
                 }
             }
-            Phase::Redistributing => {
-                let ready = {
-                    let inst = &self.instances[f];
-                    inst.skew_done_seen == inst.skew_expected && inst.pending.is_empty() && idle
-                };
-                if !ready {
-                    return;
-                }
-                match self.flowlet_tag(f) {
-                    Tag::Reduce => self.fire_reduce(f),
-                    Tag::Partial => self.fire_partial(f),
-                    _ => unreachable!("only reduce flowlets redistribute"),
-                }
-            }
-            Phase::FiringReduce | Phase::FiringPartial => {
+            Phase::Firing => {
                 if fire_left == 0 && idle {
                     self.finish_producing(f);
                 }
@@ -1693,7 +1583,7 @@ impl NodeRuntime {
                     },
                 );
                 self.dispatch_batch(tasks);
-                self.instances[f].phase = Phase::FiringReduce;
+                self.set_phase(f, Phase::Firing);
                 self.instances[f].fire_left = n;
                 if n == 0 {
                     self.finish_producing(f);
@@ -1708,92 +1598,11 @@ impl NodeRuntime {
     fn fire_partial(&mut self, f: FlowletId) {
         let entries = self.shared.partial[f].as_ref().expect("state").drain();
         let n = self.fire_entries(f, entries);
-        self.instances[f].phase = Phase::FiringPartial;
+        self.set_phase(f, Phase::Firing);
         self.instances[f].fire_left = n;
         if n == 0 {
             self.finish_producing(f);
         }
-    }
-
-    /// Enter the redistribution barrier: drain this node's absorbers on
-    /// every scatter-eligible in-edge, re-emit the merged hot-key
-    /// partials to each key's home node as `Merged` bins, then tell
-    /// every node we're done. Per-link FIFO guarantees each receiver
-    /// sees our merged bins before our `SkewDone`.
-    fn begin_redistribute(&mut self, f: FlowletId) {
-        self.instances[f].phase = Phase::Redistributing;
-        let plan = Arc::clone(&self.plan);
-        for &edge in &plan.flowlets[f].scatter_in {
-            let abs = self.shared.absorbers[edge]
-                .as_ref()
-                .expect("absorber on scatter edge");
-            let combiner = plan.edges[edge]
-                .combiner
-                .as_ref()
-                .expect("combiner on scatter edge");
-            let (entries, folds) = abs.drain(combiner.as_ref());
-            self.fmetrics[f].combined_records += folds;
-            // Group by home node, chunked at bin_capacity like any
-            // other frame. Builders only exist once a record lands in
-            // them, so leftovers are never empty.
-            let mut builders: Vec<Option<FrameBuilder>> = (0..self.nodes).map(|_| None).collect();
-            for (key, value) in entries {
-                // The scatter frames brought no hashes; this is the one
-                // hash per distinct hot key that sends it home.
-                let hash = stable_hash(&key);
-                let home = (hash % self.nodes as u64) as usize;
-                let b = builders[home].get_or_insert_with(FrameBuilder::new);
-                b.push(hash, &key, &value);
-                if b.len() >= plan.bin_capacity {
-                    let full = builders[home].take().expect("builder present");
-                    self.ship_merged(edge, home, full);
-                }
-            }
-            for (home, b) in builders.into_iter().enumerate() {
-                if let Some(b) = b {
-                    self.ship_merged(edge, home, b);
-                }
-            }
-            for dst in 0..self.nodes {
-                let _ = self.endpoint.send(dst, NetMsg::SkewDone { edge });
-            }
-        }
-    }
-
-    /// Ship one merged skew bin straight through the endpoint. These
-    /// bypass flow-control windows (bounded by distinct hot keys, not
-    /// credits) and are marked pre-acked at ingress. The original
-    /// records balanced custody on their scatter targets; this is a
-    /// fresh Emit+Ship leg on (edge, home) — the fabric adds Deliver
-    /// and the home node's ingest adds Consume.
-    fn ship_merged(&mut self, edge: EdgeId, home: NodeId, builder: FrameBuilder) {
-        let (frame, hashes) = builder.finish();
-        // Merged bins bypass TaskOutput, so the stats plane folds them
-        // here — the re-emit leg is a distinct lineage hop.
-        if let Some(plane) = &self.shared.obs.stats {
-            let src_flowlet = self.plan.graph.edges[edge].src;
-            plane.fold_bin(
-                edge as u32,
-                home as u32,
-                HopKind::Merged,
-                src_flowlet as u32,
-                &self.plan.flowlets[src_flowlet].name,
-                self.node as u32,
-                hashed_entries(&frame, &hashes),
-            );
-        }
-        let mut bin = FrameBin::new(edge, frame).with_kind(BinKind::Merged);
-        for stage in [AuditStage::Emit, AuditStage::Ship] {
-            self.shared.obs.audit.record(
-                stage,
-                edge as u32,
-                home as u32,
-                bin.len() as u64,
-                bin.payload_bytes() as u64,
-            );
-        }
-        bin.span = self.shared.obs.tracer.mint_span();
-        let _ = self.endpoint.send(home, NetMsg::Bin(bin));
     }
 
     /// `f` has run its last producing task and shipped its bins. What
@@ -1807,7 +1616,7 @@ impl NodeRuntime {
         if self.held_partials(f) == 0 {
             return self.begin_complete(f);
         }
-        self.instances[f].phase = Phase::FlushingCombine;
+        self.set_phase(f, Phase::FlushingCombine);
         self.instances[f].fire_left = 1;
         self.dispatch(Task::FlushCombine { flowlet: f });
     }
@@ -1831,7 +1640,7 @@ impl NodeRuntime {
                 }
             }
         }
-        self.instances[f].phase = Phase::Complete;
+        self.set_phase(f, Phase::Complete);
     }
 }
 
@@ -1841,4 +1650,21 @@ enum Tag {
     Map,
     Reduce,
     Partial,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Phase::{self, *};
+
+    #[test]
+    fn phase_transitions_are_the_documented_table() {
+        let all = [Active, Firing, FlushingCombine, FlushingEpoch(3), Complete];
+        // Each row filters all five successors: 5 × 5 pairs judged.
+        let next = |from: Phase| all.into_iter().filter(move |&to| from.may_become(to));
+        assert!(next(Active).eq([Firing, FlushingCombine, FlushingEpoch(3), Complete]));
+        assert!(next(Firing).eq([FlushingCombine, Complete]));
+        assert!(next(FlushingCombine).eq([Complete]));
+        assert!(next(FlushingEpoch(3)).eq([Active]));
+        assert_eq!(next(Complete).count(), 0);
+    }
 }

@@ -18,10 +18,10 @@
 //! the flowlet completes.
 //!
 //! The key is hashed once here, at emission, and that hash serves every
-//! producer-side use: routing, the hot-key sketch, the combine buffer,
-//! and — from the builder's hash column — the statistics fold when the
-//! frame closes. It does not ship: the frame carries lengths, keys and
-//! values only, and a consumer that shards by key hashes it again.
+//! producer-side use: routing, the combine buffer, and — from the
+//! builder's hash column — the statistics fold when the frame closes.
+//! It does not ship: the frame carries lengths, keys and values only,
+//! and a consumer that shards by key hashes it again.
 //! Broadcast ports build one frame and ship cheap clones of it to every
 //! node — encode once, refcount per destination.
 
@@ -29,13 +29,13 @@ use crate::graph::{EdgeId, Exchange, FlowletId};
 use crate::metrics::FlowletMetrics;
 use crate::node::{NetMsg, COMBINE_BUDGET, COMBINE_LOW_WATER};
 use crate::plan::{ExecPlan, PortSpec};
-use crate::record::{BinKind, FrameBin, Record};
-use crate::skew::{Combiner, KeySketch};
+use crate::record::{FrameBin, Record};
+use crate::skew::Combiner;
 use crate::NodeId;
 use bytes::Bytes;
 use hamr_codec::{stable_hash, Frame, FrameBuilder};
 use hamr_simnet::Endpoint;
-use hamr_trace::{AuditStage, EventKind, Gauge, HopKind, Labels, Observe};
+use hamr_trace::{AuditStage, EventKind, Gauge, Labels, Observe};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -717,39 +717,15 @@ impl CombineShelf {
 }
 
 /// Per-task skew-mitigation state, attached only when some output
-/// port combines or may scatter.
+/// port combines.
 struct SkewState {
     /// Per-port combine buffer (`PortSpec::combine`), on loan from the
     /// executing worker's shelf.
     combine: Vec<Option<CombineBuf>>,
-    /// Per-port hot-key sketch (`PortSpec::scatter`). Observes
-    /// *pre-combine* emissions — post-combine each key would appear
-    /// once per task and never cross the threshold.
-    sketch: Vec<Option<KeySketch>>,
-    /// Open scatter frames per (port, destination), kept apart from the
-    /// normal slots because their bins ship as [`BinKind::Scatter`].
-    scatter_open: Vec<Option<FrameBuilder>>,
     /// Bins this task has closed per (port, destination): with the
     /// unacknowledged ones, what the destination's window will hold
     /// once they ship.
     closed: Vec<usize>,
-    /// Round-robin cursor for scatter destinations, seeded with the
-    /// node id so different producers interleave their targets.
-    rr: usize,
-    splits: u64,
-}
-
-/// A closed frame's entries beside the producer's hashes for them (the
-/// builder's column), as the statistics plane folds them:
-/// `(hash, key, value length)`.
-pub(crate) fn hashed_entries<'a>(
-    frame: &'a Frame,
-    hashes: &'a [u64],
-) -> impl Iterator<Item = (u64, &'a [u8], usize)> {
-    hashes
-        .iter()
-        .zip(frame.iter())
-        .map(|(&h, (k, v))| (h, k, v.len()))
 }
 
 /// Everything a finished task hands over.
@@ -759,17 +735,15 @@ pub(crate) struct TaskParts {
     pub bins: Vec<(NodeId, FrameBin)>,
     /// Records captured as job output.
     pub captured: Vec<Record>,
-    /// Pinned clones of every `Normal`-kind frame closed on a
-    /// cache-filling port, keyed by (edge, destination node). The clone
-    /// is a refcount bump on the frame's `Bytes`, taken *after*
-    /// combining but *before* the bin ships, so a later serve replays
-    /// byte-identical post-combine frames.
+    /// Pinned clones of every frame closed on a cache-filling port,
+    /// keyed by (edge, destination node). The clone is a refcount bump
+    /// on the frame's `Bytes`, taken *after* combining but *before* the
+    /// bin ships, so a later serve replays byte-identical post-combine
+    /// frames.
     pub fill: Vec<(EdgeId, NodeId, Frame)>,
     /// Records absorbed by in-node combining (each fold merges two
     /// partials into one, absorbing one record).
     pub combined: u64,
-    /// Hot keys this task's sketch flagged for splitting.
-    pub splits: u64,
 }
 
 /// Buffers one task's emissions.
@@ -785,7 +759,7 @@ pub(crate) struct TaskOutput {
     /// and cloned to every destination when it closes.
     open: Vec<Option<FrameBuilder>>,
     /// Finished bins, captured output and pinned fill frames; the
-    /// mitigation counters are filled in at the end.
+    /// fold count is filled in at the end.
     done: TaskParts,
     capture_enabled: bool,
     /// Reusable encode buffer for typed emits (see `emit_encoded`).
@@ -804,54 +778,34 @@ pub(crate) struct TaskOutput {
 
 impl TaskOutput {
     /// The output buffer of one task of `flowlet`, run by worker
-    /// `lane` on `node`. Hot-key sketches come out of the executing
-    /// worker's `sketches` and its combine buffers off `shelf`; both go
-    /// back in [`Self::into_parts`], the sketches cleared, the buffers
-    /// with whatever the windows left in them.
+    /// `lane` on `node`. The executing worker's combine buffers come
+    /// off `shelf` and go back in [`Self::into_parts`] with whatever
+    /// the windows left in them.
     pub(crate) fn new(
         plan: &ExecPlan,
         flowlet: FlowletId,
         node: NodeId,
         lane: u32,
         obs: &Observe,
-        sketches: &mut Vec<KeySketch>,
         shelf: &CombineShelf,
     ) -> Self {
         let fp = &plan.flowlets[flowlet];
         let slots = fp.ports.len() * plan.nodes;
-        let skew = fp
-            .ports
-            .iter()
-            .any(|p| p.combine || p.scatter)
-            .then(|| SkewState {
-                combine: fp
-                    .ports
-                    .iter()
-                    .map(|p| {
-                        let combiner = plan.edges[p.edge].combiner.as_ref();
-                        combiner.filter(|_| p.combine).map(|c| {
-                            shelf
-                                .take(lane as usize, p.edge)
-                                .unwrap_or_else(|| CombineBuf::new(Arc::clone(c), plan.nodes))
-                        })
+        let skew = fp.ports.iter().any(|p| p.combine).then(|| SkewState {
+            combine: fp
+                .ports
+                .iter()
+                .map(|p| {
+                    let combiner = plan.edges[p.edge].combiner.as_ref();
+                    combiner.filter(|_| p.combine).map(|c| {
+                        shelf
+                            .take(lane as usize, p.edge)
+                            .unwrap_or_else(|| CombineBuf::new(Arc::clone(c), plan.nodes))
                     })
-                    .collect(),
-                sketch: fp
-                    .ports
-                    .iter()
-                    .map(|p| {
-                        p.scatter.then(|| {
-                            sketches
-                                .pop()
-                                .unwrap_or_else(|| KeySketch::new(plan.split_threshold))
-                        })
-                    })
-                    .collect(),
-                scatter_open: (0..slots).map(|_| None).collect(),
-                closed: vec![0; slots],
-                rr: node,
-                splits: 0,
-            });
+                })
+                .collect(),
+            closed: vec![0; slots],
+        });
         TaskOutput {
             ports: Arc::clone(&fp.ports),
             node,
@@ -870,50 +824,38 @@ impl TaskOutput {
     }
 
     /// Freeze a finished builder into a bin for `dst`.
-    fn close_bin(&mut self, dst: NodeId, port: usize, builder: FrameBuilder, kind: BinKind) {
+    fn close_bin(&mut self, dst: NodeId, port: usize, builder: FrameBuilder) {
         let (frame, hashes) = builder.finish();
-        self.close_frame(dst, port, frame, &hashes, kind);
+        self.close_frame(dst, port, frame, &hashes);
     }
 
     /// Close a frozen frame into a bin, minting its lineage span and
     /// emitting `BinEmitted` when tracing is on. Disabled tracing costs
     /// one branch: the bin keeps span 0 and no id is allocated.
     /// `hashes` is the frame's builder column, entry for entry.
-    fn close_frame(
-        &mut self,
-        dst: NodeId,
-        port: usize,
-        frame: Frame,
-        hashes: &[u64],
-        kind: BinKind,
-    ) {
+    fn close_frame(&mut self, dst: NodeId, port: usize, frame: Frame, hashes: &[u64]) {
         let PortSpec { edge, fill, .. } = self.ports[port];
         if let Some(st) = self.skew.as_mut() {
             st.closed[port * self.nodes + dst] += 1;
         }
         // Pin a clone for the resident store before the frame moves
-        // into the bin. Only Normal bins are cached: scatter/merged
-        // skew traffic is nondeterministic routing, not dataflow.
-        if fill && kind == BinKind::Normal {
+        // into the bin.
+        if fill {
             self.done.fill.push((edge, dst, frame.clone()));
         }
         if let Some(plane) = &self.obs.stats {
-            let hop = match kind {
-                BinKind::Normal => HopKind::Emit,
-                BinKind::Scatter => HopKind::Scatter,
-                BinKind::Merged => HopKind::Merged,
-            };
+            // The frame's entries beside the producer's hashes for them.
+            let hashed = hashes.iter().zip(frame.iter());
             plane.fold_bin(
                 edge as u32,
                 dst as u32,
-                hop,
                 self.flowlet_id,
                 &self.flowlet_name,
                 self.node as u32,
-                hashed_entries(&frame, hashes),
+                hashed.map(|(&h, (k, v))| (h, k, v.len())),
             );
         }
-        let mut bin = FrameBin::new(edge, frame).with_kind(kind);
+        let mut bin = FrameBin::new(edge, frame);
         // Emit custody is tallied regardless of tracing: the audit
         // ledger must balance even when the trace stream is off.
         self.obs.audit.record(
@@ -962,7 +904,7 @@ impl TaskOutput {
         builder.push(hash, key, value);
         if builder.len() >= self.bin_capacity {
             let full = self.open[slot].take().expect("builder present");
-            self.close_bin(dst, port, full, BinKind::Normal);
+            self.close_bin(dst, port, full);
         }
     }
 
@@ -980,9 +922,7 @@ impl TaskOutput {
         };
         let hash = stable_hash(key);
         match spec.exchange {
-            Exchange::Hash if spec.combine || spec.scatter => {
-                self.emit_skew(port, hash, key, value);
-            }
+            Exchange::Hash if spec.combine => self.emit_skew(port, hash, key, value),
             Exchange::Hash => {
                 let dst = (hash % self.nodes as u64) as usize;
                 self.append(port, dst, hash, key, value);
@@ -1020,25 +960,15 @@ impl TaskOutput {
     fn broadcast_frame(&mut self, port: usize, builder: FrameBuilder) {
         let (frame, hashes) = builder.finish();
         for dst in 0..self.nodes {
-            self.close_frame(dst, port, frame.clone(), &hashes, BinKind::Normal);
+            self.close_frame(dst, port, frame.clone(), &hashes);
         }
     }
 
-    /// Emit on a Hash port that combines or may scatter: sketch the
-    /// key, then fold it into the port's combine buffer or route it.
+    /// Emit on a Hash port that combines: fold the record into the
+    /// port's combine buffer.
     fn emit_skew(&mut self, port: usize, hash: u64, key: &[u8], value: &[u8]) {
         let st = self.skew.as_mut().expect("skew state present");
-        // The hot-key sketch observes the *pre-combine* stream: the raw
-        // record pressure is what makes a key hot.
-        if let Some(sk) = st.sketch[port].as_mut() {
-            if sk.observe(hash) {
-                st.splits += 1;
-            }
-        }
-        let Some(buf) = st.combine[port].as_mut() else {
-            // Splitting without combining: route now.
-            return self.route_one(port, hash, key, value);
-        };
+        let buf = st.combine[port].as_mut().expect("combining port");
         buf.fold(hash, key, value);
         if buf.bytes > COMBINE_BUDGET {
             // Shed the older half of every destination's partials (the
@@ -1050,46 +980,10 @@ impl TaskOutput {
         }
     }
 
-    /// Route one (possibly pre-combined) record on a Hash port: to its
-    /// hash home, unless the port's sketch (present only where the edge
-    /// may scatter) has flagged the key hot — then scatter it
-    /// round-robin across all nodes.
-    fn route_one(&mut self, port: usize, hash: u64, key: &[u8], value: &[u8]) {
-        let st = self.skew.as_mut().expect("skew state present");
-        if !st.sketch[port].as_ref().is_some_and(|s| s.is_hot(hash)) {
-            let home = (hash % self.nodes as u64) as usize;
-            return self.append(port, home, hash, key, value);
-        }
-        let dst = st.rr % self.nodes;
-        st.rr += 1;
-        self.append_scatter(port, dst, hash, key, value);
-    }
-
-    /// Like [`Self::append`], but into the port's scatter frames; full
-    /// frames close as [`BinKind::Scatter`] so the receiver absorbs
-    /// them instead of feeding its reduce directly.
-    fn append_scatter(&mut self, port: usize, dst: NodeId, hash: u64, key: &[u8], value: &[u8]) {
-        let cap = self.bin_capacity;
-        let slot = port * self.nodes + dst;
-        let full = {
-            let st = self.skew.as_mut().expect("skew state present");
-            let builder = st.scatter_open[slot].get_or_insert_with(|| Self::new_builder(cap));
-            builder.push(hash, key, value);
-            if builder.len() >= self.bin_capacity {
-                st.scatter_open[slot].take()
-            } else {
-                None
-            }
-        };
-        if let Some(b) = full {
-            self.close_bin(dst, port, b, BinKind::Scatter);
-        }
-    }
-
     /// Route partials out of `port`'s combine buffer, oldest first:
     /// for each destination as many as `quota(self, dst, held there)`
-    /// allows. They take the path of any other record — `route_one`,
-    /// `append`, `close_frame` — from where the ledger has them.
+    /// allows. They take the path of any other record — `append`,
+    /// `close_frame` — from where the ledger has them.
     fn drain_port(&mut self, port: usize, quota: impl Fn(&Self, NodeId, usize) -> usize) {
         let st = self.skew.as_mut().expect("skew state present");
         let Some(mut buf) = st.combine[port].take() else {
@@ -1108,7 +1002,7 @@ impl TaskOutput {
         for dst in 0..self.nodes {
             let n = quota(self, dst, buf.held[dst].live);
             buf.drain(dst, n, |hash, key, value| {
-                self.route_one(port, hash, key, value)
+                self.append(port, dst, hash, key, value)
             });
         }
     }
@@ -1205,9 +1099,8 @@ impl TaskOutput {
     }
 
     /// Finish the task: drain the combine buffers as far as the rule
-    /// below says and shelve them, flush partial frames and scatter
-    /// frames, and hand everything over with the task's mitigation
-    /// counters.
+    /// below says and shelve them, flush partial frames, and hand
+    /// everything over with the task's fold count.
     ///
     /// The drain rule. A holding port (`PortSpec::hold`) hands on, per
     /// destination, only the partials that fit under the window's
@@ -1218,14 +1111,8 @@ impl TaskOutput {
     /// partials here, where the next task's duplicates fold into them.
     /// A port that does not hold (a streaming job: an epoch's records
     /// must leave ahead of its marker) drains whole.
-    pub(crate) fn into_parts(
-        mut self,
-        sketches: &mut Vec<KeySketch>,
-        shelf: &CombineShelf,
-        flow: &FlowControl,
-    ) -> TaskParts {
-        // Combine buffers feed the normal/scatter frames, so they
-        // drain first.
+    pub(crate) fn into_parts(mut self, shelf: &CombineShelf, flow: &FlowControl) -> TaskParts {
+        // Combine buffers feed the open frames, so they drain first.
         if self.skew.is_some() {
             for port in 0..self.ports.len() {
                 if self.ports[port].hold {
@@ -1245,22 +1132,8 @@ impl TaskOutput {
                 if matches!(self.ports[port].exchange, Exchange::Broadcast) {
                     self.broadcast_frame(port, builder);
                 } else {
-                    self.close_bin(slot % self.nodes, port, builder, BinKind::Normal);
+                    self.close_bin(slot % self.nodes, port, builder);
                 }
-            }
-        }
-        if let Some(mut st) = self.skew.take() {
-            let scatter = std::mem::take(&mut st.scatter_open);
-            for (slot, builder) in scatter.into_iter().enumerate() {
-                if let Some(b) = builder.filter(|b| !b.is_empty()) {
-                    let (port, dst) = (slot / self.nodes, slot % self.nodes);
-                    self.close_bin(dst, port, b, BinKind::Scatter);
-                }
-            }
-            self.done.splits = st.splits;
-            for mut sketch in st.sketch.into_iter().flatten() {
-                sketch.clear();
-                sketches.push(sketch);
             }
         }
         self.done
@@ -1301,7 +1174,7 @@ mod tests {
         let store = crate::ResidentStore::new();
         let plan = ExecPlan::compile(&Arc::new(b.build().unwrap()), &cfg, nodes, &store);
         let obs = Observe::default();
-        TaskOutput::new(&plan, l, node, 0, &obs, &mut Vec::new(), &shelf(1))
+        TaskOutput::new(&plan, l, node, 0, &obs, &shelf(1))
     }
 
     fn out(exchanges: &[Exchange], node: NodeId, nodes: usize, cap: usize) -> TaskOutput {
@@ -1323,7 +1196,7 @@ mod tests {
 
     fn finish(o: TaskOutput) -> (Vec<(NodeId, FrameBin)>, Vec<Record>) {
         let flow = flow_control(o.nodes, 32);
-        let parts = o.into_parts(&mut Vec::new(), &shelf(1), &flow);
+        let parts = o.into_parts(&shelf(1), &flow);
         (parts.bins, parts.captured)
     }
 
@@ -1697,10 +1570,8 @@ mod tests {
         b.connect_combined(l, r, Exchange::Hash, combiner);
         let cfg = crate::RuntimeConfig {
             bin_capacity: cap,
-            skew: crate::SkewConfig {
-                split: false,
-                ..Default::default()
-            },
+            // Pinned, so an ambient HAMR_SKEW cannot take the buffers away.
+            skew: crate::SkewConfig::default(),
             ..Default::default()
         };
         ExecPlan::compile(
@@ -1712,7 +1583,7 @@ mod tests {
     }
 
     fn task(plan: &ExecPlan, shelf: &CombineShelf) -> TaskOutput {
-        TaskOutput::new(plan, 0, 0, 0, &Observe::default(), &mut Vec::new(), shelf)
+        TaskOutput::new(plan, 0, 0, 0, &Observe::default(), shelf)
     }
 
     /// The ids 0.. whose keys hash home to `dst`, `n` of them.
@@ -1741,7 +1612,7 @@ mod tests {
             out.emit_encoded(0, &id, &1u64);
             out.emit_encoded(0, &id, &1u64);
         }
-        let parts = out.into_parts(&mut Vec::new(), &shelf, &flow);
+        let parts = out.into_parts(&shelf, &flow);
         assert!(parts.bins.is_empty(), "nothing ships into a busy window");
         assert_eq!(parts.combined, 100);
         assert_eq!(shelf.held_entries(0), 100);
@@ -1757,7 +1628,7 @@ mod tests {
         for id in 0..100u64 {
             out.emit_encoded(0, &id, &1u64);
         }
-        let parts = out.into_parts(&mut Vec::new(), &shelf, &flow);
+        let parts = out.into_parts(&shelf, &flow);
         assert_eq!(parts.combined, 100, "every record met a held partial");
         assert_eq!(parts.bins.len(), k);
         let oldest = ids_homed_at(1, nodes, k * cap);
@@ -1782,7 +1653,7 @@ mod tests {
         for id in 0..100u64 {
             out.emit_encoded(0, &id, &1u64);
         }
-        let parts = out.into_parts(&mut Vec::new(), &shelf_idle, &flow);
+        let parts = out.into_parts(&shelf_idle, &flow);
         assert_eq!(parts.bins.iter().map(|(_, b)| b.len()).sum::<usize>(), 100);
         assert_eq!(shelf_idle.held_entries(0), 0);
         // A window of 3 is a mark of 3: bins beyond it would only park
@@ -1792,7 +1663,7 @@ mod tests {
         for id in 0..200u64 {
             out.emit_encoded(0, &id, &1u64);
         }
-        let parts = out.into_parts(&mut Vec::new(), &shelf_small, &flow);
+        let parts = out.into_parts(&shelf_small, &flow);
         for dst in 0..nodes {
             assert_eq!(parts.bins.iter().filter(|(d, _)| *d == dst).count(), 3);
         }
@@ -1814,7 +1685,7 @@ mod tests {
         for id in 0..keys {
             out.emit(0, &id.to_bytes(), &value);
         }
-        let parts = out.into_parts(&mut Vec::new(), &shelf, &flow);
+        let parts = out.into_parts(&shelf, &flow);
         let shed: Vec<u64> = parts.bins.iter().flat_map(|(_, b)| ids_in(b)).collect();
         let held = shelf.held_entries(0);
         assert_eq!(shed.len() + held, keys as usize);
@@ -1847,23 +1718,20 @@ mod tests {
         }
         // Each worker runs a task over the same 40 keys and holds them.
         for lane in 0..workers as u32 {
-            let mut out = TaskOutput::new(&plan, 0, 0, lane, &obs, &mut Vec::new(), &shelf);
+            let mut out = TaskOutput::new(&plan, 0, 0, lane, &obs, &shelf);
             for id in 0..40u64 {
                 out.emit_encoded(0, &id, &1u64);
                 out.emit_encoded(0, &id, &1u64);
             }
-            assert!(out
-                .into_parts(&mut Vec::new(), &shelf, &flow)
-                .bins
-                .is_empty());
+            assert!(out.into_parts(&shelf, &flow).bins.is_empty());
         }
         assert_eq!(shelf.held_entries(0), workers * 40);
         let open = audit.report();
         assert_eq!(open.check().unwrap_err()[0].field, "combined");
         // The flush task, on worker 1, whatever the windows hold.
-        let mut out = TaskOutput::new(&plan, 0, 0, 1, &obs, &mut Vec::new(), &shelf);
+        let mut out = TaskOutput::new(&plan, 0, 0, 1, &obs, &shelf);
         out.flush_held(&shelf);
-        let parts = out.into_parts(&mut Vec::new(), &shelf, &flow);
+        let parts = out.into_parts(&shelf, &flow);
         let shipped: usize = parts.bins.iter().map(|(_, b)| b.len()).sum();
         assert_eq!(shipped, workers * 40);
         assert_eq!(shelf.held_entries(0), 0);

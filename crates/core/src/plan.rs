@@ -7,19 +7,18 @@
 //! by every node runtime of the job. What is resolved when:
 //!
 //! * **per job** (here): an edge's combiner, whether it combines
-//!   in-node and holds partials across tasks, may scatter hot keys,
-//!   fills the resident store, and is a shuffle edge for the statistics
-//!   plane; a flowlet's name, output ports, capture flag, resident hit
-//!   and scatter-eligible in-edges;
+//!   in-node and holds partials across tasks, fills the resident store,
+//!   and is a shuffle edge for the statistics plane; a flowlet's name,
+//!   output ports, capture flag and resident hit;
 //! * **per task** (`TaskOutput::new`): two refcount bumps for the
 //!   flowlet's name and ports, and the loan of the executing worker's
-//!   combine buffers and hot-key sketches for the ports whose flags ask
-//!   for them (both outlive the task; the buffers keep their partials);
+//!   combine buffers for the ports whose flag asks for them (they
+//!   outlive the task and keep their partials);
 //! * **per record** (`TaskOutput::emit`): the key hash, and the flag
 //!   bits of the [`PortSpec`] the task already holds.
 //!
 //! Every node must agree on these facts — which partitions are served
-//! from the cache, which edges scatter — so nothing here may be decided
+//! from the cache, which edges combine — so nothing here may be decided
 //! per node, and nothing changes while the job runs.
 
 use crate::config::RuntimeConfig;
@@ -34,11 +33,9 @@ use std::sync::Arc;
 pub(crate) struct PortSpec {
     pub edge: EdgeId,
     pub exchange: Exchange,
-    /// See [`EdgePlan::combine`], [`EdgePlan::hold`],
-    /// [`EdgePlan::scatter`], [`EdgePlan::fill`].
+    /// See [`EdgePlan::combine`], [`EdgePlan::hold`], [`EdgePlan::fill`].
     pub combine: bool,
     pub hold: bool,
-    pub scatter: bool,
     pub fill: bool,
 }
 
@@ -58,16 +55,8 @@ pub(crate) struct EdgePlan {
     /// `EdgeComplete`). Not in a streaming job: an epoch's records must
     /// leave ahead of its `Marker`, so there every task drains whole.
     pub hold: bool,
-    /// Hot-key splitting: producers may scatter a hot key's records
-    /// across all nodes, and the consumer absorbs and re-emits them.
-    /// Needs the completion barrier (batch jobs only), more than one
-    /// node, and a source that is not cached: the resident store
-    /// replays pinned frames to their recorded home partitions, so
-    /// ownership of a cached edge must stay partition-stable. (In-node
-    /// combining is fine there: fills capture post-combine frames and
-    /// replay identically.)
-    pub scatter: bool,
-    /// Frames closed on this edge are pinned for the resident store.
+    /// Frames closed on this edge are pinned for the resident store
+    /// (post-combine, so a serve replays them identically).
     pub fill: bool,
     /// A hash-exchange (shuffle) edge: lineage sampling is confined to
     /// these so loader keys (synthetic line offsets) cannot crowd out
@@ -89,8 +78,6 @@ pub(crate) struct FlowletPlan {
     /// Its emitted frames are captured this run and pinned under its
     /// cache tag when the job succeeds.
     pub fill: bool,
-    /// In-edges this flowlet must absorb scattered records on.
-    pub scatter_in: Vec<EdgeId>,
 }
 
 /// A compiled job: the graph plus everything derived from it once.
@@ -100,8 +87,6 @@ pub(crate) struct ExecPlan {
     pub nodes: usize,
     /// Records per bin before the output buffer packs and ships one.
     pub bin_capacity: usize,
-    /// Per-task emit count at which a key is declared hot.
-    pub split_threshold: u32,
     pub edges: Vec<EdgePlan>,
     pub flowlets: Vec<FlowletPlan>,
 }
@@ -152,11 +137,6 @@ impl ExecPlan {
                     combiner,
                     combine: mitigable && cfg.skew.combine,
                     hold: mitigable && cfg.skew.combine && !graph.has_stream,
-                    scatter: mitigable
-                        && cfg.skew.split
-                        && nodes > 1
-                        && !graph.has_stream
-                        && graph.flowlets[def.src].cache.is_none(),
                     fill: residency[def.src].1,
                     sampled: def.exchange == Exchange::Hash,
                 }
@@ -177,26 +157,18 @@ impl ExecPlan {
                         exchange,
                         combine: edges[edge].combine,
                         hold: edges[edge].hold,
-                        scatter: edges[edge].scatter,
                         fill: edges[edge].fill,
                     })
                     .collect(),
                 capture: def.capture,
                 serve,
                 fill,
-                scatter_in: def
-                    .in_edges
-                    .iter()
-                    .copied()
-                    .filter(|&e| edges[e].scatter)
-                    .collect(),
             })
             .collect();
         Arc::new(ExecPlan {
             graph: Arc::clone(graph),
             nodes,
             bin_capacity: cfg.bin_capacity,
-            split_threshold: cfg.skew.split_threshold,
             edges,
             flowlets,
         })
@@ -245,40 +217,25 @@ mod tests {
         let plan = compile(&combined_graph(|_| {}), SkewConfig::default(), 4);
         // Edge 0 is Local (no combiner), edge 1 is Hash into Reduce.
         let (local, hash) = (&plan.edges[0], &plan.edges[1]);
-        assert!(!local.combine && !local.scatter && !local.sampled);
+        assert!(!local.combine && !local.hold && !local.sampled);
         assert!(local.combiner.is_none());
-        assert!(hash.combine && hash.hold && hash.scatter && hash.sampled);
+        assert!(hash.combine && hash.hold && hash.sampled);
         assert!(hash.combiner.is_some());
-        // Flowlets carry the same answers: the map's one port, the
-        // reduce's scatter-eligible in-edge, names and capture flags.
+        // Flowlets carry the same answers: the map's one port, names
+        // and capture flags.
         let port = plan.flowlets[1].ports[0];
         assert_eq!((port.edge, port.exchange), (1, Exchange::Hash));
-        assert!(port.combine && port.hold && port.scatter && !port.fill);
-        assert_eq!(plan.flowlets[2].scatter_in, vec![1]);
-        assert!(plan.flowlets[0].scatter_in.is_empty());
+        assert!(port.combine && port.hold && !port.fill);
         assert_eq!(&*plan.flowlets[1].name, "M");
         assert!(plan.flowlets[2].capture && !plan.flowlets[1].capture);
     }
 
     #[test]
-    fn single_node_never_scatters() {
-        let plan = compile(&combined_graph(|_| {}), SkewConfig::default(), 1);
-        assert!(plan.edges[1].combine);
-        assert!(
-            !plan.edges[1].scatter,
-            "nothing to scatter across on one node"
-        );
-        assert!(plan.flowlets[2].scatter_in.is_empty());
-    }
-
-    #[test]
     fn off_config_is_inert() {
         let plan = compile(&combined_graph(|_| {}), SkewConfig::off(), 4);
-        assert!(plan
-            .edges
-            .iter()
-            .all(|e| !e.combine && !e.hold && !e.scatter));
-        assert!(plan.flowlets.iter().all(|f| f.scatter_in.is_empty()));
+        assert!(plan.edges.iter().all(|e| !e.combine && !e.hold));
+        let mut ports = plan.flowlets.iter().flat_map(|f| f.ports.iter());
+        assert!(ports.all(|p| !p.combine && !p.hold));
     }
 
     #[test]
@@ -298,15 +255,13 @@ mod tests {
     }
 
     #[test]
-    fn cached_source_combines_but_never_scatters() {
-        // `cache_as` on the map: its Hash edge fills the store, keeps
-        // combining, and loses scatter eligibility.
+    fn cached_source_fills_and_keeps_combining() {
+        // `cache_as` on the map: its Hash edge fills the store and
+        // keeps combining.
         let graph = combined_graph(|b| b.cache_as(1, "plantest/m", 7));
         let plan = compile(&graph, SkewConfig::default(), 4);
         assert!(plan.edges[1].combine && plan.edges[1].fill);
-        assert!(!plan.edges[1].scatter);
         assert!(plan.flowlets[1].fill && plan.flowlets[1].ports[0].fill);
-        assert!(plan.flowlets[2].scatter_in.is_empty());
         // The unannotated loader edge is untouched.
         assert!(!plan.edges[0].fill && !plan.flowlets[0].fill);
     }

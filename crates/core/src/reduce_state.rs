@@ -25,7 +25,6 @@
 
 use crate::flowlet::{AccBox, PartialReduceFn};
 use crate::record::FrameBin;
-use crate::skew::Combiner;
 use crate::spill::{write_run, GroupedMerge, RunReader, SortedStream};
 use bytes::Bytes;
 use hamr_codec::{stable_hash, StableMap};
@@ -246,76 +245,6 @@ impl FireShard {
     }
 }
 
-/// Holds scattered hot-key records for one edge of a
-/// reduce (or partial-reduce) instance, folded into one partial per
-/// key with the edge's [`Combiner`]. Workers fold into private maps
-/// (scatter traffic is hot by construction — a shared map would just
-/// recreate the contention the scatter avoided); the maps merge once,
-/// at drain, when the edge completes and the partials re-emit to each
-/// key's home node.
-pub(crate) struct SkewAbsorber {
-    maps: Vec<Mutex<AbsorbMap>>,
-}
-
-/// Per-worker fold state: key → current partial value.
-type AbsorbMap = StableMap<Bytes, Vec<u8>>;
-
-impl SkewAbsorber {
-    pub(crate) fn new(workers: usize) -> Self {
-        SkewAbsorber {
-            maps: (0..workers.max(1))
-                .map(|_| Mutex::new(AbsorbMap::default()))
-                .collect(),
-        }
-    }
-
-    /// Fold one scatter bin into the worker's private map. Returns the
-    /// number of records absorbed by combining (folds).
-    pub(crate) fn fold(&self, worker: usize, bin: &FrameBin, combiner: &dyn Combiner) -> u64 {
-        let mut map = self.maps[worker % self.maps.len()].lock();
-        let mut folds = 0;
-        let mut scratch = Vec::new();
-        for (key, value) in bin.frame.iter() {
-            match map.get_mut(key) {
-                Some(old) => {
-                    scratch.clear();
-                    combiner.combine(key, old, value, &mut scratch);
-                    std::mem::swap(old, &mut scratch);
-                    folds += 1;
-                }
-                None => {
-                    map.insert(Bytes::copy_from_slice(key), value.to_vec());
-                }
-            }
-        }
-        folds
-    }
-
-    /// Drain and merge the per-worker maps: one `(key, partial)` per
-    /// distinct key, plus the number of cross-worker folds.
-    pub(crate) fn drain(&self, combiner: &dyn Combiner) -> (Vec<(Bytes, Vec<u8>)>, u64) {
-        let mut merged = AbsorbMap::default();
-        let mut folds = 0;
-        let mut scratch = Vec::new();
-        for m in &self.maps {
-            for (k, v) in m.lock().drain() {
-                match merged.get_mut(&k) {
-                    Some(old) => {
-                        scratch.clear();
-                        combiner.combine(&k, old, &v, &mut scratch);
-                        std::mem::swap(old, &mut scratch);
-                        folds += 1;
-                    }
-                    None => {
-                        merged.insert(k, v);
-                    }
-                }
-            }
-        }
-        (merged.into_iter().collect(), folds)
-    }
-}
-
 /// Accumulator state for one partial-reduce flowlet instance: a
 /// lock-striped map shared by the node's workers. With a skewed key
 /// space most updates hit one stripe and serialize — deliberately
@@ -516,24 +445,6 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(partial_sums(&st), vec![(b("hot"), 1600)]);
-    }
-
-    #[test]
-    fn skew_absorber_merges_partials_across_workers() {
-        let combiner = crate::typed::sum_combiner();
-        let abs = SkewAbsorber::new(3);
-        // Same hot key scattered to three workers, two records each.
-        for worker in 0..3 {
-            let b = bin(&[(b"hot", &u64b(5)), (b"hot", &u64b(2))]);
-            assert_eq!(abs.fold(worker, &b, combiner.as_ref()), 1);
-        }
-        let (entries, folds) = abs.drain(combiner.as_ref());
-        assert_eq!(folds, 2, "three per-worker partials merge with 2 folds");
-        assert_eq!(entries.len(), 1);
-        let (key, value) = &entries[0];
-        assert_eq!(key, &b("hot"));
-        let v: u64 = hamr_codec::Codec::from_bytes(value).unwrap();
-        assert_eq!(v, 21);
     }
 
     #[test]

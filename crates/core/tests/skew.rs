@@ -1,12 +1,10 @@
-//! End-to-end skew-mitigation tests: combiners and hot-key splitting
-//! must each preserve engine output exactly while their counters prove
-//! the mechanism actually engaged. Combining is node-level: a worker's
-//! buffer outlives its tasks, so the second half of this file holds the
-//! cross-task custody — what a busy window keeps folding, what the
-//! flush task hands on and when, and that nothing of it reaches a
-//! streaming job or a run with combining off.
+//! End-to-end skew-mitigation tests: the combiner must preserve engine
+//! output exactly while its counters prove it actually engaged.
+//! Combining is node-level: a worker's buffer outlives its tasks, so the
+//! second half of this file holds the cross-task custody — what a busy
+//! window keeps folding, what the flush task hands on and when, and that
+//! nothing of it reaches a streaming job or a run with combining off.
 
-use hamr_core::skew::KeySketch;
 use hamr_core::{
     stream, typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobResult, Loader,
     RunOptions, SchedMode, SkewConfig, Supervision, TaskContext,
@@ -66,51 +64,15 @@ fn expected(hot: usize, cold: usize) -> Vec<(u64, u64)> {
 }
 
 #[test]
-fn hot_key_split_triggers_and_merges_to_unsplit_result() {
-    let (hot, cold) = (2000, 50);
-    let split_cfg = SkewConfig {
-        combine: false,
-        split: true,
-        split_threshold: 64,
-    };
-    let split = run_sum_job(
-        &skew_cluster(4, 2, split_cfg),
-        skewed_pairs(hot, cold),
-        "split",
-    );
-    let baseline = run_sum_job(
-        &skew_cluster(4, 2, SkewConfig::off()),
-        skewed_pairs(hot, cold),
-        "off",
-    );
-    assert_eq!(sorted_output(&split), expected(hot, cold));
-    assert_eq!(sorted_output(&split), sorted_output(&baseline));
-    assert!(
-        split.metrics.total_splits() > 0,
-        "2000 copies of one key past threshold 64 must flag a split"
-    );
-    // Scattered records are absorbed and folded on arrival even with
-    // producer-side combining off.
-    assert!(split.metrics.total_combined() > 0);
-    assert_eq!(baseline.metrics.total_splits(), 0);
-    assert_eq!(baseline.metrics.total_combined(), 0);
-}
-
-#[test]
 fn combiner_folds_duplicates_and_preserves_output() {
     let (hot, cold) = (1000, 30);
-    let combine_cfg = SkewConfig {
-        split: false,
-        ..SkewConfig::default()
-    };
     let combined = run_sum_job(
-        &skew_cluster(3, 2, combine_cfg),
+        &skew_cluster(3, 2, SkewConfig::default()),
         skewed_pairs(hot, cold),
         "combine",
     );
     assert_eq!(sorted_output(&combined), expected(hot, cold));
     assert!(combined.metrics.total_combined() > 0);
-    assert_eq!(combined.metrics.total_splits(), 0);
     // Combined records are restored producer-side, so records_out of
     // the map stays comparable with the combiner-free engine.
     let map_out = combined.metrics.flowlets.get(&1).unwrap().records_out;
@@ -120,30 +82,9 @@ fn combiner_folds_duplicates_and_preserves_output() {
 #[test]
 fn every_mitigation_combination_produces_identical_output() {
     let (hot, cold) = (800, 25);
-    let combos: Vec<(&str, SkewConfig)> = vec![
+    let combos = [
         ("off", SkewConfig::off()),
-        (
-            "combine",
-            SkewConfig {
-                split: false,
-                ..SkewConfig::default()
-            },
-        ),
-        (
-            "split",
-            SkewConfig {
-                combine: false,
-                split: true,
-                split_threshold: 64,
-            },
-        ),
-        (
-            "combine,split",
-            SkewConfig {
-                split_threshold: 64,
-                ..SkewConfig::default()
-            },
-        ),
+        ("combine", SkewConfig::default()),
     ];
     let want = expected(hot, cold);
     for (name, cfg) in combos {
@@ -159,14 +100,7 @@ fn every_mitigation_combination_produces_identical_output() {
 #[test]
 fn audit_custody_balances_under_full_mitigation() {
     let (hot, cold) = (1500, 40);
-    let cluster = skew_cluster(
-        4,
-        2,
-        SkewConfig {
-            split_threshold: 64,
-            ..SkewConfig::default()
-        },
-    );
+    let cluster = skew_cluster(4, 2, SkewConfig::default());
     let mut job = JobBuilder::new("skew-audit");
     let loader = job.add_loader("pairs", typed::pairs_loader(skewed_pairs(hot, cold)));
     let map = job.add_map(
@@ -190,7 +124,7 @@ fn audit_custody_balances_under_full_mitigation() {
     let report = cluster.last_audit().expect("supervised runs are audited");
     report
         .check()
-        .expect("custody must balance through scatter and re-emit");
+        .expect("custody must balance through the combine buffers");
     // The combiner side-table saw the pre/post-combine pair and never
     // emitted more than it consumed.
     assert!(!report.combines.is_empty());
@@ -204,104 +138,15 @@ fn audit_custody_balances_under_full_mitigation() {
 
 #[test]
 fn single_node_and_single_worker_stay_correct() {
-    // Degenerate shapes: nothing to scatter across (1 node) and a lone
-    // worker (absorber with one stripe).
+    // Degenerate shapes: every key's home is the producer (1 node) and
+    // a lone worker (one combine buffer per node).
     for (nodes, threads) in [(1, 2), (2, 1)] {
         let result = run_sum_job(
-            &skew_cluster(
-                nodes,
-                threads,
-                SkewConfig {
-                    split_threshold: 16,
-                    ..SkewConfig::default()
-                },
-            ),
+            &skew_cluster(nodes, threads, SkewConfig::default()),
             skewed_pairs(300, 10),
             "degenerate",
         );
         assert_eq!(sorted_output(&result), expected(300, 10));
-    }
-}
-
-/// The splitter's sketch as it was first built: a linear search for the
-/// hash, a linear scan for the least `(count, hash)` on eviction, a key
-/// flagged once when `count − err` reaches the threshold.
-struct LinearScanSketch {
-    entries: Vec<(u64, u64, u64)>,
-    hot: Vec<u64>,
-    threshold: u64,
-}
-
-impl LinearScanSketch {
-    fn observe(&mut self, hash: u64) -> bool {
-        let i = match self.entries.iter().position(|e| e.0 == hash) {
-            Some(i) => i,
-            None if self.entries.len() < KeySketch::CAP => {
-                self.entries.push((hash, 0, 0));
-                self.entries.len() - 1
-            }
-            None => {
-                let i = (0..self.entries.len())
-                    .min_by_key(|&i| (self.entries[i].1, self.entries[i].0))
-                    .expect("CAP > 0");
-                let least = self.entries[i].1;
-                self.entries[i] = (hash, least, least);
-                i
-            }
-        };
-        self.entries[i].1 += 1;
-        let (_, count, err) = self.entries[i];
-        let flag = count - err >= self.threshold && !self.hot.contains(&hash);
-        if flag {
-            self.hot.push(hash);
-        }
-        flag
-    }
-}
-
-/// A Zipf-like stream over three times as many hashes as the sketch
-/// holds: the head crosses the threshold, the tail keeps it evicting.
-fn zipf_hashes(len: usize, seed: u64) -> Vec<u64> {
-    let space = (3 * KeySketch::CAP) as f64;
-    let mut rng = seed;
-    (0..len)
-        .map(|_| {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let u = (rng >> 11) as f64 / (1u64 << 53) as f64;
-            let key = (u * u * u * space) as u64;
-            hamr_codec::stable_hash(&key.to_le_bytes())
-        })
-        .collect()
-}
-
-#[test]
-fn key_sketch_flags_what_the_linear_scan_sketch_flags() {
-    let threshold = 24;
-    let mut reused = KeySketch::new(threshold);
-    for seed in [2015u64, 7] {
-        let stream = zipf_hashes(40_000, seed);
-        let distinct: std::collections::HashSet<u64> = stream.iter().copied().collect();
-        assert!(distinct.len() > KeySketch::CAP, "the stream must evict");
-        let mut fresh = KeySketch::new(threshold);
-        let mut model = LinearScanSketch {
-            entries: Vec::new(),
-            hot: Vec::new(),
-            threshold: threshold as u64,
-        };
-        for (at, &h) in stream.iter().enumerate() {
-            let want = model.observe(h);
-            assert_eq!(fresh.observe(h), want, "seed {seed} position {at}");
-            // A cleared sketch is indistinguishable from a new one.
-            assert_eq!(reused.observe(h), want, "reused, seed {seed} position {at}");
-            assert_eq!(fresh.is_hot(h), model.hot.contains(&h));
-        }
-        assert!(model.hot.len() > 3, "the head must cross the threshold");
-        assert_eq!(fresh.hot_count(), model.hot.len());
-        assert_eq!(reused.hot_count(), model.hot.len());
-        reused.clear();
-        assert_eq!(reused.hot_count(), 0);
     }
 }
 
@@ -518,23 +363,14 @@ fn the_flush_precedes_completion_on_every_node() {
 /// combiner off no buffer exists and the emit path is the parent's,
 /// byte for byte.
 const PARENT_BYTES_OFF: u64 = 3436;
-const PARENT_BYTES_SPLIT: u64 = 4255;
 
 #[test]
 fn without_the_combiner_the_wire_carries_what_it_always_did() {
-    let split_only = SkewConfig {
-        combine: false,
-        split: true,
-        split_threshold: 64,
-    };
-    for (name, cfg, want) in [
-        ("off", SkewConfig::off(), PARENT_BYTES_OFF),
-        ("split", split_only, PARENT_BYTES_SPLIT),
-    ] {
-        let result = run_sum_job(&skew_cluster(4, 2, cfg), skewed_pairs(800, 25), name);
-        assert_eq!(sorted_output(&result), expected(800, 25));
-        assert_eq!(result.metrics.shuffled_bytes, want, "HAMR_SKEW={name}");
-    }
+    let cluster = skew_cluster(4, 2, SkewConfig::off());
+    let result = run_sum_job(&cluster, skewed_pairs(800, 25), "off");
+    assert_eq!(sorted_output(&result), expected(800, 25));
+    assert_eq!(result.metrics.shuffled_bytes, PARENT_BYTES_OFF);
+    assert_eq!(result.metrics.total_combined(), 0);
 }
 
 #[test]

@@ -24,11 +24,11 @@ fn shuffle_edge_bytes_are_lengths_keys_and_values() {
     config.runtime.sched = SchedMode::Deterministic { seed: 7 };
     // Pinned, so an ambient HAMR_SKEW cannot change what is measured.
     config.runtime.skew = SkewConfig::default();
-    assert!(config.runtime.skew.combine && config.runtime.skew.split);
+    assert!(config.runtime.skew.combine);
     let cluster = Cluster::new(config);
 
     // Distinct keys, so the combiner folds nothing and every record
-    // crosses the Hash edge exactly once, unscattered; the keys span one-
+    // crosses the Hash edge exactly once; the keys span one-
     // and two-byte encodings, the values one, two and three.
     let pairs: Vec<(u64, u64)> = (0..KEYS).map(|k| (k, k * 7)).collect();
     let wire: u64 = pairs

@@ -491,16 +491,24 @@ fn decode_stats(cur: &mut Cursor) -> Result<StatsSnapshot, String> {
         }
         let mut hops = Vec::with_capacity(nh);
         for _ in 0..nh {
-            let kind = HopKind::from_u8(cur.u8()?).ok_or("unknown lineage hop kind")?;
-            hops.push(LineageHop {
-                kind,
-                flowlet: cur.u32()?,
-                flowlet_name: cur.str()?,
-                edge: cur.u32()?,
-                src: cur.u32()?,
-                dst: cur.u32()?,
-                records: cur.u32()?,
-            });
+            // A hop has one shape whatever its kind, so a kind this
+            // reader does not know (another version wrote the journal)
+            // costs that hop, not the record — as an unknown tag costs
+            // its frame, not the segment.
+            let kind = HopKind::from_u8(cur.u8()?);
+            let (flowlet, flowlet_name) = (cur.u32()?, cur.str()?);
+            let (edge, src, dst, records) = (cur.u32()?, cur.u32()?, cur.u32()?, cur.u32()?);
+            if let Some(kind) = kind {
+                hops.push(LineageHop {
+                    kind,
+                    flowlet,
+                    flowlet_name,
+                    edge,
+                    src,
+                    dst,
+                    records,
+                });
+            }
         }
         samples.push(LineageSample { hash, key, hops });
     }
@@ -1158,7 +1166,7 @@ mod tests {
                     hash: 7,
                     key: b"the".to_vec(),
                     hops: vec![LineageHop {
-                        kind: HopKind::Scatter,
+                        kind: HopKind::Emit,
                         flowlet: 2,
                         flowlet_name: "mapper".into(),
                         edge: 1,
@@ -1185,6 +1193,47 @@ mod tests {
             let decoded = JournalRecord::decode(&encoded).expect("decode");
             assert_eq!(decoded, rec);
         }
+    }
+
+    /// A journal directory is reopened and appended to, so a reader
+    /// meets records written before hot-key splitting was removed:
+    /// their lineage hops carry kind codes (1 scatter, 2 re-emit,
+    /// 4 absorb) this build no longer has.
+    #[test]
+    fn a_stats_record_with_a_retired_hop_kind_keeps_its_known_hops() {
+        let mut buf = vec![TAG_STATS];
+        put_str(&mut buf, "histogram-ratings");
+        put_str(&mut buf, "hamr");
+        put_u32(&mut buf, 0); // edges
+        put_u32(&mut buf, 1); // samples
+        put_u64(&mut buf, 0xfeed);
+        put_bytes(&mut buf, b"\x05");
+        put_u32(&mut buf, 3); // hops
+        for (code, flowlet, name, dst) in [
+            (0u8, 1, "ratings", 2),
+            (1, 1, "ratings", 0),
+            (3, 2, "sum", 2),
+        ] {
+            buf.push(code);
+            put_u32(&mut buf, flowlet);
+            put_str(&mut buf, name);
+            put_u32(&mut buf, 1); // edge
+            put_u32(&mut buf, 0); // src
+            put_u32(&mut buf, dst);
+            put_u32(&mut buf, 9); // records
+        }
+        let JournalRecord::Stats(snap) = JournalRecord::decode(&buf).expect("decode") else {
+            panic!("tag 8 is a stats record");
+        };
+        let hops = &snap.samples[0].hops;
+        let kinds: Vec<HopKind> = hops.iter().map(|h| h.kind).collect();
+        assert_eq!(kinds, [HopKind::Emit, HopKind::Reduce]);
+        assert_eq!((hops[0].dst, hops[1].flowlet_name.as_str()), (2, "sum"));
+        let explained = crate::stats::render_explain(&snap.job, &snap.samples[0]);
+        assert_eq!(explained.lines().count(), 4, "{explained}");
+        assert!(explained.contains("emitted via flowlet 'ratings' edge 1: node 0 -> node 2"));
+        assert!(explained.contains("ingested by reduce via flowlet 'sum' edge 1: node 0 -> node 2"));
+        assert!(explained.contains("final reducer: node 2"));
     }
 
     #[test]

@@ -95,9 +95,6 @@ pub enum TaskKind {
     FireReduce,
     /// One partial-reduce finish batch.
     FirePartial,
-    /// One scattered hot-key bin folded into a skew
-    /// absorber's per-key partials.
-    SkewAbsorb,
     /// The drain of every worker's combine buffers for a flowlet that
     /// has produced its last record, ahead of its `EdgeComplete`.
     FlushCombine,
@@ -117,7 +114,6 @@ impl TaskKind {
             TaskKind::ReduceIngest => "reduce-ingest",
             TaskKind::FireReduce => "fire-reduce",
             TaskKind::FirePartial => "fire-partial",
-            TaskKind::SkewAbsorb => "skew-absorb",
             TaskKind::FlushCombine => "flush-combine",
             TaskKind::MrMap => "mr-map",
             TaskKind::MrReduce => "mr-reduce",

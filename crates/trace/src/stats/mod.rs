@@ -7,12 +7,10 @@
 //!   2^12 = 4096 registers (4 KiB, standard error 1.04/√4096 ≈ 1.6%),
 //!   fed the 64-bit key hash the frame already carries — zero re-hash;
 //! * [`SpaceSaving`] — the Metwally et al. top-K heavy-hitter sketch
-//!   with the guaranteed-count invariant `count − err ≤ true ≤ count`,
-//!   parameterized by capacity so the same code serves the stats plane
-//!   (K = 32, with key-byte samples for naming) and the skew splitter's
-//!   per-task hot-key sketch (capacity 1024, hashes only). A record
-//!   costs one index probe and one add, an eviction one O(log K) heap
-//!   sift, and neither allocates;
+//!   with the guaranteed-count invariant `count − err ≤ true ≤ count`
+//!   (K = 32 on the stats plane, with key-byte samples for naming). A
+//!   record costs one index probe and one add, an eviction one
+//!   O(log K) heap sift, and neither allocates;
 //! * [`SizeHist`] — a log2 histogram of record value sizes answering
 //!   quantile queries to within a power of two.
 //!
@@ -26,7 +24,7 @@
 //! acquisition amortized over the whole bin). Under
 //! `HAMR_STATS=full[:N]` it also keeps a deterministic 1-in-N
 //! hash-gated record lineage sample: every hop a sampled key's bins
-//! take (emit, scatter, absorber re-emit, reduce ingest) appends a
+//! take (emit, reduce ingest) appends a
 //! [`LineageHop`], and the resulting [`LineageSample`]s travel with the
 //! [`StatsSnapshot`] into the journal where `hamr explain` can replay
 //! the path offline.
@@ -208,12 +206,12 @@ pub struct SsEntry {
     pub count: u64,
     /// Maximum overestimation: `count - err` is a guaranteed floor.
     pub err: u64,
-    /// First-seen key bytes (truncated), when the caller supplies them.
-    pub key: Option<Box<[u8]>>,
+    /// First-seen key bytes (truncated).
+    pub key: Box<[u8]>,
 }
 
-/// The counters of one tracked hash. Key samples live apart, so a
-/// hashes-only sketch packs its slots at 24 bytes each.
+/// The counters of one tracked hash. Key samples live apart, so the
+/// slots a probe or the eviction scan touches pack at 24 bytes each.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     hash: u64,
@@ -225,35 +223,25 @@ struct Slot {
 /// slot allocates nothing.
 #[derive(Debug, Clone, Copy)]
 struct KeySample {
-    /// `NO_KEY` when the slot's hash never came with key bytes.
     len: u8,
     bytes: [u8; KEY_SAMPLE_BYTES],
 }
 
-const NO_KEY: u8 = u8::MAX;
-const _: () = assert!(KEY_SAMPLE_BYTES < NO_KEY as usize);
+const _: () = assert!(KEY_SAMPLE_BYTES <= u8::MAX as usize);
 
 impl KeySample {
-    const NONE: KeySample = KeySample {
-        len: NO_KEY,
-        bytes: [0; KEY_SAMPLE_BYTES],
-    };
-
-    /// Overwrite in place; bytes past the new length are left as they
-    /// were and never read.
-    fn set(&mut self, key: Option<&[u8]>) {
-        match key {
-            Some(key) => {
-                let len = key.len().min(KEY_SAMPLE_BYTES);
-                self.len = len as u8;
-                self.bytes[..len].copy_from_slice(&key[..len]);
-            }
-            None => self.len = NO_KEY,
+    fn new(key: &[u8]) -> Self {
+        let len = key.len().min(KEY_SAMPLE_BYTES);
+        let mut bytes = [0; KEY_SAMPLE_BYTES];
+        bytes[..len].copy_from_slice(&key[..len]);
+        KeySample {
+            len: len as u8,
+            bytes,
         }
     }
 
-    fn get(&self) -> Option<&[u8]> {
-        (self.len != NO_KEY).then(|| &self.bytes[..self.len as usize])
+    fn get(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
     }
 }
 
@@ -298,14 +286,12 @@ fn tag(hash: u64) -> u32 {
 /// lazy: an add leaves its node stale, and a stale node is refreshed
 /// only when it surfaces at the root, so each add pays for at most one
 /// later sift; the heap is not built before the first eviction. No
-/// path allocates once the sketch exists (key samples are inline;
-/// their array is sized when the first key arrives).
+/// path allocates once the sketch exists (key samples are inline).
 #[derive(Debug, Clone)]
 pub struct SpaceSaving {
     cap: usize,
     slots: Vec<Slot>,
-    /// Key samples, parallel to `slots`; empty until a key is supplied,
-    /// so a hashes-only sketch carries none.
+    /// Key samples, parallel to `slots`.
     keys: Vec<KeySample>,
     /// Open-addressed index, a power of two of at least `4 * cap`
     /// buckets: probe runs are short enough that their length is
@@ -329,7 +315,7 @@ impl SpaceSaving {
         SpaceSaving {
             cap,
             slots: Vec::with_capacity(cap),
-            keys: Vec::new(),
+            keys: Vec::with_capacity(cap),
             index: vec![0; buckets],
             shift: 32 - buckets.trailing_zeros(),
             heap: Vec::new(),
@@ -354,8 +340,9 @@ impl SpaceSaving {
     }
 
     /// Forget everything observed, keeping the tables for reuse.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.slots.clear();
+        self.keys.clear();
         self.index.fill(0);
         self.heap.clear();
         self.total = 0;
@@ -416,17 +403,6 @@ impl SpaceSaving {
         self.index[bucket] = (tag(self.slots[slot].hash) as u64) << 32 | (slot as u64 + 1);
     }
 
-    /// Replace `slot`'s key sample. The sample array is sized when the
-    /// first key arrives; until then there is nothing to replace.
-    fn set_key(&mut self, slot: usize, key: Option<&[u8]>) {
-        if key.is_some() && self.keys.is_empty() {
-            self.keys = vec![KeySample::NONE; self.cap];
-        }
-        if let Some(k) = self.keys.get_mut(slot) {
-            k.set(key);
-        }
-    }
-
     fn sift_down(&mut self, mut i: usize) {
         let heap = &mut self.heap[..];
         let node = heap[i];
@@ -474,19 +450,15 @@ impl SpaceSaving {
         }
     }
 
-    /// Observe `hash` with weight `w`; `key` (if given) is sampled into
-    /// the slot the first time the hash claims it. Returns the hash's
-    /// guaranteed count (`count − err`) after the update.
+    /// Observe `hash` with weight `w`; `key` is sampled into the slot
+    /// when the hash claims it.
     #[inline]
-    pub fn observe(&mut self, hash: u64, key: Option<&[u8]>, w: u64) -> u64 {
+    pub fn observe(&mut self, hash: u64, key: &[u8], w: u64) {
         self.total += w;
         let mut bucket = match self.probe(hash) {
             Ok(i) => {
                 self.slots[i].count += w;
-                if key.is_some() && self.keys.get(i).is_none_or(|k| k.len == NO_KEY) {
-                    self.set_key(i, key);
-                }
-                return self.slots[i].count - self.slots[i].err;
+                return;
             }
             Err(b) => b,
         };
@@ -497,6 +469,7 @@ impl SpaceSaving {
                 count: w,
                 err: 0,
             });
+            self.keys.push(KeySample::new(key));
             slot
         } else {
             // Evict the minimum-count slot (ties broken by hash for
@@ -521,11 +494,10 @@ impl SpaceSaving {
                 slot: slot as u32,
             };
             self.sift_down(0);
+            self.keys[slot] = KeySample::new(key);
             slot
         };
         self.index_slot(bucket, slot);
-        self.set_key(slot, key);
-        w
     }
 
     /// `(count, err)` for a tracked hash.
@@ -547,7 +519,7 @@ impl SpaceSaving {
             hash: s.hash,
             count: s.count,
             err: s.err,
-            key: self.keys.get(slot).and_then(|k| k.get()).map(Box::from),
+            key: self.keys[slot].get().into(),
         }
     }
 
@@ -576,17 +548,13 @@ impl SpaceSaving {
     /// always; associative (and exact) whenever no eviction occurred.
     pub fn merge(&mut self, other: &SpaceSaving) {
         let (slack_self, slack_other) = (self.slack(), other.slack());
-        let key_of = |s: &SpaceSaving, i: usize| s.keys.get(i).copied().unwrap_or(KeySample::NONE);
         let mut all: Vec<(Slot, KeySample)> = Vec::with_capacity(self.len() + other.len());
         for (i, s) in self.slots.iter().enumerate() {
-            let (mut s, mut key) = (*s, key_of(self, i));
+            let (mut s, key) = (*s, self.keys[i]);
             match other.probe(s.hash) {
                 Ok(j) => {
                     s.count += other.slots[j].count;
                     s.err += other.slots[j].err;
-                    if key.len == NO_KEY {
-                        key = key_of(other, j);
-                    }
                 }
                 Err(_) => {
                     s.count += slack_other;
@@ -600,7 +568,7 @@ impl SpaceSaving {
                 let mut s = *s;
                 s.count += slack_self;
                 s.err += slack_self;
-                all.push((s, key_of(other, j)));
+                all.push((s, other.keys[j]));
             }
         }
         all.sort_by(|(a, _), (b, _)| b.count.cmp(&a.count).then(a.hash.cmp(&b.hash)));
@@ -611,8 +579,8 @@ impl SpaceSaving {
         for (i, (s, key)) in all.into_iter().enumerate() {
             let bucket = self.probe(s.hash).expect_err("merged hashes are distinct");
             self.slots.push(s);
+            self.keys.push(key);
             self.index_slot(bucket, i);
-            self.set_key(i, key.get());
         }
     }
 }
@@ -739,7 +707,7 @@ impl SketchSet {
         self.records += 1;
         self.bytes += (key.len() + value_len) as u64;
         self.hll.insert(hash);
-        self.topk.observe(hash, Some(key), 1);
+        self.topk.observe(hash, key, 1);
         self.sizes.record(value_len as u64);
     }
 
@@ -779,7 +747,7 @@ impl SketchSet {
                 hash: e.hash,
                 count: e.count,
                 err: e.err,
-                key: e.key.map(|k| k.to_vec()).unwrap_or_default(),
+                key: e.key.into_vec(),
             })
             .collect();
         EdgeStatsSummary {
@@ -835,34 +803,26 @@ pub struct EdgeStatsSummary {
 pub enum HopKind {
     /// A normal emit onto an edge.
     Emit,
-    /// The skew splitter scattered the hot key round-robin.
-    Scatter,
-    /// An absorber re-emitted merged per-key partials.
-    Merged,
     /// A reduce task ingested the bin (the path's terminus).
     Reduce,
-    /// A skew absorber folded the scattered bin.
-    Absorb,
 }
 
 impl HopKind {
+    /// The journal's code for the kind. Codes 1, 2 and 4 belonged to
+    /// the removed hot-key splitter (scatter, re-emit, absorb) and stay
+    /// unassigned: journals written before its removal hold them, and a
+    /// reader skips those hops.
     pub fn as_u8(self) -> u8 {
         match self {
             HopKind::Emit => 0,
-            HopKind::Scatter => 1,
-            HopKind::Merged => 2,
             HopKind::Reduce => 3,
-            HopKind::Absorb => 4,
         }
     }
 
     pub fn from_u8(v: u8) -> Option<HopKind> {
         Some(match v {
             0 => HopKind::Emit,
-            1 => HopKind::Scatter,
-            2 => HopKind::Merged,
             3 => HopKind::Reduce,
-            4 => HopKind::Absorb,
             _ => return None,
         })
     }
@@ -870,17 +830,13 @@ impl HopKind {
     pub fn name(self) -> &'static str {
         match self {
             HopKind::Emit => "emit",
-            HopKind::Scatter => "scatter",
-            HopKind::Merged => "re-emit",
             HopKind::Reduce => "reduce",
-            HopKind::Absorb => "absorb",
         }
     }
 }
 
 /// One hop of a sampled record: which flowlet moved it, over which
-/// edge, from which node to which, and how (normal emit, hot-key
-/// scatter, absorber re-emit, reduce ingest).
+/// edge, from which node to which, and how (emit, reduce ingest).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineageHop {
     pub kind: HopKind,
@@ -1131,17 +1087,10 @@ pub fn render_explain(job: &str, sample: &LineageSample) -> String {
         sample.hash,
         job
     ));
-    let mut split_seen = false;
     for h in &sample.hops {
         let arrow = match h.kind {
             HopKind::Emit => "emitted",
-            HopKind::Scatter => {
-                split_seen = true;
-                "SCATTERED (hot-key split)"
-            }
-            HopKind::Merged => "re-emitted (absorber merge)",
             HopKind::Reduce => "ingested by reduce",
-            HopKind::Absorb => "absorbed (skew partials)",
         };
         out.push_str(&format!(
             "  {} via flowlet '{}' edge {}: node {} -> node {} ({} record{})\n",
@@ -1158,14 +1107,11 @@ pub fn render_explain(job: &str, sample: &LineageSample) -> String {
         .hops
         .iter()
         .rev()
-        .find(|h| matches!(h.kind, HopKind::Reduce | HopKind::Absorb))
+        .find(|h| h.kind == HopKind::Reduce)
         .map(|h| h.dst);
     match reducer {
         Some(n) => out.push_str(&format!("  final reducer: node {n}\n")),
         None => out.push_str("  final reducer: (no consume hop recorded)\n"),
-    }
-    if split_seen {
-        out.push_str("  path crossed the skew splitter: scatter -> absorb -> re-emit\n");
     }
     out
 }
@@ -1230,16 +1176,14 @@ impl StatsPlane {
     }
 
     /// Fold one finished bin into the (edge, dst) sketch slot and, when
-    /// lineage is on, append a hop for every sampled key in the bin.
-    /// `iter` yields `(hash, key-bytes, value-len)`: entries from the
+    /// lineage is on, append an emit hop for every sampled key in the
+    /// bin. `iter` yields `(hash, key-bytes, value-len)`: entries from the
     /// frame, each with its hash from the builder's column — the one
     /// computed at emit, never recomputed.
-    #[allow(clippy::too_many_arguments)]
     pub fn fold_bin<'a>(
         &self,
         edge: u32,
         dst: u32,
-        kind: HopKind,
         flowlet: u32,
         flowlet_name: &str,
         src: u32,
@@ -1292,7 +1236,7 @@ impl StatsPlane {
             };
             if entry.hops.len() < MAX_LINEAGE_HOPS {
                 entry.hops.push(LineageHop {
-                    kind,
+                    kind: HopKind::Emit,
                     flowlet,
                     flowlet_name: flowlet_name.to_string(),
                     edge,
@@ -1304,16 +1248,13 @@ impl StatsPlane {
         }
     }
 
-    /// Record a consume-side hop (reduce ingest / skew absorb) for
-    /// every already-sampled hash in the bin. Emit-side hops always
-    /// precede consumption, so only known hashes are updated — no new
-    /// samples originate here.
-    #[allow(clippy::too_many_arguments)]
+    /// Record a reduce-ingest hop for every already-sampled hash in the
+    /// bin. Emit hops always precede consumption, so only known hashes
+    /// are updated — no new samples originate here.
     pub fn consume_bin(
         &self,
         edge: u32,
         node: u32,
-        kind: HopKind,
         flowlet: u32,
         flowlet_name: &str,
         src: u32,
@@ -1339,7 +1280,7 @@ impl StatsPlane {
             if let Some(entry) = lineage.get_mut(&hash) {
                 if entry.hops.len() < MAX_LINEAGE_HOPS {
                     entry.hops.push(LineageHop {
-                        kind,
+                        kind: HopKind::Reduce,
                         flowlet,
                         flowlet_name: flowlet_name.to_string(),
                         edge,
@@ -1469,16 +1410,16 @@ mod tests {
     fn spacesaving_tracks_heavy_hitter_exactly_under_capacity() {
         let mut s = SpaceSaving::new(8);
         for _ in 0..100 {
-            s.observe(1, Some(b"hot"), 1);
+            s.observe(1, b"hot", 1);
         }
         for i in 2..6u64 {
-            s.observe(i, None, 1);
+            s.observe(i, b"cold", 1);
         }
         assert_eq!(s.get(1), Some((100, 0)));
         assert_eq!(s.guaranteed(1), 100);
         let top = s.top();
         assert_eq!(top[0].hash, 1);
-        assert_eq!(top[0].key.as_deref(), Some(&b"hot"[..]));
+        assert_eq!(&*top[0].key, b"hot");
     }
 
     #[test]
@@ -1487,7 +1428,7 @@ mod tests {
         let mut truth = std::collections::HashMap::new();
         for i in 0..1000u64 {
             let k = i % 13;
-            s.observe(k, None, 1);
+            s.observe(k, &k.to_le_bytes(), 1);
             *truth.entry(k).or_insert(0u64) += 1;
         }
         for e in s.top() {
@@ -1555,13 +1496,12 @@ mod tests {
         plane.fold_bin(
             1,
             2,
-            HopKind::Emit,
             0,
             "mapper",
             0,
             vec![(h, &key[..], 10), (h, &key[..], 12)].into_iter(),
         );
-        plane.consume_bin(1, 2, HopKind::Reduce, 1, "reducer", 0, vec![h].into_iter());
+        plane.consume_bin(1, 2, 1, "reducer", 0, vec![h].into_iter());
         let snap = plane.snapshot("job", "hamr");
         assert_eq!(snap.edges.len(), 1);
         assert_eq!(snap.edges[0].edge, 1);

@@ -27,7 +27,7 @@ fn audited(env: &Env) {
     });
 }
 
-fn assert_clean(env: &Env, name: &str) {
+fn assert_hamr_clean(env: &Env, name: &str) {
     let hamr_report = env.hamr.last_audit().expect("hamr audit ran");
     hamr_report
         .check()
@@ -37,6 +37,10 @@ fn assert_clean(env: &Env, name: &str) {
         events.is_empty(),
         "{name}: clean workload raised watchdog events: {events:?}"
     );
+}
+
+fn assert_clean(env: &Env, name: &str) {
+    assert_hamr_clean(env, name);
     let mr_report = env.mr.last_audit().expect("mapred audit ran");
     mr_report
         .check()
@@ -167,36 +171,16 @@ fn kcliques_engines_agree_skewed() {
 }
 
 // ---------------------------------------------------------------
-// Skew-mitigation ablation: every combination of combine / split
-// must leave the answer untouched on every skewed workload. The
-// threshold is lowered so splitting genuinely engages at test scale
-// instead of passing vacuously.
+// Skew-mitigation ablation: the combiner, on or off, must leave the
+// answer untouched on every skewed workload, balance the custody
+// ledger and keep the watchdog silent.
 // ---------------------------------------------------------------
 
-fn mitigation_combos() -> Vec<(&'static str, hamr_core::SkewConfig)> {
+fn mitigation_combos() -> [(&'static str, hamr_core::SkewConfig); 2] {
     use hamr_core::SkewConfig;
-    let tuned = SkewConfig {
-        combine: true,
-        split: true,
-        split_threshold: 16,
-    };
-    vec![
+    [
         ("off", SkewConfig::off()),
-        (
-            "combine",
-            SkewConfig {
-                split: false,
-                ..tuned.clone()
-            },
-        ),
-        (
-            "split",
-            SkewConfig {
-                combine: false,
-                ..tuned.clone()
-            },
-        ),
-        ("combine,split", tuned),
+        ("combine", SkewConfig::default()),
     ]
 }
 
@@ -216,7 +200,9 @@ fn skewed_workloads_agree_with_mapred_under_every_mitigation() {
             };
             let env = Env::with_hamr_runtime(SimParams::test(3, 2), runtime);
             bench.seed(&env).expect("seed");
+            audited(&env);
             let hamr = bench.run_hamr(&env).expect("hamr run");
+            assert_hamr_clean(&env, &format!("{} [{combo}]", bench.name()));
             assert_eq!(
                 (hamr.checksum, hamr.records),
                 (mr.checksum, mr.records),

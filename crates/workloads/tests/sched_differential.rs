@@ -1,29 +1,35 @@
 //! Cross-scheduler differential: every workload must compute the same
 //! answer under work stealing, which moves tasks between workers
 //! mid-flight, as under the deterministic scheduler — the oracle —
-//! which replays them in a seed-fixed order, for two seeds, and as the
-//! MapReduce baseline on the same input.
+//! which replays them in a seed-fixed order, for three seeds, and as
+//! the MapReduce baseline on the same input.
 //!
-//! Each mode is pinned through `Env::with_hamr_sched`, so these tests
-//! hold regardless of any `HAMR_SCHED` environment override.
+//! Each mode is pinned in the environment's `RuntimeConfig`, so these
+//! tests hold regardless of any `HAMR_SCHED` environment override.
 
-use hamr_core::{RunOptions, SchedMode, Supervision, WatchdogConfig};
+use hamr_core::{RunOptions, RuntimeConfig, SchedMode, SkewConfig, Supervision, WatchdogConfig};
 use hamr_workloads::{all_benchmarks, skewed_variants, Benchmark, Env, SimParams};
 
-const MODES: [SchedMode; 3] = [
+const MODES: [SchedMode; 4] = [
     SchedMode::Deterministic { seed: 7 },
     SchedMode::WorkStealing,
     SchedMode::Deterministic { seed: 2015 },
+    SchedMode::Deterministic { seed: 3 },
 ];
 
-/// Run one benchmark under every scheduler mode (fresh environment per
-/// mode; the generators are seed-deterministic, so each environment
-/// holds a bit-identical input) and demand the MapReduce baseline's
-/// result from each.
-fn check(bench: &dyn Benchmark) {
+/// Run one benchmark under every scheduler mode with the combiner as
+/// `skew` says (fresh environment per mode; the generators are
+/// seed-deterministic, so each environment holds a bit-identical
+/// input) and demand the MapReduce baseline's result from each.
+fn check(bench: &dyn Benchmark, skew: &SkewConfig) {
     let mut baseline: Option<(u64, u64)> = None;
     for mode in MODES {
-        let env = Env::with_hamr_sched(SimParams::test(3, 2), mode);
+        let runtime = RuntimeConfig {
+            sched: mode,
+            skew: skew.clone(),
+            ..Default::default()
+        };
+        let env = Env::with_hamr_runtime(SimParams::test(3, 2), runtime);
         bench.seed(&env).expect("seed");
         // Every mode runs supervised: the custody ledger must balance
         // and the watchdog must stay silent regardless of how the
@@ -40,16 +46,21 @@ fn check(bench: &dyn Benchmark) {
             .last_audit()
             .expect("audit ran")
             .check()
-            .unwrap_or_else(|v| panic!("{}: {mode:?}: bin custody violated: {v:?}", bench.name()));
+            .unwrap_or_else(|v| {
+                panic!(
+                    "{}: {mode:?} {skew:?}: bin custody violated: {v:?}",
+                    bench.name()
+                )
+            });
         let events = env.hamr.watchdog_events();
         assert!(
             events.is_empty(),
-            "{}: {mode:?}: clean workload raised watchdog events: {events:?}",
+            "{}: {mode:?} {skew:?}: clean workload raised watchdog events: {events:?}",
             bench.name()
         );
         assert!(
             out.records > 0,
-            "{} produced no output under {mode:?}",
+            "{} produced no output under {mode:?} {skew:?}",
             bench.name()
         );
         let want = *baseline.get_or_insert_with(|| {
@@ -59,7 +70,7 @@ fn check(bench: &dyn Benchmark) {
         assert_eq!(
             (out.checksum, out.records),
             want,
-            "{}: {mode:?} disagrees with mapred",
+            "{}: {mode:?} {skew:?} disagrees with mapred",
             bench.name()
         );
     }
@@ -112,70 +123,20 @@ fn pagerank_chain_cache_agrees_across_schedulers() {
 #[test]
 fn default_workloads_agree_across_schedulers() {
     for bench in all_benchmarks() {
-        check(bench.as_ref());
+        check(bench.as_ref(), &SkewConfig::default());
     }
 }
 
-#[test]
-fn skewed_workloads_agree_across_schedulers() {
-    for bench in skewed_variants() {
-        check(bench.as_ref());
-    }
-}
-
-/// Every scheduler × every skew-mitigation combination: the mitigations
-/// re-route and pre-fold records in ways that interact with task
-/// ordering (absorber stripes, redistribution barriers), so each
-/// scheduler gets the full ablation sweep. The threshold is lowered so
-/// splitting actually engages at test scale.
+/// Every scheduler × the combiner on and off: combining pre-folds
+/// records in ways that interact with task ordering (which worker's
+/// buffer a record meets, what the flush finds), so each scheduler gets
+/// both, supervised — against mapred's answer, with a balanced ledger
+/// and a silent watchdog.
 #[test]
 fn skewed_workloads_agree_across_schedulers_and_mitigations() {
-    use hamr_core::{RuntimeConfig, SkewConfig};
-    let tuned = SkewConfig {
-        combine: true,
-        split: true,
-        split_threshold: 16,
-    };
-    let combos: Vec<(&str, SkewConfig)> = vec![
-        ("off", SkewConfig::off()),
-        (
-            "combine",
-            SkewConfig {
-                split: false,
-                ..tuned.clone()
-            },
-        ),
-        (
-            "split",
-            SkewConfig {
-                combine: false,
-                ..tuned.clone()
-            },
-        ),
-        ("combine,split", tuned),
-    ];
     for bench in skewed_variants() {
-        let mut baseline: Option<(u64, u64)> = None;
-        for mode in MODES {
-            for (combo, skew) in &combos {
-                let runtime = RuntimeConfig {
-                    sched: mode,
-                    skew: skew.clone(),
-                    ..Default::default()
-                };
-                let env = Env::with_hamr_runtime(SimParams::test(3, 2), runtime);
-                bench.seed(&env).expect("seed");
-                let out = bench.run_hamr(&env).expect("hamr run");
-                match baseline {
-                    None => baseline = Some((out.checksum, out.records)),
-                    Some(want) => assert_eq!(
-                        (out.checksum, out.records),
-                        want,
-                        "{}: {mode:?} with mitigation '{combo}' changed the answer",
-                        bench.name()
-                    ),
-                }
-            }
+        for skew in [SkewConfig::off(), SkewConfig::default()] {
+            check(bench.as_ref(), &skew);
         }
     }
 }

@@ -1,16 +1,15 @@
 //! Workload-level acceptance for the data-plane statistics layer.
 //!
 //! The skewed HistogramRatings run is the paper's §5.2 pathology: five
-//! rating keys, one of them drawing most of the traffic. With the
-//! splitter engaged the statistics must *name* that hot key — the
-//! heavy-hitter sketch on the shuffle edge ranks it first — and with
-//! 1-in-1 lineage sampling the `hamr explain` rendering must walk a
-//! hot-key record through the scatter → absorb → re-emit detour the
-//! mitigation created. A healthy (unsplit) run's sample, by contrast,
-//! goes straight to reduce. The MapReduce baseline folds the same
-//! sketches on its reduce side, so both engines agree on the
-//! five-key cardinality — and on a WordCount vocabulary of thousands,
-//! within 5 % — with `groups` as the exact anchor.
+//! rating keys, one of them drawing most of the traffic. The statistics
+//! must *name* that hot key — the heavy-hitter sketch on the shuffle
+//! edge ranks it first — and with 1-in-1 lineage sampling the `hamr
+//! explain` rendering must walk a hot-key record from its emit to the
+//! reducer at its hash home, as every sample of a healthy run does. The
+//! MapReduce baseline folds the same sketches on its reduce side, so
+//! both engines agree on the five-key cardinality — and on a WordCount
+//! vocabulary of thousands, within 5 % — with `groups` as the exact
+//! anchor.
 
 use hamr_core::{RuntimeConfig, SkewConfig};
 use hamr_trace::stats::render_explain;
@@ -62,17 +61,12 @@ fn hottest_rating(bench: &HistogramRatings, seed: u64) -> (u64, u64, u64) {
 }
 
 #[test]
-fn skewed_histogram_sketch_names_the_split_hot_key() {
+fn skewed_histogram_sketch_names_the_hot_key() {
     let dir = journal_dir("skew");
-    // The sched_differential split tuning: thresholds low enough that
-    // the splitter engages at test scale. Combining stays off so the
-    // per-rating record counts reach the emit-side sketches unfolded.
+    // Combining stays off so the per-rating record counts reach the
+    // emit-side sketches unfolded.
     let runtime = RuntimeConfig {
-        skew: SkewConfig {
-            combine: false,
-            split: true,
-            split_threshold: 16,
-        },
+        skew: SkewConfig::off(),
         stats: StatsMode::Full { sample_one_in: 1 },
         ..Default::default()
     };
@@ -87,11 +81,6 @@ fn skewed_histogram_sketch_names_the_split_hot_key() {
     };
     bench.seed(&env).expect("seed");
     let out = bench.run_hamr(&env).expect("hamr run");
-    assert!(
-        out.splits_triggered > 0,
-        "skewed run did not engage the splitter (splits={})",
-        out.splits_triggered
-    );
     drop(env);
 
     let snap = load_snapshot(&dir, "histogram-ratings");
@@ -105,10 +94,7 @@ fn skewed_histogram_sketch_names_the_split_hot_key() {
     let hot_key = vec![hot as u8];
 
     // The heavy-hitter sketch on the busiest shuffle edge must rank
-    // the generator's hottest rating first. Counts are not compared
-    // to the exact input tally: once the splitter flags the key, its
-    // remaining records detour over the scatter path, so the Normal
-    // emit fold sees only a prefix of the stream.
+    // the generator's hottest rating first.
     let edge = snap
         .edges
         .iter()
@@ -128,26 +114,30 @@ fn skewed_histogram_sketch_names_the_split_hot_key() {
         out.hot_key_share
     );
 
-    // 1-in-1 sampling: the hot key's lineage must be on file, and its
-    // path must cross the split detour — scattered off the hot
-    // partition, absorbed as skew partials, re-emitted by the
-    // absorber's merge — before reaching a reducer.
+    // 1-in-1 sampling: the hot key's lineage must be on file, and
+    // every hop of it must lead to the one node the key hashes to,
+    // where a reducer ingests it.
+    let home = hamr_codec::partition(&hot_key, 3) as u32;
     let sample = snap
         .find_sample(&[hot_key], None)
         .expect("hot key was not sampled at 1-in-1");
-    let kinds: Vec<HopKind> = sample.hops.iter().map(|h| h.kind).collect();
-    assert!(
-        kinds.contains(&HopKind::Scatter),
-        "hot key never scattered: {kinds:?}"
-    );
-    assert!(
-        kinds.contains(&HopKind::Absorb) || kinds.contains(&HopKind::Merged),
-        "hot key split but never absorbed/re-emitted: {kinds:?}"
-    );
+    let shuffled = sample.hops.iter().filter(|h| h.edge == edge.edge);
+    for hop in shuffled.clone() {
+        assert_eq!(hop.dst, home, "hot key left its hash home: {hop:?}");
+    }
+    for kind in [HopKind::Emit, HopKind::Reduce] {
+        assert!(
+            shuffled.clone().any(|h| h.kind == kind),
+            "hot key has no {kind:?} hop: {:?}",
+            sample.hops
+        );
+    }
     let rendered = render_explain(&snap.job, sample);
     assert!(
-        rendered.contains("SCATTERED (hot-key split)"),
-        "explain misses the split: {rendered}"
+        rendered.contains("emitted via flowlet")
+            && rendered.contains("ingested by reduce")
+            && rendered.contains(&format!("final reducer: node {home}")),
+        "explain misses the path: {rendered}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -181,14 +171,9 @@ fn healthy_run_sample_goes_straight_to_reduce() {
         .collect();
     // Loader-edge samples (synthetic line keys on the Local edge) end
     // at the map; every key that crossed a shuffle edge must end at a
-    // reducer, with no split detour anywhere.
+    // reducer.
     let mut shuffled_samples = 0;
     for sample in &snap.samples {
-        let kinds: Vec<HopKind> = sample.hops.iter().map(|h| h.kind).collect();
-        assert!(
-            !kinds.contains(&HopKind::Scatter),
-            "healthy run scattered a key: {kinds:?}"
-        );
         if !sample.hops.iter().any(|h| shuffle_edges.contains(&h.edge)) {
             continue;
         }
@@ -217,13 +202,18 @@ fn both_engines_agree_on_rating_cardinality() {
         users: 500,
         max_ratings_per_movie: 20,
     };
-    let cases: [(&dyn Benchmark, std::ops::RangeInclusive<u64>); 2] =
-        [(&ratings, 5..=5), (&WordCount::default(), 1_000..=u64::MAX)];
-    for (bench, exact_range) in cases {
+    let cases: [(&dyn Benchmark, &str, std::ops::RangeInclusive<u64>); 2] = [
+        (&ratings, "histogram-ratings", 5..=5),
+        (&WordCount::default(), "wordcount", 1_000..=u64::MAX),
+    ];
+    for (bench, job, exact_range) in cases {
+        let dir = journal_dir(job);
         let env = Env::test(3, 2);
+        env.hamr.enable_journal(&dir).expect("enable journal");
         bench.seed(&env).expect("seed");
         let hamr = bench.run_hamr(&env).expect("hamr run");
         let mr = bench.run_mapred(&env).expect("mapred run");
+        drop(env);
         let exact = mr.exact_distinct_keys;
         assert!(
             exact_range.contains(&exact),
@@ -237,40 +227,53 @@ fn both_engines_agree_on_rating_cardinality() {
                 bench.name()
             );
         }
+        let even = 1.0 / exact as f64 - 1e-9;
         assert!(
-            hamr.hot_key_share >= 1.0 / exact as f64 - 1e-9
-                && mr.hot_key_share >= 1.0 / exact as f64 - 1e-9,
-            "{}: the hottest of {exact} keys must carry at least its even share \
-             (hamr {}, mapred {})",
+            mr.hot_key_share >= even,
+            "{}: the hottest of {exact} keys must carry at least its even share (mapred {})",
             bench.name(),
-            hamr.hot_key_share,
             mr.hot_key_share
         );
-    }
-}
-
-/// The splitter's decisions are a function of each task's emit stream
-/// alone, so under the deterministic scheduler the job-wide count of
-/// flagged keys repeats exactly. These are the counts of the
-/// linear-scan `SpaceSaving` the splitter's sketch was first built on:
-/// WordCount's tasks see more distinct words than the sketch holds
-/// (flags ride on evictions), HistogramRatings' five keys never evict.
-#[test]
-fn split_decisions_match_the_linear_scan_sketch() {
-    use hamr_workloads::wordcount::WordCount;
-    let params = SimParams {
-        scale: 0.5,
-        ..SimParams::test(2, 1)
-    };
-    let sched = hamr_core::SchedMode::Deterministic { seed: 2015 };
-    let cases: [(&dyn Benchmark, u64); 2] = [
-        (&WordCount::default(), 59),
-        (&HistogramRatings::default(), 292),
-    ];
-    for (bench, want) in cases {
-        let env = Env::with_hamr_sched(params.clone(), sched);
-        bench.seed(&env).expect("seed");
-        let out = bench.run_hamr(&env).expect("hamr run");
-        assert_eq!(out.splits_triggered, want, "{}", bench.name());
+        // HAMR's sketch sees the shuffle after in-node combining: each
+        // word about once per drain, thousands of near-equal keys
+        // through `STATS_TOP_K` slots, so the floor `count − err` of
+        // its top entry may sit under the even share. What SpaceSaving
+        // does guarantee, merges included, is that a tracked `count`
+        // is no less than the key's true weight and that no untracked
+        // key outweighs a tracked one's `count` — so the top `count`
+        // is at least the hottest key's records, which are at least
+        // `records / exact`. Where the key space fits the sketch
+        // nothing is evicted and the floor itself is exact.
+        let snap = load_snapshot(&dir, job);
+        let edge = snap
+            .edges
+            .iter()
+            .filter(|e| e.shuffle && e.records > 0)
+            .max_by_key(|e| e.records)
+            .expect("no shuffle edge with traffic");
+        let top = edge.top.first().expect("empty top-K");
+        let floor = (top.count - top.err) as f64 / edge.records as f64;
+        assert_eq!(
+            hamr.hot_key_share,
+            floor,
+            "{}: the published share is not the busiest shuffle edge's floor: {edge:?}",
+            bench.name()
+        );
+        assert!(
+            top.count as f64 / edge.records as f64 >= even,
+            "{}: top-1 upper bound {} of {} records is under the even share of {exact} keys",
+            bench.name(),
+            top.count,
+            edge.records
+        );
+        if exact <= hamr_trace::stats::STATS_TOP_K as u64 {
+            assert_eq!(top.err, 0, "{}: {exact} keys fit the sketch", bench.name());
+            assert!(
+                floor >= even,
+                "{}: the hottest of {exact} keys must carry at least its even share (hamr {floor})",
+                bench.name()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

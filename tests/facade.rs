@@ -265,6 +265,80 @@ fn duplicates_fold_across_the_tasks_of_a_node() {
     );
 }
 
+/// There is one answer to a hot key: its records fold on the node that
+/// produced them, and what is left travels to the key's hash home like
+/// any other record. Every node's map emits one key 10,000 times per
+/// split; the ledger of a supervised run under the default
+/// configuration must show the shuffle edge delivering to
+/// `hash % nodes` and to no other node, and the sum must be the
+/// combiner-free engine's.
+#[test]
+fn a_hot_key_travels_only_to_its_hash_home() {
+    use hamr::codec::{partition, Codec};
+    use hamr::core::{RunOptions, SkewConfig, Supervision};
+    use hamr::trace::AuditStage;
+    const NODES: usize = 4;
+    const HOT: u64 = 7;
+    const EMITS: u64 = 10_000;
+    /// Edges are numbered in `connect` order.
+    const SHUFFLE: u32 = 1;
+    let run = |skew: SkewConfig| {
+        let mut config = ClusterConfig::local(NODES, 2);
+        // Pinned, so an ambient HAMR_SKEW cannot change what runs.
+        config.runtime.skew = skew;
+        let cluster = Cluster::new(config);
+        let mut job = JobBuilder::new("facade-hot-key");
+        // One split per node, one record each.
+        let seeds = job.add_loader(
+            "seeds",
+            typed::pairs_loader((0..NODES as u64).map(|n| (n, n)).collect::<Vec<_>>()),
+        );
+        let hot = job.add_map(
+            "hot",
+            typed::map_fn(|_: u64, _: u64, out: &mut Emitter| {
+                for _ in 0..EMITS {
+                    out.emit_t(0, &HOT, &1u64);
+                }
+            }),
+        );
+        let sum = job.add_reduce(
+            "sum",
+            typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
+                out.output_t(&k, &vs.iter().sum::<u64>());
+            }),
+        );
+        job.connect(seeds, hot, Exchange::Local);
+        job.connect_combined(hot, sum, Exchange::Hash, typed::sum_combiner());
+        job.capture_output(sum);
+        let supervised = RunOptions {
+            supervision: Some(Supervision::default()),
+            ..Default::default()
+        };
+        let result = cluster.run_with(job.build().unwrap(), &supervised).unwrap();
+        let report = cluster.last_audit().expect("supervised runs are audited");
+        report.check().expect("custody balances");
+        (result.typed_output::<u64, u64>(sum), report)
+    };
+    let (output, report) = run(SkewConfig::default());
+    assert_eq!(output, vec![(HOT, NODES as u64 * EMITS)]);
+    assert_eq!(output, run(SkewConfig::off()).0);
+
+    let home = partition(&HOT.to_bytes(), NODES) as u32;
+    let delivered = |dst: u32| -> u64 {
+        let rows = report.rows.iter();
+        rows.filter(|r| r.edge == SHUFFLE && r.dst == dst)
+            .map(|r| r.stage(AuditStage::Deliver).records)
+            .sum()
+    };
+    for dst in 0..NODES as u32 {
+        if dst == home {
+            assert!(delivered(dst) >= NODES as u64, "{}", delivered(dst));
+        } else {
+            assert_eq!(delivered(dst), 0, "hot-key records reached node {dst}");
+        }
+    }
+}
+
 /// Bandwidth of the modeled disks in the two device tests below.
 const DISK_BANDWIDTH: u64 = 1_000_000;
 
