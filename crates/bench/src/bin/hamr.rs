@@ -1,11 +1,12 @@
-//! `hamr` — operator console for a live cluster.
+//! `hamr` — the operator binary: a live console, and the offline
+//! tools that read what a run left behind.
 //!
 //! `hamr top` polls a cluster's embedded introspection endpoint (see
 //! `HAMR_HTTP` / `Cluster::serve_introspection`) and renders a
 //! per-node table each tick: worker occupancy, aggregate flowlet
 //! queue depth, deferred bins, flow-control window occupancy, stall
 //! share, shuffle-key cardinality and network transmit rate — the
-//! live counterpart of `tracedump`'s post-mortem occupancy table.
+//! live counterpart of `hamr trace`'s post-mortem occupancy table.
 //! The header line carries the cluster-wide partition-resident frame
 //! cache as `cache(hit/res MB)`: cumulative resident hits and the
 //! megabytes currently pinned.
@@ -16,6 +17,8 @@
 //! hamr timeline <journal-dir>
 //! hamr timeline --diff <journal-dir-a> <journal-dir-b>
 //! hamr explain <journal-dir> <job> <key>|--any|--list
+//! hamr trace [--causal] [--timeseries]
+//! hamr doctor <doctor_<job>.json>
 //! ```
 //!
 //! `hamr explain` reads the data-plane stats snapshots the journal
@@ -25,15 +28,36 @@
 //!
 //! `hamr top` also renders a cluster-wide task-latency quantile line
 //! (p50/p95/p99 in µs, aggregated from the published log2 latency
-//! histograms) and an alert line polled from `/alerts`.
+//! histograms).
 //!
 //! `hamr timeline` is the offline post-mortem: point it at a
 //! `HAMR_JOURNAL` directory (or a parent holding several per-cluster
 //! journals) and it reconstructs the run — per-job spans with
 //! shuffled-bytes / cache-hit / stall / p99 deltas, watchdog
-//! incidents, stuck edges from the audit ledger, alert firings, and
-//! the final state of a run killed mid-flight. `--diff` compares two
-//! journals job by job.
+//! incidents, stuck edges from the audit ledger, and the final state
+//! of a run killed mid-flight. `--diff` compares two journals job by
+//! job.
+//!
+//! `hamr trace` runs WordCount (balanced) and HistogramRatings
+//! (skewed, five-key shuffle) — the jobs `hamr-workloads` defines — on
+//! both engines with tracing on, prints per-flowlet summary tables and
+//! a per-worker occupancy table, and writes the timelines as Chrome
+//! trace-event JSON into the current directory: `trace_hamr.json`
+//! (both HAMR runs; load at ui.perfetto.dev) and `trace_mapred.json`.
+//! The skewed HAMR run shrinks the flow-control window to one bin and
+//! turns in-node combining off, so its trace shows `flow-control
+//! stall` / resume pairs on the loader→map→reduce path; the balanced
+//! run shows none. `--causal` adds the causal profiler's report per
+//! run (wall-time attribution, top stall edges, critical path) plus
+//! `causal_*.json`; `--timeseries` samples the registry's live gauges
+//! every millisecond of the skewed run into `timeseries_hamr.csv` and
+//! counter tracks in `trace_hamr.json`.
+//!
+//! `hamr doctor` prints the ranked diagnosis of a flight-recorder dump
+//! a supervised run wrote (stuck edge/node, custody ledger, gauge hot
+//! spots, event tail). Exit 0 on a clean record, 1 when it shows a
+//! watchdog trip or job error, 2 when the file is missing or not a
+//! flight record — a bad input never looks like a clean bill of health.
 //!
 //! Every column is live on every run: occupancy and queue depths are
 //! registry gauges the engine moves as it works, net bytes and job
@@ -42,20 +66,27 @@
 //! default run options, and tops it, so the walkthrough in
 //! EXPERIMENTS.md is a single command.
 //!
-//! Exit codes: 0 ok, 1 endpoint/scrape failure, 2 bad arguments. A
-//! reader that closes stdout early (`hamr explain … --list | head`)
-//! ends the program quietly with 0.
+//! Exit codes otherwise: 0 ok, 1 endpoint/scrape/run failure, 2 bad
+//! arguments. A reader that closes stdout early (`hamr explain …
+//! --list | head`) ends the program quietly with 0.
 
-use hamr_core::SchedMode;
-use hamr_trace::json::{self, Json};
-use hamr_trace::{http_get, parse_prometheus, PromSample, Timeline};
+use hamr_core::{RunOptions, RuntimeConfig, SchedMode, SkewConfig};
+use hamr_mapred::MrRunOptions;
+use hamr_trace::{
+    analyze, chrome_trace_json, chrome_trace_json_with_counters, http_get, parse_prometheus,
+    render_attribution, render_critical_path, render_occupancy, render_stall_edges, render_summary,
+    task_spans, worker_occupancy, EventKind, FlightRecord, FlowletSummaryRow, GaugeSampler,
+    LatencyHistogram, PromSample, RingSink, TaskKind, Timeline, TraceEvent, Tracer,
+};
 use hamr_workloads::histogram_ratings::HistogramRatings;
+use hamr_workloads::wordcount::WordCount;
 use hamr_workloads::{Benchmark, Env, SimParams};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Write `text` to stdout. `println!` panics when the reader has gone
@@ -211,29 +242,6 @@ fn fmt_us(us: u64) -> String {
     }
 }
 
-/// Boil a `/alerts` JSON body down to one console line.
-fn alerts_line(body: &str) -> String {
-    let Ok(doc) = json::parse(body) else {
-        return "alerts: (unparseable response)".into();
-    };
-    let firing = doc.get("firing").and_then(Json::as_u64).unwrap_or(0);
-    if firing == 0 {
-        return "alerts: none firing".into();
-    }
-    let names: Vec<&str> = doc
-        .get("rules")
-        .and_then(Json::as_arr)
-        .map(|rules| {
-            rules
-                .iter()
-                .filter(|r| matches!(r.get("firing"), Some(Json::Bool(true))))
-                .filter_map(|r| r.get("rule").and_then(Json::as_str))
-                .collect()
-        })
-        .unwrap_or_default();
-    format!("alerts: {firing} FIRING [{}]", names.join(", "))
-}
-
 fn fmt_rate(bytes_per_sec: f64) -> String {
     if bytes_per_sec >= 1e6 {
         format!("{:.1}MB/s", bytes_per_sec / 1e6)
@@ -252,7 +260,6 @@ fn render_tick(
     nodes: &BTreeMap<u32, NodeStat>,
     totals: &Totals,
     latency: &BTreeMap<u64, u64>,
-    alerts: &str,
     prev: Option<(&BTreeMap<u32, NodeStat>, Duration)>,
 ) -> String {
     let mut out = format!(
@@ -269,14 +276,12 @@ fn render_tick(
         bucket_quantile(latency, 0.99),
     ) {
         (Some(p50), Some(p95), Some(p99)) => out.push_str(&format!(
-            "task-lat us p50/p95/p99 {}/{}/{}  {alerts}\n",
+            "task-lat us p50/p95/p99 {}/{}/{}\n",
             fmt_us(p50),
             fmt_us(p95),
             fmt_us(p99),
         )),
-        _ => out.push_str(&format!(
-            "task-lat us p50/p95/p99 -/-/- (no completed job yet)  {alerts}\n"
-        )),
+        _ => out.push_str("task-lat us p50/p95/p99 -/-/- (no completed job yet)\n"),
     }
     out.push_str(
         "node  workers  busy   occ%  queue  defer  window  stall%  \
@@ -340,17 +345,12 @@ fn top_loop(addr: SocketAddr, engine: &str, interval: Duration, ticks: u64) -> R
             Ok((code, _)) => format!("INCIDENT ({code})"),
             Err(e) => format!("unreachable ({e})"),
         };
-        let alerts = match http_get(addr, "/alerts", timeout) {
-            Ok((200, body)) => alerts_line(&body),
-            Ok((code, _)) => format!("alerts: HTTP {code}"),
-            Err(e) => format!("alerts: unreachable ({e})"),
-        };
         let (nodes, totals) = collect(&samples, engine);
         let latency = latency_buckets(&samples, engine);
         let prev_view = prev.as_ref().map(|(stats, at)| (stats, at.elapsed()));
         say(&format!(
             "{}\n",
-            render_tick(tick, &healthz, &nodes, &totals, &latency, &alerts, prev_view)
+            render_tick(tick, &healthz, &nodes, &totals, &latency, prev_view)
         ));
         prev = Some((nodes, Instant::now()));
         tick += 1;
@@ -406,7 +406,9 @@ fn usage() -> ! {
          [--interval-ms N] [--ticks N]\n       hamr top --demo [--ticks N]\n       \
          hamr timeline <journal-dir>\n       \
          hamr timeline --diff <journal-dir-a> <journal-dir-b>\n       \
-         hamr explain <journal-dir> <job> <key>|--any|--list"
+         hamr explain <journal-dir> <job> <key>|--any|--list\n       \
+         hamr trace [--causal] [--timeseries]\n       \
+         hamr doctor <doctor_<job>.json>"
     );
     std::process::exit(2);
 }
@@ -567,23 +569,257 @@ fn timeline_main(args: &[String]) -> ! {
     std::process::exit(code);
 }
 
+/// Map / reduce phase summary rows from a MapReduce run's trace: the
+/// baseline engine has no per-flowlet metrics, so the durations come
+/// from its task spans.
+fn mr_summary_rows(events: &[TraceEvent]) -> Vec<FlowletSummaryRow> {
+    let mut phases: HashMap<TaskKind, (LatencyHistogram, FlowletSummaryRow)> = HashMap::new();
+    for span in task_spans(events) {
+        let Some(dur) = span.dur_us() else { continue };
+        let (hist, row) = phases.entry(span.task).or_default();
+        hist.record_us(dur);
+        row.tasks += 1;
+        row.records_in += span.records_in;
+        row.records_out += span.records_out;
+    }
+    let mut rows: Vec<FlowletSummaryRow> = phases
+        .into_iter()
+        .map(|(task, (hist, row))| {
+            FlowletSummaryRow {
+                name: task.name().to_string(),
+                kind: task.name().to_string(),
+                ..row
+            }
+            .with_latency(&hist)
+        })
+        .collect();
+    rows.sort_by(|a, b| a.name.cmp(&b.name));
+    rows
+}
+
+/// Warn when the ring sink dropped events: every analysis downstream
+/// of a lossy trace is built on a truncated log.
+fn warn_dropped(label: &str, dropped: u64) {
+    if dropped > 0 {
+        eprintln!(
+            "WARNING: {label}: {dropped} events dropped by the trace ring \
+             — raise RingSink capacity for complete lineage"
+        );
+    }
+}
+
+/// Run the causal profiler over one run's events and print the report.
+fn causal_report(label: &str, events: &[TraceEvent], dropped: u64) -> Result<(), String> {
+    let report = analyze(events, dropped);
+    say(&format!(
+        "== causal attribution: {label} ==\n{}top stall edges:\n{}{}spans: {}/{} complete\n\n",
+        render_attribution(&report),
+        render_stall_edges(&report),
+        render_critical_path(&report),
+        report.spans_complete,
+        report.spans_seen
+    ));
+    let path = format!("causal_{label}.json");
+    write_file(&path, &report.to_json())?;
+    say(&format!("wrote {path}\n\n"));
+    Ok(())
+}
+
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}"))
+}
+
+/// `hamr trace [--causal] [--timeseries]`: traced runs of the two
+/// workload jobs on both engines, written into the current directory.
+fn run_trace(causal: bool, timeseries: bool) -> Result<(), String> {
+    // ---- HAMR engine -------------------------------------------------
+    let sink = Arc::new(RingSink::new(64, 1 << 16));
+    let tracer = Tracer::new(sink.clone());
+    let traced = RunOptions {
+        tracer: tracer.clone(),
+        ..Default::default()
+    };
+
+    // Balanced wordcount on a default runtime: no flow-control stalls.
+    let env = Env::test(4, 2);
+    WordCount::default().seed(&env)?;
+    let (graph, ..) = WordCount::hamr_graph(true)?;
+    let wc = env
+        .hamr
+        .run_with(graph, &traced)
+        .map_err(|e| e.to_string())?;
+    say(&format!(
+        "== HAMR wordcount (balanced) ==\n{}\n",
+        render_summary(&wc.metrics.summary_rows())
+    ));
+    // Drain per run so the causal profiler sees each job in isolation;
+    // the chrome export concatenates them again (same tracer epoch).
+    let events_wc = sink.drain();
+    let dropped_wc = sink.dropped();
+    warn_dropped("hamr wordcount", dropped_wc);
+    if causal {
+        causal_report("hamr_wordcount", &events_wc, dropped_wc)?;
+    }
+
+    // Skewed five-key histogram with a one-bin flow-control window and
+    // no in-node combining: the hash shuffle funnels every record into
+    // five partitions, the window fills instantly, and the trace
+    // records stall/resume pairs.
+    let env_skew = Env::with_hamr_runtime(
+        SimParams::test(4, 2),
+        RuntimeConfig {
+            bin_capacity: 16,
+            out_window_bins: 1,
+            skew: SkewConfig::off(),
+            ..Default::default()
+        },
+    );
+    HistogramRatings::default().seed(&env_skew)?;
+    let (graph, ..) = HistogramRatings::hamr_graph(false)?;
+    // The gauges are live on every run; a time series of them is this
+    // tool's wish, so it owns the sampler for exactly this run.
+    let sampler = timeseries.then(|| {
+        let every = Duration::from_millis(1);
+        GaugeSampler::start(env_skew.hamr.registry(), "hamr", every, &tracer)
+    });
+    let hr = env_skew.hamr.run_with(graph, &traced);
+    let series = sampler.map(GaugeSampler::stop);
+    let hr = hr.map_err(|e| e.to_string())?;
+    say(&format!(
+        "== HAMR histogram-ratings (skewed, window=1) ==\n{}\n",
+        render_summary(&hr.metrics.summary_rows())
+    ));
+    let events_hr = sink.drain();
+    let dropped_hr = sink.dropped().saturating_sub(dropped_wc);
+    warn_dropped("hamr histogram-ratings", dropped_hr);
+    if causal {
+        causal_report("hamr_histratings_skewed", &events_hr, dropped_hr)?;
+    }
+
+    let mut events = events_wc;
+    events.extend(events_hr);
+    let count = |is: fn(&EventKind) -> bool| events.iter().filter(|e| is(&e.kind)).count();
+    // Per-worker scheduler view: task counts, busy time, steals, and
+    // park time per lane across both runs. The work-stealing scheduler
+    // (the default) shows nonzero steal/park columns; under
+    // HAMR_SCHED=det they are all dashes.
+    say(&format!(
+        "== HAMR worker occupancy (both runs) ==\n{}\n\
+         hamr: {} events, {} flow-control stalls (skewed run), {} steals\n",
+        render_occupancy(&worker_occupancy(&events)),
+        events.len(),
+        count(|k| matches!(k, EventKind::FlowControlStall { .. })),
+        count(|k| matches!(k, EventKind::TaskStolen { .. })),
+    ));
+    match series {
+        Some(series) => {
+            write_file("timeseries_hamr.csv", &series.to_csv())?;
+            say(&format!(
+                "sampled {} points across {} gauges; wrote timeseries_hamr.csv\n",
+                series.samples.len(),
+                series.names.len()
+            ));
+            // Counter tracks ride along in the chrome export, stamped on
+            // the tracer's clock: they sit under the skewed run's tasks.
+            write_file(
+                "trace_hamr.json",
+                &chrome_trace_json_with_counters(&events, &series),
+            )?;
+        }
+        None => write_file("trace_hamr.json", &chrome_trace_json(&events))?,
+    }
+    say("wrote trace_hamr.json\n\n");
+
+    // ---- MapReduce baseline ------------------------------------------
+    let sink_mr = Arc::new(RingSink::new(64, 1 << 16));
+    let traced_mr = MrRunOptions {
+        tracer: Tracer::new(sink_mr.clone()),
+        ..Default::default()
+    };
+    env.mr
+        .run_with(&WordCount::mapred_conf("trace/wc-out", true), &traced_mr)
+        .map_err(|e| e.to_string())?;
+    // The skewed environment's DFS already holds the ratings input;
+    // MapReduce has no flow-control window, so the same skew shows up
+    // as long reduce tasks instead of stalls.
+    env_skew
+        .mr
+        .run_with(
+            &HistogramRatings::mapred_conf("trace/hr-out", true),
+            &traced_mr,
+        )
+        .map_err(|e| e.to_string())?;
+    let events_mr = sink_mr.drain();
+    let dropped_mr = sink_mr.dropped();
+    warn_dropped("mapred", dropped_mr);
+    say(&format!(
+        "== MapReduce wordcount + histogram-ratings ==\n{}\nmapred: {} events\n",
+        render_summary(&mr_summary_rows(&events_mr)),
+        events_mr.len()
+    ));
+    if causal {
+        causal_report("mapred_both", &events_mr, dropped_mr)?;
+    }
+    write_file("trace_mapred.json", &chrome_trace_json(&events_mr))?;
+    say("wrote trace_mapred.json\n\n\
+         Open the JSON files at https://ui.perfetto.dev to browse the timelines.\n");
+    Ok(())
+}
+
+fn trace_main(args: &[String]) -> ! {
+    if args.iter().any(|a| a != "--causal" && a != "--timeseries") {
+        usage();
+    }
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    if let Err(e) = run_trace(has("--causal"), has("--timeseries")) {
+        eprintln!("hamr trace: {e}");
+        std::process::exit(1);
+    }
+    std::process::exit(0);
+}
+
+/// `hamr doctor <file>`: print a flight-recorder diagnosis.
+fn doctor_main(args: &[String]) -> ! {
+    let [path] = args else { usage() };
+    let raw = match std::fs::read_to_string(path) {
+        Ok(raw) => raw,
+        Err(e) => {
+            eprintln!("hamr doctor: cannot read {path}: {e}");
+            std::process::exit(2);
+        }
+    };
+    match FlightRecord::parse(&raw) {
+        Ok(record) => {
+            say(&record.render());
+            let bad = record.trip.is_some() || record.error.is_some();
+            std::process::exit(i32::from(bad));
+        }
+        Err(e) => {
+            eprintln!("hamr doctor: {path} is not a flight-recorder dump: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("timeline") {
-        timeline_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("explain") {
-        explain_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) != Some("top") {
-        usage();
+    let Some((command, args)) = argv.split_first() else {
+        usage()
+    };
+    match command.as_str() {
+        "timeline" => timeline_main(args),
+        "explain" => explain_main(args),
+        "trace" => trace_main(args),
+        "doctor" => doctor_main(args),
+        "top" => {}
+        _ => usage(),
     }
     let mut addr: Option<SocketAddr> = None;
     let mut engine = "hamr".to_string();
     let mut interval = Duration::from_millis(1000);
     let mut ticks = 0u64;
     let mut demo = false;
-    let mut it = argv[1..].iter();
+    let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
             it.next().map(String::as_str).unwrap_or_else(|| {

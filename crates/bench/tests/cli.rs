@@ -1,13 +1,16 @@
 //! The operator binary, spawned as a process: argument errors exit 2,
 //! `explain` reads a journal this test wrote (a listed key explains,
-//! an unsampled key exits 1), and a reader that has closed stdout ends
-//! a listing quietly instead of with a `println!` panic.
+//! an unsampled key exits 1), a reader that has closed stdout ends
+//! a listing quietly instead of with a `println!` panic, `doctor`
+//! tells a clean flight record from a tripped one from a non-record,
+//! and `trace` leaves loadable timelines with the skewed run's stalls.
 
 use hamr_core::RuntimeConfig;
-use hamr_trace::StatsMode;
+use hamr_trace::json::{self, Json};
+use hamr_trace::{FlightRecord, Observe, StatsMode, WatchdogClass, WatchdogTrip};
 use hamr_workloads::wordcount::WordCount;
 use hamr_workloads::{Benchmark, Env, SimParams};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 fn hamr_cmd(args: &[&str]) -> Command {
@@ -31,6 +34,14 @@ fn hamr_into_closed_pipe(args: &[&str]) -> Output {
         .stderr(Stdio::piped())
         .output()
         .expect("spawn hamr")
+}
+
+/// A fresh directory under the system temp dir, unique to this process.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hamr_cli_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    dir
 }
 
 /// A small WordCount journaled with 1-in-1 lineage sampling.
@@ -59,6 +70,8 @@ fn bad_arguments_exit_2() {
         &["top", "--ticks"],
         &["timeline"],
         &["explain", "only-a-dir"],
+        &["trace", "--no-such-flag"],
+        &["doctor"],
     ] {
         let out = hamr(args);
         assert_eq!(out.status.code(), Some(2), "hamr {args:?}");
@@ -68,8 +81,7 @@ fn bad_arguments_exit_2() {
 
 #[test]
 fn explain_and_timeline_read_a_journal() {
-    let dir = std::env::temp_dir().join(format!("hamr_cli_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("journal");
     write_wordcount_journal(&dir);
     let dir_arg = dir.to_str().expect("utf-8 temp dir");
 
@@ -105,5 +117,62 @@ fn explain_and_timeline_read_a_journal() {
         assert_eq!(out.status.code(), Some(0), "hamr {args:?}: {stderr}");
         assert!(stderr.is_empty(), "hamr {args:?} complained: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn doctor_exit_code_is_the_diagnosis() {
+    let dir = scratch_dir("doctor");
+    let record = |trip| FlightRecord::capture("wc", trip, None, None, 16, &Observe::default());
+    let tripped = record(Some(WatchdogTrip {
+        class: WatchdogClass::Hang,
+        epoch: 12,
+        detail: "no progress".into(),
+    }));
+    std::fs::write(dir.join("clean.json"), record(None).to_json()).expect("write");
+    std::fs::write(dir.join("tripped.json"), tripped.to_json()).expect("write");
+    std::fs::write(dir.join("garbage.json"), "{\"job\":").expect("write");
+    for (file, code) in [
+        ("clean.json", 0),
+        ("tripped.json", 1),
+        ("garbage.json", 2),
+        ("missing.json", 2),
+    ] {
+        let path = dir.join(file);
+        let out = hamr(&["doctor", path.to_str().expect("utf-8 temp dir")]);
+        assert_eq!(out.status.code(), Some(code), "hamr doctor {file}");
+        // A bad input never prints what could pass for a diagnosis.
+        assert_eq!(out.stdout.is_empty(), code == 2, "hamr doctor {file}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn trace_leaves_loadable_timelines_with_the_skewed_runs_stalls() {
+    let dir = scratch_dir("trace");
+    let out = hamr_cmd(&["trace"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn hamr");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "hamr trace: {stderr}");
+    let slices = |file: &str, name: &str| {
+        let text = std::fs::read_to_string(dir.join(file)).expect(file);
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let events = doc.get("traceEvents").and_then(Json::as_arr).expect(file);
+        events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+            .count()
+    };
+    assert!(slices("trace_hamr.json", "flow-control stall") >= 1);
+    assert!(slices("trace_mapred.json", "mr-map") >= 1);
+    // The balanced run's summary has no stall to report.
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let balanced = stdout
+        .split("== ")
+        .find(|s| s.starts_with("HAMR wordcount (balanced)"))
+        .expect("wordcount section");
+    assert!(!balanced.contains("x)"), "{balanced}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,9 +23,9 @@ use hamr_kvstore::KvStore;
 use hamr_simdisk::Disk;
 use hamr_simnet::Fabric;
 use hamr_trace::{
-    AlertEvent, AlertRule, AlertState, Audit, AuditReport, FlightRecord, Journal, JournalConfig,
-    JournalRecord, Labels, MetricsRegistry, Observe, RecordedEvent, RingSink, StatsPlane, Tracer,
-    WatchdogClass, WatchdogTrip,
+    Audit, AuditReport, FlightRecord, Journal, JournalConfig, JournalRecord, Labels,
+    MetricsRegistry, Observe, RecordedEvent, RingSink, StatsPlane, Tracer, WatchdogClass,
+    WatchdogTrip,
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -58,7 +58,7 @@ pub struct RunOptions {
 
 /// Settings for a supervised run: the watchdog, and the flight
 /// recorder that turns a trip or failure into a `doctor_<job>.json`
-/// post-mortem dump for `tracedump --doctor`.
+/// post-mortem dump for `hamr doctor`.
 #[derive(Debug, Clone)]
 pub struct Supervision {
     pub watchdog: WatchdogConfig,
@@ -262,24 +262,6 @@ impl Cluster {
     /// Directory of the active journal, if one is attached.
     pub fn journal_dir(&self) -> Option<PathBuf> {
         self.introspect.journal().map(|j| j.dir())
-    }
-
-    /// Replace the alert rule set evaluated each watchdog epoch and on
-    /// every `/alerts` scrape. The default set (queue-depth high-water,
-    /// stall-share ceiling, p99 task-latency SLO) applies until this is
-    /// called; pass an empty vec to disable alerting.
-    pub fn alert_rules(&self, rules: Vec<AlertRule>) {
-        self.introspect.alerts.set_rules(rules);
-    }
-
-    /// Current per-rule alert states (one entry per configured rule).
-    pub fn alert_states(&self) -> Vec<AlertState> {
-        self.introspect.alerts.states()
-    }
-
-    /// Every alert transition (fired/resolved) observed so far.
-    pub fn alert_log(&self) -> Vec<AlertEvent> {
-        self.introspect.alerts.log()
     }
 
     /// Start the embedded introspection endpoint on
@@ -539,23 +521,9 @@ impl Cluster {
                             detail: event.detail.clone(),
                         });
                     }
-                    notify_intro.eval_alerts();
                 }
             });
-            // Alert rules see fresh gauges every monitoring epoch, so
-            // an SLO burn or a stuck queue fires *during* the run.
-            let epoch_intro = Arc::clone(&self.introspect);
-            let on_epoch = Box::new(move |_| {
-                epoch_intro.eval_alerts();
-            });
-            Watchdog::spawn(
-                sup.watchdog.clone(),
-                obs.clone(),
-                n,
-                on_epoch,
-                notify,
-                abort,
-            )
+            Watchdog::spawn(sup.watchdog.clone(), obs.clone(), n, notify, abort)
         });
         let mut outputs: HashMap<FlowletId, Vec<Record>> = HashMap::new();
         let mut metrics = JobMetrics::default();
@@ -725,10 +693,7 @@ impl Cluster {
         if let Some(ring) = &ring {
             ring.set_overflow_tap(None);
         }
-        // One final alert evaluation over the completed job's published
-        // totals (also journals any transition), then make everything
-        // appended so far durable.
-        self.introspect.eval_alerts();
+        // Make everything appended so far durable.
         if let Some(j) = &journal {
             j.flush();
         }

@@ -4,7 +4,7 @@
 //! Every [`Cluster`](crate::Cluster) owns one [`Introspect`]. Runs
 //! publish into its [`MetricsRegistry`] (net/disk counters and gauges
 //! live on every run, job metrics at completion) and, when enabled, a
-//! loopback [`HttpServer`] exposes three routes:
+//! loopback [`HttpServer`] exposes four routes:
 //!
 //! * `/metrics` — every registered series in Prometheus text format,
 //!   scrapeable mid-run;
@@ -13,34 +13,22 @@
 //!   active);
 //! * `/doctor` — a live flight-recorder dump (`FlightRecord` JSON)
 //!   built from the current run's trace ring, audit ledger, and
-//!   gauges — what `tracedump --doctor` reads post-mortem, but
-//!   available while the job is still wedged.
+//!   gauges — what `hamr doctor` reads post-mortem, but available
+//!   while the job is still wedged;
+//! * `/stats` — the most recently completed job's data-plane
+//!   statistics (per-edge sketches + lineage samples).
 //!
 //! The endpoint is off by default so tests and benchmarks stay
 //! hermetic; opt in with `HAMR_HTTP=auto` (ephemeral port),
 //! `HAMR_HTTP=<port>`, or [`Cluster::serve_introspection`].
 
 use hamr_trace::{
-    AlertEngine, AlertEvent, AlertRule, AlertState, FlightRecord, HttpResponse, HttpServer,
-    Journal, JournalRecord, MetricsRegistry, Observe, RingSink, RouteHandler, Snapshot,
-    StatsSnapshot,
+    json, FlightRecord, HttpResponse, HttpServer, Journal, MetricsRegistry, Observe, RingSink,
+    RouteHandler, StatsSnapshot,
 };
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Escape a string for embedding in a JSON value.
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
-}
 
 /// How the embedded endpoint is configured, usually via `HAMR_HTTP`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,7 +97,7 @@ impl Health {
             now_us,
         );
         if let Some(incident) = &self.incident {
-            out.push_str(&format!(",\"incident\":\"{}\"", json_escape(incident)));
+            out.push_str(&format!(",\"incident\":\"{}\"", json::escape(incident)));
         }
         match self.incident_since_us {
             Some(since) => out.push_str(&format!(
@@ -133,112 +121,6 @@ impl Health {
     }
 }
 
-/// Alert-rule evaluation shared between the watchdog epoch hook, job
-/// completion, and the `/alerts` endpoint: one engine, a transition
-/// log, and journaling of every transition.
-#[derive(Default)]
-pub(crate) struct AlertCenter {
-    engine: Mutex<AlertEngine>,
-    log: Mutex<Vec<AlertEvent>>,
-}
-
-impl AlertCenter {
-    fn new() -> Self {
-        AlertCenter {
-            engine: Mutex::new(AlertEngine::with_default_rules()),
-            log: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Replace the rule set (resets all rule state; the transition log
-    /// is kept).
-    pub fn set_rules(&self, rules: Vec<AlertRule>) {
-        self.engine
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .set_rules(rules);
-    }
-
-    /// Evaluate against a snapshot; journal and log any transitions.
-    pub fn evaluate(
-        &self,
-        snap: &Snapshot,
-        t_us: u64,
-        journal: Option<&Arc<Journal>>,
-    ) -> Vec<AlertEvent> {
-        let events = self
-            .engine
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .evaluate(snap, t_us);
-        if events.is_empty() {
-            return events;
-        }
-        if let Some(journal) = journal {
-            for ev in &events {
-                journal.append(&JournalRecord::Alert {
-                    rule: ev.rule.clone(),
-                    firing: ev.firing,
-                    t_us: ev.t_us,
-                    value: ev.value,
-                    threshold: ev.threshold,
-                    detail: ev.detail.clone(),
-                });
-            }
-        }
-        self.log
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .extend(events.iter().cloned());
-        events
-    }
-
-    pub fn states(&self) -> Vec<AlertState> {
-        self.engine
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .states()
-    }
-
-    /// Every transition observed since the cluster was built.
-    pub fn log(&self) -> Vec<AlertEvent> {
-        self.log.lock().unwrap_or_else(|p| p.into_inner()).clone()
-    }
-
-    /// Render for `/alerts`.
-    pub fn to_json(&self, now_us: u64) -> String {
-        let states = self.states();
-        let mut out = format!(
-            "{{\"firing\":{},\"now_us\":{now_us},\"rules\":[",
-            states.iter().filter(|s| s.firing).count()
-        );
-        for (i, s) in states.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"firing\":{},\"since_us\":{},\"value\":{},\
-                 \"threshold\":{},\"fired_total\":{},\"detail\":\"{}\"}}",
-                json_escape(&s.rule),
-                s.firing,
-                s.since_us
-                    .map(|v| v.to_string())
-                    .unwrap_or_else(|| "null".into()),
-                if s.last_value.is_finite() {
-                    format!("{:.6}", s.last_value)
-                } else {
-                    "null".into()
-                },
-                format_args!("{:.6}", s.threshold),
-                s.fired_total,
-                json_escape(&s.detail),
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 /// What `/doctor` reads: handles into the most recent (possibly still
 /// running) run.
 pub(crate) struct LiveRun {
@@ -257,16 +139,14 @@ pub(crate) struct Introspect {
     pub registry: MetricsRegistry,
     pub health: Arc<Mutex<Health>>,
     pub live: Arc<Mutex<LiveRun>>,
-    pub alerts: Arc<AlertCenter>,
     /// Data-plane statistics of the most recently completed job
     /// (per-edge sketches + lineage samples), served at `/stats`.
     pub stats: Arc<Mutex<Option<StatsSnapshot>>>,
     /// The flight journal, when enabled (`HAMR_JOURNAL` or
     /// `Cluster::enable_journal`).
-    journal: Arc<Mutex<Option<Arc<Journal>>>>,
-    /// The introspection clock's origin: `/healthz` ages,
-    /// `incident_since_us`, and alert timestamps all count
-    /// microseconds from here.
+    journal: Mutex<Option<Arc<Journal>>>,
+    /// The introspection clock's origin: `/healthz` ages and
+    /// `incident_since_us` count microseconds from here.
     epoch: Instant,
     server: Mutex<Option<HttpServer>>,
 }
@@ -289,9 +169,8 @@ impl Introspect {
             registry,
             health: Arc::new(Mutex::new(Health::default())),
             live: Arc::new(Mutex::new(idle)),
-            alerts: Arc::new(AlertCenter::new()),
             stats: Arc::new(Mutex::new(None)),
-            journal: Arc::new(Mutex::new(None)),
+            journal: Mutex::new(None),
             epoch: Instant::now(),
             server: Mutex::new(None),
         }
@@ -315,17 +194,6 @@ impl Introspect {
             .clone()
     }
 
-    /// Evaluate the alert rules against the live registry, journaling
-    /// and logging any transitions. Called from the watchdog epoch
-    /// hook, at job completion, and on every `/alerts` scrape.
-    pub fn eval_alerts(&self) -> Vec<AlertEvent> {
-        self.alerts.evaluate(
-            &self.registry.snapshot(),
-            self.now_us(),
-            self.journal().as_ref(),
-        )
-    }
-
     /// Start serving per [`HttpMode::from_env`]. A bind failure is
     /// reported on stderr, never fatal — introspection must not take a
     /// job down.
@@ -346,14 +214,11 @@ impl Introspect {
     }
 
     /// Bind `127.0.0.1:port` (0 = ephemeral) and serve `/metrics`,
-    /// `/healthz`, `/alerts`, `/doctor`, `/stats`. Replaces any
-    /// previous server.
+    /// `/healthz`, `/doctor`, `/stats`. Replaces any previous server.
     pub fn serve(&self, port: u16) -> std::io::Result<SocketAddr> {
         let registry = self.registry.clone();
         let health = Arc::clone(&self.health);
         let live = Arc::clone(&self.live);
-        let alerts = Arc::clone(&self.alerts);
-        let journal = Arc::clone(&self.journal);
         let stats = Arc::clone(&self.stats);
         let epoch = self.epoch;
         let handler: RouteHandler = Arc::new(move |path| match path {
@@ -363,14 +228,6 @@ impl Introspect {
                 let health = health.lock().unwrap_or_else(|p| p.into_inner()).clone();
                 let status = if health.healthy() { 200 } else { 503 };
                 HttpResponse::json(health.to_json_at(now_us)).status(status)
-            }
-            "/alerts" | "/alerts/" => {
-                // Scrapes evaluate too, so `/alerts` is live even when
-                // no supervised run is driving epochs.
-                let now_us = epoch.elapsed().as_micros() as u64;
-                let j = journal.lock().unwrap_or_else(|p| p.into_inner()).clone();
-                alerts.evaluate(&registry.snapshot(), now_us, j.as_ref());
-                HttpResponse::json(alerts.to_json(now_us))
             }
             "/doctor" | "/doctor/" => {
                 let live = live.lock().unwrap_or_else(|p| p.into_inner());
@@ -419,7 +276,7 @@ impl Introspect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamr_trace::{http_get, parse_prometheus, AlertRule, Labels};
+    use hamr_trace::{http_get, parse_prometheus, Labels};
     use std::time::Duration;
 
     #[test]
@@ -480,56 +337,30 @@ mod tests {
         let (status, body) = http_get(addr, "/healthz", t).expect("GET /healthz");
         assert_eq!(status, 200);
         assert!(body.contains("\"status\":\"ok\""));
-        // An incident flips /healthz to 503 until cleared.
+        // An incident flips /healthz to 503 until cleared, and its text
+        // survives the trip whatever it contains.
+        let incident = "hang\ton \"edge 1\" of C:\\jobs";
         intro
             .health
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .incident = Some("hang".into());
-        let (status, _) = http_get(addr, "/healthz", t).expect("GET /healthz");
+            .incident = Some(incident.into());
+        let (status, body) = http_get(addr, "/healthz", t).expect("GET /healthz");
         assert_eq!(status, 503);
+        let doc = json::parse(&body).expect("valid /healthz JSON");
+        assert_eq!(
+            doc.get("incident").and_then(json::Json::as_str),
+            Some(incident)
+        );
         // /doctor renders even with no live run attached.
         let (status, body) = http_get(addr, "/doctor", t).expect("GET /doctor");
         assert_eq!(status, 200);
         assert!(body.contains("\"dropped_events\""), "{body}");
         assert!(body.contains("\"engine\":\"hamr\""), "{body}");
-        // /alerts serves the default rule set, silent on this registry.
-        let (status, body) = http_get(addr, "/alerts", t).expect("GET /alerts");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"firing\":0"), "{body}");
-        assert!(body.contains("queue-depth-high-water"), "{body}");
-        assert!(body.contains("task-p99-latency-slo"), "{body}");
+        // The retired /alerts route is a 404 like any unknown path.
+        let (status, _) = http_get(addr, "/alerts", t).expect("GET /alerts");
+        assert_eq!(status, 404);
         intro.stop();
-        intro.stop();
-    }
-
-    #[test]
-    fn alerts_endpoint_reports_a_firing_rule() {
-        let intro = Introspect::new();
-        intro.alerts.set_rules(vec![AlertRule::gauge_high_water(
-            "stuck-gauge",
-            "deferred_bins",
-            1,
-            2,
-        )]);
-        let g = intro
-            .registry
-            .gauge("deferred_bins", Labels::new().node(0).flowlet(1));
-        g.add(5);
-        // Two evaluations over threshold: the rule fires and the
-        // transition lands in the log.
-        assert!(intro.eval_alerts().is_empty());
-        let fired = intro.eval_alerts();
-        assert_eq!(fired.len(), 1);
-        assert!(fired[0].firing);
-        assert_eq!(intro.alerts.states().iter().filter(|s| s.firing).count(), 1);
-        let addr = intro.serve(0).expect("bind");
-        let (status, body) =
-            http_get(addr, "/alerts", Duration::from_secs(2)).expect("GET /alerts");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"firing\":1"), "{body}");
-        assert!(body.contains("stuck-gauge"), "{body}");
-        assert_eq!(intro.alerts.log().len(), 1);
         intro.stop();
     }
 }

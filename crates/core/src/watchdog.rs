@@ -291,9 +291,7 @@ pub(crate) struct Watchdog {
 
 impl Watchdog {
     /// Start monitoring the run behind `obs`: its ledger and its
-    /// engine's live gauges. `on_epoch` fires once per monitoring epoch
-    /// before classification — the cluster hangs alert-rule evaluation
-    /// off it.
+    /// engine's live gauges.
     /// `notify` fires on *every* classified incident (the cluster posts
     /// it into `/healthz` state); `abort` is invoked (once) when an
     /// abort-worthy incident fires under [`WatchdogAction::Abort`].
@@ -301,7 +299,6 @@ impl Watchdog {
         cfg: WatchdogConfig,
         obs: Observe,
         nodes: usize,
-        on_epoch: Box<dyn Fn(u64) + Send>,
         notify: Box<dyn Fn(&WatchdogEvent) + Send>,
         abort: Box<dyn Fn(&WatchdogEvent) + Send>,
     ) -> Self {
@@ -314,7 +311,7 @@ impl Watchdog {
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("hamr-watchdog".into())
-            .spawn(move || run_watchdog(thread_shared, cfg, obs, nodes, on_epoch, notify, abort))
+            .spawn(move || run_watchdog(thread_shared, cfg, obs, nodes, notify, abort))
             .expect("spawn watchdog thread");
         Watchdog {
             shared,
@@ -344,13 +341,11 @@ fn run_watchdog(
     cfg: WatchdogConfig,
     obs: Observe,
     nodes: usize,
-    on_epoch: Box<dyn Fn(u64) + Send>,
     notify: Box<dyn Fn(&WatchdogEvent) + Send>,
     abort: Box<dyn Fn(&WatchdogEvent) + Send>,
 ) {
     let abort_on_trip = cfg.action == WatchdogAction::Abort;
     let mut monitor = Monitor::new(cfg.clone());
-    let mut epoch_idx: u64 = 0;
     loop {
         {
             let mut stop = shared.stop.lock();
@@ -362,8 +357,6 @@ fn run_watchdog(
                 return;
             }
         }
-        epoch_idx += 1;
-        on_epoch(epoch_idx);
         let snap = EpochSnapshot::capture(&obs, nodes);
         if let Some(mut event) = monitor.observe(snap) {
             // Localize the diagnosis: the widest emit->consume gap in

@@ -120,7 +120,7 @@ fn metrics_endpoint_live_during_supervised_run() {
     assert_eq!(cluster.introspection_addr(), None);
 }
 
-/// The gauges `hamr top` and the alert rules read are registry cells
+/// The gauges `hamr top` and the watchdog read are registry cells
 /// the engine moves on every run, not only on supervised or profiled
 /// ones: a scrape taken from inside a `RunOptions::default()` job
 /// carries them, and sees the worker that took it as busy.

@@ -3,7 +3,7 @@
 //! swallows its completion broadcasts, a node that drops flow-control
 //! acks — must trip the watchdog with the right classification, abort
 //! the run instead of hanging, and leave a parsable flight-recorder
-//! dump behind for `tracedump --doctor`. Supervision is one field of the
+//! dump behind for `hamr doctor`. Supervision is one field of the
 //! one run path, so this file also pins that path: stored options and
 //! `run_with` agree, every sink combines with supervision on one run,
 //! the default options trace and audit nothing, and what an aborted

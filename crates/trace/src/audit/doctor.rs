@@ -3,7 +3,7 @@
 //! When the watchdog trips or a supervised job fails, the cluster dumps
 //! a bounded black-box snapshot — the last-K trace events, the custody
 //! ledger, and every live gauge — to `doctor_<job>.json`. The analysis
-//! lives here (not in the `tracedump` binary) so tests and other tools
+//! lives here (not in the `hamr` binary) so tests and other tools
 //! can diagnose a record without shelling out.
 
 use super::{AuditReport, AuditStage};

@@ -15,7 +15,9 @@
 //! * `"M"` metadata events name processes and the synthetic lanes.
 
 use crate::json::escape;
-use crate::{EventKind, TimeSeries, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME};
+use crate::{
+    task_spans, EventKind, TimeSeries, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME,
+};
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -162,36 +164,24 @@ fn render(events: &[TraceEvent], series: Option<&TimeSeries>) -> String {
     evs.sort_by_key(|e| e.t_us);
 
     let mut em = Emitter::new();
-    // Per-(node, worker) stack of open TaskStarts; per-(node, worker,
-    // flowlet) open SpillStarts.
-    type OpenTask = (u64, crate::TaskKind, u32);
-    let mut task_stack: HashMap<(u32, u32), Vec<OpenTask>> = HashMap::new();
+    // One span per TaskEnd, in the order the loop below meets them.
+    let mut spans = task_spans(events).into_iter();
+    // Per-(node, worker, flowlet) open SpillStarts.
     let mut spill_open: HashMap<(u32, u32, u32), u64> = HashMap::new();
     let mut lanes_seen: BTreeSet<(u32, u32)> = BTreeSet::new();
 
     for ev in &evs {
         lanes_seen.insert((ev.node, ev.worker));
         match &ev.kind {
-            EventKind::TaskStart { task, flowlet, .. } => {
-                task_stack
-                    .entry((ev.node, ev.worker))
-                    .or_default()
-                    .push((ev.t_us, *task, *flowlet));
-            }
+            EventKind::TaskStart { .. } => {}
             EventKind::TaskEnd {
                 task,
                 flowlet,
                 records_in,
                 records_out,
             } => {
-                let stack = task_stack.entry((ev.node, ev.worker)).or_default();
-                // Pop the innermost matching start (tasks on one worker
-                // nest; mismatches mean the ring dropped the start).
-                let started = stack
-                    .iter()
-                    .rposition(|(_, t, f)| t == task && f == flowlet)
-                    .map(|i| stack.remove(i).0);
-                match started {
+                let span = spans.next().expect("task_spans yields one per TaskEnd");
+                match span.start_us {
                     Some(ts) => em.push(complete_slice(
                         task.name(),
                         "task",
@@ -648,67 +638,5 @@ mod tests {
             .expect("park slice present");
         assert_eq!(park.get("ts").unwrap().as_u64(), Some(200));
         assert_eq!(park.get("dur").unwrap().as_u64(), Some(1200));
-    }
-
-    #[test]
-    fn nested_tasks_pair_innermost_first() {
-        // fire-reduce wraps reduce-ingest on the same worker.
-        let doc = chrome_trace_json(&[
-            ev(
-                0,
-                0,
-                0,
-                EventKind::TaskStart {
-                    task: TaskKind::FireReduce,
-                    flowlet: 1,
-                    span: 0,
-                },
-            ),
-            ev(
-                10,
-                0,
-                0,
-                EventKind::TaskStart {
-                    task: TaskKind::ReduceIngest,
-                    flowlet: 1,
-                    span: 0,
-                },
-            ),
-            ev(
-                20,
-                0,
-                0,
-                EventKind::TaskEnd {
-                    task: TaskKind::ReduceIngest,
-                    flowlet: 1,
-                    records_in: 5,
-                    records_out: 5,
-                },
-            ),
-            ev(
-                40,
-                0,
-                0,
-                EventKind::TaskEnd {
-                    task: TaskKind::FireReduce,
-                    flowlet: 1,
-                    records_in: 5,
-                    records_out: 1,
-                },
-            ),
-        ]);
-        let evs = events_of(&doc);
-        let durs: Vec<(String, u64)> = evs
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .map(|e| {
-                (
-                    e.get("name").unwrap().as_str().unwrap().to_string(),
-                    e.get("dur").unwrap().as_u64().unwrap(),
-                )
-            })
-            .collect();
-        assert!(durs.contains(&("reduce-ingest".to_string(), 10)));
-        assert!(durs.contains(&("fire-reduce".to_string(), 40)));
     }
 }

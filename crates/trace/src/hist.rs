@@ -53,6 +53,24 @@ pub(crate) fn bucket_upper(b: usize) -> u64 {
     }
 }
 
+/// The value at quantile `q` in `[0, 1]` of log2 `buckets` holding
+/// `count` samples: the upper bound of the first bucket whose
+/// cumulative count reaches `ceil(q * count)` (0 when empty).
+pub(crate) fn quantile_of(buckets: &[u64], count: u64, q: f64) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
+    let mut seen = 0u64;
+    for (b, &n) in buckets.iter().enumerate() {
+        seen += n;
+        if seen >= target {
+            return bucket_upper(b);
+        }
+    }
+    bucket_upper(buckets.len().saturating_sub(1))
+}
+
 impl LatencyHistogram {
     pub fn new() -> Self {
         Self::default()
@@ -90,19 +108,7 @@ impl LatencyHistogram {
     /// buckets are powers of two, the result is within 2x of the true
     /// quantile.
     pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return bucket_upper(b);
-            }
-        }
-        bucket_upper(BUCKETS - 1)
+        quantile_of(&self.buckets, self.count, q)
     }
 
     pub fn p50_us(&self) -> u64 {

@@ -7,7 +7,7 @@
 //! closes that gap: a [`Journal`] continuously appends
 //! [`JournalRecord`]s — job phase markers, trace events tapped from
 //! the ring before overwrite, metrics epoch snapshots, audit-ledger
-//! epochs, watchdog incidents, and alert firings — so a run can be
+//! epochs, and watchdog incidents — so a run can be
 //! reconstructed offline (`hamr timeline <dir>`) even if the process
 //! that wrote it is gone.
 //!
@@ -99,7 +99,7 @@ impl JournalConfig {
 
 /// One durable record. Everything the offline timeline needs to
 /// reconstruct a run: phase markers, evicted trace events, metrics
-/// epochs, custody epochs, incidents, and alert transitions.
+/// epochs, custody epochs, and incidents.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A job entered the cluster. `t_us` is on the journal's clock.
@@ -130,15 +130,6 @@ pub enum JournalRecord {
         job: String,
         class: String,
         epoch: u64,
-        detail: String,
-    },
-    /// An alert rule fired (`firing = true`) or resolved.
-    Alert {
-        rule: String,
-        firing: bool,
-        t_us: u64,
-        value: f64,
-        threshold: f64,
         detail: String,
     },
     /// The data-plane statistics snapshot at a job boundary: merged
@@ -251,7 +242,9 @@ const TAG_EVENT: u8 = 3;
 const TAG_EPOCH: u8 = 4;
 const TAG_AUDIT: u8 = 5;
 const TAG_INCIDENT: u8 = 6;
-const TAG_ALERT: u8 = 7;
+// 7 was the alert-transition record. `HAMR_JOURNAL=<dir>` reopens old
+// directories, so it is never reused: a tag-7 frame reads back as one
+// of `JournalRead::unknown_records`.
 const TAG_STATS: u8 = 8;
 
 /// Frames claiming to be larger than this are corruption, not data.
@@ -577,22 +570,6 @@ impl JournalRecord {
                 put_u64(&mut buf, *epoch);
                 put_str(&mut buf, detail);
             }
-            JournalRecord::Alert {
-                rule,
-                firing,
-                t_us,
-                value,
-                threshold,
-                detail,
-            } => {
-                buf.push(TAG_ALERT);
-                put_str(&mut buf, rule);
-                buf.push(u8::from(*firing));
-                put_u64(&mut buf, *t_us);
-                put_u64(&mut buf, value.to_bits());
-                put_u64(&mut buf, threshold.to_bits());
-                put_str(&mut buf, detail);
-            }
             JournalRecord::Stats(snap) => {
                 buf.push(TAG_STATS);
                 encode_stats(&mut buf, snap);
@@ -648,14 +625,6 @@ impl JournalRecord {
                 job: cur.str()?,
                 class: cur.str()?,
                 epoch: cur.u64()?,
-                detail: cur.str()?,
-            },
-            TAG_ALERT => JournalRecord::Alert {
-                rule: cur.str()?,
-                firing: cur.u8()? != 0,
-                t_us: cur.u64()?,
-                value: f64::from_bits(cur.u64()?),
-                threshold: f64::from_bits(cur.u64()?),
                 detail: cur.str()?,
             },
             TAG_STATS => JournalRecord::Stats(decode_stats(&mut cur)?),
@@ -808,7 +777,7 @@ impl Journal {
     }
 
     /// Microseconds since this journal was opened — the clock
-    /// `JobStart`/`JobEnd`/`Alert` records are stamped with.
+    /// `JobStart`/`JobEnd` records are stamped with.
     pub fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
@@ -849,7 +818,7 @@ impl Journal {
         put_u32(&mut frame, payload.len() as u32);
         put_u32(&mut frame, crc32(&payload));
         frame.extend_from_slice(&payload);
-        // Phase markers, incidents, and alerts must survive a kill
+        // Phase markers and incidents must survive a kill
         // right after the append; bulk event traffic may buffer.
         let durable = !matches!(rec, JournalRecord::Event(_));
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
@@ -1134,14 +1103,6 @@ mod tests {
                 epoch: 7,
                 detail: "windows full".into(),
             },
-            JournalRecord::Alert {
-                rule: "queue-depth-high-water".into(),
-                firing: true,
-                t_us: 30,
-                value: 9.0,
-                threshold: 1.0,
-                detail: "deferred_bins=9".into(),
-            },
             JournalRecord::Stats(StatsSnapshot {
                 job: "wc".into(),
                 engine: "hamr".into(),
@@ -1234,6 +1195,47 @@ mod tests {
         assert!(explained.contains("emitted via flowlet 'ratings' edge 1: node 0 -> node 2"));
         assert!(explained.contains("ingested by reduce via flowlet 'sum' edge 1: node 0 -> node 2"));
         assert!(explained.contains("final reducer: node 2"));
+    }
+
+    /// Same for whole records: a directory written before the alert
+    /// engine was deleted holds tag-7 frames.
+    #[test]
+    fn a_retired_tag_7_frame_is_skipped_not_fatal() {
+        let mut retired = vec![7u8];
+        put_str(&mut retired, "queue-depth-high-water");
+        retired.push(1); // firing
+        put_u64(&mut retired, 30); // t_us
+        put_u64(&mut retired, 9f64.to_bits()); // value
+        put_u64(&mut retired, 1f64.to_bits()); // threshold
+        put_str(&mut retired, "deferred_bins=9");
+        let start = JournalRecord::JobStart {
+            job: "wc".into(),
+            engine: "hamr".into(),
+            t_us: 10,
+        };
+        let end = JournalRecord::JobEnd {
+            job: "wc".into(),
+            ok: true,
+            t_us: 50,
+            elapsed_us: 40,
+            shuffled_bytes: 0,
+        };
+        let mut segment = Vec::new();
+        for payload in [start.encode(), retired, end.encode()] {
+            put_u32(&mut segment, payload.len() as u32);
+            put_u32(&mut segment, crc32(&payload));
+            segment.extend_from_slice(&payload);
+        }
+        let dir = temp_dir("retired_tag");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(dir.join(segment_name(0)), segment).expect("write segment");
+        let read = read_journal(&dir).expect("read");
+        assert_eq!(read.records, [start, end]);
+        assert_eq!((read.unknown_records, read.truncated_frames), (1, 0));
+        let rendered = Timeline::from_records(&read.records).render();
+        let row = rendered.lines().find(|l| l.starts_with("wc")).expect("row");
+        assert!(row.ends_with("ok"), "{rendered}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

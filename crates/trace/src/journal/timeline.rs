@@ -3,17 +3,17 @@
 //! [`Timeline::load`] walks the journal records in order and folds
 //! them into per-job spans: when the job started, whether (and how) it
 //! ended, how many bytes it shuffled, what the resident cache served,
-//! the p99 task latency for its epoch, which watchdog incidents and
-//! stuck edges it left behind, and which alerts fired while it ran. A
-//! `JobStart` with no matching `JobEnd` is a run killed mid-flight —
-//! exactly the case the journal exists for.
+//! the p99 task latency for its epoch, and which watchdog incidents
+//! and stuck edges it left behind. A `JobStart` with no matching
+//! `JobEnd` is a run killed mid-flight — exactly the case the journal
+//! exists for.
 //!
 //! `hamr timeline <dir>` renders this; `hamr timeline --diff a b`
 //! compares two reconstructions job by job.
 
 use super::{read_journal, JournalRecord};
 use crate::audit::AuditReport;
-use crate::hist::bucket_upper;
+use crate::hist::quantile_of;
 use crate::json;
 use crate::registry::{HistSample, SampleValue, Snapshot};
 use std::path::Path;
@@ -24,19 +24,6 @@ pub struct IncidentNote {
     pub class: String,
     pub epoch: u64,
     pub detail: String,
-}
-
-/// One alert transition (fired or resolved), with the job that was
-/// open when it happened.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlertNote {
-    pub rule: String,
-    pub firing: bool,
-    pub t_us: u64,
-    pub value: f64,
-    pub threshold: f64,
-    pub detail: String,
-    pub job: Option<String>,
 }
 
 /// One job's reconstructed span.
@@ -64,8 +51,6 @@ pub struct JobSpan {
     /// Stuck custody edges from the audit epoch, rendered as
     /// `edge E -> node N (K bins in flight)`.
     pub stuck_edges: Vec<String>,
-    /// Alert *firings* (not resolutions) while this job was open.
-    pub alerts_fired: u64,
     /// Per-edge data-plane cardinality lines from the job's
     /// `StatsSnapshot` record, rendered as
     /// `edge E: N records, ~D distinct keys, hot K%, p99 val B bytes`.
@@ -84,7 +69,6 @@ impl JobSpan {
 #[derive(Debug, Default)]
 pub struct Timeline {
     pub jobs: Vec<JobSpan>,
-    pub alerts: Vec<AlertNote>,
     /// Total records decoded across all merged journals.
     pub records: usize,
     pub truncated_frames: u64,
@@ -92,24 +76,6 @@ pub struct Timeline {
     /// Journal directories merged (an `auto` parent holds one per
     /// cluster).
     pub sources: usize,
-}
-
-/// p-th quantile of a histogram sample, mirroring
-/// [`LatencyHistogram::quantile_us`](crate::LatencyHistogram):
-/// smallest bucket whose cumulative count reaches `ceil(q * count)`.
-pub fn hist_quantile_us(h: &HistSample, q: f64) -> u64 {
-    if h.count == 0 {
-        return 0;
-    }
-    let target = ((q * h.count as f64).ceil() as u64).clamp(1, h.count);
-    let mut cum = 0u64;
-    for (b, &n) in h.buckets.iter().enumerate() {
-        cum += n;
-        if cum >= target {
-            return bucket_upper(b);
-        }
-    }
-    bucket_upper(h.buckets.len().saturating_sub(1))
 }
 
 /// Sum every `flowlet_task_latency_us` series in a snapshot into one
@@ -181,7 +147,6 @@ impl Timeline {
         }
         let folded = Timeline::from_records(&all);
         out.jobs = folded.jobs;
-        out.alerts = folded.alerts;
         out.records = folded.records;
         Ok(out)
     }
@@ -249,7 +214,7 @@ impl Timeline {
                         span.stall_us = delta.counter_total("flowlet_stall_us_total");
                         if let Some(h) = aggregate_latency(&delta) {
                             if h.count > 0 {
-                                span.task_p99_us = Some(hist_quantile_us(&h, 0.99));
+                                span.task_p99_us = Some(quantile_of(&h.buckets, h.count, 0.99));
                             }
                         }
                     }
@@ -281,30 +246,6 @@ impl Timeline {
                     if let Some(i) = idx {
                         t.jobs[i].incidents.push(note);
                     }
-                }
-                JournalRecord::Alert {
-                    rule,
-                    firing,
-                    t_us,
-                    value,
-                    threshold,
-                    detail,
-                } => {
-                    let job = open.map(|i| t.jobs[i].job.clone());
-                    if *firing {
-                        if let Some(i) = open {
-                            t.jobs[i].alerts_fired += 1;
-                        }
-                    }
-                    t.alerts.push(AlertNote {
-                        rule: rule.clone(),
-                        firing: *firing,
-                        t_us: *t_us,
-                        value: *value,
-                        threshold: *threshold,
-                        detail: detail.clone(),
-                        job,
-                    });
                 }
                 JournalRecord::Stats(snap) => {
                     let idx = open
@@ -405,22 +346,6 @@ impl Timeline {
                 out.push_str(&format!("    keys: {line}\n"));
             }
         }
-        let firings: Vec<&AlertNote> = self.alerts.iter().filter(|a| a.firing).collect();
-        if firings.is_empty() {
-            out.push_str("alerts: none fired\n");
-        } else {
-            out.push_str(&format!("alerts: {} firing transition(s)\n", firings.len()));
-            for a in &firings {
-                out.push_str(&format!(
-                    "    ALERT {} during {}: {} (value {:.1}, threshold {:.1})\n",
-                    a.rule,
-                    a.job.as_deref().unwrap_or("<between jobs>"),
-                    a.detail,
-                    a.value,
-                    a.threshold
-                ));
-            }
-        }
         for span in self.unfinished() {
             out.push_str(&format!(
                 "final state: job {} was open when the journal ends — last completed epoch is the span above it\n",
@@ -470,9 +395,6 @@ impl Timeline {
                 out.push_str(&format!("{:<28} only in second journal\n", sb.job));
             }
         }
-        let fa = a.alerts.iter().filter(|x| x.firing).count();
-        let fb = b.alerts.iter().filter(|x| x.firing).count();
-        out.push_str(&format!("alert firings: {fa} vs {fb}\n"));
         out
     }
 }
@@ -571,14 +493,6 @@ mod tests {
                 epoch: 4,
                 detail: "deferred>0".into(),
             },
-            JournalRecord::Alert {
-                rule: "queue-depth-high-water".into(),
-                firing: true,
-                t_us: 6600,
-                value: 8.0,
-                threshold: 1.0,
-                detail: "deferred_bins=8".into(),
-            },
         ];
         let t = Timeline::from_records(&records);
         assert_eq!(t.jobs.len(), 2);
@@ -588,13 +502,11 @@ mod tests {
         assert_eq!(t.jobs[1].ok, None, "killed mid-flight");
         assert_eq!(t.jobs[1].events, 1);
         assert_eq!(t.jobs[1].incidents.len(), 1);
-        assert_eq!(t.jobs[1].alerts_fired, 1);
         assert_eq!(t.unfinished().len(), 1);
         let rendered = t.render();
         assert!(rendered.contains("wc"));
         assert!(rendered.contains("KILLED MID-FLIGHT"));
         assert!(rendered.contains("backpressure"));
-        assert!(rendered.contains("queue-depth-high-water"));
     }
 
     #[test]
@@ -672,34 +584,5 @@ mod tests {
         assert!(diff.contains("wc"));
         assert!(diff.contains("0.50"), "wall ratio 1000/2000: {diff}");
         assert!(diff.contains("only in second journal"));
-    }
-
-    #[test]
-    fn hist_quantile_matches_latency_histogram_convention() {
-        let h = HistSample {
-            count: 100,
-            sum_us: 0,
-            buckets: {
-                let mut b = vec![0u64; 64];
-                b[3] = 50;
-                b[10] = 49;
-                b[20] = 1;
-                b
-            },
-        };
-        assert_eq!(hist_quantile_us(&h, 0.5), bucket_upper(3));
-        assert_eq!(hist_quantile_us(&h, 0.99), bucket_upper(10));
-        assert_eq!(hist_quantile_us(&h, 1.0), bucket_upper(20));
-        assert_eq!(
-            hist_quantile_us(
-                &HistSample {
-                    count: 0,
-                    sum_us: 0,
-                    buckets: vec![0; 64]
-                },
-                0.99
-            ),
-            0
-        );
     }
 }

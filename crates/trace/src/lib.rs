@@ -41,17 +41,17 @@ pub use journal::{
     Timeline,
 };
 pub use registry::{
-    http_get, parse_prometheus, AlertEngine, AlertEvent, AlertKind, AlertRule, AlertState, Counter,
-    Gauge, GaugeSample, GaugeSampler, HistSample, Histogram, HttpResponse, HttpServer, Labels,
-    MetricsRegistry, PromSample, RouteHandler, Sample, SampleValue, SeriesSample, Snapshot,
-    TimeSeries,
+    http_get, parse_prometheus, Counter, Gauge, GaugeSample, GaugeSampler, HistSample, Histogram,
+    HttpResponse, HttpServer, Labels, MetricsRegistry, PromSample, RouteHandler, Sample,
+    SampleValue, SeriesSample, Snapshot, TimeSeries,
 };
 pub use stats::{
     EdgeStatsSummary, HopKind, LineageHop, LineageSample, SketchSet, SpaceSaving, StatsMode,
     StatsPlane, StatsSnapshot,
 };
 pub use summary::{
-    render_occupancy, render_summary, worker_occupancy, FlowletSummaryRow, WorkerOccupancyRow,
+    render_occupancy, render_summary, task_spans, worker_occupancy, FlowletSummaryRow, TaskSpan,
+    WorkerOccupancyRow,
 };
 
 use std::collections::VecDeque;

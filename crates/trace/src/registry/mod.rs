@@ -30,12 +30,10 @@
 //! one cell, so concurrent registration from many worker threads is
 //! safe and idempotent.
 
-pub mod alerts;
 mod http;
 mod sampler;
 mod snapshot;
 
-pub use alerts::{AlertEngine, AlertEvent, AlertKind, AlertRule, AlertState};
 pub use http::{http_get, HttpResponse, HttpServer, RouteHandler};
 pub use sampler::{GaugeSampler, Sample, TimeSeries};
 pub use snapshot::{parse_prometheus, HistSample, PromSample, SampleValue, SeriesSample, Snapshot};

@@ -1,8 +1,74 @@
 //! Plain-text per-flowlet summary rendering and per-worker occupancy
 //! analysis.
 
-use crate::{EventKind, LatencyHistogram, TraceEvent};
-use std::collections::BTreeMap;
+use crate::{EventKind, LatencyHistogram, TaskKind, TraceEvent};
+use std::collections::{BTreeMap, HashMap};
+
+/// One `TaskEnd`, with the `TaskStart` it closes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaskSpan {
+    pub node: u32,
+    pub worker: u32,
+    pub task: TaskKind,
+    pub flowlet: u32,
+    /// `None` when no start on this lane matches — the ring dropped it.
+    pub start_us: Option<u64>,
+    pub end_us: u64,
+    pub records_in: u64,
+    pub records_out: u64,
+}
+
+impl TaskSpan {
+    /// How long the task ran, when its start was seen.
+    pub fn dur_us(&self) -> Option<u64> {
+        self.start_us.map(|ts| self.end_us.saturating_sub(ts))
+    }
+}
+
+/// Pair every `TaskEnd` with the innermost open `TaskStart` of the
+/// same task kind and flowlet on its `(node, worker)` lane — tasks on
+/// one worker nest. Events need not be sorted. One span per `TaskEnd`,
+/// in time order; a start that never ends is dropped.
+pub fn task_spans(events: &[TraceEvent]) -> Vec<TaskSpan> {
+    let mut evs: Vec<&TraceEvent> = events.iter().collect();
+    evs.sort_by_key(|e| e.t_us);
+    type OpenTask = (u64, TaskKind, u32);
+    let mut open: HashMap<(u32, u32), Vec<OpenTask>> = HashMap::new();
+    let mut spans = Vec::new();
+    for ev in evs {
+        match &ev.kind {
+            EventKind::TaskStart { task, flowlet, .. } => {
+                open.entry((ev.node, ev.worker))
+                    .or_default()
+                    .push((ev.t_us, *task, *flowlet));
+            }
+            EventKind::TaskEnd {
+                task,
+                flowlet,
+                records_in,
+                records_out,
+            } => {
+                let stack = open.entry((ev.node, ev.worker)).or_default();
+                let start_us = stack
+                    .iter()
+                    .rposition(|(_, t, f)| t == task && f == flowlet)
+                    .map(|i| stack.remove(i).0);
+                spans.push(TaskSpan {
+                    node: ev.node,
+                    worker: ev.worker,
+                    task: *task,
+                    flowlet: *flowlet,
+                    start_us,
+                    end_us: ev.t_us,
+                    records_in: *records_in,
+                    records_out: *records_out,
+                });
+            }
+            _ => {}
+        }
+    }
+    spans
+}
 
 /// One row of the per-flowlet summary table. Engines fill these from
 /// their aggregated metrics; `render_summary` turns them into text.
@@ -144,16 +210,8 @@ pub struct WorkerOccupancyRow {
 /// (node, worker). Only real worker lanes appear — the synthetic
 /// runtime/net/disk lanes are excluded.
 pub fn worker_occupancy(events: &[TraceEvent]) -> Vec<WorkerOccupancyRow> {
-    let mut evs: Vec<&TraceEvent> = events.iter().collect();
-    evs.sort_by_key(|e| e.t_us);
     let mut rows: BTreeMap<(u32, u32), WorkerOccupancyRow> = BTreeMap::new();
-    // Innermost-start matching, as in the Chrome exporter.
-    type OpenTask = (u64, crate::TaskKind, u32);
-    let mut open: BTreeMap<(u32, u32), Vec<OpenTask>> = BTreeMap::new();
-    for ev in evs {
-        if ev.worker >= crate::WORKER_DISK {
-            continue; // synthetic lanes
-        }
+    for ev in events.iter().filter(|e| e.worker < crate::WORKER_DISK) {
         let row = rows
             .entry((ev.node, ev.worker))
             .or_insert_with(|| WorkerOccupancyRow {
@@ -162,30 +220,24 @@ pub fn worker_occupancy(events: &[TraceEvent]) -> Vec<WorkerOccupancyRow> {
                 ..Default::default()
             });
         match &ev.kind {
-            EventKind::TaskStart { task, flowlet, .. } => {
-                open.entry((ev.node, ev.worker))
-                    .or_default()
-                    .push((ev.t_us, *task, *flowlet));
-            }
-            EventKind::TaskEnd { task, flowlet, .. } => {
-                row.tasks += 1;
-                let stack = open.entry((ev.node, ev.worker)).or_default();
-                if let Some(i) = stack
-                    .iter()
-                    .rposition(|(_, t, f)| t == task && f == flowlet)
-                {
-                    let (ts, _, _) = stack.remove(i);
-                    let dur = ev.t_us.saturating_sub(ts);
-                    row.busy_us += dur;
-                    row.latency.record_us(dur);
-                }
-            }
             EventKind::TaskStolen { .. } => row.steals += 1,
             EventKind::WorkerUnparked { parked_us } => {
                 row.parks += 1;
                 row.parked_us += parked_us;
             }
             _ => {}
+        }
+    }
+    for span in task_spans(events) {
+        // A worker lane has its row by now (the end is an event on
+        // it); a synthetic lane has none.
+        let Some(row) = rows.get_mut(&(span.node, span.worker)) else {
+            continue;
+        };
+        row.tasks += 1;
+        if let Some(dur) = span.dur_us() {
+            row.busy_us += dur;
+            row.latency.record_us(dur);
         }
     }
     rows.into_values().collect()
@@ -385,6 +437,53 @@ mod tests {
         assert!(table.starts_with("node"));
         assert!(table.lines().count() == 4);
         assert!(table.contains("300us"));
+    }
+
+    #[test]
+    fn nested_tasks_pair_innermost_first() {
+        use crate::TaskKind::{FireReduce, MapBin, ReduceIngest};
+        let start = |t_us, task| TraceEvent {
+            t_us,
+            node: 0,
+            worker: 0,
+            kind: EventKind::TaskStart {
+                task,
+                flowlet: 1,
+                span: 0,
+            },
+        };
+        let end = |t_us, task, records_out| TraceEvent {
+            t_us,
+            node: 0,
+            worker: 0,
+            kind: EventKind::TaskEnd {
+                task,
+                flowlet: 1,
+                records_in: 5,
+                records_out,
+            },
+        };
+        // fire-reduce wraps reduce-ingest on the same worker; the
+        // map-bin end lost its start to the ring.
+        let spans = task_spans(&[
+            start(0, FireReduce),
+            start(10, ReduceIngest),
+            end(20, ReduceIngest, 5),
+            end(30, MapBin, 2),
+            end(40, FireReduce, 1),
+        ]);
+        let seen: Vec<_> = spans
+            .iter()
+            .map(|s| (s.task, s.start_us, s.dur_us(), s.records_out))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (ReduceIngest, Some(10), Some(10), 5),
+                (MapBin, None, None, 2),
+                (FireReduce, Some(0), Some(40), 1),
+            ]
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::env::{scaled, unique_path, BenchOutput, Env};
 use crate::gen::movies::{movie_lines, parse_movie_line};
 use crate::wordcount::mr_output_checksum;
 use crate::{pair_checksum, Benchmark};
-use hamr_core::{typed, Emitter, Exchange, JobBuilder};
+use hamr_core::{typed, Emitter, Exchange, FlowletId, JobBuilder, JobGraph};
 use hamr_mapred::{line_map_fn, reduce_fn, JobConf, ReduceOutput};
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,8 +44,10 @@ impl HistogramRatings {
         )
     }
 
-    pub fn run_hamr_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
-        let start = Instant::now();
+    /// The HAMR job over the seeded input, with the ids of its map and
+    /// summing flowlets. `combiner` adds an explicit local
+    /// partial-reduce stage before the shuffle.
+    pub fn hamr_graph(combiner: bool) -> Result<(JobGraph, FlowletId, FlowletId), String> {
         let mut job = JobBuilder::new("histogram-ratings");
         let loader = job.add_loader("TextLoader", typed::dfs_line_loader(INPUT));
         let rating_map = job.add_map(
@@ -71,10 +73,14 @@ impl HistogramRatings {
             job.connect_combined(rating_map, sum, Exchange::Hash, typed::sum_combiner());
         }
         job.capture_output(sum);
-        let result = env
-            .hamr
-            .run(job.build().map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
+        let graph = job.build().map_err(|e| e.to_string())?;
+        Ok((graph, rating_map, sum))
+    }
+
+    pub fn run_hamr_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
+        let start = Instant::now();
+        let (graph, rating_map, sum) = Self::hamr_graph(combiner)?;
+        let result = env.hamr.run(graph).map_err(|e| e.to_string())?;
         let recs = result.output(sum);
         let shuffle_records = result
             .metrics
@@ -94,9 +100,8 @@ impl HistogramRatings {
         Ok(out)
     }
 
-    pub fn run_mapred_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
-        let start = Instant::now();
-        let output = unique_path("histratings/out");
+    /// The Hadoop job over the seeded input, writing under `output`.
+    pub fn mapred_conf(output: &str, combiner: bool) -> JobConf {
         let mapper = Arc::new(line_map_fn(|_off, line, out| {
             if let Some((_, ratings)) = parse_movie_line(line) {
                 for (_, r) in ratings {
@@ -110,13 +115,20 @@ impl HistogramRatings {
         let mut conf = JobConf::new(
             "histogram-ratings",
             vec![INPUT.to_string()],
-            &output,
+            output,
             mapper,
             reducer.clone(),
         );
         if combiner {
             conf = conf.with_combiner(reducer);
         }
+        conf
+    }
+
+    pub fn run_mapred_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
+        let start = Instant::now();
+        let output = unique_path("histratings/out");
+        let conf = Self::mapred_conf(&output, combiner);
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
         let mut out = BenchOutput {

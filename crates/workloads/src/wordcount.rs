@@ -10,7 +10,7 @@
 use crate::env::{scaled, unique_path, BenchOutput, Env};
 use crate::gen::text::wordcount_corpus;
 use crate::{pair_checksum, Benchmark};
-use hamr_core::{typed, Emitter, Exchange, JobBuilder};
+use hamr_core::{typed, Emitter, Exchange, FlowletId, JobBuilder, JobGraph};
 use hamr_mapred::{decode_kv, line_map_fn, reduce_fn, JobConf, ReduceOutput};
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,10 +45,9 @@ impl WordCount {
         )
     }
 
-    /// HAMR run with an explicit choice of full reduce vs partial
-    /// reduce (the partial-reduce ablation).
-    pub fn run_hamr_with(&self, env: &Env, partial: bool) -> Result<BenchOutput, String> {
-        let start = Instant::now();
+    /// The HAMR job over the seeded input, with the ids of its map and
+    /// counting flowlets.
+    pub fn hamr_graph(partial: bool) -> Result<(JobGraph, FlowletId, FlowletId), String> {
         let mut job = JobBuilder::new("wordcount");
         let loader = job.add_loader("TextLoader", typed::dfs_line_loader(INPUT));
         let split = job.add_map(
@@ -72,10 +71,16 @@ impl WordCount {
         job.connect(loader, split, Exchange::Local);
         job.connect_combined(split, count, Exchange::Hash, typed::sum_combiner());
         job.capture_output(count);
-        let result = env
-            .hamr
-            .run(job.build().map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
+        let graph = job.build().map_err(|e| e.to_string())?;
+        Ok((graph, split, count))
+    }
+
+    /// HAMR run with an explicit choice of full reduce vs partial
+    /// reduce (the partial-reduce ablation).
+    pub fn run_hamr_with(&self, env: &Env, partial: bool) -> Result<BenchOutput, String> {
+        let start = Instant::now();
+        let (graph, split, count) = Self::hamr_graph(partial)?;
+        let result = env.hamr.run(graph).map_err(|e| e.to_string())?;
         let recs = result.output(count);
         let shuffle_records = result
             .metrics
@@ -95,10 +100,8 @@ impl WordCount {
         Ok(out)
     }
 
-    /// Hadoop run with/without combiner.
-    pub fn run_mapred_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
-        let start = Instant::now();
-        let output = unique_path("wordcount/out");
+    /// The Hadoop job over the seeded input, writing under `output`.
+    pub fn mapred_conf(output: &str, combiner: bool) -> JobConf {
         let mapper = Arc::new(line_map_fn(|_off, line, out| {
             for w in line.split_whitespace() {
                 out.emit_t(&w.to_string(), &1u64);
@@ -112,13 +115,21 @@ impl WordCount {
         let mut conf = JobConf::new(
             "wordcount",
             vec![INPUT.to_string()],
-            &output,
+            output,
             mapper,
             reducer.clone(),
         );
         if combiner {
             conf = conf.with_combiner(reducer);
         }
+        conf
+    }
+
+    /// Hadoop run with/without combiner.
+    pub fn run_mapred_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
+        let start = Instant::now();
+        let output = unique_path("wordcount/out");
+        let conf = Self::mapred_conf(&output, combiner);
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
         let mut out = BenchOutput {
