@@ -3,6 +3,14 @@
 use crate::graph::FlowletId;
 use std::fmt;
 
+/// The message of a caught panic: its `&str` or `String` payload, or
+/// `fallback` for anything else.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send), fallback: &str) -> String {
+    let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+    text.or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| fallback.to_string())
+}
+
 /// Errors detected while validating a flowlet graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {

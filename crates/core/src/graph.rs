@@ -8,8 +8,8 @@
 
 use crate::error::GraphError;
 use crate::flowlet::{Loader, MapFn, PartialReduceFn, ReduceFn, StreamSource};
-use crate::resident::{CacheMode, CacheSpec};
-use crate::skew::Combiner;
+use crate::outbuf::Combiner;
+use crate::resident::CacheSpec;
 use std::sync::Arc;
 
 /// Index of a flowlet within its job graph.
@@ -83,11 +83,6 @@ pub struct FlowletDef {
     /// Partition-residency annotation: pin (or reuse) this flowlet's
     /// post-shuffle frames across jobs in a session chain.
     pub cache: Option<CacheSpec>,
-    /// Marks a frontier source — the small per-iteration delta (rank
-    /// copies, centroids) that *should* ship every iteration, as
-    /// opposed to the cached invariant partition. Documentation +
-    /// introspection metadata; carries no runtime behavior.
-    pub frontier: bool,
 }
 
 /// One edge in a built graph.
@@ -128,7 +123,6 @@ impl JobBuilder {
             out_edges: Vec::new(),
             in_edges: Vec::new(),
             cache: None,
-            frontier: false,
         });
         id
     }
@@ -192,7 +186,7 @@ impl JobBuilder {
 
     /// [`connect`](Self::connect), plus an associative [`Combiner`] for
     /// the edge's values, enabling in-node combining on it (see
-    /// `crate::skew`). The combiner must satisfy the Hadoop combiner contract: its output
+    /// `crate::outbuf`). The combiner must satisfy the Hadoop combiner contract: its output
     /// is valid reducer input, and merging in any grouping/order yields
     /// the same final result. `build` rejects
     /// combiners on edges that are not `Hash` exchanges into a
@@ -209,48 +203,20 @@ impl JobBuilder {
         port
     }
 
-    /// Pin `flowlet`'s post-shuffle frames in the session's
-    /// [`ResidentStore`](crate::ResidentStore) under `tag` after this
-    /// job completes (fill-only: this job still runs the flowlet and
-    /// ships normally). `fingerprint` keys invalidation — derive it
-    /// from whatever identifies the input; a later `resident(tag)`
-    /// with a different fingerprint bypasses the cache.
-    pub fn cache_as(&mut self, flowlet: FlowletId, tag: impl Into<String>, fingerprint: u64) {
-        if let Some(f) = self.flowlets.get_mut(flowlet) {
-            f.cache = Some(CacheSpec {
-                tag: tag.into(),
-                fingerprint,
-                mode: CacheMode::Fill,
-            });
-        } else {
-            self.mark_unknown(flowlet);
-        }
-    }
-
     /// Declare `flowlet` (a loader) partition-resident: when the
-    /// session's store holds `tag` with a matching `fingerprint` and
-    /// topology, the loader does not run at all — its downstream
-    /// frames are served locally from the cache (no re-encode, no
-    /// re-hash, no fabric ship). On a miss the loader runs normally
-    /// and fills the cache for the next job in the chain.
+    /// session's [`ResidentStore`](crate::ResidentStore) holds `tag`
+    /// with a matching `fingerprint` and topology, the loader does not
+    /// run at all — its downstream frames are served locally from the
+    /// cache (no re-encode, no re-hash, no fabric ship). On a miss the
+    /// loader runs normally and fills the cache for the next job in the
+    /// chain. `fingerprint` keys invalidation — derive it from whatever
+    /// identifies the input; a different one bypasses the cache.
     pub fn resident(&mut self, flowlet: FlowletId, tag: impl Into<String>, fingerprint: u64) {
         if let Some(f) = self.flowlets.get_mut(flowlet) {
             f.cache = Some(CacheSpec {
                 tag: tag.into(),
                 fingerprint,
-                mode: CacheMode::Serve,
             });
-        } else {
-            self.mark_unknown(flowlet);
-        }
-    }
-
-    /// Mark `flowlet` as a frontier source: the small per-iteration
-    /// delta that legitimately ships every iteration (rank copies,
-    /// centroids). Metadata for introspection and DOT export.
-    pub fn frontier(&mut self, flowlet: FlowletId) {
-        if let Some(f) = self.flowlets.get_mut(flowlet) {
-            f.frontier = true;
         } else {
             self.mark_unknown(flowlet);
         }
@@ -271,13 +237,7 @@ impl JobBuilder {
         if let Some(f) = self.flowlets.get_mut(flowlet) {
             f.capture = true;
         } else {
-            // Remember the bad id so build() reports it.
-            self.edges.push(EdgeDef {
-                src: flowlet,
-                dst: flowlet,
-                exchange: Exchange::Local,
-                src_port: usize::MAX,
-            });
+            self.mark_unknown(flowlet);
         }
     }
 
@@ -356,7 +316,7 @@ impl JobBuilder {
                     reason: "stream sources cannot be cached",
                 });
             }
-            if spec.mode == CacheMode::Serve && !matches!(f.kind, FlowletKind::Loader(_)) {
+            if !matches!(f.kind, FlowletKind::Loader(_)) {
                 return Err(GraphError::InvalidCacheAnnotation {
                     flowlet: id,
                     reason: "resident() requires a loader source",
@@ -458,21 +418,16 @@ impl JobGraph {
             };
             let capture = if f.capture { "\\n[captured]" } else { "" };
             let cache = match &f.cache {
-                Some(spec) if spec.mode == CacheMode::Serve => {
-                    format!("\\n[resident {}]", spec.tag.replace('"', "'"))
-                }
-                Some(spec) => format!("\\n[cache_as {}]", spec.tag.replace('"', "'")),
+                Some(spec) => format!("\\n[resident {}]", spec.tag.replace('"', "'")),
                 None => String::new(),
             };
-            let frontier = if f.frontier { "\\n[frontier]" } else { "" };
             let _ = writeln!(
                 out,
-                "  f{id} [label=\"{}\\n({}){}{}{}\" shape={shape}];",
+                "  f{id} [label=\"{}\\n({}){}{}\" shape={shape}];",
                 f.name.replace('"', "'"),
                 f.kind.kind_name(),
                 capture,
-                cache,
-                frontier
+                cache
             );
         }
         for e in &self.edges {
@@ -734,19 +689,12 @@ mod tests {
     fn cache_annotations_build_and_render() {
         let mut b = two_stage();
         b.resident(0, "t/adj", 42);
-        b.frontier(1);
         let g = b.build().unwrap();
         let spec = g.flowlets[0].cache.as_ref().unwrap();
         assert_eq!(spec.tag, "t/adj");
         assert_eq!(spec.fingerprint, 42);
-        assert_eq!(spec.mode, crate::resident::CacheMode::Serve);
-        assert!(g.flowlets[1].frontier);
         let dot = g.to_dot();
         assert!(dot.contains("[resident t/adj]"), "{dot}");
-        assert!(dot.contains("[frontier]"), "{dot}");
-        let mut b = two_stage();
-        b.cache_as(0, "t/adj", 1);
-        assert!(b.build().unwrap().to_dot().contains("[cache_as t/adj]"));
     }
 
     #[test]
@@ -760,10 +708,6 @@ mod tests {
                 reason: "resident() requires a loader source",
             }
         );
-        // Fill-only annotations are fine on a map.
-        let mut b = two_stage();
-        b.cache_as(1, "t", 0);
-        assert!(b.build().is_ok());
     }
 
     #[test]
@@ -785,7 +729,7 @@ mod tests {
         let s = b.add_stream("s", NullStream);
         let m = b.add_map("m", IdMap);
         b.connect(s, m, Exchange::Local);
-        b.cache_as(s, "t", 0);
+        b.resident(s, "t", 0);
         assert_eq!(
             b.build().unwrap_err(),
             GraphError::InvalidCacheAnnotation {

@@ -26,8 +26,9 @@ use hamr_trace::{
     json, FlightRecord, HttpResponse, HttpServer, Journal, MetricsRegistry, Observe, RingSink,
     RouteHandler, StatsSnapshot,
 };
+use parking_lot::Mutex;
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How the embedded endpoint is configured, usually via `HAMR_HTTP`.
@@ -183,15 +184,12 @@ impl Introspect {
 
     /// Install (or replace) the flight journal.
     pub fn set_journal(&self, journal: Option<Arc<Journal>>) {
-        *self.journal.lock().unwrap_or_else(|p| p.into_inner()) = journal;
+        *self.journal.lock() = journal;
     }
 
     /// The current journal handle, if one is enabled.
     pub fn journal(&self) -> Option<Arc<Journal>> {
-        self.journal
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        self.journal.lock().clone()
     }
 
     /// Start serving per [`HttpMode::from_env`]. A bind failure is
@@ -225,12 +223,12 @@ impl Introspect {
             "/metrics" | "/metrics/" => HttpResponse::text(registry.snapshot().to_prometheus()),
             "/healthz" | "/healthz/" => {
                 let now_us = epoch.elapsed().as_micros() as u64;
-                let health = health.lock().unwrap_or_else(|p| p.into_inner()).clone();
+                let health = health.lock().clone();
                 let status = if health.healthy() { 200 } else { 503 };
                 HttpResponse::json(health.to_json_at(now_us)).status(status)
             }
             "/doctor" | "/doctor/" => {
-                let live = live.lock().unwrap_or_else(|p| p.into_inner());
+                let live = live.lock();
                 let record = FlightRecord::capture(
                     live.job.clone(),
                     None,
@@ -242,7 +240,7 @@ impl Introspect {
                 HttpResponse::json(record.to_json())
             }
             "/stats" | "/stats/" => {
-                let stats = stats.lock().unwrap_or_else(|p| p.into_inner());
+                let stats = stats.lock();
                 match &*stats {
                     Some(snap) => HttpResponse::json(snap.to_json()),
                     None => HttpResponse::json("{\"stats\":null}".to_string()),
@@ -252,22 +250,18 @@ impl Introspect {
         });
         let server = HttpServer::bind(port, handler)?;
         let addr = server.addr();
-        *self.server.lock().unwrap_or_else(|p| p.into_inner()) = Some(server);
+        *self.server.lock() = Some(server);
         Ok(addr)
     }
 
     /// Address of the running server, if any.
     pub fn addr(&self) -> Option<SocketAddr> {
-        self.server
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .as_ref()
-            .map(|s| s.addr())
+        self.server.lock().as_ref().map(|s| s.addr())
     }
 
     /// Stop and drop the server (idempotent).
     pub fn stop(&self) {
-        if let Some(mut server) = self.server.lock().unwrap_or_else(|p| p.into_inner()).take() {
+        if let Some(mut server) = self.server.lock().take() {
             server.stop();
         }
     }
@@ -340,11 +334,7 @@ mod tests {
         // An incident flips /healthz to 503 until cleared, and its text
         // survives the trip whatever it contains.
         let incident = "hang\ton \"edge 1\" of C:\\jobs";
-        intro
-            .health
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .incident = Some(incident.into());
+        intro.health.lock().incident = Some(incident.into());
         let (status, body) = http_get(addr, "/healthz", t).expect("GET /healthz");
         assert_eq!(status, 503);
         let doc = json::parse(&body).expect("valid /healthz JSON");

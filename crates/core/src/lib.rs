@@ -62,13 +62,13 @@ mod record;
 mod reduce_state;
 pub mod resident;
 mod sched;
-pub mod skew;
+mod session;
 mod spill;
 pub mod stream;
 pub mod typed;
 mod watchdog;
 
-pub use cluster::{Cluster, JobResult, RunOptions, Session, Supervision};
+pub use cluster::{Cluster, JobResult, RunOptions, Supervision};
 pub use config::{
     ClusterConfig, FaultInjection, RuntimeConfig, SchedMode, SimClusterSpec, SkewConfig,
     PAPER_CLUSTER, SCALED_CLUSTER,
@@ -80,9 +80,10 @@ pub use flowlet::{
 pub use graph::{Exchange, FlowletId, FlowletKind, JobBuilder, JobGraph};
 pub use introspect::{Health, HttpMode};
 pub use metrics::{FlowletMetrics, JobMetrics, NodeMetrics};
+pub use outbuf::Combiner;
 pub use record::{FrameBin, Record};
-pub use resident::{CacheMode, CacheSpec, ResidentStats, ResidentStore};
-pub use skew::Combiner;
+pub use resident::{CacheSpec, ResidentStats, ResidentStore};
+pub use session::Session;
 pub use watchdog::{WatchdogAction, WatchdogConfig, WatchdogEvent};
 
 /// Node index within a cluster, shared with the substrates.

@@ -34,6 +34,26 @@ pub struct FlowletMetrics {
     pub task_latency: LatencyHistogram,
 }
 
+impl FlowletMetrics {
+    /// Add another node's counters for the same flowlet.
+    pub(crate) fn merge(&mut self, fm: FlowletMetrics) {
+        if self.name.is_empty() {
+            self.name = fm.name;
+            self.kind = fm.kind;
+        }
+        self.tasks += fm.tasks;
+        self.records_in += fm.records_in;
+        self.records_out += fm.records_out;
+        self.bins_out += fm.bins_out;
+        self.flow_control_stalls += fm.flow_control_stalls;
+        self.stall_time += fm.stall_time;
+        self.spilled_bytes += fm.spilled_bytes;
+        self.combined_records += fm.combined_records;
+        self.busy += fm.busy;
+        self.task_latency.merge(&fm.task_latency);
+    }
+}
+
 /// Per-node rollup.
 #[derive(Debug, Clone, Default)]
 pub struct NodeMetrics {

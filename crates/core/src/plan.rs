@@ -23,8 +23,8 @@
 
 use crate::config::RuntimeConfig;
 use crate::graph::{EdgeId, Exchange, FlowletKind, JobGraph};
-use crate::resident::{CacheMode, ResidentHit, ResidentStore};
-use crate::skew::Combiner;
+use crate::outbuf::Combiner;
+use crate::resident::{ResidentHit, ResidentStore};
 use std::sync::Arc;
 
 /// One output port as seen by a task: its edge, and the edge's
@@ -108,11 +108,7 @@ impl ExecPlan {
                 let Some(spec) = def.cache.as_ref().filter(|_| caching) else {
                     return (None, false);
                 };
-                let hit = (spec.mode == CacheMode::Serve)
-                    .then(|| {
-                        resident.lookup(&spec.tag, spec.fingerprint, nodes, def.out_edges.len())
-                    })
-                    .flatten();
+                let hit = resident.lookup(&spec.tag, spec.fingerprint, nodes, def.out_edges.len());
                 let fill = hit.is_none();
                 (hit, fill)
             })
@@ -252,18 +248,6 @@ mod tests {
         let plan = compile(&Arc::new(b.build().unwrap()), SkewConfig::default(), 2);
         assert!(plan.edges[0].combine && !plan.edges[0].hold);
         assert!(plan.flowlets[0].ports[0].combine && !plan.flowlets[0].ports[0].hold);
-    }
-
-    #[test]
-    fn cached_source_fills_and_keeps_combining() {
-        // `cache_as` on the map: its Hash edge fills the store and
-        // keeps combining.
-        let graph = combined_graph(|b| b.cache_as(1, "plantest/m", 7));
-        let plan = compile(&graph, SkewConfig::default(), 4);
-        assert!(plan.edges[1].combine && plan.edges[1].fill);
-        assert!(plan.flowlets[1].fill && plan.flowlets[1].ports[0].fill);
-        // The unannotated loader edge is untouched.
-        assert!(!plan.edges[0].fill && !plan.flowlets[0].fill);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use bytes::Bytes;
 use hamr_codec::{stable_hash, Frame, FrameBuilder};
+use hamr_trace::{Audit, AuditStage};
 
 /// One erased key-value pair (captured job output).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,6 +88,14 @@ impl FrameBin {
     #[inline]
     pub fn wire_size(&self) -> usize {
         self.payload_bytes() + 16
+    }
+
+    /// Tally this bin at custody point `stage` of the audit ledger, on
+    /// its way to (or at) node `dst`.
+    #[inline]
+    pub(crate) fn audit(&self, audit: &Audit, stage: AuditStage, dst: crate::NodeId) {
+        let (records, bytes) = (self.len() as u64, self.payload_bytes() as u64);
+        audit.record(stage, self.edge as u32, dst as u32, records, bytes);
     }
 }
 

@@ -27,31 +27,17 @@
 use hamr_codec::Frame;
 use hamr_simdisk::Disk;
 use hamr_trace::{env_or_panic, Counter, Gauge, Labels, MetricsRegistry};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// How a cache annotation behaves on a flowlet (see
-/// `JobBuilder::cache_as` / `JobBuilder::resident`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// Fill the store from this flowlet's emitted frames, but never
-    /// serve from it (producer-side pinning for a *later* graph that
-    /// declares `resident` under the same tag).
-    Fill,
-    /// Serve from the store when the tag+fingerprint hit; fill it on a
-    /// miss. Requires a `Loader` source (serving replaces its splits).
-    Serve,
-}
-
-/// A flowlet's cache annotation: pin (or reuse) this source's
-/// post-shuffle frames under `tag`, invalidated when `fingerprint`
-/// changes.
+/// A loader's cache annotation (`JobBuilder::resident`): serve this
+/// source's post-shuffle frames from the store when `tag` and
+/// `fingerprint` hit, fill it on a miss.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSpec {
     pub tag: String,
     pub fingerprint: u64,
-    pub mode: CacheMode,
 }
 
 /// One pinned partition set: `ports[port][dst_node]` holds the frames
@@ -172,7 +158,7 @@ impl ResidentStore {
 
     /// Attach the simdisk used as the eviction spill target.
     pub fn set_spill(&self, disk: Disk) {
-        self.inner.lock().unwrap().spill = Some(disk);
+        self.inner.lock().spill = Some(disk);
     }
 
     /// Enable or disable serving/filling (runtime ablation toggle).
@@ -187,7 +173,7 @@ impl ResidentStore {
     /// Set the resident byte budget (0 = unlimited) and enforce it.
     pub fn set_budget(&self, bytes: u64) {
         self.budget.store(bytes, Ordering::Relaxed);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         self.enforce_budget(&mut inner, None);
     }
 
@@ -205,7 +191,7 @@ impl ResidentStore {
         bound
             .resident_bytes
             .set(self.resident_bytes.load(Ordering::Relaxed) as i64);
-        self.inner.lock().unwrap().bound = Some(bound);
+        self.inner.lock().bound = Some(bound);
     }
 
     pub fn stats(&self) -> ResidentStats {
@@ -215,7 +201,7 @@ impl ResidentStore {
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
-            entries: self.inner.lock().unwrap().entries.len() as u64,
+            entries: self.inner.lock().entries.len() as u64,
         }
     }
 
@@ -252,7 +238,7 @@ impl ResidentStore {
             .flatten()
             .map(|f| f.entries() as u64)
             .sum();
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         inner.clock += 1;
         let stamp = inner.clock;
         if let Some(old) = inner.entries.remove(tag) {
@@ -289,7 +275,7 @@ impl ResidentStore {
         if !self.enabled() {
             return None;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         inner.clock += 1;
         let stamp = inner.clock;
         let stale = match inner.entries.get(tag) {
@@ -335,7 +321,7 @@ impl ResidentStore {
 
     /// Drop one tag. Returns true when an entry existed.
     pub fn invalidate(&self, tag: &str) -> bool {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         match inner.entries.remove(tag) {
             Some(e) => {
                 self.drop_entry(&mut inner, e);
@@ -348,7 +334,7 @@ impl ResidentStore {
     /// Drop every tag starting with `prefix` (namespaced reset).
     /// Returns the number of entries dropped.
     pub fn invalidate_prefix(&self, prefix: &str) -> usize {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         let tags: Vec<String> = inner
             .entries
             .keys()
@@ -589,6 +575,24 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 0));
         assert_eq!(s.bytes_saved, bytes);
         assert_eq!(s.resident_bytes, bytes);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_take_the_store_down() {
+        let store = ResidentStore::new();
+        store.set_enabled(true);
+        store.insert("t", 7, 1, one_port(vec![frame(&[("a", 1)])]));
+        let died = std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = store.inner.lock();
+                panic!("a store invariant broke mid-job");
+            });
+            holder.join().is_err()
+        });
+        assert!(died);
+        // The next job of the same cluster still gets its hit.
+        assert!(store.lookup("t", 7, 1, 1).is_some());
+        assert_eq!(store.stats().hits, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! wired mismatched types together, which is a programming error.
 
 use crate::flowlet::{AccBox, Emitter, Loader, MapFn, PartialReduceFn, ReduceFn, TaskContext};
-use crate::skew::Combiner;
+use crate::outbuf::Combiner;
 use crate::NodeId;
 use bytes::Bytes;
 use hamr_codec::Codec;

@@ -373,16 +373,28 @@ fn kv_store_persists_across_jobs() {
     }
 }
 
+/// A fire of nothing — a partial reduce with no accumulator, a reduce
+/// whose shards are all empty — is over at once.
 #[test]
 fn empty_loader_completes_immediately() {
     let cluster = local_cluster(2, 1);
     let mut job = JobBuilder::new("empty");
     let loader = job.add_loader("none", typed::pairs_loader(Vec::<(u64, u64)>::new()));
     let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
+    let group = job.add_reduce(
+        "group",
+        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| out.output_t(&k, &vs.len())),
+    );
     job.connect(loader, sum, Exchange::Hash);
+    job.connect(loader, group, Exchange::Hash);
     job.capture_output(sum);
+    job.capture_output(group);
     let result = cluster.run(job.build().unwrap()).unwrap();
     assert!(result.output(sum).is_empty());
+    assert!(result.output(group).is_empty());
+    for f in [sum, group] {
+        assert_eq!(result.metrics.flowlets[&f].tasks, 0, "flowlet {f}");
+    }
 }
 
 #[test]

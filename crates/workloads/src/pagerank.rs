@@ -206,9 +206,6 @@ impl PageRank {
             }),
         );
         job.connect(ship, gather, Exchange::Broadcast);
-        // Mark the rank blobs as the iteration frontier (what must
-        // still travel when everything invariant is resident).
-        job.frontier(ship);
         let graph = job.build().map_err(|e| e.to_string())?;
         Ok((graph, vec![ship]))
     }
