@@ -17,7 +17,7 @@
 //! hamr timeline <journal-dir>
 //! hamr timeline --diff <journal-dir-a> <journal-dir-b>
 //! hamr explain <journal-dir> <job> <key>|--any|--list
-//! hamr trace [--causal] [--timeseries]
+//! hamr trace
 //! hamr doctor <doctor_<job>.json>
 //! ```
 //!
@@ -47,11 +47,11 @@
 //! The skewed HAMR run shrinks the flow-control window to one bin and
 //! turns in-node combining off, so its trace shows `flow-control
 //! stall` / resume pairs on the loader→map→reduce path; the balanced
-//! run shows none. `--causal` adds the causal profiler's report per
-//! run (wall-time attribution, top stall edges, critical path) plus
-//! `causal_*.json`; `--timeseries` samples the registry's live gauges
-//! every millisecond of the skewed run into `timeseries_hamr.csv` and
-//! counter tracks in `trace_hamr.json`.
+//! run shows none. Each run also gets the causal profiler's report
+//! (wall-time attribution, top stall edges, critical path) and a
+//! `causal_*.json`, and the registry's live gauges are sampled every
+//! millisecond of the skewed run into `timeseries_hamr.csv` and
+//! counter tracks in `trace_hamr.json`. It takes no flags.
 //!
 //! `hamr doctor` prints the ranked diagnosis of a flight-recorder dump
 //! a supervised run wrote (stuck edge/node, custody ledger, gauge hot
@@ -407,34 +407,16 @@ fn usage() -> ! {
          hamr timeline <journal-dir>\n       \
          hamr timeline --diff <journal-dir-a> <journal-dir-b>\n       \
          hamr explain <journal-dir> <job> <key>|--any|--list\n       \
-         hamr trace [--causal] [--timeseries]\n       \
+         hamr trace\n       \
          hamr doctor <doctor_<job>.json>"
     );
     std::process::exit(2);
 }
 
 /// Collect every persisted stats snapshot for `job` (oldest first)
-/// from a journal directory, following the same single-dir /
-/// one-subdir-per-cluster layout as `hamr timeline`.
+/// from a journal directory, laid out as `hamr timeline` takes it.
 fn load_stats_snapshots(dir: &Path, job: &str) -> Result<Vec<hamr_trace::StatsSnapshot>, String> {
-    let mut records = Vec::new();
-    let direct = hamr_trace::read_journal(dir)?;
-    if direct.records.is_empty() && direct.truncated_frames == 0 {
-        let mut subs: Vec<_> = std::fs::read_dir(dir)
-            .map_err(|e| format!("read {}: {e}", dir.display()))?
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().is_dir())
-            .map(|e| e.path())
-            .collect();
-        subs.sort();
-        for sub in subs {
-            if let Ok(read) = hamr_trace::read_journal(&sub) {
-                records.extend(read.records);
-            }
-        }
-    } else {
-        records = direct.records;
-    }
+    let records = hamr_trace::read_journal_tree(dir)?.records;
     Ok(records
         .into_iter()
         .filter_map(|r| match r {
@@ -629,11 +611,19 @@ fn write_file(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}"))
 }
 
-/// `hamr trace [--causal] [--timeseries]`: traced runs of the two
-/// workload jobs on both engines, written into the current directory.
-fn run_trace(causal: bool, timeseries: bool) -> Result<(), String> {
+/// Nodes of `hamr trace`'s clusters, and so lanes of its rings (a
+/// ring files an event under its node).
+const TRACE_NODES: usize = 4;
+/// Events a lane holds: the skewed run's busiest node emits a few ten
+/// thousand.
+const TRACE_RING_EVENTS: usize = 1 << 18;
+
+/// `hamr trace`: traced runs of the two workload jobs on both engines,
+/// with the causal report of each and a gauge time series of the
+/// skewed one, written into the current directory.
+fn run_trace() -> Result<(), String> {
     // ---- HAMR engine -------------------------------------------------
-    let sink = Arc::new(RingSink::new(64, 1 << 16));
+    let sink = Arc::new(RingSink::new(TRACE_NODES, TRACE_RING_EVENTS));
     let tracer = Tracer::new(sink.clone());
     let traced = RunOptions {
         tracer: tracer.clone(),
@@ -641,7 +631,7 @@ fn run_trace(causal: bool, timeseries: bool) -> Result<(), String> {
     };
 
     // Balanced wordcount on a default runtime: no flow-control stalls.
-    let env = Env::test(4, 2);
+    let env = Env::test(TRACE_NODES, 2);
     WordCount::default().seed(&env)?;
     let (graph, ..) = WordCount::hamr_graph(true)?;
     let wc = env
@@ -657,16 +647,14 @@ fn run_trace(causal: bool, timeseries: bool) -> Result<(), String> {
     let events_wc = sink.drain();
     let dropped_wc = sink.dropped();
     warn_dropped("hamr wordcount", dropped_wc);
-    if causal {
-        causal_report("hamr_wordcount", &events_wc, dropped_wc)?;
-    }
+    causal_report("hamr_wordcount", &events_wc, dropped_wc)?;
 
     // Skewed five-key histogram with a one-bin flow-control window and
     // no in-node combining: the hash shuffle funnels every record into
     // five partitions, the window fills instantly, and the trace
     // records stall/resume pairs.
     let env_skew = Env::with_hamr_runtime(
-        SimParams::test(4, 2),
+        SimParams::test(TRACE_NODES, 2),
         RuntimeConfig {
             bin_capacity: 16,
             out_window_bins: 1,
@@ -678,12 +666,10 @@ fn run_trace(causal: bool, timeseries: bool) -> Result<(), String> {
     let (graph, ..) = HistogramRatings::hamr_graph(false)?;
     // The gauges are live on every run; a time series of them is this
     // tool's wish, so it owns the sampler for exactly this run.
-    let sampler = timeseries.then(|| {
-        let every = Duration::from_millis(1);
-        GaugeSampler::start(env_skew.hamr.registry(), "hamr", every, &tracer)
-    });
+    let every = Duration::from_millis(1);
+    let sampler = GaugeSampler::start(env_skew.hamr.registry(), "hamr", every, &tracer);
     let hr = env_skew.hamr.run_with(graph, &traced);
-    let series = sampler.map(GaugeSampler::stop);
+    let series = sampler.stop();
     let hr = hr.map_err(|e| e.to_string())?;
     say(&format!(
         "== HAMR histogram-ratings (skewed, window=1) ==\n{}\n",
@@ -692,9 +678,7 @@ fn run_trace(causal: bool, timeseries: bool) -> Result<(), String> {
     let events_hr = sink.drain();
     let dropped_hr = sink.dropped().saturating_sub(dropped_wc);
     warn_dropped("hamr histogram-ratings", dropped_hr);
-    if causal {
-        causal_report("hamr_histratings_skewed", &events_hr, dropped_hr)?;
-    }
+    causal_report("hamr_histratings_skewed", &events_hr, dropped_hr)?;
 
     let mut events = events_wc;
     events.extend(events_hr);
@@ -711,27 +695,22 @@ fn run_trace(causal: bool, timeseries: bool) -> Result<(), String> {
         count(|k| matches!(k, EventKind::FlowControlStall { .. })),
         count(|k| matches!(k, EventKind::TaskStolen { .. })),
     ));
-    match series {
-        Some(series) => {
-            write_file("timeseries_hamr.csv", &series.to_csv())?;
-            say(&format!(
-                "sampled {} points across {} gauges; wrote timeseries_hamr.csv\n",
-                series.samples.len(),
-                series.names.len()
-            ));
-            // Counter tracks ride along in the chrome export, stamped on
-            // the tracer's clock: they sit under the skewed run's tasks.
-            write_file(
-                "trace_hamr.json",
-                &chrome_trace_json_with_counters(&events, &series),
-            )?;
-        }
-        None => write_file("trace_hamr.json", &chrome_trace_json(&events))?,
-    }
+    write_file("timeseries_hamr.csv", &series.to_csv())?;
+    say(&format!(
+        "sampled {} points across {} gauges; wrote timeseries_hamr.csv\n",
+        series.samples.len(),
+        series.names.len()
+    ));
+    // Counter tracks ride along in the chrome export, stamped on the
+    // tracer's clock: they sit under the skewed run's tasks.
+    write_file(
+        "trace_hamr.json",
+        &chrome_trace_json_with_counters(&events, &series),
+    )?;
     say("wrote trace_hamr.json\n\n");
 
     // ---- MapReduce baseline ------------------------------------------
-    let sink_mr = Arc::new(RingSink::new(64, 1 << 16));
+    let sink_mr = Arc::new(RingSink::new(TRACE_NODES, TRACE_RING_EVENTS));
     let traced_mr = MrRunOptions {
         tracer: Tracer::new(sink_mr.clone()),
         ..Default::default()
@@ -757,9 +736,7 @@ fn run_trace(causal: bool, timeseries: bool) -> Result<(), String> {
         render_summary(&mr_summary_rows(&events_mr)),
         events_mr.len()
     ));
-    if causal {
-        causal_report("mapred_both", &events_mr, dropped_mr)?;
-    }
+    causal_report("mapred_both", &events_mr, dropped_mr)?;
     write_file("trace_mapred.json", &chrome_trace_json(&events_mr))?;
     say("wrote trace_mapred.json\n\n\
          Open the JSON files at https://ui.perfetto.dev to browse the timelines.\n");
@@ -767,11 +744,10 @@ fn run_trace(causal: bool, timeseries: bool) -> Result<(), String> {
 }
 
 fn trace_main(args: &[String]) -> ! {
-    if args.iter().any(|a| a != "--causal" && a != "--timeseries") {
+    if !args.is_empty() {
         usage();
     }
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    if let Err(e) = run_trace(has("--causal"), has("--timeseries")) {
+    if let Err(e) = run_trace() {
         eprintln!("hamr trace: {e}");
         std::process::exit(1);
     }

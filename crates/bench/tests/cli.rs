@@ -71,6 +71,7 @@ fn bad_arguments_exit_2() {
         &["timeline"],
         &["explain", "only-a-dir"],
         &["trace", "--no-such-flag"],
+        &["trace", "--causal"],
         &["doctor"],
     ] {
         let out = hamr(args);

@@ -26,12 +26,9 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Hang an opened journal off the introspection plane: byte/record
-/// counters into the registry, sealed segments mirrored into node 0's
-/// simulated disk (so the journal is "written through simdisk" in the
-/// cluster's own model of durable storage, while the host-FS copy is
-/// what `hamr timeline` reads offline).
-fn wire_journal(introspect: &Arc<Introspect>, disks: &[Disk], journal: Journal) -> Arc<Journal> {
+/// Hang an opened journal off the introspection plane, its byte and
+/// record counters in the registry.
+fn wire_journal(introspect: &Arc<Introspect>, journal: Journal) -> Arc<Journal> {
     journal.set_metrics(
         introspect
             .registry
@@ -40,12 +37,6 @@ fn wire_journal(introspect: &Arc<Introspect>, disks: &[Disk], journal: Journal) 
             .registry
             .counter("journal_records_total", Labels::new().engine("hamr")),
     );
-    if let Some(disk) = disks.first() {
-        let disk = disk.clone();
-        journal.set_segment_mirror(Some(Box::new(move |name, data| {
-            let _ = disk.write_all(&format!("journal/{name}"), data);
-        })));
-    }
     let journal = Arc::new(journal);
     introspect.set_journal(Some(Arc::clone(&journal)));
     journal
@@ -134,7 +125,7 @@ impl Cluster {
         // to "no journal" with one stderr line, never a failed run.
         match Journal::from_env() {
             Ok(Some(journal)) => {
-                wire_journal(&introspect, &disks, journal);
+                wire_journal(&introspect, journal);
             }
             Ok(None) => {}
             Err(err) => eprintln!("hamr: journal disabled: {err}"),
@@ -178,7 +169,7 @@ impl Cluster {
     /// `HAMR_JOURNAL=<dir>`. Returns the journal directory.
     pub fn enable_journal(&self, dir: impl Into<PathBuf>) -> std::io::Result<PathBuf> {
         let journal = Journal::open(JournalConfig::new(dir))?;
-        let journal = wire_journal(&self.introspect, &self.disks, journal);
+        let journal = wire_journal(&self.introspect, journal);
         Ok(journal.dir())
     }
 

@@ -67,8 +67,10 @@ impl Default for Supervision {
     }
 }
 
-/// Per-lane capacity of a supervised run's flight-recorder event ring
-/// (one lane per node).
+/// Per-lane capacity of a supervised run's flight-recorder event ring.
+/// The ring has one lane per node and files an event under its node,
+/// so a dump holds every node's own last events — a chatty node
+/// evicts only its own history.
 const FLIGHT_RING_EVENTS: usize = 128;
 
 /// Make a job name safe as a file-name fragment.

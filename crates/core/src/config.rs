@@ -142,7 +142,7 @@ impl Default for RuntimeConfig {
             // HAMR_STATS=off|edges|full[:N] — same env-gate idiom as
             // HAMR_SCHED/HAMR_SKEW. Defaults to `edges` (sketches on,
             // lineage sampling off).
-            stats: env_or_panic("HAMR_STATS", StatsMode::default(), StatsMode::from_env_str),
+            stats: StatsMode::from_env(),
         }
     }
 }

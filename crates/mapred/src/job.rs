@@ -615,12 +615,7 @@ impl MrCluster {
         let reduce_start = Instant::now();
         // Same env gate as the HAMR engine: sketches fold the shuffle
         // stream on the reduce side, merged across tasks at the end.
-        let with_sketch = hamr_trace::env_or_panic(
-            "HAMR_STATS",
-            hamr_trace::StatsMode::default(),
-            hamr_trace::StatsMode::from_env_str,
-        )
-        .enabled();
+        let with_sketch = hamr_trace::StatsMode::from_env().enabled();
         let merged_sketch: Arc<Mutex<Option<hamr_trace::SketchSet>>> = Arc::new(Mutex::new(None));
         let mut reduce_handles = Vec::new();
         for (node, chunk_map) in per_node_chunks.into_iter().enumerate() {

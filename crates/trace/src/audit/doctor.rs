@@ -8,7 +8,7 @@
 
 use super::{AuditReport, AuditStage};
 use crate::json::{self, escape, Json};
-use crate::{EventKind, GaugeSample, Labels, Observe, RingSink, WatchdogClass};
+use crate::{GaugeSample, Labels, Observe, RingSink, WatchdogClass};
 
 /// A trace event flattened for the black box: the structured
 /// [`EventKind`] becomes a name plus numeric args, which is all the
@@ -24,11 +24,12 @@ pub struct RecordedEvent {
 
 impl RecordedEvent {
     /// Flatten a live [`TraceEvent`](crate::TraceEvent) into the
-    /// recorded form. Keys are sorted so round-trips (JSON args parse
-    /// back out of an ordered map; the journal's binary codec) are
-    /// identities.
+    /// recorded form: the name and args of
+    /// [`EventKind::describe`](crate::EventKind::describe). Keys are
+    /// sorted so round-trips (JSON args parse back out of an ordered
+    /// map; the journal's binary codec) are identities.
     pub fn from_event(ev: &crate::TraceEvent) -> RecordedEvent {
-        let (name, args) = event_fields(&ev.kind);
+        let (name, _, args) = ev.kind.describe();
         let mut args: Vec<(String, u64)> =
             args.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
         args.sort();
@@ -76,139 +77,6 @@ fn dims(labels: &Labels) -> impl Iterator<Item = (&'static str, u32)> {
         ("edge", labels.edge),
     ];
     dims.into_iter().filter_map(|(dim, v)| Some((dim, v?)))
-}
-
-/// Flatten an [`EventKind`] into a stable name + numeric args.
-pub fn event_fields(kind: &EventKind) -> (&'static str, Vec<(&'static str, u64)>) {
-    match kind {
-        EventKind::TaskStart { flowlet, span, .. } => (
-            "task-start",
-            vec![("flowlet", *flowlet as u64), ("span", *span)],
-        ),
-        EventKind::TaskEnd {
-            flowlet,
-            records_in,
-            records_out,
-            ..
-        } => (
-            "task-end",
-            vec![
-                ("flowlet", *flowlet as u64),
-                ("records_in", *records_in),
-                ("records_out", *records_out),
-            ],
-        ),
-        EventKind::BinEmitted {
-            flowlet,
-            edge,
-            dst,
-            records,
-            ..
-        } => (
-            "bin-emitted",
-            vec![
-                ("flowlet", *flowlet as u64),
-                ("edge", *edge as u64),
-                ("dst", *dst as u64),
-                ("records", *records as u64),
-            ],
-        ),
-        EventKind::BinShipped {
-            flowlet,
-            edge,
-            dst,
-            bytes,
-            ..
-        } => (
-            "bin-shipped",
-            vec![
-                ("flowlet", *flowlet as u64),
-                ("edge", *edge as u64),
-                ("dst", *dst as u64),
-                ("bytes", *bytes),
-            ],
-        ),
-        EventKind::BinIngress {
-            flowlet,
-            edge,
-            from,
-            ..
-        } => (
-            "bin-ingress",
-            vec![
-                ("flowlet", *flowlet as u64),
-                ("edge", *edge as u64),
-                ("from", *from as u64),
-            ],
-        ),
-        EventKind::FlowControlStall {
-            flowlet, edge, dst, ..
-        } => (
-            "flow-stall",
-            vec![
-                ("flowlet", *flowlet as u64),
-                ("edge", *edge as u64),
-                ("dst", *dst as u64),
-            ],
-        ),
-        EventKind::FlowControlResume {
-            flowlet,
-            edge,
-            dst,
-            stalled_us,
-            ..
-        } => (
-            "flow-resume",
-            vec![
-                ("flowlet", *flowlet as u64),
-                ("edge", *edge as u64),
-                ("dst", *dst as u64),
-                ("stalled_us", *stalled_us),
-            ],
-        ),
-        EventKind::SpillStart { flowlet } => ("spill-start", vec![("flowlet", *flowlet as u64)]),
-        EventKind::SpillEnd { flowlet, bytes } => (
-            "spill-end",
-            vec![("flowlet", *flowlet as u64), ("bytes", *bytes)],
-        ),
-        EventKind::NetSend { to, bytes } => {
-            ("net-send", vec![("to", *to as u64), ("bytes", *bytes)])
-        }
-        EventKind::NetDeliver { from, bytes } => (
-            "net-deliver",
-            vec![("from", *from as u64), ("bytes", *bytes)],
-        ),
-        EventKind::ReduceFire { flowlet, shards } => (
-            "reduce-fire",
-            vec![("flowlet", *flowlet as u64), ("shards", *shards as u64)],
-        ),
-        EventKind::TaskStolen {
-            thief,
-            victim,
-            flowlet,
-        } => (
-            "task-stolen",
-            vec![
-                ("thief", *thief as u64),
-                ("victim", *victim as u64),
-                ("flowlet", *flowlet as u64),
-            ],
-        ),
-        EventKind::WorkerParked => ("worker-parked", vec![]),
-        EventKind::WorkerUnparked { parked_us } => {
-            ("worker-unparked", vec![("parked_us", *parked_us)])
-        }
-        EventKind::DiskRead { bytes } => ("disk-read", vec![("bytes", *bytes)]),
-        EventKind::DiskWrite { bytes } => ("disk-write", vec![("bytes", *bytes)]),
-        EventKind::Watchdog { class, epoch } => (
-            match class {
-                WatchdogClass::Backpressure => "watchdog-backpressure",
-                WatchdogClass::Hang => "watchdog-hang",
-                WatchdogClass::Straggler => "watchdog-straggler",
-            },
-            vec![("epoch", *epoch)],
-        ),
-    }
 }
 
 impl FlightRecord {
@@ -263,19 +131,13 @@ impl FlightRecord {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"t_us\":{},\"node\":{},\"worker\":{},\"name\":\"{}\",\"args\":{{",
+                "{{\"t_us\":{},\"node\":{},\"worker\":{},\"name\":\"{}\",\"args\":{}}}",
                 ev.t_us,
                 ev.node,
                 ev.worker,
-                escape(&ev.name)
+                escape(&ev.name),
+                json::object_u64(&ev.args)
             ));
-            for (j, (k, v)) in ev.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", escape(k), v));
-            }
-            out.push_str("}}");
         }
         out.push_str(&format!("],\"dropped_events\":{}", self.dropped_events));
         out.push_str(",\"audit\":");
@@ -553,7 +415,7 @@ fn worker_label(worker: u32) -> String {
 mod tests {
     use super::super::{Audit, AuditStage};
     use super::*;
-    use crate::{MetricsRegistry, TraceEvent, TraceSink};
+    use crate::{EventKind, MetricsRegistry, TraceEvent, TraceSink};
 
     fn observed(audit: Audit) -> Observe {
         Observe {
@@ -647,6 +509,30 @@ mod tests {
         let record = sample_record();
         let parsed = FlightRecord::parse(&record.to_json()).expect("parse back");
         assert_eq!(parsed, record);
+    }
+
+    /// A dump written before events carried every field: its
+    /// `bin-shipped` has neither `records` nor `span`.
+    #[test]
+    fn a_record_with_the_older_narrower_event_args_reads_the_same() {
+        let record = sample_record();
+        let now = "\"name\":\"bin-shipped\",\"args\":\
+                   {\"bytes\":128,\"dst\":1,\"edge\":1,\"flowlet\":1,\"records\":4,\"span\":7}";
+        let then = "\"name\":\"bin-shipped\",\"args\":\
+                    {\"bytes\":128,\"dst\":1,\"edge\":1,\"flowlet\":1}";
+        let json = record.to_json();
+        assert_eq!(json.matches(now).count(), 1, "{json}");
+        let older = FlightRecord::parse(&json.replace(now, then)).expect("older dump parses");
+        let args = [("bytes", 128), ("dst", 1), ("edge", 1), ("flowlet", 1)];
+        assert_eq!(older.events[0].name, "bin-shipped");
+        assert_eq!(
+            older.events[0].args,
+            args.map(|(k, v)| (k.to_string(), v)).to_vec()
+        );
+        assert_eq!(older.diagnose(), record.diagnose());
+        assert!(older
+            .render()
+            .contains("bytes=128 dst=1 edge=1 flowlet=1\n"));
     }
 
     #[test]

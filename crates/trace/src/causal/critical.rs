@@ -127,16 +127,8 @@ pub(super) fn critical_path(lineage: &Lineage) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventKind, TaskKind, TraceEvent};
-
-    fn ev(t_us: u64, node: u32, worker: u32, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            t_us,
-            node,
-            worker,
-            kind,
-        }
-    }
+    use crate::tests::ev;
+    use crate::{EventKind, TaskKind};
 
     #[test]
     fn two_hop_path_buckets_segments() {

@@ -7,7 +7,7 @@
 //! recovers, for each bin, where it was produced, how long flow control
 //! held it, when the fabric delivered it, and which task consumed it.
 
-use crate::{EventKind, TaskKind, TraceEvent, WORKER_DISK};
+use crate::{task_spans, EventKind, TaskKind, TraceEvent, WORKER_DISK};
 use std::collections::HashMap;
 
 /// One matched `TaskStart`/`TaskEnd` pair on a worker lane.
@@ -66,43 +66,27 @@ impl Lineage {
     /// Build from a timestamp-sorted event log.
     pub fn build(events: &[TraceEvent]) -> Lineage {
         let mut lineage = Lineage::default();
-        // Open task stack per (node, lane): (task, flowlet, span, start).
-        type OpenStack = Vec<(TaskKind, u32, u64, u64)>;
-        let mut open: HashMap<(u32, u32), OpenStack> = HashMap::new();
+        // Task pairing is `task_spans`' rule; what is kept here is
+        // every pair on a worker lane whose start was seen.
+        for t in task_spans(events) {
+            let (Some(start_us), true) = (t.start_us, t.worker < WORKER_DISK) else {
+                continue;
+            };
+            if t.span != 0 {
+                lineage.span_mut(t.span).consumed_by = Some(lineage.tasks.len());
+            }
+            lineage.tasks.push(TaskSpan {
+                node: t.node,
+                lane: t.worker,
+                flowlet: t.flowlet,
+                task: t.task,
+                span: t.span,
+                start_us,
+                end_us: t.end_us,
+            });
+        }
         for ev in events {
-            let key = (ev.node, ev.worker);
             match ev.kind {
-                EventKind::TaskStart {
-                    task,
-                    flowlet,
-                    span,
-                } if ev.worker < WORKER_DISK => {
-                    open.entry(key)
-                        .or_default()
-                        .push((task, flowlet, span, ev.t_us));
-                }
-                EventKind::TaskEnd { task, flowlet, .. } if ev.worker < WORKER_DISK => {
-                    let stack = open.entry(key).or_default();
-                    if let Some(pos) = stack
-                        .iter()
-                        .rposition(|(t, f, _, _)| *t == task && *f == flowlet)
-                    {
-                        let (task, flowlet, span, start_us) = stack.remove(pos);
-                        let idx = lineage.tasks.len();
-                        lineage.tasks.push(TaskSpan {
-                            node: ev.node,
-                            lane: ev.worker,
-                            flowlet,
-                            task,
-                            span,
-                            start_us,
-                            end_us: ev.t_us.max(start_us),
-                        });
-                        if span != 0 {
-                            lineage.span_mut(span).consumed_by = Some(idx);
-                        }
-                    }
-                }
                 EventKind::BinEmitted {
                     flowlet,
                     edge,
@@ -174,15 +158,7 @@ impl Lineage {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(t_us: u64, node: u32, worker: u32, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            t_us,
-            node,
-            worker,
-            kind,
-        }
-    }
+    use crate::tests::ev;
 
     #[test]
     fn reconstructs_full_chain() {

@@ -13,6 +13,7 @@ pub use attribution::{Buckets, FlowletBuckets, NodeBuckets, StallEdge};
 pub use critical::CriticalPath;
 pub use lineage::{Lineage, SpanRecord, TaskSpan};
 
+use crate::summary::fmt_us;
 use crate::TraceEvent;
 
 /// The full causal-profiling report for one job run.
@@ -153,16 +154,6 @@ pub fn analyze(events: &[TraceEvent], dropped_events: u64) -> CausalReport {
     }
 }
 
-fn fmt_us(us: u64) -> String {
-    if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else if us >= 1_000 {
-        format!("{:.1}ms", us as f64 / 1e3)
-    } else {
-        format!("{us}us")
-    }
-}
-
 fn pct(part: u64, whole: u64) -> String {
     if whole == 0 {
         "-".into()
@@ -260,16 +251,8 @@ pub fn render_critical_path(report: &CausalReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::ev;
     use crate::{EventKind, TaskKind};
-
-    fn ev(t_us: u64, node: u32, worker: u32, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            t_us,
-            node,
-            worker,
-            kind,
-        }
-    }
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![

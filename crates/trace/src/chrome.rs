@@ -10,11 +10,12 @@
 //! * `FlowControlResume` synthesizes a retroactive `"X"` stall slice
 //!   covering the time the bin sat in the deferred queue;
 //! * `SpillStart`/`SpillEnd` pairs become `"X"` spill slices;
+//! * `WorkerUnparked` likewise synthesizes a `parked` slice;
 //! * everything else (`BinShipped`, `NetSend`, ...) becomes an `"i"`
-//!   instant;
+//!   instant named and argued by [`EventKind::describe`];
 //! * `"M"` metadata events name processes and the synthetic lanes.
 
-use crate::json::escape;
+use crate::json::{escape, object_u64};
 use crate::{
     task_spans, EventKind, TimeSeries, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME,
 };
@@ -43,98 +44,41 @@ fn lane_tid(worker: u32) -> u64 {
     }
 }
 
-struct Emitter {
-    out: String,
-    first: bool,
-}
-
-impl Emitter {
-    fn new() -> Self {
-        Emitter {
-            out: String::from("{\"traceEvents\":[\n"),
-            first: true,
-        }
-    }
-
-    /// Append one pre-rendered event object body (without braces).
-    fn push(&mut self, body: String) {
-        if !self.first {
-            self.out.push_str(",\n");
-        }
-        self.first = false;
-        self.out.push('{');
-        self.out.push_str(&body);
-        self.out.push('}');
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push_str("\n]}\n");
-        self.out
-    }
-}
-
-fn complete_slice(
+/// One drawn event on `ev`'s lane: a `"X"` slice from `start_us` to
+/// the event, or (no start) a thread-scoped `"i"` instant at it.
+fn drawn(
     name: &str,
     cat: &str,
-    node: u32,
-    worker: u32,
-    ts_us: u64,
-    dur_us: u64,
+    ev: &TraceEvent,
+    start_us: Option<u64>,
     args: &[(&str, u64)],
 ) -> String {
+    let (ph, ts, dur) = match start_us {
+        Some(ts) => ("\"X\"", ts, Some(ev.t_us.saturating_sub(ts))),
+        None => ("\"i\",\"s\":\"t\"", ev.t_us, None),
+    };
     let mut s = format!(
-        "\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{}",
+        "\"name\":\"{}\",\"cat\":\"{}\",\"ph\":{ph},\"pid\":{},\"tid\":{},\"ts\":{ts}",
         escape(name),
         escape(cat),
-        node,
-        lane_tid(worker),
-        ts_us,
-        dur_us,
+        ev.node,
+        lane_tid(ev.worker),
     );
-    push_args(&mut s, args);
+    if let Some(dur) = dur {
+        let _ = write!(s, ",\"dur\":{dur}");
+    }
+    if !args.is_empty() {
+        let _ = write!(s, ",\"args\":{}", object_u64(args));
+    }
     s
 }
 
-fn instant(
-    name: &str,
-    cat: &str,
-    node: u32,
-    worker: u32,
-    ts_us: u64,
-    args: &[(&str, u64)],
-) -> String {
-    let mut s = format!(
-        "\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{},\"tid\":{},\"ts\":{}",
-        escape(name),
-        escape(cat),
-        node,
-        lane_tid(worker),
-        ts_us,
-    );
-    push_args(&mut s, args);
-    s
-}
-
-fn push_args(s: &mut String, args: &[(&str, u64)]) {
-    if args.is_empty() {
-        return;
-    }
-    s.push_str(",\"args\":{");
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\":{}", escape(k), v);
-    }
-    s.push('}');
-}
-
-fn metadata(name: &str, node: u32, tid: Option<u64>, value: &str) -> String {
+fn metadata(name: &str, pid: u64, tid: Option<u64>, value: &str) -> String {
     let tid_part = tid.map(|t| format!(",\"tid\":{t}")).unwrap_or_default();
     format!(
         "\"name\":\"{}\",\"ph\":\"M\",\"pid\":{}{},\"args\":{{\"name\":\"{}\"}}",
         escape(name),
-        node,
+        pid,
         tid_part,
         escape(value),
     )
@@ -163,7 +107,8 @@ fn render(events: &[TraceEvent], series: Option<&TimeSeries>) -> String {
     let mut evs: Vec<&TraceEvent> = events.iter().collect();
     evs.sort_by_key(|e| e.t_us);
 
-    let mut em = Emitter::new();
+    // Every event object's body (without braces), in output order.
+    let mut em: Vec<String> = Vec::new();
     // One span per TaskEnd, in the order the loop below meets them.
     let mut spans = task_spans(events).into_iter();
     // Per-(node, worker, flowlet) open SpillStarts.
@@ -172,240 +117,41 @@ fn render(events: &[TraceEvent], series: Option<&TimeSeries>) -> String {
 
     for ev in &evs {
         lanes_seen.insert((ev.node, ev.worker));
-        match &ev.kind {
-            EventKind::TaskStart { .. } => {}
-            EventKind::TaskEnd {
-                task,
-                flowlet,
-                records_in,
-                records_out,
-            } => {
-                let span = spans.next().expect("task_spans yields one per TaskEnd");
-                match span.start_us {
-                    Some(ts) => em.push(complete_slice(
-                        task.name(),
-                        "task",
-                        ev.node,
-                        ev.worker,
-                        ts,
-                        ev.t_us.saturating_sub(ts),
-                        &[
-                            ("flowlet", *flowlet as u64),
-                            ("records_in", *records_in),
-                            ("records_out", *records_out),
-                        ],
-                    )),
-                    None => em.push(instant(
-                        task.name(),
-                        "task",
-                        ev.node,
-                        ev.worker,
-                        ev.t_us,
-                        &[("flowlet", *flowlet as u64), ("records_out", *records_out)],
-                    )),
-                }
-            }
-            EventKind::FlowControlResume {
-                flowlet,
-                edge,
-                dst,
-                stalled_us,
-                span,
-            } => {
-                em.push(complete_slice(
-                    "flow-control stall",
-                    "flow-control",
-                    ev.node,
-                    ev.worker,
-                    ev.t_us.saturating_sub(*stalled_us),
-                    *stalled_us,
-                    &[
-                        ("flowlet", *flowlet as u64),
-                        ("edge", *edge as u64),
-                        ("dst", *dst as u64),
-                        ("span", *span),
-                    ],
-                ));
-            }
-            EventKind::FlowControlStall {
-                flowlet,
-                edge,
-                dst,
-                span,
-            } => {
-                em.push(instant(
-                    "stall",
-                    "flow-control",
-                    ev.node,
-                    ev.worker,
-                    ev.t_us,
-                    &[
-                        ("flowlet", *flowlet as u64),
-                        ("edge", *edge as u64),
-                        ("dst", *dst as u64),
-                        ("span", *span),
-                    ],
-                ));
-            }
+        let (name, cat, mut args) = ev.kind.describe();
+        // Four shapes are an interval, drawn by the event that closes
+        // it — the one that knows how long it was — under the slice's
+        // own name. Everything else is an instant under its
+        // `describe()` name.
+        let (name, start_us) = match &ev.kind {
+            EventKind::TaskStart { .. } => continue,
             EventKind::SpillStart { flowlet } => {
                 spill_open.insert((ev.node, ev.worker, *flowlet), ev.t_us);
+                continue;
             }
-            EventKind::SpillEnd { flowlet, bytes } => {
-                let ts = spill_open
-                    .remove(&(ev.node, ev.worker, *flowlet))
-                    .unwrap_or(ev.t_us);
-                em.push(complete_slice(
-                    "spill",
-                    "disk",
-                    ev.node,
-                    ev.worker,
-                    ts,
-                    ev.t_us.saturating_sub(ts),
-                    &[("flowlet", *flowlet as u64), ("bytes", *bytes)],
-                ));
+            // An end whose start fell off the ring has no `start_us`:
+            // an instant, so nothing is silently lost.
+            EventKind::TaskEnd { task, .. } => {
+                let span = spans.next().expect("task_spans yields one per TaskEnd");
+                (task.name(), span.start_us)
             }
-            EventKind::BinEmitted {
-                flowlet,
-                edge,
-                dst,
-                span,
-                records,
-            } => em.push(instant(
-                "bin-emitted",
-                "dataflow",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[
-                    ("flowlet", *flowlet as u64),
-                    ("edge", *edge as u64),
-                    ("dst", *dst as u64),
-                    ("span", *span),
-                    ("records", *records as u64),
-                ],
-            )),
-            EventKind::BinShipped {
-                flowlet,
-                edge,
-                dst,
-                records,
-                bytes,
-                span,
-            } => em.push(instant(
-                "bin-shipped",
-                "dataflow",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[
-                    ("flowlet", *flowlet as u64),
-                    ("edge", *edge as u64),
-                    ("dst", *dst as u64),
-                    ("records", *records as u64),
-                    ("bytes", *bytes),
-                    ("span", *span),
-                ],
-            )),
-            EventKind::BinIngress {
-                flowlet,
-                edge,
-                from,
-                span,
-            } => em.push(instant(
-                "bin-ingress",
-                "dataflow",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[
-                    ("flowlet", *flowlet as u64),
-                    ("edge", *edge as u64),
-                    ("from", *from as u64),
-                    ("span", *span),
-                ],
-            )),
-            EventKind::NetSend { to, bytes } => em.push(instant(
-                "net-send",
-                "net",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("to", *to as u64), ("bytes", *bytes)],
-            )),
-            EventKind::NetDeliver { from, bytes } => em.push(instant(
-                "net-deliver",
-                "net",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("from", *from as u64), ("bytes", *bytes)],
-            )),
-            EventKind::ReduceFire { flowlet, shards } => em.push(instant(
-                "reduce-fire",
-                "dataflow",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("flowlet", *flowlet as u64), ("shards", *shards as u64)],
-            )),
-            EventKind::TaskStolen {
-                thief,
-                victim,
-                flowlet,
-            } => em.push(instant(
-                "task-stolen",
-                "sched",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[
-                    ("thief", *thief as u64),
-                    ("victim", *victim as u64),
-                    ("flowlet", *flowlet as u64),
-                ],
-            )),
-            EventKind::WorkerParked => {
-                em.push(instant("parked", "sched", ev.node, ev.worker, ev.t_us, &[]))
+            EventKind::FlowControlResume { stalled_us, .. } => {
+                args.retain(|(k, _)| *k != "stalled_us");
+                (
+                    "flow-control stall",
+                    Some(ev.t_us.saturating_sub(*stalled_us)),
+                )
+            }
+            EventKind::SpillEnd { flowlet, .. } => {
+                let open = spill_open.remove(&(ev.node, ev.worker, *flowlet));
+                ("spill", Some(open.unwrap_or(ev.t_us)))
             }
             EventKind::WorkerUnparked { parked_us } => {
-                // Like FlowControlResume: synthesize the park interval
-                // retroactively, since only the wake-up knows how long
-                // the worker slept.
-                em.push(complete_slice(
-                    "parked",
-                    "sched",
-                    ev.node,
-                    ev.worker,
-                    ev.t_us.saturating_sub(*parked_us),
-                    *parked_us,
-                    &[],
-                ));
+                args.clear();
+                ("parked", Some(ev.t_us.saturating_sub(*parked_us)))
             }
-            EventKind::DiskRead { bytes } => em.push(instant(
-                "disk-read",
-                "disk",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("bytes", *bytes)],
-            )),
-            EventKind::DiskWrite { bytes } => em.push(instant(
-                "disk-write",
-                "disk",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("bytes", *bytes)],
-            )),
-            EventKind::Watchdog { class, epoch } => em.push(instant(
-                &format!("watchdog-{}", class.name()),
-                "watchdog",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("epoch", *epoch)],
-            )),
-        }
+            _ => (name, None),
+        };
+        em.push(drawn(name, cat, ev, start_us, &args));
     }
 
     // Sampled gauges become counter tracks on their owning node's
@@ -436,45 +182,32 @@ fn render(events: &[TraceEvent], series: Option<&TimeSeries>) -> String {
     // Name processes and lanes so the timeline is readable.
     let nodes: BTreeSet<u32> = lanes_seen.iter().map(|(n, _)| *n).collect();
     for node in nodes {
-        em.push(metadata(
-            "process_name",
-            node,
-            None,
-            &format!("node {node}"),
-        ));
+        let name = format!("node {node}");
+        em.push(metadata("process_name", node as u64, None, &name));
     }
     if cluster_counters {
-        em.push(format!(
-            "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{CLUSTER_PID},\
-             \"args\":{{\"name\":\"cluster\"}}"
-        ));
+        em.push(metadata("process_name", CLUSTER_PID, None, "cluster"));
     }
     for (node, worker) in &lanes_seen {
+        let tid = Some(lane_tid(*worker));
         em.push(metadata(
             "thread_name",
-            *node,
-            Some(lane_tid(*worker)),
+            *node as u64,
+            tid,
             &lane_name(*worker),
         ));
     }
 
-    em.finish()
+    let objects: Vec<String> = em.iter().map(|body| format!("{{{body}}}")).collect();
+    format!("{{\"traceEvents\":[\n{}\n]}}\n", objects.join(",\n"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::{parse, Json};
+    use crate::tests::ev;
     use crate::TaskKind;
-
-    fn ev(t_us: u64, node: u32, worker: u32, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            t_us,
-            node,
-            worker,
-            kind,
-        }
-    }
 
     fn events_of(doc: &str) -> Vec<Json> {
         let parsed = parse(doc).expect("exporter output is valid JSON");

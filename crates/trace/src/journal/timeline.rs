@@ -11,7 +11,7 @@
 //! `hamr timeline <dir>` renders this; `hamr timeline --diff a b`
 //! compares two reconstructions job by job.
 
-use super::{read_journal, JournalRecord};
+use super::{read_journal_tree, JournalRecord};
 use crate::audit::AuditReport;
 use crate::hist::quantile_of;
 use crate::json;
@@ -106,49 +106,22 @@ fn aggregate_latency(snap: &Snapshot) -> Option<HistSample> {
 }
 
 impl Timeline {
-    /// Load a journal directory. If `dir` itself has no segments but
-    /// its immediate subdirectories do (the `HAMR_JOURNAL=auto`
-    /// layout, one subjournal per cluster), every subjournal is loaded
-    /// and merged in name order.
+    /// Load a journal directory, or the per-cluster journals under it
+    /// (see [`read_journal_tree`]).
     pub fn load(dir: &Path) -> Result<Timeline, String> {
-        let direct = read_journal(dir)?;
-        if !direct.records.is_empty() || direct.truncated_frames > 0 {
-            let mut t = Timeline::from_records(&direct.records);
-            t.truncated_frames = direct.truncated_frames;
-            t.unknown_records = direct.unknown_records;
-            t.sources = 1;
-            return Ok(t);
-        }
-        let mut subs: Vec<_> = std::fs::read_dir(dir)
-            .map_err(|e| format!("read {}: {e}", dir.display()))?
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().is_dir())
-            .map(|e| e.path())
-            .collect();
-        subs.sort();
-        let mut all = Vec::new();
-        let mut out = Timeline::default();
-        for sub in subs {
-            if let Ok(read) = read_journal(&sub) {
-                if read.records.is_empty() && read.truncated_frames == 0 {
-                    continue;
-                }
-                out.sources += 1;
-                out.truncated_frames += read.truncated_frames;
-                out.unknown_records += read.unknown_records;
-                all.extend(read.records);
-            }
-        }
-        if out.sources == 0 {
+        let read = read_journal_tree(dir)?;
+        if read.sources == 0 {
             return Err(format!(
                 "no journal segments under {} (or its subdirectories)",
                 dir.display()
             ));
         }
-        let folded = Timeline::from_records(&all);
-        out.jobs = folded.jobs;
-        out.records = folded.records;
-        Ok(out)
+        Ok(Timeline {
+            truncated_frames: read.truncated_frames,
+            unknown_records: read.unknown_records,
+            sources: read.sources,
+            ..Timeline::from_records(&read.records)
+        })
     }
 
     /// Fold an ordered record stream into spans.

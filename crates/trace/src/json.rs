@@ -251,6 +251,16 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// `{"k":v,…}` over numeric fields: how a trace event's args are
+/// written, in a flight record and in the Chrome export alike.
+pub fn object_u64<K: AsRef<str>>(fields: &[(K, u64)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{}\":{v}", escape(k.as_ref())))
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

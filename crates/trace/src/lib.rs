@@ -4,8 +4,8 @@
 //! simulated disks) emit [`TraceEvent`]s through a [`Tracer`] handle.
 //! A tracer is either *disabled* — every emit is a single branch on a
 //! `None`, so instrumented code costs nothing in normal runs — or bound
-//! to a [`TraceSink`] such as [`RingSink`], a lock-light per-thread-lane
-//! ring buffer.
+//! to a [`TraceSink`] such as [`RingSink`], a bounded ring buffer with
+//! one lane per node.
 //!
 //! Collected events can be rendered two ways:
 //! * [`chrome_trace_json`] — the Chrome trace-event JSON format, which
@@ -37,8 +37,8 @@ pub use causal::{
 pub use chrome::{chrome_trace_json, chrome_trace_json_with_counters};
 pub use hist::LatencyHistogram;
 pub use journal::{
-    read_journal, JobSpan, Journal, JournalConfig, JournalMode, JournalRead, JournalRecord,
-    Timeline,
+    read_journal, read_journal_tree, JobSpan, Journal, JournalConfig, JournalMode, JournalRead,
+    JournalRecord, Timeline,
 };
 pub use registry::{
     http_get, parse_prometheus, Counter, Gauge, GaugeSample, GaugeSampler, HistSample, Histogram,
@@ -55,7 +55,7 @@ pub use summary::{
 };
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -216,6 +216,108 @@ pub enum EventKind {
     Watchdog { class: WatchdogClass, epoch: u64 },
 }
 
+/// `args![a, b]` is `vec![("a", a), ("b", b)]` over bound numeric
+/// fields: an argument's key is its field's name, spelled once.
+macro_rules! args {
+    ($($field:ident),*) => { vec![$((stringify!($field), u64::from(*$field))),*] };
+}
+
+impl EventKind {
+    /// The one external description of an event: `(name, category,
+    /// args)`. The name is what flight records and journals persist
+    /// (so files written by any build read alike) and what the Chrome
+    /// export calls every event it draws as an instant; the category
+    /// is the Chrome `cat`; the args are every numeric field under its
+    /// own name, in declaration order. Flight records, journaled
+    /// events and the Chrome export all read this — a new field is
+    /// added here, once.
+    pub fn describe(&self) -> (&'static str, &'static str, Vec<(&'static str, u64)>) {
+        use EventKind::*;
+        match self {
+            TaskStart { flowlet, span, .. } => ("task-start", "task", args![flowlet, span]),
+            TaskEnd {
+                flowlet,
+                records_in,
+                records_out,
+                ..
+            } => ("task-end", "task", args![flowlet, records_in, records_out]),
+            BinEmitted {
+                flowlet,
+                edge,
+                dst,
+                span,
+                records,
+            } => (
+                "bin-emitted",
+                "dataflow",
+                args![flowlet, edge, dst, span, records],
+            ),
+            BinShipped {
+                flowlet,
+                edge,
+                dst,
+                records,
+                bytes,
+                span,
+            } => (
+                "bin-shipped",
+                "dataflow",
+                args![flowlet, edge, dst, records, bytes, span],
+            ),
+            BinIngress {
+                flowlet,
+                edge,
+                from,
+                span,
+            } => ("bin-ingress", "dataflow", args![flowlet, edge, from, span]),
+            FlowControlStall {
+                flowlet,
+                edge,
+                dst,
+                span,
+            } => (
+                "flow-stall",
+                "flow-control",
+                args![flowlet, edge, dst, span],
+            ),
+            FlowControlResume {
+                flowlet,
+                edge,
+                dst,
+                stalled_us,
+                span,
+            } => (
+                "flow-resume",
+                "flow-control",
+                args![flowlet, edge, dst, stalled_us, span],
+            ),
+            SpillStart { flowlet } => ("spill-start", "disk", args![flowlet]),
+            SpillEnd { flowlet, bytes } => ("spill-end", "disk", args![flowlet, bytes]),
+            NetSend { to, bytes } => ("net-send", "net", args![to, bytes]),
+            NetDeliver { from, bytes } => ("net-deliver", "net", args![from, bytes]),
+            ReduceFire { flowlet, shards } => ("reduce-fire", "dataflow", args![flowlet, shards]),
+            TaskStolen {
+                thief,
+                victim,
+                flowlet,
+            } => ("task-stolen", "sched", args![thief, victim, flowlet]),
+            WorkerParked => ("worker-parked", "sched", args![]),
+            WorkerUnparked { parked_us } => ("worker-unparked", "sched", args![parked_us]),
+            DiskRead { bytes } => ("disk-read", "disk", args![bytes]),
+            DiskWrite { bytes } => ("disk-write", "disk", args![bytes]),
+            Watchdog { class, epoch } => (
+                match class {
+                    WatchdogClass::Backpressure => "watchdog-backpressure",
+                    WatchdogClass::Hang => "watchdog-hang",
+                    WatchdogClass::Straggler => "watchdog-straggler",
+                },
+                "watchdog",
+                args![epoch],
+            ),
+        }
+    }
+}
+
 /// How the watchdog classified a no-progress (or skewed-progress)
 /// window. Lives in the trace crate so the event stream, the flight
 /// recorder and the doctor all share one vocabulary.
@@ -278,10 +380,12 @@ impl TraceSink for NoopSink {
     fn record(&self, _ev: TraceEvent) {}
 }
 
-/// Lock-light bounded sink: events land in per-thread-lane ring
-/// buffers, so concurrent workers rarely contend on the same mutex.
-/// When a lane overflows its capacity the oldest events are dropped
-/// (and counted), never the newest.
+/// Bounded sink: an event lands in the ring buffer of lane
+/// `node % lanes` — a pure function of the event, so a ring built with
+/// one lane per node keeps every node's own tail whatever its
+/// neighbours emit, and nodes never contend on one mutex. When a lane
+/// overflows its capacity the oldest events are dropped (and counted),
+/// never the newest.
 pub struct RingSink {
     lanes: Vec<Mutex<VecDeque<TraceEvent>>>,
     per_lane_capacity: usize,
@@ -300,12 +404,6 @@ pub struct RingSink {
 /// Callback offered each event the ring evicts on overflow — the
 /// flight journal's continuous-persistence hook.
 pub type OverflowTap = Arc<dyn Fn(&TraceEvent) + Send + Sync>;
-
-/// Each OS thread gets a stable small integer used to pick its lane.
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
-}
 
 impl RingSink {
     /// `lanes` independent buffers of `per_lane_capacity` events each.
@@ -334,44 +432,43 @@ impl RingSink {
 
     /// Install (or clear) the overflow tap: every event the ring
     /// evicts to make room is offered to `tap` before it is lost. The
-    /// tap is called with no sink locks held, so it may itself emit
-    /// trace events (the journal's segment mirror writes through
-    /// traced simdisk) without re-entering a held lane lock.
+    /// tap is called with no lane lock held, so a slow tap (a journal
+    /// append) never blocks the lane's other producers.
     pub fn set_overflow_tap(&self, tap: Option<OverflowTap>) {
         *self.overflow_tap.lock().unwrap_or_else(|p| p.into_inner()) = tap;
     }
 
-    /// Remove and return all buffered events, sorted by timestamp.
-    pub fn drain(&self) -> Vec<TraceEvent> {
+    /// Every lane's events as `take` yields them, sorted by timestamp.
+    fn gather(
+        &self,
+        take: impl Fn(&mut VecDeque<TraceEvent>) -> Vec<TraceEvent>,
+    ) -> Vec<TraceEvent> {
         let mut all = Vec::new();
         for lane in &self.lanes {
-            let mut q = lane.lock().unwrap_or_else(|p| p.into_inner());
-            all.extend(q.drain(..));
+            all.extend(take(&mut lane.lock().unwrap_or_else(|p| p.into_inner())));
         }
         all.sort_by_key(|e| e.t_us);
         all
+    }
+
+    /// Remove and return all buffered events, sorted by timestamp.
+    pub fn drain(&self) -> Vec<TraceEvent> {
+        self.gather(|q| q.drain(..).collect())
     }
 
     /// Copy out all buffered events without consuming them, sorted by
     /// timestamp — what the live `/doctor` endpoint reads mid-run,
     /// leaving the buffer intact for the post-mortem drain.
     pub fn peek(&self) -> Vec<TraceEvent> {
-        let mut all = Vec::new();
-        for lane in &self.lanes {
-            let q = lane.lock().unwrap_or_else(|p| p.into_inner());
-            all.extend(q.iter().cloned());
-        }
-        all.sort_by_key(|e| e.t_us);
-        all
+        self.gather(|q| q.iter().cloned().collect())
     }
 }
 
 impl TraceSink for RingSink {
     fn record(&self, ev: TraceEvent) {
-        let slot = THREAD_SLOT.with(|s| *s);
         let mut evicted = None;
         {
-            let mut q = self.lanes[slot % self.lanes.len()]
+            let mut q = self.lanes[ev.node as usize % self.lanes.len()]
                 .lock()
                 .unwrap_or_else(|p| p.into_inner());
             if q.len() >= self.per_lane_capacity {
@@ -384,16 +481,8 @@ impl TraceSink for RingSink {
             }
             q.push_back(ev);
         }
-        // The tap runs with no lock held (lane or tap registration): a
-        // journal tap may rotate a segment, whose mirror write into a
-        // traced simdisk re-enters `record` on this same thread.
         if let Some(evicted) = evicted {
-            let tap = self
-                .overflow_tap
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .clone();
-            if let Some(tap) = tap {
+            if let Some(tap) = &*self.overflow_tap.lock().unwrap_or_else(|p| p.into_inner()) {
                 tap(&evicted);
             }
         }
@@ -574,8 +663,18 @@ pub fn value_or_panic<T>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The event constructor every test module of the crate shares.
+    pub(crate) fn ev(t_us: u64, node: u32, worker: u32, kind: EventKind) -> TraceEvent {
+        TraceEvent {
+            t_us,
+            node,
+            worker,
+            kind,
+        }
+    }
 
     #[test]
     fn disabled_tracer_records_nothing() {
@@ -636,6 +735,171 @@ mod tests {
             events.last().unwrap().kind,
             EventKind::DiskRead { bytes: 9 }
         ));
+    }
+
+    /// The flight ring is built with one lane per node so that a dump
+    /// holds every node's own tail: which events a lane keeps depends
+    /// on the events alone, not on which thread recorded them.
+    #[test]
+    fn a_chatty_node_evicts_only_its_own_lane() {
+        let capacity = 8;
+        let sink = RingSink::new(2, capacity);
+        let at = |node, t_us| ev(t_us, node, 0, EventKind::DiskRead { bytes: t_us });
+        sink.record(at(1, 0));
+        for t_us in 1..=10 * capacity as u64 {
+            sink.record(at(0, t_us));
+        }
+        let kept = sink.peek();
+        assert_eq!(kept.iter().filter(|e| e.node == 1).count(), 1);
+        assert_eq!(kept.iter().filter(|e| e.node == 0).count(), capacity);
+        assert_eq!(sink.dropped(), 9 * capacity as u64);
+    }
+
+    /// One value of every [`EventKind`] variant; the test that reads
+    /// the list ends in a `match` with no wildcard, so a new variant
+    /// fails to compile there until it is placed — and listed here.
+    fn one_of_every_kind() -> Vec<EventKind> {
+        vec![
+            EventKind::TaskStart {
+                task: TaskKind::MapBin,
+                flowlet: 1,
+                span: 7,
+            },
+            EventKind::TaskEnd {
+                task: TaskKind::MapBin,
+                flowlet: 1,
+                records_in: 10,
+                records_out: 9,
+            },
+            EventKind::BinEmitted {
+                flowlet: 1,
+                edge: 2,
+                dst: 3,
+                span: 8,
+                records: 4,
+            },
+            EventKind::BinShipped {
+                flowlet: 1,
+                edge: 2,
+                dst: 3,
+                records: 4,
+                bytes: 128,
+                span: 8,
+            },
+            EventKind::BinIngress {
+                flowlet: 2,
+                edge: 2,
+                from: 0,
+                span: 8,
+            },
+            EventKind::FlowControlStall {
+                flowlet: 1,
+                edge: 2,
+                dst: 3,
+                span: 9,
+            },
+            EventKind::FlowControlResume {
+                flowlet: 1,
+                edge: 2,
+                dst: 3,
+                stalled_us: 5,
+                span: 9,
+            },
+            EventKind::SpillStart { flowlet: 2 },
+            EventKind::SpillEnd {
+                flowlet: 2,
+                bytes: 4096,
+            },
+            EventKind::NetSend { to: 3, bytes: 136 },
+            EventKind::NetDeliver {
+                from: 0,
+                bytes: 136,
+            },
+            EventKind::ReduceFire {
+                flowlet: 2,
+                shards: 4,
+            },
+            EventKind::TaskStolen {
+                thief: 1,
+                victim: 0,
+                flowlet: 1,
+            },
+            EventKind::WorkerParked,
+            EventKind::WorkerUnparked { parked_us: 6 },
+            EventKind::DiskRead { bytes: 512 },
+            EventKind::DiskWrite { bytes: 4096 },
+            EventKind::Watchdog {
+                class: WatchdogClass::Straggler,
+                epoch: 3,
+            },
+        ]
+    }
+
+    /// `describe()` is the only description there is: what it says of
+    /// an event survives the flight record's JSON and the journal's
+    /// binary codec unchanged, and is what the Chrome export prints.
+    #[test]
+    fn every_kind_is_described_once_for_every_reader() {
+        let ring = RingSink::new(1, 64);
+        for (i, kind) in one_of_every_kind().into_iter().enumerate() {
+            ring.record(ev(10 + i as u64, 0, 1, kind));
+        }
+        let events = ring.peek();
+        let record = FlightRecord::capture("all", None, None, Some(&ring), 64, &Observe::default());
+        assert_eq!(record.events.len(), events.len());
+        for (ev, recorded) in events.iter().zip(&record.events) {
+            let (name, _, mut args) = ev.kind.describe();
+            args.sort();
+            let recorded_args: Vec<(&str, u64)> =
+                recorded.args.iter().map(|(k, v)| (&**k, *v)).collect();
+            assert_eq!((&*recorded.name, recorded_args), (name, args));
+            let journaled = JournalRecord::Event(recorded.clone());
+            let decoded = JournalRecord::decode(&journaled.encode()).expect("decode");
+            assert_eq!(decoded, journaled);
+        }
+        let parsed = FlightRecord::parse(&record.to_json()).expect("parse back");
+        assert_eq!(parsed.events, record.events);
+
+        let chrome = json::parse(&chrome_trace_json(&events)).expect("chrome export is JSON");
+        let drawn = chrome.get("traceEvents").and_then(json::Json::as_arr);
+        let drawn = drawn.expect("traceEvents");
+        let named = |name: &str, ph: &str| {
+            let is = |e: &json::Json, field: &str, want: &str| {
+                e.get(field).and_then(json::Json::as_str) == Some(want)
+            };
+            drawn
+                .iter()
+                .filter(|e| is(e, "name", name) && is(e, "ph", ph))
+                .count()
+        };
+        for ev in &events {
+            match ev.kind {
+                // The two starts that only open an interval, and the
+                // four events that close one and draw it.
+                EventKind::TaskStart { .. } | EventKind::SpillStart { .. } => {}
+                EventKind::TaskEnd { task, .. } => assert_eq!(named(task.name(), "X"), 1),
+                EventKind::FlowControlResume { .. } => {
+                    assert_eq!(named("flow-control stall", "X"), 1)
+                }
+                EventKind::SpillEnd { .. } => assert_eq!(named("spill", "X"), 1),
+                EventKind::WorkerUnparked { .. } => assert_eq!(named("parked", "X"), 1),
+                // Every other kind is an instant under its own name.
+                EventKind::BinEmitted { .. }
+                | EventKind::BinShipped { .. }
+                | EventKind::BinIngress { .. }
+                | EventKind::FlowControlStall { .. }
+                | EventKind::NetSend { .. }
+                | EventKind::NetDeliver { .. }
+                | EventKind::ReduceFire { .. }
+                | EventKind::TaskStolen { .. }
+                | EventKind::WorkerParked
+                | EventKind::DiskRead { .. }
+                | EventKind::DiskWrite { .. }
+                | EventKind::Watchdog { .. } => {
+                    assert_eq!(named(ev.kind.describe().0, "i"), 1, "{:?}", ev.kind)
+                }
+            }
+        }
     }
 
     #[test]

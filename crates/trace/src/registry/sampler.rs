@@ -1,7 +1,7 @@
 //! A time-series *view* over the registry's live gauges: a thread that
 //! polls [`MetricsRegistry::live_gauges`] on an interval. No engine run
 //! starts one — gauges are always current in the registry — so the
-//! tool that wants a series over time (`hamr trace --timeseries`) owns
+//! tool that wants a series over time (`hamr trace`) owns
 //! the sampler for as long as it wants samples.
 
 use super::snapshot::render_labels;

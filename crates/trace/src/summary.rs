@@ -11,6 +11,8 @@ pub struct TaskSpan {
     pub worker: u32,
     pub task: TaskKind,
     pub flowlet: u32,
+    /// Lineage span of the bin the task consumed (0: none, or no start).
+    pub span: u64,
     /// `None` when no start on this lane matches — the ring dropped it.
     pub start_us: Option<u64>,
     pub end_us: u64,
@@ -32,15 +34,19 @@ impl TaskSpan {
 pub fn task_spans(events: &[TraceEvent]) -> Vec<TaskSpan> {
     let mut evs: Vec<&TraceEvent> = events.iter().collect();
     evs.sort_by_key(|e| e.t_us);
-    type OpenTask = (u64, TaskKind, u32);
+    type OpenTask = (u64, TaskKind, u32, u64);
     let mut open: HashMap<(u32, u32), Vec<OpenTask>> = HashMap::new();
     let mut spans = Vec::new();
     for ev in evs {
         match &ev.kind {
-            EventKind::TaskStart { task, flowlet, .. } => {
+            EventKind::TaskStart {
+                task,
+                flowlet,
+                span,
+            } => {
                 open.entry((ev.node, ev.worker))
                     .or_default()
-                    .push((ev.t_us, *task, *flowlet));
+                    .push((ev.t_us, *task, *flowlet, *span));
             }
             EventKind::TaskEnd {
                 task,
@@ -49,16 +55,17 @@ pub fn task_spans(events: &[TraceEvent]) -> Vec<TaskSpan> {
                 records_out,
             } => {
                 let stack = open.entry((ev.node, ev.worker)).or_default();
-                let start_us = stack
+                let start = stack
                     .iter()
-                    .rposition(|(_, t, f)| t == task && f == flowlet)
-                    .map(|i| stack.remove(i).0);
+                    .rposition(|(_, t, f, _)| t == task && f == flowlet)
+                    .map(|i| stack.remove(i));
                 spans.push(TaskSpan {
                     node: ev.node,
                     worker: ev.worker,
                     task: *task,
                     flowlet: *flowlet,
-                    start_us,
+                    span: start.map_or(0, |s| s.3),
+                    start_us: start.map(|s| s.0),
                     end_us: ev.t_us,
                     records_in: *records_in,
                     records_out: *records_out,
@@ -99,7 +106,9 @@ impl FlowletSummaryRow {
     }
 }
 
-fn fmt_us(us: u64) -> String {
+/// The one duration format of every `hamr trace` table: whole
+/// microseconds below 10 ms, then milliseconds, then seconds.
+pub(crate) fn fmt_us(us: u64) -> String {
     if us >= 10_000_000 {
         format!("{:.1}s", us as f64 / 1e6)
     } else if us >= 10_000 {
@@ -136,29 +145,35 @@ pub fn render_summary(rows: &[FlowletSummaryRow]) -> String {
                 fmt_us(r.p50_us),
                 fmt_us(r.p95_us),
                 fmt_us(r.p99_us),
-                if r.stalls == 0 {
-                    "-".to_string()
-                } else {
-                    format!("{} ({}x)", fmt_us(r.stall_us), r.stalls)
-                },
-                if r.spilled_bytes == 0 {
-                    "-".to_string()
-                } else {
-                    fmt_bytes(r.spilled_bytes)
-                },
+                unless_zero(r.stalls, |n| format!("{} ({n}x)", fmt_us(r.stall_us))),
+                unless_zero(r.spilled_bytes, fmt_bytes),
             ]
         })
         .collect();
 
-    let mut widths: Vec<usize> = HEADERS.iter().map(|h| h.len()).collect();
-    for row in &cells {
-        for (w, c) in widths.iter_mut().zip(row.iter()) {
+    render_table(HEADERS, &cells)
+}
+
+/// A cell that reads `-` when there is nothing to report.
+fn unless_zero(n: u64, show: impl FnOnce(u64) -> String) -> String {
+    if n == 0 {
+        "-".to_string()
+    } else {
+        show(n)
+    }
+}
+
+/// An aligned fixed-width text table: header, rule, rows; columns
+/// left-aligned two spaces apart, no trailing padding.
+fn render_table<const N: usize>(headers: [&str; N], rows: &[[String; N]]) -> String {
+    let mut widths = headers.map(str::len);
+    for row in rows {
+        for (w, c) in widths.iter_mut().zip(row) {
             *w = (*w).max(c.chars().count());
         }
     }
-
     let mut out = String::new();
-    let emit_row = |out: &mut String, cols: &[String]| {
+    let mut emit_row = |cols: &[String; N]| {
         for (i, (c, w)) in cols.iter().zip(&widths).enumerate() {
             if i > 0 {
                 out.push_str("  ");
@@ -174,14 +189,9 @@ pub fn render_summary(rows: &[FlowletSummaryRow]) -> String {
         }
         out.push('\n');
     };
-
-    let header: Vec<String> = HEADERS.iter().map(|h| h.to_string()).collect();
-    emit_row(&mut out, &header);
-    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    emit_row(&mut out, &rule);
-    for row in &cells {
-        emit_row(&mut out, row);
-    }
+    emit_row(&headers.map(str::to_string));
+    emit_row(&widths.map(|w| "-".repeat(w)));
+    rows.iter().for_each(emit_row);
     out
 }
 
@@ -256,54 +266,13 @@ pub fn render_occupancy(rows: &[WorkerOccupancyRow]) -> String {
                 r.worker.to_string(),
                 r.tasks.to_string(),
                 fmt_us(r.busy_us),
-                if r.steals == 0 {
-                    "-".to_string()
-                } else {
-                    r.steals.to_string()
-                },
-                if r.parks == 0 {
-                    "-".to_string()
-                } else {
-                    r.parks.to_string()
-                },
-                if r.parked_us == 0 {
-                    "-".to_string()
-                } else {
-                    fmt_us(r.parked_us)
-                },
+                unless_zero(r.steals, |n| n.to_string()),
+                unless_zero(r.parks, |n| n.to_string()),
+                unless_zero(r.parked_us, fmt_us),
             ]
         })
         .collect();
-    let mut widths: Vec<usize> = HEADERS.iter().map(|h| h.len()).collect();
-    for row in &cells {
-        for (w, c) in widths.iter_mut().zip(row.iter()) {
-            *w = (*w).max(c.chars().count());
-        }
-    }
-    let mut out = String::new();
-    let emit_row = |out: &mut String, cols: &[String]| {
-        for (i, (c, w)) in cols.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(c);
-            for _ in c.chars().count()..*w {
-                out.push(' ');
-            }
-        }
-        while out.ends_with(' ') {
-            out.pop();
-        }
-        out.push('\n');
-    };
-    let header: Vec<String> = HEADERS.iter().map(|h| h.to_string()).collect();
-    emit_row(&mut out, &header);
-    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    emit_row(&mut out, &rule);
-    for row in &cells {
-        emit_row(&mut out, row);
-    }
-    out
+    render_table(HEADERS, &cells)
 }
 
 #[cfg(test)]
@@ -370,13 +339,8 @@ mod tests {
 
     #[test]
     fn occupancy_folds_tasks_steals_and_parks() {
+        use crate::tests::ev;
         use crate::TaskKind;
-        let ev = |t_us, node, worker, kind| TraceEvent {
-            t_us,
-            node,
-            worker,
-            kind,
-        };
         let events = vec![
             ev(
                 0,
