@@ -416,9 +416,9 @@ fn usage() -> ! {
 /// Collect every persisted stats snapshot for `job` (oldest first)
 /// from a journal directory, laid out as `hamr timeline` takes it.
 fn load_stats_snapshots(dir: &Path, job: &str) -> Result<Vec<hamr_trace::StatsSnapshot>, String> {
-    let records = hamr_trace::read_journal_tree(dir)?.records;
-    Ok(records
+    Ok(hamr_trace::read_journal_tree(dir)?
         .into_iter()
+        .flat_map(|read| read.records)
         .filter_map(|r| match r {
             hamr_trace::JournalRecord::Stats(s) if s.job == job => Some(s),
             _ => None,

@@ -20,14 +20,17 @@ use crate::watchdog::WatchdogEvent;
 use hamr_dfs::Dfs;
 use hamr_kvstore::KvStore;
 use hamr_simdisk::Disk;
-use hamr_trace::{AuditReport, Journal, JournalConfig, Labels, MetricsRegistry};
+use hamr_trace::{AuditReport, Journal, JournalConfig, JournalRecord, Labels, MetricsRegistry};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Hang an opened journal off the introspection plane, its byte and
-/// record counters in the registry.
+/// record counters in the registry, and journal the registry as it is
+/// now: an epoch labeled with no job, the baseline the next job's
+/// deltas are taken against — whatever ran before the journal was
+/// attached, and whatever another process wrote into the directory.
 fn wire_journal(introspect: &Arc<Introspect>, journal: Journal) -> Arc<Journal> {
     journal.set_metrics(
         introspect
@@ -37,6 +40,7 @@ fn wire_journal(introspect: &Arc<Introspect>, journal: Journal) -> Arc<Journal> 
             .registry
             .counter("journal_records_total", Labels::new().engine("hamr")),
     );
+    journal.append(&JournalRecord::Epoch(introspect.registry.snapshot()));
     let journal = Arc::new(journal);
     introspect.set_journal(Some(Arc::clone(&journal)));
     journal
@@ -130,11 +134,9 @@ impl Cluster {
             Ok(None) => {}
             Err(err) => eprintln!("hamr: journal disabled: {err}"),
         }
-        let resident = Arc::new(ResidentStore::new());
-        // Evictions spill to node 0's disk; counters accumulate into
-        // the cluster registry across every job in a chain.
-        resident.set_spill(disks[0].clone());
-        resident.bind_registry(&introspect.registry, "hamr");
+        // Its counters accumulate into the cluster registry across
+        // every job in a chain.
+        let resident = Arc::new(ResidentStore::new(&introspect.registry));
         Ok(Cluster {
             config,
             disks,
@@ -151,9 +153,10 @@ impl Cluster {
     /// The cluster's unified metrics registry. Every run publishes
     /// into it: net/disk counters and the engine's gauges (workers,
     /// queue depths, deferred bins, …) live on the hot path, job totals
-    /// at completion, and one epoch snapshot per job so iterative
-    /// workloads get per-iteration deltas via
-    /// [`MetricsRegistry::epoch_deltas`].
+    /// at completion. A job's own numbers are the difference of two
+    /// [`snapshot`](MetricsRegistry::snapshot)s taken around it, or its
+    /// [`JobResult::metrics`]; with a journal attached, `hamr timeline`
+    /// reads them per job.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.introspect.registry
     }

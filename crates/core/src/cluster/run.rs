@@ -14,8 +14,8 @@ use crate::watchdog::{Watchdog, WatchdogAction, WatchdogConfig, WatchdogEvent};
 use hamr_codec::Codec;
 use hamr_simnet::Fabric;
 use hamr_trace::{
-    Audit, FlightRecord, Journal, JournalRecord, Labels, Observe, RecordedEvent, RingSink,
-    StatsPlane, Tracer, WatchdogClass, WatchdogTrip,
+    Audit, FlightRecord, Journal, JournalRecord, Labels, Observe, RingSink, Snapshot, StatsPlane,
+    Tracer, WatchdogClass, WatchdogTrip,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -152,9 +152,7 @@ impl Cluster {
             obs: obs.clone(),
         };
         self.introspect.health.lock().running_jobs += 1;
-        // Durable journal: mark the job boundary, and tap the flight
-        // ring so events about to be overwritten are persisted instead
-        // of lost — the journal keeps history the bounded ring cannot.
+        // Durable journal: mark the job boundary.
         let journal = self.introspect.journal();
         if let Some(j) = &journal {
             j.append(&JournalRecord::JobStart {
@@ -162,12 +160,6 @@ impl Cluster {
                 engine: "hamr".into(),
                 t_us: j.now_us(),
             });
-            if let Some(ring) = &ring {
-                let tap = Arc::clone(j);
-                ring.set_overflow_tap(Some(Arc::new(move |ev| {
-                    tap.append(&JournalRecord::Event(RecordedEvent::from_event(ev)));
-                })));
-            }
         }
         let fabric = Fabric::<NetMsg>::new_observed(n, self.config.net.clone(), &obs);
         // The disks are long-lived substrates shared across jobs; bind
@@ -382,7 +374,6 @@ impl Cluster {
                         .set((hot * 1000.0).round() as i64);
                 }
             }
-            *self.introspect.stats.lock() = Some(snap.clone());
             metrics.stats = Some(snap);
         }
         Collected {
@@ -405,17 +396,16 @@ impl Cluster {
             // must not serve the next job's read for free.
             disk.cancel_read_ahead();
         }
-        // Publish job totals and record one epoch per completed job —
-        // iterative workloads (one job per iteration) thereby get
-        // per-iteration deltas from `registry.epoch_deltas()` for free.
         done.metrics
             .publish(&self.introspect.registry, &run.graph.name, "hamr");
-        let epoch_snap = self.introspect.registry.epoch_snapshot(&run.graph.name);
         if let Some(j) = &run.journal {
-            // The epoch snapshot gives the offline timeline its per-job
-            // deltas (shuffled bytes, cache hits, latency histograms);
-            // the audit ledger names any still-stuck edge.
-            j.append(&JournalRecord::Epoch(epoch_snap));
+            // The registry at the job's end gives the offline timeline
+            // its per-job deltas (cache hits, stall, latency
+            // histograms); the audit ledger names any still-stuck edge.
+            j.append(&JournalRecord::Epoch(Snapshot {
+                label: run.graph.name.clone(),
+                ..self.introspect.registry.snapshot()
+            }));
             if run.obs.audit.enabled() {
                 j.append(&JournalRecord::AuditEpoch {
                     job: run.graph.name.clone(),
@@ -427,16 +417,6 @@ impl Cluster {
                 // explain` and the timeline read them back from here.
                 j.append(&JournalRecord::Stats(snap.clone()));
             }
-            if done.first_error.is_some() || done.wd_trip.is_some() {
-                // A failed run's freshest evidence is still in the
-                // flight ring — persist the tail before it is dropped
-                // with the run.
-                if let Some(ring) = &run.ring {
-                    for ev in ring.peek() {
-                        j.append(&JournalRecord::Event(RecordedEvent::from_event(&ev)));
-                    }
-                }
-            }
             j.append(&JournalRecord::JobEnd {
                 job: run.graph.name.clone(),
                 ok: done.first_error.is_none(),
@@ -444,13 +424,6 @@ impl Cluster {
                 elapsed_us: run.start.elapsed().as_micros() as u64,
                 shuffled_bytes: done.metrics.shuffled_bytes,
             });
-        }
-        if let Some(ring) = &run.ring {
-            ring.set_overflow_tap(None);
-        }
-        // Make everything appended so far durable.
-        if let Some(j) = &run.journal {
-            j.flush();
         }
         {
             let mut h = self.introspect.health.lock();

@@ -4,7 +4,7 @@
 //! Every [`Cluster`](crate::Cluster) owns one [`Introspect`]. Runs
 //! publish into its [`MetricsRegistry`] (net/disk counters and gauges
 //! live on every run, job metrics at completion) and, when enabled, a
-//! loopback [`HttpServer`] exposes four routes:
+//! loopback [`HttpServer`] exposes three routes:
 //!
 //! * `/metrics` — every registered series in Prometheus text format,
 //!   scrapeable mid-run;
@@ -14,9 +14,11 @@
 //! * `/doctor` — a live flight-recorder dump (`FlightRecord` JSON)
 //!   built from the current run's trace ring, audit ledger, and
 //!   gauges — what `hamr doctor` reads post-mortem, but available
-//!   while the job is still wedged;
-//! * `/stats` — the most recently completed job's data-plane
-//!   statistics (per-edge sketches + lineage samples).
+//!   while the job is still wedged.
+//!
+//! A job's data-plane statistics reach `/metrics` as its
+//! `stats_edge_*` / `stats_shuffle_*` / `stats_node_*` gauges, and the
+//! journal as its `Stats` record (`hamr timeline`, `hamr explain`).
 //!
 //! The endpoint is off by default so tests and benchmarks stay
 //! hermetic; opt in with `HAMR_HTTP=auto` (ephemeral port),
@@ -24,7 +26,7 @@
 
 use hamr_trace::{
     json, FlightRecord, HttpResponse, HttpServer, Journal, MetricsRegistry, Observe, RingSink,
-    RouteHandler, StatsSnapshot,
+    RouteHandler,
 };
 use parking_lot::Mutex;
 use std::net::SocketAddr;
@@ -140,9 +142,6 @@ pub(crate) struct Introspect {
     pub registry: MetricsRegistry,
     pub health: Arc<Mutex<Health>>,
     pub live: Arc<Mutex<LiveRun>>,
-    /// Data-plane statistics of the most recently completed job
-    /// (per-edge sketches + lineage samples), served at `/stats`.
-    pub stats: Arc<Mutex<Option<StatsSnapshot>>>,
     /// The flight journal, when enabled (`HAMR_JOURNAL` or
     /// `Cluster::enable_journal`).
     journal: Mutex<Option<Arc<Journal>>>,
@@ -170,7 +169,6 @@ impl Introspect {
             registry,
             health: Arc::new(Mutex::new(Health::default())),
             live: Arc::new(Mutex::new(idle)),
-            stats: Arc::new(Mutex::new(None)),
             journal: Mutex::new(None),
             epoch: Instant::now(),
             server: Mutex::new(None),
@@ -212,12 +210,11 @@ impl Introspect {
     }
 
     /// Bind `127.0.0.1:port` (0 = ephemeral) and serve `/metrics`,
-    /// `/healthz`, `/doctor`, `/stats`. Replaces any previous server.
+    /// `/healthz`, `/doctor`. Replaces any previous server.
     pub fn serve(&self, port: u16) -> std::io::Result<SocketAddr> {
         let registry = self.registry.clone();
         let health = Arc::clone(&self.health);
         let live = Arc::clone(&self.live);
-        let stats = Arc::clone(&self.stats);
         let epoch = self.epoch;
         let handler: RouteHandler = Arc::new(move |path| match path {
             "/metrics" | "/metrics/" => HttpResponse::text(registry.snapshot().to_prometheus()),
@@ -238,13 +235,6 @@ impl Introspect {
                     &live.obs,
                 );
                 HttpResponse::json(record.to_json())
-            }
-            "/stats" | "/stats/" => {
-                let stats = stats.lock();
-                match &*stats {
-                    Some(snap) => HttpResponse::json(snap.to_json()),
-                    None => HttpResponse::json("{\"stats\":null}".to_string()),
-                }
             }
             _ => HttpResponse::not_found(),
         });

@@ -217,7 +217,7 @@ impl JobMetrics {
     /// series deliberately omit the job label so iterative workloads
     /// (one job per iteration) accumulate into a bounded series set;
     /// the per-job dimension lives in `job_runs_total` and in the
-    /// epoch-snapshot labels the cluster records at every completion.
+    /// labeled registry snapshot a journal records at every completion.
     pub fn publish(&self, registry: &MetricsRegistry, job: &str, engine: &str) {
         let eng = || Labels::new().engine(engine);
         registry.counter("job_runs_total", eng().job(job)).inc();

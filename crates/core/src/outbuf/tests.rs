@@ -39,7 +39,7 @@ fn out_with(
         bin_capacity: cap,
         ..Default::default()
     };
-    let store = crate::ResidentStore::new();
+    let store = crate::ResidentStore::new(&Default::default());
     let plan = ExecPlan::compile(&Arc::new(b.build().unwrap()), &cfg, nodes, &store);
     let obs = Observe::default();
     TaskOutput::new(&plan, l, node, 0, &obs, &shelf(1))
@@ -446,7 +446,7 @@ fn combining_plan(nodes: usize, cap: usize, combiner: Arc<dyn Combiner>) -> Arc<
         &Arc::new(b.build().unwrap()),
         &cfg,
         nodes,
-        &crate::ResidentStore::new(),
+        &crate::ResidentStore::new(&Default::default()),
     )
 }
 

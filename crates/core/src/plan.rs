@@ -205,7 +205,7 @@ mod tests {
             skew,
             ..Default::default()
         };
-        ExecPlan::compile(graph, &cfg, nodes, &ResidentStore::new())
+        ExecPlan::compile(graph, &cfg, nodes, &ResidentStore::new(&Default::default()))
     }
 
     #[test]

@@ -19,17 +19,17 @@
 //! (DFS block layout, a parameter epoch) and a mismatch silently
 //! bypasses the cache and recomputes.
 //!
-//! A byte budget (`HAMR_RESIDENT_BUDGET`, or [`ResidentStore::set_budget`])
-//! bounds memory: least-recently-used entries spill to `simdisk` and
-//! are transparently reloaded (and re-validated by `Frame::parse`) on
-//! their next hit.
+//! The store holds what it is given until it is invalidated, refilled
+//! or cleared: M3R keeps a job chain's working set in memory because
+//! it fits there, and so does this cache. `HAMR_RESIDENT=off` turns it
+//! off (the ablation row); its counters are registry series, read back
+//! by [`ResidentStore::stats`].
 
 use hamr_codec::Frame;
-use hamr_simdisk::Disk;
 use hamr_trace::{env_or_panic, Counter, Gauge, Labels, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A loader's cache annotation (`JobBuilder::resident`): serve this
 /// source's post-shuffle frames from the store when `tag` and
@@ -46,25 +46,11 @@ pub struct CacheSpec {
 struct Entry {
     fingerprint: u64,
     nodes: usize,
-    /// Port count recorded at insert — `ports.len()` is unusable for
-    /// the topology check because spilling clears `ports`.
-    port_count: usize,
     ports: Vec<Vec<Vec<Frame>>>,
     /// Total payload bytes across all frames.
     bytes: u64,
     /// Total records across all frames.
     records: u64,
-    /// LRU clock stamp.
-    last_used: u64,
-    /// When spilled, frames are dropped and this names the simdisk
-    /// file holding the serialized entry.
-    spill_file: Option<String>,
-}
-
-impl Entry {
-    fn is_spilled(&self) -> bool {
-        self.spill_file.is_some()
-    }
 }
 
 /// A served cache hit: frame clones ready for local injection, plus
@@ -82,83 +68,45 @@ pub struct ResidentHit {
 pub struct ResidentStats {
     pub hits: u64,
     pub misses: u64,
-    pub evictions: u64,
     pub bytes_saved: u64,
     pub resident_bytes: u64,
     pub entries: u64,
 }
 
-#[derive(Default)]
-struct Inner {
-    entries: HashMap<String, Entry>,
-    clock: u64,
-    spill: Option<Disk>,
-    spill_seq: u64,
-    bound: Option<BoundSeries>,
-}
-
-/// Registry series the store bumps directly, bound once per cluster so
-/// repeated jobs in a chain accumulate without re-publishing.
-struct BoundSeries {
+/// The cross-job frame cache owned by a `Cluster` (one per cluster;
+/// jobs in a `Session` chain share it).
+pub struct ResidentStore {
+    entries: Mutex<HashMap<String, Entry>>,
+    enabled: AtomicBool,
     hits: Counter,
     misses: Counter,
-    evictions: Counter,
     bytes_saved: Counter,
     resident_bytes: Gauge,
 }
 
-/// The cross-job frame cache owned by a `Cluster` (one per cluster;
-/// jobs in a `Session` chain share it).
-pub struct ResidentStore {
-    inner: Mutex<Inner>,
-    enabled: AtomicBool,
-    /// Byte budget; 0 = unlimited.
-    budget: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    bytes_saved: AtomicU64,
-    resident_bytes: AtomicU64,
-}
-
 impl std::fmt::Debug for ResidentStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
         f.debug_struct("ResidentStore")
             .field("enabled", &self.enabled())
-            .field("budget", &self.budget.load(Ordering::Relaxed))
-            .field("stats", &s)
+            .field("stats", &self.stats())
             .finish()
     }
 }
 
-impl Default for ResidentStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ResidentStore {
-    /// A store configured from the environment: `HAMR_RESIDENT=off`
-    /// disables it, `HAMR_RESIDENT_BUDGET=<bytes>` bounds it.
-    pub fn new() -> Self {
-        let enabled = env_or_panic("HAMR_RESIDENT", true, parse_enabled);
-        let budget = env_or_panic("HAMR_RESIDENT_BUDGET", 0, parse_budget);
+    /// A store counting into `registry`'s `hamr_cache_*` series, so a
+    /// chain's jobs accumulate into one set; `HAMR_RESIDENT=off`
+    /// disables it.
+    pub fn new(registry: &MetricsRegistry) -> Self {
+        let labels = || Labels::new().engine("hamr");
         ResidentStore {
-            inner: Mutex::new(Inner::default()),
-            enabled: AtomicBool::new(enabled),
-            budget: AtomicU64::new(budget),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            bytes_saved: AtomicU64::new(0),
-            resident_bytes: AtomicU64::new(0),
+            entries: Mutex::new(HashMap::new()),
+            enabled: AtomicBool::new(env_or_panic("HAMR_RESIDENT", true, parse_enabled)),
+            hits: registry.counter("hamr_cache_hits_total", labels()),
+            misses: registry.counter("hamr_cache_misses_total", labels()),
+            bytes_saved: registry.counter("hamr_cache_bytes_saved_total", labels()),
+            resident_bytes: registry.gauge("hamr_cache_resident_bytes", labels()),
         }
-    }
-
-    /// Attach the simdisk used as the eviction spill target.
-    pub fn set_spill(&self, disk: Disk) {
-        self.inner.lock().spill = Some(disk);
     }
 
     /// Enable or disable serving/filling (runtime ablation toggle).
@@ -170,52 +118,13 @@ impl ResidentStore {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Set the resident byte budget (0 = unlimited) and enforce it.
-    pub fn set_budget(&self, bytes: u64) {
-        self.budget.store(bytes, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        self.enforce_budget(&mut inner, None);
-    }
-
-    /// Bind the `hamr_cache_*` series so chain runs accumulate into the
-    /// cluster registry. Safe to call repeatedly (rebinds).
-    pub fn bind_registry(&self, registry: &MetricsRegistry, engine: &str) {
-        let labels = || Labels::new().engine(engine);
-        let bound = BoundSeries {
-            hits: registry.counter("hamr_cache_hits_total", labels()),
-            misses: registry.counter("hamr_cache_misses_total", labels()),
-            evictions: registry.counter("hamr_cache_evictions_total", labels()),
-            bytes_saved: registry.counter("hamr_cache_bytes_saved_total", labels()),
-            resident_bytes: registry.gauge("hamr_cache_resident_bytes", labels()),
-        };
-        bound
-            .resident_bytes
-            .set(self.resident_bytes.load(Ordering::Relaxed) as i64);
-        self.inner.lock().bound = Some(bound);
-    }
-
     pub fn stats(&self) -> ResidentStats {
         ResidentStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
-            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
-            entries: self.inner.lock().entries.len() as u64,
-        }
-    }
-
-    fn set_resident_bytes(&self, inner: &Inner, v: u64) {
-        self.resident_bytes.store(v, Ordering::Relaxed);
-        if let Some(b) = &inner.bound {
-            b.resident_bytes.set(v as i64);
-        }
-    }
-
-    fn count_miss(&self, inner: &Inner) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(b) = &inner.bound {
-            b.misses.inc();
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            bytes_saved: self.bytes_saved.get(),
+            resident_bytes: self.resident_bytes.get() as u64,
+            entries: self.entries.lock().len() as u64,
         }
     }
 
@@ -238,33 +147,23 @@ impl ResidentStore {
             .flatten()
             .map(|f| f.entries() as u64)
             .sum();
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some(old) = inner.entries.remove(tag) {
-            self.drop_entry(&mut inner, old);
+        let mut entries = self.entries.lock();
+        let entry = Entry {
+            fingerprint,
+            nodes,
+            ports,
+            bytes,
+            records,
+        };
+        if let Some(old) = entries.insert(tag.to_string(), entry) {
+            self.resident_bytes.sub(old.bytes as i64);
         }
-        inner.entries.insert(
-            tag.to_string(),
-            Entry {
-                fingerprint,
-                nodes,
-                port_count: ports.len(),
-                ports,
-                bytes,
-                records,
-                last_used: stamp,
-                spill_file: None,
-            },
-        );
-        let total = self.resident_bytes.load(Ordering::Relaxed) + bytes;
-        self.set_resident_bytes(&inner, total);
-        self.enforce_budget(&mut inner, Some(tag));
+        self.resident_bytes.add(bytes as i64);
     }
 
     /// Serve `tag` if it matches `fingerprint`, the node count, and the
     /// expected port count. A stale fingerprint or topology drops the
-    /// entry (invalidation); a spilled entry is reloaded from disk.
+    /// entry (invalidation).
     pub fn lookup(
         &self,
         tag: &str,
@@ -275,199 +174,59 @@ impl ResidentStore {
         if !self.enabled() {
             return None;
         }
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let stale = match inner.entries.get(tag) {
-            None => {
-                self.count_miss(&inner);
+        let mut entries = self.entries.lock();
+        let hit = match entries.get(tag) {
+            Some(e)
+                if e.fingerprint == fingerprint
+                    && e.nodes == nodes
+                    && e.ports.len() == port_count =>
+            {
+                ResidentHit {
+                    ports: e.ports.clone(),
+                    bytes: e.bytes,
+                    records: e.records,
+                }
+            }
+            _ => {
+                if let Some(stale) = entries.remove(tag) {
+                    self.resident_bytes.sub(stale.bytes as i64);
+                }
+                self.misses.inc();
                 return None;
             }
-            Some(e) => {
-                e.fingerprint != fingerprint || e.nodes != nodes || e.port_count != port_count
-            }
         };
-        if stale {
-            let old = inner.entries.remove(tag).expect("checked above");
-            self.drop_entry(&mut inner, old);
-            self.count_miss(&inner);
-            return None;
-        }
-        if inner.entries.get(tag).expect("checked").is_spilled()
-            && !self.reload_spilled(&mut inner, tag)
-        {
-            let old = inner.entries.remove(tag).expect("checked");
-            self.drop_entry(&mut inner, old);
-            self.count_miss(&inner);
-            return None;
-        }
-        let entry = inner.entries.get_mut(tag).expect("checked");
-        entry.last_used = stamp;
-        let hit = ResidentHit {
-            ports: entry.ports.clone(),
-            bytes: entry.bytes,
-            records: entry.records,
-        };
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.bytes_saved.fetch_add(hit.bytes, Ordering::Relaxed);
-        if let Some(b) = &inner.bound {
-            b.hits.inc();
-            b.bytes_saved.add(hit.bytes);
-        }
-        // The reload may have pushed residency past the budget.
-        self.enforce_budget(&mut inner, Some(tag));
+        self.hits.inc();
+        self.bytes_saved.add(hit.bytes);
         Some(hit)
     }
 
     /// Drop one tag. Returns true when an entry existed.
     pub fn invalidate(&self, tag: &str) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.entries.remove(tag) {
-            Some(e) => {
-                self.drop_entry(&mut inner, e);
-                true
-            }
-            None => false,
+        let removed = self.entries.lock().remove(tag);
+        if let Some(e) = &removed {
+            self.resident_bytes.sub(e.bytes as i64);
         }
+        removed.is_some()
     }
 
     /// Drop every tag starting with `prefix` (namespaced reset).
     /// Returns the number of entries dropped.
     pub fn invalidate_prefix(&self, prefix: &str) -> usize {
-        let mut inner = self.inner.lock();
-        let tags: Vec<String> = inner
-            .entries
-            .keys()
-            .filter(|t| t.starts_with(prefix))
-            .cloned()
-            .collect();
-        for t in &tags {
-            if let Some(e) = inner.entries.remove(t) {
-                self.drop_entry(&mut inner, e);
+        let mut entries = self.entries.lock();
+        let before = entries.len();
+        entries.retain(|tag, e| {
+            let keep = !tag.starts_with(prefix);
+            if !keep {
+                self.resident_bytes.sub(e.bytes as i64);
             }
-        }
-        tags.len()
+            keep
+        });
+        before - entries.len()
     }
 
     /// Drop everything.
     pub fn clear(&self) {
         self.invalidate_prefix("");
-    }
-
-    fn drop_entry(&self, inner: &mut Inner, e: Entry) {
-        if let Some(file) = &e.spill_file {
-            if let Some(disk) = &inner.spill {
-                disk.delete(file);
-            }
-        } else {
-            let total = self
-                .resident_bytes
-                .load(Ordering::Relaxed)
-                .saturating_sub(e.bytes);
-            self.set_resident_bytes(inner, total);
-        }
-    }
-
-    /// Evict (spill or drop) LRU entries until residency fits the
-    /// budget. `keep` names a tag exempt from eviction this pass (the
-    /// one just inserted or served — evicting it would defeat the hit).
-    fn enforce_budget(&self, inner: &mut Inner, keep: Option<&str>) {
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget == 0 {
-            return;
-        }
-        while self.resident_bytes.load(Ordering::Relaxed) > budget {
-            // Prefer any other resident entry; when the kept tag is the
-            // only thing left over budget, it must go too (spilled, so
-            // the next lookup still reloads it).
-            let victim = inner
-                .entries
-                .iter()
-                .filter(|(t, e)| !e.is_spilled() && keep != Some(t.as_str()))
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(t, _)| t.clone())
-                .or_else(|| {
-                    inner
-                        .entries
-                        .iter()
-                        .filter(|(_, e)| !e.is_spilled())
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(t, _)| t.clone())
-                });
-            let Some(tag) = victim else { break };
-            self.spill_entry(inner, &tag);
-        }
-    }
-
-    /// Serialize an entry's frames to simdisk and drop the in-memory
-    /// copy (or drop outright when no spill disk is attached).
-    fn spill_entry(&self, inner: &mut Inner, tag: &str) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        if let Some(b) = &inner.bound {
-            b.evictions.inc();
-        }
-        let has_disk = inner.spill.is_some();
-        if !has_disk {
-            if let Some(e) = inner.entries.remove(tag) {
-                self.drop_entry(inner, e);
-            }
-            return;
-        }
-        inner.spill_seq += 1;
-        let file = format!("resident/spill-{}", inner.spill_seq);
-        let entry = inner.entries.get_mut(tag).expect("victim exists");
-        let mut buf = Vec::with_capacity(entry.bytes as usize + 64);
-        buf.extend_from_slice(&(entry.ports.len() as u32).to_le_bytes());
-        for port in &entry.ports {
-            buf.extend_from_slice(&(port.len() as u32).to_le_bytes());
-            for dst in port {
-                buf.extend_from_slice(&(dst.len() as u32).to_le_bytes());
-                for frame in dst {
-                    let data = frame.data();
-                    buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(data);
-                }
-            }
-        }
-        let freed = entry.bytes;
-        let disk = inner.spill.as_ref().expect("checked");
-        if disk.write_all(&file, &buf).is_ok() {
-            let entry = inner.entries.get_mut(tag).expect("victim exists");
-            entry.ports = Vec::new();
-            entry.spill_file = Some(file);
-        } else if let Some(e) = inner.entries.remove(tag) {
-            self.drop_entry(inner, e);
-            return;
-        }
-        let total = self
-            .resident_bytes
-            .load(Ordering::Relaxed)
-            .saturating_sub(freed);
-        self.set_resident_bytes(inner, total);
-    }
-
-    /// Read a spilled entry back and re-validate every frame. Returns
-    /// false (caller drops the entry) on any disk or parse error.
-    fn reload_spilled(&self, inner: &mut Inner, tag: &str) -> bool {
-        let Some(file) = inner.entries.get(tag).and_then(|e| e.spill_file.clone()) else {
-            return false;
-        };
-        let Some(disk) = inner.spill.clone() else {
-            return false;
-        };
-        let Ok(data) = disk.read_all(&file) else {
-            return false;
-        };
-        let Some(ports) = parse_spilled(&data) else {
-            return false;
-        };
-        disk.delete(&file);
-        let entry = inner.entries.get_mut(tag).expect("caller checked");
-        entry.ports = ports;
-        entry.spill_file = None;
-        let total = self.resident_bytes.load(Ordering::Relaxed) + entry.bytes;
-        self.set_resident_bytes(inner, total);
-        true
     }
 }
 
@@ -480,49 +239,10 @@ fn parse_enabled(s: &str) -> Result<bool, String> {
     }
 }
 
-/// `HAMR_RESIDENT_BUDGET=<bytes>`, a plain integer; 0 = unlimited. A
-/// value like `64MB` must not read as 0.
-fn parse_budget(s: &str) -> Result<u64, String> {
-    s.trim()
-        .parse()
-        .map_err(|_| "<bytes> (an integer, 0 = unlimited)".to_string())
-}
-
-/// Decode the spill format written by `spill_entry`:
-/// `[nports][nports × [ndst][ndst × [nframes][nframes × [len][bytes]]]]`.
-fn parse_spilled(buf: &[u8]) -> Option<Vec<Vec<Vec<Frame>>>> {
-    let mut off = 0usize;
-    fn read_u32(buf: &[u8], off: &mut usize) -> Option<usize> {
-        let v = buf.get(*off..*off + 4)?;
-        *off += 4;
-        Some(u32::from_le_bytes(v.try_into().ok()?) as usize)
-    }
-    let nports = read_u32(buf, &mut off)?;
-    let mut ports = Vec::with_capacity(nports);
-    for _ in 0..nports {
-        let ndst = read_u32(buf, &mut off)?;
-        let mut dsts = Vec::with_capacity(ndst);
-        for _ in 0..ndst {
-            let nframes = read_u32(buf, &mut off)?;
-            let mut frames = Vec::with_capacity(nframes);
-            for _ in 0..nframes {
-                let len = read_u32(buf, &mut off)?;
-                let chunk = buf.get(off..off + len)?;
-                off += len;
-                frames.push(Frame::parse(bytes::Bytes::copy_from_slice(chunk)).ok()?);
-            }
-            dsts.push(frames);
-        }
-        ports.push(dsts);
-    }
-    Some(ports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hamr_codec::{stable_hash, FrameBuilder};
-    use hamr_simdisk::DiskConfig;
 
     fn frame(pairs: &[(&str, u64)]) -> Frame {
         let mut b = FrameBuilder::new();
@@ -536,8 +256,10 @@ mod tests {
         vec![vec![frames]]
     }
 
-    fn test_disk() -> Disk {
-        Disk::new(DiskConfig::instant())
+    fn store() -> ResidentStore {
+        let store = ResidentStore::new(&MetricsRegistry::new());
+        store.set_enabled(true);
+        store
     }
 
     #[test]
@@ -546,23 +268,11 @@ mod tests {
         assert_eq!(parse_enabled("0"), Ok(false));
         assert_eq!(parse_enabled("on"), Ok(true));
         assert_eq!(parse_enabled("of"), Err("on|off".to_string()));
-        assert_eq!(parse_budget(" 67108864 "), Ok(64 << 20));
-        assert_eq!(parse_budget("0"), Ok(0));
-        assert!(parse_budget("64MB").is_err(), "must not mean unbounded");
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "HAMR_RESIDENT_BUDGET must be <bytes> (an integer, 0 = unlimited), got '64MB'"
-    )]
-    fn mistyped_budget_panics() {
-        hamr_trace::value_or_panic("HAMR_RESIDENT_BUDGET", "64MB", parse_budget);
     }
 
     #[test]
     fn insert_then_lookup_hits() {
-        let store = ResidentStore::new();
-        store.set_enabled(true);
+        let store = store();
         let f = frame(&[("a", 1), ("b", 2)]);
         let bytes = f.payload_bytes() as u64;
         store.insert("t", 7, 1, one_port(vec![f]));
@@ -579,12 +289,11 @@ mod tests {
 
     #[test]
     fn a_panic_under_the_lock_does_not_take_the_store_down() {
-        let store = ResidentStore::new();
-        store.set_enabled(true);
+        let store = store();
         store.insert("t", 7, 1, one_port(vec![frame(&[("a", 1)])]));
         let died = std::thread::scope(|s| {
             let holder = s.spawn(|| {
-                let _guard = store.inner.lock();
+                let _guard = store.entries.lock();
                 panic!("a store invariant broke mid-job");
             });
             holder.join().is_err()
@@ -597,8 +306,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_invalidates() {
-        let store = ResidentStore::new();
-        store.set_enabled(true);
+        let store = store();
         store.insert("t", 7, 1, one_port(vec![frame(&[("a", 1)])]));
         assert!(store.lookup("t", 8, 1, 1).is_none());
         // The stale entry is gone even for the original fingerprint.
@@ -609,8 +317,7 @@ mod tests {
 
     #[test]
     fn topology_mismatch_invalidates() {
-        let store = ResidentStore::new();
-        store.set_enabled(true);
+        let store = store();
         store.insert("t", 7, 2, vec![vec![vec![], vec![]]]);
         assert!(store.lookup("t", 7, 4, 1).is_none(), "node count changed");
         store.insert("u", 7, 2, vec![vec![vec![], vec![]]]);
@@ -619,7 +326,7 @@ mod tests {
 
     #[test]
     fn disabled_store_never_serves() {
-        let store = ResidentStore::new();
+        let store = store();
         store.set_enabled(false);
         store.insert("t", 7, 1, one_port(vec![frame(&[("a", 1)])]));
         assert!(store.lookup("t", 7, 1, 1).is_none());
@@ -633,49 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn budget_spills_lru_and_reloads() {
-        let store = ResidentStore::new();
-        store.set_enabled(true);
-        store.set_spill(test_disk());
-        let fa = frame(&[("aaaa", 1), ("bbbb", 2), ("cccc", 3)]);
-        let fb = frame(&[("dddd", 4), ("eeee", 5), ("ffff", 6)]);
-        let per = fa.payload_bytes() as u64;
-        store.insert("a", 1, 1, one_port(vec![fa]));
-        store.insert("b", 2, 1, one_port(vec![fb]));
-        assert_eq!(store.stats().resident_bytes, 2 * per);
-        // Budget fits one entry: the LRU ("a") spills.
-        store.set_budget(per);
-        let s = store.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.resident_bytes, per);
-        assert_eq!(s.entries, 2, "spilled entry still addressable");
-        // Serving the spilled entry reloads it and spills the other.
-        let hit = store.lookup("a", 1, 1, 1).expect("reload from spill");
-        assert_eq!(hit.records, 3);
-        assert_eq!(hit.ports[0][0][0].iter().count(), 3);
-        let s = store.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.evictions, 2, "entry b spilled to make room");
-        assert_eq!(s.resident_bytes, per);
-    }
-
-    #[test]
-    fn budget_without_disk_drops() {
-        let store = ResidentStore::new();
-        store.set_enabled(true);
-        store.set_budget(8);
-        store.insert("t", 7, 1, one_port(vec![frame(&[("abcdef", 1)])]));
-        let s = store.stats();
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.resident_bytes, 0);
-        assert!(store.lookup("t", 7, 1, 1).is_none());
-    }
-
-    #[test]
     fn invalidate_prefix_scopes_by_namespace() {
-        let store = ResidentStore::new();
-        store.set_enabled(true);
+        let store = store();
         store.insert("pr/adj", 1, 1, one_port(vec![frame(&[("a", 1)])]));
         store.insert("pr/r", 1, 1, one_port(vec![frame(&[("b", 1)])]));
         store.insert("km/pts", 1, 1, one_port(vec![frame(&[("c", 1)])]));
@@ -690,9 +356,8 @@ mod tests {
     #[test]
     fn registry_binding_accumulates() {
         let registry = MetricsRegistry::new();
-        let store = ResidentStore::new();
+        let store = ResidentStore::new(&registry);
         store.set_enabled(true);
-        store.bind_registry(&registry, "hamr");
         let f = frame(&[("a", 1)]);
         let bytes = f.payload_bytes() as u64;
         store.insert("t", 7, 1, one_port(vec![f]));

@@ -11,8 +11,8 @@
 //! `crossbeam-deque`), and at simulation scale the lock is uncontended
 //! for the owner and briefly contended only while a thief sweeps.
 
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 pub(crate) struct WorkerDeque<T> {
     q: Mutex<VecDeque<T>>,
@@ -27,20 +27,17 @@ impl<T> WorkerDeque<T> {
 
     /// Owner-side push (back of the deque).
     pub(crate) fn push(&self, t: T) {
-        self.q
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push_back(t);
+        self.q.lock().push_back(t);
     }
 
     /// Owner-side pop (back of the deque, LIFO — cache-warm first).
     pub(crate) fn pop(&self) -> Option<T> {
-        self.q.lock().unwrap_or_else(|p| p.into_inner()).pop_back()
+        self.q.lock().pop_back()
     }
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.q.lock().unwrap_or_else(|p| p.into_inner()).len()
+        self.q.lock().len()
     }
 
     /// Thief-side steal: take up to half of the victim's tasks (at
@@ -48,7 +45,7 @@ impl<T> WorkerDeque<T> {
     /// for immediate execution; the rest are handed back in `extra` for
     /// the thief to keep in its own deque.
     pub(crate) fn steal_half(&self, extra: &mut Vec<T>) -> Option<T> {
-        let mut q = self.q.lock().unwrap_or_else(|p| p.into_inner());
+        let mut q = self.q.lock();
         let n = q.len();
         if n == 0 {
             return None;

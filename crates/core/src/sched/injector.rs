@@ -6,9 +6,9 @@
 //! small cap keeps one worker from hoarding a fire burst that the rest
 //! of the pool could have shared.
 
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Max tasks one injector pull moves into a worker's deque.
 pub(crate) const INJECTOR_BATCH: usize = 4;
@@ -28,13 +28,13 @@ impl<T> Injector<T> {
     }
 
     pub(crate) fn push(&self, t: T) {
-        let mut q = self.q.lock().unwrap_or_else(|p| p.into_inner());
+        let mut q = self.q.lock();
         q.push_back(t);
         self.len.store(q.len(), Ordering::Release);
     }
 
     pub(crate) fn push_batch(&self, ts: impl IntoIterator<Item = T>) {
-        let mut q = self.q.lock().unwrap_or_else(|p| p.into_inner());
+        let mut q = self.q.lock();
         q.extend(ts);
         self.len.store(q.len(), Ordering::Release);
     }
@@ -45,7 +45,7 @@ impl<T> Injector<T> {
         if self.len.load(Ordering::Acquire) == 0 {
             return None;
         }
-        let mut q = self.q.lock().unwrap_or_else(|p| p.into_inner());
+        let mut q = self.q.lock();
         let first = q.pop_front();
         for _ in 1..INJECTOR_BATCH {
             if let Some(t) = q.pop_front() {

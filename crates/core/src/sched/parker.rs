@@ -9,7 +9,7 @@
 //! [`super::PARK_TIMEOUT`] — this is what bounds the starvation window
 //! the scheduler tests assert on.
 
-use std::sync::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 pub(crate) struct Parker {
@@ -30,7 +30,7 @@ impl Parker {
     /// waiting).
     pub(crate) fn park(&self, timeout: Duration) -> Duration {
         let start = Instant::now();
-        let mut token = self.token.lock().unwrap_or_else(|p| p.into_inner());
+        let mut token = self.token.lock();
         if *token {
             *token = false;
             return Duration::ZERO;
@@ -41,11 +41,7 @@ impl Parker {
             if now >= deadline {
                 break;
             }
-            let (next, _) = self
-                .cv
-                .wait_timeout(token, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            token = next;
+            self.cv.wait_for(&mut token, deadline - now);
             if *token {
                 *token = false;
                 break;
@@ -56,7 +52,7 @@ impl Parker {
 
     /// Deposit a token (capped at one) and wake the parked worker.
     pub(crate) fn unpark(&self) {
-        let mut token = self.token.lock().unwrap_or_else(|p| p.into_inner());
+        let mut token = self.token.lock();
         *token = true;
         drop(token);
         self.cv.notify_one();

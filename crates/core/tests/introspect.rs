@@ -103,12 +103,6 @@ fn metrics_endpoint_live_during_supervised_run() {
         "gauge series present"
     );
 
-    // One epoch snapshot per job; deltas attribute work per job.
-    let deltas = cluster.registry().epoch_deltas();
-    assert_eq!(deltas.len(), 2);
-    assert!(deltas[1].label.starts_with("wc-live-1"));
-    assert!(deltas[1].counter_total("shuffled_bytes_total") > 0);
-
     // /healthz reflects the completed runs; /doctor stays servable.
     let (status, body) = http_get(addr, "/healthz", Duration::from_secs(2)).expect("GET");
     assert_eq!(status, 200);

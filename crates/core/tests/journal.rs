@@ -62,7 +62,7 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
     let dir = journal_dir("reconstruct");
 
     // Chapter 1: a healthy audited run.
-    {
+    let shuffled = {
         let cluster = Cluster::new(ClusterConfig::local(3, 2));
         cluster.enable_journal(&dir).expect("enable journal");
         let result = cluster
@@ -80,7 +80,8 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
             result.metrics.shuffled_bytes > 0,
             "hash shuffle moved bytes"
         );
-    }
+        result.metrics.shuffled_bytes
+    };
 
     // Chapter 2: same journal directory, but node 1 drops every
     // flow-control ack — the shuffle wedges and the watchdog aborts.
@@ -127,10 +128,8 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
         .find(|j| j.job == "wc-clean")
         .expect("clean job in timeline");
     assert_eq!(clean.ok, Some(true));
-    assert!(
-        clean.shuffled_bytes.unwrap_or(0) > 0,
-        "clean job carries its epoch's shuffled bytes: {clean:?}"
-    );
+    assert_eq!(clean.shuffled_bytes, Some(shuffled), "{clean:?}");
+    assert!(clean.task_p99_us.is_some(), "{clean:?}");
     assert!(clean.incidents.is_empty(), "{clean:?}");
 
     let wedged = timeline

@@ -217,22 +217,3 @@ fn session_reset_namespace_scopes_kv_and_cache() {
     assert_eq!(after.hits - before.hits, 1, "km/ serves");
     assert_eq!(after.misses - before.misses, 1, "pr/ recomputes");
 }
-
-#[test]
-fn eviction_under_budget_spills_and_still_serves() {
-    let cluster = cluster_with(SchedMode::WorkStealing);
-    // Budget far below one entry: every fill spills to simdisk, every
-    // serve reloads from the spill file.
-    cluster.resident().set_budget(64);
-    let data = pairs(2000, 3);
-    let (job1, f1) = cached_sum_job("ev-a", data.clone(), "t/ev", 13);
-    let (job2, f2) = cached_sum_job("ev-b", data, "t/ev", 13);
-    let results = cluster.session().run_chain([job1, job2]).unwrap();
-    let stats = cluster.resident().stats();
-    assert!(stats.evictions >= 1, "budget forces a spill");
-    assert_eq!(stats.hits, 1, "spilled entry reloads and serves");
-    assert_eq!(
-        sorted_output(&results[0], f1),
-        sorted_output(&results[1], f2)
-    );
-}

@@ -709,7 +709,6 @@ impl MrCluster {
         }
         if let Some(reg) = &obs.registry {
             final_stats.publish(reg, obs.engine);
-            reg.epoch_snapshot(&final_stats.name);
         }
         Ok(final_stats)
     }

@@ -26,8 +26,8 @@ impl RecordedEvent {
     /// Flatten a live [`TraceEvent`](crate::TraceEvent) into the
     /// recorded form: the name and args of
     /// [`EventKind::describe`](crate::EventKind::describe). Keys are
-    /// sorted so round-trips (JSON args parse back out of an ordered
-    /// map; the journal's binary codec) are identities.
+    /// sorted so a round-trip (JSON args parse back out of an ordered
+    /// map) is the identity.
     pub fn from_event(ev: &crate::TraceEvent) -> RecordedEvent {
         let (name, _, args) = ev.kind.describe();
         let mut args: Vec<(String, u64)> =

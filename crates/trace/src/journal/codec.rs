@@ -4,7 +4,6 @@
 //! frames it builds and the reader hands it the payloads it finds.
 
 use super::JournalRecord;
-use crate::audit::RecordedEvent;
 use crate::registry::{HistSample, Labels, SampleValue, SeriesSample, Snapshot};
 use crate::stats::{EdgeStatsSummary, HopKind, LineageHop, LineageSample, StatsSnapshot, TopKey};
 
@@ -113,13 +112,13 @@ impl<'a> Cursor<'a> {
 
 const TAG_JOB_START: u8 = 1;
 const TAG_JOB_END: u8 = 2;
-const TAG_EVENT: u8 = 3;
 const TAG_EPOCH: u8 = 4;
 const TAG_AUDIT: u8 = 5;
 const TAG_INCIDENT: u8 = 6;
-// 7 was the alert-transition record. `HAMR_JOURNAL=<dir>` reopens old
-// directories, so it is never reused: a tag-7 frame reads back as one
-// of `JournalRead::unknown_records`.
+// 3 was the trace-event record and 7 the alert transition.
+// `HAMR_JOURNAL=<dir>` reopens old directories, so neither is ever
+// reused: such a frame reads back as one of
+// `JournalRead::unknown_records`.
 pub(super) const TAG_STATS: u8 = 8;
 
 /// Frames claiming to be larger than this are corruption, not data.
@@ -183,7 +182,9 @@ fn decode_labels(cur: &mut Cursor) -> Result<Labels, String> {
 
 fn encode_snapshot(buf: &mut Vec<u8>, snap: &Snapshot) {
     put_str(buf, &snap.label);
-    put_u64(buf, snap.seq);
+    // A sequence-number slot nothing reads; kept so journals written
+    // before and after share one layout.
+    put_u64(buf, 0);
     put_u32(buf, snap.series.len() as u32);
     for s in &snap.series {
         put_str(buf, &s.name);
@@ -212,7 +213,7 @@ fn encode_snapshot(buf: &mut Vec<u8>, snap: &Snapshot) {
 
 fn decode_snapshot(cur: &mut Cursor) -> Result<Snapshot, String> {
     let label = cur.str()?;
-    let seq = cur.u64()?;
+    cur.u64()?; // the sequence-number slot
     let n = cur.u32()? as usize;
     let mut series = Vec::with_capacity(n.min(65_536));
     for _ in 0..n {
@@ -246,7 +247,7 @@ fn decode_snapshot(cur: &mut Cursor) -> Result<Snapshot, String> {
             value,
         });
     }
-    Ok(Snapshot { label, seq, series })
+    Ok(Snapshot { label, series })
 }
 
 pub(super) fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
@@ -412,18 +413,6 @@ impl JournalRecord {
                 put_u64(&mut buf, *elapsed_us);
                 put_u64(&mut buf, *shuffled_bytes);
             }
-            JournalRecord::Event(ev) => {
-                buf.push(TAG_EVENT);
-                put_u64(&mut buf, ev.t_us);
-                put_u32(&mut buf, ev.node);
-                put_u32(&mut buf, ev.worker);
-                put_str(&mut buf, &ev.name);
-                put_u32(&mut buf, ev.args.len() as u32);
-                for (k, v) in &ev.args {
-                    put_str(&mut buf, k);
-                    put_u64(&mut buf, *v);
-                }
-            }
             JournalRecord::Epoch(snap) => {
                 buf.push(TAG_EPOCH);
                 encode_snapshot(&mut buf, snap);
@@ -468,29 +457,6 @@ impl JournalRecord {
                 elapsed_us: cur.u64()?,
                 shuffled_bytes: cur.u64()?,
             },
-            TAG_EVENT => {
-                let t_us = cur.u64()?;
-                let node = cur.u32()?;
-                let worker = cur.u32()?;
-                let name = cur.str()?;
-                let n = cur.u32()? as usize;
-                if n > 1024 {
-                    return Err("event arg count out of range".into());
-                }
-                let mut args = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = cur.str()?;
-                    let v = cur.u64()?;
-                    args.push((k, v));
-                }
-                JournalRecord::Event(RecordedEvent {
-                    t_us,
-                    node,
-                    worker,
-                    name,
-                    args,
-                })
-            }
             TAG_EPOCH => JournalRecord::Epoch(decode_snapshot(&mut cur)?),
             TAG_AUDIT => JournalRecord::AuditEpoch {
                 job: cur.str()?,

@@ -2,14 +2,14 @@
 //! that persists what the live introspection plane can only show for
 //! an instant.
 //!
-//! The ring sinks drop old events, `/metrics` is a point-in-time
-//! scrape, and the flight recorder dumps only on failure. The journal
-//! closes that gap: a [`Journal`] continuously appends
-//! [`JournalRecord`]s — job phase markers, trace events tapped from
-//! the ring before overwrite, metrics epoch snapshots, audit-ledger
-//! epochs, and watchdog incidents — so a run can be
-//! reconstructed offline (`hamr timeline <dir>`) even if the process
-//! that wrote it is gone.
+//! `/metrics` is a point-in-time scrape and the flight recorder dumps
+//! only on failure. The journal closes that gap: a [`Journal`] appends
+//! [`JournalRecord`]s — job phase markers, a metrics snapshot per job,
+//! audit-ledger epochs, watchdog incidents and data-plane statistics —
+//! so a run can be reconstructed offline (`hamr timeline <dir>`,
+//! `hamr explain`) even if the process that wrote it is gone. Every
+//! record kind has a reader there; trace events stay in the flight
+//! record (`doctor_<job>.json`, `/doctor`).
 //!
 //! ## Storage shape
 //!
@@ -53,7 +53,6 @@ pub use reader::{read_journal, read_journal_tree, JournalRead};
 pub use timeline::{JobSpan, Timeline};
 pub use writer::Journal;
 
-use crate::audit::RecordedEvent;
 use crate::registry::Snapshot;
 use crate::stats::StatsSnapshot;
 use std::path::PathBuf;
@@ -105,9 +104,9 @@ impl JournalConfig {
     }
 }
 
-/// One durable record. Everything the offline timeline needs to
-/// reconstruct a run: phase markers, evicted trace events, metrics
-/// epochs, custody epochs, and incidents.
+/// One durable record. Everything the offline timeline and `hamr
+/// explain` need to reconstruct a run: phase markers, metrics epochs,
+/// custody epochs, incidents and data-plane statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A job entered the cluster. `t_us` is on the journal's clock.
@@ -125,11 +124,9 @@ pub enum JournalRecord {
         elapsed_us: u64,
         shuffled_bytes: u64,
     },
-    /// A trace event, flattened exactly as the flight recorder stores
-    /// it — tapped from the ring sink before overwrite, or the ring
-    /// tail of a failed run.
-    Event(RecordedEvent),
-    /// A metrics-registry epoch snapshot (one per completed job).
+    /// The cluster's whole registry at a job's end, labeled with the
+    /// job's name — or, labeled empty, when the journal was attached:
+    /// the baseline the first job's deltas are taken against.
     Epoch(Snapshot),
     /// The audit ledger at a job boundary, as its canonical JSON.
     AuditEpoch { job: String, report_json: String },

@@ -62,16 +62,18 @@ pub(super) fn scan_segment(path: &Path) -> std::io::Result<SegmentScan> {
 pub struct JournalRead {
     /// Decoded records across all segments, oldest first.
     pub records: Vec<JournalRecord>,
-    /// Segments that contributed at least one frame.
-    pub segments: usize,
     /// Frames abandoned to CRC corruption or a torn tail.
     pub truncated_frames: u64,
     /// Frames whose payload decoded to an unknown tag or malformed
-    /// body (skipped, e.g. written by a newer version).
+    /// body (skipped, e.g. written by another version).
     pub unknown_records: u64,
-    /// Journal directories that held anything: 0 or 1 from
-    /// [`read_journal`], one per cluster from [`read_journal_tree`].
-    pub sources: usize,
+}
+
+impl JournalRead {
+    /// No record and no torn frame: not a journal.
+    fn holds_nothing(&self) -> bool {
+        self.records.is_empty() && self.truncated_frames == 0
+    }
 }
 
 /// Read a journal directory offline. Corruption inside a segment
@@ -85,7 +87,6 @@ pub fn read_journal(dir: &Path) -> Result<JournalRead, String> {
         let path = dir.join(name);
         let scan = scan_segment(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         out.truncated_frames += u64::from(scan.torn);
-        out.segments += usize::from(!scan.payloads.is_empty());
         for payload in scan.payloads {
             match JournalRecord::decode(&payload) {
                 Ok(rec) => out.records.push(rec),
@@ -93,18 +94,19 @@ pub fn read_journal(dir: &Path) -> Result<JournalRead, String> {
             }
         }
     }
-    out.sources = usize::from(!out.records.is_empty() || out.truncated_frames > 0);
     Ok(out)
 }
 
 /// Read `dir` — or, when it holds nothing itself, every journal among
 /// its immediate subdirectories (the `HAMR_JOURNAL=auto` layout, one
-/// per cluster), merged in name order. This is how `hamr timeline` and
+/// per cluster), in name order. One read per journal, never merged:
+/// each is one cluster's record stream, and its metrics epochs are
+/// deltas only against each other. This is how `hamr timeline` and
 /// `hamr explain` both take a directory.
-pub fn read_journal_tree(dir: &Path) -> Result<JournalRead, String> {
-    let mut out = read_journal(dir)?;
-    if out.sources > 0 {
-        return Ok(out);
+pub fn read_journal_tree(dir: &Path) -> Result<Vec<JournalRead>, String> {
+    let own = read_journal(dir)?;
+    if !own.holds_nothing() {
+        return Ok(vec![own]);
     }
     let mut subs: Vec<_> = std::fs::read_dir(dir)
         .map_err(|e| format!("read {}: {e}", dir.display()))?
@@ -113,12 +115,9 @@ pub fn read_journal_tree(dir: &Path) -> Result<JournalRead, String> {
         .filter(|p| p.is_dir())
         .collect();
     subs.sort();
-    for read in subs.iter().filter_map(|sub| read_journal(sub).ok()) {
-        out.segments += read.segments;
-        out.truncated_frames += read.truncated_frames;
-        out.unknown_records += read.unknown_records;
-        out.sources += read.sources;
-        out.records.extend(read.records);
-    }
-    Ok(out)
+    Ok(subs
+        .iter()
+        .filter_map(|sub| read_journal(sub).ok())
+        .filter(|read| !read.holds_nothing())
+        .collect())
 }

@@ -24,7 +24,6 @@ fn temp_dir(test: &str) -> PathBuf {
 fn sample_records() -> Vec<JournalRecord> {
     let mut snap = Snapshot {
         label: "wc".into(),
-        seq: 3,
         series: Vec::new(),
     };
     snap.series.push(SeriesSample {
@@ -52,13 +51,6 @@ fn sample_records() -> Vec<JournalRecord> {
             engine: "hamr".into(),
             t_us: 10,
         },
-        JournalRecord::Event(RecordedEvent {
-            t_us: 20,
-            node: 1,
-            worker: 2,
-            name: "bin-shipped".into(),
-            args: vec![("bytes".into(), 128), ("edge".into(), 1)],
-        }),
         JournalRecord::Epoch(snap),
         JournalRecord::AuditEpoch {
             job: "wc".into(),
@@ -164,35 +156,9 @@ fn a_stats_record_with_a_retired_hop_kind_keeps_its_known_hops() {
     assert!(explained.contains("final reducer: node 2"));
 }
 
-/// And events written before `describe()` was the one schema: a
-/// journaled `bin-shipped` with neither `records` nor `span`.
-#[test]
-fn an_event_with_the_older_narrower_args_still_decodes() {
-    let args = [("bytes", 128u64), ("dst", 1), ("edge", 1), ("flowlet", 1)];
-    let mut buf = vec![3u8]; // TAG_EVENT
-    put_u64(&mut buf, 20); // t_us
-    put_u32(&mut buf, 1); // node
-    put_u32(&mut buf, 2); // worker
-    put_str(&mut buf, "bin-shipped");
-    put_u32(&mut buf, args.len() as u32);
-    for (k, v) in args {
-        put_str(&mut buf, k);
-        put_u64(&mut buf, v);
-    }
-    let decoded = JournalRecord::decode(&buf).expect("decode");
-    let expected = JournalRecord::Event(RecordedEvent {
-        t_us: 20,
-        node: 1,
-        worker: 2,
-        name: "bin-shipped".into(),
-        args: args.map(|(k, v)| (k.to_string(), v)).to_vec(),
-    });
-    assert_eq!(decoded, expected);
-    assert_eq!(Timeline::from_records(&[decoded]).records, 1);
-}
-
 /// Same for whole records: a directory written before the alert
-/// engine was deleted holds tag-7 frames.
+/// engine was deleted holds tag-7 frames, and one written before trace
+/// events left the journal holds tag-3 frames.
 #[test]
 fn a_retired_tag_7_frame_is_skipped_not_fatal() {
     let mut retired = vec![7u8];
@@ -202,6 +168,17 @@ fn a_retired_tag_7_frame_is_skipped_not_fatal() {
     put_u64(&mut retired, 9f64.to_bits()); // value
     put_u64(&mut retired, 1f64.to_bits()); // threshold
     put_str(&mut retired, "deferred_bins=9");
+    let mut event = vec![3u8];
+    put_u64(&mut event, 20); // t_us
+    put_u32(&mut event, 1); // node
+    put_u32(&mut event, 2); // worker
+    put_str(&mut event, "bin-shipped");
+    let args = [("bytes", 128u64), ("dst", 1), ("edge", 1), ("flowlet", 1)];
+    put_u32(&mut event, args.len() as u32);
+    for (k, v) in args {
+        put_str(&mut event, k);
+        put_u64(&mut event, v);
+    }
     let start = JournalRecord::JobStart {
         job: "wc".into(),
         engine: "hamr".into(),
@@ -214,7 +191,7 @@ fn a_retired_tag_7_frame_is_skipped_not_fatal() {
         elapsed_us: 40,
         shuffled_bytes: 0,
     };
-    let segment = [start.encode(), retired, end.encode()]
+    let segment = [start.encode(), event, retired, end.encode()]
         .iter()
         .flat_map(|payload| frame(payload))
         .collect::<Vec<u8>>();
@@ -223,10 +200,53 @@ fn a_retired_tag_7_frame_is_skipped_not_fatal() {
     std::fs::write(dir.join(segment_name(0)), segment).expect("write segment");
     let read = read_journal(&dir).expect("read");
     assert_eq!(read.records, [start, end]);
-    assert_eq!((read.unknown_records, read.truncated_frames), (1, 0));
+    assert_eq!((read.unknown_records, read.truncated_frames), (2, 0));
     let rendered = Timeline::from_records(&read.records).render();
     let row = rendered.lines().find(|l| l.starts_with("wc")).expect("row");
     assert!(row.ends_with("ok"), "{rendered}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An `HAMR_JOURNAL=auto` parent holds one journal per cluster. Each
+/// is folded on its own: a cluster's first job is measured from its
+/// own registry, not against the cumulative counters of the cluster
+/// read before it.
+#[test]
+fn each_journal_of_a_tree_is_its_own_baseline() {
+    let dir = temp_dir("tree");
+    for (sub, job, hits) in [("c0000", "big", 40), ("c0001", "small", 5)] {
+        let j = Journal::open(JournalConfig::new(dir.join(sub))).expect("open");
+        let mut snap = Snapshot {
+            label: job.into(),
+            series: Vec::new(),
+        };
+        snap.series.push(SeriesSample {
+            name: "hamr_cache_hits_total".into(),
+            labels: Labels::new().engine("hamr"),
+            value: SampleValue::Counter(hits),
+        });
+        j.append(&JournalRecord::JobStart {
+            job: job.into(),
+            engine: "hamr".into(),
+            t_us: 0,
+        });
+        j.append(&JournalRecord::Epoch(snap));
+        j.append(&JournalRecord::JobEnd {
+            job: job.into(),
+            ok: true,
+            t_us: 10,
+            elapsed_us: 10,
+            shuffled_bytes: hits * 100,
+        });
+    }
+    let t = Timeline::load(&dir).expect("load tree");
+    assert_eq!(t.sources, 2);
+    let cols: Vec<_> = t
+        .jobs
+        .iter()
+        .map(|s| (s.job.as_str(), s.cache_hits, s.shuffled_bytes))
+        .collect();
+    assert_eq!(cols, [("big", 40, Some(4000)), ("small", 5, Some(500))]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,12 +1,18 @@
 //! Offline run reconstruction from a journal directory.
 //!
-//! [`Timeline::load`] walks the journal records in order and folds
+//! [`Timeline::load`] walks each journal's records in order and folds
 //! them into per-job spans: when the job started, whether (and how) it
 //! ended, how many bytes it shuffled, what the resident cache served,
 //! the p99 task latency for its epoch, and which watchdog incidents
 //! and stuck edges it left behind. A `JobStart` with no matching
 //! `JobEnd` is a run killed mid-flight — exactly the case the journal
 //! exists for.
+//!
+//! A span's epoch columns are its own job's: the delta of its `Epoch`
+//! against the previous one *in the same journal*, over the series of
+//! its own engine (the `mapred` baseline publishes into the HAMR
+//! cluster's registry). A directory reopened by another process starts
+//! from that process's attach-time baseline epoch.
 //!
 //! `hamr timeline <dir>` renders this; `hamr timeline --diff a b`
 //! compares two reconstructions job by job.
@@ -37,6 +43,7 @@ pub struct JobSpan {
     pub end_us: Option<u64>,
     pub ok: Option<bool>,
     pub elapsed_us: Option<u64>,
+    /// What the job's own `JobEnd` says it shuffled.
     pub shuffled_bytes: Option<u64>,
     /// Resident-cache hits served during this job's epoch delta.
     pub cache_hits: u64,
@@ -44,9 +51,6 @@ pub struct JobSpan {
     pub stall_us: u64,
     /// p99 task latency over this job's epoch delta histogram.
     pub task_p99_us: Option<u64>,
-    /// Trace events journaled while this job was open (ring-overflow
-    /// tap plus the post-mortem tail of a failed run).
-    pub events: u64,
     pub incidents: Vec<IncidentNote>,
     /// Stuck custody edges from the audit epoch, rendered as
     /// `edge E -> node N (K bins in flight)`.
@@ -69,11 +73,11 @@ impl JobSpan {
 #[derive(Debug, Default)]
 pub struct Timeline {
     pub jobs: Vec<JobSpan>,
-    /// Total records decoded across all merged journals.
+    /// Total records decoded across all journals read.
     pub records: usize,
     pub truncated_frames: u64,
     pub unknown_records: u64,
-    /// Journal directories merged (an `auto` parent holds one per
+    /// Journal directories read (an `auto` parent holds one per
     /// cluster).
     pub sources: usize,
 }
@@ -107,24 +111,30 @@ fn aggregate_latency(snap: &Snapshot) -> Option<HistSample> {
 
 impl Timeline {
     /// Load a journal directory, or the per-cluster journals under it
-    /// (see [`read_journal_tree`]).
+    /// (see [`read_journal_tree`]), each folded on its own.
     pub fn load(dir: &Path) -> Result<Timeline, String> {
-        let read = read_journal_tree(dir)?;
-        if read.sources == 0 {
+        let reads = read_journal_tree(dir)?;
+        if reads.is_empty() {
             return Err(format!(
                 "no journal segments under {} (or its subdirectories)",
                 dir.display()
             ));
         }
-        Ok(Timeline {
-            truncated_frames: read.truncated_frames,
-            unknown_records: read.unknown_records,
-            sources: read.sources,
-            ..Timeline::from_records(&read.records)
-        })
+        let mut t = Timeline {
+            sources: reads.len(),
+            ..Timeline::default()
+        };
+        for read in reads {
+            let one = Timeline::from_records(&read.records);
+            t.jobs.extend(one.jobs);
+            t.records += one.records;
+            t.truncated_frames += read.truncated_frames;
+            t.unknown_records += read.unknown_records;
+        }
+        Ok(t)
     }
 
-    /// Fold an ordered record stream into spans.
+    /// Fold one journal's ordered record stream into spans.
     pub fn from_records(records: &[JournalRecord]) -> Timeline {
         let mut t = Timeline {
             records: records.len(),
@@ -151,8 +161,7 @@ impl Timeline {
                     shuffled_bytes,
                 } => {
                     // Close the open span if it matches; otherwise find
-                    // the newest unclosed span with this name (a tap
-                    // record may interleave oddly across reopens).
+                    // the newest unclosed span with this name.
                     let idx = open.filter(|&i| t.jobs[i].job == *job).or_else(|| {
                         t.jobs
                             .iter()
@@ -163,26 +172,24 @@ impl Timeline {
                         span.end_us = Some(*t_us);
                         span.ok = Some(*ok);
                         span.elapsed_us = Some(*elapsed_us);
-                        if span.shuffled_bytes.is_none() {
-                            span.shuffled_bytes = Some(*shuffled_bytes);
-                        }
+                        span.shuffled_bytes = Some(*shuffled_bytes);
                     }
                     open = None;
                 }
-                JournalRecord::Event(_) => {
-                    if let Some(i) = open {
-                        t.jobs[i].events += 1;
-                    }
-                }
                 JournalRecord::Epoch(snap) => {
-                    let delta = match &prev_epoch {
-                        Some(prev) => snap.delta(prev),
-                        None => snap.clone(),
-                    };
-                    let target = open.or_else(|| (!t.jobs.is_empty()).then(|| t.jobs.len() - 1));
-                    if let Some(i) = target {
+                    // An epoch labeled with the open job is that job's
+                    // end; any other (the attach-time baseline) is only
+                    // what the next one is measured against.
+                    if let Some(i) = open.filter(|&i| t.jobs[i].job == snap.label) {
                         let span = &mut t.jobs[i];
-                        span.shuffled_bytes = Some(delta.counter_total("shuffled_bytes_total"));
+                        let mut delta = match &prev_epoch {
+                            Some(prev) => snap.delta(prev),
+                            None => snap.clone(),
+                        };
+                        let engine = Some(span.engine.as_str());
+                        delta
+                            .series
+                            .retain(|s| s.labels.engine.as_deref() == engine);
                         span.cache_hits = delta.counter_total("hamr_cache_hits_total");
                         span.stall_us = delta.counter_total("flowlet_stall_us_total");
                         if let Some(h) = aggregate_latency(&delta) {
@@ -404,62 +411,72 @@ fn parse_stuck_edges(report_json: &str) -> Vec<String> {
 mod tests {
     use super::super::JournalRecord;
     use super::*;
-    use crate::audit::RecordedEvent;
     use crate::registry::{Labels, SeriesSample};
 
-    fn snap(label: &str, seq: u64, shuffled: u64, lat_bucket: usize, lat_n: u64) -> Snapshot {
+    /// One engine's cumulative series as a cluster registry holds them:
+    /// shuffled bytes, cache hits, and `lat_n` task latencies in bucket
+    /// `lat_bucket`.
+    fn series(
+        engine: &str,
+        shuffled: u64,
+        hits: u64,
+        lat_bucket: usize,
+        lat_n: u64,
+    ) -> Vec<SeriesSample> {
         let mut buckets = vec![0u64; 64];
         buckets[lat_bucket] = lat_n;
-        Snapshot {
+        let counter = |name: &str, v| SeriesSample {
+            name: name.into(),
+            labels: Labels::new().engine(engine),
+            value: SampleValue::Counter(v),
+        };
+        vec![
+            counter("shuffled_bytes_total", shuffled),
+            counter("hamr_cache_hits_total", hits),
+            SeriesSample {
+                name: "flowlet_task_latency_us".into(),
+                labels: Labels::new().engine(engine).flowlet(0),
+                value: SampleValue::Histogram(HistSample {
+                    count: lat_n,
+                    sum_us: lat_n * 100,
+                    buckets,
+                }),
+            },
+        ]
+    }
+
+    fn epoch(label: &str, series: Vec<SeriesSample>) -> JournalRecord {
+        JournalRecord::Epoch(Snapshot {
             label: label.into(),
-            seq,
-            series: vec![
-                SeriesSample {
-                    name: "shuffled_bytes_total".into(),
-                    labels: Labels::new().engine("hamr"),
-                    value: SampleValue::Counter(shuffled),
-                },
-                SeriesSample {
-                    name: "flowlet_task_latency_us".into(),
-                    labels: Labels::new().engine("hamr").flowlet(0),
-                    value: SampleValue::Histogram(HistSample {
-                        count: lat_n,
-                        sum_us: lat_n * 100,
-                        buckets,
-                    }),
-                },
-            ],
+            series,
+        })
+    }
+
+    fn start(job: &str, t_us: u64) -> JournalRecord {
+        JournalRecord::JobStart {
+            job: job.into(),
+            engine: "hamr".into(),
+            t_us,
+        }
+    }
+
+    fn end(job: &str, t_us: u64, shuffled_bytes: u64) -> JournalRecord {
+        JournalRecord::JobEnd {
+            job: job.into(),
+            ok: true,
+            t_us,
+            elapsed_us: 100,
+            shuffled_bytes,
         }
     }
 
     #[test]
     fn reconstructs_completed_and_killed_spans() {
         let records = vec![
-            JournalRecord::JobStart {
-                job: "wc".into(),
-                engine: "hamr".into(),
-                t_us: 0,
-            },
-            JournalRecord::Epoch(snap("wc", 1, 1000, 7, 10)),
-            JournalRecord::JobEnd {
-                job: "wc".into(),
-                ok: true,
-                t_us: 5000,
-                elapsed_us: 5000,
-                shuffled_bytes: 1000,
-            },
-            JournalRecord::JobStart {
-                job: "pr".into(),
-                engine: "hamr".into(),
-                t_us: 6000,
-            },
-            JournalRecord::Event(RecordedEvent {
-                t_us: 6500,
-                node: 0,
-                worker: 0,
-                name: "bin-shipped".into(),
-                args: vec![],
-            }),
+            start("wc", 0),
+            epoch("wc", series("hamr", 1000, 0, 7, 10)),
+            end("wc", 5000, 1000),
+            start("pr", 6000),
             JournalRecord::Incident {
                 job: "pr".into(),
                 class: "backpressure".into(),
@@ -473,7 +490,6 @@ mod tests {
         assert_eq!(t.jobs[0].shuffled_bytes, Some(1000));
         assert_eq!(t.jobs[0].task_p99_us, Some(127), "p99 = upper of bucket 7");
         assert_eq!(t.jobs[1].ok, None, "killed mid-flight");
-        assert_eq!(t.jobs[1].events, 1);
         assert_eq!(t.jobs[1].incidents.len(), 1);
         assert_eq!(t.unfinished().len(), 1);
         let rendered = t.render();
@@ -485,37 +501,65 @@ mod tests {
     #[test]
     fn epoch_deltas_are_per_job_not_cumulative() {
         let records = vec![
-            JournalRecord::JobStart {
-                job: "a".into(),
-                engine: "hamr".into(),
-                t_us: 0,
-            },
-            JournalRecord::Epoch(snap("a", 1, 1000, 5, 4)),
-            JournalRecord::JobEnd {
-                job: "a".into(),
-                ok: true,
-                t_us: 100,
-                elapsed_us: 100,
-                shuffled_bytes: 1000,
-            },
-            JournalRecord::JobStart {
-                job: "b".into(),
-                engine: "hamr".into(),
-                t_us: 200,
-            },
-            // Cumulative counter reads 1500: job b shuffled only 500.
-            JournalRecord::Epoch(snap("b", 2, 1500, 5, 8)),
-            JournalRecord::JobEnd {
-                job: "b".into(),
-                ok: true,
-                t_us: 300,
-                elapsed_us: 100,
-                shuffled_bytes: 500,
-            },
+            start("a", 0),
+            epoch("a", series("hamr", 1000, 3, 5, 4)),
+            end("a", 100, 1000),
+            start("b", 200),
+            // Cumulative: job b hit the cache twice and ran four tasks.
+            epoch("b", series("hamr", 1500, 5, 9, 4)),
+            end("b", 300, 500),
         ];
         let t = Timeline::from_records(&records);
-        assert_eq!(t.jobs[0].shuffled_bytes, Some(1000));
-        assert_eq!(t.jobs[1].shuffled_bytes, Some(500), "delta, not cumulative");
+        assert_eq!((t.jobs[0].cache_hits, t.jobs[0].task_p99_us), (3, Some(31)));
+        assert_eq!(
+            (t.jobs[1].cache_hits, t.jobs[1].shuffled_bytes),
+            (2, Some(500))
+        );
+    }
+
+    /// The `mapred` baseline publishes into the HAMR cluster's
+    /// registry, so a HAMR job's epoch also carries every earlier
+    /// `mapred` job's series: they are not the HAMR job's.
+    #[test]
+    fn a_mapred_job_ahead_does_not_count_toward_the_hamr_job() {
+        let mut both = series("mapred", 5000, 0, 12, 10);
+        both.extend(series("hamr", 700, 1, 6, 10));
+        let t = Timeline::from_records(&[start("wc", 0), epoch("wc", both), end("wc", 100, 700)]);
+        let wc = &t.jobs[0];
+        assert_eq!(wc.shuffled_bytes, Some(700));
+        assert_eq!((wc.cache_hits, wc.task_p99_us), (1, Some(63)));
+    }
+
+    /// A second process reopens the directory: its registry starts
+    /// over, and its attach-time baseline (an epoch labeled with no
+    /// job) is what its first job is measured against. A directory
+    /// reopened before baselines were written has none; there a series
+    /// that went backwards restarted and reads as its current value.
+    #[test]
+    fn a_reopened_directory_measures_each_process_from_its_own_start() {
+        let records = vec![
+            start("a", 0),
+            epoch("a", series("hamr", 1000, 3, 5, 4)),
+            end("a", 100, 1000),
+            // Process two, attached with two earlier un-journaled hits.
+            epoch("", series("hamr", 0, 2, 0, 0)),
+            start("b", 10),
+            epoch("b", series("hamr", 600, 3, 5, 2)),
+            end("b", 90, 600),
+            // Process three, from a build that wrote no baseline.
+            start("c", 10),
+            epoch("c", series("hamr", 200, 0, 3, 1)),
+            end("c", 50, 200),
+        ];
+        let t = Timeline::from_records(&records);
+        let cols = |i: usize| {
+            let s = &t.jobs[i];
+            (s.shuffled_bytes, s.cache_hits, s.task_p99_us)
+        };
+        assert_eq!(t.jobs.len(), 3, "the baseline opens no span");
+        assert_eq!(cols(0), (Some(1000), 3, Some(31)));
+        assert_eq!(cols(1), (Some(600), 1, Some(31)));
+        assert_eq!(cols(2), (Some(200), 0, Some(7)));
     }
 
     #[test]

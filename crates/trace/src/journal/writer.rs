@@ -156,16 +156,14 @@ impl Journal {
         *self.metrics.lock().unwrap_or_else(|p| p.into_inner()) = Some((bytes, records));
     }
 
-    /// Append one record. Never panics and never fails the caller; IO
-    /// errors bump [`io_errors`](Journal::io_errors).
+    /// Append one record and flush it: every record must survive a
+    /// kill right after the append. Never panics and never fails the
+    /// caller; IO errors bump [`io_errors`](Journal::io_errors).
     pub fn append(&self, rec: &JournalRecord) {
         let frame = codec::frame(&rec.encode());
-        // Phase markers and incidents must survive a kill
-        // right after the append; bulk event traffic may buffer.
-        let durable = !matches!(rec, JournalRecord::Event(_));
         let written = {
             let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-            Self::append_locked(&mut inner, &frame, durable)
+            Self::append_locked(&mut inner, &frame)
         };
         if let Err(e) = written {
             let n = self.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -183,7 +181,7 @@ impl Journal {
         }
     }
 
-    fn append_locked(inner: &mut WriterInner, frame: &[u8], durable: bool) -> std::io::Result<()> {
+    fn append_locked(inner: &mut WriterInner, frame: &[u8]) -> std::io::Result<()> {
         if inner.file.is_none()
             || (inner.seg_bytes > 0
                 && inner.seg_bytes + frame.len() as u64 > inner.cfg.segment_bytes)
@@ -192,9 +190,7 @@ impl Journal {
         }
         let file = inner.file.as_mut().expect("rotate opened a segment");
         file.write_all(frame)?;
-        if durable {
-            file.flush()?;
-        }
+        file.flush()?;
         inner.seg_bytes += frame.len() as u64;
         Ok(())
     }

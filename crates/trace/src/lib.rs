@@ -224,13 +224,12 @@ macro_rules! args {
 
 impl EventKind {
     /// The one external description of an event: `(name, category,
-    /// args)`. The name is what flight records and journals persist
-    /// (so files written by any build read alike) and what the Chrome
+    /// args)`. The name is what flight records persist (so files
+    /// written by any build read alike) and what the Chrome
     /// export calls every event it draws as an instant; the category
     /// is the Chrome `cat`; the args are every numeric field under its
-    /// own name, in declaration order. Flight records, journaled
-    /// events and the Chrome export all read this — a new field is
-    /// added here, once.
+    /// own name, in declaration order. Flight records and the Chrome
+    /// export both read this — a new field is added here, once.
     pub fn describe(&self) -> (&'static str, &'static str, Vec<(&'static str, u64)>) {
         use EventKind::*;
         match self {
@@ -393,17 +392,7 @@ pub struct RingSink {
     /// Optional registry counter bumped alongside `dropped`, so lost
     /// trace events show up live in `/metrics` instead of warn-only.
     drop_mirror: Mutex<Option<Counter>>,
-    /// Optional callback handed each event the ring is about to
-    /// overwrite — the flight journal's continuous-persistence hook.
-    /// Follows the `drop_mirror` shape: unset, overflow costs one
-    /// mutex probe; set, the evicted event is offered to the tap
-    /// before it is lost.
-    overflow_tap: Mutex<Option<OverflowTap>>,
 }
-
-/// Callback offered each event the ring evicts on overflow — the
-/// flight journal's continuous-persistence hook.
-pub type OverflowTap = Arc<dyn Fn(&TraceEvent) + Send + Sync>;
 
 impl RingSink {
     /// `lanes` independent buffers of `per_lane_capacity` events each.
@@ -414,7 +403,6 @@ impl RingSink {
             per_lane_capacity,
             dropped: AtomicU64::new(0),
             drop_mirror: Mutex::new(None),
-            overflow_tap: Mutex::new(None),
         }
     }
 
@@ -428,14 +416,6 @@ impl RingSink {
     /// `/metrics` while the run is still going.
     pub fn mirror_drops(&self, counter: Counter) {
         *self.drop_mirror.lock().unwrap_or_else(|p| p.into_inner()) = Some(counter);
-    }
-
-    /// Install (or clear) the overflow tap: every event the ring
-    /// evicts to make room is offered to `tap` before it is lost. The
-    /// tap is called with no lane lock held, so a slow tap (a journal
-    /// append) never blocks the lane's other producers.
-    pub fn set_overflow_tap(&self, tap: Option<OverflowTap>) {
-        *self.overflow_tap.lock().unwrap_or_else(|p| p.into_inner()) = tap;
     }
 
     /// Every lane's events as `take` yields them, sorted by timestamp.
@@ -466,26 +446,17 @@ impl RingSink {
 
 impl TraceSink for RingSink {
     fn record(&self, ev: TraceEvent) {
-        let mut evicted = None;
-        {
-            let mut q = self.lanes[ev.node as usize % self.lanes.len()]
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            if q.len() >= self.per_lane_capacity {
-                evicted = q.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                if let Some(counter) = &*self.drop_mirror.lock().unwrap_or_else(|p| p.into_inner())
-                {
-                    counter.inc();
-                }
-            }
-            q.push_back(ev);
-        }
-        if let Some(evicted) = evicted {
-            if let Some(tap) = &*self.overflow_tap.lock().unwrap_or_else(|p| p.into_inner()) {
-                tap(&evicted);
+        let mut q = self.lanes[ev.node as usize % self.lanes.len()]
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        if q.len() >= self.per_lane_capacity {
+            q.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            if let Some(counter) = &*self.drop_mirror.lock().unwrap_or_else(|p| p.into_inner()) {
+                counter.inc();
             }
         }
+        q.push_back(ev);
     }
 }
 
@@ -836,8 +807,8 @@ pub(crate) mod tests {
     }
 
     /// `describe()` is the only description there is: what it says of
-    /// an event survives the flight record's JSON and the journal's
-    /// binary codec unchanged, and is what the Chrome export prints.
+    /// an event survives the flight record's JSON unchanged, and is
+    /// what the Chrome export prints.
     #[test]
     fn every_kind_is_described_once_for_every_reader() {
         let ring = RingSink::new(1, 64);
@@ -853,9 +824,6 @@ pub(crate) mod tests {
             let recorded_args: Vec<(&str, u64)> =
                 recorded.args.iter().map(|(k, v)| (&**k, *v)).collect();
             assert_eq!((&*recorded.name, recorded_args), (name, args));
-            let journaled = JournalRecord::Event(recorded.clone());
-            let decoded = JournalRecord::decode(&journaled.encode()).expect("decode");
-            assert_eq!(decoded, journaled);
         }
         let parsed = FlightRecord::parse(&record.to_json()).expect("parse back");
         assert_eq!(parsed.events, record.events);

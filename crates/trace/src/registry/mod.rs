@@ -13,10 +13,6 @@
 //!   mid-run) into a [`Snapshot`], rendered as Prometheus text for the
 //!   embedded `/metrics` endpoint, or diffed against an earlier
 //!   snapshot via [`Snapshot::delta`];
-//! * **epoch snapshots** ([`MetricsRegistry::epoch_snapshot`]) give
-//!   iterative workloads per-iteration deltas (shuffled bytes, records)
-//!   out of the box: the cluster takes one at every job completion and
-//!   [`MetricsRegistry::epoch_deltas`] subtracts neighbors;
 //! * [`MetricsRegistry::live_gauges`] is the **gauge-only view** of one
 //!   engine's series — what the watchdog reads each epoch, what a
 //!   flight record dumps, and what a [`GaugeSampler`] polls into a time
@@ -24,7 +20,7 @@
 //! * registration is **bounded**: past `max_series` distinct label
 //!   sets, new registrations return inert handles and are tallied in a
 //!   `registry_dropped_series_total` meta-counter instead of growing
-//!   without limit; the epoch log keeps the newest [`MAX_EPOCHS`].
+//!   without limit.
 //!
 //! Registering the same `(name, labels)` twice returns handles sharing
 //! one cell, so concurrent registration from many worker threads is
@@ -302,7 +298,6 @@ struct RegistryInner {
     max_series: usize,
     series: Mutex<SeriesMap>,
     dropped_series: AtomicU64,
-    epochs: Mutex<Vec<Snapshot>>,
 }
 
 /// Cheap, cloneable handle to the unified registry. See the module
@@ -314,10 +309,6 @@ pub struct MetricsRegistry {
 
 /// Default bound on distinct series.
 pub const DEFAULT_MAX_SERIES: usize = 4096;
-
-/// Epoch snapshots the log retains (one per job): a session of any
-/// length holds this many, the newest.
-pub const MAX_EPOCHS: usize = 64;
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
@@ -340,7 +331,6 @@ impl MetricsRegistry {
                 max_series,
                 series: Mutex::new(SeriesMap::default()),
                 dropped_series: AtomicU64::new(0),
-                epochs: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -450,10 +440,6 @@ impl MetricsRegistry {
     /// Snapshot every series' current value. Safe to call at any time,
     /// including while jobs are running.
     pub fn snapshot(&self) -> Snapshot {
-        self.snapshot_labeled("", 0)
-    }
-
-    fn snapshot_labeled(&self, label: &str, seq: u64) -> Snapshot {
         let map = self.inner.series.lock().unwrap_or_else(|p| p.into_inner());
         let mut series: Vec<SeriesSample> = map
             .list
@@ -475,8 +461,7 @@ impl MetricsRegistry {
             value: SampleValue::Counter(self.dropped_series()),
         });
         Snapshot {
-            label: label.to_string(),
-            seq,
+            label: String::new(),
             series,
         }
     }
@@ -499,49 +484,6 @@ impl MetricsRegistry {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Take a snapshot and append it to the epoch log, which keeps the
-    /// newest [`MAX_EPOCHS`]. The cluster calls this at every job
-    /// completion; iterative workloads thereby get one epoch per
-    /// iteration without doing anything.
-    pub fn epoch_snapshot(&self, label: &str) -> Snapshot {
-        let mut epochs = self.inner.epochs.lock().unwrap_or_else(|p| p.into_inner());
-        // `seq` keeps counting when the log drops its oldest entry.
-        let seq = epochs.last().map_or(0, |newest| newest.seq + 1);
-        let snap = self.snapshot_labeled(label, seq);
-        if epochs.len() == MAX_EPOCHS {
-            epochs.remove(0);
-        }
-        epochs.push(snap.clone());
-        snap
-    }
-
-    /// The retained epoch snapshots, oldest first.
-    pub fn epochs(&self) -> Vec<Snapshot> {
-        self.inner
-            .epochs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-    }
-
-    /// Per-epoch deltas: each retained epoch minus the one before it.
-    /// Counter and histogram series subtract; gauges keep their
-    /// epoch-end value. The very first epoch (`seq` 0) is measured
-    /// against zero; once the log has dropped it, the oldest retained
-    /// snapshot is only the baseline of the first delta.
-    pub fn epoch_deltas(&self) -> Vec<Snapshot> {
-        let epochs = self.epochs();
-        let mut out = Vec::with_capacity(epochs.len());
-        for (i, snap) in epochs.iter().enumerate() {
-            match i.checked_sub(1) {
-                Some(prev) => out.push(snap.delta(&epochs[prev])),
-                None if snap.seq == 0 => out.push(snap.clone()),
-                None => {}
-            }
-        }
-        out
     }
 }
 
@@ -632,26 +574,43 @@ mod tests {
         }
     }
 
+    /// What a journal reader does with the epochs a cluster records at
+    /// job boundaries: each minus its neighbour is that job's share.
+    /// A registry that started over in between (another process
+    /// reopened the journal) went backwards, and reads as its current
+    /// value rather than as zero.
     #[test]
     fn epoch_deltas_subtract_neighbors() {
         let r = MetricsRegistry::new();
         let c = r.counter("shuffled_bytes_total", Labels::new().job("pr"));
         let g = r.gauge("depth", Labels::new());
+        let h = r.histogram("lat_us", Labels::new());
         c.add(10);
         g.set(4);
-        r.epoch_snapshot("iter0");
+        h.record_us(100);
+        h.record_us(200);
+        let iter0 = r.snapshot();
         c.add(25);
         g.set(2);
-        r.epoch_snapshot("iter1");
-        let deltas = r.epoch_deltas();
-        assert_eq!(deltas.len(), 2);
-        assert_eq!(deltas[0].counter_total("shuffled_bytes_total"), 10);
-        assert_eq!(deltas[1].counter_total("shuffled_bytes_total"), 25);
+        let iter1 = r.snapshot();
+        let delta = iter1.delta(&iter0);
+        assert_eq!(delta.counter_total("shuffled_bytes_total"), 25);
         // Gauges pass through their epoch-end value.
         assert!(matches!(
-            deltas[1].get("depth", &Labels::new()),
+            delta.get("depth", &Labels::new()),
             Some(SampleValue::Gauge(2))
         ));
-        assert_eq!(deltas[1].label, "iter1");
+
+        let restarted = MetricsRegistry::new();
+        restarted
+            .counter("shuffled_bytes_total", Labels::new().job("pr"))
+            .add(7);
+        restarted.histogram("lat_us", Labels::new()).record_us(5);
+        let delta = restarted.snapshot().delta(&iter1);
+        assert_eq!(delta.counter_total("shuffled_bytes_total"), 7);
+        assert!(matches!(
+            delta.get("lat_us", &Labels::new()),
+            Some(SampleValue::Histogram(hs)) if hs.count == 1 && hs.sum_us == 5
+        ));
     }
 }

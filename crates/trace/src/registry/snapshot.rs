@@ -14,7 +14,12 @@ pub struct HistSample {
 }
 
 impl HistSample {
+    /// This histogram minus `prev`, or all of it when `prev` holds more
+    /// observations: the series restarted in between.
     fn delta(&self, prev: &HistSample) -> HistSample {
+        if self.count < prev.count {
+            return self.clone();
+        }
         HistSample {
             count: self.count.saturating_sub(prev.count),
             sum_us: self.sum_us.saturating_sub(prev.sum_us),
@@ -49,11 +54,9 @@ pub struct SeriesSample {
 /// ([`Snapshot::to_prometheus`]), and safe to hold across runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Free-form tag — the job name for epoch snapshots taken at job
-    /// completion, empty for ad-hoc snapshots.
+    /// Free-form tag — the job name of a journaled epoch, empty for
+    /// ad-hoc snapshots.
     pub label: String,
-    /// Epoch sequence number (0 for ad-hoc snapshots).
-    pub seq: u64,
     pub series: Vec<SeriesSample>,
 }
 
@@ -78,10 +81,11 @@ impl Snapshot {
             .sum()
     }
 
-    /// This snapshot minus `prev`: counters and histograms subtract
-    /// (saturating, so a restarted series reads as its current value
-    /// rather than wrapping); gauges are instantaneous and pass
-    /// through unchanged. Series absent from `prev` keep their value.
+    /// This snapshot minus `prev`: counters and histograms subtract; a
+    /// series that went backwards restarted in between (another
+    /// process reopened the journal) and reads as its current value.
+    /// Gauges are instantaneous and pass through unchanged. Series
+    /// absent from `prev` keep their value.
     pub fn delta(&self, prev: &Snapshot) -> Snapshot {
         let series = self
             .series
@@ -89,7 +93,7 @@ impl Snapshot {
             .map(|s| {
                 let value = match (&s.value, prev.get(&s.name, &s.labels)) {
                     (SampleValue::Counter(now), Some(SampleValue::Counter(before))) => {
-                        SampleValue::Counter(now.saturating_sub(*before))
+                        SampleValue::Counter(now.checked_sub(*before).unwrap_or(*now))
                     }
                     (SampleValue::Histogram(now), Some(SampleValue::Histogram(before))) => {
                         SampleValue::Histogram(now.delta(before))
@@ -105,7 +109,6 @@ impl Snapshot {
             .collect();
         Snapshot {
             label: self.label.clone(),
-            seq: self.seq,
             series,
         }
     }

@@ -43,13 +43,6 @@ impl HopKind {
             _ => return None,
         })
     }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            HopKind::Emit => "emit",
-            HopKind::Reduce => "reduce",
-        }
-    }
 }
 
 /// One hop of a sampled record: which flowlet moved it, over which

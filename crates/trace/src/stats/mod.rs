@@ -111,7 +111,8 @@ impl StatsMode {
 pub const DEFAULT_SAMPLE_ONE_IN: u64 = 64;
 
 /// The per-job stats record: merged per-edge summaries plus lineage
-/// samples. Persisted to the journal (tag 8) and served by `/stats`.
+/// samples. Persisted to the journal (tag 8), where `hamr timeline` and
+/// `hamr explain` read it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
     pub job: String,
@@ -148,65 +149,5 @@ impl StatsSnapshot {
         self.samples
             .iter()
             .find(|s| needles.iter().any(|n| n == &s.key) || hash == Some(s.hash))
-    }
-
-    /// Render as JSON for the `/stats` endpoint and scrape artifacts.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"job\":\"");
-        out.push_str(&crate::json::escape(&self.job));
-        out.push_str("\",\"engine\":\"");
-        out.push_str(&crate::json::escape(&self.engine));
-        out.push_str("\",\"edges\":[");
-        for (i, e) in self.edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"edge\":{},\"shuffle\":{},\"records\":{},\"bytes\":{},\"distinct\":{},\"hot_share\":{:.4},\"p50\":{},\"p90\":{},\"p99\":{},\"top\":[",
-                e.edge, e.shuffle, e.records, e.bytes, e.distinct, e.hot_share, e.p50, e.p90, e.p99
-            ));
-            for (j, t) in e.top.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"key\":\"{}\",\"hash\":{},\"count\":{},\"err\":{}}}",
-                    crate::json::escape(&format_key(&t.key)),
-                    t.hash,
-                    t.count,
-                    t.err
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"samples\":[");
-        for (i, s) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"key\":\"{}\",\"hash\":{},\"hops\":[",
-                crate::json::escape(&format_key(&s.key)),
-                s.hash
-            ));
-            for (j, h) in s.hops.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"kind\":\"{}\",\"flowlet\":\"{}\",\"edge\":{},\"src\":{},\"dst\":{},\"records\":{}}}",
-                    h.kind.name(),
-                    crate::json::escape(&h.flowlet_name),
-                    h.edge,
-                    h.src,
-                    h.dst,
-                    h.records
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
     }
 }

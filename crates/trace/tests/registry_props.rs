@@ -2,8 +2,7 @@
 //! generators (an LCG, not a proptest dependency) driving many random
 //! rounds per property.
 
-use hamr_trace::registry::MAX_EPOCHS;
-use hamr_trace::{Labels, MetricsRegistry, SampleValue};
+use hamr_trace::{Labels, MetricsRegistry, SampleValue, Snapshot};
 
 /// Deterministic pseudo-random stream.
 fn lcg(state: &mut u64) -> u64 {
@@ -113,49 +112,33 @@ fn concurrent_gauge_updates_net_zero_on_one_cell() {
     }
 }
 
-/// Epoch deltas must tile the counter's history exactly: each delta
-/// equals what that epoch added, and the deltas sum to the final
-/// total (no loss, no double counting, regardless of the increment
-/// pattern). Past the log's cap the oldest epochs are gone, and the
-/// deltas tile exactly what is retained.
+/// Snapshot deltas must tile the counter's history exactly: each
+/// delta between neighbouring snapshots equals what was added between
+/// them, and the deltas sum to the final total (no loss, no double
+/// counting, regardless of the increment pattern) — how the benchmark
+/// attributes counters to one job and the timeline to one span.
 #[test]
 fn epoch_deltas_tile_counter_history() {
     let mut state = 0x9E3779B97F4A7C15u64;
-    for round in 0..10 {
+    for _ in 0..10 {
         let registry = MetricsRegistry::new();
         let c = registry.counter("delta_bytes_total", Labels::new().engine("hamr"));
-        let mut per_epoch = Vec::new();
-        let mut epochs = 3 + (lcg(&mut state) % 10) as usize;
-        if round % 2 == 1 {
-            epochs += MAX_EPOCHS;
-        }
-        for e in 0..epochs {
+        let mut prev = Snapshot::default();
+        let mut sum = 0u64;
+        for e in 0..3 + lcg(&mut state) % 70 {
             let mut added = 0u64;
             for _ in 0..lcg(&mut state) % 50 {
                 let x = lcg(&mut state) % 1000;
                 c.add(x);
                 added += x;
             }
-            per_epoch.push(added);
-            registry.epoch_snapshot(&format!("epoch{e}"));
-        }
-        // A log that dropped epochs keeps its oldest snapshot only as
-        // the baseline of the first delta it can still state.
-        let dropped = epochs.saturating_sub(MAX_EPOCHS);
-        let first = if dropped > 0 { dropped + 1 } else { 0 };
-        assert_eq!(registry.epochs().len(), epochs - dropped);
-        let deltas = registry.epoch_deltas();
-        assert_eq!(deltas.len(), epochs - first);
-        let mut sum = 0u64;
-        for (delta, e) in deltas.iter().zip(first..) {
-            assert_eq!(delta.label, format!("epoch{e}"));
-            assert_eq!(delta.seq, e as u64, "seq counts every epoch ever taken");
-            let got = delta.counter_total("delta_bytes_total");
-            assert_eq!(got, per_epoch[e], "epoch {e} delta");
+            let now = registry.snapshot();
+            let got = now.delta(&prev).counter_total("delta_bytes_total");
+            assert_eq!(got, added, "epoch {e} delta");
             sum += got;
+            prev = now;
         }
-        let untold: u64 = per_epoch[..first].iter().sum();
-        assert_eq!(sum + untold, c.get(), "deltas tile the retained history");
+        assert_eq!(sum, c.get(), "deltas tile the history");
     }
 }
 

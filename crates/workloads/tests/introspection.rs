@@ -1,22 +1,28 @@
-//! Workload-level introspection: per-iteration epoch deltas for
-//! PageRank, and one `/metrics` scrape covering both engines.
+//! Workload-level introspection: per-iteration shuffle volume for
+//! PageRank read back from its journal, and one `/metrics` scrape
+//! covering both engines.
 
-use hamr_trace::{http_get, parse_prometheus};
+use hamr_trace::{http_get, parse_prometheus, Timeline};
 use hamr_workloads::pagerank::PageRank;
 use hamr_workloads::wordcount::WordCount;
 use hamr_workloads::{Benchmark, Env};
 use std::time::Duration;
 
-/// An iterative workload reports per-iteration shuffle volume out of
-/// the box: each HAMR job records one epoch snapshot, and the PageRank
-/// session chain runs a setup job plus a (rank-ship, update) pair per
-/// later iteration. The update epochs also expose the tentpole's
-/// collapse: update1 fills the resident cache (full reverse-adjacency
-/// shuffle), update2 is served pinned frames and ships only the
-/// convergence tail.
+/// An iterative workload's per-iteration shuffle volume is in its
+/// journal: every HAMR job is one span, and the PageRank session chain
+/// runs a setup job plus a (rank-ship, update) pair per later
+/// iteration. The update spans also expose the resident cache's
+/// collapse: update1 fills it (full reverse-adjacency shuffle), update2
+/// is served pinned frames and ships only the convergence tail.
 #[test]
 fn pagerank_reports_per_iteration_shuffle_deltas() {
+    let dir = std::env::temp_dir().join(format!(
+        "hamr_introspection_pagerank_{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
     let env = Env::test(2, 2);
+    env.hamr.enable_journal(&dir).expect("enable journal");
     // Pinned on, so an ambient HAMR_RESIDENT=off cannot hollow out
     // the served-collapse assertion.
     env.hamr.resident().set_enabled(true);
@@ -26,16 +32,15 @@ fn pagerank_reports_per_iteration_shuffle_deltas() {
     };
     pr.seed(&env).expect("seed");
     pr.run_hamr(&env).expect("run");
-    let deltas: Vec<_> = env
-        .hamr
-        .registry()
-        .epoch_deltas()
-        .into_iter()
-        .filter(|s| s.label.starts_with("pagerank-"))
+    let timeline = Timeline::load(&dir).expect("load timeline");
+    let spans: Vec<_> = timeline
+        .jobs
+        .iter()
+        .filter(|s| s.job.starts_with("pagerank-"))
         .collect();
-    let labels: Vec<&str> = deltas.iter().map(|s| s.label.as_str()).collect();
+    let names: Vec<&str> = spans.iter().map(|s| s.job.as_str()).collect();
     assert_eq!(
-        labels,
+        names,
         [
             "pagerank-iter0",
             "pagerank-ship1",
@@ -45,24 +50,17 @@ fn pagerank_reports_per_iteration_shuffle_deltas() {
         ],
         "setup, then one (ship, update) pair per later iteration"
     );
-    for snap in &deltas {
-        assert!(
-            snap.counter_total("shuffled_bytes_total") > 0,
-            "{} shuffled bytes",
-            snap.label
-        );
-        assert!(
-            snap.counter_total("shuffled_messages_total") > 0,
-            "{} shuffled messages",
-            snap.label
-        );
-    }
-    let filled = deltas[2].counter_total("shuffled_bytes_total");
-    let served = deltas[4].counter_total("shuffled_bytes_total");
+    let shuffled: Vec<u64> = spans
+        .iter()
+        .map(|s| s.shuffled_bytes.unwrap_or(0))
+        .collect();
+    assert!(shuffled.iter().all(|&b| b > 0), "{names:?}: {shuffled:?}");
+    let (filled, served) = (shuffled[2], shuffled[4]);
     assert!(
         served * 5 <= filled,
         "served update must collapse the shuffle (fill={filled}, serve={served})"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One scrape, both engines: the MapReduce baseline publishes into the
