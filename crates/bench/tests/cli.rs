@@ -3,7 +3,8 @@
 //! an unsampled key exits 1), a reader that has closed stdout ends
 //! a listing quietly instead of with a `println!` panic, `doctor`
 //! tells a clean flight record from a tripped one from a non-record,
-//! and `trace` leaves loadable timelines with the skewed run's stalls.
+//! and `trace` leaves two loadable timelines, and nothing else, with
+//! the skewed run's stalls.
 
 use hamr_core::RuntimeConfig;
 use hamr_trace::json::{self, Json};
@@ -168,6 +169,16 @@ fn trace_leaves_loadable_timelines_with_the_skewed_runs_stalls() {
     };
     assert!(slices("trace_hamr.json", "flow-control stall") >= 1);
     assert!(slices("trace_mapred.json", "mr-map") >= 1);
+    // The two timelines are all it writes, and they hold trace events
+    // only: no counter track.
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read trace dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["trace_hamr.json", "trace_mapred.json"]);
+    let hamr_json = std::fs::read_to_string(dir.join("trace_hamr.json")).expect("trace_hamr");
+    assert!(!hamr_json.contains("\"ph\":\"C\""), "a counter event");
     // The balanced run's summary has no stall to report.
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
     let balanced = stdout

@@ -135,13 +135,12 @@ impl Cluster {
         if opts.supervision.is_some() {
             obs.audit = Audit::new(graph.edges.len() as u32, n as u32);
             if !obs.tracer.enabled() {
-                let sink = Arc::new(RingSink::new(n, FLIGHT_RING_EVENTS));
                 // Overflowed flight-ring drops are visible in `/metrics`
                 // while the run is still going, not only in the
                 // post-mortem dump.
-                sink.mirror_drops(
-                    registry.counter("trace_dropped_events_total", Labels::new().engine("hamr")),
-                );
+                let drops =
+                    registry.counter("trace_dropped_events_total", Labels::new().engine("hamr"));
+                let sink = Arc::new(RingSink::new(n, FLIGHT_RING_EVENTS).with_drop_counter(drops));
                 obs.tracer = Tracer::new(sink.clone());
                 ring = Some(sink);
             }

@@ -50,12 +50,6 @@ impl FrameBin {
         }
     }
 
-    /// Attach a lineage span (builder style, used at emit time).
-    pub fn with_span(mut self, span: u64) -> Self {
-        self.span = span;
-        self
-    }
-
     /// Build a bin from key-value pairs — a test and bench
     /// convenience; the hot path goes through `TaskOutput`.
     pub fn from_pairs(edge: usize, pairs: &[(&[u8], &[u8])]) -> Self {

@@ -14,8 +14,8 @@ use hamr_core::{
     RunError, RunOptions, SchedMode, Supervision, TaskContext, WatchdogAction, WatchdogConfig,
 };
 use hamr_trace::{
-    AuditStage, EventKind, FlightRecord, GaugeSampler, MetricsRegistry, RecordedEvent, RingSink,
-    Tracer, WatchdogClass,
+    AuditStage, EventKind, FlightRecord, MetricsRegistry, RecordedEvent, RingSink, Tracer,
+    WatchdogClass,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -380,21 +380,16 @@ fn gauge_total(registry: &MetricsRegistry, name: &str, node: Option<u32>) -> i64
 }
 
 #[test]
-fn tracer_gauge_sampler_and_supervision_combine_on_one_run() {
+fn tracer_gauges_and_supervision_combine_on_one_run() {
     let cluster = Cluster::new(ClusterConfig::local(2, 2));
     let sink = Arc::new(RingSink::new(16, 1 << 15));
     let opts = RunOptions {
         tracer: Tracer::new(sink.clone()),
         supervision: Some(quiet_supervision()),
     };
-    // A caller that wants the gauges as a time series samples the
-    // registry around the run; the engine starts no sampler of its own.
-    let every = Duration::from_millis(1);
-    let sampler = GaugeSampler::start(cluster.registry(), "hamr", every, &opts.tracer);
     let result = cluster
         .run_with(wordcount("wc-all", 300), &opts)
         .expect("run");
-    let series = sampler.stop();
     assert!(sorted_counts(&result).len() > 4);
 
     let report = cluster.last_audit().expect("supervised runs are audited");
@@ -402,17 +397,19 @@ fn tracer_gauge_sampler_and_supervision_combine_on_one_run() {
     assert!(report.total(AuditStage::Consume).bins > 0);
     assert!(cluster.watchdog_events().is_empty());
 
-    assert!(
-        !series.samples.is_empty(),
-        "the caller's sampler saw the run"
-    );
+    // Every node's worker gauges are live in the registry beside the
+    // caller's tracer, and back at rest once the run returned.
+    let registry = cluster.registry();
     for node in 0..2 {
-        let name = format!("workers_busy{{engine=\"hamr\",node=\"{node}\"}}");
+        assert_eq!(gauge_total(registry, "workers", Some(node)), 2);
         assert!(
-            series.names.contains(&name),
-            "the engine's gauges are in the registry the caller sampled: {:?}",
-            series.names
+            registry
+                .live_gauges("hamr")
+                .iter()
+                .any(|g| g.name == "workers_busy" && g.labels.node == Some(node)),
+            "node {node} registered workers_busy"
         );
+        assert_eq!(gauge_total(registry, "workers_busy", Some(node)), 0);
     }
     // The caller's sink, not a private flight ring, holds the events.
     let events = sink.drain();

@@ -389,25 +389,16 @@ impl FlightRecord {
                     .collect::<Vec<_>>()
                     .join(" ");
                 out.push_str(&format!(
-                    "  t={:<10} node {:<3} worker {:<10} {:<20} {}\n",
+                    "  t={:<10} node {:<3} {:<17} {:<20} {}\n",
                     ev.t_us,
                     ev.node,
-                    worker_label(ev.worker),
+                    crate::lane_name(ev.worker),
                     ev.name,
                     args
                 ));
             }
         }
         out
-    }
-}
-
-fn worker_label(worker: u32) -> String {
-    match worker {
-        crate::WORKER_RUNTIME => "runtime".to_string(),
-        crate::WORKER_NET => "net".to_string(),
-        crate::WORKER_DISK => "disk".to_string(),
-        w => format!("w{w}"),
     }
 }
 

@@ -17,7 +17,7 @@
 //! So `compute + disk + stall + net + idle == lanes × wall` exactly,
 //! which is what the conservation test asserts.
 
-use super::lineage::Lineage;
+use super::lineage::{start_of, Lineage};
 use crate::{EventKind, TraceEvent, WORKER_DISK};
 use std::collections::HashMap;
 
@@ -222,7 +222,7 @@ pub(super) fn attribute(events: &[TraceEvent], lineage: &Lineage) -> Attribution
                 .iter()
                 .map(|&i| {
                     let t = &lineage.tasks[i];
-                    (t.start_us.clamp(t0, t1), t.end_us.clamp(t0, t1))
+                    (start_of(t).clamp(t0, t1), t.end_us.clamp(t0, t1))
                 })
                 .collect(),
         );
@@ -284,7 +284,7 @@ pub(super) fn attribute(events: &[TraceEvent], lineage: &Lineage) -> Attribution
         // Per-flowlet lane-busy attribution.
         for &i in task_indices {
             let t = &lineage.tasks[i];
-            let (a, e) = (t.start_us.clamp(t0, t1), t.end_us.clamp(t0, t1));
+            let (a, e) = (start_of(t).clamp(t0, t1), t.end_us.clamp(t0, t1));
             let disk = covered(&spill_iv, a, e);
             let f = per_flowlet.entry(t.flowlet).or_insert(FlowletBuckets {
                 flowlet: t.flowlet,

@@ -22,7 +22,7 @@
 //! ingest that armed the fire — or, failing that, the latest earlier
 //! task end anywhere (phase barriers in the MapReduce baseline).
 
-use super::lineage::Lineage;
+use super::lineage::{start_of, Lineage};
 
 /// The job's critical path, bucketed by segment kind (microseconds).
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,8 +58,8 @@ pub(super) fn critical_path(lineage: &Lineage) -> CriticalPath {
     // full task for the path head, the emit instant for producers.
     let mut horizon = lineage.tasks[last].end_us;
     while visited.insert(cur) && cp.hops < 100_000 {
-        let task = lineage.tasks[cur];
-        let start = task.start_us.min(horizon);
+        let task = &lineage.tasks[cur];
+        let start = start_of(task).min(horizon);
         cp.compute_us += horizon - start;
 
         let consumed = (task.span != 0)

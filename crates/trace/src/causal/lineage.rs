@@ -7,20 +7,13 @@
 //! recovers, for each bin, where it was produced, how long flow control
 //! held it, when the fabric delivered it, and which task consumed it.
 
-use crate::{task_spans, EventKind, TaskKind, TraceEvent, WORKER_DISK};
+use crate::{task_spans, EventKind, TaskSpan, TraceEvent, WORKER_DISK};
 use std::collections::HashMap;
 
-/// One matched `TaskStart`/`TaskEnd` pair on a worker lane.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskSpan {
-    pub node: u32,
-    pub lane: u32,
-    pub flowlet: u32,
-    pub task: TaskKind,
-    /// Span of the bin this task consumed (0 if none).
-    pub span: u64,
-    pub start_us: u64,
-    pub end_us: u64,
+/// When a kept task started: [`Lineage::tasks`] holds only spans whose
+/// start was seen.
+pub(super) fn start_of(task: &TaskSpan) -> u64 {
+    task.start_us.unwrap_or(task.end_us)
 }
 
 /// Everything known about one bin's journey.
@@ -56,7 +49,8 @@ impl SpanRecord {
 #[derive(Debug, Default)]
 pub struct Lineage {
     pub spans: HashMap<u64, SpanRecord>,
-    /// All matched task spans, in event order.
+    /// Every task span on a worker lane whose start was seen, in
+    /// event order.
     pub tasks: Vec<TaskSpan>,
     /// Task indices per (node, lane), sorted by start time.
     pub lanes: HashMap<(u32, u32), Vec<usize>>,
@@ -69,21 +63,13 @@ impl Lineage {
         // Task pairing is `task_spans`' rule; what is kept here is
         // every pair on a worker lane whose start was seen.
         for t in task_spans(events) {
-            let (Some(start_us), true) = (t.start_us, t.worker < WORKER_DISK) else {
+            if t.start_us.is_none() || t.worker >= WORKER_DISK {
                 continue;
-            };
+            }
             if t.span != 0 {
                 lineage.span_mut(t.span).consumed_by = Some(lineage.tasks.len());
             }
-            lineage.tasks.push(TaskSpan {
-                node: t.node,
-                lane: t.worker,
-                flowlet: t.flowlet,
-                task: t.task,
-                span: t.span,
-                start_us,
-                end_us: t.end_us,
-            });
+            lineage.tasks.push(t);
         }
         for ev in events {
             match ev.kind {
@@ -121,12 +107,12 @@ impl Lineage {
         for (idx, task) in lineage.tasks.iter().enumerate() {
             lineage
                 .lanes
-                .entry((task.node, task.lane))
+                .entry((task.node, task.worker))
                 .or_default()
                 .push(idx);
         }
         for indices in lineage.lanes.values_mut() {
-            indices.sort_by_key(|&i| lineage.tasks[i].start_us);
+            indices.sort_by_key(|&i| start_of(&lineage.tasks[i]));
         }
         lineage
     }
@@ -145,9 +131,9 @@ impl Lineage {
         let mut best = None;
         for &i in indices {
             let task = &self.tasks[i];
-            if task.start_us <= t && t <= task.end_us {
+            if start_of(task) <= t && t <= task.end_us {
                 best = Some(i);
-            } else if task.start_us > t {
+            } else if start_of(task) > t {
                 break;
             }
         }
@@ -159,6 +145,7 @@ impl Lineage {
 mod tests {
     use super::*;
     use crate::tests::ev;
+    use crate::TaskKind;
 
     #[test]
     fn reconstructs_full_chain() {

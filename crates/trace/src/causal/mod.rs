@@ -2,8 +2,8 @@
 //!
 //! [`analyze`] reconstructs bin lineage ([`lineage::Lineage`]), runs
 //! the exact wall-time partition ([`attribution`]) and extracts the
-//! critical path ([`critical`]), producing a [`CausalReport`] that can
-//! be rendered as text tables or JSON.
+//! critical path ([`critical`]), producing a [`CausalReport`] that
+//! renders as text tables.
 
 pub mod attribution;
 pub mod critical;
@@ -11,7 +11,7 @@ pub mod lineage;
 
 pub use attribution::{Buckets, FlowletBuckets, NodeBuckets, StallEdge};
 pub use critical::CriticalPath;
-pub use lineage::{Lineage, SpanRecord, TaskSpan};
+pub use lineage::{Lineage, SpanRecord};
 
 use crate::summary::fmt_us;
 use crate::TraceEvent;
@@ -59,75 +59,6 @@ impl CausalReport {
             self.total.net_us as f64 / t,
             self.total.idle_us as f64 / t,
         ]
-    }
-
-    /// Serialize the whole report as a JSON object.
-    pub fn to_json(&self) -> String {
-        let shares = self.shares();
-        let mut out = format!(
-            "{{\"wall_us\":{},\"t0_us\":{},\"t1_us\":{},\"lanes\":{},\
-             \"dropped_events\":{},\"spans_seen\":{},\"spans_complete\":{},",
-            self.wall_us,
-            self.t0_us,
-            self.t1_us,
-            self.lanes,
-            self.dropped_events,
-            self.spans_seen,
-            self.spans_complete
-        );
-        out.push_str(&format!(
-            "\"shares\":{{\"compute\":{:.6},\"disk\":{:.6},\"stall\":{:.6},\
-             \"net\":{:.6},\"idle\":{:.6}}},",
-            shares[0], shares[1], shares[2], shares[3], shares[4]
-        ));
-        let b = |b: &Buckets| {
-            format!(
-                "{{\"compute_us\":{},\"disk_us\":{},\"stall_us\":{},\
-                 \"net_us\":{},\"idle_us\":{}}}",
-                b.compute_us, b.disk_us, b.stall_us, b.net_us, b.idle_us
-            )
-        };
-        out.push_str(&format!("\"total\":{},", b(&self.total)));
-        out.push_str("\"per_node\":[");
-        for (i, n) in self.per_node.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"node\":{},\"lanes\":{},\"buckets\":{}}}",
-                n.node,
-                n.lanes,
-                b(&n.buckets)
-            ));
-        }
-        out.push_str("],\"per_flowlet\":[");
-        for (i, f) in self.per_flowlet.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"flowlet\":{},\"compute_us\":{},\"disk_us\":{},\
-                 \"stall_bin_us\":{},\"net_bin_us\":{},\"bins\":{},\"records\":{}}}",
-                f.flowlet, f.compute_us, f.disk_us, f.stall_bin_us, f.net_bin_us, f.bins, f.records
-            ));
-        }
-        out.push_str("],\"stall_edges\":[");
-        for (i, s) in self.stall_edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"flowlet\":{},\"edge\":{},\"dst\":{},\"stalls\":{},\"stalled_us\":{}}}",
-                s.flowlet, s.edge, s.dst, s.stalls, s.stalled_us
-            ));
-        }
-        let cp = &self.critical_path;
-        out.push_str(&format!(
-            "],\"critical_path\":{{\"total_us\":{},\"compute_us\":{},\
-             \"net_us\":{},\"stall_us\":{},\"queue_us\":{},\"hops\":{}}}}}",
-            cp.total_us, cp.compute_us, cp.net_us, cp.stall_us, cp.queue_us, cp.hops
-        ));
-        out
     }
 }
 
@@ -360,15 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn report_json_parses() {
-        let report = analyze(&sample_events(), 3);
-        let json = crate::json::parse(&report.to_json()).expect("valid json");
-        assert_eq!(json.get("dropped_events").and_then(|d| d.as_u64()), Some(3));
-        assert!(json.get("critical_path").is_some());
-        assert!(json.get("per_node").and_then(|n| n.as_arr()).is_some());
-    }
-
-    #[test]
     fn renders_do_not_panic_and_warn_on_drops() {
         let report = analyze(&sample_events(), 7);
         let table = render_attribution(&report);
@@ -382,7 +304,6 @@ mod tests {
         let report = analyze(&[], 0);
         assert_eq!(report.wall_us, 0);
         assert_eq!(report.shares(), [0.0; 5]);
-        let _ = report.to_json();
         let _ = render_attribution(&report);
     }
 }

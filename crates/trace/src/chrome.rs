@@ -17,20 +17,11 @@
 
 use crate::json::{escape, object_u64};
 use crate::{
-    task_spans, EventKind, TimeSeries, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME,
+    lane_name, task_spans, EventKind, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME,
 };
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-
-fn lane_name(worker: u32) -> String {
-    match worker {
-        WORKER_RUNTIME => "runtime".to_string(),
-        WORKER_NET => "net".to_string(),
-        WORKER_DISK => "disk".to_string(),
-        w => format!("worker {w}"),
-    }
-}
 
 /// Perfetto sorts tids numerically; remap the sentinel lanes to small
 /// negative-looking slots so "runtime/net/disk" group below workers
@@ -90,20 +81,6 @@ fn metadata(name: &str, pid: u64, tid: Option<u64>, value: &str) -> String {
 /// `TaskStart`s (e.g. from a truncated ring buffer) are dropped;
 /// unpaired `TaskEnd`s become instants so nothing is silently lost.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    render(events, None)
-}
-
-/// Like [`chrome_trace_json`], plus `"ph":"C"` counter tracks from a
-/// sampled gauge [`TimeSeries`] — queue depths, window occupancy and
-/// friends render as area charts alongside the task timeline.
-pub fn chrome_trace_json_with_counters(events: &[TraceEvent], series: &TimeSeries) -> String {
-    render(events, Some(series))
-}
-
-/// Synthetic pid for cluster-wide (non-per-node) counter tracks.
-const CLUSTER_PID: u64 = 1_000_000;
-
-fn render(events: &[TraceEvent], series: Option<&TimeSeries>) -> String {
     let mut evs: Vec<&TraceEvent> = events.iter().collect();
     evs.sort_by_key(|e| e.t_us);
 
@@ -154,39 +131,11 @@ fn render(events: &[TraceEvent], series: Option<&TimeSeries>) -> String {
         em.push(drawn(name, cat, ev, start_us, &args));
     }
 
-    // Sampled gauges become counter tracks on their owning node's
-    // process (cluster-wide gauges on a synthetic "cluster" process).
-    let mut cluster_counters = false;
-    if let Some(series) = series {
-        for sample in &series.samples {
-            for (g, name) in series.names.iter().enumerate() {
-                let value = sample.values.get(g).copied().unwrap_or(0);
-                let node = series.nodes.get(g).copied().unwrap_or(u32::MAX);
-                let pid = if node == u32::MAX {
-                    cluster_counters = true;
-                    CLUSTER_PID
-                } else {
-                    node as u64
-                };
-                em.push(format!(
-                    "\"name\":\"{}\",\"ph\":\"C\",\"pid\":{},\"ts\":{},\"args\":{{\"value\":{}}}",
-                    escape(name),
-                    pid,
-                    sample.t_us,
-                    value,
-                ));
-            }
-        }
-    }
-
     // Name processes and lanes so the timeline is readable.
     let nodes: BTreeSet<u32> = lanes_seen.iter().map(|(n, _)| *n).collect();
     for node in nodes {
         let name = format!("node {node}");
         em.push(metadata("process_name", node as u64, None, &name));
-    }
-    if cluster_counters {
-        em.push(metadata("process_name", CLUSTER_PID, None, "cluster"));
     }
     for (node, worker) in &lanes_seen {
         let tid = Some(lane_tid(*worker));

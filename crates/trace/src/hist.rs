@@ -95,11 +95,6 @@ impl LatencyHistogram {
         self.sum_us
     }
 
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.checked_div(self.count).unwrap_or(0)
-    }
-
     /// The value at quantile `q` in `[0, 1]`, reported as the upper
     /// bound of the bucket containing it (0 when empty). Because
     /// buckets are powers of two, the result is within 2x of the true
@@ -145,7 +140,7 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.p50_us(), 0);
         assert_eq!(h.p99_us(), 0);
-        assert_eq!(h.mean_us(), 0);
+        assert_eq!(h.sum_us(), 0);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use super::codec;
 use super::reader::{list_segments, scan_segment};
 use super::{JournalConfig, JournalMode, JournalRecord};
+use crate::lock;
 use crate::registry::Counter;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -121,12 +122,7 @@ impl Journal {
 
     /// The directory this journal writes into.
     pub fn dir(&self) -> PathBuf {
-        self.inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .cfg
-            .dir
-            .clone()
+        lock(&self.inner).cfg.dir.clone()
     }
 
     /// Microseconds since this journal was opened — the clock
@@ -153,7 +149,7 @@ impl Journal {
     /// Mirror append volume into registry counters
     /// (`journal_bytes_total`, `journal_records_total`).
     pub fn set_metrics(&self, bytes: Counter, records: Counter) {
-        *self.metrics.lock().unwrap_or_else(|p| p.into_inner()) = Some((bytes, records));
+        *lock(&self.metrics) = Some((bytes, records));
     }
 
     /// Append one record and flush it: every record must survive a
@@ -162,7 +158,7 @@ impl Journal {
     pub fn append(&self, rec: &JournalRecord) {
         let frame = codec::frame(&rec.encode());
         let written = {
-            let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+            let mut inner = lock(&self.inner);
             Self::append_locked(&mut inner, &frame)
         };
         if let Err(e) = written {
@@ -175,7 +171,7 @@ impl Journal {
         self.bytes_total
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
         self.records_total.fetch_add(1, Ordering::Relaxed);
-        if let Some((bytes, records)) = &*self.metrics.lock().unwrap_or_else(|p| p.into_inner()) {
+        if let Some((bytes, records)) = &*lock(&self.metrics) {
             bytes.add(frame.len() as u64);
             records.inc();
         }
@@ -226,7 +222,7 @@ impl Journal {
 
     /// Flush buffered frames to the filesystem.
     pub fn flush(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let mut inner = lock(&self.inner);
         if let Some(file) = inner.file.as_mut() {
             if file.flush().is_err() {
                 self.io_errors.fetch_add(1, Ordering::Relaxed);

@@ -18,7 +18,6 @@
 pub mod audit;
 pub mod causal;
 mod chrome;
-mod csv;
 mod hist;
 pub mod journal;
 pub mod json;
@@ -34,16 +33,16 @@ pub use causal::{
     analyze, render_attribution, render_critical_path, render_stall_edges, Buckets, CausalReport,
     CriticalPath, FlowletBuckets, NodeBuckets, StallEdge,
 };
-pub use chrome::{chrome_trace_json, chrome_trace_json_with_counters};
+pub use chrome::chrome_trace_json;
 pub use hist::LatencyHistogram;
 pub use journal::{
     read_journal, read_journal_tree, JobSpan, Journal, JournalConfig, JournalMode, JournalRead,
     JournalRecord, Timeline,
 };
 pub use registry::{
-    http_get, parse_prometheus, Counter, Gauge, GaugeSample, GaugeSampler, HistSample, Histogram,
-    HttpResponse, HttpServer, Labels, MetricsRegistry, PromSample, RouteHandler, Sample,
-    SampleValue, SeriesSample, Snapshot, TimeSeries,
+    http_get, parse_prometheus, Counter, Gauge, GaugeSample, HistSample, Histogram, HttpResponse,
+    HttpServer, Labels, MetricsRegistry, PromSample, RouteHandler, SampleValue, SeriesSample,
+    Snapshot,
 };
 pub use stats::{
     EdgeStatsSummary, HopKind, LineageHop, LineageSample, SketchSet, SpaceSaving, StatsMode,
@@ -56,8 +55,14 @@ pub use summary::{
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+/// Every mutex in this crate guards observability state, and a panic
+/// elsewhere must not turn it unreadable: a poisoned lock is taken as is.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Bin-lineage span identifiers. `0` means "no span" — the value bins
 /// carry when tracing is disabled, so the hot path never touches the
@@ -77,6 +82,17 @@ pub const WORKER_RUNTIME: u32 = u32::MAX;
 pub const WORKER_NET: u32 = u32::MAX - 1;
 /// The disk model.
 pub const WORKER_DISK: u32 = u32::MAX - 2;
+
+/// A worker lane's name wherever a lane is shown: `worker N`, or the
+/// synthetic lane's own name.
+pub(crate) fn lane_name(worker: u32) -> String {
+    match worker {
+        WORKER_RUNTIME => "runtime".to_string(),
+        WORKER_NET => "net".to_string(),
+        WORKER_DISK => "disk".to_string(),
+        w => format!("worker {w}"),
+    }
+}
 
 /// What kind of task a `TaskStart`/`TaskEnd` span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -389,9 +405,9 @@ pub struct RingSink {
     lanes: Vec<Mutex<VecDeque<TraceEvent>>>,
     per_lane_capacity: usize,
     dropped: AtomicU64,
-    /// Optional registry counter bumped alongside `dropped`, so lost
-    /// trace events show up live in `/metrics` instead of warn-only.
-    drop_mirror: Mutex<Option<Counter>>,
+    /// Registry counter bumped alongside `dropped`, so lost trace events
+    /// show up live in `/metrics`; the default handle counts nothing.
+    drop_counter: Counter,
 }
 
 impl RingSink {
@@ -402,20 +418,23 @@ impl RingSink {
             lanes: (0..lanes).map(|_| Mutex::new(VecDeque::new())).collect(),
             per_lane_capacity,
             dropped: AtomicU64::new(0),
-            drop_mirror: Mutex::new(None),
+            drop_counter: Counter::default(),
+        }
+    }
+
+    /// This ring, also counting its drops in `counter` (typically
+    /// `trace_dropped_events_total`), so overflow is visible in
+    /// `/metrics` while the run is still going.
+    pub fn with_drop_counter(self, counter: Counter) -> Self {
+        RingSink {
+            drop_counter: counter,
+            ..self
         }
     }
 
     /// Events dropped due to lane overflow.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Mirror future drops into a registry counter (typically
-    /// `trace_dropped_events_total`), making overflow visible in
-    /// `/metrics` while the run is still going.
-    pub fn mirror_drops(&self, counter: Counter) {
-        *self.drop_mirror.lock().unwrap_or_else(|p| p.into_inner()) = Some(counter);
     }
 
     /// Every lane's events as `take` yields them, sorted by timestamp.
@@ -425,7 +444,7 @@ impl RingSink {
     ) -> Vec<TraceEvent> {
         let mut all = Vec::new();
         for lane in &self.lanes {
-            all.extend(take(&mut lane.lock().unwrap_or_else(|p| p.into_inner())));
+            all.extend(take(&mut lock(lane)));
         }
         all.sort_by_key(|e| e.t_us);
         all
@@ -446,15 +465,11 @@ impl RingSink {
 
 impl TraceSink for RingSink {
     fn record(&self, ev: TraceEvent) {
-        let mut q = self.lanes[ev.node as usize % self.lanes.len()]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
+        let mut q = lock(&self.lanes[ev.node as usize % self.lanes.len()]);
         if q.len() >= self.per_lane_capacity {
             q.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            if let Some(counter) = &*self.drop_mirror.lock().unwrap_or_else(|p| p.into_inner()) {
-                counter.inc();
-            }
+            self.drop_counter.inc();
         }
         q.push_back(ev);
     }
@@ -689,7 +704,9 @@ pub(crate) mod tests {
 
     #[test]
     fn ring_sink_drops_oldest_on_overflow() {
-        let sink = RingSink::new(1, 4);
+        let registry = MetricsRegistry::new();
+        let drops = registry.counter("trace_dropped_events_total", Labels::new());
+        let sink = RingSink::new(1, 4).with_drop_counter(drops.clone());
         for i in 0..10u64 {
             sink.record(TraceEvent {
                 t_us: i,
@@ -699,6 +716,7 @@ pub(crate) mod tests {
             });
         }
         assert_eq!(sink.dropped(), 6);
+        assert_eq!(drops.get(), 6, "every drop reaches the registry");
         let events = sink.drain();
         assert_eq!(events.len(), 4);
         // The *newest* events survive.

@@ -14,9 +14,8 @@
 //!   embedded `/metrics` endpoint, or diffed against an earlier
 //!   snapshot via [`Snapshot::delta`];
 //! * [`MetricsRegistry::live_gauges`] is the **gauge-only view** of one
-//!   engine's series — what the watchdog reads each epoch, what a
-//!   flight record dumps, and what a [`GaugeSampler`] polls into a time
-//!   series;
+//!   engine's series — what the watchdog reads each epoch and what a
+//!   flight record dumps;
 //! * registration is **bounded**: past `max_series` distinct label
 //!   sets, new registrations return inert handles and are tallied in a
 //!   `registry_dropped_series_total` meta-counter instead of growing
@@ -27,15 +26,13 @@
 //! safe and idempotent.
 
 mod http;
-mod sampler;
 mod snapshot;
 
 pub use http::{http_get, HttpResponse, HttpServer, RouteHandler};
-pub use sampler::{GaugeSampler, Sample, TimeSeries};
 pub use snapshot::{parse_prometheus, HistSample, PromSample, SampleValue, SeriesSample, Snapshot};
 
 use crate::hist::{bucket_of, HIST_BUCKETS};
-use crate::LatencyHistogram;
+use crate::{lock, LatencyHistogram};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -342,7 +339,7 @@ impl MetricsRegistry {
         make: impl FnOnce() -> Cell,
         extract: impl Fn(&Cell) -> Option<T>,
     ) -> Option<T> {
-        let mut map = self.inner.series.lock().unwrap_or_else(|p| p.into_inner());
+        let mut map = lock(&self.inner.series);
         let key = (name.to_string(), labels.clone());
         if let Some(&i) = map.index.get(&key) {
             match extract(&map.list[i].cell) {
@@ -423,12 +420,7 @@ impl MetricsRegistry {
 
     /// Number of live series.
     pub fn series_count(&self) -> usize {
-        self.inner
-            .series
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .list
-            .len()
+        lock(&self.inner.series).list.len()
     }
 
     /// Registrations refused by the cardinality bound (or by a kind
@@ -440,7 +432,7 @@ impl MetricsRegistry {
     /// Snapshot every series' current value. Safe to call at any time,
     /// including while jobs are running.
     pub fn snapshot(&self) -> Snapshot {
-        let map = self.inner.series.lock().unwrap_or_else(|p| p.into_inner());
+        let map = lock(&self.inner.series);
         let mut series: Vec<SeriesSample> = map
             .list
             .iter()
@@ -471,7 +463,7 @@ impl MetricsRegistry {
     /// move while a job runs. Gauges carrying a `job` label are facts
     /// published at a job's end, not levels, and are left out.
     pub fn live_gauges(&self, engine: &str) -> Vec<GaugeSample> {
-        let map = self.inner.series.lock().unwrap_or_else(|p| p.into_inner());
+        let map = lock(&self.inner.series);
         map.list
             .iter()
             .filter(|s| s.labels.engine.as_deref() == Some(engine) && s.labels.job.is_none())

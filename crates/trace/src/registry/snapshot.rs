@@ -204,7 +204,7 @@ fn prometheus_label_escape(value: &str) -> String {
 }
 
 /// `{k="v",...}` in the fixed label order, or nothing for no labels.
-pub(super) fn render_labels(labels: &Labels, le: Option<&str>) -> String {
+fn render_labels(labels: &Labels, le: Option<&str>) -> String {
     let mut pairs: Vec<String> = labels
         .pairs()
         .into_iter()

@@ -6,6 +6,7 @@ use super::lineage::{
 };
 use super::sketch::{SketchSet, KEY_SAMPLE_BYTES};
 use super::{StatsMode, StatsSnapshot};
+use crate::lock;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -80,10 +81,7 @@ impl StatsPlane {
         // (hash, key, occurrences) for sampled keys in this bin.
         let mut sampled: Vec<(u64, Vec<u8>, u32)> = Vec::new();
         {
-            let mut set = self
-                .slot(edge, dst)
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
+            let mut set = lock(self.slot(edge, dst));
             for (hash, key, vlen) in iter {
                 set.observe(hash, key, vlen);
                 if let Some(n) = one_in {
@@ -103,7 +101,7 @@ impl StatsPlane {
         if sampled.is_empty() {
             return;
         }
-        let mut lineage = self.lineage.lock().unwrap_or_else(|p| p.into_inner());
+        let mut lineage = lock(&self.lineage);
         for (hash, key, records) in sampled {
             let entry = match lineage.get_mut(&hash) {
                 Some(e) => e,
@@ -159,7 +157,7 @@ impl StatsPlane {
         if hits.is_empty() {
             return;
         }
-        let mut lineage = self.lineage.lock().unwrap_or_else(|p| p.into_inner());
+        let mut lineage = lock(&self.lineage);
         for (hash, records) in hits {
             if let Some(entry) = lineage.get_mut(&hash) {
                 if entry.hops.len() < MAX_LINEAGE_HOPS {
@@ -180,10 +178,7 @@ impl StatsPlane {
     /// Per-(edge, dst) summary numbers for gauge publication:
     /// `(records, distinct, hot_share)`; `None` for untouched slots.
     pub fn slot_stats(&self, edge: u32, dst: u32) -> Option<(u64, u64, f64)> {
-        let set = self
-            .slot(edge, dst)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
+        let set = lock(self.slot(edge, dst));
         if set.records == 0 {
             return None;
         }
@@ -198,9 +193,7 @@ impl StatsPlane {
         for e in 0..edges_n {
             let mut merged = SketchSet::default();
             for d in 0..self.parts {
-                let set = self.slots[e * self.parts + d]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner());
+                let set = lock(&self.slots[e * self.parts + d]);
                 if set.records > 0 {
                     merged.merge(&set);
                 }
@@ -210,13 +203,7 @@ impl StatsPlane {
             }
             edges.push(merged.summary(e as u32, self.is_shuffle(e)));
         }
-        let samples = self
-            .lineage
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .values()
-            .cloned()
-            .collect();
+        let samples = lock(&self.lineage).values().cloned().collect();
         StatsSnapshot {
             job: job.to_string(),
             engine: engine.to_string(),
