@@ -140,13 +140,15 @@ pub trait MapFn: Send + Sync {
 }
 
 /// A reduce flowlet: sees every value for a key, grouped, after all
-/// upstream flowlets complete (the one semantic barrier in HAMR).
+/// upstream flowlets complete (the one semantic barrier in HAMR). The
+/// values are borrowed from the node's grouped state, in no particular
+/// order; a reducer need not pull them all.
 pub trait ReduceFn: Send + Sync {
     fn reduce(
         &self,
         ctx: &TaskContext,
         key: &[u8],
-        values: &mut dyn Iterator<Item = Bytes>,
+        values: &mut dyn Iterator<Item = &[u8]>,
         out: &mut Emitter,
     );
 }

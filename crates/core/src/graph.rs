@@ -461,7 +461,6 @@ impl JobGraph {
 mod tests {
     use super::*;
     use crate::flowlet::{Emitter, TaskContext};
-    use bytes::Bytes;
 
     struct NullLoader;
     impl Loader for NullLoader {
@@ -482,7 +481,7 @@ mod tests {
             &self,
             _ctx: &TaskContext,
             _key: &[u8],
-            _values: &mut dyn Iterator<Item = Bytes>,
+            _values: &mut dyn Iterator<Item = &[u8]>,
             _out: &mut Emitter,
         ) {
         }

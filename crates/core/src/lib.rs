@@ -63,6 +63,7 @@ mod reduce_state;
 pub mod resident;
 mod sched;
 mod session;
+mod slots;
 mod spill;
 pub mod stream;
 pub mod typed;

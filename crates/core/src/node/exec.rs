@@ -229,14 +229,11 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
                     .expect("reduce state exists");
                 state.ingest(worker_id, &bin).expect("spill failed");
             }
-            (Task::FireReduce { mut shard, .. }, FlowletKind::Reduce(r)) => {
-                while let Some((key, values)) = shard.next_group() {
-                    // Not counted as records_in: these records were
-                    // already counted when their bins were ingested.
-                    let mut em = Emitter::new(&mut out);
-                    let mut iter = values.into_iter();
-                    r.reduce(&shared.ctx, &key, &mut iter, &mut em);
-                }
+            (Task::FireReduce { shard, .. }, FlowletKind::Reduce(r)) => {
+                // Not counted as records_in: these records were
+                // already counted when their bins were ingested.
+                let mut em = Emitter::new(&mut out);
+                shard.fire(|key, values| r.reduce(&shared.ctx, key, values, &mut em));
             }
             (Task::FirePartial { entries, .. }, FlowletKind::PartialReduce(r)) => {
                 for (key, acc) in entries {

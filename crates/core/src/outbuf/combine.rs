@@ -21,6 +21,7 @@
 //! partitions mid-job — were removed: see DESIGN.md "Skew mitigation".
 
 use crate::graph::EdgeId;
+use crate::slots::{u32_at, Slots, ARENA_MAX};
 use crate::NodeId;
 use hamr_trace::{Gauge, Labels, Observe};
 use parking_lot::{Mutex, MutexGuard};
@@ -70,20 +71,6 @@ pub(super) const ENTRY_HEADER: usize = 20;
 /// Set in an entry's `klen` word once its partial has been re-appended
 /// further on: a drain walks over it.
 const ENTRY_DEAD: u32 = 1 << 31;
-/// An arena stays far below this (the budget sheds it at a mebibyte);
-/// the bound keeps offsets inside a table word and `klen` off
-/// [`ENTRY_DEAD`] whatever a single record weighs.
-const ARENA_MAX: usize = 1 << 31;
-/// A table word is `(low 32 bits of the hash) << 32 | arena offset`;
-/// the two largest words are reserved.
-const SLOT_EMPTY: u64 = u64::MAX;
-const SLOT_TOMB: u64 = u64::MAX - 1;
-pub(super) const TABLE_MIN: usize = 64;
-
-#[inline]
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes"))
-}
 
 /// An arena entry's header, decoded.
 struct Entry {
@@ -101,10 +88,10 @@ impl Entry {
 }
 
 /// The partials one worker holds for one (edge, destination): entries
-/// appended to a byte arena in arrival order and found through an
-/// open-addressing table of `(hash tag, offset)` words. A fold
-/// overwrites the value where it lies, so a record costs no allocation
-/// and the oldest partial is the one at `head`.
+/// appended to a byte arena in arrival order and found through a
+/// [`Slots`] table. A fold overwrites the value where it lies, so a
+/// record costs no allocation and the oldest partial is the one at
+/// `head`.
 #[derive(Default)]
 pub(super) struct Held {
     pub(super) arena: Vec<u8>,
@@ -113,11 +100,8 @@ pub(super) struct Held {
     pub(super) head: usize,
     /// Arena bytes of dead entries at or after `head`.
     pub(super) dead: usize,
-    /// Linear-probed, a power of two long (or empty while nothing is
-    /// held), at most three quarters occupied by words and tombstones.
-    pub(super) table: Vec<u64>,
+    pub(super) slots: Slots,
     pub(super) live: usize,
-    pub(super) tombs: usize,
 }
 
 impl Held {
@@ -133,23 +117,10 @@ impl Held {
         }
     }
 
-    /// Where `hash` starts probing. The low bits chose the destination
-    /// (every hash held here has the same ones), so the index takes the
-    /// high bits of a multiplicative scramble instead.
-    #[inline]
-    fn probe_start(&self, hash: u64) -> usize {
-        (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (self.table.len() - 1)
-    }
-
-    #[inline]
-    fn word(hash: u64, at: usize) -> u64 {
-        (hash << 32) | at as u64
-    }
-
     /// Arena and table bytes this destination occupies, garbage
     /// included; 0 when nothing is held.
     pub(super) fn footprint(&self) -> usize {
-        self.arena.len() + self.table.len() * std::mem::size_of::<u64>()
+        self.arena.len() + self.slots.bytes()
     }
 
     /// Bytes reserved for a value of `len`: a little slack, so that a
@@ -187,54 +158,41 @@ impl Held {
         key: &[u8],
         value: &[u8],
     ) -> bool {
-        if (self.live + self.tombs + 1) * 4 > self.table.len() * 3 {
+        if self.slots.is_full() {
             self.rebuild();
         }
-        let mask = self.table.len() - 1;
-        let mut slot = self.probe_start(hash);
-        let mut reuse = None;
-        loop {
-            let word = self.table[slot];
-            if word == SLOT_EMPTY {
-                break;
+        let is_key = |at: usize| {
+            let k = at + ENTRY_HEADER;
+            self.arena[k..k + self.entry(at).klen] == *key
+        };
+        let slot = match self.slots.probe(hash, is_key) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                let at = self.append(hash, key, value);
+                self.slots.set(slot, hash, at);
+                self.live += 1;
+                return false;
             }
-            if word == SLOT_TOMB {
-                reuse.get_or_insert(slot);
-            } else if word >> 32 == hash & 0xFFFF_FFFF {
-                let at = (word & 0xFFFF_FFFF) as usize;
-                let e = self.entry(at);
-                let k = at + ENTRY_HEADER;
-                if self.arena[k..k + e.klen] == *key {
-                    let v = k + e.klen;
-                    scratch.clear();
-                    combiner.combine(key, &self.arena[v..v + e.vlen], value, scratch);
-                    if scratch.len() <= e.vcap {
-                        self.arena[v..v + scratch.len()].copy_from_slice(scratch);
-                        self.arena[at + 12..at + 16]
-                            .copy_from_slice(&(scratch.len() as u32).to_le_bytes());
-                    } else {
-                        // Outgrown: the partial moves to the tail (and
-                        // is the youngest again); the old entry stays
-                        // as garbage for a drain to walk over.
-                        let dead = (e.klen as u32 | ENTRY_DEAD).to_le_bytes();
-                        self.arena[at + 8..at + 12].copy_from_slice(&dead);
-                        self.dead += e.size();
-                        let moved = self.append(hash, key, scratch);
-                        self.table[slot] = Self::word(hash, moved);
-                    }
-                    return true;
-                }
-            }
-            slot = (slot + 1) & mask;
+        };
+        let at = self.slots.offset(slot);
+        let e = self.entry(at);
+        let v = at + ENTRY_HEADER + e.klen;
+        scratch.clear();
+        combiner.combine(key, &self.arena[v..v + e.vlen], value, scratch);
+        if scratch.len() <= e.vcap {
+            self.arena[v..v + scratch.len()].copy_from_slice(scratch);
+            self.arena[at + 12..at + 16].copy_from_slice(&(scratch.len() as u32).to_le_bytes());
+        } else {
+            // Outgrown: the partial moves to the tail (and is the
+            // youngest again); the old entry stays as garbage for a
+            // drain to walk over.
+            let dead = (e.klen as u32 | ENTRY_DEAD).to_le_bytes();
+            self.arena[at + 8..at + 12].copy_from_slice(&dead);
+            self.dead += e.size();
+            let moved = self.append(hash, key, scratch);
+            self.slots.set(slot, hash, moved);
         }
-        if let Some(tomb) = reuse {
-            self.tombs -= 1;
-            slot = tomb;
-        }
-        let at = self.append(hash, key, value);
-        self.table[slot] = Self::word(hash, at);
-        self.live += 1;
-        false
+        true
     }
 
     /// Hand the `n` oldest partials to `each` as `(hash, key, value)`,
@@ -253,7 +211,7 @@ impl Held {
                 continue;
             }
             if !all {
-                self.unlink(e.hash, at);
+                self.slots.unlink(e.hash, at);
             }
             self.live -= 1;
             taken += 1;
@@ -267,26 +225,14 @@ impl Held {
         if self.live == 0 {
             // Both keep their capacity: the next fold allocates nothing.
             self.arena.clear();
-            self.table.clear();
-            (self.head, self.dead, self.tombs) = (0, 0, 0);
-        } else if self.head + self.dead > self.arena.len() / 2 || self.tombs > self.table.len() / 2
+            self.slots.clear();
+            (self.head, self.dead) = (0, 0);
+        } else if self.head + self.dead > self.arena.len() / 2
+            || self.slots.tombs > self.slots.len() / 2
         {
             self.rebuild();
         }
         taken
-    }
-
-    /// Tombstone the table word of the live entry at `at`.
-    fn unlink(&mut self, hash: u64, at: usize) {
-        let mask = self.table.len() - 1;
-        let word = Self::word(hash, at);
-        let mut slot = self.probe_start(hash);
-        while self.table[slot] != word {
-            debug_assert_ne!(self.table[slot], SLOT_EMPTY, "live entry not in the table");
-            slot = (slot + 1) & mask;
-        }
-        self.table[slot] = SLOT_TOMB;
-        self.tombs += 1;
     }
 
     /// Squeeze the garbage out of the arena (the drained prefix, dead
@@ -307,19 +253,11 @@ impl Held {
             self.arena.truncate(to);
             (self.head, self.dead) = (0, 0);
         }
-        let slots = ((self.live + 1) * 2).next_power_of_two().max(TABLE_MIN);
-        self.table.clear();
-        self.table.resize(slots, SLOT_EMPTY);
-        self.tombs = 0;
-        let mask = slots - 1;
+        self.slots.reset(self.live);
         let mut at = 0;
         while at < self.arena.len() {
             let e = self.entry(at);
-            let mut slot = self.probe_start(e.hash);
-            while self.table[slot] != SLOT_EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.table[slot] = Self::word(e.hash, at);
+            self.slots.place(e.hash, at);
             at += e.size();
         }
     }

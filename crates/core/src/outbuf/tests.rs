@@ -5,6 +5,7 @@ use crate::graph::Exchange;
 use crate::node::NetMsg;
 use crate::plan::ExecPlan;
 use crate::record::{FrameBin, Record};
+use crate::slots::TABLE_MIN;
 use crate::NodeId;
 use bytes::Bytes;
 use hamr_codec::partition;
@@ -300,7 +301,7 @@ fn the_table_grows_and_partial_drains_rebuild_it() {
     for id in 0..keys {
         assert!(!fold(&mut buf, id, id));
     }
-    assert!(buf.held[0].table.len() >= 3 * TABLE_MIN);
+    assert!(buf.held[0].slots.len() >= 3 * TABLE_MIN);
     // Drain from the head in small bites, refolding survivors in
     // between: tombstones and the dead prefix force rebuilds.
     let mut next = 0;
@@ -314,7 +315,7 @@ fn the_table_grows_and_partial_drains_rebuild_it() {
             assert!(fold(&mut buf, keys - 1, 0), "the youngest is still found");
             let held = &buf.held[0];
             assert!(held.head + held.dead <= held.arena.len() / 2 + 1);
-            assert!(held.tombs <= held.table.len() / 2);
+            assert!(held.slots.tombs <= held.slots.len() / 2);
         }
     }
     assert_eq!(next, keys);
@@ -403,7 +404,7 @@ proptest! {
             let held: usize = model.iter().map(|m| m.order.len()).sum();
             prop_assert_eq!(buf.entries(), held);
             prop_assert_eq!(buf.bytes, buf.held.iter().map(Held::footprint).sum::<usize>());
-            widest = widest.max(buf.held[0].table.len());
+            widest = widest.max(buf.held[0].slots.len());
         }
         for (dst, m) in model.iter_mut().enumerate() {
             prop_assert_eq!(drain(&mut buf, dst, usize::MAX), m.drain(usize::MAX));
@@ -433,7 +434,7 @@ fn combining_plan(nodes: usize, cap: usize, combiner: Arc<dyn Combiner>) -> Arc<
     let l = b.add_loader("test", crate::typed::pairs_loader(Vec::<(u64, u64)>::new()));
     let r = b.add_reduce(
         "sum",
-        crate::typed::reduce_fn(|_: u64, _: Vec<u64>, _: &mut crate::Emitter| {}),
+        crate::typed::reduce_fn(|_: u64, _: crate::typed::Values<u64>, _: &mut crate::Emitter| {}),
     );
     b.connect_combined(l, r, Exchange::Hash, combiner);
     let cfg = crate::RuntimeConfig {

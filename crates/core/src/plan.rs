@@ -189,8 +189,8 @@ mod tests {
         );
         let r = b.add_reduce(
             "R",
-            reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-                out.output_t(&k, &vs.iter().sum::<u64>());
+            reduce_fn(|k: u64, vs: crate::typed::Values<u64>, out: &mut Emitter| {
+                out.output_t(&k, &vs.sum::<u64>());
             }),
         );
         b.connect(l, m, Exchange::Local);

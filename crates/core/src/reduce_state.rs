@@ -14,29 +14,25 @@
 //! Both consume [`FrameBin`]s, which carry keys and values but not the
 //! producer's key hash. The two consumers that shard by key — reduce
 //! ingest (sub-shard) and the shared partial map (stripe) — call
-//! `stable_hash` once per record; nothing else here does. Every map is
-//! a [`StableMap`], probed with the same cheap mix instead of SipHash.
-//! Reduce ingestion slices keys and values zero-copy out of the frame
-//! ([`hamr_codec::Frame::iter_shared`]), since the grouped state
-//! retains most of the frame's bytes anyway.
+//! `stable_hash` once per record; nothing else here does.
+//! Reduce ingestion copies each value once, into its sub-shard's
+//! [`Groups`] arena, and a fire hands the reducer borrowed slices of
+//! that arena: no allocation per record on either side, and a bin's
+//! frame is free as soon as it is ingested (M3R's "keep the shuffled
+//! sequence in memory as it arrived").
 //! Partial-reduce folding borrows entries and copies only the key, only
 //! on first sight: accumulators outlive the frame, and pinning a whole
 //! frame allocation per retained key would hoard memory.
 
 use crate::flowlet::{AccBox, PartialReduceFn};
 use crate::record::FrameBin;
+use crate::slots::{u32_at, Slots, ARENA_MAX};
 use crate::spill::{write_run, GroupedMerge, RunReader, SortedStream};
 use bytes::Bytes;
 use hamr_codec::{stable_hash, StableMap};
 use hamr_simdisk::{Disk, DiskError};
 use hamr_trace::{EventKind, Gauge, Labels, Observe, Tracer};
 use parking_lot::Mutex;
-
-/// Rough allocator overhead charged per group / per value when
-/// accounting memory, so budgets reflect real footprint, not just
-/// payload bytes.
-const GROUP_OVERHEAD: usize = 48;
-const VALUE_OVERHEAD: usize = 8;
 
 /// Sub-shard index for a key, from its `stable_hash`. Uses the
 /// *upper* hash bits: the lower bits already picked the node
@@ -47,9 +43,130 @@ fn sub_shard(hash: u64, shards: usize) -> usize {
     ((hash >> 32) % shards as u64) as usize
 }
 
+/// Bytes of a group's header: `klen`, the value count and the offset of
+/// its last value, as little-endian `u32`s. The key follows, then the
+/// group's first value.
+const GROUP_HEADER: usize = 12;
+/// Bytes of a value's header: the offset of its group's next value
+/// (meaningful only while one follows) and `vlen`. The value follows.
+const VALUE_HEADER: usize = 8;
+
+#[inline]
+fn put_u32(arena: &mut [u8], at: usize, word: usize) {
+    arena[at..at + 4].copy_from_slice(&(word as u32).to_le_bytes());
+}
+
+/// One sub-shard's groups: each record's value appended to a byte arena
+/// and linked onto its key's chain, keys found through a [`Slots`] table
+/// — a combine buffer's shape, keeping every value instead of folding.
+#[derive(Default)]
+pub(crate) struct Groups {
+    arena: Vec<u8>,
+    slots: Slots,
+}
+
+impl Groups {
+    /// Arena and table bytes: what the memory budget is charged.
+    fn footprint(&self) -> usize {
+        self.arena.len() + self.slots.bytes()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.arena.is_empty()
+    }
+
+    /// Link `value` onto the end of `key`'s chain.
+    fn push(&mut self, hash: u64, key: &[u8], value: &[u8]) {
+        let v = self.arena.len();
+        assert!(
+            v + GROUP_HEADER + key.len() + VALUE_HEADER + value.len() < ARENA_MAX,
+            "reduce arena past {ARENA_MAX} bytes"
+        );
+        if self.slots.is_full() {
+            self.slots.grow();
+        }
+        let is_key = |at: usize| self.group(at).0 == key;
+        match self.slots.probe(hash, is_key) {
+            Ok(slot) => {
+                let at = self.slots.offset(slot);
+                let tail = u32_at(&self.arena, at + 8) as usize;
+                let count = u32_at(&self.arena, at + 4) as usize;
+                put_u32(&mut self.arena, tail, v);
+                put_u32(&mut self.arena, at + 4, count + 1);
+                put_u32(&mut self.arena, at + 8, v);
+            }
+            Err(slot) => {
+                self.slots.set(slot, hash, v);
+                let first = v + GROUP_HEADER + key.len();
+                for word in [key.len(), 1, first] {
+                    self.arena.extend_from_slice(&(word as u32).to_le_bytes());
+                }
+                self.arena.extend_from_slice(key);
+            }
+        }
+        self.arena.extend_from_slice(&[0; 4]);
+        self.arena
+            .extend_from_slice(&(value.len() as u32).to_le_bytes());
+        self.arena.extend_from_slice(value);
+    }
+
+    /// The group whose header is at `at`: its key and its values, in
+    /// arrival order.
+    fn group(&self, at: usize) -> (&[u8], Chain<'_>) {
+        let k = at + GROUP_HEADER;
+        let klen = u32_at(&self.arena, at) as usize;
+        let chain = Chain {
+            arena: &self.arena,
+            next: k + klen,
+            left: u32_at(&self.arena, at + 4) as usize,
+        };
+        (&self.arena[k..k + klen], chain)
+    }
+
+    /// Every group, in table order.
+    fn groups(&self) -> impl Iterator<Item = (&[u8], Chain<'_>)> {
+        self.slots.offsets().map(|at| self.group(at))
+    }
+
+    /// Every `(key, value)` held, flattened for a sorted run.
+    fn entries(&self) -> Vec<(&[u8], &[u8])> {
+        let mut out = Vec::new();
+        for (key, values) in self.groups() {
+            out.extend(values.map(|v| (key, v)));
+        }
+        out
+    }
+}
+
+/// One group's values, borrowed from its arena.
+struct Chain<'a> {
+    arena: &'a [u8],
+    next: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for Chain<'a> {
+    type Item = &'a [u8];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let at = self.next;
+        let v = at + VALUE_HEADER;
+        self.next = u32_at(self.arena, at) as usize;
+        Some(&self.arena[v..v + u32_at(self.arena, at + 4) as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
 struct ReduceShard {
-    groups: StableMap<Bytes, Vec<Bytes>>,
-    bytes: usize,
+    groups: Groups,
     runs: Vec<String>,
 }
 
@@ -85,8 +202,7 @@ impl ReduceState {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(ReduceShard {
-                        groups: StableMap::default(),
-                        bytes: 0,
+                        groups: Groups::default(),
                         runs: Vec::new(),
                     })
                 })
@@ -105,51 +221,42 @@ impl ReduceState {
         }
     }
 
-    /// Fold one bin into the grouped state, spilling the touched shard
-    /// if it crosses its budget slice. Keys and values are zero-copy
-    /// sub-views of the bin's frame; sub-shard selection hashes the
-    /// key. `worker` labels any spill this triggers in the trace.
+    /// Fold one bin into the grouped state, spilling a sub-shard when it
+    /// crosses its slice of the budget. The bin's records are bucketed
+    /// by sub-shard first, so the bin takes each touched sub-shard's
+    /// lock once. `worker` labels any spill this triggers in the trace.
     pub(crate) fn ingest(&self, worker: usize, bin: &FrameBin) -> Result<(), DiskError> {
-        let per_shard_budget = (self.budget / self.shards.len()).max(1);
+        let n = self.shards.len();
+        let budget = (self.budget / n).clamp(1, ARENA_MAX / 2);
+        let mut records = Vec::with_capacity(bin.len());
+        records.extend(bin.frame.iter().map(|(key, value)| {
+            let hash = stable_hash(key);
+            (sub_shard(hash, n), hash, key, value)
+        }));
         // The gauge is a shared cell: net the bin's effect here and
         // publish it once, not once per record under the shard lock.
-        let mut resident_delta = 0i64;
-        for (key, value) in bin.frame.iter_shared() {
-            let s = sub_shard(stable_hash(&key), self.shards.len());
-            let mut shard = self.shards[s].lock();
-            let added = match shard.groups.get_mut(&key) {
-                Some(values) => {
-                    let add = value.len() + VALUE_OVERHEAD;
-                    values.push(value);
-                    add
-                }
-                None => {
-                    let add = key.len() + value.len() + GROUP_OVERHEAD + VALUE_OVERHEAD;
-                    shard.groups.insert(key, vec![value]);
-                    add
-                }
-            };
-            shard.bytes += added;
-            resident_delta += added as i64;
-            if shard.bytes > per_shard_budget {
-                self.resident_gauge.add(std::mem::take(&mut resident_delta));
-                self.spill_locked(worker, &mut shard)?;
+        let mut resident = 0i64;
+        for s in 0..n {
+            let mut mine = records.iter().filter(|r| r.0 == s).peekable();
+            if mine.peek().is_none() {
+                continue;
             }
+            let mut shard = self.shards[s].lock();
+            let before = shard.groups.footprint() as i64;
+            for &(_, hash, key, value) in mine {
+                shard.groups.push(hash, key, value);
+                if shard.groups.footprint() > budget {
+                    self.spill_locked(worker, &mut shard)?;
+                }
+            }
+            resident += shard.groups.footprint() as i64 - before;
         }
-        self.resident_gauge.add(resident_delta);
+        self.resident_gauge.add(resident);
         Ok(())
     }
 
     fn spill_locked(&self, worker: usize, shard: &mut ReduceShard) -> Result<(), DiskError> {
-        let mut entries = Vec::new();
-        for (key, values) in shard.groups.drain() {
-            for v in values {
-                entries.push((key.clone(), v));
-            }
-        }
-        self.resident_gauge.sub(shard.bytes as i64);
-        shard.bytes = 0;
-        if entries.is_empty() {
+        if shard.groups.is_empty() {
             return Ok(());
         }
         self.tracer.emit(
@@ -160,7 +267,10 @@ impl ReduceState {
             },
         );
         let name = self.disk.temp_name(&self.spill_prefix);
-        let written = write_run(&self.disk, &name, entries)?;
+        let written = write_run(&self.disk, &name, shard.groups.entries())?;
+        // Both keep their capacity for the refill.
+        shard.groups.arena.clear();
+        shard.groups.slots.clear();
         self.spilled_bytes
             .fetch_add(written as u64, std::sync::atomic::Ordering::Relaxed);
         self.tracer.emit(
@@ -199,8 +309,8 @@ impl ReduceState {
 
 /// Iterates one shard's `(key, values)` groups.
 pub(crate) enum FireShard {
-    /// Nothing spilled: iterate the hashmap directly (no sort needed).
-    Memory(std::collections::hash_map::IntoIter<Bytes, Vec<Bytes>>),
+    /// Nothing spilled: the groups where ingest left them.
+    Memory(Groups),
     /// Merge in-memory remainder with spilled runs, key order.
     Merge(GroupedMerge),
 }
@@ -208,27 +318,33 @@ pub(crate) enum FireShard {
 impl FireShard {
     fn build(shard: ReduceShard, disk: &Disk) -> Result<Self, DiskError> {
         if shard.runs.is_empty() {
-            return Ok(FireShard::Memory(shard.groups.into_iter()));
+            return Ok(FireShard::Memory(shard.groups));
         }
-        let mut streams = Vec::with_capacity(shard.runs.len() + 1);
-        let mut mem_entries = Vec::new();
-        for (key, values) in shard.groups {
-            for v in values {
-                mem_entries.push((key.clone(), v));
-            }
-        }
-        streams.push(SortedStream::from_entries(mem_entries));
+        let owned = Bytes::copy_from_slice;
+        let remainder = shard.groups.entries();
+        let remainder = remainder.into_iter().map(|(k, v)| (owned(k), owned(v)));
+        let mut streams = vec![SortedStream::from_entries(remainder.collect())];
         for run in &shard.runs {
             streams.push(SortedStream::Run(RunReader::open(disk, run)?));
         }
         Ok(FireShard::Merge(GroupedMerge::new(streams)))
     }
 
-    /// Next group, or `None` when the shard is drained.
-    pub(crate) fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)> {
+    /// Hand every group to `reduce`: its key and an iterator over its
+    /// values, both borrowed. A `reduce` that stops pulling early leaves
+    /// the next group whole.
+    pub(crate) fn fire(self, mut reduce: impl FnMut(&[u8], &mut dyn Iterator<Item = &[u8]>)) {
         match self {
-            FireShard::Memory(it) => it.next(),
-            FireShard::Merge(m) => m.next_group(),
+            FireShard::Memory(groups) => {
+                for (key, mut values) in groups.groups() {
+                    reduce(key, &mut values);
+                }
+            }
+            FireShard::Merge(mut merge) => {
+                while let Some((key, values)) = merge.next_group() {
+                    reduce(&key, &mut values.iter().map(|v| &v[..]));
+                }
+            }
         }
     }
 
@@ -237,7 +353,7 @@ impl FireShard {
     /// before dispatch so they don't inflate task and steal counts.
     pub(crate) fn is_empty(&self) -> bool {
         match self {
-            FireShard::Memory(it) => it.len() == 0,
+            FireShard::Memory(groups) => groups.is_empty(),
             // A merge shard only exists because runs were spilled, so
             // it always yields at least one group.
             FireShard::Merge(_) => false,
@@ -303,6 +419,8 @@ mod tests {
     use crate::flowlet::{Emitter, TaskContext};
     use hamr_codec::stable_hash;
     use hamr_simdisk::DiskConfig;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -316,15 +434,29 @@ mod tests {
         ReduceState::new(shards, budget, disk, &Observe::default(), 0, 0)
     }
 
-    fn drain_all(mut shards: Vec<FireShard>) -> Vec<(Bytes, Vec<Bytes>)> {
-        let mut out = Vec::new();
-        for shard in &mut shards {
-            while let Some(g) = shard.next_group() {
-                out.push(g);
-            }
+    /// Each key's values, sorted.
+    type Reference = BTreeMap<Vec<u8>, Vec<Vec<u8>>>;
+
+    /// Fire every shard, pulling at most `pull(key)` values of each
+    /// group, and return what came out.
+    fn fire_all(shards: Vec<FireShard>, pull: impl Fn(&[u8]) -> usize) -> Reference {
+        let mut out = Reference::new();
+        for shard in shards {
+            shard.fire(|key, values| {
+                let mut got: Vec<Vec<u8>> = values.take(pull(key)).map(<[u8]>::to_vec).collect();
+                got.sort();
+                assert!(out.insert(key.to_vec(), got).is_none(), "a key fired twice");
+            });
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
         out
+    }
+
+    fn drain_all(shards: Vec<FireShard>) -> Reference {
+        fire_all(shards, |_| usize::MAX)
+    }
+
+    fn runs(st: &ReduceState) -> usize {
+        st.shards.iter().map(|s| s.lock().runs.len()).sum()
     }
 
     #[test]
@@ -333,29 +465,32 @@ mod tests {
         let st = test_state(4, 1 << 20, disk);
         st.ingest(0, &bin(&[(b"a", b"1"), (b"b", b"2"), (b"a", b"3")]))
             .unwrap();
-        let groups = drain_all(st.into_shards().unwrap());
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, b("a"));
-        let mut vs = groups[0].1.clone();
-        vs.sort();
-        assert_eq!(vs, vec![b("1"), b("3")]);
-        assert_eq!(groups[1].0, b("b"));
+        let want = [(b"a", vec![b"1", b"3"]), (b"b", vec![b"2"])];
+        let want = want.map(|(k, vs)| (k.to_vec(), vs.iter().map(|v| v.to_vec()).collect()));
+        assert_eq!(drain_all(st.into_shards().unwrap()), Reference::from(want));
     }
 
+    /// Restated for the arena: ingest copies a value once, into its
+    /// sub-shard's arena (the bin's frame is free after ingest), and a
+    /// fire lends the reducer that copy instead of making another.
     #[test]
-    fn ingested_values_are_frame_views() {
-        let disk = Disk::new(DiskConfig::instant());
-        let st = test_state(1, 1 << 20, disk);
-        let bin = bin(&[(b"key", b"value-stays-in-frame")]);
-        let base = bin.frame.data().as_ptr() as usize;
-        let end = base + bin.frame.payload_bytes();
-        st.ingest(0, &bin).unwrap();
-        let groups = drain_all(st.into_shards().unwrap());
-        let p = groups[0].1[0].as_ptr() as usize;
-        assert!(
-            p >= base && p < end,
-            "stored value should alias the frame buffer"
-        );
+    fn fired_values_borrow_the_shard_arena() {
+        let st = test_state(1, 1 << 20, Disk::new(DiskConfig::instant()));
+        st.ingest(0, &bin(&[(b"key", b"value-in-the-arena")]))
+            .unwrap();
+        let shard = st.into_shards().unwrap().pop().unwrap();
+        let FireShard::Memory(groups) = &shard else {
+            panic!("nothing spilled")
+        };
+        let arena = groups.arena.as_ptr_range();
+        let mut seen = 0;
+        shard.fire(|_, values| {
+            for v in values {
+                assert!(arena.contains(&v.as_ptr()), "value should lie in the arena");
+                seen += 1;
+            }
+        });
+        assert_eq!(seen, 1);
     }
 
     #[test]
@@ -373,7 +508,7 @@ mod tests {
         assert!(!disk.is_empty(), "spill files on disk");
         let groups = drain_all(st.into_shards().unwrap());
         assert_eq!(groups.len(), 10);
-        let total: usize = groups.iter().map(|(_, vs)| vs.len()).sum();
+        let total: usize = groups.values().map(Vec::len).sum();
         assert_eq!(total, 50);
     }
 
@@ -384,6 +519,74 @@ mod tests {
         st.ingest(0, &bin(&[(b"a", b"1")])).unwrap();
         assert_eq!(st.spilled_bytes(), 0);
         assert!(disk.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The groups a reduce fires are a `BTreeMap`'s: every key once,
+        /// with every value — empty keys and values and values past
+        /// `u16::MAX` included — whether the budget spills never, once
+        /// (at the last record), now and then, or at every record; a
+        /// reducer that stops pulling one group early leaves the next
+        /// whole; and keys whose hashes share a tag (five tags for up
+        /// to 300 keys, through every growth of the table) are told
+        /// apart by their bytes.
+        #[test]
+        fn grouping_matches_a_btreemap(
+            ids in prop::collection::vec((0u16..300, 0usize..40), 1..400),
+            shards in 1usize..4,
+            spills in 0u8..4,
+            per_bin in 1usize..16,
+        ) {
+            // Key 0 is empty, and so is every value of length 0.
+            let records: Vec<(Vec<u8>, Vec<u8>)> = ids.iter().enumerate().map(|(i, &(id, len))| {
+                let key = format!("k{id}").into_bytes();
+                let value = if len == 39 { vec![i as u8; 70_000] } else { format!("{i}.").repeat(len).into_bytes() };
+                (if id == 0 { Vec::new() } else { key }, value)
+            }).collect();
+            let mut reference = Reference::new();
+            for (k, v) in &records {
+                reference.entry(k.clone()).or_default().push(v.clone());
+            }
+            reference.values_mut().for_each(|vs| vs.sort());
+            let ingest = |st: &ReduceState| {
+                for chunk in records.chunks(per_bin) {
+                    let pairs: Vec<_> = chunk.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+                    st.ingest(0, &bin(&pairs)).unwrap();
+                }
+            };
+            let disk = Disk::new(DiskConfig::instant());
+            let whole = test_state(1, usize::MAX, disk.clone());
+            ingest(&whole);
+            let full = whole.shards[0].lock().groups.footprint();
+            let shards = if spills == 1 { 1 } else { shards };
+            let budget = [usize::MAX, full - 1, full / 3, 1][spills as usize];
+            let st = test_state(shards, budget, disk);
+            ingest(&st);
+            match spills {
+                0 => prop_assert_eq!(runs(&st), 0),
+                1 => prop_assert_eq!(runs(&st), 1),
+                2 => prop_assert!(shards > 1 || runs(&st) >= 1),
+                _ => prop_assert_eq!(runs(&st), records.len()),
+            }
+            let pull = |key: &[u8]| match key.last() {
+                Some(b) if b % 3 == 0 => usize::from(b % 2 == 0),
+                _ => usize::MAX,
+            };
+            let fired = fire_all(st.into_shards().unwrap(), pull);
+            prop_assert_eq!(fired.len(), reference.len());
+            for (key, want) in &reference {
+                let got = &fired[key];
+                prop_assert_eq!(got.len(), pull(key).min(want.len()));
+                prop_assert!(got.iter().all(|v| want.contains(v)));
+            }
+            let mut tagged = Groups::default();
+            for ((k, v), &(id, _)) in records.iter().zip(&ids) {
+                tagged.push(u64::from(id % 5), k, v);
+            }
+            prop_assert_eq!(drain_all(vec![FireShard::Memory(tagged)]), reference);
+        }
     }
 
     struct SumReducer;

@@ -1,0 +1,152 @@
+//! The open-addressing table behind the engine's two byte arenas: a
+//! combine buffer's partials (`outbuf::combine::Held`) and a reduce
+//! sub-shard's groups (`reduce_state::Groups`). A word is `(low 32 bits
+//! of the key's hash) << 32 | arena offset`: a probe compares that tag
+//! before it touches the arena, and the table regrows from its own
+//! words, without reading a key.
+
+/// An arena stays below this, which keeps every offset inside a word's
+/// low half and off the two reserved words.
+pub(crate) const ARENA_MAX: usize = 1 << 31;
+pub(crate) const TABLE_MIN: usize = 64;
+const SLOT_EMPTY: u64 = u64::MAX;
+const SLOT_TOMB: u64 = u64::MAX - 1;
+
+/// The little-endian `u32` at `at`: arena headers are made of these.
+#[inline]
+pub(crate) fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes"))
+}
+
+/// Linear-probed, a power of two long (or empty while nothing is held),
+/// at most three quarters occupied by words and tombstones.
+#[derive(Default)]
+pub(crate) struct Slots {
+    words: Vec<u64>,
+    /// Words in use, tombstones included.
+    used: usize,
+    pub(crate) tombs: usize,
+}
+
+impl Slots {
+    /// Where a tag starts probing: the high bits of a multiplicative
+    /// scramble, because the tag's low bits may be the ones that chose
+    /// the destination node, which every key held here shares.
+    #[inline]
+    fn start(&self, hash: u64) -> usize {
+        ((hash & 0xFFFF_FFFF).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
+            & (self.words.len() - 1)
+    }
+
+    #[inline]
+    fn word(hash: u64, at: usize) -> u64 {
+        (hash << 32) | at as u64
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    pub(crate) fn bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
+    }
+
+    /// True when one more word would pass three quarters: grow (or
+    /// rebuild) before the next probe that may insert.
+    #[inline]
+    pub(crate) fn is_full(&self) -> bool {
+        (self.used + 1) * 4 > self.words.len() * 3
+    }
+
+    /// `Ok` with the slot of the entry whose offset `is_key` accepts
+    /// among those tagged like `hash`, else `Err` with the slot (the
+    /// first tombstone passed, or the empty one) a new entry takes — the
+    /// shape of `slice::binary_search`'s answer.
+    #[inline]
+    pub(crate) fn probe(
+        &self,
+        hash: u64,
+        mut is_key: impl FnMut(usize) -> bool,
+    ) -> Result<usize, usize> {
+        let mask = self.words.len() - 1;
+        let mut slot = self.start(hash);
+        let mut reuse = None;
+        loop {
+            match self.words[slot] {
+                SLOT_EMPTY => return Err(reuse.unwrap_or(slot)),
+                SLOT_TOMB => {
+                    reuse.get_or_insert(slot);
+                }
+                word if word >> 32 == hash & 0xFFFF_FFFF && is_key(self.offset(slot)) => {
+                    return Ok(slot)
+                }
+                _ => {}
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The arena offset a live slot points at.
+    #[inline]
+    pub(crate) fn offset(&self, slot: usize) -> usize {
+        (self.words[slot] & 0xFFFF_FFFF) as usize
+    }
+
+    /// Point `slot` (a probe's answer) at the entry at `at`.
+    #[inline]
+    pub(crate) fn set(&mut self, slot: usize, hash: u64, at: usize) {
+        match self.words[slot] {
+            SLOT_EMPTY => self.used += 1,
+            SLOT_TOMB => self.tombs -= 1,
+            _ => {}
+        }
+        self.words[slot] = Self::word(hash, at);
+    }
+
+    /// Tombstone the word of the live entry at `at`.
+    pub(crate) fn unlink(&mut self, hash: u64, at: usize) {
+        let slot = self
+            .probe(hash, |a| a == at)
+            .expect("live entry in the table");
+        self.words[slot] = SLOT_TOMB;
+        self.tombs += 1;
+    }
+
+    /// Empty, sized for `live` entries at no more than half full; refill
+    /// with [`Slots::place`].
+    pub(crate) fn reset(&mut self, live: usize) {
+        let len = ((live + 1) * 2).next_power_of_two().max(TABLE_MIN);
+        self.words.clear();
+        self.words.resize(len, SLOT_EMPTY);
+        (self.used, self.tombs) = (0, 0);
+    }
+
+    /// Insert a word known not to be held.
+    pub(crate) fn place(&mut self, hash: u64, at: usize) {
+        let slot = self.probe(hash, |_| false).unwrap_err();
+        self.set(slot, hash, at);
+    }
+
+    /// Rebuild at no more than half full, without tombstones: the
+    /// offsets do not move, so the words re-place themselves.
+    pub(crate) fn grow(&mut self) {
+        let old = std::mem::take(&mut self.words);
+        self.reset(self.used - self.tombs);
+        for word in old.into_iter().filter(|&w| w < SLOT_TOMB) {
+            self.place(word >> 32, (word & 0xFFFF_FFFF) as usize);
+        }
+    }
+
+    /// Forget every word; the capacity stays for the next fill.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        (self.used, self.tombs) = (0, 0);
+    }
+
+    /// The offsets of the live entries, in table order.
+    pub(crate) fn offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.words.len())
+            .filter(|&s| self.words[s] < SLOT_TOMB)
+            .map(|s| self.offset(s))
+    }
+}

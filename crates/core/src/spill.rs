@@ -16,15 +16,16 @@ use std::collections::BinaryHeap;
 
 /// Sort entries by key and write them to `disk` as one run file.
 /// Returns the byte size of the run.
-pub(crate) fn write_run(
+pub(crate) fn write_run<K: AsRef<[u8]>, V: AsRef<[u8]>>(
     disk: &Disk,
     name: &str,
-    mut entries: Vec<(Bytes, Bytes)>,
+    mut entries: Vec<(K, V)>,
 ) -> Result<usize, DiskError> {
-    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    entries.sort_unstable_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
     let mut writer = disk.create(name)?;
     let mut buf = Vec::with_capacity(64 << 10);
     for (k, v) in &entries {
+        let (k, v) = (k.as_ref(), v.as_ref());
         write_varint(k.len() as u64, &mut buf);
         buf.extend_from_slice(k);
         write_varint(v.len() as u64, &mut buf);
@@ -195,7 +196,7 @@ mod tests {
     #[test]
     fn empty_run_yields_nothing() {
         let disk = Disk::new(DiskConfig::instant());
-        write_run(&disk, "run0", vec![]).unwrap();
+        write_run(&disk, "run0", Vec::<(Bytes, Bytes)>::new()).unwrap();
         let mut r = RunReader::open(&disk, "run0").unwrap();
         assert!(r.next_entry().is_none());
     }

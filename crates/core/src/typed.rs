@@ -8,7 +8,6 @@
 use crate::flowlet::{AccBox, Emitter, Loader, MapFn, PartialReduceFn, ReduceFn, TaskContext};
 use crate::outbuf::Combiner;
 use crate::NodeId;
-use bytes::Bytes;
 use hamr_codec::Codec;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -89,7 +88,45 @@ where
 
 // ------------------------------------------------------------- reduce
 
-/// A [`ReduceFn`] from a typed closure `(key, values, emitter)`.
+/// A reduce closure's values: decoded one at a time, as the closure
+/// pulls them, from bytes borrowed from the node's grouped state. A
+/// closure that folds never holds the group; one that needs it whole
+/// calls `.collect()`.
+pub struct Values<'a, V> {
+    raw: &'a mut dyn RawValues<'a>,
+    _pd: PhantomData<fn() -> V>,
+}
+
+/// The engine's value iterator with its item lifetime shortened to its
+/// borrow's, so that [`Values`] needs only one.
+trait RawValues<'a> {
+    fn next_raw(&mut self) -> Option<&'a [u8]>;
+    fn hint(&self) -> (usize, Option<usize>);
+}
+
+impl<'a, 'v: 'a, I: Iterator<Item = &'v [u8]>> RawValues<'a> for I {
+    fn next_raw(&mut self) -> Option<&'a [u8]> {
+        self.next()
+    }
+    fn hint(&self) -> (usize, Option<usize>) {
+        self.size_hint()
+    }
+}
+
+impl<V: Codec> Iterator for Values<'_, V> {
+    type Item = V;
+
+    #[inline]
+    fn next(&mut self) -> Option<V> {
+        self.raw.next_raw().map(|v| dec("reduce value", v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.raw.hint()
+    }
+}
+
+/// A [`ReduceFn`] from a typed closure `(ctx, key, values, emitter)`.
 pub struct TypedReduce<K, V, F> {
     f: F,
     _pd: PhantomData<fn(K, V)>,
@@ -99,65 +136,44 @@ impl<K, V, F> ReduceFn for TypedReduce<K, V, F>
 where
     K: Codec,
     V: Codec,
-    F: Fn(K, Vec<V>, &mut Emitter) + Send + Sync,
-{
-    fn reduce(
-        &self,
-        _ctx: &TaskContext,
-        key: &[u8],
-        values: &mut dyn Iterator<Item = Bytes>,
-        out: &mut Emitter,
-    ) {
-        let typed: Vec<V> = values.map(|v| dec("reduce value", &v)).collect();
-        (self.f)(dec("reduce key", key), typed, out);
-    }
-}
-
-/// Build a reduce flowlet from `Fn(K, Vec<V>, &mut Emitter)`.
-pub fn reduce_fn<K, V, F>(f: F) -> TypedReduce<K, V, F>
-where
-    K: Codec,
-    V: Codec,
-    F: Fn(K, Vec<V>, &mut Emitter) + Send + Sync,
-{
-    TypedReduce {
-        f,
-        _pd: PhantomData,
-    }
-}
-
-/// Context-aware reduce.
-pub struct TypedCtxReduce<K, V, F> {
-    f: F,
-    _pd: PhantomData<fn(K, V)>,
-}
-
-impl<K, V, F> ReduceFn for TypedCtxReduce<K, V, F>
-where
-    K: Codec,
-    V: Codec,
-    F: Fn(&TaskContext, K, Vec<V>, &mut Emitter) + Send + Sync,
+    F: Fn(&TaskContext, K, Values<'_, V>, &mut Emitter) + Send + Sync,
 {
     fn reduce(
         &self,
         ctx: &TaskContext,
         key: &[u8],
-        values: &mut dyn Iterator<Item = Bytes>,
+        mut values: &mut dyn Iterator<Item = &[u8]>,
         out: &mut Emitter,
     ) {
-        let typed: Vec<V> = values.map(|v| dec("reduce value", &v)).collect();
-        (self.f)(ctx, dec("reduce key", key), typed, out);
+        let values = Values {
+            raw: &mut values,
+            _pd: PhantomData,
+        };
+        (self.f)(ctx, dec("reduce key", key), values, out);
     }
 }
 
-/// Build a context-aware reduce flowlet.
-pub fn reduce_ctx_fn<K, V, F>(f: F) -> TypedCtxReduce<K, V, F>
+/// Build a reduce flowlet from `Fn(K, Values<V>, &mut Emitter)`.
+#[allow(clippy::type_complexity)]
+pub fn reduce_fn<K, V, F>(
+    f: F,
+) -> TypedReduce<K, V, impl Fn(&TaskContext, K, Values<'_, V>, &mut Emitter) + Send + Sync>
 where
     K: Codec,
     V: Codec,
-    F: Fn(&TaskContext, K, Vec<V>, &mut Emitter) + Send + Sync,
+    F: Fn(K, Values<'_, V>, &mut Emitter) + Send + Sync,
 {
-    TypedCtxReduce {
+    reduce_ctx_fn(move |_: &TaskContext, key, values, out: &mut Emitter| f(key, values, out))
+}
+
+/// Build a context-aware reduce flowlet.
+pub fn reduce_ctx_fn<K, V, F>(f: F) -> TypedReduce<K, V, F>
+where
+    K: Codec,
+    V: Codec,
+    F: Fn(&TaskContext, K, Values<'_, V>, &mut Emitter) + Send + Sync,
+{
+    TypedReduce {
         f,
         _pd: PhantomData,
     }

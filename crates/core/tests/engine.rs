@@ -58,8 +58,8 @@ fn wordcount_with_full_reduce() {
     let map = job.add_map("split", typed::map_fn(split_words));
     let red = job.add_reduce(
         "count",
-        typed::reduce_fn(|k: String, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: String, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect(loader, map, Exchange::Local);
@@ -106,7 +106,8 @@ fn multi_phase_dag_map_chain() {
     );
     let sink = job.add_reduce(
         "sink",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            let vs: Vec<u64> = vs.collect();
             assert_eq!(vs.len(), 1);
             out.output_t(&k, &vs[0]);
         }),
@@ -136,8 +137,8 @@ fn one_loader_feeds_two_flowlets() {
     let sum_all = job.add_partial_reduce("sum", typed::sum_reducer::<String>());
     let max_red = job.add_reduce(
         "max",
-        typed::reduce_fn(|k: String, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, vs.iter().max().unwrap());
+        typed::reduce_fn(|k: String, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.max().unwrap());
         }),
     );
     let to_sum = job.add_map(
@@ -195,8 +196,8 @@ fn reduce_groups_all_values_for_key() {
     let loader = job.add_loader("pairs", typed::pairs_loader(pairs));
     let red = job.add_reduce(
         "collect",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &(vs.len() as u64));
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &(vs.count() as u64));
         }),
     );
     let route = job.add_map(
@@ -232,8 +233,8 @@ fn reduce_spills_when_budget_tiny_and_stays_correct() {
     );
     let red = job.add_reduce(
         "sum",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect(loader, route, Exchange::Local);
@@ -383,7 +384,9 @@ fn empty_loader_completes_immediately() {
     let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
     let group = job.add_reduce(
         "group",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| out.output_t(&k, &vs.len())),
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.count())
+        }),
     );
     job.connect(loader, sum, Exchange::Hash);
     job.connect(loader, group, Exchange::Hash);

@@ -70,7 +70,7 @@ fn reduce_fire_panic_is_reported() {
     );
     let bad = job.add_reduce(
         "bad",
-        typed::reduce_fn(|_k: u64, _vs: Vec<u64>, _out: &mut Emitter| {
+        typed::reduce_fn(|_k: u64, _vs: typed::Values<u64>, _out: &mut Emitter| {
             panic!("reduce exploded at fire time");
         }),
     );

@@ -81,9 +81,9 @@ fn keys_hash_once_per_side() {
     let add_reduce = |job: &mut JobBuilder| {
         job.add_reduce(
             "count",
-            typed::reduce_fn(|k: String, vs: Vec<u64>, out: &mut Emitter| {
+            typed::reduce_fn(|k: String, vs: typed::Values<u64>, out: &mut Emitter| {
                 // Captured output is not routed, so it is not hashed.
-                out.output_t(&k, &vs.iter().sum::<u64>());
+                out.output_t(&k, &vs.sum::<u64>());
             }),
         )
     };

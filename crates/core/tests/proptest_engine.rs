@@ -39,8 +39,8 @@ fn engine_sums(
     let agg = if full_reduce {
         job.add_reduce(
             "sum",
-            typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-                out.output_t(&k, &vs.iter().sum::<u64>());
+            typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+                out.output_t(&k, &vs.sum::<u64>());
             }),
         )
     } else {

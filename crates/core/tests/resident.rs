@@ -21,8 +21,8 @@ fn cached_sum_job(name: &str, data: Vec<(u64, u64)>, tag: &str, fp: u64) -> (Job
     let loader = job.add_loader("pairs", typed::pairs_loader(data));
     let sum = job.add_reduce(
         "sum",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect(loader, sum, Exchange::Hash);

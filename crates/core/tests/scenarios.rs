@@ -19,7 +19,8 @@ fn two_loaders_feed_one_reduce() {
     );
     let join = job.add_reduce(
         "join",
-        typed::reduce_fn(|k: u64, vs: Vec<(u8, u64)>, out: &mut Emitter| {
+        typed::reduce_fn(|k: u64, vs: typed::Values<(u8, u64)>, out: &mut Emitter| {
+            let vs: Vec<(u8, u64)> = vs.collect();
             assert_eq!(vs.len(), 2, "one record from each source per key");
             let double = vs.iter().find(|(t, _)| *t == 0).unwrap().1;
             let plus = vs.iter().find(|(t, _)| *t == 1).unwrap().1;
@@ -65,8 +66,8 @@ fn deep_chain_of_mixed_flowlets() {
     );
     let r = job.add_reduce(
         "rsum",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.emit_t(0, &k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.emit_t(0, &k, &vs.sum::<u64>());
         }),
     );
     let m3 = job.add_map(
@@ -124,8 +125,8 @@ fn spill_metrics_reflect_budget() {
     );
     let r = job.add_reduce(
         "collect",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &(vs.len() as u64));
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &(vs.count() as u64));
         }),
     );
     job.connect(loader, r, Exchange::Hash);

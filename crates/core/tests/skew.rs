@@ -41,8 +41,8 @@ fn run_sum_job(cluster: &Cluster, pairs: Vec<(u64, u64)>, threshold_note: &str) 
     );
     let sum = job.add_reduce(
         "sum",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect(loader, map, Exchange::Local);
@@ -109,8 +109,8 @@ fn audit_custody_balances_under_full_mitigation() {
     );
     let sum = job.add_reduce(
         "sum",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect(loader, map, Exchange::Local);
@@ -178,8 +178,8 @@ fn same_keys_job(name: &str, splits: usize) -> hamr_core::JobGraph {
     let loader = job.add_loader("same-keys", SameKeys { splits });
     let sum = job.add_reduce(
         "sum",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect_combined(loader, sum, Exchange::Hash, typed::sum_combiner());

@@ -172,8 +172,8 @@ fn spills_emit_disk_and_spill_events() {
     );
     let red = job.add_reduce(
         "collect",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect(loader, red, Exchange::Hash);

@@ -43,8 +43,8 @@ fn shuffle_edge_bytes_are_lengths_keys_and_values() {
     let loader = job.add_loader("pairs", typed::pairs_loader(pairs.clone()));
     let sum = job.add_reduce(
         "sum",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect_combined(loader, sum, Exchange::Hash, typed::sum_combiner());

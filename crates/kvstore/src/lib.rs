@@ -18,18 +18,18 @@
 //! that replaces Hadoop's inter-job HDFS round trip.
 
 use bytes::Bytes;
-use hamr_codec::{partition, Codec};
+use hamr_codec::{partition, Codec, StableMap};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of lock-striped sub-maps per shard.
 const SUB_SHARDS: usize = 16;
 
-/// One node's slice of the store.
+/// One node's slice of the store. Its maps probe with the engine's
+/// [`StableMap`] hasher, not `SipHash`: the keys are the engine's own.
 pub struct Shard {
-    maps: Vec<RwLock<HashMap<Bytes, Bytes>>>,
+    maps: Vec<RwLock<StableMap<Bytes, Bytes>>>,
     bytes: AtomicU64,
 }
 
@@ -37,14 +37,14 @@ impl Shard {
     fn new() -> Self {
         Shard {
             maps: (0..SUB_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
+                .map(|_| RwLock::new(StableMap::default()))
                 .collect(),
             bytes: AtomicU64::new(0),
         }
     }
 
     #[inline]
-    fn map_for(&self, key: &[u8]) -> &RwLock<HashMap<Bytes, Bytes>> {
+    fn map_for(&self, key: &[u8]) -> &RwLock<StableMap<Bytes, Bytes>> {
         // Use the *upper* hash bits: the lower bits already routed the
         // key to this node, so reusing them would collapse a node's
         // keys into a couple of sub-shards.
@@ -69,6 +69,13 @@ impl Shard {
     /// Fetch a value by key.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
         self.map_for(key).read().get(key).cloned()
+    }
+
+    /// Read the value for `key` in place: `read` borrows it under the
+    /// sub-shard's read lock, so a lookup that only decodes the value
+    /// allocates nothing and touches no refcount.
+    pub fn get_with<R>(&self, key: &[u8], read: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.map_for(key).read().get(key).map(|v| read(v))
     }
 
     /// Remove a key; returns the removed value if any.
@@ -258,6 +265,17 @@ mod tests {
         assert_eq!(shard.remove(b"k").unwrap(), "v2");
         assert!(shard.get(b"k").is_none());
         assert!(shard.is_empty());
+    }
+
+    #[test]
+    fn get_with_reads_the_value_in_place() {
+        let shard = Shard::new();
+        assert_eq!(shard.get_with(b"k", |v| v.len()), None);
+        shard.put(Bytes::from("k"), 7u64.to_bytes());
+        assert_eq!(
+            shard.get_with(b"k", |v| u64::from_bytes(v).unwrap()),
+            Some(7)
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! tiny per-cluster counters; Hadoop must shuffle the full movie data
 //! to reducers to produce its output (13x in Table 2).
 
-use crate::env::{scaled, unique_path, BenchOutput, Env};
+use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::movies::movie_lines;
 use crate::kmeans::{assign, load_centroids, parse_vector};
 use crate::wordcount::mr_output_checksum;
@@ -119,7 +119,7 @@ impl Benchmark for Classification {
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
         let start = Instant::now();
         let centroids = load_centroids(env, Self::centroid_path())?;
-        let output = unique_path("classification/out");
+        let output = env.unique_path("classification/out");
         let conf = JobConf::new(
             "classification",
             vec![INPUT.to_string()],

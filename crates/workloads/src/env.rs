@@ -5,6 +5,7 @@ use hamr_dfs::Dfs;
 use hamr_mapred::{MrCluster, MrConfig, StartupModel};
 use hamr_simdisk::{Disk, DiskConfig};
 use hamr_simnet::NetConfig;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Simulation parameters for one benchmark environment.
@@ -77,6 +78,8 @@ pub struct Env {
     pub dfs: Dfs,
     pub hamr: Cluster,
     pub mr: MrCluster,
+    /// Paths handed out by [`Env::unique_path`].
+    paths: AtomicU64,
 }
 
 impl Env {
@@ -122,6 +125,7 @@ impl Env {
             dfs,
             hamr,
             mr,
+            paths: AtomicU64::new(0),
         }
     }
 
@@ -172,6 +176,13 @@ impl Env {
         self.hamr.session().reset_namespace(ns)
     }
 
+    /// A DFS path no earlier call on this `Env` returned: MapReduce jobs
+    /// refuse to overwrite outputs, like Hadoop, and every `Env` has its
+    /// own DFS.
+    pub fn unique_path(&self, prefix: &str) -> String {
+        format!("{prefix}-{}", self.paths.fetch_add(1, Ordering::Relaxed))
+    }
+
     /// Idempotently write a text file into the DFS.
     pub fn seed_text(&self, path: &str, lines: &[String]) -> Result<(), String> {
         if self.dfs.exists(path) {
@@ -188,14 +199,6 @@ impl Env {
 /// Apply the environment's input scale factor to a base size.
 pub fn scaled(base: usize, scale: f64) -> usize {
     ((base as f64 * scale).round() as usize).max(1)
-}
-
-/// A process-unique DFS path (MapReduce jobs refuse to overwrite
-/// outputs, like Hadoop).
-pub fn unique_path(prefix: &str) -> String {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    format!("{prefix}-{}", NEXT.fetch_add(1, Ordering::Relaxed))
 }
 
 /// Per-iteration shuffle and cache telemetry for iterative

@@ -5,7 +5,7 @@
 //! competitive. Also one of the two Table 3 benchmarks (HAMR +
 //! combiner flowlet).
 
-use crate::env::{scaled, unique_path, BenchOutput, Env};
+use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::movies::{mean_rating, movie_lines, parse_movie_line};
 use crate::wordcount::mr_output_checksum;
 use crate::{pair_checksum, Benchmark};
@@ -89,7 +89,7 @@ impl HistogramMovies {
 
     pub fn run_mapred_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
         let start = Instant::now();
-        let output = unique_path("histmovies/out");
+        let output = env.unique_path("histmovies/out");
         let mapper = Arc::new(line_map_fn(|_off, line, out| {
             if let Some((_, ratings)) = parse_movie_line(line) {
                 if let Some(avg) = mean_rating(&ratings) {

@@ -6,7 +6,7 @@
 //! shared partial-reduce accumulators serialize under contention —
 //! the combination the paper blames for Hadoop beating HAMR 3x here.
 
-use crate::env::{scaled, unique_path, BenchOutput, Env};
+use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::movies::{movie_lines, parse_movie_line};
 use crate::wordcount::mr_output_checksum;
 use crate::{pair_checksum, Benchmark};
@@ -127,7 +127,7 @@ impl HistogramRatings {
 
     pub fn run_mapred_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
         let start = Instant::now();
-        let output = unique_path("histratings/out");
+        let output = env.unique_path("histratings/out");
         let conf = Self::mapred_conf(&output, combiner);
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;

@@ -17,20 +17,25 @@
 //!   re-reading the adjacency file from the DFS and shuffling all
 //!   in-flight cliques.
 
-use crate::env::{scaled, unique_path, BenchOutput, Env};
+use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::rmat::{edge_lines, edges, parse_edge_line, RmatParams};
 use crate::{pair_checksum, Benchmark};
 use bytes::Bytes;
 use hamr_codec::Codec;
-use hamr_core::{typed, Emitter, Exchange, JobBuilder};
+use hamr_core::typed::{self, Values};
+use hamr_core::{Emitter, Exchange, JobBuilder};
 use hamr_mapred::{line_map_fn, map_fn, reduce_fn, InputFormat, JobConf, ReduceOutput};
 use std::sync::Arc;
 use std::time::Instant;
 
 const INPUT: &str = "kcliques/edges.txt";
 
+/// The graph lives in the KV store under `kc/`, so a rerun resets its
+/// own namespace and leaves other tenants' state alone.
+const NS: &str = "kc/";
+
 fn graph_key(v: u64) -> Bytes {
-    let mut k = b"q".to_vec();
+    let mut k = NS.as_bytes().to_vec();
     v.encode(&mut k);
     k.into()
 }
@@ -71,7 +76,7 @@ impl Benchmark for KCliques {
     fn run_hamr(&self, env: &Env) -> Result<BenchOutput, String> {
         assert!(self.k >= 3, "clique size must be at least 3");
         let start = Instant::now();
-        env.hamr.kv().clear();
+        env.reset_namespace(NS);
 
         // Job 1: stream relationships and build the graph in memory.
         let mut build = JobBuilder::new("kcliques-build");
@@ -87,7 +92,8 @@ impl Benchmark for KCliques {
         );
         let graph_builder = build.add_reduce(
             "KCliquesGraphBuilder",
-            typed::reduce_ctx_fn(|ctx, v: u64, mut neighbors: Vec<u64>, out: &mut Emitter| {
+            typed::reduce_ctx_fn(|ctx, v: u64, neighbors: Values<u64>, out: &mut Emitter| {
+                let mut neighbors: Vec<u64> = neighbors.collect();
                 neighbors.sort_unstable();
                 neighbors.dedup();
                 ctx.kv.put(graph_key(v), neighbors.to_bytes());
@@ -108,8 +114,7 @@ impl Benchmark for KCliques {
                 |_ctx| 1,
                 |ctx, _split, out: &mut Emitter| {
                     ctx.kv.for_each(|k, v| {
-                        if k.first() == Some(&b'q') {
-                            let mut rest = &k[1..];
+                        if let Some(mut rest) = k.strip_prefix(NS.as_bytes()) {
                             let vertex = u64::decode(&mut rest).expect("graph key");
                             let neighbors = Vec::<u64>::from_bytes(v).expect("adjacency");
                             for &u in neighbors.iter().filter(|&&u| u > vertex) {
@@ -171,7 +176,7 @@ impl Benchmark for KCliques {
         assert!(self.k >= 3, "clique size must be at least 3");
         let start = Instant::now();
         // Job 0: adjacency lists (tag 0), symmetric and deduplicated.
-        let adj_path = unique_path("kcliques/adj");
+        let adj_path = env.unique_path("kcliques/adj");
         let adj_job = JobConf::new(
             "kc-adjacency",
             vec![INPUT.to_string()],
@@ -195,7 +200,7 @@ impl Benchmark for KCliques {
         // Job for size 3: derive 2-cliques locally from adjacency
         // (symmetry: requests to u are exactly {v ∈ adj(u) | v < u})
         // and emit 3-clique candidates.
-        let mut requests_path = unique_path("kcliques/req3");
+        let mut requests_path = env.unique_path("kcliques/req3");
         {
             let job = JobConf::new(
                 "kc-2cliques",
@@ -226,9 +231,9 @@ impl Benchmark for KCliques {
         for size in 3..=self.k {
             let is_last = size == self.k;
             let out_path = if is_last {
-                unique_path("kcliques/out")
+                env.unique_path("kcliques/out")
             } else {
-                unique_path(&format!("kcliques/req{}", size + 1))
+                env.unique_path(&format!("kcliques/req{}", size + 1))
             };
             let mut inputs = env.dfs.list(&format!("{adj_path}/"));
             inputs.extend(env.dfs.list(&format!("{requests_path}/")));

@@ -19,7 +19,7 @@
 //!   full movie line)` to the reducers — the data movement the paper
 //!   blames for the 10x gap.
 
-use crate::env::{scaled, unique_path, BenchOutput, Env};
+use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::movies::{movie_lines, parse_movie_line};
 use crate::wordcount::mr_output_checksum;
 use crate::{pair_checksum, Benchmark};
@@ -186,9 +186,8 @@ impl KMeans {
         let new_centroid_gen = job.add_reduce(
             "NewCentroidGen",
             typed::reduce_fn(
-                |cluster: u64, candidates: Vec<(f64, u64, String)>, out: &mut Emitter| {
+                |cluster: u64, candidates: typed::Values<(f64, u64, String)>, out: &mut Emitter| {
                     let best = candidates
-                        .into_iter()
                         .max_by(|a, b| {
                             a.0.partial_cmp(&b.0)
                                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -278,10 +277,11 @@ impl Benchmark for KMeans {
         let new_centroid_gen = job.add_reduce(
             "NewCentroidGen",
             typed::reduce_fn(
-                |cluster: u64, candidates: Vec<(f64, u64, u64, u64)>, out: &mut Emitter| {
+                |cluster: u64,
+                 candidates: typed::Values<(f64, u64, u64, u64)>,
+                 out: &mut Emitter| {
                     // Max similarity; ties to the smallest movie id.
                     let best = candidates
-                        .into_iter()
                         .max_by(|a, b| {
                             a.0.partial_cmp(&b.0)
                                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -354,7 +354,7 @@ impl Benchmark for KMeans {
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
         let start = Instant::now();
         let centroids = load_centroids(env, Self::centroid_path())?;
-        let output = unique_path("kmeans/out");
+        let output = env.unique_path("kmeans/out");
         let conf = JobConf::new(
             "kmeans",
             vec![INPUT.to_string()],

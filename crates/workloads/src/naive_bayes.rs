@@ -12,7 +12,7 @@
 //! results. Output keys: `L:<label>` for per-label totals and
 //! `F:<word>` for per-feature weights.
 
-use crate::env::{scaled, unique_path, BenchOutput, Env};
+use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::text::labeled_documents;
 use crate::wordcount::mr_output_checksum;
 use crate::{pair_checksum, Benchmark};
@@ -173,8 +173,8 @@ impl Benchmark for NaiveBayes {
 
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
         let start = Instant::now();
-        let inter = unique_path("naivebayes/inter");
-        let output = unique_path("naivebayes/out");
+        let inter = env.unique_path("naivebayes/inter");
+        let output = env.unique_path("naivebayes/out");
         // Job 1: per-label vector sums.
         let job1 = JobConf::new(
             "nb-vectorsum",

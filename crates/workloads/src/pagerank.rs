@@ -26,12 +26,14 @@
 //! The cached frames carry `(src, deg)` pairs, never ranks, so the
 //! served iterations compute bit-identical results to a cache-off run.
 
-use crate::env::{scaled, unique_path, BenchOutput, Env, IterStats};
+use crate::env::{scaled, BenchOutput, Env, IterStats};
 use crate::gen::webgraph::{link_lines, zipfian_links};
 use crate::{pair_checksum, Benchmark};
 use bytes::Bytes;
 use hamr_codec::Codec;
-use hamr_core::{typed, Emitter, Exchange, JobBuilder, JobGraph};
+use hamr_core::typed::{self, Values};
+use hamr_core::{Emitter, Exchange, JobBuilder, JobGraph};
+use hamr_kvstore::Shard;
 use hamr_mapred::{decode_kv, line_map_fn, map_fn, reduce_fn, InputFormat, JobConf, ReduceOutput};
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,21 +55,31 @@ fn damped(sum: u64) -> u64 {
 // refreshes every iteration. The resident cache tag `pr/radj` shares
 // the prefix so a namespace reset drops the pinned frames too.
 fn adj_key(page: u64) -> Bytes {
-    let mut k = b"pr/a".to_vec();
-    page.encode(&mut k);
-    k.into()
+    Bytes::copy_from_slice(page_key(&mut Vec::new(), b"pr/a", page))
 }
 
 fn rank_key(page: u64) -> Bytes {
-    let mut k = b"pr/r".to_vec();
-    page.encode(&mut k);
-    k.into()
+    Bytes::copy_from_slice(page_key(&mut Vec::new(), b"pr/r", page))
 }
 
 fn copy_key(page: u64) -> Bytes {
-    let mut k = b"pr/c".to_vec();
-    page.encode(&mut k);
-    k.into()
+    Bytes::copy_from_slice(page_key(&mut Vec::new(), b"pr/c", page))
+}
+
+/// `prefix` + `page`'s encoding, written over `buf`: `PRUpdateRed`
+/// reads every rank copy of a group through one buffer.
+fn page_key<'b>(buf: &'b mut Vec<u8>, prefix: &[u8], page: u64) -> &'b [u8] {
+    buf.clear();
+    buf.extend_from_slice(prefix);
+    page.encode(buf);
+    buf
+}
+
+/// The fixed-point rank stored under `key`, or 1.0 for a page not yet
+/// ranked; read in place.
+fn rank_at(kv: &Shard, key: &[u8]) -> u64 {
+    kv.get_with(key, |v| u64::from_bytes(v).expect("rank"))
+        .unwrap_or(UNIT)
 }
 
 pub struct PageRank {
@@ -124,7 +136,8 @@ impl PageRank {
         );
         let hash_join = job.add_reduce(
             "HashJoinRed",
-            typed::reduce_ctx_fn(|ctx, src: u64, dsts: Vec<u64>, out: &mut Emitter| {
+            typed::reduce_ctx_fn(|ctx, src: u64, dsts: Values<u64>, out: &mut Emitter| {
+                let dsts: Vec<u64> = dsts.collect();
                 // Save the dst list into memory (the KV store).
                 ctx.kv.put(adj_key(src), dsts.to_bytes());
                 let contrib = UNIT / dsts.len() as u64;
@@ -137,15 +150,11 @@ impl PageRank {
         );
         let merge_red = job.add_reduce(
             "MergeRed",
-            typed::reduce_ctx_fn(|ctx, page: u64, contribs: Vec<u64>, out: &mut Emitter| {
-                let sum: u64 = contribs.iter().sum();
-                let new = damped(sum);
-                let old = ctx
-                    .kv
-                    .get(&rank_key(page))
-                    .map(|b| u64::from_bytes(&b).expect("rank"))
-                    .unwrap_or(UNIT);
-                ctx.kv.put(rank_key(page), new.to_bytes());
+            typed::reduce_ctx_fn(|ctx, page: u64, contribs: Values<u64>, out: &mut Emitter| {
+                let new = damped(contribs.sum());
+                let key = rank_key(page);
+                let old = rank_at(&ctx.kv, &key);
+                ctx.kv.put(key, new.to_bytes());
                 out.emit_t(0, &0u64, &new.abs_diff(old));
             }),
         );
@@ -249,28 +258,20 @@ impl PageRank {
         job.resident(radj, "pr/radj", fp);
         let update = job.add_reduce(
             "PRUpdateRed",
-            typed::reduce_ctx_fn(|ctx, page: u64, ins: Vec<(u64, u64)>, out: &mut Emitter| {
-                let mut sum = 0u64;
-                for &(src, deg) in &ins {
-                    if deg == 0 {
-                        continue;
+            typed::reduce_ctx_fn(
+                |ctx, page: u64, ins: Values<(u64, u64)>, out: &mut Emitter| {
+                    let mut buf = Vec::with_capacity(16);
+                    let mut sum = 0u64;
+                    for (src, deg) in ins.filter(|&(_, deg)| deg > 0) {
+                        sum += rank_at(&ctx.kv, page_key(&mut buf, b"pr/c", src)) / deg;
                     }
-                    let rank = ctx
-                        .kv
-                        .get(&copy_key(src))
-                        .map(|b| u64::from_bytes(&b).expect("rank copy"))
-                        .unwrap_or(UNIT);
-                    sum += rank / deg;
-                }
-                let new = damped(sum);
-                let old = ctx
-                    .kv
-                    .get(&rank_key(page))
-                    .map(|b| u64::from_bytes(&b).expect("rank"))
-                    .unwrap_or(UNIT);
-                ctx.kv.put(rank_key(page), new.to_bytes());
-                out.emit_t(0, &0u64, &new.abs_diff(old));
-            }),
+                    let new = damped(sum);
+                    let key = rank_key(page);
+                    let old = rank_at(&ctx.kv, &key);
+                    ctx.kv.put(key, new.to_bytes());
+                    out.emit_t(0, &0u64, &new.abs_diff(old));
+                },
+            ),
         );
         // No combiner: the values are (src, deg) references, not
         // summable contributions — and the cache captures the
@@ -379,7 +380,7 @@ impl Benchmark for PageRank {
         let mut shuffled_bytes = 0u64;
         // Job 0: build the adjacency file. Values are tagged
         // (0 = adjacency, 1 = rank) so iteration jobs can join them.
-        let adj_path = unique_path("pagerank/adj");
+        let adj_path = env.unique_path("pagerank/adj");
         let adj_job = JobConf::new(
             "pr-adjacency",
             vec![INPUT.to_string()],
@@ -405,7 +406,7 @@ impl Benchmark for PageRank {
         let mut ranks_path: Option<String> = None;
         for iter in 0..self.iterations {
             // Job A: contributions (join adjacency with ranks by src).
-            let contrib_path = unique_path(&format!("pagerank/contrib{iter}"));
+            let contrib_path = env.unique_path(&format!("pagerank/contrib{iter}"));
             let mut inputs = env.dfs.list(&format!("{adj_path}/"));
             if let Some(rp) = &ranks_path {
                 inputs.extend(env.dfs.list(&format!("{rp}/")));
@@ -445,7 +446,7 @@ impl Benchmark for PageRank {
             shuffled_bytes += stats.shuffled_bytes;
 
             // Job B: rank update.
-            let new_ranks = unique_path(&format!("pagerank/ranks{iter}"));
+            let new_ranks = env.unique_path(&format!("pagerank/ranks{iter}"));
             let update_job = JobConf::new(
                 "pr-update",
                 env.dfs.list(&format!("{contrib_path}/")),

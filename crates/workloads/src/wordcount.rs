@@ -7,7 +7,7 @@
 //!   map-local duplicates (the configuration the paper notes makes the
 //!   gap between the engines small).
 
-use crate::env::{scaled, unique_path, BenchOutput, Env};
+use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::text::wordcount_corpus;
 use crate::{pair_checksum, Benchmark};
 use hamr_core::{typed, Emitter, Exchange, FlowletId, JobBuilder, JobGraph};
@@ -63,8 +63,8 @@ impl WordCount {
         } else {
             job.add_reduce(
                 "CountReduce",
-                typed::reduce_fn(|k: String, vs: Vec<u64>, out: &mut Emitter| {
-                    out.output_t(&k, &vs.iter().sum::<u64>());
+                typed::reduce_fn(|k: String, vs: typed::Values<u64>, out: &mut Emitter| {
+                    out.output_t(&k, &vs.sum::<u64>());
                 }),
             )
         };
@@ -128,7 +128,7 @@ impl WordCount {
     /// Hadoop run with/without combiner.
     pub fn run_mapred_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
         let start = Instant::now();
-        let output = unique_path("wordcount/out");
+        let output = env.unique_path("wordcount/out");
         let conf = Self::mapred_conf(&output, combiner);
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;

@@ -3,6 +3,7 @@
 //! on/off checksum identity, and fingerprint invalidation when the
 //! cached input is mutated between sessions.
 
+use hamr_workloads::kcliques::KCliques;
 use hamr_workloads::kmeans::KMeans;
 use hamr_workloads::pagerank::PageRank;
 use hamr_workloads::{Benchmark, Env};
@@ -146,4 +147,36 @@ fn namespaced_reset_preserves_other_tenants() {
         1,
         "km/lines must survive PageRank's pr/ reset and serve"
     );
+}
+
+/// K-Cliques resets only its own `kc/` namespace: a PageRank run's
+/// `pr/` keys in the same environment survive a K-Cliques run (and its
+/// rerun, which still finds its own graph) byte for byte.
+#[test]
+fn kcliques_leaves_pageranks_keys_alone() {
+    let env = Env::test(3, 2);
+    let pr_keys = |env: &Env| {
+        let mut keys = Vec::new();
+        for node in 0..3 {
+            env.hamr.kv().shard(node).for_each(|k, v| {
+                if k.starts_with(b"pr/") {
+                    keys.push((k.to_vec(), v.to_vec()));
+                }
+            });
+        }
+        keys.sort();
+        keys
+    };
+    let pr = PageRank::default();
+    pr.seed(&env).expect("seed pagerank");
+    pr.run_hamr(&env).expect("pagerank");
+    let ranked = pr_keys(&env);
+    assert!(!ranked.is_empty());
+    let kc = KCliques::default();
+    kc.seed(&env).expect("seed kcliques");
+    let first = kc.run_hamr(&env).expect("kcliques");
+    let again = kc.run_hamr(&env).expect("kcliques rerun");
+    assert!(first.records > 0);
+    assert_eq!(first.checksum, again.checksum);
+    assert_eq!(pr_keys(&env), ranked, "K-Cliques must reset kc/ only");
 }

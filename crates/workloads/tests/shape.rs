@@ -51,8 +51,8 @@ fn kmeans_shuffle_byte_asymmetry_is_large() {
     let sink_s = small.add_reduce(
         "sink",
         typed::reduce_fn(
-            |_k: u64, vs: Vec<(f64, u64, u64, u64)>, out: &mut Emitter| {
-                out.output_t(&0u64, &(vs.len() as u64));
+            |_k: u64, vs: typed::Values<(f64, u64, u64, u64)>, out: &mut Emitter| {
+                out.output_t(&0u64, &(vs.count() as u64));
             },
         ),
     );
@@ -72,9 +72,11 @@ fn kmeans_shuffle_byte_asymmetry_is_large() {
     );
     let sink_b = big.add_reduce(
         "sink",
-        typed::reduce_fn(|_k: u64, vs: Vec<(f64, u64, String)>, out: &mut Emitter| {
-            out.output_t(&0u64, &(vs.len() as u64));
-        }),
+        typed::reduce_fn(
+            |_k: u64, vs: typed::Values<(f64, u64, String)>, out: &mut Emitter| {
+                out.output_t(&0u64, &(vs.count() as u64));
+            },
+        ),
     );
     big.connect(loader, fat, Exchange::Local);
     big.connect(fat, sink_b, Exchange::Hash);

@@ -62,8 +62,8 @@ fn shuffled_records_carry_no_hash_on_the_wire() {
     let loader = job.add_loader("nums", typed::pairs_loader(pairs.clone()));
     let sum = job.add_reduce(
         "sum",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect(loader, sum, Exchange::Hash);
@@ -229,8 +229,8 @@ fn duplicates_fold_across_the_tasks_of_a_node() {
     let text = job.add_loader("pages", Pages { pages, vocabulary });
     let count = job.add_reduce(
         "count",
-        typed::reduce_fn(|k: String, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: String, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect_combined(text, count, Exchange::Hash, typed::sum_combiner());
@@ -303,8 +303,8 @@ fn a_hot_key_travels_only_to_its_hash_home() {
         );
         let sum = job.add_reduce(
             "sum",
-            typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-                out.output_t(&k, &vs.iter().sum::<u64>());
+            typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+                out.output_t(&k, &vs.sum::<u64>());
             }),
         );
         job.connect(seeds, hot, Exchange::Local);
@@ -456,8 +456,8 @@ fn plain_run_publishes_live_gauges() {
     );
     let sum = job.add_reduce(
         "sum",
-        typed::reduce_fn(|k: u64, vs: Vec<u64>, out: &mut Emitter| {
-            out.output_t(&k, &vs.iter().sum::<u64>());
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
         }),
     );
     job.connect(loader, sum, Exchange::Hash);
