@@ -15,7 +15,6 @@ use crate::error::{ConfigError, RunError};
 use crate::graph::JobGraph;
 use crate::introspect::{Health, Introspect};
 use crate::resident::ResidentStore;
-use crate::session::Session;
 use crate::watchdog::WatchdogEvent;
 use hamr_dfs::Dfs;
 use hamr_kvstore::KvStore;
@@ -221,11 +220,30 @@ impl Cluster {
         &self.resident
     }
 
-    /// Open a [`Session`]: the chain-of-jobs view of this cluster,
-    /// under which the KV store and resident frame cache deliberately
-    /// survive from one job to the next (M3R-style reuse).
-    pub fn session(&self) -> Session<'_> {
-        Session { cluster: self }
+    /// Reset one workload namespace for a rerun: drop every KV key and
+    /// every resident cache tag starting with `ns`. Returns the number
+    /// of KV entries removed. Convention: workloads prefix their keys
+    /// and tags `"<wl>/"` (e.g. `"pr/"`), so reruns are isolated
+    /// without clearing other tenants' state.
+    pub fn reset_namespace(&self, ns: &str) -> usize {
+        self.resident.invalidate_prefix(ns);
+        self.kv.remove_prefix(ns.as_bytes())
+    }
+
+    /// Fingerprint a DFS input for cache invalidation: hashes the
+    /// path plus the block layout (ids and lengths), so rewriting or
+    /// appending to the file yields a different fingerprint and
+    /// `resident(tag, fp)` recomputes instead of serving stale frames.
+    pub fn fingerprint(&self, path: &str) -> u64 {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(path.as_bytes());
+        if let Ok(blocks) = self.dfs.blocks(path) {
+            for b in &blocks {
+                buf.extend_from_slice(&b.id.to_le_bytes());
+                buf.extend_from_slice(&(b.len as u64).to_le_bytes());
+            }
+        }
+        hamr_codec::stable_hash(&buf)
     }
 
     /// A node's local disk.

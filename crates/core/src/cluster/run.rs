@@ -113,16 +113,16 @@ impl Cluster {
         // once, before any node spawns: every node must agree on what
         // is served from the cache, what fills it, and what combines.
         let plan = ExecPlan::compile(&graph, &self.config.runtime, n, &self.resident);
-        // Per-job data-plane statistics: one sketch set per (edge,
-        // destination node), folded by every node as bins close and
-        // merged into one snapshot at teardown.
+        // Per-job data-plane statistics: one sketch set per (sketched
+        // edge, destination node), folded by every node as bins close
+        // and merged into one snapshot at teardown.
+        let stats = self.config.runtime.stats;
         let mut obs = Observe {
             tracer: opts.tracer.clone(),
             audit: Audit::disabled(),
-            stats: self.config.runtime.stats.enabled().then(|| {
-                let shuffle_edges = plan.edges.iter().map(|e| e.sampled).collect();
-                Arc::new(StatsPlane::new(shuffle_edges, n, self.config.runtime.stats))
-            }),
+            stats: stats
+                .enabled()
+                .then(|| Arc::new(StatsPlane::new(plan.sketched_edges(), n, stats))),
             registry: Some(registry.clone()),
             engine: "hamr",
         };
@@ -344,36 +344,27 @@ impl Cluster {
         // Merge every node's per-destination sketches into one job
         // snapshot.
         if let Some(plane) = &run.obs.stats {
-            let snap = plane.snapshot(&graph.name, "hamr");
             // Per-destination gauges for the live console: node N's
             // series describe the keys routed *to* N on each shuffle
             // edge (`hamr top`'s keys column).
-            for (e, edge) in plan.edges.iter().enumerate() {
-                if !edge.sampled {
-                    continue;
-                }
-                for dst in 0..n {
-                    let Some((_, distinct, hot)) = plane.slot_stats(e as u32, dst as u32) else {
-                        continue;
-                    };
-                    let labels = || {
-                        Labels::new()
-                            .engine("hamr")
-                            .job(graph.name.clone())
-                            .node(dst as u32)
-                            .edge(e as u32)
-                    };
-                    self.introspect
-                        .registry
-                        .gauge("stats_node_distinct_keys", labels())
-                        .set(distinct.min(i64::MAX as u64) as i64);
-                    self.introspect
-                        .registry
-                        .gauge("stats_node_hot_key_permille", labels())
-                        .set((hot * 1000.0).round() as i64);
-                }
+            for (edge, dst, distinct, hot) in plane.dst_stats() {
+                let labels = || {
+                    Labels::new()
+                        .engine("hamr")
+                        .job(graph.name.clone())
+                        .node(dst)
+                        .edge(edge)
+                };
+                self.introspect
+                    .registry
+                    .gauge("stats_node_distinct_keys", labels())
+                    .set(distinct.min(i64::MAX as u64) as i64);
+                self.introspect
+                    .registry
+                    .gauge("stats_node_hot_key_permille", labels())
+                    .set((hot * 1000.0).round() as i64);
             }
-            metrics.stats = Some(snap);
+            metrics.stats = Some(plane.snapshot(&graph.name, "hamr"));
         }
         Collected {
             outputs,

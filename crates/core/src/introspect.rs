@@ -16,9 +16,10 @@
 //!   gauges — what `hamr doctor` reads post-mortem, but available
 //!   while the job is still wedged.
 //!
-//! A job's data-plane statistics reach `/metrics` as its
-//! `stats_edge_*` / `stats_shuffle_*` / `stats_node_*` gauges, and the
-//! journal as its `Stats` record (`hamr timeline`, `hamr explain`).
+//! A job's data-plane statistics reach `/metrics` as its `stats_node_*`
+//! gauges, one per shuffle edge and destination node (what `hamr top`
+//! reads), and the journal as its `Stats` record (`hamr timeline`,
+//! `hamr explain`).
 //!
 //! The endpoint is off by default so tests and benchmarks stay
 //! hermetic; opt in with `HAMR_HTTP=auto` (ephemeral port),

@@ -62,7 +62,6 @@ mod record;
 mod reduce_state;
 pub mod resident;
 mod sched;
-mod session;
 mod slots;
 mod spill;
 pub mod stream;
@@ -84,7 +83,6 @@ pub use metrics::{FlowletMetrics, JobMetrics, NodeMetrics};
 pub use outbuf::Combiner;
 pub use record::{FrameBin, Record};
 pub use resident::{CacheSpec, ResidentStats, ResidentStore};
-pub use session::Session;
 pub use watchdog::{WatchdogAction, WatchdogConfig, WatchdogEvent};
 
 /// Node index within a cluster, shared with the substrates.

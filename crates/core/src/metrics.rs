@@ -275,33 +275,6 @@ impl JobMetrics {
                 .counter("node_busy_us_total", labels())
                 .add(nm.busy.as_micros() as u64);
         }
-        if let Some(snap) = &self.stats {
-            // Per-edge sketch results as gauges (latest run of this job
-            // wins — sketches describe one run, not a cumulative total),
-            // plus job-level shuffle rollups so dashboards and `hamr
-            // top` can read cardinality without walking edges.
-            for es in &snap.edges {
-                let labels = || eng().job(job).edge(es.edge);
-                registry
-                    .gauge("stats_edge_records", labels())
-                    .set(es.records.min(i64::MAX as u64) as i64);
-                registry
-                    .gauge("stats_edge_distinct_keys", labels())
-                    .set(es.distinct.min(i64::MAX as u64) as i64);
-                registry
-                    .gauge("stats_edge_hot_key_permille", labels())
-                    .set((es.hot_share * 1000.0).round() as i64);
-                registry
-                    .gauge("stats_edge_p99_value_bytes", labels())
-                    .set(es.p99.min(i64::MAX as u64) as i64);
-            }
-            registry
-                .gauge("stats_shuffle_distinct_keys", eng().job(job))
-                .set(snap.shuffle_distinct().min(i64::MAX as u64) as i64);
-            registry
-                .gauge("stats_shuffle_hot_key_permille", eng().job(job))
-                .set((snap.shuffle_hot_share() * 1000.0).round() as i64);
-        }
     }
 
     /// Coefficient of variation of per-node busy time — the workload

@@ -136,22 +136,21 @@ pub(super) struct WorkerShared {
 }
 
 impl WorkerShared {
-    /// Record the terminal lineage hop of a bin a reduce ingests.
-    /// Samples are keyed by hash and frames carry none, so this hashes
-    /// every key of the bin — and is entirely off outside
-    /// `HAMR_STATS=full`.
+    /// Record the terminal lineage hop of a bin a reduce ingests over a
+    /// sketched edge (the plane ignores the rest: a local-edge fold is
+    /// not a reduce ingest). Samples are keyed by hash and frames carry
+    /// none, so this hashes every key of the bin — lazily, and only
+    /// when the plane reads them: under `HAMR_STATS=full`.
     fn stats_consume(&self, bin: &FrameBin, flowlet: FlowletId) {
         if let Some(plane) = &self.obs.stats {
-            if plane.lineage_on() {
-                plane.consume_bin(
-                    bin.edge as u32,
-                    self.ctx.node as u32,
-                    flowlet as u32,
-                    &self.plan.flowlets[flowlet].name,
-                    self.ctx.node as u32,
-                    bin.frame.iter().map(|(k, _)| stable_hash(k)),
-                );
-            }
+            plane.consume_bin(
+                bin.edge as u32,
+                self.ctx.node as u32,
+                flowlet as u32,
+                &self.plan.flowlets[flowlet].name,
+                self.ctx.node as u32,
+                bin.frame.iter().map(|(k, _)| stable_hash(k)),
+            );
         }
     }
 }
@@ -211,11 +210,7 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
                 // Partial reduce IS the reduce stage for partial-only
                 // topologies (the histogram family): record the
                 // consume hop so sampled lineage ends at a reducer.
-                // Local-edge folds (pre-shuffle combines) are not a
-                // reduce ingest and stay hop-free.
-                if shared.plan.edges[bin.edge].sampled {
-                    shared.stats_consume(&bin, flowlet);
-                }
+                shared.stats_consume(&bin, flowlet);
                 let state = shared.partial[flowlet]
                     .as_ref()
                     .expect("partial state exists");

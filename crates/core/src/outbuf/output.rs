@@ -53,8 +53,9 @@ pub(crate) struct TaskOutput {
     /// provenance stamped on every minted bin span.
     flowlet_id: u32,
     lane: u32,
-    /// The job's sinks. Its statistics plane folds closed frames using
-    /// the builder's hash column — pure observation, never routing.
+    /// The job's sinks. Its statistics plane folds the frames closed on
+    /// sketched ports, using the builder's hash column — pure
+    /// observation, never routing.
     obs: Observe,
     /// Per-port combine buffer (`PortSpec::combine`), on loan from the
     /// executing worker's shelf; empty when no port combines.
@@ -120,7 +121,9 @@ impl TaskOutput {
     /// Close a frozen frame into a bin. `hashes` is the frame's
     /// builder column, entry for entry.
     fn close_frame(&mut self, dst: NodeId, port: usize, frame: Frame, hashes: &[u64]) {
-        let PortSpec { edge, fill, .. } = self.ports[port];
+        let PortSpec {
+            edge, fill, sketch, ..
+        } = self.ports[port];
         if let Some(closed) = self.closed.get_mut(port * self.nodes + dst) {
             *closed += 1;
         }
@@ -129,7 +132,7 @@ impl TaskOutput {
         if fill {
             self.done.fill.push((edge, dst, frame.clone()));
         }
-        if let Some(plane) = &self.obs.stats {
+        if let Some(plane) = self.obs.stats.as_ref().filter(|_| sketch) {
             // The frame's entries beside the producer's hashes for them.
             let hashed = hashes.iter().zip(frame.iter());
             plane.fold_bin(

@@ -8,7 +8,7 @@
 //!
 //! * **per job** (here): an edge's combiner, whether it combines
 //!   in-node and holds partials across tasks, fills the resident store,
-//!   and is a shuffle edge for the statistics plane; a flowlet's name,
+//!   and is sketched by the statistics plane; a flowlet's name,
 //!   output ports, capture flag and resident hit;
 //! * **per task** (`TaskOutput::new`): two refcount bumps for the
 //!   flowlet's name and ports, and the loan of the executing worker's
@@ -33,10 +33,12 @@ use std::sync::Arc;
 pub(crate) struct PortSpec {
     pub edge: EdgeId,
     pub exchange: Exchange,
-    /// See [`EdgePlan::combine`], [`EdgePlan::hold`], [`EdgePlan::fill`].
+    /// See [`EdgePlan::combine`], [`EdgePlan::hold`], [`EdgePlan::fill`],
+    /// [`EdgePlan::sketch`].
     pub combine: bool,
     pub hold: bool,
     pub fill: bool,
+    pub sketch: bool,
 }
 
 /// One edge's per-job decisions.
@@ -58,11 +60,12 @@ pub(crate) struct EdgePlan {
     /// Frames closed on this edge are pinned for the resident store
     /// (post-combine, so a serve replays them identically).
     pub fill: bool,
-    /// A hash-exchange (shuffle) edge: lineage sampling is confined to
-    /// these so loader keys (synthetic line offsets) cannot crowd out
-    /// shuffle keys, and only their cardinality is comparable across
-    /// engines.
-    pub sampled: bool,
+    /// The statistics plane sketches (and lineage-samples) this edge's
+    /// bins: a hash-exchange edge, where keys say which node a shuffle
+    /// funnels records onto. The only place that decides it; loader
+    /// and local edges carry keys (line offsets) distinct by
+    /// construction.
+    pub sketch: bool,
 }
 
 /// One flowlet's per-job decisions.
@@ -92,6 +95,12 @@ pub(crate) struct ExecPlan {
 }
 
 impl ExecPlan {
+    /// The edges the statistics plane is built over.
+    pub(crate) fn sketched_edges(&self) -> Vec<u32> {
+        let edges = 0..self.edges.len() as u32;
+        edges.filter(|&e| self.edges[e as usize].sketch).collect()
+    }
+
     pub(crate) fn compile(
         graph: &Arc<JobGraph>,
         cfg: &RuntimeConfig,
@@ -100,12 +109,11 @@ impl ExecPlan {
     ) -> Arc<ExecPlan> {
         // Residency first: an annotated flowlet either serves from the
         // store or fills it, and its out-edges inherit the answer.
-        let caching = resident.enabled();
         let residency: Vec<(Option<ResidentHit>, bool)> = graph
             .flowlets
             .iter()
             .map(|def| {
-                let Some(spec) = def.cache.as_ref().filter(|_| caching) else {
+                let Some(spec) = def.cache.as_ref() else {
                     return (None, false);
                 };
                 let hit = resident.lookup(&spec.tag, spec.fingerprint, nodes, def.out_edges.len());
@@ -134,7 +142,7 @@ impl ExecPlan {
                     combine: mitigable && cfg.skew.combine,
                     hold: mitigable && cfg.skew.combine && !graph.has_stream,
                     fill: residency[def.src].1,
-                    sampled: def.exchange == Exchange::Hash,
+                    sketch: def.exchange == Exchange::Hash,
                 }
             })
             .collect();
@@ -154,6 +162,7 @@ impl ExecPlan {
                         combine: edges[edge].combine,
                         hold: edges[edge].hold,
                         fill: edges[edge].fill,
+                        sketch: edges[edge].sketch,
                     })
                     .collect(),
                 capture: def.capture,
@@ -213,15 +222,16 @@ mod tests {
         let plan = compile(&combined_graph(|_| {}), SkewConfig::default(), 4);
         // Edge 0 is Local (no combiner), edge 1 is Hash into Reduce.
         let (local, hash) = (&plan.edges[0], &plan.edges[1]);
-        assert!(!local.combine && !local.hold && !local.sampled);
+        assert!(!local.combine && !local.hold && !local.sketch);
         assert!(local.combiner.is_none());
-        assert!(hash.combine && hash.hold && hash.sampled);
+        assert!(hash.combine && hash.hold && hash.sketch);
         assert!(hash.combiner.is_some());
         // Flowlets carry the same answers: the map's one port, names
         // and capture flags.
         let port = plan.flowlets[1].ports[0];
         assert_eq!((port.edge, port.exchange), (1, Exchange::Hash));
-        assert!(port.combine && port.hold && !port.fill);
+        assert!(port.combine && port.hold && !port.fill && port.sketch);
+        assert_eq!(plan.sketched_edges(), [1]);
         assert_eq!(&*plan.flowlets[1].name, "M");
         assert!(plan.flowlets[2].capture && !plan.flowlets[1].capture);
     }

@@ -21,15 +21,15 @@
 //!
 //! The store holds what it is given until it is invalidated, refilled
 //! or cleared: M3R keeps a job chain's working set in memory because
-//! it fits there, and so does this cache. `HAMR_RESIDENT=off` turns it
-//! off (the ablation row); its counters are registry series, read back
-//! by [`ResidentStore::stats`].
+//! it fits there, and so does this cache. A job's `resident(..)`
+//! annotation is the only switch: a job without one neither serves nor
+//! fills. Its counters are registry series, read back by
+//! [`ResidentStore::stats`].
 
 use hamr_codec::Frame;
-use hamr_trace::{env_or_panic, Counter, Gauge, Labels, MetricsRegistry};
+use hamr_trace::{Counter, Gauge, Labels, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A loader's cache annotation (`JobBuilder::resident`): serve this
 /// source's post-shuffle frames from the store when `tag` and
@@ -74,10 +74,9 @@ pub struct ResidentStats {
 }
 
 /// The cross-job frame cache owned by a `Cluster` (one per cluster;
-/// jobs in a `Session` chain share it).
+/// every job the cluster runs shares it).
 pub struct ResidentStore {
     entries: Mutex<HashMap<String, Entry>>,
-    enabled: AtomicBool,
     hits: Counter,
     misses: Counter,
     bytes_saved: Counter,
@@ -87,7 +86,6 @@ pub struct ResidentStore {
 impl std::fmt::Debug for ResidentStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResidentStore")
-            .field("enabled", &self.enabled())
             .field("stats", &self.stats())
             .finish()
     }
@@ -95,27 +93,16 @@ impl std::fmt::Debug for ResidentStore {
 
 impl ResidentStore {
     /// A store counting into `registry`'s `hamr_cache_*` series, so a
-    /// chain's jobs accumulate into one set; `HAMR_RESIDENT=off`
-    /// disables it.
+    /// chain's jobs accumulate into one set.
     pub fn new(registry: &MetricsRegistry) -> Self {
         let labels = || Labels::new().engine("hamr");
         ResidentStore {
             entries: Mutex::new(HashMap::new()),
-            enabled: AtomicBool::new(env_or_panic("HAMR_RESIDENT", true, parse_enabled)),
             hits: registry.counter("hamr_cache_hits_total", labels()),
             misses: registry.counter("hamr_cache_misses_total", labels()),
             bytes_saved: registry.counter("hamr_cache_bytes_saved_total", labels()),
             resident_bytes: registry.gauge("hamr_cache_resident_bytes", labels()),
         }
-    }
-
-    /// Enable or disable serving/filling (runtime ablation toggle).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     pub fn stats(&self) -> ResidentStats {
@@ -130,11 +117,7 @@ impl ResidentStore {
 
     /// Pin a partition set under `tag`, replacing any prior entry.
     /// `ports[port][dst]` must be indexed `[out_edges order][node]`.
-    /// No-op while the store is disabled.
     pub fn insert(&self, tag: &str, fingerprint: u64, nodes: usize, ports: Vec<Vec<Vec<Frame>>>) {
-        if !self.enabled() {
-            return;
-        }
         let bytes: u64 = ports
             .iter()
             .flatten()
@@ -171,9 +154,6 @@ impl ResidentStore {
         nodes: usize,
         port_count: usize,
     ) -> Option<ResidentHit> {
-        if !self.enabled() {
-            return None;
-        }
         let mut entries = self.entries.lock();
         let hit = match entries.get(tag) {
             Some(e)
@@ -230,15 +210,6 @@ impl ResidentStore {
     }
 }
 
-/// `HAMR_RESIDENT=on|off` (also `1`/`true`, `0`/`false`).
-fn parse_enabled(s: &str) -> Result<bool, String> {
-    match s {
-        "on" | "1" | "true" => Ok(true),
-        "off" | "0" | "false" => Ok(false),
-        _ => Err("on|off".to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,17 +228,7 @@ mod tests {
     }
 
     fn store() -> ResidentStore {
-        let store = ResidentStore::new(&MetricsRegistry::new());
-        store.set_enabled(true);
-        store
-    }
-
-    #[test]
-    fn resident_env_strings_parse() {
-        assert_eq!(parse_enabled("off"), Ok(false));
-        assert_eq!(parse_enabled("0"), Ok(false));
-        assert_eq!(parse_enabled("on"), Ok(true));
-        assert_eq!(parse_enabled("of"), Err("on|off".to_string()));
+        ResidentStore::new(&MetricsRegistry::new())
     }
 
     #[test]
@@ -325,21 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_store_never_serves() {
-        let store = store();
-        store.set_enabled(false);
-        store.insert("t", 7, 1, one_port(vec![frame(&[("a", 1)])]));
-        assert!(store.lookup("t", 7, 1, 1).is_none());
-        assert_eq!(store.stats().entries, 0);
-        store.set_enabled(true);
-        store.insert("t", 7, 1, one_port(vec![frame(&[("a", 1)])]));
-        store.set_enabled(false);
-        assert!(store.lookup("t", 7, 1, 1).is_none());
-        // Disabled lookups do not even count as misses.
-        assert_eq!(store.stats().misses, 0);
-    }
-
-    #[test]
     fn invalidate_prefix_scopes_by_namespace() {
         let store = store();
         store.insert("pr/adj", 1, 1, one_port(vec![frame(&[("a", 1)])]));
@@ -357,7 +303,6 @@ mod tests {
     fn registry_binding_accumulates() {
         let registry = MetricsRegistry::new();
         let store = ResidentStore::new(&registry);
-        store.set_enabled(true);
         let f = frame(&[("a", 1)]);
         let bytes = f.payload_bytes() as u64;
         store.insert("t", 7, 1, one_port(vec![f]));

@@ -50,9 +50,6 @@ pub struct WatchdogConfig {
     pub epoch: Duration,
     /// Consecutive no-progress epochs before the watchdog trips.
     pub patience: u32,
-    /// Coefficient-of-variation threshold over per-node consume counts
-    /// above which progressing-but-skewed runs warn as stragglers.
-    pub straggler_cv: f64,
     /// What to do on an incident.
     pub action: WatchdogAction,
 }
@@ -62,7 +59,6 @@ impl Default for WatchdogConfig {
         WatchdogConfig {
             epoch: Duration::from_millis(100),
             patience: 10,
-            straggler_cv: 1.0,
             action: WatchdogAction::Warn,
         }
     }
@@ -81,6 +77,10 @@ impl WatchdogConfig {
         cfg
     }
 }
+
+/// Coefficient-of-variation threshold over per-node consume counts
+/// above which progressing-but-skewed runs warn as stragglers.
+const STRAGGLER_CV: f64 = 1.0;
 
 /// One classified incident.
 #[derive(Debug, Clone)]
@@ -254,7 +254,7 @@ impl Monitor {
             .sum::<f64>()
             / active.len() as f64;
         let cv = var.sqrt() / mean;
-        if cv <= self.cfg.straggler_cv {
+        if cv <= STRAGGLER_CV {
             return None;
         }
         self.straggler_warned = true;
@@ -268,9 +268,8 @@ impl Monitor {
             epoch: self.epoch,
             detail: format!(
                 "per-node progress skew: node {slowest} consumed {slow_count} bin(s) \
-                 vs a mean of {mean:.1} across {} active node(s) (cv {cv:.2} > {:.2})",
+                 vs a mean of {mean:.1} across {} active node(s) (cv {cv:.2} > {STRAGGLER_CV:.2})",
                 active.len(),
-                self.cfg.straggler_cv
             ),
         })
     }

@@ -8,7 +8,7 @@ use hamr_core::{
     typed, Cluster, ClusterConfig, Emitter, Exchange, FaultInjection, JobBuilder, JobGraph,
     RunError, RunOptions, Supervision, WatchdogAction, WatchdogConfig,
 };
-use hamr_trace::{Journal, JournalConfig, JournalRecord, Timeline, WatchdogClass};
+use hamr_trace::{Journal, JournalConfig, JournalRecord, StatsMode, Timeline, WatchdogClass};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -47,7 +47,6 @@ fn fast_watchdog() -> WatchdogConfig {
         epoch: Duration::from_millis(20),
         patience: 5,
         action: WatchdogAction::Abort,
-        ..Default::default()
     }
 }
 
@@ -200,5 +199,54 @@ fn env_var_enables_the_journal_for_a_cluster() {
         "{:?}",
         timeline.jobs
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The statistics plane sketches the shuffle and nothing else: a
+/// `Loader →(Local) Map →(Hash) Reduce` job journals one edge summary,
+/// its hash edge's, and no loader line-offset keys.
+#[test]
+fn a_job_journals_only_its_hash_edges_stats() {
+    let dir = journal_dir("hash_edge_stats");
+    let mut config = ClusterConfig::local(2, 2);
+    config.runtime.stats = StatsMode::Edges;
+    let cluster = Cluster::new(config);
+    cluster.enable_journal(&dir).expect("enable journal");
+    let mut job = JobBuilder::new("one-hash-edge");
+    let lines = (0..300)
+        .map(|i| format!("k{} k{}", i % 13, i % 5))
+        .collect();
+    let loader = job.add_loader("lines", typed::vec_loader(lines));
+    let words = job.add_map(
+        "split",
+        typed::map_fn(|_line: u64, text: String, out: &mut Emitter| {
+            for w in text.split_whitespace() {
+                out.emit_t(0, &w.to_string(), &1u64);
+            }
+        }),
+    );
+    let counts = job.add_reduce(
+        "sum",
+        typed::reduce_fn(|k: String, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
+        }),
+    );
+    job.connect(loader, words, Exchange::Local);
+    job.connect(words, counts, Exchange::Hash);
+    job.capture_output(counts);
+    let result = cluster.run(job.build().unwrap()).expect("run");
+    let snap = result.metrics.stats.expect("stats on");
+    let journaled = hamr_trace::read_journal(&dir).expect("read journal");
+    let stats: Vec<_> = journaled
+        .records
+        .iter()
+        .filter_map(|r| match r {
+            JournalRecord::Stats(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stats, [&snap]);
+    let edges: Vec<(u32, u64)> = snap.edges.iter().map(|e| (e.edge, e.distinct)).collect();
+    assert_eq!(edges, [(1, 13)], "edge 1 is the hash edge: {snap:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,10 +1,10 @@
-//! Partition-resident frame cache, end to end: job chains through a
-//! `Session`, serve/fill round trips, shuffle collapse on cache hits,
+//! Partition-resident frame cache, end to end: job chains on one
+//! `Cluster`, serve/fill round trips, shuffle collapse on cache hits,
 //! audit custody balance, invalidation, and scheduler-mode agreement.
 
 use hamr_core::{
-    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobGraph, RunOptions, SchedMode,
-    Supervision,
+    typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobGraph, JobResult, RunOptions,
+    SchedMode, Supervision,
 };
 use hamr_trace::{analyze, RingSink, Tracer};
 use std::sync::Arc;
@@ -17,6 +17,10 @@ fn pairs(n: u64, salt: u64) -> Vec<(u64, u64)> {
 /// The Hash edge crosses the fabric, so a cache hit must collapse
 /// `shuffled_bytes` to control-message noise.
 fn cached_sum_job(name: &str, data: Vec<(u64, u64)>, tag: &str, fp: u64) -> (JobGraph, usize) {
+    sum_job(name, data, Some((tag, fp)))
+}
+
+fn sum_job(name: &str, data: Vec<(u64, u64)>, cache: Option<(&str, u64)>) -> (JobGraph, usize) {
     let mut job = JobBuilder::new(name);
     let loader = job.add_loader("pairs", typed::pairs_loader(data));
     let sum = job.add_reduce(
@@ -27,11 +31,18 @@ fn cached_sum_job(name: &str, data: Vec<(u64, u64)>, tag: &str, fp: u64) -> (Job
     );
     job.connect(loader, sum, Exchange::Hash);
     job.capture_output(sum);
-    job.resident(loader, tag, fp);
+    if let Some((tag, fp)) = cache {
+        job.resident(loader, tag, fp);
+    }
     (job.build().unwrap(), sum)
 }
 
-fn sorted_output(result: &hamr_core::JobResult, f: usize) -> Vec<(u64, u64)> {
+/// Run `jobs` in order on `cluster`, stopping at the first failure.
+fn run_chain<const N: usize>(cluster: &Cluster, jobs: [JobGraph; N]) -> Vec<JobResult> {
+    jobs.into_iter().map(|j| cluster.run(j).unwrap()).collect()
+}
+
+fn sorted_output(result: &JobResult, f: usize) -> Vec<(u64, u64)> {
     let mut out = result.typed_output::<u64, u64>(f);
     out.sort();
     out
@@ -40,11 +51,7 @@ fn sorted_output(result: &hamr_core::JobResult, f: usize) -> Vec<(u64, u64)> {
 fn cluster_with(sched: SchedMode) -> Cluster {
     let mut config = ClusterConfig::local(4, 2);
     config.runtime.sched = sched;
-    let cluster = Cluster::new(config);
-    // Pinned on, so an ambient HAMR_RESIDENT=off cannot hollow out
-    // the serve assertions (the off path has its own test below).
-    cluster.resident().set_enabled(true);
-    cluster
+    Cluster::new(config)
 }
 
 #[test]
@@ -53,8 +60,7 @@ fn chain_hit_serves_identical_output_and_collapses_shuffle() {
     let data = pairs(4000, 1);
     let (job1, f1) = cached_sum_job("chain-a", data.clone(), "t/sum", 42);
     let (job2, f2) = cached_sum_job("chain-b", data, "t/sum", 42);
-    let results = cluster.session().run_chain([job1, job2]).unwrap();
-    assert_eq!(results.len(), 2);
+    let results = run_chain(&cluster, [job1, job2]);
     let first = sorted_output(&results[0], f1);
     let second = sorted_output(&results[1], f2);
     assert_eq!(first.len(), 4000);
@@ -69,7 +75,7 @@ fn chain_hit_serves_identical_output_and_collapses_shuffle() {
     // What the hit removes is the loader's whole shuffle: on the
     // served run it emits no record and ships no bin, whatever a
     // record costs on the wire.
-    let loader = |r: &hamr_core::JobResult| {
+    let loader = |r: &JobResult| {
         let m = r.metrics.flowlets.values().find(|m| m.name == "pairs");
         m.map(|m| (m.records_out, m.bins_out > 0))
     };
@@ -139,7 +145,7 @@ fn fingerprint_change_bypasses_and_recomputes() {
     let cluster = cluster_with(SchedMode::WorkStealing);
     let (job1, _) = cached_sum_job("fp-a", pairs(800, 1), "t/fp", 1);
     let (job2, f2) = cached_sum_job("fp-b", pairs(800, 2), "t/fp", 2);
-    let results = cluster.session().run_chain([job1, job2]).unwrap();
+    let results = run_chain(&cluster, [job1, job2]);
     let stats = cluster.resident().stats();
     assert_eq!(stats.hits, 0, "changed fingerprint must not serve");
     assert_eq!(stats.misses, 2);
@@ -150,14 +156,15 @@ fn fingerprint_change_bypasses_and_recomputes() {
 
 #[test]
 fn disabled_store_leaves_chain_unchanged() {
+    // Without a `resident(..)` annotation a job neither serves nor
+    // fills: the annotation is the only switch.
     let cluster = cluster_with(SchedMode::WorkStealing);
-    cluster.resident().set_enabled(false);
     let data = pairs(1000, 5);
-    let (job1, f1) = cached_sum_job("off-a", data.clone(), "t/off", 3);
-    let (job2, f2) = cached_sum_job("off-b", data, "t/off", 3);
-    let results = cluster.session().run_chain([job1, job2]).unwrap();
+    let (job1, f1) = sum_job("off-a", data.clone(), None);
+    let (job2, f2) = sum_job("off-b", data, None);
+    let results = run_chain(&cluster, [job1, job2]);
     let stats = cluster.resident().stats();
-    assert_eq!((stats.hits, stats.misses), (0, 0));
+    assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
     assert_eq!(
         sorted_output(&results[0], f1),
         sorted_output(&results[1], f2)
@@ -178,7 +185,7 @@ fn serve_agrees_across_all_scheduler_modes() {
         let data = pairs(1200, 4);
         let (job1, _) = cached_sum_job("mode-a", data.clone(), "t/mode", 11);
         let (job2, f2) = cached_sum_job("mode-b", data, "t/mode", 11);
-        let results = cluster.session().run_chain([job1, job2]).unwrap();
+        let results = run_chain(&cluster, [job1, job2]);
         assert_eq!(cluster.resident().stats().hits, 1, "{sched:?} serves");
         let out = sorted_output(&results[1], f2);
         match &baseline {
@@ -189,12 +196,11 @@ fn serve_agrees_across_all_scheduler_modes() {
 }
 
 #[test]
-fn session_reset_namespace_scopes_kv_and_cache() {
+fn reset_namespace_scopes_kv_and_cache() {
     let cluster = cluster_with(SchedMode::WorkStealing);
     let (job1, _) = cached_sum_job("ns-a", pairs(300, 1), "pr/adj", 5);
     let (other, _) = cached_sum_job("ns-b", pairs(300, 1), "km/pts", 5);
-    let session = cluster.session();
-    session.run_chain([job1, other]).unwrap();
+    run_chain(&cluster, [job1, other]);
     cluster.kv().put(
         bytes::Bytes::from_static(b"pr/rank0"),
         bytes::Bytes::from_static(b"x"),
@@ -203,7 +209,7 @@ fn session_reset_namespace_scopes_kv_and_cache() {
         bytes::Bytes::from_static(b"km/c0"),
         bytes::Bytes::from_static(b"y"),
     );
-    session.reset_namespace("pr/");
+    cluster.reset_namespace("pr/");
     // The pr/ tag and keys are gone; km/ untouched.
     assert_eq!(cluster.resident().stats().entries, 1);
     assert!(cluster.kv().get(b"pr/rank0").is_none());
@@ -212,7 +218,7 @@ fn session_reset_namespace_scopes_kv_and_cache() {
     let (job3, _) = cached_sum_job("ns-c", pairs(300, 1), "pr/adj", 5);
     let (job4, _) = cached_sum_job("ns-d", pairs(300, 1), "km/pts", 5);
     let before = cluster.resident().stats();
-    session.run_chain([job3, job4]).unwrap();
+    run_chain(&cluster, [job3, job4]);
     let after = cluster.resident().stats();
     assert_eq!(after.hits - before.hits, 1, "km/ serves");
     assert_eq!(after.misses - before.misses, 1, "pr/ recomputes");

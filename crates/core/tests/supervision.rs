@@ -81,7 +81,6 @@ fn fast_watchdog() -> WatchdogConfig {
         epoch: Duration::from_millis(20),
         patience: 5,
         action: WatchdogAction::Abort,
-        ..Default::default()
     }
 }
 
@@ -278,7 +277,6 @@ fn warn_mode_records_the_incident_without_aborting_a_live_job() {
                     epoch: Duration::from_millis(1),
                     patience: 2,
                     action: WatchdogAction::Warn,
-                    ..Default::default()
                 },
                 doctor_dir: None,
             }),
@@ -726,7 +724,6 @@ fn impatient() -> Supervision {
             epoch: Duration::from_millis(5),
             patience: 3,
             action: WatchdogAction::Abort,
-            ..Default::default()
         },
         doctor_dir: None,
     }

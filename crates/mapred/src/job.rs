@@ -136,16 +136,10 @@ pub struct JobStats {
     pub shuffled_bytes: u64,
     pub reduce_records_in: u64,
     pub reduce_records_out: u64,
+    /// Distinct shuffle keys, exactly: reducer key ranges are disjoint,
+    /// so the groups of every reduce task sum without double counting.
     pub groups: u64,
     pub output_bytes: u64,
-    /// Estimated distinct shuffle keys (HLL over reduce-side sketches,
-    /// merged across tasks); 0 when `HAMR_STATS=off`. `groups` is the
-    /// exact count (reducer key ranges are disjoint), so the pair
-    /// doubles as a live sketch-accuracy check.
-    pub distinct_keys: u64,
-    /// Share of shuffled records carried by the hottest key
-    /// (guaranteed SpaceSaving count / records); 0.0 when stats are off.
-    pub hot_key_share: f64,
 }
 
 impl JobStats {
@@ -196,19 +190,6 @@ impl JobStats {
         registry
             .histogram("mr_phase_us", eng())
             .record(self.reduce_phase.as_micros() as u64);
-        if self.distinct_keys > 0 {
-            // Same gauge names as the HAMR engine's shuffle rollups, so
-            // one label filter compares cardinality across engines.
-            registry
-                .gauge("stats_shuffle_distinct_keys", eng().job(self.name.clone()))
-                .set(self.distinct_keys.min(i64::MAX as u64) as i64);
-            registry
-                .gauge(
-                    "stats_shuffle_hot_key_permille",
-                    eng().job(self.name.clone()),
-                )
-                .set((self.hot_key_share * 1000.0).round() as i64);
-        }
     }
 }
 
@@ -613,10 +594,6 @@ impl MrCluster {
 
         // --- reduce phase ---------------------------------------------
         let reduce_start = Instant::now();
-        // Same env gate as the HAMR engine: sketches fold the shuffle
-        // stream on the reduce side, merged across tasks at the end.
-        let with_sketch = hamr_trace::StatsMode::from_env().enabled();
-        let merged_sketch: Arc<Mutex<Option<hamr_trace::SketchSet>>> = Arc::new(Mutex::new(None));
         let mut reduce_handles = Vec::new();
         for (node, chunk_map) in per_node_chunks.into_iter().enumerate() {
             // Queue of (reducer, chunks) for this node.
@@ -630,7 +607,6 @@ impl MrCluster {
                 let startup = self.config.startup;
                 let tracer = obs.tracer.clone();
                 let active = active_gauges[node].clone();
-                let merged_sketch = Arc::clone(&merged_sketch);
                 reduce_handles.push(std::thread::spawn(move || loop {
                     if first_error.lock().is_some() {
                         return;
@@ -652,7 +628,7 @@ impl MrCluster {
                         },
                     );
                     let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        run_reduce_task(&conf, r, node, chunks, &dfs, with_sketch)
+                        run_reduce_task(&conf, r, node, chunks, &dfs)
                     }));
                     active.sub(1);
                     match run {
@@ -672,14 +648,6 @@ impl MrCluster {
                             s.reduce_records_out += res.records_out;
                             s.groups += res.groups;
                             s.output_bytes += res.output_bytes;
-                            drop(s);
-                            if let Some(sk) = res.sketch {
-                                let mut m = merged_sketch.lock();
-                                match m.as_mut() {
-                                    Some(acc) => acc.merge(&sk),
-                                    None => *m = Some(sk),
-                                }
-                            }
                         }
                         Ok(Err(e)) => {
                             first_error.lock().get_or_insert(e.into());
@@ -703,10 +671,6 @@ impl MrCluster {
         let mut final_stats = stats.lock().clone();
         final_stats.reduce_phase = reduce_start.elapsed();
         final_stats.elapsed = start.elapsed();
-        if let Some(sk) = merged_sketch.lock().as_ref() {
-            final_stats.distinct_keys = sk.distinct();
-            final_stats.hot_key_share = sk.hot_share();
-        }
         if let Some(reg) = &obs.registry {
             final_stats.publish(reg, obs.engine);
         }

@@ -4,9 +4,7 @@
 use crate::api::ReduceOutput;
 use crate::{encode_kv, JobConf};
 use bytes::Bytes;
-use hamr_codec::stable_hash;
 use hamr_dfs::{Dfs, DfsError};
-use hamr_trace::SketchSet;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -16,11 +14,6 @@ pub(crate) struct ReduceTaskResult {
     pub records_out: u64,
     pub groups: u64,
     pub output_bytes: u64,
-    /// Shuffle-side data-plane sketches (parity with HAMR's per-edge
-    /// stats); `None` when `HAMR_STATS=off`. Each reducer owns a
-    /// disjoint key range, so merging task sketches never double
-    /// counts a key.
-    pub sketch: Option<SketchSet>,
 }
 
 /// Execute reduce task `r` over its fetched chunks on `node`.
@@ -30,7 +23,6 @@ pub(crate) fn run_reduce_task(
     node: usize,
     chunks: Vec<Arc<Vec<u8>>>,
     dfs: &Dfs,
-    with_sketch: bool,
 ) -> Result<ReduceTaskResult, DfsError> {
     // The map side dropped its reference after sending, so each chunk
     // unwraps into a shared buffer without copying; keys and values are
@@ -56,7 +48,6 @@ pub(crate) fn run_reduce_task(
     let mut records_out = 0u64;
     let mut groups = 0u64;
     let mut output_bytes = 0u64;
-    let mut sketch = with_sketch.then(SketchSet::default);
     while let Some(Reverse((key, i, v))) = heap.pop() {
         if let Some((k2, v2)) = sources[i].next() {
             heap.push(Reverse((k2, i, v2)));
@@ -74,15 +65,6 @@ pub(crate) fn run_reduce_task(
         }
         records_in += values.len() as u64;
         groups += 1;
-        if let Some(sk) = &mut sketch {
-            // One hash per group, one observation per shuffled record —
-            // the same (hash, key, value-size) stream HAMR's shuffle
-            // edge sketches fold at bin close.
-            let hash = stable_hash(&key);
-            for v in &values {
-                sk.observe(hash, &key, v.len());
-            }
-        }
         let mut sink = |k: Bytes, v: Bytes| {
             records_out += 1;
             let mut rec = Vec::with_capacity(k.len() + v.len() + 8);
@@ -100,7 +82,6 @@ pub(crate) fn run_reduce_task(
         records_out,
         groups,
         output_bytes,
-        sketch,
     })
 }
 
@@ -180,13 +161,10 @@ mod tests {
             Arc::new(sorted_chunk(&[("a", 10), ("c", 3)])),
             Arc::new(Vec::new()),
         ];
-        let res = run_reduce_task(&conf, 0, 0, chunks, &dfs, true).unwrap();
+        let res = run_reduce_task(&conf, 0, 0, chunks, &dfs).unwrap();
         assert_eq!(res.groups, 3);
         assert_eq!(res.records_in, 4);
         assert_eq!(res.records_out, 3);
-        let sk = res.sketch.expect("sketch requested");
-        assert_eq!(sk.records, 4, "one observation per shuffled record");
-        assert_eq!(sk.distinct(), 3, "small cardinalities are exact");
         let raw = dfs.read_all("out/part-r-0").unwrap();
         let mut input = raw.as_slice();
         let mut got = Vec::new();
@@ -216,9 +194,8 @@ mod tests {
                 |_k: String, _vs: Vec<u64>, _out: &mut ReduceOutput| {},
             )),
         );
-        let res = run_reduce_task(&conf, 3, 0, vec![], &dfs, false).unwrap();
+        let res = run_reduce_task(&conf, 3, 0, vec![], &dfs).unwrap();
         assert_eq!(res.groups, 0);
-        assert!(res.sketch.is_none());
         assert!(dfs.exists("out2/part-r-3"));
         assert_eq!(dfs.len("out2/part-r-3").unwrap(), 0);
     }

@@ -56,12 +56,14 @@ pub struct DiskConfig {
     /// Sequential bandwidth in bytes/second shared by reads and writes.
     /// `None` = unlimited (no sleeping).
     pub bandwidth: Option<u64>,
-    /// Fixed cost per IO operation (seek + syscall).
+    /// Fixed cost per IO operation (seek + syscall), charged once per
+    /// 1 MiB chunk.
     pub op_latency: Duration,
-    /// IO is charged in chunks of this many bytes; one `op_latency` per
-    /// chunk. Mirrors block-sized transfers.
-    pub chunk_size: usize,
 }
+
+/// IO is charged in chunks of this many bytes; one `op_latency` per
+/// chunk. Mirrors block-sized transfers.
+const CHUNK_SIZE: usize = 1 << 20;
 
 impl DiskConfig {
     /// No time charging at all.
@@ -69,7 +71,6 @@ impl DiskConfig {
         DiskConfig {
             bandwidth: None,
             op_latency: Duration::ZERO,
-            chunk_size: 1 << 20,
         }
     }
 
@@ -78,7 +79,6 @@ impl DiskConfig {
         DiskConfig {
             bandwidth: Some(bandwidth_bytes_per_sec),
             op_latency,
-            chunk_size: 1 << 20,
         }
     }
 
@@ -237,7 +237,7 @@ impl Disk {
         if cfg.is_instant() {
             return Duration::ZERO;
         }
-        let chunks = bytes.div_ceil(cfg.chunk_size).max(1) as u32;
+        let chunks = bytes.div_ceil(CHUNK_SIZE).max(1) as u32;
         let mut dur = cfg.op_latency * chunks;
         if let Some(bw) = cfg.bandwidth {
             dur += Duration::from_secs_f64(bytes as f64 / bw as f64);
@@ -452,11 +452,10 @@ impl FileWriter {
     pub fn write(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
         self.uncharged += data.len();
-        let chunk = self.disk.inner.config.chunk_size;
-        while self.uncharged >= chunk {
-            self.disk.charge(chunk);
-            self.record_write(chunk);
-            self.uncharged -= chunk;
+        while self.uncharged >= CHUNK_SIZE {
+            self.disk.charge(CHUNK_SIZE);
+            self.record_write(CHUNK_SIZE);
+            self.uncharged -= CHUNK_SIZE;
         }
     }
 

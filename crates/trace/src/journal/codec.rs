@@ -269,7 +269,7 @@ fn encode_stats(buf: &mut Vec<u8>, snap: &StatsSnapshot) {
     put_u32(buf, snap.edges.len() as u32);
     for e in &snap.edges {
         put_u32(buf, e.edge);
-        buf.push(u8::from(e.shuffle));
+        buf.push(1); // every row is a shuffle edge's; see decode_stats
         put_u64(buf, e.records);
         put_u64(buf, e.bytes);
         put_u64(buf, e.distinct);
@@ -312,7 +312,7 @@ fn decode_stats(cur: &mut Cursor) -> Result<StatsSnapshot, String> {
     let mut edges = Vec::with_capacity(ne);
     for _ in 0..ne {
         let edge = cur.u32()?;
-        let shuffle = cur.u8()? != 0;
+        let flag = cur.u8()?;
         let records = cur.u64()?;
         let bytes = cur.u64()?;
         let distinct = cur.u64()?;
@@ -333,9 +333,12 @@ fn decode_stats(cur: &mut Cursor) -> Result<StatsSnapshot, String> {
                 key: take_bytes(cur)?,
             });
         }
+        if flag == 0 {
+            // A local-edge row: older journals flag their loader edges 0.
+            continue;
+        }
         edges.push(EdgeStatsSummary {
             edge,
-            shuffle,
             records,
             bytes,
             distinct,

@@ -67,7 +67,6 @@ fn sample_records() -> Vec<JournalRecord> {
             engine: "hamr".into(),
             edges: vec![EdgeStatsSummary {
                 edge: 1,
-                shuffle: true,
                 records: 100,
                 bytes: 2048,
                 distinct: 42,
@@ -154,6 +153,30 @@ fn a_stats_record_with_a_retired_hop_kind_keeps_its_known_hops() {
     assert!(explained.contains("emitted via flowlet 'ratings' edge 1: node 0 -> node 2"));
     assert!(explained.contains("ingested by reduce via flowlet 'sum' edge 1: node 0 -> node 2"));
     assert!(explained.contains("final reducer: node 2"));
+}
+
+/// Before the plane sketched shuffle edges only, a stats record also
+/// held the loader's local edge: the same row, flag byte 0. It decodes
+/// and is dropped, so the timeline prints one `keys:` line either way.
+#[test]
+fn a_parents_local_edge_stats_row_is_dropped() {
+    let stats = sample_records().into_iter().find_map(|r| match r {
+        JournalRecord::Stats(s) => Some(s),
+        _ => None,
+    });
+    let mut snap = stats.expect("a stats record");
+    let mut local = snap.edges[0].clone();
+    local.edge = 0;
+    snap.edges.insert(0, local);
+    let mut old = JournalRecord::Stats(snap.clone()).encode();
+    // Tag, job, engine, row count, then row 0's edge id and flag.
+    let flag = 1 + (4 + snap.job.len()) + (4 + snap.engine.len()) + 4 + 4;
+    assert_eq!(old[flag], 1);
+    old[flag] = 0;
+    let JournalRecord::Stats(read) = JournalRecord::decode(&old).expect("decode") else {
+        panic!("tag 8 is a stats record");
+    };
+    assert_eq!(read.edges, snap.edges[1..]);
 }
 
 /// Same for whole records: a directory written before the alert

@@ -22,6 +22,7 @@ use crate::audit::AuditReport;
 use crate::hist::quantile_of;
 use crate::json;
 use crate::registry::{HistSample, SampleValue, Snapshot};
+use crate::stats::EdgeStatsSummary;
 use std::path::Path;
 
 /// A watchdog incident attached to the job it interrupted.
@@ -235,24 +236,7 @@ impl Timeline {
                         // Each job's StatsSnapshot is built from a
                         // fresh per-job plane, so these per-edge counts
                         // are already deltas, not running totals.
-                        t.jobs[i].edge_stats = snap
-                            .edges
-                            .iter()
-                            .map(|e| {
-                                let mut line = format!(
-                                    "edge {}: {} records, ~{} distinct keys, hot {:.0}%, p99 val {}B",
-                                    e.edge,
-                                    e.records,
-                                    e.distinct,
-                                    e.hot_share * 100.0,
-                                    e.p99
-                                );
-                                if e.shuffle {
-                                    line.push_str(" [shuffle]");
-                                }
-                                line
-                            })
-                            .collect();
+                        t.jobs[i].edge_stats = snap.edges.iter().map(keys_line).collect();
                     }
                 }
             }
@@ -405,6 +389,18 @@ fn parse_stuck_edges(report_json: &str) -> Vec<String> {
             )
         })
         .collect()
+}
+
+/// A job span's `keys:` line for one shuffle edge.
+fn keys_line(e: &EdgeStatsSummary) -> String {
+    format!(
+        "edge {}: {} records, ~{} distinct keys, hot {:.0}%, p99 val {}B",
+        e.edge,
+        e.records,
+        e.distinct,
+        e.hot_share * 100.0,
+        e.p99
+    )
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use crate::lock;
 use crate::registry::Counter;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -43,28 +43,33 @@ pub struct Journal {
     metrics: Mutex<Option<(Counter, Counter)>>,
 }
 
-/// Sequence numbers for `JournalMode::Auto` subdirectories, so several
-/// clusters in one process never share a writer.
-static AUTO_SEQ: AtomicU64 = AtomicU64::new(0);
-
 impl Journal {
     /// Resolve [`JournalMode::from_env`] into an opened journal
-    /// (`None` when off). `Auto` picks a unique subdirectory of
-    /// `./hamr_journal` per opened journal.
+    /// (`None` when off). `Auto` is [`Journal::open_auto`] under
+    /// `./hamr_journal`.
     pub fn from_env() -> std::io::Result<Option<Journal>> {
         match JournalMode::from_env() {
             JournalMode::Off => Ok(None),
-            JournalMode::Auto => {
-                let sub = format!(
-                    "c{:04}-p{}",
-                    AUTO_SEQ.fetch_add(1, Ordering::Relaxed),
-                    std::process::id()
-                );
-                let dir = PathBuf::from("hamr_journal").join(sub);
-                Journal::open(JournalConfig::new(dir)).map(Some)
-            }
+            JournalMode::Auto => Journal::open_auto(Path::new("hamr_journal")).map(Some),
             JournalMode::Dir(dir) => Journal::open(JournalConfig::new(dir)).map(Some),
         }
+    }
+
+    /// Open a journal in a subdirectory of `root` no other journal
+    /// uses: the first of `c0000-p<pid>`, `c0001-p<pid>`, … that
+    /// `create_dir` creates. The filesystem arbitrates, so several
+    /// clusters in one process never share a writer, and a directory
+    /// left by an earlier process is skipped, not appended to.
+    pub fn open_auto(root: &Path) -> std::io::Result<Journal> {
+        std::fs::create_dir_all(root)?;
+        for seq in 0u32.. {
+            let dir = root.join(format!("c{seq:04}-p{}", std::process::id()));
+            match std::fs::create_dir(&dir) {
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                made => return made.and_then(|()| Journal::open(JournalConfig::new(dir))),
+            }
+        }
+        unreachable!("a directory free among 2^32 names")
     }
 
     /// Open (or create) a journal at `cfg.dir`, recovering any

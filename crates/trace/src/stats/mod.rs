@@ -1,7 +1,12 @@
 //! Data-plane statistics: streaming sketches over the records that
 //! actually flow, not just the tasks that move them.
 //!
-//! Every (edge, destination-partition) pair carries a [`SketchSet`]:
+//! Every (shuffle edge, destination-partition) pair carries a
+//! [`SketchSet`]. Which edges are shuffle edges is the engine's call,
+//! made once per job: HAMR sketches its hash-exchange edges, the only
+//! ones whose keys say where a shuffle funnels records; loader and
+//! local edges carry keys (line offsets) that are distinct by
+//! construction. The sketches:
 //!
 //! * [`Hll`] — a HyperLogLog distinct-key estimator with a fixed
 //!   2^12 = 4096 registers (4 KiB, standard error 1.04/√4096 ≈ 1.6%),
@@ -89,7 +94,6 @@ impl StatsMode {
 
     /// What `HAMR_STATS` asks for: unset or empty is the default, a
     /// value that does not parse panics naming the accepted forms.
-    /// Both engines read the gate here.
     pub fn from_env() -> Self {
         crate::env_or_panic("HAMR_STATS", StatsMode::default(), StatsMode::from_env_str)
     }
@@ -122,22 +126,16 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Largest distinct-key estimate across shuffle edges — "how many
-    /// keys did this job actually move between partitions".
+    /// Largest distinct-key estimate across the shuffle edges — "how
+    /// many keys did this job actually move between partitions".
     pub fn shuffle_distinct(&self) -> u64 {
-        self.edges
-            .iter()
-            .filter(|e| e.shuffle)
-            .map(|e| e.distinct)
-            .max()
-            .unwrap_or(0)
+        self.edges.iter().map(|e| e.distinct).max().unwrap_or(0)
     }
 
     /// Hot-key traffic share on the busiest shuffle edge.
     pub fn shuffle_hot_share(&self) -> f64 {
         self.edges
             .iter()
-            .filter(|e| e.shuffle && e.records > 0)
             .max_by_key(|e| e.records)
             .map(|e| e.hot_share)
             .unwrap_or(0.0)

@@ -619,7 +619,7 @@ impl SketchSet {
     }
 
     /// Condense into the serializable per-edge summary.
-    pub fn summary(&self, edge: u32, shuffle: bool) -> EdgeStatsSummary {
+    pub fn summary(&self, edge: u32) -> EdgeStatsSummary {
         let top = self
             .topk
             .top()
@@ -634,7 +634,6 @@ impl SketchSet {
             .collect();
         EdgeStatsSummary {
             edge,
-            shuffle,
             records: self.records,
             bytes: self.bytes,
             distinct: self.distinct(),
@@ -657,14 +656,11 @@ pub struct TopKey {
     pub key: Vec<u8>,
 }
 
-/// A job-wide per-edge profile: sketches merged across every
-/// destination partition.
+/// A job-wide profile of one shuffle edge: sketches merged across
+/// every destination partition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeStatsSummary {
     pub edge: u32,
-    /// True for hash-exchange (shuffle) edges — the ones whose distinct
-    /// count is comparable across engines.
-    pub shuffle: bool,
     pub records: u64,
     pub bytes: u64,
     pub distinct: u64,

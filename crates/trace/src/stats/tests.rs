@@ -138,23 +138,21 @@ fn sample_gate_is_deterministic() {
 
 #[test]
 fn plane_folds_bins_and_records_lineage() {
-    let plane = StatsPlane::new(vec![false, true], 4, StatsMode::Full { sample_one_in: 1 });
+    // A plane over edge 1 only: edge 0's bins are neither folded nor
+    // traced.
+    let plane = StatsPlane::new(vec![1], 4, StatsMode::Full { sample_one_in: 1 });
     let key = b"k1".to_vec();
     let h = mix(1);
-    plane.fold_bin(
-        1,
-        2,
-        0,
-        "mapper",
-        0,
-        vec![(h, &key[..], 10), (h, &key[..], 12)].into_iter(),
-    );
+    let bin = || vec![(h, &key[..], 10), (h, &key[..], 12)].into_iter();
+    plane.fold_bin(0, 2, 0, "loader", 0, bin());
+    plane.fold_bin(1, 2, 0, "mapper", 0, bin());
+    plane.consume_bin(0, 2, 1, "reducer", 0, vec![h].into_iter());
     plane.consume_bin(1, 2, 1, "reducer", 0, vec![h].into_iter());
     let snap = plane.snapshot("job", "hamr");
     assert_eq!(snap.edges.len(), 1);
     assert_eq!(snap.edges[0].edge, 1);
-    assert!(snap.edges[0].shuffle);
     assert_eq!(snap.edges[0].records, 2);
+    assert_eq!(plane.dst_stats(), [(1, 2, 1, 1.0)]);
     assert_eq!(snap.edges[0].distinct, 1);
     assert_eq!(snap.samples.len(), 1);
     let s = &snap.samples[0];

@@ -158,14 +158,6 @@ impl Env {
 }
 
 impl Env {
-    /// Session over the HAMR cluster: job chains, residency, and
-    /// namespaced resets. Workloads should run through this rather
-    /// than `hamr.run` directly so chained jobs share the KV store
-    /// and the partition-resident frame cache.
-    pub fn session(&self) -> hamr_core::Session<'_> {
-        self.hamr.session()
-    }
-
     /// Reset one workload's rerun state: every KV key and every
     /// resident cache tag prefixed `ns` (convention: `"<wl>/"`, e.g.
     /// `"pr/"`). Centralizes the cleanup each iterative workload used
@@ -173,7 +165,7 @@ impl Env {
     /// state, not just its own. Returns the number of KV entries
     /// dropped.
     pub fn reset_namespace(&self, ns: &str) -> usize {
-        self.hamr.session().reset_namespace(ns)
+        self.hamr.reset_namespace(ns)
     }
 
     /// A DFS path no earlier call on this `Env` returned: MapReduce jobs
@@ -256,17 +248,18 @@ pub struct BenchOutput {
     /// Per-iteration telemetry (empty for single-job workloads and
     /// for the MapReduce engine).
     pub iters: Vec<IterStats>,
-    /// Estimated distinct shuffle keys from the data-plane sketches
-    /// (HAMR: max over hash-exchange edges; mapred: merged reduce-side
-    /// HLL). 0 when `HAMR_STATS=off` or not plumbed by the workload.
+    /// Estimated distinct shuffle keys from HAMR's data-plane sketches:
+    /// the largest over the job's hash-exchange edges. 0 for mapred,
+    /// when `HAMR_STATS=off`, or when not plumbed by the workload.
     pub distinct_keys: u64,
     /// Share of shuffled records carried by the hottest key, from the
-    /// SpaceSaving sketch's guaranteed count. 0.0 when stats are off.
+    /// SpaceSaving sketch's guaranteed count. 0.0 for mapred and when
+    /// stats are off.
     pub hot_key_share: f64,
-    /// Exact distinct shuffle keys when the engine can count them
-    /// (mapred: reduce-group total — disjoint reducer key ranges make
-    /// the sum exact). 0 for HAMR, whose figure is always a sketch;
-    /// the sketch-accuracy test (`stats_e2e.rs`) anchors on this.
+    /// Exact distinct shuffle keys (mapred: reduce-group total —
+    /// disjoint reducer key ranges make the sum exact). 0 for HAMR,
+    /// whose figure is a sketch; the sketch-accuracy test
+    /// (`stats_e2e.rs`) anchors on this.
     pub exact_distinct_keys: u64,
 }
 
@@ -291,11 +284,8 @@ impl BenchOutput {
         }
     }
 
-    /// Fold a MapReduce run's sketch results into this output (the
-    /// baseline counterpart of [`fold_sched_metrics`]'s stats fold).
+    /// Fold a MapReduce run's exact key count into this output.
     pub fn fold_mr_stats(&mut self, s: &hamr_mapred::JobStats) {
-        self.distinct_keys = self.distinct_keys.max(s.distinct_keys);
-        self.hot_key_share = self.hot_key_share.max(s.hot_key_share);
         self.exact_distinct_keys = self.exact_distinct_keys.max(s.groups);
     }
 }

@@ -215,9 +215,9 @@ impl KMeans {
         job.capture_output(update);
         // Same resident tag as `run_hamr`: the parsed input lines are
         // identical in both variants, so either fills for the other.
-        job.resident(loader, "km/lines", env.session().fingerprint(INPUT));
+        job.resident(loader, "km/lines", env.hamr.fingerprint(INPUT));
         let result = env
-            .session()
+            .hamr
             .run(job.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
         let mut unique: BTreeMap<u64, u64> = BTreeMap::new();
@@ -323,12 +323,12 @@ impl Benchmark for KMeans {
         job.capture_output(update);
         // M3R-style de-duplicated input loading: the split text lines
         // are input-invariant, so pin them. A rerun in the same
-        // session (or the ship-data ablation, which shares the tag)
+        // cluster (or the ship-data ablation, which shares the tag)
         // serves the lines from memory instead of re-reading the DFS —
         // the assignment map still runs against fresh centroids.
-        job.resident(loader, "km/lines", env.session().fingerprint(INPUT));
+        job.resident(loader, "km/lines", env.hamr.fingerprint(INPUT));
         let result = env
-            .session()
+            .hamr
             .run(job.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
         // Every node captured a copy of each (cluster, movie); dedupe.

@@ -149,12 +149,12 @@ impl Benchmark for NaiveBayes {
         );
         job.capture_output(vector_sum);
         job.capture_output(weight_sum);
-        // Pin the split input lines: a rerun in the same session
+        // Pin the split input lines: a rerun on the same cluster
         // serves them from the resident cache instead of re-reading
         // and re-splitting the DFS blocks.
-        job.resident(loader, "nb/lines", env.session().fingerprint(INPUT));
+        job.resident(loader, "nb/lines", env.hamr.fingerprint(INPUT));
         let result = env
-            .session()
+            .hamr
             .run(job.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
         let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();

@@ -1,7 +1,7 @@
 //! PageRank (§4, Alg. 2) — the multi-phase + in-memory benchmark
 //! (13.6x in Table 2).
 //!
-//! * HAMR: a **session-chained job sequence** with M3R-style
+//! * HAMR: a **chain of jobs on one cluster** with M3R-style
 //!   partition residency. Iteration 0 (`EdgeFileLoader → HashJoinRed`)
 //!   builds each page's adjacency list into the node-local slice of
 //!   the distributed KV store and computes the first update. Every
@@ -255,7 +255,9 @@ impl PageRank {
                 },
             ),
         );
-        job.resident(radj, "pr/radj", fp);
+        if self.resident {
+            job.resident(radj, "pr/radj", fp);
+        }
         let update = job.add_reduce(
             "PRUpdateRed",
             typed::reduce_ctx_fn(
@@ -300,14 +302,11 @@ impl Benchmark for PageRank {
 
     fn run_hamr(&self, env: &Env) -> Result<BenchOutput, String> {
         let start = Instant::now();
-        let session = env.session();
         // Namespaced rerun isolation: drop pr/ KV keys and the pr/
         // cache tags, leave other tenants' state alone.
         env.reset_namespace("pr/");
         let store = env.hamr.resident();
-        let ambient = store.enabled();
-        store.set_enabled(ambient && self.resident);
-        let fp = session.fingerprint(INPUT);
+        let fp = env.hamr.fingerprint(INPUT);
 
         let mut shuffle_records = 0u64;
         let mut shuffled_bytes = 0u64;
@@ -315,44 +314,39 @@ impl Benchmark for PageRank {
         let mut iters: Vec<IterStats> = Vec::with_capacity(self.iterations);
         let mut jobs_done = 0u64;
         let mut cache_mark = store.stats();
-        let run = (|| -> Result<(), String> {
-            for iter in 0..self.iterations {
-                // One chain link per iteration: the setup job alone,
-                // then rank-ship + update pairs. Cross-job state flows
-                // through the session's KV store and resident cache.
-                let (batch, sources): (Vec<JobGraph>, Vec<Vec<usize>>) = if iter == 0 {
-                    let (job, srcs) = self.setup_job()?;
-                    (vec![job], vec![srcs])
-                } else {
-                    let (ship, ship_srcs) = self.rank_ship_job(iter)?;
-                    let (update, update_srcs) = self.update_job(iter, fp)?;
-                    (vec![ship, update], vec![ship_srcs, update_srcs])
-                };
-                let results = session.run_chain(batch).map_err(|e| e.to_string())?;
-                let mut stat = IterStats::default();
-                for (result, srcs) in results.iter().zip(&sources) {
-                    stat.elapsed += result.elapsed;
-                    stat.shuffled_bytes += result.metrics.shuffled_bytes;
-                    for &f in srcs {
-                        if let Some(m) = result.metrics.flowlets.get(&f) {
-                            stat.shuffle_records += m.records_out;
-                        }
+        for iter in 0..self.iterations {
+            // One chain link per iteration: the setup job alone, then
+            // rank-ship + update pairs. Cross-job state flows through
+            // the cluster's KV store and resident cache.
+            let (batch, sources): (Vec<JobGraph>, Vec<Vec<usize>>) = if iter == 0 {
+                let (job, srcs) = self.setup_job()?;
+                (vec![job], vec![srcs])
+            } else {
+                let (ship, ship_srcs) = self.rank_ship_job(iter)?;
+                let (update, update_srcs) = self.update_job(iter, fp)?;
+                (vec![ship, update], vec![ship_srcs, update_srcs])
+            };
+            let mut stat = IterStats::default();
+            for (graph, srcs) in batch.into_iter().zip(&sources) {
+                let result = env.hamr.run(graph).map_err(|e| e.to_string())?;
+                stat.elapsed += result.elapsed;
+                stat.shuffled_bytes += result.metrics.shuffled_bytes;
+                for &f in srcs {
+                    if let Some(m) = result.metrics.flowlets.get(&f) {
+                        stat.shuffle_records += m.records_out;
                     }
-                    sched.fold_sched_metrics(&result.metrics, jobs_done);
-                    jobs_done += 1;
                 }
-                let now = store.stats();
-                stat.cache_hits = now.hits - cache_mark.hits;
-                stat.cache_bytes_saved = now.bytes_saved - cache_mark.bytes_saved;
-                cache_mark = now;
-                shuffled_bytes += stat.shuffled_bytes;
-                shuffle_records += stat.shuffle_records;
-                iters.push(stat);
+                sched.fold_sched_metrics(&result.metrics, jobs_done);
+                jobs_done += 1;
             }
-            Ok(())
-        })();
-        store.set_enabled(ambient);
-        run?;
+            let now = store.stats();
+            stat.cache_hits = now.hits - cache_mark.hits;
+            stat.cache_bytes_saved = now.bytes_saved - cache_mark.bytes_saved;
+            cache_mark = now;
+            shuffled_bytes += stat.shuffled_bytes;
+            shuffle_records += stat.shuffle_records;
+            iters.push(stat);
+        }
 
         // Final ranks live in the KV store, distributed by page.
         let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();

