@@ -7,14 +7,16 @@
 //! frame := entry*
 //! ```
 //!
-//! That buffer is everything a frame is — on a link, in the resident
-//! store, in a spill file. The 64-bit key hash the producer computed to
-//! route the record is *not* in it: eight bytes per record are worth
-//! 3.8 µs on a 2 MiB/s link and 11 ns to recompute, so a consumer that
-//! shards by key hashes the key again. The producer still wants its
-//! hashes once more, when a frame closes (the statistics fold), so
-//! [`FrameBuilder`] keeps them in a column beside the payload and
-//! [`FrameBuilder::finish`] hands both back.
+//! That buffer is everything a frame is — in the resident store, in a
+//! spill file, on a loopback send. On a link between two nodes it
+//! travels packed by [`crate::huffman`], and is unpacked and
+//! re-validated with [`Frame::parse`] on arrival. The 64-bit key hash
+//! the producer computed to route the record is *not* in it: eight
+//! bytes per record are worth 3.8 µs on a 2 MiB/s link and 11 ns to
+//! recompute, so a consumer that shards by key hashes the key again.
+//! The producer still wants its hashes once more, when a frame closes
+//! (the statistics fold), so [`FrameBuilder`] keeps them in a column
+//! beside the payload and [`FrameBuilder::finish`] hands both back.
 //!
 //! The payload is one allocation: producers append into a
 //! [`FrameBuilder`], `freeze` hands the buffer to an immutable
@@ -149,7 +151,8 @@ impl Frame {
         self.entries == 0
     }
 
-    /// Exact encoded payload size — also the frame's wire size.
+    /// Exact encoded payload size: what a loopback send carries, and
+    /// what [`crate::huffman::pack`] codes for a link.
     pub fn payload_bytes(&self) -> usize {
         self.data.len()
     }

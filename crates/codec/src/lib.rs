@@ -14,9 +14,13 @@
 //!
 //! It is *not* self-describing: both ends must agree on the type, which
 //! the typed flowlet layer guarantees statically.
+//!
+//! Records travel in [`frame`]s; a frame crossing a link is packed with
+//! the order-0 Huffman coder in [`huffman`].
 
 pub mod frame;
 pub mod hash;
+pub mod huffman;
 mod varint;
 
 pub use frame::{Frame, FrameBuilder, FrameIter, SharedFrameIter};
@@ -39,6 +43,9 @@ pub enum CodecError {
     Utf8,
     /// A varint ran longer than 10 bytes.
     VarintOverflow,
+    /// Huffman code lengths that are no prefix code, or a bitstream that
+    /// spells a code no byte value has.
+    BadCode,
 }
 
 impl fmt::Display for CodecError {
@@ -49,6 +56,7 @@ impl fmt::Display for CodecError {
             CodecError::BadLength(n) => write!(f, "bad length prefix {n}"),
             CodecError::Utf8 => write!(f, "invalid utf-8"),
             CodecError::VarintOverflow => write!(f, "varint longer than 10 bytes"),
+            CodecError::BadCode => write!(f, "invalid Huffman code"),
         }
     }
 }

@@ -9,7 +9,7 @@ use crate::introspect::{LiveRun, DOCTOR_KEEP_LAST};
 use crate::metrics::JobMetrics;
 use crate::node::{NetMsg, NodeOutcome, NodeRuntime};
 use crate::plan::ExecPlan;
-use crate::record::Record;
+use crate::record::{merge_captured, Record};
 use crate::watchdog::{Watchdog, WatchdogAction, WatchdogConfig, WatchdogEvent};
 use hamr_codec::Codec;
 use hamr_simnet::Fabric;
@@ -295,7 +295,7 @@ impl Cluster {
                     }
                     fill_frames.extend(outcome.fill);
                     for (f, recs) in outcome.captured {
-                        outputs.entry(f).or_default().extend(recs);
+                        merge_captured(&mut outputs, f, recs);
                     }
                     for (f, fm) in outcome.flowlets.into_iter().enumerate() {
                         metrics.flowlets.entry(f).or_default().merge(fm);

@@ -6,7 +6,6 @@
 
 use crate::outbuf::TaskOutput;
 use crate::NodeId;
-use bytes::Bytes;
 use hamr_codec::Codec;
 use hamr_dfs::Dfs;
 use hamr_kvstore::{KvStore, Shard};
@@ -65,8 +64,10 @@ impl<'a> Emitter<'a> {
     }
 
     /// Emit a record into the job's captured output for this flowlet.
+    /// The key and value are copied into the task's one output arena;
+    /// the job's [`Record`](crate::Record)s are views of it.
     #[inline]
-    pub fn output(&mut self, key: Bytes, value: Bytes) {
+    pub fn output(&mut self, key: &[u8], value: &[u8]) {
         self.out.capture(key, value);
     }
 
@@ -99,10 +100,11 @@ impl<'a> Emitter<'a> {
         self.out.emit_all_encoded(key, value);
     }
 
-    /// Typed captured-output emit.
+    /// Typed captured-output emit: encodes through the same scratch
+    /// buffer as [`Emitter::emit_t`], straight into the output arena.
     #[inline]
     pub fn output_t<K: Codec, V: Codec>(&mut self, key: &K, value: &V) {
-        self.output(key.to_bytes(), value.to_bytes());
+        self.out.capture_encoded(key, value);
     }
 }
 

@@ -82,7 +82,7 @@ use crate::graph::{EdgeId, FlowletId, FlowletKind};
 use crate::metrics::{FlowletMetrics, NodeMetrics};
 use crate::outbuf::{CombineShelf, FlowControl};
 use crate::plan::ExecPlan;
-use crate::record::{FrameBin, Record};
+use crate::record::{merge_captured, CodedBin, FrameBin, Record};
 use crate::reduce_state::{PartialState, ReduceState};
 use crate::sched::Pool;
 use crate::NodeId;
@@ -99,8 +99,11 @@ use std::time::{Duration, Instant};
 
 /// Messages exchanged between node runtimes over the fabric.
 pub(crate) enum NetMsg {
-    /// A bin of records for `bin.edge`'s destination flowlet.
+    /// A bin of records for `bin.edge`'s destination flowlet, sent to
+    /// the sender's own node.
     Bin(FrameBin),
+    /// The same, sent to another node: coded for the link.
+    Coded(CodedBin),
     /// The sender's instance of `edge`'s source flowlet has finished
     /// producing on `edge`.
     EdgeComplete { edge: EdgeId },
@@ -117,21 +120,25 @@ impl Payload for NetMsg {
     fn wire_size(&self) -> usize {
         match self {
             NetMsg::Bin(b) => b.wire_size(),
+            NetMsg::Coded(c) => c.wire_size(),
             _ => 24,
         }
     }
 
-    /// Only data bins enter the audit ledger; acks, completion
-    /// messages, markers, and aborts are control traffic.
+    /// Only data bins enter the audit ledger, with their raw payload
+    /// bytes whatever the link carried; acks, completion messages,
+    /// markers, and aborts are control traffic.
     fn audit_bin(&self) -> Option<AuditBin> {
-        match self {
-            NetMsg::Bin(b) => Some(AuditBin {
-                edge: b.edge as u32,
-                records: b.len() as u64,
-                bytes: b.payload_bytes() as u64,
-            }),
-            _ => None,
-        }
+        let (edge, records, bytes) = match self {
+            NetMsg::Bin(b) => (b.edge, b.len(), b.payload_bytes()),
+            NetMsg::Coded(c) => (c.edge, c.records, c.raw_bytes),
+            _ => return None,
+        };
+        Some(AuditBin {
+            edge: edge as u32,
+            records: records as u64,
+            bytes: bytes as u64,
+        })
     }
 }
 
@@ -491,6 +498,16 @@ impl NodeRuntime {
     fn handle_msg(&mut self, env: Envelope<NetMsg>) {
         match env.msg {
             NetMsg::Bin(bin) => self.enqueue_bin(env.from, false, bin),
+            NetMsg::Coded(coded) => {
+                let edge = coded.edge;
+                match coded.decode() {
+                    Ok(bin) => self.enqueue_bin(env.from, false, bin),
+                    Err(e) => self.abort(format!(
+                        "node {}: a bin from node {} on edge {edge} does not decode: {e}",
+                        self.node, env.from
+                    )),
+                }
+            }
             NetMsg::EdgeComplete { edge } => {
                 let dst = self.plan.graph.edges[edge].dst;
                 self.instances[dst].pending.push_back(Work::Complete);
@@ -517,26 +534,29 @@ impl NodeRuntime {
         }
     }
 
+    /// Stop the job with `reason`, and tell everyone. Our own loopback
+    /// Abort is harmless — we already stop via `error`.
+    fn abort(&mut self, reason: String) {
+        let reason = Arc::new(reason);
+        for dst in 0..self.nodes {
+            let _ = self.endpoint.send(
+                dst,
+                NetMsg::Abort {
+                    reason: Arc::clone(&reason),
+                },
+            );
+        }
+        self.error = Some(reason.to_string());
+    }
+
     fn handle_done(&mut self, done: TaskDone) {
         self.outstanding -= 1;
         self.busy += done.duration;
         if let Some(msg) = done.panic {
-            let reason = Arc::new(format!(
+            return self.abort(format!(
                 "flowlet '{}' on node {}: {}",
                 self.plan.graph.flowlets[done.flowlet].name, self.node, msg
             ));
-            // Tell everyone. Our own loopback Abort is harmless — we
-            // already stop via `error` below.
-            for dst in 0..self.nodes {
-                let _ = self.endpoint.send(
-                    dst,
-                    NetMsg::Abort {
-                        reason: Arc::clone(&reason),
-                    },
-                );
-            }
-            self.error = Some(reason.to_string());
-            return;
         }
         let f = done.flowlet;
         {
@@ -573,7 +593,7 @@ impl NodeRuntime {
         fm.busy += done.duration;
         fm.task_latency.record(done.duration);
         if !done.captured.is_empty() {
-            self.captured.entry(f).or_default().extend(done.captured);
+            merge_captured(&mut self.captured, f, done.captured);
         }
         self.fill.extend(done.fill);
     }

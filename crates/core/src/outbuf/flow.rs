@@ -125,12 +125,19 @@ impl FlowControl {
     }
 
     /// Send `bin`, whose window slot the caller has reserved: the one
-    /// place a bin leaves this node for the fabric.
+    /// place a bin leaves this node for the fabric. A bin for another
+    /// node is coded for the link; a loopback bin crosses none and is
+    /// charged nothing, so it goes as it is.
     fn ship(&self, lane: u32, f: FlowletId, dst: NodeId, bin: FrameBin) {
         self.window_gauge.add(1);
         self.per_flowlet[f].bins_out.fetch_add(1, Ordering::Relaxed);
         record_shipped(&self.obs, self.node, lane, f, dst, &bin);
-        let _ = self.endpoint.send(dst, NetMsg::Bin(bin));
+        let msg = if dst == self.node {
+            NetMsg::Bin(bin)
+        } else {
+            NetMsg::Coded(bin.code())
+        };
+        let _ = self.endpoint.send(dst, msg);
     }
 
     /// Ship `bin` to `dst` if its window has room, else park it in the

@@ -8,7 +8,7 @@ use crate::plan::{ExecPlan, PortSpec};
 use crate::record::{FrameBin, Record};
 use crate::NodeId;
 use bytes::Bytes;
-use hamr_codec::{stable_hash, Frame, FrameBuilder};
+use hamr_codec::{stable_hash, write_varint, Frame, FrameBuilder};
 use hamr_trace::{AuditStage, EventKind, Observe};
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use std::sync::Arc;
 pub(crate) struct TaskParts {
     /// Packed bins ready to ship, with their destination.
     pub bins: Vec<(NodeId, FrameBin)>,
-    /// Records captured as job output.
+    /// Records captured as job output: views of one arena per task.
     pub captured: Vec<Record>,
     /// Pinned clones of every frame closed on a cache-filling port,
     /// keyed by (edge, destination node). The clone is a refcount bump
@@ -42,10 +42,13 @@ pub(crate) struct TaskOutput {
     /// Broadcast ports use only their first slot: one frame is built
     /// and cloned to every destination when it closes.
     open: Vec<Option<FrameBuilder>>,
-    /// Finished bins, captured output and pinned fill frames; the
-    /// fold count is filled in at the end.
+    /// Finished bins and pinned fill frames; the captured output and
+    /// the fold count are filled in at the end.
     done: TaskParts,
     capture_enabled: bool,
+    /// Captured pairs, encoded as frame entries into one buffer that
+    /// [`Self::into_parts`] freezes once and slices into records.
+    captured: Vec<u8>,
     /// Reusable encode buffer for typed emits (see `emit_encoded`).
     scratch: Vec<u8>,
     flowlet_name: Arc<str>,
@@ -102,6 +105,7 @@ impl TaskOutput {
             open: (0..slots).map(|_| None).collect(),
             done: TaskParts::default(),
             capture_enabled: fp.capture,
+            captured: Vec::new(),
             scratch: Vec::new(),
             flowlet_name: Arc::clone(&fp.name),
             flowlet_id: flowlet as u32,
@@ -324,8 +328,26 @@ impl TaskOutput {
         }
     }
 
-    /// Encode a typed pair through the reusable scratch buffer and emit
-    /// it — zero allocations per record once the scratch has grown.
+    /// Encode a typed pair into the reusable scratch buffer and hand
+    /// its key and value bytes to `then` — zero allocations per record
+    /// once the scratch has grown.
+    #[inline]
+    fn encoded<K: hamr_codec::Codec, V: hamr_codec::Codec>(
+        &mut self,
+        key: &K,
+        value: &V,
+        then: impl FnOnce(&mut Self, &[u8], &[u8]),
+    ) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        key.encode(&mut scratch);
+        let split = scratch.len();
+        value.encode(&mut scratch);
+        then(self, &scratch[..split], &scratch[split..]);
+        self.scratch = scratch;
+    }
+
+    /// Encode a typed pair and emit it on `port`.
     #[inline]
     pub(crate) fn emit_encoded<K: hamr_codec::Codec, V: hamr_codec::Codec>(
         &mut self,
@@ -333,13 +355,7 @@ impl TaskOutput {
         key: &K,
         value: &V,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        key.encode(&mut scratch);
-        let split = scratch.len();
-        value.encode(&mut scratch);
-        self.emit(port, &scratch[..split], &scratch[split..]);
-        self.scratch = scratch;
+        self.encoded(key, value, |out, k, v| out.emit(port, k, v));
     }
 
     /// Encode a typed pair once and emit it on every port.
@@ -349,21 +365,32 @@ impl TaskOutput {
         key: &K,
         value: &V,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        key.encode(&mut scratch);
-        let split = scratch.len();
-        value.encode(&mut scratch);
-        for port in 0..self.ports.len() {
-            self.emit(port, &scratch[..split], &scratch[split..]);
-        }
-        self.scratch = scratch;
+        self.encoded(key, value, |out, k, v| {
+            for port in 0..out.ports.len() {
+                out.emit(port, k, v);
+            }
+        });
     }
 
-    /// Record a captured job-output pair.
-    pub(crate) fn capture(&mut self, key: Bytes, value: Bytes) {
+    /// Record a captured job-output pair: one frame entry appended to
+    /// the task's capture buffer.
+    pub(crate) fn capture(&mut self, key: &[u8], value: &[u8]) {
         if self.capture_enabled {
-            self.done.captured.push(Record::new(key, value));
+            for part in [key, value] {
+                write_varint(part.len() as u64, &mut self.captured);
+                self.captured.extend_from_slice(part);
+            }
+        }
+    }
+
+    /// Encode a typed pair and capture it.
+    pub(crate) fn capture_encoded<K: hamr_codec::Codec, V: hamr_codec::Codec>(
+        &mut self,
+        key: &K,
+        value: &V,
+    ) {
+        if self.capture_enabled {
+            self.encoded(key, value, |out, k, v| out.capture(k, v));
         }
     }
 
@@ -404,6 +431,13 @@ impl TaskOutput {
                     self.close_bin(slot % self.nodes, port, builder);
                 }
             }
+        }
+        if !self.captured.is_empty() {
+            let arena = Frame::parse(Bytes::from(std::mem::take(&mut self.captured)))
+                .expect("captured pairs are frame entries");
+            let records = arena.iter_shared().map(|(k, v)| Record::new(k, v));
+            self.done.captured = Vec::with_capacity(arena.entries());
+            self.done.captured.extend(records);
         }
         self.done
     }

@@ -189,22 +189,65 @@ fn emit_encoded_round_trips_typed_pairs() {
 
 #[test]
 fn capture_collects_when_enabled() {
-    let b = |s: &str| Bytes::copy_from_slice(s.as_bytes());
     let mut o = out(&[], 0, 1, 10);
-    o.capture(b("k"), b("v"));
+    o.capture(b"k", b"v");
     let (bins, captured) = finish(o);
     assert!(bins.is_empty());
-    assert_eq!(captured.len(), 1);
-    assert_eq!(captured[0].key, b("k"));
+    assert_eq!(
+        captured,
+        vec![Record::new(Bytes::from("k"), Bytes::from("v"))]
+    );
 }
 
 #[test]
 fn capture_ignored_when_disabled() {
-    let b = |s: &str| Bytes::copy_from_slice(s.as_bytes());
     let mut o = out_with(&[], 0, 1, 10, false);
-    o.capture(b("k"), b("v"));
+    o.capture(b"k", b"v");
+    o.capture_encoded(&1u64, &2u64);
     let (_, captured) = finish(o);
     assert!(captured.is_empty());
+}
+
+#[test]
+fn a_tasks_captured_pairs_are_views_of_one_arena() {
+    const N: u64 = 200;
+    let mut o = out(&[], 0, 1, 10);
+    for i in 0..N {
+        o.capture_encoded(&i, &(i * 3));
+    }
+    o.capture(b"", b"");
+    let (_, captured) = finish(o);
+    let typed: Vec<(u64, u64)> = captured[..N as usize]
+        .iter()
+        .map(|r| {
+            (
+                u64::from_bytes(&r.key).unwrap(),
+                u64::from_bytes(&r.value).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(typed, (0..N).map(|i| (i, i * 3)).collect::<Vec<_>>());
+    assert_eq!(
+        captured[N as usize],
+        Record::new(Bytes::new(), Bytes::new())
+    );
+    // One allocation holds all 2N keys and values, in capture order:
+    // each view starts past the end of the one before it, and all of
+    // them lie within the arena's own length of the first.
+    let arena: usize = captured
+        .iter()
+        .map(|r| 2 + r.key.len() + r.value.len())
+        .sum();
+    let views: Vec<(usize, usize)> = captured
+        .iter()
+        .flat_map(|r| [&r.key, &r.value])
+        .map(|b| (b.as_ptr() as usize, b.len()))
+        .collect();
+    for pair in views.windows(2) {
+        assert!(pair[0].0 + pair[0].1 < pair[1].0, "{pair:?}");
+    }
+    let (first, last) = (views[0], views[views.len() - 1]);
+    assert!(last.0 + last.1 - first.0 <= arena);
 }
 
 #[test]

@@ -6,14 +6,22 @@
 //! tasks against. The payload is a single shared buffer ([`Frame`]),
 //! so cloning a bin (broadcast) is a refcount bump and consumers slice
 //! keys and values out of it without copying. Key hashes are not in
-//! it: what a link is charged for is lengths, keys and values.
+//! it.
+//!
+//! A bin that crosses a link does so as a [`CodedBin`]: its payload
+//! order-0 Huffman coded ([`hamr_codec::huffman`]), decoded back into a
+//! `FrameBin` on arrival. What a link is charged for is the coded
+//! payload; what the audit ledger counts, at every custody point, is
+//! the raw one.
 //!
 //! [`Record`] survives as the erased key-value pair handed back to the
 //! driver as captured job output; it is no longer on the shuffle path.
 
+use crate::graph::FlowletId;
 use bytes::Bytes;
-use hamr_codec::{stable_hash, Frame, FrameBuilder};
+use hamr_codec::{huffman, stable_hash, CodecError, Frame, FrameBuilder};
 use hamr_trace::{Audit, AuditStage};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// One erased key-value pair (captured job output).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,6 +33,21 @@ pub struct Record {
 impl Record {
     pub fn new(key: Bytes, value: Bytes) -> Self {
         Record { key, value }
+    }
+}
+
+/// Add `recs` to `f`'s captured output; the first batch is moved in,
+/// not copied.
+pub(crate) fn merge_captured(
+    outputs: &mut HashMap<FlowletId, Vec<Record>>,
+    f: FlowletId,
+    recs: Vec<Record>,
+) {
+    match outputs.entry(f) {
+        Entry::Occupied(mut held) => held.get_mut().extend(recs),
+        Entry::Vacant(slot) => {
+            slot.insert(recs);
+        }
     }
 }
 
@@ -71,14 +94,15 @@ impl FrameBin {
         self.frame.is_empty()
     }
 
-    /// Serialized payload size (drives the network bandwidth model).
-    /// Exact: the frame's encoded bytes are what the wire would carry.
+    /// The frame's encoded size: what the audit ledger counts.
     #[inline]
     pub fn payload_bytes(&self) -> usize {
         self.frame.payload_bytes()
     }
 
-    /// Wire size including a small fixed header.
+    /// What a loopback send of the bin is charged: the payload as it
+    /// is, plus a small fixed header. A bin for another node is coded
+    /// first ([`CodedBin::wire_size`]).
     #[inline]
     pub fn wire_size(&self) -> usize {
         self.payload_bytes() + 16
@@ -90,6 +114,50 @@ impl FrameBin {
     pub(crate) fn audit(&self, audit: &Audit, stage: AuditStage, dst: crate::NodeId) {
         let (records, bytes) = (self.len() as u64, self.payload_bytes() as u64);
         audit.record(stage, self.edge as u32, dst as u32, records, bytes);
+    }
+
+    /// The bin as it crosses a link.
+    pub(crate) fn code(&self) -> CodedBin {
+        CodedBin {
+            edge: self.edge,
+            span: self.span,
+            records: self.len(),
+            raw_bytes: self.payload_bytes(),
+            packed: Bytes::from(huffman::pack(self.frame.data())),
+        }
+    }
+}
+
+/// A [`FrameBin`] on a link: its payload packed by
+/// [`huffman::pack`], beside the record and raw byte counts the
+/// ledger's deliver point tallies before anyone decodes it.
+#[derive(Debug)]
+pub(crate) struct CodedBin {
+    pub edge: usize,
+    pub span: u64,
+    pub records: usize,
+    pub raw_bytes: usize,
+    packed: Bytes,
+}
+
+impl CodedBin {
+    /// The packed payload plus the fixed header a plain bin pays.
+    pub fn wire_size(&self) -> usize {
+        self.packed.len() + 16
+    }
+
+    /// Unpack and validate the frame: it must parse, and hold what the
+    /// sender said it held.
+    pub fn decode(self) -> Result<FrameBin, CodecError> {
+        let frame = Frame::parse(huffman::unpack(&self.packed)?)?;
+        if (frame.entries(), frame.payload_bytes()) != (self.records, self.raw_bytes) {
+            return Err(CodecError::BadLength(frame.payload_bytes() as u64));
+        }
+        Ok(FrameBin {
+            edge: self.edge,
+            frame,
+            span: self.span,
+        })
     }
 }
 
@@ -123,6 +191,34 @@ mod tests {
             copy.frame.data().as_ptr(),
             "broadcast clones must not copy the payload"
         );
+    }
+
+    #[test]
+    fn a_coded_bin_decodes_to_the_bin_it_was() {
+        let keys: Vec<Vec<u8>> = (0..300).map(|i| format!("w{i}").into_bytes()).collect();
+        let pairs: Vec<(&[u8], &[u8])> = keys.iter().map(|k| (&k[..], &b"\x01"[..])).collect();
+        let mut bin = FrameBin::from_pairs(4, &pairs);
+        bin.span = 99;
+        let coded = bin.code();
+        assert_eq!((coded.records, coded.raw_bytes), (300, bin.payload_bytes()));
+        assert!(coded.wire_size() < bin.wire_size() * 3 / 4, "{coded:?}");
+        let back = coded.decode().unwrap();
+        assert_eq!((back.edge, back.span), (4, 99));
+        assert!(back.frame.iter().eq(bin.frame.iter()));
+        // A short bin is stored: one tag byte over its payload.
+        let short = FrameBin::from_pairs(0, &[(b"k", b"v")]);
+        assert_eq!(short.code().wire_size(), short.wire_size() + 1);
+    }
+
+    #[test]
+    fn a_coded_bin_must_hold_what_its_sender_counted() {
+        let bin = FrameBin::from_pairs(0, &[(b"k1", b"v1"), (b"k2", b"v2")]);
+        let mut coded = bin.code();
+        coded.records = 3;
+        assert!(coded.decode().is_err());
+        let mut coded = bin.code();
+        coded.packed = coded.packed.slice(..coded.packed.len() - 1);
+        assert!(coded.decode().is_err(), "a truncated frame");
     }
 
     #[test]

@@ -358,18 +358,33 @@ fn the_flush_precedes_completion_on_every_node() {
     }
 }
 
-/// What the parent commit shipped for `run_sum_job(skewed_pairs(800,
-/// 25))` on four two-worker nodes at deterministic seed 7: with the
-/// combiner off no buffer exists and the emit path is the parent's,
-/// byte for byte.
-const PARENT_BYTES_OFF: u64 = 3436;
+/// What the emit path has always shipped on the shuffle edge of
+/// `run_sum_job(skewed_pairs(800, 25))` on four two-worker nodes at
+/// deterministic seed 7 — bins, records and raw payload bytes at the
+/// ledger's ship point, before any link coding: with the combiner off
+/// no buffer exists and the emit path is the one without it, byte for
+/// byte.
+const SHIP_OFF: (u64, u64, u64) = (14, 825, 3300);
 
 #[test]
 fn without_the_combiner_the_wire_carries_what_it_always_did() {
     let cluster = skew_cluster(4, 2, SkewConfig::off());
+    cluster.set_run_options(RunOptions {
+        supervision: Some(Supervision::default()),
+        ..Default::default()
+    });
     let result = run_sum_job(&cluster, skewed_pairs(800, 25), "off");
     assert_eq!(sorted_output(&result), expected(800, 25));
-    assert_eq!(result.metrics.shuffled_bytes, PARENT_BYTES_OFF);
+    let report = cluster.last_audit().expect("supervised runs are audited");
+    let ship = report
+        .rows
+        .iter()
+        .filter(|r| r.edge == 1)
+        .fold((0, 0, 0), |t, r| {
+            let s = r.stage(AuditStage::Ship);
+            (t.0 + s.bins, t.1 + s.records, t.2 + s.bytes)
+        });
+    assert_eq!(ship, SHIP_OFF);
     assert_eq!(result.metrics.total_combined(), 0);
 }
 
