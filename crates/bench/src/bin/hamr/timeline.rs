@@ -1,10 +1,10 @@
 //! `hamr timeline` is the offline post-mortem: point it at a
 //! `HAMR_JOURNAL` directory (or a parent holding several per-cluster
-//! journals) and it reconstructs the run — per-job spans with
-//! shuffled-bytes / cache-hit / stall / p99 deltas, watchdog
-//! incidents, stuck edges from the audit ledger, and the final state
-//! of a run killed mid-flight. `--diff` compares two journals job by
-//! job.
+//! journals) and it reconstructs the run — one row per job with the
+//! shuffled bytes, cache hits, stall time, p99 task latency and stuck
+//! custody edges its `JobEnd` records, watchdog incidents, and the
+//! final state of a run killed mid-flight. `--diff` compares two
+//! journals job by job.
 
 use super::say;
 use hamr_trace::Timeline;

@@ -19,17 +19,15 @@ use crate::watchdog::WatchdogEvent;
 use hamr_dfs::Dfs;
 use hamr_kvstore::KvStore;
 use hamr_simdisk::Disk;
-use hamr_trace::{AuditReport, Journal, JournalConfig, JournalRecord, Labels, MetricsRegistry};
+use hamr_trace::{AuditReport, Journal, JournalConfig, Labels, MetricsRegistry};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Hang an opened journal off the introspection plane, its byte and
-/// record counters in the registry, and journal the registry as it is
-/// now: an epoch labeled with no job, the baseline the next job's
-/// deltas are taken against — whatever ran before the journal was
-/// attached, and whatever another process wrote into the directory.
+/// record counters in the registry. Nothing is written until a job
+/// starts: each job's `JobEnd` carries its own numbers.
 fn wire_journal(introspect: &Arc<Introspect>, journal: Journal) -> Arc<Journal> {
     journal.set_metrics(
         introspect
@@ -39,7 +37,6 @@ fn wire_journal(introspect: &Arc<Introspect>, journal: Journal) -> Arc<Journal> 
             .registry
             .counter("journal_records_total", Labels::new().engine("hamr")),
     );
-    journal.append(&JournalRecord::Epoch(introspect.registry.snapshot()));
     let journal = Arc::new(journal);
     introspect.set_journal(Some(Arc::clone(&journal)));
     journal

@@ -14,8 +14,8 @@ use crate::watchdog::{Watchdog, WatchdogAction, WatchdogConfig, WatchdogEvent};
 use hamr_codec::Codec;
 use hamr_simnet::Fabric;
 use hamr_trace::{
-    Audit, FlightRecord, Journal, JournalRecord, Labels, Observe, RingSink, Snapshot, StatsPlane,
-    Tracer, WatchdogClass, WatchdogTrip,
+    Audit, FlightRecord, JobTally, Journal, JournalRecord, Labels, LatencyHistogram, Observe,
+    RingSink, StatsPlane, StuckEdge, Tracer, WatchdogClass, WatchdogTrip,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -389,19 +389,6 @@ impl Cluster {
         done.metrics
             .publish(&self.introspect.registry, &run.graph.name, "hamr");
         if let Some(j) = &run.journal {
-            // The registry at the job's end gives the offline timeline
-            // its per-job deltas (cache hits, stall, latency
-            // histograms); the audit ledger names any still-stuck edge.
-            j.append(&JournalRecord::Epoch(Snapshot {
-                label: run.graph.name.clone(),
-                ..self.introspect.registry.snapshot()
-            }));
-            if run.obs.audit.enabled() {
-                j.append(&JournalRecord::AuditEpoch {
-                    job: run.graph.name.clone(),
-                    report_json: run.obs.audit.report().to_json(),
-                });
-            }
             if let Some(snap) = &done.metrics.stats {
                 // Sketches and lineage samples outlive the run: `hamr
                 // explain` and the timeline read them back from here.
@@ -413,6 +400,7 @@ impl Cluster {
                 t_us: j.now_us(),
                 elapsed_us: run.start.elapsed().as_micros() as u64,
                 shuffled_bytes: done.metrics.shuffled_bytes,
+                tally: Some(tally(&run, &done.metrics)),
             });
         }
         {
@@ -495,6 +483,43 @@ struct Collected {
     first_error: Option<RunError>,
     wd_events: Vec<WatchdogEvent>,
     wd_trip: Option<WatchdogEvent>,
+}
+
+/// The job's row in `hamr timeline`, counted from what the run holds:
+/// the flowlets the plan served from the resident store (each one hit
+/// in `ResidentStore::lookup`), the stall time and task latencies the
+/// nodes handed back (what `JobMetrics::publish` adds to the registry),
+/// and under supervision the custody rows still holding bins.
+fn tally(run: &Run, metrics: &JobMetrics) -> JobTally {
+    let mut latency = LatencyHistogram::new();
+    for fm in metrics.flowlets.values() {
+        latency.merge(&fm.task_latency);
+    }
+    // An unsupervised run's ledger is disabled and reports no rows.
+    let report = run.obs.audit.report();
+    let stuck = report
+        .stuck_rows()
+        .into_iter()
+        .map(|(row, bins)| StuckEdge {
+            edge: row.edge,
+            dst: row.dst,
+            bins,
+        });
+    JobTally {
+        cache_hits: run
+            .plan
+            .flowlets
+            .iter()
+            .filter(|f| f.serve.is_some())
+            .count() as u64,
+        stall_us: metrics
+            .flowlets
+            .values()
+            .map(|fm| fm.stall_time.as_micros() as u64)
+            .sum(),
+        task_p99_us: (latency.count() > 0).then(|| latency.p99_us()),
+        stuck: stuck.collect(),
+    }
 }
 
 /// What `/healthz`, the abort reason and the journal say of an incident.

@@ -216,8 +216,9 @@ impl JobMetrics {
     /// cumulative engine-labeled series. Per-flowlet and per-node
     /// series deliberately omit the job label so iterative workloads
     /// (one job per iteration) accumulate into a bounded series set;
-    /// the per-job dimension lives in `job_runs_total` and in the
-    /// labeled registry snapshot a journal records at every completion.
+    /// the per-job dimension lives in `job_runs_total`, in
+    /// [`JobResult::metrics`](crate::JobResult), and in the `JobEnd` a
+    /// journal records at every completion.
     pub fn publish(&self, registry: &MetricsRegistry, job: &str, engine: &str) {
         let eng = || Labels::new().engine(engine);
         registry.counter("job_runs_total", eng().job(job)).inc();

@@ -3,8 +3,7 @@
 //! knows the on-disk layout is in this file; the writer appends the
 //! frames it builds and the reader hands it the payloads it finds.
 
-use super::JournalRecord;
-use crate::registry::{HistSample, Labels, SampleValue, SeriesSample, Snapshot};
+use super::{JobTally, JournalRecord, StuckEdge};
 use crate::stats::{EdgeStatsSummary, HopKind, LineageHop, LineageSample, StatsSnapshot, TopKey};
 
 // CRC32 (IEEE) — dependency-free, table generated at compile time.
@@ -44,10 +43,6 @@ pub(super) fn put_u32(buf: &mut Vec<u8>, v: u32) {
 }
 
 pub(super) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -97,8 +92,8 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    fn at_end(&self) -> bool {
+        self.off == self.buf.len()
     }
 
     fn str(&mut self) -> Result<String, String> {
@@ -111,144 +106,16 @@ impl<'a> Cursor<'a> {
 }
 
 const TAG_JOB_START: u8 = 1;
-const TAG_JOB_END: u8 = 2;
-const TAG_EPOCH: u8 = 4;
-const TAG_AUDIT: u8 = 5;
+pub(super) const TAG_JOB_END: u8 = 2;
 const TAG_INCIDENT: u8 = 6;
-// 3 was the trace-event record and 7 the alert transition.
-// `HAMR_JOURNAL=<dir>` reopens old directories, so neither is ever
-// reused: such a frame reads back as one of
-// `JournalRead::unknown_records`.
+// 3 was the trace-event record, 4 the registry epoch, 5 the audit
+// ledger as JSON and 7 the alert transition. `HAMR_JOURNAL=<dir>`
+// reopens old directories, so none is ever reused: such a frame reads
+// back as one of `JournalRead::unknown_records`.
 pub(super) const TAG_STATS: u8 = 8;
 
 /// Frames claiming to be larger than this are corruption, not data.
 pub(super) const MAX_FRAME_BYTES: u64 = 64 * 1024 * 1024;
-
-fn encode_labels(buf: &mut Vec<u8>, l: &Labels) {
-    let mut mask = 0u8;
-    if l.job.is_some() {
-        mask |= 1;
-    }
-    if l.engine.is_some() {
-        mask |= 2;
-    }
-    if l.node.is_some() {
-        mask |= 4;
-    }
-    if l.flowlet.is_some() {
-        mask |= 8;
-    }
-    if l.edge.is_some() {
-        mask |= 16;
-    }
-    buf.push(mask);
-    if let Some(j) = &l.job {
-        put_str(buf, j);
-    }
-    if let Some(e) = &l.engine {
-        put_str(buf, e);
-    }
-    if let Some(n) = l.node {
-        put_u32(buf, n);
-    }
-    if let Some(f) = l.flowlet {
-        put_u32(buf, f);
-    }
-    if let Some(e) = l.edge {
-        put_u32(buf, e);
-    }
-}
-
-fn decode_labels(cur: &mut Cursor) -> Result<Labels, String> {
-    let mask = cur.u8()?;
-    let mut l = Labels::new();
-    if mask & 1 != 0 {
-        l.job = Some(cur.str()?);
-    }
-    if mask & 2 != 0 {
-        l.engine = Some(cur.str()?);
-    }
-    if mask & 4 != 0 {
-        l.node = Some(cur.u32()?);
-    }
-    if mask & 8 != 0 {
-        l.flowlet = Some(cur.u32()?);
-    }
-    if mask & 16 != 0 {
-        l.edge = Some(cur.u32()?);
-    }
-    Ok(l)
-}
-
-fn encode_snapshot(buf: &mut Vec<u8>, snap: &Snapshot) {
-    put_str(buf, &snap.label);
-    // A sequence-number slot nothing reads; kept so journals written
-    // before and after share one layout.
-    put_u64(buf, 0);
-    put_u32(buf, snap.series.len() as u32);
-    for s in &snap.series {
-        put_str(buf, &s.name);
-        encode_labels(buf, &s.labels);
-        match &s.value {
-            SampleValue::Counter(v) => {
-                buf.push(0);
-                put_u64(buf, *v);
-            }
-            SampleValue::Gauge(v) => {
-                buf.push(1);
-                put_i64(buf, *v);
-            }
-            SampleValue::Histogram(h) => {
-                buf.push(2);
-                put_u64(buf, h.count);
-                put_u64(buf, h.sum_us);
-                put_u32(buf, h.buckets.len() as u32);
-                for b in &h.buckets {
-                    put_u64(buf, *b);
-                }
-            }
-        }
-    }
-}
-
-fn decode_snapshot(cur: &mut Cursor) -> Result<Snapshot, String> {
-    let label = cur.str()?;
-    cur.u64()?; // the sequence-number slot
-    let n = cur.u32()? as usize;
-    let mut series = Vec::with_capacity(n.min(65_536));
-    for _ in 0..n {
-        let name = cur.str()?;
-        let labels = decode_labels(cur)?;
-        let value = match cur.u8()? {
-            0 => SampleValue::Counter(cur.u64()?),
-            1 => SampleValue::Gauge(cur.i64()?),
-            2 => {
-                let count = cur.u64()?;
-                let sum_us = cur.u64()?;
-                let nb = cur.u32()? as usize;
-                if nb > 1024 {
-                    return Err("histogram bucket count out of range".into());
-                }
-                let mut buckets = Vec::with_capacity(nb);
-                for _ in 0..nb {
-                    buckets.push(cur.u64()?);
-                }
-                SampleValue::Histogram(HistSample {
-                    count,
-                    sum_us,
-                    buckets,
-                })
-            }
-            other => return Err(format!("unknown sample kind {other}")),
-        };
-        series.push(SeriesSample {
-            name,
-            labels,
-            value,
-        });
-    }
-    Ok(Snapshot { label, series })
-}
 
 pub(super) fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     put_u32(buf, b.len() as u32);
@@ -392,6 +259,56 @@ fn decode_stats(cur: &mut Cursor) -> Result<StatsSnapshot, String> {
     })
 }
 
+/// A `JobEnd`'s four trailing fields. The five-field layout ends
+/// before them, so a body that ends there decodes to `None`.
+fn encode_tally(buf: &mut Vec<u8>, t: &JobTally) {
+    put_u64(buf, t.cache_hits);
+    put_u64(buf, t.stall_us);
+    match t.task_p99_us {
+        Some(us) => {
+            buf.push(1);
+            put_u64(buf, us);
+        }
+        None => buf.push(0),
+    }
+    put_u32(buf, t.stuck.len() as u32);
+    for s in &t.stuck {
+        put_u32(buf, s.edge);
+        put_u32(buf, s.dst);
+        put_u64(buf, s.bins);
+    }
+}
+
+fn decode_tally(cur: &mut Cursor) -> Result<Option<JobTally>, String> {
+    if cur.at_end() {
+        return Ok(None);
+    }
+    let cache_hits = cur.u64()?;
+    let stall_us = cur.u64()?;
+    let task_p99_us = match cur.u8()? {
+        0 => None,
+        _ => Some(cur.u64()?),
+    };
+    let n = cur.u32()? as usize;
+    if n > 65_536 {
+        return Err("stuck-edge count out of range".into());
+    }
+    let mut stuck = Vec::with_capacity(n);
+    for _ in 0..n {
+        stuck.push(StuckEdge {
+            edge: cur.u32()?,
+            dst: cur.u32()?,
+            bins: cur.u64()?,
+        });
+    }
+    Ok(Some(JobTally {
+        cache_hits,
+        stall_us,
+        task_p99_us,
+        stuck,
+    }))
+}
+
 impl JournalRecord {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
@@ -408,6 +325,7 @@ impl JournalRecord {
                 t_us,
                 elapsed_us,
                 shuffled_bytes,
+                tally,
             } => {
                 buf.push(TAG_JOB_END);
                 put_str(&mut buf, job);
@@ -415,15 +333,9 @@ impl JournalRecord {
                 put_u64(&mut buf, *t_us);
                 put_u64(&mut buf, *elapsed_us);
                 put_u64(&mut buf, *shuffled_bytes);
-            }
-            JournalRecord::Epoch(snap) => {
-                buf.push(TAG_EPOCH);
-                encode_snapshot(&mut buf, snap);
-            }
-            JournalRecord::AuditEpoch { job, report_json } => {
-                buf.push(TAG_AUDIT);
-                put_str(&mut buf, job);
-                put_str(&mut buf, report_json);
+                if let Some(t) = tally {
+                    encode_tally(&mut buf, t);
+                }
             }
             JournalRecord::Incident {
                 job,
@@ -459,11 +371,7 @@ impl JournalRecord {
                 t_us: cur.u64()?,
                 elapsed_us: cur.u64()?,
                 shuffled_bytes: cur.u64()?,
-            },
-            TAG_EPOCH => JournalRecord::Epoch(decode_snapshot(&mut cur)?),
-            TAG_AUDIT => JournalRecord::AuditEpoch {
-                job: cur.str()?,
-                report_json: cur.str()?,
+                tally: decode_tally(&mut cur)?,
             },
             TAG_INCIDENT => JournalRecord::Incident {
                 job: cur.str()?,

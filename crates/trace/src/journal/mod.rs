@@ -4,12 +4,18 @@
 //!
 //! `/metrics` is a point-in-time scrape and the flight recorder dumps
 //! only on failure. The journal closes that gap: a [`Journal`] appends
-//! [`JournalRecord`]s — job phase markers, a metrics snapshot per job,
-//! audit-ledger epochs, watchdog incidents and data-plane statistics —
-//! so a run can be reconstructed offline (`hamr timeline <dir>`,
-//! `hamr explain`) even if the process that wrote it is gone. Every
+//! [`JournalRecord`]s — job phase markers, watchdog incidents and
+//! data-plane statistics — so a run can be reconstructed offline
+//! (`hamr timeline <dir>`, `hamr explain`) even if the process that
+//! wrote it is gone. Every
 //! record kind has a reader there; trace events stay in the flight
 //! record (`doctor_<job>.json`, `/doctor`).
+//!
+//! A job's row is its `JobEnd`: the driver counts the job's cache
+//! hits, stall time, p99 task latency and stuck custody edges from the
+//! run it just collected ([`JobTally`]), so a reader prints them as
+//! written and subtracts nothing. The journal holds no registry
+//! snapshot and no JSON.
 //!
 //! ## Storage shape
 //!
@@ -53,7 +59,6 @@ pub use reader::{read_journal, read_journal_tree, JournalRead};
 pub use timeline::{JobSpan, Timeline};
 pub use writer::Journal;
 
-use crate::registry::Snapshot;
 use crate::stats::StatsSnapshot;
 use std::path::PathBuf;
 
@@ -105,8 +110,8 @@ impl JournalConfig {
 }
 
 /// One durable record. Everything the offline timeline and `hamr
-/// explain` need to reconstruct a run: phase markers, metrics epochs,
-/// custody epochs, incidents and data-plane statistics.
+/// explain` need to reconstruct a run: phase markers, incidents and
+/// data-plane statistics. A job's own numbers travel in its `JobEnd`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A job entered the cluster. `t_us` is on the journal's clock.
@@ -123,13 +128,9 @@ pub enum JournalRecord {
         t_us: u64,
         elapsed_us: u64,
         shuffled_bytes: u64,
+        /// `None` in a `JobEnd` written in the older five-field layout.
+        tally: Option<JobTally>,
     },
-    /// The cluster's whole registry at a job's end, labeled with the
-    /// job's name — or, labeled empty, when the journal was attached:
-    /// the baseline the first job's deltas are taken against.
-    Epoch(Snapshot),
-    /// The audit ledger at a job boundary, as its canonical JSON.
-    AuditEpoch { job: String, report_json: String },
     /// A watchdog-classified incident.
     Incident {
         job: String,
@@ -140,4 +141,30 @@ pub enum JournalRecord {
     /// The data-plane statistics snapshot at a job boundary: merged
     /// per-edge sketches plus sampled record lineage.
     Stats(StatsSnapshot),
+}
+
+/// What a job's `JobEnd` says of the job beyond its wall time and
+/// shuffle volume, counted by the driver from what the run itself
+/// holds: `hamr timeline`'s `cache hit`, `stall ms`, `p99 us` and
+/// `stuck:` columns.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JobTally {
+    /// Plan flowlets served from the resident store.
+    pub cache_hits: u64,
+    /// Flow-control stall time, summed over the job's flowlets.
+    pub stall_us: u64,
+    /// p99 over every task the job ran; `None` when none ran.
+    pub task_p99_us: Option<u64>,
+    /// Custody rows with bins emitted and never consumed, largest gap
+    /// first. Empty unless the job ran supervised.
+    pub stuck: Vec<StuckEdge>,
+}
+
+/// One custody row left with bins in flight: `bins` emitted on `edge`
+/// toward node `dst` and never consumed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StuckEdge {
+    pub edge: u32,
+    pub dst: u32,
+    pub bins: u64,
 }

@@ -70,9 +70,9 @@ pub struct JournalRead {
 }
 
 impl JournalRead {
-    /// No record and no torn frame: not a journal.
+    /// No frame at all, whole, torn or skipped: not a journal.
     fn holds_nothing(&self) -> bool {
-        self.records.is_empty() && self.truncated_frames == 0
+        self.records.is_empty() && self.truncated_frames == 0 && self.unknown_records == 0
     }
 }
 
@@ -100,9 +100,9 @@ pub fn read_journal(dir: &Path) -> Result<JournalRead, String> {
 /// Read `dir` — or, when it holds nothing itself, every journal among
 /// its immediate subdirectories (the `HAMR_JOURNAL=auto` layout, one
 /// per cluster), in name order. One read per journal, never merged:
-/// each is one cluster's record stream, and its metrics epochs are
-/// deltas only against each other. This is how `hamr timeline` and
-/// `hamr explain` both take a directory.
+/// each is one cluster's record stream, in the order it was written.
+/// This is how `hamr timeline` and `hamr explain` both take a
+/// directory.
 pub fn read_journal_tree(dir: &Path) -> Result<Vec<JournalRead>, String> {
     let own = read_journal(dir)?;
     if !own.holds_nothing() {

@@ -1,11 +1,10 @@
 //! Unit tests of the journal, kept in one module (`journal::tests`)
 //! across the codec / writer / reader split.
 
-use super::codec::{frame, put_bytes, put_str, put_u32, put_u64, TAG_STATS};
+use super::codec::{frame, put_bytes, put_str, put_u32, put_u64, TAG_JOB_END, TAG_STATS};
 use super::reader::list_segments;
 use super::writer::segment_name;
 use super::*;
-use crate::registry::{HistSample, Labels, SampleValue, SeriesSample};
 use crate::stats::{EdgeStatsSummary, HopKind, LineageHop, LineageSample, TopKey};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -22,39 +21,11 @@ fn temp_dir(test: &str) -> PathBuf {
 }
 
 fn sample_records() -> Vec<JournalRecord> {
-    let mut snap = Snapshot {
-        label: "wc".into(),
-        series: Vec::new(),
-    };
-    snap.series.push(SeriesSample {
-        name: "shuffled_bytes_total".into(),
-        labels: Labels::new().job("wc").engine("hamr"),
-        value: SampleValue::Counter(1234),
-    });
-    snap.series.push(SeriesSample {
-        name: "queue_depth".into(),
-        labels: Labels::new().node(1).flowlet(2),
-        value: SampleValue::Gauge(-7),
-    });
-    snap.series.push(SeriesSample {
-        name: "task_latency_us".into(),
-        labels: Labels::new().flowlet(0),
-        value: SampleValue::Histogram(HistSample {
-            count: 3,
-            sum_us: 300,
-            buckets: vec![0, 1, 2],
-        }),
-    });
     vec![
         JournalRecord::JobStart {
             job: "wc".into(),
             engine: "hamr".into(),
             t_us: 10,
-        },
-        JournalRecord::Epoch(snap),
-        JournalRecord::AuditEpoch {
-            job: "wc".into(),
-            report_json: "{\"enabled\":false}".into(),
         },
         JournalRecord::Incident {
             job: "wc".into(),
@@ -101,6 +72,24 @@ fn sample_records() -> Vec<JournalRecord> {
             t_us: 40,
             elapsed_us: 30,
             shuffled_bytes: 1234,
+            tally: Some(JobTally {
+                cache_hits: 1,
+                stall_us: 2500,
+                task_p99_us: Some(0),
+                stuck: vec![StuckEdge {
+                    edge: 1,
+                    dst: 3,
+                    bins: 4,
+                }],
+            }),
+        },
+        JournalRecord::JobEnd {
+            job: "idle".into(),
+            ok: true,
+            t_us: 50,
+            elapsed_us: 5,
+            shuffled_bytes: 0,
+            tally: Some(JobTally::default()),
         },
     ]
 }
@@ -112,6 +101,62 @@ fn records_round_trip_through_binary_encoding() {
         let decoded = JournalRecord::decode(&encoded).expect("decode");
         assert_eq!(decoded, rec);
     }
+}
+
+/// `HAMR_JOURNAL=<dir>` reopens directories an older writer filled,
+/// whose `JobEnd` ends at `shuffled_bytes`. It decodes with no tally,
+/// and its row says so: `-` in the three columns, never a `0`.
+#[test]
+fn a_five_field_job_end_decodes_and_renders_unknown_columns() {
+    let mut old = vec![TAG_JOB_END];
+    put_str(&mut old, "wc");
+    old.push(1); // ok
+    put_u64(&mut old, 50); // t_us
+    put_u64(&mut old, 40); // elapsed_us
+    put_u64(&mut old, 777); // shuffled_bytes
+    let decoded = JournalRecord::decode(&old).expect("decode");
+    assert_eq!(
+        decoded,
+        JournalRecord::JobEnd {
+            job: "wc".into(),
+            ok: true,
+            t_us: 50,
+            elapsed_us: 40,
+            shuffled_bytes: 777,
+            tally: None,
+        }
+    );
+    let start = JournalRecord::JobStart {
+        job: "wc".into(),
+        engine: "hamr".into(),
+        t_us: 10,
+    };
+    let rendered = Timeline::from_records(&[start, decoded]).render();
+    let row = rendered.lines().find(|l| l.starts_with("wc")).expect("row");
+    let cols: Vec<&str> = row.split_whitespace().collect();
+    assert_eq!(
+        cols,
+        ["wc", "0.0", "777", "-", "-", "-", "ok"],
+        "{rendered}"
+    );
+}
+
+/// A tally claiming more stuck edges than any ledger holds is
+/// corruption: the record is refused, not allocated.
+#[test]
+fn a_job_end_with_an_absurd_stuck_edge_count_is_refused() {
+    let mut buf = JournalRecord::JobEnd {
+        job: "wc".into(),
+        ok: true,
+        t_us: 1,
+        elapsed_us: 1,
+        shuffled_bytes: 0,
+        tally: Some(JobTally::default()),
+    }
+    .encode();
+    let count = buf.len() - 4;
+    buf[count..].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(JournalRecord::decode(&buf).is_err());
 }
 
 /// A journal directory is reopened and appended to, so a reader
@@ -179,11 +224,14 @@ fn a_parents_local_edge_stats_row_is_dropped() {
     assert_eq!(read.edges, snap.edges[1..]);
 }
 
-/// Same for whole records: a directory written before the alert
-/// engine was deleted holds tag-7 frames, and one written before trace
-/// events left the journal holds tag-3 frames.
+/// Same for whole records: a directory written before the alert engine
+/// was deleted holds tag-7 frames, one written before trace events left
+/// the journal holds tag-3 frames, and one written before a job's
+/// numbers moved into its `JobEnd` holds tag-4 registry epochs and
+/// tag-5 audit ledgers. Each is skipped and counted, and the header
+/// says how many.
 #[test]
-fn a_retired_tag_7_frame_is_skipped_not_fatal() {
+fn retired_tags_3_4_5_and_7_are_skipped_not_fatal() {
     let mut retired = vec![7u8];
     put_str(&mut retired, "queue-depth-high-water");
     retired.push(1); // firing
@@ -202,6 +250,18 @@ fn a_retired_tag_7_frame_is_skipped_not_fatal() {
         put_str(&mut event, k);
         put_u64(&mut event, v);
     }
+    let mut epoch = vec![4u8];
+    put_str(&mut epoch, "wc"); // label
+    put_u64(&mut epoch, 0); // sequence slot
+    put_u32(&mut epoch, 1); // series
+    put_str(&mut epoch, "hamr_cache_hits_total");
+    epoch.push(2); // labels mask: engine
+    put_str(&mut epoch, "hamr");
+    epoch.push(0); // counter
+    put_u64(&mut epoch, 3);
+    let mut audit = vec![5u8];
+    put_str(&mut audit, "wc");
+    put_str(&mut audit, "{\"enabled\":false}");
     let start = JournalRecord::JobStart {
         job: "wc".into(),
         engine: "hamr".into(),
@@ -213,53 +273,67 @@ fn a_retired_tag_7_frame_is_skipped_not_fatal() {
         t_us: 50,
         elapsed_us: 40,
         shuffled_bytes: 0,
+        tally: None,
     };
-    let segment = [start.encode(), event, retired, end.encode()]
-        .iter()
-        .flat_map(|payload| frame(payload))
-        .collect::<Vec<u8>>();
+    let segment = [
+        start.encode(),
+        event,
+        epoch.clone(),
+        audit,
+        retired,
+        end.encode(),
+    ]
+    .iter()
+    .flat_map(|payload| frame(payload))
+    .collect::<Vec<u8>>();
     let dir = temp_dir("retired_tag");
     std::fs::create_dir_all(&dir).expect("mkdir");
     std::fs::write(dir.join(segment_name(0)), segment).expect("write segment");
     let read = read_journal(&dir).expect("read");
     assert_eq!(read.records, [start, end]);
-    assert_eq!((read.unknown_records, read.truncated_frames), (2, 0));
-    let rendered = Timeline::from_records(&read.records).render();
+    assert_eq!((read.unknown_records, read.truncated_frames), (4, 0));
+    let rendered = Timeline::load(&dir).expect("load").render();
+    let header = rendered.lines().next().expect("header");
+    assert!(
+        header.ends_with("— 4 record(s) of a retired or unknown kind skipped"),
+        "{rendered}"
+    );
     let row = rendered.lines().find(|l| l.starts_with("wc")).expect("row");
     assert!(row.ends_with("ok"), "{rendered}");
+    // What an older build wrote when a journal was attached and no job
+    // ran: one `Epoch`, nothing else. Still a journal, its frame counted.
+    let only = temp_dir("retired_only");
+    std::fs::create_dir_all(&only).expect("mkdir");
+    std::fs::write(only.join(segment_name(0)), frame(&epoch)).expect("write segment");
+    let t = Timeline::load(&only).expect("a journal of skipped frames loads");
+    assert_eq!((t.sources, t.jobs.len(), t.unknown_records), (1, 0, 1));
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&only);
 }
 
 /// An `HAMR_JOURNAL=auto` parent holds one journal per cluster. Each
-/// is folded on its own: a cluster's first job is measured from its
-/// own registry, not against the cumulative counters of the cluster
-/// read before it.
+/// is folded on its own, and each row is its own `JobEnd`'s: nothing
+/// of the cluster read before it leaks in.
 #[test]
 fn each_journal_of_a_tree_is_its_own_baseline() {
     let dir = temp_dir("tree");
     for (sub, job, hits) in [("c0000", "big", 40), ("c0001", "small", 5)] {
         let j = Journal::open(JournalConfig::new(dir.join(sub))).expect("open");
-        let mut snap = Snapshot {
-            label: job.into(),
-            series: Vec::new(),
-        };
-        snap.series.push(SeriesSample {
-            name: "hamr_cache_hits_total".into(),
-            labels: Labels::new().engine("hamr"),
-            value: SampleValue::Counter(hits),
-        });
         j.append(&JournalRecord::JobStart {
             job: job.into(),
             engine: "hamr".into(),
             t_us: 0,
         });
-        j.append(&JournalRecord::Epoch(snap));
         j.append(&JournalRecord::JobEnd {
             job: job.into(),
             ok: true,
             t_us: 10,
             elapsed_us: 10,
             shuffled_bytes: hits * 100,
+            tally: Some(JobTally {
+                cache_hits: hits,
+                ..JobTally::default()
+            }),
         });
     }
     let t = Timeline::load(&dir).expect("load tree");
@@ -267,9 +341,15 @@ fn each_journal_of_a_tree_is_its_own_baseline() {
     let cols: Vec<_> = t
         .jobs
         .iter()
-        .map(|s| (s.job.as_str(), s.cache_hits, s.shuffled_bytes))
+        .map(|s| {
+            let hits = s.tally.as_ref().map(|t| t.cache_hits);
+            (s.job.as_str(), hits, s.shuffled_bytes)
+        })
         .collect();
-    assert_eq!(cols, [("big", 40, Some(4000)), ("small", 5, Some(500))]);
+    assert_eq!(
+        cols,
+        [("big", Some(40), Some(4000)), ("small", Some(5), Some(500))]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

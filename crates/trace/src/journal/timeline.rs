@@ -2,26 +2,20 @@
 //!
 //! [`Timeline::load`] walks each journal's records in order and folds
 //! them into per-job spans: when the job started, whether (and how) it
-//! ended, how many bytes it shuffled, what the resident cache served,
-//! the p99 task latency for its epoch, and which watchdog incidents
-//! and stuck edges it left behind. A `JobStart` with no matching
-//! `JobEnd` is a run killed mid-flight — exactly the case the journal
-//! exists for.
+//! ended, and what its `JobEnd` says of it — bytes shuffled, resident
+//! cache hits, stall time, p99 task latency, stuck custody edges —
+//! plus the watchdog incidents and per-edge statistics it left behind.
+//! A `JobStart` with no matching `JobEnd` is a run killed mid-flight —
+//! exactly the case the journal exists for.
 //!
-//! A span's epoch columns are its own job's: the delta of its `Epoch`
-//! against the previous one *in the same journal*, over the series of
-//! its own engine (the `mapred` baseline publishes into the HAMR
-//! cluster's registry). A directory reopened by another process starts
-//! from that process's attach-time baseline epoch.
+//! Every column is printed as the job's `JobEnd` wrote it; nothing is
+//! subtracted from anything. A `JobEnd` from an older writer carries
+//! no tally, and its row shows `-` in those columns.
 //!
 //! `hamr timeline <dir>` renders this; `hamr timeline --diff a b`
 //! compares two reconstructions job by job.
 
-use super::{read_journal_tree, JournalRecord};
-use crate::audit::AuditReport;
-use crate::hist::quantile_of;
-use crate::json;
-use crate::registry::{HistSample, SampleValue, Snapshot};
+use super::{read_journal_tree, JobTally, JournalRecord};
 use crate::stats::EdgeStatsSummary;
 use std::path::Path;
 
@@ -46,16 +40,10 @@ pub struct JobSpan {
     pub elapsed_us: Option<u64>,
     /// What the job's own `JobEnd` says it shuffled.
     pub shuffled_bytes: Option<u64>,
-    /// Resident-cache hits served during this job's epoch delta.
-    pub cache_hits: u64,
-    /// Flow-control stall time accumulated during this job's epoch.
-    pub stall_us: u64,
-    /// p99 task latency over this job's epoch delta histogram.
-    pub task_p99_us: Option<u64>,
+    /// The rest of what its `JobEnd` says; `None` when the job never
+    /// ended or an older writer wrote the `JobEnd`.
+    pub tally: Option<JobTally>,
     pub incidents: Vec<IncidentNote>,
-    /// Stuck custody edges from the audit epoch, rendered as
-    /// `edge E -> node N (K bins in flight)`.
-    pub stuck_edges: Vec<String>,
     /// Per-edge data-plane cardinality lines from the job's
     /// `StatsSnapshot` record, rendered as
     /// `edge E: N records, ~D distinct keys, hot K%, p99 val B bytes`.
@@ -81,33 +69,6 @@ pub struct Timeline {
     /// Journal directories read (an `auto` parent holds one per
     /// cluster).
     pub sources: usize,
-}
-
-/// Sum every `flowlet_task_latency_us` series in a snapshot into one
-/// aggregate histogram.
-fn aggregate_latency(snap: &Snapshot) -> Option<HistSample> {
-    let mut agg: Option<HistSample> = None;
-    for s in &snap.series {
-        if s.name != "flowlet_task_latency_us" {
-            continue;
-        }
-        if let SampleValue::Histogram(h) = &s.value {
-            let agg = agg.get_or_insert_with(|| HistSample {
-                count: 0,
-                sum_us: 0,
-                buckets: vec![0; h.buckets.len()],
-            });
-            agg.count += h.count;
-            agg.sum_us += h.sum_us;
-            if agg.buckets.len() < h.buckets.len() {
-                agg.buckets.resize(h.buckets.len(), 0);
-            }
-            for (i, n) in h.buckets.iter().enumerate() {
-                agg.buckets[i] += n;
-            }
-        }
-    }
-    agg
 }
 
 impl Timeline {
@@ -142,7 +103,6 @@ impl Timeline {
             ..Timeline::default()
         };
         let mut open: Option<usize> = None;
-        let mut prev_epoch: Option<Snapshot> = None;
         for rec in records {
             match rec {
                 JournalRecord::JobStart { job, engine, t_us } => {
@@ -160,6 +120,7 @@ impl Timeline {
                     t_us,
                     elapsed_us,
                     shuffled_bytes,
+                    tally,
                 } => {
                     // Close the open span if it matches; otherwise find
                     // the newest unclosed span with this name.
@@ -174,41 +135,9 @@ impl Timeline {
                         span.ok = Some(*ok);
                         span.elapsed_us = Some(*elapsed_us);
                         span.shuffled_bytes = Some(*shuffled_bytes);
+                        span.tally = tally.clone();
                     }
                     open = None;
-                }
-                JournalRecord::Epoch(snap) => {
-                    // An epoch labeled with the open job is that job's
-                    // end; any other (the attach-time baseline) is only
-                    // what the next one is measured against.
-                    if let Some(i) = open.filter(|&i| t.jobs[i].job == snap.label) {
-                        let span = &mut t.jobs[i];
-                        let mut delta = match &prev_epoch {
-                            Some(prev) => snap.delta(prev),
-                            None => snap.clone(),
-                        };
-                        let engine = Some(span.engine.as_str());
-                        delta
-                            .series
-                            .retain(|s| s.labels.engine.as_deref() == engine);
-                        span.cache_hits = delta.counter_total("hamr_cache_hits_total");
-                        span.stall_us = delta.counter_total("flowlet_stall_us_total");
-                        if let Some(h) = aggregate_latency(&delta) {
-                            if h.count > 0 {
-                                span.task_p99_us = Some(quantile_of(&h.buckets, h.count, 0.99));
-                            }
-                        }
-                    }
-                    prev_epoch = Some(snap.clone());
-                }
-                JournalRecord::AuditEpoch { job, report_json } => {
-                    let stuck = parse_stuck_edges(report_json);
-                    let idx = open
-                        .filter(|&i| t.jobs[i].job == *job)
-                        .or_else(|| t.jobs.iter().rposition(|s| s.job == *job));
-                    if let Some(i) = idx {
-                        t.jobs[i].stuck_edges = stuck;
-                    }
                 }
                 JournalRecord::Incident {
                     job,
@@ -264,6 +193,12 @@ impl Timeline {
                 self.truncated_frames
             ));
         }
+        if self.unknown_records > 0 {
+            out.push_str(&format!(
+                " — {} record(s) of a retired or unknown kind skipped",
+                self.unknown_records
+            ));
+        }
         out.push('\n');
         out.push_str(&format!(
             "{:<28} {:>9} {:>12} {:>10} {:>10} {:>9}  status\n",
@@ -278,24 +213,23 @@ impl Timeline {
                 .shuffled_bytes
                 .map(|b| b.to_string())
                 .unwrap_or_else(|| "?".into());
-            let p99 = span
-                .task_p99_us
-                .map(|us| us.to_string())
-                .unwrap_or_else(|| "-".into());
+            let unknown = || "-".to_string();
+            let (hits, stall, p99) = match &span.tally {
+                Some(t) => (
+                    t.cache_hits.to_string(),
+                    format!("{:.1}", t.stall_us as f64 / 1000.0),
+                    t.task_p99_us.map_or_else(unknown, |us| us.to_string()),
+                ),
+                None => (unknown(), unknown(), unknown()),
+            };
             let status = match span.ok {
                 Some(true) => "ok".to_string(),
                 Some(false) => "FAILED".to_string(),
                 None => "KILLED MID-FLIGHT".to_string(),
             };
             out.push_str(&format!(
-                "{:<28} {:>9} {:>12} {:>10} {:>10.1} {:>9}  {}\n",
-                span.job,
-                wall,
-                shuffled,
-                span.cache_hits,
-                span.stall_us as f64 / 1000.0,
-                p99,
-                status
+                "{:<28} {:>9} {:>12} {:>10} {:>10} {:>9}  {}\n",
+                span.job, wall, shuffled, hits, stall, p99, status
             ));
             for inc in &span.incidents {
                 out.push_str(&format!(
@@ -303,8 +237,11 @@ impl Timeline {
                     inc.class, inc.epoch, inc.detail
                 ));
             }
-            for edge in &span.stuck_edges {
-                out.push_str(&format!("    stuck: {edge}\n"));
+            for e in span.tally.iter().flat_map(|t| &t.stuck) {
+                out.push_str(&format!(
+                    "    stuck: edge {} -> node {} ({} bins in flight)\n",
+                    e.edge, e.dst, e.bins
+                ));
             }
             for line in &span.edge_stats {
                 out.push_str(&format!("    keys: {line}\n"));
@@ -312,7 +249,7 @@ impl Timeline {
         }
         for span in self.unfinished() {
             out.push_str(&format!(
-                "final state: job {} was open when the journal ends — last completed epoch is the span above it\n",
+                "final state: job {} was open when the journal ends — the last completed job is the span above it\n",
                 span.job
             ));
         }
@@ -371,26 +308,6 @@ fn status_ch(s: &JobSpan) -> &'static str {
     }
 }
 
-/// Parse an audit-epoch JSON payload back into stuck-edge lines.
-fn parse_stuck_edges(report_json: &str) -> Vec<String> {
-    let Ok(v) = json::parse(report_json) else {
-        return Vec::new();
-    };
-    let Ok(report) = AuditReport::from_json(&v) else {
-        return Vec::new();
-    };
-    report
-        .stuck_rows()
-        .into_iter()
-        .map(|(row, gap)| {
-            format!(
-                "edge {} -> node {} ({} bins in flight)",
-                row.edge, row.dst, gap
-            )
-        })
-        .collect()
-}
-
 /// A job span's `keys:` line for one shuffle edge.
 fn keys_line(e: &EdgeStatsSummary) -> String {
     format!(
@@ -405,48 +322,8 @@ fn keys_line(e: &EdgeStatsSummary) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::super::JournalRecord;
+    use super::super::{JournalRecord, StuckEdge};
     use super::*;
-    use crate::registry::{Labels, SeriesSample};
-
-    /// One engine's cumulative series as a cluster registry holds them:
-    /// shuffled bytes, cache hits, and `lat_n` task latencies in bucket
-    /// `lat_bucket`.
-    fn series(
-        engine: &str,
-        shuffled: u64,
-        hits: u64,
-        lat_bucket: usize,
-        lat_n: u64,
-    ) -> Vec<SeriesSample> {
-        let mut buckets = vec![0u64; 64];
-        buckets[lat_bucket] = lat_n;
-        let counter = |name: &str, v| SeriesSample {
-            name: name.into(),
-            labels: Labels::new().engine(engine),
-            value: SampleValue::Counter(v),
-        };
-        vec![
-            counter("shuffled_bytes_total", shuffled),
-            counter("hamr_cache_hits_total", hits),
-            SeriesSample {
-                name: "flowlet_task_latency_us".into(),
-                labels: Labels::new().engine(engine).flowlet(0),
-                value: SampleValue::Histogram(HistSample {
-                    count: lat_n,
-                    sum_us: lat_n * 100,
-                    buckets,
-                }),
-            },
-        ]
-    }
-
-    fn epoch(label: &str, series: Vec<SeriesSample>) -> JournalRecord {
-        JournalRecord::Epoch(Snapshot {
-            label: label.into(),
-            series,
-        })
-    }
 
     fn start(job: &str, t_us: u64) -> JournalRecord {
         JournalRecord::JobStart {
@@ -456,22 +333,32 @@ mod tests {
         }
     }
 
-    fn end(job: &str, t_us: u64, shuffled_bytes: u64) -> JournalRecord {
+    fn end(job: &str, t_us: u64, shuffled_bytes: u64, tally: Option<JobTally>) -> JournalRecord {
         JournalRecord::JobEnd {
             job: job.into(),
             ok: true,
             t_us,
-            elapsed_us: 100,
+            elapsed_us: t_us,
             shuffled_bytes,
+            tally,
         }
     }
 
     #[test]
     fn reconstructs_completed_and_killed_spans() {
+        let tally = JobTally {
+            cache_hits: 2,
+            stall_us: 1500,
+            task_p99_us: Some(127),
+            stuck: vec![StuckEdge {
+                edge: 1,
+                dst: 2,
+                bins: 3,
+            }],
+        };
         let records = vec![
             start("wc", 0),
-            epoch("wc", series("hamr", 1000, 0, 7, 10)),
-            end("wc", 5000, 1000),
+            end("wc", 5000, 1000, Some(tally.clone())),
             start("pr", 6000),
             JournalRecord::Incident {
                 job: "pr".into(),
@@ -484,114 +371,27 @@ mod tests {
         assert_eq!(t.jobs.len(), 2);
         assert_eq!(t.jobs[0].ok, Some(true));
         assert_eq!(t.jobs[0].shuffled_bytes, Some(1000));
-        assert_eq!(t.jobs[0].task_p99_us, Some(127), "p99 = upper of bucket 7");
+        assert_eq!(t.jobs[0].tally, Some(tally), "printed as written");
         assert_eq!(t.jobs[1].ok, None, "killed mid-flight");
+        assert_eq!(t.jobs[1].tally, None);
         assert_eq!(t.jobs[1].incidents.len(), 1);
         assert_eq!(t.unfinished().len(), 1);
         let rendered = t.render();
-        assert!(rendered.contains("wc"));
+        let row = rendered.lines().find(|l| l.starts_with("wc")).unwrap();
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cols, ["wc", "5.0", "1000", "2", "1.5", "127", "ok"]);
+        assert!(rendered.contains("    stuck: edge 1 -> node 2 (3 bins in flight)"));
         assert!(rendered.contains("KILLED MID-FLIGHT"));
         assert!(rendered.contains("backpressure"));
     }
 
     #[test]
-    fn epoch_deltas_are_per_job_not_cumulative() {
-        let records = vec![
-            start("a", 0),
-            epoch("a", series("hamr", 1000, 3, 5, 4)),
-            end("a", 100, 1000),
-            start("b", 200),
-            // Cumulative: job b hit the cache twice and ran four tasks.
-            epoch("b", series("hamr", 1500, 5, 9, 4)),
-            end("b", 300, 500),
-        ];
-        let t = Timeline::from_records(&records);
-        assert_eq!((t.jobs[0].cache_hits, t.jobs[0].task_p99_us), (3, Some(31)));
-        assert_eq!(
-            (t.jobs[1].cache_hits, t.jobs[1].shuffled_bytes),
-            (2, Some(500))
-        );
-    }
-
-    /// The `mapred` baseline publishes into the HAMR cluster's
-    /// registry, so a HAMR job's epoch also carries every earlier
-    /// `mapred` job's series: they are not the HAMR job's.
-    #[test]
-    fn a_mapred_job_ahead_does_not_count_toward_the_hamr_job() {
-        let mut both = series("mapred", 5000, 0, 12, 10);
-        both.extend(series("hamr", 700, 1, 6, 10));
-        let t = Timeline::from_records(&[start("wc", 0), epoch("wc", both), end("wc", 100, 700)]);
-        let wc = &t.jobs[0];
-        assert_eq!(wc.shuffled_bytes, Some(700));
-        assert_eq!((wc.cache_hits, wc.task_p99_us), (1, Some(63)));
-    }
-
-    /// A second process reopens the directory: its registry starts
-    /// over, and its attach-time baseline (an epoch labeled with no
-    /// job) is what its first job is measured against. A directory
-    /// reopened before baselines were written has none; there a series
-    /// that went backwards restarted and reads as its current value.
-    #[test]
-    fn a_reopened_directory_measures_each_process_from_its_own_start() {
-        let records = vec![
-            start("a", 0),
-            epoch("a", series("hamr", 1000, 3, 5, 4)),
-            end("a", 100, 1000),
-            // Process two, attached with two earlier un-journaled hits.
-            epoch("", series("hamr", 0, 2, 0, 0)),
-            start("b", 10),
-            epoch("b", series("hamr", 600, 3, 5, 2)),
-            end("b", 90, 600),
-            // Process three, from a build that wrote no baseline.
-            start("c", 10),
-            epoch("c", series("hamr", 200, 0, 3, 1)),
-            end("c", 50, 200),
-        ];
-        let t = Timeline::from_records(&records);
-        let cols = |i: usize| {
-            let s = &t.jobs[i];
-            (s.shuffled_bytes, s.cache_hits, s.task_p99_us)
-        };
-        assert_eq!(t.jobs.len(), 3, "the baseline opens no span");
-        assert_eq!(cols(0), (Some(1000), 3, Some(31)));
-        assert_eq!(cols(1), (Some(600), 1, Some(31)));
-        assert_eq!(cols(2), (Some(200), 0, Some(7)));
-    }
-
-    #[test]
     fn diff_pairs_jobs_by_name() {
-        let a = Timeline::from_records(&[
-            JournalRecord::JobStart {
-                job: "wc".into(),
-                engine: "hamr".into(),
-                t_us: 0,
-            },
-            JournalRecord::JobEnd {
-                job: "wc".into(),
-                ok: true,
-                t_us: 1000,
-                elapsed_us: 1000,
-                shuffled_bytes: 10,
-            },
-        ]);
+        let a = Timeline::from_records(&[start("wc", 0), end("wc", 1000, 10, None)]);
         let b = Timeline::from_records(&[
-            JournalRecord::JobStart {
-                job: "wc".into(),
-                engine: "hamr".into(),
-                t_us: 0,
-            },
-            JournalRecord::JobEnd {
-                job: "wc".into(),
-                ok: true,
-                t_us: 2000,
-                elapsed_us: 2000,
-                shuffled_bytes: 20,
-            },
-            JournalRecord::JobStart {
-                job: "extra".into(),
-                engine: "hamr".into(),
-                t_us: 3000,
-            },
+            start("wc", 0),
+            end("wc", 2000, 20, None),
+            start("extra", 3000),
         ]);
         let diff = Timeline::render_diff(&a, &b);
         assert!(diff.contains("wc"));

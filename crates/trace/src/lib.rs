@@ -36,8 +36,8 @@ pub use causal::{
 pub use chrome::chrome_trace_json;
 pub use hist::LatencyHistogram;
 pub use journal::{
-    read_journal, read_journal_tree, JobSpan, Journal, JournalConfig, JournalMode, JournalRead,
-    JournalRecord, Timeline,
+    read_journal, read_journal_tree, JobSpan, JobTally, Journal, JournalConfig, JournalMode,
+    JournalRead, JournalRecord, StuckEdge, Timeline,
 };
 pub use registry::{
     http_get, parse_prometheus, Counter, Gauge, GaugeSample, HistSample, Histogram, HttpResponse,

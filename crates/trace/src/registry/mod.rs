@@ -452,10 +452,7 @@ impl MetricsRegistry {
             labels: Labels::new(),
             value: SampleValue::Counter(self.dropped_series()),
         });
-        Snapshot {
-            label: String::new(),
-            series,
-        }
+        Snapshot { series }
     }
 
     /// The gauge-only view: the current value of every *live* gauge
@@ -566,11 +563,11 @@ mod tests {
         }
     }
 
-    /// What a journal reader does with the epochs a cluster records at
-    /// job boundaries: each minus its neighbour is that job's share.
-    /// A registry that started over in between (another process
-    /// reopened the journal) went backwards, and reads as its current
-    /// value rather than as zero.
+    /// What a caller does with snapshots taken at job boundaries (the
+    /// benchmark harness attributes its counters this way): each minus
+    /// its neighbour is that job's share. A registry that started over
+    /// in between went backwards, and reads as its current value rather
+    /// than as zero.
     #[test]
     fn epoch_deltas_subtract_neighbors() {
         let r = MetricsRegistry::new();

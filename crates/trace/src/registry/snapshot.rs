@@ -54,9 +54,6 @@ pub struct SeriesSample {
 /// ([`Snapshot::to_prometheus`]), and safe to hold across runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Free-form tag — the job name of a journaled epoch, empty for
-    /// ad-hoc snapshots.
-    pub label: String,
     pub series: Vec<SeriesSample>,
 }
 
@@ -82,8 +79,8 @@ impl Snapshot {
     }
 
     /// This snapshot minus `prev`: counters and histograms subtract; a
-    /// series that went backwards restarted in between (another
-    /// process reopened the journal) and reads as its current value.
+    /// series that went backwards restarted in between and reads as its
+    /// current value.
     /// Gauges are instantaneous and pass through unchanged. Series
     /// absent from `prev` keep their value.
     pub fn delta(&self, prev: &Snapshot) -> Snapshot {
@@ -107,10 +104,7 @@ impl Snapshot {
                 }
             })
             .collect();
-        Snapshot {
-            label: self.label.clone(),
-            series,
-        }
+        Snapshot { series }
     }
 
     /// Render the snapshot in the Prometheus text exposition format.

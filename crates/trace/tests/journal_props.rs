@@ -9,7 +9,7 @@
 //! holds up to one open-segment of slack, and a reopen mid-stream is
 //! invisible in the read-back.
 
-use hamr_trace::{read_journal, Journal, JournalConfig, JournalRecord};
+use hamr_trace::{read_journal, JobTally, Journal, JournalConfig, JournalRecord, StuckEdge};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -49,6 +49,20 @@ fn random_record(i: u64, state: &mut u64) -> JournalRecord {
             t_us: i,
             elapsed_us: lcg(state) % 1_000_000,
             shuffled_bytes: lcg(state),
+            // Either layout: the older five fields, or a tally with up
+            // to three stuck edges.
+            tally: (!lcg(state).is_multiple_of(4)).then(|| JobTally {
+                cache_hits: lcg(state) % 8,
+                stall_us: lcg(state) % 1_000_000,
+                task_p99_us: lcg(state).is_multiple_of(2).then(|| lcg(state) % 65_536),
+                stuck: (0..lcg(state) % 4)
+                    .map(|e| StuckEdge {
+                        edge: e as u32,
+                        dst: (lcg(state) % 8) as u32,
+                        bins: lcg(state) % 100,
+                    })
+                    .collect(),
+            }),
         },
         _ => JournalRecord::Incident {
             job: format!("job-{i}"),
