@@ -226,9 +226,13 @@ impl Cluster {
         let _ = all_built.recv();
         let abort_ep = run.fabric.endpoint(0).expect("fresh fabric has node 0");
         let abort = Box::new(move |event: &WatchdogEvent| {
-            let reason = Arc::new(incident_text(event));
+            let error = Arc::new(RunError::Watchdog {
+                class: event.class,
+                epoch: event.epoch,
+                detail: event.detail.clone(),
+            });
             let _ = abort_ep.broadcast(|_| NetMsg::Abort {
-                reason: Arc::clone(&reason),
+                error: Arc::clone(&error),
             });
         });
         // Post incidents into /healthz as they are classified —
@@ -287,11 +291,8 @@ impl Cluster {
         for handle in handles {
             match handle.join() {
                 Ok(outcome) => {
-                    if let Some(msg) = outcome.error {
-                        first_error.get_or_insert(RunError::NodePanic {
-                            node: outcome.node,
-                            message: msg,
-                        });
+                    if let Some(error) = outcome.error {
+                        first_error.get_or_insert(error);
                     }
                     fill_frames.extend(outcome.fill);
                     for (f, recs) in outcome.captured {

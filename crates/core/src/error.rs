@@ -111,18 +111,13 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Errors surfaced while running a job.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum RunError {
-    /// The graph failed validation (should have been caught at build).
-    Graph(GraphError),
     /// A node runtime panicked; the message carries the panic payload.
     NodePanic { node: usize, message: String },
-    /// The network fabric failed.
-    Net(hamr_simnet::NetError),
-    /// A substrate disk failed.
+    /// A substrate disk failed: a reduce spill could not be written, or
+    /// a spilled run read back short.
     Disk(hamr_simdisk::DiskError),
-    /// The DFS failed (loaders reading splits, sinks writing output).
-    Dfs(hamr_dfs::DfsError),
     /// The watchdog classified the run as unhealthy and aborted it
     /// instead of hanging forever. `detail` names the stuck edge/node;
     /// the matching flight-recorder dump carries the full post-mortem.
@@ -136,13 +131,10 @@ pub enum RunError {
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RunError::Graph(e) => write!(f, "invalid graph: {e}"),
             RunError::NodePanic { node, message } => {
                 write!(f, "node {node} runtime panicked: {message}")
             }
-            RunError::Net(e) => write!(f, "network error: {e}"),
             RunError::Disk(e) => write!(f, "disk error: {e}"),
-            RunError::Dfs(e) => write!(f, "dfs error: {e}"),
             RunError::Watchdog {
                 class,
                 epoch,
@@ -157,27 +149,3 @@ impl fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
-
-impl From<GraphError> for RunError {
-    fn from(e: GraphError) -> Self {
-        RunError::Graph(e)
-    }
-}
-
-impl From<hamr_simnet::NetError> for RunError {
-    fn from(e: hamr_simnet::NetError) -> Self {
-        RunError::Net(e)
-    }
-}
-
-impl From<hamr_simdisk::DiskError> for RunError {
-    fn from(e: hamr_simdisk::DiskError) -> Self {
-        RunError::Disk(e)
-    }
-}
-
-impl From<hamr_dfs::DfsError> for RunError {
-    fn from(e: hamr_dfs::DfsError) -> Self {
-        RunError::Dfs(e)
-    }
-}

@@ -155,24 +155,31 @@ pub trait ReduceFn: Send + Sync {
     );
 }
 
-/// An opaque in-memory accumulator. Kept as native Rust state (no
-/// serialization round trip per record) because accumulators can be
+/// One stripe's table of accumulators, opaque to the engine: whatever
+/// [`PartialReduceFn::table`] made. Erased once per stripe, not per key:
+/// inside it each accumulator is one native Rust value per key (no
+/// serialization round trip per record), because accumulators can be
 /// large — a per-label term vector, a member list — and re-encoding
 /// them on every fold would be quadratic.
-pub type AccBox = Box<dyn std::any::Any + Send>;
+pub type AccTable = Box<dyn std::any::Any + Send>;
 
 /// A partial-reduce flowlet: folds commutative+associative updates into
 /// a per-key accumulator as soon as bins arrive. Emits only at upstream
-/// completion (batch) or epoch boundary (streaming), per the paper.
+/// completion (batch) or epoch boundary (streaming), per the paper. The
+/// node keeps its accumulators in tables this trait makes and reads.
 pub trait PartialReduceFn: Send + Sync {
-    /// Seed an accumulator from the first value for a key.
-    fn init(&self, key: &[u8], value: &[u8]) -> AccBox;
+    /// A fresh, empty table.
+    fn table(&self) -> AccTable;
 
-    /// Fold one more value into an accumulator, in place.
-    fn fold(&self, key: &[u8], acc: &mut AccBox, value: &[u8]);
+    /// Fold one record into `table`; `hash` is the key's `stable_hash`.
+    fn fold(&self, table: &mut AccTable, hash: u64, key: &[u8], value: &[u8]);
 
-    /// Emit the final records for a key at completion/epoch flush.
-    fn finish(&self, ctx: &TaskContext, key: &[u8], acc: AccBox, out: &mut Emitter);
+    /// True when `table` holds no key.
+    fn is_empty(&self, table: &AccTable) -> bool;
+
+    /// Emit the final records for every key of `table` at
+    /// completion/epoch flush.
+    fn finish(&self, ctx: &TaskContext, table: AccTable, out: &mut Emitter);
 }
 
 /// A streaming source: emits one epoch of records per call.

@@ -397,10 +397,6 @@ pub struct JobGraph {
 }
 
 impl JobGraph {
-    pub fn flowlet_count(&self) -> usize {
-        self.flowlets.len()
-    }
-
     /// Render the DAG in Graphviz DOT format (for debugging and docs).
     ///
     /// Nodes are labelled `name\n(kind)`; edges carry their exchange.
@@ -441,10 +437,6 @@ impl JobGraph {
         }
         let _ = writeln!(out, "}}");
         out
-    }
-
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// (edge id, exchange) pairs for a flowlet's outputs, port order.
@@ -505,8 +497,7 @@ mod tests {
     #[test]
     fn valid_graph_builds() {
         let g = two_stage().build().unwrap();
-        assert_eq!(g.flowlet_count(), 2);
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!((g.flowlets.len(), g.edges.len()), (2, 1));
         assert_eq!(g.topo, vec![0, 1]);
         assert!(!g.has_stream);
         assert_eq!(g.out_ports(0), vec![(0, Exchange::Hash)]);

@@ -178,18 +178,6 @@ impl JobMetrics {
             / self.nodes.len() as f64
     }
 
-    /// Mean node utilization.
-    pub fn mean_utilization(&self, threads: usize) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        self.nodes
-            .iter()
-            .map(|n| n.utilization(threads))
-            .sum::<f64>()
-            / self.nodes.len() as f64
-    }
-
     /// Per-flowlet summary rows (graph order) for
     /// [`hamr_trace::render_summary`].
     pub fn summary_rows(&self) -> Vec<FlowletSummaryRow> {

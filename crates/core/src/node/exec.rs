@@ -2,8 +2,8 @@
 //! whichever thread took it, and the two backends that pick the thread.
 
 use super::{NetMsg, NodeRuntime};
-use crate::error::panic_message;
-use crate::flowlet::{AccBox, Emitter, TaskContext};
+use crate::error::{panic_message, RunError};
+use crate::flowlet::{AccTable, Emitter, TaskContext};
 use crate::graph::{EdgeId, FlowletId, FlowletKind};
 use crate::outbuf::{CombineShelf, FlowControl, TaskOutput};
 use crate::plan::ExecPlan;
@@ -11,7 +11,6 @@ use crate::record::{FrameBin, Record};
 use crate::reduce_state::{FireShard, PartialState, ReduceState};
 use crate::sched::{Pool, Source};
 use crate::NodeId;
-use bytes::Bytes;
 use crossbeam::channel::Sender;
 use hamr_codec::stable_hash;
 use hamr_simnet::Endpoint;
@@ -43,9 +42,10 @@ pub(super) enum Task {
         flowlet: FlowletId,
         shard: FireShard,
     },
+    /// Finish whole stripe tables of a partial reduce.
     FirePartial {
         flowlet: FlowletId,
-        entries: Vec<(Bytes, AccBox)>,
+        tables: Vec<AccTable>,
     },
     /// Drain every worker's combine buffers for `flowlet`, which has
     /// produced its last record: what they still hold ships ahead of
@@ -112,7 +112,9 @@ pub(super) struct TaskDone {
     /// comparability with the mapred baseline.
     pub(super) combined: u64,
     pub(super) duration: Duration,
-    pub(super) panic: Option<String>,
+    /// Why the task failed — a panic, or a spill run it could not write
+    /// or read back — which fails the job.
+    pub(super) failed: Option<RunError>,
 }
 
 /// State shared with worker threads.
@@ -173,6 +175,7 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
             span: task.span(),
         },
     );
+    let mut failed = None;
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let mut out = TaskOutput::new(
             &shared.plan,
@@ -206,7 +209,7 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
                     m.map(&shared.ctx, key, value, &mut em);
                 }
             }
-            (Task::Bin { bin, .. }, FlowletKind::PartialReduce(r)) => {
+            (Task::Bin { bin, .. }, FlowletKind::PartialReduce(_)) => {
                 // Partial reduce IS the reduce stage for partial-only
                 // topologies (the histogram family): record the
                 // consume hop so sampled lineage ends at a reducer.
@@ -214,7 +217,7 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
                 let state = shared.partial[flowlet]
                     .as_ref()
                     .expect("partial state exists");
-                state.fold_bin(r.as_ref(), &bin);
+                state.fold_bin(&bin);
             }
             (Task::Bin { bin, .. }, FlowletKind::Reduce(_)) => {
                 shared.stats_consume(&bin, flowlet);
@@ -222,19 +225,20 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
                     .lock()
                     .clone()
                     .expect("reduce state exists");
-                state.ingest(worker_id, &bin).expect("spill failed");
+                failed = state.ingest(worker_id, &bin).err().map(RunError::Disk);
             }
             (Task::FireReduce { shard, .. }, FlowletKind::Reduce(r)) => {
                 // Not counted as records_in: these records were
                 // already counted when their bins were ingested.
                 let mut em = Emitter::new(&mut out);
-                shard.fire(|key, values| r.reduce(&shared.ctx, key, values, &mut em));
+                let fired = shard.fire(|key, values| r.reduce(&shared.ctx, key, values, &mut em));
+                failed = fired.err().map(RunError::Disk);
             }
-            (Task::FirePartial { entries, .. }, FlowletKind::PartialReduce(r)) => {
-                for (key, acc) in entries {
-                    // Accumulators, not input records; skip records_in.
-                    let mut em = Emitter::new(&mut out);
-                    r.finish(&shared.ctx, &key, acc, &mut em);
+            (Task::FirePartial { tables, .. }, FlowletKind::PartialReduce(r)) => {
+                // Accumulators, not input records; skip records_in.
+                let mut em = Emitter::new(&mut out);
+                for table in tables {
+                    r.finish(&shared.ctx, table, &mut em);
                 }
             }
             (Task::FlushCombine { .. }, _) => out.flush_held(&shared.combine),
@@ -248,8 +252,12 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
             stream,
         )
     }));
-    let panic = result.as_ref().err();
-    let panic = panic.map(|payload| panic_message(payload.as_ref(), "flowlet task panicked"));
+    let panic = result.as_ref().err().map(|payload| {
+        let (name, node) = (&shared.plan.graph.flowlets[flowlet].name, shared.ctx.node);
+        let message = panic_message(payload.as_ref(), "flowlet task panicked");
+        let message = format!("flowlet '{name}' on node {node}: {message}");
+        RunError::NodePanic { node, message }
+    });
     // A task that panicked hands over nothing.
     let (parts, records_in, ack_to, stream) = result.unwrap_or_default();
     let done = TaskDone {
@@ -264,7 +272,7 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
         records_in,
         combined: parts.combined,
         duration: start.elapsed(),
-        panic,
+        failed: panic.or(failed),
     };
     shared.busy_gauge.sub(1);
     shared.obs.tracer.emit(
@@ -291,7 +299,7 @@ pub(super) fn ship_done(
     lane: u32,
     done: &mut TaskDone,
 ) {
-    if done.panic.is_some() {
+    if done.failed.is_some() {
         // Keep the ack and bins unshipped; the runtime aborts the job.
         return;
     }

@@ -6,9 +6,9 @@ use super::exec::Task;
 use super::phase::Phase;
 use super::{NetMsg, NodeRuntime};
 use crate::config::FaultInjection;
-use crate::flowlet::AccBox;
+use crate::error::RunError;
+use crate::flowlet::AccTable;
 use crate::graph::FlowletId;
-use bytes::Bytes;
 use hamr_trace::{EventKind, WORKER_RUNTIME};
 use std::sync::Arc;
 
@@ -56,20 +56,17 @@ impl NodeRuntime {
         }
     }
 
-    /// Chunk drained accumulator entries into parallel finish tasks,
-    /// one per worker.
-    fn finish_tasks(&self, f: FlowletId, mut entries: Vec<(Bytes, AccBox)>) -> Vec<Task> {
-        let chunk = entries.len().div_ceil(self.threads);
-        let mut tasks = Vec::new();
-        while !entries.is_empty() {
-            let rest = entries.split_off(chunk.min(entries.len()));
-            let batch = std::mem::replace(&mut entries, rest);
-            tasks.push(Task::FirePartial {
-                flowlet: f,
-                entries: batch,
-            });
+    /// Deal drained stripe tables round-robin into parallel finish
+    /// tasks, at most one per worker.
+    fn finish_tasks(&self, f: FlowletId, tables: Vec<AccTable>) -> Vec<Task> {
+        let mut dealt: Vec<Vec<AccTable>> = Vec::new();
+        dealt.resize_with(self.threads.min(tables.len()), Vec::new);
+        let n = dealt.len();
+        for (i, table) in tables.into_iter().enumerate() {
+            dealt[i % n].push(table);
         }
-        tasks
+        let finish = |tables| Task::FirePartial { flowlet: f, tables };
+        dealt.into_iter().map(finish).collect()
     }
 
     pub(super) fn fire_reduce(&mut self, f: FlowletId) {
@@ -102,15 +99,13 @@ impl NodeRuntime {
                 );
                 self.begin_fire(f, tasks, Phase::Firing);
             }
-            Err(e) => {
-                self.error = Some(format!("reduce fire failed: {e}"));
-            }
+            Err(e) => self.abort(RunError::Disk(e)),
         }
     }
 
     pub(super) fn fire_partial(&mut self, f: FlowletId) {
-        let entries = self.shared.partial[f].as_ref().expect("state").drain();
-        let tasks = self.finish_tasks(f, entries);
+        let tables = self.shared.partial[f].as_ref().expect("state").drain();
+        let tasks = self.finish_tasks(f, tables);
         self.begin_fire(f, tasks, Phase::Firing);
     }
 

@@ -77,6 +77,7 @@ mod phase;
 mod pump;
 
 use crate::config::{FaultInjection, RuntimeConfig, SchedMode};
+use crate::error::RunError;
 use crate::flowlet::TaskContext;
 use crate::graph::{EdgeId, FlowletId, FlowletKind};
 use crate::metrics::{FlowletMetrics, NodeMetrics};
@@ -112,8 +113,8 @@ pub(crate) enum NetMsg {
     /// The receiver finished processing one bin the addressee sent on
     /// `edge`.
     Ack { edge: EdgeId },
-    /// A node hit a fatal error; everyone stops.
-    Abort { reason: Arc<String> },
+    /// A node hit a fatal error; everyone stops and reports it.
+    Abort { error: Arc<RunError> },
 }
 
 impl Payload for NetMsg {
@@ -144,11 +145,10 @@ impl Payload for NetMsg {
 
 /// What a node hands back to the driver.
 pub(crate) struct NodeOutcome {
-    pub node: NodeId,
     pub captured: HashMap<FlowletId, Vec<Record>>,
     pub flowlets: Vec<FlowletMetrics>,
     pub node_metrics: NodeMetrics,
-    pub error: Option<String>,
+    pub error: Option<RunError>,
     /// Pinned frame clones captured on cache-filling edges, keyed by
     /// (edge, destination node). The driver groups them per flowlet and
     /// inserts them into the cluster's [`crate::resident::ResidentStore`].
@@ -175,7 +175,7 @@ pub(crate) struct NodeRuntime {
     nmetrics: NodeMetrics,
     busy: Duration,
     start: Instant,
-    error: Option<String>,
+    error: Option<RunError>,
     /// Gauges: per-flowlet bin-queue depth, indexed by flowlet.
     queue_gauges: Vec<Gauge>,
     /// Gauge: bytes resident in queued (pending) bins.
@@ -214,8 +214,8 @@ impl NodeRuntime {
         let mut partial = Vec::with_capacity(graph.flowlets.len());
         let mut reduce = Vec::with_capacity(graph.flowlets.len());
         for (id, def) in graph.flowlets.iter().enumerate() {
-            partial.push(match def.kind {
-                FlowletKind::PartialReduce(_) => Some(Arc::new(PartialState::new())),
+            partial.push(match &def.kind {
+                FlowletKind::PartialReduce(r) => Some(Arc::new(PartialState::new(Arc::clone(r)))),
                 _ => None,
             });
             reduce.push(Mutex::new(match def.kind {
@@ -391,11 +391,13 @@ impl NodeRuntime {
                 continue;
             }
             if last_progress.elapsed() > Duration::from_secs(300) {
-                self.error = Some(format!(
-                    "node {} runtime stalled for 300s (scheduler bug or deadlock): {}",
-                    self.node,
-                    self.stall_report()
-                ));
+                self.error = Some(RunError::NodePanic {
+                    node: self.node,
+                    message: format!(
+                        "runtime stalled for 300s (scheduler bug or deadlock): {}",
+                        self.stall_report()
+                    ),
+                });
                 break;
             }
             // Nothing to do right now: block for the next event. A read
@@ -439,7 +441,6 @@ impl NodeRuntime {
         self.nmetrics.busy = self.busy;
         self.nmetrics.elapsed = self.start.elapsed();
         NodeOutcome {
-            node: self.node,
             captured: std::mem::take(&mut self.captured),
             flowlets: std::mem::take(&mut self.fmetrics),
             node_metrics: std::mem::take(&mut self.nmetrics),
@@ -502,10 +503,13 @@ impl NodeRuntime {
                 let edge = coded.edge;
                 match coded.decode() {
                     Ok(bin) => self.enqueue_bin(env.from, false, bin),
-                    Err(e) => self.abort(format!(
-                        "node {}: a bin from node {} on edge {edge} does not decode: {e}",
-                        self.node, env.from
-                    )),
+                    Err(e) => self.abort(RunError::NodePanic {
+                        node: self.node,
+                        message: format!(
+                            "a bin from node {} on edge {edge} does not decode: {e}",
+                            env.from
+                        ),
+                    }),
                 }
             }
             NetMsg::EdgeComplete { edge } => {
@@ -528,35 +532,29 @@ impl NodeRuntime {
                 }
                 self.shared.flow.on_ack(edge, env.from, WORKER_RUNTIME);
             }
-            NetMsg::Abort { reason } => {
-                self.error = Some(format!("aborted: {reason}"));
+            NetMsg::Abort { error } => {
+                self.error.get_or_insert_with(|| RunError::clone(&error));
             }
         }
     }
 
-    /// Stop the job with `reason`, and tell everyone. Our own loopback
-    /// Abort is harmless — we already stop via `error`.
-    fn abort(&mut self, reason: String) {
-        let reason = Arc::new(reason);
+    /// Stop the job with `error`, and tell everyone, so every node
+    /// reports the same one. Our own loopback Abort is harmless — we
+    /// already stop via `error`.
+    pub(super) fn abort(&mut self, error: RunError) {
+        let shared = Arc::new(error.clone());
         for dst in 0..self.nodes {
-            let _ = self.endpoint.send(
-                dst,
-                NetMsg::Abort {
-                    reason: Arc::clone(&reason),
-                },
-            );
+            let error = Arc::clone(&shared);
+            let _ = self.endpoint.send(dst, NetMsg::Abort { error });
         }
-        self.error = Some(reason.to_string());
+        self.error = Some(error);
     }
 
     fn handle_done(&mut self, done: TaskDone) {
         self.outstanding -= 1;
         self.busy += done.duration;
-        if let Some(msg) = done.panic {
-            return self.abort(format!(
-                "flowlet '{}' on node {}: {}",
-                self.plan.graph.flowlets[done.flowlet].name, self.node, msg
-            ));
+        if let Some(error) = done.failed {
+            return self.abort(error);
         }
         let f = done.flowlet;
         {

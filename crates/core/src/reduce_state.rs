@@ -7,32 +7,37 @@
 //!   iterators so reduce work parallelizes across the thread pool.
 //!
 //! * [`PartialState`] holds the per-key accumulators of a partial
-//!   reduce in one lock-striped map the node's workers share
+//!   reduce in 16 lock-striped tables the node's workers share
 //!   (paper-faithful; §5.2 blames exactly this for the
 //!   HistogramRatings slowdown).
 //!
 //! Both consume [`FrameBin`]s, which carry keys and values but not the
 //! producer's key hash. The two consumers that shard by key — reduce
-//! ingest (sub-shard) and the shared partial map (stripe) — call
-//! `stable_hash` once per record; nothing else here does.
+//! ingest (sub-shard) and the shared partial tables (stripe) — call
+//! `stable_hash` once per record, and the stripe's table probes with
+//! that same hash; nothing else here does.
 //! Reduce ingestion copies each value once, into its sub-shard's
 //! [`Groups`] arena, and a fire hands the reducer borrowed slices of
 //! that arena: no allocation per record on either side, and a bin's
 //! frame is free as soon as it is ingested (M3R's "keep the shuffled
 //! sequence in memory as it arrived").
 //! Partial-reduce folding borrows entries and copies only the key, only
-//! on first sight: accumulators outlive the frame, and pinning a whole
-//! frame allocation per retained key would hoard memory.
+//! on first sight, into its stripe's key arena (`slots::Accs`): the
+//! accumulators outlive the frame, and pinning a whole frame allocation
+//! per retained key would hoard memory. A fire hands each stripe's
+//! table to a finish task whole; no entry is copied out of it.
 
-use crate::flowlet::{AccBox, PartialReduceFn};
+use crate::flowlet::{AccTable, PartialReduceFn};
 use crate::record::FrameBin;
 use crate::slots::{u32_at, Slots, ARENA_MAX};
 use crate::spill::{write_run, GroupedMerge, RunReader, SortedStream};
 use bytes::Bytes;
-use hamr_codec::{stable_hash, StableMap};
+use hamr_codec::stable_hash;
 use hamr_simdisk::{Disk, DiskError};
 use hamr_trace::{EventKind, Gauge, Labels, Observe, Tracer};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Sub-shard index for a key, from its `stable_hash`. Uses the
 /// *upper* hash bits: the lower bits already picked the node
@@ -165,6 +170,7 @@ impl<'a> Iterator for Chain<'a> {
     }
 }
 
+#[derive(Default)]
 struct ReduceShard {
     groups: Groups,
     runs: Vec<String>,
@@ -177,7 +183,7 @@ pub(crate) struct ReduceState {
     /// Memory budget across all shards of this instance.
     budget: usize,
     spill_prefix: String,
-    spilled_bytes: std::sync::atomic::AtomicU64,
+    spilled_bytes: AtomicU64,
     tracer: Tracer,
     node: u32,
     flowlet: u32,
@@ -199,18 +205,11 @@ impl ReduceState {
     ) -> Self {
         assert!(shards > 0);
         ReduceState {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(ReduceShard {
-                        groups: Groups::default(),
-                        runs: Vec::new(),
-                    })
-                })
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             disk,
             budget,
             spill_prefix: format!("hamr.spill.f{flowlet}"),
-            spilled_bytes: std::sync::atomic::AtomicU64::new(0),
+            spilled_bytes: AtomicU64::new(0),
             tracer: obs.tracer.clone(),
             node,
             flowlet,
@@ -271,8 +270,7 @@ impl ReduceState {
         // Both keep their capacity for the refill.
         shard.groups.arena.clear();
         shard.groups.slots.clear();
-        self.spilled_bytes
-            .fetch_add(written as u64, std::sync::atomic::Ordering::Relaxed);
+        self.spilled_bytes.fetch_add(written as u64, Relaxed);
         self.tracer.emit(
             self.node,
             worker as u32,
@@ -287,8 +285,7 @@ impl ReduceState {
 
     /// Total bytes this instance has spilled so far.
     pub(crate) fn spilled_bytes(&self) -> u64 {
-        self.spilled_bytes
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.spilled_bytes.load(Relaxed)
     }
 
     /// Split into independent per-shard group iterators for firing.
@@ -327,13 +324,17 @@ impl FireShard {
         for run in &shard.runs {
             streams.push(SortedStream::Run(RunReader::open(disk, run)?));
         }
-        Ok(FireShard::Merge(GroupedMerge::new(streams)))
+        Ok(FireShard::Merge(GroupedMerge::new(streams)?))
     }
 
     /// Hand every group to `reduce`: its key and an iterator over its
     /// values, both borrowed. A `reduce` that stops pulling early leaves
-    /// the next group whole.
-    pub(crate) fn fire(self, mut reduce: impl FnMut(&[u8], &mut dyn Iterator<Item = &[u8]>)) {
+    /// the next group whole. Fails on a spilled run that ends inside an
+    /// entry.
+    pub(crate) fn fire(
+        self,
+        mut reduce: impl FnMut(&[u8], &mut dyn Iterator<Item = &[u8]>),
+    ) -> Result<(), DiskError> {
         match self {
             FireShard::Memory(groups) => {
                 for (key, mut values) in groups.groups() {
@@ -341,11 +342,12 @@ impl FireShard {
                 }
             }
             FireShard::Merge(mut merge) => {
-                while let Some((key, values)) = merge.next_group() {
+                while let Some((key, values)) = merge.next_group()? {
                     reduce(&key, &mut values.iter().map(|v| &v[..]));
                 }
             }
         }
+        Ok(())
     }
 
     /// True when the shard holds no groups. Fire shards are scheduled
@@ -361,53 +363,50 @@ impl FireShard {
     }
 }
 
-/// Accumulator state for one partial-reduce flowlet instance: a
-/// lock-striped map shared by the node's workers. With a skewed key
-/// space most updates hit one stripe and serialize — deliberately
-/// reproducing the paper's contention pathology. Accumulators are
-/// native Rust values (see [`AccBox`]); no serialization happens on
-/// the fold path.
+/// Accumulator state for one partial-reduce flowlet instance: 16
+/// lock-striped tables shared by the node's workers, each made and
+/// folded by the flowlet's reducer. With a skewed key space most
+/// updates hit one stripe and serialize — deliberately reproducing the
+/// paper's contention pathology. No serialization happens on the fold
+/// path (see [`AccTable`]).
 pub(crate) struct PartialState {
-    stripes: Vec<Mutex<StableMap<Bytes, AccBox>>>,
+    reducer: Arc<dyn PartialReduceFn>,
+    stripes: Vec<Mutex<AccTable>>,
 }
 
 const SHARED_STRIPES: usize = 16;
 
 impl PartialState {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(reducer: Arc<dyn PartialReduceFn>) -> Self {
         PartialState {
             stripes: (0..SHARED_STRIPES)
-                .map(|_| Mutex::new(StableMap::default()))
+                .map(|_| Mutex::new(reducer.table()))
                 .collect(),
+            reducer,
         }
     }
 
     /// Fold a bin into the accumulators. Entries are borrowed from the
-    /// frame; stripe selection hashes the key.
-    pub(crate) fn fold_bin(&self, reducer: &dyn PartialReduceFn, bin: &FrameBin) {
+    /// frame; the key's one hash picks the stripe and probes its table.
+    pub(crate) fn fold_bin(&self, bin: &FrameBin) {
         for (key, value) in bin.frame.iter() {
             // Per-record lock acquisition is the point: this is the
             // shared-variable update the paper describes.
-            let stripe = sub_shard(stable_hash(key), self.stripes.len());
-            let mut map = self.stripes[stripe].lock();
-            match map.get_mut(key) {
-                Some(acc) => reducer.fold(key, acc, value),
-                None => {
-                    let acc = reducer.init(key, value);
-                    // First sight of the key: copy it out of the frame so
-                    // the accumulator map doesn't pin frame allocations.
-                    map.insert(Bytes::copy_from_slice(key), acc);
-                }
-            }
+            let hash = stable_hash(key);
+            let mut table = self.stripes[sub_shard(hash, self.stripes.len())].lock();
+            self.reducer.fold(&mut table, hash, key, value);
         }
     }
 
-    /// Drain all accumulators, leaving the state empty for the next
-    /// streaming epoch.
-    pub(crate) fn drain(&self) -> Vec<(Bytes, AccBox)> {
+    /// Take every non-empty stripe's table, leaving a fresh one in its
+    /// place: the state is empty for the next streaming epoch.
+    pub(crate) fn drain(&self) -> Vec<AccTable> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            out.extend(stripe.lock().drain());
+            let mut table = stripe.lock();
+            if !self.reducer.is_empty(&table) {
+                out.push(std::mem::replace(&mut *table, self.reducer.table()));
+            }
         }
         out
     }
@@ -416,7 +415,8 @@ impl PartialState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flowlet::{Emitter, TaskContext};
+    use crate::flowlet::Emitter;
+    use crate::slots::Accs;
     use hamr_codec::stable_hash;
     use hamr_simdisk::DiskConfig;
     use proptest::prelude::*;
@@ -442,11 +442,14 @@ mod tests {
     fn fire_all(shards: Vec<FireShard>, pull: impl Fn(&[u8]) -> usize) -> Reference {
         let mut out = Reference::new();
         for shard in shards {
-            shard.fire(|key, values| {
-                let mut got: Vec<Vec<u8>> = values.take(pull(key)).map(<[u8]>::to_vec).collect();
-                got.sort();
-                assert!(out.insert(key.to_vec(), got).is_none(), "a key fired twice");
-            });
+            shard
+                .fire(|key, values| {
+                    let mut got: Vec<Vec<u8>> =
+                        values.take(pull(key)).map(<[u8]>::to_vec).collect();
+                    got.sort();
+                    assert!(out.insert(key.to_vec(), got).is_none(), "a key fired twice");
+                })
+                .unwrap();
         }
         out
     }
@@ -484,12 +487,14 @@ mod tests {
         };
         let arena = groups.arena.as_ptr_range();
         let mut seen = 0;
-        shard.fire(|_, values| {
-            for v in values {
-                assert!(arena.contains(&v.as_ptr()), "value should lie in the arena");
-                seen += 1;
-            }
-        });
+        shard
+            .fire(|_, values| {
+                for v in values {
+                    assert!(arena.contains(&v.as_ptr()), "value should lie in the arena");
+                    seen += 1;
+                }
+            })
+            .unwrap();
         assert_eq!(seen, 1);
     }
 
@@ -589,41 +594,39 @@ mod tests {
         }
     }
 
-    struct SumReducer;
-    impl PartialReduceFn for SumReducer {
-        fn init(&self, _key: &[u8], value: &[u8]) -> AccBox {
-            let v: u64 = hamr_codec::Codec::from_bytes(value).unwrap();
-            Box::new(v)
-        }
-        fn fold(&self, _key: &[u8], acc: &mut AccBox, value: &[u8]) {
-            let v: u64 = hamr_codec::Codec::from_bytes(value).unwrap();
-            *acc.downcast_mut::<u64>().unwrap() += v;
-        }
-        fn finish(&self, _ctx: &TaskContext, _key: &[u8], _acc: AccBox, _out: &mut Emitter) {}
+    fn sum_state() -> PartialState {
+        let sums = crate::typed::partial_fn::<Bytes, u64, u64, _, _, _>(
+            |v| v,
+            |acc, v| acc + v,
+            |_ctx, k, acc, out: &mut Emitter| out.output_t(&k, &acc),
+        );
+        PartialState::new(Arc::new(sums))
     }
 
     fn u64b(v: u64) -> Bytes {
         hamr_codec::Codec::to_bytes(&v)
     }
 
+    /// Drain `state` and read every table's sums.
     fn partial_sums(state: &PartialState) -> Vec<(Bytes, u64)> {
-        let mut out: Vec<(Bytes, u64)> = state
-            .drain()
-            .into_iter()
-            .map(|(k, v)| (k, *v.downcast::<u64>().unwrap()))
-            .collect();
-        out.sort();
-        out
+        let mut sums = Vec::new();
+        for table in state.drain() {
+            let table = table.downcast::<Accs<u64>>().expect("a sum table");
+            table.drain(|key, acc| sums.push((Bytes::copy_from_slice(key), acc)));
+        }
+        sums.sort();
+        sums
     }
 
     #[test]
     fn shared_partial_state_sums() {
-        let st = PartialState::new();
-        st.fold_bin(
-            &SumReducer,
-            &bin(&[(b"x", &u64b(1)), (b"y", &u64b(10)), (b"x", &u64b(2))]),
-        );
-        st.fold_bin(&SumReducer, &bin(&[(b"x", &u64b(4))]));
+        let st = sum_state();
+        st.fold_bin(&bin(&[
+            (b"x", &u64b(1)),
+            (b"y", &u64b(10)),
+            (b"x", &u64b(2)),
+        ]));
+        st.fold_bin(&bin(&[(b"x", &u64b(4))]));
         let sums = partial_sums(&st);
         assert_eq!(sums, vec![(b("x"), 7), (b("y"), 10)]);
         // Drained: empty now.
@@ -632,14 +635,13 @@ mod tests {
 
     #[test]
     fn partial_state_concurrent_folds_are_correct() {
-        use std::sync::Arc;
-        let st = Arc::new(PartialState::new());
+        let st = Arc::new(sum_state());
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let st = Arc::clone(&st);
                 std::thread::spawn(move || {
                     for _ in 0..200 {
-                        st.fold_bin(&SumReducer, &bin(&[(b"hot", &u64b(1))]));
+                        st.fold_bin(&bin(&[(b"hot", &u64b(1))]));
                     }
                 })
             })

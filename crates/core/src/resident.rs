@@ -180,15 +180,6 @@ impl ResidentStore {
         Some(hit)
     }
 
-    /// Drop one tag. Returns true when an entry existed.
-    pub fn invalidate(&self, tag: &str) -> bool {
-        let removed = self.entries.lock().remove(tag);
-        if let Some(e) = &removed {
-            self.resident_bytes.sub(e.bytes as i64);
-        }
-        removed.is_some()
-    }
-
     /// Drop every tag starting with `prefix` (namespaced reset).
     /// Returns the number of entries dropped.
     pub fn invalidate_prefix(&self, prefix: &str) -> usize {
@@ -294,8 +285,7 @@ mod tests {
         assert_eq!(store.invalidate_prefix("pr/"), 2);
         assert!(store.lookup("pr/adj", 1, 1, 1).is_none());
         assert!(store.lookup("km/pts", 1, 1, 1).is_some());
-        assert!(store.invalidate("km/pts"));
-        assert!(!store.invalidate("km/pts"));
+        assert_eq!(store.invalidate_prefix("km/pts"), 1);
         assert_eq!(store.stats().resident_bytes, 0);
     }
 

@@ -1,9 +1,10 @@
-//! The open-addressing table behind the engine's two byte arenas: a
-//! combine buffer's partials (`outbuf::combine::Held`) and a reduce
-//! sub-shard's groups (`reduce_state::Groups`). A word is `(low 32 bits
-//! of the key's hash) << 32 | arena offset`: a probe compares that tag
-//! before it touches the arena, and the table regrows from its own
-//! words, without reading a key.
+//! The open-addressing table behind the engine's three byte arenas: a
+//! combine buffer's partials (`outbuf::combine::Held`), a reduce
+//! sub-shard's groups (`reduce_state::Groups`) and a partial-reduce
+//! stripe's accumulators ([`Accs`]). A word is `(low 32 bits of the
+//! key's hash) << 32 | offset`: a probe compares that tag before it
+//! touches the arena, and the table regrows from its own words, without
+//! reading a key.
 
 /// An arena stays below this, which keeps every offset inside a word's
 /// low half and off the two reserved words.
@@ -148,5 +149,132 @@ impl Slots {
         (0..self.words.len())
             .filter(|&s| self.words[s] < SLOT_TOMB)
             .map(|s| self.offset(s))
+    }
+}
+
+/// One partial-reduce stripe: each key copied once into an arena, found
+/// through a [`Slots`] table whose offsets index `accs`, beside the
+/// key's native accumulator. The key is never decoded here, and a fold
+/// allocates nothing once the key is held.
+pub(crate) struct Accs<A> {
+    keys: Vec<u8>,
+    slots: Slots,
+    /// `(key offset, key length, accumulator)`, in first-seen order. The
+    /// accumulator is `None` only while a fold has taken it.
+    accs: Vec<(u32, u32, Option<A>)>,
+}
+
+impl<A> Default for Accs<A> {
+    fn default() -> Self {
+        Accs {
+            keys: Vec::new(),
+            slots: Slots::default(),
+            accs: Vec::new(),
+        }
+    }
+}
+
+impl<A> Accs<A> {
+    pub(crate) fn len(&self) -> usize {
+        self.accs.len()
+    }
+
+    /// Replace `key`'s accumulator with `f` of it — `None` on first
+    /// sight. `hash` is the key's `stable_hash`, the one that chose the
+    /// stripe.
+    #[inline]
+    pub(crate) fn fold(&mut self, hash: u64, key: &[u8], f: impl FnOnce(Option<A>) -> A) {
+        if self.slots.is_full() {
+            self.slots.grow();
+        }
+        let (keys, accs) = (&self.keys, &self.accs);
+        let is_key = |i: usize| {
+            let (at, len, _) = accs[i];
+            keys[at as usize..(at + len) as usize] == *key
+        };
+        match self.slots.probe(hash, is_key) {
+            Ok(slot) => {
+                let acc = &mut self.accs[self.slots.offset(slot)].2;
+                let old = acc.take().expect("accumulator present");
+                *acc = Some(f(Some(old)));
+            }
+            Err(slot) => {
+                let at = self.keys.len();
+                assert!(
+                    at + key.len() < ARENA_MAX,
+                    "key arena past {ARENA_MAX} bytes"
+                );
+                self.slots.set(slot, hash, self.accs.len());
+                self.keys.extend_from_slice(key);
+                self.accs.push((at as u32, key.len() as u32, Some(f(None))));
+            }
+        }
+    }
+
+    /// Hand every key and its accumulator to `each`, in first-seen
+    /// order.
+    pub(crate) fn drain(self, mut each: impl FnMut(&[u8], A)) {
+        for (at, len, acc) in self.accs {
+            let key = &self.keys[at as usize..(at + len) as usize];
+            each(key, acc.expect("accumulator present"));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hamr_codec::stable_hash;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    type Sums = BTreeMap<Vec<u8>, u64>;
+
+    /// Fold `records` into `accs` and into the `BTreeMap` it must match.
+    /// Key 0 is empty; `tagged` gives the keys five hash tags in all.
+    fn fill(accs: &mut Accs<u64>, records: &[(u16, u64)], tagged: bool) -> Sums {
+        let mut reference = Sums::new();
+        for &(id, v) in records {
+            let key = format!("k{id}").into_bytes();
+            let key = if id == 0 { &[][..] } else { &key };
+            let hash = if tagged {
+                u64::from(id % 5)
+            } else {
+                stable_hash(key)
+            };
+            accs.fold(hash, key, |acc| acc.unwrap_or(0) + v);
+            *reference.entry(key.to_vec()).or_insert(0) += v;
+        }
+        reference
+    }
+
+    fn drained(accs: Accs<u64>) -> Sums {
+        let mut out = Sums::new();
+        accs.drain(|key, acc| assert!(out.insert(key.to_vec(), acc).is_none(), "a key twice"));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A stripe's table sums like a `BTreeMap`: the empty key
+        /// included, keys whose hashes share a tag (up to 300 keys over
+        /// five tags, through every growth of the table) told apart by
+        /// their bytes, and a stripe refilled after its drain (an epoch
+        /// flush) holding only the second epoch's keys.
+        #[test]
+        fn accs_match_a_btreemap(
+            first in prop::collection::vec((0u16..300, 1u64..1000), 0..600),
+            second in prop::collection::vec((0u16..300, 1u64..1000), 0..200),
+            tagged in any::<bool>(),
+        ) {
+            let mut stripe = Accs::default();
+            let want = fill(&mut stripe, &first, tagged);
+            prop_assert_eq!(stripe.len(), want.len());
+            prop_assert_eq!(drained(std::mem::take(&mut stripe)), want);
+            prop_assert_eq!(stripe.len(), 0);
+            let want = fill(&mut stripe, &second, tagged);
+            prop_assert_eq!(drained(stripe), want);
+        }
     }
 }

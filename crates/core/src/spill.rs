@@ -43,9 +43,12 @@ pub(crate) fn write_run<K: AsRef<[u8]>, V: AsRef<[u8]>>(
 
 /// Streaming reader over one sorted run.
 pub(crate) struct RunReader {
+    name: String,
     file: FileReader,
     buf: Vec<u8>,
     pos: usize,
+    /// Run offset of `buf[0]`.
+    base: usize,
 }
 
 const READ_CHUNK: usize = 64 << 10;
@@ -53,64 +56,55 @@ const READ_CHUNK: usize = 64 << 10;
 impl RunReader {
     pub(crate) fn open(disk: &Disk, name: &str) -> Result<Self, DiskError> {
         Ok(RunReader {
+            name: name.to_string(),
             file: disk.open(name)?,
             buf: Vec::new(),
             pos: 0,
+            base: 0,
         })
     }
 
-    /// Ensure at least `want` unread bytes are buffered (or EOF).
-    fn fill(&mut self, want: usize) {
-        while self.buf.len() - self.pos < want {
+    /// Next entry in key order, `None` at the end of the run, or an
+    /// error when the run ends inside an entry: a truncated run is not
+    /// a shorter one.
+    pub(crate) fn next_entry(&mut self) -> Result<Option<(Bytes, Bytes)>, DiskError> {
+        loop {
+            if let Some((key, value, len)) = parse_entry(&self.buf[self.pos..]) {
+                let entry = (Bytes::copy_from_slice(key), Bytes::copy_from_slice(value));
+                self.pos += len;
+                return Ok(Some(entry));
+            }
+            // What is buffered is not a whole entry: read on, if the
+            // run has more.
             if self.file.remaining() == 0 {
-                return;
+                if self.pos == self.buf.len() {
+                    return Ok(None);
+                }
+                let offset = (self.base + self.pos) as u64;
+                let file = self.name.clone();
+                return Err(DiskError::Truncated { file, offset });
             }
-            // Compact consumed prefix before growing.
-            if self.pos > 0 {
-                self.buf.drain(..self.pos);
-                self.pos = 0;
-            }
-            let old_len = self.buf.len();
-            let to_read = READ_CHUNK.min(self.file.remaining());
-            self.buf.resize(old_len + to_read, 0);
-            let n = self.file.read(&mut self.buf[old_len..]);
-            self.buf.truncate(old_len + n);
-            if n == 0 {
-                return;
-            }
+            self.buf.drain(..self.pos);
+            (self.base, self.pos) = (self.base + self.pos, 0);
+            let old = self.buf.len();
+            self.buf
+                .resize(old + READ_CHUNK.min(self.file.remaining()), 0);
+            let n = self.file.read(&mut self.buf[old..]);
+            self.buf.truncate(old + n);
         }
     }
+}
 
-    fn read_varint(&mut self) -> Option<u64> {
-        self.fill(10);
-        if self.pos >= self.buf.len() {
-            return None;
-        }
-        let mut slice = &self.buf[self.pos..];
-        let before = slice.len();
-        let v = read_varint(&mut slice).ok()?;
-        self.pos += before - slice.len();
-        Some(v)
-    }
-
-    fn read_bytes(&mut self, len: usize) -> Option<Bytes> {
-        self.fill(len);
-        if self.buf.len() - self.pos < len {
-            return None;
-        }
-        let out = Bytes::copy_from_slice(&self.buf[self.pos..self.pos + len]);
-        self.pos += len;
-        Some(out)
-    }
-
-    /// Next entry in key order, or `None` at end of run.
-    pub(crate) fn next_entry(&mut self) -> Option<(Bytes, Bytes)> {
-        let klen = self.read_varint()? as usize;
-        let key = self.read_bytes(klen)?;
-        let vlen = self.read_varint()? as usize;
-        let value = self.read_bytes(vlen)?;
-        Some((key, value))
-    }
+/// The entry at the front of `bytes` — its key, its value and its
+/// length — or `None` if `bytes` ends inside it.
+fn parse_entry(mut bytes: &[u8]) -> Option<(&[u8], &[u8], usize)> {
+    let whole = bytes.len();
+    let klen = read_varint(&mut bytes).ok()? as usize;
+    let key = bytes.get(..klen)?;
+    bytes = &bytes[klen..];
+    let vlen = read_varint(&mut bytes).ok()? as usize;
+    let value = bytes.get(..vlen)?;
+    Some((key, value, whole - bytes.len() + vlen))
 }
 
 /// A source of key-sorted entries.
@@ -120,10 +114,10 @@ pub(crate) enum SortedStream {
 }
 
 impl SortedStream {
-    fn next(&mut self) -> Option<(Bytes, Bytes)> {
+    fn next(&mut self) -> Result<Option<(Bytes, Bytes)>, DiskError> {
         match self {
             SortedStream::Run(r) => r.next_entry(),
-            SortedStream::Memory(it) => it.next(),
+            SortedStream::Memory(it) => Ok(it.next()),
         }
     }
 
@@ -141,34 +135,37 @@ pub(crate) struct GroupedMerge {
 }
 
 impl GroupedMerge {
-    pub(crate) fn new(mut streams: Vec<SortedStream>) -> Self {
-        let mut heap = BinaryHeap::with_capacity(streams.len());
-        for (i, s) in streams.iter_mut().enumerate() {
-            if let Some((k, v)) = s.next() {
-                heap.push(Reverse((k, i, v)));
-            }
+    pub(crate) fn new(streams: Vec<SortedStream>) -> Result<Self, DiskError> {
+        let heap = BinaryHeap::with_capacity(streams.len());
+        let mut merge = GroupedMerge { streams, heap };
+        (0..merge.streams.len()).try_for_each(|i| merge.advance(i))?;
+        Ok(merge)
+    }
+
+    /// Put stream `i`'s next entry, if any, on the heap.
+    fn advance(&mut self, i: usize) -> Result<(), DiskError> {
+        if let Some((k, v)) = self.streams[i].next()? {
+            self.heap.push(Reverse((k, i, v)));
         }
-        GroupedMerge { streams, heap }
+        Ok(())
     }
 
     /// Next `(key, values)` group in key order.
-    pub(crate) fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)> {
-        let Reverse((key, idx, value)) = self.heap.pop()?;
+    pub(crate) fn next_group(&mut self) -> Result<Option<(Bytes, Vec<Bytes>)>, DiskError> {
+        let Some(Reverse((key, idx, value))) = self.heap.pop() else {
+            return Ok(None);
+        };
         let mut values = vec![value];
-        if let Some((k, v)) = self.streams[idx].next() {
-            self.heap.push(Reverse((k, idx, v)));
-        }
+        self.advance(idx)?;
         while let Some(Reverse((k, _, _))) = self.heap.peek() {
             if *k != key {
                 break;
             }
             let Reverse((_, i, v)) = self.heap.pop().expect("peeked");
             values.push(v);
-            if let Some((k2, v2)) = self.streams[i].next() {
-                self.heap.push(Reverse((k2, i, v2)));
-            }
+            self.advance(i)?;
         }
-        Some((key, values))
+        Ok(Some((key, values)))
     }
 }
 
@@ -187,10 +184,10 @@ mod tests {
         let entries = vec![(b("c"), b("3")), (b("a"), b("1")), (b("b"), b("2"))];
         write_run(&disk, "run0", entries).unwrap();
         let mut r = RunReader::open(&disk, "run0").unwrap();
-        assert_eq!(r.next_entry().unwrap(), (b("a"), b("1")));
-        assert_eq!(r.next_entry().unwrap(), (b("b"), b("2")));
-        assert_eq!(r.next_entry().unwrap(), (b("c"), b("3")));
-        assert!(r.next_entry().is_none());
+        assert_eq!(r.next_entry().unwrap().unwrap(), (b("a"), b("1")));
+        assert_eq!(r.next_entry().unwrap().unwrap(), (b("b"), b("2")));
+        assert_eq!(r.next_entry().unwrap().unwrap(), (b("c"), b("3")));
+        assert!(r.next_entry().unwrap().is_none());
     }
 
     #[test]
@@ -198,7 +195,7 @@ mod tests {
         let disk = Disk::new(DiskConfig::instant());
         write_run(&disk, "run0", Vec::<(Bytes, Bytes)>::new()).unwrap();
         let mut r = RunReader::open(&disk, "run0").unwrap();
-        assert!(r.next_entry().is_none());
+        assert!(r.next_entry().unwrap().is_none());
     }
 
     #[test]
@@ -216,7 +213,7 @@ mod tests {
         write_run(&disk, "big", entries).unwrap();
         let mut r = RunReader::open(&disk, "big").unwrap();
         let mut count = 0;
-        while let Some((k, v)) = r.next_entry() {
+        while let Some((k, v)) = r.next_entry().unwrap() {
             assert!(k.starts_with(b"key"));
             assert_eq!(v.len(), 40 << 10);
             count += 1;
@@ -235,35 +232,35 @@ mod tests {
             SortedStream::Run(RunReader::open(&disk, "r2").unwrap()),
             mem,
         ];
-        let mut merge = GroupedMerge::new(streams);
-        let (k, mut vs) = merge.next_group().unwrap();
+        let mut merge = GroupedMerge::new(streams).unwrap();
+        let (k, mut vs) = merge.next_group().unwrap().unwrap();
         assert_eq!(k, b("a"));
         vs.sort();
         assert_eq!(vs, vec![b("1"), b("3"), b("6")]);
-        let (k, mut vs) = merge.next_group().unwrap();
+        let (k, mut vs) = merge.next_group().unwrap().unwrap();
         assert_eq!(k, b("b"));
         vs.sort();
         assert_eq!(vs, vec![b("2"), b("5")]);
-        let (k, vs) = merge.next_group().unwrap();
+        let (k, vs) = merge.next_group().unwrap().unwrap();
         assert_eq!(k, b("c"));
         assert_eq!(vs, vec![b("4")]);
-        assert!(merge.next_group().is_none());
+        assert!(merge.next_group().unwrap().is_none());
     }
 
     #[test]
     fn merge_of_empty_streams_is_empty() {
-        let mut merge = GroupedMerge::new(vec![SortedStream::from_entries(vec![])]);
-        assert!(merge.next_group().is_none());
+        let mut merge = GroupedMerge::new(vec![SortedStream::from_entries(vec![])]).unwrap();
+        assert!(merge.next_group().unwrap().is_none());
     }
 
     #[test]
     fn merge_single_memory_stream_groups_duplicates() {
         let entries = vec![(b("x"), b("1")), (b("x"), b("2")), (b("x"), b("3"))];
-        let mut merge = GroupedMerge::new(vec![SortedStream::from_entries(entries)]);
-        let (k, vs) = merge.next_group().unwrap();
+        let mut merge = GroupedMerge::new(vec![SortedStream::from_entries(entries)]).unwrap();
+        let (k, vs) = merge.next_group().unwrap().unwrap();
         assert_eq!(k, b("x"));
         assert_eq!(vs.len(), 3);
-        assert!(merge.next_group().is_none());
+        assert!(merge.next_group().unwrap().is_none());
     }
 
     #[test]
@@ -279,15 +276,41 @@ mod tests {
         write_run(&disk, "bin", entries).unwrap();
         let mut r = RunReader::open(&disk, "bin").unwrap();
         assert_eq!(
-            r.next_entry().unwrap(),
+            r.next_entry().unwrap().unwrap(),
             (Bytes::from_static(&[0]), Bytes::from_static(&[]))
         );
         assert_eq!(
-            r.next_entry().unwrap(),
+            r.next_entry().unwrap().unwrap(),
             (
                 Bytes::from_static(&[0, 0, 1]),
                 Bytes::from_static(&[0xff, 0x80])
             )
         );
+    }
+
+    /// A run cut short — here by three bytes, inside its last entry —
+    /// fails the read with the run's name and the entry's offset; every
+    /// entry before the cut still reads back, and a merge over the run
+    /// fails instead of yielding a short group.
+    #[test]
+    fn a_truncated_run_is_an_error_not_an_end() {
+        let disk = Disk::new(DiskConfig::instant());
+        let entries = vec![(b("a"), b("1")), (b("b"), b("22")), (b("c"), b("333"))];
+        write_run(&disk, "cut", entries).unwrap();
+        let whole = disk.read_all("cut").unwrap();
+        disk.delete("cut");
+        disk.write_all("cut", &whole[..whole.len() - 3]).unwrap();
+        let mut r = RunReader::open(&disk, "cut").unwrap();
+        assert_eq!(r.next_entry().unwrap(), Some((b("a"), b("1"))));
+        assert_eq!(r.next_entry().unwrap(), Some((b("b"), b("22"))));
+        let cut = DiskError::Truncated {
+            file: "cut".into(),
+            offset: 9,
+        };
+        assert_eq!(r.next_entry(), Err(cut.clone()));
+        let run = SortedStream::Run(RunReader::open(&disk, "cut").unwrap());
+        let mut merge = GroupedMerge::new(vec![run]).unwrap();
+        assert_eq!(merge.next_group().unwrap().unwrap().0, b("a"));
+        assert_eq!(merge.next_group(), Err(cut));
     }
 }

@@ -5,8 +5,9 @@
 //! [`Loader`] traits. Decode failures panic: they mean the job graph
 //! wired mismatched types together, which is a programming error.
 
-use crate::flowlet::{AccBox, Emitter, Loader, MapFn, PartialReduceFn, ReduceFn, TaskContext};
+use crate::flowlet::{AccTable, Emitter, Loader, MapFn, PartialReduceFn, ReduceFn, TaskContext};
 use crate::outbuf::Combiner;
+use crate::slots::Accs;
 use crate::NodeId;
 use hamr_codec::Codec;
 use parking_lot::RwLock;
@@ -25,44 +26,15 @@ fn dec<T: Codec>(what: &str, bytes: &[u8]) -> T {
 
 // ---------------------------------------------------------------- map
 
-/// A [`MapFn`] from a typed closure `(key, value, emitter)`.
+/// A [`MapFn`] from a typed closure `(ctx, key, value, emitter)`: the
+/// [`TaskContext`] is there for node-local disk, DFS and KV-store
+/// access — the locality feature.
 pub struct TypedMap<K, V, F> {
     f: F,
     _pd: PhantomData<fn(K, V)>,
 }
 
 impl<K, V, F> MapFn for TypedMap<K, V, F>
-where
-    K: Codec,
-    V: Codec,
-    F: Fn(K, V, &mut Emitter) + Send + Sync,
-{
-    fn map(&self, _ctx: &TaskContext, key: &[u8], value: &[u8], out: &mut Emitter) {
-        (self.f)(dec("map key", key), dec("map value", value), out);
-    }
-}
-
-/// Build a map flowlet from `Fn(K, V, &mut Emitter)`.
-pub fn map_fn<K, V, F>(f: F) -> TypedMap<K, V, F>
-where
-    K: Codec,
-    V: Codec,
-    F: Fn(K, V, &mut Emitter) + Send + Sync,
-{
-    TypedMap {
-        f,
-        _pd: PhantomData,
-    }
-}
-
-/// A [`MapFn`] whose closure also receives the [`TaskContext`] (for
-/// node-local disk, DFS and KV-store access — the locality feature).
-pub struct TypedCtxMap<K, V, F> {
-    f: F,
-    _pd: PhantomData<fn(K, V)>,
-}
-
-impl<K, V, F> MapFn for TypedCtxMap<K, V, F>
 where
     K: Codec,
     V: Codec,
@@ -73,14 +45,27 @@ where
     }
 }
 
+/// Build a map flowlet from `Fn(K, V, &mut Emitter)`.
+#[allow(clippy::type_complexity)]
+pub fn map_fn<K, V, F>(
+    f: F,
+) -> TypedMap<K, V, impl Fn(&TaskContext, K, V, &mut Emitter) + Send + Sync>
+where
+    K: Codec,
+    V: Codec,
+    F: Fn(K, V, &mut Emitter) + Send + Sync,
+{
+    map_ctx_fn(move |_: &TaskContext, key, value, out: &mut Emitter| f(key, value, out))
+}
+
 /// Build a context-aware map flowlet.
-pub fn map_ctx_fn<K, V, F>(f: F) -> TypedCtxMap<K, V, F>
+pub fn map_ctx_fn<K, V, F>(f: F) -> TypedMap<K, V, F>
 where
     K: Codec,
     V: Codec,
     F: Fn(&TaskContext, K, V, &mut Emitter) + Send + Sync,
 {
-    TypedCtxMap {
+    TypedMap {
         f,
         _pd: PhantomData,
     }
@@ -182,7 +167,9 @@ where
 // ------------------------------------------------------ partial reduce
 
 /// A [`PartialReduceFn`] assembled from typed init/fold/finish
-/// closures over value type `V` and accumulator type `Acc`.
+/// closures over value type `V` and accumulator type `Acc`. Its table
+/// is an `Accs<Acc>`: keys stay bytes while folding, and each is
+/// decoded once, for `finish`.
 pub struct TypedPartial<K, V, Acc, FInit, FFold, FFinish> {
     init: FInit,
     fold: FFold,
@@ -196,38 +183,41 @@ where
     K: Codec,
     V: Codec,
     Acc: Send + 'static,
-    FInit: Fn(&K, V) -> Acc + Send + Sync,
-    FFold: Fn(&K, Acc, V) -> Acc + Send + Sync,
+    FInit: Fn(V) -> Acc + Send + Sync,
+    FFold: Fn(Acc, V) -> Acc + Send + Sync,
     FFinish: Fn(&TaskContext, K, Acc, &mut Emitter) + Send + Sync,
 {
-    fn init(&self, key: &[u8], value: &[u8]) -> AccBox {
-        let k: K = dec("partial key", key);
-        // Accumulators live in an Option so fold can take ownership,
-        // apply the user's by-value closure, and put the result back
-        // without cloning.
-        Box::new(Some((self.init)(&k, dec("partial value", value))))
+    fn table(&self) -> AccTable {
+        Box::new(Accs::<Acc>::default())
     }
 
-    fn fold(&self, key: &[u8], acc: &mut AccBox, value: &[u8]) {
-        let k: K = dec("partial key", key);
-        let slot = acc
-            .downcast_mut::<Option<Acc>>()
-            .expect("accumulator type confusion");
-        let old = slot.take().expect("accumulator present");
-        *slot = Some((self.fold)(&k, old, dec("partial value", value)));
+    fn fold(&self, table: &mut AccTable, hash: u64, key: &[u8], value: &[u8]) {
+        let table: &mut Accs<Acc> = table
+            .downcast_mut()
+            .expect("accumulator table type confusion");
+        let v = dec("partial value", value);
+        table.fold(hash, key, |acc| match acc {
+            None => (self.init)(v),
+            Some(acc) => (self.fold)(acc, v),
+        });
     }
 
-    fn finish(&self, ctx: &TaskContext, key: &[u8], acc: AccBox, out: &mut Emitter) {
-        let acc = acc
-            .downcast::<Option<Acc>>()
-            .expect("accumulator type confusion")
-            .expect("accumulator present");
-        (self.finish)(ctx, dec("partial key", key), acc, out);
+    fn is_empty(&self, table: &AccTable) -> bool {
+        table
+            .downcast_ref::<Accs<Acc>>()
+            .is_some_and(|t| t.len() == 0)
+    }
+
+    fn finish(&self, ctx: &TaskContext, table: AccTable, out: &mut Emitter) {
+        let table: Box<Accs<Acc>> = table.downcast().expect("accumulator table type confusion");
+        table.drain(|key, acc| (self.finish)(ctx, dec("partial key", key), acc, out));
     }
 }
 
-/// Build a partial reduce from typed closures. `finish` decides where
-/// results go (a port, captured output, disk, KV store...).
+/// Build a partial reduce from typed closures: `init` seeds a key's
+/// accumulator from its first value, `fold` adds each later one (neither
+/// sees the key), and `finish` decides where a key's result goes (a
+/// port, captured output, disk, KV store...).
 pub fn partial_fn<K, V, Acc, FInit, FFold, FFinish>(
     init: FInit,
     fold: FFold,
@@ -237,8 +227,8 @@ where
     K: Codec,
     V: Codec,
     Acc: Send + 'static,
-    FInit: Fn(&K, V) -> Acc + Send + Sync,
-    FFold: Fn(&K, Acc, V) -> Acc + Send + Sync,
+    FInit: Fn(V) -> Acc + Send + Sync,
+    FFold: Fn(Acc, V) -> Acc + Send + Sync,
     FFinish: Fn(&TaskContext, K, Acc, &mut Emitter) + Send + Sync,
 {
     TypedPartial {
@@ -254,69 +244,8 @@ where
 /// into the captured job output.
 pub fn sum_reducer<K: Codec>() -> impl PartialReduceFn {
     partial_fn::<K, u64, u64, _, _, _>(
-        |_k, v| v,
-        |_k, acc, v| acc + v,
-        |_ctx, k: K, acc, out: &mut Emitter| {
-            if out.ports() > 0 {
-                out.emit_t(0, &k, &acc);
-            } else {
-                out.output_t(&k, &acc);
-            }
-        },
-    )
-}
-
-/// Count occurrences per key (values ignored). Same output routing as
-/// [`sum_reducer`].
-pub fn count_reducer<K: Codec, V: Codec>() -> impl PartialReduceFn {
-    partial_fn::<K, V, u64, _, _, _>(
-        |_k, _v| 1,
-        |_k, acc, _v| acc + 1,
-        |_ctx, k: K, acc, out: &mut Emitter| {
-            if out.ports() > 0 {
-                out.emit_t(0, &k, &acc);
-            } else {
-                out.output_t(&k, &acc);
-            }
-        },
-    )
-}
-
-/// Maximum `u64` value per key. Same output routing as [`sum_reducer`].
-pub fn max_reducer<K: Codec>() -> impl PartialReduceFn {
-    partial_fn::<K, u64, u64, _, _, _>(
-        |_k, v| v,
-        |_k, acc, v| acc.max(v),
-        |_ctx, k: K, acc, out: &mut Emitter| {
-            if out.ports() > 0 {
-                out.emit_t(0, &k, &acc);
-            } else {
-                out.output_t(&k, &acc);
-            }
-        },
-    )
-}
-
-/// Minimum `u64` value per key. Same output routing as [`sum_reducer`].
-pub fn min_reducer<K: Codec>() -> impl PartialReduceFn {
-    partial_fn::<K, u64, u64, _, _, _>(
-        |_k, v| v,
-        |_k, acc, v| acc.min(v),
-        |_ctx, k: K, acc, out: &mut Emitter| {
-            if out.ports() > 0 {
-                out.emit_t(0, &k, &acc);
-            } else {
-                out.output_t(&k, &acc);
-            }
-        },
-    )
-}
-
-/// Like [`sum_reducer`] but for `f64` values.
-pub fn sum_f64_reducer<K: Codec>() -> impl PartialReduceFn {
-    partial_fn::<K, f64, f64, _, _, _>(
-        |_k, v| v,
-        |_k, acc, v| acc + v,
+        |v| v,
+        |acc, v| acc + v,
         |_ctx, k: K, acc, out: &mut Emitter| {
             if out.ports() > 0 {
                 out.emit_t(0, &k, &acc);
@@ -360,8 +289,7 @@ where
     })
 }
 
-/// The combiner matching [`sum_reducer`]/[`count_reducer`]: adds `u64`
-/// partial sums.
+/// The combiner matching [`sum_reducer`]: adds `u64` partial sums.
 pub fn sum_combiner() -> Arc<dyn Combiner> {
     combine_fn::<u64, _>(|a, b| a + b)
 }

@@ -1,8 +1,13 @@
 //! Failure injection: a panic in any flowlet kind, at any stage, must
-//! surface as a `RunError::NodePanic` carrying the message — never a
-//! hang, never a wrong answer — and the cluster must stay usable.
+//! surface as a `RunError::NodePanic` carrying the message, and a spill
+//! run cut short as a `RunError::Disk` — never a hang, never a wrong
+//! answer — and the cluster must stay usable.
 
-use hamr_core::{stream, typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, RunError};
+use hamr_core::{
+    stream, typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, RunError, SchedMode,
+};
+use hamr_simdisk::DiskError;
+use std::time::{Duration, Instant};
 
 fn expect_panic(cluster: &Cluster, job: JobBuilder, needle: &str) {
     match cluster.run(job.build().unwrap()) {
@@ -86,8 +91,8 @@ fn partial_finish_panic_is_reported() {
     let bad = job.add_partial_reduce(
         "bad",
         typed::partial_fn::<u64, u64, u64, _, _, _>(
-            |_k, v| v,
-            |_k, a, v| a + v,
+            |v| v,
+            |a, v| a + v,
             |_ctx, _k, _acc, _out: &mut Emitter| panic!("finish exploded"),
         ),
     );
@@ -200,4 +205,66 @@ fn panic_on_one_node_aborts_all_nodes_promptly() {
         "abort took {:?}",
         start.elapsed()
     );
+}
+
+#[test]
+fn a_truncated_spill_run_fails_the_job_with_a_disk_error() {
+    // Every record a reduce ingests spills (a 1-byte budget), and a
+    // second loader — which the reduce also waits for — cuts each run
+    // three bytes short before the fire reads it back. Two workers,
+    // work stealing: the cutter's split blocks one while the other
+    // ingests.
+    const RECORDS: usize = 8;
+    let mut config = ClusterConfig::local(1, 2);
+    config.runtime.memory_budget = 1;
+    config.runtime.sched = SchedMode::WorkStealing;
+    let cluster = Cluster::new(config);
+    let mut job = JobBuilder::new("truncated-run");
+    let pairs: Vec<(u64, u64)> = (0..RECORDS as u64).map(|i| (i, i)).collect();
+    let loader = job.add_loader("pairs", typed::pairs_loader(pairs));
+    let cutter = job.add_loader(
+        "cutter",
+        typed::gen_loader(
+            |_ctx| 1,
+            |ctx, _split, _out: &mut Emitter| {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                let runs = loop {
+                    let runs: Vec<String> = ctx.disk.list();
+                    let runs: Vec<String> = runs
+                        .into_iter()
+                        .filter(|n| n.starts_with("hamr.spill"))
+                        .collect();
+                    if runs.len() == RECORDS {
+                        break runs;
+                    }
+                    assert!(Instant::now() < deadline, "the reduce never spilled");
+                    std::thread::sleep(Duration::from_millis(2));
+                };
+                for run in runs {
+                    let whole = ctx.disk.read_all(&run).unwrap();
+                    ctx.disk.delete(&run);
+                    ctx.disk.write_all(&run, &whole[..whole.len() - 3]).unwrap();
+                }
+            },
+        ),
+    );
+    let sum = job.add_reduce(
+        "sum",
+        typed::reduce_fn(|k: u64, vs: typed::Values<u64>, out: &mut Emitter| {
+            out.output_t(&k, &vs.sum::<u64>());
+        }),
+    );
+    job.connect(loader, sum, Exchange::Hash);
+    job.connect(cutter, sum, Exchange::Hash);
+    job.capture_output(sum);
+    match cluster.run(job.build().unwrap()) {
+        Err(RunError::Disk(DiskError::Truncated { file, .. })) => {
+            assert!(file.starts_with("hamr.spill"), "{file}")
+        }
+        Err(other) => panic!("expected a truncated run, got {other}"),
+        Ok(r) => panic!(
+            "a fire over truncated runs answered {} groups",
+            r.typed_output::<u64, u64>(sum).len()
+        ),
+    }
 }

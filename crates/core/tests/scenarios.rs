@@ -55,8 +55,8 @@ fn deep_chain_of_mixed_flowlets() {
     let p = job.add_partial_reduce(
         "psum",
         typed::partial_fn::<u64, u64, u64, _, _, _>(
-            |_k, v| v,
-            |_k, a, v| a + v,
+            |v| v,
+            |a, v| a + v,
             |_ctx, k, acc, out: &mut Emitter| out.emit_t(0, &(k % 4), &acc),
         ),
     );
@@ -215,9 +215,19 @@ fn builtin_reducers_compute_count_max_min() {
             out.emit_t(2, &k, &v);
         }),
     );
-    let count = job.add_partial_reduce("count", typed::count_reducer::<u64, u64>());
-    let max = job.add_partial_reduce("max", typed::max_reducer::<u64>());
-    let min = job.add_partial_reduce("min", typed::min_reducer::<u64>());
+    let captured = |_ctx: &_, k: u64, acc: u64, out: &mut Emitter| out.output_t(&k, &acc);
+    let count = job.add_partial_reduce(
+        "count",
+        typed::partial_fn::<u64, u64, u64, _, _, _>(|_| 1, |n, _| n + 1, captured),
+    );
+    let max = job.add_partial_reduce(
+        "max",
+        typed::partial_fn::<u64, u64, u64, _, _, _>(|v| v, u64::max, captured),
+    );
+    let min = job.add_partial_reduce(
+        "min",
+        typed::partial_fn::<u64, u64, u64, _, _, _>(|v| v, u64::min, captured),
+    );
     job.connect(loader, fan, Exchange::Local);
     job.connect(fan, count, Exchange::Hash);
     job.connect(fan, max, Exchange::Hash);

@@ -21,8 +21,8 @@ fn windowed_partial_reduce_emits_per_epoch() {
     let win = job.add_partial_reduce(
         "window-sum",
         typed::partial_fn::<u64, u64, u64, _, _, _>(
-            |_k, v| v,
-            |_k, acc, v| acc + v,
+            |v| v,
+            |acc, v| acc + v,
             |_ctx, k, acc, out: &mut Emitter| out.output_t(&k, &acc),
         ),
     );
@@ -66,8 +66,8 @@ fn marker_propagates_through_map_stage() {
     let win = job.add_partial_reduce(
         "sum",
         typed::partial_fn::<u64, u64, u64, _, _, _>(
-            |_k, v| v,
-            |_k, acc, v| acc + v,
+            |v| v,
+            |acc, v| acc + v,
             |_ctx, k, acc, out: &mut Emitter| out.output_t(&k, &acc),
         ),
     );
@@ -110,8 +110,8 @@ fn gen_stream_ends_when_closure_says_so() {
     let sink = job.add_partial_reduce(
         "collect",
         typed::partial_fn::<u64, u64, u64, _, _, _>(
-            |_k, _v| 1,
-            |_k, acc, _v| acc + 1,
+            |_v| 1,
+            |acc, _v| acc + 1,
             |_ctx, k, acc, out: &mut Emitter| out.output_t(&k, &acc),
         ),
     );
@@ -131,8 +131,8 @@ fn batch_and_stream_same_programming_model() {
     // streaming windows.
     let make_reducer = || {
         typed::partial_fn::<u64, u64, u64, _, _, _>(
-            |_k, v| v,
-            |_k, acc, v| acc + v,
+            |v| v,
+            |acc, v| acc + v,
             |_ctx, k, acc, out: &mut Emitter| out.output_t(&k, &acc),
         )
     };

@@ -101,6 +101,8 @@ pub enum DiskError {
     NotFound(String),
     /// A file with this name already exists.
     AlreadyExists(String),
+    /// A file ends inside the record that starts at byte `offset`.
+    Truncated { file: String, offset: u64 },
 }
 
 impl fmt::Display for DiskError {
@@ -108,6 +110,12 @@ impl fmt::Display for DiskError {
         match self {
             DiskError::NotFound(n) => write!(f, "file not found: {n}"),
             DiskError::AlreadyExists(n) => write!(f, "file already exists: {n}"),
+            DiskError::Truncated { file, offset } => {
+                write!(
+                    f,
+                    "file {file} is truncated inside the record at byte {offset}"
+                )
+            }
         }
     }
 }

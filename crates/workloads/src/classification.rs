@@ -84,8 +84,8 @@ impl Benchmark for Classification {
         let collect = job.add_partial_reduce(
             "LocalAssignCollect",
             typed::partial_fn::<u64, u64, Vec<u64>, _, _, _>(
-                |_c, movie| vec![movie],
-                |_c, mut acc, movie| {
+                |movie| vec![movie],
+                |mut acc, movie| {
                     acc.push(movie);
                     acc
                 },

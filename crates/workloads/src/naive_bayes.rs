@@ -113,8 +113,8 @@ impl Benchmark for NaiveBayes {
         let vector_sum = job.add_partial_reduce(
             "VectorSumReducer",
             typed::partial_fn::<String, SparseVec, SparseVec, _, _, _>(
-                |_label, v| v,
-                |_label, acc, v| merge_sparse(acc, v),
+                |v| v,
+                merge_sparse,
                 |_ctx, label, acc, out: &mut Emitter| {
                     let total: u64 = acc.iter().map(|(_, c)| c).sum();
                     out.output_t(&format!("L:{label}"), &total);
@@ -127,8 +127,8 @@ impl Benchmark for NaiveBayes {
         let weight_sum = job.add_partial_reduce(
             "WeightSumReducer",
             typed::partial_fn::<String, u64, u64, _, _, _>(
-                |_w, v| v,
-                |_w, acc, v| acc + v,
+                |v| v,
+                |acc, v| acc + v,
                 |_ctx, word, acc, out: &mut Emitter| {
                     out.output_t(&format!("F:{word}"), &acc);
                 },

@@ -56,8 +56,8 @@ fn main() {
     let activity = job.add_partial_reduce(
         "UserActivity",
         typed::partial_fn::<u64, u64, u64, _, _, _>(
-            |_user, _rating| 1,
-            |_user, n, _rating| n + 1,
+            |_rating| 1,
+            |n, _rating| n + 1,
             |_ctx, user, n, out: &mut Emitter| {
                 if n >= 10 {
                     out.output_t(&user, &n);

@@ -39,8 +39,8 @@ fn main() {
     let windowed = job.add_partial_reduce(
         "window-count",
         typed::partial_fn::<String, u64, u64, _, _, _>(
-            |_w, v| v,
-            |_w, acc, v| acc + v,
+            |v| v,
+            |acc, v| acc + v,
             |_ctx, word, count, out: &mut Emitter| out.output_t(&word, &count),
         ),
     );
