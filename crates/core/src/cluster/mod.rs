@@ -19,7 +19,7 @@ use crate::watchdog::WatchdogEvent;
 use hamr_dfs::Dfs;
 use hamr_kvstore::KvStore;
 use hamr_simdisk::Disk;
-use hamr_trace::{AuditReport, Journal, JournalConfig, Labels, MetricsRegistry};
+use hamr_trace::{AuditReport, Journal, JournalConfig, JournalSlot, Labels, MetricsRegistry};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -38,7 +38,7 @@ fn wire_journal(introspect: &Arc<Introspect>, journal: Journal) -> Arc<Journal> 
             .counter("journal_records_total", Labels::new().engine("hamr")),
     );
     let journal = Arc::new(journal);
-    introspect.set_journal(Some(Arc::clone(&journal)));
+    introspect.journal.set(Some(Arc::clone(&journal)));
     journal
 }
 
@@ -174,7 +174,16 @@ impl Cluster {
 
     /// Directory of the active journal, if one is attached.
     pub fn journal_dir(&self) -> Option<PathBuf> {
-        self.introspect.journal().map(|j| j.dir())
+        self.introspect.journal.get().map(|j| j.dir())
+    }
+
+    /// The slot this cluster's journal hangs in, shared: an engine
+    /// holding a clone (the `mapred` baseline over the same substrates)
+    /// journals into whatever journal the cluster has at the time, one
+    /// attached later by [`enable_journal`](Cluster::enable_journal)
+    /// included.
+    pub fn journal_slot(&self) -> JournalSlot {
+        self.introspect.journal.clone()
     }
 
     /// Start the embedded introspection endpoint on

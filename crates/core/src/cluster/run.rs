@@ -4,7 +4,7 @@
 use super::Cluster;
 use crate::error::{panic_message, RunError};
 use crate::flowlet::TaskContext;
-use crate::graph::{FlowletId, JobGraph};
+use crate::graph::{Exchange, FlowletId, JobGraph};
 use crate::introspect::{LiveRun, DOCTOR_KEEP_LAST};
 use crate::metrics::JobMetrics;
 use crate::node::{NetMsg, NodeOutcome, NodeRuntime};
@@ -14,7 +14,7 @@ use crate::watchdog::{Watchdog, WatchdogAction, WatchdogConfig, WatchdogEvent};
 use hamr_codec::Codec;
 use hamr_simnet::Fabric;
 use hamr_trace::{
-    Audit, FlightRecord, JobTally, Journal, JournalRecord, Labels, LatencyHistogram, Observe,
+    Audit, FlightRecord, JobRow, Journal, JournalRecord, Labels, LatencyHistogram, Observe,
     RingSink, StatsPlane, StuckEdge, Tracer, WatchdogClass, WatchdogTrip,
 };
 use std::collections::HashMap;
@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How one job is run: where its trace events go and whether the
 /// self-verification layer supervises it. The default is an untraced,
@@ -152,7 +152,7 @@ impl Cluster {
         };
         self.introspect.health.lock().running_jobs += 1;
         // Durable journal: mark the job boundary.
-        let journal = self.introspect.journal();
+        let journal = self.introspect.journal.get();
         if let Some(j) = &journal {
             j.append(&JournalRecord::JobStart {
                 job: graph.name.clone(),
@@ -389,6 +389,7 @@ impl Cluster {
         }
         done.metrics
             .publish(&self.introspect.registry, &run.graph.name, "hamr");
+        let row = row(&run, &done);
         if let Some(j) = &run.journal {
             if let Some(snap) = &done.metrics.stats {
                 // Sketches and lineage samples outlive the run: `hamr
@@ -396,12 +397,8 @@ impl Cluster {
                 j.append(&JournalRecord::Stats(snap.clone()));
             }
             j.append(&JournalRecord::JobEnd {
-                job: run.graph.name.clone(),
-                ok: done.first_error.is_none(),
                 t_us: j.now_us(),
-                elapsed_us: run.start.elapsed().as_micros() as u64,
-                shuffled_bytes: done.metrics.shuffled_bytes,
-                tally: Some(tally(&run, &done.metrics)),
+                row: row.clone(),
             });
         }
         {
@@ -423,7 +420,7 @@ impl Cluster {
             None => Ok(JobResult {
                 outputs: done.outputs,
                 metrics: done.metrics,
-                elapsed: run.start.elapsed(),
+                row,
             }),
         };
         let Some(sup) = &opts.supervision else {
@@ -486,16 +483,24 @@ struct Collected {
     wd_trip: Option<WatchdogEvent>,
 }
 
-/// The job's row in `hamr timeline`, counted from what the run holds:
+/// The job's [`JobRow`], counted once from what the run holds: the
+/// fabric's remote bytes; the records the flowlets feeding an exchange
+/// emitted (pre-combiner: a combiner restores what it folds into its
+/// producer's `records_out`); the widest sketched edge's distinct keys;
 /// the flowlets the plan served from the resident store (each one hit
-/// in `ResidentStore::lookup`), the stall time and task latencies the
-/// nodes handed back (what `JobMetrics::publish` adds to the registry),
+/// in `ResidentStore::lookup`); the stall time and task latencies the
+/// nodes handed back (what `JobMetrics::publish` adds to the registry);
 /// and under supervision the custody rows still holding bins.
-fn tally(run: &Run, metrics: &JobMetrics) -> JobTally {
+fn row(run: &Run, done: &Collected) -> JobRow {
+    let metrics = &done.metrics;
     let mut latency = LatencyHistogram::new();
     for fm in metrics.flowlets.values() {
         latency.merge(&fm.task_latency);
     }
+    let edges = &run.graph.edges;
+    let feeds_exchange = |f: usize| {
+        (edges.iter()).any(|e| e.src == f && e.exchange != Exchange::Local)
+    };
     // An unsupervised run's ledger is disabled and reports no rows.
     let report = run.obs.audit.report();
     let stuck = report
@@ -506,18 +511,24 @@ fn tally(run: &Run, metrics: &JobMetrics) -> JobTally {
             dst: row.dst,
             bins,
         });
-    JobTally {
-        cache_hits: run
-            .plan
-            .flowlets
-            .iter()
-            .filter(|f| f.serve.is_some())
-            .count() as u64,
-        stall_us: metrics
-            .flowlets
-            .values()
-            .map(|fm| fm.stall_time.as_micros() as u64)
-            .sum(),
+    JobRow {
+        job: run.graph.name.clone(),
+        ok: done.first_error.is_none(),
+        elapsed_us: run.start.elapsed().as_micros() as u64,
+        shuffled_bytes: metrics.shuffled_bytes,
+        shuffle_records: Some(
+            (metrics.flowlets.iter())
+                .filter(|(&f, _)| feeds_exchange(f))
+                .map(|(_, fm)| fm.records_out)
+                .sum(),
+        ),
+        distinct_keys: metrics.stats.as_ref().map(|s| s.shuffle_distinct()),
+        cache_hits: Some(run.plan.flowlets.iter().filter(|f| f.serve.is_some()).count() as u64),
+        stall_us: Some(
+            (metrics.flowlets.values())
+                .map(|fm| fm.stall_time.as_micros() as u64)
+                .sum(),
+        ),
         task_p99_us: (latency.count() > 0).then(|| latency.p99_us()),
         stuck: stuck.collect(),
     }
@@ -540,8 +551,9 @@ pub struct JobResult {
     /// nodes (unordered).
     pub outputs: HashMap<FlowletId, Vec<Record>>,
     pub metrics: JobMetrics,
-    /// Wall-clock time of the whole run.
-    pub elapsed: Duration,
+    /// The job's row: what its journal `JobEnd` carries, wall time
+    /// included.
+    pub row: JobRow,
 }
 
 impl JobResult {

@@ -26,7 +26,7 @@
 //! `HAMR_HTTP=<port>`, or [`Cluster::serve_introspection`].
 
 use hamr_trace::{
-    json, FlightRecord, HttpResponse, HttpServer, Journal, MetricsRegistry, Observe, RingSink,
+    json, FlightRecord, HttpResponse, HttpServer, JournalSlot, MetricsRegistry, Observe, RingSink,
     RouteHandler,
 };
 use parking_lot::Mutex;
@@ -144,8 +144,9 @@ pub(crate) struct Introspect {
     pub health: Arc<Mutex<Health>>,
     pub live: Arc<Mutex<LiveRun>>,
     /// The flight journal, when enabled (`HAMR_JOURNAL` or
-    /// `Cluster::enable_journal`).
-    journal: Mutex<Option<Arc<Journal>>>,
+    /// `Cluster::enable_journal`); the `mapred` baseline sharing this
+    /// plane holds a clone of the slot.
+    pub journal: JournalSlot,
     /// The introspection clock's origin: `/healthz` ages and
     /// `incident_since_us` count microseconds from here.
     epoch: Instant,
@@ -170,7 +171,7 @@ impl Introspect {
             registry,
             health: Arc::new(Mutex::new(Health::default())),
             live: Arc::new(Mutex::new(idle)),
-            journal: Mutex::new(None),
+            journal: JournalSlot::default(),
             epoch: Instant::now(),
             server: Mutex::new(None),
         }
@@ -179,16 +180,6 @@ impl Introspect {
     /// Microseconds since this cluster's introspection plane came up.
     pub fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// Install (or replace) the flight journal.
-    pub fn set_journal(&self, journal: Option<Arc<Journal>>) {
-        *self.journal.lock() = journal;
-    }
-
-    /// The current journal handle, if one is enabled.
-    pub fn journal(&self) -> Option<Arc<Journal>> {
-        self.journal.lock().clone()
     }
 
     /// Start serving per [`HttpMode::from_env`]. A bind failure is

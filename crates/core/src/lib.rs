@@ -84,6 +84,8 @@ pub use outbuf::Combiner;
 pub use record::{FrameBin, Record};
 pub use resident::{CacheSpec, ResidentStats, ResidentStore};
 pub use watchdog::{WatchdogAction, WatchdogConfig, WatchdogEvent};
+/// The type of [`JobResult::row`], shared with the `mapred` baseline.
+pub use hamr_trace::JobRow;
 
 /// Node index within a cluster, shared with the substrates.
 pub type NodeId = usize;

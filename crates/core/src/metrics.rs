@@ -77,47 +77,9 @@ pub struct NodeMetrics {
 }
 
 impl NodeMetrics {
-    /// Fraction of `threads * elapsed` spent busy; the paper's
-    /// "computation resource usage". Returns the raw ratio — it can
-    /// exceed 1.0 when `threads` understates the true parallelism (e.g.
-    /// fire shards briefly oversubscribing the pool), and that excess
-    /// is itself a useful signal. Use [`utilization_clamped`] for
-    /// display.
-    ///
-    /// [`utilization_clamped`]: NodeMetrics::utilization_clamped
-    pub fn utilization(&self, threads: usize) -> f64 {
-        let capacity = self.elapsed.as_secs_f64() * threads as f64;
-        if capacity <= 0.0 {
-            return 0.0;
-        }
-        self.busy.as_secs_f64() / capacity
-    }
-
-    /// [`utilization`](NodeMetrics::utilization) clamped to `[0, 1]`
-    /// for percent-style display.
-    pub fn utilization_clamped(&self, threads: usize) -> f64 {
-        self.utilization(threads).min(1.0)
-    }
-
     /// Total time this node's workers spent parked.
     pub fn park_time(&self) -> Duration {
         self.park_per_worker.iter().sum()
-    }
-
-    /// Coefficient of variation of tasks-per-worker (0 = every worker
-    /// ran the same number of tasks). The scheduler's balance measure,
-    /// per node.
-    pub fn occupancy_imbalance(&self) -> f64 {
-        if self.tasks_per_worker.len() < 2 {
-            return 0.0;
-        }
-        let xs: Vec<f64> = self.tasks_per_worker.iter().map(|&t| t as f64).collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        var.sqrt() / mean
     }
 }
 
@@ -164,18 +126,6 @@ impl JobMetrics {
     /// Sum of worker park time over all nodes.
     pub fn total_park_time(&self) -> Duration {
         self.nodes.iter().map(|n| n.park_time()).sum()
-    }
-
-    /// Mean per-node occupancy imbalance (tasks-per-worker CV).
-    pub fn mean_occupancy_imbalance(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        self.nodes
-            .iter()
-            .map(|n| n.occupancy_imbalance())
-            .sum::<f64>()
-            / self.nodes.len() as f64
     }
 
     /// Per-flowlet summary rows (graph order) for
@@ -287,23 +237,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn utilization_bounds() {
-        let m = NodeMetrics {
-            busy: Duration::from_secs(2),
-            elapsed: Duration::from_secs(1),
-            ..Default::default()
-        };
-        // busy can exceed threads * elapsed; the raw ratio reports it,
-        // the clamped variant caps at 1.0 for display.
-        assert!((m.utilization(1) - 2.0).abs() < 1e-9);
-        assert_eq!(m.utilization_clamped(1), 1.0);
-        assert!((m.utilization(4) - 0.5).abs() < 1e-9);
-        assert!((m.utilization_clamped(4) - 0.5).abs() < 1e-9);
-        let zero = NodeMetrics::default();
-        assert_eq!(zero.utilization(4), 0.0);
-    }
-
-    #[test]
     fn summary_rows_reflect_flowlets() {
         let mut jm = JobMetrics::default();
         let mut fm = FlowletMetrics {
@@ -379,10 +312,6 @@ mod tests {
         assert_eq!(jm.total_steals(), 7);
         assert_eq!(jm.total_stolen_tasks(), 16);
         assert_eq!(jm.total_park_time(), Duration::from_millis(6));
-        // Node 0 is perfectly balanced, node 1 is not.
-        assert!(jm.nodes[0].occupancy_imbalance() < 1e-9);
-        assert!(jm.nodes[1].occupancy_imbalance() > 0.1);
-        assert!(jm.mean_occupancy_imbalance() > 0.0);
     }
 
     #[test]

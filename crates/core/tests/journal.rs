@@ -10,11 +10,13 @@ use hamr_core::{
     typed, Cluster, ClusterConfig, Emitter, Exchange, FaultInjection, JobBuilder, JobGraph,
     RunError, RunOptions, Supervision, WatchdogAction, WatchdogConfig,
 };
+use hamr_mapred::{line_map_fn, reduce_fn as mr_reduce_fn, JobConf, MrCluster, ReduceOutput};
 use hamr_trace::{
-    JobTally, Journal, JournalConfig, JournalRecord, SampleValue, Snapshot, StatsMode, Timeline,
+    Journal, JournalConfig, JournalRecord, SampleValue, Snapshot, StatsMode, Timeline,
     WatchdogClass,
 };
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Options for a supervised run: no caller sinks, so the flight
@@ -131,11 +133,11 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
         .iter()
         .find(|j| j.job == "wc-clean")
         .expect("clean job in timeline");
-    assert_eq!(clean.ok, Some(true));
-    assert_eq!(clean.shuffled_bytes, Some(shuffled), "{clean:?}");
-    let tally = clean.tally.as_ref().expect("a JobEnd with a tally");
-    assert!(tally.task_p99_us.is_some(), "{clean:?}");
-    assert!(tally.stuck.is_empty(), "{clean:?}");
+    assert_eq!(clean.ok(), Some(true));
+    let row = clean.row.as_ref().expect("a JobEnd");
+    assert_eq!(row.shuffled_bytes, shuffled, "{clean:?}");
+    assert!(row.task_p99_us.is_some(), "{clean:?}");
+    assert!(row.stuck.is_empty(), "{clean:?}");
     assert!(clean.incidents.is_empty(), "{clean:?}");
 
     let wedged = timeline
@@ -143,7 +145,7 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
         .iter()
         .find(|j| j.job == "wc-deadlock")
         .expect("wedged job in timeline");
-    assert_eq!(wedged.ok, Some(false));
+    assert_eq!(wedged.ok(), Some(false));
     let parked = wedged
         .incidents
         .iter()
@@ -156,7 +158,7 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
         "backpressure incident journaled with its deferred-bin count: {:?}",
         wedged.incidents
     );
-    let stuck = &wedged.tally.as_ref().expect("a JobEnd with a tally").stuck;
+    let stuck = &wedged.row.as_ref().expect("a JobEnd").stuck;
     assert!(
         stuck.iter().any(|e| e.dst == 1 && e.bins > 0),
         "the JobEnd names the edge stuck toward the ack-dropper: {stuck:?}"
@@ -208,7 +210,7 @@ fn env_var_enables_the_journal_for_a_cluster() {
         timeline
             .jobs
             .iter()
-            .any(|j| j.job == "wc-env" && j.ok == Some(true)),
+            .any(|j| j.job == "wc-env" && j.ok() == Some(true)),
         "{:?}",
         timeline.jobs
     );
@@ -282,15 +284,19 @@ fn resident_sum(name: &str) -> JobGraph {
     job.build().expect("resident sum graph")
 }
 
-/// A counter summed over the HAMR engine's series of a delta.
-fn hamr_counter(delta: &Snapshot, name: &str) -> u64 {
+/// A counter summed over one engine's series of a delta.
+fn counter(delta: &Snapshot, name: &str, engine: &str) -> u64 {
     let series = delta.series.iter();
-    let hamr = series.filter(|s| s.name == name && s.labels.engine.as_deref() == Some("hamr"));
-    hamr.map(|s| match s.value {
+    let ours = series.filter(|s| s.name == name && s.labels.engine.as_deref() == Some(engine));
+    ours.map(|s| match s.value {
         SampleValue::Counter(v) => v,
         _ => 0,
     })
     .sum()
+}
+
+fn hamr_counter(delta: &Snapshot, name: &str) -> u64 {
+    counter(delta, name, "hamr")
 }
 
 /// p99 of the HAMR engine's task-latency histograms of a delta, merged:
@@ -319,19 +325,24 @@ fn hamr_p99(delta: &Snapshot) -> Option<u64> {
     })
 }
 
-/// A row's `cache hit`, `stall ms` and `p99 us` are what a snapshot of
-/// the registry before and after the job's run gives, subtracted — the
-/// way the benchmark harness attributes counters to a job — though the
-/// driver counts them from the run alone.
+/// A row's columns are what a snapshot of the registry before and
+/// after the job's run gives, subtracted — the way the benchmark
+/// harness attributes counters to a job — though each engine counts
+/// them from the run alone: on HAMR shuffled bytes, shuffle records
+/// (the loader feeds the one hash edge), cache hits, stall and p99; on
+/// the `mapred` baseline, which reports into the cluster's plane and
+/// reaches the journal attached after it joined, shuffled bytes.
 #[test]
 fn a_job_end_tally_equals_the_registry_delta_around_its_run() {
-    let dir = journal_dir("tally_equivalence");
+    let dir = journal_dir("row_equivalence");
     let mut config = ClusterConfig::local(3, 2);
     // A one-bin window makes flow control defer the fill job's bins,
     // so its stall column is not zero.
     config.runtime.bin_capacity = 8;
     config.runtime.out_window_bins = 1;
     let cluster = Cluster::new(config);
+    let mr = MrCluster::in_memory(3, 2);
+    mr.set_plane(cluster.registry().clone(), cluster.journal_slot());
     cluster.enable_journal(&dir).expect("enable journal");
     let mut want = Vec::new();
     for name in ["fill", "serve"] {
@@ -340,22 +351,74 @@ fn a_job_end_tally_equals_the_registry_delta_around_its_run() {
             .run_with(resident_sum(name), &RunOptions::default())
             .expect(name);
         let delta = cluster.registry().snapshot().delta(&before);
-        let tally = JobTally {
-            cache_hits: hamr_counter(&delta, "hamr_cache_hits_total"),
-            stall_us: hamr_counter(&delta, "flowlet_stall_us_total"),
-            task_p99_us: hamr_p99(&delta),
-            stuck: Vec::new(),
-        };
-        want.push((name.to_string(), Some(tally)));
+        let loader_out = delta.series.iter().filter(|s| s.labels.flowlet == Some(0));
+        let loader_out = loader_out.filter(|s| s.name == "flowlet_records_out_total");
+        let records = loader_out.map(|s| match s.value {
+            SampleValue::Counter(v) => v,
+            _ => 0,
+        });
+        want.push((
+            name.to_string(),
+            hamr_counter(&delta, "shuffled_bytes_total"),
+            Some(records.sum()),
+            Some(hamr_counter(&delta, "hamr_cache_hits_total")),
+            Some(hamr_counter(&delta, "flowlet_stall_us_total")),
+            hamr_p99(&delta),
+        ));
     }
+    let mut w = mr.dfs().create("words.txt").expect("create input");
+    for i in 0..200 {
+        w.write_line(&format!("alpha beta k{}", i % 11));
+    }
+    w.seal().expect("seal input");
+    let before = cluster.registry().snapshot();
+    let stats = mr.run(&mr_wordcount()).expect("mapred wordcount");
+    let delta = cluster.registry().snapshot().delta(&before);
+
     let timeline = Timeline::load(&dir).expect("load timeline");
-    let got: Vec<_> = timeline
-        .jobs
+    let (hamr, mapred): (Vec<_>, Vec<_>) = timeline.jobs.iter().partition(|s| s.engine == "hamr");
+    let got: Vec<_> = hamr
         .iter()
-        .map(|s| (s.job.clone(), s.tally.clone()))
+        .map(|s| {
+            let r = s.row.as_ref().expect("a JobEnd");
+            let cols = (r.shuffled_bytes, r.shuffle_records, r.cache_hits);
+            (s.job.clone(), cols.0, cols.1, cols.2, r.stall_us, r.task_p99_us)
+        })
         .collect();
     assert_eq!(got, want);
-    let hits = |i: usize| want[i].1.as_ref().map(|t| t.cache_hits);
+    let hits = |i: usize| want[i].3;
     assert_eq!((hits(0), hits(1)), (Some(0), Some(1)), "fill, then serve");
+    let [span] = &mapred[..] else {
+        panic!("one mapred job: {mapred:?}");
+    };
+    let row = span.row.as_ref().expect("a JobEnd");
+    assert_eq!(row, &stats.row(), "journaled as the engine built it");
+    assert_eq!(row.job, "words");
+    assert_eq!(
+        row.shuffled_bytes,
+        counter(&delta, "shuffled_bytes_total", "mapred")
+    );
+    assert!(row.shuffled_bytes > 0);
+    assert_eq!(row.distinct_keys, Some(13), "alpha, beta, k0..k10");
+    assert_eq!((row.cache_hits, row.stall_us, row.task_p99_us), (None, None, None));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `mapred` word count over `words.txt`.
+fn mr_wordcount() -> JobConf {
+    JobConf::new(
+        "words",
+        vec!["words.txt".to_string()],
+        "words-out",
+        Arc::new(line_map_fn(|_off, line, out| {
+            for w in line.split_whitespace() {
+                out.emit_t(&w.to_string(), &1u64);
+            }
+        })),
+        Arc::new(mr_reduce_fn(
+            |k: String, vs: Vec<u64>, out: &mut ReduceOutput| {
+                out.emit_t(&k, &vs.iter().sum::<u64>());
+            },
+        )),
+    )
 }

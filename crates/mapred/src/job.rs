@@ -8,8 +8,8 @@ use hamr_dfs::{Dfs, DfsError, Split};
 use hamr_simdisk::{Disk, DiskError};
 use hamr_simnet::{Envelope, Fabric, NetConfig, NetError, Payload};
 use hamr_trace::{
-    Audit, AuditBin, AuditReport, AuditStage, EventKind, Labels, MetricsRegistry, Observe,
-    TaskKind, Tracer, NO_SPAN, WORKER_RUNTIME,
+    Audit, AuditBin, AuditReport, AuditStage, EventKind, JobRow, JournalRecord, JournalSlot,
+    Labels, MetricsRegistry, Observe, TaskKind, Tracer, NO_SPAN, WORKER_RUNTIME,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -79,6 +79,12 @@ pub enum MrError {
     Disk(DiskError),
     Net(NetError),
     TaskPanic(String),
+    /// A shuffle chunk ended inside the entry at `offset`: reducing it
+    /// would silently drop the rest of the chunk.
+    TruncatedChunk {
+        reducer: usize,
+        offset: u64,
+    },
 }
 
 impl fmt::Display for MrError {
@@ -88,6 +94,9 @@ impl fmt::Display for MrError {
             MrError::Disk(e) => write!(f, "disk: {e}"),
             MrError::Net(e) => write!(f, "net: {e}"),
             MrError::TaskPanic(m) => write!(f, "task panicked: {m}"),
+            MrError::TruncatedChunk { reducer, offset } => {
+                write!(f, "shuffle chunk for reducer {reducer} torn at byte {offset}")
+            }
         }
     }
 }
@@ -143,6 +152,23 @@ pub struct JobStats {
 }
 
 impl JobStats {
+    /// The job's row, the baseline's side of `hamr timeline` and of
+    /// the workloads' per-job lists: records into the shuffle are the
+    /// maps' output, distinct keys the exact reduce groups. It has no
+    /// resident cache, no flow-control stall and no task histogram, so
+    /// those columns are `None`.
+    pub fn row(&self) -> JobRow {
+        JobRow {
+            job: self.name.clone(),
+            ok: true,
+            elapsed_us: self.elapsed.as_micros() as u64,
+            shuffled_bytes: self.shuffled_bytes,
+            shuffle_records: Some(self.map_records_out),
+            distinct_keys: Some(self.groups),
+            ..JobRow::default()
+        }
+    }
+
     /// Fold this job's totals into the unified registry as cumulative
     /// engine-labeled series — the MapReduce counterpart of
     /// `hamr_core::JobMetrics::publish`, sharing metric names where the
@@ -275,11 +301,12 @@ pub struct MrCluster {
     /// trait.
     options: Mutex<MrRunOptions>,
     last_audit: Mutex<Option<AuditReport>>,
-    /// Unified metrics registry (usually the HAMR cluster's, shared by
-    /// the benchmark env so `/metrics` covers both engines): when set,
-    /// runs stream net/disk counters and gauges live under
-    /// `engine="mapred"` and publish job totals at completion.
-    registry: Mutex<Option<MetricsRegistry>>,
+    /// The introspection plane this engine reports into, usually the
+    /// HAMR cluster's, shared by the benchmark env: with it, runs
+    /// stream net/disk counters and gauges live under `engine="mapred"`,
+    /// publish job totals at completion, and journal `JobStart` /
+    /// `JobEnd` whenever the slot holds a journal.
+    plane: Mutex<Option<(MetricsRegistry, JournalSlot)>>,
 }
 
 impl MrCluster {
@@ -295,14 +322,16 @@ impl MrCluster {
             next_job: AtomicU64::new(1),
             options: Mutex::new(MrRunOptions::default()),
             last_audit: Mutex::new(None),
-            registry: Mutex::new(None),
+            plane: Mutex::new(None),
         }
     }
 
-    /// Publish this engine's metrics into `registry` (typically the
-    /// HAMR cluster's, so one `/metrics` endpoint covers both engines).
-    pub fn set_registry(&self, registry: MetricsRegistry) {
-        *self.registry.lock() = Some(registry);
+    /// Report into another engine's introspection plane (typically the
+    /// HAMR cluster's `registry()` and `journal_slot()`): one `/metrics`
+    /// endpoint covers both engines, and one journal lists both
+    /// engines' jobs — a journal attached to the slot later included.
+    pub fn set_plane(&self, registry: MetricsRegistry, journal: JournalSlot) {
+        *self.plane.lock() = Some((registry, journal));
     }
 
     /// Standalone in-memory cluster (tests).
@@ -342,6 +371,11 @@ impl MrCluster {
     /// Run one job to completion under `opts`. The one run path:
     /// [`run`](MrCluster::run) is this with the cluster's stored options.
     pub fn run_with(&self, conf: &JobConf, opts: &MrRunOptions) -> Result<JobStats, MrError> {
+        let plane = self.plane.lock().clone();
+        let (registry, journal) = match plane {
+            Some((registry, slot)) => (Some(registry), slot.get()),
+            None => (None, None),
+        };
         let obs = Observe {
             tracer: opts.tracer.clone(),
             audit: if opts.audit {
@@ -350,12 +384,34 @@ impl MrCluster {
                 Audit::disabled()
             },
             stats: None,
-            registry: self.registry.lock().clone(),
+            registry,
             engine: "mapred",
         };
+        if let Some(j) = &journal {
+            j.append(&JournalRecord::JobStart {
+                job: conf.name.clone(),
+                engine: "mapred".into(),
+                t_us: j.now_us(),
+            });
+        }
+        let start = Instant::now();
         let result = self.run_observed(conf, &obs);
         if opts.audit {
             *self.last_audit.lock() = Some(obs.audit.report());
+        }
+        if let Some(j) = &journal {
+            let row = match &result {
+                Ok(stats) => stats.row(),
+                Err(_) => JobRow {
+                    job: conf.name.clone(),
+                    elapsed_us: start.elapsed().as_micros() as u64,
+                    ..JobRow::default()
+                },
+            };
+            j.append(&JournalRecord::JobEnd {
+                t_us: j.now_us(),
+                row,
+            });
         }
         result
     }

@@ -24,7 +24,6 @@
 //! engine, so head-to-head comparisons are apples-to-apples.
 
 mod api;
-mod chain;
 mod job;
 mod maptask;
 mod reducetask;
@@ -34,9 +33,10 @@ pub use api::{
     line_map_fn, map_fn, reduce_fn, LineMapper, MapOutput, Mapper, ReduceOutput, Reducer,
     TypedMapper, TypedReducer,
 };
-pub use chain::JobChain;
 pub use job::{JobStats, MrCluster, MrConfig, MrError, MrRunOptions, StartupModel};
 
+use bytes::Bytes;
+use hamr_codec::CodecError;
 use std::sync::Arc;
 
 /// How a job interprets its DFS input records.
@@ -111,24 +111,29 @@ pub fn encode_kv(key: &[u8], value: &[u8], buf: &mut Vec<u8>) {
     buf.extend_from_slice(value);
 }
 
-/// Decode one KV record from the front of `input`; `None` at end.
-pub fn decode_kv(input: &mut &[u8]) -> Option<(bytes::Bytes, bytes::Bytes)> {
+/// Decode one KV record from the front of `input`: `Ok(None)` at a
+/// clean end, an error when `input` ends inside the record (a torn
+/// write), with `input` left where the record started.
+pub fn decode_kv(input: &mut &[u8]) -> Result<Option<(Bytes, Bytes)>, CodecError> {
     if input.is_empty() {
-        return None;
+        return Ok(None);
     }
-    let klen = hamr_codec::read_varint(input).ok()? as usize;
-    if input.len() < klen {
-        return None;
+    let mut rest = *input;
+    let key = take_field(&mut rest)?;
+    let value = take_field(&mut rest)?;
+    *input = rest;
+    Ok(Some((Bytes::copy_from_slice(key), Bytes::copy_from_slice(value))))
+}
+
+/// One `varint(len) ++ bytes` field off the front of `input`.
+pub(crate) fn take_field<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
+    let len = hamr_codec::read_varint(input)? as usize;
+    if input.len() < len {
+        return Err(CodecError::Truncated);
     }
-    let key = bytes::Bytes::copy_from_slice(&input[..klen]);
-    *input = &input[klen..];
-    let vlen = hamr_codec::read_varint(input).ok()? as usize;
-    if input.len() < vlen {
-        return None;
-    }
-    let value = bytes::Bytes::copy_from_slice(&input[..vlen]);
-    *input = &input[vlen..];
-    Some((key, value))
+    let (field, rest) = input.split_at(len);
+    *input = rest;
+    Ok(field)
 }
 
 #[cfg(test)]
@@ -142,33 +147,33 @@ mod tests {
         encode_kv(b"", b"", &mut buf);
         encode_kv(b"x", &[0xff, 0x00], &mut buf);
         let mut input = buf.as_slice();
+        let mut next = || decode_kv(&mut input).unwrap();
         assert_eq!(
-            decode_kv(&mut input).unwrap(),
-            (
-                bytes::Bytes::from_static(b"key"),
-                bytes::Bytes::from_static(b"value")
-            )
+            next(),
+            Some((Bytes::from_static(b"key"), Bytes::from_static(b"value")))
         );
+        assert_eq!(next(), Some((Bytes::new(), Bytes::new())));
         assert_eq!(
-            decode_kv(&mut input).unwrap(),
-            (bytes::Bytes::new(), bytes::Bytes::new())
+            next(),
+            Some((Bytes::from_static(b"x"), Bytes::from_static(&[0xff, 0x00])))
         );
-        assert_eq!(
-            decode_kv(&mut input).unwrap(),
-            (
-                bytes::Bytes::from_static(b"x"),
-                bytes::Bytes::from_static(&[0xff, 0x00])
-            )
-        );
-        assert!(decode_kv(&mut input).is_none());
+        assert_eq!(next(), None);
     }
 
+    /// Every cut inside a record is a torn entry, not the end of the
+    /// input: the reader errs and stays put on the record.
     #[test]
-    fn decode_kv_tolerates_truncation() {
+    fn decode_kv_refuses_a_torn_entry() {
         let mut buf = Vec::new();
         encode_kv(b"key", b"value", &mut buf);
-        buf.truncate(buf.len() - 2);
-        let mut input = buf.as_slice();
-        assert!(decode_kv(&mut input).is_none());
+        let whole = buf.len();
+        encode_kv(b"k2", b"v2", &mut buf);
+        for cut in whole + 1..buf.len() {
+            let mut input = &buf[..cut];
+            assert!(decode_kv(&mut input).unwrap().is_some(), "cut {cut}");
+            let before = input;
+            assert_eq!(decode_kv(&mut input), Err(CodecError::Truncated), "cut {cut}");
+            assert_eq!(input, before, "cut {cut}");
+        }
     }
 }

@@ -88,7 +88,11 @@ pub(crate) fn run_map_task(
             }
             InputFormat::KeyValue => {
                 let mut input = payload.as_slice();
-                while let Some((k, v)) = decode_kv(&mut input) {
+                let torn = |input: &[u8]| DiskError::Truncated {
+                    file: format!("{}#{}", split.path, split.block_index),
+                    offset: (payload.len() - input.len()) as u64,
+                };
+                while let Some((k, v)) = decode_kv(&mut input).map_err(|_| torn(input))? {
                     records_in += 1;
                     conf.mapper.map(&k, &v, &mut out);
                 }
@@ -226,7 +230,7 @@ mod tests {
         let blob = disks[node].read_all(&res.outputs[0].file).unwrap();
         let mut input = blob.as_slice();
         let mut pairs = 0;
-        while decode_kv(&mut input).is_some() {
+        while decode_kv(&mut input).unwrap().is_some() {
             pairs += 1;
         }
         assert_eq!(pairs, 1);

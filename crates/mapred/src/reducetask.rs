@@ -2,9 +2,10 @@
 //! group by key, run the reducer, and write `part-r-<n>` to the DFS.
 
 use crate::api::ReduceOutput;
-use crate::{encode_kv, JobConf};
+use crate::job::MrError;
+use crate::{encode_kv, take_field, JobConf};
 use bytes::Bytes;
-use hamr_dfs::{Dfs, DfsError};
+use hamr_dfs::Dfs;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -16,14 +17,16 @@ pub(crate) struct ReduceTaskResult {
     pub output_bytes: u64,
 }
 
-/// Execute reduce task `r` over its fetched chunks on `node`.
+/// Execute reduce task `r` over its fetched chunks on `node`. A chunk
+/// that ends inside an entry fails the task: the rest of it is lost.
 pub(crate) fn run_reduce_task(
     conf: &JobConf,
     r: usize,
     node: usize,
     chunks: Vec<Arc<Vec<u8>>>,
     dfs: &Dfs,
-) -> Result<ReduceTaskResult, DfsError> {
+) -> Result<ReduceTaskResult, MrError> {
+    let torn = |offset| MrError::TruncatedChunk { reducer: r, offset };
     // The map side dropped its reference after sending, so each chunk
     // unwraps into a shared buffer without copying; keys and values are
     // then sliced out of it zero-copy instead of allocated per record.
@@ -38,7 +41,7 @@ pub(crate) fn run_reduce_task(
         .collect();
     let mut heap: BinaryHeap<Reverse<(Bytes, usize, Bytes)>> = BinaryHeap::new();
     for (i, src) in sources.iter_mut().enumerate() {
-        if let Some((k, v)) = src.next() {
+        if let Some((k, v)) = src.next().map_err(torn)? {
             heap.push(Reverse((k, i, v)));
         }
     }
@@ -49,7 +52,7 @@ pub(crate) fn run_reduce_task(
     let mut groups = 0u64;
     let mut output_bytes = 0u64;
     while let Some(Reverse((key, i, v))) = heap.pop() {
-        if let Some((k2, v2)) = sources[i].next() {
+        if let Some((k2, v2)) = sources[i].next().map_err(torn)? {
             heap.push(Reverse((k2, i, v2)));
         }
         let mut values = vec![v];
@@ -59,7 +62,7 @@ pub(crate) fn run_reduce_task(
             }
             let Reverse((_, j, v2)) = heap.pop().expect("peeked");
             values.push(v2);
-            if let Some((k3, v3)) = sources[j].next() {
+            if let Some((k3, v3)) = sources[j].next().map_err(torn)? {
                 heap.push(Reverse((k3, j, v3)));
             }
         }
@@ -97,27 +100,23 @@ impl ChunkIter {
         ChunkIter { chunk, pos: 0 }
     }
 
-    fn next(&mut self) -> Option<(Bytes, Bytes)> {
-        let mut input = &self.chunk[self.pos..];
+    /// The next record: `Ok(None)` at the chunk's end, `Err(offset)`
+    /// when the chunk ends inside the entry starting at `offset`.
+    fn next(&mut self) -> Result<Option<(Bytes, Bytes)>, u64> {
+        let (start, end) = (self.pos, self.chunk.len());
+        let mut input = &self.chunk[start..];
         if input.is_empty() {
-            return None;
+            return Ok(None);
         }
-        let klen = hamr_codec::read_varint(&mut input).ok()? as usize;
-        let key_start = self.chunk.len() - input.len();
-        if input.len() < klen {
-            return None;
-        }
-        input = &input[klen..];
-        let vlen = hamr_codec::read_varint(&mut input).ok()? as usize;
-        let value_start = self.chunk.len() - input.len();
-        if input.len() < vlen {
-            return None;
-        }
-        self.pos = value_start + vlen;
-        Some((
-            self.chunk.slice(key_start..key_start + klen),
-            self.chunk.slice(value_start..value_start + vlen),
-        ))
+        let field = |input: &mut &[u8]| -> Result<std::ops::Range<usize>, u64> {
+            let field = take_field(input).map_err(|_| start as u64)?;
+            let at = end - input.len() - field.len();
+            Ok(at..at + field.len())
+        };
+        let key = field(&mut input)?;
+        let value = field(&mut input)?;
+        self.pos = value.end;
+        Ok(Some((self.chunk.slice(key), self.chunk.slice(value))))
     }
 }
 
@@ -168,7 +167,7 @@ mod tests {
         let raw = dfs.read_all("out/part-r-0").unwrap();
         let mut input = raw.as_slice();
         let mut got = Vec::new();
-        while let Some((k, v)) = decode_kv(&mut input) {
+        while let Some((k, v)) = decode_kv(&mut input).unwrap() {
             got.push((
                 String::from_bytes(&k).unwrap(),
                 u64::from_bytes(&v).unwrap(),
@@ -179,6 +178,36 @@ mod tests {
             got,
             vec![("a".into(), 11), ("b".into(), 2), ("c".into(), 3)]
         );
+    }
+
+    /// A chunk cut inside its last entry fails the task, naming the
+    /// reducer and where the torn entry starts; it does not reduce the
+    /// records before the cut and drop the rest.
+    #[test]
+    fn a_truncated_chunk_fails_the_reduce_task() {
+        let disks: Vec<Disk> = (0..1).map(|_| Disk::new(Default::default())).collect();
+        let dfs = Dfs::new(disks, DfsConfig::default());
+        let conf = JobConf::new(
+            "t",
+            vec![],
+            "out3",
+            Arc::new(line_map_fn(|_, _, _| {})),
+            Arc::new(reduce_fn(
+                |k: String, vs: Vec<u64>, out: &mut ReduceOutput| {
+                    out.emit_t(&k, &vs.iter().sum::<u64>());
+                },
+            )),
+        );
+        let whole = sorted_chunk(&[("a", 1), ("b", 2)]);
+        let last = sorted_chunk(&[("a", 1)]).len() as u64;
+        let cut = whole[..whole.len() - 1].to_vec();
+        let chunks = vec![Arc::new(sorted_chunk(&[("c", 3)])), Arc::new(cut)];
+        match run_reduce_task(&conf, 2, 0, chunks, &dfs) {
+            Err(MrError::TruncatedChunk { reducer, offset }) => {
+                assert_eq!((reducer, offset), (2, last));
+            }
+            other => panic!("a torn chunk must fail the task: {:?}", other.map(|r| r.groups)),
+        }
     }
 
     #[test]

@@ -118,19 +118,24 @@ impl SortBuffer {
             return Ok(outputs);
         }
         // K-way merge of runs + memory, combine across sources, split
-        // into partitions. Read the runs back (charging disk time).
+        // into partitions. Read the runs back (charging disk time); a
+        // run that ends inside an entry fails the task.
         let mut sources: Vec<std::vec::IntoIter<(u32, Bytes, Bytes)>> = Vec::new();
         for run in &self.runs {
             let raw = disk.read_all(run)?;
             let mut input = raw.as_slice();
             let mut entries = Vec::new();
             while !input.is_empty() {
-                let Ok(p) = hamr_codec::read_varint(&mut input) else {
-                    break;
+                let torn = || DiskError::Truncated {
+                    file: run.clone(),
+                    offset: (raw.len() - input.len()) as u64,
                 };
-                let Some((k, v)) = decode_kv(&mut input) else {
-                    break;
+                let mut entry = input;
+                let p = hamr_codec::read_varint(&mut entry).map_err(|_| torn())?;
+                let Ok(Some((k, v))) = decode_kv(&mut entry) else {
+                    return Err(torn());
                 };
+                input = entry;
                 entries.push((p as u32, k, v));
             }
             sources.push(entries.into_iter());
@@ -222,10 +227,35 @@ mod tests {
     fn decode_partition(blob: &[u8]) -> Vec<(Bytes, Bytes)> {
         let mut input = blob;
         let mut out = Vec::new();
-        while let Some(kv) = decode_kv(&mut input) {
+        while let Some(kv) = decode_kv(&mut input).unwrap() {
             out.push(kv);
         }
         out
+    }
+
+    /// A spill run cut inside its last entry fails the merge with the
+    /// run's name and the torn entry's offset, where it used to merge
+    /// the entries before the cut and drop the rest.
+    #[test]
+    fn a_truncated_spill_run_is_an_error_not_an_end() {
+        let disk = Disk::new(DiskConfig::instant());
+        let mut buf = SortBuffer::new(1024, 2);
+        for i in 0..200u64 {
+            buf.push(&disk, "t", Bytes::from(format!("key{i:03}")), b("v"), None)
+                .unwrap();
+        }
+        assert!(buf.spill_count() >= 1);
+        let run = buf.runs[0].clone();
+        let whole = disk.read_all(&run).unwrap();
+        disk.delete(&run);
+        disk.write_all(&run, &whole[..whole.len() - 1]).unwrap();
+        match buf.finalize(&disk, None) {
+            Err(DiskError::Truncated { file, offset }) => {
+                assert_eq!(file, run);
+                assert!(offset < whole.len() as u64 - 1, "offset {offset}");
+            }
+            other => panic!("a torn run must fail the merge: {:?}", other.map(|p| p.len())),
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn run_wordcount(
     for part in cluster.dfs().list("out/") {
         let raw = cluster.dfs().read_all(&part).unwrap();
         let mut input = raw.as_slice();
-        while let Some((k, v)) = decode_kv(&mut input) {
+        while let Some((k, v)) = decode_kv(&mut input).unwrap() {
             got.insert(
                 String::from_bytes(&k).unwrap(),
                 u64::from_bytes(&v).unwrap(),

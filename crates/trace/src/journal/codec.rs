@@ -3,7 +3,7 @@
 //! knows the on-disk layout is in this file; the writer appends the
 //! frames it builds and the reader hands it the payloads it finds.
 
-use super::{JobTally, JournalRecord, StuckEdge};
+use super::{JobRow, JournalRecord, StuckEdge};
 use crate::stats::{EdgeStatsSummary, HopKind, LineageHop, LineageSample, StatsSnapshot, TopKey};
 
 // CRC32 (IEEE) — dependency-free, table generated at compile time.
@@ -259,54 +259,84 @@ fn decode_stats(cur: &mut Cursor) -> Result<StatsSnapshot, String> {
     })
 }
 
-/// A `JobEnd`'s four trailing fields. The five-field layout ends
-/// before them, so a body that ends there decodes to `None`.
-fn encode_tally(buf: &mut Vec<u8>, t: &JobTally) {
-    put_u64(buf, t.cache_hits);
-    put_u64(buf, t.stall_us);
-    match t.task_p99_us {
-        Some(us) => {
+/// The `cache_hits` and `stall_us` slots' `None`: the layout that
+/// introduced them gave them no flag byte.
+const ABSENT: u64 = u64::MAX;
+
+fn put_opt(buf: &mut Vec<u8>, v: Option<u64>) {
+    match v {
+        Some(v) => {
             buf.push(1);
-            put_u64(buf, us);
+            put_u64(buf, v);
         }
         None => buf.push(0),
     }
-    put_u32(buf, t.stuck.len() as u32);
-    for s in &t.stuck {
+}
+
+fn take_opt(cur: &mut Cursor) -> Result<Option<u64>, String> {
+    Ok(match cur.u8()? {
+        0 => None,
+        _ => Some(cur.u64()?),
+    })
+}
+
+/// A `JobEnd` body grew in three layouts, each a prefix of the next:
+/// five fields (job, ok, t_us, elapsed, shuffled bytes); then cache
+/// hits, stall, p99 and the stuck edges; then shuffle records and
+/// distinct keys. A body that ends early leaves the later columns
+/// `None`.
+fn encode_job_end(buf: &mut Vec<u8>, t_us: u64, row: &JobRow) {
+    put_str(buf, &row.job);
+    buf.push(u8::from(row.ok));
+    put_u64(buf, t_us);
+    put_u64(buf, row.elapsed_us);
+    put_u64(buf, row.shuffled_bytes);
+    put_u64(buf, row.cache_hits.unwrap_or(ABSENT));
+    put_u64(buf, row.stall_us.unwrap_or(ABSENT));
+    put_opt(buf, row.task_p99_us);
+    put_u32(buf, row.stuck.len() as u32);
+    for s in &row.stuck {
         put_u32(buf, s.edge);
         put_u32(buf, s.dst);
         put_u64(buf, s.bins);
     }
+    put_opt(buf, row.shuffle_records);
+    put_opt(buf, row.distinct_keys);
 }
 
-fn decode_tally(cur: &mut Cursor) -> Result<Option<JobTally>, String> {
-    if cur.at_end() {
-        return Ok(None);
-    }
-    let cache_hits = cur.u64()?;
-    let stall_us = cur.u64()?;
-    let task_p99_us = match cur.u8()? {
-        0 => None,
-        _ => Some(cur.u64()?),
+fn decode_job_end(cur: &mut Cursor) -> Result<JournalRecord, String> {
+    let job = cur.str()?;
+    let ok = cur.u8()? != 0;
+    let t_us = cur.u64()?;
+    let mut row = JobRow {
+        job,
+        ok,
+        elapsed_us: cur.u64()?,
+        shuffled_bytes: cur.u64()?,
+        ..JobRow::default()
     };
-    let n = cur.u32()? as usize;
-    if n > 65_536 {
-        return Err("stuck-edge count out of range".into());
+    if !cur.at_end() {
+        let present = |v: u64| (v != ABSENT).then_some(v);
+        row.cache_hits = present(cur.u64()?);
+        row.stall_us = present(cur.u64()?);
+        row.task_p99_us = take_opt(cur)?;
+        let n = cur.u32()? as usize;
+        if n > 65_536 {
+            return Err("stuck-edge count out of range".into());
+        }
+        for _ in 0..n {
+            row.stuck.push(StuckEdge {
+                edge: cur.u32()?,
+                dst: cur.u32()?,
+                bins: cur.u64()?,
+            });
+        }
     }
-    let mut stuck = Vec::with_capacity(n);
-    for _ in 0..n {
-        stuck.push(StuckEdge {
-            edge: cur.u32()?,
-            dst: cur.u32()?,
-            bins: cur.u64()?,
-        });
+    if !cur.at_end() {
+        row.shuffle_records = take_opt(cur)?;
+        row.distinct_keys = take_opt(cur)?;
     }
-    Ok(Some(JobTally {
-        cache_hits,
-        stall_us,
-        task_p99_us,
-        stuck,
-    }))
+    Ok(JournalRecord::JobEnd { t_us, row })
 }
 
 impl JournalRecord {
@@ -319,23 +349,9 @@ impl JournalRecord {
                 put_str(&mut buf, engine);
                 put_u64(&mut buf, *t_us);
             }
-            JournalRecord::JobEnd {
-                job,
-                ok,
-                t_us,
-                elapsed_us,
-                shuffled_bytes,
-                tally,
-            } => {
+            JournalRecord::JobEnd { t_us, row } => {
                 buf.push(TAG_JOB_END);
-                put_str(&mut buf, job);
-                buf.push(u8::from(*ok));
-                put_u64(&mut buf, *t_us);
-                put_u64(&mut buf, *elapsed_us);
-                put_u64(&mut buf, *shuffled_bytes);
-                if let Some(t) = tally {
-                    encode_tally(&mut buf, t);
-                }
+                encode_job_end(&mut buf, *t_us, row);
             }
             JournalRecord::Incident {
                 job,
@@ -365,14 +381,7 @@ impl JournalRecord {
                 engine: cur.str()?,
                 t_us: cur.u64()?,
             },
-            TAG_JOB_END => JournalRecord::JobEnd {
-                job: cur.str()?,
-                ok: cur.u8()? != 0,
-                t_us: cur.u64()?,
-                elapsed_us: cur.u64()?,
-                shuffled_bytes: cur.u64()?,
-                tally: decode_tally(&mut cur)?,
-            },
+            TAG_JOB_END => decode_job_end(&mut cur)?,
             TAG_INCIDENT => JournalRecord::Incident {
                 job: cur.str()?,
                 class: cur.str()?,

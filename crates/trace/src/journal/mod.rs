@@ -11,11 +11,12 @@
 //! record kind has a reader there; trace events stay in the flight
 //! record (`doctor_<job>.json`, `/doctor`).
 //!
-//! A job's row is its `JobEnd`: the driver counts the job's cache
-//! hits, stall time, p99 task latency and stuck custody edges from the
-//! run it just collected ([`JobTally`]), so a reader prints them as
-//! written and subtracts nothing. The journal holds no registry
-//! snapshot and no JSON.
+//! A job's row is its `JobEnd`: each engine builds the job's
+//! [`JobRow`] once from the run it just collected — HAMR in
+//! `cluster/run.rs`, `mapred` in `JobStats::row` — and both journal it
+//! whenever their shared [`JournalSlot`] holds a journal, so a reader
+//! prints it as written and subtracts nothing. The journal holds no
+//! registry snapshot and no JSON.
 //!
 //! ## Storage shape
 //!
@@ -57,7 +58,7 @@ mod writer;
 
 pub use reader::{read_journal, read_journal_tree, JournalRead};
 pub use timeline::{JobSpan, Timeline};
-pub use writer::Journal;
+pub use writer::{Journal, JournalSlot};
 
 use crate::stats::StatsSnapshot;
 use std::path::PathBuf;
@@ -120,17 +121,10 @@ pub enum JournalRecord {
         engine: String,
         t_us: u64,
     },
-    /// The matching completion (ok or failed). A `JobStart` with no
-    /// `JobEnd` is a run killed mid-flight.
-    JobEnd {
-        job: String,
-        ok: bool,
-        t_us: u64,
-        elapsed_us: u64,
-        shuffled_bytes: u64,
-        /// `None` in a `JobEnd` written in the older five-field layout.
-        tally: Option<JobTally>,
-    },
+    /// The matching completion (ok or failed): the job's row, stamped
+    /// on the journal's clock. A `JobStart` with no `JobEnd` is a run
+    /// killed mid-flight.
+    JobEnd { t_us: u64, row: JobRow },
     /// A watchdog-classified incident.
     Incident {
         job: String,
@@ -143,17 +137,33 @@ pub enum JournalRecord {
     Stats(StatsSnapshot),
 }
 
-/// What a job's `JobEnd` says of the job beyond its wall time and
-/// shuffle volume, counted by the driver from what the run itself
-/// holds: `hamr timeline`'s `cache hit`, `stall ms`, `p99 us` and
-/// `stuck:` columns.
+/// One job's numbers, built once by the engine that ran it from what
+/// the run itself holds: `JobResult::row` on HAMR, `JobStats::row()` on
+/// `mapred`. The journal's `JobEnd` encodes it, `hamr timeline` prints
+/// it, and the workloads' `BenchOutput::jobs` lists it. A column the
+/// engine has no notion of is `None` and prints `-`, never `0`; so is
+/// every column a `JobEnd` from an older writer did not carry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct JobTally {
+pub struct JobRow {
+    pub job: String,
+    pub ok: bool,
+    pub elapsed_us: u64,
+    /// Bytes the job's shuffle moved: link bytes between nodes on HAMR,
+    /// every map-output partition served on `mapred`.
+    pub shuffled_bytes: u64,
+    /// Records emitted into the job's exchanges, before combining:
+    /// every flowlet with an out-edge other than `Local` on HAMR,
+    /// `map_records_out` on `mapred`.
+    pub shuffle_records: Option<u64>,
+    /// Distinct shuffle keys: the widest sketched edge's estimate on
+    /// HAMR (`None` under `HAMR_STATS=off`), the exact reduce groups on
+    /// `mapred`.
+    pub distinct_keys: Option<u64>,
     /// Plan flowlets served from the resident store.
-    pub cache_hits: u64,
+    pub cache_hits: Option<u64>,
     /// Flow-control stall time, summed over the job's flowlets.
-    pub stall_us: u64,
-    /// p99 over every task the job ran; `None` when none ran.
+    pub stall_us: Option<u64>,
+    /// p99 over every task the job ran.
     pub task_p99_us: Option<u64>,
     /// Custody rows with bins emitted and never consumed, largest gap
     /// first. Empty unless the job ran supervised.

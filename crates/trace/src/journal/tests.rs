@@ -67,31 +67,55 @@ fn sample_records() -> Vec<JournalRecord> {
             }],
         }),
         JournalRecord::JobEnd {
-            job: "wc".into(),
-            ok: false,
             t_us: 40,
-            elapsed_us: 30,
-            shuffled_bytes: 1234,
-            tally: Some(JobTally {
-                cache_hits: 1,
-                stall_us: 2500,
+            row: JobRow {
+                job: "wc".into(),
+                ok: false,
+                elapsed_us: 30,
+                shuffled_bytes: 1234,
+                shuffle_records: Some(99),
+                distinct_keys: Some(42),
+                cache_hits: Some(1),
+                stall_us: Some(2500),
                 task_p99_us: Some(0),
                 stuck: vec![StuckEdge {
                     edge: 1,
                     dst: 3,
                     bins: 4,
                 }],
-            }),
+            },
         },
+        // A `mapred` row: no cache, no flow control, no task histogram.
         JournalRecord::JobEnd {
-            job: "idle".into(),
-            ok: true,
             t_us: 50,
-            elapsed_us: 5,
-            shuffled_bytes: 0,
-            tally: Some(JobTally::default()),
+            row: JobRow {
+                job: "idle".into(),
+                ok: true,
+                elapsed_us: 5,
+                shuffle_records: Some(0),
+                distinct_keys: Some(0),
+                ..JobRow::default()
+            },
         },
     ]
+}
+
+/// The five fields every `JobEnd` layout starts with.
+fn five_field_job_end(job: &str, shuffled_bytes: u64) -> Vec<u8> {
+    let mut buf = vec![TAG_JOB_END];
+    put_str(&mut buf, job);
+    buf.push(1); // ok
+    put_u64(&mut buf, 50); // t_us
+    put_u64(&mut buf, 40); // elapsed_us
+    put_u64(&mut buf, shuffled_bytes);
+    buf
+}
+
+/// The columns of `job`'s row in a one-job timeline.
+fn rendered_row(records: &[JournalRecord], job: &str) -> Vec<String> {
+    let rendered = Timeline::from_records(records).render();
+    let row = rendered.lines().find(|l| l.starts_with(job)).expect("row");
+    row.split_whitespace().map(str::to_string).collect()
 }
 
 #[test]
@@ -103,59 +127,80 @@ fn records_round_trip_through_binary_encoding() {
     }
 }
 
-/// `HAMR_JOURNAL=<dir>` reopens directories an older writer filled,
-/// whose `JobEnd` ends at `shuffled_bytes`. It decodes with no tally,
-/// and its row says so: `-` in the three columns, never a `0`.
-#[test]
-fn a_five_field_job_end_decodes_and_renders_unknown_columns() {
-    let mut old = vec![TAG_JOB_END];
-    put_str(&mut old, "wc");
-    old.push(1); // ok
-    put_u64(&mut old, 50); // t_us
-    put_u64(&mut old, 40); // elapsed_us
-    put_u64(&mut old, 777); // shuffled_bytes
-    let decoded = JournalRecord::decode(&old).expect("decode");
-    assert_eq!(
-        decoded,
-        JournalRecord::JobEnd {
-            job: "wc".into(),
-            ok: true,
-            t_us: 50,
-            elapsed_us: 40,
-            shuffled_bytes: 777,
-            tally: None,
-        }
-    );
-    let start = JournalRecord::JobStart {
-        job: "wc".into(),
+fn start(job: &str) -> JournalRecord {
+    JournalRecord::JobStart {
+        job: job.into(),
         engine: "hamr".into(),
         t_us: 10,
+    }
+}
+
+/// `HAMR_JOURNAL=<dir>` reopens directories an older writer filled,
+/// whose `JobEnd` ends at `shuffled_bytes`. It decodes with every later
+/// column `None`, and its row says so: `-`, never a `0`.
+#[test]
+fn a_five_field_job_end_decodes_and_renders_unknown_columns() {
+    let decoded = JournalRecord::decode(&five_field_job_end("wc", 777)).expect("decode");
+    let row = JobRow {
+        job: "wc".into(),
+        ok: true,
+        elapsed_us: 40,
+        shuffled_bytes: 777,
+        ..JobRow::default()
     };
-    let rendered = Timeline::from_records(&[start, decoded]).render();
-    let row = rendered.lines().find(|l| l.starts_with("wc")).expect("row");
-    let cols: Vec<&str> = row.split_whitespace().collect();
+    assert_eq!(decoded, JournalRecord::JobEnd { t_us: 50, row });
     assert_eq!(
-        cols,
-        ["wc", "0.0", "777", "-", "-", "-", "ok"],
-        "{rendered}"
+        rendered_row(&[start("wc"), decoded], "wc"),
+        ["wc", "hamr", "0.0", "-", "777", "-", "-", "-", "-", "ok"]
     );
 }
 
-/// A tally claiming more stuck edges than any ledger holds is
+/// The layout before shuffle records and distinct keys: the five
+/// fields, then cache hits, stall, p99 and the stuck edges. It decodes
+/// with those four columns and renders `-` for the two it lacks.
+#[test]
+fn a_job_end_without_records_and_keys_renders_the_columns_it_has() {
+    let mut old = five_field_job_end("wc", 777);
+    put_u64(&mut old, 3); // cache hits
+    put_u64(&mut old, 2500); // stall µs
+    old.push(1); // p99 present
+    put_u64(&mut old, 127);
+    put_u32(&mut old, 1); // stuck edges
+    put_u32(&mut old, 1); // edge
+    put_u32(&mut old, 2); // dst
+    put_u64(&mut old, 5); // bins
+    let decoded = JournalRecord::decode(&old).expect("decode");
+    let row = JobRow {
+        job: "wc".into(),
+        ok: true,
+        elapsed_us: 40,
+        shuffled_bytes: 777,
+        cache_hits: Some(3),
+        stall_us: Some(2500),
+        task_p99_us: Some(127),
+        stuck: vec![StuckEdge {
+            edge: 1,
+            dst: 2,
+            bins: 5,
+        }],
+        ..JobRow::default()
+    };
+    assert_eq!(decoded, JournalRecord::JobEnd { t_us: 50, row });
+    assert_eq!(
+        rendered_row(&[start("wc"), decoded], "wc"),
+        ["wc", "hamr", "0.0", "-", "777", "-", "3", "2.5", "127", "ok"]
+    );
+}
+
+/// A row claiming more stuck edges than any ledger holds is
 /// corruption: the record is refused, not allocated.
 #[test]
 fn a_job_end_with_an_absurd_stuck_edge_count_is_refused() {
-    let mut buf = JournalRecord::JobEnd {
-        job: "wc".into(),
-        ok: true,
-        t_us: 1,
-        elapsed_us: 1,
-        shuffled_bytes: 0,
-        tally: Some(JobTally::default()),
-    }
-    .encode();
-    let count = buf.len() - 4;
-    buf[count..].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut buf = five_field_job_end("wc", 0);
+    put_u64(&mut buf, 0); // cache hits
+    put_u64(&mut buf, 0); // stall µs
+    buf.push(0); // no p99
+    put_u32(&mut buf, u32::MAX); // stuck edges
     assert!(JournalRecord::decode(&buf).is_err());
 }
 
@@ -262,19 +307,8 @@ fn retired_tags_3_4_5_and_7_are_skipped_not_fatal() {
     let mut audit = vec![5u8];
     put_str(&mut audit, "wc");
     put_str(&mut audit, "{\"enabled\":false}");
-    let start = JournalRecord::JobStart {
-        job: "wc".into(),
-        engine: "hamr".into(),
-        t_us: 10,
-    };
-    let end = JournalRecord::JobEnd {
-        job: "wc".into(),
-        ok: true,
-        t_us: 50,
-        elapsed_us: 40,
-        shuffled_bytes: 0,
-        tally: None,
-    };
+    let start = start("wc");
+    let end = JournalRecord::decode(&five_field_job_end("wc", 0)).expect("decode");
     let segment = [
         start.encode(),
         event,
@@ -325,15 +359,15 @@ fn each_journal_of_a_tree_is_its_own_baseline() {
             t_us: 0,
         });
         j.append(&JournalRecord::JobEnd {
-            job: job.into(),
-            ok: true,
             t_us: 10,
-            elapsed_us: 10,
-            shuffled_bytes: hits * 100,
-            tally: Some(JobTally {
-                cache_hits: hits,
-                ..JobTally::default()
-            }),
+            row: JobRow {
+                job: job.into(),
+                ok: true,
+                elapsed_us: 10,
+                shuffled_bytes: hits * 100,
+                cache_hits: Some(hits),
+                ..JobRow::default()
+            },
         });
     }
     let t = Timeline::load(&dir).expect("load tree");
@@ -342,8 +376,9 @@ fn each_journal_of_a_tree_is_its_own_baseline() {
         .jobs
         .iter()
         .map(|s| {
-            let hits = s.tally.as_ref().map(|t| t.cache_hits);
-            (s.job.as_str(), hits, s.shuffled_bytes)
+            let row = s.row.as_ref();
+            let hits = row.and_then(|r| r.cache_hits);
+            (s.job.as_str(), hits, row.map(|r| r.shuffled_bytes))
         })
         .collect();
     assert_eq!(

@@ -1,21 +1,22 @@
 //! Offline run reconstruction from a journal directory.
 //!
 //! [`Timeline::load`] walks each journal's records in order and folds
-//! them into per-job spans: when the job started, whether (and how) it
-//! ended, and what its `JobEnd` says of it — bytes shuffled, resident
-//! cache hits, stall time, p99 task latency, stuck custody edges —
-//! plus the watchdog incidents and per-edge statistics it left behind.
-//! A `JobStart` with no matching `JobEnd` is a run killed mid-flight —
+//! them into per-job spans: which engine ran the job (its `JobStart`),
+//! whether (and how) it ended, and its [`JobRow`] as its `JobEnd`
+//! carries it — shuffle records, bytes and keys, resident cache hits,
+//! stall time, p99 task latency, stuck custody edges — plus the
+//! watchdog incidents and per-edge statistics it left behind. A
+//! `JobStart` with no matching `JobEnd` is a run killed mid-flight —
 //! exactly the case the journal exists for.
 //!
 //! Every column is printed as the job's `JobEnd` wrote it; nothing is
-//! subtracted from anything. A `JobEnd` from an older writer carries
-//! no tally, and its row shows `-` in those columns.
+//! subtracted from anything. A column the engine has no notion of, or
+//! that an older writer did not carry, shows `-`.
 //!
 //! `hamr timeline <dir>` renders this; `hamr timeline --diff a b`
-//! compares two reconstructions job by job.
+//! compares two reconstructions job by job, pairing by engine and name.
 
-use super::{read_journal_tree, JobTally, JournalRecord};
+use super::{read_journal_tree, JobRow, JournalRecord};
 use crate::stats::EdgeStatsSummary;
 use std::path::Path;
 
@@ -36,13 +37,9 @@ pub struct JobSpan {
     /// `None` when the journal ends before the job did — the process
     /// was killed mid-job.
     pub end_us: Option<u64>,
-    pub ok: Option<bool>,
-    pub elapsed_us: Option<u64>,
-    /// What the job's own `JobEnd` says it shuffled.
-    pub shuffled_bytes: Option<u64>,
-    /// The rest of what its `JobEnd` says; `None` when the job never
-    /// ended or an older writer wrote the `JobEnd`.
-    pub tally: Option<JobTally>,
+    /// The row the job's `JobEnd` carries, as written; `None` when the
+    /// job never ended.
+    pub row: Option<JobRow>,
     pub incidents: Vec<IncidentNote>,
     /// Per-edge data-plane cardinality lines from the job's
     /// `StatsSnapshot` record, rendered as
@@ -51,10 +48,15 @@ pub struct JobSpan {
 }
 
 impl JobSpan {
-    /// Wall time: explicit elapsed from `JobEnd`, else span width.
+    /// Wall time: the row's elapsed, else span width.
     pub fn wall_us(&self) -> Option<u64> {
-        self.elapsed_us
+        (self.row.as_ref().map(|r| r.elapsed_us))
             .or_else(|| self.end_us.map(|e| e.saturating_sub(self.start_us)))
+    }
+
+    /// The row's verdict; `None` for a job killed mid-flight.
+    pub fn ok(&self) -> Option<bool> {
+        self.row.as_ref().map(|r| r.ok)
     }
 }
 
@@ -114,28 +116,18 @@ impl Timeline {
                     });
                     open = Some(t.jobs.len() - 1);
                 }
-                JournalRecord::JobEnd {
-                    job,
-                    ok,
-                    t_us,
-                    elapsed_us,
-                    shuffled_bytes,
-                    tally,
-                } => {
+                JournalRecord::JobEnd { t_us, row } => {
                     // Close the open span if it matches; otherwise find
                     // the newest unclosed span with this name.
+                    let job = &row.job;
                     let idx = open.filter(|&i| t.jobs[i].job == *job).or_else(|| {
                         t.jobs
                             .iter()
                             .rposition(|s| s.job == *job && s.end_us.is_none())
                     });
                     if let Some(i) = idx {
-                        let span = &mut t.jobs[i];
-                        span.end_us = Some(*t_us);
-                        span.ok = Some(*ok);
-                        span.elapsed_us = Some(*elapsed_us);
-                        span.shuffled_bytes = Some(*shuffled_bytes);
-                        span.tally = tally.clone();
+                        t.jobs[i].end_us = Some(*t_us);
+                        t.jobs[i].row = Some(row.clone());
                     }
                     open = None;
                 }
@@ -201,35 +193,41 @@ impl Timeline {
         }
         out.push('\n');
         out.push_str(&format!(
-            "{:<28} {:>9} {:>12} {:>10} {:>10} {:>9}  status\n",
-            "job", "wall ms", "shuffled B", "cache hit", "stall ms", "p99 us"
+            "{:<28} {:<6} {:>9} {:>11} {:>12} {:>9} {:>9} {:>9} {:>9}  status\n",
+            "job",
+            "engine",
+            "wall ms",
+            "shuffle rec",
+            "shuffled B",
+            "keys",
+            "cache hit",
+            "stall ms",
+            "p99 us"
         ));
         for span in &self.jobs {
-            let wall = span
-                .wall_us()
-                .map(|us| format!("{:.1}", us as f64 / 1000.0))
-                .unwrap_or_else(|| "?".into());
-            let shuffled = span
-                .shuffled_bytes
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "?".into());
-            let unknown = || "-".to_string();
-            let (hits, stall, p99) = match &span.tally {
-                Some(t) => (
-                    t.cache_hits.to_string(),
-                    format!("{:.1}", t.stall_us as f64 / 1000.0),
-                    t.task_p99_us.map_or_else(unknown, |us| us.to_string()),
-                ),
-                None => (unknown(), unknown(), unknown()),
-            };
-            let status = match span.ok {
-                Some(true) => "ok".to_string(),
-                Some(false) => "FAILED".to_string(),
-                None => "KILLED MID-FLIGHT".to_string(),
+            let ms = |us: u64| format!("{:.1}", us as f64 / 1000.0);
+            let wall = span.wall_us().map_or_else(|| "?".into(), ms);
+            let row = span.row.as_ref();
+            let shuffled = row.map_or_else(|| "?".into(), |r| r.shuffled_bytes.to_string());
+            let col = |v: Option<u64>, show: &dyn Fn(u64) -> String| v.map_or_else(|| "-".into(), show);
+            let count = |v: u64| v.to_string();
+            let status = match span.ok() {
+                Some(true) => "ok",
+                Some(false) => "FAILED",
+                None => "KILLED MID-FLIGHT",
             };
             out.push_str(&format!(
-                "{:<28} {:>9} {:>12} {:>10} {:>10} {:>9}  {}\n",
-                span.job, wall, shuffled, hits, stall, p99, status
+                "{:<28} {:<6} {:>9} {:>11} {:>12} {:>9} {:>9} {:>9} {:>9}  {}\n",
+                span.job,
+                span.engine,
+                wall,
+                col(row.and_then(|r| r.shuffle_records), &count),
+                shuffled,
+                col(row.and_then(|r| r.distinct_keys), &count),
+                col(row.and_then(|r| r.cache_hits), &count),
+                col(row.and_then(|r| r.stall_us), &ms),
+                col(row.and_then(|r| r.task_p99_us), &count),
+                status
             ));
             for inc in &span.incidents {
                 out.push_str(&format!(
@@ -237,7 +235,7 @@ impl Timeline {
                     inc.class, inc.epoch, inc.detail
                 ));
             }
-            for e in span.tally.iter().flat_map(|t| &t.stuck) {
+            for e in row.iter().flat_map(|r| &r.stuck) {
                 out.push_str(&format!(
                     "    stuck: edge {} -> node {} ({} bins in flight)\n",
                     e.edge, e.dst, e.bins
@@ -256,8 +254,8 @@ impl Timeline {
         out
     }
 
-    /// Compare two reconstructions job by job (matched by name, first
-    /// occurrence).
+    /// Compare two reconstructions job by job: a job is matched to the
+    /// first one of the other journal with its engine and name.
     pub fn render_diff(a: &Timeline, b: &Timeline) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -266,34 +264,42 @@ impl Timeline {
             b.jobs.len()
         ));
         out.push_str(&format!(
-            "{:<28} {:>10} {:>10} {:>7} {:>13} {:>13}  status a/b\n",
-            "job", "wall a ms", "wall b ms", "ratio", "shuffled a", "shuffled b"
+            "{:<28} {:<6} {:>10} {:>10} {:>7} {:>13} {:>13}  status a/b\n",
+            "job", "engine", "wall a ms", "wall b ms", "ratio", "shuffled a", "shuffled b"
         ));
+        let same = |x: &JobSpan, y: &JobSpan| x.engine == y.engine && x.job == y.job;
+        let shuffled = |s: &JobSpan| s.row.as_ref().map_or(0, |r| r.shuffled_bytes);
         for sa in &a.jobs {
-            let sb = b.jobs.iter().find(|s| s.job == sa.job);
-            match sb {
+            match b.jobs.iter().find(|sb| same(sa, sb)) {
                 Some(sb) => {
                     let wa = sa.wall_us().unwrap_or(0) as f64 / 1000.0;
                     let wb = sb.wall_us().unwrap_or(0) as f64 / 1000.0;
                     let ratio = if wb > 0.0 { wa / wb } else { f64::NAN };
                     out.push_str(&format!(
-                        "{:<28} {:>10.1} {:>10.1} {:>7.2} {:>13} {:>13}  {}/{}\n",
+                        "{:<28} {:<6} {:>10.1} {:>10.1} {:>7.2} {:>13} {:>13}  {}/{}\n",
                         sa.job,
+                        sa.engine,
                         wa,
                         wb,
                         ratio,
-                        sa.shuffled_bytes.unwrap_or(0),
-                        sb.shuffled_bytes.unwrap_or(0),
+                        shuffled(sa),
+                        shuffled(sb),
                         status_ch(sa),
                         status_ch(sb)
                     ));
                 }
-                None => out.push_str(&format!("{:<28} only in first journal\n", sa.job)),
+                None => out.push_str(&format!(
+                    "{:<28} {:<6} only in first journal\n",
+                    sa.job, sa.engine
+                )),
             }
         }
         for sb in &b.jobs {
-            if !a.jobs.iter().any(|s| s.job == sb.job) {
-                out.push_str(&format!("{:<28} only in second journal\n", sb.job));
+            if !a.jobs.iter().any(|sa| same(sa, sb)) {
+                out.push_str(&format!(
+                    "{:<28} {:<6} only in second journal\n",
+                    sb.job, sb.engine
+                ));
             }
         }
         out
@@ -301,7 +307,7 @@ impl Timeline {
 }
 
 fn status_ch(s: &JobSpan) -> &'static str {
-    match s.ok {
+    match s.ok() {
         Some(true) => "ok",
         Some(false) => "FAIL",
         None => "KILLED",
@@ -322,33 +328,45 @@ fn keys_line(e: &EdgeStatsSummary) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{JournalRecord, StuckEdge};
+    use super::super::StuckEdge;
     use super::*;
 
-    fn start(job: &str, t_us: u64) -> JournalRecord {
+    fn start_on(engine: &str, job: &str, t_us: u64) -> JournalRecord {
         JournalRecord::JobStart {
             job: job.into(),
-            engine: "hamr".into(),
+            engine: engine.into(),
             t_us,
         }
     }
 
-    fn end(job: &str, t_us: u64, shuffled_bytes: u64, tally: Option<JobTally>) -> JournalRecord {
+    fn start(job: &str, t_us: u64) -> JournalRecord {
+        start_on("hamr", job, t_us)
+    }
+
+    fn end(job: &str, t_us: u64, shuffled_bytes: u64) -> JournalRecord {
         JournalRecord::JobEnd {
-            job: job.into(),
-            ok: true,
             t_us,
-            elapsed_us: t_us,
-            shuffled_bytes,
-            tally,
+            row: JobRow {
+                job: job.into(),
+                ok: true,
+                elapsed_us: t_us,
+                shuffled_bytes,
+                ..JobRow::default()
+            },
         }
     }
 
     #[test]
     fn reconstructs_completed_and_killed_spans() {
-        let tally = JobTally {
-            cache_hits: 2,
-            stall_us: 1500,
+        let row = JobRow {
+            job: "wc".into(),
+            ok: true,
+            elapsed_us: 5000,
+            shuffled_bytes: 1000,
+            shuffle_records: Some(40),
+            distinct_keys: None,
+            cache_hits: Some(2),
+            stall_us: Some(1500),
             task_p99_us: Some(127),
             stuck: vec![StuckEdge {
                 edge: 1,
@@ -358,7 +376,10 @@ mod tests {
         };
         let records = vec![
             start("wc", 0),
-            end("wc", 5000, 1000, Some(tally.clone())),
+            JournalRecord::JobEnd {
+                t_us: 5000,
+                row: row.clone(),
+            },
             start("pr", 6000),
             JournalRecord::Incident {
                 job: "pr".into(),
@@ -369,17 +390,25 @@ mod tests {
         ];
         let t = Timeline::from_records(&records);
         assert_eq!(t.jobs.len(), 2);
-        assert_eq!(t.jobs[0].ok, Some(true));
-        assert_eq!(t.jobs[0].shuffled_bytes, Some(1000));
-        assert_eq!(t.jobs[0].tally, Some(tally), "printed as written");
-        assert_eq!(t.jobs[1].ok, None, "killed mid-flight");
-        assert_eq!(t.jobs[1].tally, None);
+        assert_eq!(t.jobs[0].ok(), Some(true));
+        assert_eq!(t.jobs[0].row, Some(row), "printed as written");
+        assert_eq!(t.jobs[1].ok(), None, "killed mid-flight");
+        assert_eq!(t.jobs[1].row, None);
         assert_eq!(t.jobs[1].incidents.len(), 1);
         assert_eq!(t.unfinished().len(), 1);
         let rendered = t.render();
-        let row = rendered.lines().find(|l| l.starts_with("wc")).unwrap();
-        let cols: Vec<&str> = row.split_whitespace().collect();
-        assert_eq!(cols, ["wc", "5.0", "1000", "2", "1.5", "127", "ok"]);
+        let cols = |job: &str| -> Vec<String> {
+            let line = rendered.lines().find(|l| l.starts_with(job)).unwrap();
+            line.split_whitespace().map(str::to_string).collect()
+        };
+        assert_eq!(
+            cols("wc"),
+            ["wc", "hamr", "5.0", "40", "1000", "-", "2", "1.5", "127", "ok"]
+        );
+        assert_eq!(
+            cols("pr")[..9],
+            ["pr", "hamr", "?", "-", "?", "-", "-", "-", "-"]
+        );
         assert!(rendered.contains("    stuck: edge 1 -> node 2 (3 bins in flight)"));
         assert!(rendered.contains("KILLED MID-FLIGHT"));
         assert!(rendered.contains("backpressure"));
@@ -387,15 +416,48 @@ mod tests {
 
     #[test]
     fn diff_pairs_jobs_by_name() {
-        let a = Timeline::from_records(&[start("wc", 0), end("wc", 1000, 10, None)]);
+        let a = Timeline::from_records(&[start("wc", 0), end("wc", 1000, 10)]);
         let b = Timeline::from_records(&[
             start("wc", 0),
-            end("wc", 2000, 20, None),
+            end("wc", 2000, 20),
             start("extra", 3000),
         ]);
         let diff = Timeline::render_diff(&a, &b);
         assert!(diff.contains("wc"));
         assert!(diff.contains("0.50"), "wall ratio 1000/2000: {diff}");
         assert!(diff.contains("only in second journal"));
+    }
+
+    /// Both engines name WordCount's job `wordcount`: the diff pairs a
+    /// job with the other journal's job of the same engine, whatever
+    /// order the engines ran in.
+    #[test]
+    fn diff_pairs_jobs_by_engine_and_name() {
+        let a = Timeline::from_records(&[
+            start_on("hamr", "wordcount", 0),
+            end("wordcount", 1000, 10),
+            start_on("mapred", "wordcount", 0),
+            end("wordcount", 8000, 80),
+        ]);
+        let b = Timeline::from_records(&[
+            start_on("mapred", "wordcount", 0),
+            end("wordcount", 4000, 40),
+            start_on("hamr", "wordcount", 0),
+            end("wordcount", 2000, 20),
+        ]);
+        let diff = Timeline::render_diff(&a, &b);
+        let pairs: Vec<Vec<&str>> = diff
+            .lines()
+            .filter(|l| l.starts_with("wordcount"))
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            pairs,
+            [
+                ["wordcount", "hamr", "1.0", "2.0", "0.50", "10", "20", "ok/ok"],
+                ["wordcount", "mapred", "8.0", "4.0", "2.00", "80", "40", "ok/ok"],
+            ],
+            "{diff}"
+        );
     }
 }

@@ -9,7 +9,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub(super) fn segment_name(id: u64) -> String {
@@ -239,6 +239,24 @@ impl Journal {
 impl Drop for Journal {
     fn drop(&mut self) {
         self.flush();
+    }
+}
+
+/// Where an introspection plane keeps its journal. Clones share the
+/// slot, so a journal attached after an engine took a clone still
+/// reaches that engine's next job.
+#[derive(Debug, Clone, Default)]
+pub struct JournalSlot(Arc<Mutex<Option<Arc<Journal>>>>);
+
+impl JournalSlot {
+    /// Install (or replace, or with `None` detach) the journal.
+    pub fn set(&self, journal: Option<Arc<Journal>>) {
+        *lock(&self.0) = journal;
+    }
+
+    /// The journal now in the slot, if any.
+    pub fn get(&self) -> Option<Arc<Journal>> {
+        lock(&self.0).clone()
     }
 }
 

@@ -127,18 +127,10 @@ pub struct StatsSnapshot {
 
 impl StatsSnapshot {
     /// Largest distinct-key estimate across the shuffle edges — "how
-    /// many keys did this job actually move between partitions".
+    /// many keys did this job actually move between partitions"; a
+    /// HAMR `JobRow`'s `distinct_keys`.
     pub fn shuffle_distinct(&self) -> u64 {
         self.edges.iter().map(|e| e.distinct).max().unwrap_or(0)
-    }
-
-    /// Hot-key traffic share on the busiest shuffle edge.
-    pub fn shuffle_hot_share(&self) -> f64 {
-        self.edges
-            .iter()
-            .max_by_key(|e| e.records)
-            .map(|e| e.hot_share)
-            .unwrap_or(0.0)
     }
 
     /// Find a sample whose key bytes match any of the candidate

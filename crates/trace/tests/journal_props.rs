@@ -9,7 +9,7 @@
 //! holds up to one open-segment of slack, and a reopen mid-stream is
 //! invisible in the read-back.
 
-use hamr_trace::{read_journal, JobTally, Journal, JournalConfig, JournalRecord, StuckEdge};
+use hamr_trace::{read_journal, JobRow, Journal, JournalConfig, JournalRecord, StuckEdge};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -43,18 +43,22 @@ fn random_record(i: u64, state: &mut u64) -> JournalRecord {
             engine: "hamr".into(),
             t_us: i,
         },
-        1 => JournalRecord::JobEnd {
-            job: format!("job-{i}"),
-            ok: lcg(state).is_multiple_of(2),
-            t_us: i,
-            elapsed_us: lcg(state) % 1_000_000,
-            shuffled_bytes: lcg(state),
-            // Either layout: the older five fields, or a tally with up
-            // to three stuck edges.
-            tally: (!lcg(state).is_multiple_of(4)).then(|| JobTally {
-                cache_hits: lcg(state) % 8,
-                stall_us: lcg(state) % 1_000_000,
-                task_p99_us: lcg(state).is_multiple_of(2).then(|| lcg(state) % 65_536),
+        1 => {
+            // Any column may be absent, as on the engine that has no
+            // notion of it; up to three stuck edges.
+            let maybe = |state: &mut u64, bound: u64| {
+                lcg(state).is_multiple_of(2).then(|| lcg(state) % bound)
+            };
+            let row = JobRow {
+                job: format!("job-{i}"),
+                ok: lcg(state).is_multiple_of(2),
+                elapsed_us: lcg(state) % 1_000_000,
+                shuffled_bytes: lcg(state),
+                shuffle_records: maybe(state, 1 << 40),
+                distinct_keys: maybe(state, 1 << 30),
+                cache_hits: maybe(state, 8),
+                stall_us: maybe(state, 1_000_000),
+                task_p99_us: maybe(state, 65_536),
                 stuck: (0..lcg(state) % 4)
                     .map(|e| StuckEdge {
                         edge: e as u32,
@@ -62,8 +66,9 @@ fn random_record(i: u64, state: &mut u64) -> JournalRecord {
                         bins: lcg(state) % 100,
                     })
                     .collect(),
-            }),
-        },
+            };
+            JournalRecord::JobEnd { t_us: i, row }
+        }
         _ => JournalRecord::Incident {
             job: format!("job-{i}"),
             class: "Hang".into(),

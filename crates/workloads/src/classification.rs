@@ -10,7 +10,7 @@ use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::movies::movie_lines;
 use crate::kmeans::{assign, load_centroids, parse_vector};
 use crate::wordcount::mr_output_checksum;
-use crate::{pair_checksum, Benchmark};
+use crate::{output_checksum, Benchmark};
 use hamr_codec::Codec;
 use hamr_core::{typed, Emitter, Exchange, JobBuilder};
 use hamr_mapred::{line_map_fn, reduce_fn, JobConf, ReduceOutput};
@@ -107,13 +107,8 @@ impl Benchmark for Classification {
             .hamr
             .run(job.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
-        let recs = result.output(count);
-        Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(recs.iter().map(|r| (&r.key[..], &r.value[..]))),
-            records: recs.len() as u64,
-            ..Default::default()
-        })
+        let (checksum, records) = output_checksum(result.output(count));
+        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
     }
 
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
@@ -138,13 +133,8 @@ impl Benchmark for Classification {
                 },
             )),
         );
-        env.mr.run(&conf).map_err(|e| e.to_string())?;
+        let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum,
-            records,
-            ..Default::default()
-        })
+        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &[stats]))
     }
 }

@@ -1,8 +1,19 @@
-//! The shared benchmark environment: both engines over one substrate.
+//! The shared benchmark environment: both engines over one substrate
+//! and one introspection plane (registry and journal), and what a
+//! benchmark run hands back.
+//!
+//! A run's per-job numbers are its [`BenchOutput::jobs`]: one
+//! [`JobRow`] per job, built by the engine that ran it (HAMR's
+//! `JobResult::row`, `mapred`'s `JobStats::row`) — the same rows the
+//! journal holds. No workload adds per-job numbers up. Five fields wait
+//! for the next `[benchmark]` PR, which reads `jobs` instead:
+//! `shuffle_records`, `combined_records`, `park_seconds`,
+//! `splits_triggered` and `iters`; [`BenchOutput::hamr`] and
+//! [`BenchOutput::mapred`] fill them, once per engine.
 
-use hamr_core::{Cluster, ClusterConfig};
+use hamr_core::{Cluster, ClusterConfig, JobMetrics, JobResult, JobRow};
 use hamr_dfs::Dfs;
-use hamr_mapred::{MrCluster, MrConfig, StartupModel};
+use hamr_mapred::{JobStats, MrCluster, MrConfig, StartupModel};
 use hamr_simdisk::{Disk, DiskConfig};
 use hamr_simnet::NetConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,8 +128,9 @@ impl Env {
         let mr = MrCluster::new(mr_config, disks.clone(), dfs.clone());
         // One introspection plane for the whole environment: the
         // baseline publishes into the HAMR cluster's registry under
-        // engine="mapred", so a single /metrics scrape covers both.
-        mr.set_registry(hamr.registry().clone());
+        // engine="mapred", so a single /metrics scrape covers both, and
+        // journals its jobs into whatever journal the cluster has.
+        mr.set_plane(hamr.registry().clone(), hamr.journal_slot());
         Env {
             params,
             disks,
@@ -140,9 +152,10 @@ impl Env {
         let mut config = env.hamr.config().clone();
         config.runtime = runtime;
         env.hamr = Cluster::with_substrates(config, env.disks.clone(), env.dfs.clone());
-        // The replacement cluster brings a fresh registry; re-point the
-        // baseline at it so both engines stay on one plane.
-        env.mr.set_registry(env.hamr.registry().clone());
+        // The replacement cluster brings a fresh plane; re-point the
+        // baseline at it so both engines stay on one.
+        env.mr
+            .set_plane(env.hamr.registry().clone(), env.hamr.journal_slot());
         env
     }
 
@@ -193,100 +206,81 @@ pub fn scaled(base: usize, scale: f64) -> usize {
     ((base as f64 * scale).round() as usize).max(1)
 }
 
-/// Per-iteration shuffle and cache telemetry for iterative
-/// workloads. Entry `i` covers iteration `i` (iteration 0 is the
-/// setup/build iteration).
+/// One iteration of a chained HAMR workload (iteration 0 is the
+/// setup/build iteration). Read by `benchmark/` only; the next
+/// `[benchmark]` PR replaces it with `BenchOutput::jobs`.
 #[derive(Debug, Clone, Default)]
 pub struct IterStats {
     /// Wall-clock time of this iteration's job(s).
     pub elapsed: Duration,
-    /// Bytes that crossed node boundaries during this iteration.
-    pub shuffled_bytes: u64,
-    /// Records emitted into this iteration's shuffles (pre-combiner;
-    /// 0 on a resident-cache serve, because the loader never runs).
-    pub shuffle_records: u64,
-    /// Resident-cache serves during this iteration.
-    pub cache_hits: u64,
-    /// Shuffle bytes the resident cache absorbed this iteration.
-    pub cache_bytes_saved: u64,
 }
 
-/// One engine's result on one benchmark.
+/// One engine's result on one benchmark: the answer, and the row of
+/// every job the engine ran for it. The rest is derived from those rows
+/// and metrics here, in one constructor per engine, for `benchmark/`.
 #[derive(Debug, Clone, Default)]
 pub struct BenchOutput {
     /// Wall-clock execution time (the paper's Table 2 metric).
     pub elapsed: Duration,
     /// Order-independent checksum of the semantic output, for
-    /// cross-engine equivalence checks. 0 when not applicable.
+    /// cross-engine equivalence checks.
     pub checksum: u64,
     /// Number of semantic output records.
     pub records: u64,
-    /// Records emitted map-side into the shuffle (pre-combiner), so the
-    /// two engines are comparable. 0 when the workload does not report
-    /// it — only the perf-harness benchmarks plumb this through.
+    /// Each job's row, in run order, as its engine built it.
+    pub jobs: Vec<JobRow>,
+    /// Records emitted into the shuffles, summed over `jobs`. Read by
+    /// `benchmark/` only; the next `[benchmark]` PR replaces it with
+    /// `jobs`.
     pub shuffle_records: u64,
-    /// Bytes that crossed node boundaries during the run. 0 when not
-    /// reported.
-    pub shuffled_bytes: u64,
-    /// Successful work-steal operations across all nodes. 0 for the
-    /// MapReduce engine and for HAMR under the deterministic
-    /// scheduler.
-    pub steals: u64,
-    /// Total tasks relocated by steals.
-    pub stolen_tasks: u64,
-    /// Total worker time spent parked waiting for work, in seconds.
-    pub park_seconds: f64,
-    /// Mean per-node occupancy imbalance (CV of tasks-per-worker;
-    /// 0 = every worker ran the same number of tasks).
-    pub occupancy_imbalance: f64,
-    /// Records folded away by HAMR's in-node combiners. 0 for mapred.
+    /// Records HAMR's in-node combiners folded away; 0 on `mapred`.
+    /// Read by `benchmark/` only; the next `[benchmark]` PR replaces it
+    /// with `jobs`.
     pub combined_records: u64,
-    /// Always 0: hot-key splitting is gone. `benchmark/` still reads
-    /// this field for its `core.splits_triggered` row; a `[benchmark]`
-    /// PR drops the field and the catalogue row together.
+    /// Worker time parked waiting for work, in seconds; 0 on `mapred`.
+    /// Read by `benchmark/` only; the next `[benchmark]` PR replaces it
+    /// with `jobs`.
+    pub park_seconds: f64,
+    /// Always 0: hot-key splitting is gone. Read by `benchmark/` only;
+    /// the next `[benchmark]` PR replaces it with `jobs`.
     pub splits_triggered: u64,
-    /// Per-iteration telemetry (empty for single-job workloads and
-    /// for the MapReduce engine).
+    /// A chain's iterations; empty for single-job workloads and on
+    /// `mapred`. Read by `benchmark/` only; the next `[benchmark]` PR
+    /// replaces it with `jobs`.
     pub iters: Vec<IterStats>,
-    /// Estimated distinct shuffle keys from HAMR's data-plane sketches:
-    /// the largest over the job's hash-exchange edges. 0 for mapred,
-    /// when `HAMR_STATS=off`, or when not plumbed by the workload.
-    pub distinct_keys: u64,
-    /// Share of shuffled records carried by the hottest key, from the
-    /// SpaceSaving sketch's guaranteed count. 0.0 for mapred and when
-    /// stats are off.
-    pub hot_key_share: f64,
-    /// Exact distinct shuffle keys (mapred: reduce-group total —
-    /// disjoint reducer key ranges make the sum exact). 0 for HAMR,
-    /// whose figure is a sketch; the sketch-accuracy test
-    /// (`stats_e2e.rs`) anchors on this.
-    pub exact_distinct_keys: u64,
 }
 
 impl BenchOutput {
-    /// Fold a HAMR run's scheduler counters into this output. For
-    /// multi-job benchmarks (PageRank, K-Means) call once per job:
-    /// steal and park totals accumulate, imbalance keeps a running
-    /// mean.
-    pub fn fold_sched_metrics(&mut self, m: &hamr_core::JobMetrics, jobs_so_far: u64) {
-        self.steals += m.total_steals();
-        self.stolen_tasks += m.total_stolen_tasks();
-        self.park_seconds += m.total_park_time().as_secs_f64();
-        self.combined_records += m.total_combined();
-        let n = jobs_so_far as f64;
-        self.occupancy_imbalance =
-            (self.occupancy_imbalance * n + m.mean_occupancy_imbalance()) / (n + 1.0);
-        if let Some(snap) = &m.stats {
-            // Multi-job benchmarks keep the widest shuffle: key spaces
-            // repeat across iterations, so max beats sum.
-            self.distinct_keys = self.distinct_keys.max(snap.shuffle_distinct());
-            self.hot_key_share = self.hot_key_share.max(snap.shuffle_hot_share());
+    /// A HAMR run whose jobs, in run order, returned `jobs`.
+    pub fn hamr(elapsed: Duration, checksum: u64, records: u64, jobs: &[JobResult]) -> Self {
+        let metrics = || jobs.iter().map(|j| &j.metrics);
+        BenchOutput {
+            combined_records: metrics().map(JobMetrics::total_combined).sum(),
+            park_seconds: metrics().map(|m| m.total_park_time().as_secs_f64()).sum(),
+            ..Self::of_rows(elapsed, checksum, records, jobs.iter().map(|j| j.row.clone()))
         }
     }
 
-    /// Fold a MapReduce run's exact key count into this output.
-    pub fn fold_mr_stats(&mut self, s: &hamr_mapred::JobStats) {
-        self.exact_distinct_keys = self.exact_distinct_keys.max(s.groups);
+    /// A `mapred` run whose jobs, in run order, returned `jobs`.
+    pub fn mapred(elapsed: Duration, checksum: u64, records: u64, jobs: &[JobStats]) -> Self {
+        Self::of_rows(elapsed, checksum, records, jobs.iter().map(JobStats::row))
+    }
+
+    fn of_rows(
+        elapsed: Duration,
+        checksum: u64,
+        records: u64,
+        rows: impl Iterator<Item = JobRow>,
+    ) -> Self {
+        let jobs: Vec<JobRow> = rows.collect();
+        BenchOutput {
+            elapsed,
+            checksum,
+            records,
+            shuffle_records: jobs.iter().filter_map(|r| r.shuffle_records).sum(),
+            jobs,
+            ..Default::default()
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::movies::{mean_rating, movie_lines, parse_movie_line};
 use crate::wordcount::mr_output_checksum;
-use crate::{pair_checksum, Benchmark};
+use crate::{output_checksum, Benchmark};
 use hamr_core::{typed, Emitter, Exchange, JobBuilder};
 use hamr_mapred::{line_map_fn, reduce_fn, JobConf, ReduceOutput};
 use std::sync::Arc;
@@ -78,13 +78,8 @@ impl HistogramMovies {
             .hamr
             .run(job.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
-        let recs = result.output(sum);
-        Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(recs.iter().map(|r| (&r.key[..], &r.value[..]))),
-            records: recs.len() as u64,
-            ..Default::default()
-        })
+        let (checksum, records) = output_checksum(result.output(sum));
+        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
     }
 
     pub fn run_mapred_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
@@ -112,14 +107,7 @@ impl HistogramMovies {
         }
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        let mut out = BenchOutput {
-            elapsed: start.elapsed(),
-            checksum,
-            records,
-            ..Default::default()
-        };
-        out.fold_mr_stats(&stats);
-        Ok(out)
+        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &[stats]))
     }
 }
 

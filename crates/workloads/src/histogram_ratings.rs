@@ -9,7 +9,7 @@
 use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::movies::{movie_lines, parse_movie_line};
 use crate::wordcount::mr_output_checksum;
-use crate::{pair_checksum, Benchmark};
+use crate::{output_checksum, Benchmark};
 use hamr_core::{typed, Emitter, Exchange, FlowletId, JobBuilder, JobGraph};
 use hamr_mapred::{line_map_fn, reduce_fn, JobConf, ReduceOutput};
 use std::sync::Arc;
@@ -44,10 +44,10 @@ impl HistogramRatings {
         )
     }
 
-    /// The HAMR job over the seeded input, with the ids of its map and
-    /// summing flowlets. `combiner` adds an explicit local
-    /// partial-reduce stage before the shuffle.
-    pub fn hamr_graph(combiner: bool) -> Result<(JobGraph, FlowletId, FlowletId), String> {
+    /// The HAMR job over the seeded input, with the id of its summing
+    /// flowlet. `combiner` adds an explicit local partial-reduce stage
+    /// before the shuffle.
+    pub fn hamr_graph(combiner: bool) -> Result<(JobGraph, FlowletId), String> {
         let mut job = JobBuilder::new("histogram-ratings");
         let loader = job.add_loader("TextLoader", typed::dfs_line_loader(INPUT));
         let rating_map = job.add_map(
@@ -74,30 +74,15 @@ impl HistogramRatings {
         }
         job.capture_output(sum);
         let graph = job.build().map_err(|e| e.to_string())?;
-        Ok((graph, rating_map, sum))
+        Ok((graph, sum))
     }
 
     pub fn run_hamr_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
         let start = Instant::now();
-        let (graph, rating_map, sum) = Self::hamr_graph(combiner)?;
+        let (graph, sum) = Self::hamr_graph(combiner)?;
         let result = env.hamr.run(graph).map_err(|e| e.to_string())?;
-        let recs = result.output(sum);
-        let shuffle_records = result
-            .metrics
-            .flowlets
-            .get(&rating_map)
-            .map(|f| f.records_out)
-            .unwrap_or(0);
-        let mut out = BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(recs.iter().map(|r| (&r.key[..], &r.value[..]))),
-            records: recs.len() as u64,
-            shuffle_records,
-            shuffled_bytes: result.metrics.shuffled_bytes,
-            ..Default::default()
-        };
-        out.fold_sched_metrics(&result.metrics, 0);
-        Ok(out)
+        let (checksum, records) = output_checksum(result.output(sum));
+        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
     }
 
     /// The Hadoop job over the seeded input, writing under `output`.
@@ -131,16 +116,7 @@ impl HistogramRatings {
         let conf = Self::mapred_conf(&output, combiner);
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        let mut out = BenchOutput {
-            elapsed: start.elapsed(),
-            checksum,
-            records,
-            shuffle_records: stats.map_records_out,
-            shuffled_bytes: stats.shuffled_bytes,
-            ..Default::default()
-        };
-        out.fold_mr_stats(&stats);
-        Ok(out)
+        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &[stats]))
     }
 }
 

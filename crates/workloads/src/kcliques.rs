@@ -19,7 +19,8 @@
 
 use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::rmat::{edge_lines, edges, parse_edge_line, RmatParams};
-use crate::{pair_checksum, Benchmark};
+use crate::wordcount::mr_output_checksum;
+use crate::{output_checksum, Benchmark};
 use bytes::Bytes;
 use hamr_codec::Codec;
 use hamr_core::typed::{self, Values};
@@ -102,7 +103,8 @@ impl Benchmark for KCliques {
         );
         build.connect(loader, parse, Exchange::Local);
         build.connect(parse, graph_builder, Exchange::Hash);
-        env.hamr
+        let built = env
+            .hamr
             .run(build.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
 
@@ -163,13 +165,8 @@ impl Benchmark for KCliques {
             .hamr
             .run(search.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
-        let recs = result.output(prev);
-        Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(recs.iter().map(|r| (&r.key[..], &r.value[..]))),
-            records: recs.len() as u64,
-            ..Default::default()
-        })
+        let (checksum, records) = output_checksum(result.output(prev));
+        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[built, result]))
     }
 
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
@@ -195,7 +192,7 @@ impl Benchmark for KCliques {
                 },
             )),
         );
-        env.mr.run(&adj_job).map_err(|e| e.to_string())?;
+        let mut jobs = vec![env.mr.run(&adj_job).map_err(|e| e.to_string())?];
 
         // Job for size 3: derive 2-cliques locally from adjacency
         // (symmetry: requests to u are exactly {v ∈ adj(u) | v < u})
@@ -223,11 +220,10 @@ impl Benchmark for KCliques {
                 )),
             )
             .with_input_format(InputFormat::KeyValue);
-            env.mr.run(&job).map_err(|e| e.to_string())?;
+            jobs.push(env.mr.run(&job).map_err(|e| e.to_string())?);
         }
 
         // Jobs for sizes 3..=k: validate candidates against adjacency.
-        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for size in 3..=self.k {
             let is_last = size == self.k;
             let out_path = if is_last {
@@ -272,24 +268,13 @@ impl Benchmark for KCliques {
                 )),
             )
             .with_input_format(InputFormat::KeyValue);
-            env.mr.run(&job).map_err(|e| e.to_string())?;
+            jobs.push(env.mr.run(&job).map_err(|e| e.to_string())?);
             if is_last {
-                for part in env.dfs.list(&format!("{out_path}/")) {
-                    let raw = env.dfs.read_all(&part).map_err(|e| e.to_string())?;
-                    let mut input = raw.as_slice();
-                    while let Some((k, v)) = hamr_mapred::decode_kv(&mut input) {
-                        pairs.push((k.to_vec(), v.to_vec()));
-                    }
-                }
-            } else {
-                requests_path = out_path;
+                let (checksum, records) = mr_output_checksum(env, &out_path)?;
+                return Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &jobs));
             }
+            requests_path = out_path;
         }
-        Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))),
-            records: pairs.len() as u64,
-            ..Default::default()
-        })
+        unreachable!("the loop's last size returns")
     }
 }

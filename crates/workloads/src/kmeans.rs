@@ -224,17 +224,19 @@ impl KMeans {
         for (cluster, movie) in result.typed_output::<u64, u64>(update) {
             unique.insert(cluster, movie);
         }
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = unique
-            .iter()
-            .map(|(c, m)| (c.to_bytes().to_vec(), m.to_bytes().to_vec()))
-            .collect();
-        Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))),
-            records: pairs.len() as u64,
-            ..Default::default()
-        })
+        let (checksum, records) = centroid_checksum(&unique);
+        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
     }
+}
+
+/// Checksum and count of the `(cluster, centroid movie)` pairs.
+fn centroid_checksum(centroids: &BTreeMap<u64, u64>) -> (u64, u64) {
+    let pairs: Vec<(Vec<u8>, Vec<u8>)> = centroids
+        .iter()
+        .map(|(c, m)| (c.to_bytes().to_vec(), m.to_bytes().to_vec()))
+        .collect();
+    let checksum = pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())));
+    (checksum, pairs.len() as u64)
 }
 
 impl Benchmark for KMeans {
@@ -339,16 +341,8 @@ impl Benchmark for KMeans {
                 assert_eq!(p, movie, "nodes disagree on centroid for {cluster}");
             }
         }
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = unique
-            .iter()
-            .map(|(c, m)| (c.to_bytes().to_vec(), m.to_bytes().to_vec()))
-            .collect();
-        Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))),
-            records: pairs.len() as u64,
-            ..Default::default()
-        })
+        let (checksum, records) = centroid_checksum(&unique);
+        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
     }
 
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
@@ -381,14 +375,9 @@ impl Benchmark for KMeans {
                 },
             )),
         );
-        env.mr.run(&conf).map_err(|e| e.to_string())?;
+        let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum,
-            records,
-            ..Default::default()
-        })
+        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &[stats]))
     }
 }
 

@@ -163,12 +163,9 @@ impl Benchmark for NaiveBayes {
                 pairs.push((r.key.to_vec(), r.value.to_vec()));
             }
         }
-        Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))),
-            records: pairs.len() as u64,
-            ..Default::default()
-        })
+        let checksum = pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())));
+        let records = pairs.len() as u64;
+        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
     }
 
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
@@ -196,7 +193,7 @@ impl Benchmark for NaiveBayes {
                 },
             )),
         );
-        env.mr.run(&job1).map_err(|e| e.to_string())?;
+        let vector_sums = env.mr.run(&job1).map_err(|e| e.to_string())?;
         // Job 2: per-feature weight sums (reads job 1's parts).
         let job2 = JobConf::new(
             "nb-weightsum",
@@ -215,14 +212,10 @@ impl Benchmark for NaiveBayes {
             )),
         )
         .with_input_format(InputFormat::KeyValue);
-        env.mr.run(&job2).map_err(|e| e.to_string())?;
+        let weight_sums = env.mr.run(&job2).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum,
-            records,
-            ..Default::default()
-        })
+        let jobs = [vector_sums, weight_sums];
+        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &jobs))
     }
 }
 

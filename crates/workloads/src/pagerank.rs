@@ -107,9 +107,8 @@ impl Default for PageRank {
 impl PageRank {
     /// Convergence tail shared by every iteration's final reduce:
     /// `from → ContMap → DiffSum` (the captured output is the total
-    /// rank movement this iteration). Returns the ContMap id — its
-    /// `records_out` crosses the DiffSum shuffle.
-    fn add_convergence_tail(job: &mut JobBuilder, from: usize) -> usize {
+    /// rank movement this iteration).
+    fn add_convergence_tail(job: &mut JobBuilder, from: usize) {
         let cont_map = job.add_map(
             "ContMap",
             typed::map_fn(|k: u64, diff: u64, out: &mut Emitter| out.emit_t(0, &k, &diff)),
@@ -118,12 +117,11 @@ impl PageRank {
         job.connect(from, cont_map, Exchange::Local);
         job.connect_combined(cont_map, diff_sum, Exchange::Hash, typed::sum_combiner());
         job.capture_output(diff_sum);
-        cont_map
     }
 
     /// Iteration 0: build the adjacency partition in memory while
     /// computing the first rank update (Alg. 2 lines 3–5).
-    fn setup_job(&self) -> Result<(JobGraph, Vec<usize>), String> {
+    fn setup_job(&self) -> Result<JobGraph, String> {
         let mut job = JobBuilder::new("pagerank-iter0");
         let loader = job.add_loader("EdgeFileLoader", typed::dfs_line_loader(INPUT));
         let parse = job.add_map(
@@ -164,9 +162,8 @@ impl PageRank {
         // combiner can fold them before the shuffle; the zipfian link
         // graph makes popular pages genuinely hot.
         job.connect_combined(hash_join, merge_red, Exchange::Hash, typed::sum_combiner());
-        let cont_map = Self::add_convergence_tail(&mut job, merge_red);
-        let graph = job.build().map_err(|e| e.to_string())?;
-        Ok((graph, vec![parse, hash_join, cont_map]))
+        Self::add_convergence_tail(&mut job, merge_red);
+        job.build().map_err(|e| e.to_string())
     }
 
     /// Iterations ≥1, job A — **rank-ship**: every node packs its
@@ -175,7 +172,7 @@ impl PageRank {
     /// node-local `pr/c` rank copy. This is the only per-iteration
     /// traffic once the reverse adjacency is resident: O(pages) of
     /// frontier, not O(edges) of contributions.
-    fn rank_ship_job(&self, iter: usize) -> Result<(JobGraph, Vec<usize>), String> {
+    fn rank_ship_job(&self, iter: usize) -> Result<JobGraph, String> {
         let mut job = JobBuilder::new(format!("pagerank-ship{iter}"));
         let ship = job.add_loader(
             "RankShip",
@@ -215,8 +212,7 @@ impl PageRank {
             }),
         );
         job.connect(ship, gather, Exchange::Broadcast);
-        let graph = job.build().map_err(|e| e.to_string())?;
-        Ok((graph, vec![ship]))
+        job.build().map_err(|e| e.to_string())
     }
 
     /// Iterations ≥1, job B — **update**: `RAdjSrc` emits the reverse
@@ -227,7 +223,7 @@ impl PageRank {
     /// frames with no fabric traffic. `PRUpdateRed` joins against the
     /// `pr/c` rank copy — the only per-iteration input — so served
     /// iterations stay bit-identical to recomputed ones.
-    fn update_job(&self, iter: usize, fp: u64) -> Result<(JobGraph, Vec<usize>), String> {
+    fn update_job(&self, iter: usize, fp: u64) -> Result<JobGraph, String> {
         let mut job = JobBuilder::new(format!("pagerank-update{iter}"));
         let radj = job.add_loader(
             "RAdjSrc",
@@ -280,9 +276,8 @@ impl PageRank {
         // post-combine frames anyway, so a combiner here would bake
         // rank values into the pinned partition.
         job.connect(radj, update, Exchange::Hash);
-        let cont_map = Self::add_convergence_tail(&mut job, update);
-        let graph = job.build().map_err(|e| e.to_string())?;
-        Ok((graph, vec![radj, cont_map]))
+        Self::add_convergence_tail(&mut job, update);
+        job.build().map_err(|e| e.to_string())
     }
 }
 
@@ -305,47 +300,26 @@ impl Benchmark for PageRank {
         // Namespaced rerun isolation: drop pr/ KV keys and the pr/
         // cache tags, leave other tenants' state alone.
         env.reset_namespace("pr/");
-        let store = env.hamr.resident();
         let fp = env.hamr.fingerprint(INPUT);
 
-        let mut shuffle_records = 0u64;
-        let mut shuffled_bytes = 0u64;
-        let mut sched = BenchOutput::default();
-        let mut iters: Vec<IterStats> = Vec::with_capacity(self.iterations);
-        let mut jobs_done = 0u64;
-        let mut cache_mark = store.stats();
+        let mut results = Vec::with_capacity(2 * self.iterations);
+        let mut iters = Vec::with_capacity(self.iterations);
         for iter in 0..self.iterations {
             // One chain link per iteration: the setup job alone, then
             // rank-ship + update pairs. Cross-job state flows through
             // the cluster's KV store and resident cache.
-            let (batch, sources): (Vec<JobGraph>, Vec<Vec<usize>>) = if iter == 0 {
-                let (job, srcs) = self.setup_job()?;
-                (vec![job], vec![srcs])
+            let batch = if iter == 0 {
+                vec![self.setup_job()?]
             } else {
-                let (ship, ship_srcs) = self.rank_ship_job(iter)?;
-                let (update, update_srcs) = self.update_job(iter, fp)?;
-                (vec![ship, update], vec![ship_srcs, update_srcs])
+                vec![self.rank_ship_job(iter)?, self.update_job(iter, fp)?]
             };
-            let mut stat = IterStats::default();
-            for (graph, srcs) in batch.into_iter().zip(&sources) {
-                let result = env.hamr.run(graph).map_err(|e| e.to_string())?;
-                stat.elapsed += result.elapsed;
-                stat.shuffled_bytes += result.metrics.shuffled_bytes;
-                for &f in srcs {
-                    if let Some(m) = result.metrics.flowlets.get(&f) {
-                        stat.shuffle_records += m.records_out;
-                    }
-                }
-                sched.fold_sched_metrics(&result.metrics, jobs_done);
-                jobs_done += 1;
+            let began = Instant::now();
+            for graph in batch {
+                results.push(env.hamr.run(graph).map_err(|e| e.to_string())?);
             }
-            let now = store.stats();
-            stat.cache_hits = now.hits - cache_mark.hits;
-            stat.cache_bytes_saved = now.bytes_saved - cache_mark.bytes_saved;
-            cache_mark = now;
-            shuffled_bytes += stat.shuffled_bytes;
-            shuffle_records += stat.shuffle_records;
-            iters.push(stat);
+            iters.push(IterStats {
+                elapsed: began.elapsed(),
+            });
         }
 
         // Final ranks live in the KV store, distributed by page.
@@ -357,21 +331,16 @@ impl Benchmark for PageRank {
                 }
             });
         }
+        let checksum = pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())));
+        let records = pairs.len() as u64;
         Ok(BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))),
-            records: pairs.len() as u64,
-            shuffle_records,
-            shuffled_bytes,
             iters,
-            ..sched
+            ..BenchOutput::hamr(start.elapsed(), checksum, records, &results)
         })
     }
 
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
         let start = Instant::now();
-        let mut shuffle_records = 0u64;
-        let mut shuffled_bytes = 0u64;
         // Job 0: build the adjacency file. Values are tagged
         // (0 = adjacency, 1 = rank) so iteration jobs can join them.
         let adj_path = env.unique_path("pagerank/adj");
@@ -390,12 +359,8 @@ impl Benchmark for PageRank {
                 },
             )),
         );
-        let stats = env.mr.run(&adj_job).map_err(|e| e.to_string())?;
-        shuffle_records += stats.map_records_out;
-        shuffled_bytes += stats.shuffled_bytes;
-        // Sketch results of the most recent job; the final rank-update
-        // shuffle is the one comparable to HAMR's iterated hash edge.
-        let mut last_stats = stats;
+        let mut jobs = Vec::with_capacity(1 + 2 * self.iterations);
+        jobs.push(env.mr.run(&adj_job).map_err(|e| e.to_string())?);
 
         let mut ranks_path: Option<String> = None;
         for iter in 0..self.iterations {
@@ -435,9 +400,7 @@ impl Benchmark for PageRank {
                 )),
             )
             .with_input_format(InputFormat::KeyValue);
-            let stats = env.mr.run(&contrib_job).map_err(|e| e.to_string())?;
-            shuffle_records += stats.map_records_out;
-            shuffled_bytes += stats.shuffled_bytes;
+            jobs.push(env.mr.run(&contrib_job).map_err(|e| e.to_string())?);
 
             // Job B: rank update.
             let new_ranks = env.unique_path(&format!("pagerank/ranks{iter}"));
@@ -454,10 +417,7 @@ impl Benchmark for PageRank {
                 )),
             )
             .with_input_format(InputFormat::KeyValue);
-            let stats = env.mr.run(&update_job).map_err(|e| e.to_string())?;
-            shuffle_records += stats.map_records_out;
-            shuffled_bytes += stats.shuffled_bytes;
-            last_stats = stats;
+            jobs.push(env.mr.run(&update_job).map_err(|e| e.to_string())?);
             ranks_path = Some(new_ranks);
         }
 
@@ -467,21 +427,14 @@ impl Benchmark for PageRank {
         for part in env.dfs.list(&format!("{final_ranks}/")) {
             let raw = env.dfs.read_all(&part).map_err(|e| e.to_string())?;
             let mut input = raw.as_slice();
-            while let Some((k, v)) = decode_kv(&mut input) {
+            while let Some((k, v)) = decode_kv(&mut input).map_err(|e| format!("{part}: {e}"))? {
                 let (_, ranks) = <(u8, Vec<u64>)>::from_bytes(&v).map_err(|e| e.to_string())?;
                 pairs.push((k.to_vec(), ranks[0].to_bytes().to_vec()));
             }
         }
-        let mut out = BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))),
-            records: pairs.len() as u64,
-            shuffle_records,
-            shuffled_bytes,
-            ..Default::default()
-        };
-        out.fold_mr_stats(&last_stats);
-        Ok(out)
+        let checksum = pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())));
+        let records = pairs.len() as u64;
+        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &jobs))
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::text::wordcount_corpus;
-use crate::{pair_checksum, Benchmark};
+use crate::{output_checksum, pair_checksum, Benchmark};
 use bytes::Bytes;
 use hamr_codec::write_varint;
 use hamr_core::{typed, Emitter, Exchange, FlowletId, JobBuilder, JobGraph};
@@ -60,9 +60,9 @@ impl WordCount {
         )
     }
 
-    /// The HAMR job over the seeded input, with the ids of its map and
-    /// counting flowlets.
-    pub fn hamr_graph(partial: bool) -> Result<(JobGraph, FlowletId, FlowletId), String> {
+    /// The HAMR job over the seeded input, with the id of its counting
+    /// flowlet.
+    pub fn hamr_graph(partial: bool) -> Result<(JobGraph, FlowletId), String> {
         let mut job = JobBuilder::new("wordcount");
         let loader = job.add_loader("TextLoader", typed::dfs_line_loader(INPUT));
         let split = job.add_map(
@@ -89,32 +89,17 @@ impl WordCount {
         job.connect_combined(split, count, Exchange::Hash, typed::sum_combiner());
         job.capture_output(count);
         let graph = job.build().map_err(|e| e.to_string())?;
-        Ok((graph, split, count))
+        Ok((graph, count))
     }
 
     /// HAMR run with an explicit choice of full reduce vs partial
     /// reduce (the partial-reduce ablation).
     pub fn run_hamr_with(&self, env: &Env, partial: bool) -> Result<BenchOutput, String> {
         let start = Instant::now();
-        let (graph, split, count) = Self::hamr_graph(partial)?;
+        let (graph, count) = Self::hamr_graph(partial)?;
         let result = env.hamr.run(graph).map_err(|e| e.to_string())?;
-        let recs = result.output(count);
-        let shuffle_records = result
-            .metrics
-            .flowlets
-            .get(&split)
-            .map(|f| f.records_out)
-            .unwrap_or(0);
-        let mut out = BenchOutput {
-            elapsed: start.elapsed(),
-            checksum: pair_checksum(recs.iter().map(|r| (&r.key[..], &r.value[..]))),
-            records: recs.len() as u64,
-            shuffle_records,
-            shuffled_bytes: result.metrics.shuffled_bytes,
-            ..Default::default()
-        };
-        out.fold_sched_metrics(&result.metrics, 0);
-        Ok(out)
+        let (checksum, records) = output_checksum(result.output(count));
+        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
     }
 
     /// The Hadoop job over the seeded input, writing under `output`.
@@ -152,16 +137,7 @@ impl WordCount {
         let conf = Self::mapred_conf(&output, combiner);
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        let mut out = BenchOutput {
-            elapsed: start.elapsed(),
-            checksum,
-            records,
-            shuffle_records: stats.map_records_out,
-            shuffled_bytes: stats.shuffled_bytes,
-            ..Default::default()
-        };
-        out.fold_mr_stats(&stats);
-        Ok(out)
+        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &[stats]))
     }
 }
 
@@ -171,7 +147,7 @@ pub(crate) fn mr_output_checksum(env: &Env, output: &str) -> Result<(u64, u64), 
     for part in env.dfs.list(&format!("{output}/")) {
         let raw = env.dfs.read_all(&part).map_err(|e| e.to_string())?;
         let mut input = raw.as_slice();
-        while let Some((k, v)) = decode_kv(&mut input) {
+        while let Some((k, v)) = decode_kv(&mut input).map_err(|e| format!("{part}: {e}"))? {
             pairs.push((k.to_vec(), v.to_vec()));
         }
     }

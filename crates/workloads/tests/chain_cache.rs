@@ -6,7 +6,8 @@
 use hamr_workloads::kcliques::KCliques;
 use hamr_workloads::kmeans::KMeans;
 use hamr_workloads::pagerank::PageRank;
-use hamr_workloads::{Benchmark, Env};
+use hamr_core::JobRow;
+use hamr_workloads::{BenchOutput, Benchmark, Env};
 
 /// A link-dense PageRank so the invariant reverse adjacency dominates
 /// per-iteration traffic (density is a property of the input, not of
@@ -33,39 +34,52 @@ fn dense_pagerank(resident: bool) -> PageRank {
 /// check below is re-derived from that measurement as 4x. Checksums
 /// must be identical, and the fill iteration (1) pays the full shuffle
 /// in both runs.
+/// One column of a PageRank chain's iteration `i`, summed over its
+/// jobs' rows: the setup job alone, then a rank-ship and an update job
+/// per iteration.
+fn iteration(out: &BenchOutput, i: usize, col: impl Fn(&JobRow) -> Option<u64>) -> u64 {
+    let rows = if i == 0 {
+        &out.jobs[..1]
+    } else {
+        &out.jobs[2 * i - 1..2 * i + 1]
+    };
+    rows.iter().filter_map(col).sum()
+}
+
 #[test]
 fn pagerank_iterations_ge2_collapse_10x() {
     let env = Env::test(4, 2);
     dense_pagerank(true).seed(&env).expect("seed");
+    let mark = env.hamr.resident().stats();
     let on = dense_pagerank(true).run_hamr(&env).expect("cache-on run");
+    let saved = env.hamr.resident().stats().bytes_saved - mark.bytes_saved;
     let off = dense_pagerank(false).run_hamr(&env).expect("cache-off run");
     assert_eq!(
         (on.checksum, on.records),
         (off.checksum, off.records),
         "resident serving changed the answer"
     );
-    assert_eq!(on.iters.len(), 4);
+    assert_eq!((on.iters.len(), on.jobs.len()), (4, 7));
+    let hits = |out, i| iteration(out, i, |r| r.cache_hits);
+    let records = |out, i| iteration(out, i, |r| r.shuffle_records);
+    let bytes = |out, i| iteration(out, i, |r| Some(r.shuffled_bytes));
     // Iteration 1 fills: both runs pay the reverse-adjacency shuffle.
-    assert_eq!(on.iters[1].cache_hits, 0);
-    assert!(on.iters[1].shuffled_bytes * 2 > off.iters[1].shuffled_bytes);
+    assert_eq!(hits(&on, 1), 0);
+    assert!(bytes(&on, 1) * 2 > bytes(&off, 1));
+    assert!(saved > 0, "the served iterations save bytes");
     for i in 2..4 {
-        let served = &on.iters[i];
-        let full = &off.iters[i];
-        assert!(served.cache_hits >= 1, "iteration {i} must serve");
-        assert!(served.cache_bytes_saved > 0, "iteration {i} saves bytes");
+        assert!(hits(&on, i) >= 1, "iteration {i} must serve");
         // The loader never ran, so nothing was emitted into the
         // update shuffle; only the rank frontier's records remain.
+        let (served, full) = (records(&on, i), records(&off, i));
         assert!(
-            served.shuffle_records * 10 <= full.shuffle_records,
-            "iteration {i}: served {} vs full {} shuffle records — less than 10x",
-            served.shuffle_records,
-            full.shuffle_records
+            served * 10 <= full,
+            "iteration {i}: served {served} vs full {full} shuffle records — less than 10x"
         );
+        let (served, full) = (bytes(&on, i), bytes(&off, i));
         assert!(
-            served.shuffled_bytes * 4 <= full.shuffled_bytes,
-            "iteration {i}: served {} vs full {} bytes — less than 4x",
-            served.shuffled_bytes,
-            full.shuffled_bytes
+            served * 4 <= full,
+            "iteration {i}: served {served} vs full {full} bytes — less than 4x"
         );
     }
 }

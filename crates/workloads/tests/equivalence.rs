@@ -5,7 +5,7 @@
 
 use hamr_core::{RunOptions, Supervision, WatchdogConfig};
 use hamr_mapred::MrRunOptions;
-use hamr_workloads::{all_benchmarks, Benchmark, Env, SimParams};
+use hamr_workloads::{all_benchmarks, BenchOutput, Benchmark, Env, SimParams};
 
 /// Every equivalence run doubles as a self-verification run: both
 /// engines execute under the audit ledger (HAMR additionally under the
@@ -235,7 +235,7 @@ fn pagerank_chain_cache_on_off_and_mapred_agree() {
         .expect("audit ran")
         .check()
         .unwrap_or_else(|v| panic!("served chain custody violated: {v:?}"));
-    let hits: u64 = served.iters.iter().map(|i| i.cache_hits).sum();
+    let hits: u64 = served.jobs.iter().filter_map(|j| j.cache_hits).sum();
     assert!(hits >= 2, "iterations >=2 must serve (hits={hits})");
 
     let off = PageRank {
@@ -256,7 +256,8 @@ fn pagerank_chain_cache_on_off_and_mapred_agree() {
     );
     // The ablation really measures something: the cache-off chain
     // pays the reverse-adjacency shuffle every iteration.
-    assert!(served.shuffled_bytes < recomputed.shuffled_bytes);
+    let shuffled = |out: &BenchOutput| out.jobs.iter().map(|j| j.shuffled_bytes).sum::<u64>();
+    assert!(shuffled(&served) < shuffled(&recomputed));
 }
 
 /// M3R-style de-duplicated input loading across *separate* jobs in

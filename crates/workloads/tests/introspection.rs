@@ -49,7 +49,7 @@ fn pagerank_reports_per_iteration_shuffle_deltas() {
     );
     let shuffled: Vec<u64> = spans
         .iter()
-        .map(|s| s.shuffled_bytes.unwrap_or(0))
+        .map(|s| s.row.as_ref().map_or(0, |r| r.shuffled_bytes))
         .collect();
     assert!(shuffled.iter().all(|&b| b > 0), "{names:?}: {shuffled:?}");
     let (filled, served) = (shuffled[2], shuffled[4]);

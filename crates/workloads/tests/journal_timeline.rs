@@ -1,10 +1,11 @@
 //! Workload-level acceptance for the durable flight journal: a real
-//! iterative chain (PageRank) journals every job in its session, and
-//! the offline timeline reconstructs the chain — one span per
-//! iteration job, per-iteration shuffled-bytes deltas, and a usable
-//! `--diff` against a second run's journal.
+//! iterative chain (PageRank) journals every job in its session, on
+//! both engines, and the offline timeline reconstructs the chain — one
+//! span per iteration job, per-iteration shuffled-bytes deltas, one
+//! `mapred` row per baseline job, and a usable `--diff` against a
+//! second run's journal.
 
-use hamr_trace::Timeline;
+use hamr_trace::{JobRow, Timeline};
 use hamr_workloads::pagerank::PageRank;
 use hamr_workloads::{Benchmark, Env};
 use std::path::PathBuf;
@@ -51,10 +52,10 @@ fn pagerank_chain_journals_every_iteration_job() {
             .iter()
             .find(|j| j.job == job)
             .unwrap_or_else(|| panic!("{job} missing from timeline: {:?}", timeline.jobs));
-        assert_eq!(span.ok, Some(true), "{job} did not complete: {span:?}");
+        assert_eq!(span.ok(), Some(true), "{job} did not complete: {span:?}");
         assert!(
-            span.shuffled_bytes.is_some(),
-            "{job} carries no per-iteration shuffled-bytes delta: {span:?}"
+            span.row.as_ref().is_some_and(|r| r.shuffle_records.is_some()),
+            "{job} carries no row of its own: {span:?}"
         );
     }
     // Per-iteration metrics are deltas, not cumulative: the fill
@@ -65,8 +66,8 @@ fn pagerank_chain_journals_every_iteration_job() {
             .jobs
             .iter()
             .find(|j| j.job == name)
-            .and_then(|j| j.shuffled_bytes)
-            .unwrap_or(0)
+            .and_then(|j| j.row.as_ref())
+            .map_or(0, |r| r.shuffled_bytes)
     };
     assert!(
         ship_bytes("pagerank-ship2") < ship_bytes("pagerank-iter0"),
@@ -77,6 +78,41 @@ fn pagerank_chain_journals_every_iteration_job() {
     );
     assert!(timeline.unfinished().is_empty(), "no job was cut short");
     assert!(timeline.render().contains("pagerank-iter0"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both engines on one journaled `Env`: the baseline journals through
+/// the cluster's journal slot, attached after the `Env` was built, so
+/// the timeline lists every job of both engines — each engine's rows
+/// exactly as its `BenchOutput` carries them, in run order.
+#[test]
+fn one_journal_lists_every_job_of_both_engines() {
+    let dir = journal_dir("both_engines");
+    let env = Env::test(3, 2);
+    env.hamr.enable_journal(&dir).expect("enable journal");
+    pagerank(true).seed(&env).expect("seed");
+    let hamr = pagerank(true).run_hamr(&env).expect("hamr chain");
+    let mr = pagerank(true).run_mapred(&env).expect("mapred chain");
+    drop(env);
+
+    let timeline = Timeline::load(&dir).expect("load timeline");
+    let rows = |engine: &str| -> Vec<JobRow> {
+        let spans = timeline.jobs.iter().filter(|s| s.engine == engine);
+        spans.map(|s| s.row.clone().expect("a JobEnd")).collect()
+    };
+    assert_eq!(rows("hamr"), hamr.jobs);
+    assert_eq!(mr.jobs.len(), 7, "adjacency, then contrib + update per iteration");
+    assert_eq!(rows("mapred"), mr.jobs);
+    for row in &mr.jobs {
+        assert!(row.ok && row.shuffled_bytes > 0, "{row:?}");
+        assert_eq!(row.cache_hits, None, "the baseline has no resident cache");
+    }
+    let rendered = timeline.render();
+    let mapred_rows = rendered.lines().filter(|l| {
+        let cols: Vec<&str> = l.split_whitespace().collect();
+        cols.get(1) == Some(&"mapred")
+    });
+    assert_eq!(mapred_rows.count(), 7, "{rendered}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -90,7 +90,7 @@ fn pagerank_chain_cache_agrees_across_schedulers() {
         let on = PageRank::default();
         on.seed(&env).expect("seed");
         let served = on.run_hamr(&env).expect("cache-on run");
-        let hits: u64 = served.iters.iter().map(|i| i.cache_hits).sum();
+        let hits: u64 = served.jobs.iter().filter_map(|j| j.cache_hits).sum();
         assert!(
             hits >= 2,
             "{mode:?}: iterations >=2 must serve the resident partition (hits={hits})"

@@ -16,7 +16,7 @@ use hamr_trace::stats::render_explain;
 use hamr_trace::{read_journal, HopKind, JournalRecord, StatsMode, StatsSnapshot};
 use hamr_workloads::gen::movies::{movie_lines, parse_movie_line};
 use hamr_workloads::histogram_ratings::HistogramRatings;
-use hamr_workloads::{Benchmark, Env, SimParams};
+use hamr_workloads::{BenchOutput, Benchmark, Env, SimParams};
 use std::path::PathBuf;
 
 fn journal_dir(test: &str) -> PathBuf {
@@ -80,7 +80,7 @@ fn skewed_histogram_sketch_names_the_hot_key() {
         max_ratings_per_movie: 2_000,
     };
     bench.seed(&env).expect("seed");
-    let out = bench.run_hamr(&env).expect("hamr run");
+    bench.run_hamr(&env).expect("hamr run");
     drop(env);
 
     let snap = load_snapshot(&dir, "histogram-ratings");
@@ -108,9 +108,9 @@ fn skewed_histogram_sketch_names_the_hot_key() {
     );
     assert_eq!(top.err, 0, "five keys, K=32: no eviction error");
     assert!(
-        out.hot_key_share > 0.2,
+        edge.hot_share > 0.2,
         "the hottest of five keys must carry more than a fifth: {}",
-        out.hot_key_share
+        edge.hot_share
     );
 
     // 1-in-1 sampling: the hot key's lineage must be on file, and
@@ -205,13 +205,18 @@ fn both_engines_agree_on_rating_cardinality() {
         let hamr = bench.run_hamr(&env).expect("hamr run");
         let mr = bench.run_mapred(&env).expect("mapred run");
         drop(env);
-        let exact = mr.exact_distinct_keys;
+        // One job on each engine: compare the two rows' key columns.
+        let keys = |out: &BenchOutput| match &out.jobs[..] {
+            [row] => row.distinct_keys.expect("both engines count keys"),
+            rows => panic!("{}: one job per engine, got {rows:?}", bench.name()),
+        };
+        let exact = keys(&mr);
         assert!(
             exact_range.contains(&exact),
             "{}: mapred counted {exact} reduce groups",
             bench.name()
         );
-        let sketch = hamr.distinct_keys;
+        let sketch = keys(&hamr);
         assert!(
             sketch.abs_diff(exact) * 20 <= exact,
             "{}: sketch {sketch} is more than 5% off exact {exact}",
@@ -237,7 +242,7 @@ fn both_engines_agree_on_rating_cardinality() {
         let top = edge.top.first().expect("empty top-K");
         let floor = (top.count - top.err) as f64 / edge.records as f64;
         assert_eq!(
-            hamr.hot_key_share,
+            edge.hot_share,
             floor,
             "{}: the published share is not the busiest shuffle edge's floor: {edge:?}",
             bench.name()
