@@ -1,52 +1,43 @@
 //! User-facing Mapper/Reducer traits and their typed wrappers.
 
-use bytes::Bytes;
 use hamr_codec::Codec;
 use std::marker::PhantomData;
 
-/// Collects a map task's emissions (into the sort buffer).
+/// Collects a task's emissions: a map's into the sort buffer (which
+/// copies them into its `kvbuffer`), a combiner's into the spill run or
+/// partition being written, a reducer's into the job output file.
 pub struct MapOutput<'a> {
-    sink: &'a mut dyn FnMut(Bytes, Bytes),
+    sink: &'a mut dyn FnMut(&[u8], &[u8]),
+    /// What `emit_t` encodes into: one buffer per task, reused.
+    scratch: Vec<u8>,
 }
+
+/// A reducer's (or combiner's) output: the same collector.
+pub type ReduceOutput<'a> = MapOutput<'a>;
 
 impl<'a> MapOutput<'a> {
-    pub(crate) fn new(sink: &'a mut dyn FnMut(Bytes, Bytes)) -> Self {
-        MapOutput { sink }
+    pub(crate) fn new(sink: &'a mut dyn FnMut(&[u8], &[u8])) -> Self {
+        MapOutput {
+            sink,
+            scratch: Vec::new(),
+        }
     }
 
-    /// Emit one intermediate `(key, value)` pair.
+    /// Emit one `(key, value)` pair.
     #[inline]
-    pub fn emit(&mut self, key: Bytes, value: Bytes) {
+    pub fn emit(&mut self, key: &[u8], value: &[u8]) {
         (self.sink)(key, value);
     }
 
     /// Typed emit.
     #[inline]
     pub fn emit_t<K: Codec, V: Codec>(&mut self, key: &K, value: &V) {
-        self.emit(key.to_bytes(), value.to_bytes());
-    }
-}
-
-/// Collects a reduce task's emissions (into the job output file).
-pub struct ReduceOutput<'a> {
-    sink: &'a mut dyn FnMut(Bytes, Bytes),
-}
-
-impl<'a> ReduceOutput<'a> {
-    pub(crate) fn new(sink: &'a mut dyn FnMut(Bytes, Bytes)) -> Self {
-        ReduceOutput { sink }
-    }
-
-    /// Emit one final `(key, value)` pair.
-    #[inline]
-    pub fn emit(&mut self, key: Bytes, value: Bytes) {
-        (self.sink)(key, value);
-    }
-
-    /// Typed emit.
-    #[inline]
-    pub fn emit_t<K: Codec, V: Codec>(&mut self, key: &K, value: &V) {
-        self.emit(key.to_bytes(), value.to_bytes());
+        self.scratch.clear();
+        key.encode(&mut self.scratch);
+        let split = self.scratch.len();
+        value.encode(&mut self.scratch);
+        let (k, v) = self.scratch.split_at(split);
+        (self.sink)(k, v);
     }
 }
 
@@ -55,9 +46,11 @@ pub trait Mapper: Send + Sync {
     fn map(&self, key: &[u8], value: &[u8], out: &mut MapOutput);
 }
 
-/// A reduce (or combine) function over a key's grouped values.
+/// A reduce (or combine) function over a key's grouped values. The
+/// values are borrowed from the buffers being merged; within one map
+/// task's output they come in emission order.
 pub trait Reducer: Send + Sync {
-    fn reduce(&self, key: &[u8], values: &mut dyn Iterator<Item = Bytes>, out: &mut ReduceOutput);
+    fn reduce(&self, key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut ReduceOutput);
 }
 
 /// Typed mapper: `Fn(K, V, &mut MapOutput)`.
@@ -104,10 +97,10 @@ where
     V: Codec,
     F: Fn(K, Vec<V>, &mut ReduceOutput) + Send + Sync,
 {
-    fn reduce(&self, key: &[u8], values: &mut dyn Iterator<Item = Bytes>, out: &mut ReduceOutput) {
+    fn reduce(&self, key: &[u8], values: &mut dyn Iterator<Item = &[u8]>, out: &mut ReduceOutput) {
         let k = K::from_bytes(key).expect("reducer key type");
         let vs: Vec<V> = values
-            .map(|v| V::from_bytes(&v).expect("reducer value type"))
+            .map(|v| V::from_bytes(v).expect("reducer value type"))
             .collect();
         (self.f)(k, vs, out);
     }
@@ -162,7 +155,7 @@ mod tests {
             out.emit_t(&(k + 1), &format!("{v}!"));
         });
         let mut got = Vec::new();
-        let mut sink = |k: Bytes, v: Bytes| got.push((k, v));
+        let mut sink = |k: &[u8], v: &[u8]| got.push((k.to_vec(), v.to_vec()));
         let mut out = MapOutput::new(&mut sink);
         m.map(&5u64.to_bytes(), &"hey".to_string().to_bytes(), &mut out);
         assert_eq!(got.len(), 1);
@@ -176,10 +169,10 @@ mod tests {
             out.emit_t(&k, &vs.iter().sum::<u64>());
         });
         let mut got = Vec::new();
-        let mut sink = |k: Bytes, v: Bytes| got.push((k, v));
+        let mut sink = |k: &[u8], v: &[u8]| got.push((k.to_vec(), v.to_vec()));
         let mut out = ReduceOutput::new(&mut sink);
-        let values = vec![1u64.to_bytes(), 2u64.to_bytes(), 3u64.to_bytes()];
-        let mut iter = values.into_iter();
+        let values = [1u64.to_bytes(), 2u64.to_bytes(), 3u64.to_bytes()];
+        let mut iter = values.iter().map(|v| &v[..]);
         r.reduce(&"k".to_string().to_bytes(), &mut iter, &mut out);
         assert_eq!(u64::from_bytes(&got[0].1).unwrap(), 6);
     }
@@ -190,7 +183,7 @@ mod tests {
             out.emit_t(&off, &line.len().to_string());
         });
         let mut got = Vec::new();
-        let mut sink = |k: Bytes, v: Bytes| got.push((k, v));
+        let mut sink = |k: &[u8], v: &[u8]| got.push((k.to_vec(), v.to_vec()));
         let mut out = MapOutput::new(&mut sink);
         m.map(&7u64.to_bytes(), b"hello world", &mut out);
         assert_eq!(u64::from_bytes(&got[0].0).unwrap(), 7);

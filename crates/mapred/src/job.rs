@@ -1,6 +1,6 @@
 //! The MapReduce job driver: scheduling, phases, and the shuffle.
 
-use crate::maptask::{run_map_task, MapTaskError};
+use crate::maptask::run_map_task;
 use crate::reducetask::run_reduce_task;
 use crate::JobConf;
 use crossbeam::channel::Receiver;
@@ -116,14 +116,6 @@ impl From<DiskError> for MrError {
 impl From<NetError> for MrError {
     fn from(e: NetError) -> Self {
         MrError::Net(e)
-    }
-}
-impl From<MapTaskError> for MrError {
-    fn from(e: MapTaskError) -> Self {
-        match e {
-            MapTaskError::Dfs(e) => MrError::Dfs(e),
-            MapTaskError::Disk(e) => MrError::Disk(e),
-        }
     }
 }
 
@@ -527,7 +519,7 @@ impl MrCluster {
                         let res = match run {
                             Ok(Ok(res)) => res,
                             Ok(Err(e)) => {
-                                first_error.lock().get_or_insert(e.into());
+                                first_error.lock().get_or_insert(e);
                                 return;
                             }
                             Err(p) => {
@@ -706,7 +698,7 @@ impl MrCluster {
                             s.output_bytes += res.output_bytes;
                         }
                         Ok(Err(e)) => {
-                            first_error.lock().get_or_insert(e.into());
+                            first_error.lock().get_or_insert(e);
                         }
                         Err(p) => {
                             first_error

@@ -4,8 +4,10 @@
 //! that the paper compares HAMR against. It deliberately implements the
 //! cost structure the paper attributes to Hadoop:
 //!
-//! * **Disk-based**: map output goes through an in-memory sort buffer
-//!   that spills *sorted runs* to the node's local disk; spills are
+//! * **Disk-based**: map output goes through an in-memory sort buffer,
+//!   shaped like Hadoop's `MapOutputBuffer`: one byte array (`kvbuffer`)
+//!   holding the records and a metadata array (`kvmeta`) sorted in
+//!   place. It spills *sorted runs* to the node's local disk; spills are
 //!   merged into per-reducer partition files; reducers write final
 //!   output back to the DFS. Chained jobs round-trip through the DFS.
 //! * **Barrier between map and reduce**: reducers *fetch* map output as
@@ -35,8 +37,9 @@ pub use api::{
 };
 pub use job::{JobStats, MrCluster, MrConfig, MrError, MrRunOptions, StartupModel};
 
-use bytes::Bytes;
 use hamr_codec::CodecError;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// How a job interprets its DFS input records.
@@ -111,10 +114,14 @@ pub fn encode_kv(key: &[u8], value: &[u8], buf: &mut Vec<u8>) {
     buf.extend_from_slice(value);
 }
 
+/// A `(key, value)` record borrowed from the buffer it was read from.
+pub(crate) type Kv<'a, K = &'a [u8]> = (K, &'a [u8]);
+
 /// Decode one KV record from the front of `input`: `Ok(None)` at a
 /// clean end, an error when `input` ends inside the record (a torn
-/// write), with `input` left where the record started.
-pub fn decode_kv(input: &mut &[u8]) -> Result<Option<(Bytes, Bytes)>, CodecError> {
+/// write), with `input` left where the record started. The key and
+/// value are borrowed from `input`.
+pub fn decode_kv<'a>(input: &mut &'a [u8]) -> Result<Option<Kv<'a>>, CodecError> {
     if input.is_empty() {
         return Ok(None);
     }
@@ -122,11 +129,11 @@ pub fn decode_kv(input: &mut &[u8]) -> Result<Option<(Bytes, Bytes)>, CodecError
     let key = take_field(&mut rest)?;
     let value = take_field(&mut rest)?;
     *input = rest;
-    Ok(Some((Bytes::copy_from_slice(key), Bytes::copy_from_slice(value))))
+    Ok(Some((key, value)))
 }
 
 /// One `varint(len) ++ bytes` field off the front of `input`.
-pub(crate) fn take_field<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
+fn take_field<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
     let len = hamr_codec::read_varint(input)? as usize;
     if input.len() < len {
         return Err(CodecError::Truncated);
@@ -134,6 +141,47 @@ pub(crate) fn take_field<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CodecErro
     let (field, rest) = input.split_at(len);
     *input = rest;
     Ok(field)
+}
+
+/// K-way merge of key-sorted sources, the map side's spill merge and
+/// the reduce side's: `next` reads one record off the front of a
+/// source, and `group` gets each key with its values, borrowed, source
+/// by source and in each source's order. A source that ends inside a
+/// record fails the merge with its index and the record's offset.
+pub(crate) fn merge<'a, K: Ord + Copy>(
+    sources: &[&'a [u8]],
+    next: impl Fn(&mut &'a [u8]) -> Result<Option<Kv<'a, K>>, CodecError>,
+    mut group: impl FnMut(K, &[&'a [u8]]),
+) -> Result<(), (usize, u64)> {
+    let mut rests = sources.to_vec();
+    let mut pull = |i: usize, heap: &mut BinaryHeap<_>| {
+        let rest = &mut rests[i];
+        let record = next(rest).map_err(|_| (i, (sources[i].len() - rest.len()) as u64))?;
+        if let Some((k, v)) = record {
+            heap.push(Reverse((k, i, v)));
+        }
+        Ok(())
+    };
+    let mut heap = BinaryHeap::new();
+    for i in 0..sources.len() {
+        pull(i, &mut heap)?;
+    }
+    let mut values = Vec::new();
+    while let Some(Reverse((key, i, v))) = heap.pop() {
+        pull(i, &mut heap)?;
+        values.clear();
+        values.push(v);
+        while let Some(Reverse((k2, _, _))) = heap.peek() {
+            if *k2 != key {
+                break;
+            }
+            let Reverse((_, j, v2)) = heap.pop().expect("peeked");
+            values.push(v2);
+            pull(j, &mut heap)?;
+        }
+        group(key, &values);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -148,15 +196,9 @@ mod tests {
         encode_kv(b"x", &[0xff, 0x00], &mut buf);
         let mut input = buf.as_slice();
         let mut next = || decode_kv(&mut input).unwrap();
-        assert_eq!(
-            next(),
-            Some((Bytes::from_static(b"key"), Bytes::from_static(b"value")))
-        );
-        assert_eq!(next(), Some((Bytes::new(), Bytes::new())));
-        assert_eq!(
-            next(),
-            Some((Bytes::from_static(b"x"), Bytes::from_static(&[0xff, 0x00])))
-        );
+        assert_eq!(next(), Some((&b"key"[..], &b"value"[..])));
+        assert_eq!(next(), Some((&b""[..], &b""[..])));
+        assert_eq!(next(), Some((&b"x"[..], &[0xff, 0x00][..])));
         assert_eq!(next(), None);
     }
 

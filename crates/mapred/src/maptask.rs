@@ -2,11 +2,11 @@
 //! and leave per-reducer partition files on the node's local disk.
 
 use crate::api::MapOutput;
+use crate::job::MrError;
 use crate::sortbuf::SortBuffer;
 use crate::{decode_kv, InputFormat, JobConf};
-use bytes::Bytes;
 use hamr_codec::Codec;
-use hamr_dfs::{Dfs, DfsError, Split};
+use hamr_dfs::{Dfs, Split};
 use hamr_simdisk::{Disk, DiskError};
 
 /// Where a finished map task left its output for one reducer.
@@ -25,23 +25,6 @@ pub(crate) struct MapTaskResult {
     pub records_out: u64,
 }
 
-#[derive(Debug)]
-pub(crate) enum MapTaskError {
-    Dfs(DfsError),
-    Disk(DiskError),
-}
-
-impl From<DfsError> for MapTaskError {
-    fn from(e: DfsError) -> Self {
-        MapTaskError::Dfs(e)
-    }
-}
-impl From<DiskError> for MapTaskError {
-    fn from(e: DiskError) -> Self {
-        MapTaskError::Disk(e)
-    }
-}
-
 /// Execute map task `task_id` over `split` on `node`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_map_task(
@@ -54,7 +37,7 @@ pub(crate) fn run_map_task(
     disk: &Disk,
     reducers: usize,
     sort_buffer_bytes: usize,
-) -> Result<MapTaskResult, MapTaskError> {
+) -> Result<MapTaskResult, MrError> {
     let payload = dfs.read_block(&split.path, split.block_index, Some(node))?;
     let mut buffer = SortBuffer::new(sort_buffer_bytes, reducers);
     let mut records_in = 0u64;
@@ -63,9 +46,9 @@ pub(crate) fn run_map_task(
     let tag = format!("j{job_id}.m{task_id}");
     // The sink pushes straight into the sort buffer (spilling inline,
     // as Hadoop's collector does).
-    let mut push_err: Option<MapTaskError> = None;
+    let mut push_err: Option<MrError> = None;
     {
-        let mut sink = |k: Bytes, v: Bytes| {
+        let mut sink = |k: &[u8], v: &[u8]| {
             records_out += 1;
             if push_err.is_none() {
                 if let Err(e) = buffer.push(disk, &tag, k, v, combiner) {
@@ -76,12 +59,14 @@ pub(crate) fn run_map_task(
         let mut out = MapOutput::new(&mut sink);
         match conf.input_format {
             InputFormat::TextLines => {
-                let mut offset = 0u64;
+                let (mut offset, mut key) = (0u64, Vec::new());
                 for line in payload.split(|&b| b == b'\n') {
                     let advance = line.len() as u64 + 1;
                     if !line.is_empty() {
                         records_in += 1;
-                        conf.mapper.map(&offset.to_bytes(), line, &mut out);
+                        key.clear();
+                        offset.encode(&mut key);
+                        conf.mapper.map(&key, line, &mut out);
                     }
                     offset += advance;
                 }
@@ -94,7 +79,7 @@ pub(crate) fn run_map_task(
                 };
                 while let Some((k, v)) = decode_kv(&mut input).map_err(|_| torn(input))? {
                     records_in += 1;
-                    conf.mapper.map(&k, &v, &mut out);
+                    conf.mapper.map(k, v, &mut out);
                 }
             }
         }
@@ -208,12 +193,8 @@ mod tests {
         w.seal().unwrap();
         let splits = dfs.splits("in2.txt").unwrap();
         let node = splits[0].locations[0];
-        let combiner = Arc::new(reduce_fn(
-            |k: String, vs: Vec<u64>, out: &mut ReduceOutput| {
-                out.emit_t(&k, &vs.iter().sum::<u64>());
-            },
-        ));
-        let conf = wordcount_conf("in2.txt").with_combiner(combiner);
+        let conf = wordcount_conf("in2.txt");
+        let conf = conf.clone().with_combiner(conf.reducer);
         let res = run_map_task(
             &conf,
             1,

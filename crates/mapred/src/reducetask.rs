@@ -3,11 +3,8 @@
 
 use crate::api::ReduceOutput;
 use crate::job::MrError;
-use crate::{encode_kv, take_field, JobConf};
-use bytes::Bytes;
+use crate::{decode_kv, encode_kv, merge, JobConf};
 use hamr_dfs::Dfs;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 pub(crate) struct ReduceTaskResult {
@@ -26,59 +23,29 @@ pub(crate) fn run_reduce_task(
     chunks: Vec<Arc<Vec<u8>>>,
     dfs: &Dfs,
 ) -> Result<ReduceTaskResult, MrError> {
-    let torn = |offset| MrError::TruncatedChunk { reducer: r, offset };
-    // The map side dropped its reference after sending, so each chunk
-    // unwraps into a shared buffer without copying; keys and values are
-    // then sliced out of it zero-copy instead of allocated per record.
-    let mut sources: Vec<ChunkIter> = chunks
-        .into_iter()
-        .map(|c| {
-            let data = Arc::try_unwrap(c)
-                .map(Bytes::from)
-                .unwrap_or_else(|shared| Bytes::copy_from_slice(&shared));
-            ChunkIter::new(data)
-        })
-        .collect();
-    let mut heap: BinaryHeap<Reverse<(Bytes, usize, Bytes)>> = BinaryHeap::new();
-    for (i, src) in sources.iter_mut().enumerate() {
-        if let Some((k, v)) = src.next().map_err(torn)? {
-            heap.push(Reverse((k, i, v)));
-        }
-    }
     let path = format!("{}/part-r-{r}", conf.output);
     let mut writer = dfs.create_from(&path, Some(node))?;
-    let mut records_in = 0u64;
-    let mut records_out = 0u64;
-    let mut groups = 0u64;
-    let mut output_bytes = 0u64;
-    while let Some(Reverse((key, i, v))) = heap.pop() {
-        if let Some((k2, v2)) = sources[i].next().map_err(torn)? {
-            heap.push(Reverse((k2, i, v2)));
-        }
-        let mut values = vec![v];
-        while let Some(Reverse((k2, _, _))) = heap.peek() {
-            if *k2 != key {
-                break;
-            }
-            let Reverse((_, j, v2)) = heap.pop().expect("peeked");
-            values.push(v2);
-            if let Some((k3, v3)) = sources[j].next().map_err(torn)? {
-                heap.push(Reverse((k3, j, v3)));
-            }
-        }
+    let (mut records_in, mut records_out, mut groups, mut output_bytes) = (0u64, 0u64, 0u64, 0u64);
+    // One output record buffer serves the whole task; keys and values
+    // are borrowed from the chunks.
+    let mut rec = Vec::new();
+    let mut sink = |k: &[u8], v: &[u8]| {
+        records_out += 1;
+        rec.clear();
+        encode_kv(k, v, &mut rec);
+        output_bytes += rec.len() as u64;
+        writer.write_record(&rec);
+    };
+    let mut out = ReduceOutput::new(&mut sink);
+    let sources: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
+    merge(&sources, decode_kv, |key, values| {
         records_in += values.len() as u64;
         groups += 1;
-        let mut sink = |k: Bytes, v: Bytes| {
-            records_out += 1;
-            let mut rec = Vec::with_capacity(k.len() + v.len() + 8);
-            encode_kv(&k, &v, &mut rec);
-            output_bytes += rec.len() as u64;
-            writer.write_record(&rec);
-        };
-        let mut out = ReduceOutput::new(&mut sink);
-        let mut iter = values.into_iter();
-        conf.reducer.reduce(&key, &mut iter, &mut out);
-    }
+        conf.reducer
+            .reduce(key, &mut values.iter().copied(), &mut out);
+    })
+    .map_err(|(_, offset)| MrError::TruncatedChunk { reducer: r, offset })?;
+    drop(out);
     writer.seal()?;
     Ok(ReduceTaskResult {
         records_in,
@@ -88,43 +55,10 @@ pub(crate) fn run_reduce_task(
     })
 }
 
-/// Iterator over one chunk's KV records, slicing each key and value
-/// zero-copy out of the chunk's shared buffer.
-struct ChunkIter {
-    chunk: Bytes,
-    pos: usize,
-}
-
-impl ChunkIter {
-    fn new(chunk: Bytes) -> Self {
-        ChunkIter { chunk, pos: 0 }
-    }
-
-    /// The next record: `Ok(None)` at the chunk's end, `Err(offset)`
-    /// when the chunk ends inside the entry starting at `offset`.
-    fn next(&mut self) -> Result<Option<(Bytes, Bytes)>, u64> {
-        let (start, end) = (self.pos, self.chunk.len());
-        let mut input = &self.chunk[start..];
-        if input.is_empty() {
-            return Ok(None);
-        }
-        let field = |input: &mut &[u8]| -> Result<std::ops::Range<usize>, u64> {
-            let field = take_field(input).map_err(|_| start as u64)?;
-            let at = end - input.len() - field.len();
-            Ok(at..at + field.len())
-        };
-        let key = field(&mut input)?;
-        let value = field(&mut input)?;
-        self.pos = value.end;
-        Ok(Some((self.chunk.slice(key), self.chunk.slice(value))))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{line_map_fn, reduce_fn};
-    use crate::decode_kv;
     use hamr_codec::Codec;
     use hamr_dfs::DfsConfig;
     use hamr_simdisk::Disk;
@@ -140,21 +74,25 @@ mod tests {
         buf
     }
 
-    #[test]
-    fn reduce_merges_chunks_and_writes_output() {
-        let disks: Vec<Disk> = (0..2).map(|_| Disk::new(Default::default())).collect();
-        let dfs = Dfs::new(disks, DfsConfig::default());
+    /// A DFS over `nodes` disks and a summing job writing to `output`.
+    fn summing(nodes: usize, output: &str) -> (Dfs, JobConf) {
+        let disks: Vec<Disk> = (0..nodes).map(|_| Disk::new(Default::default())).collect();
+        let sum = reduce_fn(|k: String, vs: Vec<u64>, out: &mut ReduceOutput| {
+            out.emit_t(&k, &vs.iter().sum::<u64>());
+        });
         let conf = JobConf::new(
             "t",
             vec![],
-            "out",
+            output,
             Arc::new(line_map_fn(|_, _, _| {})),
-            Arc::new(reduce_fn(
-                |k: String, vs: Vec<u64>, out: &mut ReduceOutput| {
-                    out.emit_t(&k, &vs.iter().sum::<u64>());
-                },
-            )),
+            Arc::new(sum),
         );
+        (Dfs::new(disks, DfsConfig::default()), conf)
+    }
+
+    #[test]
+    fn reduce_merges_chunks_and_writes_output() {
+        let (dfs, conf) = summing(2, "out");
         let chunks = vec![
             Arc::new(sorted_chunk(&[("a", 1), ("b", 2)])),
             Arc::new(sorted_chunk(&[("a", 10), ("c", 3)])),
@@ -168,10 +106,7 @@ mod tests {
         let mut input = raw.as_slice();
         let mut got = Vec::new();
         while let Some((k, v)) = decode_kv(&mut input).unwrap() {
-            got.push((
-                String::from_bytes(&k).unwrap(),
-                u64::from_bytes(&v).unwrap(),
-            ));
+            got.push((String::from_bytes(k).unwrap(), u64::from_bytes(v).unwrap()));
         }
         got.sort();
         assert_eq!(
@@ -185,19 +120,7 @@ mod tests {
     /// records before the cut and drop the rest.
     #[test]
     fn a_truncated_chunk_fails_the_reduce_task() {
-        let disks: Vec<Disk> = (0..1).map(|_| Disk::new(Default::default())).collect();
-        let dfs = Dfs::new(disks, DfsConfig::default());
-        let conf = JobConf::new(
-            "t",
-            vec![],
-            "out3",
-            Arc::new(line_map_fn(|_, _, _| {})),
-            Arc::new(reduce_fn(
-                |k: String, vs: Vec<u64>, out: &mut ReduceOutput| {
-                    out.emit_t(&k, &vs.iter().sum::<u64>());
-                },
-            )),
-        );
+        let (dfs, conf) = summing(1, "out3");
         let whole = sorted_chunk(&[("a", 1), ("b", 2)]);
         let last = sorted_chunk(&[("a", 1)]).len() as u64;
         let cut = whole[..whole.len() - 1].to_vec();
@@ -206,23 +129,16 @@ mod tests {
             Err(MrError::TruncatedChunk { reducer, offset }) => {
                 assert_eq!((reducer, offset), (2, last));
             }
-            other => panic!("a torn chunk must fail the task: {:?}", other.map(|r| r.groups)),
+            other => panic!(
+                "a torn chunk must fail the task: {:?}",
+                other.map(|r| r.groups)
+            ),
         }
     }
 
     #[test]
     fn reduce_with_no_chunks_writes_empty_part() {
-        let disks: Vec<Disk> = (0..1).map(|_| Disk::new(Default::default())).collect();
-        let dfs = Dfs::new(disks, DfsConfig::default());
-        let conf = JobConf::new(
-            "t",
-            vec![],
-            "out2",
-            Arc::new(line_map_fn(|_, _, _| {})),
-            Arc::new(reduce_fn(
-                |_k: String, _vs: Vec<u64>, _out: &mut ReduceOutput| {},
-            )),
-        );
+        let (dfs, conf) = summing(1, "out2");
         let res = run_reduce_task(&conf, 3, 0, vec![], &dfs).unwrap();
         assert_eq!(res.groups, 0);
         assert!(dfs.exists("out2/part-r-3"));

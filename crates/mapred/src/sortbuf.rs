@@ -1,22 +1,50 @@
-//! The map-side sort buffer: Hadoop's `io.sort.mb` machinery.
+//! The map-side sort buffer: Hadoop's `io.sort.mb` machinery, shaped
+//! like its `MapOutputBuffer`.
 //!
-//! Map emissions accumulate in memory tagged with their reduce
-//! partition. When the buffer exceeds its budget it is sorted by
-//! `(partition, key)`, optionally combined, and spilled to the local
-//! disk as one run per spill. At task end all runs are merged into one
+//! A map emission is copied once, into one byte array (`kvbuffer`),
+//! and gets a fixed-size entry in a metadata array (`kvmeta`): its
+//! reduce partition and where its key and value sit. When the buffer
+//! exceeds its budget, `kvmeta` is sorted in place by `(partition,
+//! key)` — stably, so a group's values keep emission order — and the
+//! sorted groups are optionally combined and spilled to the local disk
+//! as one run per spill. At task end all runs are merged into one
 //! sorted byte-blob per partition (applying the combiner again across
-//! runs), ready for reducers to fetch.
+//! runs), ready for reducers to fetch. The combiner and the merge
+//! borrow keys and values from the buffers; no record is allocated.
 
 use crate::api::{ReduceOutput, Reducer};
-use crate::{decode_kv, encode_kv};
-use bytes::Bytes;
-use hamr_codec::partition;
+use crate::{decode_kv, encode_kv, merge, Kv};
+use hamr_codec::{partition, read_varint, write_varint, CodecError};
 use hamr_simdisk::{Disk, DiskError};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cell::Cell;
+use std::sync::Arc;
+
+/// One buffered record: its partition, and where its key (followed by
+/// its value) starts in `kvbuffer`.
+#[derive(Clone, Copy)]
+struct Meta {
+    p: u32,
+    klen: u32,
+    vlen: u32,
+    at: usize,
+}
+
+impl Meta {
+    fn key<'a>(&self, kvbuffer: &'a [u8]) -> &'a [u8] {
+        &kvbuffer[self.at..self.at + self.klen as usize]
+    }
+
+    fn value<'a>(&self, kvbuffer: &'a [u8]) -> &'a [u8] {
+        let at = self.at + self.klen as usize;
+        &kvbuffer[at..at + self.vlen as usize]
+    }
+}
 
 pub(crate) struct SortBuffer {
-    entries: Vec<(u32, Bytes, Bytes)>,
+    kvbuffer: Vec<u8>,
+    kvmeta: Vec<Meta>,
+    /// What the buffered records charge against the budget:
+    /// `key + value + 24` bytes each.
     bytes: usize,
     budget: usize,
     partitions: usize,
@@ -29,7 +57,8 @@ impl SortBuffer {
     pub(crate) fn new(budget: usize, partitions: usize) -> Self {
         assert!(partitions > 0);
         SortBuffer {
-            entries: Vec::new(),
+            kvbuffer: Vec::new(),
+            kvmeta: Vec::new(),
             bytes: 0,
             budget: budget.max(1024),
             partitions,
@@ -38,32 +67,62 @@ impl SortBuffer {
         }
     }
 
-    /// Add one map emission; spill if over budget.
+    /// Copy one map emission into the buffer; spill if over budget.
     pub(crate) fn push(
         &mut self,
         disk: &Disk,
         task_tag: &str,
-        key: Bytes,
-        value: Bytes,
+        key: &[u8],
+        value: &[u8],
         combiner: Option<&dyn Reducer>,
     ) -> Result<(), DiskError> {
-        let p = partition(&key, self.partitions) as u32;
+        let len = |field: &[u8]| u32::try_from(field.len()).expect("a key or value over 4 GiB");
+        self.kvmeta.push(Meta {
+            p: partition(key, self.partitions) as u32,
+            klen: len(key),
+            vlen: len(value),
+            at: self.kvbuffer.len(),
+        });
+        self.kvbuffer.extend_from_slice(key);
+        self.kvbuffer.extend_from_slice(value);
         self.bytes += key.len() + value.len() + 24;
-        self.entries.push((p, key, value));
         if self.bytes > self.budget {
             self.spill(disk, task_tag, combiner)?;
         }
         Ok(())
     }
 
-    fn sort_and_combine(&mut self, combiner: Option<&dyn Reducer>) -> Vec<(u32, Bytes, Bytes)> {
-        let mut entries = std::mem::take(&mut self.entries);
-        self.bytes = 0;
-        entries.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        match combiner {
-            None => entries,
-            Some(c) => combine_sorted(entries, c),
+    /// Sort the buffer and hand its records to `emit(partition, key,
+    /// value)` in (partition, key) order, each group of more than one
+    /// value through the combiner when there is one. Empties the buffer.
+    fn drain(&mut self, combiner: Option<&dyn Reducer>, mut emit: impl FnMut(u32, &[u8], &[u8])) {
+        let kvbuffer = &self.kvbuffer;
+        self.kvmeta
+            .sort_by(|a, b| (a.p, a.key(kvbuffer)).cmp(&(b.p, b.key(kvbuffer))));
+        let part = Cell::new(0);
+        let mut sink = |k: &[u8], v: &[u8]| emit(part.get(), k, v);
+        let mut out = ReduceOutput::new(&mut sink);
+        for group in self
+            .kvmeta
+            .chunk_by(|a, b| a.p == b.p && a.key(kvbuffer) == b.key(kvbuffer))
+        {
+            part.set(group[0].p);
+            let values = group.iter().map(|m| m.value(kvbuffer));
+            emit_group(group[0].key(kvbuffer), values, combiner, &mut out);
         }
+        self.kvbuffer.clear();
+        self.kvmeta.clear();
+        self.bytes = 0;
+    }
+
+    /// Drain the buffer into one run: `varint(partition) ++ kv` records.
+    fn sorted_run(&mut self, combiner: Option<&dyn Reducer>) -> Vec<u8> {
+        let mut run = Vec::with_capacity(self.kvbuffer.len() + 8 * self.kvmeta.len());
+        self.drain(combiner, |p, k, v| {
+            write_varint(u64::from(p), &mut run);
+            encode_kv(k, v, &mut run);
+        });
+        run
     }
 
     /// Sort, combine, and write the current buffer as one run.
@@ -73,25 +132,13 @@ impl SortBuffer {
         task_tag: &str,
         combiner: Option<&dyn Reducer>,
     ) -> Result<(), DiskError> {
-        let entries = self.sort_and_combine(combiner);
-        if entries.is_empty() {
+        let run = self.sorted_run(combiner);
+        if run.is_empty() {
             return Ok(());
         }
         let name = disk.temp_name(&format!("mr.spill.{task_tag}"));
-        let mut writer = disk.create(&name)?;
-        let mut buf = Vec::with_capacity(64 << 10);
-        for (p, k, v) in &entries {
-            hamr_codec::write_varint(u64::from(*p), &mut buf);
-            encode_kv(k, v, &mut buf);
-            if buf.len() >= (64 << 10) {
-                writer.write(&buf);
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            writer.write(&buf);
-        }
-        self.spilled_bytes += writer.seal() as u64;
+        disk.write_all(&name, &run)?;
+        self.spilled_bytes += run.len() as u64;
         self.runs.push(name);
         Ok(())
     }
@@ -108,77 +155,35 @@ impl SortBuffer {
         disk: &Disk,
         combiner: Option<&dyn Reducer>,
     ) -> Result<Vec<Vec<u8>>, DiskError> {
-        let mem = self.sort_and_combine(combiner);
-        let mut outputs: Vec<Vec<u8>> = (0..self.partitions).map(|_| Vec::new()).collect();
+        let mut outputs: Vec<Vec<u8>> = vec![Vec::new(); self.partitions];
         if self.runs.is_empty() {
             // Fast path: everything stayed in memory.
-            for (p, k, v) in mem {
-                encode_kv(&k, &v, &mut outputs[p as usize]);
-            }
+            self.drain(combiner, |p, k, v| {
+                encode_kv(k, v, &mut outputs[p as usize])
+            });
             return Ok(outputs);
         }
-        // K-way merge of runs + memory, combine across sources, split
-        // into partitions. Read the runs back (charging disk time); a
-        // run that ends inside an entry fails the task.
-        let mut sources: Vec<std::vec::IntoIter<(u32, Bytes, Bytes)>> = Vec::new();
+        // K-way merge of the runs (read back, charging disk time) and
+        // memory, combining across sources and splitting into
+        // partitions; a run that ends inside an entry fails the task.
+        let mut runs = Vec::with_capacity(self.runs.len() + 1);
         for run in &self.runs {
-            let raw = disk.read_all(run)?;
-            let mut input = raw.as_slice();
-            let mut entries = Vec::new();
-            while !input.is_empty() {
-                let torn = || DiskError::Truncated {
-                    file: run.clone(),
-                    offset: (raw.len() - input.len()) as u64,
-                };
-                let mut entry = input;
-                let p = hamr_codec::read_varint(&mut entry).map_err(|_| torn())?;
-                let Ok(Some((k, v))) = decode_kv(&mut entry) else {
-                    return Err(torn());
-                };
-                input = entry;
-                entries.push((p as u32, k, v));
-            }
-            sources.push(entries.into_iter());
+            runs.push(disk.read_all(run)?);
         }
-        sources.push(mem.into_iter());
-        let mut heap: BinaryHeap<Reverse<(u32, Bytes, usize, Bytes)>> = BinaryHeap::new();
-        for (i, src) in sources.iter_mut().enumerate() {
-            if let Some((p, k, v)) = src.next() {
-                heap.push(Reverse((p, k, i, v)));
-            }
-        }
-        // Stream groups in (partition, key) order, applying the
-        // combiner across whole groups.
-        while let Some(Reverse((p, key, i, v))) = heap.pop() {
-            if let Some((p2, k2, v2)) = sources[i].next() {
-                heap.push(Reverse((p2, k2, i, v2)));
-            }
-            let mut group = vec![v];
-            while let Some(Reverse((p2, k2, _, _))) = heap.peek() {
-                if *p2 != p || *k2 != key {
-                    break;
-                }
-                let Reverse((_, _, j, v2)) = heap.pop().expect("peeked");
-                group.push(v2);
-                if let Some(n) = sources[j].next() {
-                    heap.push(Reverse((n.0, n.1, j, n.2)));
-                }
-            }
-            let out = &mut outputs[p as usize];
-            match combiner {
-                Some(c) if group.len() > 1 => {
-                    let mut sink = |k: Bytes, v: Bytes| encode_kv(&k, &v, out);
-                    let mut ro = ReduceOutput::new(&mut sink);
-                    let mut iter = group.into_iter();
-                    c.reduce(&key, &mut iter, &mut ro);
-                }
-                _ => {
-                    for v in group {
-                        encode_kv(&key, &v, out);
-                    }
-                }
-            }
-        }
+        runs.push(Arc::new(self.sorted_run(combiner)));
+        let sources: Vec<&[u8]> = runs.iter().map(|r| r.as_slice()).collect();
+        let part = Cell::new(0);
+        let mut sink = |k: &[u8], v: &[u8]| encode_kv(k, v, &mut outputs[part.get() as usize]);
+        let mut out = ReduceOutput::new(&mut sink);
+        merge(&sources, next_entry, |(p, key), values| {
+            part.set(p);
+            emit_group(key, values.iter().copied(), combiner, &mut out);
+        })
+        .map_err(|(i, offset)| DiskError::Truncated {
+            file: self.runs[i].clone(),
+            offset,
+        })?;
+        drop(out);
         for run in &self.runs {
             disk.delete(run);
         }
@@ -186,49 +191,49 @@ impl SortBuffer {
     }
 }
 
-/// Apply a combiner over a (partition, key)-sorted entry list.
-fn combine_sorted(
-    entries: Vec<(u32, Bytes, Bytes)>,
-    combiner: &dyn Reducer,
-) -> Vec<(u32, Bytes, Bytes)> {
-    let mut out: Vec<(u32, Bytes, Bytes)> = Vec::new();
-    let mut i = 0;
-    while i < entries.len() {
-        let (p, key) = (entries[i].0, entries[i].1.clone());
-        let mut j = i + 1;
-        while j < entries.len() && entries[j].0 == p && entries[j].1 == key {
-            j += 1;
-        }
-        if j - i == 1 {
-            out.push(entries[i].clone());
-        } else {
-            let group: Vec<Bytes> = entries[i..j].iter().map(|e| e.2.clone()).collect();
-            let mut sink = |k: Bytes, v: Bytes| out.push((p, k, v));
-            let mut ro = ReduceOutput::new(&mut sink);
-            let mut iter = group.into_iter();
-            combiner.reduce(&key, &mut iter, &mut ro);
-        }
-        i = j;
+/// Emit one group: through the combiner when there is one and the
+/// group has more than one value, else value by value.
+fn emit_group<'v>(
+    key: &[u8],
+    mut values: impl ExactSizeIterator<Item = &'v [u8]>,
+    combiner: Option<&dyn Reducer>,
+    out: &mut ReduceOutput,
+) {
+    match combiner {
+        Some(c) if values.len() > 1 => c.reduce(key, &mut values, out),
+        _ => values.for_each(|v| out.emit(key, v)),
     }
-    out
+}
+
+/// A spill run's record: its merge key is `(partition, key)`.
+type Entry<'a> = Kv<'a, (u32, &'a [u8])>;
+
+/// The next entry off the front of a run, borrowed from it; on a torn
+/// entry `run` is left where the entry starts.
+fn next_entry<'a>(run: &mut &'a [u8]) -> Result<Option<Entry<'a>>, CodecError> {
+    if run.is_empty() {
+        return Ok(None);
+    }
+    let mut entry = *run;
+    let p = read_varint(&mut entry)?;
+    let (k, v) = decode_kv(&mut entry)?.ok_or(CodecError::Truncated)?;
+    *run = entry;
+    Ok(Some(((p as u32, k), v)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::reduce_fn;
     use hamr_codec::Codec;
     use hamr_simdisk::DiskConfig;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
-    fn b(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
-    }
-
-    fn decode_partition(blob: &[u8]) -> Vec<(Bytes, Bytes)> {
+    fn decode_partition(blob: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut input = blob;
         let mut out = Vec::new();
-        while let Some(kv) = decode_kv(&mut input).unwrap() {
-            out.push(kv);
+        while let Some((k, v)) = decode_kv(&mut input).unwrap() {
+            out.push((k.to_vec(), v.to_vec()));
         }
         out
     }
@@ -241,7 +246,7 @@ mod tests {
         let disk = Disk::new(DiskConfig::instant());
         let mut buf = SortBuffer::new(1024, 2);
         for i in 0..200u64 {
-            buf.push(&disk, "t", Bytes::from(format!("key{i:03}")), b("v"), None)
+            buf.push(&disk, "t", format!("key{i:03}").as_bytes(), b"v", None)
                 .unwrap();
         }
         assert!(buf.spill_count() >= 1);
@@ -254,7 +259,10 @@ mod tests {
                 assert_eq!(file, run);
                 assert!(offset < whole.len() as u64 - 1, "offset {offset}");
             }
-            other => panic!("a torn run must fail the merge: {:?}", other.map(|p| p.len())),
+            other => panic!(
+                "a torn run must fail the merge: {:?}",
+                other.map(|p| p.len())
+            ),
         }
     }
 
@@ -263,7 +271,7 @@ mod tests {
         let disk = Disk::new(DiskConfig::instant());
         let mut buf = SortBuffer::new(1 << 20, 4);
         for i in (0..20u64).rev() {
-            buf.push(&disk, "t", Bytes::from(format!("k{i:02}")), b("v"), None)
+            buf.push(&disk, "t", format!("k{i:02}").as_bytes(), b"v", None)
                 .unwrap();
         }
         assert_eq!(buf.spill_count(), 0);
@@ -289,14 +297,9 @@ mod tests {
         let disk = Disk::new(DiskConfig::instant());
         let mut buf = SortBuffer::new(1024, 2);
         for i in 0..500u64 {
-            buf.push(
-                &disk,
-                "t",
-                Bytes::from(format!("key{:03}", i % 40)),
-                i.to_bytes(),
-                None,
-            )
-            .unwrap();
+            let key = format!("key{:03}", i % 40);
+            buf.push(&disk, "t", key.as_bytes(), &i.to_bytes(), None)
+                .unwrap();
         }
         assert!(buf.spill_count() > 1, "expected multiple spills");
         assert!(buf.spilled_bytes > 0);
@@ -310,21 +313,11 @@ mod tests {
     #[test]
     fn combiner_shrinks_intermediate_data() {
         let disk = Disk::new(DiskConfig::instant());
-        let combiner = reduce_fn(|k: String, vs: Vec<u64>, out: &mut ReduceOutput| {
-            out.emit_t(&k, &vs.iter().sum::<u64>());
-        });
         let mut buf = SortBuffer::new(1 << 20, 1);
         for _ in 0..100 {
-            buf.push(
-                &disk,
-                "t",
-                "word".to_string().to_bytes(),
-                1u64.to_bytes(),
-                Some(&combiner),
-            )
-            .unwrap();
+            buf.push(&disk, "t", b"word", &[1], Some(&Sum)).unwrap();
         }
-        let parts = buf.finalize(&disk, Some(&combiner)).unwrap();
+        let parts = buf.finalize(&disk, Some(&Sum)).unwrap();
         let entries = decode_partition(&parts[0]);
         assert_eq!(entries.len(), 1, "combiner should collapse to one pair");
         assert_eq!(u64::from_bytes(&entries[0].1).unwrap(), 100);
@@ -333,22 +326,12 @@ mod tests {
     #[test]
     fn combiner_applies_across_spills_at_merge() {
         let disk = Disk::new(DiskConfig::instant());
-        let combiner = reduce_fn(|k: String, vs: Vec<u64>, out: &mut ReduceOutput| {
-            out.emit_t(&k, &vs.iter().sum::<u64>());
-        });
         let mut buf = SortBuffer::new(1024, 1);
         for _ in 0..300 {
-            buf.push(
-                &disk,
-                "t",
-                "hot".to_string().to_bytes(),
-                1u64.to_bytes(),
-                Some(&combiner),
-            )
-            .unwrap();
+            buf.push(&disk, "t", b"hot", &[1], Some(&Sum)).unwrap();
         }
         assert!(buf.spill_count() >= 1);
-        let parts = buf.finalize(&disk, Some(&combiner)).unwrap();
+        let parts = buf.finalize(&disk, Some(&Sum)).unwrap();
         let entries = decode_partition(&parts[0]);
         assert_eq!(entries.len(), 1);
         assert_eq!(u64::from_bytes(&entries[0].1).unwrap(), 300);
@@ -361,5 +344,92 @@ mod tests {
         let parts = buf.finalize(&disk, None).unwrap();
         assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(|p| p.is_empty()));
+    }
+
+    /// Sums a group's `u64` values; keys are raw bytes.
+    struct Sum;
+
+    impl Reducer for Sum {
+        fn reduce(
+            &self,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            out: &mut ReduceOutput,
+        ) {
+            let sum: u64 = values.map(|v| u64::from_bytes(v).unwrap()).sum();
+            out.emit(key, &sum.to_bytes());
+        }
+    }
+
+    /// Concatenates a group's values in the order it is handed them.
+    struct Concat;
+
+    impl Reducer for Concat {
+        fn reduce(
+            &self,
+            key: &[u8],
+            values: &mut dyn Iterator<Item = &[u8]>,
+            out: &mut ReduceOutput,
+        ) {
+            out.emit(key, &values.flatten().copied().collect::<Vec<u8>>());
+        }
+    }
+
+    /// Key `id` is one of the 15 strings over `{a, b}` of length 0 to 3:
+    /// the empty key and keys that are prefixes of others.
+    fn key_of(id: u8) -> Vec<u8> {
+        let (mut n, mut len) = (u32::from(id), 0);
+        while n >= 1 << len {
+            n -= 1 << len;
+            len += 1;
+        }
+        (0..len)
+            .map(|bit| if n >> bit & 1 == 0 { b'a' } else { b'b' })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The buffer's partition blobs are byte-identical to a
+        /// sequential model: a `BTreeMap<(partition, key), values>` in
+        /// emission order, encoded group by group. Budgets from 1 KiB
+        /// (many spills) to 1 MiB (none); no combiner, a summing one,
+        /// and one that concatenates its values, which catches an
+        /// unstable sort or a merge that reorders a group.
+        #[test]
+        fn partitions_match_a_sequential_model(
+            ids in prop::collection::vec(0u8..15, 0..400),
+            budget_kib in prop::sample::select(vec![1usize, 2, 3, 8, 1024]),
+            partitions in 1usize..4,
+            combine in 0u8..3,
+        ) {
+            let disk = Disk::new(DiskConfig::instant());
+            let combiner: Option<&dyn Reducer> = match combine {
+                0 => None,
+                1 => Some(&Sum),
+                _ => Some(&Concat),
+            };
+            let mut buf = SortBuffer::new(budget_kib << 10, partitions);
+            let mut model: BTreeMap<(usize, Vec<u8>), Vec<Vec<u8>>> = BTreeMap::new();
+            for (i, &id) in ids.iter().enumerate() {
+                let (key, value) = (key_of(id), (i as u64).to_bytes());
+                buf.push(&disk, "t", &key, &value, combiner).unwrap();
+                model.entry((partition(&key, partitions), key)).or_default().push(value.to_vec());
+            }
+            let mut want = vec![Vec::new(); partitions];
+            for ((p, key), values) in &model {
+                let folded = match combine {
+                    0 => values.clone(),
+                    1 => vec![values.iter().map(|v| u64::from_bytes(v).unwrap()).sum::<u64>().to_bytes().to_vec()],
+                    _ => vec![values.concat()],
+                };
+                for v in folded {
+                    encode_kv(key, &v, &mut want[*p]);
+                }
+            }
+            prop_assert_eq!(buf.finalize(&disk, combiner).unwrap(), want);
+            prop_assert!(disk.list().is_empty(), "spill runs left behind");
+        }
     }
 }

@@ -16,8 +16,8 @@ fn read_outputs(cluster: &MrCluster, output: &str) -> BTreeMap<String, u64> {
         let raw = cluster.dfs().read_all(&part).unwrap();
         let mut input = raw.as_slice();
         while let Some((k, v)) = decode_kv(&mut input).unwrap() {
-            let key = String::from_bytes(&k).unwrap();
-            let val = u64::from_bytes(&v).unwrap();
+            let key = String::from_bytes(k).unwrap();
+            let val = u64::from_bytes(v).unwrap();
             assert!(all.insert(key, val).is_none(), "duplicate key across parts");
         }
     }

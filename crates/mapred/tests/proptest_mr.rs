@@ -70,10 +70,7 @@ fn run_wordcount(
         let raw = cluster.dfs().read_all(&part).unwrap();
         let mut input = raw.as_slice();
         while let Some((k, v)) = decode_kv(&mut input).unwrap() {
-            got.insert(
-                String::from_bytes(&k).unwrap(),
-                u64::from_bytes(&v).unwrap(),
-            );
+            got.insert(String::from_bytes(k).unwrap(), u64::from_bytes(v).unwrap());
         }
     }
     got

@@ -428,7 +428,7 @@ impl Benchmark for PageRank {
             let raw = env.dfs.read_all(&part).map_err(|e| e.to_string())?;
             let mut input = raw.as_slice();
             while let Some((k, v)) = decode_kv(&mut input).map_err(|e| format!("{part}: {e}"))? {
-                let (_, ranks) = <(u8, Vec<u64>)>::from_bytes(&v).map_err(|e| e.to_string())?;
+                let (_, ranks) = <(u8, Vec<u64>)>::from_bytes(v).map_err(|e| e.to_string())?;
                 pairs.push((k.to_vec(), ranks[0].to_bytes().to_vec()));
             }
         }

@@ -10,7 +10,6 @@
 use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::text::wordcount_corpus;
 use crate::{output_checksum, pair_checksum, Benchmark};
-use bytes::Bytes;
 use hamr_codec::write_varint;
 use hamr_core::{typed, Emitter, Exchange, FlowletId, JobBuilder, JobGraph};
 use hamr_mapred::{decode_kv, line_map_fn, reduce_fn, JobConf, ReduceOutput};
@@ -104,12 +103,11 @@ impl WordCount {
 
     /// The Hadoop job over the seeded input, writing under `output`.
     pub fn mapred_conf(output: &str, combiner: bool) -> JobConf {
-        let one = Bytes::from_static(ONE);
-        let mapper = Arc::new(line_map_fn(move |_off, line, out| {
+        let mapper = Arc::new(line_map_fn(|_off, line, out| {
             let mut key = Vec::new();
             for w in line.split_whitespace() {
                 word_key(w, &mut key);
-                out.emit(Bytes::copy_from_slice(&key), one.clone());
+                out.emit(&key, ONE);
             }
         }));
         let reducer = Arc::new(reduce_fn(

@@ -238,8 +238,10 @@ impl FromIterator<u8> for Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into a shared [`Bytes`] with a
-/// single allocation handoff — the frame builders' backing store.
+/// A growable byte buffer that freezes into a shared [`Bytes`] — the
+/// frame builders' backing store. Freezing copies the bytes once, into
+/// the shared allocation (`Vec<u8>` into `Arc<[u8]>`); it is not a
+/// handoff of the buffer.
 #[derive(Default)]
 pub struct BytesMut {
     buf: Vec<u8>,
