@@ -498,9 +498,8 @@ fn row(run: &Run, done: &Collected) -> JobRow {
         latency.merge(&fm.task_latency);
     }
     let edges = &run.graph.edges;
-    let feeds_exchange = |f: usize| {
-        (edges.iter()).any(|e| e.src == f && e.exchange != Exchange::Local)
-    };
+    let feeds_exchange =
+        |f: usize| (edges.iter()).any(|e| e.src == f && e.exchange != Exchange::Local);
     // An unsupervised run's ledger is disabled and reports no rows.
     let report = run.obs.audit.report();
     let stuck = report
@@ -523,7 +522,13 @@ fn row(run: &Run, done: &Collected) -> JobRow {
                 .sum(),
         ),
         distinct_keys: metrics.stats.as_ref().map(|s| s.shuffle_distinct()),
-        cache_hits: Some(run.plan.flowlets.iter().filter(|f| f.serve.is_some()).count() as u64),
+        cache_hits: Some(
+            run.plan
+                .flowlets
+                .iter()
+                .filter(|f| f.serve.is_some())
+                .count() as u64,
+        ),
         stall_us: Some(
             (metrics.flowlets.values())
                 .map(|fm| fm.stall_time.as_micros() as u64)

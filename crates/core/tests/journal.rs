@@ -382,7 +382,14 @@ fn a_job_end_tally_equals_the_registry_delta_around_its_run() {
         .map(|s| {
             let r = s.row.as_ref().expect("a JobEnd");
             let cols = (r.shuffled_bytes, r.shuffle_records, r.cache_hits);
-            (s.job.clone(), cols.0, cols.1, cols.2, r.stall_us, r.task_p99_us)
+            (
+                s.job.clone(),
+                cols.0,
+                cols.1,
+                cols.2,
+                r.stall_us,
+                r.task_p99_us,
+            )
         })
         .collect();
     assert_eq!(got, want);
@@ -400,7 +407,10 @@ fn a_job_end_tally_equals_the_registry_delta_around_its_run() {
     );
     assert!(row.shuffled_bytes > 0);
     assert_eq!(row.distinct_keys, Some(13), "alpha, beta, k0..k10");
-    assert_eq!((row.cache_hits, row.stall_us, row.task_p99_us), (None, None, None));
+    assert_eq!(
+        (row.cache_hits, row.stall_us, row.task_p99_us),
+        (None, None, None)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -209,7 +209,8 @@ impl Timeline {
             let wall = span.wall_us().map_or_else(|| "?".into(), ms);
             let row = span.row.as_ref();
             let shuffled = row.map_or_else(|| "?".into(), |r| r.shuffled_bytes.to_string());
-            let col = |v: Option<u64>, show: &dyn Fn(u64) -> String| v.map_or_else(|| "-".into(), show);
+            let col =
+                |v: Option<u64>, show: &dyn Fn(u64) -> String| v.map_or_else(|| "-".into(), show);
             let count = |v: u64| v.to_string();
             let status = match span.ok() {
                 Some(true) => "ok",
@@ -417,11 +418,8 @@ mod tests {
     #[test]
     fn diff_pairs_jobs_by_name() {
         let a = Timeline::from_records(&[start("wc", 0), end("wc", 1000, 10)]);
-        let b = Timeline::from_records(&[
-            start("wc", 0),
-            end("wc", 2000, 20),
-            start("extra", 3000),
-        ]);
+        let b =
+            Timeline::from_records(&[start("wc", 0), end("wc", 2000, 20), start("extra", 3000)]);
         let diff = Timeline::render_diff(&a, &b);
         assert!(diff.contains("wc"));
         assert!(diff.contains("0.50"), "wall ratio 1000/2000: {diff}");
@@ -454,8 +452,26 @@ mod tests {
         assert_eq!(
             pairs,
             [
-                ["wordcount", "hamr", "1.0", "2.0", "0.50", "10", "20", "ok/ok"],
-                ["wordcount", "mapred", "8.0", "4.0", "2.00", "80", "40", "ok/ok"],
+                [
+                    "wordcount",
+                    "hamr",
+                    "1.0",
+                    "2.0",
+                    "0.50",
+                    "10",
+                    "20",
+                    "ok/ok"
+                ],
+                [
+                    "wordcount",
+                    "mapred",
+                    "8.0",
+                    "4.0",
+                    "2.00",
+                    "80",
+                    "40",
+                    "ok/ok"
+                ],
             ],
             "{diff}"
         );

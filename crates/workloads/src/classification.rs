@@ -108,7 +108,12 @@ impl Benchmark for Classification {
             .run(job.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
         let (checksum, records) = output_checksum(result.output(count));
-        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
+        Ok(BenchOutput::hamr(
+            start.elapsed(),
+            checksum,
+            records,
+            &[result],
+        ))
     }
 
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
@@ -135,6 +140,11 @@ impl Benchmark for Classification {
         );
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &[stats]))
+        Ok(BenchOutput::mapred(
+            start.elapsed(),
+            checksum,
+            records,
+            &[stats],
+        ))
     }
 }

@@ -79,7 +79,12 @@ impl HistogramMovies {
             .run(job.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
         let (checksum, records) = output_checksum(result.output(sum));
-        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
+        Ok(BenchOutput::hamr(
+            start.elapsed(),
+            checksum,
+            records,
+            &[result],
+        ))
     }
 
     pub fn run_mapred_with(&self, env: &Env, combiner: bool) -> Result<BenchOutput, String> {
@@ -107,7 +112,12 @@ impl HistogramMovies {
         }
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &[stats]))
+        Ok(BenchOutput::mapred(
+            start.elapsed(),
+            checksum,
+            records,
+            &[stats],
+        ))
     }
 }
 

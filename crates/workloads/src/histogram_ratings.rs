@@ -82,7 +82,12 @@ impl HistogramRatings {
         let (graph, sum) = Self::hamr_graph(combiner)?;
         let result = env.hamr.run(graph).map_err(|e| e.to_string())?;
         let (checksum, records) = output_checksum(result.output(sum));
-        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
+        Ok(BenchOutput::hamr(
+            start.elapsed(),
+            checksum,
+            records,
+            &[result],
+        ))
     }
 
     /// The Hadoop job over the seeded input, writing under `output`.
@@ -116,7 +121,12 @@ impl HistogramRatings {
         let conf = Self::mapred_conf(&output, combiner);
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &[stats]))
+        Ok(BenchOutput::mapred(
+            start.elapsed(),
+            checksum,
+            records,
+            &[stats],
+        ))
     }
 }
 

@@ -166,7 +166,12 @@ impl Benchmark for KCliques {
             .run(search.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
         let (checksum, records) = output_checksum(result.output(prev));
-        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[built, result]))
+        Ok(BenchOutput::hamr(
+            start.elapsed(),
+            checksum,
+            records,
+            &[built, result],
+        ))
     }
 
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
@@ -271,7 +276,12 @@ impl Benchmark for KCliques {
             jobs.push(env.mr.run(&job).map_err(|e| e.to_string())?);
             if is_last {
                 let (checksum, records) = mr_output_checksum(env, &out_path)?;
-                return Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &jobs));
+                return Ok(BenchOutput::mapred(
+                    start.elapsed(),
+                    checksum,
+                    records,
+                    &jobs,
+                ));
             }
             requests_path = out_path;
         }

@@ -225,7 +225,12 @@ impl KMeans {
             unique.insert(cluster, movie);
         }
         let (checksum, records) = centroid_checksum(&unique);
-        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
+        Ok(BenchOutput::hamr(
+            start.elapsed(),
+            checksum,
+            records,
+            &[result],
+        ))
     }
 }
 
@@ -342,7 +347,12 @@ impl Benchmark for KMeans {
             }
         }
         let (checksum, records) = centroid_checksum(&unique);
-        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
+        Ok(BenchOutput::hamr(
+            start.elapsed(),
+            checksum,
+            records,
+            &[result],
+        ))
     }
 
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
@@ -377,7 +387,12 @@ impl Benchmark for KMeans {
         );
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &[stats]))
+        Ok(BenchOutput::mapred(
+            start.elapsed(),
+            checksum,
+            records,
+            &[stats],
+        ))
     }
 }
 

@@ -165,7 +165,12 @@ impl Benchmark for NaiveBayes {
         }
         let checksum = pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())));
         let records = pairs.len() as u64;
-        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
+        Ok(BenchOutput::hamr(
+            start.elapsed(),
+            checksum,
+            records,
+            &[result],
+        ))
     }
 
     fn run_mapred(&self, env: &Env) -> Result<BenchOutput, String> {
@@ -215,7 +220,12 @@ impl Benchmark for NaiveBayes {
         let weight_sums = env.mr.run(&job2).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
         let jobs = [vector_sums, weight_sums];
-        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &jobs))
+        Ok(BenchOutput::mapred(
+            start.elapsed(),
+            checksum,
+            records,
+            &jobs,
+        ))
     }
 }
 

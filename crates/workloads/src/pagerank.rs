@@ -434,7 +434,12 @@ impl Benchmark for PageRank {
         }
         let checksum = pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())));
         let records = pairs.len() as u64;
-        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &jobs))
+        Ok(BenchOutput::mapred(
+            start.elapsed(),
+            checksum,
+            records,
+            &jobs,
+        ))
     }
 }
 

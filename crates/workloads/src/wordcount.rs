@@ -98,7 +98,12 @@ impl WordCount {
         let (graph, count) = Self::hamr_graph(partial)?;
         let result = env.hamr.run(graph).map_err(|e| e.to_string())?;
         let (checksum, records) = output_checksum(result.output(count));
-        Ok(BenchOutput::hamr(start.elapsed(), checksum, records, &[result]))
+        Ok(BenchOutput::hamr(
+            start.elapsed(),
+            checksum,
+            records,
+            &[result],
+        ))
     }
 
     /// The Hadoop job over the seeded input, writing under `output`.
@@ -135,7 +140,12 @@ impl WordCount {
         let conf = Self::mapred_conf(&output, combiner);
         let stats = env.mr.run(&conf).map_err(|e| e.to_string())?;
         let (checksum, records) = mr_output_checksum(env, &output)?;
-        Ok(BenchOutput::mapred(start.elapsed(), checksum, records, &[stats]))
+        Ok(BenchOutput::mapred(
+            start.elapsed(),
+            checksum,
+            records,
+            &[stats],
+        ))
     }
 }
 

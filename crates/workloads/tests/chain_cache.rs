@@ -3,10 +3,10 @@
 //! on/off checksum identity, and fingerprint invalidation when the
 //! cached input is mutated between sessions.
 
+use hamr_core::JobRow;
 use hamr_workloads::kcliques::KCliques;
 use hamr_workloads::kmeans::KMeans;
 use hamr_workloads::pagerank::PageRank;
-use hamr_core::JobRow;
 use hamr_workloads::{BenchOutput, Benchmark, Env};
 
 /// A link-dense PageRank so the invariant reverse adjacency dominates

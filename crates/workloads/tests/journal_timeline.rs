@@ -54,7 +54,9 @@ fn pagerank_chain_journals_every_iteration_job() {
             .unwrap_or_else(|| panic!("{job} missing from timeline: {:?}", timeline.jobs));
         assert_eq!(span.ok(), Some(true), "{job} did not complete: {span:?}");
         assert!(
-            span.row.as_ref().is_some_and(|r| r.shuffle_records.is_some()),
+            span.row
+                .as_ref()
+                .is_some_and(|r| r.shuffle_records.is_some()),
             "{job} carries no row of its own: {span:?}"
         );
     }
@@ -101,7 +103,11 @@ fn one_journal_lists_every_job_of_both_engines() {
         spans.map(|s| s.row.clone().expect("a JobEnd")).collect()
     };
     assert_eq!(rows("hamr"), hamr.jobs);
-    assert_eq!(mr.jobs.len(), 7, "adjacency, then contrib + update per iteration");
+    assert_eq!(
+        mr.jobs.len(),
+        7,
+        "adjacency, then contrib + update per iteration"
+    );
     assert_eq!(rows("mapred"), mr.jobs);
     for row in &mr.jobs {
         assert!(row.ok && row.shuffled_bytes > 0, "{row:?}");
