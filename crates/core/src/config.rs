@@ -4,7 +4,6 @@
 use hamr_simdisk::DiskConfig;
 use hamr_simnet::NetConfig;
 use hamr_trace::{env_or_panic, StatsMode};
-use std::time::Duration;
 
 /// How a node schedules ready flowlet tasks onto its worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,100 +197,6 @@ impl ClusterConfig {
             runtime: RuntimeConfig::default(),
         }
     }
-
-    /// The scaled-down stand-in for the paper's testbed used by the
-    /// benchmark harness: timing models on, bandwidths scaled to match
-    /// the input scale factor.
-    pub fn simulated(spec: &SimClusterSpec) -> Self {
-        ClusterConfig {
-            nodes: spec.nodes,
-            threads_per_node: spec.threads_per_node,
-            net: NetConfig::modeled(spec.net_latency, spec.net_bandwidth),
-            disk: DiskConfig::modeled(spec.disk_bandwidth, spec.disk_op_latency),
-            dfs: hamr_dfs::DfsConfig {
-                block_size: spec.dfs_block_size,
-                replication: 2,
-            },
-            runtime: RuntimeConfig::default(),
-        }
-    }
-}
-
-/// A cluster specification, used both to document the paper's Table 1
-/// and to parameterize our simulation.
-#[derive(Debug, Clone)]
-pub struct SimClusterSpec {
-    pub name: &'static str,
-    pub nodes: usize,
-    pub threads_per_node: usize,
-    pub cpu_desc: &'static str,
-    pub memory_desc: &'static str,
-    pub net_desc: &'static str,
-    pub disk_desc: &'static str,
-    /// One-way network latency.
-    pub net_latency: Duration,
-    /// Per-link network bandwidth, bytes/second.
-    pub net_bandwidth: u64,
-    /// Per-disk sequential bandwidth, bytes/second.
-    pub disk_bandwidth: u64,
-    /// Per-IO fixed cost.
-    pub disk_op_latency: Duration,
-    /// DFS block size.
-    pub dfs_block_size: usize,
-}
-
-/// Table 1 of the paper: the physical testbed (for documentation; we
-/// cannot run on it).
-pub const PAPER_CLUSTER: SimClusterSpec = SimClusterSpec {
-    name: "paper (Table 1)",
-    nodes: 16,
-    threads_per_node: 32,
-    cpu_desc: "2x Intel Xeon E5-2620 @ 2GHz",
-    memory_desc: "32 GB",
-    net_desc: "4x FDR InfiniBand",
-    disk_desc: "5x SATA-III",
-    net_latency: Duration::from_micros(2),
-    net_bandwidth: 6_800_000_000,  // ~54.4 Gb/s FDR 4x effective
-    disk_bandwidth: 2_000_000_000, // 5 spindles aggregated, optimistic
-    disk_op_latency: Duration::from_micros(100),
-    dfs_block_size: 128 << 20,
-};
-
-/// Our scaled simulation: 8 nodes x 4 threads in one process, with
-/// bandwidths scaled down by roughly the same factor as the input data
-/// (see EXPERIMENTS.md) so cost *ratios* are preserved.
-pub const SCALED_CLUSTER: SimClusterSpec = SimClusterSpec {
-    name: "scaled simulation",
-    nodes: 8,
-    threads_per_node: 4,
-    cpu_desc: "host threads",
-    memory_desc: "host RAM (budgeted per node)",
-    net_desc: "simnet modeled fabric",
-    disk_desc: "simdisk modeled spindle",
-    net_latency: Duration::from_micros(50),
-    net_bandwidth: 200 << 20, // 200 MiB/s per link
-    disk_bandwidth: 80 << 20, // 80 MiB/s per node disk
-    disk_op_latency: Duration::from_micros(200),
-    dfs_block_size: 1 << 20,
-};
-
-impl SimClusterSpec {
-    /// Render as the rows of Table 1.
-    pub fn table_rows(&self) -> Vec<(String, String)> {
-        vec![
-            ("# of compute nodes".into(), self.nodes.to_string()),
-            ("Threads per node".into(), self.threads_per_node.to_string()),
-            ("CPU".into(), self.cpu_desc.into()),
-            ("Memory".into(), self.memory_desc.into()),
-            ("Network".into(), self.net_desc.into()),
-            ("Local disks".into(), self.disk_desc.into()),
-            ("Net bandwidth (B/s)".into(), self.net_bandwidth.to_string()),
-            (
-                "Disk bandwidth (B/s)".into(),
-                self.disk_bandwidth.to_string(),
-            ),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -305,24 +210,6 @@ mod tests {
         assert_eq!(c.threads_per_node, 2);
         assert!(c.net.is_instant());
         assert!(c.disk.is_instant());
-    }
-
-    #[test]
-    fn simulated_config_applies_spec() {
-        let c = ClusterConfig::simulated(&SCALED_CLUSTER);
-        assert_eq!(c.nodes, 8);
-        assert!(!c.net.is_instant());
-        assert!(!c.disk.is_instant());
-        assert_eq!(c.dfs.block_size, 1 << 20);
-    }
-
-    #[test]
-    fn table1_rows_render() {
-        let rows = PAPER_CLUSTER.table_rows();
-        assert_eq!(rows[0].1, "16");
-        assert!(rows
-            .iter()
-            .any(|(k, v)| k.contains("Network") && v.contains("InfiniBand")));
     }
 
     #[test]

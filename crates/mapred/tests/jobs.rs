@@ -6,8 +6,9 @@ use hamr_mapred::{
     decode_kv, line_map_fn, map_fn, reduce_fn, InputFormat, JobConf, MrCluster, MrError,
     MrRunOptions, ReduceOutput,
 };
-use hamr_trace::{RecordedEvent, RingSink, Tracer};
+use hamr_trace::{JournalSlot, MetricsRegistry, RecordedEvent, RingSink, Tracer};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn read_outputs(cluster: &MrCluster, output: &str) -> BTreeMap<String, u64> {
@@ -345,4 +346,104 @@ fn stored_options_and_run_with_are_one_path() {
         read_outputs(&cluster, "plain"),
         read_outputs(&cluster, "direct")
     );
+}
+
+/// A two-node, one-slot cluster with a 2 KiB sort buffer, its disks,
+/// and a registry it reports into. Its link is modeled, so chunks are
+/// still in flight on the fabric's timer thread when the map phase
+/// ends or fails.
+fn failing_cluster() -> (MrCluster, Vec<hamr_simdisk::Disk>, MetricsRegistry) {
+    let disks: Vec<hamr_simdisk::Disk> = (0..2)
+        .map(|_| hamr_simdisk::Disk::new(Default::default()))
+        .collect();
+    let dfs = hamr_dfs::Dfs::new(disks.clone(), Default::default());
+    let mut config = hamr_mapred::MrConfig::local(2, 1);
+    config.sort_buffer = 2048;
+    config.net = hamr_simnet::NetConfig::modeled(std::time::Duration::from_millis(2), 16 << 20);
+    let cluster = MrCluster::new(config, disks.clone(), dfs);
+    let registry = MetricsRegistry::new();
+    cluster.set_plane(registry.clone(), JournalSlot::default());
+    let lines: Vec<String> = (0..500)
+        .map(|i| format!("w{} w{} filler", i % 37, i % 11))
+        .collect();
+    let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
+    write_corpus(&cluster, "in.txt", &refs);
+    (cluster, disks, registry)
+}
+
+/// What a failed job must leave behind: no raised `mr_active_tasks`
+/// gauge, no spill or map-output file on any disk, and a cluster whose
+/// next job runs clean.
+fn assert_clean_after_failure(
+    cluster: &MrCluster,
+    disks: &[hamr_simdisk::Disk],
+    registry: &MetricsRegistry,
+    result: Result<hamr_mapred::JobStats, MrError>,
+) {
+    assert!(
+        matches!(result, Err(MrError::TaskPanic(_))),
+        "the job fails with the task's panic: {result:?}"
+    );
+    let active: Vec<_> = registry
+        .live_gauges("mapred")
+        .into_iter()
+        .filter(|g| g.name == "mr_active_tasks")
+        .collect();
+    assert_eq!(active.len(), 2, "one gauge per node");
+    for g in &active {
+        assert_eq!(g.value, 0, "node {:?} still counts a task", g.labels.node);
+    }
+    for (node, disk) in disks.iter().enumerate() {
+        let left: Vec<_> = disk
+            .list()
+            .into_iter()
+            .filter(|f| f.starts_with("mr."))
+            .collect();
+        assert!(left.is_empty(), "node {node} kept {left:?}");
+    }
+    let stats = cluster.run(&wordcount_job("in.txt", "clean")).unwrap();
+    assert_eq!(stats.map_records_in, 500);
+    // Line `i` is `w{i % 37} w{i % 11} filler`.
+    let counts = read_outputs(cluster, "clean");
+    assert_eq!(counts["filler"], 500);
+    assert_eq!(counts["w0"], 14 + 46);
+    assert_eq!(counts.len(), 1 + 37);
+}
+
+#[test]
+fn a_map_task_panic_leaves_no_raised_gauge_and_no_spill_files() {
+    let (cluster, disks, registry) = failing_cluster();
+    let lines = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&lines);
+    let mut job = wordcount_job("in.txt", "failed");
+    job.mapper = Arc::new(line_map_fn(move |_off, line, out| {
+        if seen.fetch_add(1, Ordering::Relaxed) == 400 {
+            panic!("mapper fails on its 401st line");
+        }
+        for w in line.split_whitespace() {
+            out.emit_t(&w.to_string(), &1u64);
+        }
+    }));
+    let result = cluster.run(&job);
+    assert!(
+        lines.load(Ordering::Relaxed) > 400,
+        "the mapper reached the panic"
+    );
+    assert_clean_after_failure(&cluster, &disks, &registry, result);
+}
+
+#[test]
+fn a_reduce_task_panic_fails_the_job_and_the_next_job_runs_clean() {
+    let (cluster, disks, registry) = failing_cluster();
+    let mut job = wordcount_job("in.txt", "failed");
+    job.reducer = Arc::new(reduce_fn(
+        |k: String, vs: Vec<u64>, out: &mut ReduceOutput| {
+            if k == "filler" {
+                panic!("reducer fails on key {k}");
+            }
+            out.emit_t(&k, &vs.iter().sum::<u64>());
+        },
+    ));
+    let result = cluster.run(&job);
+    assert_clean_after_failure(&cluster, &disks, &registry, result);
 }
