@@ -1,4 +1,5 @@
-//! Contiguous record frames — the zero-copy bin payload.
+//! Contiguous record frames — the zero-copy bin payload — and the one
+//! entry codec every record in the workspace is written and read with.
 //!
 //! A frame packs many `(key, value)` records into one buffer:
 //!
@@ -23,32 +24,61 @@
 //! [`Frame`], and consumers either borrow entries ([`Frame::iter`]) or
 //! take zero-copy [`Bytes`] sub-views of the shared allocation
 //! ([`Frame::iter_shared`]).
+//!
+//! [`write_entry`] and [`read_entry`] are the layout's one writer and
+//! reader, for frames and every other record: HAMR's spill runs and
+//! job-output capture, the baseline's spill runs (behind a partition
+//! varint), partition blobs and DFS key-value files (reducer output,
+//! `InputFormat::KeyValue` input). A torn entry is an error at its
+//! start: `DiskError::Truncated` in a spill run or a DFS block,
+//! `MrError::TruncatedChunk` in a shuffle chunk.
 
-use crate::varint::read_varint;
+use crate::varint::{read_varint, write_varint};
 use crate::CodecError;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
+
+/// One entry's key and value, borrowed from the bytes they were read
+/// from.
+pub type Entry<'a> = (&'a [u8], &'a [u8]);
+
+/// Append one entry, `[varint klen] [key] [varint vlen] [value]`.
+#[inline]
+pub fn write_entry(buf: &mut Vec<u8>, key: &[u8], value: &[u8]) {
+    write_varint(key.len() as u64, buf);
+    buf.extend_from_slice(key);
+    write_varint(value.len() as u64, buf);
+    buf.extend_from_slice(value);
+}
+
+/// Read the entry at the front of `input`, borrowing its key and value,
+/// and advance past it. `Ok(None)` when `input` is empty. An entry that
+/// `input` ends inside is an error — a cut length (`Truncated`), a
+/// field running past the end (`BadLength` with the field's length) or
+/// an over-long varint (`VarintOverflow`) — and leaves `input` where
+/// the entry starts.
+#[inline]
+pub fn read_entry<'a>(input: &mut &'a [u8]) -> Result<Option<Entry<'a>>, CodecError> {
+    if input.is_empty() {
+        return Ok(None);
+    }
+    let (mut rest, mut fields) = (*input, [&[][..]; 2]);
+    for field in &mut fields {
+        let len = read_varint(&mut rest)?;
+        let at = usize::try_from(len).unwrap_or(usize::MAX);
+        (*field, rest) = rest
+            .split_at_checked(at)
+            .ok_or(CodecError::BadLength(len))?;
+    }
+    *input = rest;
+    Ok(Some((fields[0], fields[1])))
+}
 
 /// Append-side of a frame: one growable payload buffer plus the
 /// producer-side column of key hashes, one per entry in push order.
 #[derive(Debug, Default)]
 pub struct FrameBuilder {
-    buf: BytesMut,
+    buf: Vec<u8>,
     hashes: Vec<u64>,
-}
-
-/// Append `v` as an LEB128 varint (the `Vec`-based writer in
-/// [`crate::write_varint`] has the wrong sink type for `BytesMut`).
-#[inline]
-fn push_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
 }
 
 impl FrameBuilder {
@@ -59,7 +89,7 @@ impl FrameBuilder {
     /// Pre-size for `records` entries totalling `bytes` of payload.
     pub fn with_capacity(records: usize, bytes: usize) -> Self {
         FrameBuilder {
-            buf: BytesMut::with_capacity(bytes),
+            buf: Vec::with_capacity(bytes),
             hashes: Vec::with_capacity(records),
         }
     }
@@ -68,10 +98,7 @@ impl FrameBuilder {
     /// into the builder's hash column, not into the payload.
     #[inline]
     pub fn push(&mut self, hash: u64, key: &[u8], value: &[u8]) {
-        push_varint(&mut self.buf, key.len() as u64);
-        self.buf.extend_from_slice(key);
-        push_varint(&mut self.buf, value.len() as u64);
-        self.buf.extend_from_slice(value);
+        write_entry(&mut self.buf, key, value);
         self.hashes.push(hash);
     }
 
@@ -99,7 +126,7 @@ impl FrameBuilder {
     /// order — for the producer's own use; they never ship.
     pub fn finish(self) -> (Frame, Vec<u64>) {
         let frame = Frame {
-            data: self.buf.freeze(),
+            data: Bytes::from(self.buf),
             entries: self.hashes.len(),
         };
         (frame, self.hashes)
@@ -129,14 +156,7 @@ impl Frame {
     pub fn parse(data: Bytes) -> Result<Frame, CodecError> {
         let mut input = &data[..];
         let mut entries = 0usize;
-        while !input.is_empty() {
-            for _ in 0..2 {
-                let len = read_varint(&mut input)?;
-                if len > input.len() as u64 {
-                    return Err(CodecError::BadLength(len));
-                }
-                input = &input[len as usize..];
-            }
+        while read_entry(&mut input)?.is_some() {
             entries += 1;
         }
         Ok(Frame { data, entries })
@@ -164,78 +184,22 @@ impl Frame {
 
     /// Borrowing iterator over `(key, value)` — the cheapest way to
     /// consume a frame when the records don't outlive it (map tasks,
-    /// fold-into-accumulator paths).
-    pub fn iter(&self) -> FrameIter<'_> {
-        FrameIter { input: &self.data }
+    /// fold-into-accumulator paths). Entries were validated when the
+    /// frame was built or parsed.
+    pub fn iter(&self) -> impl Iterator<Item = Entry<'_>> {
+        let mut input = &self.data[..];
+        std::iter::from_fn(move || read_entry(&mut input).ok().flatten())
     }
 
-    /// Zero-copy owning iterator: keys and values come out as
-    /// [`Bytes`] sub-views of the frame's allocation, so storing them
-    /// (reduce group maps) copies nothing but keeps the frame's buffer
-    /// alive until the views drop.
-    pub fn iter_shared(&self) -> SharedFrameIter {
-        SharedFrameIter {
-            frame: self.clone(),
-            pos: 0,
-        }
-    }
-}
-
-/// See [`Frame::iter`]. Entries were validated at build/parse time, so
-/// a malformed tail simply ends iteration.
-pub struct FrameIter<'a> {
-    input: &'a [u8],
-}
-
-impl<'a> Iterator for FrameIter<'a> {
-    type Item = (&'a [u8], &'a [u8]);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.input.is_empty() {
-            return None;
-        }
-        let klen = read_varint(&mut self.input).ok()? as usize;
-        let (key, rest) = self.input.split_at_checked(klen)?;
-        self.input = rest;
-        let vlen = read_varint(&mut self.input).ok()? as usize;
-        let (value, rest) = self.input.split_at_checked(vlen)?;
-        self.input = rest;
-        Some((key, value))
-    }
-}
-
-/// See [`Frame::iter_shared`].
-pub struct SharedFrameIter {
-    frame: Frame,
-    pos: usize,
-}
-
-impl Iterator for SharedFrameIter {
-    type Item = (Bytes, Bytes);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let data = &self.frame.data;
-        let mut input = &data[self.pos..];
-        if input.is_empty() {
-            return None;
-        }
-        let klen = read_varint(&mut input).ok()? as usize;
-        let key_start = data.len() - input.len();
-        if input.len() < klen {
-            return None;
-        }
-        input = &input[klen..];
-        let vlen = read_varint(&mut input).ok()? as usize;
-        let value_start = data.len() - input.len();
-        if input.len() < vlen {
-            return None;
-        }
-        self.pos = value_start + vlen;
-        Some((
-            data.slice(key_start..key_start + klen),
-            data.slice(value_start..value_start + vlen),
-        ))
+    /// Zero-copy owning entries: keys and values come out as [`Bytes`]
+    /// sub-views of the frame's allocation, so storing them copies
+    /// nothing but keeps the frame's buffer alive until the views drop.
+    pub fn iter_shared(&self) -> impl Iterator<Item = (Bytes, Bytes)> + '_ {
+        let view = |field: &[u8]| {
+            let at = field.as_ptr() as usize - self.data.as_ptr() as usize;
+            self.data.slice(at..at + field.len())
+        };
+        self.iter().map(move |(k, v)| (view(k), view(v)))
     }
 }
 
@@ -250,6 +214,42 @@ mod tests {
             b.push(stable_hash(k), k, v);
         }
         b.freeze()
+    }
+
+    #[test]
+    fn entries_round_trip() {
+        let mut buf = Vec::new();
+        write_entry(&mut buf, b"key", b"value");
+        write_entry(&mut buf, b"", b"");
+        write_entry(&mut buf, b"x", &[0xff, 0x00]);
+        let mut input = buf.as_slice();
+        let mut next = || read_entry(&mut input).unwrap();
+        assert_eq!(next(), Some((&b"key"[..], &b"value"[..])));
+        assert_eq!(next(), Some((&b""[..], &b""[..])));
+        assert_eq!(next(), Some((&b"x"[..], &[0xff, 0x00][..])));
+        assert_eq!(next(), None);
+    }
+
+    /// Every cut inside an entry is a torn entry, not the end of the
+    /// input: the reader errs and stays put on the entry.
+    #[test]
+    fn read_entry_refuses_a_torn_entry() {
+        let mut buf = Vec::new();
+        write_entry(&mut buf, b"key", b"value");
+        let whole = buf.len();
+        write_entry(&mut buf, b"k2", b"v2");
+        for cut in whole + 1..buf.len() {
+            let mut input = &buf[..cut];
+            assert!(read_entry(&mut input).unwrap().is_some(), "cut {cut}");
+            let before = input;
+            // `[2] k 2 [2] v 2`: only the cut before `vlen` cuts a varint.
+            let want = match cut - whole {
+                3 => CodecError::Truncated,
+                _ => CodecError::BadLength(2),
+            };
+            assert_eq!(read_entry(&mut input), Err(want), "cut {cut}");
+            assert_eq!(input, before, "cut {cut}");
+        }
     }
 
     #[test]

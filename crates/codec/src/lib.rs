@@ -15,15 +15,18 @@
 //! It is *not* self-describing: both ends must agree on the type, which
 //! the typed flowlet layer guarantees statically.
 //!
-//! Records travel in [`frame`]s; a frame crossing a link is packed with
-//! the order-0 Huffman coder in [`huffman`].
+//! Records travel in [`frame`]s, whose entry layout is also every spill
+//! run's and shuffle chunk's; [`merge`] merges sorted runs of it, and a
+//! frame crossing a link is packed with the order-0 Huffman coder in
+//! [`huffman`].
 
 pub mod frame;
 pub mod hash;
 pub mod huffman;
+pub mod merge;
 mod varint;
 
-pub use frame::{Frame, FrameBuilder, FrameIter, SharedFrameIter};
+pub use frame::{read_entry, write_entry, Entry, Frame, FrameBuilder};
 pub use hash::{partition, stable_hash, StableMap};
 pub use varint::{read_varint, write_varint, zigzag_decode, zigzag_encode};
 

@@ -3,10 +3,11 @@
 //! → `Frame` unchanged and in order — for both the borrowed and the
 //! zero-copy shared iterator — with the builder's hash column beside
 //! the payload, never in it; the payload is exactly the sum of its
-//! entries; and `Frame::parse` survives arbitrary bytes.
+//! entries; `Frame::parse` survives arbitrary bytes; and the one entry
+//! reader, `read_entry`, accepts exactly what `Frame::parse` does.
 
 use hamr_codec::frame::{Frame, FrameBuilder};
-use hamr_codec::stable_hash;
+use hamr_codec::{read_entry, stable_hash};
 use proptest::prelude::*;
 
 type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
@@ -158,6 +159,35 @@ proptest! {
         } else {
             prop_assert!(again.payload_bytes() < input.len());
             prop_assert_eq!(owned(&again), pairs);
+        }
+    }
+
+    /// `read_entry` never panics on arbitrary bytes and reads them to
+    /// their end exactly when `Frame::parse` accepts them, yielding the
+    /// frame's entries. Where it refuses an entry it stays put on it.
+    #[test]
+    fn read_entry_accepts_what_parse_accepts(
+        input in prop::collection::vec(prop_oneof![0u8..4, 0u8..4, 0u8..4, any::<u8>()], 0..24)
+    ) {
+        let mut rest = input.as_slice();
+        let mut pairs: Pairs = Vec::new();
+        let read = loop {
+            let before = rest;
+            match read_entry(&mut rest) {
+                Ok(Some((k, v))) => pairs.push((k.to_vec(), v.to_vec())),
+                Ok(None) => break Ok(()),
+                Err(e) => {
+                    prop_assert_eq!(rest, before);
+                    break Err(e);
+                }
+            }
+        };
+        match Frame::parse(bytes::Bytes::from(input.clone())) {
+            Ok(frame) => {
+                prop_assert_eq!(read, Ok(()));
+                prop_assert_eq!(owned(&frame), pairs);
+            }
+            Err(e) => prop_assert_eq!(read, Err(e)),
         }
     }
 }

@@ -8,7 +8,7 @@ use crate::plan::{ExecPlan, PortSpec};
 use crate::record::{FrameBin, Record};
 use crate::NodeId;
 use bytes::Bytes;
-use hamr_codec::{stable_hash, write_varint, Frame, FrameBuilder};
+use hamr_codec::{stable_hash, write_entry, Frame, FrameBuilder};
 use hamr_trace::{AuditStage, EventKind, Observe};
 use std::sync::Arc;
 
@@ -376,10 +376,7 @@ impl TaskOutput {
     /// the task's capture buffer.
     pub(crate) fn capture(&mut self, key: &[u8], value: &[u8]) {
         if self.capture_enabled {
-            for part in [key, value] {
-                write_varint(part.len() as u64, &mut self.captured);
-                self.captured.extend_from_slice(part);
-            }
+            write_entry(&mut self.captured, key, value);
         }
     }
 

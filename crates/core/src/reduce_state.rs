@@ -30,9 +30,8 @@
 use crate::flowlet::{AccTable, PartialReduceFn};
 use crate::record::FrameBin;
 use crate::slots::{u32_at, Slots, ARENA_MAX};
-use crate::spill::{write_run, GroupedMerge, RunReader, SortedStream};
-use bytes::Bytes;
-use hamr_codec::stable_hash;
+use crate::spill::{merge_runs, Run};
+use hamr_codec::{stable_hash, write_entry};
 use hamr_simdisk::{Disk, DiskError};
 use hamr_trace::{EventKind, Gauge, Labels, Observe, Tracer};
 use parking_lot::Mutex;
@@ -133,13 +132,16 @@ impl Groups {
         self.slots.offsets().map(|at| self.group(at))
     }
 
-    /// Every `(key, value)` held, flattened for a sorted run.
-    fn entries(&self) -> Vec<(&[u8], &[u8])> {
-        let mut out = Vec::new();
-        for (key, values) in self.groups() {
-            out.extend(values.map(|v| (key, v)));
+    /// Every `(key, value)` held, as one run of frame entries: sorted
+    /// by key, each group's values in arrival order.
+    fn run(&self) -> Vec<u8> {
+        let mut order: Vec<usize> = self.slots.offsets().collect();
+        order.sort_unstable_by_key(|&at| self.group(at).0);
+        let mut run = Vec::with_capacity(self.arena.len());
+        for (key, values) in order.into_iter().map(|at| self.group(at)) {
+            values.for_each(|v| write_entry(&mut run, key, v));
         }
-        out
+        run
     }
 }
 
@@ -266,17 +268,18 @@ impl ReduceState {
             },
         );
         let name = self.disk.temp_name(&self.spill_prefix);
-        let written = write_run(&self.disk, &name, shard.groups.entries())?;
+        let run = shard.groups.run();
+        self.disk.write_all(&name, &run)?;
         // Both keep their capacity for the refill.
         shard.groups.arena.clear();
         shard.groups.slots.clear();
-        self.spilled_bytes.fetch_add(written as u64, Relaxed);
+        self.spilled_bytes.fetch_add(run.len() as u64, Relaxed);
         self.tracer.emit(
             self.node,
             worker as u32,
             EventKind::SpillEnd {
                 flowlet: self.flowlet,
-                bytes: written as u64,
+                bytes: run.len() as u64,
             },
         );
         shard.runs.push(name);
@@ -308,8 +311,9 @@ impl ReduceState {
 pub(crate) enum FireShard {
     /// Nothing spilled: the groups where ingest left them.
     Memory(Groups),
-    /// Merge in-memory remainder with spilled runs, key order.
-    Merge(GroupedMerge),
+    /// The spilled runs, then the in-memory remainder as one more run,
+    /// merged in key order.
+    Merge(Vec<Run>),
 }
 
 impl FireShard {
@@ -317,14 +321,10 @@ impl FireShard {
         if shard.runs.is_empty() {
             return Ok(FireShard::Memory(shard.groups));
         }
-        let owned = Bytes::copy_from_slice;
-        let remainder = shard.groups.entries();
-        let remainder = remainder.into_iter().map(|(k, v)| (owned(k), owned(v)));
-        let mut streams = vec![SortedStream::from_entries(remainder.collect())];
-        for run in &shard.runs {
-            streams.push(SortedStream::Run(RunReader::open(disk, run)?));
-        }
-        Ok(FireShard::Merge(GroupedMerge::new(streams)?))
+        let runs = shard.runs.iter().map(|run| Run::open(disk, run));
+        let mut runs = runs.collect::<Result<Vec<_>, _>>()?;
+        runs.push(Run::memory(shard.groups.run()));
+        Ok(FireShard::Merge(runs))
     }
 
     /// Hand every group to `reduce`: its key and an iterator over its
@@ -341,11 +341,7 @@ impl FireShard {
                     reduce(key, &mut values);
                 }
             }
-            FireShard::Merge(mut merge) => {
-                while let Some((key, values)) = merge.next_group()? {
-                    reduce(&key, &mut values.iter().map(|v| &v[..]));
-                }
-            }
+            FireShard::Merge(mut runs) => merge_runs(&mut runs, reduce)?,
         }
         Ok(())
     }
@@ -417,6 +413,7 @@ mod tests {
     use super::*;
     use crate::flowlet::Emitter;
     use crate::slots::Accs;
+    use bytes::Bytes;
     use hamr_codec::stable_hash;
     use hamr_simdisk::DiskConfig;
     use proptest::prelude::*;

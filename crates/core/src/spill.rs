@@ -1,172 +1,90 @@
-//! Reduce-side spill: sorted runs on the node-local disk and a grouped
-//! k-way merge to iterate them back.
-//!
-//! When a reduce flowlet's collected groups exceed the node's memory
-//! budget, a shard of its state is flattened to `(key, value)` entries,
-//! sorted by key, and written as one *run*. At fire time the in-memory
-//! remainder (also sorted) is merged with every run, yielding each key
-//! exactly once with all its values — the same external-sort shape
-//! Hadoop reducers use, but only on overflow instead of always.
+//! Reduce-side spill: sorted runs of frame entries
+//! (`reduce_state.rs::Groups::run`) on the node-local disk, read back as
+//! sources of the one group merge, [`hamr_codec::merge`], with the
+//! in-memory remainder as one more run — Hadoop's external sort, but
+//! only on overflow. A spilled run is read 64 KiB at a time, so the
+//! modeled disk is paid as the merge goes; a run that ends inside an
+//! entry, or holds a malformed one, fails the fire with
+//! `DiskError::Truncated` at the entry's start, without reading on.
 
-use bytes::Bytes;
-use hamr_codec::{read_varint, write_varint};
+use hamr_codec::merge::{merge, Source};
 use hamr_simdisk::{Disk, DiskError, FileReader};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Sort entries by key and write them to `disk` as one run file.
-/// Returns the byte size of the run.
-pub(crate) fn write_run<K: AsRef<[u8]>, V: AsRef<[u8]>>(
-    disk: &Disk,
-    name: &str,
-    mut entries: Vec<(K, V)>,
-) -> Result<usize, DiskError> {
-    entries.sort_unstable_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
-    let mut writer = disk.create(name)?;
-    let mut buf = Vec::with_capacity(64 << 10);
-    for (k, v) in &entries {
-        let (k, v) = (k.as_ref(), v.as_ref());
-        write_varint(k.len() as u64, &mut buf);
-        buf.extend_from_slice(k);
-        write_varint(v.len() as u64, &mut buf);
-        buf.extend_from_slice(v);
-        if buf.len() >= (64 << 10) {
-            writer.write(&buf);
-            buf.clear();
-        }
-    }
-    if !buf.is_empty() {
-        writer.write(&buf);
-    }
-    Ok(writer.seal())
-}
+/// Bytes a spilled run is read back in.
+const CHUNK: usize = 64 << 10;
 
-/// Streaming reader over one sorted run.
-pub(crate) struct RunReader {
-    name: String,
-    file: FileReader,
+/// One sorted run as a merge source: a spilled run read back a chunk at
+/// a time, or the in-memory remainder, whole.
+pub(crate) struct Run {
+    /// The run's file, for the error that names a torn one.
+    pub(crate) name: String,
+    file: Option<FileReader>,
     buf: Vec<u8>,
+    /// Where the merge's window starts in `buf`.
     pos: usize,
-    /// Run offset of `buf[0]`.
-    base: usize,
 }
 
-const READ_CHUNK: usize = 64 << 10;
-
-impl RunReader {
+impl Run {
     pub(crate) fn open(disk: &Disk, name: &str) -> Result<Self, DiskError> {
-        Ok(RunReader {
-            name: name.to_string(),
-            file: disk.open(name)?,
+        let file = Some(disk.open(name)?);
+        let name = name.to_string();
+        Ok(Run {
+            name,
+            file,
             buf: Vec::new(),
             pos: 0,
-            base: 0,
         })
     }
 
-    /// Next entry in key order, `None` at the end of the run, or an
-    /// error when the run ends inside an entry: a truncated run is not
-    /// a shorter one.
-    pub(crate) fn next_entry(&mut self) -> Result<Option<(Bytes, Bytes)>, DiskError> {
-        loop {
-            if let Some((key, value, len)) = parse_entry(&self.buf[self.pos..]) {
-                let entry = (Bytes::copy_from_slice(key), Bytes::copy_from_slice(value));
-                self.pos += len;
-                return Ok(Some(entry));
-            }
-            // What is buffered is not a whole entry: read on, if the
-            // run has more.
-            if self.file.remaining() == 0 {
-                if self.pos == self.buf.len() {
-                    return Ok(None);
-                }
-                let offset = (self.base + self.pos) as u64;
-                let file = self.name.clone();
-                return Err(DiskError::Truncated { file, offset });
-            }
-            self.buf.drain(..self.pos);
-            (self.base, self.pos) = (self.base + self.pos, 0);
-            let old = self.buf.len();
-            self.buf
-                .resize(old + READ_CHUNK.min(self.file.remaining()), 0);
-            let n = self.file.read(&mut self.buf[old..]);
-            self.buf.truncate(old + n);
+    /// A run already in memory.
+    pub(crate) fn memory(buf: Vec<u8>) -> Self {
+        Run {
+            name: String::new(),
+            file: None,
+            buf,
+            pos: 0,
         }
     }
 }
 
-/// The entry at the front of `bytes` — its key, its value and its
-/// length — or `None` if `bytes` ends inside it.
-fn parse_entry(mut bytes: &[u8]) -> Option<(&[u8], &[u8], usize)> {
-    let whole = bytes.len();
-    let klen = read_varint(&mut bytes).ok()? as usize;
-    let key = bytes.get(..klen)?;
-    bytes = &bytes[klen..];
-    let vlen = read_varint(&mut bytes).ok()? as usize;
-    let value = bytes.get(..vlen)?;
-    Some((key, value, whole - bytes.len() + vlen))
-}
-
-/// A source of key-sorted entries.
-pub(crate) enum SortedStream {
-    Run(RunReader),
-    Memory(std::vec::IntoIter<(Bytes, Bytes)>),
-}
-
-impl SortedStream {
-    fn next(&mut self) -> Result<Option<(Bytes, Bytes)>, DiskError> {
-        match self {
-            SortedStream::Run(r) => r.next_entry(),
-            SortedStream::Memory(it) => Ok(it.next()),
-        }
+impl Source for Run {
+    fn window(&self) -> &[u8] {
+        &self.buf[self.pos..]
     }
 
-    /// A memory stream over entries (sorted here for safety).
-    pub(crate) fn from_entries(mut entries: Vec<(Bytes, Bytes)>) -> Self {
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        SortedStream::Memory(entries.into_iter())
-    }
-}
-
-/// Merges sorted streams, yielding each key once with all its values.
-pub(crate) struct GroupedMerge {
-    streams: Vec<SortedStream>,
-    heap: BinaryHeap<Reverse<(Bytes, usize, Bytes)>>,
-}
-
-impl GroupedMerge {
-    pub(crate) fn new(streams: Vec<SortedStream>) -> Result<Self, DiskError> {
-        let heap = BinaryHeap::with_capacity(streams.len());
-        let mut merge = GroupedMerge { streams, heap };
-        (0..merge.streams.len()).try_for_each(|i| merge.advance(i))?;
-        Ok(merge)
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
     }
 
-    /// Put stream `i`'s next entry, if any, on the heap.
-    fn advance(&mut self, i: usize) -> Result<(), DiskError> {
-        if let Some((k, v)) = self.streams[i].next()? {
-            self.heap.push(Reverse((k, i, v)));
-        }
-        Ok(())
+    fn remaining(&self) -> usize {
+        self.file.as_ref().map_or(0, FileReader::remaining)
     }
 
-    /// Next `(key, values)` group in key order.
-    pub(crate) fn next_group(&mut self) -> Result<Option<(Bytes, Vec<Bytes>)>, DiskError> {
-        let Some(Reverse((key, idx, value))) = self.heap.pop() else {
-            return Ok(None);
+    /// Drop what the merge is done with and read the next chunk.
+    fn fill(&mut self) {
+        let Some(file) = &mut self.file else {
+            return;
         };
-        let mut values = vec![value];
-        self.advance(idx)?;
-        while let Some(Reverse((k, _, _))) = self.heap.peek() {
-            if *k != key {
-                break;
-            }
-            let Reverse((_, i, v)) = self.heap.pop().expect("peeked");
-            values.push(v);
-            self.advance(i)?;
-        }
-        Ok(Some((key, values)))
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        let old = self.buf.len();
+        self.buf.resize(old + CHUNK.min(file.remaining()), 0);
+        let n = file.read(&mut self.buf[old..]);
+        self.buf.truncate(old + n);
     }
+}
+
+/// Merge `runs`, handing `group` each key once with all its values,
+/// borrowed: run by run, in each run's order. Fails on a run that ends
+/// inside an entry or holds a malformed one.
+pub(crate) fn merge_runs(
+    runs: &mut [Run],
+    mut group: impl FnMut(&[u8], &mut dyn Iterator<Item = &[u8]>),
+) -> Result<(), DiskError> {
+    merge(runs, None, |_, key, values| group(key, values)).map_err(|torn| DiskError::Truncated {
+        file: runs[torn.source].name.clone(),
+        offset: torn.offset,
+    })
 }
 
 #[cfg(test)]
@@ -174,143 +92,173 @@ mod tests {
     use super::*;
     use hamr_simdisk::DiskConfig;
 
-    fn b(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
+    type Groups = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
+
+    /// `entries`, sorted, as a run's bytes.
+    fn run_of<K: AsRef<[u8]> + Ord, V: AsRef<[u8]> + Ord>(mut entries: Vec<(K, V)>) -> Vec<u8> {
+        entries.sort();
+        let mut run = Vec::new();
+        for (k, v) in &entries {
+            hamr_codec::write_entry(&mut run, k.as_ref(), v.as_ref());
+        }
+        run
+    }
+
+    /// A disk holding `entries`, sorted, as run `name`.
+    fn spill<K: AsRef<[u8]> + Ord, V: AsRef<[u8]> + Ord>(name: &str, entries: Vec<(K, V)>) -> Disk {
+        let disk = Disk::new(DiskConfig::instant());
+        disk.write_all(name, &run_of(entries)).unwrap();
+        disk
+    }
+
+    /// Every group `runs` merge into, owned, and how the merge ended.
+    fn groups(mut runs: Vec<Run>) -> (Groups, Result<(), DiskError>) {
+        let mut out = Vec::new();
+        let end = merge_runs(&mut runs, |k, vs| {
+            out.push((k.to_vec(), vs.map(<[u8]>::to_vec).collect()));
+        });
+        (out, end)
+    }
+
+    /// The groups of a merge that must succeed.
+    fn merged(runs: Vec<Run>) -> Groups {
+        let (out, end) = groups(runs);
+        end.unwrap();
+        out
+    }
+
+    fn g(key: &str, values: &[&str]) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let values = values.iter().map(|v| v.as_bytes().to_vec()).collect();
+        (key.as_bytes().to_vec(), values)
     }
 
     #[test]
     fn run_roundtrip_in_key_order() {
-        let disk = Disk::new(DiskConfig::instant());
-        let entries = vec![(b("c"), b("3")), (b("a"), b("1")), (b("b"), b("2"))];
-        write_run(&disk, "run0", entries).unwrap();
-        let mut r = RunReader::open(&disk, "run0").unwrap();
-        assert_eq!(r.next_entry().unwrap().unwrap(), (b("a"), b("1")));
-        assert_eq!(r.next_entry().unwrap().unwrap(), (b("b"), b("2")));
-        assert_eq!(r.next_entry().unwrap().unwrap(), (b("c"), b("3")));
-        assert!(r.next_entry().unwrap().is_none());
+        let disk = spill("run0", vec![("c", "3"), ("a", "1"), ("b", "2")]);
+        let got = merged(vec![Run::open(&disk, "run0").unwrap()]);
+        assert_eq!(got, vec![g("a", &["1"]), g("b", &["2"]), g("c", &["3"])]);
     }
 
     #[test]
     fn empty_run_yields_nothing() {
-        let disk = Disk::new(DiskConfig::instant());
-        write_run(&disk, "run0", Vec::<(Bytes, Bytes)>::new()).unwrap();
-        let mut r = RunReader::open(&disk, "run0").unwrap();
-        assert!(r.next_entry().unwrap().is_none());
+        let disk = spill::<&str, &str>("run0", vec![]);
+        assert!(merged(vec![Run::open(&disk, "run0").unwrap()]).is_empty());
     }
 
+    /// 40 KB values force refills, and a 200 KB group grows the window
+    /// past one read; the disk still reads the run 64 KiB at a time.
     #[test]
     fn large_run_spans_read_chunks() {
-        let disk = Disk::new(DiskConfig::instant());
-        let big_value = vec![7u8; 40 << 10]; // 40 KB values force refills
-        let entries: Vec<_> = (0..16u64)
-            .map(|i| {
-                (
-                    Bytes::from(format!("key{i:04}")),
-                    Bytes::from(big_value.clone()),
-                )
-            })
-            .collect();
-        write_run(&disk, "big", entries).unwrap();
-        let mut r = RunReader::open(&disk, "big").unwrap();
-        let mut count = 0;
-        while let Some((k, v)) = r.next_entry().unwrap() {
-            assert!(k.starts_with(b"key"));
-            assert_eq!(v.len(), 40 << 10);
-            count += 1;
-        }
-        assert_eq!(count, 16);
+        let big = vec![7u8; 40 << 10];
+        let entries = (0..16u64).map(|i| (format!("key{:04}", i.min(11)), big.clone()));
+        let disk = spill("big", entries.collect());
+        let got = merged(vec![Run::open(&disk, "big").unwrap()]);
+        assert_eq!(got.len(), 12);
+        assert_eq!(got[11].1.len(), 5);
+        assert!(got
+            .iter()
+            .all(|(k, vs)| k.starts_with(b"key") && vs.iter().all(|v| *v == big)));
+        let (m, size) = (disk.metrics(), disk.len("big").unwrap());
+        assert_eq!(
+            (m.bytes_read, m.read_ops),
+            (size as u64, size.div_ceil(CHUNK) as u64)
+        );
     }
 
+    /// Two spilled runs and the in-memory remainder: each key once, its
+    /// values run by run and in each run's order.
     #[test]
     fn merge_groups_across_streams() {
-        let disk = Disk::new(DiskConfig::instant());
-        write_run(&disk, "r1", vec![(b("a"), b("1")), (b("b"), b("2"))]).unwrap();
-        write_run(&disk, "r2", vec![(b("a"), b("3")), (b("c"), b("4"))]).unwrap();
-        let mem = SortedStream::from_entries(vec![(b("b"), b("5")), (b("a"), b("6"))]);
-        let streams = vec![
-            SortedStream::Run(RunReader::open(&disk, "r1").unwrap()),
-            SortedStream::Run(RunReader::open(&disk, "r2").unwrap()),
-            mem,
+        let disk = spill("r1", vec![("a", "1"), ("b", "2")]);
+        let mut runs = vec![Run::open(&disk, "r1").unwrap()];
+        let disk = spill("r2", vec![("a", "3"), ("c", "4")]);
+        runs.push(Run::open(&disk, "r2").unwrap());
+        runs.push(Run::memory(run_of(vec![("b", "5"), ("a", "6")])));
+        let want = vec![
+            g("a", &["1", "3", "6"]),
+            g("b", &["2", "5"]),
+            g("c", &["4"]),
         ];
-        let mut merge = GroupedMerge::new(streams).unwrap();
-        let (k, mut vs) = merge.next_group().unwrap().unwrap();
-        assert_eq!(k, b("a"));
-        vs.sort();
-        assert_eq!(vs, vec![b("1"), b("3"), b("6")]);
-        let (k, mut vs) = merge.next_group().unwrap().unwrap();
-        assert_eq!(k, b("b"));
-        vs.sort();
-        assert_eq!(vs, vec![b("2"), b("5")]);
-        let (k, vs) = merge.next_group().unwrap().unwrap();
-        assert_eq!(k, b("c"));
-        assert_eq!(vs, vec![b("4")]);
-        assert!(merge.next_group().unwrap().is_none());
+        assert_eq!(merged(runs), want);
     }
 
     #[test]
     fn merge_of_empty_streams_is_empty() {
-        let mut merge = GroupedMerge::new(vec![SortedStream::from_entries(vec![])]).unwrap();
-        assert!(merge.next_group().unwrap().is_none());
+        assert!(merged(vec![Run::memory(Vec::new())]).is_empty());
     }
 
     #[test]
     fn merge_single_memory_stream_groups_duplicates() {
-        let entries = vec![(b("x"), b("1")), (b("x"), b("2")), (b("x"), b("3"))];
-        let mut merge = GroupedMerge::new(vec![SortedStream::from_entries(entries)]).unwrap();
-        let (k, vs) = merge.next_group().unwrap().unwrap();
-        assert_eq!(k, b("x"));
-        assert_eq!(vs.len(), 3);
-        assert!(merge.next_group().unwrap().is_none());
+        let got = merged(vec![Run::memory(run_of(vec![
+            ("x", "1"),
+            ("x", "2"),
+            ("x", "3"),
+        ]))]);
+        assert_eq!(got, vec![g("x", &["1", "2", "3"])]);
     }
 
     #[test]
     fn binary_safe_keys_and_values() {
-        let disk = Disk::new(DiskConfig::instant());
-        let entries = vec![
-            (
-                Bytes::from_static(&[0, 0, 1]),
-                Bytes::from_static(&[0xff, 0x80]),
-            ),
-            (Bytes::from_static(&[0]), Bytes::from_static(&[])),
+        let disk = spill(
+            "bin",
+            vec![(vec![0u8, 0, 1], vec![0xffu8, 0x80]), (vec![0], vec![])],
+        );
+        let got = merged(vec![Run::open(&disk, "bin").unwrap()]);
+        let want = vec![
+            (vec![0], vec![vec![]]),
+            (vec![0, 0, 1], vec![vec![0xff, 0x80]]),
         ];
-        write_run(&disk, "bin", entries).unwrap();
-        let mut r = RunReader::open(&disk, "bin").unwrap();
-        assert_eq!(
-            r.next_entry().unwrap().unwrap(),
-            (Bytes::from_static(&[0]), Bytes::from_static(&[]))
-        );
-        assert_eq!(
-            r.next_entry().unwrap().unwrap(),
-            (
-                Bytes::from_static(&[0, 0, 1]),
-                Bytes::from_static(&[0xff, 0x80])
-            )
-        );
+        assert_eq!(got, want);
     }
 
     /// A run cut short — here by three bytes, inside its last entry —
-    /// fails the read with the run's name and the entry's offset; every
-    /// entry before the cut still reads back, and a merge over the run
-    /// fails instead of yielding a short group.
+    /// fails the merge with the run's name and the entry's offset; the
+    /// groups known whole before the cut are still merged, and the
+    /// merge fails instead of yielding a short group.
     #[test]
     fn a_truncated_run_is_an_error_not_an_end() {
-        let disk = Disk::new(DiskConfig::instant());
-        let entries = vec![(b("a"), b("1")), (b("b"), b("22")), (b("c"), b("333"))];
-        write_run(&disk, "cut", entries).unwrap();
-        let whole = disk.read_all("cut").unwrap();
+        let run = run_of(vec![("a", "1"), ("b", "22"), ("c", "333")]);
+        let disk = spill::<&str, &str>("cut", vec![]);
         disk.delete("cut");
-        disk.write_all("cut", &whole[..whole.len() - 3]).unwrap();
-        let mut r = RunReader::open(&disk, "cut").unwrap();
-        assert_eq!(r.next_entry().unwrap(), Some((b("a"), b("1"))));
-        assert_eq!(r.next_entry().unwrap(), Some((b("b"), b("22"))));
-        let cut = DiskError::Truncated {
-            file: "cut".into(),
-            offset: 9,
-        };
-        assert_eq!(r.next_entry(), Err(cut.clone()));
-        let run = SortedStream::Run(RunReader::open(&disk, "cut").unwrap());
-        let mut merge = GroupedMerge::new(vec![run]).unwrap();
-        assert_eq!(merge.next_group().unwrap().unwrap().0, b("a"));
-        assert_eq!(merge.next_group(), Err(cut));
+        disk.write_all("cut", &run[..run.len() - 3]).unwrap();
+        let (got, end) = groups(vec![Run::open(&disk, "cut").unwrap()]);
+        // `b` is known whole only once the entry after it reads.
+        assert_eq!(got, vec![g("a", &["1"])]);
+        let file = "cut".to_string();
+        assert_eq!(end, Err(DiskError::Truncated { file, offset: 9 }));
+    }
+
+    /// A malformed length in the middle of a run fails the merge at the
+    /// entry's start as soon as its chunk is read: an over-long varint,
+    /// or a length past the end of the run. The disk reads two of the
+    /// run's five chunks, not the whole run.
+    #[test]
+    fn a_malformed_entry_fails_before_the_rest_of_the_run_is_read() {
+        let run = run_of(
+            (0..300)
+                .map(|i| (format!("key{i:03}"), vec![1u8; 1000]))
+                .collect(),
+        );
+        let corruptions: [&[u8]; 2] = [&[0xff; 10], &[0xff, 0xff, 0x7f]];
+        for bad in corruptions {
+            // Entry 100's klen: each entry is klen, 6 key bytes, a 2-byte
+            // vlen and the value.
+            let at = 100 * (1 + 6 + 2 + 1000);
+            let mut bytes = run.clone();
+            bytes[at..at + bad.len()].copy_from_slice(bad);
+            let disk = Disk::new(DiskConfig::instant());
+            disk.write_all("bad", &bytes).unwrap();
+            let (got, end) = groups(vec![Run::open(&disk, "bad").unwrap()]);
+            assert_eq!(got.len(), 99);
+            let (file, offset) = ("bad".to_string(), at as u64);
+            assert_eq!(end, Err(DiskError::Truncated { file, offset }));
+            let read = disk.metrics().bytes_read;
+            assert_eq!(
+                read,
+                2 * CHUNK as u64,
+                "{bad:?}: read {read} of {}",
+                run.len()
+            );
+        }
     }
 }

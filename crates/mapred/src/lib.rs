@@ -41,9 +41,6 @@ pub use api::{
 };
 pub use job::{JobStats, MrCluster, MrConfig, MrError, MrRunOptions, StartupModel};
 
-use hamr_codec::CodecError;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// How a job interprets its DFS input records.
@@ -52,8 +49,8 @@ pub enum InputFormat {
     /// Records are text lines (trailing `\n`); the mapper sees
     /// `(byte offset: u64, line bytes)` like Hadoop's TextInputFormat.
     TextLines,
-    /// Records are length-prefixed `(key, value)` pairs, the format
-    /// reducers write — used for chained jobs' intermediates.
+    /// Records are frame entries (`hamr_codec::write_entry`), the
+    /// format reducers write — used for chained jobs' intermediates.
     KeyValue,
 }
 
@@ -107,123 +104,5 @@ impl JobConf {
     pub fn with_reducers(mut self, r: usize) -> Self {
         self.reducers = r;
         self
-    }
-}
-
-/// Encode one `(key, value)` pair in the engine's KV record format.
-pub fn encode_kv(key: &[u8], value: &[u8], buf: &mut Vec<u8>) {
-    hamr_codec::write_varint(key.len() as u64, buf);
-    buf.extend_from_slice(key);
-    hamr_codec::write_varint(value.len() as u64, buf);
-    buf.extend_from_slice(value);
-}
-
-/// A `(key, value)` record borrowed from the buffer it was read from.
-pub(crate) type Kv<'a, K = &'a [u8]> = (K, &'a [u8]);
-
-/// Decode one KV record from the front of `input`: `Ok(None)` at a
-/// clean end, an error when `input` ends inside the record (a torn
-/// write), with `input` left where the record started. The key and
-/// value are borrowed from `input`.
-pub fn decode_kv<'a>(input: &mut &'a [u8]) -> Result<Option<Kv<'a>>, CodecError> {
-    if input.is_empty() {
-        return Ok(None);
-    }
-    let mut rest = *input;
-    let key = take_field(&mut rest)?;
-    let value = take_field(&mut rest)?;
-    *input = rest;
-    Ok(Some((key, value)))
-}
-
-/// One `varint(len) ++ bytes` field off the front of `input`.
-fn take_field<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
-    let len = hamr_codec::read_varint(input)? as usize;
-    if input.len() < len {
-        return Err(CodecError::Truncated);
-    }
-    let (field, rest) = input.split_at(len);
-    *input = rest;
-    Ok(field)
-}
-
-/// K-way merge of key-sorted sources, the map side's spill merge and
-/// the reduce side's: `next` reads one record off the front of a
-/// source, and `group` gets each key with its values, borrowed, source
-/// by source and in each source's order. A source that ends inside a
-/// record fails the merge with its index and the record's offset.
-pub(crate) fn merge<'a, K: Ord + Copy>(
-    sources: &[&'a [u8]],
-    next: impl Fn(&mut &'a [u8]) -> Result<Option<Kv<'a, K>>, CodecError>,
-    mut group: impl FnMut(K, &[&'a [u8]]),
-) -> Result<(), (usize, u64)> {
-    let mut rests = sources.to_vec();
-    let mut pull = |i: usize, heap: &mut BinaryHeap<_>| {
-        let rest = &mut rests[i];
-        let record = next(rest).map_err(|_| (i, (sources[i].len() - rest.len()) as u64))?;
-        if let Some((k, v)) = record {
-            heap.push(Reverse((k, i, v)));
-        }
-        Ok(())
-    };
-    let mut heap = BinaryHeap::new();
-    for i in 0..sources.len() {
-        pull(i, &mut heap)?;
-    }
-    let mut values = Vec::new();
-    while let Some(Reverse((key, i, v))) = heap.pop() {
-        pull(i, &mut heap)?;
-        values.clear();
-        values.push(v);
-        while let Some(Reverse((k2, _, _))) = heap.peek() {
-            if *k2 != key {
-                break;
-            }
-            let Reverse((_, j, v2)) = heap.pop().expect("peeked");
-            values.push(v2);
-            pull(j, &mut heap)?;
-        }
-        group(key, &values);
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kv_roundtrip() {
-        let mut buf = Vec::new();
-        encode_kv(b"key", b"value", &mut buf);
-        encode_kv(b"", b"", &mut buf);
-        encode_kv(b"x", &[0xff, 0x00], &mut buf);
-        let mut input = buf.as_slice();
-        let mut next = || decode_kv(&mut input).unwrap();
-        assert_eq!(next(), Some((&b"key"[..], &b"value"[..])));
-        assert_eq!(next(), Some((&b""[..], &b""[..])));
-        assert_eq!(next(), Some((&b"x"[..], &[0xff, 0x00][..])));
-        assert_eq!(next(), None);
-    }
-
-    /// Every cut inside a record is a torn entry, not the end of the
-    /// input: the reader errs and stays put on the record.
-    #[test]
-    fn decode_kv_refuses_a_torn_entry() {
-        let mut buf = Vec::new();
-        encode_kv(b"key", b"value", &mut buf);
-        let whole = buf.len();
-        encode_kv(b"k2", b"v2", &mut buf);
-        for cut in whole + 1..buf.len() {
-            let mut input = &buf[..cut];
-            assert!(decode_kv(&mut input).unwrap().is_some(), "cut {cut}");
-            let before = input;
-            assert_eq!(
-                decode_kv(&mut input),
-                Err(CodecError::Truncated),
-                "cut {cut}"
-            );
-            assert_eq!(input, before, "cut {cut}");
-        }
     }
 }

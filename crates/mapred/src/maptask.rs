@@ -4,8 +4,8 @@
 use crate::api::MapOutput;
 use crate::job::MrError;
 use crate::sortbuf::SortBuffer;
-use crate::{decode_kv, InputFormat, JobConf};
-use hamr_codec::Codec;
+use crate::{InputFormat, JobConf};
+use hamr_codec::{read_entry, Codec};
 use hamr_dfs::{Dfs, Split};
 use hamr_simdisk::{Disk, DiskError};
 
@@ -77,7 +77,7 @@ pub(crate) fn run_map_task(
                     file: format!("{}#{}", split.path, split.block_index),
                     offset: (payload.len() - input.len()) as u64,
                 };
-                while let Some((k, v)) = decode_kv(&mut input).map_err(|_| torn(input))? {
+                while let Some((k, v)) = read_entry(&mut input).map_err(|_| torn(input))? {
                     records_in += 1;
                     conf.mapper.map(k, v, &mut out);
                 }
@@ -211,7 +211,7 @@ mod tests {
         let blob = disks[node].read_all(&res.outputs[0].file).unwrap();
         let mut input = blob.as_slice();
         let mut pairs = 0;
-        while decode_kv(&mut input).unwrap().is_some() {
+        while read_entry(&mut input).unwrap().is_some() {
             pairs += 1;
         }
         assert_eq!(pairs, 1);

@@ -3,7 +3,9 @@
 
 use crate::api::ReduceOutput;
 use crate::job::MrError;
-use crate::{decode_kv, encode_kv, merge, JobConf};
+use crate::JobConf;
+use hamr_codec::merge::merge;
+use hamr_codec::write_entry;
 use hamr_dfs::Dfs;
 use std::sync::Arc;
 
@@ -32,19 +34,21 @@ pub(crate) fn run_reduce_task(
     let mut sink = |k: &[u8], v: &[u8]| {
         records_out += 1;
         rec.clear();
-        encode_kv(k, v, &mut rec);
+        write_entry(&mut rec, k, v);
         output_bytes += rec.len() as u64;
         writer.write_record(&rec);
     };
     let mut out = ReduceOutput::new(&mut sink);
-    let sources: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-    merge(&sources, decode_kv, |key, values| {
+    let mut sources: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
+    merge(&mut sources, None, |_, key, values| {
         records_in += values.len() as u64;
         groups += 1;
-        conf.reducer
-            .reduce(key, &mut values.iter().copied(), &mut out);
+        conf.reducer.reduce(key, values, &mut out);
     })
-    .map_err(|(_, offset)| MrError::TruncatedChunk { reducer: r, offset })?;
+    .map_err(|torn| MrError::TruncatedChunk {
+        reducer: r,
+        offset: torn.offset,
+    })?;
     drop(out);
     writer.seal()?;
     Ok(ReduceTaskResult {
@@ -59,7 +63,7 @@ pub(crate) fn run_reduce_task(
 mod tests {
     use super::*;
     use crate::api::{line_map_fn, reduce_fn};
-    use hamr_codec::Codec;
+    use hamr_codec::{read_entry, Codec};
     use hamr_dfs::DfsConfig;
     use hamr_simdisk::Disk;
     use std::sync::Arc;
@@ -69,7 +73,7 @@ mod tests {
         sorted.sort();
         let mut buf = Vec::new();
         for (k, v) in sorted {
-            encode_kv(&k.to_string().to_bytes(), &v.to_bytes(), &mut buf);
+            write_entry(&mut buf, &k.to_string().to_bytes(), &v.to_bytes());
         }
         buf
     }
@@ -105,7 +109,7 @@ mod tests {
         let raw = dfs.read_all("out/part-r-0").unwrap();
         let mut input = raw.as_slice();
         let mut got = Vec::new();
-        while let Some((k, v)) = decode_kv(&mut input).unwrap() {
+        while let Some((k, v)) = read_entry(&mut input).unwrap() {
             got.push((String::from_bytes(k).unwrap(), u64::from_bytes(v).unwrap()));
         }
         got.sort();

@@ -13,8 +13,8 @@
 //! borrow keys and values from the buffers; no record is allocated.
 
 use crate::api::{ReduceOutput, Reducer};
-use crate::{decode_kv, encode_kv, merge, Kv};
-use hamr_codec::{partition, read_varint, write_varint, CodecError};
+use hamr_codec::merge::merge;
+use hamr_codec::{partition, read_varint, write_entry, write_varint};
 use hamr_simdisk::{Disk, DiskError};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -115,12 +115,13 @@ impl SortBuffer {
         self.bytes = 0;
     }
 
-    /// Drain the buffer into one run: `varint(partition) ++ kv` records.
+    /// Drain the buffer into one run: `varint(partition) ++ entry`
+    /// records.
     fn sorted_run(&mut self, combiner: Option<&dyn Reducer>) -> Vec<u8> {
         let mut run = Vec::with_capacity(self.kvbuffer.len() + 8 * self.kvmeta.len());
         self.drain(combiner, |p, k, v| {
             write_varint(u64::from(p), &mut run);
-            encode_kv(k, v, &mut run);
+            write_entry(&mut run, k, v);
         });
         run
     }
@@ -159,7 +160,7 @@ impl SortBuffer {
         if self.runs.is_empty() {
             // Fast path: everything stayed in memory.
             self.drain(combiner, |p, k, v| {
-                encode_kv(k, v, &mut outputs[p as usize])
+                write_entry(&mut outputs[p as usize], k, v)
             });
             return Ok(outputs);
         }
@@ -171,17 +172,19 @@ impl SortBuffer {
             runs.push(disk.read_all(run)?);
         }
         runs.push(Arc::new(self.sorted_run(combiner)));
-        let sources: Vec<&[u8]> = runs.iter().map(|r| r.as_slice()).collect();
+        let mut sources: Vec<&[u8]> = runs.iter().map(|r| r.as_slice()).collect();
         let part = Cell::new(0);
-        let mut sink = |k: &[u8], v: &[u8]| encode_kv(k, v, &mut outputs[part.get() as usize]);
+        let mut sink = |k: &[u8], v: &[u8]| write_entry(&mut outputs[part.get() as usize], k, v);
         let mut out = ReduceOutput::new(&mut sink);
-        merge(&sources, next_entry, |(p, key), values| {
-            part.set(p);
-            emit_group(key, values.iter().copied(), combiner, &mut out);
+        // A run's records carry their partition in front: the merge key
+        // is `(partition, key)`.
+        merge(&mut sources, Some(read_varint), |p, key, values| {
+            part.set(p as u32);
+            emit_group(key, values, combiner, &mut out);
         })
-        .map_err(|(i, offset)| DiskError::Truncated {
-            file: self.runs[i].clone(),
-            offset,
+        .map_err(|torn| DiskError::Truncated {
+            file: self.runs[torn.source].clone(),
+            offset: torn.offset,
         })?;
         drop(out);
         for run in &self.runs {
@@ -205,26 +208,10 @@ fn emit_group<'v>(
     }
 }
 
-/// A spill run's record: its merge key is `(partition, key)`.
-type Entry<'a> = Kv<'a, (u32, &'a [u8])>;
-
-/// The next entry off the front of a run, borrowed from it; on a torn
-/// entry `run` is left where the entry starts.
-fn next_entry<'a>(run: &mut &'a [u8]) -> Result<Option<Entry<'a>>, CodecError> {
-    if run.is_empty() {
-        return Ok(None);
-    }
-    let mut entry = *run;
-    let p = read_varint(&mut entry)?;
-    let (k, v) = decode_kv(&mut entry)?.ok_or(CodecError::Truncated)?;
-    *run = entry;
-    Ok(Some(((p as u32, k), v)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamr_codec::Codec;
+    use hamr_codec::{read_entry, Codec};
     use hamr_simdisk::DiskConfig;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -232,7 +219,7 @@ mod tests {
     fn decode_partition(blob: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut input = blob;
         let mut out = Vec::new();
-        while let Some((k, v)) = decode_kv(&mut input).unwrap() {
+        while let Some((k, v)) = read_entry(&mut input).unwrap() {
             out.push((k.to_vec(), v.to_vec()));
         }
         out
@@ -425,7 +412,7 @@ mod tests {
                     _ => vec![values.concat()],
                 };
                 for v in folded {
-                    encode_kv(key, &v, &mut want[*p]);
+                    write_entry(&mut want[*p], key, &v);
                 }
             }
             prop_assert_eq!(buf.finalize(&disk, combiner).unwrap(), want);

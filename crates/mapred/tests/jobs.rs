@@ -1,10 +1,10 @@
 //! End-to-end MapReduce jobs: full map → shuffle → barrier → reduce
 //! through the simulated substrates.
 
-use hamr_codec::Codec;
+use hamr_codec::{read_entry, Codec};
 use hamr_mapred::{
-    decode_kv, line_map_fn, map_fn, reduce_fn, InputFormat, JobConf, MrCluster, MrError,
-    MrRunOptions, ReduceOutput,
+    line_map_fn, map_fn, reduce_fn, InputFormat, JobConf, MrCluster, MrError, MrRunOptions,
+    ReduceOutput,
 };
 use hamr_trace::{JournalSlot, MetricsRegistry, RecordedEvent, RingSink, Tracer};
 use std::collections::BTreeMap;
@@ -16,7 +16,7 @@ fn read_outputs(cluster: &MrCluster, output: &str) -> BTreeMap<String, u64> {
     for part in cluster.dfs().list(&format!("{output}/")) {
         let raw = cluster.dfs().read_all(&part).unwrap();
         let mut input = raw.as_slice();
-        while let Some((k, v)) = decode_kv(&mut input).unwrap() {
+        while let Some((k, v)) = read_entry(&mut input).unwrap() {
             let key = String::from_bytes(k).unwrap();
             let val = u64::from_bytes(v).unwrap();
             assert!(all.insert(key, val).is_none(), "duplicate key across parts");

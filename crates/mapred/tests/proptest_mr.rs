@@ -2,8 +2,8 @@
 //! for arbitrary inputs, with and without a combiner, at any slot
 //! count and sort-buffer size.
 
-use hamr_codec::Codec;
-use hamr_mapred::{decode_kv, line_map_fn, reduce_fn, JobConf, MrCluster, MrConfig, ReduceOutput};
+use hamr_codec::{read_entry, Codec};
+use hamr_mapred::{line_map_fn, reduce_fn, JobConf, MrCluster, MrConfig, ReduceOutput};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -69,7 +69,7 @@ fn run_wordcount(
     for part in cluster.dfs().list("out/") {
         let raw = cluster.dfs().read_all(&part).unwrap();
         let mut input = raw.as_slice();
-        while let Some((k, v)) = decode_kv(&mut input).unwrap() {
+        while let Some((k, v)) = read_entry(&mut input).unwrap() {
             got.insert(String::from_bytes(k).unwrap(), u64::from_bytes(v).unwrap());
         }
     }

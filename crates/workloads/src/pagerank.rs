@@ -30,11 +30,11 @@ use crate::env::{scaled, BenchOutput, Env, IterStats};
 use crate::gen::webgraph::{link_lines, zipfian_links};
 use crate::{pair_checksum, Benchmark};
 use bytes::Bytes;
-use hamr_codec::Codec;
+use hamr_codec::{read_entry, Codec};
 use hamr_core::typed::{self, Values};
 use hamr_core::{Emitter, Exchange, JobBuilder, JobGraph};
 use hamr_kvstore::Shard;
-use hamr_mapred::{decode_kv, line_map_fn, map_fn, reduce_fn, InputFormat, JobConf, ReduceOutput};
+use hamr_mapred::{line_map_fn, map_fn, reduce_fn, InputFormat, JobConf, ReduceOutput};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -427,7 +427,7 @@ impl Benchmark for PageRank {
         for part in env.dfs.list(&format!("{final_ranks}/")) {
             let raw = env.dfs.read_all(&part).map_err(|e| e.to_string())?;
             let mut input = raw.as_slice();
-            while let Some((k, v)) = decode_kv(&mut input).map_err(|e| format!("{part}: {e}"))? {
+            while let Some((k, v)) = read_entry(&mut input).map_err(|e| format!("{part}: {e}"))? {
                 let (_, ranks) = <(u8, Vec<u64>)>::from_bytes(v).map_err(|e| e.to_string())?;
                 pairs.push((k.to_vec(), ranks[0].to_bytes().to_vec()));
             }

@@ -10,9 +10,9 @@
 use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::text::wordcount_corpus;
 use crate::{output_checksum, pair_checksum, Benchmark};
-use hamr_codec::write_varint;
+use hamr_codec::{read_entry, write_varint};
 use hamr_core::{typed, Emitter, Exchange, FlowletId, JobBuilder, JobGraph};
-use hamr_mapred::{decode_kv, line_map_fn, reduce_fn, JobConf, ReduceOutput};
+use hamr_mapred::{line_map_fn, reduce_fn, JobConf, ReduceOutput};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -155,7 +155,7 @@ pub(crate) fn mr_output_checksum(env: &Env, output: &str) -> Result<(u64, u64), 
     for part in env.dfs.list(&format!("{output}/")) {
         let raw = env.dfs.read_all(&part).map_err(|e| e.to_string())?;
         let mut input = raw.as_slice();
-        while let Some((k, v)) = decode_kv(&mut input).map_err(|e| format!("{part}: {e}"))? {
+        while let Some((k, v)) = read_entry(&mut input).map_err(|e| format!("{part}: {e}"))? {
             pairs.push((k.to_vec(), v.to_vec()));
         }
     }
