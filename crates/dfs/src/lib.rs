@@ -6,6 +6,10 @@
 //! block's **locations** to exploit locality, exactly how Hadoop assigns
 //! map tasks to the node holding the split.
 //!
+//! A block's replicas are written together, like HDFS's replica
+//! pipeline: the writer submits the block to every replica's disk and
+//! waits once, for the last of them, before it starts the next block.
+//!
 //! One simplification relative to HDFS: block boundaries fall on
 //! *record* boundaries. [`DfsWriter::write_record`] never splits a
 //! record across blocks, so a split (= one block) is always a whole
@@ -19,7 +23,7 @@ mod writer;
 pub use reader::DfsReader;
 pub use writer::DfsWriter;
 
-use hamr_simdisk::{Disk, DiskError};
+use hamr_simdisk::{sleep_until, Disk, DiskError};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -338,7 +342,10 @@ impl Dfs {
         (id, replicas)
     }
 
-    /// Store a sealed block's payload on every replica.
+    /// Store a sealed block on every replica at once — one device time,
+    /// not one per replica — and record it. A store that fails (the file
+    /// was deleted, a disk refused the block) deletes the replicas it
+    /// booked; their device time stays spent.
     pub(crate) fn store_block(
         &self,
         path: &str,
@@ -347,14 +354,30 @@ impl Dfs {
         records: usize,
         payload: &[u8],
     ) -> Result<(), DfsError> {
+        let not_found = || DfsError::NotFound(path.to_string());
+        if !self.exists(path) {
+            return Err(not_found());
+        }
         let name = BlockMeta::disk_name(id);
-        for &node in replicas {
-            self.inner.disks[node].write_all(&name, payload)?;
+        let drop_replicas = |booked: &[NodeId]| {
+            for &node in booked {
+                self.inner.disks[node].delete(&name);
+            }
+        };
+        let mut done = None;
+        for (k, &node) in replicas.iter().enumerate() {
+            let booked = self.inner.disks[node].submit_write(&name, payload);
+            done = done.max(booked.inspect_err(|_| drop_replicas(&replicas[..k]))?);
+        }
+        if let Some(ready_at) = done {
+            sleep_until(ready_at);
         }
         let mut ns = self.inner.namespace.write();
-        let meta = ns
-            .get_mut(path)
-            .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
+        let Some(meta) = ns.get_mut(path) else {
+            drop(ns);
+            drop_replicas(replicas);
+            return Err(not_found());
+        };
         meta.blocks.push(BlockMeta {
             id,
             len: payload.len(),

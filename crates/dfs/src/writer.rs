@@ -8,14 +8,17 @@ use crate::{Dfs, DfsError, NodeId};
 /// Call [`DfsWriter::seal`] to flush the final partial block and make
 /// the file durable; dropping without sealing *loses* the unfinished
 /// block (matching the visibility rules of real HDFS writers closely
-/// enough for our purposes).
+/// enough for our purposes). A block that cannot be stored — the file
+/// was deleted under the writer — fails the writer: later records are
+/// dropped and `seal` returns that first error, as HDFS's `close()`
+/// throws.
 pub struct DfsWriter {
     dfs: Dfs,
     path: String,
     local: Option<NodeId>,
     buf: Vec<u8>,
     records: usize,
-    sealed: bool,
+    error: Option<DfsError>,
 }
 
 impl DfsWriter {
@@ -27,50 +30,58 @@ impl DfsWriter {
             local,
             buf: Vec::with_capacity(cap),
             records: 0,
-            sealed: false,
+            error: None,
         }
     }
 
     /// Append one whole record; never split across blocks.
     pub fn write_record(&mut self, record: &[u8]) {
-        let block_size = self.dfs.config().block_size;
-        if !self.buf.is_empty() && self.buf.len() + record.len() > block_size {
-            self.flush_block().expect("flush during write");
-        }
-        self.buf.extend_from_slice(record);
-        self.records += 1;
-        if self.buf.len() >= block_size {
-            self.flush_block().expect("flush during write");
-        }
+        self.append(&[record]);
     }
 
     /// Append a text line (adds the trailing newline) as one record.
     pub fn write_line(&mut self, line: &str) {
-        let mut rec = Vec::with_capacity(line.len() + 1);
-        rec.extend_from_slice(line.as_bytes());
-        rec.push(b'\n');
-        self.write_record(&rec);
+        self.append(&[line.as_bytes(), b"\n"]);
     }
 
-    /// Bytes buffered in the unsealed block.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+    /// Append the record made of `parts`, flushing the block first when
+    /// the record would overflow it.
+    fn append(&mut self, parts: &[&[u8]]) {
+        if self.error.is_some() {
+            return;
+        }
+        let block_size = self.dfs.config().block_size;
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if !self.buf.is_empty() && self.buf.len() + len > block_size {
+            self.flush_block();
+        }
+        for part in parts {
+            self.buf.extend_from_slice(part);
+        }
+        self.records += 1;
+        if self.buf.len() >= block_size {
+            self.flush_block();
+        }
     }
 
-    fn flush_block(&mut self) -> Result<(), DfsError> {
-        if self.buf.is_empty() {
-            return Ok(());
+    /// Store the buffered block, keeping the writer's first error.
+    fn flush_block(&mut self) {
+        if self.buf.is_empty() || self.error.is_some() {
+            return;
         }
         let (id, replicas) = self.dfs.place_block(self.local);
         let payload = std::mem::take(&mut self.buf);
         let records = std::mem::take(&mut self.records);
-        self.dfs
+        self.error = self
+            .dfs
             .store_block(&self.path, id, &replicas, records, &payload)
+            .err();
     }
 
-    /// Flush the final block and finish the file.
+    /// Flush the final block and finish the file; the first error any
+    /// block met, if one did.
     pub fn seal(mut self) -> Result<(), DfsError> {
-        self.sealed = true;
-        self.flush_block()
+        self.flush_block();
+        self.error.map_or(Ok(()), Err)
     }
 }

@@ -16,31 +16,37 @@
 //! submit:    start      = max(now, disk_busy_until)
 //!            busy_until = start + op_latency + bytes / bandwidth
 //!            ready_at   = busy_until            (Throttle::reserve)
-//! complete:  caller sleeps until ready_at       (Throttle::acquire = both)
+//! complete:  caller sleeps until ready_at       (sleep_until)
 //! ```
 //!
 //! so concurrent tasks on one node contend for their disk exactly as
-//! Hadoop's map spills contend for a real spindle. Writes and demand
-//! reads submit and complete in one call. [`Disk::read_ahead`] only
-//! submits and returns `ready_at`, and the [`Disk::read_all`] that
-//! follows only completes: it waits for what is left of `ready_at`, so
-//! a caller that had other work to do meanwhile — or a scheduler that
-//! holds the reader back until `ready_at` — never sleeps on the device.
+//! Hadoop's map spills contend for a real spindle. Demand reads submit
+//! and complete in one call. [`Disk::read_ahead`] only submits and
+//! returns `ready_at`, and the [`Disk::read_all`] that follows only
+//! completes: it waits for what is left of `ready_at`, so a caller that
+//! had other work to do meanwhile — or a scheduler that holds the
+//! reader back until `ready_at` — never sleeps on the device.
 //! Asynchronous completion without an IO thread or a callback, because
-//! the device is a timeline, not a thread: when a read will be done is
+//! the device is a timeline, not a thread: when an IO will be done is
 //! known the moment it is submitted.
 //! A booking holds no memory: the "read-ahead buffer" is the `Arc` the
 //! RAM-backed disk already holds, handed out at completion (a real
-//! engine would hold one block per loader per node). Writes stay
-//! synchronous: the engines' writes are spills and map outputs, which
-//! the writer reads back or ships next, and no benchmark workload's
-//! HAMR job writes at all — there is no measured wait to hide.
+//! engine would hold one block per loader per node).
+//!
+//! Writes have the same two halves and one path.
+//! [`Disk::submit_write`] publishes the bytes (readable at once),
+//! counts them and books the spindle; [`sleep_until`] its `ready_at`
+//! completes it, and [`Disk::write_all`] is the two in one call. A
+//! spill run or a map output is read back or shipped next, so its
+//! writer submits and completes at once; a DFS block submits on every
+//! replica's disk and completes once, at the latest `ready_at` — the
+//! replicas are on the device together, like HDFS's write pipeline.
 //! `DiskConfig::instant()` disables all charging for correctness tests
 //! and never books anything.
 
 mod throttle;
 
-pub use throttle::Throttle;
+pub use throttle::{sleep_until, Throttle};
 
 use hamr_trace::{Counter, EventKind, Gauge, Labels, Observe, Tracer, WORKER_DISK};
 use parking_lot::{Mutex, RwLock};
@@ -198,7 +204,7 @@ impl Disk {
     ///
     /// * an enabled `obs.tracer` gets a `DiskRead` event when a read is
     ///   submitted to the device (for a read-ahead, before any task
-    ///   waits on it) and a `DiskWrite` event per completed write;
+    ///   waits on it) and a `DiskWrite` event when a write is;
     /// * the run's registry gets a `disk_used_bytes` gauge, seeded with
     ///   the current usage so seal/delete deltas stay exact, and
     ///   `disk_{read,write}_{bytes,ops}_total` counters. Counters are
@@ -226,8 +232,9 @@ impl Disk {
         *self.inner.obs.write() = DiskObs::default();
     }
 
-    /// Report one completed write to the run observing this disk, if any.
-    fn observe_write(&self, bytes: usize) {
+    /// Report one submitted write of `bytes` in `ops` chunks to the run
+    /// observing this disk, if any.
+    fn observe_write(&self, bytes: usize, ops: u64) {
         if !self.inner.observed.load(Ordering::Acquire) {
             return;
         }
@@ -236,7 +243,7 @@ impl Disk {
         obs.tracer
             .emit(obs.node, WORKER_DISK, EventKind::DiskWrite { bytes });
         obs.write_bytes.add(bytes);
-        obs.write_ops.inc();
+        obs.write_ops.add(ops);
     }
 
     /// Device time of `bytes` of sequential IO.
@@ -251,11 +258,6 @@ impl Disk {
             dur += Duration::from_secs_f64(bytes as f64 / bw as f64);
         }
         dur
-    }
-
-    /// Charge disk time for `bytes` of sequential IO and sleep it off.
-    fn charge(&self, bytes: usize) {
-        self.inner.throttle.acquire(self.io_time(bytes));
     }
 
     /// Tell the observing run's tracer, if any, that a read of `bytes`
@@ -279,7 +281,7 @@ impl Disk {
     /// Wait for a submitted read to complete and count it — once, here,
     /// however early it was submitted.
     fn complete_read(&self, ready_at: Instant, bytes: usize) {
-        throttle::sleep_until(ready_at);
+        sleep_until(ready_at);
         let m = &self.inner.metrics;
         m.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
         m.read_ops.fetch_add(1, Ordering::Relaxed);
@@ -290,24 +292,7 @@ impl Disk {
         }
     }
 
-    /// Begin writing a new file. Fails if the name exists.
-    pub fn create(&self, name: &str) -> Result<FileWriter, DiskError> {
-        let mut files = self.inner.files.write();
-        if files.contains_key(name) {
-            return Err(DiskError::AlreadyExists(name.to_string()));
-        }
-        // Reserve the name with an empty file so concurrent creates fail.
-        files.insert(name.to_string(), Arc::new(Vec::new()));
-        Ok(FileWriter {
-            disk: self.clone(),
-            name: name.to_string(),
-            buf: Vec::new(),
-            uncharged: 0,
-            sealed: false,
-        })
-    }
-
-    /// Open a sealed file for reading.
+    /// Open a file for reading.
     pub fn open(&self, name: &str) -> Result<FileReader, DiskError> {
         let files = self.inner.files.read();
         let data = files
@@ -379,11 +364,46 @@ impl Disk {
         self.inner.bookings.lock().clear();
     }
 
-    /// Write a whole file in one operation.
+    /// Submit the write of a whole file: publish the bytes (readable at
+    /// once), count them — one op per started 1 MiB chunk — and book
+    /// the spindle without sleeping. Returns when the device will have
+    /// finished, or `None` when there is nothing to wait for (an
+    /// instant disk, an empty file: neither books anything, and an
+    /// empty file counts no op). Fails if the name exists.
+    pub fn submit_write(&self, name: &str, data: &[u8]) -> Result<Option<Instant>, DiskError> {
+        // Copied before the lock is taken: readers of other files on
+        // this disk do not wait for the copy.
+        let file = Arc::new(data.to_vec());
+        {
+            let mut files = self.inner.files.write();
+            if files.contains_key(name) {
+                return Err(DiskError::AlreadyExists(name.to_string()));
+            }
+            files.insert(name.to_string(), file);
+        }
+        self.inner.obs.read().used.add(data.len() as i64);
+        if data.is_empty() {
+            return Ok(None);
+        }
+        let ops = data.len().div_ceil(CHUNK_SIZE) as u64;
+        let m = &self.inner.metrics;
+        m.bytes_written
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        m.write_ops.fetch_add(ops, Ordering::Relaxed);
+        // Outside the files lock: a trace sink may itself use this disk.
+        self.observe_write(data.len(), ops);
+        if self.inner.config.is_instant() {
+            return Ok(None);
+        }
+        Ok(Some(self.inner.throttle.reserve(self.io_time(data.len()))))
+    }
+
+    /// Write a whole file: [`submit_write`](Disk::submit_write), then
+    /// wait for the device.
     pub fn write_all(&self, name: &str, data: &[u8]) -> Result<(), DiskError> {
-        let mut w = self.create(name)?;
-        w.write(data);
-        w.seal();
+        if let Some(ready_at) = self.submit_write(name, data)? {
+            sleep_until(ready_at);
+        }
         Ok(())
     }
 
@@ -401,7 +421,7 @@ impl Disk {
         self.inner.files.read().contains_key(name)
     }
 
-    /// Size in bytes of a sealed file.
+    /// Size in bytes of a file.
     pub fn len(&self, name: &str) -> Result<usize, DiskError> {
         self.inner
             .files
@@ -443,100 +463,7 @@ impl Disk {
     }
 }
 
-/// Buffered writer for one file. Time is charged per flushed chunk.
-///
-/// Dropping without [`FileWriter::seal`] still publishes the bytes
-/// written so far (crash-consistency is out of scope for the model).
-pub struct FileWriter {
-    disk: Disk,
-    name: String,
-    buf: Vec<u8>,
-    uncharged: usize,
-    sealed: bool,
-}
-
-impl FileWriter {
-    /// Append bytes, charging disk time chunk-by-chunk.
-    pub fn write(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-        self.uncharged += data.len();
-        while self.uncharged >= CHUNK_SIZE {
-            self.disk.charge(CHUNK_SIZE);
-            self.record_write(CHUNK_SIZE);
-            self.uncharged -= CHUNK_SIZE;
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The file name being written.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn record_write(&self, bytes: usize) {
-        self.disk
-            .inner
-            .metrics
-            .bytes_written
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.disk
-            .inner
-            .metrics
-            .write_ops
-            .fetch_add(1, Ordering::Relaxed);
-        self.disk.observe_write(bytes);
-    }
-
-    /// Flush remaining bytes, publish the file, and return its size.
-    pub fn seal(mut self) -> usize {
-        self.finish()
-    }
-
-    fn finish(&mut self) -> usize {
-        if self.sealed {
-            return self.buf.len();
-        }
-        self.sealed = true;
-        if self.uncharged > 0 {
-            self.disk.charge(self.uncharged);
-            self.record_write(self.uncharged);
-            self.uncharged = 0;
-        }
-        let data = std::mem::take(&mut self.buf);
-        let len = data.len();
-        let old = self
-            .disk
-            .inner
-            .files
-            .write()
-            .insert(self.name.clone(), Arc::new(data));
-        let old_len = old.map(|d| d.len()).unwrap_or(0);
-        self.disk
-            .inner
-            .obs
-            .read()
-            .used
-            .add(len as i64 - old_len as i64);
-        len
-    }
-}
-
-impl Drop for FileWriter {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-/// Sequential reader over a sealed file. Time is charged per `read`.
+/// Sequential reader over a file. Time is charged per `read`.
 pub struct FileReader {
     disk: Disk,
     data: Arc<Vec<u8>>,
@@ -567,16 +494,6 @@ impl FileReader {
         rest
     }
 
-    /// Total file size.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the file is zero bytes long.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Bytes remaining past the cursor.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
@@ -591,10 +508,7 @@ mod tests {
     #[test]
     fn write_seal_read_roundtrip() {
         let disk = Disk::new(DiskConfig::instant());
-        let mut w = disk.create("a").unwrap();
-        w.write(b"hello ");
-        w.write(b"world");
-        assert_eq!(w.seal(), 11);
+        disk.write_all("a", b"hello world").unwrap();
         assert_eq!(disk.len("a").unwrap(), 11);
         let mut r = disk.open("a").unwrap();
         assert_eq!(r.read_to_end(), b"hello world");
@@ -605,7 +519,11 @@ mod tests {
     fn create_duplicate_fails() {
         let disk = Disk::new(DiskConfig::instant());
         disk.write_all("a", b"x").unwrap();
-        assert!(matches!(disk.create("a"), Err(DiskError::AlreadyExists(_))));
+        assert!(matches!(
+            disk.write_all("a", b"y"),
+            Err(DiskError::AlreadyExists(_))
+        ));
+        assert_eq!(disk.read_all("a").unwrap().as_slice(), b"x");
     }
 
     #[test]
@@ -704,17 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn writer_drop_publishes_partial_file() {
-        let disk = Disk::new(DiskConfig::instant());
-        {
-            let mut w = disk.create("a").unwrap();
-            w.write(b"partial");
-            // dropped without seal
-        }
-        assert_eq!(disk.read_all("a").unwrap().as_slice(), b"partial");
-    }
-
-    #[test]
     fn throttled_write_takes_time() {
         // 1 MB/s: 100 KB should take ~100 ms.
         let disk = Disk::new(DiskConfig::modeled(1_000_000, Duration::ZERO));
@@ -730,11 +637,7 @@ mod tests {
     #[test]
     fn throttled_reads_serialize_across_threads() {
         let disk = Disk::new(DiskConfig::modeled(1_000_000, Duration::ZERO));
-        {
-            // Write without charge by using an instant disk sharing files?
-            // Simpler: accept the write charge once.
-            disk.write_all("a", &[0u8; 50_000]).unwrap();
-        }
+        disk.write_all("a", &[0u8; 50_000]).unwrap();
         let start = Instant::now();
         let threads: Vec<_> = (0..2)
             .map(|_| {
@@ -866,6 +769,64 @@ mod tests {
         disk.delete("a");
         assert_eq!(disk.inner.bookings.lock().capacity(), 0);
         assert!(disk.inner.throttle.busy_until().is_none());
+    }
+
+    #[test]
+    fn a_submitted_write_books_without_sleeping_and_counts_once() {
+        // 200 KB at 1 MB/s: 200 ms of device time.
+        let disk = Disk::new(DiskConfig::modeled(1_000_000, Duration::ZERO));
+        let block = Duration::from_millis(200);
+        let before = Instant::now();
+        let ready_at = disk.submit_write("a", &[5u8; 200_000]).unwrap().unwrap();
+        assert!(Instant::now() < ready_at, "submit slept");
+        assert!(ready_at >= before + block);
+        assert_eq!(timeline_end(&disk), ready_at);
+        // Published and counted at submission, before the device is done.
+        let file = disk.inner.files.read().get("a").cloned().unwrap();
+        assert_eq!(file.as_slice(), &[5u8; 200_000][..]);
+        let m = disk.metrics();
+        assert_eq!((m.write_ops, m.bytes_written), (1, 200_000));
+        // A read booked after the write queues behind it on the spindle.
+        assert!(disk.read_ahead("a").unwrap() >= ready_at + block);
+        sleep_until(ready_at);
+        assert_eq!(disk.metrics(), m, "counted once");
+    }
+
+    #[test]
+    fn an_empty_write_books_nothing_and_counts_no_op() {
+        let disk = Disk::new(DiskConfig::modeled(1_000_000, Duration::from_millis(5)));
+        assert_eq!(disk.submit_write("e", &[]), Ok(None));
+        disk.write_all("f", &[]).unwrap();
+        assert!(disk.inner.throttle.busy_until().is_none());
+        assert_eq!(disk.metrics(), DiskMetrics::default());
+        assert_eq!(disk.len("e").unwrap(), 0);
+        assert!(disk.exists("f"));
+    }
+
+    #[test]
+    fn a_write_is_one_op_per_started_mib_and_books_their_latency() {
+        let (op, bw) = (Duration::from_millis(10), 1u64 << 40);
+        let disk = Disk::new(DiskConfig::modeled(bw, op));
+        let mut end = Instant::now();
+        let mut ops = 0;
+        for (i, len) in [1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE - 1]
+            .into_iter()
+            .enumerate()
+        {
+            let chunks = len.div_ceil(CHUNK_SIZE) as u32;
+            let dur = op * chunks + Duration::from_secs_f64(len as f64 / bw as f64);
+            let ready_at = disk
+                .submit_write(&format!("f{i}"), &vec![0u8; len])
+                .unwrap()
+                .unwrap();
+            // The booking starts where the timeline ended, or now.
+            let start = ready_at - dur;
+            assert!(start >= end && start <= end.max(Instant::now()));
+            end = ready_at;
+            ops += u64::from(chunks);
+            assert_eq!(disk.metrics().write_ops, ops);
+        }
+        assert_eq!(ops, 1 + 1 + 2 + 3);
     }
 
     #[test]

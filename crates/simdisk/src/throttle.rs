@@ -55,7 +55,7 @@ impl Throttle {
 }
 
 /// Block the caller until `at`; returns at once when `at` has passed.
-pub(crate) fn sleep_until(at: Instant) {
+pub fn sleep_until(at: Instant) {
     let left = at.saturating_duration_since(Instant::now());
     if !left.is_zero() {
         std::thread::sleep(left);

@@ -7,20 +7,17 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Chunked writes followed by chunked reads reproduce the bytes
-    /// exactly, regardless of chunk boundaries.
+    /// A file written whole from many pieces and read back in chunks
+    /// reproduces the bytes exactly, regardless of chunk boundaries.
     #[test]
     fn chunked_writes_roundtrip(
         chunks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 0..20),
         read_size in 1usize..64,
     ) {
         let disk = Disk::new(DiskConfig::instant());
-        let mut w = disk.create("f").unwrap();
-        for c in &chunks {
-            w.write(c);
-        }
         let expected: Vec<u8> = chunks.iter().flatten().copied().collect();
-        assert_eq!(w.seal(), expected.len());
+        disk.write_all("f", &expected).unwrap();
+        assert_eq!(disk.len("f").unwrap(), expected.len());
         let mut r = disk.open("f").unwrap();
         let mut got = Vec::new();
         let mut buf = vec![0u8; read_size];

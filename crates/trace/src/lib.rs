@@ -222,9 +222,9 @@ pub enum EventKind {
     WorkerParked,
     /// The matching wake-up; `parked_us` is how long the worker slept.
     WorkerUnparked { parked_us: u64 },
-    /// The disk model served a read.
+    /// A read was submitted to the disk model.
     DiskRead { bytes: u64 },
-    /// The disk model served a write.
+    /// A write was submitted to the disk model.
     DiskWrite { bytes: u64 },
     /// The watchdog classified a run-health incident at monitoring
     /// epoch `epoch` (event node = the node the diagnosis points at,
