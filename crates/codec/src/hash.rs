@@ -6,21 +6,17 @@
 //! fast on short keys (word counts, vertex ids), quality good enough
 //! for load-spreading, and identical everywhere.
 //!
-//! The same construction, as a [`std::hash::Hasher`], keys the data
-//! plane's in-memory maps ([`StableMap`]): a record's key is hashed
-//! with one cheap function on both sides of the wire instead of with
-//! this one and then `SipHash` again on every map probe.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! The same value keys the data plane's in-memory tables: a
+//! [`crate::slots::Slots`] probe takes the hash its caller already has,
+//! so a key is hashed once on each side of the wire and never again by
+//! a map.
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Debug-only instrumentation: counts [`stable_hash`] invocations so
 /// tests can pin the data plane's hash budget (once per emission for
 /// routing, once more per record at a consumer that shards by key;
-/// nothing else). [`StableHasher`] map probes are not counted.
-/// Compiled out of release builds.
+/// nothing else). Compiled out of release builds.
 #[cfg(debug_assertions)]
 pub mod hash_counter {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,35 +93,6 @@ pub fn stable_hash(bytes: &[u8]) -> u64 {
     avalanche(mix_bytes(0, bytes))
 }
 
-/// [`stable_hash`]'s mix and avalanche as a [`Hasher`], for maps whose
-/// keys the engine produced itself. Byte-slice keys hash their length
-/// first (`impl Hash for [u8]`), so a map's bucket bits are not the
-/// routing bits that sent the key to this node and sub-shard. Like
-/// [`stable_hash`] it is unkeyed: crafted keys can collide in a map
-/// exactly as they can already pile onto one partition.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StableHasher(u64);
-
-impl Hasher for StableHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = mix_bytes(self.0, bytes);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, word: usize) {
-        self.0 = mix(self.0, word as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        avalanche(self.0)
-    }
-}
-
-/// A `HashMap` probed with [`StableHasher`] instead of `SipHash`.
-pub type StableMap<K, V> = HashMap<K, V, BuildHasherDefault<StableHasher>>;
-
 /// Partition a key into `n` buckets.
 #[inline]
 pub fn partition(bytes: &[u8], n: usize) -> usize {
@@ -191,42 +158,6 @@ mod tests {
             assert!(
                 (700..=1300).contains(&c),
                 "partition {p} got {c} of 8000 keys: {counts:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn stable_map_finds_owned_keys_by_slice() {
-        let mut m: StableMap<Vec<u8>, u32> = StableMap::default();
-        m.insert(b"alpha".to_vec(), 1);
-        m.insert(b"".to_vec(), 2);
-        assert_eq!(m.get(&b"alpha"[..]), Some(&1));
-        assert_eq!(m.get(&b""[..]), Some(&2));
-        assert_eq!(m.get(&b"alph"[..]), None);
-    }
-
-    #[test]
-    fn map_bits_are_not_the_routing_bits() {
-        use std::hash::{BuildHasher, BuildHasherDefault};
-        // Keys that all route to node 1 of 4 and sub-shard 2 of 4 (the
-        // population of one reduce shard's map) must still spread over
-        // a map's low bucket bits.
-        let build = BuildHasherDefault::<StableHasher>::default();
-        let mut buckets = [0usize; 16];
-        let mut found = 0;
-        for i in 0..200_000u64 {
-            let key = format!("w{i}");
-            let h = stable_hash(key.as_bytes());
-            if h % 4 == 1 && (h >> 32) % 4 == 2 {
-                buckets[(build.hash_one(key.as_bytes()) % 16) as usize] += 1;
-                found += 1;
-            }
-        }
-        let expect = found / 16;
-        for (b, &c) in buckets.iter().enumerate() {
-            assert!(
-                c > expect / 2 && c < expect * 2,
-                "bucket {b} got {c} of {found}: {buckets:?}"
             );
         }
     }

@@ -18,16 +18,18 @@
 //! Records travel in [`frame`]s, whose entry layout is also every spill
 //! run's and shuffle chunk's; [`merge`] merges sorted runs of it, and a
 //! frame crossing a link is packed with the order-0 Huffman coder in
-//! [`huffman`].
+//! [`huffman`]. In memory, a byte arena's keys are found through the
+//! one probing table, [`slots::Slots`].
 
 pub mod frame;
 pub mod hash;
 pub mod huffman;
 pub mod merge;
+pub mod slots;
 mod varint;
 
 pub use frame::{read_entry, write_entry, Entry, Frame, FrameBuilder};
-pub use hash::{partition, stable_hash, StableMap};
+pub use hash::{partition, stable_hash};
 pub use varint::{read_varint, write_varint, zigzag_decode, zigzag_encode};
 
 use bytes::Bytes;

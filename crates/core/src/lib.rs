@@ -62,7 +62,6 @@ mod record;
 mod reduce_state;
 pub mod resident;
 mod sched;
-mod slots;
 mod spill;
 pub mod stream;
 pub mod typed;

@@ -21,8 +21,8 @@
 //! partitions mid-job — were removed: see DESIGN.md "Skew mitigation".
 
 use crate::graph::EdgeId;
-use crate::slots::{u32_at, Slots, ARENA_MAX};
 use crate::NodeId;
+use hamr_codec::slots::{u32_at, Slots, ARENA_MAX};
 use hamr_trace::{Gauge, Labels, Observe};
 use parking_lot::{Mutex, MutexGuard};
 use std::fmt;
@@ -228,7 +228,7 @@ impl Held {
             self.slots.clear();
             (self.head, self.dead) = (0, 0);
         } else if self.head + self.dead > self.arena.len() / 2
-            || self.slots.tombs > self.slots.len() / 2
+            || self.slots.tombs() > self.slots.len() / 2
         {
             self.rebuild();
         }

@@ -5,10 +5,10 @@ use crate::graph::Exchange;
 use crate::node::NetMsg;
 use crate::plan::ExecPlan;
 use crate::record::{FrameBin, Record};
-use crate::slots::TABLE_MIN;
 use crate::NodeId;
 use bytes::Bytes;
 use hamr_codec::partition;
+use hamr_codec::slots::TABLE_MIN;
 use hamr_codec::stable_hash;
 use hamr_trace::{AuditStage, Observe};
 use std::sync::atomic::Ordering;
@@ -358,7 +358,7 @@ fn the_table_grows_and_partial_drains_rebuild_it() {
             assert!(fold(&mut buf, keys - 1, 0), "the youngest is still found");
             let held = &buf.held[0];
             assert!(held.head + held.dead <= held.arena.len() / 2 + 1);
-            assert!(held.slots.tombs <= held.slots.len() / 2);
+            assert!(held.slots.tombs() <= held.slots.len() / 2);
         }
     }
     assert_eq!(next, keys);

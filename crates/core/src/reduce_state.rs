@@ -22,15 +22,15 @@
 //! frame is free as soon as it is ingested (M3R's "keep the shuffled
 //! sequence in memory as it arrived").
 //! Partial-reduce folding borrows entries and copies only the key, only
-//! on first sight, into its stripe's key arena (`slots::Accs`): the
+//! on first sight, into its stripe's key arena (`hamr_codec::slots::Accs`): the
 //! accumulators outlive the frame, and pinning a whole frame allocation
 //! per retained key would hoard memory. A fire hands each stripe's
 //! table to a finish task whole; no entry is copied out of it.
 
 use crate::flowlet::{AccTable, PartialReduceFn};
 use crate::record::FrameBin;
-use crate::slots::{u32_at, Slots, ARENA_MAX};
 use crate::spill::{merge_runs, Run};
+use hamr_codec::slots::{u32_at, Slots, ARENA_MAX};
 use hamr_codec::{stable_hash, write_entry};
 use hamr_simdisk::{Disk, DiskError};
 use hamr_trace::{EventKind, Gauge, Labels, Observe, Tracer};
@@ -412,8 +412,8 @@ impl PartialState {
 mod tests {
     use super::*;
     use crate::flowlet::Emitter;
-    use crate::slots::Accs;
     use bytes::Bytes;
+    use hamr_codec::slots::Accs;
     use hamr_codec::stable_hash;
     use hamr_simdisk::DiskConfig;
     use proptest::prelude::*;

@@ -7,8 +7,8 @@
 
 use crate::flowlet::{AccTable, Emitter, Loader, MapFn, PartialReduceFn, ReduceFn, TaskContext};
 use crate::outbuf::Combiner;
-use crate::slots::Accs;
 use crate::NodeId;
+use hamr_codec::slots::Accs;
 use hamr_codec::Codec;
 use parking_lot::RwLock;
 use std::collections::HashMap;

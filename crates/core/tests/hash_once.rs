@@ -4,7 +4,8 @@
 //! carry it, so a consumer that shards by key — reduce ingest picking a
 //! sub-shard, the shared partial map picking a stripe — hashes it once
 //! more per record. Nothing else may: not a `Local → Map` hop, not
-//! captured output, not a map probe.
+//! captured output, not a map probe. A KV store operation hashes its
+//! key once.
 //!
 //! This file deliberately holds a single test: the instrumentation is a
 //! process-global counter (`hamr_codec::hash::hash_counter`), so the
@@ -96,4 +97,15 @@ fn keys_hash_once_per_side() {
 
     // The shared partial map stripes every word it folds.
     assert_eq!(hashes_of(&cluster, add_partial), emissions + N_WORDS);
+
+    // A KV operation on a node's shard hashes its key once: that hash
+    // picks the stripe and tags the probe.
+    let shard = cluster.kv().shard(0);
+    let before = hash_counter::count();
+    shard.put(b"k", b"v");
+    shard.put(b"k", b"w");
+    assert_eq!(shard.get_with(b"k", |v| v == b"w"), Some(true));
+    assert!(shard.get(b"k").is_some());
+    assert!(shard.remove(b"k").is_some());
+    assert_eq!(hash_counter::count() - before, 5);
 }

@@ -10,158 +10,271 @@
 //! cluster node; keys are owned by the node `stable_hash(key) % nodes`.
 //! Flowlets shuffled with `Exchange::Hash` receive exactly the keys
 //! their node owns, so the common access pattern is purely node-local.
-//! Each shard is internally sub-sharded to keep concurrent flowlet
-//! tasks from contending on one lock.
+//! Each shard is 16 lock stripes, so concurrent flowlet tasks do not
+//! contend on one lock, and each stripe keeps its entries in one byte
+//! arena found through the engine's probing table
+//! ([`hamr_codec::slots::Slots`]): an operation hashes its key once,
+//! and that hash picks the stripe and tags the probe.
 //!
 //! State deliberately persists across jobs — that is the point: it is
 //! the "in-memory intermediate data organized in a distributed manner"
 //! that replaces Hadoop's inter-job HDFS round trip.
 
 use bytes::Bytes;
-use hamr_codec::{partition, Codec, StableMap};
+use hamr_codec::slots::{u32_at, Slots, ARENA_MAX};
+use hamr_codec::{partition, stable_hash, Codec};
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of lock-striped sub-maps per shard.
-const SUB_SHARDS: usize = 16;
+/// Lock stripes per shard.
+const STRIPES: usize = 16;
 
-/// One node's slice of the store. Its maps probe with the engine's
-/// [`StableMap`] hasher, not `SipHash`: the keys are the engine's own.
+/// An entry's `[klen u32][vlen u32]`, before its key and value.
+const HEADER: usize = 8;
+
+/// The key and value of the entry at `at`.
+#[inline]
+fn entry(arena: &[u8], at: usize) -> (&[u8], &[u8]) {
+    let klen = u32_at(arena, at) as usize;
+    let vlen = u32_at(arena, at + 4) as usize;
+    let key = at + HEADER;
+    (
+        &arena[key..key + klen],
+        &arena[key + klen..key + klen + vlen],
+    )
+}
+
+/// One lock stripe: `[klen u32][vlen u32][key][value]` entries appended
+/// to one arena, found through a [`Slots`] table tagged with the hash
+/// that chose the stripe. A value replaced by one of the same length is
+/// written in place; any other replace appends and leaves the old entry
+/// dead, and a remove leaves a tombstone in the table. When dead bytes
+/// pass half the arena it is compacted.
+#[derive(Default)]
+struct Stripe {
+    arena: Vec<u8>,
+    slots: Slots,
+    /// Entries held.
+    live: usize,
+    /// Key + value bytes of the entries held.
+    held: usize,
+}
+
+impl Stripe {
+    fn find(&self, hash: u64, key: &[u8]) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let arena = &self.arena;
+        let slot = self
+            .slots
+            .probe(hash, |at| entry(arena, at).0 == key)
+            .ok()?;
+        Some(self.slots.offset(slot))
+    }
+
+    fn append(&mut self, key: &[u8], value: &[u8]) -> usize {
+        let at = self.arena.len();
+        assert!(
+            at + HEADER + key.len() + value.len() < ARENA_MAX,
+            "kv stripe arena past {ARENA_MAX} bytes"
+        );
+        self.arena
+            .extend_from_slice(&(key.len() as u32).to_le_bytes());
+        self.arena
+            .extend_from_slice(&(value.len() as u32).to_le_bytes());
+        self.arena.extend_from_slice(key);
+        self.arena.extend_from_slice(value);
+        at
+    }
+
+    fn put(&mut self, hash: u64, key: &[u8], value: &[u8]) {
+        if self.slots.is_full() {
+            self.slots.grow();
+        }
+        let arena = &self.arena;
+        match self.slots.probe(hash, |at| entry(arena, at).0 == key) {
+            Ok(slot) => {
+                let at = self.slots.offset(slot);
+                let old = u32_at(&self.arena, at + 4) as usize;
+                self.held = self.held + value.len() - old;
+                if old == value.len() {
+                    let v = at + HEADER + key.len();
+                    self.arena[v..v + old].copy_from_slice(value);
+                } else {
+                    let moved = self.append(key, value);
+                    self.slots.set(slot, hash, moved);
+                    self.compact_if_dead();
+                }
+            }
+            Err(slot) => {
+                let at = self.append(key, value);
+                self.slots.set(slot, hash, at);
+                self.live += 1;
+                self.held += key.len() + value.len();
+            }
+        }
+    }
+
+    fn remove(&mut self, hash: u64, key: &[u8]) -> Option<Bytes> {
+        let at = self.find(hash, key)?;
+        let value = Bytes::copy_from_slice(entry(&self.arena, at).1);
+        self.slots.unlink(hash, at);
+        self.live -= 1;
+        self.held -= key.len() + value.len();
+        self.settle();
+        Some(value)
+    }
+
+    /// Drop the entries whose key starts with `prefix`; returns how many.
+    fn remove_prefix(&mut self, prefix: &[u8]) -> usize {
+        let (arena, mut freed) = (&self.arena, 0);
+        let gone = self.slots.retain(|at| {
+            let (key, value) = entry(arena, at);
+            let keep = !key.starts_with(prefix);
+            if !keep {
+                freed += key.len() + value.len();
+            }
+            keep
+        });
+        self.live -= gone;
+        self.held -= freed;
+        self.settle();
+        gone
+    }
+
+    /// After a removal: an emptied stripe is cleared, any other one
+    /// compacted if it has become mostly dead.
+    fn settle(&mut self) {
+        if self.live == 0 {
+            self.clear();
+        } else {
+            self.compact_if_dead();
+        }
+    }
+
+    /// Copy the live entries, in table order, into a fresh arena once
+    /// dead bytes pass half of this one, so replaces and removes cannot
+    /// grow it without bound.
+    fn compact_if_dead(&mut self) {
+        let live_bytes = self.live * HEADER + self.held;
+        if (self.arena.len() - live_bytes) * 2 <= self.arena.len() {
+            return;
+        }
+        let (arena, mut fresh) = (&self.arena, Vec::with_capacity(live_bytes));
+        self.slots.remap(|at| {
+            let (key, value) = entry(arena, at);
+            let to = fresh.len();
+            fresh.extend_from_slice(&arena[at..at + HEADER + key.len() + value.len()]);
+            to
+        });
+        self.arena = fresh;
+    }
+
+    /// Empty, keeping the arena's and the table's allocations for the
+    /// next fill (a namespace reset is followed by a rerun's puts).
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.slots.wipe();
+        (self.live, self.held) = (0, 0);
+    }
+}
+
+/// One node's slice of the store: [`STRIPES`] read-write-locked
+/// stripes, each a byte arena of entries and the engine's probing
+/// table over it. Every operation calls [`stable_hash`] once: its upper
+/// half picks the stripe (the lower bits already routed the key to
+/// this node) and its lower half tags the probe. A put copies the key
+/// and value into the arena and allocates nothing once the arena and
+/// table have room; a read borrows the value in place.
 pub struct Shard {
-    maps: Vec<RwLock<StableMap<Bytes, Bytes>>>,
-    bytes: AtomicU64,
+    stripes: [RwLock<Stripe>; STRIPES],
 }
 
 impl Shard {
     fn new() -> Self {
         Shard {
-            maps: (0..SUB_SHARDS)
-                .map(|_| RwLock::new(StableMap::default()))
-                .collect(),
-            bytes: AtomicU64::new(0),
+            stripes: std::array::from_fn(|_| RwLock::default()),
         }
     }
 
     #[inline]
-    fn map_for(&self, key: &[u8]) -> &RwLock<StableMap<Bytes, Bytes>> {
-        // Use the *upper* hash bits: the lower bits already routed the
-        // key to this node, so reusing them would collapse a node's
-        // keys into a couple of sub-shards.
-        let idx = (hamr_codec::stable_hash(key) >> 32) % SUB_SHARDS as u64;
-        &self.maps[idx as usize]
+    fn stripe(&self, hash: u64) -> &RwLock<Stripe> {
+        &self.stripes[(hash >> 32) as usize % STRIPES]
     }
 
-    /// Insert or replace; returns the previous value if any.
-    pub fn put(&self, key: Bytes, value: Bytes) -> Option<Bytes> {
-        let klen = key.len() as i64;
-        let vlen = value.len() as i64;
-        let prev = self.map_for(&key).write().insert(key, value);
-        let delta = match &prev {
-            // Key bytes were already accounted on first insert.
-            Some(p) => vlen - p.len() as i64,
-            None => klen + vlen,
-        };
-        self.add_bytes(delta);
-        prev
+    /// Insert or replace.
+    pub fn put(&self, key: impl AsRef<[u8]>, value: impl AsRef<[u8]>) {
+        let (key, value) = (key.as_ref(), value.as_ref());
+        let hash = stable_hash(key);
+        self.stripe(hash).write().put(hash, key, value);
     }
 
-    /// Fetch a value by key.
+    /// An owned copy of the value for `key`: for location-transparent
+    /// reads. The engine's path is [`Shard::get_with`].
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
-        self.map_for(key).read().get(key).cloned()
+        self.get_with(key, Bytes::copy_from_slice)
     }
 
     /// Read the value for `key` in place: `read` borrows it under the
-    /// sub-shard's read lock, so a lookup that only decodes the value
-    /// allocates nothing and touches no refcount.
+    /// stripe's read lock, so a lookup that only decodes the value
+    /// allocates nothing.
     pub fn get_with<R>(&self, key: &[u8], read: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        self.map_for(key).read().get(key).map(|v| read(v))
+        let hash = stable_hash(key);
+        let stripe = self.stripe(hash).read();
+        let at = stripe.find(hash, key)?;
+        Some(read(entry(&stripe.arena, at).1))
     }
 
     /// Remove a key; returns the removed value if any.
     pub fn remove(&self, key: &[u8]) -> Option<Bytes> {
-        let prev = self.map_for(key).write().remove(key);
-        if let Some(p) = &prev {
-            self.add_bytes(-((key.len() + p.len()) as i64));
-        }
-        prev
-    }
-
-    /// Atomically update the value for `key` with `f(old) -> new`.
-    /// Returns the new value.
-    pub fn update(&self, key: Bytes, f: impl FnOnce(Option<&Bytes>) -> Bytes) -> Bytes {
-        let mut map = self.map_for(&key).write();
-        let old = map.get(&key);
-        let old_len = old.map_or(0, |v| v.len()) as i64;
-        let new = f(old);
-        let delta = new.len() as i64 - old_len + if old.is_none() { key.len() as i64 } else { 0 };
-        map.insert(key, new.clone());
-        drop(map);
-        self.add_bytes(delta);
-        new
-    }
-
-    fn add_bytes(&self, delta: i64) {
-        if delta >= 0 {
-            self.bytes.fetch_add(delta as u64, Ordering::Relaxed);
-        } else {
-            self.bytes.fetch_sub((-delta) as u64, Ordering::Relaxed);
-        }
+        let hash = stable_hash(key);
+        self.stripe(hash).write().remove(hash, key)
     }
 
     /// Number of keys in this shard.
     pub fn len(&self) -> usize {
-        self.maps.iter().map(|m| m.read().len()).sum()
+        self.stripes.iter().map(|s| s.read().live).sum()
     }
 
     /// True when the shard holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.maps.iter().all(|m| m.read().is_empty())
+        self.stripes.iter().all(|s| s.read().live == 0)
     }
 
-    /// Approximate resident key+value bytes.
+    /// Key + value bytes of the entries held (arena headers, dead bytes
+    /// and the tables not counted).
     pub fn resident_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.stripes.iter().map(|s| s.read().held as u64).sum()
     }
 
-    /// Visit every entry (no ordering guarantee). Holds one sub-shard
-    /// read lock at a time.
-    pub fn for_each(&self, mut f: impl FnMut(&Bytes, &Bytes)) {
-        for m in &self.maps {
-            for (k, v) in m.read().iter() {
-                f(k, v);
+    /// Visit every entry, stripe by stripe in table order (no other
+    /// ordering guarantee). Holds one stripe's read lock at a time.
+    pub fn for_each(&self, mut f: impl FnMut(&[u8], &[u8])) {
+        for stripe in &self.stripes {
+            let stripe = stripe.read();
+            for at in stripe.slots.offsets() {
+                let (key, value) = entry(&stripe.arena, at);
+                f(key, value);
             }
         }
     }
 
     /// Drop all entries.
     pub fn clear(&self) {
-        for m in &self.maps {
-            m.write().clear();
+        for stripe in &self.stripes {
+            stripe.write().clear();
         }
-        self.bytes.store(0, Ordering::Relaxed);
     }
 
     /// Drop every key starting with `prefix` (namespaced reset: one
     /// workload's rerun cleanup must not clear other tenants' state).
     /// Returns the number of entries removed.
     pub fn remove_prefix(&self, prefix: &[u8]) -> usize {
-        let mut removed = 0usize;
-        let mut freed = 0i64;
-        for m in &self.maps {
-            let mut map = m.write();
-            map.retain(|k, v| {
-                if k.starts_with(prefix) {
-                    removed += 1;
-                    freed += (k.len() + v.len()) as i64;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.add_bytes(-freed);
-        removed
+        self.stripes
+            .iter()
+            .map(|s| s.write().remove_prefix(prefix))
+            .sum()
     }
 
     // --- typed conveniences ----------------------------------------
@@ -174,14 +287,9 @@ impl Shard {
     /// Typed fetch. Returns `None` if absent; panics on corrupt bytes
     /// (type confusion is a caller bug, not a runtime condition).
     pub fn get_t<K: Codec, V: Codec>(&self, key: &K) -> Option<V> {
-        self.get(&key.to_bytes())
-            .map(|v| V::from_bytes(&v).expect("kvstore value decoded as wrong type"))
-    }
-
-    /// Typed remove.
-    pub fn remove_t<K: Codec, V: Codec>(&self, key: &K) -> Option<V> {
-        self.remove(&key.to_bytes())
-            .map(|v| V::from_bytes(&v).expect("kvstore value decoded as wrong type"))
+        self.get_with(&key.to_bytes(), |v| {
+            V::from_bytes(v).expect("kvstore value decoded as wrong type")
+        })
     }
 }
 
@@ -244,8 +352,9 @@ impl KvStore {
     }
 
     /// Put to the owning shard (location-transparent write).
-    pub fn put(&self, key: Bytes, value: Bytes) -> Option<Bytes> {
-        self.shards[self.owner(&key)].put(key, value)
+    pub fn put(&self, key: impl AsRef<[u8]>, value: impl AsRef<[u8]>) {
+        let key = key.as_ref();
+        self.shards[self.owner(key)].put(key, value)
     }
 }
 
@@ -256,14 +365,13 @@ mod tests {
     #[test]
     fn put_get_remove_roundtrip() {
         let shard = Shard::new();
-        assert!(shard.put(Bytes::from("k"), Bytes::from("v1")).is_none());
+        shard.put("k", "v1");
         assert_eq!(shard.get(b"k").unwrap(), "v1");
-        assert_eq!(
-            shard.put(Bytes::from("k"), Bytes::from("v2")).unwrap(),
-            "v1"
-        );
+        shard.put("k", "v2");
+        assert_eq!(shard.get(b"k").unwrap(), "v2");
         assert_eq!(shard.remove(b"k").unwrap(), "v2");
         assert!(shard.get(b"k").is_none());
+        assert!(shard.remove(b"k").is_none());
         assert!(shard.is_empty());
     }
 
@@ -271,28 +379,11 @@ mod tests {
     fn get_with_reads_the_value_in_place() {
         let shard = Shard::new();
         assert_eq!(shard.get_with(b"k", |v| v.len()), None);
-        shard.put(Bytes::from("k"), 7u64.to_bytes());
+        shard.put("k", 7u64.to_bytes());
         assert_eq!(
             shard.get_with(b"k", |v| u64::from_bytes(v).unwrap()),
             Some(7)
         );
-    }
-
-    #[test]
-    fn update_applies_function() {
-        let shard = Shard::new();
-        let v = shard.update(Bytes::from("cnt"), |old| {
-            assert!(old.is_none());
-            1u64.to_bytes()
-        });
-        assert_eq!(u64::from_bytes(&v).unwrap(), 1);
-        shard.update(Bytes::from("cnt"), |old| {
-            let n = u64::from_bytes(old.unwrap()).unwrap();
-            (n + 1).to_bytes()
-        });
-        assert_eq!(shard.get_t::<String, u64>(&"cnt".to_string()), None); // different key encoding
-        let raw = shard.get(b"cnt").unwrap();
-        assert_eq!(u64::from_bytes(&raw).unwrap(), 2);
     }
 
     #[test]
@@ -305,20 +396,19 @@ mod tests {
                 .unwrap(),
             vec![1, 2, 3]
         );
-        assert_eq!(
-            shard
-                .remove_t::<String, Vec<u64>>(&"page".to_string())
-                .unwrap(),
-            vec![1, 2, 3]
-        );
+        let raw = shard.remove(&"page".to_string().to_bytes()).unwrap();
+        assert_eq!(Vec::<u64>::from_bytes(&raw).unwrap(), vec![1, 2, 3]);
+        assert_eq!(shard.get_t::<String, Vec<u64>>(&"page".to_string()), None);
     }
 
     #[test]
     fn resident_bytes_tracks_content() {
         let shard = Shard::new();
-        shard.put(Bytes::from("ab"), Bytes::from("cdef"));
+        shard.put("ab", "cdef");
         assert_eq!(shard.resident_bytes(), 6);
-        shard.put(Bytes::from("ab"), Bytes::from("x"));
+        shard.put("ab", "wxyz");
+        assert_eq!(shard.resident_bytes(), 6);
+        shard.put("ab", "x");
         assert_eq!(shard.resident_bytes(), 3);
         shard.remove(b"ab");
         assert_eq!(shard.resident_bytes(), 0);
@@ -340,7 +430,7 @@ mod tests {
     fn store_routes_to_owner() {
         let store = KvStore::new(4);
         for i in 0..200u64 {
-            store.put(i.to_bytes(), Bytes::from("v"));
+            store.put(i.to_bytes(), "v");
         }
         assert_eq!(store.total_len(), 200);
         // Each key lives only on its owner shard.
@@ -362,48 +452,97 @@ mod tests {
     #[test]
     fn clear_empties_everything() {
         let store = KvStore::new(2);
-        store.put(Bytes::from("a"), Bytes::from("1"));
-        store.put(Bytes::from("b"), Bytes::from("2"));
+        store.put("a", "1");
+        store.put("b", "2");
         store.clear();
         assert_eq!(store.total_len(), 0);
         assert_eq!(store.total_bytes(), 0);
+        assert!(store.get(b"a").is_none());
+        store.put("a", "3");
+        assert_eq!(store.get(b"a").unwrap(), "3");
     }
 
     #[test]
     fn remove_prefix_scopes_by_namespace() {
         let store = KvStore::new(2);
-        store.put(Bytes::from("pr/r1"), Bytes::from("a"));
-        store.put(Bytes::from("pr/r2"), Bytes::from("bb"));
-        store.put(Bytes::from("km/c1"), Bytes::from("c"));
+        store.put("pr/r1", "a");
+        store.put("pr/r2", "bb");
+        store.put("km/c1", "c");
         assert_eq!(store.remove_prefix(b"pr/"), 2);
         assert_eq!(store.total_len(), 1);
         assert!(store.get(b"km/c1").is_some());
         assert!(store.get(b"pr/r1").is_none());
-        // Byte accounting survives the retain pass.
+        // Byte accounting survives the removal.
         assert_eq!(store.total_bytes(), "km/c1".len() as u64 + 1);
         assert_eq!(store.remove_prefix(b"pr/"), 0);
     }
 
     #[test]
-    fn concurrent_updates_are_atomic() {
-        let shard = Arc::new(Shard::new());
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let shard = Arc::clone(&shard);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        shard.update(Bytes::from("ctr"), |old| {
-                            let n = old.map_or(0, |b| u64::from_bytes(b).unwrap());
-                            (n + 1).to_bytes()
-                        });
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+    fn an_emptied_stripe_keeps_its_allocations() {
+        let mut stripe = Stripe::default();
+        for i in 0..1000u64 {
+            let key = format!("pr/{i}");
+            stripe.put(stable_hash(key.as_bytes()), key.as_bytes(), b"rank");
         }
+        let (arena, table) = (stripe.arena.capacity(), stripe.slots.len());
+        assert_eq!(stripe.remove_prefix(b"pr/"), 1000);
+        assert_eq!((stripe.live, stripe.held, stripe.arena.len()), (0, 0, 0));
+        assert_eq!(
+            (stripe.arena.capacity(), stripe.slots.len()),
+            (arena, table)
+        );
+    }
+
+    #[test]
+    fn dead_bytes_stay_under_half_the_arena() {
+        let mut stripe = Stripe::default();
+        let hash = stable_hash(b"k");
+        for n in 0..1000usize {
+            stripe.put(hash, b"k", &vec![1; n % 7]);
+            let live = stripe.live * HEADER + stripe.held;
+            assert!(stripe.arena.len() - live <= stripe.arena.len() / 2);
+        }
+        assert_eq!(
+            stripe
+                .find(hash, b"k")
+                .map(|at| entry(&stripe.arena, at).1.len()),
+            Some(999 % 7)
+        );
+    }
+
+    #[test]
+    fn concurrent_updates_are_atomic() {
+        // Writers replace one key's value in place (same length) and by
+        // append (other lengths, with compactions); a reader, started
+        // with them, must only ever see a whole value one writer put.
+        let shard = Shard::new();
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            for t in 1..=4u8 {
+                let (shard, start) = (&shard, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..2000usize {
+                        shard.put("ctr", vec![t; 8 + (i % 3) * t as usize]);
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..20_000 {
+                    shard.get_with(b"ctr", |v| {
+                        let t = v[0];
+                        assert!(v.iter().all(|&b| b == t), "torn value {v:?}");
+                        assert!(
+                            (v.len() - 8).is_multiple_of(t as usize),
+                            "torn length {v:?}"
+                        );
+                    });
+                }
+            });
+        });
+        assert_eq!(shard.len(), 1);
         let v = shard.get(b"ctr").unwrap();
-        assert_eq!(u64::from_bytes(&v).unwrap(), 8000);
+        assert_eq!(shard.resident_bytes(), 3 + v.len() as u64);
     }
 }

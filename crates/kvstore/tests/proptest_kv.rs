@@ -1,7 +1,6 @@
 //! Property tests: the KV store behaves like a model HashMap under
 //! arbitrary operation sequences, and ownership routing is total.
 
-use bytes::Bytes;
 use hamr_kvstore::KvStore;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -35,9 +34,9 @@ proptest! {
         for op in ops {
             match op {
                 Op::Put(k, v) => {
-                    let prev = shard.put(Bytes::from(k.clone()), Bytes::from(v.clone()));
-                    let model_prev = model.insert(k, v);
-                    prop_assert_eq!(prev.map(|b| b.to_vec()), model_prev);
+                    shard.put(&k, &v);
+                    model.insert(k.clone(), v);
+                    prop_assert_eq!(shard.get(&k).map(|b| b.to_vec()), model.get(&k).cloned());
                 }
                 Op::Remove(k) => {
                     let prev = shard.remove(&k);
@@ -65,7 +64,7 @@ proptest! {
     ) {
         let store = KvStore::new(nodes);
         for k in &keys {
-            store.put(Bytes::from(k.clone()), Bytes::from_static(b"v"));
+            store.put(k, b"v");
         }
         for k in &keys {
             let owner = store.owner(k);

@@ -21,7 +21,6 @@ use crate::env::{scaled, BenchOutput, Env};
 use crate::gen::rmat::{edge_lines, edges, parse_edge_line, RmatParams};
 use crate::wordcount::mr_output_checksum;
 use crate::{output_checksum, Benchmark};
-use bytes::Bytes;
 use hamr_codec::Codec;
 use hamr_core::typed::{self, Values};
 use hamr_core::{Emitter, Exchange, JobBuilder};
@@ -35,10 +34,12 @@ const INPUT: &str = "kcliques/edges.txt";
 /// own namespace and leaves other tenants' state alone.
 const NS: &str = "kc/";
 
-fn graph_key(v: u64) -> Bytes {
-    let mut k = NS.as_bytes().to_vec();
-    v.encode(&mut k);
-    k.into()
+/// `kc/` + `v`'s encoding, written over `buf`.
+fn graph_key(buf: &mut Vec<u8>, v: u64) -> &[u8] {
+    buf.clear();
+    buf.extend_from_slice(NS.as_bytes());
+    v.encode(buf);
+    buf
 }
 
 pub struct KCliques {
@@ -97,7 +98,10 @@ impl Benchmark for KCliques {
                 let mut neighbors: Vec<u64> = neighbors.collect();
                 neighbors.sort_unstable();
                 neighbors.dedup();
-                ctx.kv.put(graph_key(v), neighbors.to_bytes());
+                let mut buf = Vec::with_capacity(16 + 10 * neighbors.len());
+                let key = graph_key(&mut buf, v).len();
+                neighbors.encode(&mut buf);
+                ctx.kv.put(&buf[..key], &buf[key..]);
                 out.output_t(&v, &(0u64)); // graph size marker (unused)
             }),
         );
@@ -136,10 +140,12 @@ impl Benchmark for KCliques {
                 format!("{size}CliquesVerify"),
                 typed::map_ctx_fn(
                     move |ctx, candidate: u64, members: Vec<u64>, out: &mut Emitter| {
-                        let Some(adj_raw) = ctx.kv.get(&graph_key(candidate)) else {
+                        let mut key = Vec::with_capacity(16);
+                        let Some(adj) = ctx.kv.get_with(graph_key(&mut key, candidate), |v| {
+                            Vec::<u64>::from_bytes(v).expect("adjacency")
+                        }) else {
                             return;
                         };
-                        let adj = Vec::<u64>::from_bytes(&adj_raw).expect("adjacency");
                         if !members.iter().all(|m| adj.binary_search(m).is_ok()) {
                             return;
                         }

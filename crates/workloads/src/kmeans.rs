@@ -203,7 +203,7 @@ impl KMeans {
             typed::map_ctx_fn(|ctx, cluster: u64, line: String, out: &mut Emitter| {
                 let mut key = b"km/c".to_vec();
                 cluster.encode(&mut key);
-                ctx.kv.put(key.into(), bytes::Bytes::from(line.clone()));
+                ctx.kv.put(&key, line.as_bytes());
                 if let Some((movie, _)) = parse_vector(&line) {
                     out.output_t(&cluster, &movie);
                 }
@@ -317,7 +317,7 @@ impl Benchmark for KMeans {
                 // step 6); one representative output per node.
                 let mut key = b"km/c".to_vec();
                 cluster.encode(&mut key);
-                ctx.kv.put(key.into(), bytes::Bytes::from(line.clone()));
+                ctx.kv.put(&key, line.as_bytes());
                 if let Some((movie, _)) = parse_vector(&line) {
                     out.output_t(&cluster, &movie);
                 }

@@ -49,30 +49,33 @@ fn damped(sum: u64) -> u64 {
 }
 
 // KV keys live under the `pr/` namespace so `reset_namespace("pr/")`
-// isolates reruns without touching other tenants. `pr/a` = adjacency
-// at the src's home shard, `pr/r` = authoritative rank at the page's
-// home shard, `pr/c` = the per-node rank copy the rank-ship job
-// refreshes every iteration. The resident cache tag `pr/radj` shares
-// the prefix so a namespace reset drops the pinned frames too.
-fn adj_key(page: u64) -> Bytes {
-    Bytes::copy_from_slice(page_key(&mut Vec::new(), b"pr/a", page))
-}
+// isolates reruns without touching other tenants. The resident cache
+// tag `pr/radj` shares the prefix so a namespace reset drops the
+// pinned frames too.
 
-fn rank_key(page: u64) -> Bytes {
-    Bytes::copy_from_slice(page_key(&mut Vec::new(), b"pr/r", page))
-}
+/// Adjacency, at the src's home shard.
+const ADJ: &[u8] = b"pr/a";
+/// Authoritative rank, at the page's home shard.
+const RANK: &[u8] = b"pr/r";
+/// The per-node rank copy the rank-ship job refreshes every iteration.
+const COPY: &[u8] = b"pr/c";
 
-fn copy_key(page: u64) -> Bytes {
-    Bytes::copy_from_slice(page_key(&mut Vec::new(), b"pr/c", page))
-}
-
-/// `prefix` + `page`'s encoding, written over `buf`: `PRUpdateRed`
-/// reads every rank copy of a group through one buffer.
+/// `prefix` + `page`'s encoding, written over `buf`: a reducer builds
+/// every key it reads or writes in one buffer.
 fn page_key<'b>(buf: &'b mut Vec<u8>, prefix: &[u8], page: u64) -> &'b [u8] {
     buf.clear();
     buf.extend_from_slice(prefix);
     page.encode(buf);
     buf
+}
+
+/// Put `value` under `prefix` + `page`, key and value encoded one after
+/// the other over `buf`: the store copies both, so nothing is allocated
+/// per put once `buf` has room.
+fn put_page(kv: &Shard, buf: &mut Vec<u8>, prefix: &[u8], page: u64, value: &impl Codec) {
+    let key = page_key(buf, prefix, page).len();
+    value.encode(buf);
+    kv.put(&buf[..key], &buf[key..]);
 }
 
 /// The fixed-point rank stored under `key`, or 1.0 for a page not yet
@@ -137,7 +140,8 @@ impl PageRank {
             typed::reduce_ctx_fn(|ctx, src: u64, dsts: Values<u64>, out: &mut Emitter| {
                 let dsts: Vec<u64> = dsts.collect();
                 // Save the dst list into memory (the KV store).
-                ctx.kv.put(adj_key(src), dsts.to_bytes());
+                let mut buf = Vec::with_capacity(16 + 10 * dsts.len());
+                put_page(&ctx.kv, &mut buf, ADJ, src, &dsts);
                 let contrib = UNIT / dsts.len() as u64;
                 for dst in &dsts {
                     out.emit_t(0, dst, &contrib);
@@ -150,9 +154,9 @@ impl PageRank {
             "MergeRed",
             typed::reduce_ctx_fn(|ctx, page: u64, contribs: Values<u64>, out: &mut Emitter| {
                 let new = damped(contribs.sum());
-                let key = rank_key(page);
-                let old = rank_at(&ctx.kv, &key);
-                ctx.kv.put(key, new.to_bytes());
+                let mut buf = Vec::with_capacity(24);
+                let old = rank_at(&ctx.kv, page_key(&mut buf, RANK, page));
+                put_page(&ctx.kv, &mut buf, RANK, page, &new);
                 out.emit_t(0, &0u64, &new.abs_diff(old));
             }),
         );
@@ -181,8 +185,7 @@ impl PageRank {
                 |ctx, _split, out: &mut Emitter| {
                     let mut ranks: Vec<(u64, u64)> = Vec::new();
                     ctx.kv.for_each(|k, v| {
-                        if k.starts_with(b"pr/r") {
-                            let mut rest = &k[4..];
+                        if let Some(mut rest) = k.strip_prefix(RANK) {
                             let page = u64::decode(&mut rest).expect("rank key");
                             ranks.push((page, u64::from_bytes(v).expect("rank")));
                         }
@@ -203,11 +206,11 @@ impl PageRank {
             "RankGather",
             typed::map_ctx_fn(|ctx, _from: u64, blob: Bytes, _out: &mut Emitter| {
                 let mut input = &blob[..];
-                let mut page = 0u64;
+                let (mut page, mut buf) = (0u64, Vec::with_capacity(24));
                 while !input.is_empty() {
                     page += hamr_codec::read_varint(&mut input).expect("page delta");
                     let rank = hamr_codec::read_varint(&mut input).expect("rank");
-                    ctx.kv.put(copy_key(page), rank.to_bytes());
+                    put_page(&ctx.kv, &mut buf, COPY, page, &rank);
                 }
             }),
         );
@@ -231,19 +234,17 @@ impl PageRank {
                 |_ctx| 1,
                 |ctx, _split, out: &mut Emitter| {
                     ctx.kv.for_each(|k, v| {
-                        if k.starts_with(b"pr/a") {
-                            let mut rest = &k[4..];
+                        if let Some(mut rest) = k.strip_prefix(ADJ) {
                             let src = u64::decode(&mut rest).expect("adj key");
                             let dsts = Vec::<u64>::from_bytes(v).expect("adj value");
                             let deg = dsts.len() as u64;
                             for dst in &dsts {
                                 out.emit_t(0, dst, &(src, deg));
                             }
-                        } else if k.starts_with(b"pr/r") {
+                        } else if let Some(mut rest) = k.strip_prefix(RANK) {
                             // Presence sentinel: keep every known page
                             // in the rank map (deg 0 contributes
                             // nothing, mirroring the mapred marker).
-                            let mut rest = &k[4..];
                             let page = u64::decode(&mut rest).expect("rank key");
                             out.emit_t(0, &page, &(u64::MAX, 0u64));
                         }
@@ -258,15 +259,14 @@ impl PageRank {
             "PRUpdateRed",
             typed::reduce_ctx_fn(
                 |ctx, page: u64, ins: Values<(u64, u64)>, out: &mut Emitter| {
-                    let mut buf = Vec::with_capacity(16);
+                    let mut buf = Vec::with_capacity(24);
                     let mut sum = 0u64;
                     for (src, deg) in ins.filter(|&(_, deg)| deg > 0) {
-                        sum += rank_at(&ctx.kv, page_key(&mut buf, b"pr/c", src)) / deg;
+                        sum += rank_at(&ctx.kv, page_key(&mut buf, COPY, src)) / deg;
                     }
                     let new = damped(sum);
-                    let key = rank_key(page);
-                    let old = rank_at(&ctx.kv, &key);
-                    ctx.kv.put(key, new.to_bytes());
+                    let old = rank_at(&ctx.kv, page_key(&mut buf, RANK, page));
+                    put_page(&ctx.kv, &mut buf, RANK, page, &new);
                     out.emit_t(0, &0u64, &new.abs_diff(old));
                 },
             ),
@@ -326,8 +326,8 @@ impl Benchmark for PageRank {
         let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for node in 0..env.params.nodes {
             env.hamr.kv().shard(node).for_each(|k, v| {
-                if k.starts_with(b"pr/r") {
-                    pairs.push((k[4..].to_vec(), v.to_vec()));
+                if let Some(page) = k.strip_prefix(RANK) {
+                    pairs.push((page.to_vec(), v.to_vec()));
                 }
             });
         }
@@ -458,10 +458,13 @@ mod tests {
 
     #[test]
     fn kv_key_prefixes_distinct_and_namespaced() {
-        assert_ne!(adj_key(5), rank_key(5));
-        assert_ne!(rank_key(5), copy_key(5));
-        assert!(adj_key(5).starts_with(b"pr/a"));
-        assert!(rank_key(5).starts_with(b"pr/r"));
-        assert!(copy_key(5).starts_with(b"pr/c"));
+        let mut buf = Vec::new();
+        let [adj, rank, copy] = [ADJ, RANK, COPY].map(|p| page_key(&mut buf, p, 5).to_vec());
+        assert_ne!(adj, rank);
+        assert_ne!(rank, copy);
+        assert_ne!(adj, copy);
+        for (key, prefix) in [(&adj, ADJ), (&rank, RANK), (&copy, COPY)] {
+            assert!(key.starts_with(prefix) && prefix.starts_with(b"pr/"));
+        }
     }
 }
