@@ -20,10 +20,9 @@
 //! beside the payload and [`FrameBuilder::finish`] hands both back.
 //!
 //! The payload is one allocation: producers append into a
-//! [`FrameBuilder`], `freeze` hands the buffer to an immutable
-//! [`Frame`], and consumers either borrow entries ([`Frame::iter`]) or
-//! take zero-copy [`Bytes`] sub-views of the shared allocation
-//! ([`Frame::iter_shared`]).
+//! [`FrameBuilder`], `freeze` turns the buffer into an immutable,
+//! shared [`Frame`], and consumers borrow entries out of it
+//! ([`Frame::iter`]).
 //!
 //! [`write_entry`] and [`read_entry`] are the layout's one writer and
 //! reader, for frames and every other record: HAMR's spill runs and
@@ -116,8 +115,9 @@ impl FrameBuilder {
         self.buf.len()
     }
 
-    /// Freeze into an immutable, cheaply clonable frame. The buffer is
-    /// handed over, not copied; the hash column is dropped.
+    /// Freeze into an immutable, cheaply clonable frame; the hash
+    /// column is dropped. With the offline `bytes` shim this copies the
+    /// payload once, into an exact-size shared allocation.
     pub fn freeze(self) -> Frame {
         self.finish().0
     }
@@ -125,29 +125,28 @@ impl FrameBuilder {
     /// [`Self::freeze`], also returning the pushed hashes in entry
     /// order — for the producer's own use; they never ship.
     pub fn finish(self) -> (Frame, Vec<u64>) {
-        let frame = Frame {
-            data: Bytes::from(self.buf),
-            entries: self.hashes.len(),
-        };
-        (frame, self.hashes)
+        (Frame::written(self.buf, self.hashes.len()), self.hashes)
     }
 }
 
 /// An immutable batch of `(key, value)` records in one shared buffer.
-/// `clone()` is a refcount bump.
-#[derive(Debug, Clone)]
+/// `clone()` is a refcount bump; `default()` holds no records.
+#[derive(Debug, Clone, Default)]
 pub struct Frame {
     data: Bytes,
     entries: usize,
 }
 
 impl Frame {
-    /// A frame with no records.
-    pub fn empty() -> Self {
-        Frame {
-            data: Bytes::new(),
-            entries: 0,
-        }
+    /// Freeze `buf`, written as `entries` entries with [`write_entry`],
+    /// into a frame without re-parsing it (debug builds check the count).
+    pub fn written(buf: Vec<u8>, entries: usize) -> Frame {
+        let frame = Frame {
+            data: Bytes::from(buf),
+            entries,
+        };
+        debug_assert_eq!(frame.iter().count(), entries, "a frame's entry count");
+        frame
     }
 
     /// Validate an untrusted buffer as a frame, counting its entries.
@@ -189,17 +188,6 @@ impl Frame {
     pub fn iter(&self) -> impl Iterator<Item = Entry<'_>> {
         let mut input = &self.data[..];
         std::iter::from_fn(move || read_entry(&mut input).ok().flatten())
-    }
-
-    /// Zero-copy owning entries: keys and values come out as [`Bytes`]
-    /// sub-views of the frame's allocation, so storing them copies
-    /// nothing but keeps the frame's buffer alive until the views drop.
-    pub fn iter_shared(&self) -> impl Iterator<Item = (Bytes, Bytes)> + '_ {
-        let view = |field: &[u8]| {
-            let at = field.as_ptr() as usize - self.data.as_ptr() as usize;
-            self.data.slice(at..at + field.len())
-        };
-        self.iter().map(move |(k, v)| (view(k), view(v)))
     }
 }
 
@@ -275,22 +263,25 @@ mod tests {
         assert_eq!(frame.payload_bytes(), 3 * 4);
     }
 
+    /// A clone shares the frame's allocation, and iterating either one
+    /// borrows keys and values out of it in place.
     #[test]
     fn shared_iter_is_zero_copy() {
         let frame = build(&[(b"key1", b"value1"), (b"key2", b"value2")]);
+        let shared = frame.clone();
+        assert_eq!(shared.data().as_ptr(), frame.data().as_ptr());
         let base = frame.data().as_ptr() as usize;
         let end = base + frame.payload_bytes();
-        for (k, v) in frame.iter_shared() {
-            // The views point into the frame's own allocation.
-            for part in [&k, &v] {
+        for (k, v) in shared.iter() {
+            for part in [k, v] {
                 let p = part.as_ptr() as usize;
                 assert!(p >= base && p + part.len() <= end);
             }
         }
-        let all: Vec<_> = frame.iter_shared().collect();
+        let all: Vec<_> = shared.iter().collect();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0].0, b"key1"[..]);
-        assert_eq!(all[1].1, b"value2"[..]);
+        assert_eq!(all[0].0, b"key1");
+        assert_eq!(all[1].1, b"value2");
     }
 
     #[test]
@@ -340,10 +331,9 @@ mod tests {
 
     #[test]
     fn empty_frame_behaves() {
-        let frame = Frame::empty();
+        let frame = Frame::default();
         assert!(frame.is_empty());
         assert_eq!(frame.iter().count(), 0);
-        assert_eq!(frame.iter_shared().count(), 0);
         assert_eq!(Frame::parse(Bytes::new()).unwrap().entries(), 0);
     }
 

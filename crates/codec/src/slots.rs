@@ -199,9 +199,9 @@ impl Slots {
 pub struct Accs<A> {
     keys: Vec<u8>,
     slots: Slots,
-    /// `(key offset, key length, accumulator)`, in first-seen order. The
-    /// accumulator is `None` only while a fold has taken it.
-    accs: Vec<(u32, u32, Option<A>)>,
+    /// `(key offset, key length, accumulator)`, in first-seen order: 16
+    /// bytes for a `u64` sum. A fold moves the value out with `mem::take`.
+    accs: Vec<(u32, u32, A)>,
 }
 
 impl<A> Default for Accs<A> {
@@ -214,7 +214,7 @@ impl<A> Default for Accs<A> {
     }
 }
 
-impl<A> Accs<A> {
+impl<A: Default> Accs<A> {
     pub fn len(&self) -> usize {
         self.accs.len()
     }
@@ -239,8 +239,7 @@ impl<A> Accs<A> {
         match self.slots.probe(hash, is_key) {
             Ok(slot) => {
                 let acc = &mut self.accs[self.slots.offset(slot)].2;
-                let old = acc.take().expect("accumulator present");
-                *acc = Some(f(Some(old)));
+                *acc = f(Some(std::mem::take(acc)));
             }
             Err(slot) => {
                 let at = self.keys.len();
@@ -250,7 +249,7 @@ impl<A> Accs<A> {
                 );
                 self.slots.set(slot, hash, self.accs.len());
                 self.keys.extend_from_slice(key);
-                self.accs.push((at as u32, key.len() as u32, Some(f(None))));
+                self.accs.push((at as u32, key.len() as u32, f(None)));
             }
         }
     }
@@ -260,7 +259,7 @@ impl<A> Accs<A> {
     pub fn drain(self, mut each: impl FnMut(&[u8], A)) {
         for (at, len, acc) in self.accs {
             let key = &self.keys[at as usize..(at + len) as usize];
-            each(key, acc.expect("accumulator present"));
+            each(key, acc);
         }
     }
 }
@@ -272,12 +271,18 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    type Sums = BTreeMap<Vec<u8>, u64>;
+    type Model<A> = BTreeMap<Vec<u8>, A>;
 
-    /// Fold `records` into `accs` and into the `BTreeMap` it must match.
-    /// Key 0 is empty; `tagged` gives the keys five hash tags in all.
-    fn fill(accs: &mut Accs<u64>, records: &[(u16, u64)], tagged: bool) -> Sums {
-        let mut reference = Sums::new();
+    /// Fold `records` into `accs` and into the `BTreeMap` it must match,
+    /// both through `add`. Key 0 is empty; `tagged` gives the keys five
+    /// hash tags in all.
+    fn fill<A: Default>(
+        accs: &mut Accs<A>,
+        records: &[(u16, u64)],
+        tagged: bool,
+        add: impl Fn(Option<A>, u64) -> A,
+    ) -> Model<A> {
+        let mut reference = Model::new();
         for &(id, v) in records {
             let key = format!("k{id}").into_bytes();
             let key = if id == 0 { &[][..] } else { &key };
@@ -286,14 +291,15 @@ mod tests {
             } else {
                 stable_hash(key)
             };
-            accs.fold(hash, key, |acc| acc.unwrap_or(0) + v);
-            *reference.entry(key.to_vec()).or_insert(0) += v;
+            accs.fold(hash, key, |acc| add(acc, v));
+            let held = reference.remove(key);
+            reference.insert(key.to_vec(), add(held, v));
         }
         reference
     }
 
-    fn drained(accs: Accs<u64>) -> Sums {
-        let mut out = Sums::new();
+    fn drained<A: Default>(accs: Accs<A>) -> Model<A> {
+        let mut out = Model::new();
         accs.drain(|key, acc| assert!(out.insert(key.to_vec(), acc).is_none(), "a key twice"));
         out
     }
@@ -337,13 +343,17 @@ mod tests {
             second in prop::collection::vec((0u16..300, 1u64..1000), 0..200),
             tagged in any::<bool>(),
         ) {
-            let mut stripe = Accs::default();
-            let want = fill(&mut stripe, &first, tagged);
-            prop_assert_eq!(stripe.len(), want.len());
-            prop_assert_eq!(drained(std::mem::take(&mut stripe)), want);
-            prop_assert_eq!(stripe.len(), 0);
-            let want = fill(&mut stripe, &second, tagged);
-            prop_assert_eq!(drained(stripe), want);
+            let (mut sums, mut lists) = (Accs::default(), Accs::default());
+            for records in [&first, &second] {
+                let want = fill(&mut sums, records, tagged, |acc, v| acc.unwrap_or(0) + v);
+                prop_assert_eq!(sums.len(), want.len());
+                prop_assert_eq!(drained(std::mem::take(&mut sums)), want);
+                // A non-`Copy` accumulator, moved out of its entry and
+                // back by every fold: each key's values, in order.
+                let push = |acc: Option<Vec<u64>>, v| [acc.unwrap_or_default(), vec![v]].concat();
+                let want = fill(&mut lists, records, tagged, push);
+                prop_assert_eq!(drained(std::mem::take(&mut lists)), want);
+            }
         }
     }
 }

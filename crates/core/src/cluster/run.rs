@@ -9,7 +9,7 @@ use crate::introspect::{LiveRun, DOCTOR_KEEP_LAST};
 use crate::metrics::JobMetrics;
 use crate::node::{NetMsg, NodeOutcome, NodeRuntime};
 use crate::plan::ExecPlan;
-use crate::record::{merge_captured, Record};
+use crate::record::Captured;
 use crate::watchdog::{Watchdog, WatchdogAction, WatchdogConfig, WatchdogEvent};
 use hamr_codec::Codec;
 use hamr_simnet::Fabric;
@@ -284,7 +284,7 @@ impl Cluster {
     ) -> Collected {
         let n = self.config.nodes;
         let (graph, plan) = (&run.graph, &run.plan);
-        let mut outputs: HashMap<FlowletId, Vec<Record>> = HashMap::new();
+        let mut outputs: HashMap<FlowletId, Captured> = HashMap::new();
         let mut metrics = JobMetrics::default();
         let mut first_error: Option<RunError> = None;
         let mut fill_frames: Vec<(usize, usize, hamr_codec::Frame)> = Vec::new();
@@ -295,8 +295,8 @@ impl Cluster {
                         first_error.get_or_insert(error);
                     }
                     fill_frames.extend(outcome.fill);
-                    for (f, recs) in outcome.captured {
-                        merge_captured(&mut outputs, f, recs);
+                    for (f, captured) in outcome.captured {
+                        outputs.entry(f).or_default().append(captured.frames);
                     }
                     for (f, fm) in outcome.flowlets.into_iter().enumerate() {
                         metrics.flowlets.entry(f).or_default().merge(fm);
@@ -476,7 +476,7 @@ struct Run {
 
 /// What the nodes and the watchdog handed back, merged.
 struct Collected {
-    outputs: HashMap<FlowletId, Vec<Record>>,
+    outputs: HashMap<FlowletId, Captured>,
     metrics: JobMetrics,
     first_error: Option<RunError>,
     wd_events: Vec<WatchdogEvent>,
@@ -553,8 +553,8 @@ fn incident_text(event: &WatchdogEvent) -> String {
 #[derive(Debug)]
 pub struct JobResult {
     /// Captured `Emitter::output` records per flowlet, merged across
-    /// nodes (unordered).
-    pub outputs: HashMap<FlowletId, Vec<Record>>,
+    /// nodes (unordered): the frames the tasks wrote them to.
+    pub outputs: HashMap<FlowletId, Captured>,
     pub metrics: JobMetrics,
     /// The job's row: what its journal `JobEnd` carries, wall time
     /// included.
@@ -562,12 +562,13 @@ pub struct JobResult {
 }
 
 impl JobResult {
-    /// Raw captured records for a flowlet (empty slice if none).
-    pub fn output(&self, flowlet: FlowletId) -> &[Record] {
-        self.outputs
-            .get(&flowlet)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+    /// A flowlet's captured output (empty if it captured nothing).
+    pub fn output(&self, flowlet: FlowletId) -> &Captured {
+        static NONE: Captured = Captured {
+            frames: Vec::new(),
+            entries: 0,
+        };
+        self.outputs.get(&flowlet).unwrap_or(&NONE)
     }
 
     /// Decode a flowlet's captured output with [`Codec`].
@@ -576,14 +577,14 @@ impl JobResult {
     /// Panics if the records do not decode as `(K, V)` — a type error
     /// in the job wiring, not a data condition.
     pub fn typed_output<K: Codec, V: Codec>(&self, flowlet: FlowletId) -> Vec<(K, V)> {
-        self.output(flowlet)
-            .iter()
-            .map(|rec| {
-                (
-                    K::from_bytes(&rec.key).expect("output key decodes"),
-                    V::from_bytes(&rec.value).expect("output value decodes"),
-                )
-            })
-            .collect()
+        let captured = self.output(flowlet);
+        let mut out = Vec::with_capacity(captured.len());
+        out.extend(captured.iter().map(|(k, v)| {
+            (
+                K::from_bytes(k).expect("output key decodes"),
+                V::from_bytes(v).expect("output value decodes"),
+            )
+        }));
+        out
     }
 }

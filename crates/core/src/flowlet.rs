@@ -64,8 +64,9 @@ impl<'a> Emitter<'a> {
     }
 
     /// Emit a record into the job's captured output for this flowlet.
-    /// The key and value are copied into the task's one output arena;
-    /// the job's [`Record`](crate::Record)s are views of it.
+    /// The key and value are written as one entry of the task's open
+    /// capture frame; the job's [`Captured`](crate::Captured) output
+    /// is those frames.
     #[inline]
     pub fn output(&mut self, key: &[u8], value: &[u8]) {
         self.out.capture(key, value);

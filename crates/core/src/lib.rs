@@ -79,7 +79,7 @@ pub use hamr_trace::JobRow;
 pub use introspect::{Health, HttpMode};
 pub use metrics::{FlowletMetrics, JobMetrics, NodeMetrics};
 pub use outbuf::Combiner;
-pub use record::{FrameBin, Record};
+pub use record::{Captured, FrameBin};
 pub use resident::{CacheSpec, ResidentStats, ResidentStore};
 pub use watchdog::{WatchdogAction, WatchdogConfig, WatchdogEvent};
 

@@ -7,7 +7,7 @@ use crate::flowlet::{AccTable, Emitter, TaskContext};
 use crate::graph::{EdgeId, FlowletId, FlowletKind};
 use crate::outbuf::{CombineShelf, FlowControl, TaskOutput};
 use crate::plan::ExecPlan;
-use crate::record::{FrameBin, Record};
+use crate::record::FrameBin;
 use crate::reduce_state::{FireShard, PartialState, ReduceState};
 use crate::sched::{Pool, Source};
 use crate::NodeId;
@@ -99,7 +99,7 @@ pub(super) struct TaskDone {
     /// Which of the instance's counters the task's end moves.
     pub(super) kind: TaskKind,
     bins: Vec<(NodeId, FrameBin)>,
-    pub(super) captured: Vec<Record>,
+    pub(super) captured: Vec<hamr_codec::Frame>,
     /// Frames pinned for the resident store (see `TaskParts::fill`).
     pub(super) fill: Vec<(EdgeId, NodeId, hamr_codec::Frame)>,
     ack_to: Option<(NodeId, EdgeId)>,
@@ -138,7 +138,7 @@ pub(super) struct WorkerShared {
 }
 
 impl WorkerShared {
-    /// Record the terminal lineage hop of a bin a reduce ingests over a
+    /// Note the terminal lineage hop of a bin a reduce ingests over a
     /// sketched edge (the plane ignores the rest: a local-edge fold is
     /// not a reduce ingest). Samples are keyed by hash and frames carry
     /// none, so this hashes every key of the bin — lazily, and only

@@ -83,7 +83,7 @@ use crate::graph::{EdgeId, FlowletId, FlowletKind};
 use crate::metrics::{FlowletMetrics, NodeMetrics};
 use crate::outbuf::{CombineShelf, FlowControl};
 use crate::plan::ExecPlan;
-use crate::record::{merge_captured, CodedBin, FrameBin, Record};
+use crate::record::{Captured, CodedBin, FrameBin};
 use crate::reduce_state::{PartialState, ReduceState};
 use crate::sched::Pool;
 use crate::NodeId;
@@ -145,7 +145,7 @@ impl Payload for NetMsg {
 
 /// What a node hands back to the driver.
 pub(crate) struct NodeOutcome {
-    pub captured: HashMap<FlowletId, Vec<Record>>,
+    pub captured: HashMap<FlowletId, Captured>,
     pub flowlets: Vec<FlowletMetrics>,
     pub node_metrics: NodeMetrics,
     pub error: Option<RunError>,
@@ -170,7 +170,7 @@ pub(crate) struct NodeRuntime {
     shared: Arc<WorkerShared>,
     instances: Vec<Instance>,
     outstanding: usize,
-    captured: HashMap<FlowletId, Vec<Record>>,
+    captured: HashMap<FlowletId, Captured>,
     fmetrics: Vec<FlowletMetrics>,
     nmetrics: NodeMetrics,
     busy: Duration,
@@ -591,7 +591,7 @@ impl NodeRuntime {
         fm.busy += done.duration;
         fm.task_latency.record(done.duration);
         if !done.captured.is_empty() {
-            merge_captured(&mut self.captured, f, done.captured);
+            self.captured.entry(f).or_default().append(done.captured);
         }
         self.fill.extend(done.fill);
     }

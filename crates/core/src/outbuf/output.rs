@@ -5,9 +5,8 @@ use super::combine::{CombineBuf, CombineShelf, COMBINE_BUDGET, COMBINE_LOW_WATER
 use super::flow::FlowControl;
 use crate::graph::{EdgeId, Exchange, FlowletId};
 use crate::plan::{ExecPlan, PortSpec};
-use crate::record::{FrameBin, Record};
+use crate::record::FrameBin;
 use crate::NodeId;
-use bytes::Bytes;
 use hamr_codec::{stable_hash, write_entry, Frame, FrameBuilder};
 use hamr_trace::{AuditStage, EventKind, Observe};
 use std::sync::Arc;
@@ -17,8 +16,9 @@ use std::sync::Arc;
 pub(crate) struct TaskParts {
     /// Packed bins ready to ship, with their destination.
     pub bins: Vec<(NodeId, FrameBin)>,
-    /// Records captured as job output: views of one arena per task.
-    pub captured: Vec<Record>,
+    /// Pairs captured as job output, in frames of at most
+    /// `bin_capacity` entries.
+    pub captured: Vec<Frame>,
     /// Pinned clones of every frame closed on a cache-filling port,
     /// keyed by (edge, destination node). The clone is a refcount bump
     /// on the frame's `Bytes`, taken *after* combining but *before* the
@@ -46,9 +46,9 @@ pub(crate) struct TaskOutput {
     /// the fold count are filled in at the end.
     done: TaskParts,
     capture_enabled: bool,
-    /// Captured pairs, encoded as frame entries into one buffer that
-    /// [`Self::into_parts`] freezes once and slices into records.
+    /// The open capture frame's entries, and how many (see `capture`).
     captured: Vec<u8>,
+    captured_entries: usize,
     /// Reusable encode buffer for typed emits (see `emit_encoded`).
     scratch: Vec<u8>,
     flowlet_name: Arc<str>,
@@ -106,6 +106,7 @@ impl TaskOutput {
             done: TaskParts::default(),
             capture_enabled: fp.capture,
             captured: Vec::new(),
+            captured_entries: 0,
             scratch: Vec::new(),
             flowlet_name: Arc::clone(&fp.name),
             flowlet_id: flowlet as u32,
@@ -372,12 +373,24 @@ impl TaskOutput {
         });
     }
 
-    /// Record a captured job-output pair: one frame entry appended to
-    /// the task's capture buffer.
+    /// Capture a job-output pair: one frame entry appended to the open
+    /// capture frame, which closes, like a port's bin, once it holds
+    /// `bin_capacity` entries.
     pub(crate) fn capture(&mut self, key: &[u8], value: &[u8]) {
         if self.capture_enabled {
             write_entry(&mut self.captured, key, value);
+            self.captured_entries += 1;
+            if self.captured_entries >= self.bin_capacity {
+                self.close_capture();
+            }
         }
+    }
+
+    /// Freeze the open capture frame into the task's output.
+    fn close_capture(&mut self) {
+        let buf = std::mem::take(&mut self.captured);
+        let entries = std::mem::take(&mut self.captured_entries);
+        self.done.captured.push(Frame::written(buf, entries));
     }
 
     /// Encode a typed pair and capture it.
@@ -429,12 +442,8 @@ impl TaskOutput {
                 }
             }
         }
-        if !self.captured.is_empty() {
-            let arena = Frame::parse(Bytes::from(std::mem::take(&mut self.captured)))
-                .expect("captured pairs are frame entries");
-            let records = arena.iter_shared().map(|(k, v)| Record::new(k, v));
-            self.done.captured = Vec::with_capacity(arena.entries());
-            self.done.captured.extend(records);
+        if self.captured_entries > 0 {
+            self.close_capture();
         }
         self.done
     }

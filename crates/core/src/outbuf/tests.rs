@@ -4,12 +4,11 @@ use super::output::*;
 use crate::graph::Exchange;
 use crate::node::NetMsg;
 use crate::plan::ExecPlan;
-use crate::record::{FrameBin, Record};
+use crate::record::FrameBin;
 use crate::NodeId;
-use bytes::Bytes;
-use hamr_codec::partition;
 use hamr_codec::slots::TABLE_MIN;
 use hamr_codec::stable_hash;
+use hamr_codec::{partition, Frame};
 use hamr_trace::{AuditStage, Observe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -63,7 +62,7 @@ fn flow_control(nodes: usize, window: usize) -> FlowControl {
     FlowControl::new(0, nodes, window, 1, 1, endpoint, &Observe::default())
 }
 
-fn finish(o: TaskOutput) -> (Vec<(NodeId, FrameBin)>, Vec<Record>) {
+fn finish(o: TaskOutput) -> (Vec<(NodeId, FrameBin)>, Vec<Frame>) {
     let flow = flow_control(o.nodes, 32);
     let parts = o.into_parts(&shelf(1), &flow);
     (parts.bins, parts.captured)
@@ -187,16 +186,22 @@ fn emit_encoded_round_trips_typed_pairs() {
     assert_eq!((k.as_str(), v), ("word", 7));
 }
 
+/// Captured pairs land in frames that close every `bin_capacity`
+/// entries, like a port's bins, and once more at the task's end.
 #[test]
 fn capture_collects_when_enabled() {
     let mut o = out(&[], 0, 1, 10);
+    for i in 0..24u64 {
+        o.capture_encoded(&i, &i);
+    }
     o.capture(b"k", b"v");
     let (bins, captured) = finish(o);
     assert!(bins.is_empty());
-    assert_eq!(
-        captured,
-        vec![Record::new(Bytes::from("k"), Bytes::from("v"))]
-    );
+    let sizes: Vec<usize> = captured.iter().map(Frame::entries).collect();
+    assert_eq!(sizes, [10, 10, 5]);
+    let mut pairs = captured.iter().flat_map(Frame::iter);
+    assert!((0..24u64).all(|i| pairs.next() == Some((&i.to_bytes()[..], &i.to_bytes()[..]))));
+    assert_eq!(pairs.next(), Some((&b"k"[..], &b"v"[..])));
 }
 
 #[test]
@@ -208,46 +213,25 @@ fn capture_ignored_when_disabled() {
     assert!(captured.is_empty());
 }
 
+/// Fewer than `bin_capacity` pairs: one frame, so one allocation,
+/// holding every pair in capture order, empty ones included.
 #[test]
 fn a_tasks_captured_pairs_are_views_of_one_arena() {
     const N: u64 = 200;
-    let mut o = out(&[], 0, 1, 10);
+    let mut o = out(&[], 0, 1, 1000);
     for i in 0..N {
         o.capture_encoded(&i, &(i * 3));
     }
     o.capture(b"", b"");
     let (_, captured) = finish(o);
-    let typed: Vec<(u64, u64)> = captured[..N as usize]
-        .iter()
-        .map(|r| {
-            (
-                u64::from_bytes(&r.key).unwrap(),
-                u64::from_bytes(&r.value).unwrap(),
-            )
-        })
+    assert_eq!(captured.len(), 1);
+    let frame = &captured[0];
+    assert_eq!(frame.entries(), N as usize + 1);
+    let typed: Vec<(u64, u64)> = (frame.iter().take(N as usize))
+        .map(|(k, v)| (u64::from_bytes(k).unwrap(), u64::from_bytes(v).unwrap()))
         .collect();
     assert_eq!(typed, (0..N).map(|i| (i, i * 3)).collect::<Vec<_>>());
-    assert_eq!(
-        captured[N as usize],
-        Record::new(Bytes::new(), Bytes::new())
-    );
-    // One allocation holds all 2N keys and values, in capture order:
-    // each view starts past the end of the one before it, and all of
-    // them lie within the arena's own length of the first.
-    let arena: usize = captured
-        .iter()
-        .map(|r| 2 + r.key.len() + r.value.len())
-        .sum();
-    let views: Vec<(usize, usize)> = captured
-        .iter()
-        .flat_map(|r| [&r.key, &r.value])
-        .map(|b| (b.as_ptr() as usize, b.len()))
-        .collect();
-    for pair in views.windows(2) {
-        assert!(pair[0].0 + pair[0].1 < pair[1].0, "{pair:?}");
-    }
-    let (first, last) = (views[0], views[views.len() - 1]);
-    assert!(last.0 + last.1 - first.0 <= arena);
+    assert_eq!(frame.iter().last(), Some((&b""[..], &b""[..])));
 }
 
 #[test]

@@ -14,40 +14,41 @@
 //! payload; what the audit ledger counts, at every custody point, is
 //! the raw one.
 //!
-//! [`Record`] survives as the erased key-value pair handed back to the
-//! driver as captured job output; it is no longer on the shuffle path.
+//! A flowlet's captured job output is [`Captured`]: the frames its
+//! tasks wrote it to, moved, not copied, from task to node to driver.
 
-use crate::graph::FlowletId;
 use bytes::Bytes;
-use hamr_codec::{huffman, stable_hash, CodecError, Frame, FrameBuilder};
+use hamr_codec::{huffman, stable_hash, CodecError, Entry, Frame, FrameBuilder};
 use hamr_trace::{Audit, AuditStage};
-use std::collections::hash_map::{Entry, HashMap};
 
-/// One erased key-value pair (captured job output).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    pub key: Bytes,
-    pub value: Bytes,
+/// One flowlet's captured job output (`Emitter::output`): frame entries
+/// in the frames the tasks that captured them closed, in no particular
+/// order across tasks and nodes.
+#[derive(Debug, Default)]
+pub struct Captured {
+    pub(crate) frames: Vec<Frame>,
+    pub(crate) entries: usize,
 }
 
-impl Record {
-    pub fn new(key: Bytes, value: Bytes) -> Self {
-        Record { key, value }
+impl Captured {
+    /// Number of captured pairs.
+    pub fn len(&self) -> usize {
+        self.entries
     }
-}
 
-/// Add `recs` to `f`'s captured output; the first batch is moved in,
-/// not copied.
-pub(crate) fn merge_captured(
-    outputs: &mut HashMap<FlowletId, Vec<Record>>,
-    f: FlowletId,
-    recs: Vec<Record>,
-) {
-    match outputs.entry(f) {
-        Entry::Occupied(mut held) => held.get_mut().extend(recs),
-        Entry::Vacant(slot) => {
-            slot.insert(recs);
-        }
+    pub fn is_empty(&self) -> bool {
+        self.entries == 0
+    }
+
+    /// Every captured `(key, value)`, borrowed from its frame.
+    pub fn iter(&self) -> impl Iterator<Item = Entry<'_>> {
+        self.frames.iter().flat_map(Frame::iter)
+    }
+
+    /// Move `frames` in behind this output's, as they are.
+    pub(crate) fn append(&mut self, frames: Vec<Frame>) {
+        self.entries += frames.iter().map(Frame::entries).sum::<usize>();
+        self.frames.extend(frames);
     }
 }
 
@@ -223,7 +224,7 @@ mod tests {
 
     #[test]
     fn empty_bin() {
-        let bin = FrameBin::new(0, Frame::empty());
+        let bin = FrameBin::new(0, Frame::default());
         assert!(bin.is_empty());
         assert_eq!(bin.payload_bytes(), 0);
         assert_eq!(bin.wire_size(), 16);

@@ -182,7 +182,7 @@ impl<K, V, Acc, FInit, FFold, FFinish> PartialReduceFn
 where
     K: Codec,
     V: Codec,
-    Acc: Send + 'static,
+    Acc: Default + Send + 'static,
     FInit: Fn(V) -> Acc + Send + Sync,
     FFold: Fn(Acc, V) -> Acc + Send + Sync,
     FFinish: Fn(&TaskContext, K, Acc, &mut Emitter) + Send + Sync,
@@ -217,7 +217,9 @@ where
 /// Build a partial reduce from typed closures: `init` seeds a key's
 /// accumulator from its first value, `fold` adds each later one (neither
 /// sees the key), and `finish` decides where a key's result goes (a
-/// port, captured output, disk, KV store...).
+/// port, captured output, disk, KV store...). `Acc: Default` is what
+/// lets the table hold each accumulator bare, with no `Option` beside
+/// it: a fold moves it out with `mem::take`.
 pub fn partial_fn<K, V, Acc, FInit, FFold, FFinish>(
     init: FInit,
     fold: FFold,
@@ -226,7 +228,7 @@ pub fn partial_fn<K, V, Acc, FInit, FFold, FFinish>(
 where
     K: Codec,
     V: Codec,
-    Acc: Send + 'static,
+    Acc: Default + Send + 'static,
     FInit: Fn(V) -> Acc + Send + Sync,
     FFold: Fn(Acc, V) -> Acc + Send + Sync,
     FFinish: Fn(&TaskContext, K, Acc, &mut Emitter) + Send + Sync,

@@ -32,7 +32,7 @@ use std::time::Duration;
 pub enum WatchdogAction {
     /// Do not monitor at all.
     Off,
-    /// Record and trace incidents but let the job keep running.
+    /// Log and trace incidents but let the job keep running.
     #[default]
     Warn,
     /// Broadcast an abort so the job fails with a diagnosis instead of

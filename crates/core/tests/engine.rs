@@ -412,9 +412,11 @@ fn captured_output_raw_records() {
     job.connect(loader, cap, Exchange::Local);
     job.capture_output(cap);
     let result = cluster.run(job.build().unwrap()).unwrap();
-    let recs = result.output(cap);
-    assert_eq!(recs.len(), 1);
-    assert_eq!(recs[0].key, hamr_codec::Codec::to_bytes(&5u64));
+    let captured = result.output(cap);
+    assert_eq!(captured.len(), 1);
+    let (key, value) = captured.iter().next().unwrap();
+    assert_eq!(key, &hamr_codec::Codec::to_bytes(&5u64)[..]);
+    assert_eq!(value, &hamr_codec::Codec::to_bytes(&6u64)[..]);
 }
 
 #[test]

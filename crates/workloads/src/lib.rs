@@ -127,9 +127,8 @@ pub fn pair_checksum<'a>(pairs: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> u
 }
 
 /// [`pair_checksum`] and count of one flowlet's captured records.
-pub(crate) fn output_checksum(recs: &[hamr_core::Record]) -> (u64, u64) {
-    let pairs = recs.iter().map(|r| (&r.key[..], &r.value[..]));
-    (pair_checksum(pairs), recs.len() as u64)
+pub(crate) fn output_checksum(captured: &hamr_core::Captured) -> (u64, u64) {
+    (pair_checksum(captured.iter()), captured.len() as u64)
 }
 
 #[cfg(test)]

@@ -157,14 +157,9 @@ impl Benchmark for NaiveBayes {
             .hamr
             .run(job.build().map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
-        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for f in [vector_sum, weight_sum] {
-            for r in result.output(f) {
-                pairs.push((r.key.to_vec(), r.value.to_vec()));
-            }
-        }
-        let checksum = pair_checksum(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())));
-        let records = pairs.len() as u64;
+        let outputs = [result.output(vector_sum), result.output(weight_sum)];
+        let checksum = pair_checksum(outputs.iter().flat_map(|c| c.iter()));
+        let records = outputs.iter().map(|c| c.len() as u64).sum();
         Ok(BenchOutput::hamr(
             start.elapsed(),
             checksum,

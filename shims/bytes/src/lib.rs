@@ -192,6 +192,8 @@ impl fmt::Debug for Bytes {
     }
 }
 
+/// Copies `v` into a fresh, exact-size shared allocation (the real
+/// crate takes `v`'s allocation over); see `shims/README.md`.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
