@@ -8,16 +8,16 @@
 //! turns in-node combining off, so its trace shows `flow-control
 //! stall` / resume pairs on the loader→map→reduce path; the balanced
 //! run shows none. Each run also gets the causal profiler's report
-//! (wall-time attribution, top stall edges, critical path) on stdout.
-//! It takes no flags.
+//! (wall-time attribution and top stall edges) on stdout. It takes no
+//! flags.
 
 use super::{say, usage};
 use hamr_core::{RunOptions, RuntimeConfig, SkewConfig};
 use hamr_mapred::MrRunOptions;
 use hamr_trace::{
-    analyze, chrome_trace_json, render_attribution, render_critical_path, render_occupancy,
-    render_stall_edges, render_summary, task_spans, worker_occupancy, EventKind, FlowletSummaryRow,
-    LatencyHistogram, RingSink, TaskKind, TraceEvent, Tracer,
+    analyze, chrome_trace_json, render_attribution, render_occupancy, render_stall_edges,
+    render_summary, task_spans, worker_occupancy, EventKind, FlowletSummaryRow, LatencyHistogram,
+    RingSink, TaskKind, TraceEvent, Tracer,
 };
 use hamr_workloads::histogram_ratings::HistogramRatings;
 use hamr_workloads::wordcount::WordCount;
@@ -59,7 +59,7 @@ fn warn_dropped(label: &str, dropped: u64) {
     if dropped > 0 {
         eprintln!(
             "WARNING: {label}: {dropped} events dropped by the trace ring \
-             — raise RingSink capacity for complete lineage"
+             — raise RingSink capacity for a complete log"
         );
     }
 }
@@ -68,12 +68,9 @@ fn warn_dropped(label: &str, dropped: u64) {
 fn causal_report(label: &str, events: &[TraceEvent], dropped: u64) {
     let report = analyze(events, dropped);
     say(&format!(
-        "== causal attribution: {label} ==\n{}top stall edges:\n{}{}spans: {}/{} complete\n\n",
+        "== causal attribution: {label} ==\n{}top stall edges:\n{}\n",
         render_attribution(&report),
         render_stall_edges(&report),
-        render_critical_path(&report),
-        report.spans_complete,
-        report.spans_seen
     ));
 }
 

@@ -14,7 +14,7 @@ use crate::NodeId;
 use crossbeam::channel::Sender;
 use hamr_codec::stable_hash;
 use hamr_simnet::Endpoint;
-use hamr_trace::{AuditStage, EventKind, Gauge, Observe, TaskKind, NO_SPAN, WORKER_RUNTIME};
+use hamr_trace::{AuditStage, EventKind, Gauge, Observe, TaskKind, WORKER_RUNTIME};
 use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -80,15 +80,6 @@ impl Task {
             (Task::FireReduce { .. }, _) => TaskKind::FireReduce,
             (Task::FirePartial { .. }, _) => TaskKind::FirePartial,
             (Task::FlushCombine { .. }, _) => TaskKind::FlushCombine,
-        }
-    }
-
-    /// Lineage span of the bin this task consumes, if any. Links the
-    /// consuming `TaskStart` back to the producer's `BinEmitted`.
-    fn span(&self) -> u64 {
-        match self {
-            Task::Bin { bin, .. } => bin.span,
-            _ => NO_SPAN,
         }
     }
 }
@@ -172,7 +163,6 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
         EventKind::TaskStart {
             task: trace_kind,
             flowlet: flowlet as u32,
-            span: task.span(),
         },
     );
     let mut failed = None;

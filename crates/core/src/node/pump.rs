@@ -77,7 +77,7 @@ impl NodeRuntime {
     /// Inject every served flowlet's cached frames into the local
     /// consumer queues, with full custody: a resident hit is a local
     /// delivery, so Emit, Ship, and Deliver are recorded here at this
-    /// node — in the ledger and, with the bin's span, in the trace —
+    /// node — in the ledger and in the trace —
     /// (the consuming task records Consume as usual) and the
     /// conservation check emit == ship == deliver == consume still
     /// balances. No fabric send happens, so `shuffled_bytes` (remote
@@ -89,8 +89,8 @@ impl NodeRuntime {
             let Some(hit) = &fp.serve else { continue };
             for (port, spec) in fp.ports.iter().enumerate() {
                 for frame in &hit.ports[port][node] {
-                    let mut bin = FrameBin::new(spec.edge, frame.clone());
-                    record_emitted(&obs, node, WORKER_RUNTIME, f, node, &mut bin);
+                    let bin = FrameBin::new(spec.edge, frame.clone());
+                    record_emitted(&obs, node, WORKER_RUNTIME, f, node, &bin);
                     record_shipped(&obs, node, WORKER_RUNTIME, f, node, &bin);
                     bin.audit(&obs.audit, AuditStage::Deliver, node);
                     // Pre-acked: nothing was shipped, so there is no
@@ -115,7 +115,6 @@ impl NodeRuntime {
                 flowlet: dst as u32,
                 edge: bin.edge as u32,
                 from: from as u32,
-                span: bin.span,
             },
         );
         self.queue_gauges[dst].add(1);

@@ -159,7 +159,6 @@ impl FlowControl {
                 flowlet: f as u32,
                 edge: bin.edge as u32,
                 dst: dst as u32,
-                span: bin.span,
             },
         );
         {
@@ -216,7 +215,6 @@ impl FlowControl {
                     edge: d.bin.edge as u32,
                     dst: d.dst as u32,
                     stalled_us: stalled.as_micros() as u64,
-                    span: d.bin.span,
                 },
             );
             self.ship(lane, d.flowlet, d.dst, d.bin);
@@ -280,7 +278,6 @@ pub(crate) fn record_shipped(
             dst: dst as u32,
             records: bin.len() as u32,
             bytes: bin.payload_bytes() as u64,
-            span: bin.span,
         },
     );
     bin.audit(&obs.audit, AuditStage::Ship, dst);

@@ -53,7 +53,7 @@ pub(crate) struct TaskOutput {
     scratch: Vec<u8>,
     flowlet_name: Arc<str>,
     /// Producing flowlet id + trace lane of the executing thread: the
-    /// provenance stamped on every minted bin span.
+    /// provenance of every `BinEmitted`.
     flowlet_id: u32,
     lane: u32,
     /// The job's sinks. Its statistics plane folds the frames closed on
@@ -149,14 +149,14 @@ impl TaskOutput {
                 hashed.map(|(&h, (k, v))| (h, k, v.len())),
             );
         }
-        let mut bin = FrameBin::new(edge, frame);
+        let bin = FrameBin::new(edge, frame);
         record_emitted(
             &self.obs,
             self.node,
             self.lane,
             self.flowlet_id as FlowletId,
             dst,
-            &mut bin,
+            &bin,
         );
         self.done.bins.push((dst, bin));
     }
@@ -234,8 +234,8 @@ impl TaskOutput {
     }
 
     /// Ship one broadcast frame to every node as refcounted clones.
-    /// Each destination's clone gets its own lineage span: the copies
-    /// travel (and may stall) independently.
+    /// Each destination's clone is its own bin: the copies travel (and
+    /// may stall) independently.
     fn broadcast_frame(&mut self, port: usize, builder: FrameBuilder) {
         let (frame, hashes) = builder.finish();
         for dst in 0..self.nodes {
@@ -451,30 +451,24 @@ impl TaskOutput {
 
 /// Emit custody of a bin closed on `node` for `dst`: the ledger's
 /// `Emit` — tallied whatever the tracer does, the ledger must balance
-/// with the trace stream off — and, under tracing, the bin's lineage
-/// span and its `BinEmitted`. Disabled tracing costs one branch: the
-/// bin keeps span 0 and no id is allocated.
+/// with the trace stream off — and the trace's `BinEmitted`.
 pub(crate) fn record_emitted(
     obs: &Observe,
     node: NodeId,
     lane: u32,
     f: FlowletId,
     dst: NodeId,
-    bin: &mut FrameBin,
+    bin: &FrameBin,
 ) {
     bin.audit(&obs.audit, AuditStage::Emit, dst);
-    if obs.tracer.enabled() {
-        bin.span = obs.tracer.mint_span();
-        obs.tracer.emit(
-            node as u32,
-            lane,
-            EventKind::BinEmitted {
-                flowlet: f as u32,
-                edge: bin.edge as u32,
-                dst: dst as u32,
-                span: bin.span,
-                records: bin.len() as u32,
-            },
-        );
-    }
+    obs.tracer.emit(
+        node as u32,
+        lane,
+        EventKind::BinEmitted {
+            flowlet: f as u32,
+            edge: bin.edge as u32,
+            dst: dst as u32,
+            records: bin.len() as u32,
+        },
+    );
 }

@@ -53,25 +53,20 @@ impl Captured {
 }
 
 /// A batch of records flowing along one graph edge toward one node,
-/// packed into one contiguous frame.
+/// packed into one contiguous frame. A bin carries no lineage id: the
+/// trace counts bins per edge and node, and record lineage is the
+/// statistics plane's sampled keys.
 #[derive(Debug, Clone)]
 pub struct FrameBin {
     /// Which edge of the job graph this bin travels on.
     pub edge: usize,
     /// The packed `(key, value)` payload.
     pub frame: Frame,
-    /// Lineage span id for causal profiling; `0` (= `NO_SPAN`) when
-    /// tracing is off, so the untraced hot path pays one `u64` copy.
-    pub span: u64,
 }
 
 impl FrameBin {
     pub fn new(edge: usize, frame: Frame) -> Self {
-        FrameBin {
-            edge,
-            frame,
-            span: hamr_trace::NO_SPAN,
-        }
+        FrameBin { edge, frame }
     }
 
     /// Build a bin from key-value pairs — a test and bench
@@ -121,7 +116,6 @@ impl FrameBin {
     pub(crate) fn code(&self) -> CodedBin {
         CodedBin {
             edge: self.edge,
-            span: self.span,
             records: self.len(),
             raw_bytes: self.payload_bytes(),
             packed: Bytes::from(huffman::pack(self.frame.data())),
@@ -135,7 +129,6 @@ impl FrameBin {
 #[derive(Debug)]
 pub(crate) struct CodedBin {
     pub edge: usize,
-    pub span: u64,
     pub records: usize,
     pub raw_bytes: usize,
     packed: Bytes,
@@ -154,11 +147,7 @@ impl CodedBin {
         if (frame.entries(), frame.payload_bytes()) != (self.records, self.raw_bytes) {
             return Err(CodecError::BadLength(frame.payload_bytes() as u64));
         }
-        Ok(FrameBin {
-            edge: self.edge,
-            frame,
-            span: self.span,
-        })
+        Ok(FrameBin::new(self.edge, frame))
     }
 }
 
@@ -198,13 +187,12 @@ mod tests {
     fn a_coded_bin_decodes_to_the_bin_it_was() {
         let keys: Vec<Vec<u8>> = (0..300).map(|i| format!("w{i}").into_bytes()).collect();
         let pairs: Vec<(&[u8], &[u8])> = keys.iter().map(|k| (&k[..], &b"\x01"[..])).collect();
-        let mut bin = FrameBin::from_pairs(4, &pairs);
-        bin.span = 99;
+        let bin = FrameBin::from_pairs(4, &pairs);
         let coded = bin.code();
         assert_eq!((coded.records, coded.raw_bytes), (300, bin.payload_bytes()));
         assert!(coded.wire_size() < bin.wire_size() * 3 / 4, "{coded:?}");
         let back = coded.decode().unwrap();
-        assert_eq!((back.edge, back.span), (4, 99));
+        assert_eq!(back.edge, 4);
         assert!(back.frame.iter().eq(bin.frame.iter()));
         // A short bin is stored: one tag byte over its payload.
         let short = FrameBin::from_pairs(0, &[(b"k", b"v")]);

@@ -6,8 +6,6 @@ use hamr_core::{
     typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobGraph, JobResult, RunOptions,
     SchedMode, Supervision,
 };
-use hamr_trace::{analyze, RingSink, Tracer};
-use std::sync::Arc;
 
 fn pairs(n: u64, salt: u64) -> Vec<(u64, u64)> {
     (0..n).map(|i| (i, i * 3 + salt)).collect()
@@ -113,31 +111,6 @@ fn chain_custody_balances_on_fill_and_serve() {
         .expect("served run custody balances: emit==ship==deliver==consume locally");
     assert_eq!(cluster.resident().stats().hits, 1);
     assert_eq!(sorted_output(&r1, f1), sorted_output(&r2, f2));
-}
-
-#[test]
-fn a_served_bins_span_is_complete() {
-    let cluster = cluster_with(SchedMode::WorkStealing);
-    let data = pairs(1500, 5);
-    let (job1, _) = cached_sum_job("span-a", data.clone(), "t/span", 3);
-    let (job2, _) = cached_sum_job("span-b", data, "t/span", 3);
-    cluster.run(job1).unwrap();
-    // Only the served job is traced: every span in the log is one the
-    // resident hit minted (the reduce emits job output, not bins).
-    let sink = Arc::new(RingSink::new(4, 1 << 14));
-    let traced = RunOptions {
-        tracer: Tracer::new(sink.clone()),
-        ..Default::default()
-    };
-    cluster.run_with(job2, &traced).unwrap();
-    assert_eq!(cluster.resident().stats().hits, 1);
-    assert_eq!(sink.dropped(), 0);
-    let report = analyze(&sink.drain(), 0);
-    assert!(report.spans_seen > 0, "a served frame is a bin with a span");
-    assert_eq!(
-        report.spans_complete, report.spans_seen,
-        "a served bin is emitted and shipped where it is injected"
-    );
 }
 
 #[test]

@@ -9,7 +9,7 @@ use hamr_simdisk::{Disk, DiskError};
 use hamr_simnet::{Envelope, Fabric, NetConfig, NetError, Payload};
 use hamr_trace::{
     Audit, AuditBin, AuditReport, AuditStage, EventKind, Gauge, JobRow, JournalRecord, JournalSlot,
-    Labels, MetricsRegistry, Observe, TaskKind, Tracer, NO_SPAN, WORKER_RUNTIME,
+    Labels, MetricsRegistry, Observe, TaskKind, Tracer, WORKER_RUNTIME,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -216,8 +216,6 @@ impl JobStats {
 struct ShuffleMsg {
     reducer: usize,
     data: Arc<Vec<u8>>,
-    /// Lineage span id (`NO_SPAN` when tracing is off).
-    span: u64,
 }
 
 impl Payload for ShuffleMsg {
@@ -641,11 +639,9 @@ impl Job<'_> {
         let flowlet = u32::from(kind == TaskKind::MrReduce);
         let (tracer, active) = (&self.obs.tracer, &self.active[node]);
         active.add(1);
-        let span = NO_SPAN;
         let start = EventKind::TaskStart {
             task: kind,
             flowlet,
-            span,
         };
         tracer.emit(node as u32, slot, start);
         let ran = std::panic::catch_unwind(AssertUnwindSafe(run));
@@ -684,18 +680,15 @@ impl Job<'_> {
             // with no flow-control window in between.
             obs.audit.record(AuditStage::Emit, 0, dst as u32, 0, bytes);
             obs.audit.record(AuditStage::Ship, 0, dst as u32, 0, bytes);
-            let mut span = NO_SPAN;
             if obs.tracer.enabled() {
-                // Shuffle chunks get lineage spans just like HAMR bins:
+                // Shuffle chunks are traced just like HAMR bins:
                 // emitted and shipped in one step.
-                span = obs.tracer.mint_span();
                 let (flowlet, edge, dst, records) = (0, 0, dst as u32, 0);
                 let emit = |kind| obs.tracer.emit(node as u32, slot, kind);
                 emit(EventKind::BinEmitted {
                     flowlet,
                     edge,
                     dst,
-                    span,
                     records,
                 });
                 emit(EventKind::BinShipped {
@@ -704,13 +697,11 @@ impl Job<'_> {
                     dst,
                     records,
                     bytes,
-                    span,
                 });
             }
             let msg = ShuffleMsg {
                 reducer: out.partition,
                 data,
-                span,
             };
             fabric.send(node, dst, msg)?;
             disk.delete(&out.file);
@@ -745,12 +736,11 @@ fn collect_chunks(
         let Ok(env) = rx.recv() else {
             break;
         };
-        let (at, from, span) = (node as u32, env.from as u32, env.msg.span);
+        let (at, from) = (node as u32, env.from as u32);
         let ingress = EventKind::BinIngress {
             flowlet: 1,
             edge: 0,
             from,
-            span,
         };
         obs.tracer.emit(at, WORKER_RUNTIME, ingress);
         let bytes = env.msg.data.len() as u64;

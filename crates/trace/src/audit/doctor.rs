@@ -444,7 +444,6 @@ mod tests {
                     dst: 1,
                     records: 4,
                     bytes: 128,
-                    span: 7,
                 },
             },
             TraceEvent {
@@ -503,12 +502,12 @@ mod tests {
     }
 
     /// A dump written before events carried every field: its
-    /// `bin-shipped` has neither `records` nor `span`.
+    /// `bin-shipped` has no `records`.
     #[test]
     fn a_record_with_the_older_narrower_event_args_reads_the_same() {
         let record = sample_record();
         let now = "\"name\":\"bin-shipped\",\"args\":\
-                   {\"bytes\":128,\"dst\":1,\"edge\":1,\"flowlet\":1,\"records\":4,\"span\":7}";
+                   {\"bytes\":128,\"dst\":1,\"edge\":1,\"flowlet\":1,\"records\":4}";
         let then = "\"name\":\"bin-shipped\",\"args\":\
                     {\"bytes\":128,\"dst\":1,\"edge\":1,\"flowlet\":1}";
         let json = record.to_json();
@@ -524,6 +523,59 @@ mod tests {
         assert!(older
             .render()
             .contains("bytes=128 dst=1 edge=1 flowlet=1\n"));
+    }
+
+    /// A dump written while bins still carried a lineage `span` id:
+    /// six event kinds had a `span` arg. It parses, keeps the arg as
+    /// written, and yields the findings that build's doctor gave for
+    /// the same ledger, gauges, trip and error.
+    #[test]
+    fn a_record_whose_events_carry_span_ids_reads_the_same() {
+        let text = r#"{"job":"wordcount","engine":"hamr",
+            "trip":{"class":"hang","epoch":6,"detail":"no progress for 6 epochs"},
+            "error":"aborted by watchdog","events":[
+            {"t_us":4,"node":0,"worker":1,"name":"task-start","args":{"flowlet":1,"span":0}},
+            {"t_us":6,"node":0,"worker":1,"name":"bin-emitted",
+             "args":{"dst":1,"edge":1,"flowlet":1,"records":4,"span":7}},
+            {"t_us":7,"node":0,"worker":1,"name":"flow-stall",
+             "args":{"dst":1,"edge":1,"flowlet":1,"span":7}},
+            {"t_us":9,"node":0,"worker":4294967295,"name":"flow-resume",
+             "args":{"dst":1,"edge":1,"flowlet":1,"span":7,"stalled_us":2}},
+            {"t_us":10,"node":0,"worker":1,"name":"bin-shipped",
+             "args":{"bytes":128,"dst":1,"edge":1,"flowlet":1,"records":4,"span":7}},
+            {"t_us":12,"node":1,"worker":4294967295,"name":"bin-ingress",
+             "args":{"edge":1,"flowlet":2,"from":0,"span":7}},
+            {"t_us":20,"node":0,"worker":4294967295,"name":"watchdog-hang","args":{"epoch":6}}],
+            "dropped_events":3,
+            "audit":{"edges":2,"nodes":2,"rows":[
+            {"edge":0,"dst":1,"emit":{"bins":1,"records":8,"bytes":256},
+             "ship":{"bins":1,"records":8,"bytes":256},
+             "deliver":{"bins":1,"records":8,"bytes":256},
+             "consume":{"bins":1,"records":8,"bytes":256}},
+            {"edge":1,"dst":1,"emit":{"bins":1,"records":4,"bytes":128},
+             "ship":{"bins":1,"records":4,"bytes":128},
+             "deliver":{"bins":1,"records":4,"bytes":128},
+             "consume":{"bins":0,"records":0,"bytes":0}}],"combines":[]},
+            "gauges":[{"name":"queue_depth","node":1,"flowlet":2,"value":1},
+            {"name":"net_inflight_bytes","value":64}]}"#;
+        let record = FlightRecord::parse(text).expect("a dump with span args parses");
+        assert_eq!((record.events.len(), record.dropped_events), (7, 3));
+        let spans = record
+            .events
+            .iter()
+            .filter(|e| e.args.iter().any(|(k, _)| k == "span"));
+        assert_eq!(spans.count(), 6, "span args are kept as written");
+        assert_eq!(
+            record.diagnose(),
+            [
+                "watchdog tripped at epoch 6: hang — no progress for 6 epochs",
+                "edge 1 -> node 1: 1 of 1 bins delivered but never consumed \
+                 (emit=1 ship=1 deliver=1 consume=0)",
+                "node 1 still holds 1 bins queued for execution",
+                "job error: aborted by watchdog",
+            ]
+        );
+        assert!(record.render().contains("bin-ingress"));
     }
 
     #[test]

@@ -11,14 +11,15 @@
 //!    (between a `FlowControlStall` and its `FlowControlResume`), i.e.
 //!    work exists that flow control will not let ship;
 //! 4. **net** — the lane is free but bins destined for this node are in
-//!    flight (`BinShipped` seen, `BinIngress` not yet);
+//!    flight: more `BinShipped{dst}` than `BinIngress` at `dst` so far.
+//!    The two are paired by count, not by bin — every traced bin that
+//!    leaves a node is one of each;
 //! 5. **idle** — nothing to do (includes parked time).
 //!
 //! So `compute + disk + stall + net + idle == lanes × wall` exactly,
 //! which is what the conservation test asserts.
 
-use super::lineage::{start_of, Lineage};
-use crate::{EventKind, TraceEvent, WORKER_DISK};
+use crate::{task_spans, EventKind, TraceEvent, WORKER_DISK};
 use std::collections::HashMap;
 
 /// One wall-time partition (all values in microseconds).
@@ -53,21 +54,6 @@ pub struct NodeBuckets {
     pub lanes: u32,
     /// Lane-summed buckets: `buckets.total() == lanes × wall_us`.
     pub buckets: Buckets,
-}
-
-/// Per-flowlet resource use. Unlike [`NodeBuckets`] this is *not* a
-/// wall partition: `compute_us`/`disk_us` are lane-busy time, while
-/// `stall_bin_us`/`net_bin_us` are cumulative per-bin wait times (many
-/// bins can wait concurrently, so these may exceed wall).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlowletBuckets {
-    pub flowlet: u32,
-    pub compute_us: u64,
-    pub disk_us: u64,
-    pub stall_bin_us: u64,
-    pub net_bin_us: u64,
-    pub bins: u64,
-    pub records: u64,
 }
 
 /// Cumulative stall attributed to one (edge, dst) flow-control slot.
@@ -142,11 +128,10 @@ pub(super) struct Attribution {
     pub t1_us: u64,
     pub total: Buckets,
     pub per_node: Vec<NodeBuckets>,
-    pub per_flowlet: Vec<FlowletBuckets>,
     pub stall_edges: Vec<StallEdge>,
 }
 
-pub(super) fn attribute(events: &[TraceEvent], lineage: &Lineage) -> Attribution {
+pub(super) fn attribute(events: &[TraceEvent]) -> Attribution {
     let t0 = events.first().map(|e| e.t_us).unwrap_or(0);
     let t1 = events.last().map(|e| e.t_us).unwrap_or(0);
     let wall = t1 - t0;
@@ -156,8 +141,7 @@ pub(super) fn attribute(events: &[TraceEvent], lineage: &Lineage) -> Attribution
     let mut net_deltas: HashMap<u32, Vec<(u64, i64)>> = HashMap::new();
     // Per-lane spill intervals (open SpillStart per (node, lane, flowlet)).
     let mut open_spill: HashMap<(u32, u32, u32), u64> = HashMap::new();
-    type SpillIvals = Vec<(u64, u64, u32)>;
-    let mut spills: HashMap<(u32, u32), SpillIvals> = HashMap::new();
+    let mut spills: HashMap<(u32, u32), Vec<(u64, u64)>> = HashMap::new();
     let mut stall_edges: HashMap<(u32, u32, u32), (u64, u64)> = HashMap::new();
     for ev in events {
         match ev.kind {
@@ -176,10 +160,10 @@ pub(super) fn attribute(events: &[TraceEvent], lineage: &Lineage) -> Attribution
                 slot.0 += 1;
                 slot.1 += stalled_us;
             }
-            EventKind::BinShipped { dst, span, .. } if span != 0 => {
+            EventKind::BinShipped { dst, .. } => {
                 net_deltas.entry(dst).or_default().push((ev.t_us, 1));
             }
-            EventKind::BinIngress { span, .. } if span != 0 => {
+            EventKind::BinIngress { .. } => {
                 net_deltas.entry(ev.node).or_default().push((ev.t_us, -1));
             }
             EventKind::SpillStart { flowlet } if ev.worker < WORKER_DISK => {
@@ -190,7 +174,7 @@ pub(super) fn attribute(events: &[TraceEvent], lineage: &Lineage) -> Attribution
                     spills
                         .entry((ev.node, ev.worker))
                         .or_default()
-                        .push((start, ev.t_us, flowlet));
+                        .push((start, ev.t_us));
                 }
             }
             _ => {}
@@ -205,27 +189,27 @@ pub(super) fn attribute(events: &[TraceEvent], lineage: &Lineage) -> Attribution
         .map(|(n, d)| (n, positive_intervals(d, t0, t1)))
         .collect();
 
+    // Busy intervals per worker lane: every task whose start was seen.
+    let mut lanes: HashMap<(u32, u32), Vec<(u64, u64)>> = HashMap::new();
+    for t in task_spans(events) {
+        if let Some(start) = t.start_us.filter(|_| t.worker < WORKER_DISK) {
+            lanes
+                .entry((t.node, t.worker))
+                .or_default()
+                .push((start.clamp(t0, t1), t.end_us.clamp(t0, t1)));
+        }
+    }
+
     let mut per_node: HashMap<u32, NodeBuckets> = HashMap::new();
-    let mut per_flowlet: HashMap<u32, FlowletBuckets> = HashMap::new();
     let empty: Vec<(u64, u64)> = Vec::new();
 
-    for (&(node, lane), task_indices) in &lineage.lanes {
+    for ((node, lane), tasks) in lanes {
         let node_stalls = stall_iv.get(&node).unwrap_or(&empty);
         let node_net = net_iv.get(&node).unwrap_or(&empty);
-        let lane_spills = spills.get(&(node, lane)).cloned().unwrap_or_default();
-        let spill_iv: Vec<(u64, u64)> =
-            merge_intervals(lane_spills.iter().map(|&(a, b, _)| (a, b)).collect());
+        let spill_iv = merge_intervals(spills.remove(&(node, lane)).unwrap_or_default());
         // Busy = union of task spans on this lane (spans never overlap
         // on one lane except transiently at matching boundaries).
-        let busy_iv: Vec<(u64, u64)> = merge_intervals(
-            task_indices
-                .iter()
-                .map(|&i| {
-                    let t = &lineage.tasks[i];
-                    (start_of(t).clamp(t0, t1), t.end_us.clamp(t0, t1))
-                })
-                .collect(),
-        );
+        let busy_iv = merge_intervals(tasks);
         let mut b = Buckets::default();
         // Busy time splits disk-vs-compute by spill coverage.
         for &(a, e) in &busy_iv {
@@ -280,41 +264,10 @@ pub(super) fn attribute(events: &[TraceEvent], lineage: &Lineage) -> Attribution
         });
         entry.lanes += 1;
         entry.buckets.add(&b);
-
-        // Per-flowlet lane-busy attribution.
-        for &i in task_indices {
-            let t = &lineage.tasks[i];
-            let (a, e) = (start_of(t).clamp(t0, t1), t.end_us.clamp(t0, t1));
-            let disk = covered(&spill_iv, a, e);
-            let f = per_flowlet.entry(t.flowlet).or_insert(FlowletBuckets {
-                flowlet: t.flowlet,
-                ..FlowletBuckets::default()
-            });
-            f.disk_us += disk;
-            f.compute_us += (e - a) - disk;
-        }
-    }
-
-    // Per-flowlet bin-wait sums from lineage.
-    for rec in lineage.spans.values() {
-        let f = per_flowlet.entry(rec.flowlet).or_insert(FlowletBuckets {
-            flowlet: rec.flowlet,
-            ..FlowletBuckets::default()
-        });
-        f.bins += 1;
-        f.records += rec.records as u64;
-        if let Some(st) = rec.stalled_us {
-            f.stall_bin_us += st;
-        }
-        if let (Some((ship_t, _)), Some((in_t, _))) = (rec.shipped, rec.ingress) {
-            f.net_bin_us += in_t.saturating_sub(ship_t);
-        }
     }
 
     let mut per_node: Vec<NodeBuckets> = per_node.into_values().collect();
     per_node.sort_by_key(|n| n.node);
-    let mut per_flowlet: Vec<FlowletBuckets> = per_flowlet.into_values().collect();
-    per_flowlet.sort_by_key(|f| f.flowlet);
     let mut stall_edges: Vec<StallEdge> = stall_edges
         .into_iter()
         .map(|((flowlet, edge, dst), (stalls, stalled_us))| StallEdge {
@@ -337,7 +290,6 @@ pub(super) fn attribute(events: &[TraceEvent], lineage: &Lineage) -> Attribution
         t1_us: t1,
         total,
         per_node,
-        per_flowlet,
         stall_edges,
     }
 }

@@ -1,17 +1,17 @@
 //! Causal profiling: turn a raw event log into an explanation.
 //!
-//! [`analyze`] reconstructs bin lineage ([`lineage::Lineage`]), runs
-//! the exact wall-time partition ([`attribution`]) and extracts the
-//! critical path ([`critical`]), producing a [`CausalReport`] that
-//! renders as text tables.
+//! [`analyze`] runs the exact wall-time partition ([`attribution`])
+//! and ranks the flow-control slots that stalled the run, producing a
+//! [`CausalReport`] that renders as text tables. Neither reads a
+//! per-bin id: lanes come from task start/end pairs, stall edges from
+//! `FlowControlStall` / `Resume`, and in-flight bins from a count of
+//! `BinShipped` against `BinIngress`. Record lineage is the statistics
+//! plane's sampled key path ([`crate::stats`]), which `hamr explain`
+//! reads.
 
 pub mod attribution;
-pub mod critical;
-pub mod lineage;
 
-pub use attribution::{Buckets, FlowletBuckets, NodeBuckets, StallEdge};
-pub use critical::CriticalPath;
-pub use lineage::{Lineage, SpanRecord};
+pub use attribution::{Buckets, NodeBuckets, StallEdge};
 
 use crate::summary::fmt_us;
 use crate::TraceEvent;
@@ -30,14 +30,8 @@ pub struct CausalReport {
     /// `total.total() == lanes × wall_us` exactly.
     pub total: Buckets,
     pub per_node: Vec<NodeBuckets>,
-    pub per_flowlet: Vec<FlowletBuckets>,
     /// (edge, dst) flow-control slots ranked by cumulative stall.
     pub stall_edges: Vec<StallEdge>,
-    pub critical_path: CriticalPath,
-    /// Bins that got a lineage span.
-    pub spans_seen: u64,
-    /// Spans whose full produce→consume chain was recovered.
-    pub spans_complete: u64,
     /// Events the sink dropped — when > 0 the report is built on a
     /// truncated log and every number below is suspect.
     pub dropped_events: u64,
@@ -66,9 +60,7 @@ impl CausalReport {
 /// the sink (e.g. [`crate::RingSink::dropped`]) and is carried into the
 /// report so downstream consumers can see whether the log is complete.
 pub fn analyze(events: &[TraceEvent], dropped_events: u64) -> CausalReport {
-    let lineage = Lineage::build(events);
-    let attr = attribution::attribute(events, &lineage);
-    let cp = critical::critical_path(&lineage);
+    let attr = attribution::attribute(events);
     CausalReport {
         t0_us: attr.t0_us,
         t1_us: attr.t1_us,
@@ -76,11 +68,7 @@ pub fn analyze(events: &[TraceEvent], dropped_events: u64) -> CausalReport {
         lanes: attr.per_node.iter().map(|n| n.lanes).sum(),
         total: attr.total,
         per_node: attr.per_node,
-        per_flowlet: attr.per_flowlet,
         stall_edges: attr.stall_edges,
-        critical_path: cp,
-        spans_seen: lineage.spans.len() as u64,
-        spans_complete: lineage.spans.values().filter(|s| s.is_complete()).count() as u64,
         dropped_events,
     }
 }
@@ -164,21 +152,6 @@ pub fn render_stall_edges(report: &CausalReport) -> String {
     out
 }
 
-/// Critical-path summary line.
-pub fn render_critical_path(report: &CausalReport) -> String {
-    let cp = &report.critical_path;
-    format!(
-        "critical path: {} over {} hops  (compute {} | net {} | stall {} | queue {})  — {} of wall\n",
-        fmt_us(cp.total_us),
-        cp.hops,
-        fmt_us(cp.compute_us),
-        fmt_us(cp.net_us),
-        fmt_us(cp.stall_us),
-        fmt_us(cp.queue_us),
-        pct(cp.total_us, report.wall_us),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +167,6 @@ mod tests {
                 EventKind::TaskStart {
                     task: TaskKind::MapBin,
                     flowlet: 0,
-                    span: 0,
                 },
             ),
             ev(
@@ -205,7 +177,6 @@ mod tests {
                     flowlet: 0,
                     edge: 0,
                     dst: 1,
-                    span: 9,
                     records: 4,
                 },
             ),
@@ -219,7 +190,6 @@ mod tests {
                     dst: 1,
                     records: 4,
                     bytes: 64,
-                    span: 9,
                 },
             ),
             ev(
@@ -241,7 +211,6 @@ mod tests {
                     flowlet: 1,
                     edge: 0,
                     from: 0,
-                    span: 9,
                 },
             ),
             ev(
@@ -251,7 +220,6 @@ mod tests {
                 EventKind::TaskStart {
                     task: TaskKind::ReduceIngest,
                     flowlet: 1,
-                    span: 9,
                 },
             ),
             ev(
@@ -286,8 +254,6 @@ mod tests {
         let n1 = &report.per_node[1].buckets;
         assert_eq!(n1.compute_us, 30);
         assert_eq!(n1.net_us, 20);
-        assert_eq!(report.spans_seen, 1);
-        assert_eq!(report.spans_complete, 1);
     }
 
     #[test]
@@ -296,7 +262,6 @@ mod tests {
         let table = render_attribution(&report);
         assert!(table.contains("WARNING: 7 events dropped"));
         assert!(render_stall_edges(&report).contains("no flow-control stalls"));
-        assert!(render_critical_path(&report).contains("critical path"));
     }
 
     #[test]

@@ -178,7 +178,6 @@ mod tests {
                 EventKind::TaskStart {
                     task: TaskKind::MapBin,
                     flowlet: 2,
-                    span: 0,
                 },
             ),
             ev(
@@ -219,7 +218,6 @@ mod tests {
                 edge: 0,
                 dst: 2,
                 stalled_us: 1200,
-                span: 0,
             },
         )]);
         let evs = events_of(&doc);

@@ -14,6 +14,12 @@
 //! * [`render_summary`] — a plain-text per-flowlet table with task
 //!   latency percentiles (from [`LatencyHistogram`]) and cumulative
 //!   flow-control stall time.
+//!
+//! [`analyze`] partitions every worker lane's wall time and ranks the
+//! flow-control slots that stalled a run; it reads task, stall and
+//! ship/ingress events, never a per-bin id. Record lineage — which
+//! sampled keys crossed which edge — is the statistics plane's
+//! ([`stats`]), and `hamr explain` reads it.
 
 pub mod audit;
 pub mod causal;
@@ -30,8 +36,7 @@ pub use audit::{
     RecordedEvent, StageCount, WatchdogTrip,
 };
 pub use causal::{
-    analyze, render_attribution, render_critical_path, render_stall_edges, Buckets, CausalReport,
-    CriticalPath, FlowletBuckets, NodeBuckets, StallEdge,
+    analyze, render_attribution, render_stall_edges, Buckets, CausalReport, NodeBuckets, StallEdge,
 };
 pub use chrome::chrome_trace_json;
 pub use hist::LatencyHistogram;
@@ -63,17 +68,6 @@ use std::time::Instant;
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|p| p.into_inner())
 }
-
-/// Bin-lineage span identifiers. `0` means "no span" — the value bins
-/// carry when tracing is disabled, so the hot path never touches the
-/// global counter. Real spans start at 1 and are unique process-wide,
-/// which keeps IDs unique across nodes (every simulated node lives in
-/// this process) without any coordination at ship time. Minted only
-/// through [`Tracer::mint_span`].
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// The "no span" sentinel carried by bins when tracing is off.
-pub const NO_SPAN: u64 = 0;
 
 /// Synthetic worker lanes for events not produced by a worker thread.
 /// Real workers use their pool index (0, 1, ...).
@@ -140,14 +134,8 @@ impl TaskKind {
 /// The payload of one trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
-    /// A worker began executing a task. `span` is the lineage span of
-    /// the bin the task consumes (0 for tasks that consume no bin:
-    /// loader splits, stream epochs, reduce/partial fires).
-    TaskStart {
-        task: TaskKind,
-        flowlet: u32,
-        span: u64,
-    },
+    /// A worker began executing a task.
+    TaskStart { task: TaskKind, flowlet: u32 },
     /// The matching task finished.
     TaskEnd {
         task: TaskKind,
@@ -156,41 +144,29 @@ pub enum EventKind {
         records_out: u64,
     },
     /// A producing task closed a full output bin destined for `dst` on
-    /// `edge` and minted lineage span `span` for it. Emitted before any
-    /// flow-control decision, so `BinEmitted → (FlowControlStall?) →
-    /// BinShipped → BinIngress → TaskStart` is the per-bin chain.
+    /// `edge`. Emitted before any flow-control decision.
     BinEmitted {
         flowlet: u32,
         edge: u32,
         dst: u32,
-        span: u64,
         records: u32,
     },
     /// A bin left this node for `dst` on `edge`. `bytes` is the exact
-    /// encoded frame payload size.
+    /// encoded frame payload size. Every traced bin that leaves a node
+    /// is one `BinShipped` and, at `dst`, one `BinIngress`: the
+    /// attribution's `net` bucket pairs the two by count.
     BinShipped {
         flowlet: u32,
         edge: u32,
         dst: u32,
         records: u32,
         bytes: u64,
-        span: u64,
     },
     /// A shipped bin arrived at its destination node's runtime and was
     /// queued for a consuming task (event node = receiver).
-    BinIngress {
-        flowlet: u32,
-        edge: u32,
-        from: u32,
-        span: u64,
-    },
+    BinIngress { flowlet: u32, edge: u32, from: u32 },
     /// Flow control deferred a finished bin (window to `dst` full).
-    FlowControlStall {
-        flowlet: u32,
-        edge: u32,
-        dst: u32,
-        span: u64,
-    },
+    FlowControlStall { flowlet: u32, edge: u32, dst: u32 },
     /// A previously deferred bin finally shipped; `stalled_us` is how
     /// long it sat in the deferred queue.
     FlowControlResume {
@@ -198,7 +174,6 @@ pub enum EventKind {
         edge: u32,
         dst: u32,
         stalled_us: u64,
-        span: u64,
     },
     /// Reduce state began spilling a shard to local disk.
     SpillStart { flowlet: u32 },
@@ -249,7 +224,7 @@ impl EventKind {
     pub fn describe(&self) -> (&'static str, &'static str, Vec<(&'static str, u64)>) {
         use EventKind::*;
         match self {
-            TaskStart { flowlet, span, .. } => ("task-start", "task", args![flowlet, span]),
+            TaskStart { flowlet, .. } => ("task-start", "task", args![flowlet]),
             TaskEnd {
                 flowlet,
                 records_in,
@@ -260,12 +235,11 @@ impl EventKind {
                 flowlet,
                 edge,
                 dst,
-                span,
                 records,
             } => (
                 "bin-emitted",
                 "dataflow",
-                args![flowlet, edge, dst, span, records],
+                args![flowlet, edge, dst, records],
             ),
             BinShipped {
                 flowlet,
@@ -273,38 +247,28 @@ impl EventKind {
                 dst,
                 records,
                 bytes,
-                span,
             } => (
                 "bin-shipped",
                 "dataflow",
-                args![flowlet, edge, dst, records, bytes, span],
+                args![flowlet, edge, dst, records, bytes],
             ),
             BinIngress {
                 flowlet,
                 edge,
                 from,
-                span,
-            } => ("bin-ingress", "dataflow", args![flowlet, edge, from, span]),
-            FlowControlStall {
-                flowlet,
-                edge,
-                dst,
-                span,
-            } => (
-                "flow-stall",
-                "flow-control",
-                args![flowlet, edge, dst, span],
-            ),
+            } => ("bin-ingress", "dataflow", args![flowlet, edge, from]),
+            FlowControlStall { flowlet, edge, dst } => {
+                ("flow-stall", "flow-control", args![flowlet, edge, dst])
+            }
             FlowControlResume {
                 flowlet,
                 edge,
                 dst,
                 stalled_us,
-                span,
             } => (
                 "flow-resume",
                 "flow-control",
-                args![flowlet, edge, dst, stalled_us, span],
+                args![flowlet, edge, dst, stalled_us],
             ),
             SpillStart { flowlet } => ("spill-start", "disk", args![flowlet]),
             SpillEnd { flowlet, bytes } => ("spill-end", "disk", args![flowlet, bytes]),
@@ -480,25 +444,15 @@ impl TraceSink for RingSink {
 /// axis.
 #[derive(Clone)]
 pub struct Tracer {
-    live: Option<Arc<LiveTracer>>,
+    sink: Option<Arc<dyn TraceSink>>,
     epoch: Instant,
-}
-
-/// What an enabled tracer's clones share.
-struct LiveTracer {
-    sink: Arc<dyn TraceSink>,
-    /// Spans minted through this tracer and its clones.
-    spans_minted: AtomicU64,
 }
 
 impl Tracer {
     /// A tracer that records into `sink`.
     pub fn new(sink: Arc<dyn TraceSink>) -> Self {
         Tracer {
-            live: Some(Arc::new(LiveTracer {
-                sink,
-                spans_minted: AtomicU64::new(0),
-            })),
+            sink: Some(sink),
             epoch: Instant::now(),
         }
     }
@@ -506,35 +460,13 @@ impl Tracer {
     /// A tracer whose `emit` is a no-op (a single `None` check).
     pub fn disabled() -> Self {
         Tracer {
-            live: None,
+            sink: None,
             epoch: Instant::now(),
         }
     }
 
     pub fn enabled(&self) -> bool {
-        self.live.is_some()
-    }
-
-    /// Mint a bin-lineage span: a fresh process-unique id when tracing
-    /// is on, [`NO_SPAN`] when it is off — an untraced run costs one
-    /// branch and never touches the span counter.
-    #[inline]
-    pub fn mint_span(&self) -> u64 {
-        match &self.live {
-            Some(live) => {
-                live.spans_minted.fetch_add(1, Ordering::Relaxed);
-                NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
-            }
-            None => NO_SPAN,
-        }
-    }
-
-    /// Spans minted through this tracer and its clones — this job's
-    /// own count, whatever else the process is tracing.
-    pub fn spans_minted(&self) -> u64 {
-        self.live
-            .as_ref()
-            .map_or(0, |live| live.spans_minted.load(Ordering::Relaxed))
+        self.sink.is_some()
     }
 
     /// Microseconds since this tracer's epoch.
@@ -545,8 +477,8 @@ impl Tracer {
     /// Record one event (no-op when disabled).
     #[inline]
     pub fn emit(&self, node: u32, worker: u32, kind: EventKind) {
-        if let Some(live) = &self.live {
-            live.sink.record(TraceEvent {
+        if let Some(sink) = &self.sink {
+            sink.record(TraceEvent {
                 t_us: self.now_us(),
                 node,
                 worker,
@@ -680,7 +612,6 @@ pub(crate) mod tests {
             EventKind::TaskStart {
                 task: TaskKind::MapBin,
                 flowlet: 3,
-                span: NO_SPAN,
             },
         );
         t.emit(
@@ -752,7 +683,6 @@ pub(crate) mod tests {
             EventKind::TaskStart {
                 task: TaskKind::MapBin,
                 flowlet: 1,
-                span: 7,
             },
             EventKind::TaskEnd {
                 task: TaskKind::MapBin,
@@ -764,7 +694,6 @@ pub(crate) mod tests {
                 flowlet: 1,
                 edge: 2,
                 dst: 3,
-                span: 8,
                 records: 4,
             },
             EventKind::BinShipped {
@@ -773,26 +702,22 @@ pub(crate) mod tests {
                 dst: 3,
                 records: 4,
                 bytes: 128,
-                span: 8,
             },
             EventKind::BinIngress {
                 flowlet: 2,
                 edge: 2,
                 from: 0,
-                span: 8,
             },
             EventKind::FlowControlStall {
                 flowlet: 1,
                 edge: 2,
                 dst: 3,
-                span: 9,
             },
             EventKind::FlowControlResume {
                 flowlet: 1,
                 edge: 2,
                 dst: 3,
                 stalled_us: 5,
-                span: 9,
             },
             EventKind::SpillStart { flowlet: 2 },
             EventKind::SpillEnd {

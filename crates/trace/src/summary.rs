@@ -11,8 +11,6 @@ pub struct TaskSpan {
     pub worker: u32,
     pub task: TaskKind,
     pub flowlet: u32,
-    /// Lineage span of the bin the task consumed (0: none, or no start).
-    pub span: u64,
     /// `None` when no start on this lane matches — the ring dropped it.
     pub start_us: Option<u64>,
     pub end_us: u64,
@@ -34,19 +32,15 @@ impl TaskSpan {
 pub fn task_spans(events: &[TraceEvent]) -> Vec<TaskSpan> {
     let mut evs: Vec<&TraceEvent> = events.iter().collect();
     evs.sort_by_key(|e| e.t_us);
-    type OpenTask = (u64, TaskKind, u32, u64);
+    type OpenTask = (u64, TaskKind, u32);
     let mut open: HashMap<(u32, u32), Vec<OpenTask>> = HashMap::new();
     let mut spans = Vec::new();
     for ev in evs {
         match &ev.kind {
-            EventKind::TaskStart {
-                task,
-                flowlet,
-                span,
-            } => {
+            EventKind::TaskStart { task, flowlet } => {
                 open.entry((ev.node, ev.worker))
                     .or_default()
-                    .push((ev.t_us, *task, *flowlet, *span));
+                    .push((ev.t_us, *task, *flowlet));
             }
             EventKind::TaskEnd {
                 task,
@@ -57,14 +51,13 @@ pub fn task_spans(events: &[TraceEvent]) -> Vec<TaskSpan> {
                 let stack = open.entry((ev.node, ev.worker)).or_default();
                 let start = stack
                     .iter()
-                    .rposition(|(_, t, f, _)| t == task && f == flowlet)
+                    .rposition(|(_, t, f)| t == task && f == flowlet)
                     .map(|i| stack.remove(i));
                 spans.push(TaskSpan {
                     node: ev.node,
                     worker: ev.worker,
                     task: *task,
                     flowlet: *flowlet,
-                    span: start.map_or(0, |s| s.3),
                     start_us: start.map(|s| s.0),
                     end_us: ev.t_us,
                     records_in: *records_in,
@@ -349,7 +342,6 @@ mod tests {
                 EventKind::TaskStart {
                     task: TaskKind::MapBin,
                     flowlet: 1,
-                    span: 0,
                 },
             ),
             ev(
@@ -385,7 +377,6 @@ mod tests {
                     dst: 1,
                     records: 4,
                     bytes: 64,
-                    span: 0,
                 },
             ),
         ];
@@ -410,11 +401,7 @@ mod tests {
             t_us,
             node: 0,
             worker: 0,
-            kind: EventKind::TaskStart {
-                task,
-                flowlet: 1,
-                span: 0,
-            },
+            kind: EventKind::TaskStart { task, flowlet: 1 },
         };
         let end = |t_us, task, records_out| TraceEvent {
             t_us,
