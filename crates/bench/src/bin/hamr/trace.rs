@@ -16,8 +16,8 @@ use hamr_core::{RunOptions, RuntimeConfig, SkewConfig};
 use hamr_mapred::MrRunOptions;
 use hamr_trace::{
     analyze, chrome_trace_json, render_attribution, render_occupancy, render_stall_edges,
-    render_summary, task_spans, worker_occupancy, EventKind, FlowletSummaryRow, LatencyHistogram,
-    RingSink, TaskKind, TraceEvent, Tracer,
+    render_summary, task_spans, worker_occupancy, EventKind, FlowletSummaryRow, Log2Hist, RingSink,
+    TaskKind, TraceEvent, Tracer,
 };
 use hamr_workloads::histogram_ratings::HistogramRatings;
 use hamr_workloads::wordcount::WordCount;
@@ -29,11 +29,11 @@ use std::sync::Arc;
 /// baseline engine has no per-flowlet metrics, so the durations come
 /// from its task spans.
 fn mr_summary_rows(events: &[TraceEvent]) -> Vec<FlowletSummaryRow> {
-    let mut phases: HashMap<TaskKind, (LatencyHistogram, FlowletSummaryRow)> = HashMap::new();
+    let mut phases: HashMap<TaskKind, (Log2Hist, FlowletSummaryRow)> = HashMap::new();
     for span in task_spans(events) {
         let Some(dur) = span.dur_us() else { continue };
         let (hist, row) = phases.entry(span.task).or_default();
-        hist.record_us(dur);
+        hist.record(dur);
         row.tasks += 1;
         row.records_in += span.records_in;
         row.records_out += span.records_out;

@@ -131,8 +131,8 @@ fn doctor_exit_code_is_the_diagnosis() {
         epoch: 12,
         detail: "no progress".into(),
     }));
-    std::fs::write(dir.join("clean.json"), record(None).to_json()).expect("write");
-    std::fs::write(dir.join("tripped.json"), tripped.to_json()).expect("write");
+    std::fs::write(dir.join("clean.json"), record(None).to_json().to_string()).expect("write");
+    std::fs::write(dir.join("tripped.json"), tripped.to_json().to_string()).expect("write");
     std::fs::write(dir.join("garbage.json"), "{\"job\":").expect("write");
     for (file, code) in [
         ("clean.json", 0),

@@ -15,11 +15,12 @@ use crate::error::{ConfigError, RunError};
 use crate::graph::JobGraph;
 use crate::introspect::{Health, Introspect};
 use crate::resident::ResidentStore;
-use crate::watchdog::WatchdogEvent;
 use hamr_dfs::Dfs;
 use hamr_kvstore::KvStore;
 use hamr_simdisk::Disk;
-use hamr_trace::{AuditReport, Journal, JournalConfig, JournalSlot, Labels, MetricsRegistry};
+use hamr_trace::{
+    AuditReport, Journal, JournalConfig, JournalSlot, Labels, MetricsRegistry, WatchdogTrip,
+};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -56,7 +57,7 @@ pub struct Cluster {
     /// Audit report of the most recent supervised run.
     last_audit: Mutex<Option<AuditReport>>,
     /// Watchdog incidents of the most recent supervised run.
-    wd_events: Mutex<Vec<WatchdogEvent>>,
+    wd_events: Mutex<Vec<WatchdogTrip>>,
     /// The introspection plane: unified metrics registry, run health,
     /// and the (optional, `HAMR_HTTP`-gated) embedded HTTP endpoint.
     introspect: Arc<Introspect>,
@@ -278,7 +279,7 @@ impl Cluster {
 
     /// Watchdog incidents classified during the most recent supervised
     /// run (empty for a healthy run).
-    pub fn watchdog_events(&self) -> Vec<WatchdogEvent> {
+    pub fn watchdog_events(&self) -> Vec<WatchdogTrip> {
         self.wd_events.lock().clone()
     }
 }

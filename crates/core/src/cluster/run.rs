@@ -10,12 +10,12 @@ use crate::metrics::JobMetrics;
 use crate::node::{NetMsg, NodeOutcome, NodeRuntime};
 use crate::plan::ExecPlan;
 use crate::record::Captured;
-use crate::watchdog::{Watchdog, WatchdogAction, WatchdogConfig, WatchdogEvent};
+use crate::watchdog::{Watchdog, WatchdogAction, WatchdogConfig};
 use hamr_codec::Codec;
 use hamr_simnet::Fabric;
 use hamr_trace::{
-    Audit, FlightRecord, JobRow, Journal, JournalRecord, Labels, LatencyHistogram, Observe,
-    RingSink, StatsPlane, StuckEdge, Tracer, WatchdogClass, WatchdogTrip,
+    Audit, FlightRecord, JobRow, Journal, JournalRecord, Labels, Log2Hist, Observe, RingSink,
+    StatsPlane, StuckEdge, Tracer, WatchdogClass, WatchdogTrip,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -61,7 +61,7 @@ pub struct Supervision {
 impl Default for Supervision {
     fn default() -> Self {
         Supervision {
-            watchdog: WatchdogConfig::from_env(),
+            watchdog: WatchdogConfig::default(),
             doctor_dir: Some(PathBuf::from(".")),
         }
     }
@@ -225,12 +225,8 @@ impl Cluster {
         // It starts reading gauges once they are all this job's own.
         let _ = all_built.recv();
         let abort_ep = run.fabric.endpoint(0).expect("fresh fabric has node 0");
-        let abort = Box::new(move |event: &WatchdogEvent| {
-            let error = Arc::new(RunError::Watchdog {
-                class: event.class,
-                epoch: event.epoch,
-                detail: event.detail.clone(),
-            });
+        let abort = Box::new(move |trip: &WatchdogTrip| {
+            let error = Arc::new(RunError::Watchdog(trip.clone()));
             let _ = abort_ep.broadcast(|_| NetMsg::Abort {
                 error: Arc::clone(&error),
             });
@@ -242,14 +238,14 @@ impl Cluster {
         let intro = Arc::clone(&self.introspect);
         let journal = run.journal.clone();
         let job = run.graph.name.clone();
-        let notify = Box::new(move |event: &WatchdogEvent| {
-            if event.class == WatchdogClass::Straggler {
+        let notify = Box::new(move |trip: &WatchdogTrip| {
+            if trip.class == WatchdogClass::Straggler {
                 intro.health.lock().warnings += 1;
                 return;
             }
             {
                 let mut h = intro.health.lock();
-                h.incident = Some(incident_text(event));
+                h.incident = Some(trip.clone());
                 if h.incident_since_us.is_none() {
                     h.incident_since_us = Some(intro.now_us());
                 }
@@ -257,9 +253,7 @@ impl Cluster {
             if let Some(j) = &journal {
                 j.append(&JournalRecord::Incident {
                     job: job.clone(),
-                    class: event.class.name().to_string(),
-                    epoch: event.epoch,
-                    detail: event.detail.clone(),
+                    trip: trip.clone(),
                 });
             }
         });
@@ -432,28 +426,20 @@ impl Cluster {
             if let Some(dir) = &sup.doctor_dir {
                 let record = FlightRecord::capture(
                     &run.graph.name,
-                    done.wd_trip.clone().map(|e| WatchdogTrip {
-                        class: e.class,
-                        epoch: e.epoch,
-                        detail: e.detail,
-                    }),
+                    done.wd_trip.clone(),
                     result.as_ref().err().map(|e| e.to_string()),
                     run.ring.as_deref(),
                     DOCTOR_KEEP_LAST,
                     &run.obs,
                 );
                 let path = dir.join(format!("doctor_{}.json", file_slug(&run.graph.name)));
-                let _ = std::fs::write(&path, record.to_json());
+                let _ = std::fs::write(&path, record.to_json().to_string());
             }
         }
         match (result, done.wd_trip) {
             // An abort-action trip caused the failure: surface the
             // watchdog's diagnosis, not the secondary abort error.
-            (Err(_), Some(t)) => Err(RunError::Watchdog {
-                class: t.class,
-                epoch: t.epoch,
-                detail: t.detail,
-            }),
+            (Err(_), Some(trip)) => Err(RunError::Watchdog(trip)),
             (result, _) => result,
         }
     }
@@ -479,8 +465,8 @@ struct Collected {
     outputs: HashMap<FlowletId, Captured>,
     metrics: JobMetrics,
     first_error: Option<RunError>,
-    wd_events: Vec<WatchdogEvent>,
-    wd_trip: Option<WatchdogEvent>,
+    wd_events: Vec<WatchdogTrip>,
+    wd_trip: Option<WatchdogTrip>,
 }
 
 /// The job's [`JobRow`], counted once from what the run holds: the
@@ -493,7 +479,7 @@ struct Collected {
 /// and under supervision the custody rows still holding bins.
 fn row(run: &Run, done: &Collected) -> JobRow {
     let metrics = &done.metrics;
-    let mut latency = LatencyHistogram::new();
+    let mut latency = Log2Hist::new();
     for fm in metrics.flowlets.values() {
         latency.merge(&fm.task_latency);
     }
@@ -534,19 +520,9 @@ fn row(run: &Run, done: &Collected) -> JobRow {
                 .map(|fm| fm.stall_time.as_micros() as u64)
                 .sum(),
         ),
-        task_p99_us: (latency.count() > 0).then(|| latency.p99_us()),
+        task_p99_us: (latency.count() > 0).then(|| latency.quantile(0.99)),
         stuck: stuck.collect(),
     }
-}
-
-/// What `/healthz`, the abort reason and the journal say of an incident.
-fn incident_text(event: &WatchdogEvent) -> String {
-    format!(
-        "watchdog {} at epoch {}: {}",
-        event.class.name(),
-        event.epoch,
-        event.detail
-    )
 }
 
 /// A completed job's captured outputs and metrics.

@@ -119,13 +119,10 @@ pub enum RunError {
     /// a spilled run read back short.
     Disk(hamr_simdisk::DiskError),
     /// The watchdog classified the run as unhealthy and aborted it
-    /// instead of hanging forever. `detail` names the stuck edge/node;
-    /// the matching flight-recorder dump carries the full post-mortem.
-    Watchdog {
-        class: hamr_trace::WatchdogClass,
-        epoch: u64,
-        detail: String,
-    },
+    /// instead of hanging forever. The trip's `detail` names the stuck
+    /// edge/node; the matching flight-recorder dump carries the full
+    /// post-mortem.
+    Watchdog(hamr_trace::WatchdogTrip),
 }
 
 impl fmt::Display for RunError {
@@ -135,11 +132,11 @@ impl fmt::Display for RunError {
                 write!(f, "node {node} runtime panicked: {message}")
             }
             RunError::Disk(e) => write!(f, "disk error: {e}"),
-            RunError::Watchdog {
+            RunError::Watchdog(hamr_trace::WatchdogTrip {
                 class,
                 epoch,
                 detail,
-            } => write!(
+            }) => write!(
                 f,
                 "watchdog aborted the job at epoch {epoch} ({}): {detail}",
                 class.name()

@@ -25,9 +25,10 @@
 //! hermetic; opt in with `HAMR_HTTP=auto` (ephemeral port),
 //! `HAMR_HTTP=<port>`, or [`Cluster::serve_introspection`].
 
+use hamr_trace::json::Json;
 use hamr_trace::{
-    json, FlightRecord, HttpResponse, HttpServer, JournalSlot, MetricsRegistry, Observe, RingSink,
-    RouteHandler,
+    FlightRecord, HttpResponse, HttpServer, JournalSlot, MetricsRegistry, Observe, RingSink,
+    RouteHandler, WatchdogTrip,
 };
 use parking_lot::Mutex;
 use std::net::SocketAddr;
@@ -72,7 +73,7 @@ pub struct Health {
     /// The most recent liveness incident (backpressure/hang) not yet
     /// cleared by a cleanly completing job. `/healthz` serves 503
     /// while this is set.
-    pub incident: Option<String>,
+    pub incident: Option<WatchdogTrip>,
     /// When `incident` was posted, on the introspection clock
     /// ([`Introspect::now_us`]) — lets `/healthz` report how long the
     /// cluster has been wedged.
@@ -89,39 +90,29 @@ impl Health {
 
     /// Render for `/healthz`, computing ages against `now_us` (the
     /// introspection clock at request time).
-    pub fn to_json_at(&self, now_us: u64) -> String {
-        let mut out = format!(
-            "{{\"status\":\"{}\",\"running_jobs\":{},\"jobs_completed\":{},\
-             \"jobs_failed\":{},\"warnings\":{},\"now_us\":{}",
-            if self.healthy() { "ok" } else { "incident" },
-            self.running_jobs,
-            self.jobs_completed,
-            self.jobs_failed,
-            self.warnings,
-            now_us,
-        );
-        if let Some(incident) = &self.incident {
-            out.push_str(&format!(",\"incident\":\"{}\"", json::escape(incident)));
-        }
-        match self.incident_since_us {
-            Some(since) => out.push_str(&format!(
-                ",\"incident_age_us\":{}",
-                now_us.saturating_sub(since)
-            )),
-            None => out.push_str(",\"incident_age_us\":null"),
-        }
-        match self.last_clean_completion_us {
-            Some(at) => out.push_str(&format!(
-                ",\"last_clean_completion_us\":{},\"last_clean_completion_age_us\":{}",
-                at,
-                now_us.saturating_sub(at)
-            )),
-            None => out.push_str(
-                ",\"last_clean_completion_us\":null,\"last_clean_completion_age_us\":null",
+    pub fn to_json_at(&self, now_us: u64) -> Json {
+        let age = |at: Option<u64>| at.map(|at| now_us.saturating_sub(at));
+        let status = if self.healthy() { "ok" } else { "incident" };
+        let fields = [
+            ("status", status.into()),
+            ("running_jobs", self.running_jobs.into()),
+            ("jobs_completed", self.jobs_completed.into()),
+            ("jobs_failed", self.jobs_failed.into()),
+            ("warnings", self.warnings.into()),
+            ("now_us", now_us.into()),
+            ("incident_age_us", age(self.incident_since_us).into()),
+            (
+                "last_clean_completion_us",
+                self.last_clean_completion_us.into(),
             ),
-        }
-        out.push('}');
-        out
+            (
+                "last_clean_completion_age_us",
+                age(self.last_clean_completion_us).into(),
+            ),
+        ];
+        let incident =
+            (self.incident.as_ref()).map(|trip| ("incident", Json::Str(trip.to_string())));
+        Json::obj(fields.into_iter().chain(incident))
     }
 }
 
@@ -214,7 +205,7 @@ impl Introspect {
                 let now_us = epoch.elapsed().as_micros() as u64;
                 let health = health.lock().clone();
                 let status = if health.healthy() { 200 } else { 503 };
-                HttpResponse::json(health.to_json_at(now_us)).status(status)
+                HttpResponse::json(health.to_json_at(now_us).to_string()).status(status)
             }
             "/doctor" | "/doctor/" => {
                 let live = live.lock();
@@ -226,7 +217,7 @@ impl Introspect {
                     DOCTOR_KEEP_LAST,
                     &live.obs,
                 );
-                HttpResponse::json(record.to_json())
+                HttpResponse::json(record.to_json().to_string())
             }
             _ => HttpResponse::not_found(),
         });
@@ -252,7 +243,7 @@ impl Introspect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamr_trace::{http_get, parse_prometheus, Labels};
+    use hamr_trace::{http_get, json, parse_prometheus, Labels, WatchdogClass};
     use std::time::Duration;
 
     #[test]
@@ -272,17 +263,26 @@ mod tests {
     fn health_json_reports_incidents_with_ages() {
         let mut h = Health::default();
         assert!(h.healthy());
-        let json = h.to_json_at(500);
+        let json = h.to_json_at(500).to_string();
         assert!(json.contains("\"status\":\"ok\""), "{json}");
         assert!(json.contains("\"incident_age_us\":null"), "{json}");
         assert!(json.contains("\"last_clean_completion_us\":null"), "{json}");
         h.last_clean_completion_us = Some(400);
-        h.incident = Some("backpressure on \"edge 1\"".into());
+        h.incident = Some(WatchdogTrip {
+            class: WatchdogClass::Backpressure,
+            epoch: 4,
+            detail: "on \"edge 1\"".into(),
+        });
         h.incident_since_us = Some(100);
         assert!(!h.healthy());
-        let json = h.to_json_at(500);
+        let doc = h.to_json_at(500);
+        let incident = doc.get("incident").and_then(Json::as_str);
+        assert_eq!(
+            incident,
+            Some("watchdog backpressure at epoch 4: on \"edge 1\"")
+        );
+        let json = doc.to_string();
         assert!(json.contains("\"status\":\"incident\""), "{json}");
-        assert!(json.contains("backpressure"), "{json}");
         assert!(json.contains("\"incident_age_us\":400"), "{json}");
         assert!(json.contains("\"last_clean_completion_us\":400"), "{json}");
         assert!(
@@ -315,15 +315,17 @@ mod tests {
         assert!(body.contains("\"status\":\"ok\""));
         // An incident flips /healthz to 503 until cleared, and its text
         // survives the trip whatever it contains.
-        let incident = "hang\ton \"edge 1\" of C:\\jobs";
-        intro.health.lock().incident = Some(incident.into());
+        let trip = WatchdogTrip {
+            class: WatchdogClass::Hang,
+            epoch: 7,
+            detail: "hang\ton \"edge 1\" of C:\\jobs".into(),
+        };
+        intro.health.lock().incident = Some(trip.clone());
         let (status, body) = http_get(addr, "/healthz", t).expect("GET /healthz");
         assert_eq!(status, 503);
         let doc = json::parse(&body).expect("valid /healthz JSON");
-        assert_eq!(
-            doc.get("incident").and_then(json::Json::as_str),
-            Some(incident)
-        );
+        let incident = doc.get("incident").and_then(Json::as_str);
+        assert_eq!(incident, Some(&*trip.to_string()));
         // /doctor renders even with no live run attached.
         let (status, body) = http_get(addr, "/doctor", t).expect("GET /doctor");
         assert_eq!(status, 200);

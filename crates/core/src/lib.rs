@@ -81,7 +81,7 @@ pub use metrics::{FlowletMetrics, JobMetrics, NodeMetrics};
 pub use outbuf::Combiner;
 pub use record::{Captured, FrameBin};
 pub use resident::{CacheSpec, ResidentStats, ResidentStore};
-pub use watchdog::{WatchdogAction, WatchdogConfig, WatchdogEvent};
+pub use watchdog::{WatchdogAction, WatchdogConfig};
 
 /// Node index within a cluster, shared with the substrates.
 pub type NodeId = usize;

@@ -1,6 +1,6 @@
 //! Execution metrics: what the evaluation chapters read off a run.
 
-use hamr_trace::{FlowletSummaryRow, Labels, LatencyHistogram, MetricsRegistry};
+use hamr_trace::{FlowletSummaryRow, Labels, Log2Hist, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -31,7 +31,7 @@ pub struct FlowletMetrics {
     /// Total time workers spent inside this flowlet's tasks.
     pub busy: Duration,
     /// Distribution of per-task latencies.
-    pub task_latency: LatencyHistogram,
+    pub task_latency: Log2Hist,
 }
 
 impl FlowletMetrics {
@@ -249,8 +249,8 @@ mod tests {
             stall_time: Duration::from_millis(7),
             ..Default::default()
         };
-        fm.task_latency.record_us(100);
-        fm.task_latency.record_us(200);
+        fm.task_latency.record(100);
+        fm.task_latency.record(200);
         jm.flowlets.insert(0, fm);
         let rows = jm.summary_rows();
         assert_eq!(rows.len(), 1);
@@ -331,7 +331,7 @@ mod tests {
             records_out: 8,
             ..Default::default()
         };
-        fm.task_latency.record_us(120);
+        fm.task_latency.record(120);
         jm.flowlets.insert(1, fm);
         jm.nodes.push(NodeMetrics {
             bins_in: 6,

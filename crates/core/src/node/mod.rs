@@ -589,7 +589,7 @@ impl NodeRuntime {
         fm.records_out += done.records_out + done.combined;
         fm.combined_records += done.combined;
         fm.busy += done.duration;
-        fm.task_latency.record(done.duration);
+        fm.task_latency.record_duration(done.duration);
         if !done.captured.is_empty() {
             self.captured.entry(f).or_default().append(done.captured);
         }

@@ -4,7 +4,8 @@
 //! with a diagnosis instead of letting it hang forever.
 //!
 //! Classification vocabulary (shared with the trace stream and the
-//! flight recorder through [`WatchdogClass`]):
+//! flight recorder through [`WatchdogClass`]; an incident is a
+//! [`WatchdogTrip`] from the monitor to the dump):
 //!
 //! * **Backpressure** — no deliveries or consumes for `patience`
 //!   epochs while bins sit in flow-control deferred queues: the
@@ -21,7 +22,7 @@
 //! [`EpochSnapshot`]s so the classification rules are unit-testable
 //! without threads, clocks, or a cluster.
 
-use hamr_trace::{AuditStage, EventKind, Observe, WatchdogClass, WORKER_RUNTIME};
+use hamr_trace::{AuditStage, EventKind, Observe, WatchdogClass, WatchdogTrip, WORKER_RUNTIME};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -64,33 +65,9 @@ impl Default for WatchdogConfig {
     }
 }
 
-impl WatchdogConfig {
-    /// Defaults overridden by `HAMR_WATCHDOG=off|warn|abort`.
-    pub fn from_env() -> Self {
-        let mut cfg = WatchdogConfig::default();
-        cfg.action = hamr_trace::env_or_panic("HAMR_WATCHDOG", cfg.action, |s| match s {
-            "off" => Ok(WatchdogAction::Off),
-            "warn" => Ok(WatchdogAction::Warn),
-            "abort" => Ok(WatchdogAction::Abort),
-            _ => Err("off|warn|abort".to_string()),
-        });
-        cfg
-    }
-}
-
 /// Coefficient-of-variation threshold over per-node consume counts
 /// above which progressing-but-skewed runs warn as stragglers.
 const STRAGGLER_CV: f64 = 1.0;
-
-/// One classified incident.
-#[derive(Debug, Clone)]
-pub struct WatchdogEvent {
-    pub class: WatchdogClass,
-    /// Monitoring epoch index at which the incident was classified.
-    pub epoch: u64,
-    /// Human-readable diagnosis naming the stuck edge/node.
-    pub detail: String,
-}
 
 /// What the watchdog sees at the end of one epoch.
 #[derive(Debug, Clone, Default)]
@@ -160,7 +137,7 @@ impl Monitor {
         }
     }
 
-    pub(crate) fn observe(&mut self, snap: EpochSnapshot) -> Option<WatchdogEvent> {
+    pub(crate) fn observe(&mut self, snap: EpochSnapshot) -> Option<WatchdogTrip> {
         self.epoch += 1;
         // Busy workers count as progress: a long-running task moves no
         // bins through custody points but is not stuck. So does a
@@ -189,7 +166,7 @@ impl Monitor {
         event
     }
 
-    fn classify_stall(&self, snap: &EpochSnapshot) -> WatchdogEvent {
+    fn classify_stall(&self, snap: &EpochSnapshot) -> WatchdogTrip {
         if snap.deferred > 0 {
             let worst = snap
                 .queued_by_node
@@ -198,7 +175,7 @@ impl Monitor {
                 .max_by_key(|(_, q)| **q)
                 .map(|(n, _)| n)
                 .unwrap_or(0);
-            WatchdogEvent {
+            WatchdogTrip {
                 class: WatchdogClass::Backpressure,
                 epoch: self.epoch,
                 detail: format!(
@@ -209,7 +186,7 @@ impl Monitor {
                 ),
             }
         } else {
-            WatchdogEvent {
+            WatchdogTrip {
                 class: WatchdogClass::Hang,
                 epoch: self.epoch,
                 detail: format!(
@@ -227,7 +204,7 @@ impl Monitor {
     /// something or have work queued — on legitimately skewed
     /// workloads, a node the partitioner sent nothing to is not a
     /// straggler.
-    fn straggler_check(&mut self, snap: &EpochSnapshot) -> Option<WatchdogEvent> {
+    fn straggler_check(&mut self, snap: &EpochSnapshot) -> Option<WatchdogTrip> {
         if self.straggler_warned
             || self.cfg.patience == 0
             || !self.epoch.is_multiple_of(u64::from(self.cfg.patience))
@@ -263,7 +240,7 @@ impl Monitor {
             .min_by_key(|&&(_, c)| c)
             .copied()
             .expect("non-empty");
-        Some(WatchdogEvent {
+        Some(WatchdogTrip {
             class: WatchdogClass::Straggler,
             epoch: self.epoch,
             detail: format!(
@@ -278,8 +255,8 @@ impl Monitor {
 struct WdShared {
     stop: Mutex<bool>,
     cv: Condvar,
-    events: Mutex<Vec<WatchdogEvent>>,
-    trip: Mutex<Option<WatchdogEvent>>,
+    events: Mutex<Vec<WatchdogTrip>>,
+    trip: Mutex<Option<WatchdogTrip>>,
 }
 
 /// The background epoch thread wrapping a [`Monitor`].
@@ -298,8 +275,8 @@ impl Watchdog {
         cfg: WatchdogConfig,
         obs: Observe,
         nodes: usize,
-        notify: Box<dyn Fn(&WatchdogEvent) + Send>,
-        abort: Box<dyn Fn(&WatchdogEvent) + Send>,
+        notify: Box<dyn Fn(&WatchdogTrip) + Send>,
+        abort: Box<dyn Fn(&WatchdogTrip) + Send>,
     ) -> Self {
         let shared = Arc::new(WdShared {
             stop: Mutex::new(false),
@@ -320,7 +297,7 @@ impl Watchdog {
 
     /// Stop the thread and return everything it classified: all
     /// incidents in order, plus the one (if any) it aborted the job on.
-    pub(crate) fn stop(mut self) -> (Vec<WatchdogEvent>, Option<WatchdogEvent>) {
+    pub(crate) fn stop(mut self) -> (Vec<WatchdogTrip>, Option<WatchdogTrip>) {
         {
             let mut stop = self.shared.stop.lock();
             *stop = true;
@@ -340,8 +317,8 @@ fn run_watchdog(
     cfg: WatchdogConfig,
     obs: Observe,
     nodes: usize,
-    notify: Box<dyn Fn(&WatchdogEvent) + Send>,
-    abort: Box<dyn Fn(&WatchdogEvent) + Send>,
+    notify: Box<dyn Fn(&WatchdogTrip) + Send>,
+    abort: Box<dyn Fn(&WatchdogTrip) + Send>,
 ) {
     let abort_on_trip = cfg.action == WatchdogAction::Abort;
     let mut monitor = Monitor::new(cfg.clone());
@@ -603,16 +580,5 @@ mod tests {
         // No registry: nothing to read, nothing counted.
         let snap = EpochSnapshot::capture(&Observe::default(), 2);
         assert_eq!((snap.deferred, snap.busy, snap.queued), (0, 0, 0));
-    }
-
-    #[test]
-    fn from_env_parses_actions() {
-        // Serialize against other env-reading tests via a known key.
-        std::env::set_var("HAMR_WATCHDOG", "abort");
-        assert_eq!(WatchdogConfig::from_env().action, WatchdogAction::Abort);
-        std::env::set_var("HAMR_WATCHDOG", "off");
-        assert_eq!(WatchdogConfig::from_env().action, WatchdogAction::Off);
-        std::env::remove_var("HAMR_WATCHDOG");
-        assert_eq!(WatchdogConfig::from_env().action, WatchdogAction::Warn);
     }
 }

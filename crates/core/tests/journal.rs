@@ -13,7 +13,7 @@ use hamr_core::{
 use hamr_mapred::{line_map_fn, reduce_fn as mr_reduce_fn, JobConf, MrCluster, ReduceOutput};
 use hamr_trace::{
     Journal, JournalConfig, JournalRecord, SampleValue, Snapshot, StatsMode, Timeline,
-    WatchdogClass,
+    WatchdogClass, WatchdogTrip,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -107,7 +107,7 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
                 }),
             )
             .expect_err("dropped acks must wedge the shuffle");
-        let RunError::Watchdog { class, .. } = err else {
+        let RunError::Watchdog(WatchdogTrip { class, .. }) = err else {
             panic!("expected a watchdog abort, got: {err}");
         };
         assert_eq!(class, WatchdogClass::Backpressure);
@@ -149,7 +149,7 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
     let parked = wedged
         .incidents
         .iter()
-        .find(|i| i.class.to_lowercase().contains("backpressure"))
+        .find(|i| i.class == WatchdogClass::Backpressure)
         .and_then(|i| i.detail.split(" deferred bin(s)").next())
         .and_then(|head| head.rsplit(' ').next())
         .and_then(|n| n.parse::<u64>().ok());

@@ -15,7 +15,7 @@ use hamr_core::{
 };
 use hamr_trace::{
     AuditStage, EventKind, FlightRecord, MetricsRegistry, RecordedEvent, RingSink, Tracer,
-    WatchdogClass,
+    WatchdogClass, WatchdogTrip,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -133,11 +133,11 @@ fn swallowed_completion_trips_the_watchdog_as_hang() {
         let err = cluster
             .run_with(wordcount("wc-hang", 200), &opts)
             .expect_err("a swallowed EdgeComplete must not complete");
-        let RunError::Watchdog {
+        let RunError::Watchdog(WatchdogTrip {
             class,
             epoch,
             detail,
-        } = err
+        }) = err
         else {
             panic!("expected a watchdog abort, got: {err}");
         };
@@ -184,11 +184,11 @@ fn dropped_acks_trip_the_watchdog_as_backpressure_deadlock() {
         let err = cluster
             .run_with(wordcount("wc-deadlock", 400), &opts)
             .expect_err("dropped acks must wedge the shuffle");
-        let RunError::Watchdog {
+        let RunError::Watchdog(WatchdogTrip {
             class,
             epoch,
             detail,
-        } = err
+        }) = err
         else {
             panic!("expected a watchdog abort, got: {err}");
         };
@@ -309,12 +309,11 @@ fn watchdog_off_disables_monitoring_but_not_the_ledger() {
     assert!(cluster.watchdog_events().is_empty());
 }
 
-/// Pinned watchdog config (an ambient `HAMR_WATCHDOG` cannot change
-/// the test) and no doctor dumps.
+/// The default watchdog, and no doctor dumps.
 fn quiet_supervision() -> Supervision {
     Supervision {
-        watchdog: WatchdogConfig::default(),
         doctor_dir: None,
+        ..Default::default()
     }
 }
 
@@ -467,10 +466,10 @@ fn an_aborted_jobs_gauges_never_reach_the_next_job() {
     assert!(
         matches!(
             err,
-            RunError::Watchdog {
+            RunError::Watchdog(WatchdogTrip {
                 class: WatchdogClass::Backpressure,
                 ..
-            }
+            })
         ),
         "{err}"
     );
@@ -565,7 +564,7 @@ fn held_partials_do_not_change_what_a_fault_looks_like() {
         let err = cluster
             .run_with(wordcount_on("wc-held", 400, true), &supervised(sup))
             .expect_err("the fault must wedge the job");
-        let RunError::Watchdog { class, detail, .. } = err else {
+        let RunError::Watchdog(WatchdogTrip { class, detail, .. }) = err else {
             panic!("{fault:?}: expected a watchdog abort, got: {err}");
         };
         assert_eq!(class, wanted, "{fault:?}: {detail}");
@@ -794,7 +793,7 @@ fn a_completed_read_does_not_mask_a_lost_completion() {
             &supervised(impatient()),
         )
         .expect_err("a swallowed EdgeComplete must not complete");
-    let RunError::Watchdog { class, detail, .. } = err else {
+    let RunError::Watchdog(WatchdogTrip { class, detail, .. }) = err else {
         panic!("expected a watchdog abort, got: {err}");
     };
     assert_eq!(class, WatchdogClass::Hang, "detail: {detail}");

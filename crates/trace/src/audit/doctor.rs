@@ -7,8 +7,8 @@
 //! can diagnose a record without shelling out.
 
 use super::{AuditReport, AuditStage};
-use crate::json::{self, escape, Json};
-use crate::{GaugeSample, Labels, Observe, RingSink, WatchdogClass};
+use crate::json::{self, Json};
+use crate::{GaugeSample, Labels, Observe, RingSink, WatchdogClass, WatchdogTrip};
 
 /// A trace event flattened for the black box: the structured
 /// [`EventKind`] becomes a name plus numeric args, which is all the
@@ -41,14 +41,6 @@ impl RecordedEvent {
             args,
         }
     }
-}
-
-/// Why the watchdog fired, as recorded in the black box.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchdogTrip {
-    pub class: WatchdogClass,
-    pub epoch: u64,
-    pub detail: String,
 }
 
 /// The bounded post-mortem snapshot written to `doctor_<job>.json`.
@@ -108,53 +100,41 @@ impl FlightRecord {
         }
     }
 
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"job\":\"{}\"", escape(&self.job)));
-        out.push_str(&format!(",\"engine\":\"{}\"", escape(&self.engine)));
-        match &self.trip {
-            Some(t) => out.push_str(&format!(
-                ",\"trip\":{{\"class\":\"{}\",\"epoch\":{},\"detail\":\"{}\"}}",
-                t.class.name(),
-                t.epoch,
-                escape(&t.detail)
-            )),
-            None => out.push_str(",\"trip\":null"),
-        }
-        match &self.error {
-            Some(e) => out.push_str(&format!(",\"error\":\"{}\"", escape(e))),
-            None => out.push_str(",\"error\":null"),
-        }
-        out.push_str(",\"events\":[");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"t_us\":{},\"node\":{},\"worker\":{},\"name\":\"{}\",\"args\":{}}}",
-                ev.t_us,
-                ev.node,
-                ev.worker,
-                escape(&ev.name),
-                json::object_u64(&ev.args)
-            ));
-        }
-        out.push_str(&format!("],\"dropped_events\":{}", self.dropped_events));
-        out.push_str(",\"audit\":");
-        out.push_str(&self.audit.to_json());
-        out.push_str(",\"gauges\":[");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"name\":\"{}\"", escape(&g.name)));
-            for (dim, v) in dims(&g.labels) {
-                out.push_str(&format!(",\"{dim}\":{v}"));
-            }
-            out.push_str(&format!(",\"value\":{}}}", g.value));
-        }
-        out.push_str("]}");
-        out
+    /// The `doctor_<job>.json` document; [`parse`](Self::parse) reads
+    /// it back.
+    pub fn to_json(&self) -> Json {
+        let trip = self.trip.as_ref().map(|t| {
+            Json::obj([
+                ("class", t.class.name().into()),
+                ("epoch", t.epoch.into()),
+                ("detail", t.detail.as_str().into()),
+            ])
+        });
+        let events = self.events.iter().map(|ev| {
+            let args = ev.args.iter().map(|(k, v)| (k.as_str(), Json::from(*v)));
+            Json::obj([
+                ("t_us", ev.t_us.into()),
+                ("node", ev.node.into()),
+                ("worker", ev.worker.into()),
+                ("name", ev.name.as_str().into()),
+                ("args", Json::obj(args)),
+            ])
+        });
+        let gauges = self.gauges.iter().map(|g| {
+            let dims = dims(&g.labels).map(|(dim, v)| (dim, Json::from(v)));
+            let fields = [("name", g.name.as_str().into()), ("value", g.value.into())];
+            Json::obj(fields.into_iter().chain(dims))
+        });
+        Json::obj([
+            ("job", self.job.as_str().into()),
+            ("engine", self.engine.as_str().into()),
+            ("trip", trip.into()),
+            ("error", self.error.as_deref().into()),
+            ("events", events.collect()),
+            ("dropped_events", self.dropped_events.into()),
+            ("audit", self.audit.to_json()),
+            ("gauges", gauges.collect()),
+        ])
     }
 
     /// Parse a `doctor_<job>.json` document.
@@ -167,18 +147,14 @@ impl FlightRecord {
         };
         let trip = match v.get("trip") {
             None | Some(Json::Null) => None,
-            Some(t) => {
-                let class_name = s(t.get("class"), "trip.class")?;
-                Some(WatchdogTrip {
-                    class: WatchdogClass::from_name(&class_name)
-                        .ok_or_else(|| format!("unknown watchdog class {class_name:?}"))?,
-                    epoch: t
-                        .get("epoch")
-                        .and_then(Json::as_u64)
-                        .ok_or("flight record missing trip.epoch")?,
-                    detail: s(t.get("detail"), "trip.detail")?,
-                })
-            }
+            Some(t) => Some(WatchdogTrip {
+                class: WatchdogClass::from_name(&s(t.get("class"), "trip.class")?)?,
+                epoch: t
+                    .get("epoch")
+                    .and_then(Json::as_u64)
+                    .ok_or("flight record missing trip.epoch")?,
+                detail: s(t.get("detail"), "trip.detail")?,
+            }),
         };
         let error = match v.get("error") {
             None | Some(Json::Null) => None,
@@ -497,7 +473,7 @@ mod tests {
     #[test]
     fn flight_record_round_trips_through_json() {
         let record = sample_record();
-        let parsed = FlightRecord::parse(&record.to_json()).expect("parse back");
+        let parsed = FlightRecord::parse(&record.to_json().to_string()).expect("parse back");
         assert_eq!(parsed, record);
     }
 
@@ -506,11 +482,11 @@ mod tests {
     #[test]
     fn a_record_with_the_older_narrower_event_args_reads_the_same() {
         let record = sample_record();
-        let now = "\"name\":\"bin-shipped\",\"args\":\
-                   {\"bytes\":128,\"dst\":1,\"edge\":1,\"flowlet\":1,\"records\":4}";
-        let then = "\"name\":\"bin-shipped\",\"args\":\
-                    {\"bytes\":128,\"dst\":1,\"edge\":1,\"flowlet\":1}";
-        let json = record.to_json();
+        let now = "\"args\":{\"bytes\":128,\"dst\":1,\"edge\":1,\"flowlet\":1,\"records\":4},\
+                   \"name\":\"bin-shipped\"";
+        let then = "\"args\":{\"bytes\":128,\"dst\":1,\"edge\":1,\"flowlet\":1},\
+                    \"name\":\"bin-shipped\"";
+        let json = record.to_json().to_string();
         assert_eq!(json.matches(now).count(), 1, "{json}");
         let older = FlightRecord::parse(&json.replace(now, then)).expect("older dump parses");
         let args = [("bytes", 128), ("dst", 1), ("edge", 1), ("flowlet", 1)];
@@ -576,6 +552,11 @@ mod tests {
             ]
         );
         assert!(record.render().contains("bin-ingress"));
+        // Rewritten by this build's writer (keys sorted), it is the
+        // same record and renders the same report.
+        let rewritten = FlightRecord::parse(&record.to_json().to_string()).expect("reparse");
+        assert_eq!(rewritten, record);
+        assert_eq!(rewritten.render(), record.render());
     }
 
     #[test]

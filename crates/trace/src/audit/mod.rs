@@ -20,7 +20,7 @@
 
 mod doctor;
 
-pub use doctor::{FlightRecord, RecordedEvent, WatchdogTrip};
+pub use doctor::{FlightRecord, RecordedEvent};
 
 use crate::json::Json;
 use std::fmt;
@@ -494,41 +494,35 @@ impl AuditReport {
         out
     }
 
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"edges\":{},\"nodes\":{},\"rows\":[",
-            self.edges, self.nodes
-        ));
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"edge\":{},\"dst\":{}", row.edge, row.dst));
-            for stage in AuditStage::ALL {
-                let c = row.stage(stage);
-                out.push_str(&format!(
-                    ",\"{}\":{{\"bins\":{},\"records\":{},\"bytes\":{}}}",
-                    stage.name(),
-                    c.bins,
-                    c.records,
-                    c.bytes
-                ));
-            }
-            out.push('}');
-        }
-        out.push_str("],\"combines\":[");
-        for (i, c) in self.combines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"edge\":{},\"records_in\":{},\"folded\":{},\"records_out\":{}}}",
-                c.edge, c.records_in, c.folded, c.records_out
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The report as a JSON object; [`from_json`](Self::from_json)
+    /// reads it back.
+    pub fn to_json(&self) -> Json {
+        let count = |c: StageCount| {
+            Json::obj([
+                ("bins", c.bins.into()),
+                ("records", c.records.into()),
+                ("bytes", c.bytes.into()),
+            ])
+        };
+        let rows = self.rows.iter().map(|row| {
+            let stages = AuditStage::ALL.map(|stage| (stage.name(), count(row.stage(stage))));
+            let at = [("edge", row.edge.into()), ("dst", row.dst.into())];
+            Json::obj(at.into_iter().chain(stages))
+        });
+        let combines = self.combines.iter().map(|c| {
+            Json::obj([
+                ("edge", c.edge.into()),
+                ("records_in", c.records_in.into()),
+                ("folded", c.folded.into()),
+                ("records_out", c.records_out.into()),
+            ])
+        });
+        Json::obj([
+            ("edges", self.edges.into()),
+            ("nodes", self.nodes.into()),
+            ("rows", rows.collect()),
+            ("combines", combines.collect()),
+        ])
     }
 
     /// Parse a report back out of its [`to_json`](Self::to_json) form.
@@ -713,8 +707,10 @@ mod tests {
         a.record(AuditStage::Emit, 1, 0, 1, 1);
         a.combined(0, 64, 60, 4);
         let report = a.report();
-        let parsed =
-            AuditReport::from_json(&json::parse(&report.to_json()).expect("valid json")).unwrap();
+        let parsed = AuditReport::from_json(
+            &json::parse(&report.to_json().to_string()).expect("valid json"),
+        )
+        .unwrap();
         assert_eq!(parsed, report);
     }
 

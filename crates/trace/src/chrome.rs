@@ -14,14 +14,16 @@
 //! * everything else (`BinShipped`, `NetSend`, ...) becomes an `"i"`
 //!   instant named and argued by [`EventKind::describe`];
 //! * `"M"` metadata events name processes and the synthetic lanes.
+//!
+//! The document is one [`Json`] value printed by its writer, so every
+//! event object's keys come out sorted.
 
-use crate::json::{escape, object_u64};
+use crate::json::Json;
 use crate::{
     lane_name, task_spans, EventKind, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME,
 };
 use std::collections::BTreeSet;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Perfetto sorts tids numerically; remap the sentinel lanes to small
 /// negative-looking slots so "runtime/net/disk" group below workers
@@ -43,36 +45,41 @@ fn drawn(
     ev: &TraceEvent,
     start_us: Option<u64>,
     args: &[(&str, u64)],
-) -> String {
-    let (ph, ts, dur) = match start_us {
-        Some(ts) => ("\"X\"", ts, Some(ev.t_us.saturating_sub(ts))),
-        None => ("\"i\",\"s\":\"t\"", ev.t_us, None),
-    };
-    let mut s = format!(
-        "\"name\":\"{}\",\"cat\":\"{}\",\"ph\":{ph},\"pid\":{},\"tid\":{},\"ts\":{ts}",
-        escape(name),
-        escape(cat),
-        ev.node,
-        lane_tid(ev.worker),
-    );
-    if let Some(dur) = dur {
-        let _ = write!(s, ",\"dur\":{dur}");
+) -> Json {
+    let mut fields = vec![
+        ("name", name.into()),
+        ("cat", cat.into()),
+        ("pid", ev.node.into()),
+        ("tid", lane_tid(ev.worker).into()),
+    ];
+    match start_us {
+        Some(ts) => fields.extend([
+            ("ph", "X".into()),
+            ("ts", ts.into()),
+            ("dur", ev.t_us.saturating_sub(ts).into()),
+        ]),
+        None => fields.extend([
+            ("ph", "i".into()),
+            ("s", "t".into()),
+            ("ts", ev.t_us.into()),
+        ]),
     }
     if !args.is_empty() {
-        let _ = write!(s, ",\"args\":{}", object_u64(args));
+        let args = args.iter().map(|&(k, v)| (k, Json::from(v)));
+        fields.push(("args", Json::obj(args)));
     }
-    s
+    Json::obj(fields)
 }
 
-fn metadata(name: &str, pid: u64, tid: Option<u64>, value: &str) -> String {
-    let tid_part = tid.map(|t| format!(",\"tid\":{t}")).unwrap_or_default();
-    format!(
-        "\"name\":\"{}\",\"ph\":\"M\",\"pid\":{}{},\"args\":{{\"name\":\"{}\"}}",
-        escape(name),
-        pid,
-        tid_part,
-        escape(value),
-    )
+fn metadata(name: &str, pid: u32, tid: Option<u64>, value: &str) -> Json {
+    let mut fields = vec![
+        ("name", name.into()),
+        ("ph", "M".into()),
+        ("pid", pid.into()),
+        ("args", Json::obj([("name", value.into())])),
+    ];
+    fields.extend(tid.map(|tid| ("tid", tid.into())));
+    Json::obj(fields)
 }
 
 /// Render `events` as a Chrome trace-event JSON document.
@@ -84,8 +91,8 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut evs: Vec<&TraceEvent> = events.iter().collect();
     evs.sort_by_key(|e| e.t_us);
 
-    // Every event object's body (without braces), in output order.
-    let mut em: Vec<String> = Vec::new();
+    // Every event object, in output order.
+    let mut em: Vec<Json> = Vec::new();
     // One span per TaskEnd, in the order the loop below meets them.
     let mut spans = task_spans(events).into_iter();
     // Per-(node, worker, flowlet) open SpillStarts.
@@ -135,20 +142,14 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let nodes: BTreeSet<u32> = lanes_seen.iter().map(|(n, _)| *n).collect();
     for node in nodes {
         let name = format!("node {node}");
-        em.push(metadata("process_name", node as u64, None, &name));
+        em.push(metadata("process_name", node, None, &name));
     }
     for (node, worker) in &lanes_seen {
         let tid = Some(lane_tid(*worker));
-        em.push(metadata(
-            "thread_name",
-            *node as u64,
-            tid,
-            &lane_name(*worker),
-        ));
+        em.push(metadata("thread_name", *node, tid, &lane_name(*worker)));
     }
 
-    let objects: Vec<String> = em.iter().map(|body| format!("{{{body}}}")).collect();
-    format!("{{\"traceEvents\":[\n{}\n]}}\n", objects.join(",\n"))
+    format!("{}\n", Json::obj([("traceEvents", Json::Arr(em))]))
 }
 
 #[cfg(test)]

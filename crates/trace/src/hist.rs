@@ -1,33 +1,36 @@
-//! Log-bucketed latency histogram, dependency-free.
+//! The crate's one log2 histogram, dependency-free and unit-agnostic:
+//! task latencies in microseconds (`FlowletMetrics`), record value
+//! sizes in bytes (`SketchSet`), and the registry's concurrent series
+//! (`Histogram::merge_from`) all count into this bucket scheme.
 //!
-//! 64 power-of-two buckets over microseconds: bucket 0 holds exact
-//! zeros, bucket `b` (b >= 1) holds values in `[2^(b-1), 2^b)`. That
-//! gives ~2x resolution from 1 µs to ~292 years — plenty for task
-//! latencies — at a fixed 520-byte footprint, so one histogram can live
-//! inside every `FlowletMetrics` without anyone noticing.
+//! 64 power-of-two buckets: bucket 0 holds exact zeros, bucket `b`
+//! (b >= 1) holds values in `[2^(b-1), 2^b)`. That gives ~2x resolution
+//! over the whole `u64` range at a fixed 528-byte footprint, so one
+//! histogram can live inside every `FlowletMetrics` and every sketch
+//! without anyone noticing.
 
 use std::time::Duration;
 
 const BUCKETS: usize = 64;
 
 /// Bucket count shared with the registry's concurrent histograms so
-/// `LatencyHistogram`s merge into registry series loss-free.
+/// a `Log2Hist` merges into a registry series loss-free.
 pub(crate) const HIST_BUCKETS: usize = BUCKETS;
 
-/// A mergeable histogram of microsecond latencies.
+/// A mergeable log2 histogram of `u64` values.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
+pub struct Log2Hist {
     buckets: [u64; BUCKETS],
     count: u64,
-    sum_us: u64,
+    sum: u64,
 }
 
-impl Default for LatencyHistogram {
+impl Default for Log2Hist {
     fn default() -> Self {
-        LatencyHistogram {
+        Log2Hist {
             buckets: [0; BUCKETS],
             count: 0,
-            sum_us: 0,
+            sum: 0,
         }
     }
 }
@@ -68,51 +71,40 @@ pub(crate) fn quantile_of(buckets: &[u64], count: u64, q: f64) -> u64 {
     bucket_upper(buckets.len().saturating_sub(1))
 }
 
-impl LatencyHistogram {
+impl Log2Hist {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Record one latency in microseconds.
-    pub fn record_us(&mut self, us: u64) {
-        self.buckets[bucket_of(us)] += 1;
+    /// Record one value.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
         self.count += 1;
-        self.sum_us = self.sum_us.saturating_add(us);
+        self.sum = self.sum.saturating_add(v);
     }
 
-    /// Record a `Duration`.
-    pub fn record(&mut self, d: Duration) {
-        self.record_us(d.as_micros().min(u64::MAX as u128) as u64);
+    /// Record a `Duration` in microseconds.
+    pub fn record_duration(&mut self, d: Duration) {
+        self.record(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    /// Number of recorded samples.
+    /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// Sum of all recorded latencies, microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us
+    /// Sum of all recorded values.
+    pub fn sum(&self) -> u64 {
+        self.sum
     }
 
     /// The value at quantile `q` in `[0, 1]`, reported as the upper
     /// bound of the bucket containing it (0 when empty). Because
     /// buckets are powers of two, the result is within 2x of the true
-    /// quantile.
-    pub fn quantile_us(&self, q: f64) -> u64 {
+    /// quantile, and monotone in `q` by construction.
+    pub fn quantile(&self, q: f64) -> u64 {
         quantile_of(&self.buckets, self.count, q)
-    }
-
-    pub fn p50_us(&self) -> u64 {
-        self.quantile_us(0.50)
-    }
-
-    pub fn p95_us(&self) -> u64 {
-        self.quantile_us(0.95)
-    }
-
-    pub fn p99_us(&self) -> u64 {
-        self.quantile_us(0.99)
     }
 
     /// Raw per-bucket counts, for export into the registry.
@@ -120,13 +112,13 @@ impl LatencyHistogram {
         &self.buckets
     }
 
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+    /// Bucket-wise sum: exact, associative, commutative.
+    pub fn merge(&mut self, other: &Log2Hist) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
         self.count += other.count;
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
+        self.sum = self.sum.saturating_add(other.sum);
     }
 }
 
@@ -136,11 +128,11 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_zero() {
-        let h = LatencyHistogram::new();
+        let h = Log2Hist::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.p50_us(), 0);
-        assert_eq!(h.p99_us(), 0);
-        assert_eq!(h.sum_us(), 0);
+        assert_eq!(h.quantile(0.50), 0);
+        assert_eq!(h.quantile(0.99), 0);
+        assert_eq!(h.sum(), 0);
     }
 
     #[test]
@@ -157,11 +149,11 @@ mod tests {
 
     #[test]
     fn quantiles_are_monotonic_and_bound_samples() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Log2Hist::new();
         for us in [1u64, 2, 3, 10, 100, 1000, 10_000, 100_000] {
-            h.record_us(us);
+            h.record(us);
         }
-        let (p50, p95, p99) = (h.p50_us(), h.p95_us(), h.p99_us());
+        let (p50, p95, p99) = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
         assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
         // p50 of samples up to 100k must be >= the 4th sample (10 µs)
         // and the p99 bucket must contain the max sample.
@@ -172,40 +164,40 @@ mod tests {
 
     #[test]
     fn quantile_within_2x_of_exact() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Log2Hist::new();
         for _ in 0..1000 {
-            h.record_us(700);
+            h.record(700);
         }
-        let p50 = h.p50_us();
+        let p50 = h.quantile(0.50);
         // 700 lands in [512, 1024); upper bound 1023 is < 2x of 700.
         assert!((700..1400).contains(&p50), "p50 = {p50}");
     }
 
     #[test]
     fn merge_is_sum_of_parts() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
+        let mut a = Log2Hist::new();
+        let mut b = Log2Hist::new();
         for us in [5u64, 50, 500] {
-            a.record_us(us);
+            a.record(us);
         }
         for us in [7u64, 70] {
-            b.record_us(us);
+            b.record(us);
         }
-        let mut whole = LatencyHistogram::new();
+        let mut whole = Log2Hist::new();
         for us in [5u64, 50, 500, 7, 70] {
-            whole.record_us(us);
+            whole.record(us);
         }
         a.merge(&b);
         assert_eq!(a, whole);
         assert_eq!(a.count(), 5);
-        assert_eq!(a.sum_us(), 632);
+        assert_eq!(a.sum(), 632);
     }
 
     #[test]
     fn record_duration_converts_to_us() {
-        let mut h = LatencyHistogram::new();
-        h.record(Duration::from_millis(3));
-        assert_eq!(h.sum_us(), 3000);
+        let mut h = Log2Hist::new();
+        h.record_duration(Duration::from_millis(3));
+        assert_eq!(h.sum(), 3000);
         assert_eq!(h.count(), 1);
     }
 }

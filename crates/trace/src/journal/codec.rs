@@ -5,6 +5,7 @@
 
 use super::{JobRow, JournalRecord, StuckEdge};
 use crate::stats::{EdgeStatsSummary, HopKind, LineageHop, LineageSample, StatsSnapshot, TopKey};
+use crate::{WatchdogClass, WatchdogTrip};
 
 // CRC32 (IEEE) — dependency-free, table generated at compile time.
 
@@ -353,17 +354,12 @@ impl JournalRecord {
                 buf.push(TAG_JOB_END);
                 encode_job_end(&mut buf, *t_us, row);
             }
-            JournalRecord::Incident {
-                job,
-                class,
-                epoch,
-                detail,
-            } => {
+            JournalRecord::Incident { job, trip } => {
                 buf.push(TAG_INCIDENT);
                 put_str(&mut buf, job);
-                put_str(&mut buf, class);
-                put_u64(&mut buf, *epoch);
-                put_str(&mut buf, detail);
+                put_str(&mut buf, trip.class.name());
+                put_u64(&mut buf, trip.epoch);
+                put_str(&mut buf, &trip.detail);
             }
             JournalRecord::Stats(snap) => {
                 buf.push(TAG_STATS);
@@ -382,12 +378,18 @@ impl JournalRecord {
                 t_us: cur.u64()?,
             },
             TAG_JOB_END => decode_job_end(&mut cur)?,
-            TAG_INCIDENT => JournalRecord::Incident {
-                job: cur.str()?,
-                class: cur.str()?,
-                epoch: cur.u64()?,
-                detail: cur.str()?,
-            },
+            TAG_INCIDENT => {
+                let job = cur.str()?;
+                // A class this build does not know is a record it
+                // cannot read: the reader counts it as unknown.
+                let class = WatchdogClass::from_name(&cur.str()?)?;
+                let trip = WatchdogTrip {
+                    class,
+                    epoch: cur.u64()?,
+                    detail: cur.str()?,
+                };
+                JournalRecord::Incident { job, trip }
+            }
             TAG_STATS => JournalRecord::Stats(decode_stats(&mut cur)?),
             other => return Err(format!("unknown record tag {other}")),
         };

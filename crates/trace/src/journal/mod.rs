@@ -61,6 +61,7 @@ pub use timeline::{JobSpan, Timeline};
 pub use writer::{Journal, JournalSlot};
 
 use crate::stats::StatsSnapshot;
+use crate::WatchdogTrip;
 use std::path::PathBuf;
 
 /// `HAMR_JOURNAL` configuration: disabled, an auto-picked directory,
@@ -125,13 +126,8 @@ pub enum JournalRecord {
     /// on the journal's clock. A `JobStart` with no `JobEnd` is a run
     /// killed mid-flight.
     JobEnd { t_us: u64, row: JobRow },
-    /// A watchdog-classified incident.
-    Incident {
-        job: String,
-        class: String,
-        epoch: u64,
-        detail: String,
-    },
+    /// A watchdog-classified incident of `job`.
+    Incident { job: String, trip: WatchdogTrip },
     /// The data-plane statistics snapshot at a job boundary: merged
     /// per-edge sketches plus sampled record lineage.
     Stats(StatsSnapshot),

@@ -6,6 +6,7 @@ use super::reader::list_segments;
 use super::writer::segment_name;
 use super::*;
 use crate::stats::{EdgeStatsSummary, HopKind, LineageHop, LineageSample, TopKey};
+use crate::{WatchdogClass, WatchdogTrip};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -20,6 +21,19 @@ fn temp_dir(test: &str) -> PathBuf {
     dir
 }
 
+fn incident(job: &str, class: WatchdogClass, epoch: u64, detail: &str) -> JournalRecord {
+    let detail = detail.to_string();
+    let trip = WatchdogTrip {
+        class,
+        epoch,
+        detail,
+    };
+    JournalRecord::Incident {
+        job: job.into(),
+        trip,
+    }
+}
+
 fn sample_records() -> Vec<JournalRecord> {
     vec![
         JournalRecord::JobStart {
@@ -27,12 +41,7 @@ fn sample_records() -> Vec<JournalRecord> {
             engine: "hamr".into(),
             t_us: 10,
         },
-        JournalRecord::Incident {
-            job: "wc".into(),
-            class: "backpressure".into(),
-            epoch: 7,
-            detail: "windows full".into(),
-        },
+        incident("wc", WatchdogClass::Backpressure, 7, "windows full"),
         JournalRecord::Stats(StatsSnapshot {
             job: "wc".into(),
             engine: "hamr".into(),
@@ -422,12 +431,12 @@ fn segments_rotate_and_retention_deletes_oldest() {
     cfg.max_total_bytes = 1024;
     let j = Journal::open(cfg.clone()).expect("open");
     for i in 0..200u64 {
-        j.append(&JournalRecord::Incident {
-            job: format!("job-{i}"),
-            class: "hang".into(),
-            epoch: i,
-            detail: "x".repeat(32),
-        });
+        j.append(&incident(
+            &format!("job-{i}"),
+            WatchdogClass::Hang,
+            i,
+            &"x".repeat(32),
+        ));
     }
     j.flush();
     let segs = list_segments(&dir).expect("list");
@@ -449,14 +458,14 @@ fn segments_rotate_and_retention_deletes_oldest() {
     let read = read_journal(&dir).expect("read");
     assert!(read.records.len() < 200);
     match read.records.last().expect("non-empty") {
-        JournalRecord::Incident { epoch, .. } => assert_eq!(*epoch, 199),
+        JournalRecord::Incident { trip, .. } => assert_eq!(trip.epoch, 199),
         other => panic!("unexpected tail {other:?}"),
     }
     let epochs: Vec<u64> = read
         .records
         .iter()
         .map(|r| match r {
-            JournalRecord::Incident { epoch, .. } => *epoch,
+            JournalRecord::Incident { trip, .. } => trip.epoch,
             other => panic!("unexpected {other:?}"),
         })
         .collect();
@@ -470,12 +479,7 @@ fn segments_rotate_and_retention_deletes_oldest() {
     let stale = "hamr-journal/1\nsegment seg-999999.hjs records 7 bytes 7\n";
     std::fs::write(dir.join("index.hjt"), stale).expect("write stale index");
     let j = Journal::open(cfg).expect("reopen beside a stale index");
-    j.append(&JournalRecord::Incident {
-        job: "job-200".into(),
-        class: "hang".into(),
-        epoch: 200,
-        detail: String::new(),
-    });
+    j.append(&incident("job-200", WatchdogClass::Hang, 200, ""));
     drop(j);
     let reread = read_journal(&dir).expect("read beside a stale index");
     assert_eq!(reread.records.len(), read.records.len() + 1);
@@ -494,12 +498,7 @@ fn crc_corruption_abandons_the_rest_of_that_segment_only() {
     cfg.max_total_bytes = 0;
     let j = Journal::open(cfg).expect("open");
     for i in 0..40u64 {
-        j.append(&JournalRecord::Incident {
-            job: "wc".into(),
-            class: "hang".into(),
-            epoch: i,
-            detail: "detail".into(),
-        });
+        j.append(&incident("wc", WatchdogClass::Hang, i, "detail"));
     }
     j.flush();
     drop(j);
@@ -521,7 +520,7 @@ fn crc_corruption_abandons_the_rest_of_that_segment_only() {
     );
     // Records from the later, untouched segments are still there.
     match read.records.last().expect("non-empty") {
-        JournalRecord::Incident { epoch, .. } => assert_eq!(*epoch, 39),
+        JournalRecord::Incident { trip, .. } => assert_eq!(trip.epoch, 39),
         other => panic!("unexpected tail {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -18,15 +18,8 @@
 
 use super::{read_journal_tree, JobRow, JournalRecord};
 use crate::stats::EdgeStatsSummary;
+use crate::WatchdogTrip;
 use std::path::Path;
-
-/// A watchdog incident attached to the job it interrupted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IncidentNote {
-    pub class: String,
-    pub epoch: u64,
-    pub detail: String,
-}
 
 /// One job's reconstructed span.
 #[derive(Debug, Clone, Default)]
@@ -40,7 +33,8 @@ pub struct JobSpan {
     /// The row the job's `JobEnd` carries, as written; `None` when the
     /// job never ended.
     pub row: Option<JobRow>,
-    pub incidents: Vec<IncidentNote>,
+    /// The watchdog incidents the job's run journaled.
+    pub incidents: Vec<WatchdogTrip>,
     /// Per-edge data-plane cardinality lines from the job's
     /// `StatsSnapshot` record, rendered as
     /// `edge E: N records, ~D distinct keys, hot K%, p99 val B bytes`.
@@ -131,22 +125,12 @@ impl Timeline {
                     }
                     open = None;
                 }
-                JournalRecord::Incident {
-                    job,
-                    class,
-                    epoch,
-                    detail,
-                } => {
-                    let note = IncidentNote {
-                        class: class.clone(),
-                        epoch: *epoch,
-                        detail: detail.clone(),
-                    };
+                JournalRecord::Incident { job, trip } => {
                     let idx = open
                         .filter(|&i| t.jobs[i].job == *job)
                         .or_else(|| t.jobs.iter().rposition(|s| s.job == *job));
                     if let Some(i) = idx {
-                        t.jobs[i].incidents.push(note);
+                        t.jobs[i].incidents.push(trip.clone());
                     }
                 }
                 JournalRecord::Stats(snap) => {
@@ -233,7 +217,9 @@ impl Timeline {
             for inc in &span.incidents {
                 out.push_str(&format!(
                     "    incident: {} at watchdog epoch {} — {}\n",
-                    inc.class, inc.epoch, inc.detail
+                    inc.class.name(),
+                    inc.epoch,
+                    inc.detail
                 ));
             }
             for e in row.iter().flat_map(|r| &r.stuck) {
@@ -331,6 +317,7 @@ fn keys_line(e: &EdgeStatsSummary) -> String {
 mod tests {
     use super::super::StuckEdge;
     use super::*;
+    use crate::WatchdogClass;
 
     fn start_on(engine: &str, job: &str, t_us: u64) -> JournalRecord {
         JournalRecord::JobStart {
@@ -384,9 +371,11 @@ mod tests {
             start("pr", 6000),
             JournalRecord::Incident {
                 job: "pr".into(),
-                class: "backpressure".into(),
-                epoch: 4,
-                detail: "deferred>0".into(),
+                trip: WatchdogTrip {
+                    class: WatchdogClass::Backpressure,
+                    epoch: 4,
+                    detail: "deferred>0".into(),
+                },
             },
         ];
         let t = Timeline::from_records(&records);

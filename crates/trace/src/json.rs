@@ -1,11 +1,15 @@
-//! A tiny JSON parser, enough to validate and inspect the Chrome-trace
-//! output in tests without pulling in serde. Supports the full JSON
-//! grammar minus exotic number forms (no hex, but scientific notation
-//! works) and `\u` escapes limited to the BMP.
+//! The crate's one JSON value, its one writer and its one parser,
+//! without pulling in serde. Every document `hamr-trace` prints — a
+//! flight record, an audit report, the Chrome export, `/healthz` — is
+//! built as a [`Json`] and printed by its `Display`: compact, object
+//! keys in sorted order, non-finite numbers as `null`. The parser takes
+//! the full JSON grammar minus exotic number forms (no hex, but
+//! scientific notation works) and `\u` escapes limited to the BMP.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] returns and what `Display` prints.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
@@ -17,6 +21,12 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` fields; a repeated key keeps its
+    /// last value.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Object field access; `None` for non-objects or missing keys.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -54,11 +64,72 @@ impl Json {
     }
 }
 
+/// A number of any of the integer widths the crate's documents carry.
+macro_rules! json_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Num(v as f64)
+            }
+        }
+    )*};
+}
+
+json_number!(u32, u64, i64);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// The one JSON writer: compact, keys in sorted order, strings through
+/// [`escape`], a non-finite number as `null`. What it prints,
+/// [`parse`] reads back as the same value.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write!(f, "\"{}\"", escape(s)),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{}{item}", if i > 0 { "," } else { "" })?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(fields) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    write!(f, "{}\"{}\":{v}", if i > 0 { "," } else { "" }, escape(k))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
 /// Parse a complete JSON document. Trailing garbage is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -69,9 +140,16 @@ pub fn parse(input: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// Arrays and objects nested deeper than this are refused: the parser
+/// recurses once per level, and a hostile file must not overflow the
+/// stack of the tool reading it.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -116,11 +194,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nested deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -249,16 +340,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// `{"k":v,…}` over numeric fields: how a trace event's args are
-/// written, in a flight record and in the Chrome export alike.
-pub fn object_u64<K: AsRef<str>>(fields: &[(K, u64)]) -> String {
-    let fields: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("\"{}\":{v}", escape(k.as_ref())))
-        .collect();
-    format!("{{{}}}", fields.join(","))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   loads directly into Perfetto / `chrome://tracing` as a per-node,
 //!   per-worker timeline;
 //! * [`render_summary`] — a plain-text per-flowlet table with task
-//!   latency percentiles (from [`LatencyHistogram`]) and cumulative
+//!   latency percentiles (from a [`Log2Hist`]) and cumulative
 //!   flow-control stall time.
 //!
 //! [`analyze`] partitions every worker lane's wall time and ranks the
@@ -33,13 +33,13 @@ mod summary;
 
 pub use audit::{
     Audit, AuditBin, AuditReport, AuditRow, AuditStage, AuditViolation, CombineRow, FlightRecord,
-    RecordedEvent, StageCount, WatchdogTrip,
+    RecordedEvent, StageCount,
 };
 pub use causal::{
     analyze, render_attribution, render_stall_edges, Buckets, CausalReport, NodeBuckets, StallEdge,
 };
 pub use chrome::chrome_trace_json;
-pub use hist::LatencyHistogram;
+pub use hist::Log2Hist;
 pub use journal::{
     read_journal, read_journal_tree, JobRow, JobSpan, Journal, JournalConfig, JournalMode,
     JournalRead, JournalRecord, JournalSlot, StuckEdge, Timeline,
@@ -322,13 +322,33 @@ impl WatchdogClass {
         }
     }
 
-    pub fn from_name(name: &str) -> Option<Self> {
+    /// The class `name` names, as journals and dumps write it.
+    pub fn from_name(name: &str) -> Result<Self, String> {
         match name {
-            "backpressure" => Some(WatchdogClass::Backpressure),
-            "hang" => Some(WatchdogClass::Hang),
-            "straggler" => Some(WatchdogClass::Straggler),
-            _ => None,
+            "backpressure" => Ok(WatchdogClass::Backpressure),
+            "hang" => Ok(WatchdogClass::Hang),
+            "straggler" => Ok(WatchdogClass::Straggler),
+            _ => Err(format!("unknown watchdog class {name:?}")),
         }
+    }
+}
+
+/// One classified incident: its class, the monitoring epoch it was
+/// classified at, and a diagnosis naming the stuck edge or node. The
+/// one type for it, from the watchdog's monitor to the run's error,
+/// the journal, the timeline, `/healthz` and the flight record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WatchdogTrip {
+    pub class: WatchdogClass,
+    pub epoch: u64,
+    pub detail: String,
+}
+
+/// What `/healthz` says of an incident.
+impl std::fmt::Display for WatchdogTrip {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (class, epoch, detail) = (self.class.name(), self.epoch, &self.detail);
+        write!(f, "watchdog {class} at epoch {epoch}: {detail}")
     }
 }
 
@@ -768,7 +788,7 @@ pub(crate) mod tests {
                 recorded.args.iter().map(|(k, v)| (&**k, *v)).collect();
             assert_eq!((&*recorded.name, recorded_args), (name, args));
         }
-        let parsed = FlightRecord::parse(&record.to_json()).expect("parse back");
+        let parsed = FlightRecord::parse(&record.to_json().to_string()).expect("parse back");
         assert_eq!(parsed.events, record.events);
 
         let chrome = json::parse(&chrome_trace_json(&events)).expect("chrome export is JSON");

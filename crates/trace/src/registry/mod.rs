@@ -32,7 +32,7 @@ pub use http::{http_get, HttpResponse, HttpServer, RouteHandler};
 pub use snapshot::{parse_prometheus, HistSample, PromSample, SampleValue, SeriesSample, Snapshot};
 
 use crate::hist::{bucket_of, HIST_BUCKETS};
-use crate::{lock, LatencyHistogram};
+use crate::{lock, Log2Hist};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -192,7 +192,7 @@ pub struct GaugeSample {
 }
 
 /// Shared atomic cells behind a [`Histogram`] handle: the same log2
-/// bucket layout as [`LatencyHistogram`], updatable through `&self`
+/// bucket layout as [`Log2Hist`], updatable through `&self`
 /// from many threads.
 pub(crate) struct HistogramCells {
     pub(crate) buckets: [AtomicU64; HIST_BUCKETS],
@@ -217,11 +217,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    #[inline]
-    pub fn record_us(&self, us: u64) {
-        self.record(us);
-    }
-
     /// Record one observation. The log2 buckets are unit-agnostic:
     /// microseconds for latency series, bytes for size series.
     #[inline]
@@ -233,9 +228,9 @@ impl Histogram {
         }
     }
 
-    /// Fold a completed [`LatencyHistogram`] into this series — how
+    /// Fold a completed [`Log2Hist`] into this series — how
     /// end-of-job per-flowlet latency distributions reach the registry.
-    pub fn merge_from(&self, hist: &LatencyHistogram) {
+    pub fn merge_from(&self, hist: &Log2Hist) {
         if let Some(cells) = &self.cells {
             for (b, n) in hist.bucket_counts().iter().enumerate() {
                 if *n > 0 {
@@ -243,7 +238,7 @@ impl Histogram {
                 }
             }
             cells.count.fetch_add(hist.count(), Ordering::Relaxed);
-            cells.sum.fetch_add(hist.sum_us(), Ordering::Relaxed);
+            cells.sum.fetch_add(hist.sum(), Ordering::Relaxed);
         }
     }
 
@@ -546,10 +541,10 @@ mod tests {
     fn histogram_records_and_merges() {
         let r = MetricsRegistry::new();
         let h = r.histogram("task_latency_us", Labels::new().flowlet(1));
-        h.record_us(100);
-        h.record_us(3000);
-        let mut lat = LatencyHistogram::new();
-        lat.record_us(7);
+        h.record(100);
+        h.record(3000);
+        let mut lat = Log2Hist::new();
+        lat.record(7);
         h.merge_from(&lat);
         assert_eq!(h.count(), 3);
         let snap = r.snapshot();
@@ -576,8 +571,8 @@ mod tests {
         let h = r.histogram("lat_us", Labels::new());
         c.add(10);
         g.set(4);
-        h.record_us(100);
-        h.record_us(200);
+        h.record(100);
+        h.record(200);
         let iter0 = r.snapshot();
         c.add(25);
         g.set(2);
@@ -594,7 +589,7 @@ mod tests {
         restarted
             .counter("shuffled_bytes_total", Labels::new().job("pr"))
             .add(7);
-        restarted.histogram("lat_us", Labels::new()).record_us(5);
+        restarted.histogram("lat_us", Labels::new()).record(5);
         let delta = restarted.snapshot().delta(&iter1);
         assert_eq!(delta.counter_total("shuffled_bytes_total"), 7);
         assert!(matches!(

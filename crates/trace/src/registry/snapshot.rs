@@ -366,8 +366,8 @@ mod tests {
         let hostile = "disk \"a\\b\"\nc";
         r.gauge("resident bytes", Labels::new().job(hostile)).set(1);
         let h = r.histogram("task_latency_us", Labels::new().flowlet(0));
-        h.record_us(5);
-        h.record_us(900);
+        h.record(5);
+        h.record(900);
         let text = r.snapshot().to_prometheus();
         let samples = parse_prometheus(&text).expect("valid exposition");
         let escaped = samples
@@ -428,12 +428,12 @@ mod tests {
         let h = r.histogram("lat_us", Labels::new());
         c.add(10);
         g.set(7);
-        h.record_us(100);
+        h.record(100);
         let before = r.snapshot();
         c.add(5);
         g.set(3);
-        h.record_us(200);
-        h.record_us(300);
+        h.record(200);
+        h.record(300);
         let after = r.snapshot();
         let d = after.delta(&before);
         assert!(matches!(

@@ -16,7 +16,7 @@
 //!   (K = 32 on the stats plane, with key-byte samples for naming). A
 //!   record costs one index probe and one add, an eviction one
 //!   O(log K) heap sift, and neither allocates;
-//! * [`SizeHist`] — a log2 histogram of record value sizes answering
+//! * a [`Log2Hist`](crate::Log2Hist) of record value sizes answering
 //!   quantile queries to within a power of two.
 //!
 //! All three merge associatively across partitions and nodes, so a
@@ -54,8 +54,7 @@ pub use lineage::{
 };
 pub use plane::StatsPlane;
 pub use sketch::{
-    EdgeStatsSummary, Hll, SizeHist, SketchSet, SpaceSaving, SsEntry, TopKey, KEY_SAMPLE_BYTES,
-    STATS_TOP_K,
+    EdgeStatsSummary, Hll, SketchSet, SpaceSaving, SsEntry, TopKey, KEY_SAMPLE_BYTES, STATS_TOP_K,
 };
 
 /// `HAMR_STATS` gate: how much of the data plane to measure.

@@ -3,7 +3,7 @@
 //! condenses into. See the [module docs](super) for what each
 //! guarantees.
 
-use crate::hist::{bucket_of, quantile_of, HIST_BUCKETS};
+use crate::Log2Hist;
 
 /// Register-count exponent: 2^12 registers.
 const HLL_P: u32 = 12;
@@ -492,64 +492,6 @@ impl SpaceSaving {
     }
 }
 
-/// Log2 histogram over record value sizes, on the crate's one log2
-/// bucket scheme ([`crate::hist`]): bucket 0 holds exact zeros, bucket
-/// `b` sizes in `[2^(b-1), 2^b)`. Quantiles come back as the inclusive
-/// upper bound of the answering bucket, so they are exact to within a
-/// factor of two and monotone in `q` by construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SizeHist {
-    buckets: [u64; HIST_BUCKETS],
-    count: u64,
-    sum: u64,
-}
-
-impl Default for SizeHist {
-    fn default() -> Self {
-        SizeHist::new()
-    }
-}
-
-impl SizeHist {
-    pub fn new() -> Self {
-        SizeHist {
-            buckets: [0u64; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    #[inline]
-    pub fn record(&mut self, size: u64) {
-        self.buckets[bucket_of(size)] += 1;
-        self.count += 1;
-        self.sum += size;
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Inclusive upper bound of the bucket containing the q-quantile
-    /// (`0.0 ≤ q ≤ 1.0`); 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile_of(&self.buckets, self.count, q)
-    }
-
-    /// Bucket-wise sum: exact, associative, commutative.
-    pub fn merge(&mut self, other: &SizeHist) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-}
-
 /// Heavy-hitter capacity on stats-plane edges.
 pub const STATS_TOP_K: usize = 32;
 
@@ -562,7 +504,7 @@ pub struct SketchSet {
     pub bytes: u64,
     pub hll: Hll,
     pub topk: SpaceSaving,
-    pub sizes: SizeHist,
+    pub sizes: Log2Hist,
 }
 
 impl Default for SketchSet {
@@ -578,7 +520,7 @@ impl SketchSet {
             bytes: 0,
             hll: Hll::new(),
             topk: SpaceSaving::new(top_k),
-            sizes: SizeHist::new(),
+            sizes: Log2Hist::new(),
         }
     }
 

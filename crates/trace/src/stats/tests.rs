@@ -92,7 +92,7 @@ fn spacesaving_invariant_survives_eviction() {
 
 #[test]
 fn size_hist_quantiles_are_monotone_and_bracketing() {
-    let mut h = SizeHist::new();
+    let mut h = crate::Log2Hist::new();
     for s in [0u64, 1, 7, 8, 100, 1000, 5000] {
         h.record(s);
     }

