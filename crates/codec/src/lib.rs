@@ -192,10 +192,16 @@ impl Codec for f64 {
     }
 }
 
+/// Append `s` as a `String` encodes: a borrowed text value — a line
+/// read out of a block — written without building a `String` first.
+pub fn write_str(s: &str, buf: &mut Vec<u8>) {
+    write_varint(s.len() as u64, buf);
+    buf.extend_from_slice(s.as_bytes());
+}
+
 impl Codec for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(self.len() as u64, buf);
-        buf.extend_from_slice(self.as_bytes());
+        write_str(self, buf);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let len = read_varint(input)?;

@@ -6,7 +6,7 @@
 
 use crate::outbuf::TaskOutput;
 use crate::NodeId;
-use hamr_codec::Codec;
+use hamr_codec::{write_str, Codec};
 use hamr_dfs::Dfs;
 use hamr_kvstore::{KvStore, Shard};
 use hamr_simdisk::Disk;
@@ -98,7 +98,16 @@ impl<'a> Emitter<'a> {
     /// Typed [`Emitter::emit_all`]: encodes once, emits everywhere.
     #[inline]
     pub fn emit_all_t<K: Codec, V: Codec>(&mut self, key: &K, value: &V) {
-        self.out.emit_all_encoded(key, value);
+        self.out
+            .emit_all_with(|buf| key.encode(buf), |buf| value.encode(buf));
+    }
+
+    /// [`Emitter::emit_all_t`] of a borrowed text value, written with
+    /// the bytes a `String` value's codec writes.
+    #[inline]
+    pub(crate) fn emit_all_str<K: Codec>(&mut self, key: &K, value: &str) {
+        self.out
+            .emit_all_with(|buf| key.encode(buf), |buf| write_str(value, buf));
     }
 
     /// Typed captured-output emit: encodes through the same scratch
@@ -124,7 +133,7 @@ pub trait Loader: Send + Sync {
     /// the node's runtime thread, once per split and in order, for the
     /// next split to fire and the one after it. The runtime dispatches
     /// `load(index)` only once that instant has passed, so no worker
-    /// sleeps on a device: a split fires when its block has arrived,
+    /// sleeps on a device: a split fires when its input has arrived,
     /// like any other flowlet task fires when its bin has. The answer
     /// is advice, not a contract — a `load` dispatched early (or never
     /// prepared) just waits inside its own read. A loader that reads

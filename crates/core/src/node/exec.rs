@@ -14,7 +14,7 @@ use crate::NodeId;
 use crossbeam::channel::Sender;
 use hamr_codec::stable_hash;
 use hamr_simnet::Endpoint;
-use hamr_trace::{AuditStage, EventKind, Gauge, Observe, TaskKind, WORKER_RUNTIME};
+use hamr_trace::{AuditStage, EventKind, Gauge, Observe, TaskKind};
 use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -89,7 +89,6 @@ pub(super) struct TaskDone {
     pub(super) flowlet: FlowletId,
     /// Which of the instance's counters the task's end moves.
     pub(super) kind: TaskKind,
-    bins: Vec<(NodeId, FrameBin)>,
     pub(super) captured: Vec<hamr_codec::Frame>,
     /// Frames pinned for the resident store (see `TaskParts::fill`).
     pub(super) fill: Vec<(EdgeId, NodeId, hamr_codec::Frame)>,
@@ -116,9 +115,9 @@ pub(super) struct WorkerShared {
     pub(super) ctx: TaskContext,
     pub(super) partial: Vec<Option<Arc<PartialState>>>,
     pub(super) reduce: Vec<Mutex<Option<Arc<ReduceState>>>>,
-    /// Outbound windows + deferred queue. Workers ship their own bins
-    /// through it, and a task's end reads its windows to decide how
-    /// much of its combine buffers to drain.
+    /// Outbound windows + deferred queue. A task's output ships its
+    /// bins through it as they close, and a task's end reads its
+    /// windows to decide how much of its combine buffers to drain.
     pub(super) flow: Arc<FlowControl>,
     /// Every worker's combine buffers, lent to the task it executes.
     pub(super) combine: CombineShelf,
@@ -174,6 +173,7 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
             worker_id as u32,
             &shared.obs,
             &shared.combine,
+            &shared.flow,
         );
         let mut records_in = 0u64;
         let mut ack_to = None;
@@ -235,12 +235,7 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
             // The pumps build a task from its flowlet's kind.
             (_, kind) => unreachable!("{trace_kind:?} task for a {}", kind.kind_name()),
         }
-        (
-            out.into_parts(&shared.combine, &shared.flow),
-            records_in,
-            ack_to,
-            stream,
-        )
+        (out.into_parts(&shared.combine), records_in, ack_to, stream)
     }));
     let panic = result.as_ref().err().map(|payload| {
         let (name, node) = (&shared.plan.graph.flowlets[flowlet].name, shared.ctx.node);
@@ -248,13 +243,13 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
         let message = format!("flowlet '{name}' on node {node}: {message}");
         RunError::NodePanic { node, message }
     });
-    // A task that panicked hands over nothing.
+    // A task that panicked hands over nothing more: the bins it closed
+    // have left, and the job aborts.
     let (parts, records_in, ack_to, stream) = result.unwrap_or_default();
     let done = TaskDone {
         flowlet,
         kind: trace_kind,
-        records_out: parts.bins.iter().map(|(_, b)| b.len() as u64).sum(),
-        bins: parts.bins,
+        records_out: parts.records_out,
         captured: parts.captured,
         fill: parts.fill,
         ack_to,
@@ -278,32 +273,24 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
     done
 }
 
-/// Send the acknowledgement and ship (or defer) the bins of a finished
-/// task, draining `done` of both so the runtime thread only does state
-/// bookkeeping. Called by the executing thread itself: under work
-/// stealing that is the worker, so egress never waits on the runtime
-/// loop; under the deterministic replay it is the runtime thread.
-pub(super) fn ship_done(
-    flow: &FlowControl,
-    endpoint: &Endpoint<NetMsg>,
-    lane: u32,
-    done: &mut TaskDone,
-) {
+/// Acknowledge a finished task's input bin: the one thing that leaves
+/// at a task's end, since its bins left as they closed. Called by the
+/// executing thread itself: under work stealing that is the worker, so
+/// the ack never waits on the runtime loop; under the deterministic
+/// replay it is the runtime thread.
+pub(super) fn ack_done(endpoint: &Endpoint<NetMsg>, done: &mut TaskDone) {
     if done.failed.is_some() {
-        // Keep the ack and bins unshipped; the runtime aborts the job.
+        // Keep the ack; the runtime aborts the job.
         return;
     }
     if let Some((origin, edge)) = done.ack_to.take() {
         let _ = endpoint.send(origin, NetMsg::Ack { edge });
     }
-    for (dst, bin) in done.bins.drain(..) {
-        flow.ship_or_defer(lane, done.flowlet, dst, bin);
-    }
 }
 
 /// Work-stealing worker: fetch from the pool (own deque → injector →
-/// steal sweep), execute, ship results directly, park bounded when the
-/// node is drained.
+/// steal sweep), execute (the task ships its own bins), ack, park
+/// bounded when the node is drained.
 pub(super) fn ws_worker_loop(
     worker: usize,
     shared: Arc<WorkerShared>,
@@ -328,7 +315,7 @@ pub(super) fn ws_worker_loop(
                     );
                 }
                 let mut done = execute_task(&shared, worker, task);
-                ship_done(&shared.flow, &endpoint, lane, &mut done);
+                ack_done(&endpoint, &mut done);
                 if done_tx.send(done).is_err() {
                     return;
                 }
@@ -391,7 +378,7 @@ impl NodeRuntime {
             _ => return false,
         };
         let mut done = execute_task(&self.shared, worker, task);
-        ship_done(&self.shared.flow, &self.endpoint, WORKER_RUNTIME, &mut done);
+        ack_done(&self.endpoint, &mut done);
         self.handle_done(done);
         true
     }

@@ -1,5 +1,5 @@
 //! Admission: what has arrived for each flowlet instance, and the
-//! pumps that turn it into tasks — loader splits whose blocks have
+//! pumps that turn it into tasks — loader splits whose input has
 //! arrived, stream epochs, input bins — under the flow-control rules.
 
 use super::exec::Task;
@@ -158,8 +158,9 @@ impl NodeRuntime {
             }
             // A split's device read is submitted when the split could
             // be admitted — and the next split's with it, so the device
-            // always has its next block queued. Admission bounds it: at
-            // most LOADER_CONCURRENCY + 1 reads are ever outstanding.
+            // always has its next read queued. Admission bounds it: at
+            // most LOADER_CONCURRENCY + 1 splits are prepared and not
+            // done.
             let inst = &mut self.instances[f];
             let index = inst.splits_next;
             for ahead in inst.splits_prepared..(index + 2).min(inst.splits_total) {
@@ -167,9 +168,9 @@ impl NodeRuntime {
                 inst.splits_ready.push_back(ready_at);
                 inst.splits_prepared = ahead + 1;
             }
-            // The split fires when its block has arrived, not before: a
+            // The split fires when its input has arrived, not before: a
             // worker that took it now would sleep on the device while
-            // the bins of earlier blocks queue behind it.
+            // the bins of earlier splits queue behind it.
             if let Some(&Some(at)) = inst.splits_ready.front() {
                 if at > Instant::now() {
                     self.wake_at = Some(self.wake_at.map_or(at, |w| w.min(at)));

@@ -3,11 +3,14 @@
 //! Each running task owns a [`TaskOutput`]. Emissions are routed by the
 //! port's [`Exchange`] to destination nodes and appended to a per-slot
 //! [`FrameBuilder`] — one contiguous buffer per (port, destination)
-//! instead of a `Vec` of per-record allocations. Full frames (at
-//! `bin_capacity` records) move to the `finished` list, which the node
-//! runtime ships (or defers, under flow control) when the task ends.
-//! Buffering per task keeps workers lock-free while they run — the
-//! paper's "inside a flowlet task, instructions execute sequentially".
+//! instead of a `Vec` of per-record allocations. A frame closes when it
+//! holds `bin_capacity` records, and the bin ships (or defers, under
+//! flow control) the moment it closes, from the thread running the
+//! task: a downstream task can fire on it while its producer still
+//! runs, and the frames still open close and ship when the task ends.
+//! Building frames per task keeps workers lock-free while they run —
+//! the paper's "inside a flowlet task, instructions execute
+//! sequentially".
 //!
 //! A port whose edge combines in-node folds its emissions into a
 //! [`CombineBuf`] first. That buffer is the executing *worker's*, on

@@ -1,5 +1,6 @@
-//! One task's output: routing emissions into frame bins, folding
-//! them on combining ports, and the drain rule at the task's end.
+//! One task's output: routing emissions into frame bins, which leave
+//! as they close, folding them on combining ports, and the drain rule
+//! at the task's end.
 
 use super::combine::{CombineBuf, CombineShelf, COMBINE_BUDGET, COMBINE_LOW_WATER};
 use super::flow::FlowControl;
@@ -11,11 +12,11 @@ use hamr_codec::{stable_hash, write_entry, Frame, FrameBuilder};
 use hamr_trace::{AuditStage, EventKind, Observe};
 use std::sync::Arc;
 
-/// Everything a finished task hands over.
+/// Everything a finished task hands over; its bins left as they closed.
 #[derive(Default)]
 pub(crate) struct TaskParts {
-    /// Packed bins ready to ship, with their destination.
-    pub bins: Vec<(NodeId, FrameBin)>,
+    /// Records in the bins the task closed.
+    pub records_out: u64,
     /// Pairs captured as job output, in frames of at most
     /// `bin_capacity` entries.
     pub captured: Vec<Frame>,
@@ -36,15 +37,18 @@ pub(crate) struct TaskOutput {
     /// all of its tasks.
     ports: Arc<[PortSpec]>,
     node: NodeId,
-    pub(super) nodes: usize,
+    nodes: usize,
     bin_capacity: usize,
     /// Open (partially filled) frame per (port, destination node).
     /// Broadcast ports use only their first slot: one frame is built
     /// and cloned to every destination when it closes.
     open: Vec<Option<FrameBuilder>>,
-    /// Finished bins and pinned fill frames; the captured output and
-    /// the fold count are filled in at the end.
+    /// The shipped records' tally and pinned fill frames; the captured
+    /// output and the fold count are filled in at the end.
     done: TaskParts,
+    /// Where a bin goes the moment it closes: shipped, or deferred
+    /// behind a full window.
+    flow: Arc<FlowControl>,
     capture_enabled: bool,
     /// The open capture frame's entries, and how many (see `capture`).
     captured: Vec<u8>,
@@ -63,17 +67,13 @@ pub(crate) struct TaskOutput {
     /// Per-port combine buffer (`PortSpec::combine`), on loan from the
     /// executing worker's shelf; empty when no port combines.
     combine: Vec<Option<CombineBuf>>,
-    /// Bins this task has closed per (port, destination): with the
-    /// unacknowledged ones, what the destination's window will hold
-    /// once they ship. Empty when no port combines.
-    closed: Vec<usize>,
 }
 
 impl TaskOutput {
     /// The output buffer of one task of `flowlet`, run by worker
-    /// `lane` on `node`. The executing worker's combine buffers come
-    /// off `shelf` and go back in [`Self::into_parts`] with whatever
-    /// the windows left in them.
+    /// `lane` on `node`, whose bins leave through `flow`. The executing
+    /// worker's combine buffers come off `shelf` and go back in
+    /// [`Self::into_parts`] with whatever the windows left in them.
     pub(crate) fn new(
         plan: &ExecPlan,
         flowlet: FlowletId,
@@ -81,6 +81,7 @@ impl TaskOutput {
         lane: u32,
         obs: &Observe,
         shelf: &CombineShelf,
+        flow: &Arc<FlowControl>,
     ) -> Self {
         let fp = &plan.flowlets[flowlet];
         let slots = fp.ports.len() * plan.nodes;
@@ -92,10 +93,10 @@ impl TaskOutput {
                     .unwrap_or_else(|| CombineBuf::new(Arc::clone(c), plan.nodes))
             })
         };
-        let (combine, closed) = if fp.ports.iter().any(|p| p.combine) {
-            (fp.ports.iter().map(borrow).collect(), vec![0; slots])
+        let combine = if fp.ports.iter().any(|p| p.combine) {
+            fp.ports.iter().map(borrow).collect()
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
         TaskOutput {
             ports: Arc::clone(&fp.ports),
@@ -104,6 +105,7 @@ impl TaskOutput {
             bin_capacity: plan.bin_capacity,
             open: (0..slots).map(|_| None).collect(),
             done: TaskParts::default(),
+            flow: Arc::clone(flow),
             capture_enabled: fp.capture,
             captured: Vec::new(),
             captured_entries: 0,
@@ -113,7 +115,6 @@ impl TaskOutput {
             lane,
             obs: obs.clone(),
             combine,
-            closed,
         }
     }
 
@@ -123,15 +124,14 @@ impl TaskOutput {
         self.close_frame(dst, port, frame, &hashes);
     }
 
-    /// Close a frozen frame into a bin. `hashes` is the frame's
-    /// builder column, entry for entry.
+    /// Close a frozen frame into a bin and hand it to flow control at
+    /// once: the bin leaves now, or waits in the deferred queue, not for
+    /// the task's end. `hashes` is the frame's builder column, entry
+    /// for entry.
     fn close_frame(&mut self, dst: NodeId, port: usize, frame: Frame, hashes: &[u64]) {
         let PortSpec {
             edge, fill, sketch, ..
         } = self.ports[port];
-        if let Some(closed) = self.closed.get_mut(port * self.nodes + dst) {
-            *closed += 1;
-        }
         // Pin a clone for the resident store before the frame moves
         // into the bin.
         if fill {
@@ -150,15 +150,10 @@ impl TaskOutput {
             );
         }
         let bin = FrameBin::new(edge, frame);
-        record_emitted(
-            &self.obs,
-            self.node,
-            self.lane,
-            self.flowlet_id as FlowletId,
-            dst,
-            &bin,
-        );
-        self.done.bins.push((dst, bin));
+        let f = self.flowlet_id as FlowletId;
+        record_emitted(&self.obs, self.node, self.lane, f, dst, &bin);
+        self.done.records_out += bin.len() as u64;
+        self.flow.ship_or_defer(self.lane, f, dst, bin);
     }
 
     pub(crate) fn ports(&self) -> usize {
@@ -285,15 +280,16 @@ impl TaskOutput {
 
     /// How many more partials `(port, dst)` takes at this task's end:
     /// those that fit in the bins still missing to [`COMBINE_LOW_WATER`]
-    /// unacknowledged ones — in flight, or closed by this task and in
-    /// flight or deferred the moment it ends. A window that full keeps
-    /// its link busy without us; what stays here goes on folding.
-    fn window_room(&self, flow: &FlowControl, port: usize, dst: NodeId) -> usize {
-        let slot = port * self.nodes + dst;
-        let unacked = flow.inflight(self.ports[port].edge, dst) + self.closed[slot];
+    /// unacknowledged ones. Every bin this task closed is among them
+    /// already — in flight, or deferred behind a window that is full
+    /// and so has no room. A window that full keeps its link busy
+    /// without us; what stays here goes on folding.
+    fn window_room(&self, port: usize, dst: NodeId) -> usize {
+        let flow = &self.flow;
+        let unacked = flow.inflight(self.ports[port].edge, dst);
         let bins = COMBINE_LOW_WATER.min(flow.window).saturating_sub(unacked);
-        let open = self.open[slot].as_ref().map_or(0, FrameBuilder::len);
-        (bins * self.bin_capacity).saturating_sub(open)
+        let open = self.open[port * self.nodes + dst].as_ref();
+        (bins * self.bin_capacity).saturating_sub(open.map_or(0, FrameBuilder::len))
     }
 
     /// Drain every worker's combine buffers for this flowlet, whole.
@@ -329,21 +325,21 @@ impl TaskOutput {
         }
     }
 
-    /// Encode a typed pair into the reusable scratch buffer and hand
-    /// its key and value bytes to `then` — zero allocations per record
-    /// once the scratch has grown.
+    /// Encode a pair into the reusable scratch buffer and hand its key
+    /// and value bytes to `then` — zero allocations per record once the
+    /// scratch has grown.
     #[inline]
-    fn encoded<K: hamr_codec::Codec, V: hamr_codec::Codec>(
+    fn encoded(
         &mut self,
-        key: &K,
-        value: &V,
+        key: impl FnOnce(&mut Vec<u8>),
+        value: impl FnOnce(&mut Vec<u8>),
         then: impl FnOnce(&mut Self, &[u8], &[u8]),
     ) {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        key.encode(&mut scratch);
+        key(&mut scratch);
         let split = scratch.len();
-        value.encode(&mut scratch);
+        value(&mut scratch);
         then(self, &scratch[..split], &scratch[split..]);
         self.scratch = scratch;
     }
@@ -356,15 +352,20 @@ impl TaskOutput {
         key: &K,
         value: &V,
     ) {
-        self.encoded(key, value, |out, k, v| out.emit(port, k, v));
+        self.encoded(
+            |buf| key.encode(buf),
+            |buf| value.encode(buf),
+            |out, k, v| out.emit(port, k, v),
+        );
     }
 
-    /// Encode a typed pair once and emit it on every port.
+    /// Encode a pair once, each half by its writer, and emit it on
+    /// every port.
     #[inline]
-    pub(crate) fn emit_all_encoded<K: hamr_codec::Codec, V: hamr_codec::Codec>(
+    pub(crate) fn emit_all_with(
         &mut self,
-        key: &K,
-        value: &V,
+        key: impl FnOnce(&mut Vec<u8>),
+        value: impl FnOnce(&mut Vec<u8>),
     ) {
         self.encoded(key, value, |out, k, v| {
             for port in 0..out.ports.len() {
@@ -400,13 +401,18 @@ impl TaskOutput {
         value: &V,
     ) {
         if self.capture_enabled {
-            self.encoded(key, value, |out, k, v| out.capture(k, v));
+            self.encoded(
+                |buf| key.encode(buf),
+                |buf| value.encode(buf),
+                |out, k, v| out.capture(k, v),
+            );
         }
     }
 
     /// Finish the task: drain the combine buffers as far as the rule
-    /// below says and shelve them, flush partial frames, and hand
-    /// everything over with the task's fold count.
+    /// below says and shelve them, close the partial frames (which ship
+    /// like any other), and hand over the rest with the task's fold
+    /// count.
     ///
     /// The drain rule. A holding port (`PortSpec::hold`) hands on, per
     /// destination, only the partials that fit under the window's
@@ -417,12 +423,12 @@ impl TaskOutput {
     /// partials here, where the next task's duplicates fold into them.
     /// A port that does not hold (a streaming job: an epoch's records
     /// must leave ahead of its marker) drains whole.
-    pub(crate) fn into_parts(mut self, shelf: &CombineShelf, flow: &FlowControl) -> TaskParts {
+    pub(crate) fn into_parts(mut self, shelf: &CombineShelf) -> TaskParts {
         // Combine buffers feed the open frames, so they drain first.
         if !self.combine.is_empty() {
             for port in 0..self.ports.len() {
                 if self.ports[port].hold {
-                    self.drain_port(port, |out, dst, _| out.window_room(flow, port, dst));
+                    self.drain_port(port, |out, dst, _| out.window_room(port, dst));
                 } else {
                     self.drain_port(port, |_, _, held| held);
                 }

@@ -165,6 +165,35 @@ fn swallowed_completion_trips_the_watchdog_as_hang() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The same wedge, diagnosed: the job's error restates the trip, and
+/// the doctor report says the trip's detail once.
+#[test]
+fn a_watchdog_abort_is_stated_once_in_the_doctor_report() {
+    let mut config = ClusterConfig::local(3, 2);
+    config.runtime.fault = FaultInjection::SwallowEdgeComplete { node: 1 };
+    let cluster = Cluster::new(config);
+    let dir = dump_dir("hang_once");
+    let sup = Supervision {
+        watchdog: fast_watchdog(),
+        doctor_dir: Some(dir.clone()),
+    };
+    let err = cluster
+        .run_with(wordcount("wc-hang-once", 200), &supervised(sup))
+        .expect_err("a swallowed EdgeComplete must not complete");
+    let RunError::Watchdog(WatchdogTrip { detail, .. }) = &err else {
+        panic!("expected a watchdog abort, got: {err}");
+    };
+    let path = dir.join("doctor_wc-hang-once.json");
+    let raw = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing doctor dump {path:?}: {e}"));
+    let record = FlightRecord::parse(&raw).expect("parsable flight record");
+    assert_eq!(record.error.as_deref(), Some(err.to_string().as_str()));
+    let report = record.render();
+    assert_eq!(report.matches(detail.as_str()).count(), 1, "{report}");
+    assert!(!report.contains("job error"), "{report}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn dropped_acks_trip_the_watchdog_as_backpressure_deadlock() {
     let mut config = ClusterConfig::local(3, 2);

@@ -16,6 +16,14 @@
 //! number of records and readers need no line-reassembly protocol. The
 //! locality and IO-volume behaviour — the things the evaluation depends
 //! on — are unaffected.
+//!
+//! A block moves in **packets**, as HDFS's do: runs of whole records of
+//! at most [`PACKET_SIZE`] bytes (a longer record is a packet of its
+//! own). The writer records where each packet starts
+//! ([`BlockMeta::packets`]); a reader can then take a block packet by
+//! packet as it arrives off the disk ([`Dfs::read_ahead_prefix`],
+//! [`Dfs::read_range`]) instead of waiting for the whole block, while
+//! the disk still books, charges and counts the block as one read.
 
 mod reader;
 mod writer;
@@ -27,12 +35,17 @@ use hamr_simdisk::{sleep_until, Disk, DiskError};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Node index within the cluster, matching `hamr_simnet::NodeId`.
 pub type NodeId = usize;
+
+/// Most bytes of one packet, unless a single record is longer: HDFS's
+/// 64 KiB.
+pub const PACKET_SIZE: usize = 64 << 10;
 
 /// DFS tuning parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,11 +112,24 @@ pub struct BlockMeta {
     pub records: usize,
     /// Nodes holding a replica; first is the primary (write-local) one.
     pub replicas: Vec<NodeId>,
+    /// Where each packet starts, in increasing order from 0: packet `i`
+    /// is `packets[i]..packets[i + 1]` (the last one ends at `len`).
+    /// Every start is a record boundary.
+    pub packets: Vec<usize>,
 }
 
 impl BlockMeta {
     pub(crate) fn disk_name(id: u64) -> String {
         format!("dfs.blk.{id}")
+    }
+
+    /// The block's packets, as byte ranges that cover it in order.
+    pub fn packet_ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let ends = self.packets.iter().skip(1).copied().chain([self.len]);
+        self.packets
+            .iter()
+            .zip(ends)
+            .map(|(&start, end)| start..end)
     }
 }
 
@@ -270,8 +296,7 @@ impl Dfs {
         block_index: usize,
         prefer: Option<NodeId>,
     ) -> Result<Arc<Vec<u8>>, DfsError> {
-        let (node, id) = self.locate(path, block_index, prefer)?;
-        Ok(self.inner.disks[node].read_all(&BlockMeta::disk_name(id))?)
+        self.read_range(path, block_index, prefer, 0..usize::MAX)
     }
 
     /// Submit now the disk read that the same
@@ -287,8 +312,38 @@ impl Dfs {
         block_index: usize,
         prefer: Option<NodeId>,
     ) -> Option<Instant> {
+        self.read_ahead_prefix(path, block_index, prefer, usize::MAX)
+    }
+
+    /// [`read_ahead`](Dfs::read_ahead) a block and say when its first
+    /// `prefix` bytes will be in memory (see
+    /// [`Disk::read_ahead_prefix`]): the instant a reader may take the
+    /// packet that ends there.
+    pub fn read_ahead_prefix(
+        &self,
+        path: &str,
+        block_index: usize,
+        prefer: Option<NodeId>,
+        prefix: usize,
+    ) -> Option<Instant> {
         let (node, id) = self.locate(path, block_index, prefer).ok()?;
-        self.inner.disks[node].read_ahead(&BlockMeta::disk_name(id))
+        self.inner.disks[node].read_ahead_prefix(&BlockMeta::disk_name(id), prefix)
+    }
+
+    /// Take `range` of a block — a packet — out of the block's one
+    /// read, waiting only until that range has arrived (see
+    /// [`Disk::read_range`]). Returns the whole block's bytes, of which
+    /// the caller looks at `range`. A block taken in packets that cover
+    /// it, in any order, is charged and counted as one read.
+    pub fn read_range(
+        &self,
+        path: &str,
+        block_index: usize,
+        prefer: Option<NodeId>,
+        range: Range<usize>,
+    ) -> Result<Arc<Vec<u8>>, DfsError> {
+        let (node, id) = self.locate(path, block_index, prefer)?;
+        Ok(self.inner.disks[node].read_range(&BlockMeta::disk_name(id), range)?)
     }
 
     /// Delete a file and all its block replicas.
@@ -352,6 +407,7 @@ impl Dfs {
         id: u64,
         replicas: &[NodeId],
         records: usize,
+        packets: Vec<usize>,
         payload: &[u8],
     ) -> Result<(), DfsError> {
         let not_found = || DfsError::NotFound(path.to_string());
@@ -383,6 +439,7 @@ impl Dfs {
             len: payload.len(),
             records,
             replicas: replicas.to_vec(),
+            packets,
         });
         Ok(())
     }

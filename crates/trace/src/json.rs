@@ -243,6 +243,13 @@ impl<'a> Parser<'a> {
                     }
                     other => return Err(format!("bad escape {other:?}")),
                 },
+                // RFC 8259: U+0000 through U+001F must be escaped.
+                Some(b) if b < 0x20 => {
+                    let at = self.pos - 1;
+                    return Err(format!(
+                        "raw control character {b:#04x} in a string at byte {at}"
+                    ));
+                }
                 Some(b) if b < 0x80 => out.push(b as char),
                 Some(b) => {
                     // Re-decode the UTF-8 sequence starting at b.
@@ -377,6 +384,22 @@ mod tests {
         let original = "line\nbreak \"quoted\" back\\slash\ttab \u{1}ctrl café";
         let doc = format!("\"{}\"", escape(original));
         assert_eq!(parse(&doc).unwrap(), Json::Str(original.into()));
+    }
+
+    #[test]
+    fn a_raw_control_character_in_a_string_is_an_error_at_its_byte() {
+        for b in [0x00u8, 0x0a, 0x1f] {
+            let doc = format!("[\"ok\", \"a{}b\"]", b as char);
+            let err = parse(&doc).unwrap_err();
+            assert!(err.contains(&format!("{b:#04x}")), "{err}");
+            assert!(err.ends_with("at byte 9"), "{err}");
+        }
+        // Escaped, each is fine; outside a string, whitespace is too.
+        assert_eq!(
+            parse("\"\\u001f\\n\"").unwrap(),
+            Json::Str("\u{1f}\n".into())
+        );
+        assert_eq!(parse("[\n1\t]").unwrap(), Json::Arr(vec![Json::Num(1.0)]));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! - The parser never panics, whatever text it is handed: arbitrary
 //!   bytes (read as text the way a file reader would) and mutated
 //!   copies of valid documents are answered with a value or an error.
+//! - A raw control character inside a string is refused (RFC 8259),
+//!   with the byte offset it sits at.
 //!
 //! `PROPTEST_CASES=10000 cargo test -q -p hamr-trace --test json_props`
 //! is the long run.
@@ -105,20 +107,67 @@ const JSONISH: &[&[u8]] = &[
     b"\xff",
 ];
 
+/// Every byte offset of `doc` (as the writer prints it) that lies
+/// between a string's quotes and between two of its characters or
+/// escapes.
+fn string_insides(doc: &str) -> Vec<usize> {
+    let mut at = Vec::new();
+    let mut chars = doc.char_indices().peekable();
+    let mut inside = false;
+    while let Some((_, c)) = chars.next() {
+        match (inside, c) {
+            (false, '"') => inside = true,
+            (false, _) => continue,
+            (true, '"') => {
+                inside = false;
+                continue;
+            }
+            (true, '\\') => {
+                let escape = chars.next().map(|(_, e)| e);
+                if escape == Some('u') {
+                    chars.nth(3);
+                }
+            }
+            (true, _) => {}
+        }
+        at.push(chars.peek().map_or(doc.len(), |&(j, _)| j));
+    }
+    at
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn what_the_writer_prints_parses_back_as_the_same_value(v in AnyJson { depth: 4 }) {
         let text = v.to_string();
-        // JSON forbids U+0000..U+001F raw in a string: this parser
-        // would take one, a stricter reader would not.
+        // JSON forbids U+0000..U+001F raw in a string, and so does the
+        // parser below: this checks the writer escapes them.
         prop_assert!(text.chars().all(|c| c >= ' '), "raw control character in {}", text);
         let back = parse(&text).map_err(|e| format!("{e} in {text}"))?;
         prop_assert_eq!(&back, &v, "{}", text);
         // Printing is a pure function of the value: keys come out
         // sorted, so a parsed document prints identically.
         prop_assert_eq!(back.to_string(), text);
+    }
+
+    /// A raw U+0000..U+001F inside a string — a key or a value, at any
+    /// depth, anywhere between its quotes — makes the document an error
+    /// that names the character and its byte offset.
+    #[test]
+    fn a_raw_control_character_inside_a_string_is_rejected(
+        v in AnyJson { depth: 3 },
+        at in any::<u64>(),
+        ctrl in 0u8..0x20,
+    ) {
+        // At least one string, whatever `v` holds.
+        let mut doc = Json::Arr(vec![v, Json::from("s")]).to_string();
+        let inside = string_insides(&doc);
+        let pos = inside[at as usize % inside.len()];
+        doc.insert(pos, ctrl as char);
+        let err = parse(&doc).expect_err(&doc);
+        let expected = format!("raw control character {ctrl:#04x} in a string at byte {pos}");
+        prop_assert_eq!(err, expected);
     }
 
     #[test]
