@@ -237,6 +237,16 @@ impl FlowControl {
         self.total_deferred.load(Ordering::Acquire)
     }
 
+    /// The parked bins' destinations and payload addresses, in queue
+    /// order: what shows that a deferred broadcast shares one frame.
+    #[cfg(test)]
+    pub(super) fn deferred_payloads(&self) -> Vec<(NodeId, *const u8)> {
+        let q = self.deferred.lock();
+        q.iter()
+            .map(|d| (d.dst, d.bin.frame.data().as_ptr()))
+            .collect()
+    }
+
     /// Unacknowledged bins on `(edge, dst)`: what a task end measures
     /// its combine buffers' drain against, and what a stall report
     /// lists.
