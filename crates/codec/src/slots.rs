@@ -1,11 +1,12 @@
 //! The open-addressing table behind every byte arena in the workspace:
-//! `hamr-core`'s combine-buffer partials (`outbuf::combine::Held`),
-//! reduce sub-shard groups (`reduce_state::Groups`) and partial-reduce
-//! accumulators ([`Accs`]), and `hamr-kvstore`'s shard stripes. A word
-//! is `(low 32 bits of the key's hash) << 32 | offset`: a probe compares
-//! that tag before it touches the arena, and the table regrows from its
-//! own words, without reading a key. The hash is the caller's
-//! [`crate::stable_hash`] of the key, the one that already routed it.
+//! `hamr-core`'s reduce sub-shard groups (`reduce_state::Groups`) and
+//! its tables of native accumulators ([`Accs`]: the partial-reduce
+//! stripes and the combine buffers' partials), and `hamr-kvstore`'s
+//! shard stripes. A word is `(low 32 bits of the key's hash) << 32 |
+//! offset`: a probe compares that tag before it touches the arena, and
+//! the table regrows from its own words, without reading a key. The
+//! hash is the caller's [`crate::stable_hash`] of the key, the one that
+//! already routed it.
 
 /// An arena stays below this, which keeps every offset inside a word's
 /// low half and off the two reserved words.
@@ -54,11 +55,6 @@ impl Slots {
     /// was built or [`Slots::clear`]ed, and a probe needs a grow first.
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
-    }
-
-    /// Tombstones in the table.
-    pub fn tombs(&self) -> usize {
-        self.tombs
     }
 
     pub fn bytes(&self) -> usize {
@@ -124,7 +120,7 @@ impl Slots {
 
     /// Empty, sized for `live` entries at no more than half full; refill
     /// with [`Slots::place`].
-    pub fn reset(&mut self, live: usize) {
+    fn reset(&mut self, live: usize) {
         let len = ((live + 1) * 2).next_power_of_two().max(TABLE_MIN);
         self.words.clear();
         self.words.resize(len, SLOT_EMPTY);
@@ -132,7 +128,7 @@ impl Slots {
     }
 
     /// Insert a word known not to be held.
-    pub fn place(&mut self, hash: u64, at: usize) {
+    fn place(&mut self, hash: u64, at: usize) {
         let slot = self.probe(hash, |_| false).unwrap_err();
         self.set(slot, hash, at);
     }
@@ -192,16 +188,23 @@ impl Slots {
     }
 }
 
-/// One partial-reduce stripe: each key copied once into an arena, found
-/// through a [`Slots`] table whose offsets index `accs`, beside the
-/// key's native accumulator. The key is never decoded here, and a fold
-/// allocates nothing once the key is held.
+/// A table of native accumulators: each key copied once into an arena,
+/// found through a [`Slots`] table whose offsets index `accs`, beside
+/// the key's accumulator. The key is never decoded here, and a fold
+/// allocates nothing once the key is held. One partial-reduce stripe
+/// is one (`Accs<Acc>`); so is one destination of a combine buffer
+/// (`Accs<(hash, V)>`), which drains its oldest partials a few at a
+/// time and folds on.
 pub struct Accs<A> {
     keys: Vec<u8>,
     slots: Slots,
     /// `(key offset, key length, accumulator)`, in first-seen order: 16
     /// bytes for a `u64` sum. A fold moves the value out with `mem::take`.
     accs: Vec<(u32, u32, A)>,
+    /// Entries before this one were drained. Their words stay in the
+    /// table, which a probe skips, and their keys in the arena, until
+    /// the next compaction.
+    head: usize,
 }
 
 impl<A> Default for Accs<A> {
@@ -210,38 +213,55 @@ impl<A> Default for Accs<A> {
             keys: Vec::new(),
             slots: Slots::default(),
             accs: Vec::new(),
+            head: 0,
         }
     }
 }
 
 impl<A: Default> Accs<A> {
+    /// Keys held, drained ones not counted.
     pub fn len(&self) -> usize {
-        self.accs.len()
+        self.accs.len() - self.head
     }
 
     pub fn is_empty(&self) -> bool {
-        self.accs.is_empty()
+        self.len() == 0
+    }
+
+    /// Bytes of key arena, entries and table, drained entries not yet
+    /// compacted away included. An accumulator that owns heap counts
+    /// its inline size only.
+    pub fn footprint(&self) -> usize {
+        self.keys.len()
+            + self.accs.len() * std::mem::size_of::<(u32, u32, A)>()
+            + self.slots.bytes()
     }
 
     /// Replace `key`'s accumulator with `f` of it — `None` on first
-    /// sight. `hash` is the key's `stable_hash`, the one that chose the
-    /// stripe.
+    /// sight, and on the first sight after the key was drained, which
+    /// starts a fresh entry at the tail. `hash` is the key's
+    /// `stable_hash`, the one that routed it. Only a new key moves the
+    /// footprint: the table grows, or compacts, before it takes one
+    /// word too many.
     #[inline]
     pub fn fold(&mut self, hash: u64, key: &[u8], f: impl FnOnce(Option<A>) -> A) {
-        if self.slots.is_full() {
+        if self.slots.is_empty() {
             self.slots.grow();
         }
-        let (keys, accs) = (&self.keys, &self.accs);
-        let is_key = |i: usize| {
-            let (at, len, _) = accs[i];
-            keys[at as usize..(at + len) as usize] == *key
-        };
-        match self.slots.probe(hash, is_key) {
+        match self.probe(hash, key) {
             Ok(slot) => {
                 let acc = &mut self.accs[self.slots.offset(slot)].2;
                 *acc = f(Some(std::mem::take(acc)));
             }
-            Err(slot) => {
+            Err(mut slot) => {
+                if self.slots.is_full() {
+                    if self.head == 0 {
+                        self.slots.grow();
+                    } else {
+                        self.compact();
+                    }
+                    slot = self.probe(hash, key).expect_err("a new key");
+                }
                 let at = self.keys.len();
                 assert!(
                     at + key.len() < ARENA_MAX,
@@ -254,13 +274,63 @@ impl<A: Default> Accs<A> {
         }
     }
 
-    /// Hand every key and its accumulator to `each`, in first-seen
-    /// order.
-    pub fn drain(self, mut each: impl FnMut(&[u8], A)) {
-        for (at, len, acc) in self.accs {
-            let key = &self.keys[at as usize..(at + len) as usize];
-            each(key, acc);
+    /// [`Slots::probe`] for `key`, skipping the drained entries.
+    #[inline]
+    fn probe(&self, hash: u64, key: &[u8]) -> Result<usize, usize> {
+        let (keys, accs, head) = (&self.keys, &self.accs, self.head);
+        self.slots.probe(hash, |i| {
+            let (at, len, _) = accs[i];
+            i >= head && keys[at as usize..(at + len) as usize] == *key
+        })
+    }
+
+    /// Hand the `n` oldest keys and their accumulators to `each`, in
+    /// first-seen order, and forget them; returns how many there were.
+    /// An emptied table keeps its allocations for the next fill; one
+    /// left at least half drained is compacted, so a drain of the older
+    /// half gives its bytes back at once.
+    pub fn drain(&mut self, n: usize, mut each: impl FnMut(&[u8], A)) -> usize {
+        let (from, keys) = (self.head, &self.keys);
+        let to = self.accs.len().min(from.saturating_add(n));
+        for (at, len, acc) in &mut self.accs[from..to] {
+            each(
+                &keys[*at as usize..(*at + *len) as usize],
+                std::mem::take(acc),
+            );
         }
+        self.head = to;
+        if to == self.accs.len() {
+            self.keys.clear();
+            self.accs.clear();
+            self.slots.clear();
+            self.head = 0;
+        } else if to * 2 >= self.accs.len() {
+            self.compact();
+        }
+        to - from
+    }
+
+    /// Squeeze the drained entries and their keys out, and rebuild the
+    /// table without their words, at no more than half full. Linear in
+    /// what is held; run when the table fills or drains reach half, so
+    /// amortised constant per key. Nothing to do while none is drained.
+    fn compact(&mut self) {
+        let head = std::mem::take(&mut self.head);
+        if head == 0 {
+            return;
+        }
+        let cut = self
+            .accs
+            .get(head)
+            .map_or(self.keys.len(), |e| e.0 as usize);
+        self.keys.drain(..cut);
+        self.accs.drain(..head);
+        for (at, _, _) in &mut self.accs {
+            *at -= cut as u32;
+        }
+        self.slots.retain(|i| i >= head);
+        self.slots.remap(|i| i - head);
+        self.slots.grow();
     }
 }
 
@@ -271,37 +341,95 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    type Model<A> = BTreeMap<Vec<u8>, A>;
-
-    /// Fold `records` into `accs` and into the `BTreeMap` it must match,
-    /// both through `add`. Key 0 is empty; `tagged` gives the keys five
-    /// hash tags in all.
-    fn fill<A: Default>(
-        accs: &mut Accs<A>,
-        records: &[(u16, u64)],
-        tagged: bool,
-        add: impl Fn(Option<A>, u64) -> A,
-    ) -> Model<A> {
-        let mut reference = Model::new();
-        for &(id, v) in records {
-            let key = format!("k{id}").into_bytes();
-            let key = if id == 0 { &[][..] } else { &key };
-            let hash = if tagged {
-                u64::from(id % 5)
-            } else {
-                stable_hash(key)
-            };
-            accs.fold(hash, key, |acc| add(acc, v));
-            let held = reference.remove(key);
-            reference.insert(key.to_vec(), add(held, v));
-        }
-        reference
+    /// What an [`Accs`] must hold: each key's accumulator beside its
+    /// place in first-seen order, and the keys in that order.
+    struct Model<A> {
+        accs: BTreeMap<Vec<u8>, (u64, A)>,
+        order: BTreeMap<u64, Vec<u8>>,
+        seen: u64,
     }
 
-    fn drained<A: Default>(accs: Accs<A>) -> Model<A> {
-        let mut out = Model::new();
-        accs.drain(|key, acc| assert!(out.insert(key.to_vec(), acc).is_none(), "a key twice"));
+    impl<A> Default for Model<A> {
+        fn default() -> Self {
+            Model {
+                accs: BTreeMap::new(),
+                order: BTreeMap::new(),
+                seen: 0,
+            }
+        }
+    }
+
+    impl<A> Model<A> {
+        fn fold(&mut self, key: &[u8], f: impl FnOnce(Option<A>) -> A) {
+            match self.accs.remove(key) {
+                Some((at, acc)) => {
+                    self.accs.insert(key.to_vec(), (at, f(Some(acc))));
+                }
+                None => {
+                    self.seen += 1;
+                    self.order.insert(self.seen, key.to_vec());
+                    self.accs.insert(key.to_vec(), (self.seen, f(None)));
+                }
+            }
+        }
+
+        fn drain(&mut self, n: usize) -> Vec<(Vec<u8>, A)> {
+            let mut out = Vec::new();
+            while out.len() < n {
+                let Some((_, key)) = self.order.pop_first() else {
+                    break;
+                };
+                let (_, acc) = self.accs.remove(&key).expect("ordered key held");
+                out.push((key, acc));
+            }
+            out
+        }
+    }
+
+    fn drained<A: Default>(accs: &mut Accs<A>, n: usize) -> Vec<(Vec<u8>, A)> {
+        let mut out = Vec::new();
+        let taken = accs.drain(n, |key, acc| out.push((key.to_vec(), acc)));
+        assert_eq!(taken, out.len());
         out
+    }
+
+    /// Run `ops` through `accs` and the model it must match, both
+    /// folding through `add`, checking every drain and, after each
+    /// step, the count and the compaction bound; then drain it whole.
+    /// `(id, v, 0)` drains the `v % 40` oldest keys, any other op folds
+    /// `v` into key `id`. Key 0 is empty; `tagged` gives the keys five
+    /// hash tags in all.
+    fn check<A: Default + PartialEq + std::fmt::Debug>(
+        accs: &mut Accs<A>,
+        ops: &[(u16, u64, u8)],
+        tagged: bool,
+        add: impl Fn(Option<A>, u64) -> A,
+    ) -> Result<(), String> {
+        let mut model = Model::default();
+        for &(id, v, op) in ops {
+            if op == 0 {
+                let n = (v % 40) as usize;
+                prop_assert_eq!(drained(accs, n), model.drain(n));
+            } else {
+                let key = format!("k{id}").into_bytes();
+                let key = if id == 0 { &[][..] } else { &key };
+                let hash = if tagged {
+                    u64::from(id % 5)
+                } else {
+                    stable_hash(key)
+                };
+                accs.fold(hash, key, |acc| add(acc, v));
+                model.fold(key, |acc| add(acc, v));
+            }
+            prop_assert_eq!(accs.len(), model.accs.len());
+            prop_assert!(
+                accs.head * 2 <= accs.accs.len(),
+                "drained entries past half"
+            );
+        }
+        prop_assert_eq!(drained(accs, usize::MAX), model.drain(usize::MAX));
+        prop_assert_eq!(accs.footprint(), 0);
+        Ok(())
     }
 
     #[test]
@@ -329,30 +457,58 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_partial_drain_compacts_at_half_and_keeps_the_rest_findable() {
+        let mut accs = Accs::<u64>::default();
+        for id in 0..1000u64 {
+            accs.fold(id, &id.to_le_bytes(), |_| id);
+        }
+        let full = accs.footprint();
+        assert_eq!(accs.drain(400, |_, _| {}), 400);
+        assert_eq!((accs.head, accs.footprint()), (400, full), "not yet");
+        assert_eq!(accs.drain(100, |_, _| {}), 100);
+        assert_eq!(accs.head, 0, "compacted");
+        assert!(accs.footprint() < full / 2 + 8 * TABLE_MIN);
+        for id in 0..1000u64 {
+            let mut held = true;
+            accs.fold(id, &id.to_le_bytes(), |acc| {
+                held = acc.is_some();
+                acc.unwrap_or_default()
+            });
+            assert_eq!(held, id >= 500, "key {id}");
+        }
+        // The drained keys came back at the tail.
+        let mut order = Vec::new();
+        accs.drain(usize::MAX, |key, _| {
+            order.push(u64::from_le_bytes(key.try_into().unwrap()))
+        });
+        assert_eq!(order, (500..1000).chain(0..500).collect::<Vec<_>>());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A stripe's table sums like a `BTreeMap`: the empty key
-        /// included, keys whose hashes share a tag (up to 300 keys over
-        /// five tags, through every growth of the table) told apart by
-        /// their bytes, and a stripe refilled after its drain (an epoch
-        /// flush) holding only the second epoch's keys.
+        /// A table folds like a first-seen-ordered `BTreeMap`: the empty
+        /// key included, keys whose hashes share a tag (up to 300 keys
+        /// over five tags, through every growth of the table) told
+        /// apart by their bytes, oldest-first partial drains between
+        /// the folds handing over exactly the model's oldest keys, a
+        /// drained key folded again starting fresh at the tail, and a
+        /// table emptied by a drain (an epoch flush) refilled with the
+        /// second epoch's keys only.
         #[test]
         fn accs_match_a_btreemap(
-            first in prop::collection::vec((0u16..300, 1u64..1000), 0..600),
-            second in prop::collection::vec((0u16..300, 1u64..1000), 0..200),
+            first in prop::collection::vec((0u16..300, 1u64..1000, 0u8..12), 0..800),
+            second in prop::collection::vec((0u16..300, 1u64..1000, 0u8..12), 0..200),
             tagged in any::<bool>(),
         ) {
             let (mut sums, mut lists) = (Accs::default(), Accs::default());
-            for records in [&first, &second] {
-                let want = fill(&mut sums, records, tagged, |acc, v| acc.unwrap_or(0) + v);
-                prop_assert_eq!(sums.len(), want.len());
-                prop_assert_eq!(drained(std::mem::take(&mut sums)), want);
+            for ops in [&first, &second] {
+                check(&mut sums, ops, tagged, |acc, v| acc.unwrap_or(0) + v)?;
                 // A non-`Copy` accumulator, moved out of its entry and
                 // back by every fold: each key's values, in order.
                 let push = |acc: Option<Vec<u64>>, v| [acc.unwrap_or_default(), vec![v]].concat();
-                let want = fill(&mut lists, records, tagged, push);
-                prop_assert_eq!(drained(std::mem::take(&mut lists)), want);
+                check(&mut lists, ops, tagged, push)?;
             }
         }
     }

@@ -630,11 +630,8 @@ mod tests {
         }
     }
 
-    struct AddCombiner;
-    impl Combiner for AddCombiner {
-        fn combine(&self, _key: &[u8], a: &[u8], _b: &[u8], out: &mut Vec<u8>) {
-            out.extend_from_slice(a);
-        }
+    fn add_combiner() -> Arc<dyn Combiner> {
+        crate::typed::combine_fn(|a: u64, b: u64| a + b)
     }
 
     #[test]
@@ -644,7 +641,7 @@ mod tests {
         let m = b.add_map("m", IdMap);
         let r = b.add_reduce("r", NullReduce);
         b.connect(l, m, Exchange::Local);
-        let port = b.connect_combined(m, r, Exchange::Hash, Arc::new(AddCombiner));
+        let port = b.connect_combined(m, r, Exchange::Hash, add_combiner());
         assert_eq!(port, 0);
         let g = b.build().unwrap();
         assert!(g.edge_combiners[0].is_none());
@@ -656,7 +653,7 @@ mod tests {
         let mut b = JobBuilder::new("cb-local");
         let l = b.add_loader("l", NullLoader);
         let r = b.add_reduce("r", NullReduce);
-        b.connect_combined(l, r, Exchange::Local, Arc::new(AddCombiner));
+        b.connect_combined(l, r, Exchange::Local, add_combiner());
         assert_eq!(
             b.build().unwrap_err(),
             GraphError::InvalidCombinerEdge { src: l, dst: r }
@@ -668,7 +665,7 @@ mod tests {
         let mut b = JobBuilder::new("cb-map");
         let l = b.add_loader("l", NullLoader);
         let m = b.add_map("m", IdMap);
-        b.connect_combined(l, m, Exchange::Hash, Arc::new(AddCombiner));
+        b.connect_combined(l, m, Exchange::Hash, add_combiner());
         assert_eq!(
             b.build().unwrap_err(),
             GraphError::InvalidCombinerEdge { src: l, dst: m }

@@ -78,7 +78,7 @@ pub use graph::{Exchange, FlowletId, FlowletKind, JobBuilder, JobGraph};
 pub use hamr_trace::JobRow;
 pub use introspect::{Health, HttpMode};
 pub use metrics::{FlowletMetrics, JobMetrics, NodeMetrics};
-pub use outbuf::Combiner;
+pub use outbuf::{Combiner, Partials};
 pub use record::{Captured, FrameBin};
 pub use resident::{CacheSpec, ResidentStats, ResidentStore};
 pub use watchdog::{WatchdogAction, WatchdogConfig};

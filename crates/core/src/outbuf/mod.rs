@@ -29,7 +29,7 @@
 //! node — encode once, refcount per destination.
 //!
 //! One module per concern: [`output`] is the task's buffer and the
-//! drain rule, [`combine`] the arena combine buffers and their shelf,
+//! drain rule, [`combine`] the combine buffers of native partials and their shelf,
 //! [`flow`] the outbound windows and the deferred queue.
 
 mod combine;
@@ -39,6 +39,6 @@ mod output;
 mod tests;
 
 pub(crate) use combine::CombineShelf;
-pub use combine::Combiner;
+pub use combine::{Combiner, Partials};
 pub(crate) use flow::{record_shipped, FlowControl};
 pub(crate) use output::{record_emitted, TaskOutput};

@@ -90,7 +90,7 @@ impl TaskOutput {
             combiner.filter(|_| p.combine).map(|c| {
                 shelf
                     .take(lane as usize, p.edge)
-                    .unwrap_or_else(|| CombineBuf::new(Arc::clone(c), plan.nodes))
+                    .unwrap_or_else(|| CombineBuf::new(c.as_ref(), plan.nodes))
             })
         };
         let combine = if fp.ports.iter().any(|p| p.combine) {
@@ -245,10 +245,10 @@ impl TaskOutput {
         buf.fold(hash, key, value);
         if buf.bytes > COMBINE_BUDGET {
             // Shed the older half of every destination's partials (the
-            // keys folded longest ago are the least likely to recur)
-            // and give their bytes back at once.
+            // keys folded longest ago are the least likely to recur); a
+            // table drained that far compacts, so their bytes come back
+            // at once.
             self.drain_port(port, |_, _, held| held.div_ceil(2));
-            self.combine[port].as_mut().expect("put back").compact();
         }
     }
 
@@ -271,7 +271,7 @@ impl TaskOutput {
         quota: impl Fn(&Self, NodeId, usize) -> usize,
     ) {
         for dst in 0..self.nodes {
-            let n = quota(self, dst, buf.held[dst].live);
+            let n = quota(self, dst, buf.held[dst].entries());
             buf.drain(dst, n, |hash, key, value| {
                 self.append(port, dst, hash, key, value)
             });
@@ -307,7 +307,7 @@ impl TaskOutput {
                 if let Some(mut buf) = shelf.take(worker, edge) {
                     self.drain_buf(port, &mut buf, |_, _, held| held);
                     // Its flowlet runs no further task: dropped here,
-                    // the arena is not resident while the consumer fires.
+                    // the tables are not resident while the consumer fires.
                     shelf.settle(edge, &mut buf);
                 }
             }

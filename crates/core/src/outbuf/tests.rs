@@ -323,9 +323,14 @@ fn drain(buf: &mut CombineBuf, dst: NodeId, n: usize) -> Vec<(Vec<u8>, u64)> {
     got
 }
 
+/// A buffer of `u64` sums for `nodes` destinations.
+fn sums(nodes: usize) -> CombineBuf {
+    CombineBuf::new(sum_combiner().as_ref(), nodes)
+}
+
 #[test]
 fn duplicates_fold_in_place_and_partials_leave_oldest_first() {
-    let mut buf = CombineBuf::new(sum_combiner(), 1);
+    let mut buf = sums(1);
     for round in 0..3 {
         for id in 0..5 {
             assert_eq!(fold(&mut buf, id, 1), round > 0);
@@ -345,32 +350,22 @@ fn duplicates_fold_in_place_and_partials_leave_oldest_first() {
 }
 
 #[test]
-fn an_outgrown_partial_moves_to_the_tail_and_is_emitted_once() {
-    let mut buf = CombineBuf::new(sum_combiner(), 1);
-    fold(&mut buf, 0, 1);
-    fold(&mut buf, 1, 1);
-    // One varint byte, two of slack: a five-byte sum does not fit.
-    assert!(fold(&mut buf, 0, 1 << 30));
-    assert_eq!(buf.held[0].dead, ENTRY_HEADER + 2 + Held::value_capacity(1));
-    assert_eq!(buf.entries(), 2);
-    assert!(fold(&mut buf, 0, 1), "found where it moved to");
-    assert_eq!(
-        drain(&mut buf, 0, usize::MAX),
-        vec![(key(1), 1), (key(0), (1 << 30) + 2)]
-    );
-    assert_eq!(buf.bytes, 0);
-}
-
-#[test]
 fn the_table_grows_and_partial_drains_rebuild_it() {
-    let mut buf = CombineBuf::new(sum_combiner(), 1);
+    let mut buf = sums(1);
     let keys = 10 * TABLE_MIN as u64;
     for id in 0..keys {
         assert!(!fold(&mut buf, id, id));
     }
-    assert!(buf.held[0].slots.len() >= 3 * TABLE_MIN);
-    // Drain from the head in small bites, refolding survivors in
-    // between: tombstones and the dead prefix force rebuilds.
+    // Past three quarters of the first table's words, it grew.
+    let entries: usize = (0..keys).map(|id| key(id).len() + 24).sum();
+    assert!(
+        buf.bytes - entries >= 8 * 2 * TABLE_MIN,
+        "{} bytes",
+        buf.bytes
+    );
+    // Drain from the head in small bites, refolding the youngest in
+    // between: a table more than half drained compacts, so it never
+    // holds more than a few times what the live partials alone need.
     let mut next = 0;
     while buf.entries() > 0 {
         let got = drain(&mut buf, 0, 37);
@@ -380,38 +375,81 @@ fn the_table_grows_and_partial_drains_rebuild_it() {
         }
         if next < keys {
             assert!(fold(&mut buf, keys - 1, 0), "the youngest is still found");
-            let held = &buf.held[0];
-            assert!(held.head + held.dead <= held.arena.len() / 2 + 1);
-            assert!(held.slots.tombs() <= held.slots.len() / 2);
+            let mut live = sums(1);
+            for id in next..keys {
+                fold(&mut live, id, id);
+            }
+            assert!(
+                buf.bytes <= 6 * live.bytes,
+                "{} bytes held for {} live partials ({} bytes alone)",
+                buf.bytes,
+                keys - next,
+                live.bytes
+            );
         }
     }
     assert_eq!(next, keys);
     assert_eq!(buf.bytes, 0);
 }
 
-/// One destination's partials as the model keeps them: arena order,
-/// each with its sum and the capacity of the slot it lies in.
+#[test]
+fn only_a_new_key_moves_the_footprint() {
+    let mut buf = sums(1);
+    // Three quarters of the first table's words: the next new key
+    // grows it, a merge does not.
+    let full = TABLE_MIN as u64 * 3 / 4;
+    for id in 0..full {
+        fold(&mut buf, id, 1);
+    }
+    let before = buf.held[0].footprint();
+    assert!(fold(&mut buf, 0, 1));
+    assert_eq!((buf.bytes, buf.held[0].footprint()), (before, before));
+    assert!(!fold(&mut buf, full, 1));
+    assert!(buf.bytes > before + 8 * TABLE_MIN, "the table grew");
+    assert_eq!(buf.bytes, buf.held[0].footprint());
+}
+
+#[test]
+fn a_new_key_that_fills_a_partly_drained_table_compacts_it() {
+    let mut buf = sums(1);
+    for id in 0..96 {
+        fold(&mut buf, id, 1);
+    }
+    // Under half drained: no compaction yet.
+    let before = buf.bytes;
+    assert_eq!(drain(&mut buf, 0, 40).len(), 40);
+    assert_eq!(buf.bytes, before);
+    // New keys fill the table's words, drained ones included, until a
+    // fold compacts: the footprint falls, and is still exact.
+    let mut id = 96;
+    while buf.bytes >= before {
+        assert!(!fold(&mut buf, id, 1));
+        assert_eq!(buf.bytes, buf.held[0].footprint());
+        id += 1;
+    }
+    for live in 40..id {
+        assert!(fold(&mut buf, live, 1), "key {live} lost");
+    }
+    let left = drain(&mut buf, 0, usize::MAX);
+    assert_eq!(left.first(), Some(&(key(40), 2)), "oldest first");
+    assert_eq!(left.len() as u64, id - 40);
+}
+
+/// One destination's partials as the model keeps them: first-seen
+/// order and each key's sum.
 #[derive(Default)]
 struct ModelHeld {
-    order: Vec<(u64, usize)>,
+    order: Vec<u64>,
     sums: BTreeMap<u64, u64>,
 }
 
 impl ModelHeld {
     fn fold(&mut self, id: u64, add: u64) {
-        let len = |v: u64| v.to_bytes().len();
         match self.sums.get_mut(&id) {
-            Some(sum) => {
-                *sum += add;
-                let at = self.order.iter().position(|(k, _)| *k == id).unwrap();
-                if len(*sum) > self.order[at].1 {
-                    self.order.remove(at);
-                    self.order.push((id, Held::value_capacity(len(*sum))));
-                }
-            }
+            Some(sum) => *sum += add,
             None => {
                 self.sums.insert(id, add);
-                self.order.push((id, Held::value_capacity(len(add))));
+                self.order.push(id);
             }
         }
     }
@@ -419,7 +457,7 @@ impl ModelHeld {
     fn drain(&mut self, n: usize) -> Vec<(Vec<u8>, u64)> {
         let n = n.min(self.order.len());
         let gone = self.order.drain(..n);
-        gone.map(|(id, _)| (key(id), self.sums.remove(&id).unwrap()))
+        gone.map(|id| (key(id), self.sums.remove(&id).unwrap()))
             .collect()
     }
 }
@@ -428,25 +466,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random folds, partial drains and sheds against a
-    /// `BTreeMap<key, sum>` model that also keeps arena order: what
-    /// a drain hands over is exactly the model's oldest partials
-    /// with the model's sums — nothing lost, nothing twice, a
-    /// partial that outgrew its slot at its new place — and an
-    /// emptied buffer accounts for 0 bytes.
+    /// `BTreeMap<key, sum>` model that also keeps first-seen order:
+    /// what a drain hands over is exactly the model's oldest partials
+    /// with the model's sums — nothing lost, nothing twice, a drained
+    /// key folded again at the tail — `bytes` is the tables' footprint
+    /// throughout, and an emptied buffer accounts for 0 bytes.
     #[test]
     fn combine_buf_matches_a_model(
         ops in prop::collection::vec((0u8..10, 0u64..500, 0u32..6), 0..2500),
     ) {
         let nodes = 2;
-        let mut buf = CombineBuf::new(sum_combiner(), nodes);
+        let mut buf = sums(nodes);
         let mut model: Vec<ModelHeld> = (0..nodes).map(|_| ModelHeld::default()).collect();
-        // Start full, so that what follows rebuilds a grown table.
+        // Start full, so that what follows compacts a grown table.
         let ramp = (1000..1400u64).map(|id| (0, id, 0));
-        let mut widest = 0;
+        let mut most = 0;
         for (op, id, size) in ramp.chain(ops) {
             let dst = partition(&key(id), nodes);
             match op {
-                // Additions that carry a sum across varint widths.
+                // Additions of every varint width.
                 0..=6 => {
                     let add = 1u64 << (7 * size);
                     let merged = fold(&mut buf, id, add);
@@ -470,8 +508,8 @@ proptest! {
             }
             let held: usize = model.iter().map(|m| m.order.len()).sum();
             prop_assert_eq!(buf.entries(), held);
-            prop_assert_eq!(buf.bytes, buf.held.iter().map(Held::footprint).sum::<usize>());
-            widest = widest.max(buf.held[0].slots.len());
+            prop_assert_eq!(buf.bytes, buf.held.iter().map(|h| h.footprint()).sum::<usize>());
+            most = most.max(buf.held[0].entries());
         }
         for (dst, m) in model.iter_mut().enumerate() {
             prop_assert_eq!(drain(&mut buf, dst, usize::MAX), m.drain(usize::MAX));
@@ -479,20 +517,11 @@ proptest! {
         prop_assert_eq!((buf.entries(), buf.bytes), (0, 0));
         let [offered, folded, drained] = buf.tally;
         prop_assert_eq!(offered, folded + drained);
-        prop_assert!(widest >= 3 * TABLE_MIN, "{}", widest);
+        prop_assert!(most > TABLE_MIN, "{}", most);
     }
 }
 
 // --------------------------------------------------- the drain rule
-
-/// A combiner over opaque values: the partial held stays.
-struct KeepFirst;
-
-impl Combiner for KeepFirst {
-    fn combine(&self, _key: &[u8], a: &[u8], _b: &[u8], out: &mut Vec<u8>) {
-        out.extend_from_slice(a);
-    }
-}
 
 /// loader -Hash+combiner-> reduce on node 0 of `nodes`: the plan,
 /// whose loader (flowlet 0) has the one combining port.
@@ -612,20 +641,25 @@ fn an_idle_window_drains_every_task_and_a_small_one_lowers_the_mark() {
 #[test]
 fn a_buffer_over_budget_sheds_its_older_half() {
     let (nodes, cap) = (1, 16);
-    let plan = combining_plan(nodes, cap, Arc::new(KeepFirst));
+    let plan = combining_plan(nodes, cap, sum_combiner());
     let (shelf, net) = (shelf(1), Net::new(nodes, 32));
     for _ in 0..COMBINE_LOW_WATER {
         assert!(net.flow.try_reserve(0));
     }
-    // 4 KiB values: the 1 MiB budget is passed once, near key 250.
-    let value = vec![7u8; 4096];
+    // 4 KiB keys: the 1 MiB budget is passed once, near key 250.
+    let big = |id: u64| format!("{id:04096}");
     let keys = 300u64;
     let mut out = task(&plan, &shelf, &net);
     for id in 0..keys {
-        out.emit(0, &id.to_bytes(), &value);
+        out.emit_encoded(0, &big(id), &1u64);
     }
     out.into_parts(&shelf);
-    let shed: Vec<u64> = net.shipped().iter().flat_map(|(_, b)| ids_in(b)).collect();
+    let bins = net.shipped();
+    let shed: Vec<u64> = bins
+        .iter()
+        .flat_map(|(_, b)| b.frame.iter())
+        .map(|(k, _)| String::from_bytes(k).unwrap().parse().unwrap())
+        .collect();
     let held = shelf.held_entries(0);
     assert_eq!(shed.len() + held, keys as usize);
     assert!((100..=140).contains(&shed.len()), "{} shed", shed.len());

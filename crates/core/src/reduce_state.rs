@@ -608,8 +608,10 @@ mod tests {
     fn partial_sums(state: &PartialState) -> Vec<(Bytes, u64)> {
         let mut sums = Vec::new();
         for table in state.drain() {
-            let table = table.downcast::<Accs<u64>>().expect("a sum table");
-            table.drain(|key, acc| sums.push((Bytes::copy_from_slice(key), acc)));
+            let mut table = table.downcast::<Accs<u64>>().expect("a sum table");
+            table.drain(usize::MAX, |key, acc| {
+                sums.push((Bytes::copy_from_slice(key), acc))
+            });
         }
         sums.sort();
         sums

@@ -6,7 +6,7 @@
 //! wired mismatched types together, which is a programming error.
 
 use crate::flowlet::{AccTable, Emitter, Loader, MapFn, PartialReduceFn, ReduceFn, TaskContext};
-use crate::outbuf::Combiner;
+use crate::outbuf::{Combiner, Partials};
 use crate::NodeId;
 use hamr_codec::slots::Accs;
 use hamr_codec::Codec;
@@ -206,12 +206,14 @@ where
     fn is_empty(&self, table: &AccTable) -> bool {
         table
             .downcast_ref::<Accs<Acc>>()
-            .is_some_and(|t| t.len() == 0)
+            .is_some_and(Accs::is_empty)
     }
 
     fn finish(&self, ctx: &TaskContext, table: AccTable, out: &mut Emitter) {
-        let table: Box<Accs<Acc>> = table.downcast().expect("accumulator table type confusion");
-        table.drain(|key, acc| (self.finish)(ctx, dec("partial key", key), acc, out));
+        let mut table: Box<Accs<Acc>> = table.downcast().expect("accumulator table type confusion");
+        table.drain(usize::MAX, |key, acc| {
+            (self.finish)(ctx, dec("partial key", key), acc, out)
+        });
     }
 }
 
@@ -263,31 +265,85 @@ pub fn sum_reducer<K: Codec>() -> impl PartialReduceFn {
 
 /// A [`Combiner`] from a typed merge closure over value type `V`.
 struct TypedCombiner<V, F> {
-    f: F,
+    merge: Arc<F>,
     _pd: PhantomData<fn(V)>,
 }
 
 impl<V, F> Combiner for TypedCombiner<V, F>
 where
-    V: Codec,
+    V: Codec + Default + Send + 'static,
+    F: Fn(V, V) -> V + Send + Sync + 'static,
+{
+    fn table(&self) -> Box<dyn Partials> {
+        Box::new(TypedPartials {
+            merge: Arc::clone(&self.merge),
+            accs: Accs::default(),
+            scratch: Vec::new(),
+        })
+    }
+}
+
+/// A [`TypedCombiner`]'s partials for one destination: the value
+/// decoded, merged and held as a `V`, beside its key's hash.
+struct TypedPartials<V, F> {
+    merge: Arc<F>,
+    accs: Accs<(u64, V)>,
+    /// A draining partial's encoding.
+    scratch: Vec<u8>,
+}
+
+impl<V, F> Partials for TypedPartials<V, F>
+where
+    V: Codec + Default + Send,
     F: Fn(V, V) -> V + Send + Sync,
 {
-    fn combine(&self, _key: &[u8], a: &[u8], b: &[u8], out: &mut Vec<u8>) {
-        let merged = (self.f)(dec("combine value", a), dec("combine value", b));
-        merged.encode(out);
+    #[inline]
+    fn fold(&mut self, hash: u64, key: &[u8], value: &[u8]) -> bool {
+        let value = dec("combine value", value);
+        let (merge, mut held) = (&*self.merge, true);
+        self.accs.fold(hash, key, |partial| match partial {
+            Some((_, partial)) => (hash, merge(partial, value)),
+            None => {
+                held = false;
+                (hash, value)
+            }
+        });
+        held
+    }
+
+    fn entries(&self) -> usize {
+        self.accs.len()
+    }
+
+    fn footprint(&self) -> usize {
+        self.accs.footprint()
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn drain(&mut self, n: usize, each: &mut dyn FnMut(u64, &[u8], &[u8])) -> usize {
+        let scratch = &mut self.scratch;
+        self.accs.drain(n, |key, (hash, partial)| {
+            scratch.clear();
+            partial.encode(scratch);
+            each(hash, key, scratch);
+        })
     }
 }
 
 /// Build an edge [`Combiner`] from an associative, commutative
 /// `Fn(V, V) -> V` over the edge's value type (the key is untouched).
-/// Register it with `JobBuilder::connect_combined`.
+/// Register it with `JobBuilder::connect_combined`. Its buffers hold
+/// each key's partial as a `V` (`V: Default` lets a fold move it out
+/// and back, as [`partial_fn`]'s accumulators are): a record's value is
+/// decoded once, when it is folded, and a partial encoded once, when it
+/// leaves.
 pub fn combine_fn<V, F>(f: F) -> Arc<dyn Combiner>
 where
-    V: Codec + 'static,
+    V: Codec + Default + Send + 'static,
     F: Fn(V, V) -> V + Send + Sync + 'static,
 {
     Arc::new(TypedCombiner {
-        f,
+        merge: Arc::new(f),
         _pd: PhantomData,
     })
 }

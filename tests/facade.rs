@@ -210,19 +210,25 @@ impl hamr::core::Loader for Pages {
 /// window that already holds bins keeps the partials folding instead of
 /// shipping each task's keys again. Two one-worker nodes count a
 /// 40-word vocabulary, every word on every page, over a link that
-/// acknowledges nothing before 100 ms — so the windows stay where a
-/// node's first bins put them while it reads all its pages. The count
-/// must equal a sequential one, from a fraction of the records a
-/// combiner scoped to one task delivers (every word of every task).
+/// acknowledges nothing before a second. A node reads its 60 pages
+/// in tens of milliseconds, beside other tests or spinning loops too,
+/// so the windows stay where its first eight task ends put them, at
+/// the low-water mark, until every page is read. The count must equal
+/// a sequential one, from a fraction of the records a combiner scoped
+/// to one task delivers (every word of every task), and the combine
+/// ledger must account for what was delivered.
 #[test]
 fn duplicates_fold_across_the_tasks_of_a_node() {
+    use hamr::core::{RunOptions, SkewConfig, Supervision};
     use std::time::Duration;
     let (nodes, pages, vocabulary) = (2, 60, 40u64);
     let mut config = ClusterConfig::local(nodes, 1);
+    // Pinned, so an ambient HAMR_SKEW cannot take the buffers away.
+    config.runtime.skew = SkewConfig::default();
     config.net = hamr::simnet::NetConfig {
-        latency: Duration::from_millis(50),
+        latency: Duration::from_millis(500),
         bandwidth: None,
-        loopback_latency: Duration::from_millis(50),
+        loopback_latency: Duration::from_millis(500),
     };
     let cluster = Cluster::new(config);
     let mut job = JobBuilder::new("facade-combine");
@@ -235,7 +241,15 @@ fn duplicates_fold_across_the_tasks_of_a_node() {
     );
     job.connect_combined(text, count, Exchange::Hash, typed::sum_combiner());
     job.capture_output(count);
-    let result = cluster.run(job.build().unwrap()).unwrap();
+    // Audited, and warned of the idle second rather than dumped.
+    let audited = RunOptions {
+        supervision: Some(Supervision {
+            doctor_dir: None,
+            ..Default::default()
+        }),
+        ..Default::default()
+    };
+    let result = cluster.run_with(job.build().unwrap(), &audited).unwrap();
 
     let mut sequential = std::collections::BTreeMap::new();
     let source = Pages { pages, vocabulary };
@@ -258,6 +272,11 @@ fn duplicates_fold_across_the_tasks_of_a_node() {
         delivered < tasks * vocabulary / 4,
         "{delivered} records delivered by {tasks} tasks over {vocabulary} words"
     );
+    let report = cluster.last_audit().expect("supervised runs are audited");
+    report.check().expect("custody balances");
+    let row = report.combines[0];
+    let offered = (nodes * pages * 8) as u64 * vocabulary;
+    assert_eq!((row.records_in, row.records_out), (offered, delivered));
     // What the loader emitted is still what it reports.
     assert_eq!(
         result.metrics.flowlets[&text].records_out,
