@@ -30,7 +30,7 @@ mod varint;
 
 pub use frame::{read_entry, write_entry, Entry, Frame, FrameBuilder};
 pub use hash::{partition, stable_hash};
-pub use varint::{read_varint, write_varint, zigzag_decode, zigzag_encode};
+pub use varint::{read_varint, write_varint, write_varint_into, zigzag_decode, zigzag_encode};
 
 use bytes::Bytes;
 use std::fmt;

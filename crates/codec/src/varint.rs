@@ -19,6 +19,21 @@ pub fn write_varint(mut v: u64, buf: &mut Vec<u8>) {
     }
 }
 
+/// [`write_varint`] into a fixed buffer instead of a `Vec`, for a key
+/// built on the stack; returns how many bytes of `out` it took.
+pub fn write_varint_into(mut v: u64, out: &mut [u8; 10]) -> usize {
+    for (i, slot) in out.iter_mut().enumerate() {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            *slot = byte;
+            return i + 1;
+        }
+        *slot = byte | 0x80;
+    }
+    unreachable!("a u64 takes at most 10 varint bytes")
+}
+
 /// Read one LEB128 varint from the front of `input`, advancing it.
 pub fn read_varint(input: &mut &[u8]) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
@@ -65,6 +80,9 @@ mod tests {
         let mut input = buf.as_slice();
         assert_eq!(read_varint(&mut input).unwrap(), v);
         assert!(input.is_empty());
+        let mut fixed = [0u8; 10];
+        let len = write_varint_into(v, &mut fixed);
+        assert_eq!(fixed[..len], buf[..]);
     }
 
     #[test]

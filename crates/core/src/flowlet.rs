@@ -177,12 +177,22 @@ pub type AccTable = Box<dyn std::any::Any + Send>;
 /// a per-key accumulator as soon as bins arrive. Emits only at upstream
 /// completion (batch) or epoch boundary (streaming), per the paper. The
 /// node keeps its accumulators in tables this trait makes and reads.
+///
+/// A reducer whose answer is a fold of its values — a sum, a count, an
+/// argmax — is a partial reduce, not a [`ReduceFn`]: it holds one
+/// accumulator per key where a reduce holds every value until the
+/// barrier.
 pub trait PartialReduceFn: Send + Sync {
     /// A fresh, empty table.
     fn table(&self) -> AccTable;
 
     /// Fold one record into `table`; `hash` is the key's `stable_hash`.
-    fn fold(&self, table: &mut AccTable, hash: u64, key: &[u8], value: &[u8]);
+    /// Folds run on any of the node's workers, concurrently, in no
+    /// particular order, while upstream tasks still run. So what a fold
+    /// reads through `ctx` (a KV-store join, a DFS block) must be state
+    /// no task of this job writes: an earlier job's output, such as a
+    /// rank copy the job before this one left in the node's KV store.
+    fn fold(&self, ctx: &TaskContext, table: &mut AccTable, hash: u64, key: &[u8], value: &[u8]);
 
     /// True when `table` holds no key.
     fn is_empty(&self, table: &AccTable) -> bool;

@@ -55,10 +55,12 @@ impl fmt::Debug for dyn Combiner {
 /// `hamr_codec::slots::Accs` of native values, each beside the hash its
 /// key was emitted with.
 pub trait Partials: Send {
-    /// Merge `value` into `key`'s partial, or start one with it; true
-    /// if one was held. `hash` is the key's `stable_hash`, handed back
-    /// by the drain. A merge leaves the footprint as it was.
-    fn fold(&mut self, hash: u64, key: &[u8], value: &[u8]) -> bool;
+    /// Merge `value` into `key`'s partial, or start one with it.
+    /// `None` if one was held: a merge leaves the footprint as it was.
+    /// Otherwise how far the new partial moved the footprint (a new key
+    /// may grow the table, or compact it smaller). `hash` is the key's
+    /// `stable_hash`, handed back by the drain.
+    fn fold(&mut self, hash: u64, key: &[u8], value: &[u8]) -> Option<isize>;
 
     /// Partials held.
     fn entries(&self) -> usize;
@@ -135,13 +137,14 @@ impl CombineBuf {
     #[inline]
     pub(super) fn fold(&mut self, hash: u64, key: &[u8], value: &[u8]) -> bool {
         let home = (hash % self.held.len() as u64) as usize;
-        let held = &mut self.held[home];
-        let before = held.footprint();
-        let merged = held.fold(hash, key, value);
-        if !merged {
-            // A new key may have compacted the table: smaller after.
-            self.bytes = self.bytes - before + held.footprint();
+        let grew = self.held[home].fold(hash, key, value);
+        if let Some(grew) = grew {
+            self.bytes = self
+                .bytes
+                .checked_add_signed(grew)
+                .expect("a footprint below 0");
         }
+        let merged = grew.is_none();
         self.tally[0] += 1;
         self.tally[1] += u64::from(merged);
         merged

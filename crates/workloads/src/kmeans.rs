@@ -8,13 +8,15 @@
 //! identical across engines.
 //!
 //! * HAMR (Alg. 1): `TextLoader → ClusterGen(map) →
-//!   NewCentroidGen(reduce) → NewCentroidInfoGet(map) →
+//!   NewCentroidGen(partial reduce) → NewCentroidInfoGet(map) →
 //!   CentroidUpdate(map)`. ClusterGen ships only `(similarity,
-//!   movie id, node, byte offset)` — a few dozen bytes per movie —
-//!   and NewCentroidGen routes a `(cluster, offset)` *reference* back
-//!   to the node holding the winning movie's block
-//!   (`Exchange::KeyNode`), which re-reads the line locally and
-//!   broadcasts it. The full movie vectors never cross the network.
+//!   movie id, node, byte offset)`, a few dozen bytes per movie.
+//!   NewCentroidGen folds each cluster's candidates into its best so
+//!   far as they arrive (an argmax needs no group), then routes the
+//!   winner's `(cluster, offset)` *reference* back to the node holding
+//!   the winning movie's block (`Exchange::KeyNode`), which re-reads
+//!   the line locally and broadcasts it. The full movie vectors never
+//!   cross the network.
 //! * Hadoop: a single job whose map must ship `(cluster, similarity,
 //!   full movie line)` to the reducers — the data movement the paper
 //!   blames for the 10x gap.
@@ -26,6 +28,7 @@ use crate::{pair_checksum, Benchmark};
 use hamr_codec::Codec;
 use hamr_core::{typed, Emitter, Exchange, JobBuilder, TaskContext};
 use hamr_mapred::{line_map_fn, reduce_fn, JobConf, ReduceOutput};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,6 +120,27 @@ pub(crate) fn assign(vector: &[(u64, u32)], centroids: &[Centroid]) -> (usize, f
     best
 }
 
+/// `a` against `b` as a new centroid: the higher similarity wins, ties
+/// to the smaller movie id. Two candidates of one similarity and one
+/// movie (or a NaN similarity) compare `Equal`.
+fn by_similarity(a: (f64, u64), b: (f64, u64)) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .unwrap_or(Ordering::Equal)
+        .then(b.1.cmp(&a.1))
+}
+
+/// One step of a cluster's argmax under [`by_similarity`], its
+/// `(similarity, movie)` read by `key`: `best` stays only if it beats
+/// `next`, so of two equals the later one wins. Folded over the
+/// candidates in any order, it picks exactly what `Iterator::max_by`
+/// picks from that order.
+pub(crate) fn pick<T>(best: T, next: T, key: impl Fn(&T) -> (f64, u64)) -> T {
+    match by_similarity(key(&best), key(&next)) {
+        Ordering::Greater => best,
+        _ => next,
+    }
+}
+
 /// Read the text line starting at global byte `offset` of a DFS file,
 /// preferring the local replica (the route-back-to-the-data step).
 pub(crate) fn read_line_at(ctx: &TaskContext, path: &str, offset: u64) -> Option<String> {
@@ -183,19 +207,12 @@ impl KMeans {
                 }),
             )
         };
-        let new_centroid_gen = job.add_reduce(
+        let new_centroid_gen = job.add_partial_reduce(
             "NewCentroidGen",
-            typed::reduce_fn(
-                |cluster: u64, candidates: typed::Values<(f64, u64, String)>, out: &mut Emitter| {
-                    let best = candidates
-                        .max_by(|a, b| {
-                            a.0.partial_cmp(&b.0)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(b.1.cmp(&a.1))
-                        })
-                        .expect("non-empty cluster");
-                    out.emit_t(0, &cluster, &best.2);
-                },
+            typed::partial_fn::<u64, (f64, u64, String), (f64, u64, String), _, _, _>(
+                |first| first,
+                |best, next| pick(best, next, |c| (c.0, c.1)),
+                |_ctx, cluster, best, out: &mut Emitter| out.emit_t(0, &cluster, &best.2),
             ),
         );
         let update = job.add_map(
@@ -281,22 +298,15 @@ impl Benchmark for KMeans {
                 }),
             )
         };
-        let new_centroid_gen = job.add_reduce(
+        // An argmax, so a partial reduce: each cluster holds its best
+        // reference so far, not every candidate.
+        let new_centroid_gen = job.add_partial_reduce(
             "NewCentroidGen",
-            typed::reduce_fn(
-                |cluster: u64,
-                 candidates: typed::Values<(f64, u64, u64, u64)>,
-                 out: &mut Emitter| {
-                    // Max similarity; ties to the smallest movie id.
-                    let best = candidates
-                        .max_by(|a, b| {
-                            a.0.partial_cmp(&b.0)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(b.1.cmp(&a.1))
-                        })
-                        .expect("non-empty cluster");
-                    let (_sim, _movie, node, offset) = best;
-                    out.emit_t(0, &node, &(cluster, offset));
+            typed::partial_fn::<u64, (f64, u64, u64, u64), (f64, u64, u64, u64), _, _, _>(
+                |first| first,
+                |best, next| pick(best, next, |c| (c.0, c.1)),
+                |_ctx, cluster, (_sim, _movie, node, offset), out: &mut Emitter| {
+                    out.emit_t(0, &node, &(cluster, offset))
                 },
             ),
         );
@@ -375,11 +385,7 @@ impl Benchmark for KMeans {
                 |cluster: u64, candidates: Vec<(f64, u64, String)>, out: &mut ReduceOutput| {
                     let best = candidates
                         .into_iter()
-                        .max_by(|a, b| {
-                            a.0.partial_cmp(&b.0)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(b.1.cmp(&a.1))
-                        })
+                        .max_by(|a, b| by_similarity((a.0, a.1), (b.0, b.1)))
                         .expect("non-empty cluster");
                     out.emit_t(&cluster, &best.1);
                 },
@@ -399,6 +405,61 @@ impl Benchmark for KMeans {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pick `NewCentroidGen` made when it was a reduce:
+    /// `Iterator::max_by` over the cluster's values, with this
+    /// comparator.
+    fn max_by_pick(candidates: &[(f64, u64, u64)]) -> Option<(f64, u64, u64)> {
+        candidates.iter().copied().max_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(b.1.cmp(&a.1))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Folding a cluster's candidates with `pick`, as the partial
+        /// reduce does, in whatever order they arrive, picks exactly
+        /// what `max_by` picks from that order — which candidate, told
+        /// apart by its unique offset. Similarities come from a set of
+        /// four (NaN among them) and movie ids from one of six, so
+        /// equal similarities and equal (similarity, movie) pairs are
+        /// common; clusters of one candidate too.
+        #[test]
+        fn the_argmax_fold_picks_what_max_by_picks(
+            candidates in prop::collection::vec((0u64..4, 0usize..4, 0u64..6), 1..24),
+            orders in prop::collection::vec(prop::collection::vec(any::<u64>(), 24), 1..6),
+        ) {
+            let sims = [0.25, 0.5, 0.5 + f64::EPSILON, f64::NAN];
+            let candidates: Vec<(u64, (f64, u64, u64))> = candidates
+                .iter()
+                .enumerate()
+                .map(|(offset, &(cluster, sim, movie))| (cluster, (sims[sim], movie, offset as u64)))
+                .collect();
+            for keys in &orders {
+                let mut arrival: Vec<usize> = (0..candidates.len()).collect();
+                arrival.sort_by_key(|&i| keys[i]);
+                let mut folded: BTreeMap<u64, (f64, u64, u64)> = BTreeMap::new();
+                let mut grouped: BTreeMap<u64, Vec<(f64, u64, u64)>> = BTreeMap::new();
+                for &i in &arrival {
+                    let (cluster, next) = candidates[i];
+                    let best = match folded.remove(&cluster) {
+                        None => next,
+                        Some(best) => pick(best, next, |c| (c.0, c.1)),
+                    };
+                    folded.insert(cluster, best);
+                    grouped.entry(cluster).or_default().push(next);
+                }
+                for (cluster, group) in &grouped {
+                    let want = max_by_pick(group).expect("a non-empty cluster").2;
+                    prop_assert_eq!(folded[cluster].2, want);
+                }
+            }
+        }
+    }
 
     #[test]
     fn cosine_of_identical_vectors_is_one() {

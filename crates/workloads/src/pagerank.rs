@@ -2,10 +2,10 @@
 //! (13.6x in Table 2).
 //!
 //! * HAMR: a **chain of jobs on one cluster** with M3R-style
-//!   partition residency. Iteration 0 (`EdgeFileLoader → HashJoinRed`)
-//!   builds each page's adjacency list into the node-local slice of
-//!   the distributed KV store and computes the first update. Every
-//!   later iteration is two chained jobs:
+//!   partition residency. Iteration 0 (`EdgeFileLoader → HashJoinRed
+//!   → MergeRed`) builds each page's adjacency list into the
+//!   node-local slice of the distributed KV store and computes the
+//!   first update. Every later iteration is two chained jobs:
 //!   - **rank-ship** (`RankShip → RankGather`, Broadcast): each node
 //!     packs its rank shard into one delta-varint blob — the frontier
 //!     that must travel is O(pages), not O(edges);
@@ -16,6 +16,14 @@
 //!     served pinned frames locally: no re-scan, no re-encode, no
 //!     fabric ship. That collapses the per-iteration shuffle from
 //!     O(edges) to the rank frontier.
+//!
+//!   Only `HashJoinRed` is a `Reduce`: it stores a page's whole
+//!   adjacency list. `MergeRed` and `PRUpdateRed` are sums, so they are
+//!   partial reduces that fold each value as it arrives and hold one
+//!   accumulator per page, not every contribution or in-edge until the
+//!   barrier. `PRUpdateRed`'s fold is the join: each in-edge reads its
+//!   src's rank from the node's `pr/c` copy, which the rank-ship job
+//!   wrote and nothing in the update job writes.
 //! * Hadoop: an adjacency-build job, then **two chained jobs per
 //!   iteration** (contributions, then rank update), every link paying
 //!   job startup, a sort/spill/shuffle, and a DFS round trip.
@@ -32,7 +40,7 @@ use crate::{pair_checksum, Benchmark};
 use bytes::Bytes;
 use hamr_codec::{read_entry, Codec};
 use hamr_core::typed::{self, Values};
-use hamr_core::{Emitter, Exchange, JobBuilder, JobGraph};
+use hamr_core::{Emitter, Exchange, JobBuilder, JobGraph, JobResult, TaskContext};
 use hamr_kvstore::Shard;
 use hamr_mapred::{line_map_fn, map_fn, reduce_fn, InputFormat, JobConf, ReduceOutput};
 use std::sync::Arc;
@@ -54,28 +62,41 @@ fn damped(sum: u64) -> u64 {
 // pinned frames too.
 
 /// Adjacency, at the src's home shard.
-const ADJ: &[u8] = b"pr/a";
+const ADJ: &[u8; 4] = b"pr/a";
 /// Authoritative rank, at the page's home shard.
-const RANK: &[u8] = b"pr/r";
+const RANK: &[u8; 4] = b"pr/r";
 /// The per-node rank copy the rank-ship job refreshes every iteration.
-const COPY: &[u8] = b"pr/c";
+const COPY: &[u8; 4] = b"pr/c";
 
-/// `prefix` + `page`'s encoding, written over `buf`: a reducer builds
-/// every key it reads or writes in one buffer.
-fn page_key<'b>(buf: &'b mut Vec<u8>, prefix: &[u8], page: u64) -> &'b [u8] {
-    buf.clear();
-    buf.extend_from_slice(prefix);
-    page.encode(buf);
-    buf
+/// `prefix` + `page`'s encoding: the key of a page's adjacency, rank or
+/// rank copy. Built on the stack, so a fold that reads one rank per
+/// in-edge and a put allocate nothing for their key.
+struct PageKey {
+    bytes: [u8; 14],
+    len: usize,
 }
 
-/// Put `value` under `prefix` + `page`, key and value encoded one after
-/// the other over `buf`: the store copies both, so nothing is allocated
-/// per put once `buf` has room.
-fn put_page(kv: &Shard, buf: &mut Vec<u8>, prefix: &[u8], page: u64, value: &impl Codec) {
-    let key = page_key(buf, prefix, page).len();
+impl PageKey {
+    fn new(prefix: &[u8; 4], page: u64) -> Self {
+        let mut bytes = [0; 14];
+        bytes[..4].copy_from_slice(prefix);
+        let varint: &mut [u8; 10] = (&mut bytes[4..]).try_into().expect("10 bytes");
+        let len = 4 + hamr_codec::write_varint_into(page, varint);
+        PageKey { bytes, len }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+/// Put `value` under `prefix` + `page`, the value encoded over `buf`:
+/// the store copies key and value, so nothing is allocated per put
+/// once `buf` has room.
+fn put_page(kv: &Shard, buf: &mut Vec<u8>, prefix: &[u8; 4], page: u64, value: &impl Codec) {
+    buf.clear();
     value.encode(buf);
-    kv.put(&buf[..key], &buf[key..]);
+    kv.put(PageKey::new(prefix, page).as_bytes(), &buf[..]);
 }
 
 /// The fixed-point rank stored under `key`, or 1.0 for a page not yet
@@ -83,6 +104,29 @@ fn put_page(kv: &Shard, buf: &mut Vec<u8>, prefix: &[u8], page: u64, value: &imp
 fn rank_at(kv: &Shard, key: &[u8]) -> u64 {
     kv.get_with(key, |v| u64::from_bytes(v).expect("rank"))
         .unwrap_or(UNIT)
+}
+
+/// What an in-edge from `src` of out-degree `deg` gives its page this
+/// iteration: `src`'s rank in this node's `pr/c` copy over `deg`. The
+/// presence sentinel's `deg` of 0 gives nothing and reads nothing.
+fn contribution(ctx: &TaskContext, (src, deg): (u64, u64)) -> u64 {
+    if deg == 0 {
+        return 0;
+    }
+    rank_at(&ctx.kv, PageKey::new(COPY, src).as_bytes()) / deg
+}
+
+/// Settle `page` on the `sum` of its contributions: put its damped rank
+/// under `pr/r` (key and value encoded on the stack) and emit how far
+/// it moved, for the convergence tail.
+fn settle(ctx: &TaskContext, page: u64, sum: u64, out: &mut Emitter) {
+    let new = damped(sum);
+    let key = PageKey::new(RANK, page);
+    let old = rank_at(&ctx.kv, key.as_bytes());
+    let mut rank = [0; 10];
+    let len = hamr_codec::write_varint_into(new, &mut rank);
+    ctx.kv.put(key.as_bytes(), &rank[..len]);
+    out.emit_t(0, &0u64, &new.abs_diff(old));
 }
 
 pub struct PageRank {
@@ -140,7 +184,7 @@ impl PageRank {
             typed::reduce_ctx_fn(|ctx, src: u64, dsts: Values<u64>, out: &mut Emitter| {
                 let dsts: Vec<u64> = dsts.collect();
                 // Save the dst list into memory (the KV store).
-                let mut buf = Vec::with_capacity(16 + 10 * dsts.len());
+                let mut buf = Vec::with_capacity(10 * (dsts.len() + 1));
                 put_page(&ctx.kv, &mut buf, ADJ, src, &dsts);
                 let contrib = UNIT / dsts.len() as u64;
                 for dst in &dsts {
@@ -150,15 +194,11 @@ impl PageRank {
                 out.emit_t(0, &src, &0u64);
             }),
         );
-        let merge_red = job.add_reduce(
+        // A sum: each contribution folds into its page's accumulator as
+        // it arrives, and only the sums wait for the barrier.
+        let merge_red = job.add_partial_reduce(
             "MergeRed",
-            typed::reduce_ctx_fn(|ctx, page: u64, contribs: Values<u64>, out: &mut Emitter| {
-                let new = damped(contribs.sum());
-                let mut buf = Vec::with_capacity(24);
-                let old = rank_at(&ctx.kv, page_key(&mut buf, RANK, page));
-                put_page(&ctx.kv, &mut buf, RANK, page, &new);
-                out.emit_t(0, &0u64, &new.abs_diff(old));
-            }),
+            typed::partial_fn::<u64, u64, u64, _, _, _>(|c| c, |sum, c| sum + c, settle),
         );
         job.connect(loader, parse, Exchange::Local);
         job.connect(parse, hash_join, Exchange::Hash);
@@ -255,20 +295,15 @@ impl PageRank {
         if self.resident {
             job.resident(radj, "pr/radj", fp);
         }
-        let update = job.add_reduce(
+        // A sum too, joined as it folds: each in-edge reads its src's
+        // rank from this node's `pr/c` copy, which the rank-ship job
+        // wrote and nothing in this job writes.
+        let update = job.add_partial_reduce(
             "PRUpdateRed",
-            typed::reduce_ctx_fn(
-                |ctx, page: u64, ins: Values<(u64, u64)>, out: &mut Emitter| {
-                    let mut buf = Vec::with_capacity(24);
-                    let mut sum = 0u64;
-                    for (src, deg) in ins.filter(|&(_, deg)| deg > 0) {
-                        sum += rank_at(&ctx.kv, page_key(&mut buf, COPY, src)) / deg;
-                    }
-                    let new = damped(sum);
-                    let old = rank_at(&ctx.kv, page_key(&mut buf, RANK, page));
-                    put_page(&ctx.kv, &mut buf, RANK, page, &new);
-                    out.emit_t(0, &0u64, &new.abs_diff(old));
-                },
+            typed::partial_ctx_fn::<u64, (u64, u64), u64, _, _, _>(
+                contribution,
+                |ctx, sum, edge| sum + contribution(ctx, edge),
+                settle,
             ),
         );
         // No combiner: the values are (src, deg) references, not
@@ -278,6 +313,26 @@ impl PageRank {
         job.connect(radj, update, Exchange::Hash);
         Self::add_convergence_tail(&mut job, update);
         job.build().map_err(|e| e.to_string())
+    }
+
+    /// Run link `iter` of the HAMR chain on `env`'s cluster: the setup
+    /// job alone, then a rank-ship and an update job per later
+    /// iteration. Cross-job state flows through the cluster's KV store
+    /// and resident cache, so the links run in order from 0, after
+    /// `env.reset_namespace("pr/")` — which is all `run_hamr` does,
+    /// besides its checksum. A test that measures one iteration runs
+    /// the links itself.
+    pub fn run_hamr_iteration(&self, env: &Env, iter: usize) -> Result<Vec<JobResult>, String> {
+        let batch = if iter == 0 {
+            vec![self.setup_job()?]
+        } else {
+            let fp = env.hamr.fingerprint(INPUT);
+            vec![self.rank_ship_job(iter)?, self.update_job(iter, fp)?]
+        };
+        batch
+            .into_iter()
+            .map(|graph| env.hamr.run(graph).map_err(|e| e.to_string()))
+            .collect()
     }
 }
 
@@ -300,23 +355,12 @@ impl Benchmark for PageRank {
         // Namespaced rerun isolation: drop pr/ KV keys and the pr/
         // cache tags, leave other tenants' state alone.
         env.reset_namespace("pr/");
-        let fp = env.hamr.fingerprint(INPUT);
 
         let mut results = Vec::with_capacity(2 * self.iterations);
         let mut iters = Vec::with_capacity(self.iterations);
         for iter in 0..self.iterations {
-            // One chain link per iteration: the setup job alone, then
-            // rank-ship + update pairs. Cross-job state flows through
-            // the cluster's KV store and resident cache.
-            let batch = if iter == 0 {
-                vec![self.setup_job()?]
-            } else {
-                vec![self.rank_ship_job(iter)?, self.update_job(iter, fp)?]
-            };
             let began = Instant::now();
-            for graph in batch {
-                results.push(env.hamr.run(graph).map_err(|e| e.to_string())?);
-            }
+            results.extend(self.run_hamr_iteration(env, iter)?);
             iters.push(IterStats {
                 elapsed: began.elapsed(),
             });
@@ -457,9 +501,18 @@ mod tests {
     }
 
     #[test]
+    fn a_page_key_is_its_prefix_then_the_page_encoded() {
+        for page in [0, 1, 127, 128, 20_000, u64::MAX] {
+            for prefix in [ADJ, RANK, COPY] {
+                let want = [&prefix[..], &page.to_bytes()].concat();
+                assert_eq!(PageKey::new(prefix, page).as_bytes(), want);
+            }
+        }
+    }
+
+    #[test]
     fn kv_key_prefixes_distinct_and_namespaced() {
-        let mut buf = Vec::new();
-        let [adj, rank, copy] = [ADJ, RANK, COPY].map(|p| page_key(&mut buf, p, 5).to_vec());
+        let [adj, rank, copy] = [ADJ, RANK, COPY].map(|p| PageKey::new(p, 5).as_bytes().to_vec());
         assert_ne!(adj, rank);
         assert_ne!(rank, copy);
         assert_ne!(adj, copy);

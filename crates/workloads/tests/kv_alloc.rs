@@ -1,11 +1,12 @@
 //! Allocations of a served PageRank iteration, per reduced edge. Once
 //! the reverse adjacency is resident, an iteration is a rank-ship job
 //! (each node's ranks broadcast into every node's `pr/c` copy) and an
-//! update job whose `PRUpdateRed` reads one rank copy per in-edge from
-//! the KV store and puts one rank per page. Both build their keys and
-//! values in reused buffers, a KV put copies them into its stripe's
-//! arena and a lookup borrows the value in place, so the iteration
-//! allocates per job, per task and per frame, not per edge or per put.
+//! update job whose `PRUpdateRed` fold reads one rank copy per in-edge
+//! from the KV store and whose finish puts one rank per page. The fold
+//! builds its key on the stack, the rest build keys and values in reused
+//! buffers, a KV put copies them into its stripe's arena and a lookup
+//! borrows the value in place, so the iteration allocates per job, per
+//! task, per frame and per page, not per edge or per put.
 
 use hamr_codec::Codec;
 use hamr_workloads::pagerank::PageRank;
@@ -50,7 +51,7 @@ static GLOBAL: Counting = Counting;
 
 /// A fresh PageRank chain of `iterations`: the allocations its HAMR run
 /// made, and the edges in its adjacency (the records every update's
-/// `PRUpdateRed` reduces, bar one presence sentinel per page).
+/// `PRUpdateRed` folds, bar one presence sentinel per page).
 fn chain(iterations: usize) -> (u64, u64) {
     let env = Env::new(SimParams::test(2, 2));
     let bench = PageRank {

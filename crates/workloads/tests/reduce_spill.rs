@@ -1,9 +1,12 @@
-//! Reduce spill end to end. PageRank (its setup reduces `HashJoinRed`
-//! and `MergeRed`, then every iteration's `PRUpdateRed`) and K-Cliques
-//! (`KCliquesGraphBuilder`) run on a memory budget of 64 bytes. That is
-//! below the footprint of one grouping table with nothing in it, so
-//! every reduce that is handed a record spills it and fires through the
-//! merge of its runs. Both engines must still agree.
+//! Reduce spill end to end. PageRank (its setup job's `HashJoinRed`)
+//! and K-Cliques (`KCliquesGraphBuilder`) run on a memory budget of 64
+//! bytes. That is below the footprint of one grouping table with
+//! nothing in it, so every reduce that is handed a record spills it and
+//! fires through the merge of its runs. Both engines must still agree.
+//! These two are the only `Reduce`s in the benchmarks' jobs, bar
+//! WordCount's full-reduce ablation: the reducers that need a whole
+//! group. PageRank's summing `MergeRed` and `PRUpdateRed` are partial
+//! reduces, which hold one accumulator per key and never spill.
 
 use hamr_core::RuntimeConfig;
 use hamr_trace::Labels;

@@ -1,6 +1,7 @@
 //! Allocations a spilled reduce fire adds, per shuffled record. PageRank
 //! runs twice on one small cluster shape: on a 16 KiB memory budget,
-//! where its reduces spill and fire through the merge of their runs,
+//! where its one reduce, `HashJoinRed`, spills and fires through the
+//! merge of its runs,
 //! and on the default budget, where nothing spills. The merge borrows
 //! each key and value from its runs' buffers, and the in-memory
 //! remainder is one more run in one buffer, so spilling costs
