@@ -198,7 +198,9 @@ pub trait PartialReduceFn: Send + Sync {
     fn is_empty(&self, table: &AccTable) -> bool;
 
     /// Emit the final records for every key of `table` at
-    /// completion/epoch flush.
+    /// completion/epoch flush. A batch finish runs once every in-edge
+    /// has completed, so it may also read what the job's upstream
+    /// flowlets wrote on this node.
     fn finish(&self, ctx: &TaskContext, table: AccTable, out: &mut Emitter);
 }
 

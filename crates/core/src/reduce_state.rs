@@ -70,9 +70,11 @@ pub(crate) struct Groups {
 }
 
 impl Groups {
-    /// Arena and table bytes: what the memory budget is charged.
+    /// Arena capacity and table bytes: what the memory budget is
+    /// charged. The arena grows by doubling, so its length would
+    /// under-count the heap it holds by up to half.
     fn footprint(&self) -> usize {
-        self.arena.len() + self.slots.bytes()
+        self.arena.capacity() + self.slots.bytes()
     }
 
     fn is_empty(&self) -> bool {
@@ -270,8 +272,9 @@ impl ReduceState {
         let name = self.disk.temp_name(&self.spill_prefix);
         let run = shard.groups.run();
         self.disk.write_all(&name, &run)?;
-        // Both keep their capacity for the refill.
-        shard.groups.arena.clear();
+        // The arena gives its capacity back, since the budget charges
+        // it; the table keeps its capacity for the refill.
+        shard.groups.arena = Vec::new();
         shard.groups.slots.clear();
         self.spilled_bytes.fetch_add(run.len() as u64, Relaxed);
         self.tracer.emit(
@@ -468,6 +471,39 @@ mod tests {
         let want = [(b"a", vec![b"1", b"3"]), (b"b", vec![b"2"])];
         let want = want.map(|(k, vs)| (k.to_vec(), vs.iter().map(|v| v.to_vec()).collect()));
         assert_eq!(drain_all(st.into_shards().unwrap()), Reference::from(want));
+    }
+
+    /// The budget is charged the heap the arena holds. Just past a
+    /// power of two the doubled arena is nearly half empty, so charging
+    /// its length would under-count it by almost 2x; after a spill the
+    /// arena holds nothing.
+    #[test]
+    fn the_budget_is_charged_the_arenas_capacity() {
+        let (key, value) = (&b"k"[..], &b"value"[..]);
+        let mut groups = Groups::default();
+        while groups.arena.len() <= 4096 {
+            groups.push(stable_hash(key), key, value);
+        }
+        assert!(groups.arena.len() < 4096 + VALUE_HEADER + value.len() + 1);
+        let charged = groups.footprint() - groups.slots.bytes();
+        assert!(
+            charged >= 2 * 4096,
+            "{charged} B charged for an arena of 8 KiB"
+        );
+
+        let disk = Disk::new(DiskConfig::instant());
+        let st = test_state(1, 4096, disk);
+        let records = vec![(key, value); 4096 / (VALUE_HEADER + value.len())];
+        st.ingest(0, &bin(&records)).unwrap();
+        let shard = st.shards[0].lock();
+        assert!(
+            !shard.runs.is_empty(),
+            "4 KiB of values spill on a 4 KiB budget"
+        );
+        assert!(
+            shard.groups.footprint() <= 4096,
+            "a spill leaves the shard under budget"
+        );
     }
 
     /// Restated for the arena: ingest copies a value once, into its

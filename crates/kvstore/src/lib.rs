@@ -250,6 +250,14 @@ impl Shard {
 
     /// Visit every entry, stripe by stripe in table order (no other
     /// ordering guarantee). Holds one stripe's read lock at a time.
+    ///
+    /// `f` must not call into this shard (no `get`, `get_with`, `put`,
+    /// nested `for_each`). A stripe lock may make a new reader wait
+    /// behind a writer that is already waiting (Linux's `RwLock` does),
+    /// so a read taken inside `f` can queue behind another task's put
+    /// to the stripe `for_each` holds, and that put waits for
+    /// `for_each`: a deadlock. Collect what `f` sees, and look things
+    /// up after it returns.
     pub fn for_each(&self, mut f: impl FnMut(&[u8], &[u8])) {
         for stripe in &self.stripes {
             let stripe = stripe.read();

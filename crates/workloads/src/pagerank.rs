@@ -2,45 +2,57 @@
 //! (13.6x in Table 2).
 //!
 //! * HAMR: a **chain of jobs on one cluster** with M3R-style
-//!   partition residency. Iteration 0 (`EdgeFileLoader → HashJoinRed
-//!   → MergeRed`) builds each page's adjacency list into the
-//!   node-local slice of the distributed KV store and computes the
-//!   first update. Every later iteration is two chained jobs:
-//!   - **rank-ship** (`RankShip → RankGather`, Broadcast): each node
-//!     packs its rank shard into one delta-varint blob — the frontier
-//!     that must travel is O(pages), not O(edges);
-//!   - **update** (`RAdjSrc → PRUpdateRed`, Hash): the reverse
-//!     adjacency `(dst, (src, deg))` is iteration-*invariant*, so the
-//!     loader is annotated `resident("pr/radj")` — iteration 1 fills
-//!     the partition-resident frame cache and iterations ≥2 are
-//!     served pinned frames locally: no re-scan, no re-encode, no
-//!     fabric ship. That collapses the per-iteration shuffle from
-//!     O(edges) to the rank frontier.
+//!   partition stability: each page's in-link list is built once, at
+//!   the page's home, and stays there. Iteration 0 ships every edge
+//!   once, keyed by its destination:
+//!   - `ParseMap` emits `(dst, src)` to `InLinkRed` and `(src, 1)`,
+//!     sum-combined, to `DegreeRed`;
+//!   - `DegreeRed` (a sum) keeps each page's out-degree at its home
+//!     under `pr/d` and broadcasts `UNIT / deg`, what an in-edge from
+//!     the page carries while every rank is 1.0, into every node's
+//!     `pr/c` through `ContribGather`;
+//!   - `InLinkRed` folds each in-link into its page's packed varint
+//!     list. It fires only once `ContribGather` has written every copy
+//!     on its node (an in-edge from the gather, which emits nothing,
+//!     orders it), stores the list under `pr/i`, sums the `pr/c` of
+//!     each in-link and settles the page's first rank.
 //!
-//!   Only `HashJoinRed` is a `Reduce`: it stores a page's whole
-//!   adjacency list. `MergeRed` and `PRUpdateRed` are sums, so they are
-//!   partial reduces that fold each value as it arrives and hold one
-//!   accumulator per page, not every contribution or in-edge until the
-//!   barrier. `PRUpdateRed`'s fold is the join: each in-edge reads its
-//!   src's rank from the node's `pr/c` copy, which the rank-ship job
-//!   wrote and nothing in the update job writes.
+//!   Every later iteration is two chained jobs:
+//!   - **rank-ship** (`RankShip → RankGather`, Broadcast): each node
+//!     packs `rank / deg` of its pages into one delta-varint blob, and
+//!     every node unpacks every blob into its `pr/c` — the frontier
+//!     that must travel is O(pages), not O(edges);
+//!   - **update** (`RAdjSrc → PRUpdateMap`, Local): `RAdjSrc` emits
+//!     each in-link list of its node, one record per page, and
+//!     `PRUpdateMap` sums `pr/c` per in-link and settles the page. The
+//!     lists are iteration-*invariant*, so the loader is annotated
+//!     `resident("pr/radj")`: iteration 1 fills the partition-resident
+//!     frame cache and iterations ≥2 are served pinned frames instead
+//!     of a KV scan. Either way no edge crosses the fabric: an update
+//!     ships only its convergence tail.
+//!
+//!   No flowlet is a `Reduce`: `DegreeRed` and `InLinkRed` are partial
+//!   reduces that fold each value as it arrives, so the setup job
+//!   holds one degree and one packed list per page, not every record
+//!   until the barrier.
 //! * Hadoop: an adjacency-build job, then **two chained jobs per
 //!   iteration** (contributions, then rank update), every link paying
 //!   job startup, a sort/spill/shuffle, and a DFS round trip.
 //!
 //! Ranks are fixed-point (units of 1e-6) so integer arithmetic makes
 //! both engines' results identical regardless of reduction order:
-//! `new = 0.15 + 0.85 * Σ contrib`, `contrib = rank / outdegree`.
-//! The cached frames carry `(src, deg)` pairs, never ranks, so the
-//! served iterations compute bit-identical results to a cache-off run.
+//! `new = 0.15 + 0.85 * Σ contrib`, `contrib = rank / outdegree`. The
+//! `pr/c` copy holds that quotient, the integer the baseline's join
+//! computes, so both engines sum the same contributions. The cached
+//! frames carry in-link lists, never ranks, so the served iterations
+//! compute bit-identical results to a cache-off run.
 
 use crate::env::{scaled, BenchOutput, Env, IterStats};
 use crate::gen::webgraph::{link_lines, zipfian_links};
 use crate::{pair_checksum, Benchmark};
 use bytes::Bytes;
 use hamr_codec::{read_entry, Codec};
-use hamr_core::typed::{self, Values};
-use hamr_core::{Emitter, Exchange, JobBuilder, JobGraph, JobResult, TaskContext};
+use hamr_core::{typed, Emitter, Exchange, JobBuilder, JobGraph, JobResult, MapFn, TaskContext};
 use hamr_kvstore::Shard;
 use hamr_mapred::{line_map_fn, map_fn, reduce_fn, InputFormat, JobConf, ReduceOutput};
 use std::sync::Arc;
@@ -61,16 +73,25 @@ fn damped(sum: u64) -> u64 {
 // tag `pr/radj` shares the prefix so a namespace reset drops the
 // pinned frames too.
 
-/// Adjacency, at the src's home shard.
-const ADJ: &[u8; 4] = b"pr/a";
+/// A page's in-link list (its sources' varints, packed), at the page's
+/// home shard.
+const IN_LINKS: &[u8; 4] = b"pr/i";
+/// A page's out-degree, at the page's home shard.
+const DEGREE: &[u8; 4] = b"pr/d";
 /// Authoritative rank, at the page's home shard.
 const RANK: &[u8; 4] = b"pr/r";
-/// The per-node rank copy the rank-ship job refreshes every iteration.
+/// What an in-edge from a page carries this iteration, its rank over
+/// its out-degree, on every node; the rank-ship job refreshes it.
 const COPY: &[u8; 4] = b"pr/c";
 
-/// `prefix` + `page`'s encoding: the key of a page's adjacency, rank or
-/// rank copy. Built on the stack, so a fold that reads one rank per
-/// in-edge and a put allocate nothing for their key.
+/// The value `DegreeRed` sends `InLinkRed` for each page it counted:
+/// the page has out-links, so it is ranked even with no in-link. Never
+/// stored: a page's list holds real sources only.
+const PRESENT: u64 = u64::MAX;
+
+/// `prefix` + `page`'s encoding: the key of a page's in-links, degree,
+/// rank or rank copy. Built on the stack, so a lookup per in-link and a
+/// put allocate nothing for their key.
 struct PageKey {
     bytes: [u8; 14],
     len: usize,
@@ -90,52 +111,68 @@ impl PageKey {
     }
 }
 
-/// Put `value` under `prefix` + `page`, the value encoded over `buf`:
-/// the store copies key and value, so nothing is allocated per put
-/// once `buf` has room.
-fn put_page(kv: &Shard, buf: &mut Vec<u8>, prefix: &[u8; 4], page: u64, value: &impl Codec) {
-    buf.clear();
-    value.encode(buf);
-    kv.put(PageKey::new(prefix, page).as_bytes(), &buf[..]);
+/// Put `value` under `prefix` + `page`, key and value encoded on the
+/// stack.
+fn put_u64(kv: &Shard, prefix: &[u8; 4], page: u64, value: u64) {
+    let mut varint = [0; 10];
+    let len = hamr_codec::write_varint_into(value, &mut varint);
+    kv.put(PageKey::new(prefix, page).as_bytes(), &varint[..len]);
 }
 
-/// The fixed-point rank stored under `key`, or 1.0 for a page not yet
-/// ranked; read in place.
-fn rank_at(kv: &Shard, key: &[u8]) -> u64 {
-    kv.get_with(key, |v| u64::from_bytes(v).expect("rank"))
-        .unwrap_or(UNIT)
+/// The `u64` stored under `prefix` + `page`, read in place.
+fn u64_at(kv: &Shard, prefix: &[u8; 4], page: u64) -> Option<u64> {
+    let key = PageKey::new(prefix, page);
+    kv.get_with(key.as_bytes(), |v| u64::from_bytes(v).expect("a u64 value"))
 }
 
-/// What an in-edge from `src` of out-degree `deg` gives its page this
-/// iteration: `src`'s rank in this node's `pr/c` copy over `deg`. The
-/// presence sentinel's `deg` of 0 gives nothing and reads nothing.
-fn contribution(ctx: &TaskContext, (src, deg): (u64, u64)) -> u64 {
-    if deg == 0 {
-        return 0;
+/// What a page's in-links give it this iteration: the sum of their
+/// sources' `pr/c` contributions on this node. `links` is the page's
+/// packed in-link list.
+fn in_link_sum(ctx: &TaskContext, mut links: &[u8]) -> u64 {
+    let mut sum = 0;
+    while !links.is_empty() {
+        let src = hamr_codec::read_varint(&mut links).expect("in-link list");
+        sum += u64_at(&ctx.kv, COPY, src).expect("every in-link's source has a pr/c copy");
     }
-    rank_at(&ctx.kv, PageKey::new(COPY, src).as_bytes()) / deg
+    sum
+}
+
+/// Append `src` to a packed in-link list; `PRESENT` adds nothing.
+fn push_in_link(mut links: Vec<u8>, src: u64) -> Vec<u8> {
+    if src != PRESENT {
+        hamr_codec::write_varint(src, &mut links);
+    }
+    links
 }
 
 /// Settle `page` on the `sum` of its contributions: put its damped rank
-/// under `pr/r` (key and value encoded on the stack) and emit how far
-/// it moved, for the convergence tail.
+/// under `pr/r` and emit how far it moved from its last rank (1.0 when
+/// it had none), for the convergence tail.
 fn settle(ctx: &TaskContext, page: u64, sum: u64, out: &mut Emitter) {
     let new = damped(sum);
-    let key = PageKey::new(RANK, page);
-    let old = rank_at(&ctx.kv, key.as_bytes());
-    let mut rank = [0; 10];
-    let len = hamr_codec::write_varint_into(new, &mut rank);
-    ctx.kv.put(key.as_bytes(), &rank[..len]);
+    let old = u64_at(&ctx.kv, RANK, page).unwrap_or(UNIT);
+    put_u64(&ctx.kv, RANK, page, new);
     out.emit_t(0, &0u64, &new.abs_diff(old));
+}
+
+/// The update: each record is a page and its packed in-link list,
+/// read in place from the frame (no decode into a `Vec`).
+struct PRUpdateMap;
+
+impl MapFn for PRUpdateMap {
+    fn map(&self, ctx: &TaskContext, key: &[u8], links: &[u8], out: &mut Emitter) {
+        let page = u64::from_bytes(key).expect("page key");
+        settle(ctx, page, in_link_sum(ctx, links), out);
+    }
 }
 
 pub struct PageRank {
     pub pages: usize,
     pub max_out_links: usize,
     pub iterations: usize,
-    /// Serve the invariant reverse adjacency from the partition-
-    /// resident cache on iterations ≥2 (false = ablation: the same
-    /// chain pays the full reverse-adjacency shuffle every iteration).
+    /// Serve the invariant in-link lists from the partition-resident
+    /// cache on iterations ≥2 (false = ablation: every update job
+    /// re-scans its node's KV store for them).
     pub resident: bool,
 }
 
@@ -152,7 +189,7 @@ impl Default for PageRank {
 }
 
 impl PageRank {
-    /// Convergence tail shared by every iteration's final reduce:
+    /// Convergence tail shared by every iteration's final flowlet:
     /// `from → ContMap → DiffSum` (the captured output is the total
     /// rank movement this iteration).
     fn add_convergence_tail(job: &mut JobBuilder, from: usize) {
@@ -166,8 +203,9 @@ impl PageRank {
         job.capture_output(diff_sum);
     }
 
-    /// Iteration 0: build the adjacency partition in memory while
-    /// computing the first rank update (Alg. 2 lines 3–5).
+    /// Iteration 0: build each page's in-link list and out-degree at
+    /// its home while computing the first rank update (Alg. 2 lines
+    /// 3–5). Every edge crosses the fabric once, keyed by destination.
     fn setup_job(&self) -> Result<JobGraph, String> {
         let mut job = JobBuilder::new("pagerank-iter0");
         let loader = job.add_loader("EdgeFileLoader", typed::dfs_line_loader(INPUT));
@@ -175,47 +213,67 @@ impl PageRank {
             "ParseMap",
             typed::map_fn(|_off: u64, line: String, out: &mut Emitter| {
                 if let Some((src, dst)) = crate::gen::rmat::parse_edge_line(&line) {
-                    out.emit_t(0, &src, &dst);
+                    out.emit_t(0, &dst, &src);
+                    out.emit_t(1, &src, &1u64);
                 }
             }),
         );
-        let hash_join = job.add_reduce(
-            "HashJoinRed",
-            typed::reduce_ctx_fn(|ctx, src: u64, dsts: Values<u64>, out: &mut Emitter| {
-                let dsts: Vec<u64> = dsts.collect();
-                // Save the dst list into memory (the KV store).
-                let mut buf = Vec::with_capacity(10 * (dsts.len() + 1));
-                put_page(&ctx.kv, &mut buf, ADJ, src, &dsts);
-                let contrib = UNIT / dsts.len() as u64;
-                for dst in &dsts {
-                    out.emit_t(0, dst, &contrib);
-                }
-                // Ensure the src itself appears in the rank map.
-                out.emit_t(0, &src, &0u64);
-            }),
+        // Sums: the in-link list grows by each source's varint, and the
+        // out-degree by one, as records arrive.
+        let in_links = job.add_partial_reduce(
+            "InLinkRed",
+            typed::partial_fn::<u64, u64, Vec<u8>, _, _, _>(
+                |src| push_in_link(Vec::new(), src),
+                push_in_link,
+                // Runs after `ContribGather` has written every `pr/c`
+                // copy on this node: its edge into this flowlet is one
+                // of those a fire waits for.
+                |ctx, page: u64, links, out: &mut Emitter| {
+                    ctx.kv
+                        .put(PageKey::new(IN_LINKS, page).as_bytes(), &links[..]);
+                    settle(ctx, page, in_link_sum(ctx, &links), out);
+                },
+            ),
         );
-        // A sum: each contribution folds into its page's accumulator as
-        // it arrives, and only the sums wait for the barrier.
-        let merge_red = job.add_partial_reduce(
-            "MergeRed",
-            typed::partial_fn::<u64, u64, u64, _, _, _>(|c| c, |sum, c| sum + c, settle),
+        let degree = job.add_partial_reduce(
+            "DegreeRed",
+            typed::partial_fn::<u64, u64, u64, _, _, _>(
+                |n| n,
+                |deg, n| deg + n,
+                |ctx, page: u64, deg, out: &mut Emitter| {
+                    put_u64(&ctx.kv, DEGREE, page, deg);
+                    out.emit_t(0, &page, &(UNIT / deg));
+                    out.emit_t(1, &page, &PRESENT);
+                },
+            ),
+        );
+        let gather = job.add_map(
+            "ContribGather",
+            typed::map_ctx_fn(|ctx, page: u64, contrib: u64, _out: &mut Emitter| {
+                put_u64(&ctx.kv, COPY, page, contrib)
+            }),
         );
         job.connect(loader, parse, Exchange::Local);
-        job.connect(parse, hash_join, Exchange::Hash);
-        // Contributions to one page sum associatively, so the skew
-        // combiner can fold them before the shuffle; the zipfian link
-        // graph makes popular pages genuinely hot.
-        job.connect_combined(hash_join, merge_red, Exchange::Hash, typed::sum_combiner());
-        Self::add_convergence_tail(&mut job, merge_red);
+        job.connect(parse, in_links, Exchange::Hash);
+        // Out-degrees count associatively, so the skew combiner folds
+        // them before the shuffle.
+        job.connect_combined(parse, degree, Exchange::Hash, typed::sum_combiner());
+        job.connect(degree, gather, Exchange::Broadcast);
+        job.connect(degree, in_links, Exchange::Local);
+        // Carries nothing: it holds `InLinkRed`'s fire until the gather
+        // on its node has completed.
+        job.connect(gather, in_links, Exchange::Local);
+        Self::add_convergence_tail(&mut job, in_links);
         job.build().map_err(|e| e.to_string())
     }
 
-    /// Iterations ≥1, job A — **rank-ship**: every node packs its
-    /// authoritative `pr/r` shard into one sorted delta-varint blob
-    /// and broadcasts it; `RankGather` unpacks the blobs into the
-    /// node-local `pr/c` rank copy. This is the only per-iteration
-    /// traffic once the reverse adjacency is resident: O(pages) of
-    /// frontier, not O(edges) of contributions.
+    /// Iterations ≥1, job A — **rank-ship**: every node packs `rank /
+    /// deg` of each page it is home to into one sorted delta-varint
+    /// blob and broadcasts it; `RankGather` unpacks the blobs into the
+    /// node-local `pr/c` copy. This is the only per-iteration traffic:
+    /// O(pages) of frontier, not O(edges) of contributions. A page with
+    /// no out-link has no degree and is not shipped: no in-link names
+    /// it.
     fn rank_ship_job(&self, iter: usize) -> Result<JobGraph, String> {
         let mut job = JobBuilder::new(format!("pagerank-ship{iter}"));
         let ship = job.add_loader(
@@ -233,9 +291,14 @@ impl PageRank {
                     ranks.sort_unstable();
                     let mut blob = Vec::with_capacity(ranks.len() * 6);
                     let mut prev = 0u64;
-                    for &(page, rank) in &ranks {
+                    // Degrees are looked up only now, outside `for_each`
+                    // (see its note on re-entrancy).
+                    for (page, rank) in ranks {
+                        let Some(deg) = u64_at(&ctx.kv, DEGREE, page) else {
+                            continue;
+                        };
                         hamr_codec::write_varint(page - prev, &mut blob);
-                        hamr_codec::write_varint(rank, &mut blob);
+                        hamr_codec::write_varint(rank / deg, &mut blob);
                         prev = page;
                     }
                     out.emit_t(0, &(ctx.node as u64), &Bytes::from(blob));
@@ -246,11 +309,11 @@ impl PageRank {
             "RankGather",
             typed::map_ctx_fn(|ctx, _from: u64, blob: Bytes, _out: &mut Emitter| {
                 let mut input = &blob[..];
-                let (mut page, mut buf) = (0u64, Vec::with_capacity(24));
+                let mut page = 0u64;
                 while !input.is_empty() {
                     page += hamr_codec::read_varint(&mut input).expect("page delta");
-                    let rank = hamr_codec::read_varint(&mut input).expect("rank");
-                    put_page(&ctx.kv, &mut buf, COPY, page, &rank);
+                    let contrib = hamr_codec::read_varint(&mut input).expect("contribution");
+                    put_u64(&ctx.kv, COPY, page, contrib);
                 }
             }),
         );
@@ -258,14 +321,15 @@ impl PageRank {
         job.build().map_err(|e| e.to_string())
     }
 
-    /// Iterations ≥1, job B — **update**: `RAdjSrc` emits the reverse
-    /// adjacency `(dst, (src, deg))` plus a `(page, (MAX, 0))`
-    /// presence sentinel per known page. Both are iteration-invariant,
-    /// so the loader is `resident("pr/radj")`: the first update fills
-    /// the cache (full shuffle), later updates are served pinned
-    /// frames with no fabric traffic. `PRUpdateRed` joins against the
-    /// `pr/c` rank copy — the only per-iteration input — so served
-    /// iterations stay bit-identical to recomputed ones.
+    /// Iterations ≥1, job B — **update**: `RAdjSrc` emits each page of
+    /// its node with the page's packed in-link list, over a `Local`
+    /// edge to `PRUpdateMap`, which joins each in-link against this
+    /// node's `pr/c` (the rank-ship job's output) and settles the page.
+    /// The lists are iteration-invariant, so the loader is
+    /// `resident("pr/radj")`: the first update fills the cache, later
+    /// updates are served its pinned frames instead of scanning the KV
+    /// store. The ranks stay in `pr/c`, so served iterations stay
+    /// bit-identical to recomputed ones.
     fn update_job(&self, iter: usize, fp: u64) -> Result<JobGraph, String> {
         let mut job = JobBuilder::new(format!("pagerank-update{iter}"));
         let radj = job.add_loader(
@@ -274,19 +338,8 @@ impl PageRank {
                 |_ctx| 1,
                 |ctx, _split, out: &mut Emitter| {
                     ctx.kv.for_each(|k, v| {
-                        if let Some(mut rest) = k.strip_prefix(ADJ) {
-                            let src = u64::decode(&mut rest).expect("adj key");
-                            let dsts = Vec::<u64>::from_bytes(v).expect("adj value");
-                            let deg = dsts.len() as u64;
-                            for dst in &dsts {
-                                out.emit_t(0, dst, &(src, deg));
-                            }
-                        } else if let Some(mut rest) = k.strip_prefix(RANK) {
-                            // Presence sentinel: keep every known page
-                            // in the rank map (deg 0 contributes
-                            // nothing, mirroring the mapred marker).
-                            let page = u64::decode(&mut rest).expect("rank key");
-                            out.emit_t(0, &page, &(u64::MAX, 0u64));
+                        if let Some(page) = k.strip_prefix(IN_LINKS) {
+                            out.emit(0, page, v);
                         }
                     });
                 },
@@ -295,22 +348,8 @@ impl PageRank {
         if self.resident {
             job.resident(radj, "pr/radj", fp);
         }
-        // A sum too, joined as it folds: each in-edge reads its src's
-        // rank from this node's `pr/c` copy, which the rank-ship job
-        // wrote and nothing in this job writes.
-        let update = job.add_partial_reduce(
-            "PRUpdateRed",
-            typed::partial_ctx_fn::<u64, (u64, u64), u64, _, _, _>(
-                contribution,
-                |ctx, sum, edge| sum + contribution(ctx, edge),
-                settle,
-            ),
-        );
-        // No combiner: the values are (src, deg) references, not
-        // summable contributions — and the cache captures the
-        // post-combine frames anyway, so a combiner here would bake
-        // rank values into the pinned partition.
-        job.connect(radj, update, Exchange::Hash);
+        let update = job.add_map("PRUpdateMap", PRUpdateMap);
+        job.connect(radj, update, Exchange::Local);
         Self::add_convergence_tail(&mut job, update);
         job.build().map_err(|e| e.to_string())
     }
@@ -503,7 +542,7 @@ mod tests {
     #[test]
     fn a_page_key_is_its_prefix_then_the_page_encoded() {
         for page in [0, 1, 127, 128, 20_000, u64::MAX] {
-            for prefix in [ADJ, RANK, COPY] {
+            for prefix in [IN_LINKS, DEGREE, RANK, COPY] {
                 let want = [&prefix[..], &page.to_bytes()].concat();
                 assert_eq!(PageKey::new(prefix, page).as_bytes(), want);
             }
@@ -512,12 +551,11 @@ mod tests {
 
     #[test]
     fn kv_key_prefixes_distinct_and_namespaced() {
-        let [adj, rank, copy] = [ADJ, RANK, COPY].map(|p| PageKey::new(p, 5).as_bytes().to_vec());
-        assert_ne!(adj, rank);
-        assert_ne!(rank, copy);
-        assert_ne!(adj, copy);
-        for (key, prefix) in [(&adj, ADJ), (&rank, RANK), (&copy, COPY)] {
+        let prefixes = [IN_LINKS, DEGREE, RANK, COPY];
+        let keys = prefixes.map(|p| PageKey::new(p, 5).as_bytes().to_vec());
+        for (i, (key, prefix)) in keys.iter().zip(prefixes).enumerate() {
             assert!(key.starts_with(prefix) && prefix.starts_with(b"pr/"));
+            assert!(keys[i + 1..].iter().all(|other| other != key));
         }
     }
 }

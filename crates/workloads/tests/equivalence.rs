@@ -5,7 +5,7 @@
 
 use hamr_core::{RunOptions, Supervision};
 use hamr_mapred::MrRunOptions;
-use hamr_workloads::{all_benchmarks, BenchOutput, Benchmark, Env, SimParams};
+use hamr_workloads::{all_benchmarks, Benchmark, Env, SimParams};
 
 /// Every equivalence run doubles as a self-verification run: both
 /// engines execute under the audit ledger (HAMR additionally under the
@@ -223,7 +223,12 @@ fn skewed_workloads_agree_with_mapred_under_every_mitigation() {
 fn pagerank_chain_cache_on_off_and_mapred_agree() {
     use hamr_workloads::pagerank::PageRank;
     let env = Env::test(3, 2);
-    let on = PageRank::default();
+    // Four times the default pages, so that iteration 0's edges outweigh
+    // a job's control messages a hundredfold.
+    let on = PageRank {
+        pages: 80_000,
+        ..Default::default()
+    };
     on.seed(&env).expect("seed");
     audited(&env);
     let served = on.run_hamr(&env).expect("cache-on run");
@@ -239,7 +244,7 @@ fn pagerank_chain_cache_on_off_and_mapred_agree() {
 
     let off = PageRank {
         resident: false,
-        ..Default::default()
+        ..on
     };
     let recomputed = off.run_hamr(&env).expect("cache-off run");
     let mr = on.run_mapred(&env).expect("mapred run");
@@ -253,10 +258,24 @@ fn pagerank_chain_cache_on_off_and_mapred_agree() {
         (mr.checksum, mr.records),
         "chain mode disagrees with mapred"
     );
-    // The ablation really measures something: the cache-off chain
-    // pays the reverse-adjacency shuffle every iteration.
-    let shuffled = |out: &BenchOutput| out.jobs.iter().map(|j| j.shuffled_bytes).sum::<u64>();
-    assert!(shuffled(&served) < shuffled(&recomputed));
+    // Iteration 0 ships every edge once, keyed by destination; no
+    // update job ships one again, whether its in-link lists were
+    // served or re-scanned: it ships only its convergence tail.
+    for out in [&served, &recomputed] {
+        let iter0 = out.jobs[0].shuffled_bytes;
+        let updates = out
+            .jobs
+            .iter()
+            .filter(|j| j.job.starts_with("pagerank-update"));
+        for job in updates {
+            assert!(
+                job.shuffled_bytes * 100 < iter0,
+                "{} shipped {} B against iteration 0's {iter0} B",
+                job.job,
+                job.shuffled_bytes
+            );
+        }
+    }
 }
 
 /// M3R-style de-duplicated input loading across *separate* jobs in

@@ -1,14 +1,14 @@
-//! Allocations of a served PageRank iteration, per reduced edge. Once
-//! the reverse adjacency is resident, an iteration is a rank-ship job
-//! (each node's ranks broadcast into every node's `pr/c` copy) and an
-//! update job whose `PRUpdateRed` fold reads one rank copy per in-edge
-//! from the KV store and whose finish puts one rank per page. The fold
-//! builds its key on the stack, the rest build keys and values in reused
-//! buffers, a KV put copies them into its stripe's arena and a lookup
-//! borrows the value in place, so the iteration allocates per job, per
-//! task, per frame and per page, not per edge or per put.
+//! Allocations of a served PageRank iteration, per in-link. Once the
+//! in-link lists are resident, an iteration is a rank-ship job (each
+//! node's `rank / deg` broadcast into every node's `pr/c` copy) and an
+//! update job whose `PRUpdateMap` reads one copy per in-link from the
+//! KV store and puts one rank per page. The map reads each page's list
+//! in place from its frame and builds every key on the stack, the ship
+//! builds its blob in one buffer, a KV put copies key and value into its
+//! stripe's arena and a lookup borrows the value in place, so the
+//! iteration allocates per job, per task, per frame and per page, not
+//! per edge or per put.
 
-use hamr_codec::Codec;
 use hamr_workloads::pagerank::PageRank;
 use hamr_workloads::{Benchmark, Env, SimParams};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -50,8 +50,9 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// A fresh PageRank chain of `iterations`: the allocations its HAMR run
-/// made, and the edges in its adjacency (the records every update's
-/// `PRUpdateRed` folds, bar one presence sentinel per page).
+/// made, and the in-links its pages' lists hold (one `pr/c` read each
+/// per update). A list is its sources' varints, packed: one byte of
+/// each is below 0x80.
 fn chain(iterations: usize) -> (u64, u64) {
     let env = Env::new(SimParams::test(2, 2));
     let bench = PageRank {
@@ -65,8 +66,8 @@ fn chain(iterations: usize) -> (u64, u64) {
     let mut edges = 0;
     for node in 0..env.params.nodes {
         env.hamr.kv().shard(node).for_each(|k, v| {
-            if k.starts_with(b"pr/a") {
-                edges += Vec::<u64>::from_bytes(v).expect("adjacency").len() as u64;
+            if k.starts_with(b"pr/i") {
+                edges += v.iter().filter(|&&b| b < 0x80).count() as u64;
             }
         });
     }
@@ -79,8 +80,9 @@ fn a_served_iteration_allocates_under_four_tenths_of_an_object_per_reduced_edge(
     let (four, _) = chain(4);
     assert!(edges > 5_000, "{edges} edges");
     // The fourth iteration, served like the third: its rank-ship and
-    // update jobs. Measured: 0.27 an edge (2,088 allocations over 7,886
-    // edges).
+    // update jobs. Measured: 0.12 an edge (944–958 allocations over
+    // 7,886 edges); 0.27 while the update was a partial reduce folding
+    // one `(src, deg)` record per in-edge.
     let per_edge = four.saturating_sub(three) as f64 / edges as f64;
     assert!(
         per_edge <= 0.4,
