@@ -2,13 +2,13 @@
 //! `HAMR_HTTP` / `Cluster::serve_introspection`) and renders a
 //! per-node table each tick: worker occupancy, aggregate flowlet
 //! queue depth, deferred bins, flow-control window occupancy, stall
-//! share, shuffle-key cardinality and network transmit rate — the
-//! live counterpart of `hamr trace`'s post-mortem occupancy table.
+//! share, shuffle-key cardinality and network transmit rate: the one
+//! place worker occupancy is reported.
 //! The header line carries the cluster-wide partition-resident frame
 //! cache as `cache(hit/res MB)`: cumulative resident hits and the
 //! megabytes currently pinned. Below it sits a cluster-wide
-//! task-latency quantile line (p50/p95/p99 in µs, aggregated from the
-//! published log2 latency histograms).
+//! task-latency quantile line (p50/p95/p99, each the upper bound of
+//! its log2 bucket in the published latency histograms, merged).
 //!
 //! Every column is live on every run: occupancy and queue depths are
 //! registry gauges the engine moves as it works, net bytes and job
@@ -19,7 +19,7 @@
 
 use super::{say, usage};
 use hamr_core::SchedMode;
-use hamr_trace::{http_get, parse_prometheus, PromSample};
+use hamr_trace::{fmt_us, http_get, parse_prometheus, Log2Hist, PromSample};
 use hamr_workloads::histogram_ratings::HistogramRatings;
 use hamr_workloads::{Benchmark, Env, SimParams};
 use std::collections::BTreeMap;
@@ -98,11 +98,11 @@ fn collect(samples: &[PromSample], engine: &str) -> (BTreeMap<u32, NodeStat>, To
 }
 
 /// Merge every `hamr_flowlet_task_latency_us_bucket` series in a
-/// scrape into one cluster-wide log2 bucket map: bucket upper bound
-/// in µs → count landing in that bucket (`u64::MAX` is `+Inf`).
-/// Cumulatives are un-stacked per series (full label set minus `le`)
-/// before merging, so flowlets never contaminate each other.
-fn latency_buckets(samples: &[PromSample], engine: &str) -> BTreeMap<u64, u64> {
+/// scrape into one cluster-wide log2 histogram: each bucket's count
+/// lands at its upper bound `le` (`+Inf` at `u64::MAX`). Cumulatives
+/// are un-stacked per series (full label set minus `le`) before
+/// merging, so flowlets never contaminate each other.
+fn latency_hist(samples: &[PromSample], engine: &str) -> Log2Hist {
     let mut series: BTreeMap<String, Vec<(u64, u64)>> = BTreeMap::new();
     for s in samples {
         if s.name != "hamr_flowlet_task_latency_us_bucket"
@@ -127,44 +127,16 @@ fn latency_buckets(samples: &[PromSample], engine: &str) -> BTreeMap<u64, u64> {
             .collect();
         series.entry(key).or_default().push((le, s.value as u64));
     }
-    let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut merged = Log2Hist::new();
     for (_, mut cum) in series {
         cum.sort_by_key(|&(le, _)| le);
         let mut prev = 0u64;
         for (le, c) in cum {
-            let n = c.saturating_sub(prev);
+            merged.record_n(le, c.saturating_sub(prev));
             prev = prev.max(c);
-            if n > 0 {
-                *merged.entry(le).or_default() += n;
-            }
         }
     }
     merged
-}
-
-/// Smallest bucket upper bound covering quantile `q` (0..1].
-fn bucket_quantile(buckets: &BTreeMap<u64, u64>, q: f64) -> Option<u64> {
-    let total: u64 = buckets.values().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut seen = 0u64;
-    for (&le, &n) in buckets {
-        seen += n;
-        if seen >= rank {
-            return Some(le);
-        }
-    }
-    None
-}
-
-fn fmt_us(us: u64) -> String {
-    if us == u64::MAX {
-        "inf".into()
-    } else {
-        us.to_string()
-    }
 }
 
 fn fmt_rate(bytes_per_sec: f64) -> String {
@@ -184,7 +156,7 @@ fn render_tick(
     healthz: &str,
     nodes: &BTreeMap<u32, NodeStat>,
     totals: &Totals,
-    latency: &BTreeMap<u64, u64>,
+    latency: &Log2Hist,
     prev: Option<(&BTreeMap<u32, NodeStat>, Duration)>,
 ) -> String {
     let mut out = format!(
@@ -195,18 +167,11 @@ fn render_tick(
         totals.cache_hits,
         totals.cache_resident_bytes / 1e6,
     );
-    match (
-        bucket_quantile(latency, 0.50),
-        bucket_quantile(latency, 0.95),
-        bucket_quantile(latency, 0.99),
-    ) {
-        (Some(p50), Some(p95), Some(p99)) => out.push_str(&format!(
-            "task-lat us p50/p95/p99 {}/{}/{}\n",
-            fmt_us(p50),
-            fmt_us(p95),
-            fmt_us(p99),
-        )),
-        _ => out.push_str("task-lat us p50/p95/p99 -/-/- (no completed job yet)\n"),
+    if latency.count() == 0 {
+        out.push_str("task-lat p50/p95/p99 -/-/- (no completed job yet)\n");
+    } else {
+        let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|q| fmt_us(latency.quantile(q)));
+        out.push_str(&format!("task-lat p50/p95/p99 {p50}/{p95}/{p99}\n"));
     }
     out.push_str(
         "node  workers  busy   occ%  queue  defer  window  stall%  \
@@ -271,7 +236,7 @@ fn top_loop(addr: SocketAddr, engine: &str, interval: Duration, ticks: u64) -> R
             Err(e) => format!("unreachable ({e})"),
         };
         let (nodes, totals) = collect(&samples, engine);
-        let latency = latency_buckets(&samples, engine);
+        let latency = latency_hist(&samples, engine);
         let prev_view = prev.as_ref().map(|(stats, at)| (stats, at.elapsed()));
         say(&format!(
             "{}\n",

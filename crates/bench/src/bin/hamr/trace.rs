@@ -1,70 +1,30 @@
 //! `hamr trace` runs WordCount (balanced) and HistogramRatings
 //! (skewed, five-key shuffle) — the jobs `hamr-workloads` defines — on
-//! both engines with tracing on, prints per-flowlet summary tables and
-//! a per-worker occupancy table, and writes the timelines as Chrome
-//! trace-event JSON into the current directory: `trace_hamr.json`
-//! (both HAMR runs; load at ui.perfetto.dev) and `trace_mapred.json`.
-//! The skewed HAMR run shrinks the flow-control window to one bin and
-//! turns in-node combining off, so its trace shows `flow-control
-//! stall` / resume pairs on the loader→map→reduce path; the balanced
-//! run shows none. Each run also gets the causal profiler's report
-//! (wall-time attribution and top stall edges) on stdout. It takes no
-//! flags.
+//! both engines with tracing on, prints the causal profiler's report
+//! for each run (wall-time attribution and top stall edges), and
+//! writes the timelines as Chrome trace-event JSON into the current
+//! directory: `trace_hamr.json` (both HAMR runs; load at
+//! ui.perfetto.dev) and `trace_mapred.json`. The skewed HAMR run
+//! shrinks the flow-control window to one bin and turns in-node
+//! combining off, so its trace shows `flow-control stall` / resume
+//! pairs on the loader→map→reduce path; the balanced run shows none.
+//! Per-flowlet counts and latencies are `/metrics`' and per-worker
+//! occupancy is `hamr top`'s; this prints neither. It takes no flags.
 
 use super::{say, usage};
 use hamr_core::{RunOptions, RuntimeConfig, SkewConfig};
 use hamr_mapred::MrRunOptions;
 use hamr_trace::{
-    analyze, chrome_trace_json, render_attribution, render_occupancy, render_stall_edges,
-    render_summary, task_spans, worker_occupancy, EventKind, FlowletSummaryRow, Log2Hist, RingSink,
-    TaskKind, TraceEvent, Tracer,
+    analyze, chrome_trace_json, render_attribution, render_stall_edges, RingSink, TraceEvent,
+    Tracer,
 };
 use hamr_workloads::histogram_ratings::HistogramRatings;
 use hamr_workloads::wordcount::WordCount;
 use hamr_workloads::{Benchmark, Env, SimParams};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Map / reduce phase summary rows from a MapReduce run's trace: the
-/// baseline engine has no per-flowlet metrics, so the durations come
-/// from its task spans.
-fn mr_summary_rows(events: &[TraceEvent]) -> Vec<FlowletSummaryRow> {
-    let mut phases: HashMap<TaskKind, (Log2Hist, FlowletSummaryRow)> = HashMap::new();
-    for span in task_spans(events) {
-        let Some(dur) = span.dur_us() else { continue };
-        let (hist, row) = phases.entry(span.task).or_default();
-        hist.record(dur);
-        row.tasks += 1;
-        row.records_in += span.records_in;
-        row.records_out += span.records_out;
-    }
-    let mut rows: Vec<FlowletSummaryRow> = phases
-        .into_iter()
-        .map(|(task, (hist, row))| {
-            FlowletSummaryRow {
-                name: task.name().to_string(),
-                kind: task.name().to_string(),
-                ..row
-            }
-            .with_latency(&hist)
-        })
-        .collect();
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    rows
-}
-
-/// Warn when the ring sink dropped events: every analysis downstream
-/// of a lossy trace is built on a truncated log.
-fn warn_dropped(label: &str, dropped: u64) {
-    if dropped > 0 {
-        eprintln!(
-            "WARNING: {label}: {dropped} events dropped by the trace ring \
-             — raise RingSink capacity for a complete log"
-        );
-    }
-}
-
-/// Run the causal profiler over one run's events and print the report.
+/// Run the causal profiler over one run's events and print the report
+/// (which warns when the ring dropped events).
 fn causal_report(label: &str, events: &[TraceEvent], dropped: u64) {
     let report = analyze(events, dropped);
     say(&format!(
@@ -99,19 +59,13 @@ fn run_trace() -> Result<(), String> {
     let env = Env::test(TRACE_NODES, 2);
     WordCount::default().seed(&env)?;
     let (graph, ..) = WordCount::hamr_graph(true)?;
-    let wc = env
-        .hamr
+    env.hamr
         .run_with(graph, &traced)
         .map_err(|e| e.to_string())?;
-    say(&format!(
-        "== HAMR wordcount (balanced) ==\n{}\n",
-        render_summary(&wc.metrics.summary_rows())
-    ));
     // Drain per run so the causal profiler sees each job in isolation;
     // the chrome export concatenates them again (same tracer epoch).
     let events_wc = sink.drain();
     let dropped_wc = sink.dropped();
-    warn_dropped("hamr wordcount", dropped_wc);
     causal_report("hamr_wordcount", &events_wc, dropped_wc);
 
     // Skewed five-key histogram with a one-bin flow-control window and
@@ -129,36 +83,17 @@ fn run_trace() -> Result<(), String> {
     );
     HistogramRatings::default().seed(&env_skew)?;
     let (graph, ..) = HistogramRatings::hamr_graph(false)?;
-    let hr = env_skew
+    env_skew
         .hamr
         .run_with(graph, &traced)
         .map_err(|e| e.to_string())?;
-    say(&format!(
-        "== HAMR histogram-ratings (skewed, window=1) ==\n{}\n",
-        render_summary(&hr.metrics.summary_rows())
-    ));
     let events_hr = sink.drain();
     let dropped_hr = sink.dropped().saturating_sub(dropped_wc);
-    warn_dropped("hamr histogram-ratings", dropped_hr);
     causal_report("hamr_histratings_skewed", &events_hr, dropped_hr);
 
     let mut events = events_wc;
     events.extend(events_hr);
-    let count = |is: fn(&EventKind) -> bool| events.iter().filter(|e| is(&e.kind)).count();
-    // Per-worker scheduler view: task counts, busy time, steals, and
-    // park time per lane across both runs. The work-stealing scheduler
-    // (the default) shows nonzero steal/park columns; under
-    // HAMR_SCHED=det they are all dashes.
-    say(&format!(
-        "== HAMR worker occupancy (both runs) ==\n{}\n\
-         hamr: {} events, {} flow-control stalls (skewed run), {} steals\n",
-        render_occupancy(&worker_occupancy(&events)),
-        events.len(),
-        count(|k| matches!(k, EventKind::FlowControlStall { .. })),
-        count(|k| matches!(k, EventKind::TaskStolen { .. })),
-    ));
     write_file("trace_hamr.json", &chrome_trace_json(&events))?;
-    say("wrote trace_hamr.json\n\n");
 
     // ---- MapReduce baseline ------------------------------------------
     let sink_mr = Arc::new(RingSink::new(TRACE_NODES, TRACE_RING_EVENTS));
@@ -181,16 +116,9 @@ fn run_trace() -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let events_mr = sink_mr.drain();
     let dropped_mr = sink_mr.dropped();
-    warn_dropped("mapred", dropped_mr);
-    say(&format!(
-        "== MapReduce wordcount + histogram-ratings ==\n{}\nmapred: {} events\n",
-        render_summary(&mr_summary_rows(&events_mr)),
-        events_mr.len()
-    ));
     causal_report("mapred_both", &events_mr, dropped_mr);
     write_file("trace_mapred.json", &chrome_trace_json(&events_mr))?;
-    say("wrote trace_mapred.json\n\n\
-         Open the JSON files at https://ui.perfetto.dev to browse the timelines.\n");
+    eprintln!("wrote trace_hamr.json and trace_mapred.json: open them at https://ui.perfetto.dev");
     Ok(())
 }
 

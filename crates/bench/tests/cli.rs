@@ -4,7 +4,7 @@
 //! a listing quietly instead of with a `println!` panic, `doctor`
 //! tells a clean flight record from a tripped one from a non-record,
 //! and `trace` leaves two loadable timelines, and nothing else, with
-//! the skewed run's stalls.
+//! the skewed run's stalls, and prints one causal report per run.
 
 use hamr_core::RuntimeConfig;
 use hamr_trace::json::{self, Json};
@@ -179,12 +179,26 @@ fn trace_leaves_loadable_timelines_with_the_skewed_runs_stalls() {
     assert_eq!(written, ["trace_hamr.json", "trace_mapred.json"]);
     let hamr_json = std::fs::read_to_string(dir.join("trace_hamr.json")).expect("trace_hamr");
     assert!(!hamr_json.contains("\"ph\":\"C\""), "a counter event");
-    // The balanced run's summary has no stall to report.
+    // Stdout is one causal report per run and nothing else: the
+    // balanced run has no stall to report, and the skewed run's most
+    // frequent stall is its hot shuffle edge, map → reduce.
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
-    let balanced = stdout
-        .split("== ")
-        .find(|s| s.starts_with("HAMR wordcount (balanced)"))
-        .expect("wordcount section");
-    assert!(!balanced.contains("x)"), "{balanced}");
+    let sections: Vec<&str> = stdout.split("== causal attribution: ").collect();
+    assert_eq!(sections[0], "", "{stdout}");
+    assert_eq!(sections.len(), 4, "{stdout}");
+    let section = |run: &str| {
+        let found = sections[1..].iter().find(|s| s.starts_with(run));
+        found.unwrap_or_else(|| panic!("no {run} section:\n{stdout}"))
+    };
+    assert!(section("mapred_both ==").contains("top stall edges:"));
+    let balanced = section("hamr_wordcount ==");
+    assert!(
+        balanced.contains("no flow-control stalls recorded"),
+        "{balanced}"
+    );
+    let skewed = section("hamr_histratings_skewed ==");
+    let mut ranked = skewed.lines().skip_while(|l| !l.starts_with("stall edge"));
+    let first_edge = ranked.nth(1).expect("a ranked stall edge");
+    assert!(first_edge.starts_with("f1 edge1 "), "{skewed}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -35,6 +35,18 @@ pub enum Exchange {
     KeyNode,
 }
 
+impl Exchange {
+    /// The nodes an edge joins `node` to, in either direction — whom its
+    /// completion and markers must reach, and whom it must hear them
+    /// from: `node` alone on a `Local` edge, every node otherwise.
+    pub(crate) fn peers(self, node: usize, nodes: usize) -> std::ops::Range<usize> {
+        match self {
+            Exchange::Local => node..node + 1,
+            _ => 0..nodes,
+        }
+    }
+}
+
 /// A flowlet's computation, type-erased.
 pub enum FlowletKind {
     Loader(Arc<dyn Loader>),

@@ -1,6 +1,6 @@
 //! Execution metrics: what the evaluation chapters read off a run.
 
-use hamr_trace::{FlowletSummaryRow, Labels, Log2Hist, MetricsRegistry};
+use hamr_trace::{Labels, Log2Hist, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -128,28 +128,6 @@ impl JobMetrics {
         self.nodes.iter().map(|n| n.park_time()).sum()
     }
 
-    /// Per-flowlet summary rows (graph order) for
-    /// [`hamr_trace::render_summary`].
-    pub fn summary_rows(&self) -> Vec<FlowletSummaryRow> {
-        self.flowlets
-            .values()
-            .map(|f| {
-                FlowletSummaryRow {
-                    name: f.name.clone(),
-                    kind: f.kind.to_string(),
-                    tasks: f.tasks,
-                    records_in: f.records_in,
-                    records_out: f.records_out,
-                    stall_us: f.stall_time.as_micros() as u64,
-                    stalls: f.flow_control_stalls,
-                    spilled_bytes: f.spilled_bytes,
-                    ..Default::default()
-                }
-                .with_latency(&f.task_latency)
-            })
-            .collect()
-    }
-
     /// Fold this job's end-of-run metrics into the unified registry as
     /// cumulative engine-labeled series. Per-flowlet and per-node
     /// series deliberately omit the job label so iterative workloads
@@ -235,31 +213,6 @@ impl JobMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_rows_reflect_flowlets() {
-        let mut jm = JobMetrics::default();
-        let mut fm = FlowletMetrics {
-            name: "SplitMap".into(),
-            kind: "map",
-            tasks: 10,
-            records_in: 1000,
-            records_out: 500,
-            flow_control_stalls: 3,
-            stall_time: Duration::from_millis(7),
-            ..Default::default()
-        };
-        fm.task_latency.record(100);
-        fm.task_latency.record(200);
-        jm.flowlets.insert(0, fm);
-        let rows = jm.summary_rows();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].name, "SplitMap");
-        assert_eq!(rows[0].stalls, 3);
-        assert_eq!(rows[0].stall_us, 7000);
-        assert!(rows[0].p50_us >= 100);
-        assert!(rows[0].p50_us <= rows[0].p99_us);
-    }
 
     #[test]
     fn imbalance_zero_when_balanced() {

@@ -1,6 +1,6 @@
 //! What happens when a phase ends: a reduce or partial reduce fires, an
 //! epoch's window flushes, the combine buffers drain, and completion is
-//! broadcast downstream.
+//! signalled downstream.
 
 use super::exec::Task;
 use super::phase::Phase;
@@ -8,7 +8,7 @@ use super::{NetMsg, NodeRuntime};
 use crate::config::FaultInjection;
 use crate::error::RunError;
 use crate::flowlet::AccTable;
-use crate::graph::FlowletId;
+use crate::graph::{EdgeId, FlowletId};
 use hamr_trace::{EventKind, WORKER_RUNTIME};
 use std::sync::Arc;
 
@@ -24,21 +24,27 @@ impl NodeRuntime {
             None => {
                 // Map (and anything stateless): bins already processed,
                 // forward punctuation downstream.
-                self.broadcast_markers(f, epoch);
+                self.send_markers(f, epoch);
             }
         }
     }
 
     pub(super) fn finish_epoch_flush(&mut self, f: FlowletId, epoch: u64) {
-        self.broadcast_markers(f, epoch);
+        self.send_markers(f, epoch);
         self.set_phase(f, Phase::Active);
     }
 
-    pub(super) fn broadcast_markers(&mut self, f: FlowletId, epoch: u64) {
-        let graph = Arc::clone(&self.plan.graph);
+    pub(super) fn send_markers(&self, f: FlowletId, epoch: u64) {
+        self.signal_out_edges(f, |edge| NetMsg::Marker { edge, epoch });
+    }
+
+    /// Send `msg` on each out-edge of `f` to the edge's peers: the
+    /// nodes that expect to hear from this one on it.
+    fn signal_out_edges(&self, f: FlowletId, msg: impl Fn(EdgeId) -> NetMsg) {
+        let graph = &self.plan.graph;
         for &edge in &graph.flowlets[f].out_edges {
-            for dst in 0..self.nodes {
-                let _ = self.endpoint.send(dst, NetMsg::Marker { edge, epoch });
+            for dst in graph.edges[edge].exchange.peers(self.node, self.nodes) {
+                let _ = self.endpoint.send(dst, msg(edge));
             }
         }
     }
@@ -125,7 +131,7 @@ impl NodeRuntime {
         self.dispatch(Task::FlushCombine { flowlet: f });
     }
 
-    /// Broadcast completion on every out-edge and retire the flowlet.
+    /// Signal completion on every out-edge and retire the flowlet.
     pub(super) fn begin_complete(&mut self, f: FlowletId) {
         debug_assert_eq!(
             self.held_partials(f),
@@ -136,13 +142,8 @@ impl NodeRuntime {
         // downstream consumer waits forever on this node's EdgeComplete
         // — a pure hang with all workers idle.
         let swallow = matches!(self.cfg.fault, FaultInjection::SwallowEdgeComplete { node } if node == self.node);
-        let graph = Arc::clone(&self.plan.graph);
         if !swallow {
-            for &edge in &graph.flowlets[f].out_edges {
-                for dst in 0..self.nodes {
-                    let _ = self.endpoint.send(dst, NetMsg::EdgeComplete { edge });
-                }
-            }
+            self.signal_out_edges(f, |edge| NetMsg::EdgeComplete { edge });
         }
         self.set_phase(f, Phase::Complete);
     }

@@ -319,7 +319,9 @@ impl NodeRuntime {
                 Instance {
                     pending: VecDeque::new(),
                     complete_seen: 0,
-                    input_expected: def.in_edges.len() * nodes,
+                    input_expected: (def.in_edges.iter())
+                        .map(|&e| graph.edges[e].exchange.peers(node, nodes).len())
+                        .sum(),
                     markers: HashMap::new(),
                     running: 0,
                     phase: Phase::Active,

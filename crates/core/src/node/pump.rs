@@ -197,7 +197,7 @@ impl NodeRuntime {
             }
         };
         if let Some(epoch) = owed {
-            self.broadcast_markers(f, epoch);
+            self.send_markers(f, epoch);
             let inst = &mut self.instances[f];
             inst.marker_owed = None;
             inst.stream_epoch = epoch + 1;

@@ -166,6 +166,13 @@ fn skewed_attribution_conserves_and_names_the_hot_edge() {
             "one hot key serializes on exactly one destination ({sched:?})"
         );
         assert!(shuffle[0].stalled_us > 0 && shuffle[0].stalls > 0);
+        let top = &report.stall_edges[0];
+        assert_eq!(
+            (top.flowlet, top.edge),
+            (1, 1),
+            "the hot shuffle edge ranks first ({sched:?}): {:?}",
+            report.stall_edges
+        );
     }
 }
 

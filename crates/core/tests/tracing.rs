@@ -223,22 +223,10 @@ fn chrome_export_is_valid_parseable_json() {
     assert!(meta > 0, "lane names must export as metadata");
 }
 
-#[test]
-fn summary_rows_have_ordered_quantiles() {
-    let cluster = Cluster::new(ClusterConfig::local(3, 2));
-    let result = run_wordcount(&cluster, None);
-    let rows = result.metrics.summary_rows();
-    assert_eq!(rows.len(), 3, "loader, map, partial-reduce");
-    for row in &rows {
-        assert!(row.tasks > 0, "{} ran no tasks", row.name);
-        assert!(row.p50_us <= row.p95_us && row.p95_us <= row.p99_us);
-    }
-}
-
 /// The flush task — the drain of a flowlet's combine buffers ahead of
 /// its completion — is a task like any other to the tools: a named
-/// slice in the Chrome export, a task in the worker-occupancy table,
-/// and counted in the producing flowlet's summary row.
+/// slice in the Chrome export, and counted in the producing flowlet's
+/// metrics as one task of as many as the trace ended.
 #[test]
 fn the_flush_task_is_a_named_slice_and_a_counted_task() {
     let mut config = ClusterConfig::local(2, 1);
@@ -279,9 +267,15 @@ fn the_flush_task_is_a_named_slice_and_a_counted_task() {
     assert_eq!(named("loader-split"), 2);
     assert_eq!(named("flush-combine"), 2, "one flush per node");
 
-    let occupancy = hamr_trace::worker_occupancy(&events);
-    let traced_tasks: u64 = occupancy.iter().map(|row| row.tasks).sum();
-    let rows = result.metrics.summary_rows();
-    assert_eq!(rows[0].tasks, 4, "a split and a flush on each node");
-    assert_eq!(traced_tasks, rows.iter().map(|r| r.tasks).sum::<u64>());
+    let flowlets = &result.metrics.flowlets;
+    assert_eq!(
+        flowlets[&loader].tasks, 4,
+        "a split and a flush on each node"
+    );
+    let ended = |e: &&TraceEvent| matches!(e.kind, EventKind::TaskEnd { .. });
+    let traced_tasks = events.iter().filter(ended).count() as u64;
+    assert_eq!(
+        traced_tasks,
+        flowlets.values().map(|f| f.tasks).sum::<u64>()
+    );
 }

@@ -168,3 +168,43 @@ fn a_link_is_charged_for_remote_bins_coded() {
         assert_eq!(report.total(stage).bytes, raw, "{stage:?} counts raw bytes");
     }
 }
+
+/// Completion costs a control message per sender and receiver an edge
+/// can have: on a `Hash` edge an `EdgeComplete` goes from every node to
+/// every node, on a `Local` edge only from a node to itself, since its
+/// records never leave their node. With no records there is nothing
+/// else to send, so the fabric carries exactly the `Hash` edge's
+/// completions — nodes × (nodes − 1) messages of 24 bytes — and each
+/// `Local` edge adds none where a broadcast would add nodes × (nodes − 1).
+#[test]
+fn a_local_edge_completes_without_crossing_the_fabric() {
+    const NODES: usize = 3;
+    let mut config = ClusterConfig::local(NODES, 1);
+    config.runtime.sched = SchedMode::Deterministic { seed: 7 };
+    let cluster = Cluster::new(config);
+    let mut job = JobBuilder::new("local-complete");
+    let loader = job.add_loader("none", typed::pairs_loader(Vec::<(u64, u64)>::new()));
+    let pass = || {
+        typed::map_fn(|k: u64, v: u64, out: &mut Emitter| {
+            out.emit_t(0, &k, &v);
+        })
+    };
+    let a = job.add_map("a", pass());
+    let b = job.add_map("b", pass());
+    let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
+    job.connect(loader, a, Exchange::Local);
+    job.connect(a, b, Exchange::Local);
+    job.connect(b, sum, Exchange::Hash);
+    job.capture_output(sum);
+    let result = cluster.run(job.build().unwrap()).unwrap();
+    assert!(result.typed_output::<u64, u64>(sum).is_empty());
+
+    let hash_complete = (NODES * (NODES - 1)) as u64;
+    assert_eq!(
+        result.metrics.shuffled_messages,
+        hash_complete,
+        "two Local edges would add {} if they signalled every node",
+        2 * hash_complete
+    );
+    assert_eq!(result.metrics.shuffled_bytes, 24 * hash_complete);
+}

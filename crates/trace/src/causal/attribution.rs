@@ -19,7 +19,8 @@
 //! So `compute + disk + stall + net + idle == lanes × wall` exactly,
 //! which is what the conservation test asserts.
 
-use crate::{task_spans, EventKind, TraceEvent, WORKER_DISK};
+use crate::chrome::task_spans;
+use crate::{EventKind, TraceEvent, WORKER_DISK};
 use std::collections::HashMap;
 
 /// One wall-time partition (all values in microseconds).
@@ -278,7 +279,10 @@ pub(super) fn attribute(events: &[TraceEvent]) -> Attribution {
             stalled_us,
         })
         .collect();
-    stall_edges.sort_by_key(|e| std::cmp::Reverse(e.stalled_us));
+    // Count first, then wait: a window that fills often is where a
+    // producer outruns its consumer; one parked behind it fills rarely,
+    // but each of its stalls lasts as long as the jam ahead of it.
+    stall_edges.sort_by_key(|e| std::cmp::Reverse((e.stalls, e.stalled_us)));
 
     let mut total = Buckets::default();
     for n in &per_node {

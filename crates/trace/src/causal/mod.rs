@@ -13,8 +13,7 @@ pub mod attribution;
 
 pub use attribution::{Buckets, NodeBuckets, StallEdge};
 
-use crate::summary::fmt_us;
-use crate::TraceEvent;
+use crate::{fmt_us, TraceEvent};
 
 /// The full causal-profiling report for one job run.
 #[derive(Debug, Clone, Default)]
@@ -30,7 +29,8 @@ pub struct CausalReport {
     /// `total.total() == lanes × wall_us` exactly.
     pub total: Buckets,
     pub per_node: Vec<NodeBuckets>,
-    /// (edge, dst) flow-control slots ranked by cumulative stall.
+    /// (edge, dst) flow-control slots ranked by stall count, then by
+    /// cumulative stall.
     pub stall_edges: Vec<StallEdge>,
     /// Events the sink dropped — when > 0 the report is built on a
     /// truncated log and every number below is suspect.
@@ -119,7 +119,7 @@ pub fn render_attribution(report: &CausalReport) -> String {
     out.push_str(&row("TOTAL".into(), report.lanes, &report.total));
     out.push_str(&format!(
         "{:<8} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
-        "(us)",
+        "(time)",
         "",
         fmt_us(report.total.compute_us),
         fmt_us(report.total.disk_us),

@@ -19,11 +19,55 @@
 //! event object's keys come out sorted.
 
 use crate::json::Json;
-use crate::{
-    lane_name, task_spans, EventKind, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME,
-};
+use crate::{lane_name, EventKind, TaskKind, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME};
 use std::collections::BTreeSet;
 use std::collections::HashMap;
+
+/// One `TaskEnd`, with the `TaskStart` it closes: a slice here, busy
+/// time in the wall-time attribution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TaskSpan {
+    pub node: u32,
+    pub worker: u32,
+    /// `None` when no start on this lane matches — the ring dropped it.
+    pub start_us: Option<u64>,
+    pub end_us: u64,
+}
+
+/// Pair every `TaskEnd` with the innermost open `TaskStart` of the
+/// same task kind and flowlet on its `(node, worker)` lane — tasks on
+/// one worker nest. Events need not be sorted. One span per `TaskEnd`,
+/// in time order; a start that never ends is dropped.
+pub(crate) fn task_spans(events: &[TraceEvent]) -> Vec<TaskSpan> {
+    let mut evs: Vec<&TraceEvent> = events.iter().collect();
+    evs.sort_by_key(|e| e.t_us);
+    type OpenTask = (u64, TaskKind, u32);
+    let mut open: HashMap<(u32, u32), Vec<OpenTask>> = HashMap::new();
+    let mut spans = Vec::new();
+    for ev in evs {
+        let lane = (ev.node, ev.worker);
+        match ev.kind {
+            EventKind::TaskStart { task, flowlet } => {
+                open.entry(lane).or_default().push((ev.t_us, task, flowlet));
+            }
+            EventKind::TaskEnd { task, flowlet, .. } => {
+                let stack = open.entry(lane).or_default();
+                let start = stack
+                    .iter()
+                    .rposition(|&(_, t, f)| t == task && f == flowlet)
+                    .map(|i| stack.remove(i).0);
+                spans.push(TaskSpan {
+                    node: ev.node,
+                    worker: ev.worker,
+                    start_us: start,
+                    end_us: ev.t_us,
+                });
+            }
+            _ => {}
+        }
+    }
+    spans
+}
 
 /// Perfetto sorts tids numerically; remap the sentinel lanes to small
 /// negative-looking slots so "runtime/net/disk" group below workers
@@ -157,7 +201,32 @@ mod tests {
     use super::*;
     use crate::json::{parse, Json};
     use crate::tests::ev;
-    use crate::TaskKind;
+
+    #[test]
+    fn nested_tasks_pair_innermost_first() {
+        use crate::TaskKind::{FireReduce, MapBin, ReduceIngest};
+        let start = |t_us, task| ev(t_us, 0, 0, EventKind::TaskStart { task, flowlet: 1 });
+        let end = |t_us, task| {
+            let kind = EventKind::TaskEnd {
+                task,
+                flowlet: 1,
+                records_in: 5,
+                records_out: 1,
+            };
+            ev(t_us, 0, 0, kind)
+        };
+        // fire-reduce wraps reduce-ingest on the same worker; the
+        // map-bin end lost its start to the ring.
+        let spans = task_spans(&[
+            start(0, FireReduce),
+            start(10, ReduceIngest),
+            end(20, ReduceIngest),
+            end(30, MapBin),
+            end(40, FireReduce),
+        ]);
+        let seen: Vec<_> = spans.iter().map(|s| (s.start_us, s.end_us)).collect();
+        assert_eq!(seen, [(Some(10), 20), (None, 30), (Some(0), 40)]);
+    }
 
     fn events_of(doc: &str) -> Vec<Json> {
         let parsed = parse(doc).expect("exporter output is valid JSON");

@@ -7,7 +7,7 @@
 //! (b >= 1) holds values in `[2^(b-1), 2^b)`. That gives ~2x resolution
 //! over the whole `u64` range at a fixed 528-byte footprint, so one
 //! histogram can live inside every `FlowletMetrics` and every sketch
-//! without anyone noticing.
+//! without anyone noticing. [`fmt_us`] prints its microsecond values.
 
 use std::time::Duration;
 
@@ -53,22 +53,17 @@ pub(crate) fn bucket_upper(b: usize) -> u64 {
     }
 }
 
-/// The value at quantile `q` in `[0, 1]` of log2 `buckets` holding
-/// `count` samples: the upper bound of the first bucket whose
-/// cumulative count reaches `ceil(q * count)` (0 when empty).
-pub(crate) fn quantile_of(buckets: &[u64], count: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
+/// The crate's one duration format, for microseconds: whole
+/// microseconds below 10 ms, then milliseconds, then seconds, one
+/// decimal each — always a single whitespace-free token.
+pub fn fmt_us(us: u64) -> String {
+    if us >= 10_000_000 {
+        format!("{:.1}s", us as f64 / 1e6)
+    } else if us >= 10_000 {
+        format!("{:.1}ms", us as f64 / 1e3)
+    } else {
+        format!("{us}us")
     }
-    let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
-    let mut seen = 0u64;
-    for (b, &n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= target {
-            return bucket_upper(b);
-        }
-    }
-    bucket_upper(buckets.len().saturating_sub(1))
 }
 
 impl Log2Hist {
@@ -82,6 +77,13 @@ impl Log2Hist {
         self.buckets[bucket_of(v)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
+    }
+
+    /// Record `n` copies of `v` — a bucket of a scraped histogram.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        self.buckets[bucket_of(v)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
     }
 
     /// Record a `Duration` in microseconds.
@@ -100,11 +102,23 @@ impl Log2Hist {
     }
 
     /// The value at quantile `q` in `[0, 1]`, reported as the upper
-    /// bound of the bucket containing it (0 when empty). Because
-    /// buckets are powers of two, the result is within 2x of the true
-    /// quantile, and monotone in `q` by construction.
+    /// bound of the first bucket whose cumulative count reaches
+    /// `ceil(q * count)` (0 when empty). Because buckets are powers of
+    /// two, the result is within 2x of the true quantile, and monotone
+    /// in `q` by construction.
     pub fn quantile(&self, q: f64) -> u64 {
-        quantile_of(&self.buckets, self.count, q)
+        if self.count == 0 {
+            return 0;
+        }
+        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (b, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= target {
+                return bucket_upper(b);
+            }
+        }
+        bucket_upper(BUCKETS - 1)
     }
 
     /// Raw per-bucket counts, for export into the registry.
@@ -191,6 +205,21 @@ mod tests {
         assert_eq!(a, whole);
         assert_eq!(a.count(), 5);
         assert_eq!(a.sum(), 632);
+    }
+
+    #[test]
+    fn unit_formatting() {
+        assert_eq!(fmt_us(999), "999us");
+        assert_eq!(fmt_us(52_000), "52.0ms");
+        assert_eq!(fmt_us(12_000_000), "12.0s");
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        let (mut once, mut each) = (Log2Hist::new(), Log2Hist::new());
+        once.record_n(700, 3);
+        (0..3).for_each(|_| each.record(700));
+        assert_eq!(once, each);
     }
 
     #[test]

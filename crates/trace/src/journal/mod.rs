@@ -159,7 +159,8 @@ pub struct JobRow {
     pub cache_hits: Option<u64>,
     /// Flow-control stall time, summed over the job's flowlets.
     pub stall_us: Option<u64>,
-    /// p99 over every task the job ran.
+    /// p99 over every task the job ran: the upper bound of the log2
+    /// bucket that holds it.
     pub task_p99_us: Option<u64>,
     /// Custody rows with bins emitted and never consumed, largest gap
     /// first. Empty unless the job ran supervised.

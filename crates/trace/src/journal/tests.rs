@@ -197,7 +197,7 @@ fn a_job_end_without_records_and_keys_renders_the_columns_it_has() {
     assert_eq!(decoded, JournalRecord::JobEnd { t_us: 50, row });
     assert_eq!(
         rendered_row(&[start("wc"), decoded], "wc"),
-        ["wc", "hamr", "0.0", "-", "777", "-", "3", "2.5", "127", "ok"]
+        ["wc", "hamr", "0.0", "-", "777", "-", "3", "2.5", "127us", "ok"]
     );
 }
 

@@ -10,13 +10,15 @@
 //! exactly the case the journal exists for.
 //!
 //! Every column is printed as the job's `JobEnd` wrote it; nothing is
-//! subtracted from anything. A column the engine has no notion of, or
+//! subtracted from anything. The p99 is the upper bound of the log2
+//! bucket holding it, so its column says `p99 bound`. A column the engine has no notion of, or
 //! that an older writer did not carry, shows `-`.
 //!
 //! `hamr timeline <dir>` renders this; `hamr timeline --diff a b`
 //! compares two reconstructions job by job, pairing by engine and name.
 
 use super::{read_journal_tree, JobRow, JournalRecord};
+use crate::fmt_us;
 use crate::stats::EdgeStatsSummary;
 use crate::WatchdogTrip;
 use std::path::Path;
@@ -186,7 +188,7 @@ impl Timeline {
             "keys",
             "cache hit",
             "stall ms",
-            "p99 us"
+            "p99 bound"
         ));
         for span in &self.jobs {
             let ms = |us: u64| format!("{:.1}", us as f64 / 1000.0);
@@ -211,7 +213,7 @@ impl Timeline {
                 col(row.and_then(|r| r.distinct_keys), &count),
                 col(row.and_then(|r| r.cache_hits), &count),
                 col(row.and_then(|r| r.stall_us), &ms),
-                col(row.and_then(|r| r.task_p99_us), &count),
+                col(row.and_then(|r| r.task_p99_us), &fmt_us),
                 status
             ));
             for inc in &span.incidents {
@@ -393,7 +395,7 @@ mod tests {
         };
         assert_eq!(
             cols("wc"),
-            ["wc", "hamr", "5.0", "40", "1000", "-", "2", "1.5", "127", "ok"]
+            ["wc", "hamr", "5.0", "40", "1000", "-", "2", "1.5", "127us", "ok"]
         );
         assert_eq!(
             cols("pr")[..9],

@@ -7,19 +7,17 @@
 //! to a [`TraceSink`] such as [`RingSink`], a bounded ring buffer with
 //! one lane per node.
 //!
-//! Collected events can be rendered two ways:
-//! * [`chrome_trace_json`] — the Chrome trace-event JSON format, which
-//!   loads directly into Perfetto / `chrome://tracing` as a per-node,
-//!   per-worker timeline;
-//! * [`render_summary`] — a plain-text per-flowlet table with task
-//!   latency percentiles (from a [`Log2Hist`]) and cumulative
-//!   flow-control stall time.
+//! Collected events export as Chrome trace-event JSON
+//! ([`chrome_trace_json`]), which loads directly into Perfetto /
+//! `chrome://tracing` as a per-node, per-worker timeline.
 //!
 //! [`analyze`] partitions every worker lane's wall time and ranks the
 //! flow-control slots that stalled a run; it reads task, stall and
-//! ship/ingress events, never a per-bin id. Record lineage — which
-//! sampled keys crossed which edge — is the statistics plane's
-//! ([`stats`]), and `hamr explain` reads it.
+//! ship/ingress events, never a per-bin id. Per-flowlet counts and
+//! task latencies are not re-derived from events: the engine publishes
+//! them into the [`MetricsRegistry`] (`/metrics`, `hamr top`). Record
+//! lineage — which sampled keys crossed which edge — is the statistics
+//! plane's ([`stats`]), and `hamr explain` reads it.
 
 pub mod audit;
 pub mod causal;
@@ -29,7 +27,6 @@ pub mod journal;
 pub mod json;
 pub mod registry;
 pub mod stats;
-mod summary;
 
 pub use audit::{
     Audit, AuditBin, AuditReport, AuditRow, AuditStage, AuditViolation, CombineRow, FlightRecord,
@@ -39,7 +36,7 @@ pub use causal::{
     analyze, render_attribution, render_stall_edges, Buckets, CausalReport, NodeBuckets, StallEdge,
 };
 pub use chrome::chrome_trace_json;
-pub use hist::Log2Hist;
+pub use hist::{fmt_us, Log2Hist};
 pub use journal::{
     read_journal, read_journal_tree, JobRow, JobSpan, Journal, JournalConfig, JournalMode,
     JournalRead, JournalRecord, JournalSlot, StuckEdge, Timeline,
@@ -52,10 +49,6 @@ pub use registry::{
 pub use stats::{
     EdgeStatsSummary, HopKind, LineageHop, LineageSample, SketchSet, SpaceSaving, StatsMode,
     StatsPlane, StatsSnapshot,
-};
-pub use summary::{
-    render_occupancy, render_summary, task_spans, worker_occupancy, FlowletSummaryRow, TaskSpan,
-    WorkerOccupancyRow,
 };
 
 use std::collections::VecDeque;
