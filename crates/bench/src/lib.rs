@@ -2,7 +2,9 @@
 //! machinery that regenerates every table and figure (see DESIGN.md's
 //! experiment index).
 
-use hamr_workloads::{all_benchmarks, Benchmark, Env, SimParams};
+use hamr_workloads::histogram_movies::HistogramMovies;
+use hamr_workloads::histogram_ratings::HistogramRatings;
+use hamr_workloads::{all_benchmarks, BenchOutput, Benchmark, Env, SimParams};
 use std::time::Duration;
 
 /// One row of the paper's Table 2.
@@ -88,28 +90,66 @@ pub struct MeasuredRow {
     pub mapred: Duration,
     pub hamr: Duration,
     pub records: u64,
+    /// The engines' checksums and record counts agree.
     pub checksums_match: bool,
+    /// HAMR with a combiner flowlet, on the rows of the paper's Table 3;
+    /// `None` on every other row.
+    pub combined: Option<CombinedRun>,
+}
+
+/// A Table 3 run: HAMR with a combiner flowlet, in the row's environment.
+#[derive(Debug, Clone, Copy)]
+pub struct CombinedRun {
+    pub elapsed: Duration,
+    /// Its checksum and record count equal plain HAMR's.
+    pub matches_plain: bool,
 }
 
 impl MeasuredRow {
     pub fn speedup(&self) -> f64 {
         self.mapred.as_secs_f64() / self.hamr.as_secs_f64()
     }
+
+    /// Every run of the row computed the same answer.
+    pub fn ok(&self) -> bool {
+        self.checksums_match && self.combined.is_none_or(|c| c.matches_plain)
+    }
 }
 
-/// Run one benchmark on both engines in a fresh environment.
+/// Run HAMR with a combiner flowlet over the input `env` holds, for the
+/// benchmarks the paper's Table 3 re-times; `None` for the rest.
+fn run_combiner(name: &str, env: &Env) -> Option<Result<BenchOutput, String>> {
+    Some(match name {
+        "HistogramMovies" => HistogramMovies::default().run_hamr_with(env, true),
+        "HistogramRatings" => HistogramRatings::default().run_hamr_with(env, true),
+        _ => return None,
+    })
+}
+
+/// Run one benchmark on both engines in a fresh environment, and, on a
+/// Table 3 row, HAMR with a combiner flowlet after them.
 pub fn run_comparison(bench: &dyn Benchmark, params: &SimParams) -> MeasuredRow {
     let env = Env::new(params.clone());
     bench.seed(&env).expect("seed");
     // Baseline first, then HAMR, each cold, on the same inputs.
     let mr = bench.run_mapred(&env).expect("mapred run");
     let hamr = bench.run_hamr(&env).expect("hamr run");
+    let agree =
+        |a: &BenchOutput, b: &BenchOutput| a.checksum == b.checksum && a.records == b.records;
+    let combined = run_combiner(bench.name(), &env).map(|run| {
+        let run = run.expect("hamr combiner run");
+        CombinedRun {
+            elapsed: run.elapsed,
+            matches_plain: agree(&run, &hamr),
+        }
+    });
     MeasuredRow {
         name: bench.name().to_string(),
         mapred: mr.elapsed,
         hamr: hamr.elapsed,
         records: hamr.records,
-        checksums_match: hamr.checksum == mr.checksum && hamr.records == mr.records,
+        checksums_match: agree(&hamr, &mr),
+        combined,
     }
 }
 
@@ -186,6 +226,36 @@ pub fn header() -> String {
     )
 }
 
+/// Render a row's Table 3 line — the speedup is the baseline's time
+/// over the combiner run's — or `None` when the row has no combiner run.
+/// `ok` means all three runs computed the same answer.
+pub fn format_table3_row(measured: &MeasuredRow) -> Option<String> {
+    let combined = measured.combined?;
+    let paper_speedup = PAPER_TABLE3
+        .iter()
+        .find(|(name, _, _)| *name == measured.name)
+        .map(|(_, _, speedup)| format!("{speedup:>7.2}x"))
+        .unwrap_or_else(|| "      —".into());
+    Some(format!(
+        "{:<18} {:>9.3}s {:>9.3}s {:>12.3}s {:>7.2}x {} {}",
+        measured.name,
+        measured.mapred.as_secs_f64(),
+        measured.hamr.as_secs_f64(),
+        combined.elapsed.as_secs_f64(),
+        measured.mapred.as_secs_f64() / combined.elapsed.as_secs_f64(),
+        paper_speedup,
+        if measured.ok() { "ok" } else { "MISMATCH" },
+    ))
+}
+
+/// Header matching [`format_table3_row`].
+pub fn table3_header() -> String {
+    format!(
+        "{:<18} {:>10} {:>10} {:>13} {:>8} {:>8} {}",
+        "benchmark", "mapred", "hamr", "hamr+combiner", "speedup", "paper", "check"
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,10 +282,34 @@ mod tests {
             hamr: Duration::from_millis(600),
             records: 42,
             checksums_match: true,
+            combined: None,
         };
         let s = format_row(&row, paper_row("WordCount"));
         assert!(s.contains("WordCount"));
         assert!(s.contains("2.00x"));
         assert!(s.contains("ok"));
+        assert_eq!(format_table3_row(&row), None);
+    }
+
+    #[test]
+    fn a_table3_row_checks_all_three_runs() {
+        let mut row = MeasuredRow {
+            name: "HistogramMovies".into(),
+            mapred: Duration::from_millis(900),
+            hamr: Duration::from_millis(600),
+            records: 9,
+            checksums_match: true,
+            combined: Some(CombinedRun {
+                elapsed: Duration::from_millis(300),
+                matches_plain: true,
+            }),
+        };
+        let s = format_table3_row(&row).expect("a combiner run");
+        assert!(s.contains("3.00x"), "speedup over the combiner run: {s}");
+        assert!(s.contains("1.79x"), "the paper's Table 3 speedup: {s}");
+        assert!(s.ends_with(" ok"));
+        row.combined.as_mut().expect("a combiner run").matches_plain = false;
+        assert!(!row.ok());
+        assert!(format_table3_row(&row).unwrap().ends_with(" MISMATCH"));
     }
 }

@@ -198,7 +198,14 @@ fn trace_leaves_loadable_timelines_with_the_skewed_runs_stalls() {
     );
     let skewed = section("hamr_histratings_skewed ==");
     let mut ranked = skewed.lines().skip_while(|l| !l.starts_with("stall edge"));
-    let first_edge = ranked.nth(1).expect("a ranked stall edge");
+    let columns: Vec<&str> = ranked
+        .next()
+        .expect("a header")
+        .split_whitespace()
+        .collect();
+    // No summed-wait column: concurrent waits summed exceed the wall.
+    assert_eq!(columns, ["stall", "edge", "stalls", "avg/bin"], "{skewed}");
+    let first_edge = ranked.next().expect("a ranked stall edge");
     assert!(first_edge.starts_with("f1 edge1 "), "{skewed}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,6 +23,23 @@ fn filter_selects_single_benchmark() {
     let rows = run_table2(&params, Some("wordcount"));
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].name, "WordCount");
+    assert!(rows[0].combined.is_none(), "not a Table 3 row");
+}
+
+#[test]
+fn the_histogram_rows_carry_table3s_combiner_run() {
+    let rows = run_table2(&SimParams::test(2, 2), Some("histogram"));
+    let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names, ["HistogramMovies", "HistogramRatings"]);
+    for row in &rows {
+        let combined = row.combined.expect("a combiner time");
+        assert!(row.checksums_match, "{}: engines disagree", row.name);
+        assert!(
+            combined.matches_plain,
+            "{}: combiner changed the answer",
+            row.name
+        );
+    }
 }
 
 #[test]

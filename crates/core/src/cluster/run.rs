@@ -200,7 +200,6 @@ impl Cluster {
                 disk: self.disks[node].clone(),
                 dfs: self.dfs.clone(),
                 kv: self.kv.shard(node),
-                kv_store: self.kv.clone(),
             };
             std::thread::Builder::new()
                 .name(format!("hamr-node-{node}"))

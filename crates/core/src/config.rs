@@ -59,9 +59,9 @@ pub enum FaultInjection {
     DropAcks { node: usize },
 }
 
-/// The skew-mitigation switch (see `crate::skew`), toggleable
-/// (`HAMR_SKEW`) so an ablation can measure it. Combining only ever
-/// engages on edges that registered a combiner via
+/// The skew-mitigation switch — in-node combining, `outbuf/combine.rs` —
+/// toggleable (`HAMR_SKEW`) so an ablation can measure it. Combining
+/// only ever engages on edges that registered a combiner via
 /// `JobBuilder::connect_combined`, so jobs without combiners are
 /// byte-for-byte unaffected by either setting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +72,9 @@ pub struct SkewConfig {
 }
 
 impl SkewConfig {
-    /// Combining off — the pre-mitigation engine, byte for byte.
+    /// In-node combining off: no combine buffer is built and every
+    /// record ships as emitted. Nothing else changes — remote bins are
+    /// still Huffman-coded on the link.
     pub fn off() -> Self {
         SkewConfig { combine: false }
     }
@@ -90,8 +92,8 @@ impl SkewConfig {
 
 impl Default for SkewConfig {
     fn default() -> Self {
-        // Combining leaves checksums unchanged (see crate::skew) and
-        // strictly helps on skewed inputs, so it defaults on.
+        // Combining leaves checksums unchanged and strictly helps on
+        // skewed inputs, so it defaults on.
         SkewConfig { combine: true }
     }
 }
@@ -112,7 +114,7 @@ pub struct RuntimeConfig {
     /// Deliberate sabotage for self-verification tests (see
     /// [`FaultInjection`]). Always `None` outside tests.
     pub fault: FaultInjection,
-    /// Skew mitigation switches (see [`SkewConfig`] and `crate::skew`).
+    /// Skew mitigation switch (see [`SkewConfig`]).
     pub skew: SkewConfig,
     /// Data-plane statistics mode (see [`hamr_trace::StatsMode`]):
     /// per-edge streaming sketches and, in `Full`, sampled record

@@ -8,7 +8,7 @@ use crate::outbuf::TaskOutput;
 use crate::NodeId;
 use hamr_codec::{write_str, Codec};
 use hamr_dfs::Dfs;
-use hamr_kvstore::{KvStore, Shard};
+use hamr_kvstore::Shard;
 use hamr_simdisk::Disk;
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,14 +26,6 @@ pub struct TaskContext {
     pub disk: Disk,
     pub dfs: Dfs,
     pub kv: Arc<Shard>,
-    pub kv_store: KvStore,
-}
-
-/// Identifies one loader split task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitSpec {
-    pub node: NodeId,
-    pub index: usize,
 }
 
 /// Collects a task's emissions, routing each record to an output port.
@@ -188,11 +180,8 @@ pub trait PartialReduceFn: Send + Sync {
 
     /// Fold one record into `table`; `hash` is the key's `stable_hash`.
     /// Folds run on any of the node's workers, concurrently, in no
-    /// particular order, while upstream tasks still run. So what a fold
-    /// reads through `ctx` (a KV-store join, a DFS block) must be state
-    /// no task of this job writes: an earlier job's output, such as a
-    /// rank copy the job before this one left in the node's KV store.
-    fn fold(&self, ctx: &TaskContext, table: &mut AccTable, hash: u64, key: &[u8], value: &[u8]);
+    /// particular order, while upstream tasks still run.
+    fn fold(&self, table: &mut AccTable, hash: u64, key: &[u8], value: &[u8]);
 
     /// True when `table` holds no key.
     fn is_empty(&self, table: &AccTable) -> bool;

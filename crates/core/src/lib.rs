@@ -70,9 +70,7 @@ mod watchdog;
 pub use cluster::{Cluster, JobResult, RunOptions, Supervision};
 pub use config::{ClusterConfig, FaultInjection, RuntimeConfig, SchedMode, SkewConfig};
 pub use error::{ConfigError, GraphError, RunError};
-pub use flowlet::{
-    Emitter, Loader, MapFn, PartialReduceFn, ReduceFn, SplitSpec, StreamSource, TaskContext,
-};
+pub use flowlet::{Emitter, Loader, MapFn, PartialReduceFn, ReduceFn, StreamSource, TaskContext};
 pub use graph::{Exchange, FlowletId, FlowletKind, JobBuilder, JobGraph};
 /// The type of [`JobResult::row`], shared with the `mapred` baseline.
 pub use hamr_trace::JobRow;

@@ -207,7 +207,7 @@ pub(super) fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) 
                 let state = shared.partial[flowlet]
                     .as_ref()
                     .expect("partial state exists");
-                state.fold_bin(&shared.ctx, &bin);
+                state.fold_bin(&bin);
             }
             (Task::Bin { bin, .. }, FlowletKind::Reduce(_)) => {
                 shared.stats_consume(&bin, flowlet);

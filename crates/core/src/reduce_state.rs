@@ -27,7 +27,7 @@
 //! per retained key would hoard memory. A fire hands each stripe's
 //! table to a finish task whole; no entry is copied out of it.
 
-use crate::flowlet::{AccTable, PartialReduceFn, TaskContext};
+use crate::flowlet::{AccTable, PartialReduceFn};
 use crate::record::FrameBin;
 use crate::spill::{merge_runs, Run};
 use hamr_codec::slots::{u32_at, Slots, ARENA_MAX};
@@ -387,13 +387,13 @@ impl PartialState {
 
     /// Fold a bin into the accumulators. Entries are borrowed from the
     /// frame; the key's one hash picks the stripe and probes its table.
-    pub(crate) fn fold_bin(&self, ctx: &TaskContext, bin: &FrameBin) {
+    pub(crate) fn fold_bin(&self, bin: &FrameBin) {
         for (key, value) in bin.frame.iter() {
             // Per-record lock acquisition is the point: this is the
             // shared-variable update the paper describes.
             let hash = stable_hash(key);
             let mut table = self.stripes[sub_shard(hash, self.stripes.len())].lock();
-            self.reducer.fold(ctx, &mut table, hash, key, value);
+            self.reducer.fold(&mut table, hash, key, value);
         }
     }
 
@@ -627,20 +627,6 @@ mod tests {
         }
     }
 
-    /// A one-node task context over an instant disk.
-    fn ctx() -> TaskContext {
-        let disk = Disk::new(DiskConfig::instant());
-        let kv = hamr_kvstore::KvStore::new(1);
-        TaskContext {
-            node: 0,
-            nodes: 1,
-            dfs: hamr_dfs::Dfs::new(vec![disk.clone()], Default::default()),
-            disk,
-            kv: kv.shard(0),
-            kv_store: kv,
-        }
-    }
-
     fn sum_state() -> PartialState {
         let sums = crate::typed::partial_fn::<Bytes, u64, u64, _, _, _>(
             |v| v,
@@ -669,12 +655,13 @@ mod tests {
 
     #[test]
     fn shared_partial_state_sums() {
-        let (st, ctx) = (sum_state(), ctx());
-        st.fold_bin(
-            &ctx,
-            &bin(&[(b"x", &u64b(1)), (b"y", &u64b(10)), (b"x", &u64b(2))]),
-        );
-        st.fold_bin(&ctx, &bin(&[(b"x", &u64b(4))]));
+        let st = sum_state();
+        st.fold_bin(&bin(&[
+            (b"x", &u64b(1)),
+            (b"y", &u64b(10)),
+            (b"x", &u64b(2)),
+        ]));
+        st.fold_bin(&bin(&[(b"x", &u64b(4))]));
         let sums = partial_sums(&st);
         assert_eq!(sums, vec![(b("x"), 7), (b("y"), 10)]);
         // Drained: empty now.
@@ -688,9 +675,8 @@ mod tests {
             .map(|_| {
                 let st = Arc::clone(&st);
                 std::thread::spawn(move || {
-                    let ctx = ctx();
                     for _ in 0..200 {
-                        st.fold_bin(&ctx, &bin(&[(b"hot", &u64b(1))]));
+                        st.fold_bin(&bin(&[(b"hot", &u64b(1))]));
                     }
                 })
             })

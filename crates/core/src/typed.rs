@@ -168,8 +168,8 @@ where
 // ------------------------------------------------------ partial reduce
 
 /// A [`PartialReduceFn`] assembled from typed init/fold/finish
-/// closures over value type `V` and accumulator type `Acc`, each handed
-/// the [`TaskContext`]. Its table is an `Accs<Acc>`: keys stay bytes
+/// closures over value type `V` and accumulator type `Acc`; `finish` is
+/// handed the [`TaskContext`]. Its table is an `Accs<Acc>`: keys stay bytes
 /// while folding, and each is decoded once, for `finish`.
 pub struct TypedPartial<K, V, Acc, FInit, FFold, FFinish> {
     init: FInit,
@@ -184,22 +184,22 @@ where
     K: Codec,
     V: Codec,
     Acc: Default + Send + 'static,
-    FInit: Fn(&TaskContext, V) -> Acc + Send + Sync,
-    FFold: Fn(&TaskContext, Acc, V) -> Acc + Send + Sync,
+    FInit: Fn(V) -> Acc + Send + Sync,
+    FFold: Fn(Acc, V) -> Acc + Send + Sync,
     FFinish: Fn(&TaskContext, K, Acc, &mut Emitter) + Send + Sync,
 {
     fn table(&self) -> AccTable {
         Box::new(Accs::<Acc>::default())
     }
 
-    fn fold(&self, ctx: &TaskContext, table: &mut AccTable, hash: u64, key: &[u8], value: &[u8]) {
+    fn fold(&self, table: &mut AccTable, hash: u64, key: &[u8], value: &[u8]) {
         let table: &mut Accs<Acc> = table
             .downcast_mut()
             .expect("accumulator table type confusion");
         let v = dec("partial value", value);
         table.fold(hash, key, |acc| match acc {
-            None => (self.init)(ctx, v),
-            Some(acc) => (self.fold)(ctx, acc, v),
+            None => (self.init)(v),
+            Some(acc) => (self.fold)(acc, v),
         });
     }
 
@@ -223,39 +223,7 @@ where
 /// port, captured output, disk, KV store...). `Acc: Default` is what
 /// lets the table hold each accumulator bare, with no `Option` beside
 /// it: a fold moves it out with `mem::take`.
-#[allow(clippy::type_complexity)]
 pub fn partial_fn<K, V, Acc, FInit, FFold, FFinish>(
-    init: FInit,
-    fold: FFold,
-    finish: FFinish,
-) -> TypedPartial<
-    K,
-    V,
-    Acc,
-    impl Fn(&TaskContext, V) -> Acc + Send + Sync,
-    impl Fn(&TaskContext, Acc, V) -> Acc + Send + Sync,
-    FFinish,
->
-where
-    K: Codec,
-    V: Codec,
-    Acc: Default + Send + 'static,
-    FInit: Fn(V) -> Acc + Send + Sync,
-    FFold: Fn(Acc, V) -> Acc + Send + Sync,
-    FFinish: Fn(&TaskContext, K, Acc, &mut Emitter) + Send + Sync,
-{
-    partial_ctx_fn(
-        move |_: &TaskContext, v| init(v),
-        move |_: &TaskContext, acc, v| fold(acc, v),
-        finish,
-    )
-}
-
-/// Build a context-aware partial reduce: `init` and `fold` get the
-/// [`TaskContext`] too, so a fold can join each value against the
-/// node's KV store as it arrives (what it may read:
-/// [`PartialReduceFn::fold`]).
-pub fn partial_ctx_fn<K, V, Acc, FInit, FFold, FFinish>(
     init: FInit,
     fold: FFold,
     finish: FFinish,
@@ -264,8 +232,8 @@ where
     K: Codec,
     V: Codec,
     Acc: Default + Send + 'static,
-    FInit: Fn(&TaskContext, V) -> Acc + Send + Sync,
-    FFold: Fn(&TaskContext, Acc, V) -> Acc + Send + Sync,
+    FInit: Fn(V) -> Acc + Send + Sync,
+    FFold: Fn(Acc, V) -> Acc + Send + Sync,
     FFinish: Fn(&TaskContext, K, Acc, &mut Emitter) + Send + Sync,
 {
     TypedPartial {

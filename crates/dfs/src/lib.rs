@@ -25,10 +25,8 @@
 //! [`Dfs::read_range`]) instead of waiting for the whole block, while
 //! the disk still books, charges and counts the block as one read.
 
-mod reader;
 mod writer;
 
-pub use reader::DfsReader;
 pub use writer::DfsWriter;
 
 use hamr_simdisk::{sleep_until, Disk, DiskError};
@@ -217,12 +215,6 @@ impl Dfs {
             ns.insert(path.to_string(), FileMeta::default());
         }
         Ok(DfsWriter::new(self.clone(), path.to_string(), local))
-    }
-
-    /// Open an existing file for reading.
-    pub fn open(&self, path: &str) -> Result<DfsReader, DfsError> {
-        let blocks = self.blocks(path)?;
-        Ok(DfsReader::new(self.clone(), path.to_string(), blocks))
     }
 
     pub fn exists(&self, path: &str) -> bool {
@@ -648,7 +640,7 @@ mod tests {
     #[test]
     fn missing_file_errors() {
         let dfs = Dfs::in_memory(2);
-        assert!(matches!(dfs.open("nope"), Err(DfsError::NotFound(_))));
+        assert!(matches!(dfs.read_all("nope"), Err(DfsError::NotFound(_))));
         assert!(matches!(dfs.delete("nope"), Err(DfsError::NotFound(_))));
         assert!(matches!(
             dfs.read_block("nope", 0, None),

@@ -64,6 +64,8 @@ pub struct StallEdge {
     pub edge: u32,
     pub dst: u32,
     pub stalls: u64,
+    /// Summed over the slot's stalls, which overlap: bins deferred
+    /// together wait together, so it can exceed the run's wall.
     pub stalled_us: u64,
 }
 

@@ -131,21 +131,19 @@ pub fn render_attribution(report: &CausalReport) -> String {
 }
 
 /// The top-stall-edges ranking: which flow-control slots serialized
-/// the run.
+/// the run, with each slot's stall count and mean wait per stall. Not
+/// the summed wait: bins deferred together wait concurrently, so the sum
+/// can exceed the run's wall.
 pub fn render_stall_edges(report: &CausalReport) -> String {
     if report.stall_edges.is_empty() {
         return "no flow-control stalls recorded\n".into();
     }
-    let mut out = format!(
-        "{:<24} {:>8} {:>12} {:>10}\n",
-        "stall edge", "stalls", "stalled", "avg/bin"
-    );
+    let mut out = format!("{:<24} {:>8} {:>10}\n", "stall edge", "stalls", "avg/bin");
     for s in report.stall_edges.iter().take(10) {
         out.push_str(&format!(
-            "{:<24} {:>8} {:>12} {:>10}\n",
+            "{:<24} {:>8} {:>10}\n",
             format!("f{} edge{} -> node{}", s.flowlet, s.edge, s.dst),
             s.stalls,
-            fmt_us(s.stalled_us),
             fmt_us(s.stalled_us / s.stalls.max(1)),
         ));
     }
