@@ -1,13 +1,14 @@
 //! Allocations of a served PageRank iteration, per in-link. Once the
 //! in-link lists are resident, an iteration is a rank-ship job (each
-//! node's `rank / deg` broadcast into every node's `pr/c` copy) and an
-//! update job whose `PRUpdateMap` reads one copy per in-link from the
-//! KV store and puts one rank per page. The map reads each page's list
-//! in place from its frame and builds every key on the stack, the ship
-//! builds its blob in one buffer, a KV put copies key and value into its
-//! stripe's arena and a lookup borrows the value in place, so the
-//! iteration allocates per job, per task, per frame and per page, not
-//! per edge or per put.
+//! node's `rank / deg` blob broadcast and merged into every node's
+//! `pr/c` column, one put) and an update job whose `PRUpdateMap` sums
+//! each page's in-link slots of that column in one lookup and puts one
+//! rank per page. The map reads each page's list in place from its
+//! frame and builds every key on the stack, the ship builds its blob in
+//! one buffer and the gather its column in another, a KV put copies key
+//! and value into its stripe's arena and a lookup borrows the value in
+//! place, so the iteration allocates per job, per task, per frame and
+//! per page, not per edge or per put.
 
 use hamr_workloads::pagerank::PageRank;
 use hamr_workloads::{Benchmark, Env, SimParams};
@@ -50,9 +51,8 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// A fresh PageRank chain of `iterations`: the allocations its HAMR run
-/// made, and the in-links its pages' lists hold (one `pr/c` read each
-/// per update). A list is its sources' varints, packed: one byte of
-/// each is below 0x80.
+/// made, and the in-links its pages' lists hold. A list is its sources'
+/// slots, varints, packed: one byte of each is below 0x80.
 fn chain(iterations: usize) -> (u64, u64) {
     let env = Env::new(SimParams::test(2, 2));
     let bench = PageRank {
@@ -80,9 +80,10 @@ fn a_served_iteration_allocates_under_four_tenths_of_an_object_per_reduced_edge(
     let (four, _) = chain(4);
     assert!(edges > 5_000, "{edges} edges");
     // The fourth iteration, served like the third: its rank-ship and
-    // update jobs. Measured: 0.12 an edge (944–958 allocations over
-    // 7,886 edges); 0.27 while the update was a partial reduce folding
-    // one `(src, deg)` record per in-edge.
+    // update jobs. Measured: 0.13 an edge (1,020–1,030 allocations over
+    // 7,886 edges) with a `pr/c` column; 0.12 with a `pr/c` entry per
+    // page; 0.27 while the update was a partial reduce folding one
+    // `(src, deg)` record per in-edge.
     let per_edge = four.saturating_sub(three) as f64 / edges as f64;
     assert!(
         per_edge <= 0.4,

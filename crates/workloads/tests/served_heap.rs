@@ -1,9 +1,11 @@
 //! Heap a served PageRank iteration holds, per page. Once the in-link
 //! lists are resident, an iteration's update job is a map over them,
-//! one record per page, that sums each page's in-links as its record
-//! arrives: it holds no per-key state at all. A grouping reduce in its
-//! place would hold every in-edge until the barrier, in proportion to
-//! edges.
+//! one record per page, that sums each page's in-link slots of its
+//! node's `pr/c` column, one lookup, as its record arrives: it holds no
+//! per-key state at all. The rank-ship job before it builds one column
+//! per node, 8 B a page with out-links. A grouping reduce in the
+//! update's place would hold every in-edge until the barrier, in
+//! proportion to edges.
 
 use hamr_workloads::pagerank::PageRank;
 use hamr_workloads::{Benchmark, Env, SimParams};
@@ -98,7 +100,8 @@ fn a_served_iteration_holds_reduce_state_per_page_not_per_edge() {
         "{pages} pages, {edges} edges"
     );
     // Measured on 1,000 pages and 7,886 edges: 99 B a page with the
-    // update a map over in-link lists; 112–160 B a page when a partial
+    // update a map over in-link lists, with one `pr/c` column or one
+    // `pr/c` entry per page; 112–160 B a page when a partial
     // reduce folded each `(src, deg)` in-edge as it arrived, beside two
     // busy loops too; 312–379 B a page when it grouped every in-edge
     // for a reduce.
