@@ -98,10 +98,29 @@ const PAGES: &[u8; 4] = b"pr/p";
 /// slot; the rank-ship job rewrites it.
 const COPY: &[u8; 4] = b"pr/c";
 
-/// The value `DegreeRed` sends `InLinkRed` for each page it counted:
-/// the page has out-links, so it is ranked even with no in-link. Never
-/// stored: a page's list holds real sources only.
-const PRESENT: u64 = u64::MAX;
+/// What `InLinkRed` folds: `Some(src)`, an in-link's source as the
+/// `u64` `ParseMap` emits, or `None`, the empty value `DegreeRed` sends
+/// for each page it counted (the page has out-links, so it is ranked
+/// even with no in-link). No `u64` encodes to an empty value, so the
+/// marker cannot collide with a page id. It is never stored: a page's
+/// list holds real sources only.
+struct InLink(Option<u64>);
+
+impl Codec for InLink {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        if let Some(src) = self.0 {
+            src.encode(buf);
+        }
+    }
+
+    /// `input` is the whole value, so an empty one is the marker.
+    fn decode(input: &mut &[u8]) -> Result<Self, hamr_codec::CodecError> {
+        if input.is_empty() {
+            return Ok(InLink(None));
+        }
+        u64::decode(input).map(|src| InLink(Some(src)))
+    }
+}
 
 /// `prefix` + `page`'s encoding: the key of a page's in-links or rank.
 /// Built on the stack, so a lookup and a put allocate nothing for
@@ -229,9 +248,10 @@ fn in_link_sum(ctx: &TaskContext, slots: &[u8]) -> u64 {
         .expect("iteration 0 puts the pr/c column")
 }
 
-/// Append `src` to a packed in-link list; `PRESENT` adds nothing.
-fn push_in_link(mut links: Vec<u8>, src: u64) -> Vec<u8> {
-    if src != PRESENT {
+/// Append an in-link's source to a packed in-link list; the marker
+/// adds nothing.
+fn push_in_link(mut links: Vec<u8>, InLink(src): InLink) -> Vec<u8> {
+    if let Some(src) = src {
         hamr_codec::write_varint(src, &mut links);
     }
     links
@@ -265,10 +285,10 @@ fn blob_gather(
 }
 
 /// Sums each page's out-degree, like `typed::sum_reducer`, but
-/// finishes a stripe at a time: it sends `InLinkRed` `PRESENT` for each
-/// page (port 1) and `DegreePack` the stripe's degrees as one blob
-/// (port 0), so a node's degrees reach its pack in a few records, not
-/// one per page.
+/// finishes a stripe at a time: it sends `InLinkRed` the [`InLink`]
+/// marker for each page (port 1) and `DegreePack` the stripe's degrees
+/// as one blob (port 0), so a node's degrees reach its pack in a few
+/// records, not one per page.
 struct DegreeRed;
 
 /// A `DegreeRed` stripe's table: each page's degree so far.
@@ -293,10 +313,9 @@ impl PartialReduceFn for DegreeRed {
     }
 
     fn finish(&self, _ctx: &TaskContext, mut table: Box<dyn Any + Send>, out: &mut Emitter) {
-        let present = PRESENT.to_bytes();
         let mut counted = Vec::new();
         degrees(&mut table).drain(usize::MAX, |page, deg| {
-            out.emit(1, page, &present);
+            out.emit(1, page, &[]);
             counted.push((u64::from_bytes(page).expect("page key"), deg));
         });
         counted.sort_unstable();
@@ -378,7 +397,7 @@ impl PageRank {
         // arrive.
         let in_links = job.add_partial_reduce(
             "InLinkRed",
-            typed::partial_fn::<u64, u64, Vec<u8>, _, _, _>(
+            typed::partial_fn::<u64, InLink, Vec<u8>, _, _, _>(
                 |src| push_in_link(Vec::new(), src),
                 push_in_link,
                 // Runs after `DegreeGather` has put `pr/p` and `pr/c` on

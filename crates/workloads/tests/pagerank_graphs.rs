@@ -3,8 +3,8 @@
 //! per page that has out-links, its rank among them, and an in-link
 //! list holds its sources' slots. These graphs have what a generated
 //! one does not: page ids far apart and past 2^32, a page nothing
-//! links to, a page that links nowhere, a duplicate edge and a
-//! self-loop. Each runs on one node, on three nodes of two workers and
+//! links to, a page that links nowhere, a duplicate edge, a self-loop
+//! and the largest id. Each runs on one node, on three nodes of two workers and
 //! on eight of four, where every node's gathers run beside other tasks.
 
 use hamr_workloads::gen::webgraph::zipfian_links;
@@ -59,6 +59,13 @@ fn sparse_ids_and_dangling_pages_rank_alike_on_both_engines() {
         (17, 1_000),
     ];
     engines_agree("sparse", &links);
+}
+
+#[test]
+fn the_largest_page_id_ranks_alike_on_both_engines() {
+    // `u64::MAX` is a page like any other: no value of the id domain
+    // may double as `InLinkRed`'s "has out-links" marker.
+    engines_agree("max id", &[(u64::MAX, 5), (5, 6), (6, u64::MAX)]);
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Minimal offline stand-in for the `crossbeam` crate: an MPMC
 //! unbounded channel with crossbeam-compatible disconnect semantics,
 //! plus a `select!` macro covering the two-receiver-with-timeout shape
-//! the scheduler uses (implemented by polling with a short sleep).
+//! the scheduler uses (it blocks until either receiver is ready or the
+//! deadline passes, as upstream's does).
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -13,6 +14,45 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// The signals of the threads blocked in `select!` on this
+        /// channel: a send or the last sender's drop raises each.
+        watchers: Vec<Arc<Signal>>,
+    }
+
+    impl<T> State<T> {
+        /// Ready for `select!`: a message to take or no sender left.
+        fn ready(&self) -> bool {
+            !self.queue.is_empty() || self.senders == 0
+        }
+
+        fn notify_watchers(&self) {
+            for w in &self.watchers {
+                w.raise();
+            }
+        }
+    }
+
+    /// One thread's wake-up flag for `select!`, registered on every
+    /// receiver it waits on. Lock order: a channel's state, then a
+    /// signal; a thread holding its signal's lock takes no channel lock.
+    struct Signal {
+        raised: Mutex<bool>,
+        cv: Condvar,
+    }
+
+    impl Signal {
+        fn raise(&self) {
+            *self.raised.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            self.cv.notify_one();
+        }
+    }
+
+    thread_local! {
+        // Made once per thread, so a wait allocates nothing.
+        static SIGNAL: Arc<Signal> = Arc::new(Signal {
+            raised: Mutex::new(false),
+            cv: Condvar::new(),
+        });
     }
 
     struct Inner<T> {
@@ -33,6 +73,7 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                watchers: Vec::new(),
             }),
             ready: Condvar::new(),
         });
@@ -54,6 +95,7 @@ pub mod channel {
                 return Err(SendError(value));
             }
             state.queue.push_back(value);
+            state.notify_watchers();
             drop(state);
             self.0.ready.notify_one();
             Ok(())
@@ -72,7 +114,11 @@ pub mod channel {
             let last = {
                 let mut state = self.0.lock();
                 state.senders -= 1;
-                state.senders == 0
+                let last = state.senders == 0;
+                if last {
+                    state.notify_watchers();
+                }
+                last
             };
             if last {
                 self.0.ready.notify_all();
@@ -147,6 +193,51 @@ pub mod channel {
         pub fn len(&self) -> usize {
             self.0.lock().queue.len()
         }
+
+        /// Registers `signal` and answers whether the channel is
+        /// already ready, both under one lock, so no send between the
+        /// check and the wait is missed.
+        fn watch(&self, signal: &Arc<Signal>) -> bool {
+            let mut state = self.0.lock();
+            state.watchers.push(signal.clone());
+            state.ready()
+        }
+
+        fn unwatch(&self, signal: &Arc<Signal>) {
+            let mut state = self.0.lock();
+            if let Some(i) = state.watchers.iter().position(|w| Arc::ptr_eq(w, signal)) {
+                state.watchers.swap_remove(i);
+            }
+        }
+    }
+
+    /// Blocks the calling thread until `a` or `b` is ready — a message
+    /// is queued or its last sender is gone — or `deadline` passes. It
+    /// may return early (another receiver took the message); `select!`
+    /// checks both receivers again either way. Allocates nothing once
+    /// the thread's signal exists and the watcher lists have grown.
+    #[doc(hidden)]
+    pub fn wait_either<A, B>(a: &Receiver<A>, b: &Receiver<B>, deadline: Instant) {
+        SIGNAL.with(|signal| {
+            *signal.raised.lock().unwrap_or_else(PoisonError::into_inner) = false;
+            let ready = a.watch(signal) | b.watch(signal);
+            if !ready {
+                let mut raised = signal.raised.lock().unwrap_or_else(PoisonError::into_inner);
+                while !*raised {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break;
+                    }
+                    raised = signal
+                        .cv
+                        .wait_timeout(raised, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                }
+            }
+            a.unwatch(signal);
+            b.unwatch(signal);
+        });
     }
 
     impl<T> Clone for Receiver<T> {
@@ -203,27 +294,14 @@ pub mod channel {
     pub use crate::select;
 }
 
-/// Longest [`select!`] sleeps between two polls of its receivers.
-const POLL_INTERVAL: std::time::Duration = std::time::Duration::from_micros(500);
-
-/// How long [`select!`] sleeps before its next poll, `None` once the
-/// deadline has come: a poll interval, cut short where the deadline is
-/// nearer, so the default arm fires at its deadline and not up to an
-/// interval after it.
-#[doc(hidden)]
-pub fn poll_sleep(
-    now: std::time::Instant,
-    deadline: std::time::Instant,
-) -> Option<std::time::Duration> {
-    let left = deadline.saturating_duration_since(now);
-    (!left.is_zero()).then(|| left.min(POLL_INTERVAL))
-}
-
-/// Polling `select!` over two receivers plus a `default(timeout)` arm.
+/// [`select!`] over two receivers plus a `default(timeout)` arm.
 ///
 /// Matches crossbeam semantics for this shape: a disconnected receiver
-/// counts as ready (its arm fires with `Err(RecvError)`), and the
-/// default arm fires once `timeout` elapses with neither ready.
+/// counts as ready (its arm fires with `Err(RecvError)`), a message
+/// already queued wins over the default arm, and the default arm fires
+/// once `timeout` elapses with neither ready. Between checks the
+/// calling thread blocks in [`channel::wait_either`] until a send or a
+/// last-sender drop on either receiver, or the deadline.
 #[macro_export]
 macro_rules! select {
     (
@@ -249,13 +327,11 @@ macro_rules! select {
                     break;
                 }
             }
-            match $crate::poll_sleep(::std::time::Instant::now(), __deadline) {
-                ::std::option::Option::Some(__nap) => ::std::thread::sleep(__nap),
-                ::std::option::Option::None => {
-                    $hd
-                    break;
-                }
+            if ::std::time::Instant::now() >= __deadline {
+                $hd
+                break;
             }
+            $crate::channel::wait_either(&$r1, &$r2, __deadline);
         }
     }};
 }
@@ -264,7 +340,7 @@ macro_rules! select {
 mod tests {
     use super::channel::*;
     use std::thread;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn send_recv_fifo() {
@@ -335,18 +411,126 @@ mod tests {
         assert_eq!(t.join().unwrap(), Ok(42));
     }
 
+    type Fired = (u8, Result<u32, RecvError>);
+
+    /// Runs a `select!` with a 30 s default on a thread, which reports
+    /// the arm that fired (1, 2, or 0 for the default) and its value.
+    fn blocked_select(
+        rx1: Receiver<u32>,
+        rx2: Receiver<u32>,
+    ) -> (thread::JoinHandle<()>, Receiver<Fired>) {
+        let (tx, fired) = unbounded();
+        let t = thread::spawn(move || {
+            let mut arm = (0, Err(RecvError));
+            crate::select! {
+                recv(rx1) -> v => { arm = (1, v); }
+                recv(rx2) -> v => { arm = (2, v); }
+                default(Duration::from_secs(30)) => {}
+            }
+            tx.send(arm).unwrap();
+        });
+        (t, fired)
+    }
+
+    /// The arm the thread reports, failing after 5 s: a wake lost to a
+    /// race would leave it asleep until its 30 s default.
+    fn fired_within_5s((t, fired): (thread::JoinHandle<()>, Receiver<Fired>)) -> Fired {
+        let arm = fired
+            .recv_timeout(Duration::from_secs(5))
+            .expect("select! did not wake");
+        t.join().unwrap();
+        arm
+    }
+
     #[test]
-    fn a_poll_never_sleeps_past_the_deadline() {
-        use std::time::Instant;
-        let now = Instant::now();
-        let us = Duration::from_micros;
-        assert_eq!(crate::poll_sleep(now, now + us(20_000)), Some(us(500)));
-        assert_eq!(crate::poll_sleep(now, now + us(500)), Some(us(500)));
-        assert_eq!(crate::poll_sleep(now, now + us(100)), Some(us(100)));
-        // At or past the deadline there is nothing to sleep for:
-        // `default(Duration::ZERO)` fires on the first pass.
-        assert_eq!(crate::poll_sleep(now, now), None);
-        assert_eq!(crate::poll_sleep(now + us(1), now), None);
+    fn a_blocked_select_wakes_on_a_send_to_either_receiver() {
+        for arm in [1, 2] {
+            let (tx1, rx1) = unbounded::<u32>();
+            let (tx2, rx2) = unbounded::<u32>();
+            let waiter = blocked_select(rx1, rx2);
+            // Give the thread time to block; a send before it does is
+            // found by the check that precedes the wait.
+            thread::sleep(Duration::from_millis(20));
+            let tx = if arm == 1 { &tx1 } else { &tx2 };
+            tx.send(7).unwrap();
+            assert_eq!(fired_within_5s(waiter), (arm, Ok(7)));
+        }
+    }
+
+    #[test]
+    fn a_blocked_select_wakes_when_the_last_sender_drops() {
+        for arm in [1, 2] {
+            let (tx1, rx1) = unbounded::<u32>();
+            let (tx2, rx2) = unbounded::<u32>();
+            let spare = if arm == 1 { tx1.clone() } else { tx2.clone() };
+            let waiter = blocked_select(rx1, rx2);
+            thread::sleep(Duration::from_millis(20));
+            drop(spare);
+            thread::sleep(Duration::from_millis(20));
+            assert!(
+                waiter.1.try_recv().is_err(),
+                "a sender is left: still blocked"
+            );
+            if arm == 1 {
+                drop(tx1);
+            } else {
+                drop(tx2);
+            }
+            assert_eq!(fired_within_5s(waiter), (arm, Err(RecvError)));
+        }
+    }
+
+    #[test]
+    fn a_queued_message_beats_a_zero_default() {
+        let (_tx1, rx1) = unbounded::<u32>();
+        let (tx2, rx2) = unbounded::<u32>();
+        tx2.send(3).unwrap();
+        let mut arm = 0;
+        crate::select! {
+            recv(rx1) -> _v => { arm = 1; }
+            recv(rx2) -> v => { assert_eq!(v, Ok(3)); arm = 2; }
+            default(Duration::ZERO) => {}
+        }
+        assert_eq!(arm, 2);
+    }
+
+    #[test]
+    fn a_thousand_round_trips_through_select_take_under_a_quarter_second() {
+        // A poll that sleeps 500 µs between checks needs at least 0.5 s
+        // for these: every hop finds the other side asleep.
+        const TRIPS: u32 = 1_000;
+        let (ping_tx, ping_rx) = unbounded::<u32>();
+        let (pong_tx, pong_rx) = unbounded::<u32>();
+        let (_idle_tx, idle_rx) = unbounded::<u32>();
+        let idle = idle_rx.clone();
+        let echo = thread::spawn(move || {
+            for _ in 0..TRIPS {
+                let mut ping = None;
+                crate::select! {
+                    recv(ping_rx) -> v => { ping = v.ok(); }
+                    recv(idle) -> _v => {}
+                    default(Duration::from_secs(30)) => {}
+                }
+                pong_tx.send(ping.expect("a ping")).unwrap();
+            }
+        });
+        let start = Instant::now();
+        for i in 0..TRIPS {
+            ping_tx.send(i).unwrap();
+            let mut pong = None;
+            crate::select! {
+                recv(pong_rx) -> v => { pong = v.ok(); }
+                recv(idle_rx) -> _v => {}
+                default(Duration::from_secs(30)) => {}
+            }
+            assert_eq!(pong, Some(i));
+        }
+        let took = start.elapsed();
+        echo.join().unwrap();
+        assert!(
+            took < Duration::from_millis(250),
+            "{TRIPS} round trips took {took:?}"
+        );
     }
 
     #[test]
